@@ -16,9 +16,10 @@
 // shard specs, executed in-process by default, on subprocess workers
 // with -shard-workers, or on remote machines with -shard-remote — each
 // remote runs `pxql -shard-worker -listen :9071` with a matching
-// -shard-token (or PXQL_SHARD_TOKEN). -seal N queries the log through a
-// segment store (sealed every N records), shipping per-segment hashed
-// slices to the workers. Output is byte-identical in every mode;
+// -shard-token (or PXQL_SHARD_TOKEN). Workers receive the log as
+// per-segment hashed slices: the flat log's own fixed-size runs, or with
+// -seal N the segments of a store sealed every N records. Output is
+// byte-identical in every mode;
 // -verbose reports frames, bytes shipped and slice-cache counters.
 package main
 
@@ -158,9 +159,9 @@ func run(o cliOpts) error {
 		return err
 	}
 	// -seal routes the flat CSV log through a segment store and queries
-	// its watermark snapshot — the shard planners then cut along segment
-	// boundaries and ship per-segment hashed slices. The explanation is
-	// byte-identical to the flat path.
+	// its watermark snapshot — shard specs then ship the store's sealed
+	// segments and tail instead of the flat log's own runs. The
+	// explanation is byte-identical either way.
 	segmented := func(l *perfxplain.Log) (*perfxplain.Log, error) {
 		st := perfxplain.NewStore(l, o.seal)
 		if err := st.Ingest(l); err != nil {

@@ -64,8 +64,7 @@ func (e *Explainer) runStratifiedRound(ctx context.Context, q *pxql.Query, despi
 			enumOpts{stratified: true, budgets: budgets}), nil
 	}
 	e.prefetchLayout()
-	specs := planEnumStratifiedOver(e.cfg.Layout, e.log, e.d.Level(), q, despite, groups, budgets, e.cfg.Shards, seed, round)
-	return e.runEnumSpecs(specs)
+	return e.runEnumSpecs(planEnumRound(e.cfg.Layout, e.d.Level(), q, despite, groups, 1, budgets, round, e.cfg.Shards, seed))
 }
 
 // adaptiveBudgets turns pilot-round counts into final per-group pair

@@ -110,6 +110,7 @@ func TestAdaptiveStatisticalEquivalence(t *testing.T) {
 		if shards > 0 {
 			cfg.Shards = shards
 			cfg.Runner = serialEvalRunner{}
+			cfg.Layout = FlatLayout(log)
 		}
 		ex, err := NewExplainer(log, cfg)
 		if err != nil {
@@ -178,7 +179,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 func TestEnumSpecRoundValidation(t *testing.T) {
 	log := zoneSkewedLog(60, 5, rand.New(rand.NewSource(71)))
 	q := zoneQuery()
-	specs := PlanEnumShardsStratified(log, features.Level3, q, q.Despite, 100, 1, 9)
+	specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, true, 100, 1, 9)
 	if len(specs) != 1 {
 		t.Fatalf("planned %d specs", len(specs))
 	}

@@ -97,13 +97,11 @@ type Config struct {
 	// subprocesses (see internal/shard). nil selects the direct
 	// single-process path.
 	Runner ShardRunner
-	// Layout describes the log's segment decomposition when it is a
-	// segment-store snapshot (joblog.Store): runner-backed planners then
-	// ship per-segment content-addressed slices instead of cutting and
-	// hashing ad-hoc record subsets, so sealed segments stay warm in
-	// worker caches across appends. It must cover exactly the log's
-	// records. nil — or a nil Runner — plans against the log directly;
-	// results are byte-identical either way.
+	// Layout is the log's segment decomposition — NewSegmentLayout over a
+	// store snapshot's Segments or a flat log's SegmentViews — whose
+	// content-addressed slices every enumeration spec carries. Required
+	// with a Runner, unused without one; it must cover exactly the log's
+	// records.
 	Layout *SegmentLayout
 }
 
@@ -195,8 +193,8 @@ func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
 	if _, ok := log.Schema.Index(cfg.Target); !ok {
 		return nil, fmt.Errorf("core: log has no target feature %q", cfg.Target)
 	}
-	if cfg.Layout != nil && cfg.Layout.Total() != log.Len() {
-		return nil, fmt.Errorf("core: segment layout covers %d records, log has %d",
+	if (cfg.Runner != nil || cfg.Layout != nil) && cfg.Layout.Total() != log.Len() {
+		return nil, fmt.Errorf("core: segment layout covers %d records, log has %d (a Runner plans over Config.Layout, the log's own layout)",
 			cfg.Layout.Total(), log.Len())
 	}
 	// The deriver always exposes the full Table 1 feature set: queries may

@@ -31,36 +31,24 @@ type Metrics struct {
 	BecausePairs int
 }
 
-// EvaluateExplanation measures an explanation against a log with all
-// available cores. The query supplies des, obs and exp; the explanation
-// supplies des' and bec. The probability space is the set of ordered
-// pairs satisfying des ∧ des' (blocked and capped exactly like training
-// enumeration).
-func EvaluateExplanation(log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64) (Metrics, error) {
-	return EvaluateExplanationP(log, level, q, x, maxPairs, seed, 0)
-}
-
-// EvaluateExplanationP is EvaluateExplanation with an explicit worker
-// count (<= 0 means GOMAXPROCS). Shards accumulate integer counts that
-// are summed in shard order, so the metrics are exact and identical at
-// every parallelism level.
+// EvaluateExplanation measures an explanation against a log on this
+// process's cores (parallelism <= 0 means GOMAXPROCS). The query
+// supplies des, obs and exp; the explanation supplies des' and bec. The
+// probability space is the set of ordered pairs satisfying des ∧ des'
+// (blocked and capped exactly like training enumeration). Shards
+// accumulate integer counts that are summed in shard order, so the
+// metrics are exact and identical at every parallelism level.
 //
 // Each tile of pairs is evaluated batched: the despite context fills a
 // selection bitmap, exp and bec push down over copies of it, obs pushes
 // down over the bec selection, and all four counts are popcounts — the
 // per-pair conditional nesting becomes word-wise AND composition with
 // identical totals.
-func EvaluateExplanationP(log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64, parallelism int) (Metrics, error) {
-	return EvaluateExplanationPCtx(context.Background(), log, level, q, x, maxPairs, seed, parallelism)
-}
-
-// EvaluateExplanationPCtx is EvaluateExplanationP with a cancellation
-// context: each worker checks ctx before starting a shard of the pair
-// walk, and a cancelled evaluation returns ctx.Err() instead of partial
-// counts. A result returned without error is exact.
-func EvaluateExplanationPCtx(ctx context.Context, log *joblog.Log, level features.Level,
+//
+// Each worker checks ctx before starting a shard of the pair walk, and a
+// cancelled evaluation returns ctx.Err() instead of partial counts. A
+// result returned without error is exact.
+func EvaluateExplanation(ctx context.Context, log *joblog.Log, level features.Level,
 	q *pxql.Query, x *Explanation, maxPairs int, seed int64, parallelism int) (Metrics, error) {
 
 	if err := validateEvaluation(log, level, q, x); err != nil {
@@ -149,41 +137,22 @@ func metricsFromCounts(context, exp, bec, obsGivenBec int) (Metrics, error) {
 	return m, nil
 }
 
-// EvaluateExplanationSharded is EvaluateExplanationP with the quadratic
-// pair walk cut into self-contained shard specs executed by runner —
-// the distributed counterpart for evaluation logs that exceed one box.
-// Shard results are integer counts summed in spec order, so the metrics
-// are exactly those of the serial walk at every shard count, transport
-// and cache state. A nil runner falls back to the in-process walk;
-// shards <= 0 plans one spec per core.
-func EvaluateExplanationSharded(log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64,
-	shards int, runner ShardRunner) (Metrics, error) {
-
-	return EvaluateExplanationShardedOver(nil, log, level, q, x, maxPairs, seed, shards, runner)
-}
-
-// EvaluateExplanationShardedOver is EvaluateExplanationSharded against a
-// segment layout: eval specs then carry the layout's per-segment
-// hashed slices (shared by every spec and every repeat evaluation at
-// the same watermark) instead of per-shard record cuts. A nil layout
-// plans statically; counts and metrics are identical either way.
-func EvaluateExplanationShardedOver(layout *SegmentLayout, log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64,
-	shards int, runner ShardRunner) (Metrics, error) {
-	return EvaluateExplanationShardedOverCtx(context.Background(), layout, log, level, q, x, maxPairs, seed, shards, runner)
-}
-
-// EvaluateExplanationShardedOverCtx is EvaluateExplanationShardedOver
-// with a cancellation context. Cancellation is checked before planning
-// and before the shard fan-out — the runner round itself is the unit of
+// EvaluateExplanationSharded is EvaluateExplanation with the quadratic
+// pair walk cut into self-contained shard specs over the log's segment
+// layout and executed by runner — the distributed counterpart for
+// evaluation logs that exceed one box. Shard results are integer counts
+// summed in spec order, so the metrics are exactly those of the direct
+// walk at every shard count, transport and cache state. A nil runner
+// falls back to the direct walk (layout is then unused); shards <= 0
+// plans one spec per core. Cancellation is checked before planning and
+// before the shard fan-out — the runner round itself is the unit of
 // work — so a cancelled evaluation stops at the next round boundary.
-func EvaluateExplanationShardedOverCtx(ctx context.Context, layout *SegmentLayout, log *joblog.Log, level features.Level,
+func EvaluateExplanationSharded(ctx context.Context, layout *SegmentLayout, log *joblog.Log, level features.Level,
 	q *pxql.Query, x *Explanation, maxPairs int, seed int64,
 	shards int, runner ShardRunner) (Metrics, error) {
 
 	if runner == nil {
-		return EvaluateExplanationPCtx(ctx, log, level, q, x, maxPairs, seed, 0)
+		return EvaluateExplanation(ctx, log, level, q, x, maxPairs, seed, 0)
 	}
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
@@ -191,38 +160,21 @@ func EvaluateExplanationShardedOverCtx(ctx context.Context, layout *SegmentLayou
 	if err := validateEvaluation(log, level, q, x); err != nil {
 		return Metrics{}, err
 	}
-	if layout != nil && layout.Total() != log.Len() {
+	if layout.Total() != log.Len() {
 		return Metrics{}, fmt.Errorf("core: segment layout covers %d records, evaluation log has %d",
 			layout.Total(), log.Len())
 	}
 	if shards <= 0 {
 		shards = par.Resolve(0)
 	}
-	specs := PlanEvalShardsOver(layout, log, level, q, x, maxPairs, shards, stats.DeriveSeed(seed, "evaluate"))
-	// Prefetch the distinct evaluation slices to every worker before
-	// fanning out: while the first specs compute, the rest of the
-	// payloads ship in the background — and repeated evaluations over
-	// the same log (a harness scoring several widths) hit the worker
-	// caches whatever the dynamic task-to-worker assignment does.
+	specs := PlanEvalShards(layout, log, level, q, x, maxPairs, shards, stats.DeriveSeed(seed, "evaluate"))
+	// Prefetch the layout's slices to every worker before fanning out:
+	// while the first specs compute, the rest of the payloads ship in the
+	// background — and repeated evaluations over the same log (a harness
+	// scoring several widths) hit the worker caches whatever the dynamic
+	// task-to-worker assignment does.
 	if pf, ok := runner.(SlicePrefetcher); ok {
-		seen := make(map[string]bool, len(specs))
-		slices := make([]LogSlice, 0, len(specs))
-		add := func(s LogSlice) {
-			if s.Hash != "" && !seen[s.Hash] {
-				seen[s.Hash] = true
-				slices = append(slices, s)
-			}
-		}
-		for i := range specs {
-			if len(specs[i].Slices) > 0 {
-				for _, s := range specs[i].Slices {
-					add(s)
-				}
-			} else {
-				add(specs[i].Slice)
-			}
-		}
-		pf.PrefetchSlices(slices)
+		pf.PrefetchSlices(layout.Slices)
 	}
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -72,12 +73,12 @@ func TestEvaluateIdenticalAcrossParallelism(t *testing.T) {
 	x := &Explanation{
 		Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 	}
-	base, err := EvaluateExplanationP(log, features.Level3, q, x, 500, 3, 1)
+	base, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got, err := EvaluateExplanationP(log, features.Level3, q, x, 500, 3, p)
+		got, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,21 +1,24 @@
 package core
 
-// Segment-aware planning. A joblog.Store snapshot decomposes the log
-// into sealed immutable segments plus a mutable tail (joblog/segment.go);
-// SegmentLayout is that decomposition in shard-planner terms: one
+// The shard planners. Every log has a segment layout: a joblog.Store
+// snapshot decomposes into its sealed immutable segments plus the
+// mutable tail, a flat log into contiguous runs of
+// joblog.DefaultSealThreshold records (joblog.Log.SegmentViews).
+// SegmentLayout is that decomposition in planner terms — one
 // content-addressed LogSlice per segment, concatenating in order to the
-// whole snapshot. The Over planner variants ship these per-segment
-// slices to every spec instead of cutting and hashing ad-hoc record
-// subsets per shard — sealed segments keep one hash forever, so worker
-// caches stay warm across appends and only the tail slice (whose hash
-// changes with every append) re-ships on a re-query.
+// whole log — and it is the only way enumeration and evaluation specs
+// carry records: every spec of a plan references the same slices, and a
+// shard differs from its siblings only in the blocking groups and outer
+// ranges it owns. A segment keeps its hash for as long as its records
+// do, so worker caches stay warm across queries and appends, and only
+// the tail slice (whose hash changes with every append) re-ships.
 //
-// Byte-identity: a segmented spec addresses records globally (Global
-// empty means identity) and carries the same blocking groups, outer
-// ranges, budgets, seeds and predicates as its static counterpart; the
-// worker concatenates the segment slices into one whole-log view and
-// runs the identical walk, so the merged output equals the static plan
-// at every shard count — pinned by the segment equivalence suite.
+// Byte-identity: a spec addresses records by their index in the log and
+// carries the blocking groups, outer ranges, budgets, seeds and
+// predicates of the direct walk; the worker concatenates the segment
+// slices into one whole-log view and runs the identical walk, so the
+// merged output equals the direct walk's at every shard count and seal
+// boundary — pinned by the planner and segment equivalence suites.
 
 import (
 	"fmt"
@@ -33,9 +36,9 @@ func NewLogSliceHashed(hash string, w joblog.WireLog, intern []string) LogSlice 
 	return LogSlice{Hash: hash, Log: w, Intern: intern}
 }
 
-// SegmentLayout is the shard-planner view of a segment-store snapshot:
-// its segments as content-addressed slices, in record order, covering
-// the snapshot's records exactly.
+// SegmentLayout is the shard-planner view of a log: its segments as
+// content-addressed slices, in record order, covering the log's records
+// exactly.
 type SegmentLayout struct {
 	// Slices holds one content-addressed slice per segment (sealed
 	// segments first, then the tail), concatenating to the whole log.
@@ -43,8 +46,9 @@ type SegmentLayout struct {
 	total  int
 }
 
-// NewSegmentLayout builds a layout from a snapshot's segment views,
-// validating that the views tile the record space contiguously from 0.
+// NewSegmentLayout builds a layout from a log's segment views — a
+// snapshot's Segments or a flat log's SegmentViews — validating that
+// the views tile the record space contiguously from 0.
 func NewSegmentLayout(views []joblog.SegmentView) (*SegmentLayout, error) {
 	ly := &SegmentLayout{Slices: make([]LogSlice, len(views))}
 	for i, v := range views {
@@ -57,18 +61,36 @@ func NewSegmentLayout(views []joblog.SegmentView) (*SegmentLayout, error) {
 	return ly, nil
 }
 
-// Total returns the number of records the layout covers.
-func (ly *SegmentLayout) Total() int { return ly.total }
+// FlatLayout is the layout of a log that is not a store snapshot: its
+// own SegmentViews, which tile the record space by construction.
+func FlatLayout(log *joblog.Log) *SegmentLayout {
+	ly, err := NewSegmentLayout(log.SegmentViews())
+	if err != nil {
+		panic(err) // a bug in SegmentViews alone can produce this
+	}
+	return ly
+}
+
+// Total returns the number of records the layout covers. A nil layout
+// covers none, so the coverage check every runner-backed entry point
+// makes against its (non-empty) log also rejects a missing layout.
+func (ly *SegmentLayout) Total() int {
+	if ly == nil {
+		return 0
+	}
+	return ly.total
+}
 
 // CombineSlices concatenates decoded slices, in order, into one view —
-// the worker-side assembly of a segmented spec's whole-log form. The
+// the worker-side assembly of an enumeration or evaluation spec's
+// whole-log form. The
 // combined columnar view is built plainly (fresh intern); compiled
 // predicate evaluation is intern-independent, so enumeration and
 // evaluation walks over it are byte-identical to the coordinator's.
 // With a single slice the decoded form is returned as-is.
 func CombineSlices(datas []*SliceData) (*SliceData, error) {
 	if len(datas) == 0 {
-		return nil, fmt.Errorf("core: no slices to combine")
+		return nil, fmt.Errorf("core: spec has no slices")
 	}
 	if len(datas) == 1 {
 		return datas[0], nil
@@ -90,13 +112,10 @@ func CombineSlices(datas []*SliceData) (*SliceData, error) {
 }
 
 // DecodeSlices decodes payload slices and combines them — the
-// in-process executor path of a segmented spec (the worker runtime
-// resolves each slice through its cache first and combines the decoded
-// forms itself).
+// standalone executor path of an enumeration or evaluation spec (the
+// shard runtimes resolve each slice through a cache first and combine
+// the decoded forms themselves).
 func DecodeSlices(slices []LogSlice) (*SliceData, error) {
-	if len(slices) == 0 {
-		return nil, fmt.Errorf("core: spec has no slices")
-	}
 	datas := make([]*SliceData, len(slices))
 	for i := range slices {
 		d, err := slices[i].Data()
@@ -108,12 +127,19 @@ func DecodeSlices(slices []LogSlice) (*SliceData, error) {
 	return CombineSlices(datas)
 }
 
-// cutGroupShardsGlobal is cutGroupShards for segmented specs: the same
-// proportional cut of the flattened (group, outer-member) sequence —
-// identical boundaries, outer ranges and budgets — but group members
-// keep their global record indices (the combined slice view is the
-// whole log, so local == global) and no per-shard record slice is cut.
-func cutGroupShardsGlobal(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
+// cutGroupShards cuts the flattened (group, outer-member) sequence of a
+// blocked pair space into nShards proportional, contiguous slices — the
+// single definition of how both the enumeration and the evaluation
+// planner partition a quadratic pair walk. Shard boundaries may fall
+// inside a blocking group (it then appears in several cuts with disjoint
+// outer ranges); when nShards exceeds the outer-member count, trailing
+// cuts are empty. budgets, when non-nil, carries one stratified pair
+// budget per group (parallel to groups) onto every cut the group appears
+// in; nil leaves Budget zero (Bernoulli mode).
+func cutGroupShards(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
+	if nShards < 1 {
+		nShards = 1
+	}
 	units := 0
 	for _, g := range groups {
 		units += len(g)
@@ -144,71 +170,52 @@ func cutGroupShardsGlobal(groups [][]int, budgets []int, nShards int) [][]EnumGr
 	return cuts
 }
 
-// PlanEnumShardsOver is PlanEnumShards against a segment layout: specs
-// carry the layout's per-segment slices (shared by every spec, cached
-// by hash worker-side) instead of per-shard record cuts. A nil layout
-// delegates to the static planner. The walk — groups, outer ranges,
-// keep decisions, iteration order — is identical either way.
-func PlanEnumShardsOver(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, maxPairs, nShards int, seed uint64) []EnumSpec {
+// PlanEnumShards partitions the blocked pair space of (log, despite)
+// into nShards self-contained enumeration specs over the log's layout.
+// Concatenating shard results in spec order reproduces the direct walk's
+// iteration order exactly; when nShards exceeds the outer-member count,
+// trailing specs are empty (no groups) and execute to empty results.
+//
+// limit is the sampling bound of the mode: in Bernoulli mode the
+// maxPairs cap behind one global keep probability; in stratified mode
+// the total pair budget, allocated per blocking group (stratifyBudgets)
+// so that workers re-derive each group's draw set from the seed and the
+// group's first record index — identical at every shard count.
+//
+// The plan is a pure function of (records, layout, despite, query
+// outcome clauses, limit, nShards, seed): everything it reads —
+// including the memoized columnar view backing the zone-map group
+// pruner — is derived deterministically from the record list, so
+// rebuilding the log's caches never changes it.
+func PlanEnumShards(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
+	despite pxql.Predicate, stratified bool, limit, nShards int, seed uint64) []EnumSpec {
 
-	if layout == nil {
-		return PlanEnumShards(log, level, q, despite, maxPairs, nShards, seed)
+	if stratified {
+		// seek=false: stratified draws are keyed on each group's first
+		// member and size, so row filtering would change the draw set.
+		groups, _ := blockedGroupsOpt(log, despite, 0, true, false)
+		return planEnumRound(layout, level, q, despite, groups, 1, stratifyBudgets(groups, limit), RoundFinal, nShards, seed)
 	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	groups, keepP := blockedGroups(log, despite, maxPairs)
-	specs := make([]EnumSpec, nShards)
-	for s, cut := range cutGroupShardsGlobal(groups, nil, nShards) {
-		specs[s] = EnumSpec{
-			Slices:   layout.Slices,
-			Groups:   cut,
-			KeepP:    keepP,
-			Seed:     seed,
-			Level:    level,
-			Despite:  despite.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-		}
-	}
-	return specs
+	groups, keepP := blockedGroups(log, despite, limit)
+	return planEnumRound(layout, level, q, despite, groups, keepP, nil, RoundFinal, nShards, seed)
 }
 
-// PlanEnumShardsStratifiedOver is PlanEnumShardsStratified against a
-// segment layout (nil delegates to the static planner).
-func PlanEnumShardsStratifiedOver(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, budget, nShards int, seed uint64) []EnumSpec {
+// planEnumRound cuts one enumeration round over explicit groups — the
+// shared tail of PlanEnumShards and the Wilson-adaptive rounds (which
+// compute pilot and final budgets themselves). budgets, parallel to
+// groups, selects the stratified walk; nil the Bernoulli one under keepP.
+func planEnumRound(layout *SegmentLayout, level features.Level, q *pxql.Query, despite pxql.Predicate,
+	groups [][]int, keepP float64, budgets []int, round, nShards int, seed uint64) []EnumSpec {
 
-	if layout == nil {
-		return PlanEnumShardsStratified(log, level, q, despite, budget, nShards, seed)
-	}
-	// seek=false for the same reason as the static planner: draws key on
-	// group identity.
-	groups, _ := blockedGroupsOpt(log, despite, 0, true, false)
-	return planEnumStratifiedOver(layout, log, level, q, despite, groups, stratifyBudgets(groups, budget), nShards, seed, RoundFinal)
-}
-
-// planEnumStratifiedOver is planEnumStratified against a segment layout
-// (nil delegates) — the shared tail of the stratified planner and the
-// Wilson-adaptive rounds.
-func planEnumStratifiedOver(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, groups [][]int, budgets []int, nShards int, seed uint64, round int) []EnumSpec {
-
-	if layout == nil {
-		return planEnumStratified(log, level, q, despite, groups, budgets, nShards, seed, round)
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	specs := make([]EnumSpec, nShards)
-	for s, cut := range cutGroupShardsGlobal(groups, budgets, nShards) {
+	cuts := cutGroupShards(groups, budgets, nShards)
+	specs := make([]EnumSpec, len(cuts))
+	for s, cut := range cuts {
 		specs[s] = EnumSpec{
 			Slices:     layout.Slices,
 			Groups:     cut,
-			KeepP:      1,
+			KeepP:      keepP,
 			Seed:       seed,
-			Stratified: true,
+			Stratified: budgets != nil,
 			Round:      round,
 			Level:      level,
 			Despite:    despite.Spec(),
@@ -219,21 +226,20 @@ func planEnumStratifiedOver(layout *SegmentLayout, log *joblog.Log, level featur
 	return specs
 }
 
-// PlanEvalShardsOver is PlanEvalShards against a segment layout (nil
-// delegates to the static planner).
-func PlanEvalShardsOver(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
+// PlanEvalShards partitions the quadratic walk of EvaluateExplanation —
+// the ordered pairs of the despite context des ∧ des' — into nShards
+// self-contained evaluation specs, cut exactly like enumeration shards
+// over the same layout slices: repeated evaluations over one log (a
+// harness scoring an explanation at several widths) reference cached
+// slices instead of re-shipping them.
+func PlanEvalShards(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
 	x *Explanation, maxPairs, nShards int, seed uint64) []EvalSpec {
 
-	if layout == nil {
-		return PlanEvalShards(log, level, q, x, maxPairs, nShards, seed)
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
 	despite := q.Despite.And(x.Despite)
 	groups, keepP := blockedGroups(log, despite, maxPairs)
-	specs := make([]EvalSpec, nShards)
-	for s, cut := range cutGroupShardsGlobal(groups, nil, nShards) {
+	cuts := cutGroupShards(groups, nil, nShards)
+	specs := make([]EvalSpec, len(cuts))
+	for s, cut := range cuts {
 		specs[s] = EvalSpec{
 			Slices:   layout.Slices,
 			Groups:   cut,
@@ -251,12 +257,9 @@ func PlanEvalShardsOver(layout *SegmentLayout, log *joblog.Log, level features.L
 
 // prefetchLayout starts shipping the layout's segment slices to every
 // worker — called at the head of each runner-backed planning round, so
-// sealed payloads a worker already holds are skipped and new ones
-// overlap with planning. Advisory, like every prefetch.
+// payloads a worker already holds are skipped and new ones overlap with
+// planning. Advisory, like every prefetch.
 func (e *Explainer) prefetchLayout() {
-	if e.cfg.Layout == nil || e.cfg.Runner == nil {
-		return
-	}
 	if pf, ok := e.cfg.Runner.(SlicePrefetcher); ok {
 		pf.PrefetchSlices(e.cfg.Layout.Slices)
 	}

@@ -1,12 +1,14 @@
 package core
 
-// Equivalence suite for segmented planning: plans cut over a segment
-// layout — per-segment hashed slices plus global group indices — must
-// merge to exactly the static planners' output at every shard count,
-// seal threshold, and sampling mode, including seal boundaries that
-// straddle blocking groups.
+// Equivalence suite for planning across seal boundaries: plans cut over
+// a store snapshot's layout — per-segment hashed slices, group members
+// indexing their concatenation — must merge to exactly the direct walk
+// over the static flat log at every shard count, seal threshold, and
+// sampling mode, including seal boundaries that straddle blocking
+// groups.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -42,15 +44,15 @@ var segSealEveries = []int{5, 17, 40, 200} // several segments + tail ... single
 func TestPlanEnumShardsOverMatchesStatic(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(21)))
 	q := blockedQuery()
+	d := features.NewDeriver(log.Schema, features.Level3)
 	for _, maxPairs := range []int{0, 500} {
 		pairSeed := stats.DeriveSeed(5, "seg-test")
-		staticSpecs := PlanEnumShards(log, features.Level3, q, q.Despite, maxPairs, 1, pairSeed)
-		wantRefs, wantLabels := runPlan(t, staticSpecs)
+		want := enumerateRelated(log, d, q, q.Despite, maxPairs, pairSeed, 1)
 		for _, sealEvery := range segSealEveries {
 			snapLog, layout := storeOver(t, log, sealEvery)
 			for _, nShards := range []int{1, 2, 7} {
 				name := fmt.Sprintf("maxPairs=%d seal=%d shards=%d", maxPairs, sealEvery, nShards)
-				specs := PlanEnumShardsOver(layout, snapLog, features.Level3, q, q.Despite, maxPairs, nShards, pairSeed)
+				specs := PlanEnumShards(layout, snapLog, features.Level3, q, q.Despite, false, maxPairs, nShards, pairSeed)
 				if len(specs) != nShards {
 					t.Fatalf("%s: planned %d specs", name, len(specs))
 				}
@@ -58,14 +60,16 @@ func TestPlanEnumShardsOverMatchesStatic(t *testing.T) {
 					if len(specs[si].Slices) != len(layout.Slices) {
 						t.Fatalf("%s: spec %d carries %d slices, want %d", name, si, len(specs[si].Slices), len(layout.Slices))
 					}
-					if specs[si].Log.Records != nil || len(specs[si].Global) != 0 {
-						t.Fatalf("%s: spec %d still ships a per-shard record cut", name, si)
+					for k := range layout.Slices {
+						if specs[si].Slices[k].Hash != layout.Slices[k].Hash {
+							t.Fatalf("%s: spec %d slice %d is not the layout's segment", name, si, k)
+						}
 					}
 				}
 				refs, labels := runPlan(t, specs)
-				if !reflect.DeepEqual(refs, wantRefs) || !reflect.DeepEqual(labels, wantLabels) {
-					t.Errorf("%s: segmented plan output differs from static (%d pairs vs %d)",
-						name, len(refs), len(wantRefs))
+				if !reflect.DeepEqual(refs, want.refs) || !reflect.DeepEqual(labels, want.labels) {
+					t.Errorf("%s: segmented plan output differs from the direct walk (%d pairs vs %d)",
+						name, len(refs), len(want.refs))
 				}
 			}
 		}
@@ -76,17 +80,17 @@ func TestPlanEnumShardsStratifiedOverMatchesStatic(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(22)))
 	q := blockedQuery()
 	pairSeed := stats.DeriveSeed(6, "seg-strat")
-	staticSpecs := PlanEnumShardsStratified(log, features.Level3, q, q.Despite, 300, 1, pairSeed)
-	wantRefs, wantLabels := runPlan(t, staticSpecs)
+	d := features.NewDeriver(log.Schema, features.Level3)
+	want := enumerateRelatedOpt(log, d, q, q.Despite, pairSeed, 1, enumOpts{stratified: true, budget: 300})
 	for _, sealEvery := range segSealEveries {
 		snapLog, layout := storeOver(t, log, sealEvery)
 		for _, nShards := range []int{1, 2, 7} {
 			name := fmt.Sprintf("seal=%d shards=%d", sealEvery, nShards)
-			specs := PlanEnumShardsStratifiedOver(layout, snapLog, features.Level3, q, q.Despite, 300, nShards, pairSeed)
+			specs := PlanEnumShards(layout, snapLog, features.Level3, q, q.Despite, true, 300, nShards, pairSeed)
 			refs, labels := runPlan(t, specs)
-			if !reflect.DeepEqual(refs, wantRefs) || !reflect.DeepEqual(labels, wantLabels) {
-				t.Errorf("%s: stratified segmented plan differs from static (%d pairs vs %d)",
-					name, len(refs), len(wantRefs))
+			if !reflect.DeepEqual(refs, want.refs) || !reflect.DeepEqual(labels, want.labels) {
+				t.Errorf("%s: stratified segmented plan differs from the direct walk (%d pairs vs %d)",
+					name, len(refs), len(want.refs))
 			}
 		}
 	}
@@ -96,7 +100,7 @@ func TestPlanEvalShardsOverMatchesStatic(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(23)))
 	q := blockedQuery()
 	x := &Explanation{Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}}}
-	serial, err := EvaluateExplanationP(log, features.Level3, q, x, 500, 3, 1)
+	serial, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,19 +108,19 @@ func TestPlanEvalShardsOverMatchesStatic(t *testing.T) {
 		snapLog, layout := storeOver(t, log, sealEvery)
 		for _, nShards := range []int{1, 2, 7} {
 			name := fmt.Sprintf("seal=%d shards=%d", sealEvery, nShards)
-			specs := PlanEvalShardsOver(layout, snapLog, features.Level3, q, x, 500, nShards, stats.DeriveSeed(3, "evaluate"))
-			var context, exp, bec, obs int
+			specs := PlanEvalShards(layout, snapLog, features.Level3, q, x, 500, nShards, stats.DeriveSeed(3, "evaluate"))
+			var ctxPairs, exp, bec, obs int
 			for si := range specs {
 				res, err := specs[si].Run()
 				if err != nil {
 					t.Fatalf("%s: spec %d: %v", name, si, err)
 				}
-				context += res.Context
+				ctxPairs += res.Context
 				exp += res.Exp
 				bec += res.Bec
 				obs += res.ObsGivenBec
 			}
-			merged, err := metricsFromCounts(context, exp, bec, obs)
+			merged, err := metricsFromCounts(ctxPairs, exp, bec, obs)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -125,21 +129,21 @@ func TestPlanEvalShardsOverMatchesStatic(t *testing.T) {
 			}
 
 			// The public entry point with a layout must agree too.
-			got, err := EvaluateExplanationShardedOver(layout, snapLog, features.Level3, q, x, 500, 3, nShards, serialEvalRunner{})
+			got, err := EvaluateExplanationSharded(context.Background(), layout, snapLog, features.Level3, q, x, 500, 3, nShards, serialEvalRunner{})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if got != serial {
-				t.Errorf("%s: ShardedOver metrics %+v differ from serial %+v", name, got, serial)
+				t.Errorf("%s: sharded metrics %+v differ from serial %+v", name, got, serial)
 			}
 		}
 	}
 }
 
 // TestExplainerWithLayoutByteIdentical pins the end-to-end contract:
-// an explainer configured with a segment layout produces exactly the
-// explanation of the static path, at several shard counts and seal
-// thresholds.
+// a runner-backed explainer produces exactly the explanation of the
+// direct walk, at several shard counts, over the flat log's own layout
+// and over store snapshots at several seal thresholds.
 func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	log := twoFactorLog(90, rng)
@@ -163,13 +167,16 @@ func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 
 	for _, mode := range []string{"", "stratified"} {
 		base := explain(log, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000, SampleMode: mode})
-		for _, sealEvery := range []int{17, 40} {
-			snapLog, layout := storeOver(t, log, sealEvery)
+		for _, sealEvery := range []int{0, 17, 40} { // 0: the flat log's own layout
+			snapLog, layout := log, FlatLayout(log)
+			if sealEvery > 0 {
+				snapLog, layout = storeOver(t, log, sealEvery)
+			}
 			for _, nShards := range []int{1, 2, 7} {
 				got := explain(snapLog, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000,
 					SampleMode: mode, Shards: nShards, Runner: serialEvalRunner{}, Layout: layout})
 				if got != base {
-					t.Errorf("mode=%q seal=%d shards=%d: segmented explanation differs:\n%s\nvs static:\n%s",
+					t.Errorf("mode=%q seal=%d shards=%d: sharded explanation differs:\n%s\nvs the direct walk:\n%s",
 						mode, sealEvery, nShards, got, base)
 				}
 			}
@@ -211,5 +218,9 @@ func TestNewSegmentLayoutValidates(t *testing.T) {
 	}
 	if _, err := NewExplainer(log, Config{Layout: layout}); err == nil {
 		t.Error("explainer accepted a layout covering a different record count")
+	}
+	// A runner needs the log's layout: there is no other way to plan.
+	if _, err := NewExplainer(log, Config{Runner: serialEvalRunner{}}); err == nil {
+		t.Error("explainer accepted a runner without a layout")
 	}
 }

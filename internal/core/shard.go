@@ -2,21 +2,26 @@ package core
 
 // Multi-process shard execution for the pair pipeline. The quadratic
 // stages of explanation generation — pair enumeration, training-sample
-// materialization and per-feature candidate scoring — are cut into
-// self-contained shard specs that carry everything a worker needs: the
-// slice of the execution log the shard's pairs touch, the coordinator's
-// interned symbol table, the predicates in wire form, and the splitmix
-// counter ranges of the subsampling decision (the seed plus the global
-// record indices it keys on). A spec can be executed in this process
-// (Run) or shipped over a pipe to a `pxql -shard-worker` subprocess —
-// the gob protocol lives in internal/shard — and results merge in spec
-// order, so the output is byte-identical to the serial path at every
-// shard count and in every execution mode.
+// materialization, per-feature candidate scoring — and metric evaluation
+// are cut into self-contained shard specs that carry everything a worker
+// needs: content-addressed log slices, the predicates in wire form, and
+// the splitmix counter ranges of the subsampling decision (the seed plus
+// the record indices it keys on). Records travel one way only: as
+// LogSlices. Enumeration and evaluation specs carry the log's segment
+// layout — every segment slice, concatenating to the whole log, so group
+// members are plain record indices (see segment.go); materialization and
+// scoring specs carry the one slice of the training sample's records
+// with the coordinator's intern table. A spec can be executed in this
+// process (Run) or shipped to a worker — the gob protocol lives in
+// internal/shard — and results merge in spec order, so the output is
+// byte-identical to the direct walk at every shard count and in every
+// execution mode.
 //
-// Layering: this package defines the specs, the planner and the
-// executors; the ShardRunner interface below is the seam internal/shard
-// plugs its in-process and subprocess runtimes into (core cannot import
-// internal/shard — the worker runtime imports core to execute specs).
+// Layering: this package defines the specs, the planners (segment.go)
+// and the executors; the ShardRunner interface below is the seam
+// internal/shard plugs its in-process and worker runtimes into (core
+// cannot import internal/shard — the worker runtime imports core to
+// execute specs).
 
 import (
 	"context"
@@ -63,7 +68,7 @@ type SlicePrefetcher interface {
 // payload is resent. Execution is byte-identical either way: the hash
 // covers every bit of the payload, so a hit decodes to exactly what a
 // fresh ship would have.
-//pxql:wirehash f9b339a4bd393892 v=5
+//pxql:wirehash ceaf829da3a51793 v=6
 
 //pxql:wire decode=Data
 type LogSlice struct {
@@ -140,7 +145,7 @@ func (s *LogSlice) Data() (*SliceData, error) {
 //
 //pxql:wire decode=EnumSpec.Run
 type EnumGroup struct {
-	Members []int `json:"members"` // local record indices, group order
+	Members []int `json:"members"` // record indices into the spec's combined slices, group order
 	Lo      int   `json:"lo"`
 	Hi      int   `json:"hi"`
 	// Budget is the group's total stratified pair budget (the whole
@@ -156,20 +161,16 @@ type EnumGroup struct {
 //
 //pxql:wire decode=Run
 type EnumSpec struct {
-	Log joblog.WireLog `json:"log"` // records of this shard's groups
-	// Slices, when non-empty, replaces Log as the record carriage: the
-	// content-addressed segment slices of a watermark snapshot (see
-	// SegmentLayout), concatenating in order to the whole log. Group
-	// members then address records globally and Global may be empty
-	// (identity).
-	Slices []LogSlice  `json:"slices,omitempty"`
-	Global []int       `json:"global"` // global record index per local record
+	// Slices is the log's segment layout (see SegmentLayout): one
+	// content-addressed slice per segment, concatenating in order to the
+	// whole log, shared by every spec of every round at one watermark.
+	Slices []LogSlice  `json:"slices"`
 	Groups []EnumGroup `json:"groups,omitempty"`
 	KeepP  float64     `json:"keep_p"` // global Bernoulli keep probability
-	Seed   uint64      `json:"seed"`   // splitmix seed; counters key on Global
+	Seed   uint64      `json:"seed"`   // splitmix seed; counters key on record indices
 	// Stratified switches the walk from Bernoulli thinning (keepPair over
 	// KeepP) to per-group budgeted draws (groupDraws over each group's
-	// Budget, seeded by the first member's global index).
+	// Budget, seeded by the first member's record index).
 	Stratified bool `json:"stratified,omitempty"`
 	// Round marks which pass of a Wilson-adaptive two-pass enumeration
 	// this spec belongs to: RoundFinal (0, also the one-shot mode) or
@@ -279,11 +280,7 @@ type ScoreResult struct {
 //
 //pxql:wire decode=Run
 type EvalSpec struct {
-	Slice LogSlice `json:"slice"`
-	// Slices, when non-empty, replaces Slice: per-segment slices of a
-	// watermark snapshot, exactly as on EnumSpec.
-	Slices   []LogSlice         `json:"slices,omitempty"`
-	Global   []int              `json:"global"` // global record index per local record
+	Slices   []LogSlice         `json:"slices"` // the segment layout, exactly as on EnumSpec
 	Groups   []EnumGroup        `json:"groups,omitempty"`
 	KeepP    float64            `json:"keep_p"`
 	Seed     uint64             `json:"seed"`
@@ -309,251 +306,25 @@ type EvalResult struct {
 // to within one unit.
 func cutPoint(n, nShards, s int) int { return s * n / nShards }
 
-// localIndexer assigns compact local record indices in first-appearance
-// order while collecting the referenced records — the single definition
-// of how every shard spec lays out its log slice.
-type localIndexer struct {
-	log    *joblog.Log
-	local  map[int]int
-	recs   []*joblog.Record
-	global []int // global index per local record
-}
-
-func newLocalIndexer(log *joblog.Log) *localIndexer {
-	return &localIndexer{log: log, local: make(map[int]int)}
-}
-
-func (x *localIndexer) of(global int) int {
-	li, ok := x.local[global]
-	if !ok {
-		li = len(x.recs)
-		x.local[global] = li
-		x.recs = append(x.recs, x.log.Records[global])
-		x.global = append(x.global, global)
-	}
-	return li
-}
-
-func (x *localIndexer) wire() joblog.WireLog {
-	return joblog.WireSlice(x.log.Schema, x.recs)
-}
-
-// groupCut is one shard's slice of a blocked pair walk: the wire form of
-// the records its groups touch, the global index per local record, and
-// the groups with the outer-member ranges this shard owns.
-type groupCut struct {
-	Log    joblog.WireLog
-	Global []int
-	Groups []EnumGroup
-}
-
-// cutGroupShards cuts the flattened (group, outer-member) sequence of a
-// blocked pair space into nShards proportional, contiguous slices —
-// the single definition of how both the enumeration and the evaluation
-// planner partition a quadratic pair walk. Shard boundaries may fall
-// inside a blocking group (it then appears in several cuts with disjoint
-// outer ranges); when nShards exceeds the outer-member count, trailing
-// cuts are empty. budgets, when non-nil, carries one stratified pair
-// budget per group (parallel to groups) onto every cut the group appears
-// in; nil leaves Budget zero (Bernoulli mode).
-func cutGroupShards(log *joblog.Log, groups [][]int, budgets []int, nShards int) []groupCut {
-	units := 0
-	for _, g := range groups {
-		units += len(g)
-	}
-	cuts := make([]groupCut, nShards)
-	for s := 0; s < nShards; s++ {
-		lo, hi := cutPoint(units, nShards, s), cutPoint(units, nShards, s+1)
-		idx := newLocalIndexer(log)
-		var cut groupCut
-		off := 0
-		for gi, g := range groups {
-			gLo, gHi := lo-off, hi-off
-			off += len(g)
-			if gLo < 0 {
-				gLo = 0
-			}
-			if gHi > len(g) {
-				gHi = len(g)
-			}
-			if gLo >= gHi {
-				continue
-			}
-			eg := EnumGroup{Members: make([]int, len(g)), Lo: gLo, Hi: gHi}
-			if budgets != nil {
-				eg.Budget = budgets[gi]
-			}
-			for k, ri := range g {
-				eg.Members[k] = idx.of(ri)
-			}
-			cut.Groups = append(cut.Groups, eg)
-		}
-		cut.Log = idx.wire()
-		cut.Global = idx.global
-		cuts[s] = cut
-	}
-	return cuts
-}
-
-// PlanEnumShards partitions the blocked pair space of (log, despite)
-// into nShards self-contained enumeration specs. The flattened (group,
-// outer-member) sequence is cut proportionally, so shard boundaries may
-// fall inside a blocking group; concatenating shard results in spec
-// order reproduces the serial iteration order exactly. When nShards
-// exceeds the outer-member count, trailing specs are empty (no groups) —
-// they execute to empty results.
-//
-// The plan is a pure function of (records, despite, query outcome
-// clauses, maxPairs, nShards, seed): everything it reads — including
-// the memoized columnar view backing the zone-map group pruner — is
-// derived deterministically from the record list, so rebuilding the
-// log's caches never changes it.
-func PlanEnumShards(log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, maxPairs, nShards int, seed uint64) []EnumSpec {
-
-	if nShards < 1 {
-		nShards = 1
-	}
-	groups, keepP := blockedGroups(log, despite, maxPairs)
-	specs := make([]EnumSpec, nShards)
-	for s, cut := range cutGroupShards(log, groups, nil, nShards) {
-		specs[s] = EnumSpec{
-			Log:      cut.Log,
-			Global:   cut.Global,
-			Groups:   cut.Groups,
-			KeepP:    keepP,
-			Seed:     seed,
-			Level:    level,
-			Despite:  despite.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-		}
-	}
-	return specs
-}
-
-// PlanEnumShardsStratified is PlanEnumShards for the stratified sampling
-// mode: instead of one global Bernoulli probability, every blocking
-// group carries its allocated pair budget (see stratifyBudgets) and
-// workers re-derive the group's draw set from the seed and the group's
-// first global record index — so the union of shard outputs, merged in
-// spec order, is identical at every shard count and equals the
-// in-process stratified walk.
-func PlanEnumShardsStratified(log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, budget, nShards int, seed uint64) []EnumSpec {
-
-	if nShards < 1 {
-		nShards = 1
-	}
-	// seek=false: stratified draws are keyed on each group's first global
-	// member and size, so row filtering would change the draw set.
-	groups, _ := blockedGroupsOpt(log, despite, 0, true, false)
-	return planEnumStratified(log, level, q, despite, groups, stratifyBudgets(groups, budget), nShards, seed, RoundFinal)
-}
-
-// planEnumStratified cuts a stratified enumeration round with explicit
-// per-group budgets — the shared tail of PlanEnumShardsStratified and
-// the Wilson-adaptive two-pass planner (which computes pilot and final
-// budgets itself). budgets is parallel to groups.
-func planEnumStratified(log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, groups [][]int, budgets []int, nShards int, seed uint64, round int) []EnumSpec {
-
-	if nShards < 1 {
-		nShards = 1
-	}
-	specs := make([]EnumSpec, nShards)
-	for s, cut := range cutGroupShards(log, groups, budgets, nShards) {
-		specs[s] = EnumSpec{
-			Log:        cut.Log,
-			Global:     cut.Global,
-			Groups:     cut.Groups,
-			KeepP:      1,
-			Seed:       seed,
-			Stratified: true,
-			Round:      round,
-			Level:      level,
-			Despite:    despite.Spec(),
-			Observed:   q.Observed.Spec(),
-			Expected:   q.Expected.Spec(),
-		}
-	}
-	return specs
-}
-
-// PlanEvalShards partitions the quadratic walk of EvaluateExplanation —
-// the ordered pairs of the despite context des ∧ des' — into nShards
-// self-contained evaluation specs, cut exactly like enumeration shards.
-// Each spec's slice is content-addressed, so repeated evaluations over
-// the same log and despite context (the common case: a harness scoring
-// one explanation at several widths) reference cached slices instead of
-// re-shipping them.
-func PlanEvalShards(log *joblog.Log, level features.Level, q *pxql.Query,
-	x *Explanation, maxPairs, nShards int, seed uint64) []EvalSpec {
-
-	if nShards < 1 {
-		nShards = 1
-	}
-	despite := q.Despite.And(x.Despite)
-	groups, keepP := blockedGroups(log, despite, maxPairs)
-	specs := make([]EvalSpec, nShards)
-	for s, cut := range cutGroupShards(log, groups, nil, nShards) {
-		specs[s] = EvalSpec{
-			Slice:    NewLogSlice(cut.Log, nil),
-			Global:   cut.Global,
-			Groups:   cut.Groups,
-			KeepP:    keepP,
-			Seed:     seed,
-			Level:    level,
-			Despite:  despite.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-			Because:  x.Because.Spec(),
-		}
-	}
-	return specs
-}
-
-// Run executes the enumeration spec in this process — the shared
-// executor behind both the in-process runner and subprocess workers.
-// Predicates are compiled against the shard's own columnar view;
-// compiled evaluation is intern-independent (it matches the interpreted
-// semantics exactly), so the labels and the globally addressed refs are
-// identical to the coordinator's serial walk.
+// Run executes the enumeration spec in this process, decoding and
+// combining its slices.
 func (s *EnumSpec) Run() (*EnumResult, error) {
-	if len(s.Slices) > 0 {
-		data, err := DecodeSlices(s.Slices)
-		if err != nil {
-			return nil, err
-		}
-		return s.RunWith(data)
-	}
-	log, err := s.Log.Log()
+	data, err := DecodeSlices(s.Slices)
 	if err != nil {
 		return nil, err
 	}
-	return s.runWith(log, log.Columns())
+	return s.RunWith(data)
 }
 
-// RunWith executes the enumeration spec against an already-combined
-// decoded view — the worker cache's hit path for segmented specs (the
-// runtime resolves each segment slice through its cache and combines
-// them once per watermark).
+// RunWith executes the enumeration spec against the already-combined
+// decoded view of its slices — the shared executor behind the
+// in-process runner and the workers, whose runtimes resolve each slice
+// through a cache and combine once per watermark. Predicates are
+// compiled against the combined view's own columns; compiled evaluation
+// is intern-independent (it matches the interpreted semantics exactly),
+// so the labels and refs are identical to the coordinator's direct walk.
 func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
-	return s.runWith(data.Log, data.Cols)
-}
-
-func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, error) {
-	glob := s.Global
-	if len(glob) == 0 && log.Len() > 0 {
-		// Segmented specs address records globally: identity mapping.
-		glob = make([]int, log.Len())
-		for i := range glob {
-			glob[i] = i
-		}
-	}
-	if len(glob) != log.Len() {
-		return nil, fmt.Errorf("core: enum spec has %d global indices for %d records", len(s.Global), log.Len())
-	}
+	log, cols := data.Log, data.Cols
 	if s.Level < features.Level1 || s.Level > features.Level3 {
 		return nil, fmt.Errorf("core: enum spec has invalid feature level %d", s.Level)
 	}
@@ -598,37 +369,33 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 	des := bitset.Make(pairBlock)
 	obsSel := bitset.Make(pairBlock)
 	expSel := bitset.Make(pairBlock)
-	aiL := make([]int, 0, pairBlock) // local indices: predicate evaluation
-	biL := make([]int, 0, pairBlock)
-	aiG := make([]int, 0, pairBlock) // global indices: keep decision + refs
-	biG := make([]int, 0, pairBlock)
+	ai := make([]int, 0, pairBlock)
+	bi := make([]int, 0, pairBlock)
 	flush := func() {
-		if len(aiL) == 0 {
+		if len(ai) == 0 {
 			return
 		}
-		nw := bitset.Words(len(aiL))
+		nw := bitset.Words(len(ai))
 		dS, oS, eS := des[:nw], obsSel[:nw], expSel[:nw]
-		cDes.EvalBlock(aiL, biL, dS)
+		cDes.EvalBlock(ai, bi, dS)
 		oS.CopyFrom(dS)
-		cObs.AndBlock(aiL, biL, oS)
+		cObs.AndBlock(ai, bi, oS)
 		eS.CopyFrom(dS)
-		cExp.AndBlock(aiL, biL, eS)
+		cExp.AndBlock(ai, bi, eS)
 		// Related = (obs ∪ exp) within the despite selection, classified
 		// exactly like enumerateRelated.
 		eS.OrWith(oS)
 		eS.ForEach(func(k int) {
-			res.RefA = append(res.RefA, aiG[k])
-			res.RefB = append(res.RefB, biG[k])
+			res.RefA = append(res.RefA, ai[k])
+			res.RefB = append(res.RefB, bi[k])
 			res.Labels = append(res.Labels, oS.Get(k))
 		})
-		aiL, biL, aiG, biG = aiL[:0], biL[:0], aiG[:0], biG[:0]
+		ai, bi = ai[:0], bi[:0]
 	}
-	emit := func(li, lj int) {
-		aiL = append(aiL, li)
-		biL = append(biL, lj)
-		aiG = append(aiG, glob[li])
-		biG = append(biG, glob[lj])
-		if len(aiL) == pairBlock {
+	emit := func(i, j int) {
+		ai = append(ai, i)
+		bi = append(bi, j)
+		if len(ai) == pairBlock {
 			flush()
 		}
 	}
@@ -638,7 +405,7 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 			// Re-derive the whole group's draw set (identical in every
 			// straddling shard) and walk the outer positions this shard
 			// owns — a contiguous run of the sorted flat indices.
-			ts := groupDraws(s.Seed, glob[g.Members[0]], n, g.Budget)
+			ts := groupDraws(s.Seed, g.Members[0], n, g.Budget)
 			n1 := uint64(n - 1)
 			lo := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Lo)*n1 })
 			hi := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Hi)*n1 })
@@ -653,17 +420,15 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 			}
 			continue
 		}
-		for _, li := range g.Members[g.Lo:g.Hi] {
-			gi := glob[li]
-			for _, lj := range g.Members {
-				gj := glob[lj]
-				if gi == gj {
+		for _, i := range g.Members[g.Lo:g.Hi] {
+			for _, j := range g.Members {
+				if i == j {
 					continue
 				}
-				if !s.Stratified && !keepPair(s.Seed, gi, gj, s.KeepP) {
+				if !s.Stratified && !keepPair(s.Seed, i, j, s.KeepP) {
 					continue
 				}
-				emit(li, lj)
+				emit(i, j)
 			}
 		}
 	}
@@ -671,25 +436,18 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 	return res, nil
 }
 
-// Run executes the evaluation spec in this process, decoding its slice
-// (or combining its segment slices).
+// Run executes the evaluation spec in this process, decoding and
+// combining its slices.
 func (s *EvalSpec) Run() (*EvalResult, error) {
-	if len(s.Slices) > 0 {
-		data, err := DecodeSlices(s.Slices)
-		if err != nil {
-			return nil, err
-		}
-		return s.RunWith(data)
-	}
-	data, err := s.Slice.Data()
+	data, err := DecodeSlices(s.Slices)
 	if err != nil {
 		return nil, err
 	}
 	return s.RunWith(data)
 }
 
-// RunWith executes the evaluation spec against an already-decoded slice
-// (the worker cache's hit path). The walk mirrors EvaluateExplanation's
+// RunWith executes the evaluation spec against the already-combined
+// decoded view of its slices. The walk mirrors EvaluateExplanation's
 // batched inner loop bit for bit: the despite context fills a selection
 // bitmap per tile, expected and because push down over copies, observed
 // pushes down over the because selection, and all four counts are
@@ -697,17 +455,6 @@ func (s *EvalSpec) Run() (*EvalResult, error) {
 // the serial totals exactly.
 func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 	log := data.Log
-	glob := s.Global
-	if len(glob) == 0 && log.Len() > 0 {
-		// Segmented specs address records globally: identity mapping.
-		glob = make([]int, log.Len())
-		for i := range glob {
-			glob[i] = i
-		}
-	}
-	if len(glob) != log.Len() {
-		return nil, fmt.Errorf("core: eval spec has %d global indices for %d records", len(s.Global), log.Len())
-	}
 	if s.Level < features.Level1 || s.Level > features.Level3 {
 		return nil, fmt.Errorf("core: eval spec has invalid feature level %d", s.Level)
 	}
@@ -769,18 +516,16 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 		ai, bi = ai[:0], bi[:0]
 	}
 	for _, g := range s.Groups {
-		for _, li := range g.Members[g.Lo:g.Hi] {
-			gi := glob[li]
-			for _, lj := range g.Members {
-				gj := glob[lj]
-				if gi == gj {
+		for _, i := range g.Members[g.Lo:g.Hi] {
+			for _, j := range g.Members {
+				if i == j {
 					continue
 				}
-				if !keepPair(s.Seed, gi, gj, s.KeepP) {
+				if !keepPair(s.Seed, i, j, s.KeepP) {
 					continue
 				}
-				ai = append(ai, li)
-				bi = append(bi, lj)
+				ai = append(ai, i)
+				bi = append(bi, j)
 				if len(ai) == pairBlock {
 					flush()
 				}
@@ -793,16 +538,26 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 
 // pairSlice builds the wire form of the records a pair list touches,
 // in first-appearance order over (a0, b0, a1, b1, ...), plus the pairs
-// re-addressed by local index.
+// re-addressed by slice-local index.
 func pairSlice(log *joblog.Log, refs []pairRef) (wire joblog.WireLog, pa, pb []int) {
-	idx := newLocalIndexer(log)
+	local := make(map[int]int)
+	var recs []*joblog.Record
+	of := func(ri int) int {
+		li, ok := local[ri]
+		if !ok {
+			li = len(recs)
+			local[ri] = li
+			recs = append(recs, log.Records[ri])
+		}
+		return li
+	}
 	pa = make([]int, len(refs))
 	pb = make([]int, len(refs))
 	for i, ref := range refs {
-		pa[i] = idx.of(ref.a)
-		pb[i] = idx.of(ref.b)
+		pa[i] = of(ref.a)
+		pb[i] = of(ref.b)
 	}
-	return idx.wire(), pa, pb
+	return joblog.WireSlice(log.Schema, recs), pa, pb
 }
 
 // plannedSample is the shard-execution view of one training sample: its
@@ -1054,13 +809,11 @@ func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite p
 		return enumerateRelated(e.log, e.d, q, despite, e.cfg.MaxPairs, seed, e.cfg.Parallelism), nil
 	}
 	e.prefetchLayout()
-	var specs []EnumSpec
+	limit := e.cfg.MaxPairs
 	if stratified {
-		specs = PlanEnumShardsStratifiedOver(e.cfg.Layout, e.log, e.d.Level(), q, despite, e.cfg.SampleBudget, e.cfg.Shards, seed)
-	} else {
-		specs = PlanEnumShardsOver(e.cfg.Layout, e.log, e.d.Level(), q, despite, e.cfg.MaxPairs, e.cfg.Shards, seed)
+		limit = e.cfg.SampleBudget
 	}
-	return e.runEnumSpecs(specs)
+	return e.runEnumSpecs(PlanEnumShards(e.cfg.Layout, e.log, e.d.Level(), q, despite, stratified, limit, e.cfg.Shards, seed))
 }
 
 // runEnumSpecs executes planned enumeration specs on the configured

@@ -1,6 +1,7 @@
 package core
 
-// Metamorphic and property tests for the shard planner: whatever the
+// Metamorphic and property tests for the shard planner over a flat
+// log's own layout, with the direct walk as reference: whatever the
 // shard count, the plan must partition the serial pair walk exactly —
 // every related pair in exactly one shard, shard union equal to the
 // serial pair set in serial order — and planning must be a pure function
@@ -8,6 +9,7 @@ package core
 // unaffected by later log appends.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -87,7 +89,7 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 		serial := enumerateRelated(log, d, q, q.Despite, tc.maxPairs, pairSeed, 1)
 		for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 			name := fmt.Sprintf("maxPairs=%d seed=%d shards=%d", tc.maxPairs, tc.seed, nShards)
-			specs := PlanEnumShards(log, features.Level3, q, q.Despite, tc.maxPairs, nShards, pairSeed)
+			specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, tc.maxPairs, nShards, pairSeed)
 			if len(specs) != nShards {
 				t.Fatalf("%s: planned %d specs", name, len(specs))
 			}
@@ -124,13 +126,13 @@ func TestPlanEnumShardsInvariance(t *testing.T) {
 	q := blockedQuery()
 	seed := stats.DeriveSeed(9, "invariance")
 
-	p1 := PlanEnumShards(log, features.Level3, q, q.Despite, 300, 5, seed)
+	p1 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 300, 5, seed)
 	refs1, labels1 := runPlan(t, p1)
 
 	// Force the columnar view (and its intern table) into existence —
 	// count-invalidation state must not leak into plans.
 	log.Columns()
-	p2 := PlanEnumShards(log, features.Level3, q, q.Despite, 300, 5, seed)
+	p2 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 300, 5, seed)
 	if !reflect.DeepEqual(p1, p2) {
 		t.Error("plan changed after building the columnar view")
 	}
@@ -150,7 +152,7 @@ func TestPlanEnumShardsInvariance(t *testing.T) {
 
 	d := features.NewDeriver(log.Schema, features.Level3)
 	serial := enumerateRelated(log, d, q, q.Despite, 300, seed, 1)
-	p3 := PlanEnumShards(log, features.Level3, q, q.Despite, 300, 5, seed)
+	p3 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 300, 5, seed)
 	refs3, labels3 := runPlan(t, p3)
 	if !reflect.DeepEqual(refs3, serial.refs) || !reflect.DeepEqual(labels3, serial.labels) {
 		t.Error("plan over the grown log no longer partitions its serial walk")
@@ -175,10 +177,10 @@ func TestPlanEvalShardsMatchesSerial(t *testing.T) {
 	}
 	for xi, x := range explanations {
 		for _, maxPairs := range []int{0, 500} {
-			serial, serialErr := EvaluateExplanationP(log, features.Level3, q, x, maxPairs, 3, 1)
+			serial, serialErr := EvaluateExplanation(context.Background(), log, features.Level3, q, x, maxPairs, 3, 1)
 			for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 				name := fmt.Sprintf("x=%d maxPairs=%d shards=%d", xi, maxPairs, nShards)
-				specs := PlanEvalShards(log, features.Level3, q, x, maxPairs, nShards, stats.DeriveSeed(3, "evaluate"))
+				specs := PlanEvalShards(FlatLayout(log), log, features.Level3, q, x, maxPairs, nShards, stats.DeriveSeed(3, "evaluate"))
 				if len(specs) != nShards {
 					t.Fatalf("%s: planned %d specs", name, len(specs))
 				}
@@ -212,23 +214,27 @@ func TestPlanEvalShardsSharedRunner(t *testing.T) {
 	log := groupedLog(60, rand.New(rand.NewSource(6)))
 	q := blockedQuery()
 	x := &Explanation{Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}}}
-	serial, err := EvaluateExplanationP(log, features.Level3, q, x, 400, 9, 1)
+	serial, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 400, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, err := EvaluateExplanationSharded(log, features.Level3, q, x, 400, 9, 4, nil)
+	viaNil, err := EvaluateExplanationSharded(context.Background(), nil, log, features.Level3, q, x, 400, 9, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaNil != serial {
 		t.Errorf("nil-runner fallback %+v differs from serial %+v", viaNil, serial)
 	}
-	viaRunner, err := EvaluateExplanationSharded(log, features.Level3, q, x, 400, 9, 4, serialEvalRunner{})
+	viaRunner, err := EvaluateExplanationSharded(context.Background(), FlatLayout(log), log, features.Level3, q, x, 400, 9, 4, serialEvalRunner{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaRunner != serial {
 		t.Errorf("runner-backed metrics %+v differ from serial %+v", viaRunner, serial)
+	}
+	// A runner without the log's layout is a caller bug, not a fallback.
+	if _, err := EvaluateExplanationSharded(context.Background(), nil, log, features.Level3, q, x, 400, 9, 4, serialEvalRunner{}); err == nil {
+		t.Error("runner-backed evaluation accepted a nil layout")
 	}
 }
 
@@ -309,11 +315,12 @@ func TestLogSliceHashStability(t *testing.T) {
 
 	q := blockedQuery()
 	x := &Explanation{}
-	specs := PlanEvalShards(log, features.Level3, q, x, 0, 4, 7)
-	again := PlanEvalShards(log, features.Level3, q, x, 0, 4, 7)
+	specs := PlanEvalShards(FlatLayout(log), log, features.Level3, q, x, 0, 4, 7)
+	again := PlanEvalShards(FlatLayout(log), log, features.Level3, q, x, 0, 4, 7)
 	for si := range specs {
-		if specs[si].Slice.Hash != again[si].Slice.Hash {
-			t.Errorf("eval spec %d hash unstable across plans", si)
+		if len(specs[si].Slices) != 1 || specs[si].Slices[0].Hash == "" ||
+			specs[si].Slices[0].Hash != again[si].Slices[0].Hash || specs[si].Slices[0].Hash != specs[0].Slices[0].Hash {
+			t.Errorf("eval spec %d hash unstable across plans or specs", si)
 		}
 	}
 }
@@ -326,7 +333,7 @@ func TestLogSliceHashStability(t *testing.T) {
 func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 	log := groupedLog(40, rand.New(rand.NewSource(8)))
 	q := blockedQuery()
-	specs := PlanEnumShards(log, features.Level3, q, q.Despite, 0, 64, 17)
+	specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 64, 17)
 
 	empties := 0
 	ranges := make(map[string][][2]int) // group fingerprint -> outer ranges
@@ -339,7 +346,7 @@ func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 			}
 		}
 		for _, g := range s.Groups {
-			key := fmt.Sprint(s.Global[g.Members[0]])
+			key := fmt.Sprint(g.Members[0])
 			ranges[key] = append(ranges[key], [2]int{g.Lo, g.Hi})
 			sizes[key] = len(g.Members)
 		}
@@ -367,5 +374,32 @@ func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 	}
 	if !straddled {
 		t.Error("expected the big group to straddle shard boundaries at 64 shards")
+	}
+}
+
+// TestFlatLayoutSpansSegments pins the flat layout past one segment: a
+// log longer than the seal threshold ships as several slices, and plans
+// over them still partition the direct walk — in both sampling modes,
+// with blocking groups straddling the slice boundary.
+func TestFlatLayoutSpansSegments(t *testing.T) {
+	log := groupedLog(joblog.DefaultSealThreshold+150, rand.New(rand.NewSource(14)))
+	layout := FlatLayout(log)
+	if len(layout.Slices) != 2 || layout.Total() != log.Len() {
+		t.Fatalf("layout has %d slices over %d records", len(layout.Slices), layout.Total())
+	}
+	q := blockedQuery()
+	d := features.NewDeriver(log.Schema, features.Level3)
+	seed := stats.DeriveSeed(2, "flat-span")
+	bernoulli := enumerateRelated(log, d, q, q.Despite, 400, seed, 1)
+	stratified := enumerateRelatedOpt(log, d, q, q.Despite, seed, 1, enumOpts{stratified: true, budget: 400})
+	for _, nShards := range []int{1, 2, 7} {
+		refs, labels := runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 400, nShards, seed))
+		if !reflect.DeepEqual(refs, bernoulli.refs) || !reflect.DeepEqual(labels, bernoulli.labels) {
+			t.Errorf("shards=%d: Bernoulli plan over two slices differs from the direct walk", nShards)
+		}
+		refs, labels = runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, true, 400, nShards, seed))
+		if !reflect.DeepEqual(refs, stratified.refs) || !reflect.DeepEqual(labels, stratified.labels) {
+			t.Errorf("shards=%d: stratified plan over two slices differs from the direct walk", nShards)
+		}
 	}
 }

@@ -96,7 +96,7 @@ func TestZonePruneExact(t *testing.T) {
 
 // TestStratifiedInvariance pins the stratified sampler's determinism
 // story: the drawn pair set is identical at every parallelism, and the
-// union of PlanEnumShardsStratified specs — executed independently and
+// union of stratified PlanEnumShards specs — executed independently and
 // merged in spec order — equals the in-process walk at shard counts
 // 1, 2 and 7.
 func TestStratifiedInvariance(t *testing.T) {
@@ -117,7 +117,7 @@ func TestStratifiedInvariance(t *testing.T) {
 		}
 	}
 	for _, nShards := range []int{1, 2, 7} {
-		specs := PlanEnumShardsStratified(log, features.Level3, q, q.Despite, budget, nShards, seed)
+		specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, true, budget, nShards, seed)
 		if len(specs) != nShards {
 			t.Fatalf("shards=%d: planned %d specs", nShards, len(specs))
 		}
@@ -270,6 +270,7 @@ func TestStratifiedStatisticalEquivalence(t *testing.T) {
 		if shards > 0 {
 			cfg.Shards = shards
 			cfg.Runner = serialEvalRunner{}
+			cfg.Layout = FlatLayout(log)
 		}
 		ex, err := NewExplainer(log, cfg)
 		if err != nil {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -24,9 +25,10 @@ var DefaultWidths = []int{0, 1, 2, 3, 4, 5}
 // byte-identical with and without a runner.
 func (h *Harness) evaluate(test *joblog.Log, q *pxql.Query, x *core.Explanation, seed int64, workers int) (core.Metrics, error) {
 	if runner := h.shardRunner(workers); runner != nil {
-		return core.EvaluateExplanationSharded(test, features.Level3, q, x, h.MaxPairs, seed, h.Shards, runner)
+		return core.EvaluateExplanationSharded(context.Background(), core.FlatLayout(test), test,
+			features.Level3, q, x, h.MaxPairs, seed, h.Shards, runner)
 	}
-	return core.EvaluateExplanationP(test, features.Level3, q, x, h.MaxPairs, seed, workers)
+	return core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, h.MaxPairs, seed, workers)
 }
 
 // repRows allocates one result row per repetition for each technique;
@@ -208,7 +210,7 @@ func (h *Harness) DespiteRelevance(widths []int) (*Table, error) {
 		rows := make([][]float64, h.Reps)
 		err := h.forEachRepStripped(base, func(rep int, train, test *joblog.Log, q *pxql.Query, seed int64) {
 			row := nanRow(len(widths))
-			ex, err := core.NewExplainer(train, core.Config{
+			ex, err := h.newExplainer(train, core.Config{
 				DespiteWidth: maxW,
 				SampleSize:   h.SampleSize,
 				MaxPairs:     h.MaxPairs,
@@ -216,10 +218,7 @@ func (h *Harness) DespiteRelevance(widths []int) (*Table, error) {
 				SampleBudget: h.SampleBudget,
 				SamplePilot:  h.SamplePilot,
 				Seed:         seed,
-				Parallelism:  inner,
-				Shards:       h.Shards,
-				Runner:       h.shardRunner(inner),
-			})
+			}, inner)
 			if err == nil {
 				des, derr := ex.GenerateDespite(q)
 				if derr == nil {
@@ -264,7 +263,7 @@ func (h *Harness) Table3(despiteWidth int) (*Table, error) {
 			if err != nil {
 				return
 			}
-			ex, err := core.NewExplainer(train, core.Config{
+			ex, err := h.newExplainer(train, core.Config{
 				DespiteWidth: despiteWidth,
 				SampleSize:   h.SampleSize,
 				MaxPairs:     h.MaxPairs,
@@ -272,10 +271,7 @@ func (h *Harness) Table3(despiteWidth int) (*Table, error) {
 				SampleBudget: h.SampleBudget,
 				SamplePilot:  h.SamplePilot,
 				Seed:         seed,
-				Parallelism:  inner,
-				Shards:       h.Shards,
-				Runner:       h.shardRunner(inner),
-			})
+			}, inner)
 			if err != nil {
 				return
 			}

@@ -78,6 +78,19 @@ func (h *Harness) shardRunner(workers int) core.ShardRunner {
 	return h.Runner
 }
 
+// newExplainer builds a PerfXplain explainer over a training log on the
+// given worker bound, threading the harness's shard configuration —
+// shard count, runner and, with a runner, the log's segment layout —
+// into cfg.
+func (h *Harness) newExplainer(train *joblog.Log, cfg core.Config, workers int) (*core.Explainer, error) {
+	cfg.Parallelism = workers
+	cfg.Shards = h.Shards
+	if cfg.Runner = h.shardRunner(workers); cfg.Runner != nil {
+		cfg.Layout = core.FlatLayout(train)
+	}
+	return core.NewExplainer(train, cfg)
+}
+
 // NewHarness returns a harness with the paper's protocol defaults.
 func NewHarness(jobs, tasks *joblog.Log, seed int64) *Harness {
 	return &Harness{
@@ -191,7 +204,7 @@ func (h *Harness) explainFull(tech string, train *joblog.Log, q *pxql.Query,
 
 	switch tech {
 	case TechPerfXplain:
-		ex, err := core.NewExplainer(train, core.Config{
+		ex, err := h.newExplainer(train, core.Config{
 			Width:        maxW,
 			DespiteWidth: maxW,
 			SampleSize:   h.SampleSize,
@@ -201,10 +214,7 @@ func (h *Harness) explainFull(tech string, train *joblog.Log, q *pxql.Query,
 			SampleBudget: h.SampleBudget,
 			SamplePilot:  h.SamplePilot,
 			Seed:         seed,
-			Parallelism:  workers,
-			Shards:       h.Shards,
-			Runner:       h.shardRunner(workers),
-		})
+		}, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -245,6 +245,38 @@ type SegmentView struct {
 // Len returns the number of records in the view.
 func (v SegmentView) Len() int { return len(v.Records.Records) }
 
+type flatViewsKey struct{}
+
+// SegmentViews returns a flat log's own segment decomposition: the
+// views a store fed the same records at DefaultSealThreshold would
+// expose — contiguous runs of that many records, the last one short and
+// unsealed. Wire forms and content hashes are memoized on the columnar
+// view, so they are computed once per log generation and a log that
+// only grows by Append keeps the hashes of its full runs. Snapshot logs
+// carry their store's views (Snapshot.Segments) instead; callers must
+// not mutate the result.
+func (l *Log) SegmentViews() []SegmentView {
+	c := l.Columns()
+	return c.Memo(flatViewsKey{}, func() any {
+		recs := l.Records[:c.n]
+		views := make([]SegmentView, 0, (len(recs)+DefaultSealThreshold-1)/DefaultSealThreshold)
+		for start := 0; start < len(recs); start += DefaultSealThreshold {
+			end := start + DefaultSealThreshold
+			if end > len(recs) {
+				end = len(recs)
+			}
+			wire := WireSlice(l.Schema, recs[start:end])
+			views = append(views, SegmentView{
+				Start:   start,
+				Hash:    HashSlice(wire, nil),
+				Records: wire,
+				Sealed:  end-start == DefaultSealThreshold,
+			})
+		}
+		return views
+	}).([]SegmentView)
+}
+
 // Snapshot is an immutable view of the store at one watermark.
 type Snapshot struct {
 	log  *Log

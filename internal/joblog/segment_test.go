@@ -288,3 +288,44 @@ func TestStoreConcurrentAppendWhileQuery(t *testing.T) {
 	}
 	assertLogEquivalent(t, snap.Log(), want)
 }
+
+// TestLogSegmentViews pins a flat log's own decomposition: the views a
+// default-threshold store over the same records exposes — same
+// boundaries, same content hashes — memoized per log generation, with
+// full runs keeping their hashes as the log grows.
+func TestLogSegmentViews(t *testing.T) {
+	schema := segTestSchema()
+	recs := segTestRecords(2*DefaultSealThreshold + 37)
+	log := &Log{Schema: schema, Records: recs}
+	st := NewStore(schema, 0)
+	for _, r := range recs {
+		st.MustAppend(r)
+	}
+	views, want := log.SegmentViews(), st.Snapshot().Segments()
+	if len(views) != 3 || len(views) != len(want) {
+		t.Fatalf("flat log has %d views, store has %d; want 3", len(views), len(want))
+	}
+	for i, v := range views {
+		if v.Start != want[i].Start || v.Len() != want[i].Len() || v.Hash != want[i].Hash || v.Sealed != want[i].Sealed {
+			t.Errorf("view %d = {start %d len %d hash %.12s sealed %v}, store's = {start %d len %d hash %.12s sealed %v}",
+				i, v.Start, v.Len(), v.Hash, v.Sealed, want[i].Start, want[i].Len(), want[i].Hash, want[i].Sealed)
+		}
+	}
+	if again := log.SegmentViews(); &again[0] != &views[0] {
+		t.Error("views rebuilt within one log generation")
+	}
+
+	// Growth re-cuts: the full runs keep their hashes, the tail's changes.
+	log.MustAppend(segTestRecords(1)[0])
+	grown := log.SegmentViews()
+	if len(grown) != 3 || grown[0].Hash != views[0].Hash || grown[1].Hash != views[1].Hash {
+		t.Error("a full run lost its hash when the log grew")
+	}
+	if grown[2].Hash == views[2].Hash || grown[2].Len() != views[2].Len()+1 {
+		t.Error("the tail view did not follow the append")
+	}
+
+	if got := NewLog(schema).SegmentViews(); len(got) != 0 {
+		t.Errorf("empty log has %d views", len(got))
+	}
+}

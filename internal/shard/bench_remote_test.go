@@ -14,6 +14,7 @@ package shard_test
 //	go test -bench BenchmarkSocketEnum ./internal/shard
 
 import (
+	"context"
 	"encoding/json"
 	"net"
 	"os"
@@ -53,6 +54,7 @@ func remoteWorkload(tb testing.TB, log *joblog.Log, q *pxql.Query, pool *shard.P
 		SampleSize:  400,
 		Shards:      shards,
 		Runner:      pool,
+		Layout:      core.FlatLayout(log),
 		Parallelism: 4,
 	})
 	if err != nil {
@@ -65,7 +67,7 @@ func remoteWorkload(tb testing.TB, log *joblog.Log, q *pxql.Query, pool *shard.P
 	rounds := make([]time.Duration, evalRounds)
 	for round := 0; round < evalRounds; round++ {
 		r0 := time.Now()
-		if _, err := core.EvaluateExplanationSharded(log, features.Level3, q, x, 0, 7, shards, pool); err != nil {
+		if _, err := core.EvaluateExplanationSharded(context.Background(), core.FlatLayout(log), log, features.Level3, q, x, 0, 7, shards, pool); err != nil {
 			tb.Fatal(err)
 		}
 		rounds[round] = time.Since(r0)

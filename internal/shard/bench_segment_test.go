@@ -43,7 +43,7 @@ func TestBenchSegmentJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := equivQuery(t, log)
-		specs := core.PlanEnumShardsOver(layout, log, features.Level3, q, q.Despite, 0, 4, 12345)
+		specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 0, 4, 12345)
 		results, err := pool.RunEnum(specs)
 		if err != nil {
 			t.Fatal(err)

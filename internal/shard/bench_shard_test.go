@@ -36,7 +36,7 @@ func initBench(tb testing.TB) {
 	benchOnce.Do(func() {
 		benchLog = equivLog(400)
 		benchQ = equivQuery(tb, benchLog)
-		specs := core.PlanEnumShards(benchLog, features.Level3, benchQ, benchQ.Despite, 0, 1, 12345)
+		specs := core.PlanEnumShards(core.FlatLayout(benchLog), benchLog, features.Level3, benchQ, benchQ.Despite, false, 0, 1, 12345)
 		res, err := specs[0].Run()
 		if err != nil {
 			tb.Fatal(err)
@@ -48,7 +48,7 @@ func initBench(tb testing.TB) {
 // benchEnumerate plans and runs the enumeration stage under a runner,
 // checking the related-pair count so every mode does the same work.
 func benchEnumerate(tb testing.TB, runner core.ShardRunner, shards int) {
-	specs := core.PlanEnumShards(benchLog, features.Level3, benchQ, benchQ.Despite, 0, shards, 12345)
+	specs := core.PlanEnumShards(core.FlatLayout(benchLog), benchLog, features.Level3, benchQ, benchQ.Despite, false, 0, shards, 12345)
 	results, err := runner.RunEnum(specs)
 	if err != nil {
 		tb.Fatal(err)

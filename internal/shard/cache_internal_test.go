@@ -1,9 +1,13 @@
 package shard
 
 import (
+	"fmt"
 	"testing"
 
 	"perfxplain/internal/core"
+	"perfxplain/internal/features"
+	"perfxplain/internal/joblog"
+	"perfxplain/internal/pxql"
 )
 
 // Regression tests for the two cache-config bugs this package shipped
@@ -70,5 +74,77 @@ func TestCacheBudgetEnv(t *testing.T) {
 		if got := cacheBudget(); got != tc.want {
 			t.Errorf("cacheBudget() with %s=%q = %d, want %d", CacheBytesEnv, tc.val, got, tc.want)
 		}
+	}
+}
+
+// batchLog is a tiny two-field log for in-package batch tests.
+func batchLog(n int) *joblog.Log {
+	log := joblog.NewLog(joblog.NewSchema([]joblog.Field{
+		{Name: "script", Kind: joblog.Nominal},
+		{Name: "duration", Kind: joblog.Numeric},
+	}))
+	for i := 0; i < n; i++ {
+		log.MustAppend(&joblog.Record{ID: fmt.Sprintf("j%d", i),
+			Values: []joblog.Value{joblog.Str(fmt.Sprint("s", i%2)), joblog.Num(float64(i))}})
+	}
+	return log
+}
+
+// TestInProcBatchDecodesEachSliceOnce pins the InProc fix: every spec
+// of a batch carries the same slices, and the batch decodes each
+// distinct one once and combines the segment list once — not once per
+// spec, which was N times the whole log per round at N shards.
+func TestInProcBatchDecodesEachSliceOnce(t *testing.T) {
+	log := batchLog(30)
+	st := joblog.NewStore(log.Schema, 8)
+	for _, r := range log.Records {
+		st.MustAppend(r)
+	}
+	layout, err := core.NewSegmentLayout(st.Snapshot().Segments())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(layout.Slices) != 4 {
+		t.Fatalf("fixture layout has %d slices, want 4", len(layout.Slices))
+	}
+	q := &pxql.Query{Despite: pxql.Predicate{{Feature: "script_issame", Op: pxql.OpEq, Value: features.ValT}}}
+	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 0, 7, 1)
+	tasks := make([]Task, len(specs))
+	for i := range specs {
+		tasks[i] = Task{Enum: &specs[i]}
+	}
+	ws := newBatchState()
+	datas, err := ws.loadBatch(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.decodes != len(layout.Slices) {
+		t.Errorf("a %d-spec batch over %d slices decoded %d payloads", len(specs), len(layout.Slices), ws.decodes)
+	}
+	for i, d := range datas {
+		if d != datas[0] {
+			t.Errorf("spec %d got its own combined view; the batch must combine once", i)
+		}
+	}
+	if datas[0].Log.Len() != log.Len() {
+		t.Errorf("combined view holds %d records, want %d", datas[0].Log.Len(), log.Len())
+	}
+
+	// Single-slice specs (materialization, scoring) share one sample
+	// slice: one decode for the batch.
+	sample := core.NewLogSlice(log.Wire(), log.Columns().Intern().Strings())
+	mat := []Task{{Mat: &core.MatSpec{Slice: sample}}, {Mat: &core.MatSpec{Slice: sample}}, {Mat: &core.MatSpec{Slice: sample}}}
+	ws = newBatchState()
+	if _, err := ws.loadBatch(mat); err != nil {
+		t.Fatal(err)
+	}
+	if ws.decodes != 1 {
+		t.Errorf("a 3-spec batch over one sample slice decoded %d payloads", ws.decodes)
+	}
+
+	// A pre-stripped reference the batch never saw is a caller bug.
+	ref := core.EnumSpec{Slices: []core.LogSlice{layout.Slices[0].AsRef()}}
+	if _, err := newBatchState().loadBatch([]Task{{Enum: &ref}}); err == nil {
+		t.Error("batch accepted a reference to a slice it never decoded")
 	}
 }

@@ -1,18 +1,21 @@
 package shard_test
 
-// The distributed-vs-local equivalence suite: every execution mode of
-// the pair pipeline — direct (no runner), in-process shards, and
-// subprocess workers over the gob pipe protocol — must produce
-// byte-identical explanations, atom details and metrics at every shard
-// count. The cases deliberately include a blocking group large enough to
-// straddle shard boundaries at small shard counts and a log small
-// enough that high shard counts plan empty shards.
+// The distributed-vs-local equivalence suite: every runner-backed
+// execution mode of the pair pipeline — in-process shards, subprocess
+// workers over the gob pipe protocol, socket and channel transports —
+// planned over the flat log's own segment layout, must produce
+// explanations, atom details and metrics byte-identical to the direct
+// walk (no runner) at every shard count and in every sampling mode. The
+// cases deliberately include a blocking group large enough to straddle
+// shard boundaries at small shard counts and a log small enough that
+// high shard counts plan empty shards.
 //
 // Subprocess workers are this test binary re-executed with
 // PXQL_SHARD_WORKER=1 (see TestMain in worker_main_test.go).
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -112,14 +115,26 @@ EXPECTED duration_compare = SIM`)
 	return q
 }
 
-// render dumps every user-visible facet of an explanation plus its
-// held-out metrics with full float precision. With a runner, the
-// metrics run through the sharded evaluation walk — so comparing a
-// sharded render against the serial one pins EvaluateExplanation's
-// distributed path too.
-func render(t *testing.T, log *joblog.Log, q *pxql.Query, x *core.Explanation,
-	shards int, runner core.ShardRunner) string {
+// explainOver runs one full explanation (with generated despite — the
+// mode exercising every pipeline stage twice) plus its held-out metrics
+// and dumps every user-visible facet with full float precision. With a
+// runner both walks plan over layout and run as shard specs — so
+// comparing a sharded dump against the direct one (nil runner, nil
+// layout) pins explanation and evaluation paths alike. cfg carries the
+// sampling mode under test; the shard fields are filled in here.
+func explainOver(t *testing.T, log *joblog.Log, layout *core.SegmentLayout, q *pxql.Query,
+	shards int, runner core.ShardRunner, cfg core.Config) string {
 	t.Helper()
+	cfg.Width, cfg.Seed, cfg.SampleSize, cfg.Parallelism = 3, 7, 400, 4
+	cfg.Shards, cfg.Runner, cfg.Layout = shards, runner, layout
+	ex, err := core.NewExplainer(log, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ex.ExplainWithDespite(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", x)
 	fmt.Fprintf(&b, "train: precision=%v generality=%v relevance=%v sample=%d related=%d\n",
@@ -127,13 +142,7 @@ func render(t *testing.T, log *joblog.Log, q *pxql.Query, x *core.Explanation,
 	for i, a := range x.Atoms {
 		fmt.Fprintf(&b, "atom[%d]: %s precision=%v generality=%v\n", i, a.Atom, a.Precision, a.Generality)
 	}
-	var m core.Metrics
-	var err error
-	if runner != nil {
-		m, err = core.EvaluateExplanationSharded(log, features.Level3, q, x, 0, 7, shards, runner)
-	} else {
-		m, err = core.EvaluateExplanation(log, features.Level3, q, x, 0, 7)
-	}
+	m, err := core.EvaluateExplanationSharded(context.Background(), layout, log, features.Level3, q, x, 0, 7, shards, runner)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -142,26 +151,19 @@ func render(t *testing.T, log *joblog.Log, q *pxql.Query, x *core.Explanation,
 	return b.String()
 }
 
-// explainWith runs one full explanation (with generated despite — the
-// mode exercising every pipeline stage twice) under the given runner.
+// explainWith is explainOver in the default Bernoulli mode over a flat
+// log: the direct walk with a nil runner, the log's own layout with one.
 func explainWith(t *testing.T, log *joblog.Log, q *pxql.Query, shards int, runner core.ShardRunner) string {
 	t.Helper()
-	ex, err := core.NewExplainer(log, core.Config{
-		Width:       3,
-		Seed:        7,
-		SampleSize:  400,
-		Shards:      shards,
-		Runner:      runner,
-		Parallelism: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	return explainOver(t, log, flatLayout(log, runner), q, shards, runner, core.Config{})
+}
+
+// flatLayout is the layout a runner needs and the direct walk does not.
+func flatLayout(log *joblog.Log, runner core.ShardRunner) *core.SegmentLayout {
+	if runner == nil {
+		return nil
 	}
-	x, err := ex.ExplainWithDespite(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return render(t, log, q, x, shards, runner)
+	return core.FlatLayout(log)
 }
 
 // workerPool returns a subprocess pool backed by this test binary.
@@ -196,6 +198,38 @@ func TestEquivalenceInProcess(t *testing.T) {
 	}
 }
 
+// TestEquivalenceSamplingModes runs the stratified and Wilson-adaptive
+// modes — budgeted per-group draws, and a pilot round feeding a final
+// one — through every runtime: each must reproduce the direct walk of
+// its mode at shards 1, 2 and 7.
+func TestEquivalenceSamplingModes(t *testing.T) {
+	log := equivLog(60)
+	q := equivQuery(t, log)
+	runners := []struct {
+		name   string
+		runner core.ShardRunner
+	}{
+		{"inproc", shard.InProc{Workers: 4}},
+		{"chan", chanPool(t, 3)},
+		{"subprocess", workerPool(t, 3)},
+		{"socket", socketPool(t, 2)},
+	}
+	for _, mode := range []core.Config{
+		{SampleMode: core.SampleStratified, SampleBudget: 600},
+		{SampleMode: core.SampleStratified, SampleBudget: 600, SamplePilot: 0.25},
+	} {
+		want := explainOver(t, log, nil, q, 0, nil, mode)
+		for _, r := range runners {
+			for _, n := range []int{1, 2, 7} {
+				if got := explainOver(t, log, core.FlatLayout(log), q, n, r.runner, mode); got != want {
+					t.Errorf("%s pilot=%v shards=%d diverges from the direct walk:\n--- got ---\n%s--- want ---\n%s",
+						r.name, mode.SamplePilot, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestEquivalenceSubprocess(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
@@ -215,7 +249,7 @@ func TestEquivalenceSubprocess(t *testing.T) {
 func TestEquivalenceEmptyShards(t *testing.T) {
 	log := equivLog(14) // big group ~9 records, others tiny
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 64, 123)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 64, 123)
 	empty := 0
 	for _, s := range specs {
 		if len(s.Groups) == 0 {
@@ -240,11 +274,11 @@ func TestEquivalenceEmptyShards(t *testing.T) {
 func TestEquivalenceStraddlingGroup(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 7, 123)
-	seen := map[int]int{} // group fingerprint (first global member) -> spec count
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 7, 123)
+	seen := map[int]int{} // group fingerprint (first member) -> spec count
 	for _, s := range specs {
 		for _, g := range s.Groups {
-			seen[s.Global[g.Members[0]]]++
+			seen[g.Members[0]]++
 		}
 	}
 	straddles := false
@@ -282,6 +316,15 @@ func socketPool(t *testing.T, workers int) *shard.Pool {
 	return p
 }
 
+// chanPool returns a pool of in-process channel workers — the full frame
+// protocol, slice cache included, without serialization.
+func chanPool(t *testing.T, workers int) *shard.Pool {
+	t.Helper()
+	p := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: workers}
+	t.Cleanup(p.Close)
+	return p
+}
+
 // TestEquivalenceSocket pins the loopback-TCP transport: byte-identical
 // output at every shard count, with the slice cache cold (first pass)
 // and warm (second pass over the same pool — by then every sample and
@@ -307,14 +350,12 @@ func TestEquivalenceSocket(t *testing.T) {
 	}
 }
 
-// TestEquivalenceChanTransport pins the in-process channel transport —
-// the full frame protocol, slice cache included, without serialization.
+// TestEquivalenceChanTransport pins the in-process channel transport.
 func TestEquivalenceChanTransport(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
 	want := explainWith(t, log, q, 0, nil)
-	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 3}
-	t.Cleanup(pool.Close)
+	pool := chanPool(t, 3)
 	for _, n := range shardCounts() {
 		got := explainWith(t, log, q, n, pool)
 		if got != want {
@@ -377,7 +418,7 @@ func TestSocketWorkerDiesMidFrame(t *testing.T) {
 
 	log := equivLog(20)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 2, 1)
 	done := make(chan error, 1)
 	go func() {
 		_, err := pool.RunEnum(specs)
@@ -417,7 +458,7 @@ func TestSocketBadToken(t *testing.T) {
 	defer pool.Close()
 	log := equivLog(20)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 2, 1)
 	_, err = pool.RunEnum(specs)
 	if err == nil {
 		t.Fatal("expected a handshake rejection with the wrong token")
@@ -437,7 +478,7 @@ func TestSocketBadToken(t *testing.T) {
 func TestSubprocessWorkerCrash(t *testing.T) {
 	log := equivLog(30)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 4, 1)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 4, 1)
 	pool := &shard.Pool{Command: []string{"sh", "-c", "exit 1"}, Workers: 2}
 	t.Cleanup(pool.Close)
 	for round := 0; round < 2; round++ {
@@ -455,7 +496,7 @@ func TestSubprocessWorkerFailure(t *testing.T) {
 	q := equivQuery(t, log)
 	pool := &shard.Pool{Command: []string{"/nonexistent/pxql-worker"}, Workers: 2}
 	t.Cleanup(pool.Close)
-	ex, err := core.NewExplainer(log, core.Config{Seed: 7, Shards: 4, Runner: pool})
+	ex, err := core.NewExplainer(log, core.Config{Seed: 7, Shards: 4, Runner: pool, Layout: core.FlatLayout(log)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,10 @@ package shard_test
 //  2. No panics on corrupt input: arbitrary bytes, and valid frames with
 //     fuzzer-chosen corruption, go through the full worker loop without
 //     panicking — failures surface as transport errors or in-band task
-//     errors.
+//     errors. Two shapes are pinned by name: a frame from protocol v5
+//     (whose specs still carried inline records) is refused with the
+//     version-mismatch error, and a spec with no slices fails with
+//     "core: spec has no slices".
 //
 // Run with: go test -fuzz FuzzShardCodec ./internal/shard
 
@@ -147,11 +150,118 @@ func roundTripJSON[T any](t *testing.T, v *T) {
 	}
 }
 
+// seedSpec plans one enumeration spec over a tiny flat log — the body
+// of the well-formed seed frames.
+func seedSpec() core.EnumSpec {
+	log := (&byteDriver{data: []byte{2, 0, 1, 9, 1, 7, 1, 3, 1, 7, 1, 5}}).fuzzLog()
+	q := &pxql.Query{}
+	return core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 1, 1)[0]
+}
+
+// v5Frame is a task frame as protocol v5 wrote it: version 5, and an
+// enumeration spec that still carries its records inline next to the
+// per-shard global index.
+func v5Frame(t testing.TB) []byte {
+	spec := seedSpec()
+	type v5EnumSpec struct {
+		Log    joblog.WireLog
+		Slices []core.LogSlice
+		Global []int
+		Groups []core.EnumGroup
+		KeepP  float64
+		Level  features.Level
+	}
+	type v5Task struct {
+		Version int
+		Seq     int
+		Enum    *v5EnumSpec
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&v5Task{Version: 5, Seq: 3, Enum: &v5EnumSpec{
+		Log: spec.Slices[0].Log, Global: []int{0, 1}, Groups: spec.Groups, KeepP: 1, Level: features.Level3,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// workerResults feeds one frame to a worker loop and decodes every
+// result it answers with.
+func workerResults(t *testing.T, frame []byte) []shard.Result {
+	t.Helper()
+	var out bytes.Buffer
+	if err := shard.Worker(bytes.NewReader(frame), &out); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	var results []shard.Result
+	dec := gob.NewDecoder(&out)
+	for {
+		var r shard.Result
+		if err := dec.Decode(&r); err != nil {
+			return results
+		}
+		results = append(results, r)
+	}
+}
+
+// TestWorkerRefusesV5Frame pins the cross-version contract: a v5 frame
+// decodes (gob drops the fields v6 no longer has) and is answered with
+// the version-mismatch error — it never runs, and never panics.
+func TestWorkerRefusesV5Frame(t *testing.T) {
+	results := workerResults(t, v5Frame(t))
+	if len(results) != 1 || results[0].Seq != 3 || results[0].Enum != nil ||
+		results[0].Err != fmt.Sprintf("shard: protocol version 5, want %d", shard.Version) {
+		t.Fatalf("v5 frame answered with %+v", results)
+	}
+}
+
+// TestSpecWithoutSlices pins the error for a spec that carries no
+// records at all, standalone and through the worker loop.
+func TestSpecWithoutSlices(t *testing.T) {
+	const want = "core: spec has no slices"
+	enum := seedSpec()
+	enum.Slices = nil
+	if _, err := enum.Run(); err == nil || err.Error() != want {
+		t.Errorf("enum spec without slices: %v", err)
+	}
+	eval := core.EvalSpec{Level: features.Level3}
+	if _, err := eval.Run(); err == nil || err.Error() != want {
+		t.Errorf("eval spec without slices: %v", err)
+	}
+	for _, task := range []shard.Task{
+		{Version: shard.Version, Enum: &enum},
+		{Version: shard.Version, Eval: &eval},
+	} {
+		if results := workerResults(t, gobBytes(t, &task)); len(results) != 1 || results[0].Err != want {
+			t.Errorf("worker answered a spec without slices with %+v", results)
+		}
+	}
+	if _, err := (shard.InProc{}).RunEval([]core.EvalSpec{eval}); err == nil || err.Error() != want {
+		t.Errorf("in-process runner on a spec without slices: %v", err)
+	}
+}
+
 func FuzzShardCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x7a}, 40))
 	f.Add([]byte("DESPITE pigscript_issame = T OBSERVED duration_compare = GT"))
+	// Well-formed frames for the mutator to start from: a v6 task, the
+	// same task with its slice list emptied, and a v5-framed one.
+	spec := seedSpec()
+	var frame bytes.Buffer
+	if err := gob.NewEncoder(&frame).Encode(&shard.Task{Version: shard.Version, Seq: 1, Enum: &spec}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame.Bytes())
+	spec.Slices = nil
+	frame.Reset()
+	if err := gob.NewEncoder(&frame).Encode(&shard.Task{Version: shard.Version, Seq: 2, Enum: &spec}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame.Bytes())
+	f.Add(v5Frame(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
@@ -169,7 +279,8 @@ func FuzzShardCodec(f *testing.F) {
 			Observed: d.fuzzPredicate(dr),
 			Expected: d.fuzzPredicate(dr),
 		}
-		specs := core.PlanEnumShards(log, features.Level3, q, q.Despite,
+		layout := core.FlatLayout(log)
+		specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, d.intn(4) == 0,
 			1+d.intn(64), 1+d.intn(5), uint64(d.next()))
 
 		for si := range specs {
@@ -196,7 +307,7 @@ func FuzzShardCodec(f *testing.F) {
 		// reproduces the original's counts — including through the
 		// reference/cache path a worker would take.
 		x := &core.Explanation{Despite: d.fuzzPredicate(dr), Because: d.fuzzPredicate(dr)}
-		evalSpecs := core.PlanEvalShards(log, features.Level3, q, x, 1+d.intn(64), 1+d.intn(4), uint64(d.next()))
+		evalSpecs := core.PlanEvalShards(layout, log, features.Level3, q, x, 1+d.intn(64), 1+d.intn(4), uint64(d.next()))
 		for si := range evalSpecs {
 			spec := &evalSpecs[si]
 			want, wantErr := spec.Run()
@@ -212,7 +323,7 @@ func FuzzShardCodec(f *testing.F) {
 			// A reference frame without a cached payload must error, not
 			// panic or fabricate counts.
 			ref := *spec
-			ref.Slice = ref.Slice.AsRef()
+			ref.Slices = []core.LogSlice{spec.Slices[0].AsRef()}
 			if _, err := ref.Run(); err == nil {
 				t.Fatalf("reference slice without cache executed")
 			}

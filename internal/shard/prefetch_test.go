@@ -48,17 +48,11 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 	}
 
 	const workers = 2
-	specs := core.PlanEvalShards(log, features.Level3, q, x, 0, 6, 123)
-	seen := map[string]bool{}
-	var slices []core.LogSlice
-	for i := range specs {
-		if h := specs[i].Slice.Hash; h != "" && !seen[h] {
-			seen[h] = true
-			slices = append(slices, specs[i].Slice)
-		}
-	}
+	snapLog, layout := segmentedOver(t, log, 13)
+	specs := core.PlanEvalShards(layout, snapLog, features.Level3, q, x, 0, 6, 123)
+	slices := layout.Slices
 	if len(slices) < 2 {
-		t.Fatalf("fixture planned %d distinct slices; need several", len(slices))
+		t.Fatalf("fixture layout has %d slices; need several", len(slices))
 	}
 
 	pool := socketPool(t, workers)
@@ -83,8 +77,8 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 	if s.SliceMisses != 0 {
 		t.Errorf("tasks re-shipped %d payloads despite a complete prefetch", s.SliceMisses)
 	}
-	if s.SliceHits != int64(len(specs)) {
-		t.Errorf("slice hits = %d, want one per spec (%d)", s.SliceHits, len(specs))
+	if s.SliceHits != int64(len(specs)*len(slices)) {
+		t.Errorf("slice hits = %d, want one per spec and slice (%d)", s.SliceHits, len(specs)*len(slices))
 	}
 	// Each prefetched (worker, slice) mark converts to at most one hit,
 	// on that worker's first task referencing it; dynamic scheduling

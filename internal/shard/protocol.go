@@ -12,12 +12,14 @@ package shard
 // a corrupt or malicious frame produces an error result, never a panic
 // (FuzzShardCodec pins this).
 //
-// Specs that carry a content-addressed log slice (Mat, Score, Eval) may
-// arrive as references: the slice's hash without its payload, when the
-// coordinator knows it already shipped the payload on this connection.
-// A worker that no longer holds the slice (cache eviction) answers with
-// CacheMiss, and the coordinator re-ships the full frame — so caching
-// changes bytes on the wire, never results.
+// Every spec carries its records as content-addressed log slices — the
+// log's segment layout on Enum and Eval specs, the training sample's one
+// slice on Mat and Score specs — and any of them may arrive as a
+// reference: the slice's hash without its payload, when the coordinator
+// knows it already shipped the payload on this connection. A worker that
+// no longer holds a slice (cache eviction) answers with CacheMiss, and
+// the coordinator re-ships the full frame — so caching changes bytes on
+// the wire, never results.
 //
 // gob rather than JSON is the frame encoding because the dominant frame
 // payloads are float64/uint64 planes and index slices, which gob moves
@@ -45,9 +47,12 @@ import (
 // EvalSpec.Slices) — a spec may carry the per-segment hashed slices of
 // a watermark snapshot, each independently cacheable and strippable to
 // a reference.
-const Version = 5
+// Version 6: slices are the only record carriage — EnumSpec.Log,
+// EnumSpec.Global, EvalSpec.Slice and EvalSpec.Global are gone, and
+// group members index the concatenated slices directly.
+const Version = 6
 
-//pxql:wirehash a8a230bd3147c114 v=5
+//pxql:wirehash a8a230bd3147c114 v=6
 
 // Task is one request frame: exactly one spec pointer is set — or
 // Prefetch alone, a payload-only frame that warms the worker's
@@ -67,11 +72,9 @@ type Task struct {
 	Prefetch *core.LogSlice
 }
 
-// slices returns the task's content-addressed log slices, in order:
-// the per-segment slices of a segmented enum/eval spec, the single
-// sample slice of mat/score/eval specs, nil for specs that ship
-// payloads inline (static enumeration slices are disjoint per spec —
-// nothing to cache).
+// slices returns the task's content-addressed log slices, in order: the
+// segment slices of an enum/eval spec, the single sample slice of a
+// mat/score spec, nil for a task that carries no spec.
 func (t *Task) slices() []*core.LogSlice {
 	many := func(ss []core.LogSlice) []*core.LogSlice {
 		out := make([]*core.LogSlice, len(ss))
@@ -82,18 +85,13 @@ func (t *Task) slices() []*core.LogSlice {
 	}
 	switch {
 	case t.Enum != nil:
-		if len(t.Enum.Slices) > 0 {
-			return many(t.Enum.Slices)
-		}
+		return many(t.Enum.Slices)
 	case t.Mat != nil:
 		return []*core.LogSlice{&t.Mat.Slice}
 	case t.Score != nil:
 		return []*core.LogSlice{&t.Score.Slice}
 	case t.Eval != nil:
-		if len(t.Eval.Slices) > 0 {
-			return many(t.Eval.Slices)
-		}
-		return []*core.LogSlice{&t.Eval.Slice}
+		return many(t.Eval.Slices)
 	}
 	return nil
 }
@@ -101,10 +99,7 @@ func (t *Task) slices() []*core.LogSlice {
 // combined reports whether the task's slices are segments of one log —
 // the worker concatenates their decoded forms into a single view —
 // rather than one standalone sample slice.
-func (t *Task) combined() bool {
-	return (t.Enum != nil && len(t.Enum.Slices) > 0) ||
-		(t.Eval != nil && len(t.Eval.Slices) > 0)
-}
+func (t *Task) combined() bool { return t.Enum != nil || t.Eval != nil }
 
 // strippedWith returns a copy of the task in which every slice whose
 // hash is in known is replaced by its hash reference — the frame sent
@@ -132,7 +127,7 @@ func (t *Task) strippedWith(known map[string]int) (*Task, []string) {
 	}
 	c := *t
 	switch {
-	case t.Enum != nil && len(t.Enum.Slices) > 0:
+	case t.Enum != nil:
 		e := *t.Enum
 		e.Slices = stripAll(e.Slices)
 		c.Enum = &e
@@ -146,11 +141,7 @@ func (t *Task) strippedWith(known map[string]int) (*Task, []string) {
 		c.Score = &s
 	case t.Eval != nil:
 		e := *t.Eval
-		if len(e.Slices) > 0 {
-			e.Slices = stripAll(e.Slices)
-		} else {
-			e.Slice = strip(e.Slice)
-		}
+		e.Slices = stripAll(e.Slices)
 		c.Eval = &e
 	}
 	return &c, refd

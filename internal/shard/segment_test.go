@@ -1,14 +1,12 @@
 package shard_test
 
-// Segmented-layout equivalence through real worker pools: specs that
-// ship per-segment hashed slices instead of a per-shard record cut must
-// reproduce the serial static-log explanation byte for byte on every
-// transport, and — the point of sealing — appends must leave sealed
-// segments warm in worker caches so only new slices re-ship.
+// Store-snapshot equivalence through real worker pools: specs planned
+// over a snapshot's layout — several sealed segments plus a tail — must
+// reproduce the direct walk over the static flat log byte for byte on
+// every transport, and — the point of sealing — appends must leave
+// sealed segments warm in worker caches so only new slices re-ship.
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"perfxplain/internal/core"
@@ -34,42 +32,12 @@ func segmentedOver(t *testing.T, log *joblog.Log, sealEvery int) (*joblog.Log, *
 	return snap.Log(), layout
 }
 
-// explainSegmented mirrors explainWith, but configures the explainer
-// with a segment layout and routes held-out metrics through the
-// layout-aware evaluation walk.
+// explainSegmented is explainOver in the default Bernoulli mode over a
+// snapshot log and its store's layout.
 func explainSegmented(t *testing.T, log *joblog.Log, layout *core.SegmentLayout,
 	q *pxql.Query, shards int, runner core.ShardRunner) string {
 	t.Helper()
-	ex, err := core.NewExplainer(log, core.Config{
-		Width:       3,
-		Seed:        7,
-		SampleSize:  400,
-		Shards:      shards,
-		Runner:      runner,
-		Parallelism: 4,
-		Layout:      layout,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := ex.ExplainWithDespite(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", x)
-	fmt.Fprintf(&b, "train: precision=%v generality=%v relevance=%v sample=%d related=%d\n",
-		x.TrainPrecision, x.TrainGenerality, x.TrainRelevance, x.SampleSize, x.RelatedPairs)
-	for i, a := range x.Atoms {
-		fmt.Fprintf(&b, "atom[%d]: %s precision=%v generality=%v\n", i, a.Atom, a.Precision, a.Generality)
-	}
-	m, err := core.EvaluateExplanationShardedOver(layout, log, features.Level3, q, x, 0, 7, shards, runner)
-	if err != nil {
-		t.Fatalf("evaluate: %v", err)
-	}
-	fmt.Fprintf(&b, "metrics: relevance=%v precision=%v generality=%v context=%d because=%d\n",
-		m.Relevance, m.Precision, m.Generality, m.ContextPairs, m.BecausePairs)
-	return b.String()
+	return explainOver(t, log, layout, q, shards, runner, core.Config{})
 }
 
 // TestEquivalenceSegmentedInProcess pins that segmented plans match the
@@ -117,8 +85,7 @@ func TestEquivalenceSegmentedChanTransport(t *testing.T) {
 	q := equivQuery(t, log)
 	want := explainWith(t, log, q, 0, nil)
 	snapLog, layout := segmentedOver(t, log, 13)
-	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 3}
-	t.Cleanup(pool.Close)
+	pool := chanPool(t, 3)
 	for pass, label := range []string{"cold", "warm"} {
 		for _, n := range []int{1, 2, 7} {
 			got := explainSegmented(t, snapLog, layout, q, n, pool)
@@ -145,8 +112,7 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 	for _, r := range full.Records[:40] {
 		st.MustAppend(r)
 	}
-	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 1}
-	t.Cleanup(pool.Close)
+	pool := chanPool(t, 1)
 
 	explainAt := func(snap *joblog.Snapshot) {
 		t.Helper()
@@ -206,5 +172,43 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 	}
 	if s3.SliceHits <= s2.SliceHits {
 		t.Errorf("repeat pass recorded no slice hits: %+v -> %+v", s2, s3)
+	}
+}
+
+// TestFlatLogWarmCacheAcrossQueries pins what a flat log gains from
+// carrying records as layout slices: its segments are content-addressed
+// like a store's, so on a warm pool a second explanation over the same
+// log ships no payload at all — every enumeration, materialization,
+// scoring and evaluation frame references slices the worker holds.
+func TestFlatLogWarmCacheAcrossQueries(t *testing.T) {
+	log := equivLog(60)
+	q := equivQuery(t, log)
+	want := explainWith(t, log, q, 0, nil)
+	// One worker so the ledger is deterministic: every payload ships
+	// exactly once, every later reference is a hit.
+	pool := chanPool(t, 1)
+	if got := explainWith(t, log, q, 4, pool); got != want {
+		t.Fatalf("cold explanation diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	cold := pool.Stats()
+	if got := explainWith(t, log, q, 4, pool); got != want {
+		t.Fatalf("warm explanation diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	warm := pool.Stats()
+	if d := warm.SliceMisses - cold.SliceMisses; d != 0 {
+		t.Errorf("second explanation over the same flat log re-shipped %d payloads", d)
+	}
+
+	// The enumeration frames in particular: each of a round's specs
+	// references every layout slice, and each reference is a hit.
+	layout := core.FlatLayout(log)
+	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 0, 4, 123)
+	if _, err := pool.RunEnum(specs); err != nil {
+		t.Fatal(err)
+	}
+	again := pool.Stats()
+	if hits := again.SliceHits - warm.SliceHits; hits != int64(len(specs)*len(layout.Slices)) || again.SliceMisses != warm.SliceMisses {
+		t.Errorf("warm enumeration round: %d hits, %d misses; want %d hits, 0 misses",
+			hits, again.SliceMisses-warm.SliceMisses, len(specs)*len(layout.Slices))
 	}
 }

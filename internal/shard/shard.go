@@ -23,86 +23,73 @@ import (
 )
 
 // InProc executes shard specs on this process's worker pool. It is the
-// default runtime: no serialization, no processes — par.Do over the
-// specs, results in spec order.
+// default runtime: no serialization, no processes — each distinct slice
+// of a batch is decoded once, then par.Do over the specs, results in
+// spec order.
 type InProc struct {
 	// Workers bounds the concurrent specs (<= 0 means GOMAXPROCS).
 	Workers int
 }
 
-// runAll executes n units on the pool, capturing the first error.
-func (r InProc) runAll(n int, exec func(i int) error) error {
-	errs := make([]error, n)
-	par.Do(n, r.Workers, func(i int) { errs[i] = exec(i) })
+// runInProc is the one batch executor behind InProc's four Run methods:
+// it resolves every spec's slices through a batch-lifetime cache (the
+// specs of a batch share their slices, so each decodes — and each
+// segment list combines — once, not once per spec), then runs the specs
+// concurrently, capturing the first error in spec order.
+func runInProc[S, R any](r InProc, specs []S, task func(*S) Task,
+	run func(*S, *core.SliceData) (*R, error)) ([]R, error) {
+
+	tasks := make([]Task, len(specs))
+	for i := range specs {
+		tasks[i] = task(&specs[i])
+	}
+	datas, err := newBatchState().loadBatch(tasks)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]R, len(specs))
+	errs := make([]error, len(specs))
+	par.Do(len(specs), r.Workers, func(i int) {
+		res, err := run(&specs[i], datas[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		out[i] = *res
+	})
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // RunEnum implements core.ShardRunner.
 func (r InProc) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
-	out := make([]core.EnumResult, len(specs))
-	err := r.runAll(len(specs), func(i int) error {
-		res, err := specs[i].Run()
-		if err != nil {
-			return err
-		}
-		out[i] = *res
-		return nil
-	})
-	return out, err
+	return runInProc(r, specs, func(s *core.EnumSpec) Task { return Task{Enum: s} }, (*core.EnumSpec).RunWith)
 }
 
 // RunMat implements core.ShardRunner.
 func (r InProc) RunMat(specs []core.MatSpec) ([]core.MatResult, error) {
-	out := make([]core.MatResult, len(specs))
-	err := r.runAll(len(specs), func(i int) error {
-		res, err := specs[i].Run()
-		if err != nil {
-			return err
-		}
-		out[i] = *res
-		return nil
-	})
-	return out, err
+	return runInProc(r, specs, func(s *core.MatSpec) Task { return Task{Mat: s} }, (*core.MatSpec).RunWith)
 }
 
 // RunScore implements core.ShardRunner.
 func (r InProc) RunScore(specs []core.ScoreSpec) ([]core.ScoreResult, error) {
-	out := make([]core.ScoreResult, len(specs))
-	err := r.runAll(len(specs), func(i int) error {
-		res, err := specs[i].Run()
-		if err != nil {
-			return err
-		}
-		out[i] = *res
-		return nil
-	})
-	return out, err
+	return runInProc(r, specs, func(s *core.ScoreSpec) Task { return Task{Score: s} }, (*core.ScoreSpec).RunWith)
 }
 
 // RunEval implements core.ShardRunner.
 func (r InProc) RunEval(specs []core.EvalSpec) ([]core.EvalResult, error) {
-	out := make([]core.EvalResult, len(specs))
-	err := r.runAll(len(specs), func(i int) error {
-		res, err := specs[i].Run()
-		if err != nil {
-			return err
-		}
-		out[i] = *res
-		return nil
-	})
-	return out, err
+	return runInProc(r, specs, func(s *core.EvalSpec) Task { return Task{Eval: s} }, (*core.EvalSpec).RunWith)
 }
 
 // dispatch hands one decoded task to its executor — shared by every
-// worker loop (subprocess, socket connection, in-proc goroutine). Specs
-// carrying a content-addressed slice resolve it through the worker's
-// cache: payload frames decode-and-cache, reference frames hit the
-// cache or report CacheMiss for the coordinator to re-ship.
+// worker loop (subprocess, socket connection, in-proc goroutine). The
+// spec's slices resolve through the worker's cache (see load): payload
+// frames decode-and-cache, reference frames hit the cache or report
+// CacheMiss for the coordinator to re-ship.
 func (ws *workerState) dispatch(t *Task) *Result {
 	res := &Result{Version: Version, Seq: t.Seq}
 	defer func() {
@@ -132,72 +119,29 @@ func (ws *workerState) dispatch(t *Task) *Result {
 		}
 		return res
 	}
-	var data *core.SliceData
-	if ss := t.slices(); len(ss) > 0 {
-		datas := make([]*core.SliceData, len(ss))
-		for i, s := range ss {
-			d, miss, err := ws.resolve(s)
-			if miss {
-				// Any evicted segment fails the whole frame: the
-				// coordinator clears its shipped marks for every
-				// reference in it and re-ships in full.
-				res.CacheMiss = true
-				return res
-			}
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			datas[i] = d
-		}
-		if t.combined() {
-			d, err := ws.combine(ss, datas)
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			data = d
-		} else {
-			data = datas[0]
+	if t.Enum == nil && t.Mat == nil && t.Score == nil && t.Eval == nil {
+		res.Err = "shard: task carries no spec"
+		return res
+	}
+	data, miss, err := ws.load(t)
+	if miss {
+		res.CacheMiss = true
+		return res
+	}
+	if err == nil {
+		switch {
+		case t.Enum != nil:
+			res.Enum, err = t.Enum.RunWith(data)
+		case t.Mat != nil:
+			res.Mat, err = t.Mat.RunWith(data)
+		case t.Score != nil:
+			res.Score, err = t.Score.RunWith(data)
+		default:
+			res.Eval, err = t.Eval.RunWith(data)
 		}
 	}
-	switch {
-	case t.Enum != nil:
-		var r *core.EnumResult
-		var err error
-		if data != nil {
-			r, err = t.Enum.RunWith(data)
-		} else {
-			r, err = t.Enum.Run()
-		}
-		if err != nil {
-			res.Err = err.Error()
-		} else {
-			res.Enum = r
-		}
-	case t.Mat != nil:
-		r, err := t.Mat.RunWith(data)
-		if err != nil {
-			res.Err = err.Error()
-		} else {
-			res.Mat = r
-		}
-	case t.Score != nil:
-		r, err := t.Score.RunWith(data)
-		if err != nil {
-			res.Err = err.Error()
-		} else {
-			res.Score = r
-		}
-	case t.Eval != nil:
-		r, err := t.Eval.RunWith(data)
-		if err != nil {
-			res.Err = err.Error()
-		} else {
-			res.Eval = r
-		}
-	default:
-		res.Err = "shard: task carries no spec"
+	if err != nil {
+		res.Err = err.Error()
 	}
 	return res
 }

@@ -51,24 +51,20 @@ import (
 type Log struct {
 	l *joblog.Log
 	// segs is set on logs obtained from Store.Snapshot: the watermark's
-	// segment views, which explainers and evaluations use to plan shards
-	// along segment boundaries and ship per-segment hashed slices. Nil
-	// for flat logs (CSV/JSON reads, Collect); results are identical
-	// either way.
+	// segment views, whose hashed slices sharded explainers and
+	// evaluations ship. Nil for flat logs (CSV/JSON reads, Collect),
+	// which cut their own views; results are identical either way.
 	segs []joblog.SegmentView
 }
 
-// layout resolves the log's segment views into a shard-planning layout;
-// nil for flat logs (the planners then cut the log statically).
-func (l *Log) layout() *core.SegmentLayout {
-	if len(l.segs) == 0 {
-		return nil
+// layout resolves the log's segment views — the snapshot's, or a flat
+// log's own — into the shard-planning layout. Only sharded execution
+// calls it: the direct path builds and hashes no views.
+func (l *Log) layout() (*core.SegmentLayout, error) {
+	if l.segs == nil {
+		return core.FlatLayout(l.l), nil
 	}
-	lay, err := core.NewSegmentLayout(l.segs)
-	if err != nil {
-		return nil
-	}
-	return lay
+	return core.NewSegmentLayout(l.segs)
 }
 
 // Len returns the number of logged executions.
@@ -594,16 +590,21 @@ type Explainer struct {
 	pool *shard.Pool // owned; nil for in-process shards and shared pools
 }
 
-// NewExplainer builds an explainer over a job or task log. A log
-// obtained from Store.Snapshot carries its segment views: the explainer
-// then plans shards along segment boundaries and ships per-segment
-// hashed slices, so re-explaining after appends re-ships only the tail.
+// NewExplainer builds an explainer over a job or task log. With
+// Options.Shards set, shard specs ship the log's segments as hashed
+// slices — a Store.Snapshot's sealed segments and tail, a flat log's
+// fixed-size runs — so re-explaining after appends re-ships only the
+// tail.
 func NewExplainer(log *Log, opt Options) (*Explainer, error) {
 	cfg, pool, err := opt.coreConfig()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Layout = log.layout()
+	if cfg.Runner != nil {
+		if cfg.Layout, err = log.layout(); err != nil {
+			return nil, err
+		}
+	}
 	ex, err := core.NewExplainer(log.l, cfg)
 	if err != nil {
 		return nil, err
@@ -881,35 +882,50 @@ func Evaluate(log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) 
 // returning ctx.Err() once it is done. Completed metrics are identical
 // to an uncancelled run.
 func EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) {
-	maxPairs := opt.MaxPairs
-	if maxPairs == 0 {
-		maxPairs = core.DefaultConfig().MaxPairs
-	}
-	var m core.Metrics
-	var err error
+	var runner core.ShardRunner
 	switch {
-	case opt.Shards > 0 && opt.SharedPool != nil:
-		m, err = core.EvaluateExplanationShardedOverCtx(ctx, log.layout(), log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, opt.Shards, opt.SharedPool.p)
-	case opt.Shards > 0 && (len(opt.ShardAddrs) > 0 || opt.ShardWorkers > 0):
+	case opt.Shards <= 0:
+	case opt.SharedPool != nil:
+		runner = opt.SharedPool.p
+	case len(opt.ShardAddrs) > 0 || opt.ShardWorkers > 0:
 		// Shard worker config must never be silently ignored — but a
 		// one-shot Evaluate dialing and tearing down a fleet per call
 		// would hide the cost callers configured workers to avoid.
-		pool, perr := NewWorkerPool(PoolOptions{
+		pool, err := NewWorkerPool(PoolOptions{
 			Workers: opt.ShardWorkers,
 			Command: opt.ShardWorkerCommand,
 			Addrs:   opt.ShardAddrs,
 			Token:   opt.ShardToken,
 		})
-		if perr != nil {
-			return Metrics{}, perr
+		if err != nil {
+			return Metrics{}, err
 		}
 		defer pool.Close()
-		m, err = core.EvaluateExplanationShardedOverCtx(ctx, log.layout(), log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, opt.Shards, pool.p)
-	case opt.Shards > 0:
-		m, err = core.EvaluateExplanationShardedOverCtx(ctx, log.layout(), log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, opt.Shards,
-			shard.InProc{Workers: opt.Parallelism})
+		runner = pool.p
 	default:
-		m, err = core.EvaluateExplanationPCtx(ctx, log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, opt.Parallelism)
+		runner = shard.InProc{Workers: opt.Parallelism}
+	}
+	return evaluate(ctx, log, q, x, opt.MaxPairs, opt.Seed, opt.Parallelism, opt.Shards, runner)
+}
+
+// evaluate runs the metric walk behind both Evaluate entry points: as
+// shard specs over the log's layout when a runner is given, directly on
+// this process's cores otherwise.
+func evaluate(ctx context.Context, log *Log, q *Query, x *Explanation,
+	maxPairs int, seed int64, parallelism, shards int, runner core.ShardRunner) (Metrics, error) {
+
+	if maxPairs == 0 {
+		maxPairs = core.DefaultConfig().MaxPairs
+	}
+	var m core.Metrics
+	var err error
+	if runner == nil {
+		m, err = core.EvaluateExplanation(ctx, log.l, features.Level3, q.q, x.x, maxPairs, seed, parallelism)
+	} else {
+		var layout *core.SegmentLayout
+		if layout, err = log.layout(); err == nil {
+			m, err = core.EvaluateExplanationSharded(ctx, layout, log.l, features.Level3, q.q, x.x, maxPairs, seed, shards, runner)
+		}
 	}
 	if err != nil {
 		return Metrics{}, err
@@ -929,23 +945,7 @@ func (e *Explainer) Evaluate(log *Log, q *Query, x *Explanation) (Metrics, error
 // EvaluateContext is Evaluate with EvaluateContext's (package-level)
 // cancellation semantics, through this explainer's shard configuration.
 func (e *Explainer) EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation) (Metrics, error) {
-	maxPairs := e.cfg.MaxPairs
-	if maxPairs == 0 {
-		maxPairs = core.DefaultConfig().MaxPairs
-	}
-	var m core.Metrics
-	var err error
-	if e.cfg.Runner != nil {
-		m, err = core.EvaluateExplanationShardedOverCtx(ctx, log.layout(), log.l, features.Level3, q.q, x.x,
-			maxPairs, e.cfg.Seed, e.cfg.Shards, e.cfg.Runner)
-	} else {
-		m, err = core.EvaluateExplanationPCtx(ctx, log.l, features.Level3, q.q, x.x,
-			maxPairs, e.cfg.Seed, e.cfg.Parallelism)
-	}
-	if err != nil {
-		return Metrics{}, err
-	}
-	return Metrics{Relevance: m.Relevance, Precision: m.Precision, Generality: m.Generality}, nil
+	return evaluate(ctx, log, q, x, e.cfg.MaxPairs, e.cfg.Seed, e.cfg.Parallelism, e.cfg.Shards, e.cfg.Runner)
 }
 
 // RuleOfThumbExplain runs the RuleOfThumb baseline (paper Section 5.1):

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"perfxplain/internal/joblog"
 )
 
 // Shared small logs for the public-API tests (collection is deterministic).
@@ -256,5 +258,54 @@ func TestPaperHeadlineShape(t *testing.T) {
 	if mPX.Precision <= mROT.Precision || mPX.Precision <= mSBD.Precision {
 		t.Errorf("PerfXplain %.3f should beat RuleOfThumb %.3f and SimButDiff %.3f",
 			mPX.Precision, mROT.Precision, mSBD.Precision)
+	}
+}
+
+// TestBrokenSegmentLayoutIsAnError pins that a snapshot whose segment
+// views do not tile its records fails every sharded entry point instead
+// of silently planning some other way — and that the direct path, which
+// never builds a layout, is unaffected.
+func TestBrokenSegmentLayoutIsAnError(t *testing.T) {
+	jobs, _ := smallLogs(t)
+	q := boundWhySlower(t, jobs)
+	st := NewStore(jobs, 8)
+	if err := st.Ingest(jobs); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	if len(snap.segs) < 3 {
+		t.Fatalf("fixture snapshot has %d segments", len(snap.segs))
+	}
+	gap := &Log{l: snap.l, segs: append(append([]joblog.SegmentView(nil), snap.segs[:1]...), snap.segs[2:]...)}
+
+	ex, err := NewExplainer(gap, Options{Seed: 5})
+	if err != nil {
+		t.Fatalf("direct explainer over a gapped snapshot: %v", err)
+	}
+	x, err := ex.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Evaluate(gap, q, x, Options{}); err != nil {
+		t.Errorf("direct Evaluate over a gapped snapshot: %v", err)
+	}
+
+	const want = "core: segment 1 starts at"
+	if _, err := NewExplainer(gap, Options{Seed: 5, Shards: 2}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("sharded NewExplainer over a gapped snapshot: %v", err)
+	}
+	if _, err := Evaluate(gap, q, x, Options{Shards: 2}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("sharded Evaluate over a gapped snapshot: %v", err)
+	}
+	sharded, err := NewExplainer(snap, Options{Seed: 5, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	if _, err := sharded.Evaluate(gap, q, x); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Explainer.Evaluate over a gapped snapshot: %v", err)
+	}
+	if _, err := sharded.Evaluate(snap, q, x); err != nil {
+		t.Errorf("Explainer.Evaluate over the intact snapshot: %v", err)
 	}
 }
