@@ -285,7 +285,7 @@ func ablationPrecision(b *testing.B, mutate func(*core.Config)) float64 {
 		if err != nil {
 			continue
 		}
-		m, err := core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, 50000, rep, 0)
+		m, err := core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, 50000, rep, core.Exec{})
 		if err != nil {
 			continue
 		}
@@ -381,7 +381,7 @@ func BenchmarkParallelismAblation(b *testing.B) {
 	levels := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, p := range levels {
 		b.Run(fmt.Sprintf("explain/p%d", p), func(b *testing.B) {
-			ex, err := core.NewExplainer(benchRes.Jobs, core.Config{Width: 3, Seed: 1, Parallelism: p})
+			ex, err := core.NewExplainer(benchRes.Jobs, core.Config{Width: 3, Seed: 1, Exec: core.Exec{Parallelism: p}})
 			if err != nil {
 				b.Fatal(err)
 			}

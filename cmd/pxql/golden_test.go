@@ -102,7 +102,7 @@ func TestGoldenCLI(t *testing.T) {
 }
 
 // TestGoldenCLISharded pins `pxql -shards N -shard-workers K` to the
-// exact bytes of the serial CLI run, for in-process shard execution and
+// exact bytes of the serial CLI run, for explicit local spec counts and
 // for subprocess workers (spawned from this test binary via TestMain).
 func TestGoldenCLISharded(t *testing.T) {
 	log := writeSmallLog(t)

@@ -12,9 +12,11 @@
 // explanation generator (perfxplain, ruleofthumb, simbutdiff), and
 // -gen-despite asks PerfXplain to generate a despite extension first.
 //
-// The pair pipeline can run distributed: -shards plans self-contained
-// shard specs, executed in-process by default, on subprocess workers
-// with -shard-workers, or on remote machines with -shard-remote — each
+// The quadratic pair walks can run distributed: -shards cuts them into
+// that many self-contained specs, run on this process's cores by
+// default (the count then only sets scheduling granularity), on
+// subprocess workers with -shard-workers, or on remote machines with
+// -shard-remote — each
 // remote runs `pxql -shard-worker -listen :9071` with a matching
 // -shard-token (or PXQL_SHARD_TOKEN). Workers receive the log as
 // per-segment hashed slices: the flat log's own fixed-size runs, or with
@@ -47,8 +49,8 @@ func main() {
 	samplePilot := flag.Float64("sample-pilot", 0, "pilot fraction in (0, 1) for Wilson-adaptive stratified budgets (0 = one-shot proportional allocation; requires -sample-mode stratified)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for the explanation pipeline (0 = all cores); the answer is identical at every setting")
 	seal := flag.Int("seal", 0, "ingest the log into a segment store sealing every N records and query its snapshot (0 = off); the answer is identical, but shard workers cache sealed segments across queries")
-	shards := flag.Int("shards", 0, "shard the pair pipeline into N self-contained specs (0 = off); the answer is identical at every setting")
-	shardWorkers := flag.Int("shard-workers", 0, "execute shards on K worker subprocesses instead of in-process (requires -shards)")
+	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N self-contained specs (0 = eight per core); the answer is identical at every setting")
+	shardWorkers := flag.Int("shard-workers", 0, "execute the specs on K worker subprocesses instead of this process (requires -shards)")
 	shardWorker := flag.Bool("shard-worker", false, "serve shard tasks on stdin/stdout and exit (internal: spawned by -shard-workers), or on a TCP listener with -listen")
 	listen := flag.String("listen", "", "with -shard-worker: listen on this TCP address (e.g. :9071) and serve remote coordinators (requires a token)")
 	shardRemote := flag.String("shard-remote", "", "execute shards on remote socket workers at these comma-separated host:port addresses (requires -shards and a token)")

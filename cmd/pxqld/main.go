@@ -45,7 +45,7 @@ func main() {
 	level := flag.Int("level", 3, "default feature level 1-3 (requests may override)")
 	seed := flag.Int64("seed", 1, "default sampling seed (requests may override)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines per explanation (0 = all cores)")
-	shards := flag.Int("shards", 0, "shard the pair pipeline into N specs (0 = off)")
+	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N specs (0 = eight per core)")
 	shardWorkers := flag.Int("shard-workers", 0, "run shards on K long-lived worker subprocesses (requires -shards)")
 	shardWorker := flag.Bool("shard-worker", false, "serve shard tasks on stdin/stdout and exit (internal: spawned by -shard-workers)")
 	shardRemote := flag.String("shard-remote", "", "run shards on remote socket workers at these comma-separated host:port addresses (requires -shards and a token)")

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"perfxplain/internal/collect"
-	"perfxplain/internal/core"
 	"perfxplain/internal/eval"
 	"perfxplain/internal/shard"
 )
@@ -34,8 +33,8 @@ func main() {
 	sampleBudget := flag.Int("sample-budget", 0, "stratified total pair budget (0 = the harness MaxPairs)")
 	samplePilot := flag.Float64("sample-pilot", 0, "pilot fraction in (0, 1) for Wilson-adaptive stratified budgets (0 = one-shot; requires -sample-mode stratified)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for repetitions and cells (0 = all cores); tables are identical at every setting")
-	shards := flag.Int("shards", 0, "shard the pair pipeline into N self-contained specs (0 = off); tables are identical at every setting")
-	shardWorkers := flag.Int("shard-workers", 0, "execute shards on K worker subprocesses instead of in-process (requires -shards)")
+	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N self-contained specs (0 = eight per core); tables are identical at every setting")
+	shardWorkers := flag.Int("shard-workers", 0, "execute the specs on K worker subprocesses instead of this process (requires -shards)")
 	shardWorker := flag.Bool("shard-worker", false, "serve shard tasks on stdin/stdout and exit (internal: spawned by -shard-workers), or on a TCP listener with -listen")
 	listen := flag.String("listen", "", "with -shard-worker: listen on this TCP address and serve remote coordinators (requires a token)")
 	shardRemote := flag.String("shard-remote", "", "execute shards on remote socket workers at these comma-separated host:port addresses (requires -shards and a token)")
@@ -117,7 +116,6 @@ func run(exp string, seed int64, reps int, small bool, sampleMode string, sample
 	var pool *shard.Pool
 	if shards > 0 {
 		h.Shards = shards
-		var runner core.ShardRunner = shard.InProc{Workers: parallelism}
 		switch {
 		case shardRemote != "":
 			var addrs []string
@@ -140,9 +138,8 @@ func run(exp string, seed int64, reps int, small bool, sampleMode string, sample
 		}
 		if pool != nil {
 			defer pool.Close()
-			runner = pool
+			h.Runner = pool
 		}
-		h.Runner = runner
 	}
 	if verbose && pool != nil {
 		defer func() { fmt.Fprintln(os.Stderr, "shard runtime:", pool.Stats()) }()

@@ -5,9 +5,9 @@ package perfxplain
 // behaviour-preserving, so these tests pin the exact bytes of every
 // user-visible artifact — explanation clauses, per-atom training
 // diagnostics, training and held-out metrics — across feature levels 1-3,
-// parallelism 1, 4 and GOMAXPROCS, and sharded execution through the
-// in-process shard runner (the subprocess mode is pinned equal in
-// internal/shard's equivalence suite and the pxql CLI golden test). The
+// parallelism 1, 4 and GOMAXPROCS, and explicit local spec counts (the
+// worker transports are pinned equal in internal/shard's equivalence
+// suite and the pxql CLI golden test). The
 // files under testdata/golden
 // were captured from the pre-columnar implementation; regenerate with
 //
@@ -126,11 +126,10 @@ func TestGoldenExplanations(t *testing.T) {
 		}
 		q.Bind(id1, id2)
 		for level := 1; level <= 3; level++ {
-			// One body over execution variants: the direct path at every
-			// parallelism level, then sharded execution (in-process
-			// runner) at several shard counts — 64 far exceeds the pair
-			// space, so empty shards are pinned too. All must produce the
-			// same bytes.
+			// One body over execution variants: the default spec count at
+			// every parallelism level, then explicit spec counts — 64 far
+			// exceeds the pair space, so empty specs are pinned too. All
+			// must produce the same bytes.
 			type variant struct {
 				name        string
 				parallelism int

@@ -199,7 +199,7 @@ func TestBaselinesScoreableByCoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.EvaluateExplanation(context.Background(), log, features.Level3, q, xr, 0, 1, 0); err != nil {
+	if _, err := core.EvaluateExplanation(context.Background(), log, features.Level3, q, xr, 0, 1, core.Exec{}); err != nil {
 		t.Errorf("RuleOfThumb explanation unscoreable: %v", err)
 	}
 
@@ -211,7 +211,7 @@ func TestBaselinesScoreableByCoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.EvaluateExplanation(context.Background(), log, features.Level3, q, xs, 0, 1, 0); err != nil {
+	if _, err := core.EvaluateExplanation(context.Background(), log, features.Level3, q, xs, 0, 1, core.Exec{}); err != nil {
 		t.Errorf("SimButDiff explanation unscoreable: %v", err)
 	}
 }

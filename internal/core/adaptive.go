@@ -15,7 +15,7 @@ package core
 // Determinism: the allocation is a pure function of the pilot pair set
 // (itself shard-count- and parallelism-invariant by the PR 7 draw
 // contract) and the group list, computed once on the coordinator and
-// shipped to workers as explicit per-group budgets. groupDraws is
+// carried by the specs as explicit per-group budgets. groupDraws is
 // prefix-monotonic in the budget — the first b draws of a group's
 // counter stream are the same whatever the target — so the final
 // round's draw set contains the pilot round's, and the final walk alone
@@ -31,8 +31,7 @@ import (
 // enumerateAdaptive runs the two-pass Wilson-adaptive stratified
 // enumeration: a pilot round under the proportional rule, the allocator
 // over its counts, then the final round whose pair set is the output.
-// Both rounds share the seed — their draw sets nest — and route through
-// the shard runner when one is configured.
+// Both rounds share the seed — their draw sets nest.
 func (e *Explainer) enumerateAdaptive(ctx context.Context, q *pxql.Query, despite pxql.Predicate, seed uint64) (*pairSet, error) {
 	// The same group list every stratified planner derives (pruned, never
 	// seek-filtered — draws key on group identity; see seek.go).
@@ -47,10 +46,8 @@ func (e *Explainer) enumerateAdaptive(ctx context.Context, q *pxql.Query, despit
 }
 
 // runStratifiedRound executes one stratified enumeration round under
-// explicit per-group budgets, in process or on the configured runner.
-// budgets is parallel to groups, which must equal the blocked group
-// list of (log, despite) — both paths re-derive or reuse exactly that
-// list, so the walks agree pair for pair.
+// explicit per-group budgets. budgets is parallel to groups, which must
+// equal the blocked group list of (log, despite).
 func (e *Explainer) runStratifiedRound(ctx context.Context, q *pxql.Query, despite pxql.Predicate, seed uint64,
 	groups [][]int, budgets []int, round int) (*pairSet, error) {
 
@@ -59,12 +56,10 @@ func (e *Explainer) runStratifiedRound(ctx context.Context, q *pxql.Query, despi
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.cfg.Runner == nil {
-		return enumerateRelatedOpt(e.log, e.d, q, despite, seed, e.cfg.Parallelism,
-			enumOpts{stratified: true, budgets: budgets}), nil
-	}
-	e.prefetchLayout()
-	return e.runEnumSpecs(planEnumRound(e.cfg.Layout, e.d.Level(), q, despite, groups, 1, budgets, round, e.cfg.Shards, seed))
+	ex := e.cfg.Exec
+	ex.prefetch()
+	return runEnumSpecs(ctx, ex, e.log,
+		planEnumRound(ex.Layout, e.d.Level(), q, despite, groups, 1, budgets, round, ex.shards(), seed))
 }
 
 // adaptiveBudgets turns pilot-round counts into final per-group pair

@@ -47,7 +47,6 @@ func TestAdaptiveBudgetInvariants(t *testing.T) {
 	// leaves groups 9, 19 and 29 alive (~100/50/33 rows), so the total
 	// pair space dwarfs the budget and nothing is absorbed whole.
 	log := zoneSkewedLog(4000, 30, rand.New(rand.NewSource(61)))
-	d := features.NewDeriver(log.Schema, features.Level3)
 	q := zoneQuery()
 	groups, _ := blockedGroupsOpt(log, q.Despite, 0, true, false)
 	if len(groups) < 2 {
@@ -56,7 +55,7 @@ func TestAdaptiveBudgetInvariants(t *testing.T) {
 	const budget = 600
 	pilotBs := stratifyBudgets(groups, pilotBudget(budget, 0.25))
 	seed := stats.DeriveSeed(5, "adaptive-test")
-	pilot := enumerateRelatedOpt(log, d, q, q.Despite, seed, 1, enumOpts{stratified: true, budgets: pilotBs})
+	pilot := enumGroups(t, log, q, q.Despite, groups, 1, pilotBs, seed)
 
 	finalBs := adaptiveBudgets(groups, pilotBs, pilot, budget)
 	if len(finalBs) != len(groups) {
@@ -108,9 +107,7 @@ func TestAdaptiveStatisticalEquivalence(t *testing.T) {
 	adaptive := func(shards int) *Explanation {
 		cfg := Config{Width: 1, Seed: 11, SampleMode: SampleStratified, SampleBudget: 2500, SamplePilot: 0.25}
 		if shards > 0 {
-			cfg.Shards = shards
-			cfg.Runner = serialEvalRunner{}
-			cfg.Layout = FlatLayout(log)
+			cfg.Exec = Exec{Shards: shards, Runner: serialEvalRunner{}, Layout: FlatLayout(log)}
 		}
 		ex, err := NewExplainer(log, cfg)
 		if err != nil {

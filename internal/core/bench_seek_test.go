@@ -94,8 +94,7 @@ func benchEnumNoSeek(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		seekSink = len(enumerateRelatedOpt(fx.log, fx.d, fx.q, fx.q.Despite, seekSeed, 1,
-			enumOpts{noSeek: true}).refs)
+		seekSink = len(enumSwitched(b, fx.log, fx.q, 0, seekSeed, true, false).refs)
 	}
 }
 
@@ -104,8 +103,7 @@ func benchEnumSeek(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		seekSink = len(enumerateRelatedOpt(fx.log, fx.d, fx.q, fx.q.Despite, seekSeed, 1,
-			enumOpts{}).refs)
+		seekSink = len(enumSwitched(b, fx.log, fx.q, 0, seekSeed, true, true).refs)
 	}
 }
 
@@ -137,8 +135,8 @@ func TestBenchSeekJSON(t *testing.T) {
 
 	// The benchmark is only meaningful if the two paths do identical
 	// work: assert byte-identity at full scale before timing.
-	full := enumerateRelatedOpt(fx.log, fx.d, fx.q, fx.q.Despite, seekSeed, 1, enumOpts{noSeek: true})
-	seeked := enumerateRelatedOpt(fx.log, fx.d, fx.q, fx.q.Despite, seekSeed, 1, enumOpts{})
+	full := enumSwitched(t, fx.log, fx.q, 0, seekSeed, true, false)
+	seeked := enumSwitched(t, fx.log, fx.q, 0, seekSeed, true, true)
 	if !reflect.DeepEqual(full.refs, seeked.refs) || !reflect.DeepEqual(full.labels, seeked.labels) {
 		t.Fatalf("seeked enumeration differs from the tiled walk (%d vs %d pairs)",
 			len(seeked.refs), len(full.refs))

@@ -7,7 +7,7 @@ package core
 // so the despite conjunct `cpus > 8.5` zone-kills ~90% of the groups —
 // including most of the heavy head — before any pair is walked.
 //
-//   - enum/full:    enumerateRelatedOpt with pruning disabled — every
+//   - enum/full:    the serial walk with pruning and seek disabled — every
 //     group's pair space is tiled through EvalBlock.
 //   - enum/indexed: the production path — zone maps prove dead groups
 //     empty from per-column [min, max] alone.
@@ -100,8 +100,7 @@ func benchEnumFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		subqSink = len(enumerateRelatedOpt(fx.log, fx.d, fx.q, fx.q.Despite, subqSeed, 1,
-			enumOpts{noPrune: true, noSeek: true}).refs)
+		subqSink = len(enumSwitched(b, fx.log, fx.q, 0, subqSeed, false, false).refs)
 	}
 }
 
@@ -110,8 +109,7 @@ func benchEnumIndexed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		subqSink = len(enumerateRelatedOpt(fx.log, fx.d, fx.q, fx.q.Despite, subqSeed, 1,
-			enumOpts{}).refs)
+		subqSink = len(enumSwitched(b, fx.log, fx.q, 0, subqSeed, true, true).refs)
 	}
 }
 
@@ -143,8 +141,8 @@ func TestBenchSubqJSON(t *testing.T) {
 
 	// The benchmark is only meaningful if the two paths do identical
 	// work: assert byte-identity at full scale before timing.
-	full := enumerateRelatedOpt(fx.log, fx.d, fx.q, fx.q.Despite, subqSeed, 1, enumOpts{noPrune: true, noSeek: true})
-	indexed := enumerateRelatedOpt(fx.log, fx.d, fx.q, fx.q.Despite, subqSeed, 1, enumOpts{})
+	full := enumSwitched(t, fx.log, fx.q, 0, subqSeed, false, false)
+	indexed := enumSwitched(t, fx.log, fx.q, 0, subqSeed, true, true)
 	if !reflect.DeepEqual(full.refs, indexed.refs) || !reflect.DeepEqual(full.labels, indexed.labels) {
 		t.Fatalf("indexed enumeration differs from the full walk (%d vs %d pairs)",
 			len(indexed.refs), len(full.refs))

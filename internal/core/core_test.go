@@ -195,7 +195,7 @@ func TestBlockingMatchesBruteForce(t *testing.T) {
 		Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 		Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("SIM")}},
 	}
-	blocked := enumerateRelated(log, d, q, q.Despite, 0, 1, 1)
+	blocked := enumLocal(t, log, q, q.Despite, false, 0, 1, serialExec)
 
 	// Brute force for comparison.
 	type key struct{ a, b string }
@@ -270,7 +270,7 @@ func TestEvaluateExplanationKnownPrecision(t *testing.T) {
 	x := &Explanation{
 		Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 	}
-	m, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 0, 1, 0)
+	m, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 0, 1, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestEvaluateExplanationKnownPrecision(t *testing.T) {
 	anti := &Explanation{
 		Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("LT")}},
 	}
-	m, err = EvaluateExplanation(context.Background(), log, features.Level3, q, anti, 0, 1, 0)
+	m, err = EvaluateExplanation(context.Background(), log, features.Level3, q, anti, 0, 1, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +303,10 @@ func TestEvaluateExplanationErrors(t *testing.T) {
 	d := features.NewDeriver(log.Schema, features.Level3)
 	q := gtQuery(log, d)
 	x := &Explanation{Because: pxql.Predicate{{Feature: "nope", Op: pxql.OpEq, Value: joblog.Str("GT")}}}
-	if _, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 0, 1, 0); err == nil {
+	if _, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 0, 1, Exec{}); err == nil {
 		t.Error("unknown feature should error")
 	}
-	if _, err := EvaluateExplanation(context.Background(), joblog.NewLog(log.Schema), features.Level3, q, &Explanation{}, 0, 1, 0); err == nil {
+	if _, err := EvaluateExplanation(context.Background(), joblog.NewLog(log.Schema), features.Level3, q, &Explanation{}, 0, 1, Exec{}); err == nil {
 		t.Error("empty log should error")
 	}
 }
@@ -378,11 +378,11 @@ func TestGeneratedDespiteImprovesRelevance(t *testing.T) {
 	if len(des) == 0 {
 		t.Fatal("no despite generated")
 	}
-	before, err := EvaluateExplanation(context.Background(), log, features.Level3, q, &Explanation{}, 0, 1, 0)
+	before, err := EvaluateExplanation(context.Background(), log, features.Level3, q, &Explanation{}, 0, 1, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := EvaluateExplanation(context.Background(), log, features.Level3, q, &Explanation{Despite: des}, 0, 1, 0)
+	after, err := EvaluateExplanation(context.Background(), log, features.Level3, q, &Explanation{Despite: des}, 0, 1, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

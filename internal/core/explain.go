@@ -85,24 +85,11 @@ type Config struct {
 	// appear in the training sample, implementing the paper's Section 4.3
 	// future-work idea of biasing toward a varied set of executions.
 	DiverseSample bool
-	// Parallelism bounds the worker goroutines used for pair enumeration,
-	// materialization and predicate scoring. Values <= 0 mean
-	// runtime.GOMAXPROCS(0). Output is byte-identical at every setting.
-	Parallelism int
-	// Shards is the number of self-contained shard specs the planner cuts
-	// the pair pipeline into when Runner is set; <= 0 means one per
-	// Parallelism worker. Output is byte-identical at every shard count.
-	Shards int
-	// Runner executes planned shard specs — in-process or on worker
-	// subprocesses (see internal/shard). nil selects the direct
-	// single-process path.
-	Runner ShardRunner
-	// Layout is the log's segment decomposition — NewSegmentLayout over a
-	// store snapshot's Segments or a flat log's SegmentViews — whose
-	// content-addressed slices every enumeration spec carries. Required
-	// with a Runner, unused without one; it must cover exactly the log's
-	// records.
-	Layout *SegmentLayout
+	// Exec says who executes the quadratic enumeration walk and with how
+	// much parallelism: Parallelism, Shards, Runner, Layout (see Exec).
+	// Sampling, materialization and growth always run on the coordinator,
+	// on Parallelism goroutines.
+	Exec
 }
 
 // DefaultConfig returns the paper's settings.
@@ -152,9 +139,6 @@ func (c Config) withDefaults() Config {
 	if c.TopK < 0 {
 		c.TopK = 0
 	}
-	if c.Runner != nil && c.Shards <= 0 {
-		c.Shards = par.Resolve(c.Parallelism)
-	}
 	return c
 }
 
@@ -193,9 +177,8 @@ func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
 	if _, ok := log.Schema.Index(cfg.Target); !ok {
 		return nil, fmt.Errorf("core: log has no target feature %q", cfg.Target)
 	}
-	if (cfg.Runner != nil || cfg.Layout != nil) && cfg.Layout.Total() != log.Len() {
-		return nil, fmt.Errorf("core: segment layout covers %d records, log has %d (a Runner plans over Config.Layout, the log's own layout)",
-			cfg.Layout.Total(), log.Len())
+	if err := cfg.Exec.check(log); err != nil {
+		return nil, err
 	}
 	// The deriver always exposes the full Table 1 feature set: queries may
 	// mention any derived feature regardless of the configured level. The
@@ -361,15 +344,14 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	// it reproducible.
 	sample := e.sample(related, stats.DeriveRand(e.cfg.Seed, "because-sample"))
 	x.SampleSize = len(sample.refs)
-	plan := e.planSample(sample)
-	m, err := e.materializePairs(ctx, sample, plan)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	m := materialize(e.log, e.d, sample, e.cfg.Parallelism)
 	pairVec := e.d.Vector(a, b)
 
 	bc := newBitmapCache(m, e.cfg.Parallelism)
-	bec, err := e.grow(ctx, bc, plan, sample.labels, pairVec, e.cfg.Width)
+	bec, err := e.grow(ctx, bc, sample.labels, pairVec, e.cfg.Width)
 	if err != nil {
 		return nil, err
 	}
@@ -452,11 +434,10 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 		return nil, fmt.Errorf("core: no related pairs in the log for this query")
 	}
 	sample := e.sample(related, stats.DeriveRand(e.cfg.Seed, "despite-sample"))
-	plan := e.planSample(sample)
-	m, err := e.materializePairs(ctx, sample, plan)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	m := materialize(e.log, e.d, sample, e.cfg.Parallelism)
 	pairVec := e.d.Vector(a, b)
 
 	// Positive class for despite generation is "performed as expected":
@@ -465,7 +446,7 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 	for i, l := range sample.labels {
 		flipped[i] = !l
 	}
-	return e.grow(ctx, newBitmapCache(m, e.cfg.Parallelism), plan, flipped, pairVec, e.cfg.DespiteWidth)
+	return e.grow(ctx, newBitmapCache(m, e.cfg.Parallelism), flipped, pairVec, e.cfg.DespiteWidth)
 }
 
 func (e *Explainer) sample(ps *pairSet, rng *rand.Rand) *pairSet {
@@ -492,7 +473,7 @@ func (e *Explainer) sample(ps *pairSet, rng *rand.Rand) *pairSet {
 // label bitmaps, and the winner restricts the working set with one
 // word-AND. The counts — and therefore the clause — are identical to
 // the per-pair loops this replaces.
-func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, plan *plannedSample, labels []bool,
+func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 	pairVec []joblog.Value, width int) (pxql.Predicate, error) {
 
 	m := bc.m
@@ -521,10 +502,7 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, plan *plannedSamp
 			break
 		}
 
-		cands, err := e.candidatesFor(m, plan, labels, cur, pairVec, clause)
-		if err != nil {
-			return nil, err
-		}
+		cands := e.candidates(m, labels, cur, pairVec, clause)
 		if len(cands) == 0 {
 			break
 		}
@@ -593,18 +571,6 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, plan *plannedSamp
 	return clause, nil
 }
 
-// candidatesFor dispatches one candidate-scoring round to the shard
-// runner when one is configured, and to the in-process per-feature loop
-// otherwise. Both paths yield the same candidates in the same order.
-func (e *Explainer) candidatesFor(m *features.PairMatrix, plan *plannedSample, labels []bool,
-	cur []int, pairVec []joblog.Value, clause pxql.Predicate) ([]candidate, error) {
-
-	if e.cfg.Runner != nil {
-		return e.candidatesSharded(plan, labels, cur, pairVec, clause)
-	}
-	return e.candidates(m, labels, cur, pairVec, clause), nil
-}
-
 type candidate struct {
 	featIdx int
 	atom    pxql.Atom
@@ -635,7 +601,7 @@ func (e *Explainer) candidates(m *features.PairMatrix, labels []bool,
 
 	found := make([]*candidate, schema.Len())
 	par.Do(schema.Len(), e.cfg.Parallelism, func(f int) {
-		atom, gain, ok := scoreFeature(e.d, in, m, cur, subLabels, pairVec, clause, e.cfg.Target, e.cfg.Level, f)
+		atom, gain, ok := e.scoreFeature(in, m, cur, subLabels, pairVec, clause, f)
 		if !ok {
 			return
 		}
@@ -653,19 +619,17 @@ func (e *Explainer) candidates(m *features.PairMatrix, labels []bool,
 
 // scoreFeature computes the best applicable predicate over one derived
 // feature f for one scoring round — the per-feature body of Algorithm 1
-// line 5, shared verbatim by the in-process candidates loop and the
-// shard-scoring executor (ScoreSpec.Run) so the two can never drift. cur
-// addresses the working-set rows of m; subLabels is parallel to cur. ok
-// is false when the feature is excluded (target-derived, above the
-// clause feature level, inapplicable to the pair of interest, already in
-// the clause) or admits no split.
-func scoreFeature(d *features.Deriver, in *joblog.Intern, m *features.PairMatrix,
-	cur []int, subLabels []bool, pairVec []joblog.Value, clause pxql.Predicate,
-	target string, candLevel features.Level, f int) (pxql.Atom, float64, bool) {
+// line 5. cur addresses the working-set rows of m; subLabels is parallel
+// to cur. ok is false when the feature is excluded (target-derived,
+// above the clause feature level, inapplicable to the pair of interest,
+// already in the clause) or admits no split.
+func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur []int, subLabels []bool,
+	pairVec []joblog.Value, clause pxql.Predicate, f int) (pxql.Atom, float64, bool) {
 
+	d, candLevel := e.d, e.cfg.Level
 	schema := d.Schema()
 	rawIdx, kind := d.RawOf(f)
-	if d.RawSchema().Field(rawIdx).Name == target {
+	if d.RawSchema().Field(rawIdx).Name == e.cfg.Target {
 		return pxql.Atom{}, 0, false
 	}
 	// Honour the configured feature level (Section 6.8): level 1 may

@@ -62,7 +62,7 @@ func TestBaseFeaturePrefilterSoundness(t *testing.T) {
 		Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 		Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("SIM")}},
 	}
-	fast := enumerateRelated(log, d, q, q.Despite, 0, 1, 1)
+	fast := enumLocal(t, log, q, q.Despite, false, 0, 1, serialExec)
 
 	// Brute force without any prefiltering.
 	type key struct{ a, b string }
@@ -95,8 +95,10 @@ func TestMaxPairsCap(t *testing.T) {
 	log := syntheticLog(60, rng) // ~3500 ordered pairs
 	d := features.NewDeriver(log.Schema, features.Level3)
 	q := gtQuery(log, d)
-	full := enumerateRelated(log, d, q, nil, 0, 1, 1)
-	capped := enumerateRelated(log, d, q, nil, 500, 1, 1)
+	full := enumLocal(t, log, q, nil, false, 0, 1, serialExec)
+	checkRelated(t, "full", log, q, nil, full, true)
+	capped := enumLocal(t, log, q, nil, false, 500, 1, serialExec)
+	checkRelated(t, "capped", log, q, nil, capped, false)
 	if len(capped.refs) >= len(full.refs) {
 		t.Fatalf("cap had no effect: %d vs %d", len(capped.refs), len(full.refs))
 	}

@@ -48,45 +48,6 @@ type pairSet struct {
 	labels []bool
 }
 
-// pairShard is one unit of parallel pair enumeration: the outer-loop
-// positions [lo, hi) of a single blocking group. Shards partition the
-// full iteration space contiguously in (group order, member order), so
-// concatenating shard outputs in shard order reproduces the serial
-// iteration order no matter how the shards were scheduled.
-type pairShard struct {
-	group  []int // record indices of the blocking group
-	lo, hi int   // outer-member positions this shard owns
-	// ts, when non-nil, lists this shard's stratified pair draws: sorted
-	// flat indices t = p·(len(group)−1) + r into the group's ordered-pair
-	// space, restricted to outer positions [lo, hi). nil means walk the
-	// full [lo, hi) × group product (Bernoulli-thinned by keepP).
-	ts []uint64
-}
-
-// pairSpace is the blocked ordered-pair space of a log under a despite
-// clause: shards in deterministic order plus the Bernoulli keep
-// probability implied by maxPairs.
-type pairSpace struct {
-	shards []pairShard
-	keepP  float64
-}
-
-// enumOpts selects how a pair space is thinned and pruned. The zero
-// value is the standard exact configuration: Bernoulli thinning to
-// maxPairs with zone-map group pruning and seek-driven row filtering on.
-type enumOpts struct {
-	maxPairs   int  // Bernoulli cap on the sampled pair count (<=0: keep all)
-	stratified bool // per-group stratified draws instead of Bernoulli thinning
-	budget     int  // stratified total pair budget (<=0: keep all)
-	// budgets, when non-nil, carries explicit per-group budgets (parallel
-	// to the blocked group list this log and despite clause produce) and
-	// bypasses stratifyBudgets — the Wilson-adaptive two-pass scheme
-	// computes pilot and final allocations itself.
-	budgets []int
-	noPrune bool // disable zone-map group pruning (benchmark baselines)
-	noSeek  bool // disable seek-driven within-group row filtering (benchmark baselines)
-}
-
 // blockIndexes extracts the raw schema indices of despite conjuncts of
 // the form <raw>_issame = T, the blocking keys of pair enumeration.
 func blockIndexes(log *joblog.Log, despite pxql.Predicate) []int {
@@ -104,11 +65,11 @@ func blockIndexes(log *joblog.Log, despite pxql.Predicate) []int {
 }
 
 // blockedGroups blocks the candidate records of (log, despite) into
-// groups — the single definition of the blocked pair space shared by the
-// in-process pair walk (buildPairSpace) and the cross-process shard
-// planners (PlanEnumShards, PlanEvalShards), so they can never drift on
-// blocking, group order or the subsampling probability. Groups are
-// returned in first-appearance order over the record list; keepP is the
+// groups — the single definition of the blocked pair space behind both
+// walk planners (PlanEnumShards, PlanEvalShards), so training
+// enumeration and explanation evaluation can never drift on blocking,
+// group order or the subsampling probability. Groups are returned in
+// first-appearance order over the record list; keepP is the
 // Bernoulli keep probability implied by maxPairs over the candidate
 // ordered-pair count. The construction is a pure function of the record
 // list (the memoized columnar view it reads is itself rebuilt
@@ -119,14 +80,14 @@ func blockedGroups(log *joblog.Log, despite pxql.Predicate, maxPairs int) (group
 }
 
 // blockedGroupsOpt is blockedGroups with zone-map group pruning and
-// seek-driven row filtering switchable (the benchmark baselines run
-// with either or both off; stratified planning must disable seek — see
-// seek.go). keepP is computed over the UNPRUNED, UNFILTERED candidate
-// pair count before any group is dropped or thinned: pruned groups and
-// filtered rows contribute no despite-satisfying pair and each keep
-// decision is a pure function of (seed, i, j), so neither cut changes
-// the probability or any surviving pair's fate — enumeration output is
-// byte-identical either way.
+// seek-driven row filtering switchable (test oracles and benchmark
+// denominators run with either or both off; stratified planning must
+// disable seek — see seek.go). keepP is computed over the UNPRUNED,
+// UNFILTERED candidate pair count before any group is dropped or
+// thinned: pruned groups and filtered rows contribute no
+// despite-satisfying pair and each keep decision is a pure function of
+// (seed, i, j), so neither cut changes the probability or any surviving
+// pair's fate — enumeration output is byte-identical either way.
 func blockedGroupsOpt(log *joblog.Log, despite pxql.Predicate, maxPairs int, prune, seek bool) (groups [][]int, keepP float64) {
 	recs := candidateRecords(log, despite)
 	blockIdx := blockIndexes(log, despite)
@@ -220,70 +181,6 @@ func clampInt(x uint64) int {
 	return int(x)
 }
 
-// buildPairSpace blocks the candidate records into groups and cuts the
-// iteration space into shards sized for the worker count. Group order is
-// deterministic (first-appearance order over the record list) and shard
-// boundaries only affect scheduling, never output order.
-func buildPairSpace(log *joblog.Log, despite pxql.Predicate, maxPairs, workers int) pairSpace {
-	return buildPairSpaceOpt(log, despite, workers, 0, enumOpts{maxPairs: maxPairs})
-}
-
-// buildPairSpaceOpt builds the pair space under explicit sampling
-// options. seed feeds the stratified per-group draw streams and is
-// ignored in Bernoulli mode (where draws happen per pair at walk time).
-func buildPairSpaceOpt(log *joblog.Log, despite pxql.Predicate, workers int, seed uint64, o enumOpts) pairSpace {
-	maxPairs := o.maxPairs
-	if o.stratified {
-		maxPairs = 0 // budgets replace the Bernoulli cap
-	}
-	// Stratified draws are keyed on each group's first member and size
-	// (groupDraws), so seek filtering is Bernoulli-only.
-	groups, keepP := blockedGroupsOpt(log, despite, maxPairs, !o.noPrune, !o.stratified && !o.noSeek)
-	units := 0
-	for _, g := range groups {
-		units += len(g)
-	}
-
-	// Aim for several shards per worker so uneven groups still balance.
-	chunk := units / (par.Resolve(workers) * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var budgets []int
-	if o.stratified {
-		if budgets = o.budgets; budgets == nil {
-			budgets = stratifyBudgets(groups, o.budget)
-		}
-	}
-	sp := pairSpace{keepP: keepP}
-	for gi, g := range groups {
-		var ts []uint64
-		if o.stratified && uint64(budgets[gi]) < pairCount64(len(g)) {
-			ts = groupDraws(seed, g[0], len(g), budgets[gi])
-		}
-		for lo := 0; lo < len(g); lo += chunk {
-			hi := lo + chunk
-			if hi > len(g) {
-				hi = len(g)
-			}
-			sh := pairShard{group: g, lo: lo, hi: hi}
-			if ts != nil {
-				// The shard owns the draws whose outer position falls in
-				// [lo, hi): a contiguous run of the sorted flat indices.
-				n1 := uint64(len(g) - 1)
-				tlo := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(lo)*n1 })
-				thi := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(hi)*n1 })
-				if tlo == thi {
-					continue // no draws here; an empty shard would only schedule noise
-				}
-				sh.ts = ts[tlo:thi]
-			}
-			sp.shards = append(sp.shards, sh)
-		}
-	}
-	return sp
-}
-
 // stratumFloor is the minimum pair budget a non-degenerate stratum
 // receives, so thin blocking groups still contribute a usable estimate.
 const stratumFloor = 16
@@ -375,138 +272,6 @@ func keepPair(seed uint64, i, j int, keepP float64) bool {
 // bitmaps and the column-plane cells they touch stay cache-resident
 // while every clause scans it.
 const pairBlock = 4096
-
-// forEachBlock visits one shard's ordered pairs that survive the keep
-// decision, in iteration order, delivered as tiles of at most pairBlock
-// pairs (parallel index arrays, reused between calls — callers must not
-// retain them). This is the single definition of the pair probability
-// space: training enumeration and explanation evaluation both walk it,
-// so they can never drift apart on blocking or capping. Predicates —
-// the despite clause included — are pushed down over each tile as
-// bitmap kernels by the callers, replacing the per-pair compiled checks
-// this walked before.
-func (sp pairSpace) forEachBlock(shard int, seed uint64, visit func(ai, bi []int)) {
-	sh := sp.shards[shard]
-	ai := make([]int, 0, pairBlock)
-	bi := make([]int, 0, pairBlock)
-	if sh.ts != nil {
-		// Stratified walk: decode each drawn flat index t into (outer
-		// position p, inner position skipping p) — ascending t is exactly
-		// the exact walk's order restricted to the drawn set.
-		n1 := len(sh.group) - 1
-		for _, t := range sh.ts {
-			p := int(t) / n1
-			r := int(t) % n1
-			q := r
-			if r >= p {
-				q = r + 1
-			}
-			ai = append(ai, sh.group[p])
-			bi = append(bi, sh.group[q])
-			if len(ai) == pairBlock {
-				visit(ai, bi)
-				ai, bi = ai[:0], bi[:0]
-			}
-		}
-		if len(ai) > 0 {
-			visit(ai, bi)
-		}
-		return
-	}
-	for _, i := range sh.group[sh.lo:sh.hi] {
-		for _, j := range sh.group {
-			if i == j {
-				continue
-			}
-			if !keepPair(seed, i, j, sp.keepP) {
-				continue
-			}
-			ai = append(ai, i)
-			bi = append(bi, j)
-			if len(ai) == pairBlock {
-				visit(ai, bi)
-				ai, bi = ai[:0], bi[:0]
-			}
-		}
-	}
-	if len(ai) > 0 {
-		visit(ai, bi)
-	}
-}
-
-// enumerateRelated walks the ordered pairs of the log that satisfy the
-// despite predicate and either obs or exp, labelling them. To avoid the
-// quadratic blowup on task logs, despite conjuncts of the forms
-//
-//	<raw>_issame = T   (group records by their raw value)
-//	<raw> = c          (base feature: keep records with value c)
-//
-// become blocking/prefilter steps; the full predicates are still verified
-// pair-by-pair afterwards, so blocking is purely an optimisation. When the
-// blocked pair space still exceeds maxPairs, a deterministic Bernoulli
-// subsample is taken.
-//
-// Shards are enumerated on up to workers goroutines and merged in shard
-// order; together with the counter-based keep decision this makes the
-// result byte-identical at every worker count.
-//
-// Each shard walks its pairs in tiles: the despite clause fills a
-// selection bitmap per tile (EvalBlock), the observed and expected
-// clauses are pushed down over that selection (AndBlock — dead words
-// are skipped), and the related set is their word-wise union, read out
-// in ascending bit order. The tiles visit pairs in exactly the order the
-// per-pair loop did, so the output is bit-for-bit the same.
-func enumerateRelated(log *joblog.Log, d *features.Deriver, q *pxql.Query,
-	despite pxql.Predicate, maxPairs int, seed uint64, workers int) *pairSet {
-	return enumerateRelatedOpt(log, d, q, despite, seed, workers, enumOpts{maxPairs: maxPairs})
-}
-
-// enumerateRelatedOpt is enumerateRelated under explicit sampling
-// options: the stratified mode draws per-group budgeted pair sets
-// instead of Bernoulli-thinning, and the benchmark baseline disables
-// zone-map group pruning.
-func enumerateRelatedOpt(log *joblog.Log, d *features.Deriver, q *pxql.Query,
-	despite pxql.Predicate, seed uint64, workers int, o enumOpts) *pairSet {
-
-	sp := buildPairSpaceOpt(log, despite, workers, seed, o)
-	cols := log.Columns()
-	cDes := despite.Compile(d, cols)
-	cObs := q.Observed.Compile(d, cols)
-	cExp := q.Expected.Compile(d, cols)
-	parts := make([]*pairSet, len(sp.shards))
-	par.Do(len(sp.shards), workers, func(s int) {
-		ps := &pairSet{}
-		des := bitset.Make(pairBlock)
-		obs := bitset.Make(pairBlock)
-		exp := bitset.Make(pairBlock)
-		sp.forEachBlock(s, seed, func(ai, bi []int) {
-			nw := bitset.Words(len(ai))
-			dS, oS, eS := des[:nw], obs[:nw], exp[:nw]
-			cDes.EvalBlock(ai, bi, dS)
-			oS.CopyFrom(dS)
-			cObs.AndBlock(ai, bi, oS)
-			eS.CopyFrom(dS)
-			cExp.AndBlock(ai, bi, eS)
-			// Related = (obs ∪ exp) within the despite selection. A pair
-			// satisfying both obs and exp would contradict obs ⊨ ¬exp
-			// (Definition 1); classify as observed, which can only happen
-			// with inconsistent user predicates.
-			eS.OrWith(oS)
-			eS.ForEach(func(k int) {
-				ps.refs = append(ps.refs, pairRef{ai[k], bi[k]})
-				ps.labels = append(ps.labels, oS.Get(k))
-			})
-		})
-		parts[s] = ps
-	})
-
-	out := &pairSet{}
-	for _, p := range parts {
-		out.refs = append(out.refs, p.refs...)
-		out.labels = append(out.labels, p.labels...)
-	}
-	return out
-}
 
 // candidateRecords applies base-feature equality prefilters from the
 // despite clause and returns surviving record indices. Alien-free filter

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -14,12 +14,12 @@ import (
 
 // The pipeline's contract: parallelism is a throughput knob, never a
 // semantics knob. Enumeration, explanation and evaluation must be
-// byte-identical at every worker count.
+// byte-identical at every worker count — and, uncapped, equal to the
+// oracle's definitions.
 
 func TestEnumerateRelatedIdenticalAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	log := syntheticLog(80, rng)
-	d := features.NewDeriver(log.Schema, features.Level3)
 	q := &pxql.Query{
 		Despite:  pxql.Predicate{{Feature: "site_issame", Op: pxql.OpEq, Value: joblog.Str("T")}},
 		Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
@@ -28,10 +28,11 @@ func TestEnumerateRelatedIdenticalAcrossParallelism(t *testing.T) {
 	// Exercise both the uncapped and the subsampled (counter-based keep)
 	// paths.
 	for _, maxPairs := range []int{0, 300} {
-		base := enumerateRelated(log, d, q, q.Despite, maxPairs, 99, 1)
-		for _, p := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-			got := enumerateRelated(log, d, q, q.Despite, maxPairs, 99, p)
-			if !reflect.DeepEqual(got.refs, base.refs) || !reflect.DeepEqual(got.labels, base.labels) {
+		base := enumLocal(t, log, q, q.Despite, false, maxPairs, 99, serialExec)
+		checkRelated(t, fmt.Sprintf("maxPairs=%d serial", maxPairs), log, q, q.Despite, base, maxPairs == 0)
+		for _, p := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
+			got := enumLocal(t, log, q, q.Despite, false, maxPairs, 99, Exec{Parallelism: p})
+			if !samePairs(got, base) {
 				t.Fatalf("maxPairs=%d: enumeration at parallelism %d differs from serial (%d vs %d pairs)",
 					maxPairs, p, len(got.refs), len(base.refs))
 			}
@@ -43,7 +44,7 @@ func TestExplainIdenticalAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	log := twoFactorLog(90, rng)
 	explain := func(p int) string {
-		ex, err := NewExplainer(log, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000, Parallelism: p})
+		ex, err := NewExplainer(log, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000, Exec: Exec{Parallelism: p}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,12 +74,12 @@ func TestEvaluateIdenticalAcrossParallelism(t *testing.T) {
 	x := &Explanation{
 		Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 	}
-	base, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, 1)
+	base, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, serialExec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		got, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, p)
+	for _, p := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
+		got, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, Exec{Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
 	"perfxplain/internal/pxql"
@@ -35,9 +37,14 @@ func RelatedPairs(log *joblog.Log, level features.Level, q *pxql.Query,
 func RelatedPairsP(log *joblog.Log, level features.Level, q *pxql.Query,
 	maxPairs int, seed int64, parallelism int) []LabeledPair {
 
-	d := features.NewDeriver(log.Schema, level)
-	ps := enumerateRelated(log, d, q, q.Despite, maxPairs,
-		stats.DeriveSeed(seed, "related-pairs"), parallelism)
+	ex := Exec{Parallelism: parallelism}
+	ps, err := runEnumSpecs(context.Background(), ex, log, PlanEnumShards(nil, log, level, q, q.Despite, false,
+		maxPairs, ex.shards(), stats.DeriveSeed(seed, "related-pairs")))
+	if err != nil {
+		// Uncancellable and local: only a planner or kernel bug (or a
+		// level outside Level1..3) can fail here.
+		panic(err)
+	}
 	out := make([]LabeledPair, len(ps.refs))
 	for i, ref := range ps.refs {
 		out[i] = LabeledPair{

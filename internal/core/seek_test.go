@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"perfxplain/internal/features"
@@ -66,7 +65,6 @@ func needleQuery() *pxql.Query {
 // walked groups.
 func TestSeekEnumExact(t *testing.T) {
 	log := needleLog(600, 3, rand.New(rand.NewSource(43)))
-	d := features.NewDeriver(log.Schema, features.Level3)
 	q := needleQuery()
 
 	rows := func(gs [][]int) int {
@@ -84,12 +82,13 @@ func TestSeekEnumExact(t *testing.T) {
 	}
 
 	for _, maxPairs := range []int{0, 500} {
-		base := enumerateRelatedOpt(log, d, q, q.Despite, 77, 1, enumOpts{maxPairs: maxPairs, noSeek: true})
-		got := enumerateRelatedOpt(log, d, q, q.Despite, 77, 1, enumOpts{maxPairs: maxPairs})
+		base := enumSwitched(t, log, q, maxPairs, 77, true, false)
+		checkRelated(t, fmt.Sprintf("maxPairs=%d unfiltered", maxPairs), log, q, q.Despite, base, maxPairs == 0)
+		got := enumLocal(t, log, q, q.Despite, false, maxPairs, 77, serialExec)
 		if maxPairs == 0 && len(base.refs) == 0 {
 			t.Fatal("unfiltered enumeration found no related pairs; fixture is toothless")
 		}
-		if !reflect.DeepEqual(got.refs, base.refs) || !reflect.DeepEqual(got.labels, base.labels) {
+		if !samePairs(got, base) {
 			t.Errorf("maxPairs=%d: seeked enumeration differs from unfiltered (%d vs %d pairs)",
 				maxPairs, len(got.refs), len(base.refs))
 		}

@@ -1,24 +1,28 @@
 package core
 
-// The shard planners. Every log has a segment layout: a joblog.Store
-// snapshot decomposes into its sealed immutable segments plus the
-// mutable tail, a flat log into contiguous runs of
+// The walk planners — the only producers of walk units — and the segment
+// layout a Runner's specs ship records by. Every log has a segment
+// layout: a joblog.Store snapshot decomposes into its sealed immutable
+// segments plus the mutable tail, a flat log into contiguous runs of
 // joblog.DefaultSealThreshold records (joblog.Log.SegmentViews).
 // SegmentLayout is that decomposition in planner terms — one
 // content-addressed LogSlice per segment, concatenating in order to the
-// whole log — and it is the only way enumeration and evaluation specs
-// carry records: every spec of a plan references the same slices, and a
-// shard differs from its siblings only in the blocking groups and outer
-// ranges it owns. A segment keeps its hash for as long as its records
-// do, so worker caches stay warm across queries and appends, and only
-// the tail slice (whose hash changes with every append) re-ships.
+// whole log — and it is the only way specs carry records to workers:
+// every spec of a plan references the same slices, and a spec differs
+// from its siblings only in the blocking groups and outer ranges it
+// owns. A segment keeps its hash for as long as its records do, so
+// worker caches stay warm across queries and appends, and only the tail
+// slice (whose hash changes with every append) re-ships. Specs the
+// coordinator runs itself are planned over a nil layout and carry no
+// slices at all.
 //
 // Byte-identity: a spec addresses records by their index in the log and
-// carries the blocking groups, outer ranges, budgets, seeds and
-// predicates of the direct walk; the worker concatenates the segment
-// slices into one whole-log view and runs the identical walk, so the
-// merged output equals the direct walk's at every shard count and seal
-// boundary — pinned by the planner and segment equivalence suites.
+// carries blocking groups, outer ranges, budgets, seeds and predicates;
+// a worker concatenates the segment slices into one whole-log view and
+// runs the same kernel the coordinator runs over its resident columns,
+// so the merged output is the same at every spec count, executor and
+// seal boundary — pinned against an independent oracle by the planner
+// and segment equivalence suites.
 
 import (
 	"fmt"
@@ -31,9 +35,9 @@ import (
 // NewLogSliceHashed builds a LogSlice from a precomputed content hash —
 // the segment store hashes each sealed segment once at seal time, and
 // re-hashing it on every plan would throw that work away. hash must
-// equal joblog.HashSlice(w, intern).
-func NewLogSliceHashed(hash string, w joblog.WireLog, intern []string) LogSlice {
-	return LogSlice{Hash: hash, Log: w, Intern: intern}
+// equal joblog.HashSlice(w).
+func NewLogSliceHashed(hash string, w joblog.WireLog) LogSlice {
+	return LogSlice{Hash: hash, Log: w}
 }
 
 // SegmentLayout is the shard-planner view of a log: its segments as
@@ -55,7 +59,7 @@ func NewSegmentLayout(views []joblog.SegmentView) (*SegmentLayout, error) {
 		if v.Start != ly.total {
 			return nil, fmt.Errorf("core: segment %d starts at %d, want %d", i, v.Start, ly.total)
 		}
-		ly.Slices[i] = NewLogSliceHashed(v.Hash, v.Records, nil)
+		ly.Slices[i] = NewLogSliceHashed(v.Hash, v.Records)
 		ly.total += v.Len()
 	}
 	return ly, nil
@@ -81,13 +85,21 @@ func (ly *SegmentLayout) Total() int {
 	return ly.total
 }
 
+// slices returns the layout's slices; a nil layout — the coordinator
+// planning for itself — has none.
+func (ly *SegmentLayout) slices() []LogSlice {
+	if ly == nil {
+		return nil
+	}
+	return ly.Slices
+}
+
 // CombineSlices concatenates decoded slices, in order, into one view —
-// the worker-side assembly of an enumeration or evaluation spec's
-// whole-log form. The
-// combined columnar view is built plainly (fresh intern); compiled
-// predicate evaluation is intern-independent, so enumeration and
-// evaluation walks over it are byte-identical to the coordinator's.
-// With a single slice the decoded form is returned as-is.
+// the worker-side assembly of a spec's whole-log form. The combined
+// columnar view is built plainly (fresh intern); compiled predicate
+// evaluation is intern-independent, so walks over it are byte-identical
+// to the coordinator's. With a single slice the decoded form is
+// returned as-is.
 func CombineSlices(datas []*SliceData) (*SliceData, error) {
 	if len(datas) == 0 {
 		return nil, fmt.Errorf("core: spec has no slices")
@@ -135,7 +147,8 @@ func DecodeSlices(slices []LogSlice) (*SliceData, error) {
 // outer ranges); when nShards exceeds the outer-member count, trailing
 // cuts are empty. budgets, when non-nil, carries one stratified pair
 // budget per group (parallel to groups) onto every cut the group appears
-// in; nil leaves Budget zero (Bernoulli mode).
+// in; nil leaves Budget zero (Bernoulli mode). Cuts of one group share
+// its member list: specs are read-only, and the wire copies anyway.
 func cutGroupShards(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
 	if nShards < 1 {
 		nShards = 1
@@ -160,7 +173,7 @@ func cutGroupShards(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
 			if gLo >= gHi {
 				continue
 			}
-			eg := EnumGroup{Members: append([]int(nil), g...), Lo: gLo, Hi: gHi}
+			eg := EnumGroup{Members: g, Lo: gLo, Hi: gHi}
 			if budgets != nil {
 				eg.Budget = budgets[gi]
 			}
@@ -171,10 +184,11 @@ func cutGroupShards(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
 }
 
 // PlanEnumShards partitions the blocked pair space of (log, despite)
-// into nShards self-contained enumeration specs over the log's layout.
-// Concatenating shard results in spec order reproduces the direct walk's
-// iteration order exactly; when nShards exceeds the outer-member count,
-// trailing specs are empty (no groups) and execute to empty results.
+// into nShards self-contained enumeration specs over the log's layout
+// (nil when the coordinator will run them itself). Concatenating spec
+// results in spec order walks (group order, member order) exactly once,
+// whatever nShards is; when it exceeds the outer-member count, trailing
+// specs are empty (no groups) and execute to empty results.
 //
 // limit is the sampling bound of the mode: in Bernoulli mode the
 // maxPairs cap behind one global keep probability; in stratified mode
@@ -211,7 +225,7 @@ func planEnumRound(layout *SegmentLayout, level features.Level, q *pxql.Query, d
 	specs := make([]EnumSpec, len(cuts))
 	for s, cut := range cuts {
 		specs[s] = EnumSpec{
-			Slices:     layout.Slices,
+			Slices:     layout.slices(),
 			Groups:     cut,
 			KeepP:      keepP,
 			Seed:       seed,
@@ -241,7 +255,7 @@ func PlanEvalShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 	specs := make([]EvalSpec, len(cuts))
 	for s, cut := range cuts {
 		specs[s] = EvalSpec{
-			Slices:   layout.Slices,
+			Slices:   layout.slices(),
 			Groups:   cut,
 			KeepP:    keepP,
 			Seed:     seed,
@@ -253,14 +267,4 @@ func PlanEvalShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 		}
 	}
 	return specs
-}
-
-// prefetchLayout starts shipping the layout's segment slices to every
-// worker — called at the head of each runner-backed planning round, so
-// payloads a worker already holds are skipped and new ones overlap with
-// planning. Advisory, like every prefetch.
-func (e *Explainer) prefetchLayout() {
-	if pf, ok := e.cfg.Runner.(SlicePrefetcher); ok {
-		pf.PrefetchSlices(e.cfg.Layout.Slices)
-	}
 }

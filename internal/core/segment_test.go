@@ -2,10 +2,10 @@ package core
 
 // Equivalence suite for planning across seal boundaries: plans cut over
 // a store snapshot's layout — per-segment hashed slices, group members
-// indexing their concatenation — must merge to exactly the direct walk
-// over the static flat log at every shard count, seal threshold, and
-// sampling mode, including seal boundaries that straddle blocking
-// groups.
+// indexing their concatenation — must merge to exactly the serial walk
+// over the static flat log (itself checked against the oracle) at every
+// shard count, seal threshold, and sampling mode, including seal
+// boundaries that straddle blocking groups.
 
 import (
 	"context"
@@ -44,10 +44,10 @@ var segSealEveries = []int{5, 17, 40, 200} // several segments + tail ... single
 func TestPlanEnumShardsOverMatchesStatic(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(21)))
 	q := blockedQuery()
-	d := features.NewDeriver(log.Schema, features.Level3)
 	for _, maxPairs := range []int{0, 500} {
 		pairSeed := stats.DeriveSeed(5, "seg-test")
-		want := enumerateRelated(log, d, q, q.Despite, maxPairs, pairSeed, 1)
+		want := enumLocal(t, log, q, q.Despite, false, maxPairs, pairSeed, serialExec)
+		checkRelated(t, fmt.Sprintf("maxPairs=%d static", maxPairs), log, q, q.Despite, want, maxPairs == 0)
 		for _, sealEvery := range segSealEveries {
 			snapLog, layout := storeOver(t, log, sealEvery)
 			for _, nShards := range []int{1, 2, 7} {
@@ -68,7 +68,7 @@ func TestPlanEnumShardsOverMatchesStatic(t *testing.T) {
 				}
 				refs, labels := runPlan(t, specs)
 				if !reflect.DeepEqual(refs, want.refs) || !reflect.DeepEqual(labels, want.labels) {
-					t.Errorf("%s: segmented plan output differs from the direct walk (%d pairs vs %d)",
+					t.Errorf("%s: segmented plan output differs from the serial walk (%d pairs vs %d)",
 						name, len(refs), len(want.refs))
 				}
 			}
@@ -80,8 +80,8 @@ func TestPlanEnumShardsStratifiedOverMatchesStatic(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(22)))
 	q := blockedQuery()
 	pairSeed := stats.DeriveSeed(6, "seg-strat")
-	d := features.NewDeriver(log.Schema, features.Level3)
-	want := enumerateRelatedOpt(log, d, q, q.Despite, pairSeed, 1, enumOpts{stratified: true, budget: 300})
+	want := enumLocal(t, log, q, q.Despite, true, 300, pairSeed, serialExec)
+	checkRelated(t, "stratified static", log, q, q.Despite, want, false)
 	for _, sealEvery := range segSealEveries {
 		snapLog, layout := storeOver(t, log, sealEvery)
 		for _, nShards := range []int{1, 2, 7} {
@@ -89,7 +89,7 @@ func TestPlanEnumShardsStratifiedOverMatchesStatic(t *testing.T) {
 			specs := PlanEnumShards(layout, snapLog, features.Level3, q, q.Despite, true, 300, nShards, pairSeed)
 			refs, labels := runPlan(t, specs)
 			if !reflect.DeepEqual(refs, want.refs) || !reflect.DeepEqual(labels, want.labels) {
-				t.Errorf("%s: stratified segmented plan differs from the direct walk (%d pairs vs %d)",
+				t.Errorf("%s: stratified segmented plan differs from the serial walk (%d pairs vs %d)",
 					name, len(refs), len(want.refs))
 			}
 		}
@@ -100,7 +100,7 @@ func TestPlanEvalShardsOverMatchesStatic(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(23)))
 	q := blockedQuery()
 	x := &Explanation{Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}}}
-	serial, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, 1)
+	serial, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, serialExec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,8 @@ func TestPlanEvalShardsOverMatchesStatic(t *testing.T) {
 			}
 
 			// The public entry point with a layout must agree too.
-			got, err := EvaluateExplanationSharded(context.Background(), layout, snapLog, features.Level3, q, x, 500, 3, nShards, serialEvalRunner{})
+			got, err := EvaluateExplanation(context.Background(), snapLog, features.Level3, q, x, 500, 3,
+				Exec{Shards: nShards, Runner: serialEvalRunner{}, Layout: layout})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -141,8 +142,8 @@ func TestPlanEvalShardsOverMatchesStatic(t *testing.T) {
 }
 
 // TestExplainerWithLayoutByteIdentical pins the end-to-end contract:
-// a runner-backed explainer produces exactly the explanation of the
-// direct walk, at several shard counts, over the flat log's own layout
+// a runner-backed explainer produces exactly the explanation of local
+// execution, at several shard counts, over the flat log's own layout
 // and over store snapshots at several seal thresholds.
 func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -174,9 +175,9 @@ func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 			}
 			for _, nShards := range []int{1, 2, 7} {
 				got := explain(snapLog, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000,
-					SampleMode: mode, Shards: nShards, Runner: serialEvalRunner{}, Layout: layout})
+					SampleMode: mode, Exec: Exec{Shards: nShards, Runner: serialEvalRunner{}, Layout: layout}})
 				if got != base {
-					t.Errorf("mode=%q seal=%d shards=%d: sharded explanation differs:\n%s\nvs the direct walk:\n%s",
+					t.Errorf("mode=%q seal=%d shards=%d: sharded explanation differs:\n%s\nvs local execution:\n%s",
 						mode, sealEvery, nShards, got, base)
 				}
 			}
@@ -216,11 +217,11 @@ func TestNewSegmentLayoutValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewExplainer(log, Config{Layout: layout}); err == nil {
+	if _, err := NewExplainer(log, Config{Exec: Exec{Layout: layout}}); err == nil {
 		t.Error("explainer accepted a layout covering a different record count")
 	}
 	// A runner needs the log's layout: there is no other way to plan.
-	if _, err := NewExplainer(log, Config{Runner: serialEvalRunner{}}); err == nil {
+	if _, err := NewExplainer(log, Config{Exec: Exec{Runner: serialEvalRunner{}}}); err == nil {
 		t.Error("explainer accepted a runner without a layout")
 	}
 }

@@ -1,36 +1,43 @@
 package core
 
-// Multi-process shard execution for the pair pipeline. The quadratic
-// stages of explanation generation — pair enumeration, training-sample
-// materialization, per-feature candidate scoring — and metric evaluation
-// are cut into self-contained shard specs that carry everything a worker
-// needs: content-addressed log slices, the predicates in wire form, and
-// the splitmix counter ranges of the subsampling decision (the seed plus
-// the record indices it keys on). Records travel one way only: as
-// LogSlices. Enumeration and evaluation specs carry the log's segment
-// layout — every segment slice, concatenating to the whole log, so group
-// members are plain record indices (see segment.go); materialization and
-// scoring specs carry the one slice of the training sample's records
-// with the coordinator's intern table. A spec can be executed in this
-// process (Run) or shipped to a worker — the gob protocol lives in
-// internal/shard — and results merge in spec order, so the output is
-// byte-identical to the direct walk at every shard count and in every
-// execution mode.
+// Shard execution for the two quadratic pair walks: Definition 7's
+// related-pair enumeration and the Definitions 4–6 metric walk. Each is
+// cut by the planners (segment.go) into self-contained specs — blocking
+// groups with outer ranges, the predicates in wire form, and the
+// splitmix counter ranges of the subsampling decision (the seed plus the
+// record indices it keys on) — and every spec is walked by the one
+// kernel in this file, EnumSpec.RunWith or EvalSpec.RunWith, whoever
+// executes the batch:
 //
-// Layering: this package defines the specs, the planners (segment.go)
-// and the executors; the ShardRunner interface below is the seam
-// internal/shard plugs its in-process and worker runtimes into (core
-// cannot import internal/shard — the worker runtime imports core to
+//   - the coordinator itself (Exec.Runner nil): the specs run on par.Do
+//     over the log's resident columnar view — no wire form, no hashing,
+//     no decode; they carry no Slices;
+//   - a ShardRunner (internal/shard's worker Pool): the specs carry the
+//     log's segment layout as content-addressed LogSlices, which workers
+//     decode, cache and concatenate into the same whole-log view.
+//
+// Results merge in spec order through one validated tail per spec kind,
+// so the output is byte-identical at every spec count, parallelism and
+// transport. Everything downstream of enumeration — the §4.3 balanced
+// sample (~2000 pairs), its pair matrix, Algorithm 1's growth rounds and
+// the training diagnostics — is deliberately small and stays on the
+// coordinator: shipping it costs more than computing it.
+//
+// Layering: this package defines the specs, the planners and the kernel;
+// ShardRunner is the seam internal/shard plugs its worker runtime into
+// (core cannot import internal/shard — the workers import core to
 // execute specs).
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
+	"perfxplain/internal/par"
 	"perfxplain/internal/pxql"
 )
 
@@ -41,9 +48,112 @@ import (
 // caller fixes — affects the merged output.
 type ShardRunner interface {
 	RunEnum(specs []EnumSpec) ([]EnumResult, error)
-	RunMat(specs []MatSpec) ([]MatResult, error)
-	RunScore(specs []ScoreSpec) ([]ScoreResult, error)
 	RunEval(specs []EvalSpec) ([]EvalResult, error)
+}
+
+// Exec says who executes a planned batch of walk specs and how many
+// specs a walk is cut into. The zero value runs on the coordinator, on
+// every core.
+type Exec struct {
+	// Parallelism bounds the coordinator's worker goroutines — the spec
+	// fan-out here, and materialization and predicate scoring in an
+	// Explainer. Values <= 0 mean runtime.GOMAXPROCS(0). Output is
+	// byte-identical at every setting.
+	Parallelism int
+	// Shards is the number of specs each quadratic walk is cut into;
+	// <= 0 means eight per Parallelism worker, so uneven blocking groups
+	// still balance. Output is byte-identical at every count.
+	Shards int
+	// Runner executes the specs on workers (see internal/shard). nil
+	// runs them on this process's cores over the log's resident columns.
+	Runner ShardRunner
+	// Layout is the log's segment decomposition — NewSegmentLayout over a
+	// store snapshot's Segments or a flat log's SegmentViews — whose
+	// content-addressed slices a Runner's specs carry. Required with a
+	// Runner, unused without one; it must cover exactly the log's
+	// records.
+	Layout *SegmentLayout
+}
+
+// shards resolves the spec count of one walk.
+func (ex Exec) shards() int {
+	if ex.Shards > 0 {
+		return ex.Shards
+	}
+	return par.Resolve(ex.Parallelism) * 8
+}
+
+// check rejects a layout that does not cover the log — including the
+// missing layout of a Runner, which has no other way to receive records.
+func (ex Exec) check(log *joblog.Log) error {
+	if (ex.Runner != nil || ex.Layout != nil) && ex.Layout.Total() != log.Len() {
+		return fmt.Errorf("core: segment layout covers %d records, log has %d (a Runner ships Exec.Layout, the log's own layout)",
+			ex.Layout.Total(), log.Len())
+	}
+	return nil
+}
+
+// runLocal is the coordinator's own executor: the batch's specs run on
+// up to workers goroutines against one resident view, each checking ctx
+// before it starts — a cancelled batch returns ctx.Err(), never a
+// partial merge — and results land in spec order.
+func runLocal[S, R any](ctx context.Context, specs []S, workers int, run func(*S) (*R, error)) ([]R, error) {
+	out := make([]R, len(specs))
+	errs := make([]error, len(specs))
+	par.Do(len(specs), workers, func(i int) {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			return
+		}
+		var res *R
+		if res, errs[i] = run(&specs[i]); errs[i] == nil {
+			out[i] = *res
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// prefetch starts shipping the layout's slices to every worker — called
+// at the head of each planning round, so payloads a worker already
+// holds are skipped and new ones overlap with planning. Advisory (see
+// SlicePrefetcher), and a no-op without a Runner.
+func (ex Exec) prefetch() {
+	if pf, ok := ex.Runner.(SlicePrefetcher); ok {
+		pf.PrefetchSlices(ex.Layout.Slices)
+	}
+}
+
+// runSpecs executes one batch of planned specs and returns one result
+// per spec — the one seam where the executor is chosen: with no Runner
+// the kernel (walk) runs locally over the log's resident columns;
+// otherwise the batch goes to the Runner (ship is its method for this
+// spec kind, kind its name in errors). A cancelled ctx surfaces as the
+// bare ctx.Err().
+func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind string, specs []S,
+	walk func(*S, *SliceData) (*R, error), ship func(ShardRunner, []S) ([]R, error)) ([]R, error) {
+
+	if ex.Runner == nil {
+		data := &SliceData{Log: log, Cols: log.Columns(), draws: &drawMemo{}}
+		return runLocal(ctx, specs, ex.Parallelism, func(s *S) (*R, error) { return walk(s, data) })
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	results, err := ship(ex.Runner, specs)
+	if err != nil {
+		return nil, fmt.Errorf("core: shard %s: %w", kind, err)
+	}
+	if len(results) != len(specs) {
+		return nil, fmt.Errorf("core: shard %s returned %d results for %d specs", kind, len(results), len(specs))
+	}
+	return results, nil
 }
 
 // SlicePrefetcher is optionally implemented by shard runners that can
@@ -53,39 +163,37 @@ type ShardRunner interface {
 // asynchronous: it may do nothing at all, and a spec whose slice never
 // arrived simply ships the payload with its own task frame — results
 // are byte-identical whether a prefetch landed, raced, or was dropped.
-// The pipeline type-asserts this on Config.Runner at the points where
-// the next round's slices are known before the current round finishes.
+// The pipeline type-asserts this on Exec.Runner at the head of each
+// planning round (see Exec.prefetch).
 type SlicePrefetcher interface {
 	PrefetchSlices(slices []LogSlice)
 }
 
 // LogSlice is the shippable unit of execution-log data: a wire-form
-// record slice plus the coordinator's intern table, content-addressed by
-// joblog.HashSlice. The hash makes slice shipping cacheable: a runtime
-// that has already shipped a slice to a worker may send a reference
-// (Ref true, payload empty) instead, and the worker resolves it from its
-// decoded-columns cache — or reports a miss, in which case the full
-// payload is resent. Execution is byte-identical either way: the hash
-// covers every bit of the payload, so a hit decodes to exactly what a
-// fresh ship would have.
-//pxql:wirehash ceaf829da3a51793 v=6
+// record slice, content-addressed by joblog.HashSlice. The hash makes
+// slice shipping cacheable: a runtime that has already shipped a slice
+// to a worker may send a reference (Ref true, payload empty) instead,
+// and the worker resolves it from its decoded-columns cache — or reports
+// a miss, in which case the full payload is resent. Execution is
+// byte-identical either way: the hash covers every bit of the payload,
+// so a hit decodes to exactly what a fresh ship would have.
+//pxql:wirehash 592e30cf95cc494a v=7
 
 //pxql:wire decode=Data
 type LogSlice struct {
-	// Hash is the content address (joblog.HashSlice of Log and Intern);
-	// empty disables caching for this slice.
+	// Hash is the content address (joblog.HashSlice of Log); empty
+	// disables caching for this slice.
 	Hash string `json:"hash,omitempty"`
 	// Ref marks a frame that carries only the hash: the payload was
 	// already shipped on this connection and should be resolved from the
 	// worker's cache.
-	Ref    bool           `json:"ref,omitempty"`
-	Log    joblog.WireLog `json:"log"`
-	Intern []string       `json:"intern,omitempty"`
+	Ref bool           `json:"ref,omitempty"`
+	Log joblog.WireLog `json:"log"`
 }
 
-// NewLogSlice builds a content-addressed slice from wire parts.
-func NewLogSlice(w joblog.WireLog, intern []string) LogSlice {
-	return LogSlice{Hash: joblog.HashSlice(w, intern), Log: w, Intern: intern}
+// NewLogSlice builds a content-addressed slice from its wire form.
+func NewLogSlice(w joblog.WireLog) LogSlice {
+	return LogSlice{Hash: joblog.HashSlice(w), Log: w}
 }
 
 // AsRef returns the hash-only form of the slice, for shipping to a
@@ -106,18 +214,18 @@ func (s *LogSlice) SizeEstimate() int {
 			n += len(v.Str) + 24
 		}
 	}
-	for _, str := range s.Intern {
-		n += len(str) + 16
-	}
 	return n
 }
 
-// SliceData is a decoded slice: the rebuilt log plus its columnar view,
-// seeded with the shipped intern table so symbol planes derived from it
-// are bit-equal to the coordinator's. This is what workers cache.
+// SliceData is the view a spec kernel walks: a log plus its columnar
+// view. Workers decode it from shipped slices (and cache it); the
+// coordinator's local executor wraps its resident log.
 type SliceData struct {
 	Log  *joblog.Log
 	Cols *joblog.Columns
+	// draws, set by the local executor, shares stratified draw sets
+	// between the specs of its batch (see drawMemo).
+	draws *drawMemo
 }
 
 // Data decodes the slice, validating everything. A reference slice
@@ -130,11 +238,7 @@ func (s *LogSlice) Data() (*SliceData, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols, err := log.ColumnsSeeded(s.Intern)
-	if err != nil {
-		return nil, err
-	}
-	return &SliceData{Log: log, Cols: cols}, nil
+	return &SliceData{Log: log, Cols: log.Columns()}, nil
 }
 
 // EnumGroup is one blocking group's contribution to an enumeration
@@ -155,15 +259,17 @@ type EnumGroup struct {
 	Budget int `json:"budget,omitempty"`
 }
 
-// EnumSpec is a self-contained unit of pair enumeration: a worker given
-// only this value reproduces exactly the related pairs the serial walk
-// visits in the spec's slice of the iteration space.
+// EnumSpec is a self-contained unit of pair enumeration: an executor
+// given only this value (and, locally, the resident view its empty
+// Slices stand for) produces exactly the related pairs of the spec's
+// slice of the iteration space.
 //
 //pxql:wire decode=Run
 type EnumSpec struct {
 	// Slices is the log's segment layout (see SegmentLayout): one
 	// content-addressed slice per segment, concatenating in order to the
 	// whole log, shared by every spec of every round at one watermark.
+	// Empty on specs the coordinator runs itself.
 	Slices []LogSlice  `json:"slices"`
 	Groups []EnumGroup `json:"groups,omitempty"`
 	KeepP  float64     `json:"keep_p"` // global Bernoulli keep probability
@@ -193,90 +299,21 @@ const (
 // EnumResult lists a shard's related pairs in iteration order, addressed
 // by global record index.
 //
-//pxql:wire decode=Explainer.runEnumSpecs
+//pxql:wire decode=runEnumSpecs
 type EnumResult struct {
 	RefA   []int  `json:"ref_a,omitempty"`
 	RefB   []int  `json:"ref_b,omitempty"`
 	Labels []bool `json:"labels,omitempty"` // true = performed as observed
 }
 
-// MatSpec is a self-contained unit of pair-matrix materialization: the
-// rows [Row0, Row0+len(PairA)) of the coordinator's matrix. The slice is
-// the whole training sample's record set (shared — and therefore
-// content-cacheable — across every materialization and scoring spec of
-// one explanation); seeding the worker's columnar view with its intern
-// table makes the returned symbol planes (packed diff symbols included)
-// bit-equal to a local fill.
-//
-//pxql:wire decode=Run
-type MatSpec struct {
-	Slice LogSlice       `json:"slice"`
-	Level features.Level `json:"level"`
-	PairA []int          `json:"pair_a"` // slice-local record index per row
-	PairB []int          `json:"pair_b"`
-	Row0  int            `json:"row0"`
-}
-
-// MatResult carries the materialized plane rows of one shard.
-//
-//pxql:wire decode=Explainer.materializePairs
-type MatResult struct {
-	Row0 int       `json:"row0"`
-	N    int       `json:"n"`
-	Num  []float64 `json:"num,omitempty"`
-	Sym  []uint64  `json:"sym,omitempty"`
-}
-
-// ScoreSpec is a self-contained unit of candidate scoring: one round of
-// Algorithm 1's per-feature best-predicate search, restricted to the
-// derived features [FeatLo, FeatHi). The worker re-materializes the
-// working set's pair rows from the sample slice (seeded with the
-// coordinator's intern table) and scores its feature range exactly as
-// the in-process loop does. The slice is the whole sample, not just the
-// round's working set, so every scoring round of a growth loop shares
-// one content hash — after the first ship, rounds reference the cached
-// slice instead of re-shipping shrinking subsets.
-//
-//pxql:wire decode=Run
-type ScoreSpec struct {
-	Slice     LogSlice           `json:"slice"`
-	Level     features.Level     `json:"level"`      // deriver level (the full Table 1 set)
-	CandLevel features.Level     `json:"cand_level"` // Section 6.8 clause-feature restriction
-	Target    string             `json:"target"`
-	PairA     []int              `json:"pair_a"` // slice-local record indices per working-set row
-	PairB     []int              `json:"pair_b"`
-	Labels    []bool             `json:"labels"` // per working-set row
-	PairVec   []joblog.WireValue `json:"pair_vec"`
-	Clause    pxql.PredicateSpec `json:"clause"`
-	FeatLo    int                `json:"feat_lo"`
-	FeatHi    int                `json:"feat_hi"`
-}
-
-// CandSpec is the wire form of one scored candidate.
-//
-//pxql:wire decode=Explainer.candidatesSharded
-type CandSpec struct {
-	FeatIdx int           `json:"feat_idx"`
-	Atom    pxql.AtomSpec `json:"atom"`
-	Gain    float64       `json:"gain"`
-}
-
-// ScoreResult lists a shard's candidates in ascending feature order.
-//
-//pxql:wire decode=Explainer.candidatesSharded
-type ScoreResult struct {
-	Cands []CandSpec `json:"cands,omitempty"`
-}
-
 // EvalSpec is a self-contained unit of explanation evaluation: the
-// shard's slice of the quadratic obs/exp walk EvaluateExplanation
+// spec's slice of the quadratic obs/exp walk EvaluateExplanation
 // performs over the despite context (the query's despite clause
 // conjoined with the explanation's generated extension). Like EnumSpec
 // it carries blocking groups with outer ranges and the splitmix counter
 // ranges of the subsampling decision; unlike EnumSpec it returns only
-// four integer counts, accumulated worker-side by fused popcounts, so
-// merged metrics are exact and identical to the serial walk at every
-// shard count.
+// four integer counts, accumulated by fused popcounts, so merged metrics
+// are exact and identical at every spec count.
 //
 //pxql:wire decode=Run
 type EvalSpec struct {
@@ -293,7 +330,7 @@ type EvalSpec struct {
 
 // EvalResult carries one shard's contribution to the metric counts.
 //
-//pxql:wire decode=EvaluateExplanationSharded
+//pxql:wire decode=EvaluateExplanation
 type EvalResult struct {
 	Context     int `json:"context"`       // pairs satisfying the despite context
 	Exp         int `json:"exp"`           // … additionally satisfying expected
@@ -306,8 +343,8 @@ type EvalResult struct {
 // to within one unit.
 func cutPoint(n, nShards, s int) int { return s * n / nShards }
 
-// Run executes the enumeration spec in this process, decoding and
-// combining its slices.
+// Run executes the enumeration spec standalone in this process,
+// decoding and combining its slices.
 func (s *EnumSpec) Run() (*EnumResult, error) {
 	data, err := DecodeSlices(s.Slices)
 	if err != nil {
@@ -316,65 +353,187 @@ func (s *EnumSpec) Run() (*EnumResult, error) {
 	return s.RunWith(data)
 }
 
-// RunWith executes the enumeration spec against the already-combined
-// decoded view of its slices — the shared executor behind the
-// in-process runner and the workers, whose runtimes resolve each slice
-// through a cache and combine once per watermark. Predicates are
-// compiled against the combined view's own columns; compiled evaluation
-// is intern-independent (it matches the interpreted semantics exactly),
-// so the labels and refs are identical to the coordinator's direct walk.
-func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
-	log, cols := data.Log, data.Cols
-	if s.Level < features.Level1 || s.Level > features.Level3 {
-		return nil, fmt.Errorf("core: enum spec has invalid feature level %d", s.Level)
+// deriverKey memoizes a view's deriver per feature level on its columnar
+// view (joblog.Columns.Memo), so the specs of a batch — and every later
+// batch over the same view, local or worker-cached — share one.
+type deriverKey features.Level
+
+// deriver validates the level and returns the view's deriver for it.
+func (d *SliceData) deriver(level features.Level) (*features.Deriver, error) {
+	if level < features.Level1 || level > features.Level3 {
+		return nil, fmt.Errorf("core: spec has invalid feature level %d", level)
 	}
+	return d.Cols.Memo(deriverKey(level), func() any {
+		return features.NewDeriver(d.Log.Schema, level)
+	}).(*features.Deriver), nil
+}
+
+// compile decodes and compiles wire-form predicates against the view.
+func (d *SliceData) compile(dr *features.Deriver, specs ...pxql.PredicateSpec) ([]*pxql.CompiledPredicate, error) {
+	out := make([]*pxql.CompiledPredicate, len(specs))
+	for i, ps := range specs {
+		p, err := ps.Predicate()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = p.Compile(dr, d.Cols)
+	}
+	return out, nil
+}
+
+// drawMemo shares stratified draw sets between the specs of one local
+// batch. Every spec a blocking group straddles needs the group's whole
+// draw set (groupDraws is pure in its arguments), and the coordinator
+// cuts eight specs per core: without the memo a few large groups would
+// be re-drawn once per spec instead of once per group. Workers see one
+// spec at a time and derive per spec (a nil memo).
+type drawMemo struct {
+	mu sync.Mutex
+	m  map[[4]uint64]*drawSet
+}
+
+type drawSet struct {
+	once sync.Once
+	ts   []uint64
+}
+
+func (dm *drawMemo) groupDraws(seed uint64, g0, n, budget int) []uint64 {
+	if dm == nil {
+		return groupDraws(seed, g0, n, budget)
+	}
+	key := [4]uint64{seed, uint64(g0), uint64(n), uint64(budget)}
+	dm.mu.Lock()
+	if dm.m == nil {
+		dm.m = make(map[[4]uint64]*drawSet)
+	}
+	e := dm.m[key]
+	if e == nil {
+		e = &drawSet{}
+		dm.m[key] = e
+	}
+	dm.mu.Unlock()
+	e.once.Do(func() { e.ts = groupDraws(seed, g0, n, budget) })
+	return e.ts
+}
+
+// walkTiles is the one definition of the pair probability space both
+// kernels walk, so training enumeration and explanation evaluation can
+// never drift apart on blocking, capping or order. It validates a
+// spec's groups against an n-record view, then visits the ordered pairs
+// the groups' outer ranges own that survive the sampling decision — in
+// (group, outer member, inner member) order, as tiles of at most
+// pairBlock pairs (parallel index arrays reused between calls; visit
+// must not retain them). With stratified false each pair is
+// Bernoulli-kept under keepP; with it true, groups whose Budget is below
+// their pair count walk their budgeted draw set instead and the rest
+// are walked whole.
+func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, stratified bool, draws *drawMemo, visit func(ai, bi []int)) error {
+	for gi, g := range groups {
+		if g.Lo < 0 || g.Hi < g.Lo || g.Hi > len(g.Members) {
+			return fmt.Errorf("core: spec group %d has invalid outer range [%d, %d)", gi, g.Lo, g.Hi)
+		}
+		if g.Budget < 0 {
+			return fmt.Errorf("core: spec group %d has negative budget %d", gi, g.Budget)
+		}
+		for _, li := range g.Members {
+			if li < 0 || li >= n {
+				return fmt.Errorf("core: spec group %d references record %d of %d", gi, li, n)
+			}
+		}
+	}
+	if stratified {
+		keepP = 1 // budgets replace the Bernoulli cap
+	}
+	ai := make([]int, 0, pairBlock)
+	bi := make([]int, 0, pairBlock)
+	for _, g := range groups {
+		members := g.Members
+		if stratified && uint64(g.Budget) < pairCount64(len(members)) {
+			// Take the whole group's draw set (identical in every
+			// straddling spec) and walk the outer positions this spec
+			// owns — a contiguous run of the sorted flat indices. Each
+			// flat index t decodes to (outer position p, inner position
+			// skipping p); ascending t is exactly the full walk's order
+			// restricted to the drawn set.
+			ts := draws.groupDraws(seed, members[0], len(members), g.Budget)
+			n1 := uint64(len(members) - 1)
+			lo := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Lo)*n1 })
+			hi := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Hi)*n1 })
+			for _, t := range ts[lo:hi] {
+				p, q := int(t/n1), int(t%n1)
+				if q >= p {
+					q++
+				}
+				ai = append(ai, members[p])
+				bi = append(bi, members[q])
+				if len(ai) == pairBlock {
+					visit(ai, bi)
+					ai, bi = ai[:0], bi[:0]
+				}
+			}
+			continue
+		}
+		for _, i := range members[g.Lo:g.Hi] {
+			for _, j := range members {
+				if i == j || !keepPair(seed, i, j, keepP) {
+					continue
+				}
+				ai = append(ai, i)
+				bi = append(bi, j)
+				if len(ai) == pairBlock {
+					visit(ai, bi)
+					ai, bi = ai[:0], bi[:0]
+				}
+			}
+		}
+	}
+	if len(ai) > 0 {
+		visit(ai, bi)
+	}
+	return nil
+}
+
+// RunWith walks the spec's slice of the enumeration space over a
+// whole-log view — the one enumeration kernel, behind the coordinator's
+// local executor (its resident columns) and the workers (whose runtimes
+// resolve each shipped slice through a cache and combine once per
+// watermark). To avoid the quadratic blowup on task logs the planner has
+// already turned despite conjuncts of the forms
+//
+//	<raw>_issame = T   (group records by their raw value)
+//	<raw> = c          (base feature: keep records with value c)
+//
+// into blocking and prefilter steps; the full predicates are still
+// verified here, so blocking is purely an optimisation. Per tile the
+// despite clause fills a selection bitmap (EvalBlock), the observed and
+// expected clauses are pushed down over that selection (AndBlock — dead
+// words are skipped), and the related set is their word-wise union, read
+// out in ascending bit order. Predicates are compiled against the view's
+// own columns; compiled evaluation is intern-independent (it matches the
+// interpreted semantics exactly), so labels and refs are the same on
+// every view of the same records.
+func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 	if s.Round != RoundFinal && s.Round != RoundPilot {
 		return nil, fmt.Errorf("core: enum spec has invalid round %d", s.Round)
 	}
 	if s.Round != RoundFinal && !s.Stratified {
 		return nil, fmt.Errorf("core: enum spec marks a pilot round without stratified mode")
 	}
-	for gi, g := range s.Groups {
-		if g.Lo < 0 || g.Hi < g.Lo || g.Hi > len(g.Members) {
-			return nil, fmt.Errorf("core: enum spec group %d has invalid outer range [%d, %d)", gi, g.Lo, g.Hi)
-		}
-		if g.Budget < 0 {
-			return nil, fmt.Errorf("core: enum spec group %d has negative budget %d", gi, g.Budget)
-		}
-		for _, li := range g.Members {
-			if li < 0 || li >= log.Len() {
-				return nil, fmt.Errorf("core: enum spec group %d references record %d of %d", gi, li, log.Len())
-			}
-		}
-	}
-	despite, err := s.Despite.Predicate()
+	d, err := data.deriver(s.Level)
 	if err != nil {
 		return nil, err
 	}
-	obs, err := s.Observed.Predicate()
+	c, err := data.compile(d, s.Despite, s.Observed, s.Expected)
 	if err != nil {
 		return nil, err
 	}
-	exp, err := s.Expected.Predicate()
-	if err != nil {
-		return nil, err
-	}
-
-	d := features.NewDeriver(log.Schema, s.Level)
-	cDes := despite.Compile(d, cols)
-	cObs := obs.Compile(d, cols)
-	cExp := exp.Compile(d, cols)
+	cDes, cObs, cExp := c[0], c[1], c[2]
 
 	res := &EnumResult{}
 	des := bitset.Make(pairBlock)
 	obsSel := bitset.Make(pairBlock)
 	expSel := bitset.Make(pairBlock)
-	ai := make([]int, 0, pairBlock)
-	bi := make([]int, 0, pairBlock)
-	flush := func() {
-		if len(ai) == 0 {
-			return
-		}
+	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, s.Stratified, data.draws, func(ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, oS, eS := des[:nw], obsSel[:nw], expSel[:nw]
 		cDes.EvalBlock(ai, bi, dS)
@@ -382,62 +541,25 @@ func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 		cObs.AndBlock(ai, bi, oS)
 		eS.CopyFrom(dS)
 		cExp.AndBlock(ai, bi, eS)
-		// Related = (obs ∪ exp) within the despite selection, classified
-		// exactly like enumerateRelated.
+		// Related = (obs ∪ exp) within the despite selection. A pair
+		// satisfying both obs and exp would contradict obs ⊨ ¬exp
+		// (Definition 1); classify as observed, which can only happen
+		// with inconsistent user predicates.
 		eS.OrWith(oS)
 		eS.ForEach(func(k int) {
 			res.RefA = append(res.RefA, ai[k])
 			res.RefB = append(res.RefB, bi[k])
 			res.Labels = append(res.Labels, oS.Get(k))
 		})
-		ai, bi = ai[:0], bi[:0]
+	})
+	if err != nil {
+		return nil, err
 	}
-	emit := func(i, j int) {
-		ai = append(ai, i)
-		bi = append(bi, j)
-		if len(ai) == pairBlock {
-			flush()
-		}
-	}
-	for _, g := range s.Groups {
-		n := len(g.Members)
-		if s.Stratified && uint64(g.Budget) < pairCount64(n) {
-			// Re-derive the whole group's draw set (identical in every
-			// straddling shard) and walk the outer positions this shard
-			// owns — a contiguous run of the sorted flat indices.
-			ts := groupDraws(s.Seed, g.Members[0], n, g.Budget)
-			n1 := uint64(n - 1)
-			lo := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Lo)*n1 })
-			hi := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Hi)*n1 })
-			for _, t := range ts[lo:hi] {
-				p := int(t / n1)
-				r := int(t % n1)
-				q := r
-				if r >= p {
-					q = r + 1
-				}
-				emit(g.Members[p], g.Members[q])
-			}
-			continue
-		}
-		for _, i := range g.Members[g.Lo:g.Hi] {
-			for _, j := range g.Members {
-				if i == j {
-					continue
-				}
-				if !s.Stratified && !keepPair(s.Seed, i, j, s.KeepP) {
-					continue
-				}
-				emit(i, j)
-			}
-		}
-	}
-	flush()
 	return res, nil
 }
 
-// Run executes the evaluation spec in this process, decoding and
-// combining its slices.
+// Run executes the evaluation spec standalone in this process, decoding
+// and combining its slices.
 func (s *EvalSpec) Run() (*EvalResult, error) {
 	data, err := DecodeSlices(s.Slices)
 	if err != nil {
@@ -446,61 +568,29 @@ func (s *EvalSpec) Run() (*EvalResult, error) {
 	return s.RunWith(data)
 }
 
-// RunWith executes the evaluation spec against the already-combined
-// decoded view of its slices. The walk mirrors EvaluateExplanation's
-// batched inner loop bit for bit: the despite context fills a selection
-// bitmap per tile, expected and because push down over copies, observed
-// pushes down over the because selection, and all four counts are
-// popcounts — integers, so summing shard results in any grouping equals
-// the serial totals exactly.
+// RunWith walks the spec's slice of the metric walk over a whole-log
+// view — the one evaluation kernel. Each tile of pairs is evaluated
+// batched: the despite context fills a selection bitmap, expected and
+// because push down over copies of it, observed pushes down over the
+// because selection, and all four counts are popcounts — the per-pair
+// conditional nesting of Definitions 4–6 becomes word-wise AND
+// composition, and the counts are integers, so summing spec results in
+// any grouping gives the same totals.
 func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
-	log := data.Log
-	if s.Level < features.Level1 || s.Level > features.Level3 {
-		return nil, fmt.Errorf("core: eval spec has invalid feature level %d", s.Level)
-	}
-	for gi, g := range s.Groups {
-		if g.Lo < 0 || g.Hi < g.Lo || g.Hi > len(g.Members) {
-			return nil, fmt.Errorf("core: eval spec group %d has invalid outer range [%d, %d)", gi, g.Lo, g.Hi)
-		}
-		for _, li := range g.Members {
-			if li < 0 || li >= log.Len() {
-				return nil, fmt.Errorf("core: eval spec group %d references record %d of %d", gi, li, log.Len())
-			}
-		}
-	}
-	despite, err := s.Despite.Predicate()
+	d, err := data.deriver(s.Level)
 	if err != nil {
 		return nil, err
 	}
-	obs, err := s.Observed.Predicate()
+	c, err := data.compile(d, s.Despite, s.Observed, s.Expected, s.Because)
 	if err != nil {
 		return nil, err
 	}
-	exp, err := s.Expected.Predicate()
-	if err != nil {
-		return nil, err
-	}
-	bec, err := s.Because.Predicate()
-	if err != nil {
-		return nil, err
-	}
-
-	d := features.NewDeriver(log.Schema, s.Level)
-	cols := data.Cols
-	cDes := despite.Compile(d, cols)
-	cObs := obs.Compile(d, cols)
-	cExp := exp.Compile(d, cols)
-	cBec := bec.Compile(d, cols)
+	cDes, cObs, cExp, cBec := c[0], c[1], c[2], c[3]
 
 	res := &EvalResult{}
 	des := bitset.Make(pairBlock)
 	scratch := bitset.Make(pairBlock)
-	ai := make([]int, 0, pairBlock)
-	bi := make([]int, 0, pairBlock)
-	flush := func() {
-		if len(ai) == 0 {
-			return
-		}
+	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, false, nil, func(ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, t := des[:nw], scratch[:nw]
 		cDes.EvalBlock(ai, bi, dS)
@@ -513,286 +603,16 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 		res.Bec += t.Count()
 		cObs.AndBlock(ai, bi, t)
 		res.ObsGivenBec += t.Count()
-		ai, bi = ai[:0], bi[:0]
-	}
-	for _, g := range s.Groups {
-		for _, i := range g.Members[g.Lo:g.Hi] {
-			for _, j := range g.Members {
-				if i == j {
-					continue
-				}
-				if !keepPair(s.Seed, i, j, s.KeepP) {
-					continue
-				}
-				ai = append(ai, i)
-				bi = append(bi, j)
-				if len(ai) == pairBlock {
-					flush()
-				}
-			}
-		}
-	}
-	flush()
-	return res, nil
-}
-
-// pairSlice builds the wire form of the records a pair list touches,
-// in first-appearance order over (a0, b0, a1, b1, ...), plus the pairs
-// re-addressed by slice-local index.
-func pairSlice(log *joblog.Log, refs []pairRef) (wire joblog.WireLog, pa, pb []int) {
-	local := make(map[int]int)
-	var recs []*joblog.Record
-	of := func(ri int) int {
-		li, ok := local[ri]
-		if !ok {
-			li = len(recs)
-			local[ri] = li
-			recs = append(recs, log.Records[ri])
-		}
-		return li
-	}
-	pa = make([]int, len(refs))
-	pb = make([]int, len(refs))
-	for i, ref := range refs {
-		pa[i] = of(ref.a)
-		pb[i] = of(ref.b)
-	}
-	return joblog.WireSlice(log.Schema, recs), pa, pb
-}
-
-// plannedSample is the shard-execution view of one training sample: its
-// record slice in content-addressed wire form (built once per growth
-// loop — the unit every materialization and scoring spec of the
-// explanation shares) plus the slice-local pair indices per sample row.
-type plannedSample struct {
-	slice  LogSlice
-	pa, pb []int // slice-local record indices per sample row
-}
-
-// planSample builds the sample's shared slice. It returns nil when no
-// shard runner is configured — the direct path needs no wire form.
-func (e *Explainer) planSample(sample *pairSet) *plannedSample {
-	if e.cfg.Runner == nil {
-		return nil
-	}
-	wire, pa, pb := pairSlice(e.log, sample.refs)
-	intern := e.log.Columns().Intern().Strings()
-	plan := &plannedSample{slice: NewLogSlice(wire, intern), pa: pa, pb: pb}
-	// Start shipping the sample slice to every worker now: every
-	// materialization and scoring spec of the growth loop references it,
-	// and a capable runner overlaps the transfer with the planning and
-	// compute between here and each worker's first task.
-	if pf, ok := e.cfg.Runner.(SlicePrefetcher); ok {
-		pf.PrefetchSlices([]LogSlice{plan.slice})
-	}
-	return plan
-}
-
-// planMatShards cuts the sample's rows into nShards contiguous
-// materialization specs over the shared sample slice.
-func planMatShards(plan *plannedSample, level features.Level, nShards int) []MatSpec {
-	if nShards < 1 {
-		nShards = 1
-	}
-	n := len(plan.pa)
-	// More specs than rows would only replicate the shared slice into
-	// empty shards.
-	if nShards > n && n > 0 {
-		nShards = n
-	}
-	specs := make([]MatSpec, nShards)
-	for s := 0; s < nShards; s++ {
-		lo, hi := cutPoint(n, nShards, s), cutPoint(n, nShards, s+1)
-		specs[s] = MatSpec{
-			Slice: plan.slice,
-			Level: level,
-			PairA: plan.pa[lo:hi],
-			PairB: plan.pb[lo:hi],
-			Row0:  lo,
-		}
-	}
-	return specs
-}
-
-// Run executes the materialization spec in this process, decoding its
-// slice.
-func (s *MatSpec) Run() (*MatResult, error) {
-	data, err := s.Slice.Data()
+	})
 	if err != nil {
 		return nil, err
-	}
-	return s.RunWith(data)
-}
-
-// RunWith executes the materialization spec against an already-decoded
-// slice (the worker cache's hit path).
-func (s *MatSpec) RunWith(data *SliceData) (*MatResult, error) {
-	log := data.Log
-	if s.Level < features.Level1 || s.Level > features.Level3 {
-		return nil, fmt.Errorf("core: mat spec has invalid feature level %d", s.Level)
-	}
-	if len(s.PairA) != len(s.PairB) {
-		return nil, fmt.Errorf("core: mat spec has %d/%d pair sides", len(s.PairA), len(s.PairB))
-	}
-	for i := range s.PairA {
-		if s.PairA[i] < 0 || s.PairA[i] >= log.Len() || s.PairB[i] < 0 || s.PairB[i] >= log.Len() {
-			return nil, fmt.Errorf("core: mat spec pair %d references record outside the %d-record slice", i, log.Len())
-		}
-	}
-	d := features.NewDeriver(log.Schema, s.Level)
-	m := d.NewPairMatrix(len(s.PairA))
-	for i := range s.PairA {
-		m.Fill(data.Cols, i, s.PairA[i], s.PairB[i])
-	}
-	return &MatResult{Row0: s.Row0, N: m.N, Num: m.Num, Sym: m.Sym}, nil
-}
-
-// planScoreShards cuts one candidate-scoring round into nShards
-// contiguous feature-range specs over the current working set. Every
-// spec of every round references the same sample slice, so with a
-// caching runtime only the first frame of the growth loop ships records.
-func (e *Explainer) planScoreShards(plan *plannedSample, labels []bool, cur []int,
-	pairVec []joblog.Value, clause pxql.Predicate) []ScoreSpec {
-
-	nFeat := e.d.Schema().Len()
-	nShards := e.cfg.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	// More specs than features would only duplicate the shared payload
-	// to do nothing.
-	if nShards > nFeat && nFeat > 0 {
-		nShards = nFeat
-	}
-	pa := make([]int, len(cur))
-	pb := make([]int, len(cur))
-	subLabels := make([]bool, len(cur))
-	for k, i := range cur {
-		pa[k] = plan.pa[i]
-		pb[k] = plan.pb[i]
-		subLabels[k] = labels[i]
-	}
-	vec := make([]joblog.WireValue, len(pairVec))
-	for i, v := range pairVec {
-		vec[i] = joblog.WireValue{Kind: v.Kind.String(), Num: v.Num, Str: v.Str}
-	}
-	specs := make([]ScoreSpec, nShards)
-	for s := 0; s < nShards; s++ {
-		specs[s] = ScoreSpec{
-			Slice:     plan.slice,
-			Level:     e.d.Level(),
-			CandLevel: e.cfg.Level,
-			Target:    e.cfg.Target,
-			PairA:     pa,
-			PairB:     pb,
-			Labels:    subLabels,
-			PairVec:   vec,
-			Clause:    clause.Spec(),
-			FeatLo:    cutPoint(nFeat, nShards, s),
-			FeatHi:    cutPoint(nFeat, nShards, s+1),
-		}
-	}
-	return specs
-}
-
-// Run executes the scoring spec in this process, decoding its slice.
-func (s *ScoreSpec) Run() (*ScoreResult, error) {
-	data, err := s.Slice.Data()
-	if err != nil {
-		return nil, err
-	}
-	return s.RunWith(data)
-}
-
-// RunWith executes the scoring spec against an already-decoded slice
-// (the worker cache's hit path): it rebuilds the working set's pair
-// matrix from the sample slice (intern-seeded, so the planes are
-// bit-equal to the coordinator's) and scores its feature range with the
-// same per-feature search the in-process candidates loop uses.
-func (s *ScoreSpec) RunWith(data *SliceData) (*ScoreResult, error) {
-	log := data.Log
-	if s.Level < features.Level1 || s.Level > features.Level3 ||
-		s.CandLevel < features.Level1 || s.CandLevel > features.Level3 {
-		return nil, fmt.Errorf("core: score spec has invalid levels %d/%d", s.Level, s.CandLevel)
-	}
-	if len(s.PairA) != len(s.PairB) || len(s.PairA) != len(s.Labels) {
-		return nil, fmt.Errorf("core: score spec has %d/%d/%d pair sides and labels",
-			len(s.PairA), len(s.PairB), len(s.Labels))
-	}
-	for i := range s.PairA {
-		if s.PairA[i] < 0 || s.PairA[i] >= log.Len() || s.PairB[i] < 0 || s.PairB[i] >= log.Len() {
-			return nil, fmt.Errorf("core: score spec pair %d references record outside the %d-record slice", i, log.Len())
-		}
-	}
-	clause, err := s.Clause.Predicate()
-	if err != nil {
-		return nil, err
-	}
-	d := features.NewDeriver(log.Schema, s.Level)
-	if s.FeatLo < 0 || s.FeatHi < s.FeatLo || s.FeatHi > d.Schema().Len() {
-		return nil, fmt.Errorf("core: score spec has invalid feature range [%d, %d) of %d", s.FeatLo, s.FeatHi, d.Schema().Len())
-	}
-	if len(s.PairVec) != d.Schema().Len() {
-		return nil, fmt.Errorf("core: score spec pair vector has %d features, schema has %d", len(s.PairVec), d.Schema().Len())
-	}
-	if s.FeatLo == s.FeatHi {
-		return &ScoreResult{}, nil
-	}
-	pairVec := make([]joblog.Value, len(s.PairVec))
-	for i, wv := range s.PairVec {
-		switch wv.Kind {
-		case joblog.Missing.String():
-			pairVec[i] = joblog.None()
-		case joblog.Numeric.String():
-			pairVec[i] = joblog.Num(wv.Num)
-		case joblog.Nominal.String():
-			pairVec[i] = joblog.Str(wv.Str)
-		default:
-			return nil, fmt.Errorf("core: score spec pair vector value %d has unknown kind %q", i, wv.Kind)
-		}
-	}
-	cols := data.Cols
-
-	// Materialize only this spec's feature columns: DeriveNum/DeriveSym
-	// compute exactly the cells MaterializeInto would have written (the
-	// plane split means numOff >= 0 iff the feature is a numeric base),
-	// so across all specs of a round the matrix work totals one full
-	// fill instead of one per spec. Untouched columns stay zero;
-	// scoreFeature reads only its own feature's column.
-	m := d.NewPairMatrix(len(s.PairA))
-	for f := s.FeatLo; f < s.FeatHi; f++ {
-		if numOff := d.NumOffset(f); numOff >= 0 {
-			for i := range s.PairA {
-				m.Num[i*m.NumStride()+numOff] = d.DeriveNum(cols, s.PairA[i], s.PairB[i], f)
-			}
-		} else {
-			symOff := d.SymOffset(f)
-			for i := range s.PairA {
-				m.Sym[i*m.SymStride()+symOff] = d.DeriveSym(cols, s.PairA[i], s.PairB[i], f)
-			}
-		}
-	}
-	cur := make([]int, m.N)
-	for i := range cur {
-		cur[i] = i
-	}
-	in := cols.Intern()
-	res := &ScoreResult{}
-	for f := s.FeatLo; f < s.FeatHi; f++ {
-		atom, gain, ok := scoreFeature(d, in, m, cur, s.Labels, pairVec, clause, s.Target, s.CandLevel, f)
-		if !ok {
-			continue
-		}
-		res.Cands = append(res.Cands, CandSpec{FeatIdx: f, Atom: atom.Spec(), Gain: gain})
 	}
 	return res, nil
 }
 
-// enumeratePairs enumerates the related pairs of (q, despite), routing
-// through the configured shard runner when one is set and the direct
-// in-process walk otherwise. Both paths produce byte-identical pair
-// sets. A configured pilot fraction switches the stratified mode to the
-// Wilson-adaptive two-pass scheme (see adaptive.go).
+// enumeratePairs enumerates the related pairs of (q, despite): one
+// planned round of enumeration specs, or — with a pilot fraction
+// configured — the Wilson-adaptive two-pass scheme (see adaptive.go).
 func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite pxql.Predicate, seed uint64) (*pairSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -801,118 +621,41 @@ func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite p
 	if stratified && e.cfg.SamplePilot > 0 && e.cfg.SampleBudget > 0 {
 		return e.enumerateAdaptive(ctx, q, despite, seed)
 	}
-	if e.cfg.Runner == nil {
-		if stratified {
-			return enumerateRelatedOpt(e.log, e.d, q, despite, seed, e.cfg.Parallelism,
-				enumOpts{stratified: true, budget: e.cfg.SampleBudget}), nil
-		}
-		return enumerateRelated(e.log, e.d, q, despite, e.cfg.MaxPairs, seed, e.cfg.Parallelism), nil
-	}
-	e.prefetchLayout()
+	ex := e.cfg.Exec
+	ex.prefetch()
 	limit := e.cfg.MaxPairs
 	if stratified {
 		limit = e.cfg.SampleBudget
 	}
-	return e.runEnumSpecs(PlanEnumShards(e.cfg.Layout, e.log, e.d.Level(), q, despite, stratified, limit, e.cfg.Shards, seed))
+	return runEnumSpecs(ctx, ex, e.log,
+		PlanEnumShards(ex.Layout, e.log, e.d.Level(), q, despite, stratified, limit, ex.shards(), seed))
 }
 
-// runEnumSpecs executes planned enumeration specs on the configured
-// runner and merges the validated results in spec order — the shared
-// tail of every runner-backed enumeration round.
-func (e *Explainer) runEnumSpecs(specs []EnumSpec) (*pairSet, error) {
-	results, err := e.cfg.Runner.RunEnum(specs)
+// runEnumSpecs executes planned enumeration specs and merges the
+// validated results in spec order — the shared tail of every
+// enumeration round, whoever ran it.
+func runEnumSpecs(ctx context.Context, ex Exec, log *joblog.Log, specs []EnumSpec) (*pairSet, error) {
+	results, err := runSpecs(ctx, ex, log, "enumeration", specs, (*EnumSpec).RunWith, ShardRunner.RunEnum)
 	if err != nil {
-		return nil, fmt.Errorf("core: shard enumeration: %w", err)
+		return nil, err
 	}
-	if len(results) != len(specs) {
-		return nil, fmt.Errorf("core: shard enumeration returned %d results for %d specs", len(results), len(specs))
+	n := 0
+	for si := range results {
+		n += len(results[si].RefA)
 	}
-	ps := &pairSet{}
+	ps := &pairSet{refs: make([]pairRef, 0, n), labels: make([]bool, 0, n)}
 	for si := range results {
 		r := &results[si]
 		if len(r.RefA) != len(r.RefB) || len(r.RefA) != len(r.Labels) {
 			return nil, fmt.Errorf("core: shard %d returned ragged enumeration result", si)
 		}
 		for k := range r.RefA {
-			if r.RefA[k] < 0 || r.RefA[k] >= e.log.Len() || r.RefB[k] < 0 || r.RefB[k] >= e.log.Len() {
-				return nil, fmt.Errorf("core: shard %d returned pair outside the %d-record log", si, e.log.Len())
+			if r.RefA[k] < 0 || r.RefA[k] >= log.Len() || r.RefB[k] < 0 || r.RefB[k] >= log.Len() {
+				return nil, fmt.Errorf("core: shard %d returned pair outside the %d-record log", si, log.Len())
 			}
 			ps.refs = append(ps.refs, pairRef{r.RefA[k], r.RefB[k]})
 		}
 		ps.labels = append(ps.labels, r.Labels...)
 	}
 	return ps, nil
-}
-
-// materializePairs materializes the sample's pair matrix, through the
-// shard runner when one is configured (plan is the sample's shared
-// slice, nil on the direct path). Shard results are copied into
-// row-disjoint ranges, so the merged matrix equals a local fill bit for
-// bit.
-func (e *Explainer) materializePairs(ctx context.Context, sample *pairSet, plan *plannedSample) (*features.PairMatrix, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e.cfg.Runner == nil {
-		return materialize(e.log, e.d, sample, e.cfg.Parallelism), nil
-	}
-	specs := planMatShards(plan, e.d.Level(), e.cfg.Shards)
-	results, err := e.cfg.Runner.RunMat(specs)
-	if err != nil {
-		return nil, fmt.Errorf("core: shard materialization: %w", err)
-	}
-	if len(results) != len(specs) {
-		return nil, fmt.Errorf("core: shard materialization returned %d results for %d specs", len(results), len(specs))
-	}
-	m := e.d.NewPairMatrix(len(sample.refs))
-	numW, symW := e.d.NumWidth(), e.d.SymWidth()
-	for si := range results {
-		r := &results[si]
-		want := len(specs[si].PairA)
-		if r.Row0 != specs[si].Row0 || r.N != want ||
-			len(r.Num) != want*numW || len(r.Sym) != want*symW {
-			return nil, fmt.Errorf("core: shard %d returned mismatched matrix rows", si)
-		}
-		copy(m.Num[r.Row0*numW:], r.Num)
-		copy(m.Sym[r.Row0*symW:], r.Sym)
-	}
-	return m, nil
-}
-
-// candidatesSharded is the runner-backed counterpart of candidates():
-// one scoring round fanned out over contiguous feature ranges. Results
-// concatenate in spec order, i.e. ascending feature order — exactly the
-// compaction order of the in-process loop.
-func (e *Explainer) candidatesSharded(plan *plannedSample, labels []bool, cur []int,
-	pairVec []joblog.Value, clause pxql.Predicate) ([]candidate, error) {
-
-	specs := e.planScoreShards(plan, labels, cur, pairVec, clause)
-	results, err := e.cfg.Runner.RunScore(specs)
-	if err != nil {
-		return nil, fmt.Errorf("core: shard scoring: %w", err)
-	}
-	if len(results) != len(specs) {
-		return nil, fmt.Errorf("core: shard scoring returned %d results for %d specs", len(results), len(specs))
-	}
-	in := e.log.Columns().Intern()
-	var out []candidate
-	for si := range results {
-		for _, c := range results[si].Cands {
-			if c.FeatIdx < specs[si].FeatLo || c.FeatIdx >= specs[si].FeatHi {
-				return nil, fmt.Errorf("core: shard %d returned candidate for feature %d outside [%d, %d)",
-					si, c.FeatIdx, specs[si].FeatLo, specs[si].FeatHi)
-			}
-			atom, err := c.Atom.Atom()
-			if err != nil {
-				return nil, fmt.Errorf("core: shard %d: %w", si, err)
-			}
-			out = append(out, candidate{
-				featIdx: c.FeatIdx,
-				atom:    atom,
-				ma:      newMatrixAtom(e.d, in, c.FeatIdx, atom),
-				gain:    c.Gain,
-			})
-		}
-	}
-	return out, nil
 }

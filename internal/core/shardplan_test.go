@@ -1,12 +1,13 @@
 package core
 
 // Metamorphic and property tests for the shard planner over a flat
-// log's own layout, with the direct walk as reference: whatever the
-// shard count, the plan must partition the serial pair walk exactly —
-// every related pair in exactly one shard, shard union equal to the
-// serial pair set in serial order — and planning must be a pure function
-// of the records, invariant under memo (columnar view) rebuilds and
-// unaffected by later log appends.
+// log's own layout. The reference is the independent oracle
+// (oracle_test.go) for what is enumerated, and the one-spec serial plan
+// for the order: whatever the shard count, the plan must partition the
+// serial pair walk exactly — every related pair in exactly one shard,
+// shard union equal to the serial pair set in serial order — and
+// planning must be a pure function of the records, invariant under memo
+// (columnar view) rebuilds and unaffected by later log appends.
 
 import (
 	"context"
@@ -74,7 +75,6 @@ func runPlan(t *testing.T, specs []EnumSpec) (refs []pairRef, labels []bool) {
 func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(3)))
 	q := blockedQuery()
-	d := features.NewDeriver(log.Schema, features.Level3)
 
 	for _, tc := range []struct {
 		maxPairs int
@@ -86,7 +86,8 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 		{100000, 7}, // cap above the space: keepP == 1
 	} {
 		pairSeed := stats.DeriveSeed(tc.seed, "plan-test")
-		serial := enumerateRelated(log, d, q, q.Despite, tc.maxPairs, pairSeed, 1)
+		serial := enumLocal(t, log, q, q.Despite, false, tc.maxPairs, pairSeed, serialExec)
+		checkRelated(t, fmt.Sprintf("maxPairs=%d seed=%d serial", tc.maxPairs, tc.seed), log, q, q.Despite, serial, tc.maxPairs != 500)
 		for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 			name := fmt.Sprintf("maxPairs=%d seed=%d shards=%d", tc.maxPairs, tc.seed, nShards)
 			specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, tc.maxPairs, nShards, pairSeed)
@@ -150,8 +151,8 @@ func TestPlanEnumShardsInvariance(t *testing.T) {
 		t.Error("snapshot plan output changed after the source log grew")
 	}
 
-	d := features.NewDeriver(log.Schema, features.Level3)
-	serial := enumerateRelated(log, d, q, q.Despite, 300, seed, 1)
+	serial := enumLocal(t, log, q, q.Despite, false, 300, seed, serialExec)
+	checkRelated(t, "grown log", log, q, q.Despite, serial, false)
 	p3 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 300, 5, seed)
 	refs3, labels3 := runPlan(t, p3)
 	if !reflect.DeepEqual(refs3, serial.refs) || !reflect.DeepEqual(labels3, serial.labels) {
@@ -160,10 +161,10 @@ func TestPlanEnumShardsInvariance(t *testing.T) {
 }
 
 // TestPlanEvalShardsMatchesSerial pins the sharded evaluation walk:
-// merged shard counts must reproduce EvaluateExplanationP's metrics
-// exactly — same context/because pair counts, same ratios — at every
-// shard count, with and without the pair cap, for empty and non-trivial
-// explanations.
+// merged shard counts must reproduce the one-spec serial metrics — and,
+// uncapped, the oracle's Definitions 4–6 — exactly: same context/because
+// pair counts, same ratios, at every shard count, with and without the
+// pair cap, for empty and non-trivial explanations.
 func TestPlanEvalShardsMatchesSerial(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(4)))
 	q := blockedQuery()
@@ -177,7 +178,10 @@ func TestPlanEvalShardsMatchesSerial(t *testing.T) {
 	}
 	for xi, x := range explanations {
 		for _, maxPairs := range []int{0, 500} {
-			serial, serialErr := EvaluateExplanation(context.Background(), log, features.Level3, q, x, maxPairs, 3, 1)
+			serial, serialErr := EvaluateExplanation(context.Background(), log, features.Level3, q, x, maxPairs, 3, serialExec)
+			if want, defined := oracleMetrics(log, features.Level3, q, x); maxPairs == 0 && ((serialErr == nil) != defined || (defined && serial != want)) {
+				t.Errorf("x=%d: serial metrics %+v (err %v) differ from Definitions 4–6 %+v (defined %v)", xi, serial, serialErr, want, defined)
+			}
 			for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 				name := fmt.Sprintf("x=%d maxPairs=%d shards=%d", xi, maxPairs, nShards)
 				specs := PlanEvalShards(FlatLayout(log), log, features.Level3, q, x, maxPairs, nShards, stats.DeriveSeed(3, "evaluate"))
@@ -207,33 +211,29 @@ func TestPlanEvalShardsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPlanEvalShardsSharedRunner pins the public entry point: the
-// sharded evaluation through a runner equals the serial metrics, and a
-// nil runner falls back to the in-process walk.
+// TestPlanEvalShardsSharedRunner pins the entry point's executor seam:
+// the evaluation through a runner, and through the local executor at
+// several spec counts and parallelisms, equals the serial metrics.
 func TestPlanEvalShardsSharedRunner(t *testing.T) {
 	log := groupedLog(60, rand.New(rand.NewSource(6)))
 	q := blockedQuery()
 	x := &Explanation{Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}}}
-	serial, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 400, 9, 1)
+	serial, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 400, 9, serialExec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, err := EvaluateExplanationSharded(context.Background(), nil, log, features.Level3, q, x, 400, 9, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaNil != serial {
-		t.Errorf("nil-runner fallback %+v differs from serial %+v", viaNil, serial)
-	}
-	viaRunner, err := EvaluateExplanationSharded(context.Background(), FlatLayout(log), log, features.Level3, q, x, 400, 9, 4, serialEvalRunner{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaRunner != serial {
-		t.Errorf("runner-backed metrics %+v differ from serial %+v", viaRunner, serial)
+	for _, ex := range []Exec{{}, {Shards: 4}, {Parallelism: 2}, {Parallelism: 7, Shards: 3},
+		{Shards: 4, Runner: serialEvalRunner{}, Layout: FlatLayout(log)}} {
+		got, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 400, 9, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != serial {
+			t.Errorf("exec %+v: metrics %+v differ from serial %+v", ex, got, serial)
+		}
 	}
 	// A runner without the log's layout is a caller bug, not a fallback.
-	if _, err := EvaluateExplanationSharded(context.Background(), nil, log, features.Level3, q, x, 400, 9, 4, serialEvalRunner{}); err == nil {
+	if _, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 400, 9, Exec{Shards: 4, Runner: serialEvalRunner{}}); err == nil {
 		t.Error("runner-backed evaluation accepted a nil layout")
 	}
 }
@@ -245,30 +245,6 @@ type serialEvalRunner struct{}
 
 func (serialEvalRunner) RunEnum(specs []EnumSpec) ([]EnumResult, error) {
 	out := make([]EnumResult, len(specs))
-	for i := range specs {
-		r, err := specs[i].Run()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = *r
-	}
-	return out, nil
-}
-
-func (serialEvalRunner) RunMat(specs []MatSpec) ([]MatResult, error) {
-	out := make([]MatResult, len(specs))
-	for i := range specs {
-		r, err := specs[i].Run()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = *r
-	}
-	return out, nil
-}
-
-func (serialEvalRunner) RunScore(specs []ScoreSpec) ([]ScoreResult, error) {
-	out := make([]ScoreResult, len(specs))
 	for i := range specs {
 		r, err := specs[i].Run()
 		if err != nil {
@@ -292,24 +268,19 @@ func (serialEvalRunner) RunEval(specs []EvalSpec) ([]EvalResult, error) {
 }
 
 // TestLogSliceHashStability pins the content-address: equal content
-// hashes equal, any mutation — record value, intern entry, field name —
-// changes the hash, and the planners actually share one hash across the
+// hashes equal, a record mutation changes the hash, and the planners
+// actually share one hash across the
 // specs of a round (the property the cache's savings depend on).
 func TestLogSliceHashStability(t *testing.T) {
 	log := groupedLog(30, rand.New(rand.NewSource(12)))
-	intern := log.Columns().Intern().Strings()
-	s1 := NewLogSlice(log.Wire(), intern)
-	s2 := NewLogSlice(log.Wire(), intern)
+	s1 := NewLogSlice(log.Wire())
+	s2 := NewLogSlice(log.Wire())
 	if s1.Hash == "" || s1.Hash != s2.Hash {
 		t.Fatalf("equal content produced hashes %q vs %q", s1.Hash, s2.Hash)
 	}
-	grown := append(append([]string(nil), intern...), "extra")
-	if NewLogSlice(log.Wire(), grown).Hash == s1.Hash {
-		t.Error("intern change did not change the hash")
-	}
 	wire := log.Wire()
 	wire.Records[0].Values[1].Num++
-	if NewLogSlice(wire, intern).Hash == s1.Hash {
+	if NewLogSlice(wire).Hash == s1.Hash {
 		t.Error("record change did not change the hash")
 	}
 
@@ -379,7 +350,7 @@ func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 
 // TestFlatLayoutSpansSegments pins the flat layout past one segment: a
 // log longer than the seal threshold ships as several slices, and plans
-// over them still partition the direct walk — in both sampling modes,
+// over them still partition the serial walk — in both sampling modes,
 // with blocking groups straddling the slice boundary.
 func TestFlatLayoutSpansSegments(t *testing.T) {
 	log := groupedLog(joblog.DefaultSealThreshold+150, rand.New(rand.NewSource(14)))
@@ -388,18 +359,17 @@ func TestFlatLayoutSpansSegments(t *testing.T) {
 		t.Fatalf("layout has %d slices over %d records", len(layout.Slices), layout.Total())
 	}
 	q := blockedQuery()
-	d := features.NewDeriver(log.Schema, features.Level3)
 	seed := stats.DeriveSeed(2, "flat-span")
-	bernoulli := enumerateRelated(log, d, q, q.Despite, 400, seed, 1)
-	stratified := enumerateRelatedOpt(log, d, q, q.Despite, seed, 1, enumOpts{stratified: true, budget: 400})
+	bernoulli := enumLocal(t, log, q, q.Despite, false, 400, seed, serialExec)
+	stratified := enumLocal(t, log, q, q.Despite, true, 400, seed, serialExec)
 	for _, nShards := range []int{1, 2, 7} {
 		refs, labels := runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 400, nShards, seed))
 		if !reflect.DeepEqual(refs, bernoulli.refs) || !reflect.DeepEqual(labels, bernoulli.labels) {
-			t.Errorf("shards=%d: Bernoulli plan over two slices differs from the direct walk", nShards)
+			t.Errorf("shards=%d: Bernoulli plan over two slices differs from the serial walk", nShards)
 		}
 		refs, labels = runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, true, 400, nShards, seed))
 		if !reflect.DeepEqual(refs, stratified.refs) || !reflect.DeepEqual(labels, stratified.labels) {
-			t.Errorf("shards=%d: stratified plan over two slices differs from the direct walk", nShards)
+			t.Errorf("shards=%d: stratified plan over two slices differs from the serial walk", nShards)
 		}
 	}
 }

@@ -75,7 +75,6 @@ func zoneQuery() *pxql.Query {
 // uncapped and Bernoulli-capped — while actually dropping groups.
 func TestZonePruneExact(t *testing.T) {
 	log := zoneSkewedLog(400, 40, rand.New(rand.NewSource(21)))
-	d := features.NewDeriver(log.Schema, features.Level3)
 	q := zoneQuery()
 
 	pruned, _ := blockedGroupsOpt(log, q.Despite, 0, true, false)
@@ -85,9 +84,10 @@ func TestZonePruneExact(t *testing.T) {
 	}
 
 	for _, maxPairs := range []int{0, 500} {
-		base := enumerateRelatedOpt(log, d, q, q.Despite, 77, 1, enumOpts{maxPairs: maxPairs, noPrune: true, noSeek: true})
-		got := enumerateRelatedOpt(log, d, q, q.Despite, 77, 1, enumOpts{maxPairs: maxPairs})
-		if !reflect.DeepEqual(got.refs, base.refs) || !reflect.DeepEqual(got.labels, base.labels) {
+		base := enumSwitched(t, log, q, maxPairs, 77, false, false)
+		checkRelated(t, fmt.Sprintf("maxPairs=%d unpruned", maxPairs), log, q, q.Despite, base, maxPairs == 0)
+		got := enumLocal(t, log, q, q.Despite, false, maxPairs, 77, serialExec)
+		if !samePairs(got, base) {
 			t.Errorf("maxPairs=%d: pruned enumeration differs from unpruned (%d vs %d pairs)",
 				maxPairs, len(got.refs), len(base.refs))
 		}
@@ -95,24 +95,24 @@ func TestZonePruneExact(t *testing.T) {
 }
 
 // TestStratifiedInvariance pins the stratified sampler's determinism
-// story: the drawn pair set is identical at every parallelism, and the
-// union of stratified PlanEnumShards specs — executed independently and
-// merged in spec order — equals the in-process walk at shard counts
-// 1, 2 and 7.
+// story: the drawn pair set — a labelled subset of the oracle's — is
+// identical at every parallelism, and the union of stratified
+// PlanEnumShards specs — executed independently and merged in spec
+// order — equals the serial walk at shard counts 1, 2 and 7.
 func TestStratifiedInvariance(t *testing.T) {
 	log := zoneSkewedLog(300, 25, rand.New(rand.NewSource(23)))
-	d := features.NewDeriver(log.Schema, features.Level3)
 	q := zoneQuery()
 	const budget = 800
 	seed := stats.DeriveSeed(5, "strat-test")
 
-	base := enumerateRelatedOpt(log, d, q, q.Despite, seed, 1, enumOpts{stratified: true, budget: budget})
+	base := enumLocal(t, log, q, q.Despite, true, budget, seed, serialExec)
 	if len(base.refs) == 0 {
 		t.Fatal("stratified enumeration found no related pairs; fixture is toothless")
 	}
-	for _, workers := range []int{2, 4} {
-		got := enumerateRelatedOpt(log, d, q, q.Despite, seed, workers, enumOpts{stratified: true, budget: budget})
-		if !reflect.DeepEqual(got.refs, base.refs) || !reflect.DeepEqual(got.labels, base.labels) {
+	checkRelated(t, "stratified serial", log, q, q.Despite, base, false)
+	for _, workers := range []int{2, 4, 7} {
+		got := enumLocal(t, log, q, q.Despite, true, budget, seed, Exec{Parallelism: workers})
+		if !samePairs(got, base) {
 			t.Errorf("workers=%d: stratified enumeration differs from serial", workers)
 		}
 	}
@@ -123,7 +123,7 @@ func TestStratifiedInvariance(t *testing.T) {
 		}
 		refs, labels := runPlan(t, specs)
 		if !reflect.DeepEqual(refs, base.refs) || !reflect.DeepEqual(labels, base.labels) {
-			t.Errorf("shards=%d: merged stratified shard output differs from in-process (%d vs %d pairs)",
+			t.Errorf("shards=%d: merged stratified shard output differs from serial (%d vs %d pairs)",
 				nShards, len(refs), len(base.refs))
 		}
 	}
@@ -268,9 +268,7 @@ func TestStratifiedStatisticalEquivalence(t *testing.T) {
 	strat := func(shards int) *Explanation {
 		cfg := Config{Width: 1, Seed: 11, SampleMode: SampleStratified, SampleBudget: 2500}
 		if shards > 0 {
-			cfg.Shards = shards
-			cfg.Runner = serialEvalRunner{}
-			cfg.Layout = FlatLayout(log)
+			cfg.Exec = Exec{Shards: shards, Runner: serialEvalRunner{}, Layout: FlatLayout(log)}
 		}
 		ex, err := NewExplainer(log, cfg)
 		if err != nil {

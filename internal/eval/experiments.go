@@ -18,17 +18,11 @@ import (
 var DefaultWidths = []int{0, 1, 2, 3, 4, 5}
 
 // evaluate measures an explanation on the test log with the harness's
-// protocol settings, on the given worker bound. With sharding
-// configured the quadratic walk fans out through the shard runner —
-// the same pool every repetition and experiment cell shares — and is
-// exact: shard counts sum to the serial totals, so tables are
-// byte-identical with and without a runner.
+// protocol settings, on the given worker bound. The walk is exact
+// whoever executes it — spec counts sum to the same totals — so tables
+// are byte-identical with and without a runner.
 func (h *Harness) evaluate(test *joblog.Log, q *pxql.Query, x *core.Explanation, seed int64, workers int) (core.Metrics, error) {
-	if runner := h.shardRunner(workers); runner != nil {
-		return core.EvaluateExplanationSharded(context.Background(), core.FlatLayout(test), test,
-			features.Level3, q, x, h.MaxPairs, seed, h.Shards, runner)
-	}
-	return core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, h.MaxPairs, seed, workers)
+	return core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, h.MaxPairs, seed, h.exec(test, workers))
 }
 
 // repRows allocates one result row per repetition for each technique;

@@ -10,7 +10,6 @@ import (
 	"perfxplain/internal/joblog"
 	"perfxplain/internal/par"
 	"perfxplain/internal/pxql"
-	"perfxplain/internal/shard"
 	"perfxplain/internal/stats"
 )
 
@@ -55,39 +54,34 @@ type Harness struct {
 	// every setting: reps write into rep-indexed slots and aggregation
 	// reads them in rep order.
 	Parallelism int
-	// Shards and Runner thread sharded pair-pipeline execution (see
-	// core.Config) through every PerfXplain explainer the harness builds
+	// Shards and Runner thread the execution of the quadratic walks (see
+	// core.Exec) through every PerfXplain explainer the harness builds
 	// and through every metric evaluation. One Runner — typically one
 	// worker pool — is shared across all repetitions and experiment
 	// cells, so slices cached worker-side survive from one evaluation to
-	// the next. Setting Shards without a Runner selects the in-process
-	// shard runtime. Tables are byte-identical with and without a runner.
+	// the next. Shards without a Runner cuts that many specs for this
+	// process's cores. Tables are byte-identical with and without a
+	// runner.
 	Shards int
 	Runner core.ShardRunner
 }
 
-// shardRunner resolves the runner the harness's explainers use: the
-// configured one, or the in-process runtime when only Shards was set —
-// Shards must never be silently ignored. workers is the inner
-// parallelism bound of the calling fan-out (see innerParallelism), so
-// concurrent reps don't oversubscribe the cores through their runners.
-func (h *Harness) shardRunner(workers int) core.ShardRunner {
-	if h.Runner == nil && h.Shards > 0 {
-		return shard.InProc{Workers: workers}
+// exec describes who walks log's pair space: the calling fan-out's inner
+// parallelism bound (see innerParallelism — concurrent reps must not
+// oversubscribe the cores), the harness's shard count and, with a
+// Runner, the log's segment layout.
+func (h *Harness) exec(log *joblog.Log, workers int) core.Exec {
+	ex := core.Exec{Parallelism: workers, Shards: h.Shards, Runner: h.Runner}
+	if h.Runner != nil {
+		ex.Layout = core.FlatLayout(log)
 	}
-	return h.Runner
+	return ex
 }
 
 // newExplainer builds a PerfXplain explainer over a training log on the
-// given worker bound, threading the harness's shard configuration —
-// shard count, runner and, with a runner, the log's segment layout —
-// into cfg.
+// given worker bound.
 func (h *Harness) newExplainer(train *joblog.Log, cfg core.Config, workers int) (*core.Explainer, error) {
-	cfg.Parallelism = workers
-	cfg.Shards = h.Shards
-	if cfg.Runner = h.shardRunner(workers); cfg.Runner != nil {
-		cfg.Layout = core.FlatLayout(train)
-	}
+	cfg.Exec = h.exec(train, workers)
 	return core.NewExplainer(train, cfg)
 }
 

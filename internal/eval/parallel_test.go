@@ -49,7 +49,7 @@ func TestLogSizeSweepIdenticalAcrossParallelism(t *testing.T) {
 // TestHarnessTablesIdenticalSharded pins the sharded harness path —
 // explanation generation and metric evaluation both fanned through one
 // shared shard runner (the channel-transport pool, so the full frame
-// protocol and slice cache are exercised) — against the direct path,
+// protocol and slice cache are exercised) — against local execution,
 // byte for byte. The pool persists across both repetitions, so the
 // second table renders against warm worker caches.
 func TestHarnessTablesIdenticalSharded(t *testing.T) {
@@ -65,8 +65,8 @@ func TestHarnessTablesIdenticalSharded(t *testing.T) {
 		return tab.String()
 	}
 	base := render(0, nil)
-	if got := render(3, shard.InProc{Workers: 2}); got != base {
-		t.Errorf("PrecisionVsWidth with in-proc shards differs:\n%s\nvs direct:\n%s", got, base)
+	if got := render(3, nil); got != base {
+		t.Errorf("PrecisionVsWidth with three local specs per walk differs:\n%s\nvs direct:\n%s", got, base)
 	}
 	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}
 	t.Cleanup(pool.Close)

@@ -75,6 +75,21 @@ func (in *Intern) Str(id uint32) string { return in.strs[id] }
 // Len returns the number of interned strings.
 func (in *Intern) Len() int { return len(in.strs) }
 
+// Strings returns a copy of the intern table's strings in symbol-ID
+// order.
+func (in *Intern) Strings() []string {
+	return append([]string(nil), in.strs...)
+}
+
+// clone returns an independent table assigning the same IDs.
+func (in *Intern) clone() *Intern {
+	c := &Intern{strs: in.Strings(), ids: make(map[string]uint32, len(in.ids))}
+	for i, s := range c.strs {
+		c.ids[s] = uint32(i)
+	}
+	return c
+}
+
 // Col is one field's column: exactly one of Num or Sym is non-nil,
 // matching the schema kind, plus the missing bitmap.
 type Col struct {
@@ -222,8 +237,7 @@ func (l *Log) installStats(domains map[string][]string, ranges map[string]numeri
 }
 
 // buildColumnsWith builds the view over an existing intern table — empty
-// for the cached Columns path, pre-seeded for ColumnsSeeded (the shard
-// workers' coordinator-aligned views).
+// for the cached Columns path, a store's shared table for its segments.
 func buildColumnsWith(l *Log, in *Intern) *Columns {
 	n := len(l.Records)
 	c := &Columns{log: l, n: n, gen: l.gen, intern: in, cols: make([]Col, l.Schema.Len())}

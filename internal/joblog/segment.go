@@ -8,8 +8,8 @@ package joblog
 // is sealed into a segment that never changes again. A sealed segment
 // precomputes everything expensive and keeps it forever:
 //
-//   - its wire form and content hash (HashSlice over the records with a
-//     nil intern table) — the shard layer ships segments as hashed
+//   - its wire form and content hash (HashSlice over the records) — the
+//     shard layer ships segments as hashed
 //     LogSlices, so a worker that cached a sealed segment's decoded form
 //     never receives its bytes again, no matter how much the log grows;
 //   - its columnar planes, built against the store's shared append-only
@@ -223,7 +223,7 @@ func (s *Store) sealLocked() {
 		start: start,
 		recs:  recs,
 		wire:  wire,
-		hash:  HashSlice(wire, nil),
+		hash:  HashSlice(wire),
 		cols:  buildColumnsWith(segLog, s.in),
 	}
 	seg.domains, seg.ranges = scanPartStats(s.schema, recs)
@@ -232,7 +232,7 @@ func (s *Store) sealLocked() {
 
 // SegmentView describes one shippable unit of a snapshot: a contiguous
 // run of records, its global start index, and its content hash (the
-// HashSlice of Records with a nil intern table). Sealed views keep their
+// HashSlice of Records). Sealed views keep their
 // hash forever across appends; the tail view's hash changes with every
 // append and is the only slice that re-ships.
 type SegmentView struct {
@@ -268,7 +268,7 @@ func (l *Log) SegmentViews() []SegmentView {
 			wire := WireSlice(l.Schema, recs[start:end])
 			views = append(views, SegmentView{
 				Start:   start,
-				Hash:    HashSlice(wire, nil),
+				Hash:    HashSlice(wire),
 				Records: wire,
 				Sealed:  end-start == DefaultSealThreshold,
 			})
@@ -335,7 +335,7 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 	}
 	if len(s.tail) > 0 {
 		wire := WireSlice(s.schema, s.tail)
-		views = append(views, SegmentView{Start: tailStart, Hash: HashSlice(wire, nil), Records: wire})
+		views = append(views, SegmentView{Start: tailStart, Hash: HashSlice(wire), Records: wire})
 	}
 	return &Snapshot{log: log, segs: views, gen: s.gen}
 }
@@ -348,7 +348,7 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 // assigns, and isolated from future intern growth.
 func (s *Store) assembleColumnsLocked(l *Log, tailStart int) *Columns {
 	n := len(l.Records)
-	priv := internFromStrings(s.in.Strings())
+	priv := s.in.clone()
 	c := &Columns{log: l, n: n, intern: priv, cols: make([]Col, s.schema.Len())}
 	for f := 0; f < s.schema.Len(); f++ {
 		col := &c.cols[f]

@@ -111,14 +111,14 @@ func (w WireLog) Log() (*Log, error) {
 	return l, nil
 }
 
-// HashSlice returns the content address of a wire log slice and the
-// intern table it ships with: the hex SHA-256 of a canonical byte
-// encoding (every variable-length part is length-prefixed, so distinct
-// slices can never alias). Shard workers key their decoded-columns
-// cache on this hash, which is why it must be a pure function of the
-// shipped content and nothing else — not the process, not the pointer
-// identity, not the encoding library's framing.
-func HashSlice(w WireLog, intern []string) string {
+// HashSlice returns the content address of a wire log slice: the hex
+// SHA-256 of a canonical byte encoding (every variable-length part is
+// length-prefixed, so distinct slices can never alias). Shard workers
+// key their decoded-columns cache on this hash, which is why it must be
+// a pure function of the shipped content and nothing else — not the
+// process, not the pointer identity, not the encoding library's
+// framing.
+func HashSlice(w WireLog) string {
 	h := sha256.New()
 	var scratch [8]byte
 	writeUint := func(n uint64) {
@@ -144,50 +144,5 @@ func HashSlice(w WireLog, intern []string) string {
 			writeStr(v.Str)
 		}
 	}
-	writeUint(uint64(len(intern)))
-	for _, s := range intern {
-		writeStr(s)
-	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Strings returns the intern table's strings in symbol-ID order — the
-// serializable form a shard spec ships so a worker's columnar view
-// assigns exactly the same IDs as the coordinator's (see ColumnsSeeded).
-// Callers must not mutate the result's backing array semantics; a copy is
-// returned.
-func (in *Intern) Strings() []string {
-	return append([]string(nil), in.strs...)
-}
-
-// internFromStrings rebuilds an intern table from strings in ID order.
-// Duplicate entries (possible only in corrupt input) keep the first ID in
-// the lookup map, so decoding never panics; lossless round-trips only
-// need the duplicate-free tables Strings produces.
-func internFromStrings(strs []string) *Intern {
-	in := newIntern()
-	for _, s := range strs {
-		if _, ok := in.ids[s]; ok {
-			in.strs = append(in.strs, s) // keep ID positions aligned
-			continue
-		}
-		in.ids[s] = uint32(len(in.strs))
-		in.strs = append(in.strs, s)
-	}
-	return in
-}
-
-// ColumnsSeeded builds a standalone columnar view of the log whose intern
-// table is pre-seeded with strs in ID order before any record is
-// interned. When the log is a slice of a larger one and strs is that
-// larger log's intern table, every nominal cell resolves to exactly the
-// ID the full view assigned it — which makes derived symbol planes
-// (including packed diff symbols) computed by a shard worker bit-equal to
-// the coordinator's. The view is not cached on the log and does not
-// interact with Columns' memo.
-func (l *Log) ColumnsSeeded(strs []string) (*Columns, error) {
-	if uint64(len(strs)) >= 1<<31 {
-		return nil, fmt.Errorf("joblog: seeded intern table too large (%d strings)", len(strs))
-	}
-	return buildColumnsWith(l, internFromStrings(strs)), nil
 }

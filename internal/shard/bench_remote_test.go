@@ -49,13 +49,10 @@ func startListener(tb testing.TB, token string) string {
 func remoteWorkload(tb testing.TB, log *joblog.Log, q *pxql.Query, pool *shard.Pool, shards, evalRounds int) []time.Duration {
 	tb.Helper()
 	ex, err := core.NewExplainer(log, core.Config{
-		Width:       3,
-		Seed:        7,
-		SampleSize:  400,
-		Shards:      shards,
-		Runner:      pool,
-		Layout:      core.FlatLayout(log),
-		Parallelism: 4,
+		Width:      3,
+		Seed:       7,
+		SampleSize: 400,
+		Exec:       core.Exec{Parallelism: 4, Shards: shards, Runner: pool, Layout: core.FlatLayout(log)},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -67,7 +64,8 @@ func remoteWorkload(tb testing.TB, log *joblog.Log, q *pxql.Query, pool *shard.P
 	rounds := make([]time.Duration, evalRounds)
 	for round := 0; round < evalRounds; round++ {
 		r0 := time.Now()
-		if _, err := core.EvaluateExplanationSharded(context.Background(), core.FlatLayout(log), log, features.Level3, q, x, 0, 7, shards, pool); err != nil {
+		if _, err := core.EvaluateExplanation(context.Background(), log, features.Level3, q, x, 0, 7,
+			core.Exec{Shards: shards, Runner: pool, Layout: core.FlatLayout(log)}); err != nil {
 			tb.Fatal(err)
 		}
 		rounds[round] = time.Since(r0)
@@ -110,8 +108,8 @@ func TestBenchRemoteJSON(t *testing.T) {
 	}
 	ratio := float64(off.BytesSent) / float64(on.BytesSent)
 	// The acceptance gate: with identical slices referenced instead of
-	// re-shipped, the score/eval rounds must cut shipped bytes at least
-	// in half. The byte counts are deterministic gob sizes, so this is
+	// re-shipped, the enumeration and evaluation rounds must cut shipped
+	// bytes at least in half. The byte counts are deterministic gob sizes, so this is
 	// not a timing-noise gate.
 	if ratio < 2 {
 		t.Errorf("slice cache saved only %.2fx bytes (on=%d off=%d), want >= 2x", ratio, on.BytesSent, off.BytesSent)

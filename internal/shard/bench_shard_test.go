@@ -3,7 +3,7 @@ package shard_test
 // Shard-merge timing summary for CI (informational, no gate yet): how
 // long planning + execution + merge of the pair-enumeration stage takes
 // in each execution mode — the protocol round-trip cost on top of the
-// in-process walk. Emitted as BENCH_shard.json by the shard CI leg:
+// coordinator's own local execution of the same specs. Emitted as BENCH_shard.json by the shard CI leg:
 //
 //	BENCH_SHARD_JSON=$PWD/BENCH_shard.json go test -run TestBenchShardJSON ./internal/shard
 //
@@ -14,7 +14,6 @@ package shard_test
 import (
 	"encoding/json"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -62,12 +61,15 @@ func benchEnumerate(tb testing.TB, runner core.ShardRunner, shards int) {
 	}
 }
 
-func BenchmarkShardEnumInProc(b *testing.B) {
+// BenchmarkShardEnumLocal is the denominator: the same enumeration
+// planned and run on this process's cores over the resident columns.
+func BenchmarkShardEnumLocal(b *testing.B) {
 	initBench(b)
-	r := shard.InProc{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchEnumerate(b, r, runtime.GOMAXPROCS(0))
+		if n := len(core.RelatedPairsP(benchLog, features.Level3, benchQ, 0, 12345, 0)); n != benchPairs {
+			b.Fatalf("enumerated %d pairs, want %d", n, benchPairs)
+		}
 	}
 }
 
@@ -110,7 +112,7 @@ func TestBenchShardJSON(t *testing.T) {
 		}
 		results[name] = entry{NsPerOp: best, Pairs: benchPairs}
 	}
-	measure("enumerate/inproc", BenchmarkShardEnumInProc)
+	measure("enumerate/local", BenchmarkShardEnumLocal)
 	measure("enumerate/subprocess", BenchmarkShardEnumSubprocess)
 	out := map[string]any{
 		"records":    benchLog.Len(),

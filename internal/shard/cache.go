@@ -2,8 +2,8 @@ package shard
 
 // The worker-side half of content-addressed slice shipping. Planners
 // hash every log slice they cut (core.LogSlice); a worker that receives
-// a full slice decodes it once — log, columnar view, seeded intern
-// table — and keeps the decoded form keyed by hash. When the
+// a full slice decodes it once — log and columnar view — and keeps the
+// decoded form keyed by hash. When the
 // coordinator later ships a hash-only reference (it tracks per
 // connection which hashes it has already sent), the worker resolves it
 // from the cache; if eviction has dropped the entry, the worker answers
@@ -17,9 +17,7 @@ package shard
 // accessed serially by it — no locking.
 
 import (
-	"fmt"
 	"log"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -134,64 +132,27 @@ type workerState struct {
 	cache   *sliceCache
 	combKey string
 	comb    *core.SliceData
-	decodes int // payloads decoded so far
 }
 
 func newWorkerState() *workerState {
 	return &workerState{cache: newSliceCache(cacheBudget())}
 }
 
-// newBatchState is the state behind one InProc batch: a cache that
-// never evicts, dropped with the batch.
-func newBatchState() *workerState {
-	return &workerState{cache: newSliceCache(math.MaxInt64)}
-}
-
 // load resolves the task's slices into the one decoded view its spec
-// runs against: the combined whole-log view of an enum/eval spec's
-// segments, the sample slice of a mat/score spec. miss reports a
-// reference the cache no longer holds — any evicted segment fails the
-// whole frame, and the coordinator clears its shipped marks for every
-// reference in it and re-ships in full.
+// runs against: the combined whole-log view of its segments. miss
+// reports a reference the cache no longer holds — any evicted segment
+// fails the whole frame, and the coordinator clears its shipped marks
+// for every reference in it and re-ships in full.
 func (ws *workerState) load(t *Task) (data *core.SliceData, miss bool, err error) {
 	ss := t.slices()
 	datas := make([]*core.SliceData, len(ss))
-	for i, s := range ss {
-		if datas[i], miss, err = ws.resolve(s); miss || err != nil {
+	for i := range ss {
+		if datas[i], miss, err = ws.resolve(&ss[i]); miss || err != nil {
 			return nil, miss, err
 		}
 	}
-	if t.combined() {
-		data, err = ws.combine(ss, datas)
-		return data, false, err
-	}
-	return datas[0], false, nil
-}
-
-// loadBatch loads every task of a coordinator-built batch, in order,
-// decoding each distinct hashed payload once: a slice an earlier task
-// already resolved is stripped to a reference first, exactly as a pool
-// does for a worker that holds it.
-func (ws *workerState) loadBatch(tasks []Task) ([]*core.SliceData, error) {
-	known := make(map[string]int)
-	datas := make([]*core.SliceData, len(tasks))
-	for i := range tasks {
-		st, _ := tasks[i].strippedWith(known)
-		d, miss, err := ws.load(st)
-		if err != nil {
-			return nil, err
-		}
-		if miss {
-			return nil, fmt.Errorf("shard: task %d references a slice its batch never decoded", i)
-		}
-		datas[i] = d
-		for _, s := range tasks[i].slices() {
-			if s.Hash != "" && !s.Ref {
-				known[s.Hash] = 0
-			}
-		}
-	}
-	return datas, nil
+	data, err = ws.combine(ss, datas)
+	return data, false, err
 }
 
 // resolve produces the decoded form of a spec's slice: a reference
@@ -204,7 +165,6 @@ func (ws *workerState) resolve(s *core.LogSlice) (data *core.SliceData, miss boo
 		}
 		return nil, true, nil
 	}
-	ws.decodes++
 	d, err := s.Data()
 	if err != nil {
 		return nil, false, err
@@ -217,7 +177,7 @@ func (ws *workerState) resolve(s *core.LogSlice) (data *core.SliceData, miss boo
 // into a single combined view, memoizing on the joined segment hashes.
 // Unhashed slices (nothing content-addresses them) combine without
 // memoization.
-func (ws *workerState) combine(ss []*core.LogSlice, datas []*core.SliceData) (*core.SliceData, error) {
+func (ws *workerState) combine(ss []core.LogSlice, datas []*core.SliceData) (*core.SliceData, error) {
 	key := ""
 	for _, s := range ss {
 		if s.Hash == "" {

@@ -90,11 +90,12 @@ func batchLog(n int) *joblog.Log {
 	return log
 }
 
-// TestInProcBatchDecodesEachSliceOnce pins the InProc fix: every spec
-// of a batch carries the same slices, and the batch decodes each
-// distinct one once and combines the segment list once — not once per
-// spec, which was N times the whole log per round at N shards.
-func TestInProcBatchDecodesEachSliceOnce(t *testing.T) {
+// TestWorkerCombinesEachWatermarkOnce pins the worker's side of a
+// batch: every spec of a round carries the same slices, the pool strips
+// all but the first frame to references, and the worker resolves those
+// from its cache and reuses one combined whole-log view — not one
+// concatenation (N times the whole log at N shards) per spec.
+func TestWorkerCombinesEachWatermarkOnce(t *testing.T) {
 	log := batchLog(30)
 	st := joblog.NewStore(log.Schema, 8)
 	for _, r := range log.Records {
@@ -109,42 +110,37 @@ func TestInProcBatchDecodesEachSliceOnce(t *testing.T) {
 	}
 	q := &pxql.Query{Despite: pxql.Predicate{{Feature: "script_issame", Op: pxql.OpEq, Value: features.ValT}}}
 	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 0, 7, 1)
-	tasks := make([]Task, len(specs))
+
+	ws := newWorkerState()
+	known := map[string]int{}
+	var first *core.SliceData
 	for i := range specs {
-		tasks[i] = Task{Enum: &specs[i]}
-	}
-	ws := newBatchState()
-	datas, err := ws.loadBatch(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.decodes != len(layout.Slices) {
-		t.Errorf("a %d-spec batch over %d slices decoded %d payloads", len(specs), len(layout.Slices), ws.decodes)
-	}
-	for i, d := range datas {
-		if d != datas[0] {
-			t.Errorf("spec %d got its own combined view; the batch must combine once", i)
+		frame, refd := (&Task{Enum: &specs[i]}).strippedWith(known)
+		if want := len(known); len(refd) != want {
+			t.Fatalf("spec %d: %d slices stripped to references, want %d", i, len(refd), want)
+		}
+		d, miss, err := ws.load(frame)
+		if err != nil || miss {
+			t.Fatalf("spec %d: load: miss=%v err=%v", i, miss, err)
+		}
+		if first == nil {
+			first = d
+		}
+		if d != first {
+			t.Errorf("spec %d got its own combined view; a worker must combine a watermark once", i)
+		}
+		for _, s := range layout.Slices {
+			known[s.Hash] = 0
 		}
 	}
-	if datas[0].Log.Len() != log.Len() {
-		t.Errorf("combined view holds %d records, want %d", datas[0].Log.Len(), log.Len())
+	if first.Log.Len() != log.Len() {
+		t.Errorf("combined view holds %d records, want %d", first.Log.Len(), log.Len())
 	}
 
-	// Single-slice specs (materialization, scoring) share one sample
-	// slice: one decode for the batch.
-	sample := core.NewLogSlice(log.Wire(), log.Columns().Intern().Strings())
-	mat := []Task{{Mat: &core.MatSpec{Slice: sample}}, {Mat: &core.MatSpec{Slice: sample}}, {Mat: &core.MatSpec{Slice: sample}}}
-	ws = newBatchState()
-	if _, err := ws.loadBatch(mat); err != nil {
-		t.Fatal(err)
-	}
-	if ws.decodes != 1 {
-		t.Errorf("a 3-spec batch over one sample slice decoded %d payloads", ws.decodes)
-	}
-
-	// A pre-stripped reference the batch never saw is a caller bug.
+	// A reference the worker never received is a miss, not an error: the
+	// coordinator re-ships.
 	ref := core.EnumSpec{Slices: []core.LogSlice{layout.Slices[0].AsRef()}}
-	if _, err := newBatchState().loadBatch([]Task{{Enum: &ref}}); err == nil {
-		t.Error("batch accepted a reference to a slice it never decoded")
+	if _, miss, err := newWorkerState().load(&Task{Enum: &ref}); !miss || err != nil {
+		t.Errorf("reference to an unseen slice: miss=%v err=%v, want a miss", miss, err)
 	}
 }

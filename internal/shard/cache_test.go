@@ -31,8 +31,8 @@ func encodeAny(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// matResults runs the full explanation's materialization plan through a
-// runner and returns the gob bytes of the merged results.
+// pipelineResults runs an enumeration and an evaluation plan through a
+// runner and returns the gob bytes of the results.
 func pipelineResults(t *testing.T, log *joblog.Log, runner core.ShardRunner, shards int, seed uint64) []byte {
 	t.Helper()
 	q := equivQuery(t, log)
@@ -57,8 +57,7 @@ func TestSliceCacheBitEqualColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 20; round++ {
 		log := equivLog(10 + rng.Intn(40))
-		intern := log.Columns().Intern().Strings()
-		slice := core.NewLogSlice(log.Wire(), intern)
+		slice := core.NewLogSlice(log.Wire())
 		d1, err := slice.Data()
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +102,7 @@ func TestSliceCacheBitEqualColumns(t *testing.T) {
 func TestSliceCacheStatesEquivalent(t *testing.T) {
 	log := equivLog(50)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 7, nil)
+	want := explainSerial(t, log, q)
 
 	// Baseline: cache on, ample budget; run twice (cold then warm).
 	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}
@@ -157,10 +156,8 @@ func TestSliceCacheEvictionAcrossSlices(t *testing.T) {
 	logB := equivLog(45)
 	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 1}
 	t.Cleanup(pool.Close)
-	inproc := shard.InProc{}
-
-	wantA := pipelineResults(t, logA, inproc, 5, 9)
-	wantB := pipelineResults(t, logB, inproc, 5, 9)
+	wantA := pipelineResults(t, logA, specRunner{}, 5, 9)
+	wantB := pipelineResults(t, logB, specRunner{}, 5, 9)
 	for round := 0; round < 3; round++ {
 		if got := pipelineResults(t, logA, pool, 5, 9); !bytes.Equal(got, wantA) {
 			t.Fatalf("round %d: log A results changed under eviction churn", round)
@@ -178,7 +175,7 @@ func TestSliceCacheEvictionAcrossSlices(t *testing.T) {
 func TestSliceCacheEnvBudget(t *testing.T) {
 	log := equivLog(40)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 4, nil)
+	want := explainSerial(t, log, q)
 
 	exe, err := os.Executable()
 	if err != nil {

@@ -1,11 +1,13 @@
 package shard_test
 
-// The distributed-vs-local equivalence suite: every runner-backed
-// execution mode of the pair pipeline — in-process shards, subprocess
-// workers over the gob pipe protocol, socket and channel transports —
-// planned over the flat log's own segment layout, must produce
-// explanations, atom details and metrics byte-identical to the direct
-// walk (no runner) at every shard count and in every sampling mode. The
+// The distributed-vs-local equivalence suite: every worker transport of
+// the pair pipeline — subprocess workers over the gob pipe protocol,
+// socket and channel transports — planned over the flat log's own
+// segment layout, must produce explanations, atom details and metrics
+// byte-identical to serial local execution (one spec, one goroutine, no
+// runner — itself pinned to the paper's definitions by internal/core's
+// oracle suite) at every shard count and in every sampling mode, and so
+// must local execution at every spec count and parallelism. The
 // cases deliberately include a blocking group large enough to straddle
 // shard boundaries at small shard counts and a log small enough that
 // high shard counts plan empty shards.
@@ -117,16 +119,13 @@ EXPECTED duration_compare = SIM`)
 
 // explainOver runs one full explanation (with generated despite — the
 // mode exercising every pipeline stage twice) plus its held-out metrics
-// and dumps every user-visible facet with full float precision. With a
-// runner both walks plan over layout and run as shard specs — so
-// comparing a sharded dump against the direct one (nil runner, nil
-// layout) pins explanation and evaluation paths alike. cfg carries the
-// sampling mode under test; the shard fields are filled in here.
-func explainOver(t *testing.T, log *joblog.Log, layout *core.SegmentLayout, q *pxql.Query,
-	shards int, runner core.ShardRunner, cfg core.Config) string {
+// and dumps every user-visible facet with full float precision. Both
+// walks — enumeration and evaluation — execute per exec, so comparing a
+// worker-backed dump against the serial local one pins explanation and
+// evaluation paths alike. cfg carries the sampling mode under test.
+func explainOver(t *testing.T, log *joblog.Log, q *pxql.Query, exec core.Exec, cfg core.Config) string {
 	t.Helper()
-	cfg.Width, cfg.Seed, cfg.SampleSize, cfg.Parallelism = 3, 7, 400, 4
-	cfg.Shards, cfg.Runner, cfg.Layout = shards, runner, layout
+	cfg.Width, cfg.Seed, cfg.SampleSize, cfg.Exec = 3, 7, 400, exec
 	ex, err := core.NewExplainer(log, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +141,7 @@ func explainOver(t *testing.T, log *joblog.Log, layout *core.SegmentLayout, q *p
 	for i, a := range x.Atoms {
 		fmt.Fprintf(&b, "atom[%d]: %s precision=%v generality=%v\n", i, a.Atom, a.Precision, a.Generality)
 	}
-	m, err := core.EvaluateExplanationSharded(context.Background(), layout, log, features.Level3, q, x, 0, 7, shards, runner)
+	m, err := core.EvaluateExplanation(context.Background(), log, features.Level3, q, x, 0, 7, exec)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -152,18 +151,53 @@ func explainOver(t *testing.T, log *joblog.Log, layout *core.SegmentLayout, q *p
 }
 
 // explainWith is explainOver in the default Bernoulli mode over a flat
-// log: the direct walk with a nil runner, the log's own layout with one.
+// log, on runner's workers.
 func explainWith(t *testing.T, log *joblog.Log, q *pxql.Query, shards int, runner core.ShardRunner) string {
 	t.Helper()
-	return explainOver(t, log, flatLayout(log, runner), q, shards, runner, core.Config{})
+	return explainOver(t, log, q, pooled(log, shards, runner), core.Config{})
 }
 
-// flatLayout is the layout a runner needs and the direct walk does not.
-func flatLayout(log *joblog.Log, runner core.ShardRunner) *core.SegmentLayout {
-	if runner == nil {
-		return nil
+// explainSerial is the suite's reference: the same pipeline on this
+// process, one spec per walk, one goroutine.
+func explainSerial(t *testing.T, log *joblog.Log, q *pxql.Query) string {
+	t.Helper()
+	return explainOver(t, log, q, serialExec, core.Config{})
+}
+
+var serialExec = core.Exec{Parallelism: 1, Shards: 1}
+
+// pooled is the executor of a flat log's walks on runner's workers.
+func pooled(log *joblog.Log, shards int, runner core.ShardRunner) core.Exec {
+	return core.Exec{Parallelism: 4, Shards: shards, Runner: runner, Layout: core.FlatLayout(log)}
+}
+
+// specRunner executes each spec standalone in this process — it decodes
+// the spec's own slices, with no pool, frame or cache in between — the
+// reference for tests that compare raw spec results.
+type specRunner struct{}
+
+func (specRunner) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
+	out := make([]core.EnumResult, len(specs))
+	for i := range specs {
+		r, err := specs[i].Run()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = *r
 	}
-	return core.FlatLayout(log)
+	return out, nil
+}
+
+func (specRunner) RunEval(specs []core.EvalSpec) ([]core.EvalResult, error) {
+	out := make([]core.EvalResult, len(specs))
+	for i := range specs {
+		r, err := specs[i].Run()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = *r
+	}
+	return out, nil
 }
 
 // workerPool returns a subprocess pool backed by this test binary.
@@ -186,22 +220,27 @@ func shardCounts() []int {
 	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 }
 
+// TestEquivalenceInProcess pins local execution against itself: every
+// spec count (0 = the default eight per worker) at every parallelism
+// reproduces the serial dump.
 func TestEquivalenceInProcess(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
-	for _, n := range shardCounts() {
-		got := explainWith(t, log, q, n, shard.InProc{Workers: 4})
-		if got != want {
-			t.Errorf("in-process shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s", n, got, want)
+	want := explainSerial(t, log, q)
+	for _, n := range append(shardCounts(), 0) {
+		for _, p := range []int{1, 2, 7} {
+			got := explainOver(t, log, q, core.Exec{Parallelism: p, Shards: n}, core.Config{})
+			if got != want {
+				t.Errorf("local shards=%d parallelism=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s", n, p, got, want)
+			}
 		}
 	}
 }
 
 // TestEquivalenceSamplingModes runs the stratified and Wilson-adaptive
 // modes — budgeted per-group draws, and a pilot round feeding a final
-// one — through every runtime: each must reproduce the direct walk of
-// its mode at shards 1, 2 and 7.
+// one — through every executor: each must reproduce the serial local
+// run of its mode at shards 1, 2 and 7.
 func TestEquivalenceSamplingModes(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
@@ -209,7 +248,7 @@ func TestEquivalenceSamplingModes(t *testing.T) {
 		name   string
 		runner core.ShardRunner
 	}{
-		{"inproc", shard.InProc{Workers: 4}},
+		{"local", nil},
 		{"chan", chanPool(t, 3)},
 		{"subprocess", workerPool(t, 3)},
 		{"socket", socketPool(t, 2)},
@@ -218,11 +257,15 @@ func TestEquivalenceSamplingModes(t *testing.T) {
 		{SampleMode: core.SampleStratified, SampleBudget: 600},
 		{SampleMode: core.SampleStratified, SampleBudget: 600, SamplePilot: 0.25},
 	} {
-		want := explainOver(t, log, nil, q, 0, nil, mode)
+		want := explainOver(t, log, q, serialExec, mode)
 		for _, r := range runners {
 			for _, n := range []int{1, 2, 7} {
-				if got := explainOver(t, log, core.FlatLayout(log), q, n, r.runner, mode); got != want {
-					t.Errorf("%s pilot=%v shards=%d diverges from the direct walk:\n--- got ---\n%s--- want ---\n%s",
+				exec := core.Exec{Parallelism: 4, Shards: n}
+				if r.runner != nil {
+					exec = pooled(log, n, r.runner)
+				}
+				if got := explainOver(t, log, q, exec, mode); got != want {
+					t.Errorf("%s pilot=%v shards=%d diverges from the serial run:\n--- got ---\n%s--- want ---\n%s",
 						r.name, mode.SamplePilot, n, got, want)
 				}
 			}
@@ -233,7 +276,7 @@ func TestEquivalenceSamplingModes(t *testing.T) {
 func TestEquivalenceSubprocess(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
+	want := explainSerial(t, log, q)
 	pool := workerPool(t, 3)
 	for _, n := range shardCounts() {
 		got := explainWith(t, log, q, n, pool)
@@ -245,7 +288,7 @@ func TestEquivalenceSubprocess(t *testing.T) {
 
 // TestEquivalenceEmptyShards pins the empty-shard case: a log whose
 // despite context has fewer outer units than the shard count, so
-// trailing specs carry no groups — in both execution modes.
+// trailing specs carry no groups — locally and on workers.
 func TestEquivalenceEmptyShards(t *testing.T) {
 	log := equivLog(14) // big group ~9 records, others tiny
 	q := equivQuery(t, log)
@@ -259,9 +302,9 @@ func TestEquivalenceEmptyShards(t *testing.T) {
 	if empty == 0 {
 		t.Fatalf("expected empty shards in a 64-way plan of a %d-record log", log.Len())
 	}
-	want := explainWith(t, log, q, 0, nil)
-	if got := explainWith(t, log, q, 64, shard.InProc{}); got != want {
-		t.Errorf("in-process 64-way sharding diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
+	want := explainSerial(t, log, q)
+	if got := explainOver(t, log, q, core.Exec{Shards: 64}, core.Config{}); got != want {
+		t.Errorf("local 64-way sharding diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	if got := explainWith(t, log, q, 64, workerPool(t, 3)); got != want {
 		t.Errorf("subprocess 64-way sharding diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -290,8 +333,11 @@ func TestEquivalenceStraddlingGroup(t *testing.T) {
 	if !straddles {
 		t.Fatal("expected at least one blocking group to straddle shard boundaries at 7 shards")
 	}
-	want := explainWith(t, log, q, 0, nil)
-	if got := explainWith(t, log, q, 7, shard.InProc{}); got != want {
+	want := explainSerial(t, log, q)
+	if got := explainOver(t, log, q, core.Exec{Shards: 7}, core.Config{}); got != want {
+		t.Errorf("local straddling-group plan diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if got := explainWith(t, log, q, 7, chanPool(t, 2)); got != want {
 		t.Errorf("straddling-group plan diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
@@ -327,12 +373,12 @@ func chanPool(t *testing.T, workers int) *shard.Pool {
 
 // TestEquivalenceSocket pins the loopback-TCP transport: byte-identical
 // output at every shard count, with the slice cache cold (first pass)
-// and warm (second pass over the same pool — by then every sample and
-// evaluation slice is cached worker-side and ships as a hash).
+// and warm (second pass over the same pool — by then every segment
+// slice is cached worker-side and ships as a hash).
 func TestEquivalenceSocket(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
+	want := explainSerial(t, log, q)
 	pool := socketPool(t, 2)
 	for pass, label := range []string{"cold", "warm"} {
 		for _, n := range shardCounts() {
@@ -354,7 +400,7 @@ func TestEquivalenceSocket(t *testing.T) {
 func TestEquivalenceChanTransport(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
+	want := explainSerial(t, log, q)
 	pool := chanPool(t, 3)
 	for _, n := range shardCounts() {
 		got := explainWith(t, log, q, n, pool)
@@ -496,7 +542,7 @@ func TestSubprocessWorkerFailure(t *testing.T) {
 	q := equivQuery(t, log)
 	pool := &shard.Pool{Command: []string{"/nonexistent/pxql-worker"}, Workers: 2}
 	t.Cleanup(pool.Close)
-	ex, err := core.NewExplainer(log, core.Config{Seed: 7, Shards: 4, Runner: pool, Layout: core.FlatLayout(log)})
+	ex, err := core.NewExplainer(log, core.Config{Seed: 7, Exec: core.Exec{Shards: 4, Runner: pool, Layout: core.FlatLayout(log)}})
 	if err != nil {
 		t.Fatal(err)
 	}

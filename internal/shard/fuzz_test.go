@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"perfxplain/internal/core"
@@ -109,7 +110,7 @@ func (d *byteDriver) fuzzPredicate(dr *features.Deriver) pxql.Predicate {
 // gobBytes encodes v with a fresh encoder — equal values produce equal
 // streams, making re-encoding a losslessness check that treats nil and
 // empty slices (which gob cannot distinguish) uniformly.
-func gobBytes(t *testing.T, v any) []byte {
+func gobBytes(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -186,6 +187,49 @@ func v5Frame(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// v6MatFrame is a materialization task as protocol v6 framed it: the
+// training sample's one slice, with the coordinator's intern table, and
+// its slice-local pair indices. v7 has neither the spec kind nor the
+// intern field.
+func v6MatFrame(t testing.TB) []byte {
+	spec := seedSpec()
+	type v6LogSlice struct {
+		Hash   string
+		Log    joblog.WireLog
+		Intern []string
+	}
+	type v6MatSpec struct {
+		Slice        v6LogSlice
+		Level        features.Level
+		PairA, PairB []int
+		Row0         int
+	}
+	type v6Task struct {
+		Version int
+		Seq     int
+		Mat     *v6MatSpec
+	}
+	return gobBytes(t, &v6Task{Version: 6, Seq: 4, Mat: &v6MatSpec{
+		Slice: v6LogSlice{Hash: spec.Slices[0].Hash, Log: spec.Slices[0].Log, Intern: []string{"a", "b"}},
+		Level: features.Level3, PairA: []int{0}, PairB: []int{1},
+	}})
+}
+
+// removedFieldFrame is a frame claiming the current version whose only
+// payload is a field the protocol no longer has: a scoring spec.
+func removedFieldFrame(t testing.TB) []byte {
+	type scoreSpec struct {
+		Target         string
+		FeatLo, FeatHi int
+	}
+	type task struct {
+		Version int
+		Seq     int
+		Score   *scoreSpec
+	}
+	return gobBytes(t, &task{Version: shard.Version, Seq: 5, Score: &scoreSpec{Target: "duration", FeatHi: 3}})
+}
+
 // workerResults feeds one frame to a worker loop and decodes every
 // result it answers with.
 func workerResults(t *testing.T, frame []byte) []shard.Result {
@@ -206,7 +250,8 @@ func workerResults(t *testing.T, frame []byte) []shard.Result {
 }
 
 // TestWorkerRefusesV5Frame pins the cross-version contract: a v5 frame
-// decodes (gob drops the fields v6 no longer has) and is answered with
+// decodes (gob drops the fields the protocol no longer has) and is
+// answered with
 // the version-mismatch error — it never runs, and never panics.
 func TestWorkerRefusesV5Frame(t *testing.T) {
 	results := workerResults(t, v5Frame(t))
@@ -216,8 +261,27 @@ func TestWorkerRefusesV5Frame(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesRemovedSpecKinds pins what became of the spec kinds
+// v7 deleted: a v6 materialization frame is a version mismatch like any
+// other old frame, and a current-version frame carrying only a removed
+// field decodes to a task with no spec (gob drops unknown fields) and is
+// refused as such — typed errors, never a panic, never a result.
+func TestWorkerRefusesRemovedSpecKinds(t *testing.T) {
+	results := workerResults(t, v6MatFrame(t))
+	if len(results) != 1 || results[0].Seq != 4 || results[0].Enum != nil || results[0].Eval != nil ||
+		results[0].Err != fmt.Sprintf("shard: protocol version 6, want %d", shard.Version) {
+		t.Errorf("v6 materialization frame answered with %+v", results)
+	}
+	results = workerResults(t, removedFieldFrame(t))
+	if len(results) != 1 || results[0].Seq != 5 || results[0].Enum != nil || results[0].Eval != nil ||
+		results[0].Err != "shard: task carries no spec" {
+		t.Errorf("frame carrying only a removed field answered with %+v", results)
+	}
+}
+
 // TestSpecWithoutSlices pins the error for a spec that carries no
-// records at all, standalone and through the worker loop.
+// records at all — what a locally planned spec looks like to a worker —
+// standalone, through the worker loop and through a pool.
 func TestSpecWithoutSlices(t *testing.T) {
 	const want = "core: spec has no slices"
 	enum := seedSpec()
@@ -237,8 +301,8 @@ func TestSpecWithoutSlices(t *testing.T) {
 			t.Errorf("worker answered a spec without slices with %+v", results)
 		}
 	}
-	if _, err := (shard.InProc{}).RunEval([]core.EvalSpec{eval}); err == nil || err.Error() != want {
-		t.Errorf("in-process runner on a spec without slices: %v", err)
+	if _, err := chanPool(t, 1).RunEval([]core.EvalSpec{eval}); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("pool on a spec without slices: %v", err)
 	}
 }
 
@@ -247,8 +311,10 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x7a}, 40))
 	f.Add([]byte("DESPITE pigscript_issame = T OBSERVED duration_compare = GT"))
-	// Well-formed frames for the mutator to start from: a v6 task, the
-	// same task with its slice list emptied, and a v5-framed one.
+	// Well-formed frames for the mutator to start from: a current task,
+	// the same task with its slice list emptied, a v5-framed one, a
+	// v6-framed materialization task, and a current frame whose only
+	// payload is a field the protocol removed.
 	spec := seedSpec()
 	var frame bytes.Buffer
 	if err := gob.NewEncoder(&frame).Encode(&shard.Task{Version: shard.Version, Seq: 1, Enum: &spec}); err != nil {
@@ -262,6 +328,8 @@ func FuzzShardCodec(f *testing.F) {
 	}
 	f.Add(frame.Bytes())
 	f.Add(v5Frame(f))
+	f.Add(v6MatFrame(f))
+	f.Add(removedFieldFrame(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
@@ -329,8 +397,8 @@ func FuzzShardCodec(f *testing.F) {
 			}
 		}
 
-		// The log slice and intern table round-trip losslessly on their
-		// own (the codec pieces in joblog).
+		// The log slice round-trips losslessly on its own (the codec
+		// piece in joblog).
 		wire := log.Wire()
 		roundTripGob(t, &wire)
 		roundTripJSON(t, &wire)
@@ -338,16 +406,6 @@ func FuzzShardCodec(f *testing.F) {
 			t.Fatalf("decode of own wire log: %v", err)
 		} else if back.Len() != log.Len() {
 			t.Fatalf("wire log length changed: %d vs %d", back.Len(), log.Len())
-		}
-		intern := log.Columns().Intern().Strings()
-		cols, err := log.ColumnsSeeded(intern)
-		if err != nil {
-			t.Fatalf("seed with own intern table: %v", err)
-		}
-		for s := 0; s < cols.Intern().Len() && s < len(intern); s++ {
-			if cols.Intern().Str(uint32(s)) != intern[s] {
-				t.Fatalf("seeded intern table reordered symbol %d", s)
-			}
 		}
 
 		// Property 2b: a valid frame with fuzzer-chosen corruption — no

@@ -4,8 +4,8 @@ package shard
 // transports — subprocess pipes, in-process channel workers, or
 // authenticated TCP sockets to remote machines (see transport.go).
 // Workers are dialed lazily on first use and persist across batches (an
-// Explain makes several runner calls: enumeration, materialization, one
-// scoring round per clause atom; a harness adds evaluation rounds);
+// Explain makes one enumeration call per round — two with a generated
+// despite clause or a pilot pass; a harness adds evaluation rounds);
 // Close terminates them. Specs are pulled off a shared counter, so
 // scheduling is dynamic, but results land in spec-indexed slots —
 // output never depends on which worker ran what.
@@ -157,11 +157,7 @@ func (w *workerProc) exchange(p *Pool, t *Task) (*Result, error) {
 	// worker sending an enumeration result for an eval task is protocol
 	// corruption, not a mergeable answer.
 	if res.Err == "" && !res.CacheMiss {
-		kindMismatch := (res.Enum != nil) != (t.Enum != nil) ||
-			(res.Mat != nil) != (t.Mat != nil) ||
-			(res.Score != nil) != (t.Score != nil) ||
-			(res.Eval != nil) != (t.Eval != nil)
-		if kindMismatch {
+		if (res.Enum != nil) != (t.Enum != nil) || (res.Eval != nil) != (t.Eval != nil) {
 			return nil, &TransportError{Op: "recv", Peer: w.tr.Peer(), Diag: w.tr.Diag(),
 				Err: fmt.Errorf("result kind does not match task %d's spec", t.Seq)}
 		}
@@ -230,8 +226,9 @@ func (w *workerProc) roundTrip(p *Pool, t *Task) (*Result, error) {
 // markShipped records every hashed payload slice of a successful frame
 // as held by the worker, counting a cache miss for each newly shipped
 // hash. Callers hold w.mu.
-func (w *workerProc) markShipped(p *Pool, ss []*core.LogSlice) {
-	for _, s := range ss {
+func (w *workerProc) markShipped(p *Pool, ss []core.LogSlice) {
+	for i := range ss {
+		s := &ss[i]
 		if s.Hash == "" || s.Ref {
 			continue
 		}
@@ -377,46 +374,6 @@ func (p *Pool) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
 			return nil, fmt.Errorf("shard: worker returned no enumeration result for spec %d", i)
 		}
 		out[i] = *results[i].Enum
-	}
-	return out, nil
-}
-
-// RunMat implements core.ShardRunner.
-func (p *Pool) RunMat(specs []core.MatSpec) ([]core.MatResult, error) {
-	tasks := make([]Task, len(specs))
-	for i := range specs {
-		tasks[i] = Task{Version: Version, Seq: i, Mat: &specs[i]}
-	}
-	results, err := p.do(tasks)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.MatResult, len(specs))
-	for i := range results {
-		if results[i].Mat == nil {
-			return nil, fmt.Errorf("shard: worker returned no materialization result for spec %d", i)
-		}
-		out[i] = *results[i].Mat
-	}
-	return out, nil
-}
-
-// RunScore implements core.ShardRunner.
-func (p *Pool) RunScore(specs []core.ScoreSpec) ([]core.ScoreResult, error) {
-	tasks := make([]Task, len(specs))
-	for i := range specs {
-		tasks[i] = Task{Version: Version, Seq: i, Score: &specs[i]}
-	}
-	results, err := p.do(tasks)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.ScoreResult, len(specs))
-	for i := range results {
-		if results[i].Score == nil {
-			return nil, fmt.Errorf("shard: worker returned no scoring result for spec %d", i)
-		}
-		out[i] = *results[i].Score
 	}
 	return out, nil
 }

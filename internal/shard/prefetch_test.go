@@ -13,7 +13,6 @@ import (
 
 	"perfxplain/internal/core"
 	"perfxplain/internal/features"
-	"perfxplain/internal/shard"
 )
 
 // waitFor polls cond for up to two seconds — prefetch shipping is
@@ -34,7 +33,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // exactly once (PrefetchSent), the tasks that follow ship stripped
 // reference frames (SliceHits), each prefetched slice converts to a
 // prefetch hit on first use (PrefetchHits), and the results are
-// byte-identical to the in-process runner's.
+// byte-identical to the specs' standalone execution.
 func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
@@ -61,7 +60,7 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 		return pool.Stats().PrefetchSent == int64(workers*len(slices))
 	})
 
-	want, err := shard.InProc{}.RunEval(specs)
+	want, err := specRunner{}.RunEval(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("prefetched eval results diverge from in-process:\n got %+v\nwant %+v", got, want)
+		t.Errorf("prefetched eval results diverge from standalone execution:\n got %+v\nwant %+v", got, want)
 	}
 
 	s := pool.Stats()
@@ -96,23 +95,23 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 }
 
 // TestPrefetchPipelineEquivalence is the race-the-tasks case: the full
-// explanation pipeline (generated despite, multiple grow rounds, sharded
-// evaluation) on remote socket workers issues prefetches concurrently
-// with its own task rounds, and the output must stay byte-identical to
-// the serial path whoever wins each race.
+// explanation pipeline (generated despite, two enumeration rounds,
+// sharded evaluation) on remote socket workers issues prefetches
+// concurrently with its own task rounds, and the output must stay
+// byte-identical to the serial path whoever wins each race.
 func TestPrefetchPipelineEquivalence(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
+	want := explainSerial(t, log, q)
 	pool := socketPool(t, 2)
 	for _, n := range []int{2, 7} {
 		if got := explainWith(t, log, q, n, pool); got != want {
 			t.Errorf("socket shards=%d with prefetch diverges from serial:\n--- got ---\n%s--- want ---\n%s", n, got, want)
 		}
 	}
-	// The sample slice and the evaluation slices are announced ahead of
-	// their rounds; with two workers at least some prefetches must win
-	// their races and ship. (How many is scheduling-dependent — the
+	// The layout's slices are announced at the head of every planning
+	// round; with two workers at least some prefetches must win their
+	// races and ship. (How many is scheduling-dependent — the
 	// deterministic accounting is pinned above.)
 	waitFor(t, "at least one pipeline prefetch to ship", func() bool {
 		return pool.Stats().PrefetchSent > 0

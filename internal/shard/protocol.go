@@ -6,16 +6,15 @@ package shard
 // channel pair, or an authenticated TCP socket (see transport.go; the
 // frames are transport-agnostic). Every frame carries the protocol
 // version; a worker refuses mismatched frames with an error result
-// instead of guessing. The payloads themselves (log slices, intern
-// tables, predicate specs, splitmix counter ranges) are the core
-// package's shard spec types, whose decode paths validate everything —
+// instead of guessing. The payloads themselves (log slices, predicate
+// specs, splitmix counter ranges) are the core package's shard spec
+// types, whose decode paths validate everything —
 // a corrupt or malicious frame produces an error result, never a panic
 // (FuzzShardCodec pins this).
 //
 // Every spec carries its records as content-addressed log slices — the
-// log's segment layout on Enum and Eval specs, the training sample's one
-// slice on Mat and Score specs — and any of them may arrive as a
-// reference: the slice's hash without its payload, when the coordinator
+// log's segment layout — and any of them may arrive as a reference: the
+// slice's hash without its payload, when the coordinator
 // knows it already shipped the payload on this connection. A worker that
 // no longer holds a slice (cache eviction) answers with CacheMiss, and
 // the coordinator re-ships the full frame — so caching changes bytes on
@@ -50,9 +49,12 @@ import (
 // Version 6: slices are the only record carriage — EnumSpec.Log,
 // EnumSpec.Global, EvalSpec.Slice and EvalSpec.Global are gone, and
 // group members index the concatenated slices directly.
-const Version = 6
+// Version 7: the training sample never leaves the coordinator —
+// Task.Mat, Task.Score, Result.Mat, Result.Score and LogSlice.Intern are
+// gone; enumeration and evaluation are the only spec kinds.
+const Version = 7
 
-//pxql:wirehash a8a230bd3147c114 v=6
+//pxql:wirehash 4b7e22dbdf19f9a5 v=7
 
 // Task is one request frame: exactly one spec pointer is set — or
 // Prefetch alone, a payload-only frame that warms the worker's
@@ -66,40 +68,21 @@ type Task struct {
 	Version  int
 	Seq      int
 	Enum     *core.EnumSpec
-	Mat      *core.MatSpec
-	Score    *core.ScoreSpec
 	Eval     *core.EvalSpec
 	Prefetch *core.LogSlice
 }
 
-// slices returns the task's content-addressed log slices, in order: the
-// segment slices of an enum/eval spec, the single sample slice of a
-// mat/score spec, nil for a task that carries no spec.
-func (t *Task) slices() []*core.LogSlice {
-	many := func(ss []core.LogSlice) []*core.LogSlice {
-		out := make([]*core.LogSlice, len(ss))
-		for i := range ss {
-			out[i] = &ss[i]
-		}
-		return out
-	}
+// slices returns the task's content-addressed log slices — its spec's
+// segment layout, in order; nil for a task that carries no spec.
+func (t *Task) slices() []core.LogSlice {
 	switch {
 	case t.Enum != nil:
-		return many(t.Enum.Slices)
-	case t.Mat != nil:
-		return []*core.LogSlice{&t.Mat.Slice}
-	case t.Score != nil:
-		return []*core.LogSlice{&t.Score.Slice}
+		return t.Enum.Slices
 	case t.Eval != nil:
-		return many(t.Eval.Slices)
+		return t.Eval.Slices
 	}
 	return nil
 }
-
-// combined reports whether the task's slices are segments of one log —
-// the worker concatenates their decoded forms into a single view —
-// rather than one standalone sample slice.
-func (t *Task) combined() bool { return t.Enum != nil || t.Eval != nil }
 
 // strippedWith returns a copy of the task in which every slice whose
 // hash is in known is replaced by its hash reference — the frame sent
@@ -109,39 +92,24 @@ func (t *Task) combined() bool { return t.Enum != nil || t.Eval != nil }
 // payloads.
 func (t *Task) strippedWith(known map[string]int) (*Task, []string) {
 	var refd []string
-	strip := func(s core.LogSlice) core.LogSlice {
-		if s.Hash != "" && !s.Ref {
-			if _, ok := known[s.Hash]; ok {
-				refd = append(refd, s.Hash)
-				return s.AsRef()
-			}
+	ss := t.slices()
+	out := make([]core.LogSlice, len(ss))
+	for i, s := range ss {
+		if _, ok := known[s.Hash]; ok && s.Hash != "" && !s.Ref {
+			refd = append(refd, s.Hash)
+			s = s.AsRef()
 		}
-		return s
-	}
-	stripAll := func(ss []core.LogSlice) []core.LogSlice {
-		out := make([]core.LogSlice, len(ss))
-		for i, s := range ss {
-			out[i] = strip(s)
-		}
-		return out
+		out[i] = s
 	}
 	c := *t
 	switch {
 	case t.Enum != nil:
 		e := *t.Enum
-		e.Slices = stripAll(e.Slices)
+		e.Slices = out
 		c.Enum = &e
-	case t.Mat != nil:
-		m := *t.Mat
-		m.Slice = strip(m.Slice)
-		c.Mat = &m
-	case t.Score != nil:
-		s := *t.Score
-		s.Slice = strip(s.Slice)
-		c.Score = &s
 	case t.Eval != nil:
 		e := *t.Eval
-		e.Slices = stripAll(e.Slices)
+		e.Slices = out
 		c.Eval = &e
 	}
 	return &c, refd
@@ -159,8 +127,6 @@ type Result struct {
 	Err       string
 	CacheMiss bool
 	Enum      *core.EnumResult
-	Mat       *core.MatResult
-	Score     *core.ScoreResult
 	Eval      *core.EvalResult
 }
 

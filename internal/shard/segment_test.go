@@ -2,8 +2,8 @@ package shard_test
 
 // Store-snapshot equivalence through real worker pools: specs planned
 // over a snapshot's layout — several sealed segments plus a tail — must
-// reproduce the direct walk over the static flat log byte for byte on
-// every transport, and — the point of sealing — appends must leave
+// reproduce serial local execution over the static flat log byte for
+// byte on every transport, and — the point of sealing — appends must leave
 // sealed segments warm in worker caches so only new slices re-ship.
 
 import (
@@ -13,7 +13,6 @@ import (
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
 	"perfxplain/internal/pxql"
-	"perfxplain/internal/shard"
 )
 
 // segmentedOver replays a log through a segment store and returns the
@@ -33,25 +32,26 @@ func segmentedOver(t *testing.T, log *joblog.Log, sealEvery int) (*joblog.Log, *
 }
 
 // explainSegmented is explainOver in the default Bernoulli mode over a
-// snapshot log and its store's layout.
+// snapshot log, on runner's workers over its store's layout.
 func explainSegmented(t *testing.T, log *joblog.Log, layout *core.SegmentLayout,
 	q *pxql.Query, shards int, runner core.ShardRunner) string {
 	t.Helper()
-	return explainOver(t, log, layout, q, shards, runner, core.Config{})
+	return explainOver(t, log, q, core.Exec{Parallelism: 4, Shards: shards, Runner: runner, Layout: layout}, core.Config{})
 }
 
-// TestEquivalenceSegmentedInProcess pins that segmented plans match the
-// serial static-log path at several seal thresholds — including ones
-// that split the dominant blocking group across segments — and shard
-// counts.
+// TestEquivalenceSegmentedInProcess pins that local execution over a
+// store snapshot — whose resident columns are stitched from its sealed
+// segments — matches the serial static-log run at several seal
+// thresholds — including ones that split the dominant blocking group
+// across segments — and spec counts.
 func TestEquivalenceSegmentedInProcess(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
+	want := explainSerial(t, log, q)
 	for _, sealEvery := range []int{13, 40} {
-		snapLog, layout := segmentedOver(t, log, sealEvery)
+		snapLog, _ := segmentedOver(t, log, sealEvery)
 		for _, n := range []int{1, 2, 7} {
-			got := explainSegmented(t, snapLog, layout, q, n, shard.InProc{Workers: 4})
+			got := explainOver(t, snapLog, q, core.Exec{Parallelism: 4, Shards: n}, core.Config{})
 			if got != want {
 				t.Errorf("segmented seal=%d shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
 					sealEvery, n, got, want)
@@ -65,7 +65,7 @@ func TestEquivalenceSegmentedInProcess(t *testing.T) {
 func TestEquivalenceSegmentedSubprocess(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
+	want := explainSerial(t, log, q)
 	snapLog, layout := segmentedOver(t, log, 13)
 	pool := workerPool(t, 3)
 	for _, n := range []int{1, 2, 7} {
@@ -83,7 +83,7 @@ func TestEquivalenceSegmentedSubprocess(t *testing.T) {
 func TestEquivalenceSegmentedChanTransport(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
+	want := explainSerial(t, log, q)
 	snapLog, layout := segmentedOver(t, log, 13)
 	pool := chanPool(t, 3)
 	for pass, label := range []string{"cold", "warm"} {
@@ -122,7 +122,7 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := equivQuery(t, log)
-		want := explainWith(t, log, q, 0, nil)
+		want := explainSerial(t, log, q)
 		if got := explainSegmented(t, log, layout, q, 2, pool); got != want {
 			t.Fatalf("segmented explanation at watermark %d diverges:\n--- got ---\n%s--- want ---\n%s",
 				snap.Len(), got, want)
@@ -183,7 +183,7 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 func TestFlatLogWarmCacheAcrossQueries(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	want := explainWith(t, log, q, 0, nil)
+	want := explainSerial(t, log, q)
 	// One worker so the ledger is deterministic: every payload ships
 	// exactly once, every later reference is a hit.
 	pool := chanPool(t, 1)

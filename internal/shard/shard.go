@@ -1,89 +1,25 @@
-// Package shard is the execution runtime for the pair pipeline's shard
-// specs (see internal/core/shard.go): it runs planned enumeration,
-// materialization, candidate-scoring and evaluation shards either on
-// this process's worker pool (InProc — the default) or on a Pool of
-// workers reached through pluggable transports: subprocess stdin/stdout
-// pipes (`pxql -shard-worker`), in-process channel workers, or
-// authenticated TCP sockets to remote machines running `pxql
-// -shard-worker -listen` (see transport.go and Serve).
+// Package shard is the worker runtime for the pair pipeline's shard
+// specs (see internal/core/shard.go): a Pool ships planned enumeration
+// and evaluation specs to workers reached through pluggable transports —
+// subprocess stdin/stdout pipes (`pxql -shard-worker`), in-process
+// channel workers, or authenticated TCP sockets to remote machines
+// running `pxql -shard-worker -listen` (see transport.go and Serve) —
+// and each worker walks them with the same kernels the coordinator runs
+// locally when no pool is configured. Only the two quadratic walks ship:
+// the training sample they feed is small by construction (§4.3), so
+// materialization, growth and diagnostics stay on the coordinator.
 //
-// Both runtimes implement core.ShardRunner and return results in spec
-// order, so the merged output is byte-identical to the serial path at
-// every shard count, on every transport, and with the content-addressed
-// slice cache (cache.go) in any state — the property the equivalence
-// test suite pins.
+// Pool implements core.ShardRunner and returns results in spec order,
+// so the merged output is byte-identical to local execution at every
+// shard count, on every transport, and with the content-addressed slice
+// cache (cache.go) in any state — the property the equivalence test
+// suite pins.
 package shard
 
 import (
 	"fmt"
 	"sync"
-
-	"perfxplain/internal/core"
-	"perfxplain/internal/par"
 )
-
-// InProc executes shard specs on this process's worker pool. It is the
-// default runtime: no serialization, no processes — each distinct slice
-// of a batch is decoded once, then par.Do over the specs, results in
-// spec order.
-type InProc struct {
-	// Workers bounds the concurrent specs (<= 0 means GOMAXPROCS).
-	Workers int
-}
-
-// runInProc is the one batch executor behind InProc's four Run methods:
-// it resolves every spec's slices through a batch-lifetime cache (the
-// specs of a batch share their slices, so each decodes — and each
-// segment list combines — once, not once per spec), then runs the specs
-// concurrently, capturing the first error in spec order.
-func runInProc[S, R any](r InProc, specs []S, task func(*S) Task,
-	run func(*S, *core.SliceData) (*R, error)) ([]R, error) {
-
-	tasks := make([]Task, len(specs))
-	for i := range specs {
-		tasks[i] = task(&specs[i])
-	}
-	datas, err := newBatchState().loadBatch(tasks)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]R, len(specs))
-	errs := make([]error, len(specs))
-	par.Do(len(specs), r.Workers, func(i int) {
-		res, err := run(&specs[i], datas[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out[i] = *res
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// RunEnum implements core.ShardRunner.
-func (r InProc) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
-	return runInProc(r, specs, func(s *core.EnumSpec) Task { return Task{Enum: s} }, (*core.EnumSpec).RunWith)
-}
-
-// RunMat implements core.ShardRunner.
-func (r InProc) RunMat(specs []core.MatSpec) ([]core.MatResult, error) {
-	return runInProc(r, specs, func(s *core.MatSpec) Task { return Task{Mat: s} }, (*core.MatSpec).RunWith)
-}
-
-// RunScore implements core.ShardRunner.
-func (r InProc) RunScore(specs []core.ScoreSpec) ([]core.ScoreResult, error) {
-	return runInProc(r, specs, func(s *core.ScoreSpec) Task { return Task{Score: s} }, (*core.ScoreSpec).RunWith)
-}
-
-// RunEval implements core.ShardRunner.
-func (r InProc) RunEval(specs []core.EvalSpec) ([]core.EvalResult, error) {
-	return runInProc(r, specs, func(s *core.EvalSpec) Task { return Task{Eval: s} }, (*core.EvalSpec).RunWith)
-}
 
 // dispatch hands one decoded task to its executor — shared by every
 // worker loop (subprocess, socket connection, in-proc goroutine). The
@@ -96,7 +32,7 @@ func (ws *workerState) dispatch(t *Task) *Result {
 		// A panic must never kill a worker serving other shards: corrupt
 		// frames that slip past spec validation surface as task errors.
 		if r := recover(); r != nil {
-			res.Enum, res.Mat, res.Score, res.Eval = nil, nil, nil, nil
+			res.Enum, res.Eval = nil, nil
 			res.CacheMiss = false
 			res.Err = fmt.Sprintf("shard: task panicked: %v", r)
 		}
@@ -119,7 +55,7 @@ func (ws *workerState) dispatch(t *Task) *Result {
 		}
 		return res
 	}
-	if t.Enum == nil && t.Mat == nil && t.Score == nil && t.Eval == nil {
+	if t.Enum == nil && t.Eval == nil {
 		res.Err = "shard: task carries no spec"
 		return res
 	}
@@ -129,14 +65,9 @@ func (ws *workerState) dispatch(t *Task) *Result {
 		return res
 	}
 	if err == nil {
-		switch {
-		case t.Enum != nil:
+		if t.Enum != nil {
 			res.Enum, err = t.Enum.RunWith(data)
-		case t.Mat != nil:
-			res.Mat, err = t.Mat.RunWith(data)
-		case t.Score != nil:
-			res.Score, err = t.Score.RunWith(data)
-		default:
+		} else {
 			res.Eval, err = t.Eval.RunWith(data)
 		}
 	}

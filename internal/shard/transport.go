@@ -197,9 +197,8 @@ func (t *tailBuffer) String() string {
 // In-process channel transport.
 
 // InProcDialer runs workers as goroutines in this process, exchanging
-// the protocol's frames over channels. Unlike the InProc runner — which
-// executes specs directly — this path exercises the whole frame
-// protocol, slice cache included, without serialization or processes.
+// the protocol's frames over channels: the whole frame protocol, slice
+// cache and decode included, without serialization or processes.
 type InProcDialer struct{}
 
 // Dial implements Dialer.

@@ -81,7 +81,7 @@ func TestExplanationIdenticalAcrossParallelism(t *testing.T) {
 // TestRemoteWorkersPublicAPI pins the public remote path end to end:
 // ServeShardWorkers on a loopback listener, coordinators reaching it
 // via Options.ShardAddrs and via a shared WorkerPool, explanations and
-// held-out metrics byte-identical to the direct path, and the shared
+// held-out metrics byte-identical to local execution, and the shared
 // pool surviving — caches warm — across several explainers.
 func TestRemoteWorkersPublicAPI(t *testing.T) {
 	jobs := detLog(t)
@@ -162,5 +162,61 @@ func TestRemoteWorkersPublicAPI(t *testing.T) {
 	}
 	if s := pool.Stats(); s.SliceHits == 0 {
 		t.Errorf("shared pool recorded no slice-cache hits across rounds: %+v", s)
+	}
+}
+
+// TestShardWorkerOptionsResolveIdentically pins the one resolver behind
+// NewExplainer and the package-level Evaluate: shard-worker options
+// without Options.Shards are rejected by both with the same error —
+// Evaluate used to ignore them silently — and Shards without workers is
+// accepted by both as local execution.
+func TestShardWorkerOptionsResolveIdentically(t *testing.T) {
+	jobs := detLog(t)
+	q, err := ParseQuery(detQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id1, id2, ok := FindPairOfInterest(jobs, q, 7)
+	if !ok {
+		t.Fatal("no pair of interest")
+	}
+	q.Bind(id1, id2)
+	ex, err := NewExplainer(jobs, Options{Seed: 7, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ex.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Evaluate(jobs, q, x, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Evaluate(jobs, q, x, Options{Seed: 7, Shards: 3}); err != nil || got != want {
+		t.Errorf("Evaluate with Shards and no workers: %+v, %v; want %+v", got, err, want)
+	}
+
+	shared, err := NewWorkerPool(PoolOptions{Command: []string{"unused"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Close()
+	for name, opt := range map[string]Options{
+		"ShardWorkers": {ShardWorkers: 2},
+		"ShardAddrs":   {ShardAddrs: []string{"127.0.0.1:1"}, ShardToken: "t"},
+		"SharedPool":   {SharedPool: shared},
+	} {
+		_, newErr := NewExplainer(jobs, opt)
+		_, evalErr := Evaluate(jobs, q, x, opt)
+		if newErr == nil || evalErr == nil || newErr.Error() != evalErr.Error() ||
+			newErr.Error() != "perfxplain: shard workers require Options.Shards" {
+			t.Errorf("%s without Shards: NewExplainer: %v, Evaluate: %v; want the same rejection", name, newErr, evalErr)
+		}
+	}
+	_, newErr := NewExplainer(jobs, Options{Shards: 2, ShardAddrs: []string{"127.0.0.1:1"}})
+	_, evalErr := Evaluate(jobs, q, x, Options{Shards: 2, ShardAddrs: []string{"127.0.0.1:1"}})
+	if newErr == nil || evalErr == nil || newErr.Error() != evalErr.Error() {
+		t.Errorf("ShardAddrs without a token: NewExplainer: %v, Evaluate: %v; want the same rejection", newErr, evalErr)
 	}
 }

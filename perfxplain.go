@@ -58,8 +58,9 @@ type Log struct {
 }
 
 // layout resolves the log's segment views — the snapshot's, or a flat
-// log's own — into the shard-planning layout. Only sharded execution
-// calls it: the direct path builds and hashes no views.
+// log's own — into the layout shard workers receive records by. Only
+// worker-backed execution calls it: local execution builds and hashes
+// no views.
 func (l *Log) layout() (*core.SegmentLayout, error) {
 	if l.segs == nil {
 		return core.FlatLayout(l.l), nil
@@ -383,13 +384,14 @@ type Options struct {
 	// all available cores. Explanations are byte-identical at every
 	// setting: same seed, same answer, whatever the hardware.
 	Parallelism int
-	// Shards enables sharded execution of the pair pipeline: the
-	// quadratic stages (enumeration, materialization, candidate scoring)
-	// are planned into this many self-contained shard specs and executed
-	// by a shard runtime — in-process by default, on worker subprocesses
-	// when ShardWorkers is set. 0 disables sharding (the direct path).
-	// Explanations are byte-identical at every shard count and in every
-	// execution mode.
+	// Shards is the number of self-contained specs each quadratic walk —
+	// pair enumeration and metric evaluation — is cut into. Without
+	// workers the specs run on this process's cores and the count only
+	// sets scheduling granularity (0 = eight per Parallelism worker);
+	// with ShardWorkers, ShardAddrs or SharedPool it is required, and the
+	// specs ship to the workers. The training sample, growth and
+	// diagnostics always stay in this process. Explanations are
+	// byte-identical at every shard count and in every execution mode.
 	Shards int
 	// ShardWorkers, when > 0 alongside Shards, executes shards on that
 	// many worker subprocesses speaking the shard protocol over pipes.
@@ -519,97 +521,89 @@ func (s ShardStats) String() string {
 	}.String()
 }
 
-// coreConfig resolves the options into a core config plus the worker
-// pool the explainer owns (nil when shards run in-process or on a
-// caller-owned shared pool).
-func (o Options) coreConfig() (core.Config, *shard.Pool, error) {
-	cfg := core.Config{
-		Width:         o.Width,
-		DespiteWidth:  o.DespiteWidth,
-		SampleSize:    o.SampleSize,
-		MaxPairs:      o.MaxPairs,
-		SampleMode:    o.SampleMode,
-		SampleBudget:  o.SampleBudget,
-		SamplePilot:   o.SamplePilot,
-		Seed:          o.Seed,
-		Target:        o.Target,
-		DiverseSample: o.DiverseSample,
-		Parallelism:   o.Parallelism,
-		Shards:        o.Shards,
-	}
-	if o.FeatureLevel != 0 {
-		cfg.Level = features.Level(o.FeatureLevel)
-	}
-	if (o.ShardWorkers > 0 || len(o.ShardAddrs) > 0 || o.SharedPool != nil) && o.Shards <= 0 {
-		return core.Config{}, nil, fmt.Errorf("perfxplain: shard workers require Options.Shards")
-	}
-	if o.Shards <= 0 {
-		return cfg, nil, nil
-	}
+// workers resolves the options' shard-worker configuration — the one
+// place it is accepted or rejected, for explainers and one-shot
+// evaluations alike. pool is nil when the walks run in this process;
+// owned reports a pool dialed for this caller, who must Close it (a
+// SharedPool stays its owner's).
+func (o Options) workers() (pool *WorkerPool, owned bool, err error) {
+	configured := o.ShardWorkers > 0 || len(o.ShardAddrs) > 0
 	switch {
+	case (configured || o.SharedPool != nil) && o.Shards <= 0:
+		return nil, false, fmt.Errorf("perfxplain: shard workers require Options.Shards")
 	case o.SharedPool != nil:
-		cfg.Runner = o.SharedPool.p
-		return cfg, nil, nil
-	case len(o.ShardAddrs) > 0:
-		if o.ShardToken == "" {
-			return core.Config{}, nil, fmt.Errorf("perfxplain: Options.ShardAddrs requires Options.ShardToken")
-		}
-		workers := o.ShardWorkers
-		if workers <= 0 {
-			workers = len(o.ShardAddrs)
-		}
-		pool := &shard.Pool{
-			Dialer:  &shard.SocketDialer{Addrs: o.ShardAddrs, Token: o.ShardToken},
-			Workers: workers,
-		}
-		cfg.Runner = pool
-		return cfg, pool, nil
-	case o.ShardWorkers > 0:
-		cmd := o.ShardWorkerCommand
-		if len(cmd) == 0 {
-			exe, err := os.Executable()
-			if err != nil {
-				return core.Config{}, nil, fmt.Errorf("perfxplain: resolve shard worker command: %w", err)
-			}
-			cmd = []string{exe, "-shard-worker"}
-		}
-		pool := &shard.Pool{Command: cmd, Workers: o.ShardWorkers}
-		cfg.Runner = pool
-		return cfg, pool, nil
-	default:
-		cfg.Runner = shard.InProc{Workers: o.Parallelism}
-		return cfg, nil, nil
+		return o.SharedPool, false, nil
+	case !configured:
+		return nil, false, nil
+	case len(o.ShardAddrs) > 0 && o.ShardToken == "":
+		return nil, false, fmt.Errorf("perfxplain: Options.ShardAddrs requires Options.ShardToken")
 	}
+	pool, err = NewWorkerPool(PoolOptions{
+		Workers: o.ShardWorkers,
+		Command: o.ShardWorkerCommand,
+		Addrs:   o.ShardAddrs,
+		Token:   o.ShardToken,
+	})
+	return pool, err == nil, err
+}
+
+// exec describes who walks log's pair space under these options: this
+// process, or pool's workers over the log's segment layout.
+func (o Options) exec(log *Log, pool *WorkerPool) (core.Exec, error) {
+	ex := core.Exec{Parallelism: o.Parallelism, Shards: o.Shards}
+	if pool != nil {
+		layout, err := log.layout()
+		if err != nil {
+			return core.Exec{}, err
+		}
+		ex.Runner, ex.Layout = pool.p, layout
+	}
+	return ex, nil
 }
 
 // Explainer answers PXQL queries over one log.
 type Explainer struct {
-	ex   *core.Explainer
-	log  *Log
-	cfg  core.Config
-	pool *shard.Pool // owned; nil for in-process shards and shared pools
+	ex    *core.Explainer
+	log   *Log
+	opt   Options
+	pool  *WorkerPool // nil when the walks run in this process
+	owned bool        // pool was dialed for this explainer
 }
 
-// NewExplainer builds an explainer over a job or task log. With
-// Options.Shards set, shard specs ship the log's segments as hashed
-// slices — a Store.Snapshot's sealed segments and tail, a flat log's
-// fixed-size runs — so re-explaining after appends re-ships only the
-// tail.
+// NewExplainer builds an explainer over a job or task log. With shard
+// workers configured, enumeration specs ship the log's segments as
+// hashed slices — a Store.Snapshot's sealed segments and tail, a flat
+// log's fixed-size runs — so re-explaining after appends re-ships only
+// the tail.
 func NewExplainer(log *Log, opt Options) (*Explainer, error) {
-	cfg, pool, err := opt.coreConfig()
+	pool, owned, err := opt.workers()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Runner != nil {
-		if cfg.Layout, err = log.layout(); err != nil {
-			return nil, err
-		}
+	e := &Explainer{log: log, opt: opt, pool: pool, owned: owned}
+	cfg := core.Config{
+		Width:         opt.Width,
+		DespiteWidth:  opt.DespiteWidth,
+		SampleSize:    opt.SampleSize,
+		MaxPairs:      opt.MaxPairs,
+		SampleMode:    opt.SampleMode,
+		SampleBudget:  opt.SampleBudget,
+		SamplePilot:   opt.SamplePilot,
+		Seed:          opt.Seed,
+		Target:        opt.Target,
+		DiverseSample: opt.DiverseSample,
 	}
-	ex, err := core.NewExplainer(log.l, cfg)
+	if opt.FeatureLevel != 0 {
+		cfg.Level = features.Level(opt.FeatureLevel)
+	}
+	if cfg.Exec, err = opt.exec(log, pool); err == nil {
+		e.ex, err = core.NewExplainer(log.l, cfg)
+	}
 	if err != nil {
+		e.Close()
 		return nil, err
 	}
-	return &Explainer{ex: ex, log: log, cfg: cfg, pool: pool}, nil
+	return e, nil
 }
 
 // Close releases the explainer's resources: it terminates the worker
@@ -618,19 +612,19 @@ func NewExplainer(log *Log, opt Options) (*Explainer, error) {
 // closes it. Close is idempotent, safe to call concurrently with
 // in-flight work, and always safe to defer.
 func (e *Explainer) Close() {
-	if e.pool != nil {
+	if e.owned {
 		e.pool.Close()
 	}
 }
 
 // ShardStats returns the runtime counters of the explainer's worker
-// pool; ok is false when shards run in-process or on a shared pool
-// (query the WorkerPool directly for those).
+// pool; ok is false when the walks run in this process or on a shared
+// pool (query the WorkerPool directly for those).
 func (e *Explainer) ShardStats() (s ShardStats, ok bool) {
-	if e.pool == nil {
+	if !e.owned {
 		return ShardStats{}, false
 	}
-	return newShardStats(e.pool.Stats()), true
+	return e.pool.Stats(), true
 }
 
 // Explanation is a generated (despite, because) answer plus its quality
@@ -866,67 +860,46 @@ type Metrics struct {
 }
 
 // Evaluate measures an explanation for a query against a log, typically
-// a held-out one. With Options.Shards set the quadratic evaluation walk
-// runs as shard specs: on Options.SharedPool when given, on a pool
-// dialed (and torn down) for this call when ShardAddrs or ShardWorkers
-// are set, and in-process otherwise. Repeated evaluations should prefer
-// a SharedPool or Explainer.Evaluate, which keep workers — and their
-// slice caches — alive between calls. The metrics are identical in
-// every mode.
+// a held-out one. The quadratic evaluation walk is cut into
+// Options.Shards specs and runs on this process's cores — or on shard
+// workers: Options.SharedPool when given, a pool dialed (and torn down)
+// for this call when ShardAddrs or ShardWorkers are set. Repeated
+// evaluations should prefer a SharedPool or Explainer.Evaluate, which
+// keep workers — and their slice caches — alive between calls. The
+// metrics are identical in every mode.
 func Evaluate(log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) {
 	return EvaluateContext(context.Background(), log, q, x, opt)
 }
 
 // EvaluateContext is Evaluate with cancellation: the quadratic walk
-// checks ctx between shards (and per evaluation chunk in-process),
-// returning ctx.Err() once it is done. Completed metrics are identical
-// to an uncancelled run.
+// checks ctx before each spec in this process (before the fan-out on
+// workers), returning ctx.Err() once it is done. Completed metrics are
+// identical to an uncancelled run.
 func EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) {
-	var runner core.ShardRunner
-	switch {
-	case opt.Shards <= 0:
-	case opt.SharedPool != nil:
-		runner = opt.SharedPool.p
-	case len(opt.ShardAddrs) > 0 || opt.ShardWorkers > 0:
-		// Shard worker config must never be silently ignored — but a
-		// one-shot Evaluate dialing and tearing down a fleet per call
-		// would hide the cost callers configured workers to avoid.
-		pool, err := NewWorkerPool(PoolOptions{
-			Workers: opt.ShardWorkers,
-			Command: opt.ShardWorkerCommand,
-			Addrs:   opt.ShardAddrs,
-			Token:   opt.ShardToken,
-		})
-		if err != nil {
-			return Metrics{}, err
-		}
-		defer pool.Close()
-		runner = pool.p
-	default:
-		runner = shard.InProc{Workers: opt.Parallelism}
+	// Shard worker config is never silently ignored — though a one-shot
+	// Evaluate dialing and tearing down a fleet per call pays the cost
+	// callers configure workers to avoid.
+	pool, owned, err := opt.workers()
+	if err != nil {
+		return Metrics{}, err
 	}
-	return evaluate(ctx, log, q, x, opt.MaxPairs, opt.Seed, opt.Parallelism, opt.Shards, runner)
+	if owned {
+		defer pool.Close()
+	}
+	return evaluate(ctx, log, q, x, opt, pool)
 }
 
-// evaluate runs the metric walk behind both Evaluate entry points: as
-// shard specs over the log's layout when a runner is given, directly on
-// this process's cores otherwise.
-func evaluate(ctx context.Context, log *Log, q *Query, x *Explanation,
-	maxPairs int, seed int64, parallelism, shards int, runner core.ShardRunner) (Metrics, error) {
-
+// evaluate runs the metric walk behind both Evaluate entry points.
+func evaluate(ctx context.Context, log *Log, q *Query, x *Explanation, opt Options, pool *WorkerPool) (Metrics, error) {
+	ex, err := opt.exec(log, pool)
+	if err != nil {
+		return Metrics{}, err
+	}
+	maxPairs := opt.MaxPairs
 	if maxPairs == 0 {
 		maxPairs = core.DefaultConfig().MaxPairs
 	}
-	var m core.Metrics
-	var err error
-	if runner == nil {
-		m, err = core.EvaluateExplanation(ctx, log.l, features.Level3, q.q, x.x, maxPairs, seed, parallelism)
-	} else {
-		var layout *core.SegmentLayout
-		if layout, err = log.layout(); err == nil {
-			m, err = core.EvaluateExplanationSharded(ctx, layout, log.l, features.Level3, q.q, x.x, maxPairs, seed, shards, runner)
-		}
-	}
+	m, err := core.EvaluateExplanation(ctx, log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, ex)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -945,7 +918,7 @@ func (e *Explainer) Evaluate(log *Log, q *Query, x *Explanation) (Metrics, error
 // EvaluateContext is Evaluate with EvaluateContext's (package-level)
 // cancellation semantics, through this explainer's shard configuration.
 func (e *Explainer) EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation) (Metrics, error) {
-	return evaluate(ctx, log, q, x, e.cfg.MaxPairs, e.cfg.Seed, e.cfg.Parallelism, e.cfg.Shards, e.cfg.Runner)
+	return evaluate(ctx, log, q, x, e.opt, e.pool)
 }
 
 // RuleOfThumbExplain runs the RuleOfThumb baseline (paper Section 5.1):

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"perfxplain/internal/joblog"
+	"perfxplain/internal/shard"
 )
 
 // Shared small logs for the public-API tests (collection is deterministic).
@@ -262,9 +263,9 @@ func TestPaperHeadlineShape(t *testing.T) {
 }
 
 // TestBrokenSegmentLayoutIsAnError pins that a snapshot whose segment
-// views do not tile its records fails every sharded entry point instead
-// of silently planning some other way — and that the direct path, which
-// never builds a layout, is unaffected.
+// views do not tile its records fails every worker-backed entry point
+// instead of silently shipping some other way — and that local
+// execution, which never builds a layout, is unaffected.
 func TestBrokenSegmentLayoutIsAnError(t *testing.T) {
 	jobs, _ := smallLogs(t)
 	q := boundWhySlower(t, jobs)
@@ -278,26 +279,29 @@ func TestBrokenSegmentLayoutIsAnError(t *testing.T) {
 	}
 	gap := &Log{l: snap.l, segs: append(append([]joblog.SegmentView(nil), snap.segs[:1]...), snap.segs[2:]...)}
 
-	ex, err := NewExplainer(gap, Options{Seed: 5})
+	ex, err := NewExplainer(gap, Options{Seed: 5, Shards: 2})
 	if err != nil {
-		t.Fatalf("direct explainer over a gapped snapshot: %v", err)
+		t.Fatalf("local explainer over a gapped snapshot: %v", err)
 	}
 	x, err := ex.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Evaluate(gap, q, x, Options{}); err != nil {
-		t.Errorf("direct Evaluate over a gapped snapshot: %v", err)
+		t.Errorf("local Evaluate over a gapped snapshot: %v", err)
 	}
 
+	pool := &WorkerPool{&shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}}
+	defer pool.Close()
+	pooled := Options{Seed: 5, Shards: 2, SharedPool: pool}
 	const want = "core: segment 1 starts at"
-	if _, err := NewExplainer(gap, Options{Seed: 5, Shards: 2}); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := NewExplainer(gap, pooled); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("sharded NewExplainer over a gapped snapshot: %v", err)
 	}
-	if _, err := Evaluate(gap, q, x, Options{Shards: 2}); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := Evaluate(gap, q, x, pooled); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("sharded Evaluate over a gapped snapshot: %v", err)
 	}
-	sharded, err := NewExplainer(snap, Options{Seed: 5, Shards: 2})
+	sharded, err := NewExplainer(snap, pooled)
 	if err != nil {
 		t.Fatal(err)
 	}
