@@ -6,7 +6,8 @@
 # benchmarks or examples in the packages that line runs against.
 # (Alternatives are split on a bare `|`; the workflow's patterns use no
 # groups. `-run '^$'`, the run-nothing idiom of the bench smoke, is
-# skipped.)
+# skipped.) It also fails if a test outside bench/ is armed by a BENCH_*
+# environment variable, the other way a check drops out of `go test ./...`.
 set -euo pipefail
 
 workflow=${1:-.github/workflows/ci.yml}
@@ -36,4 +37,12 @@ while IFS= read -r line; do
 		fi
 	done
 done < <(grep -E 'go test.*[[:space:]]-run[[:space:]=]' "$workflow")
+
+# pxbench (bench/) is the only performance instrument. A test elsewhere
+# that reads a BENCH_* environment variable is an env-armed gate, which
+# plain `go test ./...` would skip: refuse it.
+if grep -rnE --include='*_test.go' --exclude-dir=bench '[Ee]nv\("BENCH_' .; then
+	echo "a _test.go outside bench/ reads a BENCH_* environment variable (see above)" >&2
+	status=1
+fi
 exit $status

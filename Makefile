@@ -1,8 +1,9 @@
-# Build, test and benchmark entry points. The bench target runs every
-# benchmark gate (columnar, pushdown, subq, seek, shard, remote,
-# segment, serve) via `pxqlexperiments -bench-suite`, writing the
-# BENCH_*.json artifacts at the repo root — the same artifacts CI
-# gates on.
+# Build, test and measure. `make bench` runs pxbench, the repo's one
+# performance instrument: it builds pxqld and pxql from this checkout,
+# drives every workload of BENCHMARK.json end to end and writes its
+# result files and traces under bench/out/ (see "Measuring performance"
+# in README.md). Compare two result files or journals with
+# `go run -C bench ./cmd/benchdiff out/a.jsonl out/b.jsonl`.
 
 GO ?= go
 
@@ -23,7 +24,7 @@ vet:
 	$(GO) run ./cmd/pxqlvet ./...
 
 bench:
-	$(GO) run ./cmd/pxqlexperiments -bench-suite
+	$(GO) run -C bench ./cmd/pxbench
 
 clean-bench:
-	rm -f BENCH_*.json
+	rm -rf bench/out

@@ -263,7 +263,7 @@ func ablationPrecision(b *testing.B, mutate func(*core.Config)) float64 {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pairs := core.RelatedPairs(train, features.Level3, q, 50000, rep)
+		pairs := core.RelatedPairsP(train, features.Level3, q, 50000, rep, 0)
 		bound := false
 		for _, p := range pairs {
 			if p.Observed {
@@ -281,7 +281,7 @@ func ablationPrecision(b *testing.B, mutate func(*core.Config)) float64 {
 		if err != nil {
 			b.Fatal(err)
 		}
-		x, err := ex.Explain(q)
+		x, err := ex.Explain(context.Background(), q)
 		if err != nil {
 			continue
 		}
@@ -338,7 +338,7 @@ func BenchmarkExplainLatency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pairs := core.RelatedPairs(benchRes.Jobs, features.Level3, q, 50000, 1)
+	pairs := core.RelatedPairsP(benchRes.Jobs, features.Level3, q, 50000, 1, 0)
 	for _, p := range pairs {
 		if p.Observed {
 			q.ID1, q.ID2 = p.A.ID, p.B.ID
@@ -351,7 +351,7 @@ func BenchmarkExplainLatency(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Explain(q); err != nil {
+		if _, err := ex.Explain(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,7 +371,7 @@ func BenchmarkParallelismAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pairs := core.RelatedPairs(benchRes.Jobs, features.Level3, q, 50000, 1)
+	pairs := core.RelatedPairsP(benchRes.Jobs, features.Level3, q, 50000, 1, 0)
 	for _, p := range pairs {
 		if p.Observed {
 			q.ID1, q.ID2 = p.A.ID, p.B.ID
@@ -386,7 +386,7 @@ func BenchmarkParallelismAblation(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := ex.Explain(q); err != nil {
+				if _, err := ex.Explain(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}

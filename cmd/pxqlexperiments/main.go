@@ -13,8 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -40,16 +38,7 @@ func main() {
 	shardRemote := flag.String("shard-remote", "", "execute shards on remote socket workers at these comma-separated host:port addresses (requires -shards and a token)")
 	shardToken := flag.String("shard-token", "", "shared auth token for remote shard workers (or set PXQL_SHARD_TOKEN)")
 	verbose := flag.Bool("verbose", false, "print shard-runtime counters (frames, bytes shipped, slice-cache hits/misses) to stderr after each experiment run")
-	benchSuite := flag.Bool("bench-suite", false, "run every benchmark gate (columnar, pushdown, subq, seek, shard, remote, segment, serve), write BENCH_*.json at the current directory, and exit; run from the repo root")
 	flag.Parse()
-
-	if *benchSuite {
-		if err := runBenchSuite(); err != nil {
-			fmt.Fprintln(os.Stderr, "pxqlexperiments: bench-suite:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	token := *shardToken
 	if token == "" {
@@ -219,57 +208,4 @@ func run(exp string, seed int64, reps int, small bool, sampleMode string, sample
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return r()
-}
-
-// benchGates lists every benchmark gate in the repo: the env var that
-// arms it, the artifact it writes, the test that runs it, and its
-// package. CI runs the same gates one job each; -bench-suite runs them
-// all locally in sequence.
-var benchGates = []struct {
-	env, artifact, test, pkg string
-}{
-	{"BENCH_COLUMNAR_JSON", "BENCH_columnar.json", "TestBenchColumnarJSON", "."},
-	{"BENCH_PUSHDOWN_JSON", "BENCH_pushdown.json", "TestBenchPushdownJSON", "./internal/core"},
-	{"BENCH_SUBQ_JSON", "BENCH_subq.json", "TestBenchSubqJSON", "./internal/core"},
-	{"BENCH_SEEK_JSON", "BENCH_seek.json", "TestBenchSeekJSON", "./internal/core"},
-	{"BENCH_SHARD_JSON", "BENCH_shard.json", "TestBenchShardJSON", "./internal/shard"},
-	{"BENCH_REMOTE_JSON", "BENCH_remote.json", "TestBenchRemoteJSON", "./internal/shard"},
-	{"BENCH_SEGMENT_JSON", "BENCH_segment.json", "TestBenchSegmentJSON", "./internal/shard"},
-	{"BENCH_SERVE_JSON", "BENCH_serve.json", "TestBenchServeJSON", "./internal/serve"},
-}
-
-// runBenchSuite executes every benchmark gate through `go test`,
-// writing each gate's JSON artifact into the current directory — the
-// local equivalent of CI's benchmark jobs. Any gate failing its
-// speedup (or byte-identity) assertion fails the suite.
-func runBenchSuite() error {
-	wd, err := os.Getwd()
-	if err != nil {
-		return err
-	}
-	if _, err := os.Stat("go.mod"); err != nil {
-		return fmt.Errorf("run from the repo root (no go.mod in %s)", wd)
-	}
-	// Every gate runs even after a failure: the timing gates have thin
-	// margins on loaded machines, and a single flaky gate should not
-	// stop the remaining artifacts from being written.
-	var failed []string
-	for _, g := range benchGates {
-		fmt.Printf("=== %s (%s)\n", g.test, g.artifact)
-		cmd := exec.Command("go", "test", "-count=1", "-run", g.test, "-v", g.pkg)
-		cmd.Env = append(os.Environ(), g.env+"="+filepath.Join(wd, g.artifact))
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			failed = append(failed, g.test)
-		}
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("gates failed: %s", strings.Join(failed, ", "))
-	}
-	fmt.Println("all benchmark gates passed; artifacts written:")
-	for _, g := range benchGates {
-		fmt.Println("  " + g.artifact)
-	}
-	return nil
 }

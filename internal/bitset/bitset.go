@@ -62,13 +62,6 @@ func (s Set) AndWith(o Set) {
 	}
 }
 
-// AndNotWith clears from s every bit set in o (s &^= o).
-func (s Set) AndNotWith(o Set) {
-	for w := range s {
-		s[w] &^= o[w]
-	}
-}
-
 // OrWith unions o into s (s |= o).
 func (s Set) OrWith(o Set) {
 	for w := range s {

@@ -60,18 +60,12 @@ func TestOpsMatchBoolModel(t *testing.T) {
 		or := Make(n)
 		or.CopyFrom(a)
 		or.OrWith(b)
-		andNot := Make(n)
-		andNot.CopyFrom(a)
-		andNot.AndNotWith(b)
 		for i := 0; i < n; i++ {
 			if and.Get(i) != (as[i] && bs[i]) {
 				t.Fatalf("n=%d: And bit %d wrong", n, i)
 			}
 			if or.Get(i) != (as[i] || bs[i]) {
 				t.Fatalf("n=%d: Or bit %d wrong", n, i)
-			}
-			if andNot.Get(i) != (as[i] && !bs[i]) {
-				t.Fatalf("n=%d: AndNot bit %d wrong", n, i)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ package core
 // shard-count invariance with a pilot fraction configured.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -113,7 +114,7 @@ func TestAdaptiveStatisticalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := ex.Explain(q)
+		x, err := ex.Explain(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

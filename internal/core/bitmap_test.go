@@ -3,7 +3,9 @@ package core
 // Cross-checks of the matrix-row bitmap kernels against the per-row
 // evaluator they replaced: fillRange must equal eval bit for bit, the
 // bitmapCache must memoize per atom identity and be independent of the
-// worker count, and the bitmap prefix compose must equal evalPrefix.
+// worker count, the bitmap prefix compose must equal evalPrefix, and the
+// fused AND-popcount scoring must equal a per-pair walk without
+// allocating.
 
 import (
 	"math"
@@ -89,6 +91,21 @@ func bitmapAtoms() []pxql.Atom {
 	return out
 }
 
+// bitmapCands lowers atoms over the fixture's schema into scoring
+// candidates.
+func bitmapCands(t *testing.T, d *features.Deriver, in *joblog.Intern, atoms []pxql.Atom) []candidate {
+	t.Helper()
+	cands := make([]candidate, len(atoms))
+	for i, a := range atoms {
+		fi, ok := d.Schema().Index(a.Feature)
+		if !ok {
+			t.Fatalf("fixture schema lost feature %q", a.Feature)
+		}
+		cands[i] = candidate{featIdx: fi, atom: a, ma: newMatrixAtom(d, in, fi, a)}
+	}
+	return cands
+}
+
 func TestFillRangeMatchesEval(t *testing.T) {
 	d, in, m := bitmapFixture(t, 13) // 156 pairs: two full words + a partial tail
 	for _, a := range bitmapAtoms() {
@@ -149,14 +166,7 @@ func TestBitmapCacheComposeMatchesEvalPrefix(t *testing.T) {
 
 func TestBitmapCacheGetAllDeterministic(t *testing.T) {
 	d, in, m := bitmapFixture(t, 12)
-	var cands []candidate
-	for _, a := range bitmapAtoms() {
-		fi, ok := d.Schema().Index(a.Feature)
-		if !ok {
-			continue
-		}
-		cands = append(cands, candidate{featIdx: fi, atom: a, ma: newMatrixAtom(d, in, fi, a)})
-	}
+	cands := bitmapCands(t, d, in, bitmapAtoms())
 	all := bitset.Make(m.N)
 	all.Ones(m.N)
 	base, _ := newBitmapCache(m, 1).getAll(cands, all)
@@ -202,5 +212,95 @@ func TestGetAllSkipsDeadWords(t *testing.T) {
 		case live[w] != 0 && sels[0][w] != full[w]:
 			t.Fatalf("live word %d = %x, want %x", w, sels[0][w], full[w])
 		}
+	}
+}
+
+// scorePerPair is the reference scorer: it walks the working set row by
+// row through matrixAtom.eval and counts the rows (and positive rows)
+// the atom admits — what AndCount/AndCount3 over cached selections must
+// reproduce.
+func scorePerPair(ma *matrixAtom, m *features.PairMatrix, cur []int, labels []bool) (sat, satPos int) {
+	for _, i := range cur {
+		if ma.eval(m, i) {
+			sat++
+			if labels[i] {
+				satPos++
+			}
+		}
+	}
+	return sat, satPos
+}
+
+// TestScorePathsAgree runs grow's scoring loop both ways for three
+// rounds — every candidate scored over the working set, the round's
+// chosen atom then narrowing it — and requires the fused AND-popcounts
+// over cached bitmaps to equal the per-pair reference on every count.
+func TestScorePathsAgree(t *testing.T) {
+	d, in, m := bitmapFixture(t, 40) // 1560 pairs, missing cells included
+	rng := rand.New(rand.NewSource(29))
+	labels := make([]bool, m.N)
+	for i := range labels {
+		labels[i] = rng.Intn(2) == 0
+	}
+	pos := bitset.FromBools(labels)
+	cands := bitmapCands(t, d, in, bitmapAtoms())
+	curBits := bitset.Make(m.N)
+	curBits.Ones(m.N)
+	cur := make([]int, m.N)
+	for i := range cur {
+		cur[i] = i
+	}
+	bc := newBitmapCache(m, 0)
+	// Rounds narrow by x_compare != SIM, site != never-logged, x_compare = GT.
+	for round, chosen := range []int{14, 16, 13} {
+		sels, _ := bc.getAll(cands, curBits)
+		for ci := range cands {
+			sat, satPos := scorePerPair(&cands[ci].ma, m, cur, labels)
+			if got := bitset.AndCount(sels[ci], curBits); got != sat {
+				t.Fatalf("round %d %v: bitmap sat = %d, per-pair = %d", round, cands[ci].atom, got, sat)
+			}
+			if got := bitset.AndCount3(sels[ci], curBits, pos); got != satPos {
+				t.Fatalf("round %d %v: bitmap satPos = %d, per-pair = %d", round, cands[ci].atom, got, satPos)
+			}
+		}
+		var next []int
+		for _, i := range cur {
+			if cands[chosen].ma.eval(m, i) {
+				next = append(next, i)
+			}
+		}
+		if len(next) == 0 || len(next) == len(cur) {
+			t.Fatalf("round %d: %v narrows %d rows to %d, the rounds would repeat", round, cands[chosen].atom, len(cur), len(next))
+		}
+		cur = next
+		curBits.AndWith(sels[chosen])
+	}
+}
+
+// TestComposeDoesNotAllocate pins the steady-state compose step of
+// grow's scoring loop: once the selections are cached, narrowing the
+// prefix and counting it against the working set and the positives
+// is word-AND + popcount and allocates nothing.
+func TestComposeDoesNotAllocate(t *testing.T) {
+	d, in, m := bitmapFixture(t, 40)
+	cands := bitmapCands(t, d, in, bitmapAtoms()[:3])
+	all := bitset.Make(m.N)
+	all.Ones(m.N)
+	pos := bitset.Make(m.N)
+	for i := 0; i < m.N; i += 3 {
+		pos.SetBit(i)
+	}
+	sels, _ := newBitmapCache(m, 1).getAll(cands, all)
+	prefix := bitset.Make(m.N)
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		prefix.Ones(m.N)
+		for _, sel := range sels {
+			sink += bitset.AndCount(sel, prefix) + bitset.AndCount3(sel, prefix, pos)
+			prefix.AndWith(sel)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("compose over cached selections allocates %v times per run, want 0 (sink %d)", allocs, sink)
 	}
 }

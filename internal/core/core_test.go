@@ -67,11 +67,11 @@ func TestExplainFindsTheTrueCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := gtQuery(log, ex.Deriver())
+	q := gtQuery(log, ex.d)
 	if q == nil {
 		t.Fatal("no pair of interest found")
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.Explain(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +102,19 @@ func TestExplanationIsApplicable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := gtQuery(log, ex.Deriver())
+		q := gtQuery(log, ex.d)
 		if q == nil {
 			continue
 		}
-		x, err := ex.ExplainWithDespite(q)
+		x, err := ex.ExplainWithDespite(context.Background(), q)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		a, b := log.Find(q.ID1), log.Find(q.ID2)
-		if !x.Because.EvalPair(ex.Deriver(), a, b) {
+		if !x.Because.EvalPair(ex.d, a, b) {
 			t.Errorf("seed %d: because clause %v not applicable to pair of interest", seed, x.Because)
 		}
-		if !x.Despite.EvalPair(ex.Deriver(), a, b) {
+		if !x.Despite.EvalPair(ex.d, a, b) {
 			t.Errorf("seed %d: despite clause %v not applicable to pair of interest", seed, x.Despite)
 		}
 	}
@@ -127,32 +127,32 @@ func TestExplainErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ex.Deriver()
+	d := ex.d
 	q := gtQuery(log, d)
 
 	// Unknown record IDs.
 	bad := *q
 	bad.ID1 = "ghost"
-	if _, err := ex.Explain(&bad); err == nil {
+	if _, err := ex.Explain(context.Background(), &bad); err == nil {
 		t.Error("unknown ID1 should error")
 	}
 	bad = *q
 	bad.ID2 = "ghost"
-	if _, err := ex.Explain(&bad); err == nil {
+	if _, err := ex.Explain(context.Background(), &bad); err == nil {
 		t.Error("unknown ID2 should error")
 	}
 
 	// No pair of interest at all.
 	bad = *q
 	bad.ID1, bad.ID2 = "", ""
-	if _, err := ex.Explain(&bad); err == nil {
+	if _, err := ex.Explain(context.Background(), &bad); err == nil {
 		t.Error("unbound query should error")
 	}
 
 	// Observed must hold on the pair: flip obs and exp.
 	bad = *q
 	bad.Observed, bad.Expected = q.Expected, q.Observed
-	if _, err := ex.Explain(&bad); err == nil {
+	if _, err := ex.Explain(context.Background(), &bad); err == nil {
 		t.Error("query whose observed clause fails on the pair should error")
 	}
 
@@ -161,7 +161,7 @@ func TestExplainErrors(t *testing.T) {
 	bad.Despite = pxql.Predicate{{Feature: "site_issame", Op: pxql.OpEq, Value: joblog.Str("T")}}
 	a, b := log.Find(q.ID1), log.Find(q.ID2)
 	if !bad.Despite.EvalPair(d, a, b) {
-		if _, err := ex.Explain(&bad); err == nil {
+		if _, err := ex.Explain(context.Background(), &bad); err == nil {
 			t.Error("failing despite clause should error")
 		}
 	}
@@ -169,7 +169,7 @@ func TestExplainErrors(t *testing.T) {
 	// Unknown feature in a clause.
 	bad = *q
 	bad.Observed = pxql.Predicate{{Feature: "nope", Op: pxql.OpEq, Value: joblog.Str("GT")}}
-	if _, err := ex.Explain(&bad); err == nil {
+	if _, err := ex.Explain(context.Background(), &bad); err == nil {
 		t.Error("unknown feature should error")
 	}
 }
@@ -344,7 +344,7 @@ func TestGeneratedDespiteImprovesRelevance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ex.Deriver()
+	d := ex.d
 	// Pair of interest: equal x, very different load → duration GT while
 	// x_issame = T remains applicable.
 	q := &pxql.Query{
@@ -371,7 +371,7 @@ func TestGeneratedDespiteImprovesRelevance(t *testing.T) {
 	if !found {
 		t.Fatal("no suitable pair of interest")
 	}
-	des, err := ex.GenerateDespite(q)
+	des, err := ex.GenerateDespite(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +400,8 @@ func TestWidthControlsClauseLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := gtQuery(log, ex.Deriver())
-		x, err := ex.Explain(q)
+		q := gtQuery(log, ex.d)
+		x, err := ex.Explain(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,8 +419,8 @@ func TestExplainDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := gtQuery(log, ex.Deriver())
-		x, err := ex.Explain(q)
+		q := gtQuery(log, ex.d)
+		x, err := ex.Explain(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -187,13 +187,6 @@ func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
 	return &Explainer{log: log, d: features.NewDeriver(log.Schema, features.Level3), cfg: cfg}, nil
 }
 
-// Deriver exposes the derived pair schema (for query validation and
-// metric evaluation).
-func (e *Explainer) Deriver() *features.Deriver { return e.d }
-
-// Log returns the underlying execution log.
-func (e *Explainer) Log() *joblog.Log { return e.log }
-
 // Explanation is the answer to a PXQL query.
 type Explanation struct {
 	// Despite is the generated despite extension des' (empty when despite
@@ -278,30 +271,21 @@ func (e *Explainer) bind(q *pxql.Query) (a, b *joblog.Record, err error) {
 
 // Explain generates the because clause for the query, using the user's
 // despite clause as-is (the paper's default mode).
-func (e *Explainer) Explain(q *pxql.Query) (*Explanation, error) {
-	return e.explain(context.Background(), q, false)
-}
-
-// ExplainCtx is Explain with a cancellation context: the pipeline
-// checks ctx between its stages and at every growth round, returning
-// ctx.Err() once it is done. Cancellation never perturbs a completed
-// result — an explanation returned without error is byte-identical to
-// an uncancelled run. The context carries cancellation only; it is
-// never consulted for values or deadlines directly, so the
+//
+// The pipeline checks ctx between its stages and at every growth round,
+// returning ctx.Err() once it is done. Cancellation never perturbs a
+// completed result — an explanation returned without error is
+// byte-identical to an uncancelled run. The context carries cancellation
+// only; it is never consulted for values or deadlines directly, so the
 // deterministic-output contract is untouched.
-func (e *Explainer) ExplainCtx(ctx context.Context, q *pxql.Query) (*Explanation, error) {
+func (e *Explainer) Explain(ctx context.Context, q *pxql.Query) (*Explanation, error) {
 	return e.explain(ctx, q, false)
 }
 
 // ExplainWithDespite first generates a despite extension des' (Section
-// 6.4), then generates the because clause in the context des ∧ des'.
-func (e *Explainer) ExplainWithDespite(q *pxql.Query) (*Explanation, error) {
-	return e.explain(context.Background(), q, true)
-}
-
-// ExplainWithDespiteCtx is ExplainWithDespite with a cancellation
-// context (see ExplainCtx for the checkpoint contract).
-func (e *Explainer) ExplainWithDespiteCtx(ctx context.Context, q *pxql.Query) (*Explanation, error) {
+// 6.4), then generates the because clause in the context des ∧ des'
+// (see Explain for the checkpoint contract).
+func (e *Explainer) ExplainWithDespite(ctx context.Context, q *pxql.Query) (*Explanation, error) {
 	return e.explain(ctx, q, true)
 }
 
@@ -410,14 +394,9 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 }
 
 // GenerateDespite produces only the despite extension for a query
-// (PerfXplain's response to an under-specified query, Section 6.4).
-func (e *Explainer) GenerateDespite(q *pxql.Query) (pxql.Predicate, error) {
-	return e.GenerateDespiteCtx(context.Background(), q)
-}
-
-// GenerateDespiteCtx is GenerateDespite with a cancellation context
-// (see ExplainCtx for the checkpoint contract).
-func (e *Explainer) GenerateDespiteCtx(ctx context.Context, q *pxql.Query) (pxql.Predicate, error) {
+// (PerfXplain's response to an under-specified query, Section 6.4; see
+// Explain for the checkpoint contract).
+func (e *Explainer) GenerateDespite(ctx context.Context, q *pxql.Query) (pxql.Predicate, error) {
 	a, b, err := e.bind(q)
 	if err != nil {
 		return nil, err
@@ -682,11 +661,11 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur 
 	return atom, gain, true
 }
 
-// bestNominalSyms is BestNominalValue over a symbol-plane matrix column:
-// class counts accumulate per interned symbol, then the few distinct
+// bestNominalSyms scores one symbol-plane matrix column for
+// dtree.BestNominalFromCounts: class counts accumulate per interned symbol, then the few distinct
 // symbols are decoded and merged by rendered string (distinct diff
 // symbols may render identically when a value contains the arrow) so the
-// scoring and its string-ordered tie-break match the row engine exactly.
+// scoring and its string-ordered tie-break see values, not symbols.
 func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
 	m *features.PairMatrix, cur []int, subLabels []bool) (string, float64, bool) {
 

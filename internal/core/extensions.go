@@ -32,13 +32,8 @@ import (
 // modification). It returns the clause, the relevance it achieves, and
 // whether the threshold was met. The full-width clause is returned when
 // even it falls short, so callers still get PerfXplain's best effort.
-func (e *Explainer) DespiteToThreshold(q *pxql.Query, r float64) (des pxql.Predicate, achieved float64, met bool, err error) {
-	return e.DespiteToThresholdCtx(context.Background(), q, r)
-}
-
-// DespiteToThresholdCtx is DespiteToThreshold with a cancellation
-// context: each prefix's relevance measurement is a checkpoint.
-func (e *Explainer) DespiteToThresholdCtx(ctx context.Context, q *pxql.Query, r float64) (des pxql.Predicate, achieved float64, met bool, err error) {
+// Each prefix's relevance measurement is a cancellation checkpoint.
+func (e *Explainer) DespiteToThreshold(ctx context.Context, q *pxql.Query, r float64) (des pxql.Predicate, achieved float64, met bool, err error) {
 	if r < 0 || r > 1 {
 		return nil, 0, false, fmt.Errorf("core: relevance threshold %v outside [0,1]", r)
 	}

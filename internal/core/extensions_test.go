@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func TestDespiteToThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ex.Deriver()
+	d := ex.d
 	q := &pxql.Query{
 		Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 		Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("SIM")}},
@@ -38,7 +39,7 @@ func TestDespiteToThreshold(t *testing.T) {
 	}
 
 	// A trivially low threshold is met by the empty clause.
-	des, rel, met, err := ex.DespiteToThreshold(q, 0.01)
+	des, rel, met, err := ex.DespiteToThreshold(context.Background(), q, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestDespiteToThreshold(t *testing.T) {
 	}
 
 	// A moderate threshold forces at least one atom.
-	des, rel, met, err = ex.DespiteToThreshold(q, 0.3)
+	des, rel, met, err = ex.DespiteToThreshold(context.Background(), q, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestDespiteToThreshold(t *testing.T) {
 	}
 
 	// An impossible threshold returns best effort, not an error.
-	des, rel, met, err = ex.DespiteToThreshold(q, 0.999999)
+	des, rel, met, err = ex.DespiteToThreshold(context.Background(), q, 0.999999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDespiteToThreshold(t *testing.T) {
 	}
 
 	// Bounds checking.
-	if _, _, _, err := ex.DespiteToThreshold(q, 1.5); err == nil {
+	if _, _, _, err := ex.DespiteToThreshold(context.Background(), q, 1.5); err == nil {
 		t.Error("out-of-range threshold should error")
 	}
 }
@@ -113,8 +114,8 @@ func TestDiverseSampleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := gtQuery(log, ex.Deriver())
-	x, err := ex.Explain(q)
+	q := gtQuery(log, ex.d)
+	x, err := ex.Explain(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestAlternativeTargetMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ex.Deriver()
+	d := ex.d
 	for _, a := range log.Records {
 		for _, b := range log.Records {
 			if a != b && q.Observed.EvalPair(d, a, b) {
@@ -182,7 +183,7 @@ func TestAlternativeTargetMetric(t *testing.T) {
 			}
 		}
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.Explain(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

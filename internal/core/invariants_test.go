@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestPrefixStability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := ex.Explain(q)
+		x, err := ex.Explain(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,16 +134,16 @@ func TestConfigVariantsProduceValidClauses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		q := gtQuery(log, ex.Deriver())
-		x, err := ex.Explain(q)
+		q := gtQuery(log, ex.d)
+		x, err := ex.Explain(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := x.Because.Validate(ex.Deriver().Schema()); err != nil {
+		if err := x.Because.Validate(ex.d.Schema()); err != nil {
 			t.Errorf("%s: invalid clause: %v", name, err)
 		}
 		a, b := log.Find(q.ID1), log.Find(q.ID2)
-		if len(x.Because) > 0 && !x.Because.EvalPair(ex.Deriver(), a, b) {
+		if len(x.Because) > 0 && !x.Because.EvalPair(ex.d, a, b) {
 			t.Errorf("%s: clause %v not applicable", name, x.Because)
 		}
 		// Level restrictions must hold on the emitted features.
@@ -168,11 +169,11 @@ func TestTargetExclusionProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := gtQuery(log, ex.Deriver())
+		q := gtQuery(log, ex.d)
 		if q == nil {
 			continue
 		}
-		x, err := ex.ExplainWithDespite(q)
+		x, err := ex.ExplainWithDespite(context.Background(), q)
 		if err != nil {
 			continue
 		}
@@ -196,8 +197,8 @@ func TestAtomStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := gtQuery(log, ex.Deriver())
-	x, err := ex.Explain(q)
+	q := gtQuery(log, ex.d)
+	x, err := ex.Explain(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,7 @@ func (ma *matrixAtom) eval(m *features.PairMatrix, row int) bool {
 }
 
 // evalPrefix evaluates the conjunction of the first w lowered atoms on a
-// row — EvalVector for matrix rows. Kept as the reference the bitmap
-// compose path is tested against.
+// row. Kept as the reference the bitmap compose path is tested against.
 func evalPrefix(mas []matrixAtom, w int, m *features.PairMatrix, row int) bool {
 	for k := 0; k < w; k++ {
 		if !mas[k].eval(m, row) {

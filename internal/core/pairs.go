@@ -22,7 +22,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -469,11 +468,6 @@ func (ps *pairSet) counts() (obs, exp int) {
 		}
 	}
 	return obs, exp
-}
-
-func (ps *pairSet) String() string {
-	o, e := ps.counts()
-	return fmt.Sprintf("%d pairs (%d observed, %d expected)", len(ps.refs), o, e)
 }
 
 func minf(a, b float64) float64 {

@@ -48,11 +48,11 @@ func TestExplainIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := gtQuery(log, ex.Deriver())
+		q := gtQuery(log, ex.d)
 		if q == nil {
 			t.Fatal("no pair of interest")
 		}
-		x, err := ex.ExplainWithDespite(q)
+		x, err := ex.ExplainWithDespite(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,18 +22,11 @@ type LabeledPair struct {
 	Observed bool
 }
 
-// RelatedPairs enumerates the log's pairs related to the query under its
-// despite clause — the construction both PerfXplain and the SimButDiff
-// baseline train from. maxPairs caps the pair space (0 = unlimited);
-// enumeration is deterministic in seed and runs on all available cores
-// (the result does not depend on the worker count).
-func RelatedPairs(log *joblog.Log, level features.Level, q *pxql.Query,
-	maxPairs int, seed int64) []LabeledPair {
-	return RelatedPairsP(log, level, q, maxPairs, seed, 0)
-}
-
-// RelatedPairsP is RelatedPairs with an explicit worker bound (<= 0
-// means GOMAXPROCS); the result is identical at every setting.
+// RelatedPairsP enumerates the log's pairs related to the query under
+// its despite clause — the construction both PerfXplain and the
+// SimButDiff baseline train from. maxPairs caps the pair space (0 =
+// unlimited); enumeration is deterministic in seed, and parallelism (<= 0
+// means GOMAXPROCS) bounds the workers without changing the result.
 func RelatedPairsP(log *joblog.Log, level features.Level, q *pxql.Query,
 	maxPairs int, seed int64, parallelism int) []LabeledPair {
 
@@ -56,12 +49,4 @@ func RelatedPairsP(log *joblog.Log, level features.Level, q *pxql.Query,
 		}
 	}
 	return out
-}
-
-// EvalAtomOnPair evaluates a single derived-feature atom over a pair; it
-// exists so baseline implementations share PerfXplain's evaluation
-// semantics exactly.
-func EvalAtomOnPair(d *features.Deriver, a pxql.Atom, x, y *joblog.Record) bool {
-	v, ok := d.ValueByName(x, y, a.Feature)
-	return ok && a.Eval(v)
 }

@@ -155,11 +155,11 @@ func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := gtQuery(l, ex.Deriver())
+		q := gtQuery(l, ex.d)
 		if q == nil {
 			t.Fatal("no pair of interest")
 		}
-		x, err := ex.ExplainWithDespite(q)
+		x, err := ex.ExplainWithDespite(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package core
 // advertised Wilson confidence bounds.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -259,7 +260,7 @@ func TestStratifiedStatisticalEquivalence(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return ex.Explain(q)
+		return ex.Explain(context.Background(), q)
 	}()
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +275,7 @@ func TestStratifiedStatisticalEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := ex.Explain(q)
+		x, err := ex.Explain(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +349,7 @@ func TestTopKPruning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := ex.Explain(q)
+		x, err := ex.Explain(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +364,7 @@ func TestTopKPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.Explain(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

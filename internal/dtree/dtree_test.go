@@ -3,11 +3,9 @@ package dtree
 import (
 	"math"
 	"math/rand"
-	"strings"
+	"sort"
 	"testing"
 	"testing/quick"
-
-	"perfxplain/internal/joblog"
 )
 
 func TestGainFromCounts(t *testing.T) {
@@ -52,20 +50,14 @@ func TestGainBounds(t *testing.T) {
 	}
 }
 
-func numVals(xs ...float64) []joblog.Value {
-	out := make([]joblog.Value, len(xs))
-	for i, x := range xs {
-		out[i] = joblog.Num(x)
-	}
-	return out
-}
+var missing = math.NaN()
 
 func TestBestThreshold(t *testing.T) {
 	// Labels flip exactly at value 10 → threshold should land between 10
 	// and 20 and the gain should be the full prior entropy (perfect split).
-	vals := numVals(1, 5, 10, 20, 25, 30)
+	vals := []float64{1, 5, 10, 20, 25, 30}
 	labels := []bool{true, true, true, false, false, false}
-	thr, gain, ok := BestThreshold(vals, labels)
+	thr, gain, ok := BestThresholdF(vals, labels)
 	if !ok {
 		t.Fatal("expected ok")
 	}
@@ -78,12 +70,9 @@ func TestBestThreshold(t *testing.T) {
 }
 
 func TestBestThresholdMissingScalesGain(t *testing.T) {
-	vals := []joblog.Value{
-		joblog.Num(1), joblog.Num(2), joblog.Num(10), joblog.Num(20),
-		joblog.None(), joblog.None(), joblog.None(), joblog.None(),
-	}
+	vals := []float64{1, 2, 10, 20, missing, missing, missing, missing}
 	labels := []bool{true, true, false, false, true, false, true, false}
-	_, gain, ok := BestThreshold(vals, labels)
+	_, gain, ok := BestThresholdF(vals, labels)
 	if !ok {
 		t.Fatal("expected ok")
 	}
@@ -94,13 +83,13 @@ func TestBestThresholdMissingScalesGain(t *testing.T) {
 }
 
 func TestBestThresholdDegenerate(t *testing.T) {
-	if _, _, ok := BestThreshold(numVals(5, 5, 5), []bool{true, false, true}); ok {
+	if _, _, ok := BestThresholdF([]float64{5, 5, 5}, []bool{true, false, true}); ok {
 		t.Error("identical values should not produce a threshold")
 	}
-	if _, _, ok := BestThreshold(numVals(5), []bool{true}); ok {
-		t.Error("single value should not produce a threshold")
+	if _, _, ok := BestThresholdF([]float64{5, missing}, []bool{true, false}); ok {
+		t.Error("single known value should not produce a threshold")
 	}
-	if _, _, ok := BestThreshold(nil, nil); ok {
+	if _, _, ok := BestThresholdF(nil, nil); ok {
 		t.Error("empty input should not produce a threshold")
 	}
 }
@@ -110,40 +99,53 @@ func TestBestThresholdNeverSplitsTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(30)
-		vals := make([]joblog.Value, n)
+		vals := make([]float64, n)
 		labels := make([]bool, n)
 		for i := range vals {
-			vals[i] = joblog.Num(float64(rng.Intn(5)))
+			vals[i] = float64(rng.Intn(5))
 			labels[i] = rng.Intn(2) == 0
 		}
-		thr, _, ok := BestThreshold(vals, labels)
+		thr, _, ok := BestThresholdF(vals, labels)
 		if !ok {
 			continue
 		}
 		for _, v := range vals {
-			if v.Num == thr {
+			if v == thr {
 				t.Fatalf("threshold %v collides with data value", thr)
 			}
 		}
 	}
 }
 
-func strVals(xs ...string) []joblog.Value {
-	out := make([]joblog.Value, len(xs))
-	for i, x := range xs {
-		if x == "" {
-			out[i] = joblog.None()
+// bestNominal tallies a nominal column ("" is a missing cell) into the
+// sorted per-value class counts BestNominalFromCounts takes.
+func bestNominal(vals []string, labels []bool) (string, float64, bool) {
+	byVal := map[string]*NominalCount{}
+	var counts []NominalCount
+	for i, v := range vals {
+		if v == "" {
+			continue
+		}
+		if byVal[v] == nil {
+			byVal[v] = &NominalCount{Value: v}
+		}
+		if labels[i] {
+			byVal[v].Pos++
 		} else {
-			out[i] = joblog.Str(x)
+			byVal[v].Neg++
 		}
 	}
-	return out
+	for _, c := range byVal {
+		counts = append(counts, *c)
+	}
+	sort.Slice(counts, func(a, b int) bool { return counts[a].Value < counts[b].Value })
+	return BestNominalFromCounts(counts, len(vals))
 }
 
 func TestBestNominalValue(t *testing.T) {
-	vals := strVals("a", "a", "a", "b", "b", "c")
+	vals := []string{"a", "a", "a", "b", "b", "c"}
 	labels := []bool{true, true, true, false, false, false}
-	v, gain, ok := BestNominalValue(vals, labels)
+	v, gain, ok := bestNominal(vals, labels)
 	if !ok {
 		t.Fatal("expected ok")
 	}
@@ -153,253 +155,27 @@ func TestBestNominalValue(t *testing.T) {
 	if math.Abs(gain-1.0) > 1e-9 {
 		t.Errorf("gain = %v, want 1.0", gain)
 	}
+	// Half the column unknown: the same perfect split, scaled by 0.5.
+	vals = append(vals, "", "", "", "", "", "")
+	labels = append(labels, true, false, true, false, true, false)
+	if _, gain, _ := bestNominal(vals, labels); math.Abs(gain-0.5) > 1e-9 {
+		t.Errorf("gain with half the values missing = %v, want 0.5", gain)
+	}
 }
 
 func TestBestNominalValueDegenerate(t *testing.T) {
-	if _, _, ok := BestNominalValue(strVals("x", "x"), []bool{true, false}); ok {
+	if _, _, ok := bestNominal([]string{"x", "x"}, []bool{true, false}); ok {
 		t.Error("single-valued column should not be splittable")
 	}
-	if _, _, ok := BestNominalValue(strVals("", ""), []bool{true, false}); ok {
+	if _, _, ok := bestNominal([]string{"", ""}, []bool{true, false}); ok {
 		t.Error("all-missing column should not be splittable")
 	}
 }
 
 func TestBestNominalValueDeterministicTies(t *testing.T) {
-	// Two values with identical gain: lexicographically smaller wins.
-	vals := strVals("b", "a", "b", "a")
-	labels := []bool{true, false, true, false}
-	v1, _, _ := BestNominalValue(vals, labels)
-	v2, _, _ := BestNominalValue(vals, labels)
-	if v1 != v2 {
-		t.Error("tie-break not deterministic")
+	// Two values with identical gain: the first in string order wins.
+	v, _, ok := bestNominal([]string{"b", "a", "b", "a"}, []bool{true, false, true, false})
+	if !ok || v != "a" {
+		t.Errorf("tie resolved to %q (ok %v), want a", v, ok)
 	}
-}
-
-// buildTestLog creates a log where label = (x > 50) XOR-free simple rule
-// plus a nominal column that perfectly encodes the label for the second
-// half of the space.
-func buildTestLog(n int, rng *rand.Rand) (*joblog.Log, []bool) {
-	schema := joblog.NewSchema([]joblog.Field{
-		{Name: "x", Kind: joblog.Numeric},
-		{Name: "color", Kind: joblog.Nominal},
-		{Name: "noise", Kind: joblog.Numeric},
-	})
-	log := joblog.NewLog(schema)
-	labels := make([]bool, 0, n)
-	for i := 0; i < n; i++ {
-		x := rng.Float64() * 100
-		label := x > 50
-		color := "red"
-		if label {
-			color = "blue"
-		}
-		// 10% label noise on the color column only.
-		if rng.Float64() < 0.1 {
-			if color == "red" {
-				color = "blue"
-			} else {
-				color = "red"
-			}
-		}
-		log.MustAppend(&joblog.Record{
-			ID: "r",
-			Values: []joblog.Value{
-				joblog.Num(x), joblog.Str(color), joblog.Num(rng.Float64()),
-			},
-		})
-		labels = append(labels, label)
-	}
-	return log, labels
-}
-
-func TestTreeLearnsRule(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	log, labels := buildTestLog(400, rng)
-	tree := Build(log, labels, Config{Prune: true})
-	if acc := tree.Accuracy(log, labels); acc < 0.95 {
-		t.Errorf("training accuracy = %v, want >= 0.95", acc)
-	}
-	// Held-out data from the same distribution.
-	testLog, testLabels := buildTestLog(200, rng)
-	if acc := tree.Accuracy(testLog, testLabels); acc < 0.9 {
-		t.Errorf("test accuracy = %v, want >= 0.9", acc)
-	}
-	top := tree.TopFeatures()
-	if len(top) == 0 || (top[0] != "x" && top[0] != "color") {
-		t.Errorf("top features = %v, want x or color first", top)
-	}
-}
-
-func TestTreePruningShrinks(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	log, labels := buildTestLog(300, rng)
-	full := Build(log, labels, Config{Prune: false})
-	pruned := Build(log, labels, Config{Prune: true})
-	if pruned.Size() > full.Size() {
-		t.Errorf("pruned size %d > unpruned %d", pruned.Size(), full.Size())
-	}
-}
-
-func TestTreePureLeaf(t *testing.T) {
-	schema := joblog.NewSchema([]joblog.Field{{Name: "x", Kind: joblog.Numeric}})
-	log := joblog.NewLog(schema)
-	labels := []bool{true, true, true}
-	for i := 0; i < 3; i++ {
-		log.MustAppend(&joblog.Record{ID: "r", Values: []joblog.Value{joblog.Num(float64(i))}})
-	}
-	tree := Build(log, labels, Config{})
-	if tree.Size() != 1 {
-		t.Errorf("pure log should yield a single leaf, size = %d", tree.Size())
-	}
-	if !tree.Classify(log.Records[0]) {
-		t.Error("pure positive leaf should classify positive")
-	}
-	if tree.Depth() != 1 {
-		t.Errorf("Depth = %d, want 1", tree.Depth())
-	}
-}
-
-func TestTreeMissingAtClassify(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	log, labels := buildTestLog(200, rng)
-	tree := Build(log, labels, Config{})
-	r := &joblog.Record{ID: "m", Values: []joblog.Value{joblog.None(), joblog.None(), joblog.None()}}
-	// Must not panic; either answer is acceptable.
-	_ = tree.Classify(r)
-}
-
-func TestTreeMaxDepth(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	log, labels := buildTestLog(300, rng)
-	tree := Build(log, labels, Config{MaxDepth: 2})
-	if tree.Depth() > 3 { // root split + one more level + leaves
-		t.Errorf("Depth = %d with MaxDepth 2", tree.Depth())
-	}
-}
-
-func TestTreeGainRatio(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	log, labels := buildTestLog(300, rng)
-	tree := Build(log, labels, Config{GainRatio: true, Prune: true})
-	if acc := tree.Accuracy(log, labels); acc < 0.9 {
-		t.Errorf("gain-ratio accuracy = %v", acc)
-	}
-}
-
-func TestTreeString(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	log, labels := buildTestLog(100, rng)
-	tree := Build(log, labels, Config{})
-	s := tree.String()
-	if !strings.Contains(s, "leaf") {
-		t.Errorf("render lacks leaves:\n%s", s)
-	}
-}
-
-func TestBuildPanicsOnBadLabels(t *testing.T) {
-	schema := joblog.NewSchema([]joblog.Field{{Name: "x", Kind: joblog.Numeric}})
-	log := joblog.NewLog(schema)
-	log.MustAppend(&joblog.Record{ID: "r", Values: []joblog.Value{joblog.Num(1)}})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on label mismatch")
-		}
-	}()
-	Build(log, nil, Config{})
-}
-
-func TestColumn(t *testing.T) {
-	schema := joblog.NewSchema([]joblog.Field{
-		{Name: "a", Kind: joblog.Numeric},
-		{Name: "b", Kind: joblog.Nominal},
-	})
-	log := joblog.NewLog(schema)
-	log.MustAppend(&joblog.Record{ID: "1", Values: []joblog.Value{joblog.Num(1), joblog.Str("x")}})
-	log.MustAppend(&joblog.Record{ID: "2", Values: []joblog.Value{joblog.Num(2), joblog.Str("y")}})
-	col := Column(log, 1)
-	if len(col) != 2 || col[0] != joblog.Str("x") || col[1] != joblog.Str("y") {
-		t.Errorf("Column = %v", col)
-	}
-}
-
-func TestAccuracyEmpty(t *testing.T) {
-	schema := joblog.NewSchema([]joblog.Field{{Name: "x", Kind: joblog.Numeric}})
-	log := joblog.NewLog(schema)
-	log.MustAppend(&joblog.Record{ID: "r", Values: []joblog.Value{joblog.Num(1)}})
-	tree := Build(log, []bool{true}, Config{})
-	if got := tree.Accuracy(joblog.NewLog(schema), nil); got != 0 {
-		t.Errorf("Accuracy on empty log = %v", got)
-	}
-}
-
-// TestPartitionMatchesBoxedRouting pins the columnar partition against
-// routing every boxed value through goesLeft, on a log exercising the
-// corner cases the planes must reproduce: missing cells, alien
-// (kind-mismatched) cells, NaN numerics, and a nominal split value the
-// intern table has never seen.
-func TestPartitionMatchesBoxedRouting(t *testing.T) {
-	schema := joblog.NewSchema([]joblog.Field{
-		{Name: "num", Kind: joblog.Numeric},
-		{Name: "cat", Kind: joblog.Nominal},
-	})
-	log := joblog.NewLog(schema)
-	cells := [][]joblog.Value{
-		{joblog.Num(1), joblog.Str("a")},
-		{joblog.Num(5), joblog.Str("b")},
-		{joblog.None(), joblog.None()},
-		{joblog.Str("alien"), joblog.Num(7)}, // both cells kind-mismatched
-		{joblog.Num(math.NaN()), joblog.Str("a")},
-		{joblog.Num(3), joblog.Str("c")},
-	}
-	for i, vs := range cells {
-		log.MustAppend(&joblog.Record{ID: string(rune('a' + i)), Values: vs})
-	}
-	idx := make([]int, log.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	nodes := []*node{
-		{featIdx: 0, threshold: 3},
-		{featIdx: 0, threshold: -1},
-		{featIdx: 1, nominal: true, value: "a"},
-		{featIdx: 1, nominal: true, value: "never-logged"},
-	}
-	for _, n := range nodes {
-		left, right := partition(log, idx, n)
-		// Reference: boxed routing with the same missing-follows-majority
-		// rule.
-		var wantL, wantR, missing []int
-		for _, i := range idx {
-			v := log.Records[i].Values[n.featIdx]
-			switch {
-			case v.IsMissing():
-				missing = append(missing, i)
-			case goesLeft(v, n):
-				wantL = append(wantL, i)
-			default:
-				wantR = append(wantR, i)
-			}
-		}
-		if len(wantL) >= len(wantR) {
-			wantL = append(wantL, missing...)
-		} else {
-			wantR = append(wantR, missing...)
-		}
-		if !equalInts(left, wantL) || !equalInts(right, wantR) {
-			t.Errorf("node %+v: partition = %v | %v, boxed routing = %v | %v",
-				n, left, right, wantL, wantR)
-		}
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

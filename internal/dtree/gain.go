@@ -1,9 +1,9 @@
-// Package dtree implements the decision-tree machinery PerfXplain borrows
-// from C4.5 (paper Section 4.2): information gain over binary-labeled
-// instances, best-threshold search for numeric attributes, best-value
-// search for nominal attributes, and — beyond what the paper strictly
-// needs — a complete C4.5-style tree builder with gain-ratio splits and
-// pessimistic pruning, so the package stands alone as a reusable library.
+// Package dtree scores binary splits the way C4.5 does, which is all of
+// the decision-tree machinery PerfXplain's Algorithm 1 borrows (paper
+// Section 4.2): information gain over binary-labeled instances, the best
+// threshold of a numeric attribute, and the best value of a nominal one.
+// Algorithm 1 picks one best predicate per feature and grows a
+// conjunction; it builds no tree, and neither does this package.
 //
 // Labels are booleans; by PerfXplain convention true = "performed as
 // observed" and false = "performed as expected". Missing attribute values
@@ -16,8 +16,6 @@ import (
 	"math"
 	"sort"
 
-	"perfxplain/internal/joblog"
-	"perfxplain/internal/par"
 	"perfxplain/internal/stats"
 )
 
@@ -37,32 +35,13 @@ func GainFromCounts(posIn, negIn, posOut, negOut int) float64 {
 	return h - cond
 }
 
-// BestThreshold finds the numeric threshold t maximising the information
-// gain of the partition (value <= t) vs (value > t), considering C4.5-style
-// midpoints between adjacent distinct observed values. Missing values are
-// skipped and the returned gain is scaled by the known fraction. ok is
-// false when fewer than two distinct known values exist.
-//
-// NaN numeric values count as unknown, like missing values. (Before the
-// columnar engine they entered the threshold sweep, but a NaN in the
-// sort comparator makes the order — and therefore the chosen split —
-// unspecified; treating NaN as unknown is the well-defined behaviour.)
-func BestThreshold(values []joblog.Value, labels []bool) (t, gain float64, ok bool) {
-	vals := make([]float64, len(values))
-	for i, v := range values {
-		if v.Kind == joblog.Numeric {
-			vals[i] = v.Num
-		} else {
-			vals[i] = math.NaN()
-		}
-	}
-	return BestThresholdF(vals, labels)
-}
-
-// BestThresholdF is BestThreshold over a flat float column, the columnar
-// engine's numeric scorer: NaN encodes an unknown (missing) value, which
-// is skipped exactly like a missing boxed value while still counting
-// toward the known-fraction denominator.
+// BestThresholdF finds the numeric threshold t maximising the
+// information gain of the partition (value <= t) vs (value > t) over a
+// flat float column, considering C4.5-style midpoints between adjacent
+// distinct observed values. NaN encodes an unknown (missing or
+// kind-mismatched) value: it is skipped, and the returned gain is scaled
+// by the known fraction. ok is false when fewer than two distinct known
+// values exist.
 func BestThresholdF(vals []float64, labels []bool) (t, gain float64, ok bool) {
 	type vl struct {
 		v   float64
@@ -124,8 +103,9 @@ type NominalCount struct {
 // class counts, which MUST be sorted by Value — the sequential tie-break
 // (first maximum in string order) is part of the contract. total is the
 // number of instances including unknowns, the known-fraction denominator.
-// This is the shared scoring core of BestNominalValue and the columnar
-// engine's interned-symbol counting paths.
+// The partitions of `f = v` and `f != v` are identical, so the caller
+// chooses the predicate direction; the gain is the same. ok is false when
+// fewer than two distinct known values exist.
 func BestNominalFromCounts(counts []NominalCount, total int) (v string, gain float64, ok bool) {
 	if len(counts) < 2 {
 		return "", 0, false
@@ -148,195 +128,4 @@ func BestNominalFromCounts(counts []NominalCount, total int) (v string, gain flo
 		}
 	}
 	return bestVal, bestGain * knownFrac, true
-}
-
-// BestNominalValue finds the nominal value v maximising the information
-// gain of the binary partition (value == v) vs (value != v). Note the
-// partitions of `f = v` and `f != v` are identical, so the caller chooses
-// the predicate direction; the gain is the same. Missing values scale the
-// gain as in BestThreshold. ok is false when fewer than two distinct known
-// values exist.
-func BestNominalValue(values []joblog.Value, labels []bool) (v string, gain float64, ok bool) {
-	type counts struct{ pos, neg int }
-	byVal := make(map[string]*counts)
-	for i, val := range values {
-		if val.Kind != joblog.Nominal {
-			continue
-		}
-		c := byVal[val.Str]
-		if c == nil {
-			c = &counts{}
-			byVal[val.Str] = c
-		}
-		if labels[i] {
-			c.pos++
-		} else {
-			c.neg++
-		}
-	}
-	// Deterministic iteration order.
-	vals := make([]string, 0, len(byVal))
-	for s := range byVal {
-		vals = append(vals, s)
-	}
-	sort.Strings(vals)
-	list := make([]NominalCount, len(vals))
-	for i, s := range vals {
-		list[i] = NominalCount{Value: s, Pos: byVal[s].pos, Neg: byVal[s].neg}
-	}
-	return BestNominalFromCounts(list, len(values))
-}
-
-// Column extracts the i'th field of every record in the log, in order.
-func Column(log *joblog.Log, i int) []joblog.Value {
-	out := make([]joblog.Value, log.Len())
-	for j, r := range log.Records {
-		out[j] = r.Values[i]
-	}
-	return out
-}
-
-// Split is the best binary split found for one feature: a threshold
-// partition for numeric features, an equality partition for nominal
-// ones.
-type Split struct {
-	FeatIdx   int
-	Nominal   bool
-	Threshold float64 // numeric: (value <= Threshold) vs (value > Threshold)
-	Value     string  // nominal: (value == Value) vs (value != Value)
-	Gain      float64
-	// Info is C4.5's split information — the entropy of the partition
-	// sizes (left/right/missing) — computed alongside the gain so
-	// gain-ratio consumers need no second pass over the values.
-	Info float64
-}
-
-// SatisfiedBy reports whether a value takes the split's satisfying
-// (left) branch; missing values take neither.
-func (s *Split) SatisfiedBy(v joblog.Value) bool {
-	if s.Nominal {
-		return v.Kind == joblog.Nominal && v.Str == s.Value
-	}
-	return v.Kind == joblog.Numeric && v.Num <= s.Threshold
-}
-
-// splitInfoCol is the entropy of the split's partition sizes over the
-// instance subset, read straight off the column — the denominator of
-// C4.5's gain ratio. Missing values form the third partition; alien
-// (kind-mismatched) cells satisfy no split, exactly like SatisfiedBy on
-// the boxed value.
-func splitInfoCol(c *joblog.Col, in *joblog.Intern, idx []int, s *Split) float64 {
-	var valSym uint32
-	var valKnown bool
-	if s.Nominal {
-		valSym, valKnown = in.Lookup(s.Value)
-	}
-	var nl, nr, nm float64
-	for _, i := range idx {
-		switch {
-		case c.Miss.Get(i):
-			nm++
-		case c.Alien(i):
-			nr++
-		case s.Nominal && valKnown && c.Sym[i] == valSym,
-			!s.Nominal && c.Num[i] <= s.Threshold:
-			nl++
-		default:
-			nr++
-		}
-	}
-	total := nl + nr + nm
-	si := 0.0
-	for _, cnt := range []float64{nl, nr, nm} {
-		if cnt > 0 {
-			p := cnt / total
-			si -= p * math.Log2(p)
-		}
-	}
-	return si
-}
-
-// BestSplits scores every schema feature concurrently over the instance
-// subset idx, returning the best split per feature in feature order (nil
-// when the feature admits no split). labels runs parallel to
-// log.Records. Each feature's result lands in its own slot, so the
-// output is independent of the worker count. This is the tree builder's
-// concurrent inner loop; PerfXplain's Algorithm 1 runs its own
-// equivalent scan (with applicability filtering) over the same scoring
-// primitives directly in internal/core. withInfo additionally fills
-// Split.Info for gain-ratio consumers; skip it to avoid the extra pass
-// when raw gain is the criterion.
-//
-// Scoring reads the log's columnar view: numeric features gather a flat
-// float column (NaN for missing or kind-mismatched cells), nominal
-// features count interned symbols and decode only the distinct values
-// for the deterministic string-ordered tie-break.
-func BestSplits(log *joblog.Log, labels []bool, idx []int, parallelism int, withInfo bool) []*Split {
-	cols := log.Columns()
-	in := cols.Intern()
-	subLabels := make([]bool, len(idx))
-	for j, i := range idx {
-		subLabels[j] = labels[i]
-	}
-	out := make([]*Split, log.Schema.Len())
-	par.Do(log.Schema.Len(), parallelism, func(f int) {
-		c := cols.Col(f)
-		var s *Split
-		if c.Kind == joblog.Numeric {
-			vals := make([]float64, len(idx))
-			for j, i := range idx {
-				if c.Miss.Get(i) || c.Alien(i) {
-					vals[j] = math.NaN()
-				} else {
-					vals[j] = c.Num[i]
-				}
-			}
-			thr, g, ok := BestThresholdF(vals, subLabels)
-			if !ok {
-				return
-			}
-			s = &Split{FeatIdx: f, Threshold: thr, Gain: g}
-		} else {
-			val, g, ok := bestNominalCol(c, in, idx, subLabels)
-			if !ok {
-				return
-			}
-			s = &Split{FeatIdx: f, Nominal: true, Value: val, Gain: g}
-		}
-		if withInfo {
-			s.Info = splitInfoCol(c, in, idx, s)
-		}
-		out[f] = s
-	})
-	return out
-}
-
-// bestNominalCol is BestNominalValue over one interned column restricted
-// to the instance subset: a counting pass per symbol, then the distinct
-// symbols decode to strings for the sorted, string-ordered selection —
-// identical output to scoring the boxed values.
-func bestNominalCol(c *joblog.Col, in *joblog.Intern, idx []int, subLabels []bool) (string, float64, bool) {
-	type cnt struct{ pos, neg int }
-	bySym := make(map[uint32]*cnt)
-	for j, i := range idx {
-		if c.Miss.Get(i) || c.Alien(i) {
-			continue
-		}
-		cc := bySym[c.Sym[i]]
-		if cc == nil {
-			cc = &cnt{}
-			bySym[c.Sym[i]] = cc
-		}
-		if subLabels[j] {
-			cc.pos++
-		} else {
-			cc.neg++
-		}
-	}
-	counts := make([]NominalCount, 0, len(bySym))
-	for s, cc := range bySym {
-		counts = append(counts, NominalCount{Value: in.Str(s), Pos: cc.pos, Neg: cc.neg})
-	}
-	sort.Slice(counts, func(a, b int) bool { return counts[a].Value < counts[b].Value })
-	return BestNominalFromCounts(counts, len(idx))
 }

@@ -48,17 +48,6 @@ func TestTemplatesParse(t *testing.T) {
 		if len(q.Despite) == 0 {
 			t.Errorf("%s: benchmark queries carry a despite clause", tmpl.Name)
 		}
-		nd := tmpl.WithoutDespite()
-		qq, err := nd.Query()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(qq.Despite) != 0 {
-			t.Errorf("WithoutDespite left a despite clause")
-		}
-		if !strings.Contains(nd.Name, "NoDespite") {
-			t.Errorf("WithoutDespite name = %q", nd.Name)
-		}
 	}
 }
 
@@ -272,12 +261,5 @@ func TestTableRenderEmptyAndMismatched(t *testing.T) {
 	out := tab.String()
 	if !strings.Contains(out, "-") {
 		t.Errorf("missing cells should render as '-':\n%s", out)
-	}
-}
-
-func TestSortedTechniques(t *testing.T) {
-	st := sortedTechniques()
-	if len(st) != 3 || st[0] > st[1] || st[1] > st[2] {
-		t.Errorf("sortedTechniques = %v", st)
 	}
 }

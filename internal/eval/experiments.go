@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"perfxplain/internal/core"
 	"perfxplain/internal/features"
@@ -214,7 +213,7 @@ func (h *Harness) DespiteRelevance(widths []int) (*Table, error) {
 				Seed:         seed,
 			}, inner)
 			if err == nil {
-				des, derr := ex.GenerateDespite(q)
+				des, derr := ex.GenerateDespite(context.Background(), q)
 				if derr == nil {
 					for wi, w := range widths {
 						d := des
@@ -269,7 +268,7 @@ func (h *Harness) Table3(despiteWidth int) (*Table, error) {
 			if err != nil {
 				return
 			}
-			des, err := ex.GenerateDespite(q)
+			des, err := ex.GenerateDespite(context.Background(), q)
 			if err != nil {
 				return
 			}
@@ -497,13 +496,6 @@ func (h *Harness) forEachRepStripped(base QueryTemplate,
 		stripped.Despite = nil
 		fn(rep, train, test, &stripped, seed)
 	})
-}
-
-// sortedTechniques returns technique names sorted (test helper hygiene).
-func sortedTechniques() []string {
-	out := append([]string(nil), AllTechniques...)
-	sort.Strings(out)
-	return out
 }
 
 func nanRow(n int) []float64 {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -213,9 +214,9 @@ func (h *Harness) explainFull(tech string, train *joblog.Log, q *pxql.Query,
 			return nil, err
 		}
 		if genDespite {
-			return ex.ExplainWithDespite(q)
+			return ex.ExplainWithDespite(context.Background(), q)
 		}
-		return ex.Explain(q)
+		return ex.Explain(context.Background(), q)
 	case TechRuleOfThumb:
 		rot, err := baselines.NewRuleOfThumb(train, "duration", seed)
 		if err != nil {

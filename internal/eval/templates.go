@@ -49,14 +49,6 @@ func (t QueryTemplate) Query() (*pxql.Query, error) {
 	return &pxql.Query{Despite: des, Observed: obs, Expected: exp}, nil
 }
 
-// WithoutDespite returns the template with its despite clause removed,
-// the under-specified form of Section 6.4.
-func (t QueryTemplate) WithoutDespite() QueryTemplate {
-	t.Despite = ""
-	t.Name += "-NoDespite"
-	return t
-}
-
 // WhyLastTaskFaster is the paper's first benchmark query (Section 6.2):
 // why did the last task launched on an instance finish faster than the
 // earlier tasks of the same job on that instance, despite processing a

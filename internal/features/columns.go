@@ -102,12 +102,6 @@ func (d *Deriver) buildPlanes() {
 	d.rawPlans = plans
 }
 
-// NumWidth returns the per-pair width of the numeric plane.
-func (d *Deriver) NumWidth() int { return d.numW }
-
-// SymWidth returns the per-pair width of the symbol plane.
-func (d *Deriver) SymWidth() int { return d.symW }
-
 // NumOffset returns the numeric-plane offset of a derived feature, or -1
 // when it lives in the symbol plane.
 func (d *Deriver) NumOffset(derivedIdx int) int { return d.numOff[derivedIdx] }
@@ -353,9 +347,10 @@ func diffSymsFor(in *joblog.Intern, s string) []uint64 {
 }
 
 // PairMatrix is a flat, row-major materialization of the derived feature
-// vectors of a set of pairs: row i holds pair i's numeric plane
-// (NumWidth() floats) and symbol plane (SymWidth() symbols). Rows are
-// written by Fill and read by offset; no boxed values are created.
+// vectors of a set of pairs: row i holds pair i's numeric plane (one
+// float per numeric base feature) and symbol plane (one packed symbol per
+// nominal feature). Rows are written by Fill and read by offset; no boxed
+// values are created.
 type PairMatrix struct {
 	D    *Deriver
 	N    int
@@ -397,8 +392,8 @@ func (m *PairMatrix) Fill(cols *joblog.Columns, row, a, b int) {
 }
 
 // MaterializeInto computes every derived feature of the pair (a, b) into
-// the caller's plane rows (len NumWidth() and SymWidth() respectively).
-// The loop is raw-field-major: each raw cell's missing bits and payloads
+// the caller's plane rows (one pair-matrix row of each plane wide). The
+// loop is raw-field-major: each raw cell's missing bits and payloads
 // are read once and fan out to the whole derived family, and the 10%
 // similarity band is computed once for both issame and compare. This is
 // the allocation-free bulk engine behind PairMatrix.Fill; callers may

@@ -58,8 +58,8 @@ func TestColumnarDeriveMatchesBoxed(t *testing.T) {
 			log := randLog(seed, 6)
 			d := NewDeriver(log.Schema, level)
 			cols := log.Columns()
-			numRow := make([]float64, d.NumWidth())
-			symRow := make([]uint64, d.SymWidth())
+			numRow := make([]float64, d.numW)
+			symRow := make([]uint64, d.symW)
 			for a := range log.Records {
 				for b := range log.Records {
 					ra, rb := log.Records[a], log.Records[b]
@@ -159,5 +159,29 @@ func TestSymCodecRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMaterializeDoesNotAllocate pins the steady state of pair
+// materialization: once the columnar view and the matrix exist, filling a
+// row — missing and alien cells included — touches no allocator, neither
+// through PairMatrix.Fill nor through MaterializeInto on scratch rows.
+func TestMaterializeDoesNotAllocate(t *testing.T) {
+	log := randLog(7, 12)
+	cols := log.Columns()
+	d := NewDeriver(log.Schema, Level3)
+	n := log.Len()
+	m := d.NewPairMatrix(n * n)
+	numRow, symRow := make([]float64, d.numW), make([]uint64, d.symW)
+	allocs := testing.AllocsPerRun(20, func() {
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				m.Fill(cols, a*n+b, a, b)
+				d.MaterializeInto(cols, a, b, numRow, symRow)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("materializing %d pairs allocates %v times per run, want 0", n*n, allocs)
 	}
 }

@@ -212,11 +212,6 @@ func (d *Deriver) Vector(a, b *joblog.Record) []joblog.Value {
 	return out
 }
 
-// PairRecord wraps Vector in a joblog.Record whose ID is "idA|idB".
-func (d *Deriver) PairRecord(a, b *joblog.Record) *joblog.Record {
-	return &joblog.Record{ID: a.ID + "|" + b.ID, Values: d.Vector(a, b)}
-}
-
 // derive computes one derived value from the two raw values.
 func derive(rawKind joblog.Kind, va, vb joblog.Value, kind PairKind) joblog.Value {
 	if va.IsMissing() || vb.IsMissing() {

@@ -155,10 +155,6 @@ func TestVectorMatchesLazyValue(t *testing.T) {
 			t.Errorf("feature %d: vector %v != lazy %v", i, vec[i], lazy)
 		}
 	}
-	pr := d.PairRecord(a, b)
-	if pr.ID != "a|b" || len(pr.Values) != d.Schema().Len() {
-		t.Errorf("PairRecord = %q len %d", pr.ID, len(pr.Values))
-	}
 }
 
 // Properties of the derivation, checked with random numeric pairs:

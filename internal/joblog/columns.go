@@ -111,9 +111,6 @@ type Col struct {
 	alien    Bitmap
 }
 
-// Missing reports whether record i's value is missing.
-func (c *Col) Missing(i int) bool { return c.Miss.Get(i) }
-
 // Alien reports whether record i holds a value whose kind disagrees with
 // the schema kind.
 func (c *Col) Alien(i int) bool { return c.HasAlien && c.alien.Get(i) }
@@ -147,9 +144,6 @@ type Columns struct {
 // Len returns the number of records the view covers.
 func (c *Columns) Len() int { return c.n }
 
-// Schema returns the log's schema.
-func (c *Columns) Schema() *Schema { return c.log.Schema }
-
 // Col returns the f'th field's column.
 func (c *Columns) Col(f int) *Col { return &c.cols[f] }
 
@@ -159,9 +153,6 @@ func (c *Columns) Intern() *Intern { return c.intern }
 // Value returns the boxed record value — the exact-semantics fallback
 // for alien cells and a convenience for code bridging both layouts.
 func (c *Columns) Value(row, f int) Value { return c.log.Records[row].Values[f] }
-
-// ID returns the row'th record's identifier.
-func (c *Columns) ID(row int) string { return c.log.Records[row].ID }
 
 // Memo returns the value cached under key, calling build to produce it
 // on first use. It is the consumer-side extension point of the columnar
@@ -224,16 +215,6 @@ func (l *Log) installColumns(c *Columns) {
 	c.log = l
 	c.gen = l.gen
 	l.colsCache = c
-}
-
-// installStats caches pre-merged per-field scan results for the log's
-// current generation (the snapshot-assembly counterpart of
-// installColumns). Domains and ranges must equal what the lazy scans
-// would produce.
-func (l *Log) installStats(domains map[string][]string, ranges map[string]numericRange) {
-	l.statsMu.Lock()
-	defer l.statsMu.Unlock()
-	l.statsCache = &logStats{n: len(l.Records), gen: l.gen, domains: domains, ranges: ranges}
 }
 
 // buildColumnsWith builds the view over an existing intern table — empty

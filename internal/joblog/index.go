@@ -120,31 +120,13 @@ func (ix *ColIndex) EqualNum(x float64) []int32 {
 	return ix.Perm[ix.SeekGE(x):ix.SeekGT(x)]
 }
 
-// RangeGE returns the Perm sub-slice of rows whose numeric value is
-// >= x — sorted by (value, row), NOT globally row-ascending; callers
-// intersect it with a group's row set (e.g. as a bitmap) rather than
-// merging by position. A NaN bound matches nothing.
-func (ix *ColIndex) RangeGE(x float64) []int32 {
-	if math.IsNaN(x) {
-		return nil
-	}
-	return ix.Perm[ix.SeekGE(x):]
-}
-
-// RangeLT returns the Perm sub-slice of rows whose numeric value is
-// < x, with the same ordering caveat as RangeGE.
-func (ix *ColIndex) RangeLT(x float64) []int32 {
-	if math.IsNaN(x) {
-		return nil
-	}
-	return ix.Perm[:ix.SeekGE(x)]
-}
-
 // RangeBetween returns the Perm sub-slice of rows whose numeric value
 // lies in the interval [lo, hi], each bound excluded when its open flag
 // is set — the seek form of a pxql.ValueRange. An inverted or NaN
 // interval matches nothing; infinite bounds behave naturally (the seek
-// lands at an end of Perm). The result is sorted by (value, row).
+// lands at an end of Perm). The result is sorted by (value, row), NOT
+// globally row-ascending: callers intersect it with a group's row set
+// (e.g. as a bitmap) rather than merging by position.
 func (ix *ColIndex) RangeBetween(lo, hi float64, loOpen, hiOpen bool) []int32 {
 	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
 		return nil

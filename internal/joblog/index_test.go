@@ -137,8 +137,8 @@ func TestSortedIndexAllMissing(t *testing.T) {
 	if got := ix.SeekGE(math.Inf(-1)); got != 0 {
 		t.Errorf("SeekGE(-inf) = %d, want 0 on empty Perm", got)
 	}
-	if got := ix.RangeGE(0); len(got) != 0 {
-		t.Errorf("RangeGE(0) = %v", got)
+	if got := ix.RangeBetween(0, math.Inf(1), false, false); len(got) != 0 {
+		t.Errorf("RangeBetween(0, +inf) = %v", got)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestSortedIndexEmptyLog(t *testing.T) {
 	if got := ix.EqualNum(1); len(got) != 0 {
 		t.Errorf("EqualNum on empty log = %v", got)
 	}
-	if got := ix.RangeLT(5); len(got) != 0 {
-		t.Errorf("RangeLT on empty log = %v", got)
+	if got := ix.RangeBetween(math.Inf(-1), 5, false, true); len(got) != 0 {
+		t.Errorf("RangeBetween on empty log = %v", got)
 	}
 	sx := l.Columns().SortedIndex(1)
 	if got := sx.EqualSym(0); len(got) != 0 {
@@ -214,11 +214,11 @@ func TestSortedIndexRangeBounds(t *testing.T) {
 	}
 	ix := l.Columns().SortedIndex(0)
 
-	if got := ix.RangeGE(20); len(got) != 3 {
-		t.Errorf("RangeGE(20) = %v, want 3 rows", got)
+	if got := ix.RangeBetween(20, math.Inf(1), false, false); len(got) != 3 {
+		t.Errorf("RangeBetween(20, +inf) = %v, want 3 rows", got)
 	}
-	if got := ix.RangeLT(20); len(got) != 1 || got[0] != 0 {
-		t.Errorf("RangeLT(20) = %v, want [0]", got)
+	if got := ix.RangeBetween(math.Inf(-1), 20, false, true); len(got) != 1 || got[0] != 0 {
+		t.Errorf("RangeBetween(-inf, 20) open = %v, want [0]", got)
 	}
 	if got := ix.RangeBetween(20, 30, true, true); len(got) != 0 {
 		t.Errorf("RangeBetween(20, 30) open = %v, want empty", got)
@@ -236,10 +236,7 @@ func TestSortedIndexRangeBounds(t *testing.T) {
 	if got := ix.RangeBetween(math.NaN(), 30, false, false); got != nil {
 		t.Errorf("RangeBetween(NaN, 30) = %v, want nil", got)
 	}
-	if got := ix.RangeGE(math.NaN()); got != nil {
-		t.Errorf("RangeGE(NaN) = %v, want nil", got)
-	}
-	if got := ix.RangeLT(math.NaN()); got != nil {
-		t.Errorf("RangeLT(NaN) = %v, want nil", got)
+	if got := ix.RangeBetween(10, math.NaN(), false, false); got != nil {
+		t.Errorf("RangeBetween(10, NaN) = %v, want nil", got)
 	}
 }

@@ -45,12 +45,6 @@ func TestValueEqual(t *testing.T) {
 	}
 }
 
-func TestBool(t *testing.T) {
-	if Bool(true) != Str("T") || Bool(false) != Str("F") {
-		t.Error("Bool encoding wrong")
-	}
-}
-
 func TestParseValueRoundTrip(t *testing.T) {
 	f := func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) {

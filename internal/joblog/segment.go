@@ -17,13 +17,14 @@ package joblog
 //     whole-log fresh build would assign (segments seal in record order,
 //     so first-appearance order is preserved);
 //   - its per-field sorted indexes (memoized lazily on the segment's
-//     view) and attribute statistics (domains, numeric ranges).
+//     view).
 //
 // Snapshot() assembles the current watermark into an ordinary *Log whose
 // memoized views are stitched from the per-segment precomputations
 // instead of rebuilt from scratch: planes are memcpy'd at segment
-// offsets, bitmaps are blitted, domains and ranges merge, and the
-// column sorted index k-way merges the per-segment permutations. The
+// offsets, bitmaps are blitted, and the column sorted index k-way
+// merges the per-segment permutations. Domain and NumericRange are the
+// snapshot log's own lazy, memoized scans, as on any flat log. The
 // assembled log is byte-identical to a fresh Log holding the same
 // records — pinned by TestStoreSnapshotEquivalence — so every consumer
 // (the explainer, the planners, the baselines) works on snapshots
@@ -104,24 +105,6 @@ type segment struct {
 	// its intern pointer is the store's shared table. SortedIndex memos
 	// accumulate on it and stay warm for the segment's lifetime.
 	cols *Columns
-	// domains[f] is the sorted distinct nominal values of field f (nil
-	// for numeric fields); ranges[f] summarizes field f's numeric cells
-	// (zero value for nominal fields).
-	domains [][]string
-	ranges  []segRange
-}
-
-// segRange summarizes one field's numeric cells within a part so parts
-// merge to exactly what Log.NumericRange's sequential scan produces:
-// that scan seeds min/max from the first numeric cell, so a leading NaN
-// poisons the result while a mid-stream NaN is inert — the merge needs
-// to know whether the part's first numeric cell was NaN, separately from
-// its non-NaN extrema.
-type segRange struct {
-	hasNum       bool // any numeric cell at all
-	firstNaN     bool // the part's first numeric cell was NaN
-	nnOK         bool // any non-NaN numeric cell
-	nnMin, nnMax float64
 }
 
 // NewStore returns an empty store over the schema. sealThreshold is the
@@ -219,15 +202,13 @@ func (s *Store) sealLocked() {
 	s.tail = nil
 	segLog := &Log{Schema: s.schema, Records: recs}
 	wire := WireSlice(s.schema, recs)
-	seg := &segment{
+	s.sealed = append(s.sealed, &segment{
 		start: start,
 		recs:  recs,
 		wire:  wire,
 		hash:  HashSlice(wire),
 		cols:  buildColumnsWith(segLog, s.in),
-	}
-	seg.domains, seg.ranges = scanPartStats(s.schema, recs)
-	s.sealed = append(s.sealed, seg)
+	})
 }
 
 // SegmentView describes one shippable unit of a snapshot: a contiguous
@@ -298,9 +279,6 @@ func (sn *Snapshot) Segments() []SegmentView { return sn.segs }
 // Gen returns the watermark the snapshot was taken at.
 func (sn *Snapshot) Gen() uint64 { return sn.gen }
 
-// Len returns the number of records in the snapshot.
-func (sn *Snapshot) Len() int { return len(sn.log.Records) }
-
 // Snapshot returns the store's current watermark as an immutable
 // queryable view, memoized per generation: repeated calls between
 // appends return the same snapshot.
@@ -326,8 +304,6 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 
 	log := &Log{Schema: s.schema, Records: recs}
 	log.installColumns(s.assembleColumnsLocked(log, tailStart))
-	domains, ranges := s.mergeStatsLocked()
-	log.installStats(domains, ranges)
 
 	views := make([]SegmentView, 0, len(s.sealed)+1)
 	for _, seg := range s.sealed {
@@ -564,128 +540,4 @@ func (s *Store) mergedIndex(c *Columns, segs []*segment, tailStart, f int) *ColI
 		ix.Max = col.Num[ix.Perm[len(ix.Perm)-1]]
 	}
 	return ix
-}
-
-// scanPartStats computes one part's attribute statistics from its boxed
-// records: per-field sorted distinct nominal values and the segRange
-// numeric summary. Boxed scans make alien cells (value kind disagreeing
-// with the schema kind) behave exactly as Log.Domain/NumericRange's own
-// boxed scans do.
-func scanPartStats(schema *Schema, recs []*Record) ([][]string, []segRange) {
-	domains := make([][]string, schema.Len())
-	ranges := make([]segRange, schema.Len())
-	for f := 0; f < schema.Len(); f++ {
-		switch schema.Field(f).Kind {
-		case Nominal:
-			seen := make(map[string]bool)
-			for _, r := range recs {
-				if v := r.Values[f]; v.Kind == Nominal {
-					seen[v.Str] = true
-				}
-			}
-			out := make([]string, 0, len(seen))
-			for s := range seen {
-				out = append(out, s)
-			}
-			sort.Strings(out)
-			domains[f] = out
-		case Numeric:
-			rg := &ranges[f]
-			for _, r := range recs {
-				v := r.Values[f]
-				if v.Kind != Numeric {
-					continue
-				}
-				if !rg.hasNum {
-					rg.hasNum = true
-					rg.firstNaN = math.IsNaN(v.Num)
-				}
-				if math.IsNaN(v.Num) {
-					continue
-				}
-				if !rg.nnOK {
-					rg.nnOK = true
-					rg.nnMin, rg.nnMax = v.Num, v.Num
-					continue
-				}
-				if v.Num < rg.nnMin {
-					rg.nnMin = v.Num
-				}
-				if v.Num > rg.nnMax {
-					rg.nnMax = v.Num
-				}
-			}
-		}
-	}
-	return domains, ranges
-}
-
-// mergeStatsLocked merges per-segment statistics with a tail scan into
-// the whole-snapshot maps installStats expects.
-func (s *Store) mergeStatsLocked() (map[string][]string, map[string]numericRange) {
-	tailDom, tailRng := scanPartStats(s.schema, s.tail)
-	domains := make(map[string][]string)
-	ranges := make(map[string]numericRange)
-	for f := 0; f < s.schema.Len(); f++ {
-		fld := s.schema.Field(f)
-		switch fld.Kind {
-		case Nominal:
-			seen := make(map[string]bool)
-			for _, seg := range s.sealed {
-				for _, v := range seg.domains[f] {
-					seen[v] = true
-				}
-			}
-			for _, v := range tailDom[f] {
-				seen[v] = true
-			}
-			out := make([]string, 0, len(seen))
-			for v := range seen {
-				out = append(out, v)
-			}
-			sort.Strings(out)
-			domains[fld.Name] = out
-		case Numeric:
-			parts := make([]segRange, 0, len(s.sealed)+1)
-			for _, seg := range s.sealed {
-				parts = append(parts, seg.ranges[f])
-			}
-			parts = append(parts, tailRng[f])
-			ranges[fld.Name] = foldRanges(parts)
-		}
-	}
-	return domains, ranges
-}
-
-// foldRanges merges part summaries (in record order) to the exact
-// result of Log.NumericRange's sequential scan: a NaN as the very first
-// numeric cell poisons min and max; otherwise NaNs are inert and the
-// result is the running min/max over non-NaN cells.
-func foldRanges(parts []segRange) numericRange {
-	for _, p := range parts {
-		if !p.hasNum {
-			continue
-		}
-		if p.firstNaN {
-			return numericRange{min: math.NaN(), max: math.NaN(), ok: true}
-		}
-		break
-	}
-	out := numericRange{}
-	for _, p := range parts {
-		if !p.nnOK {
-			continue
-		}
-		if !out.ok {
-			out = numericRange{min: p.nnMin, max: p.nnMax, ok: true}
-			continue
-		}
-		if p.nnMin < out.min {
-			out.min = p.nnMin
-		}
-		if p.nnMax > out.max {
-			out.max = p.nnMax
-		}
-	}
-	return out
 }

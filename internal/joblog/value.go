@@ -7,7 +7,6 @@ package joblog
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind describes what a Value holds.
@@ -55,15 +54,6 @@ func Str(s string) Value { return Value{Kind: Nominal, Str: s} }
 
 // None returns a missing value.
 func None() Value { return Value{} }
-
-// Bool returns the nominal encoding of a boolean used by isSame features:
-// "T" or "F".
-func Bool(b bool) Value {
-	if b {
-		return Str("T")
-	}
-	return Str("F")
-}
 
 // IsMissing reports whether the value is absent.
 func (v Value) IsMissing() bool { return v.Kind == Missing }
@@ -116,13 +106,4 @@ func ParseValue(kind Kind, s string) (Value, error) {
 	default:
 		return None(), fmt.Errorf("joblog: cannot parse into kind %v", kind)
 	}
-}
-
-// quoteIfNeeded wraps s in quotes for human-facing predicate printing when
-// it contains whitespace or operator characters.
-func quoteIfNeeded(s string) string {
-	if strings.ContainsAny(s, " \t'\"=<>!") {
-		return strconv.Quote(s)
-	}
-	return s
 }

@@ -99,14 +99,26 @@ func (a Atom) String() string {
 	return fmt.Sprintf("%s %s %s", a.Feature, a.Op, valueLiteral(a.Value))
 }
 
+// valueLiteral renders a constant so that it parses back to the same
+// value of the same kind: a nominal constant is printed bare only when
+// the lexer reads it back as one identifier token, and quoted otherwise
+// ('123' must not come back numeric, nor 'a→b' as three tokens). The
+// canonical query string is the explanation cache's key, so a lossy
+// literal would serve one query's answer for another.
 func valueLiteral(v joblog.Value) string {
-	// Dots separate qualified names in the lexer and '#' starts a
-	// comment, so values containing them must be quoted too.
-	if v.Kind == joblog.Nominal && strings.ContainsAny(v.Str, " \t'\"=<>!,().#") {
-		return "'" + strings.ReplaceAll(v.Str, "'", "\\'") + "'"
+	if v.Kind == joblog.Nominal && !isIdent(v.Str) {
+		return quote(v.Str)
 	}
 	return v.String()
 }
+
+// quote renders s as a single-quoted PXQL string; lexString undoes
+// exactly this escaping.
+func quote(s string) string {
+	return "'" + stringEscaper.Replace(s) + "'"
+}
+
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
 
 // Predicate is a conjunction of atoms. The empty predicate is `true`
 // (Section 3.2: omitting the despite clause sets des to true).
@@ -124,18 +136,6 @@ func (p Predicate) String() string {
 	return strings.Join(parts, " AND ")
 }
 
-// EvalRecord evaluates the predicate against a record under its schema.
-// Atoms naming unknown features evaluate false.
-func (p Predicate) EvalRecord(schema *joblog.Schema, r *joblog.Record) bool {
-	for _, a := range p {
-		i, ok := schema.Index(a.Feature)
-		if !ok || !a.Eval(r.Values[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // EvalPair evaluates the predicate against the derived features of the
 // ordered pair (x, y), computing only the features the atoms mention.
 func (p Predicate) EvalPair(d *features.Deriver, x, y *joblog.Record) bool {
@@ -148,37 +148,11 @@ func (p Predicate) EvalPair(d *features.Deriver, x, y *joblog.Record) bool {
 	return true
 }
 
-// EvalVector evaluates the predicate against a materialised derived
-// vector under the derived schema.
-func (p Predicate) EvalVector(schema *joblog.Schema, vec []joblog.Value) bool {
-	for _, a := range p {
-		i, ok := schema.Index(a.Feature)
-		if !ok || !a.Eval(vec[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // And returns the conjunction p ∧ q as a new predicate.
 func (p Predicate) And(q Predicate) Predicate {
 	out := make(Predicate, 0, len(p)+len(q))
 	out = append(out, p...)
 	out = append(out, q...)
-	return out
-}
-
-// Features returns the distinct feature names the predicate mentions, in
-// first-mention order.
-func (p Predicate) Features() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, a := range p {
-		if !seen[a.Feature] {
-			seen[a.Feature] = true
-			out = append(out, a.Feature)
-		}
-	}
 	return out
 }
 
@@ -211,7 +185,7 @@ type Query struct {
 func (q *Query) String() string {
 	var b strings.Builder
 	if q.ID1 != "" || q.ID2 != "" {
-		fmt.Fprintf(&b, "FOR X1, X2 WHERE X1.ID = '%s' AND X2.ID = '%s'\n", q.ID1, q.ID2)
+		fmt.Fprintf(&b, "FOR X1, X2 WHERE X1.ID = %s AND X2.ID = %s\n", quote(q.ID1), quote(q.ID2))
 	}
 	if len(q.Despite) > 0 {
 		fmt.Fprintf(&b, "DESPITE %s\n", q.Despite)

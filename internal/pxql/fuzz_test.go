@@ -2,12 +2,16 @@ package pxql
 
 // Cross-checks of the compiled predicate evaluator against the
 // interpreted EvalPair, including a fuzz target over the full
-// parse → compile → eval path. Run the fuzzer with
+// parse → compile → eval path, and a fuzz target over the parser and
+// its printer. Run the fuzzers with
 //
 //	go test -fuzz FuzzCompiledPredicate ./internal/pxql
+//	go test -fuzz FuzzParseQuery ./internal/pxql
 //
 // The two evaluators must agree on every ordered pair of every log; any
-// divergence is a bug in the columnar engine.
+// divergence is a bug in the columnar engine. The printer must lose
+// nothing the parser produced: Query.String() keys the server's
+// explanation cache.
 
 import (
 	"math"
@@ -199,4 +203,53 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			checkCompiledAgainstInterpreted(t, p, log)
 		}
 	}
+}
+
+// FuzzParseQuery feeds arbitrary text to the parser. Refusing it is fine;
+// panicking is not, and whatever parses must print to a canonical string
+// that parses back to the same query and prints the same again.
+func FuzzParseQuery(f *testing.F) {
+	for _, src := range []string{
+		"FOR J1, J2 WHERE J1.ID = 'job-012' AND J2.ID = 'job-340'\nDESPITE numinstances_issame = T ∧ pigscript_issame = T\nOBSERVED duration_compare = GT\nEXPECTED duration_compare = SIM",
+		"OBSERVED f = '123' EXPECTED f = 123", // a nominal that looks numeric
+		"OBSERVED f = '1e3' AND g = '-5' EXPECTED f = 1e3 AND g = -5",
+		"OBSERVED f = '' EXPECTED f != \"\"",       // the empty string
+		`OBSERVED f = 'a\\' EXPECTED f = 'a\\\'b'`, // a trailing backslash; backslash then quote
+		"OBSERVED f_diff = 'a→b' EXPECTED f_diff = '(a→b)'",
+		"OBSERVED f = 'a∧b' EXPECTED f = 'a AND b'",
+		"OBSERVED f = 'two\nlines' EXPECTED f = 'tab\there' # trailing comment",
+		`for a, b where a.JobID = "it's" and b.TaskID = 'x\'y\\' observed f = AND expected f = OBSERVED`,
+		"OBSERVED blocksize >= 128MB AND x < 1e21 AND y = -0 EXPECTED blocksize <> 1.5kb",
+		"OBSERVED x = 1e308TB EXPECTED x = 1", // overflows: refused
+		"OBSERVED \xc3\xa9 = 1 EXPECTED f = \xff",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := Parse(src)
+		if err != nil {
+			return
+		}
+		canon := q.String()
+		back, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical string does not parse: %v\nsource:    %q\ncanonical: %q", err, src, canon)
+		}
+		if back.ID1 != q.ID1 || back.ID2 != q.ID2 {
+			t.Fatalf("pair (%q, %q) came back as (%q, %q) from %q", q.ID1, q.ID2, back.ID1, back.ID2, canon)
+		}
+		for i, clause := range [][2]Predicate{{q.Despite, back.Despite}, {q.Observed, back.Observed}, {q.Expected, back.Expected}} {
+			if len(clause[0]) != len(clause[1]) {
+				t.Fatalf("clause %d: %d atoms came back as %d from %q", i, len(clause[0]), len(clause[1]), canon)
+			}
+			for j, a := range clause[0] {
+				if b := clause[1][j]; a.Feature != b.Feature || a.Op != b.Op || !a.Value.Equal(b.Value) {
+					t.Fatalf("clause %d atom %d: %#v came back as %#v from %q", i, j, a, b, canon)
+				}
+			}
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("String is not a fixpoint: %q then %q", canon, again)
+		}
+	})
 }

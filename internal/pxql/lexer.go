@@ -2,9 +2,9 @@ package pxql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer output.
@@ -28,10 +28,11 @@ type token struct {
 }
 
 // lexer turns PXQL source into tokens. It understands:
-//   - identifiers: letters, digits, '_' and '-' after the first rune;
+//   - identifiers: ASCII letters, digits, '_' and '-' after the first byte;
 //   - numbers with optional byte-unit suffixes (64MB, 1.3GB) expanded to
 //     bytes, so predicates read like the paper's `blocksize >= 128MB`;
-//   - single- or double-quoted strings with backslash escapes;
+//   - single- or double-quoted strings, in which a backslash makes the
+//     next byte literal (the inverse of the printer's quote);
 //   - operators = != <> < <= > >= and the unicode conjunction '∧'
 //     (lexed as the identifier AND).
 type lexer struct {
@@ -110,14 +111,11 @@ func (l *lexer) lexToken() (token, error) {
 	case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		return l.lexNumber()
 	default:
-		r := rune(c)
-		if r == 0xE2 { // first byte of '∧' in UTF-8
-			if strings.HasPrefix(l.src[l.pos:], "∧") {
-				l.pos += len("∧")
-				return token{kind: tokIdent, text: "AND", pos: start}, nil
-			}
+		if strings.HasPrefix(l.src[l.pos:], "∧") {
+			l.pos += len("∧")
+			return token{kind: tokIdent, text: "AND", pos: start}, nil
 		}
-		if unicode.IsLetter(r) || c == '_' {
+		if isIdentStart(c) {
 			return l.lexIdent()
 		}
 		return token{}, fmt.Errorf("pxql: unexpected character %q at offset %d", c, start)
@@ -178,7 +176,9 @@ func (l *lexer) lexNumber() (token, error) {
 		if !ok {
 			return token{}, fmt.Errorf("pxql: unknown unit %q at offset %d", unit, unitStart)
 		}
-		x *= mult
+		if x *= mult; math.IsInf(x, 0) {
+			return token{}, fmt.Errorf("pxql: number %q at offset %d overflows", l.src[start:l.pos], start)
+		}
 	}
 	return token{kind: tokNumber, num: x, text: l.src[start:l.pos], pos: start}, nil
 }
@@ -191,7 +191,24 @@ func (l *lexer) lexIdent() (token, error) {
 	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}, nil
 }
 
+func isIdentStart(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+}
+
 func isIdentByte(c byte) bool {
-	return c == '_' || c == '-' ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+	return isIdentStart(c) || c == '-' || (c >= '0' && c <= '9')
+}
+
+// isIdent reports whether s lexes as exactly one identifier token — the
+// strings the printer may leave unquoted.
+func isIdent(s string) bool {
+	if s == "" || !isIdentStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentByte(s[i]) {
+			return false
+		}
+	}
+	return true
 }

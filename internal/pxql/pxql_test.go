@@ -52,25 +52,6 @@ func TestPredicateString(t *testing.T) {
 	}
 }
 
-func TestPredicateEvalRecord(t *testing.T) {
-	schema := joblog.NewSchema([]joblog.Field{
-		{Name: "a", Kind: joblog.Numeric},
-		{Name: "b", Kind: joblog.Nominal},
-	})
-	r := &joblog.Record{ID: "r", Values: []joblog.Value{joblog.Num(5), joblog.Str("x")}}
-	p := Predicate{{"a", OpGt, joblog.Num(1)}, {"b", OpEq, joblog.Str("x")}}
-	if !p.EvalRecord(schema, r) {
-		t.Error("predicate should hold")
-	}
-	p2 := Predicate{{"missingfeat", OpEq, joblog.Num(1)}}
-	if p2.EvalRecord(schema, r) {
-		t.Error("unknown feature should evaluate false")
-	}
-	if !(Predicate{}).EvalRecord(schema, r) {
-		t.Error("empty predicate should be true")
-	}
-}
-
 func TestPredicateEvalPair(t *testing.T) {
 	raw := joblog.NewSchema([]joblog.Field{
 		{Name: "inputsize", Kind: joblog.Numeric},
@@ -89,10 +70,6 @@ func TestPredicateEvalPair(t *testing.T) {
 	if p.EvalPair(d, b, a) {
 		t.Error("reversed pair should fail (inputsize LT)")
 	}
-	vec := d.Vector(a, b)
-	if !p.EvalVector(d.Schema(), vec) {
-		t.Error("EvalVector should agree with EvalPair")
-	}
 }
 
 func TestPredicateAndFeatures(t *testing.T) {
@@ -102,9 +79,8 @@ func TestPredicateAndFeatures(t *testing.T) {
 	if len(both) != 3 {
 		t.Fatalf("And length = %d", len(both))
 	}
-	feats := both.Features()
-	if len(feats) != 2 || feats[0] != "a" || feats[1] != "b" {
-		t.Errorf("Features = %v", feats)
+	if both[0].Feature != "a" || both[1].Feature != "b" || both[2].Feature != "a" {
+		t.Errorf("And reordered the atoms: %v", both)
 	}
 	// And must not alias its receivers.
 	p[0].Feature = "mutated"
@@ -299,5 +275,28 @@ func TestAtomStringQuoting(t *testing.T) {
 	a := Atom{"f", OpEq, joblog.Str("has space")}
 	if !strings.Contains(a.String(), "'has space'") {
 		t.Errorf("String = %q", a.String())
+	}
+	// Identifier-shaped constants stay bare; everything else is quoted
+	// and comes back as the same nominal value.
+	for _, v := range []string{"T", "simple-filter", "_x9"} {
+		if got := (Atom{"f", OpEq, joblog.Str(v)}).String(); got != "f = "+v {
+			t.Errorf("String = %q, want the bare constant %s", got, v)
+		}
+	}
+	for _, v := range []string{"", "123", "1e3", "-5", "-", "9lives", `a\`, `\'`, "it's", "a→b", "a∧b", "é", "a/b", "two\nlines", "x # y"} {
+		src := Atom{"f", OpNe, joblog.Str(v)}.String()
+		back, err := ParsePredicate(src)
+		if err != nil {
+			t.Errorf("%q renders as %q, which does not parse: %v", v, src, err)
+			continue
+		}
+		if len(back) != 1 || back[0].Value != joblog.Str(v) {
+			t.Errorf("%q renders as %q and parses back as %v", v, src, back)
+		}
+	}
+	q := &Query{ID1: "it's", ID2: `back\slash`, Observed: Predicate{a}, Expected: Predicate{a}}
+	back, err := Parse(q.String())
+	if err != nil || back.ID1 != q.ID1 || back.ID2 != q.ID2 {
+		t.Errorf("IDs (%q, %q) came back as %+v, %v", q.ID1, q.ID2, back, err)
 	}
 }

@@ -1,7 +1,7 @@
 package relief
 
-// Regression tests pinning the parallelized neighbour searches: Relief-F
-// and RReliefF weights must be bit-identical at every worker count —
+// Regression tests pinning the parallelized neighbour searches:
+// RReliefF weights must be bit-identical at every worker count —
 // parallelism moves the searches onto the pool but never the order of
 // the floating-point accumulation.
 
@@ -23,21 +23,6 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 			t.Errorf("%s: weight %d = %v (bits %x), serial %v (bits %x)",
 				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
-	}
-}
-
-func TestWeightsParallelBitIdentical(t *testing.T) {
-	log, labels := classificationLog(300, rand.New(rand.NewSource(5)))
-	serial, err := Weights(log, labels, Config{K: 7, Rand: rand.New(rand.NewSource(9)), Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{2, 4, 0} {
-		got, err := Weights(log, labels, Config{K: 7, Rand: rand.New(rand.NewSource(9)), Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, "Weights p="+string(rune('0'+p)), got, serial)
 	}
 }
 

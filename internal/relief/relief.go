@@ -1,11 +1,11 @@
-// Package relief implements Relief-style attribute estimation: Relief-F
-// for boolean-labeled instances and RReliefF (Robnik-Šikonja & Kononenko,
-// "An Adaptation of Relief for Attribute Estimation in Regression", ICML
-// 1997 — the paper PerfXplain cites) for numeric targets such as job
-// duration. The RuleOfThumb baseline (paper Section 5.1) uses these
-// weights as its one-time ranking of important features.
+// Package relief implements RReliefF attribute estimation
+// (Robnik-Šikonja & Kononenko, "An Adaptation of Relief for Attribute
+// Estimation in Regression", ICML 1997 — the paper PerfXplain cites) for
+// numeric targets such as job duration. The RuleOfThumb baseline (paper
+// Section 5.1) uses these weights as its one-time ranking of important
+// features.
 //
-// Both algorithms handle numeric and nominal attributes and missing
+// The estimator handles numeric and nominal attributes and missing
 // values. Attribute difference is normalised to [0,1]: numeric diffs are
 // scaled by the observed range, nominal diffs are 0/1. Missing values use
 // a probabilistic approximation: a nominal comparison against a missing
@@ -24,7 +24,7 @@ import (
 	"perfxplain/internal/par"
 )
 
-// Config tunes the estimators.
+// Config tunes the estimator.
 type Config struct {
 	// K is the number of nearest neighbours consulted per sampled
 	// instance. Default 10.
@@ -75,8 +75,8 @@ type attrStats struct {
 type statsMemoKey struct{}
 
 // computeStats returns the per-attribute statistics of the log, memoized
-// on its columnar view: both estimators (and RuleOfThumb, which calls
-// them repeatedly over one log) recompute nothing until the record count
+// on its columnar view: the estimator (and RuleOfThumb, which calls it
+// repeatedly over one log) recomputes nothing until the record count
 // changes, the same invalidation rule as joblog.Columns itself — the
 // memo lives in the view and is rebuilt with it.
 func computeStats(log *joblog.Log) []attrStats {
@@ -245,47 +245,6 @@ func (t *topK) push(j int, dj float64) {
 // take returns the selected indices in (distance, index) order.
 func (t *topK) take() []int { return append([]int(nil), t.idx...) }
 
-// Weights runs Relief-F over boolean-labeled records and returns one
-// weight per schema field (higher = more relevant to the label).
-func Weights(log *joblog.Log, labels []bool, cfg Config) ([]float64, error) {
-	if len(labels) != log.Len() {
-		return nil, fmt.Errorf("relief: %d labels for %d records", len(labels), log.Len())
-	}
-	if log.Len() < 2 {
-		return nil, fmt.Errorf("relief: need at least 2 records, have %d", log.Len())
-	}
-	cfg = cfg.withDefaults()
-	stats := computeStats(log)
-	n := log.Schema.Len()
-	w := make([]float64, n)
-
-	// Neighbour searches — the O(instances × records × attributes) bulk of
-	// Relief-F — run on the worker pool, one instance per unit, into
-	// instance-indexed slots; the floating-point accumulation below stays
-	// serial in sample order, so the weights are bit-identical at every
-	// worker count.
-	order := sampleOrder(log.Len(), cfg)
-	type hitsMisses struct{ hits, misses []int }
-	neigh := make([]hitsMisses, len(order))
-	par.Do(len(order), cfg.Parallelism, func(k int) {
-		h, ms := nearestByClass(log, labels, stats, order[k], cfg.K)
-		neigh[k] = hitsMisses{hits: h, misses: ms}
-	})
-	m := float64(len(order))
-	for k, i := range order {
-		hits, misses := neigh[k].hits, neigh[k].misses
-		for a := 0; a < n; a++ {
-			for _, h := range hits {
-				w[a] -= stats[a].diff(i, h) / (m * float64(len(hits)))
-			}
-			for _, ms := range misses {
-				w[a] += stats[a].diff(i, ms) / (m * float64(len(misses)))
-			}
-		}
-	}
-	return w, nil
-}
-
 // RegressionWeights runs RReliefF against the named numeric target field
 // and returns one weight per schema field. The target's own weight is 0.
 func RegressionWeights(log *joblog.Log, target string, cfg Config) ([]float64, error) {
@@ -319,8 +278,10 @@ func RegressionWeights(log *joblog.Log, target string, cfg Config) ([]float64, e
 	nDCDA := make([]float64, n)
 	order := sampleOrder(log.Len(), cfg)
 	missT := log.Columns().Col(ti).Miss
-	// Neighbour searches on the worker pool, accumulation serial in
-	// sample order — same split as Weights, same bit-identity argument.
+	// Neighbour searches — the O(instances × records × attributes) bulk —
+	// run on the worker pool, one instance per unit, into instance-indexed
+	// slots; the floating-point accumulation below stays serial in sample
+	// order, so the weights are bit-identical at every worker count.
 	neighbours := make([][]int, len(order))
 	par.Do(len(order), cfg.Parallelism, func(k int) {
 		if missT.Get(order[k]) {
@@ -376,35 +337,11 @@ func sampleOrder(n int, cfg Config) []int {
 	return order
 }
 
-// nearestByClass returns up to k nearest same-class (hits) and
-// different-class (misses) neighbour indices of instance i. Distances
-// are computed in blocked attribute-major tiles and selected with two
-// bounded top-K heaps instead of sorting all n candidates; order and
-// tie-breaks match the full sort exactly.
-func nearestByClass(log *joblog.Log, labels []bool, stats []attrStats, i, k int) (hits, misses []int) {
-	n := log.Len()
-	hc, mc := newTopK(k), newTopK(k)
-	var dist [distBlock]float64
-	for lo := 0; lo < n; lo += distBlock {
-		hi := min(lo+distBlock, n)
-		blockDistances(stats, i, lo, hi, -1, dist[:])
-		for j := lo; j < hi; j++ {
-			if j == i {
-				continue
-			}
-			if labels[j] == labels[i] {
-				hc.push(j, dist[j-lo])
-			} else {
-				mc.push(j, dist[j-lo])
-			}
-		}
-	}
-	return hc.take(), mc.take()
-}
-
 // nearest returns up to k nearest neighbours of instance i by attribute
-// distance, excluding the target attribute from the metric. Blocked and
-// bounded like nearestByClass.
+// distance, excluding the target attribute from the metric. Distances
+// are computed in blocked attribute-major tiles and selected with a
+// bounded top-K heap instead of sorting all n candidates; order and
+// tie-breaks match the full sort exactly.
 func nearest(log *joblog.Log, stats []attrStats, i, targetIdx, k int) []int {
 	n := log.Len()
 	tk := newTopK(k)

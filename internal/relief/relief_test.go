@@ -8,61 +8,6 @@ import (
 	"perfxplain/internal/joblog"
 )
 
-// classificationLog builds records where `signal` determines the label,
-// `correlated` mostly follows the label, and `noise` is independent.
-func classificationLog(n int, rng *rand.Rand) (*joblog.Log, []bool) {
-	schema := joblog.NewSchema([]joblog.Field{
-		{Name: "signal", Kind: joblog.Numeric},
-		{Name: "correlated", Kind: joblog.Nominal},
-		{Name: "noise", Kind: joblog.Numeric},
-	})
-	log := joblog.NewLog(schema)
-	labels := make([]bool, 0, n)
-	for i := 0; i < n; i++ {
-		x := rng.Float64()
-		label := x > 0.5
-		corr := "lo"
-		if label != (rng.Float64() < 0.15) { // 85% agreement
-			corr = "hi"
-		}
-		log.MustAppend(&joblog.Record{ID: "r", Values: []joblog.Value{
-			joblog.Num(x), joblog.Str(corr), joblog.Num(rng.Float64()),
-		}})
-		labels = append(labels, label)
-	}
-	return log, labels
-}
-
-func TestWeightsRankSignalAboveNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	log, labels := classificationLog(200, rng)
-	w, err := Weights(log, labels, Config{K: 10, Rand: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := w[log.Schema.MustIndex("signal")]
-	noise := w[log.Schema.MustIndex("noise")]
-	if sig <= noise {
-		t.Errorf("signal weight %v <= noise weight %v", sig, noise)
-	}
-	ranking := Ranking(log.Schema, w)
-	if ranking[len(ranking)-1] == "signal" {
-		t.Errorf("signal ranked last: %v", ranking)
-	}
-}
-
-func TestWeightsErrors(t *testing.T) {
-	schema := joblog.NewSchema([]joblog.Field{{Name: "x", Kind: joblog.Numeric}})
-	log := joblog.NewLog(schema)
-	log.MustAppend(&joblog.Record{ID: "a", Values: []joblog.Value{joblog.Num(1)}})
-	if _, err := Weights(log, []bool{true, false}, Config{}); err == nil {
-		t.Error("label count mismatch should error")
-	}
-	if _, err := Weights(log, []bool{true}, Config{}); err == nil {
-		t.Error("single record should error")
-	}
-}
-
 // regressionLog: duration = 10*important + noise; `irrelevant` is random.
 func regressionLog(n int, rng *rand.Rand) *joblog.Log {
 	schema := joblog.NewSchema([]joblog.Field{
@@ -172,13 +117,6 @@ func TestMissingValuesDoNotPanic(t *testing.T) {
 	if _, err := RegressionWeights(log, "duration", Config{K: 5, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]bool, log.Len())
-	for i := range labels {
-		labels[i] = i%2 == 0
-	}
-	if _, err := Weights(log, labels, Config{K: 5, Rand: rng}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestDeterminism(t *testing.T) {
@@ -280,10 +218,6 @@ func TestBlockedNearestMatchesFullSort(t *testing.T) {
 	for _, n := range []int{3, 17, 64, 200} {
 		log := mixedLog(n, rng)
 		stats := computeStats(log)
-		labels := make([]bool, n)
-		for i := range labels {
-			labels[i] = rng.Intn(2) == 0
-		}
 		for _, k := range []int{1, 3, 10, n + 5} {
 			for i := 0; i < n; i += 1 + n/7 {
 				got := nearest(log, stats, i, 3, k)
@@ -291,51 +225,9 @@ func TestBlockedNearestMatchesFullSort(t *testing.T) {
 				if !sameInts(got, want) {
 					t.Fatalf("n=%d k=%d i=%d: nearest = %v, full sort = %v", n, k, i, got, want)
 				}
-				hits, misses := nearestByClass(log, labels, stats, i, k)
-				wantH, wantM := refNearestByClass(log, labels, stats, i, k)
-				if !sameInts(hits, wantH) || !sameInts(misses, wantM) {
-					t.Fatalf("n=%d k=%d i=%d: nearestByClass = %v/%v, want %v/%v",
-						n, k, i, hits, misses, wantH, wantM)
-				}
 			}
 		}
 	}
-}
-
-func refNearestByClass(log *joblog.Log, labels []bool, stats []attrStats, i, k int) (hits, misses []int) {
-	type cand struct {
-		idx int
-		d   float64
-	}
-	var hc, mc []cand
-	for j := 0; j < log.Len(); j++ {
-		if j == i {
-			continue
-		}
-		c := cand{j, distance(stats, i, j, -1)}
-		if labels[j] == labels[i] {
-			hc = append(hc, c)
-		} else {
-			mc = append(mc, c)
-		}
-	}
-	take := func(cs []cand) []int {
-		sort.Slice(cs, func(a, b int) bool {
-			if cs[a].d != cs[b].d {
-				return cs[a].d < cs[b].d
-			}
-			return cs[a].idx < cs[b].idx
-		})
-		if len(cs) > k {
-			cs = cs[:k]
-		}
-		out := make([]int, len(cs))
-		for x, c := range cs {
-			out[x] = c.idx
-		}
-		return out
-	}
-	return take(hc), take(mc)
 }
 
 func sameInts(a, b []int) bool {

@@ -300,13 +300,11 @@ func (s *Server) reqContext(r *http.Request, timeoutMS int) (context.Context, co
 // explain is the shared engine behind /api/explain and /api/evaluate:
 // parse, canonicalize, consult the cache (collapsing concurrent
 // identical queries), and compute under admission control on a miss.
-func (s *Server) explain(ctx context.Context, req *ExplainRequest) (*explainResult, bool, error) {
+// (log, gen) is the request's one snapshot: whatever else the request
+// does with the log happens at the same watermark.
+func (s *Server) explain(ctx context.Context, log *perfxplain.Log, gen uint64, req *ExplainRequest) (*explainResult, bool, error) {
 	if strings.TrimSpace(req.Query) == "" {
 		return nil, false, badRequestf("empty query")
-	}
-	log, gen, err := s.snapshot()
-	if err != nil {
-		return nil, false, err
 	}
 	q, err := perfxplain.ParseQuery(req.Query)
 	if err != nil {
@@ -409,7 +407,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.reqContext(r, req.TimeoutMS)
 	defer cancel()
-	res, shared, err := s.explain(ctx, &req)
+	log, gen, err := s.snapshot()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	res, shared, err := s.explain(ctx, log, gen, &req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -431,18 +434,18 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.reqContext(r, req.TimeoutMS)
 	defer cancel()
-	res, shared, err := s.explain(ctx, &req)
+	log, gen, err := s.snapshot()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	res, shared, err := s.explain(ctx, log, gen, &req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	// The evaluation walk reuses the (possibly cached) explanation but is
 	// itself a fresh admitted computation over the same snapshot.
-	log, _, err := s.snapshot()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	if err := s.adm.acquire(ctx); err != nil {
 		writeError(w, err)
 		return

@@ -199,6 +199,42 @@ func TestSingleflightHerd(t *testing.T) {
 	}
 }
 
+// localEvaluation explains the query for the given pair over a log and
+// evaluates the explanation on it: the reference for /api/evaluate.
+func localEvaluation(t *testing.T, log *perfxplain.Log, query string, pair []string, opt perfxplain.Options) (string, perfxplain.Metrics) {
+	t.Helper()
+	q, err := perfxplain.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Bind(pair[0], pair[1])
+	ex, err := perfxplain.NewExplainer(log, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	x, err := ex.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := perfxplain.Evaluate(log, q, x, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return perfxplain.RenderReport(q, x), m
+}
+
+// prefixLog returns the first w fixture rows. Without forced seals the
+// watermark IS the record count, so this is exactly the records
+// watermark w covers.
+func prefixLog(jobs *perfxplain.Log, w uint64) *perfxplain.Log {
+	in := make(map[string]bool, w)
+	for _, id := range jobs.IDs()[:w] {
+		in[id] = true
+	}
+	return jobs.Filter(func(id string) bool { return in[id] })
+}
+
 // TestDistinctQueriesWhileIngesting races explainers holding different
 // watermarks against a live ingest: every answer must be byte-identical
 // to a one-shot run over exactly the records its watermark covers —
@@ -211,12 +247,12 @@ func TestDistinctQueriesWhileIngesting(t *testing.T) {
 		t.Fatalf("fixture too small: %d records", len(ids))
 	}
 	split := len(ids) * 2 / 3
-	inA := make(map[string]bool, split)
-	for _, id := range ids[:split] {
-		inA[id] = true
+	logA := prefixLog(jobs, uint64(split))
+	rest := make(map[string]bool, len(ids)-split)
+	for _, id := range ids[split:] {
+		rest[id] = true
 	}
-	logA := jobs.Filter(func(id string) bool { return inA[id] })
-	logB := jobs.Filter(func(id string) bool { return !inA[id] })
+	logB := jobs.Filter(func(id string) bool { return rest[id] })
 
 	st := perfxplain.NewStore(jobs, 8)
 	if err := st.Ingest(logA); err != nil {
@@ -225,16 +261,6 @@ func TestDistinctQueriesWhileIngesting(t *testing.T) {
 	s := NewServer(Config{Store: st, Explain: baseOptions(), MaxConcurrent: 4})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-
-	// Without forced seals the watermark IS the record count, so "the
-	// records watermark w covers" is exactly the first w fixture rows.
-	prefixLog := func(w uint64) *perfxplain.Log {
-		in := make(map[string]bool, w)
-		for _, id := range ids[:w] {
-			in[id] = true
-		}
-		return jobs.Filter(func(id string) bool { return in[id] })
-	}
 
 	const queriers = 4
 	type answer struct {
@@ -276,11 +302,112 @@ func TestDistinctQueriesWhileIngesting(t *testing.T) {
 		}
 		opt := baseOptions()
 		opt.Seed = a.seed
-		want := localReport(t, prefixLog(a.watermark), testQuery, opt)
+		want := localReport(t, prefixLog(jobs, a.watermark), testQuery, opt)
 		if a.report != want {
 			t.Errorf("querier %d (seed %d, watermark %d): report differs from one-shot run over that watermark's records",
 				i, a.seed, a.watermark)
 		}
+	}
+}
+
+// TestEvaluateWhileIngesting is the same race for /api/evaluate, whose
+// answer has two halves: the explanation and its metrics over the log.
+// Rows trickle in one at a time while clients evaluate, so appends land
+// between a request's explanation and its evaluation walk; both halves
+// must still describe exactly the records of the one watermark the
+// response reports.
+func TestEvaluateWhileIngesting(t *testing.T) {
+	jobs, _ := fixture(t)
+	ids := jobs.IDs()
+	split := len(ids) / 2
+	st := perfxplain.NewStore(jobs, 8)
+	if err := st.Ingest(prefixLog(jobs, uint64(split))); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{Store: st, Explain: baseOptions(), MaxConcurrent: 4})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	type answer struct {
+		seed int64
+		resp EvaluateResponse
+	}
+	var (
+		wg   sync.WaitGroup
+		got  = make(chan answer)
+		done = make(chan struct{})
+	)
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				seed := int64(1 + c + 3*n) // distinct per request: every one is a cache miss
+				status, _, raw := postExplain(t, ts.URL+"/api/evaluate",
+					ExplainRequest{Query: testQuery, Find: true, Seed: seed})
+				if status != http.StatusOK {
+					t.Errorf("client %d: status %d: %s", c, status, raw)
+					return
+				}
+				var resp EvaluateResponse
+				if err := json.Unmarshal([]byte(raw), &resp); err != nil {
+					t.Error(err)
+					return
+				}
+				got <- answer{seed, resp}
+			}
+		}(c)
+	}
+	go func() {
+		wg.Wait()
+		close(got)
+	}()
+	// One row per answer received: every append lands while the other
+	// clients are somewhere inside a request.
+	var answers []answer
+	for _, id := range ids[split:] {
+		if err := st.Ingest(jobs.Filter(func(x string) bool { return x == id })); err != nil {
+			t.Error(err)
+			break
+		}
+		a, ok := <-got
+		if !ok {
+			break // every client gave up; their errors are reported
+		}
+		answers = append(answers, a)
+	}
+	close(done)
+	for a := range got {
+		answers = append(answers, a)
+	}
+	if t.Failed() {
+		return
+	}
+
+	watermarks := map[uint64]bool{}
+	for _, a := range answers {
+		w := a.resp.Watermark
+		watermarks[w] = true
+		if w < uint64(split) || w > uint64(len(ids)) {
+			t.Fatalf("seed %d: watermark %d outside [%d, %d]", a.seed, w, split, len(ids))
+		}
+		opt := baseOptions()
+		opt.Seed = a.seed
+		report, want := localEvaluation(t, prefixLog(jobs, w), testQuery, a.resp.Pair, opt)
+		if a.resp.Report != report {
+			t.Errorf("seed %d, watermark %d: report differs from a one-shot run over that watermark's records", a.seed, w)
+		}
+		if a.resp.Eval != want {
+			t.Errorf("seed %d, watermark %d: eval = %+v, want %+v over that watermark's records", a.seed, w, a.resp.Eval, want)
+		}
+	}
+	if len(watermarks) < 2 {
+		t.Errorf("%d answers all at one watermark: the ingest never raced an evaluation", len(answers))
 	}
 }
 
@@ -338,7 +465,11 @@ func TestDeadlineMidComputation(t *testing.T) {
 	s, _, _ := seededServer(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
-	_, _, err := s.explain(ctx, &ExplainRequest{Query: testQuery, Find: true})
+	log, gen, err := s.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = s.explain(ctx, log, gen, &ExplainRequest{Query: testQuery, Find: true})
 	if err == nil {
 		t.Fatal("explain with expired deadline returned a result")
 	}
@@ -350,7 +481,7 @@ func TestDeadlineMidComputation(t *testing.T) {
 	}
 
 	// Errors are not cached: the same query succeeds afterwards.
-	res, shared, err := s.explain(context.Background(), &ExplainRequest{Query: testQuery, Find: true})
+	res, shared, err := s.explain(context.Background(), log, gen, &ExplainRequest{Query: testQuery, Find: true})
 	if err != nil {
 		t.Fatalf("explain after cancelled run: %v", err)
 	}
@@ -415,30 +546,11 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 
 	// Local reference: same explanation, same evaluation walk.
-	log := st.Snapshot()
-	opt := baseOptions()
-	q, err := perfxplain.ParseQuery(testQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Bind(resp.Pair[0], resp.Pair[1])
-	ex, err := perfxplain.NewExplainer(log, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	x, err := ex.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := perfxplain.Evaluate(log, q, x, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report, want := localEvaluation(t, st.Snapshot(), testQuery, resp.Pair, baseOptions())
 	if full.Eval != want {
 		t.Errorf("evaluate metrics = %+v, want %+v", full.Eval, want)
 	}
-	if full.Report != perfxplain.RenderReport(q, x) {
+	if full.Report != report {
 		t.Error("evaluate's embedded report differs from the one-shot rendering")
 	}
 }

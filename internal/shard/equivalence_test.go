@@ -95,7 +95,7 @@ EXPECTED duration_compare = SIM`)
 	}
 	// Pick the pair with the largest duration gap inside the despite
 	// context, like the CLI's -find.
-	pairs := core.RelatedPairs(log, features.Level3, q, 0, 1)
+	pairs := core.RelatedPairsP(log, features.Level3, q, 0, 1, 0)
 	bestGap := -1.0
 	for _, p := range pairs {
 		if !p.Observed {
@@ -130,7 +130,7 @@ func explainOver(t *testing.T, log *joblog.Log, q *pxql.Query, exec core.Exec, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.ExplainWithDespite(q)
+	x, err := ex.ExplainWithDespite(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestSubprocessWorkerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Explain(q); err == nil {
+	if _, err := ex.Explain(context.Background(), q); err == nil {
 		t.Fatal("expected an error from a dead worker pool")
 	}
 }

@@ -43,10 +43,6 @@ type Pool struct {
 	// Command default; InProcDialer runs workers as goroutines;
 	// SocketDialer connects to remote listeners.
 	Dialer Dialer
-	// DisableSliceCache ships every slice payload in full, even when the
-	// worker already holds it — the ablation knob behind
-	// BENCH_remote.json's with/without comparison.
-	DisableSliceCache bool
 
 	mu     sync.Mutex
 	closed bool
@@ -183,7 +179,7 @@ func (w *workerProc) roundTrip(p *Pool, t *Task) (*Result, error) {
 			break
 		}
 	}
-	if !hashed || p.DisableSliceCache {
+	if !hashed {
 		return w.exchange(p, t)
 	}
 	if st, refd := t.strippedWith(w.sent); len(refd) > 0 {
@@ -251,7 +247,7 @@ func (w *workerProc) markShipped(p *Pool, ss []core.LogSlice) {
 // task racing ahead of its prefetch simply ships the payload itself —
 // results are byte-identical with prefetching on, off, or half-landed.
 func (p *Pool) PrefetchSlices(slices []core.LogSlice) {
-	if p.DisableSliceCache || len(slices) == 0 {
+	if len(slices) == 0 {
 		return
 	}
 	procs, err := p.lease()

@@ -7,6 +7,7 @@ package shard_test
 // with prefetching active on remote socket workers.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.Explain(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

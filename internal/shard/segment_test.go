@@ -125,7 +125,7 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 		want := explainSerial(t, log, q)
 		if got := explainSegmented(t, log, layout, q, 2, pool); got != want {
 			t.Fatalf("segmented explanation at watermark %d diverges:\n--- got ---\n%s--- want ---\n%s",
-				snap.Len(), got, want)
+				log.Len(), got, want)
 		}
 	}
 
@@ -140,12 +140,13 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 
 	// Every sealed segment of the first watermark survives in the second
 	// with an identical hash — the invariant that keeps caches warm.
-	hashes2 := map[string]bool{}
+	hashes1, hashes2 := map[string]bool{}, map[string]bool{}
 	for _, v := range snap2.Segments() {
 		hashes2[v.Hash] = true
 	}
 	retained := 0
 	for _, v := range snap1.Segments() {
+		hashes1[v.Hash] = true
 		if v.Sealed {
 			if !hashes2[v.Hash] {
 				t.Fatalf("sealed segment at %d lost its hash across appends", v.Start)
@@ -156,11 +157,24 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 	if retained == 0 {
 		t.Fatal("test log produced no sealed segments at the first watermark")
 	}
+	created := 0
+	for h := range hashes2 {
+		if !hashes1[h] {
+			created++
+		}
+	}
 
+	// The one worker holds every slice of the first watermark, so the
+	// payloads the re-query ships (in a task frame or ahead of it in a
+	// prefetch frame) are exactly the slices the append created; one
+	// more would be a retained segment re-shipping.
 	explainAt(snap2)
 	s2 := pool.Stats()
-	if s2.SliceHits <= s1.SliceHits {
-		t.Errorf("re-query after append produced no new slice hits: %+v -> %+v", s1, s2)
+	if got := (s2.SliceMisses - s1.SliceMisses) + (s2.PrefetchSent - s1.PrefetchSent); got != int64(created) {
+		t.Errorf("re-query after append shipped %d payloads, want exactly the %d slices the append created", got, created)
+	}
+	if got := s2.SliceHits - s1.SliceHits; got < int64(retained) {
+		t.Errorf("re-query after append hit %d cached slices, want at least the %d retained segments", got, retained)
 	}
 
 	// A repeat pass at the same watermark re-ships nothing: every slice

@@ -5,7 +5,7 @@ package shard
 // owns one Stats value; transports meter their streams into it and the
 // round-trip logic records cache outcomes. Counters are monotonic across
 // the pool's lifetime (they survive worker replacement) and exposed via
-// the CLIs' -verbose flag and the BENCH_remote.json artifact.
+// the CLIs' -verbose flag and WorkerPool.Stats (pxbench's shard rows).
 
 import (
 	"fmt"

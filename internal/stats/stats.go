@@ -38,35 +38,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// Min returns the smallest value in xs. It panics on an empty slice since
-// a minimum of nothing is a programming error at every call site we have.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value in xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // BinaryEntropy returns H(p) = -p log2 p - (1-p) log2 (1-p) in bits.
 // The limits H(0) = H(1) = 0 are handled explicitly.
 func BinaryEntropy(p float64) float64 {
@@ -139,12 +110,6 @@ func SimilarTol(a, b, tol float64) bool {
 		return true
 	}
 	return diff <= tol*scale
-}
-
-// NewRand returns a rand.Rand seeded from seed. It exists so call sites
-// never reach for the global source, keeping every run deterministic.
-func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
 }
 
 // DeriveRand deterministically derives an independent generator from a

@@ -38,25 +38,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v, want -1", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v, want 7", got)
-	}
-}
-
-func TestMinPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Min(nil) did not panic")
-		}
-	}()
-	Min(nil)
-}
-
 func TestBinaryEntropy(t *testing.T) {
 	if got := BinaryEntropy(0.5); !almostEqual(got, 1) {
 		t.Errorf("H(0.5) = %v, want 1", got)

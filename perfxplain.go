@@ -725,11 +725,7 @@ func indentReport(s string) string {
 // Explain generates a because clause for the query (the user's despite
 // clause is used as-is).
 func (e *Explainer) Explain(q *Query) (*Explanation, error) {
-	x, err := e.ex.Explain(q.q)
-	if err != nil {
-		return nil, err
-	}
-	return &Explanation{x: x, q: q.q}, nil
+	return e.ExplainContext(context.Background(), q)
 }
 
 // ExplainContext is Explain with cancellation: the pipeline checks ctx
@@ -738,7 +734,7 @@ func (e *Explainer) Explain(q *Query) (*Explanation, error) {
 // explanation is byte-identical to an uncancelled run with the same
 // options, whatever deadline the context had.
 func (e *Explainer) ExplainContext(ctx context.Context, q *Query) (*Explanation, error) {
-	x, err := e.ex.ExplainCtx(ctx, q.q)
+	x, err := e.ex.Explain(ctx, q.q)
 	if err != nil {
 		return nil, err
 	}
@@ -767,17 +763,13 @@ func (e *Explainer) ExplainQueryContext(ctx context.Context, src string) (*Expla
 // ExplainWithDespite first generates a despite extension (for
 // under-specified queries), then the because clause in its context.
 func (e *Explainer) ExplainWithDespite(q *Query) (*Explanation, error) {
-	x, err := e.ex.ExplainWithDespite(q.q)
-	if err != nil {
-		return nil, err
-	}
-	return &Explanation{x: x, q: q.q}, nil
+	return e.ExplainWithDespiteContext(context.Background(), q)
 }
 
 // ExplainWithDespiteContext is ExplainWithDespite with ExplainContext's
 // cancellation semantics, covering the despite-generation stage too.
 func (e *Explainer) ExplainWithDespiteContext(ctx context.Context, q *Query) (*Explanation, error) {
-	x, err := e.ex.ExplainWithDespiteCtx(ctx, q.q)
+	x, err := e.ex.ExplainWithDespite(ctx, q.q)
 	if err != nil {
 		return nil, err
 	}
@@ -786,7 +778,7 @@ func (e *Explainer) ExplainWithDespiteContext(ctx context.Context, q *Query) (*E
 
 // GenerateDespite produces only the despite extension for a query.
 func (e *Explainer) GenerateDespite(q *Query) (string, error) {
-	des, err := e.ex.GenerateDespite(q.q)
+	des, err := e.ex.GenerateDespite(context.Background(), q.q)
 	if err != nil {
 		return "", err
 	}
@@ -799,7 +791,7 @@ func (e *Explainer) GenerateDespite(q *Query) (string, error) {
 // was reached; the returned clause is PerfXplain's best effort either
 // way.
 func (e *Explainer) DespiteToThreshold(q *Query, threshold float64) (despite string, relevance float64, met bool, err error) {
-	des, rel, ok, err := e.ex.DespiteToThreshold(q.q, threshold)
+	des, rel, ok, err := e.ex.DespiteToThreshold(context.Background(), q.q, threshold)
 	if err != nil {
 		return "", 0, false, err
 	}
