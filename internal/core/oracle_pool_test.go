@@ -37,3 +37,13 @@ func TestOracleChanPool(t *testing.T) {
 		pool.Close()
 	}
 }
+
+// TestNumericBlockingChanPool runs the numeric-isSame blocking regression
+// (block_test.go) through the worker runtime.
+func TestNumericBlockingChanPool(t *testing.T) {
+	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}
+	defer pool.Close()
+	core.CheckNumericBlocking(t, func(log *joblog.Log) core.Exec {
+		return core.Exec{Shards: 2, Runner: pool, Layout: core.FlatLayout(log)}
+	})
+}

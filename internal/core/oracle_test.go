@@ -104,13 +104,16 @@ func sortedSet(ps *pairSet) []oraclePair {
 // skewed blocking groups including single-member ones, a missing blocking
 // value (unblockable), a per-group constant (zone maps kill whole
 // groups), a seekable numeric column with missing, NaN and alien cells,
-// and a nominal column with missing and alien cells.
+// a nominal column with missing and alien cells, and a jittered numeric
+// column whose values cluster within the 10% SIM band without being
+// equal.
 func oracleLog(rng *rand.Rand) *joblog.Log {
 	schema := joblog.NewSchema([]joblog.Field{
 		{Name: "g", Kind: joblog.Nominal},
 		{Name: "k", Kind: joblog.Numeric},
 		{Name: "v", Kind: joblog.Numeric},
 		{Name: "s", Kind: joblog.Nominal},
+		{Name: "j", Kind: joblog.Numeric},
 		{Name: "duration", Kind: joblog.Numeric},
 	})
 	log := joblog.NewLog(schema)
@@ -134,10 +137,19 @@ func oracleLog(rng *rand.Rand) *joblog.Log {
 		case 4:
 			s = joblog.None()
 		case 5:
-			s = joblog.Num(7)
+			s = joblog.Num(float64(5 + i%2)) // any two numeric aliens derive s_issame = T: both carry the empty string
+		}
+		// Three clusters a factor of two apart, each spread over 6%:
+		// similar within a cluster (rarely equal), never across.
+		j := joblog.Num(float64(int(100)<<rng.Intn(3)) * (1 + 0.06*rng.Float64()))
+		switch rng.Intn(15) {
+		case 0:
+			j = joblog.None()
+		case 1:
+			j = joblog.Num(math.NaN())
 		}
 		log.MustAppend(&joblog.Record{ID: fmt.Sprint("r", i), Values: []joblog.Value{
-			g, joblog.Num(float64(gi % 3)), v, s, joblog.Num(float64(10 + rng.Intn(40))),
+			g, joblog.Num(float64(gi % 3)), v, s, j, joblog.Num(float64(10 + rng.Intn(40))),
 		}})
 	}
 	return log
@@ -145,7 +157,10 @@ func oracleLog(rng *rand.Rand) *joblog.Log {
 
 // oracleDespites are the despite-clause shapes the planners specialise
 // on: none, blocked, blocked + zone-prunable, blocked + seekable (a
-// range and a NaN-poisoned equality), and a base-equality prefilter.
+// range and a NaN-poisoned equality), a base-equality prefilter, and
+// blocking on a numeric column — near-equal values (SIM-chain classes,
+// not exact-value keys) — and on the two columns holding alien cells
+// (blocking reads the planes, as the isSame kernel does).
 func oracleDespites() map[string]pxql.Predicate {
 	blocked := pxql.Atom{Feature: "g_issame", Op: pxql.OpEq, Value: features.ValT}
 	return map[string]pxql.Predicate{
@@ -155,6 +170,10 @@ func oracleDespites() map[string]pxql.Predicate {
 		"seek":      {blocked, {Feature: "v", Op: pxql.OpGe, Value: joblog.Num(5)}},
 		"seek-nan":  {blocked, {Feature: "v", Op: pxql.OpEq, Value: joblog.Num(math.NaN())}},
 		"prefilter": {{Feature: "s", Op: pxql.OpEq, Value: joblog.Str("s1")}, {Feature: "v", Op: pxql.OpLt, Value: joblog.Num(6)}},
+
+		"blocked-numeric":   {{Feature: "j_issame", Op: pxql.OpEq, Value: features.ValT}},
+		"blocked-alien-num": {blocked, {Feature: "v_issame", Op: pxql.OpEq, Value: features.ValT}},
+		"blocked-alien-nom": {{Feature: "s_issame", Op: pxql.OpEq, Value: features.ValT}},
 	}
 }
 

@@ -22,10 +22,10 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
-	"strconv"
 
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
@@ -79,34 +79,22 @@ func blockedGroups(log *joblog.Log, despite pxql.Predicate, maxPairs int) (group
 }
 
 // blockedGroupsOpt is blockedGroups with zone-map group pruning and
-// seek-driven row filtering switchable (test oracles and benchmark
-// denominators run with either or both off; stratified planning must
-// disable seek — see seek.go). keepP is computed over the UNPRUNED,
-// UNFILTERED candidate pair count before any group is dropped or
-// thinned: pruned groups and filtered rows contribute no
-// despite-satisfying pair and each keep decision is a pure function of
-// (seed, i, j), so neither cut changes the probability or any surviving
-// pair's fate — enumeration output is byte-identical either way.
+// seek-driven row filtering switchable (test oracles run with either or
+// both off; stratified planning must disable seek — see seek.go). keepP
+// is computed over the UNPRUNED, UNFILTERED candidate pair count before
+// any group is dropped or thinned: pruned groups and filtered rows
+// contribute no despite-satisfying pair, so neither cut changes the
+// probability. What a cut does to the surviving pairs' fates depends on
+// the thinning regime walkTiles picks from keepP (see skipKeepP): at or
+// above the crossover a keep decision is a pure function of (seed, i, j)
+// and both cuts leave the output byte-identical; below it the decision
+// is a pure function of (seed, i, j's position among its group's
+// members), so pruning — which drops whole groups and leaves the others'
+// member lists alone — is still byte-identical, while seek filtering —
+// which renumbers positions inside a group — yields a different, equally
+// valid iid Bernoulli(keepP) thinning of the same related set.
 func blockedGroupsOpt(log *joblog.Log, despite pxql.Predicate, maxPairs int, prune, seek bool) (groups [][]int, keepP float64) {
-	recs := candidateRecords(log, despite)
-	blockIdx := blockIndexes(log, despite)
-
-	byKey := make(map[string]int) // key -> index into groups
-	var keyBuf []byte
-	for _, ri := range recs {
-		key, ok := appendBlockKey(keyBuf[:0], log.Records[ri], blockIdx)
-		keyBuf = key
-		if !ok {
-			continue // missing blocking value can never satisfy isSame = T
-		}
-		gi, seen := byKey[string(key)] // no alloc: string(key) only escapes below
-		if !seen {
-			gi = len(groups)
-			byKey[string(key)] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], ri)
-	}
+	groups = blockRecords(log.Columns(), candidateRecords(log, despite), blockIndexes(log, despite))
 
 	// Candidate ordered pair count, for the subsampling probability —
 	// always over the full candidate space, never the pruned or filtered
@@ -145,6 +133,118 @@ func blockedGroupsOpt(log *joblog.Log, despite pxql.Predicate, maxPairs int, pru
 		}
 	}
 	return groups, keepP
+}
+
+// blockClasses is one blocking column in the form the group builder
+// reads: a fixed-width class word per row such that two rows whose
+// <raw>_issame derives T always share a class. A row with miss set or
+// class noClass can satisfy isSame = T with no row and is unblockable.
+type blockClasses struct {
+	class []uint32
+	miss  bitset.Set
+}
+
+// noClass marks a present numeric cell that is similar to nothing (NaN).
+const noClass = ^uint32(0)
+
+// simClassKey memoizes a numeric column's SIM-chain classes on the
+// columnar view, beside the sorted index they are read off.
+type simClassKey int
+
+// blockClassesOf returns column f's blocking classes. Both kinds read
+// the planes, which is exactly what features.IsSameSym compares — alien
+// cells included — so blocking needs no boxed fallback.
+//
+// Nominal: the interned symbol; isSame is symbol equality.
+//
+// Numeric: isSame is the 10% SIM band (stats.Similar), which is not
+// transitive, so rows are classed by SIM-chain component: the distinct
+// non-NaN values in ascending order (the memoized sorted index), cut
+// wherever two neighbours are not Similar. Any value between two similar
+// values is similar to both, so two similar values are never separated
+// by a cut. Components over-include (the ends of a long chain need not
+// be similar); the walk kernels verify the full predicate, so that costs
+// pairs walked, never pairs returned. An infinite value is similar to
+// every finite one whatever lies between, so a column holding one is a
+// single class.
+func blockClassesOf(cols *joblog.Columns, f int) blockClasses {
+	col := cols.Col(f)
+	if col.Kind != joblog.Numeric {
+		return blockClasses{class: col.Sym, miss: col.Miss}
+	}
+	ix := cols.SortedIndex(f) // outside the memo lock: Memo builders must not re-enter it
+	class := cols.Memo(simClassKey(f), func() any {
+		class := make([]uint32, cols.Len())
+		for i := range class {
+			class[i] = noClass
+		}
+		chain := !math.IsInf(ix.Min, -1) && !math.IsInf(ix.Max, 1)
+		comp := uint32(0)
+		for k, r := range ix.Perm {
+			if k > 0 && chain && !stats.Similar(col.Num[ix.Perm[k-1]], col.Num[r]) {
+				comp++
+			}
+			class[r] = comp
+		}
+		return class
+	}).([]uint32)
+	return blockClasses{class: class, miss: col.Miss}
+}
+
+// blockRecords groups recs by their blocking-class tuple over the
+// blockIdx columns, in first-appearance order; unblockable records are
+// dropped. The tuple is refined one column at a time — level c maps
+// (group id at level c−1, class in column c) to a dense id in
+// first-appearance order — so a key is one fixed-width word whatever the
+// column count, distinct tuples can never alias, and the last level's id
+// is the group index. An empty blockIdx yields the single "no blocking"
+// group.
+func blockRecords(cols *joblog.Columns, recs []int, blockIdx []int) [][]int {
+	bcs := make([]blockClasses, len(blockIdx))
+	levels := make([]map[uint64]int32, len(blockIdx))
+	for c, f := range blockIdx {
+		bcs[c] = blockClassesOf(cols, f)
+		levels[c] = make(map[uint64]int32)
+	}
+	gids := make([]int32, len(recs)) // group of each candidate, -1 unblockable
+	var sizes []int
+rows:
+	for k, ri := range recs {
+		gids[k] = -1
+		id := int32(0)
+		for c := range bcs {
+			cl := bcs[c].class[ri]
+			if bcs[c].miss.Get(ri) || cl == noClass {
+				continue rows
+			}
+			key := uint64(id)<<32 | uint64(cl)
+			next, seen := levels[c][key]
+			if !seen {
+				next = int32(len(levels[c]))
+				levels[c][key] = next
+			}
+			id = next
+		}
+		if int(id) == len(sizes) {
+			sizes = append(sizes, 0)
+		}
+		sizes[id]++
+		gids[k] = id
+	}
+	// One backing array for every group's members, cut by the counts.
+	backing := make([]int, len(recs))
+	groups := make([][]int, len(sizes))
+	off := 0
+	for gi, n := range sizes {
+		groups[gi] = backing[off : off : off+n]
+		off += n
+	}
+	for k, ri := range recs {
+		if gi := gids[k]; gi >= 0 {
+			groups[gi] = append(groups[gi], ri)
+		}
+	}
+	return groups
 }
 
 // pairCount64 is a group's ordered-pair count n·(n−1) computed with
@@ -257,13 +357,71 @@ func groupDraws(seed uint64, g0, n, budget int) []uint64 {
 }
 
 // keepPair is the counter-based Bernoulli subsampling decision for the
-// ordered record pair (i, j): a pure function of the seed and the pair,
-// so the decision is identical whichever shard or goroutine evaluates it.
+// ordered record pair (i, j) at keepP >= skipKeepP (the dense regime of
+// walkTiles): a pure function of the seed and the pair, so the decision
+// is identical whichever shard or goroutine evaluates it, and whatever
+// pruning or seek filtering did to the pair's group.
 func keepPair(seed uint64, i, j int, keepP float64) bool {
 	if keepP >= 1 {
 		return true
 	}
 	return stats.KeepFloat(seed, uint64(i)<<32|uint64(uint32(j))) < keepP
+}
+
+// skipKeepP is the keep probability below which walkTiles stops hashing
+// every candidate pair and draws the gaps between kept pairs instead. A
+// gap costs a hash and a logarithm per KEPT pair, keepPair a hash per
+// CANDIDATE pair: the two meet near keepP = 1/4 on the reference box, so
+// 1/8 leaves the dense loop every walk it wins. A constant, not an
+// option: it selects between two exact samplers of the same distribution
+// from a value the walk already has.
+const skipKeepP = 1.0 / 8
+
+// skipSampled reports whether a Bernoulli walk under keepP takes the
+// geometric-skip path. Non-positive and NaN probabilities (wire input
+// only — the planner's keepP is in (0, 1]) stay on the dense path, where
+// keepPair keeps nothing.
+func skipSampled(keepP float64) bool { return keepP > 0 && keepP < skipKeepP }
+
+// skipStream is one outer record's stream of geometric gaps: the k'th
+// gap is ⌊ln U_k / ln(1−keepP)⌋ with U_k the k'th uniform of a splitmix
+// counter stream keyed on (seed, the outer's global record index) — the
+// number of Bernoulli(keepP) failures before the next success, so
+// walking an inner sequence by these gaps keeps each position
+// independently with probability keepP while touching only the kept
+// ones.
+type skipStream struct {
+	state   uint64
+	k       uint64
+	invLogQ float64 // 1 / ln(1−keepP), negative
+}
+
+func newSkipStream(seed uint64, i int, invLogQ float64) skipStream {
+	return skipStream{
+		state:   stats.SplitMix64(seed ^ (uint64(i)*0x9e3779b97f4a7c15 + 0xbb67ae8584caa73b)),
+		invLogQ: invLogQ,
+	}
+}
+
+// next draws the next gap; ok is false when it reaches past the room
+// positions left, ending the row.
+func (s *skipStream) next(room int) (gap int, ok bool) {
+	u := stats.KeepFloat(s.state, s.k)
+	s.k++
+	return geomGap(u, s.invLogQ, room)
+}
+
+// geomGap maps a uniform u in [0, 1) to the geometric gap
+// ⌊ln u · invLogQ⌋, or ok false when the gap is not below room. The
+// comparison happens in floating point, before any conversion: u = 0
+// (gap +Inf), a keepP so small that invLogQ overflows, and NaN all fail
+// it, so the int conversion only ever sees a value below room.
+func geomGap(u, invLogQ float64, room int) (gap int, ok bool) {
+	g := math.Floor(math.Log(u) * invLogQ)
+	if !(g < float64(room)) {
+		return 0, false
+	}
+	return int(g), true
 }
 
 // pairBlock is the tile size of batched pair evaluation: 4096 pairs = 64
@@ -345,35 +503,6 @@ func candidateRecords(log *joblog.Log, despite pxql.Predicate) []int {
 	out := make([]int, 0, n)
 	sel.ForEach(func(i int) { out = append(out, i) })
 	return out
-}
-
-// appendBlockKey renders a record's blocking tuple into dst (reused
-// between records — callers pass dst[:0] of a scratch buffer, so the
-// steady state allocates nothing per record). Each value is
-// length-prefixed so distinct tuples can never alias, whatever bytes
-// the values contain. ok is false when a blocking value is missing: such
-// a record can never satisfy isSame = T and is unblockable. An empty
-// blockIdx renders the empty key with ok true — the single "no blocking"
-// group.
-func appendBlockKey(dst []byte, r *joblog.Record, blockIdx []int) (key []byte, ok bool) {
-	var num [32]byte
-	for _, i := range blockIdx {
-		v := r.Values[i]
-		if v.IsMissing() {
-			return dst[:0], false
-		}
-		if v.Kind == joblog.Numeric {
-			s := strconv.AppendFloat(num[:0], v.Num, 'g', -1, 64)
-			dst = strconv.AppendInt(dst, int64(len(s)), 10)
-			dst = append(dst, ':')
-			dst = append(dst, s...)
-		} else {
-			dst = strconv.AppendInt(dst, int64(len(v.Str)), 10)
-			dst = append(dst, ':')
-			dst = append(dst, v.Str...)
-		}
-	}
-	return dst, true
 }
 
 // balancedSample keeps each example with probability m/(2·classSize), the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -25,11 +26,16 @@ func TestEnumerateRelatedIdenticalAcrossParallelism(t *testing.T) {
 		Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 		Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("SIM")}},
 	}
-	// Exercise both the uncapped and the subsampled (counter-based keep)
-	// paths.
-	for _, maxPairs := range []int{0, 300} {
+	// Exercise the uncapped walk and both subsampled ones: hashed per
+	// pair, and — capped below the crossover — per-row skip streams.
+	requireRegime(t, log, q.Despite, 300, true, false)
+	requireRegime(t, log, q.Despite, 150, true, true)
+	for _, maxPairs := range []int{0, 300, 150} {
 		base := enumLocal(t, log, q, q.Despite, false, maxPairs, 99, serialExec)
 		checkRelated(t, fmt.Sprintf("maxPairs=%d serial", maxPairs), log, q, q.Despite, base, maxPairs == 0)
+		if len(base.refs) < 30 {
+			t.Fatalf("maxPairs=%d: the serial walk kept %d pairs; too few to compare", maxPairs, len(base.refs))
+		}
 		for _, p := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
 			got := enumLocal(t, log, q, q.Despite, false, maxPairs, 99, Exec{Parallelism: p})
 			if !samePairs(got, base) {
@@ -74,9 +80,13 @@ func TestEvaluateIdenticalAcrossParallelism(t *testing.T) {
 	x := &Explanation{
 		Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 	}
+	requireRegime(t, log, q.Despite, 500, true, true) // the evaluation walk is skip-sampled
 	base, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, serialExec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if base.ContextPairs < 50 {
+		t.Fatalf("the capped serial evaluation kept %d context pairs; too few to compare", base.ContextPairs)
 	}
 	for _, p := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
 		got, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 500, 3, Exec{Parallelism: p})
@@ -89,34 +99,28 @@ func TestEvaluateIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// Distinct blocking tuples must never share a key, whatever bytes the
-// values contain (the old \x1f separator aliased values containing the
-// separator byte).
+// Distinct blocking tuples must never share a group, whatever bytes the
+// values contain (a rendered key with a separator once aliased values
+// containing the separator byte), and identical tuples always do.
 func TestBlockKeyCollisionProof(t *testing.T) {
-	mk := func(a, b string) *joblog.Record {
-		return &joblog.Record{ID: a + "|" + b, Values: []joblog.Value{joblog.Str(a), joblog.Str(b)}}
+	tuples := [][2]string{
+		{"x\x1f", "y"}, {"x", "\x1fy"},
+		{"x", "y"}, {"xy", ""},
+		{"1:3", "a"}, {"1", "3:a"},
+		{"", "ab"}, {"a", "b"},
+		{"x", "y"}, // the one repeat: joins record 2
 	}
-	cases := [][2]*joblog.Record{
-		{mk("x\x1f", "y"), mk("x", "\x1fy")},
-		{mk("x", "y"), mk("xy", "")},
-		{mk("1:3", "a"), mk("1", "3:a")},
-		{mk("", "ab"), mk("a", "b")},
+	log := joblog.NewLog(joblog.NewSchema([]joblog.Field{
+		{Name: "a", Kind: joblog.Nominal}, {Name: "b", Kind: joblog.Nominal},
+	}))
+	recs := make([]int, len(tuples))
+	for i, tp := range tuples {
+		log.MustAppend(&joblog.Record{ID: fmt.Sprint("r", i), Values: []joblog.Value{joblog.Str(tp[0]), joblog.Str(tp[1])}})
+		recs[i] = i
 	}
-	key := func(r *joblog.Record) string {
-		k, ok := appendBlockKey(nil, r, []int{0, 1})
-		if !ok {
-			t.Fatalf("record %q rendered as unblockable", r.ID)
-		}
-		return string(k)
-	}
-	for _, c := range cases {
-		k1, k2 := key(c[0]), key(c[1])
-		if k1 == k2 {
-			t.Errorf("records %q and %q alias to block key %q", c[0].ID, c[1].ID, k1)
-		}
-	}
-	// Same tuple must still map to the same key.
-	if key(mk("u", "v")) != key(mk("u", "v")) {
-		t.Error("identical tuples produced different keys")
+	got := blockRecords(log.Columns(), recs, []int{0, 1})
+	want := [][]int{{0}, {1}, {2, 8}, {3}, {4}, {5}, {6}, {7}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("blocked %d tuples into %v, want %v", len(tuples), got, want)
 	}
 }

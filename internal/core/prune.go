@@ -13,10 +13,13 @@ package core
 // ordered pair of the group fails the conjunct, so pruning removes pairs
 // that enumeration would have rejected anyway and output stays
 // byte-identical. The Bernoulli keep probability is computed over the
-// UNPRUNED candidate pair count (see blockedGroups) and each keep
-// decision is a pure function of (seed, i, j), so thinning is also
-// unchanged. Every rule below is conservative: when in doubt, a conjunct
-// emits no check (or the check returns alive) and the group is walked.
+// UNPRUNED candidate pair count (see blockedGroups), and a surviving
+// pair's keep decision reads nothing a dropped group could change — it is
+// a pure function of (seed, i, j) at keepP >= skipKeepP, and of (seed, i,
+// j's position in its own group's member list) below it (see walkTiles) —
+// so thinning is unchanged in both regimes. Every rule below is
+// conservative: when in doubt, a conjunct emits no check (or the check
+// returns alive) and the group is walked.
 
 import (
 	"math"
@@ -271,7 +274,7 @@ func (p *groupPruner) addIsSameCheck(col *joblog.Col, a pxql.Atom) {
 		// Asserting sameness: dead when no symbol repeats (beyond the
 		// presence rule). Equal-valued pairs are the only T pairs.
 		p.checks = append(p.checks, func(g []int) bool {
-			seen := make(map[uint32]struct{}, len(g))
+			seen := make(map[uint32]struct{}) // unsized: a repeat usually ends the scan within a few rows
 			for _, i := range g {
 				if col.Miss.Get(i) {
 					continue

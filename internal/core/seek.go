@@ -19,13 +19,28 @@ package core
 //
 // Exactness contract (mirrors prune.go): a row may be filtered only
 // when no ordered pair containing it satisfies the despite clause, so
-// filtering removes pairs that enumeration would have rejected anyway.
-// The Bernoulli keep probability is computed over the UNFILTERED pair
-// count (see blockedGroups) and each keep decision is a pure function
-// of (seed, i, j) global record indices, so thinning is unchanged and
-// output stays byte-identical. Conjuncts that do not lower exactly —
-// OpNe, nominal columns, alien columns, kind-mismatched constants —
-// contribute no filter and those rows are walked as before.
+// filtering removes pairs that enumeration would have rejected anyway:
+// uncapped, output is byte-identical with the filter on or off. The
+// Bernoulli keep probability is computed over the UNFILTERED pair count
+// (see blockedGroups), so the filter never changes how hard a capped walk
+// is thinned. Which pairs a capped walk keeps depends on the regime
+// walkTiles picks from keepP:
+//
+//   - keepP >= skipKeepP: each keep decision is a pure function of
+//     (seed, i, j) global record indices, so thinning is unchanged and
+//     output stays byte-identical;
+//   - keepP < skipKeepP: the decision is keyed on the inner row's
+//     position among its group's members, and filtering renumbers the
+//     positions of the rows it leaves. Seek on and seek off are then two
+//     different iid Bernoulli(keepP) thinnings of the same related set —
+//     equally valid samples, not the same bytes. The planners always seek
+//     (blockedGroups), so every executor, spec count and seal boundary
+//     still sees one and the same thinning; only a test or ablation that
+//     switches seek off sees the other.
+//
+// TestSeekEnumExact pins all three cases. Conjuncts that do not lower
+// exactly — OpNe, nominal columns, alien columns, kind-mismatched
+// constants — contribute no filter and those rows are walked as before.
 //
 // Stratified mode never seeks: groupDraws is keyed on (group's first
 // global index, group size), so filtering rows would change the draw

@@ -17,12 +17,14 @@ import (
 )
 
 // needleLog builds the seek fixture: nGroups wide blocking groups
-// (blocked by `script`) where `mem` varies WITHIN each group — ~2% of
-// rows hold the needle value 8, the rest {1, 2, 3}, with a sprinkle of
-// missing and NaN cells — so a `mem > 3.5` conjunct cannot kill any
-// group via zone maps (every group's zone spans [1, 8]) but proves all
-// non-needle rows unable to sit on either side of a qualifying pair.
-func needleLog(n, nGroups int, rng *rand.Rand) *joblog.Log {
+// (blocked by `script`) where `mem` varies WITHIN each group — one row in
+// every `every` holds the needle value 8, the rest {1, 2, 3}, with a
+// sprinkle of missing and NaN cells — so a `mem > 3.5` conjunct cannot
+// kill any of them via zone maps (every group's zone spans [1, 8]) but
+// proves all non-needle rows unable to sit on either side of a
+// qualifying pair. One further group, script-dead, holds no needle at
+// all: the zone-map pruner drops it whole.
+func needleLog(n, nGroups, every int, rng *rand.Rand) *joblog.Log {
 	schema := joblog.NewSchema([]joblog.Field{
 		{Name: "script", Kind: joblog.Nominal},
 		{Name: "mem", Kind: joblog.Numeric},
@@ -30,9 +32,12 @@ func needleLog(n, nGroups int, rng *rand.Rand) *joblog.Log {
 	})
 	log := joblog.NewLog(schema)
 	for i := 0; i < n; i++ {
+		script := fmt.Sprintf("script-%02d", i%nGroups)
 		mem := joblog.Num(float64(1 + i%3))
 		switch {
-		case i%50 == 7:
+		case i%23 == 3:
+			script = "script-dead"
+		case i%every == 2:
 			mem = joblog.Num(8)
 		case i%97 == 13:
 			mem = joblog.Value{} // missing: can never make the base present
@@ -40,7 +45,7 @@ func needleLog(n, nGroups int, rng *rand.Rand) *joblog.Log {
 			mem = joblog.Num(math.NaN()) // NaN: never equal to itself
 		}
 		log.MustAppend(&joblog.Record{ID: fmt.Sprintf("n%05d", i), Values: []joblog.Value{
-			joblog.Str(fmt.Sprintf("script-%02d", i%nGroups)),
+			joblog.Str(script),
 			mem,
 			joblog.Num(10 + rng.Float64()*1000),
 		}})
@@ -59,12 +64,23 @@ func needleQuery() *pxql.Query {
 	}
 }
 
-// TestSeekEnumExact pins the seeker's exactness contract: enumeration
-// with seek-driven row filtering is byte-identical to the unfiltered
-// walk — uncapped and Bernoulli-capped — while actually shrinking the
-// walked groups.
+// TestSeekEnumExact pins what row filtering (and, beside it, group
+// pruning) may do to an enumeration, per thinning regime of walkTiles:
+//
+//   - uncapped (keepP = 1) and capped at or above the crossover
+//     (skipKeepP <= keepP < 1): a pair's fate is a pure function of
+//     (seed, i, j), so seek on/off and prune on/off are byte-identical;
+//   - capped below the crossover: the fate is keyed on the inner
+//     member's position in its group, which filtering renumbers — seek
+//     on/off are two thinnings of the same related set, each a subset of
+//     Definition 7's pairs with their labels and of binomial size, while
+//     prune on/off (whole groups, positions untouched) stay
+//     byte-identical.
+//
+// Every capped leg keeps at least 50 pairs, so no comparison is between
+// empty sets.
 func TestSeekEnumExact(t *testing.T) {
-	log := needleLog(600, 3, rand.New(rand.NewSource(43)))
+	log := needleLog(600, 3, 5, rand.New(rand.NewSource(43)))
 	q := needleQuery()
 
 	rows := func(gs [][]int) int {
@@ -74,23 +90,50 @@ func TestSeekEnumExact(t *testing.T) {
 		}
 		return n
 	}
-	seeked, _ := blockedGroupsOpt(log, q.Despite, 0, true, true)
-	all, _ := blockedGroupsOpt(log, q.Despite, 0, true, false)
-	if len(all) == 0 || rows(seeked) >= rows(all) {
-		t.Fatalf("seeker filtered no rows (%d of %d kept across %d groups); the fixture is toothless",
-			rows(seeked), rows(all), len(all))
+	seeked, _ := blockedGroupsOpt(log, q.Despite, 0, false, true)
+	pruned, _ := blockedGroupsOpt(log, q.Despite, 0, true, false)
+	all, _ := blockedGroupsOpt(log, q.Despite, 0, false, false)
+	if len(all) == 0 || rows(seeked) >= rows(all) || len(pruned) >= len(all) {
+		t.Fatalf("of %d rows in %d groups the seeker kept %d rows and the pruner %d groups; the fixture is toothless",
+			rows(all), len(all), rows(seeked), len(pruned))
 	}
+	exact := len(oracleRelated(log, features.Level3, q, q.Despite))
 
-	for _, maxPairs := range []int{0, 500} {
-		base := enumSwitched(t, log, q, maxPairs, 77, true, false)
-		checkRelated(t, fmt.Sprintf("maxPairs=%d unfiltered", maxPairs), log, q, q.Despite, base, maxPairs == 0)
-		got := enumLocal(t, log, q, q.Despite, false, maxPairs, 77, serialExec)
-		if maxPairs == 0 && len(base.refs) == 0 {
-			t.Fatal("unfiltered enumeration found no related pairs; fixture is toothless")
+	for _, tc := range []struct {
+		name     string
+		maxPairs int
+		skip     bool
+	}{
+		{"uncapped", 0, false},
+		{"capped-dense", 40000, false},
+		{"capped-skip", 6000, true},
+	} {
+		_, keepP := blockedGroupsOpt(log, q.Despite, tc.maxPairs, false, false)
+		if (tc.maxPairs == 0) != (keepP == 1) || skipSampled(keepP) != tc.skip {
+			t.Fatalf("%s: maxPairs %d gives keepP %v; the fixture misses its regime", tc.name, tc.maxPairs, keepP)
 		}
-		if !samePairs(got, base) {
-			t.Errorf("maxPairs=%d: seeked enumeration differs from unfiltered (%d vs %d pairs)",
-				maxPairs, len(got.refs), len(base.refs))
+		walk := func(prune, seek bool) *pairSet {
+			ps := enumSwitched(t, log, q, tc.maxPairs, 77, prune, seek)
+			name := fmt.Sprintf("%s prune=%v seek=%v", tc.name, prune, seek)
+			checkRelated(t, name, log, q, q.Despite, ps, keepP == 1)
+			mean := keepP * float64(exact)
+			if d := math.Abs(float64(len(ps.refs)) - mean); len(ps.refs) < 50 || d > 5*math.Sqrt(mean*(1-keepP)) {
+				t.Errorf("%s: kept %d of %d related pairs at keepP %.3f; want at least 50 and within 5σ of %.0f",
+					name, len(ps.refs), exact, keepP, mean)
+			}
+			return ps
+		}
+		plain, seekOnly := walk(false, false), walk(false, true)
+		if !samePairs(walk(true, false), plain) || !samePairs(walk(true, true), seekOnly) {
+			t.Errorf("%s: group pruning changed the enumeration", tc.name)
+		}
+		if same := samePairs(seekOnly, plain); same == tc.skip {
+			t.Errorf("%s: seek on/off identical = %v (%d vs %d pairs); want identical exactly when the walk is not skip-sampled",
+				tc.name, same, len(seekOnly.refs), len(plain.refs))
+		}
+		// The planner's own defaults (prune and seek on) are the seeked walk.
+		if got := enumLocal(t, log, q, q.Despite, false, tc.maxPairs, 77, serialExec); !samePairs(got, seekOnly) {
+			t.Errorf("%s: planned enumeration differs from the pruned, seeked walk", tc.name)
 		}
 	}
 }
@@ -99,7 +142,7 @@ func TestSeekEnumExact(t *testing.T) {
 // base ranges do; OpNe, nominal columns, kind mismatches and unknown
 // features must not (they cannot be lowered to one exact range).
 func TestRowSeekerLowering(t *testing.T) {
-	log := needleLog(100, 2, rand.New(rand.NewSource(47)))
+	log := needleLog(100, 2, 50, rand.New(rand.NewSource(47)))
 	if s := newRowSeeker(log, needleQuery().Despite); s == nil {
 		t.Error("numeric base range conjunct produced no seeker")
 	}

@@ -5,9 +5,9 @@ package core
 // cut by the planners (segment.go) into self-contained specs — blocking
 // groups with outer ranges, the predicates in wire form, and the
 // splitmix counter ranges of the subsampling decision (the seed plus the
-// record indices it keys on) — and every spec is walked by the one
-// kernel in this file, EnumSpec.RunWith or EvalSpec.RunWith, whoever
-// executes the batch:
+// record indices and member positions it keys on) — and every spec is
+// walked by the one kernel in this file, EnumSpec.RunWith or
+// EvalSpec.RunWith, whoever executes the batch:
 //
 //   - the coordinator itself (Exec.Runner nil): the specs run on par.Do
 //     over the log's resident columnar view — no wire form, no hashing,
@@ -31,6 +31,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -177,7 +178,7 @@ type SlicePrefetcher interface {
 // a miss, in which case the full payload is resent. Execution is
 // byte-identical either way: the hash covers every bit of the payload,
 // so a hit decodes to exactly what a fresh ship would have.
-//pxql:wirehash 592e30cf95cc494a v=7
+//pxql:wirehash 592e30cf95cc494a v=8
 
 //pxql:wire decode=Data
 type LogSlice struct {
@@ -272,10 +273,18 @@ type EnumSpec struct {
 	// Empty on specs the coordinator runs itself.
 	Slices []LogSlice  `json:"slices"`
 	Groups []EnumGroup `json:"groups,omitempty"`
-	KeepP  float64     `json:"keep_p"` // global Bernoulli keep probability
-	Seed   uint64      `json:"seed"`   // splitmix seed; counters key on record indices
-	// Stratified switches the walk from Bernoulli thinning (keepPair over
-	// KeepP) to per-group budgeted draws (groupDraws over each group's
+	// KeepP is the global Bernoulli keep probability — one value for the
+	// whole plan, computed over the unpruned, unfiltered candidate count.
+	// It also selects the sampler (see walkTiles): at or above skipKeepP
+	// every candidate pair is hashed; below it each outer record draws
+	// geometric skips over its group's members.
+	KeepP float64 `json:"keep_p"`
+	// Seed is the splitmix seed. Counters key on (i, j) global record
+	// indices on the hashed path; on the skip path the stream keys on the
+	// outer record's index and its gaps count positions in Members.
+	Seed uint64 `json:"seed"`
+	// Stratified switches the walk from Bernoulli thinning (under KeepP)
+	// to per-group budgeted draws (groupDraws over each group's
 	// Budget, seeded by the first member's record index).
 	Stratified bool `json:"stratified,omitempty"`
 	// Round marks which pass of a Wilson-adaptive two-pass enumeration
@@ -311,9 +320,10 @@ type EnumResult struct {
 // performs over the despite context (the query's despite clause
 // conjoined with the explanation's generated extension). Like EnumSpec
 // it carries blocking groups with outer ranges and the splitmix counter
-// ranges of the subsampling decision; unlike EnumSpec it returns only
-// four integer counts, accumulated by fused popcounts, so merged metrics
-// are exact and identical at every spec count.
+// ranges of the subsampling decision (KeepP and Seed mean exactly what
+// they mean there); unlike EnumSpec it returns only four integer counts,
+// accumulated by fused popcounts, so merged metrics are exact and
+// identical at every spec count.
 //
 //pxql:wire decode=Run
 type EvalSpec struct {
@@ -416,6 +426,13 @@ func (dm *drawMemo) groupDraws(seed uint64, g0, n, budget int) []uint64 {
 	return e.ts
 }
 
+// tileBuf is one walk's pair of tile index arrays. A walk cut into many
+// specs would otherwise allocate 64 KB per spec to hold a few thousand
+// kept pairs; the pool recycles them between specs and queries.
+type tileBuf struct{ ai, bi [pairBlock]int }
+
+var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
+
 // walkTiles is the one definition of the pair probability space both
 // kernels walk, so training enumeration and explanation evaluation can
 // never drift apart on blocking, capping or order. It validates a
@@ -423,10 +440,24 @@ func (dm *drawMemo) groupDraws(seed uint64, g0, n, budget int) []uint64 {
 // the groups' outer ranges own that survive the sampling decision — in
 // (group, outer member, inner member) order, as tiles of at most
 // pairBlock pairs (parallel index arrays reused between calls; visit
-// must not retain them). With stratified false each pair is
-// Bernoulli-kept under keepP; with it true, groups whose Budget is below
-// their pair count walk their budgeted draw set instead and the rest
-// are walked whole.
+// must not retain them). With stratified true, groups whose Budget is
+// below their pair count walk their budgeted draw set instead and the
+// rest are walked whole. With it false each pair is kept independently
+// with probability keepP, decided one of two ways:
+//
+//   - keepP >= skipKeepP: every candidate pair (i, j) is hashed
+//     (keepPair) — a pure function of (seed, i, j);
+//   - 0 < keepP < skipKeepP: only the kept pairs are touched. Each outer
+//     record i draws geometric gaps from its own splitmix counter stream
+//     (skipStream) over the group's other members in member order — a
+//     pure function of (seed, i, the inner member's position in
+//     g.Members, keepP). A spec always carries a group's whole member
+//     list, however the group straddles specs, segments or workers, so
+//     the kept set is the same at every parallelism, spec count,
+//     executor, transport and seal boundary.
+//
+// Both are exact iid Bernoulli(keepP) thinnings of the same pair space
+// in the same order; they keep different pairs.
 func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, stratified bool, draws *drawMemo, visit func(ai, bi []int)) error {
 	for gi, g := range groups {
 		if g.Lo < 0 || g.Hi < g.Lo || g.Hi > len(g.Members) {
@@ -444,11 +475,15 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, stratified
 	if stratified {
 		keepP = 1 // budgets replace the Bernoulli cap
 	}
-	ai := make([]int, 0, pairBlock)
-	bi := make([]int, 0, pairBlock)
+	tb := tilePool.Get().(*tileBuf)
+	defer tilePool.Put(tb)
+	ai, bi := tb.ai[:0], tb.bi[:0]
+	skip := skipSampled(keepP)
+	invLogQ := 1 / math.Log1p(-keepP) // read on the skip path only
 	for _, g := range groups {
 		members := g.Members
-		if stratified && uint64(g.Budget) < pairCount64(len(members)) {
+		switch {
+		case stratified && uint64(g.Budget) < pairCount64(len(members)):
 			// Take the whole group's draw set (identical in every
 			// straddling spec) and walk the outer positions this spec
 			// owns — a contiguous run of the sorted flat indices. Each
@@ -471,18 +506,44 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, stratified
 					ai, bi = ai[:0], bi[:0]
 				}
 			}
-			continue
-		}
-		for _, i := range members[g.Lo:g.Hi] {
-			for _, j := range members {
-				if i == j || !keepPair(seed, i, j, keepP) {
-					continue
+		case skip:
+			// Inner positions run over the group's other members: q
+			// counts them in member order with the outer's own slot p
+			// left out, so ascending q is the dense loop's order.
+			n1 := len(members) - 1
+			for p := g.Lo; p < g.Hi; p++ {
+				i := members[p]
+				st := newSkipStream(seed, i, invLogQ)
+				for q := 0; ; q++ {
+					gap, ok := st.next(n1 - q)
+					if !ok {
+						break
+					}
+					q += gap
+					j := members[q]
+					if q >= p {
+						j = members[q+1]
+					}
+					ai = append(ai, i)
+					bi = append(bi, j)
+					if len(ai) == pairBlock {
+						visit(ai, bi)
+						ai, bi = ai[:0], bi[:0]
+					}
 				}
-				ai = append(ai, i)
-				bi = append(bi, j)
-				if len(ai) == pairBlock {
-					visit(ai, bi)
-					ai, bi = ai[:0], bi[:0]
+			}
+		default:
+			for _, i := range members[g.Lo:g.Hi] {
+				for _, j := range members {
+					if i == j || !keepPair(seed, i, j, keepP) {
+						continue
+					}
+					ai = append(ai, i)
+					bi = append(bi, j)
+					if len(ai) == pairBlock {
+						visit(ai, bi)
+						ai, bi = ai[:0], bi[:0]
+					}
 				}
 			}
 		}
@@ -491,6 +552,27 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, stratified
 		visit(ai, bi)
 	}
 	return nil
+}
+
+// maxPresize caps expectedKept, in pairs (17 bytes each across the three
+// result planes); a larger result grows by append from there.
+const maxPresize = 1 << 18
+
+// expectedKept is the result capacity of a skip-sampled walk: the
+// expected kept count of the candidate pairs the groups' outer ranges
+// own plus four standard deviations, capped at maxPresize. A spec is
+// wire input and its groups are validated only inside walkTiles, so
+// ranges are taken as found — an invalid one counts nothing — and no
+// spec can size an allocation past the cap.
+func expectedKept(groups []EnumGroup, keepP float64) int {
+	var owned float64
+	for _, g := range groups {
+		if g.Lo >= 0 && g.Lo < g.Hi && g.Hi <= len(g.Members) {
+			owned += float64(g.Hi-g.Lo) * float64(len(g.Members)-1)
+		}
+	}
+	e := keepP * owned
+	return int(math.Min(e+4*math.Sqrt(e)+16, maxPresize))
 }
 
 // RunWith walks the spec's slice of the enumeration space over a
@@ -530,6 +612,13 @@ func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 	cDes, cObs, cExp := c[0], c[1], c[2]
 
 	res := &EnumResult{}
+	if !s.Stratified && skipSampled(s.KeepP) {
+		// A thinned walk's output is bounded by its kept pairs, whose
+		// count is known in expectation: one sized buffer per plane
+		// instead of append-doubling through a few hundred kilobytes.
+		n := expectedKept(s.Groups, s.KeepP)
+		res.RefA, res.RefB, res.Labels = make([]int, 0, n), make([]int, 0, n), make([]bool, 0, n)
+	}
 	des := bitset.Make(pairBlock)
 	obsSel := bitset.Make(pairBlock)
 	expSel := bitset.Make(pairBlock)

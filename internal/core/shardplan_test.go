@@ -77,17 +77,24 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 	q := blockedQuery()
 
 	for _, tc := range []struct {
-		maxPairs int
-		seed     int64
+		maxPairs     int
+		seed         int64
+		capped, skip bool
 	}{
-		{0, 1},      // full pair space
-		{500, 1},    // Bernoulli-capped: keep decisions must agree across shards
-		{500, 42},   // a different splitmix stream
-		{100000, 7}, // cap above the space: keepP == 1
+		{0, 1, false, false},      // full pair space
+		{500, 1, true, false},     // Bernoulli-capped, hashed per pair: keep decisions must agree across shards
+		{500, 42, true, false},    // a different splitmix stream
+		{250, 1, true, true},      // capped below the crossover: per-row skip streams must agree across shards
+		{250, 42, true, true},     //
+		{100000, 7, false, false}, // cap above the space: keepP == 1
 	} {
+		requireRegime(t, log, q.Despite, tc.maxPairs, tc.capped, tc.skip)
 		pairSeed := stats.DeriveSeed(tc.seed, "plan-test")
 		serial := enumLocal(t, log, q, q.Despite, false, tc.maxPairs, pairSeed, serialExec)
-		checkRelated(t, fmt.Sprintf("maxPairs=%d seed=%d serial", tc.maxPairs, tc.seed), log, q, q.Despite, serial, tc.maxPairs != 500)
+		checkRelated(t, fmt.Sprintf("maxPairs=%d seed=%d serial", tc.maxPairs, tc.seed), log, q, q.Despite, serial, !tc.capped)
+		if len(serial.refs) < 50 {
+			t.Fatalf("maxPairs=%d seed=%d: the serial walk kept %d pairs; too few to compare", tc.maxPairs, tc.seed, len(serial.refs))
+		}
 		for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 			name := fmt.Sprintf("maxPairs=%d seed=%d shards=%d", tc.maxPairs, tc.seed, nShards)
 			specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, tc.maxPairs, nShards, pairSeed)
@@ -176,8 +183,10 @@ func TestPlanEvalShardsMatchesSerial(t *testing.T) {
 			Because: pxql.Predicate{{Feature: "x_diff", Op: pxql.OpNe, Value: joblog.Str("")}},
 		},
 	}
+	requireRegime(t, log, q.Despite, 500, true, false)
+	requireRegime(t, log, q.Despite, 250, true, true)
 	for xi, x := range explanations {
-		for _, maxPairs := range []int{0, 500} {
+		for _, maxPairs := range []int{0, 500, 250} {
 			serial, serialErr := EvaluateExplanation(context.Background(), log, features.Level3, q, x, maxPairs, 3, serialExec)
 			if want, defined := oracleMetrics(log, features.Level3, q, x); maxPairs == 0 && ((serialErr == nil) != defined || (defined && serial != want)) {
 				t.Errorf("x=%d: serial metrics %+v (err %v) differ from Definitions 4–6 %+v (defined %v)", xi, serial, serialErr, want, defined)

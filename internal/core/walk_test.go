@@ -82,6 +82,18 @@ func checkRelated(t *testing.T, name string, log *joblog.Log, q *pxql.Query, des
 	}
 }
 
+// requireRegime fails the test unless capping (log, despite) at maxPairs
+// puts the Bernoulli walk in the wanted thinning regime of walkTiles —
+// uncapped (keepP = 1), capped-dense (skipKeepP <= keepP < 1) or
+// capped-skip (keepP < skipKeepP) — so a capped leg cannot drift onto the
+// other sampler when a fixture changes.
+func requireRegime(t *testing.T, log *joblog.Log, despite pxql.Predicate, maxPairs int, capped, skip bool) {
+	t.Helper()
+	if _, keepP := blockedGroups(log, despite, maxPairs); (keepP < 1) != capped || skipSampled(keepP) != skip {
+		t.Fatalf("maxPairs %d gives keepP %v; want capped=%v skip-sampled=%v", maxPairs, keepP, capped, skip)
+	}
+}
+
 func samePairs(a, b *pairSet) bool {
 	return reflect.DeepEqual(a.refs, b.refs) && reflect.DeepEqual(a.labels, b.labels)
 }

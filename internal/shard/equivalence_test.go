@@ -122,7 +122,9 @@ EXPECTED duration_compare = SIM`)
 // and dumps every user-visible facet with full float precision. Both
 // walks — enumeration and evaluation — execute per exec, so comparing a
 // worker-backed dump against the serial local one pins explanation and
-// evaluation paths alike. cfg carries the sampling mode under test.
+// evaluation paths alike. cfg carries the sampling mode under test; its
+// MaxPairs (0 = uncapped) caps the evaluation walk as well as training
+// enumeration, so a capped mode thins both spec kinds.
 func explainOver(t *testing.T, log *joblog.Log, q *pxql.Query, exec core.Exec, cfg core.Config) string {
 	t.Helper()
 	cfg.Width, cfg.Seed, cfg.SampleSize, cfg.Exec = 3, 7, 400, exec
@@ -141,7 +143,7 @@ func explainOver(t *testing.T, log *joblog.Log, q *pxql.Query, exec core.Exec, c
 	for i, a := range x.Atoms {
 		fmt.Fprintf(&b, "atom[%d]: %s precision=%v generality=%v\n", i, a.Atom, a.Precision, a.Generality)
 	}
-	m, err := core.EvaluateExplanation(context.Background(), log, features.Level3, q, x, 0, 7, exec)
+	m, err := core.EvaluateExplanation(context.Background(), log, features.Level3, q, x, cfg.MaxPairs, 7, exec)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -165,6 +167,53 @@ func explainSerial(t *testing.T, log *joblog.Log, q *pxql.Query) string {
 }
 
 var serialExec = core.Exec{Parallelism: 1, Shards: 1}
+
+// equivCase is one (log, query, sampling config) the suite drives through
+// its executors, with the serial local dump each must reproduce.
+type equivCase struct {
+	log  *joblog.Log
+	q    *pxql.Query
+	cfg  core.Config
+	want string
+}
+
+// skipCapped is the default Bernoulli mode capped far enough below
+// equivLog(150)'s 11 100 candidate pairs that both walks take the
+// geometric-skip path of core.walkTiles (keep probability under 1/8)
+// while still keeping a few hundred pairs.
+var skipCapped = core.Config{MaxPairs: 1000}
+
+// skipCappedCase is the capped leg of the equivalence suites: a pair's
+// fate there hangs on its position in the planned group, so it is the
+// case that would notice a spec, transport or seal boundary renumbering
+// one. It fails the test if the cap misses the skip path on either walk
+// or the serial run keeps nothing to compare.
+func skipCappedCase(t *testing.T) equivCase {
+	t.Helper()
+	log := equivLog(150)
+	q := equivQuery(t, log)
+	enum := core.PlanEnumShards(nil, log, features.Level3, q, q.Despite, false, skipCapped.MaxPairs, 1, 1)[0]
+	eval := core.PlanEvalShards(nil, log, features.Level3, q, &core.Explanation{}, skipCapped.MaxPairs, 1, 1)[0]
+	for _, keepP := range []float64{enum.KeepP, eval.KeepP} {
+		if keepP <= 0 || keepP >= 1.0/8 {
+			t.Fatalf("MaxPairs %d gives keep probability %v; the capped leg misses the skip path", skipCapped.MaxPairs, keepP)
+		}
+	}
+	want := explainOver(t, log, q, serialExec, skipCapped)
+	if strings.Contains(want, "related=0\n") || strings.Contains(want, "context=0 ") {
+		t.Fatalf("the capped serial run kept no pairs; the capped leg compares empty sets:\n%s", want)
+	}
+	return equivCase{log, q, skipCapped, want}
+}
+
+// bernoulliCases are the two default-mode cases: uncapped over the small
+// log, and skipCappedCase.
+func bernoulliCases(t *testing.T) []equivCase {
+	t.Helper()
+	log := equivLog(60)
+	q := equivQuery(t, log)
+	return []equivCase{{log, q, core.Config{}, explainSerial(t, log, q)}, skipCappedCase(t)}
+}
 
 // pooled is the executor of a flat log's walks on runner's workers.
 func pooled(log *joblog.Log, shards int, runner core.ShardRunner) core.Exec {
@@ -224,14 +273,14 @@ func shardCounts() []int {
 // spec count (0 = the default eight per worker) at every parallelism
 // reproduces the serial dump.
 func TestEquivalenceInProcess(t *testing.T) {
-	log := equivLog(60)
-	q := equivQuery(t, log)
-	want := explainSerial(t, log, q)
-	for _, n := range append(shardCounts(), 0) {
-		for _, p := range []int{1, 2, 7} {
-			got := explainOver(t, log, q, core.Exec{Parallelism: p, Shards: n}, core.Config{})
-			if got != want {
-				t.Errorf("local shards=%d parallelism=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s", n, p, got, want)
+	for _, c := range bernoulliCases(t) {
+		for _, n := range append(shardCounts(), 64, 0) {
+			for _, p := range []int{1, 2, 7} {
+				got := explainOver(t, c.log, c.q, core.Exec{Parallelism: p, Shards: n}, c.cfg)
+				if got != c.want {
+					t.Errorf("local maxPairs=%d shards=%d parallelism=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
+						c.cfg.MaxPairs, n, p, got, c.want)
+				}
 			}
 		}
 	}
@@ -239,8 +288,9 @@ func TestEquivalenceInProcess(t *testing.T) {
 
 // TestEquivalenceSamplingModes runs the stratified and Wilson-adaptive
 // modes — budgeted per-group draws, and a pilot round feeding a final
-// one — through every executor: each must reproduce the serial local
-// run of its mode at shards 1, 2 and 7.
+// one — and the Bernoulli mode capped onto the geometric-skip path
+// through every executor: each must reproduce the serial local run of
+// its mode at shards 1, 2 and 7.
 func TestEquivalenceSamplingModes(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
@@ -253,20 +303,23 @@ func TestEquivalenceSamplingModes(t *testing.T) {
 		{"subprocess", workerPool(t, 3)},
 		{"socket", socketPool(t, 2)},
 	}
+	cases := []equivCase{skipCappedCase(t)}
 	for _, mode := range []core.Config{
 		{SampleMode: core.SampleStratified, SampleBudget: 600},
 		{SampleMode: core.SampleStratified, SampleBudget: 600, SamplePilot: 0.25},
 	} {
-		want := explainOver(t, log, q, serialExec, mode)
+		cases = append(cases, equivCase{log, q, mode, explainOver(t, log, q, serialExec, mode)})
+	}
+	for _, c := range cases {
 		for _, r := range runners {
 			for _, n := range []int{1, 2, 7} {
 				exec := core.Exec{Parallelism: 4, Shards: n}
 				if r.runner != nil {
-					exec = pooled(log, n, r.runner)
+					exec = pooled(c.log, n, r.runner)
 				}
-				if got := explainOver(t, log, q, exec, mode); got != want {
-					t.Errorf("%s pilot=%v shards=%d diverges from the serial run:\n--- got ---\n%s--- want ---\n%s",
-						r.name, mode.SamplePilot, n, got, want)
+				if got := explainOver(t, c.log, c.q, exec, c.cfg); got != c.want {
+					t.Errorf("%s mode=%q pilot=%v maxPairs=%d shards=%d diverges from the serial run:\n--- got ---\n%s--- want ---\n%s",
+						r.name, c.cfg.SampleMode, c.cfg.SamplePilot, c.cfg.MaxPairs, n, got, c.want)
 				}
 			}
 		}

@@ -215,6 +215,15 @@ func v6MatFrame(t testing.TB) []byte {
 	}})
 }
 
+// v7Frame is a well-formed enumeration task as protocol v7 framed it —
+// field for field a current frame, but for the version: v8 changed which
+// pairs a KeepP below 1/8 keeps, not the wire shape.
+func v7Frame(t testing.TB) []byte {
+	spec := seedSpec()
+	spec.KeepP = 0.01
+	return gobBytes(t, &shard.Task{Version: 7, Seq: 6, Enum: &spec})
+}
+
 // removedFieldFrame is a frame claiming the current version whose only
 // payload is a field the protocol no longer has: a scoring spec.
 func removedFieldFrame(t testing.TB) []byte {
@@ -258,6 +267,19 @@ func TestWorkerRefusesV5Frame(t *testing.T) {
 	if len(results) != 1 || results[0].Seq != 3 || results[0].Enum != nil ||
 		results[0].Err != fmt.Sprintf("shard: protocol version 5, want %d", shard.Version) {
 		t.Fatalf("v5 frame answered with %+v", results)
+	}
+}
+
+// TestWorkerRefusesV7Frame pins that mixed builds refuse rather than
+// diverge: a v7 frame decodes into a perfectly runnable v8 task — the
+// wire shape is unchanged — and would be thinned by a different sampler
+// than its coordinator's, so the version check alone stands between it
+// and a silently different sample.
+func TestWorkerRefusesV7Frame(t *testing.T) {
+	results := workerResults(t, v7Frame(t))
+	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
+		results[0].Err != fmt.Sprintf("shard: protocol version 7, want %d", shard.Version) {
+		t.Fatalf("v7 frame answered with %+v", results)
 	}
 }
 
@@ -313,8 +335,9 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add([]byte("DESPITE pigscript_issame = T OBSERVED duration_compare = GT"))
 	// Well-formed frames for the mutator to start from: a current task,
 	// the same task with its slice list emptied, a v5-framed one, a
-	// v6-framed materialization task, and a current frame whose only
-	// payload is a field the protocol removed.
+	// v6-framed materialization task, a v7 task (current shape, older
+	// thinning contract), and a current frame whose only payload is a
+	// field the protocol removed.
 	spec := seedSpec()
 	var frame bytes.Buffer
 	if err := gob.NewEncoder(&frame).Encode(&shard.Task{Version: shard.Version, Seq: 1, Enum: &spec}); err != nil {
@@ -329,6 +352,7 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add(frame.Bytes())
 	f.Add(v5Frame(f))
 	f.Add(v6MatFrame(f))
+	f.Add(v7Frame(f))
 	f.Add(removedFieldFrame(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -52,9 +52,21 @@ import (
 // Version 7: the training sample never leaves the coordinator —
 // Task.Mat, Task.Score, Result.Mat, Result.Score and LogSlice.Intern are
 // gone; enumeration and evaluation are the only spec kinds.
-const Version = 7
+// Version 8: no field changed, but KeepP below 1/8 now selects a
+// different sample — core.walkTiles draws per-outer-row geometric skips
+// there instead of hashing every (i, j) — so a v7 worker and a v8
+// coordinator would each return a valid thinning and merge into a set
+// neither would produce alone. They refuse each other instead.
+//
+// The skip gap is ⌊ln U / ln(1−KeepP)⌋ through math.Log, which is
+// assembly on amd64 and s390x and pure Go elsewhere (where the compiler
+// may also fuse its multiply-adds): a coordinator and workers built for
+// different GOARCH values may disagree in the last bit of a logarithm and
+// so, rarely, on a gap. Results are byte-identical across executors —
+// local, subprocess, socket — only among builds that share a GOARCH.
+const Version = 8
 
-//pxql:wirehash 4b7e22dbdf19f9a5 v=7
+//pxql:wirehash 4b7e22dbdf19f9a5 v=8
 
 // Task is one request frame: exactly one spec pointer is set — or
 // Prefetch alone, a payload-only frame that warms the worker's

@@ -31,12 +31,13 @@ func segmentedOver(t *testing.T, log *joblog.Log, sealEvery int) (*joblog.Log, *
 	return snap.Log(), layout
 }
 
-// explainSegmented is explainOver in the default Bernoulli mode over a
-// snapshot log, on runner's workers over its store's layout.
+// explainSegmented is explainOver in the default Bernoulli mode (under
+// cfg's cap, see bernoulliCases) over a snapshot log, on runner's workers over its store's
+// layout.
 func explainSegmented(t *testing.T, log *joblog.Log, layout *core.SegmentLayout,
-	q *pxql.Query, shards int, runner core.ShardRunner) string {
+	q *pxql.Query, shards int, runner core.ShardRunner, cfg core.Config) string {
 	t.Helper()
-	return explainOver(t, log, q, core.Exec{Parallelism: 4, Shards: shards, Runner: runner, Layout: layout}, core.Config{})
+	return explainOver(t, log, q, core.Exec{Parallelism: 4, Shards: shards, Runner: runner, Layout: layout}, cfg)
 }
 
 // TestEquivalenceSegmentedInProcess pins that local execution over a
@@ -45,16 +46,15 @@ func explainSegmented(t *testing.T, log *joblog.Log, layout *core.SegmentLayout,
 // thresholds — including ones that split the dominant blocking group
 // across segments — and spec counts.
 func TestEquivalenceSegmentedInProcess(t *testing.T) {
-	log := equivLog(60)
-	q := equivQuery(t, log)
-	want := explainSerial(t, log, q)
-	for _, sealEvery := range []int{13, 40} {
-		snapLog, _ := segmentedOver(t, log, sealEvery)
-		for _, n := range []int{1, 2, 7} {
-			got := explainOver(t, snapLog, q, core.Exec{Parallelism: 4, Shards: n}, core.Config{})
-			if got != want {
-				t.Errorf("segmented seal=%d shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
-					sealEvery, n, got, want)
+	for _, c := range bernoulliCases(t) {
+		for _, sealEvery := range []int{13, 40} {
+			snapLog, _ := segmentedOver(t, c.log, sealEvery)
+			for _, n := range []int{1, 2, 7} {
+				got := explainOver(t, snapLog, c.q, core.Exec{Parallelism: 4, Shards: n}, c.cfg)
+				if got != c.want {
+					t.Errorf("segmented maxPairs=%d seal=%d shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
+						c.cfg.MaxPairs, sealEvery, n, got, c.want)
+				}
 			}
 		}
 	}
@@ -63,16 +63,15 @@ func TestEquivalenceSegmentedInProcess(t *testing.T) {
 // TestEquivalenceSegmentedSubprocess runs segmented specs through real
 // subprocess workers over the gob pipe protocol.
 func TestEquivalenceSegmentedSubprocess(t *testing.T) {
-	log := equivLog(60)
-	q := equivQuery(t, log)
-	want := explainSerial(t, log, q)
-	snapLog, layout := segmentedOver(t, log, 13)
 	pool := workerPool(t, 3)
-	for _, n := range []int{1, 2, 7} {
-		got := explainSegmented(t, snapLog, layout, q, n, pool)
-		if got != want {
-			t.Errorf("segmented subprocess shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
-				n, got, want)
+	for _, c := range bernoulliCases(t) {
+		snapLog, layout := segmentedOver(t, c.log, 13)
+		for _, n := range []int{1, 2, 7} {
+			got := explainSegmented(t, snapLog, layout, c.q, n, pool, c.cfg)
+			if got != c.want {
+				t.Errorf("segmented subprocess maxPairs=%d shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
+					c.cfg.MaxPairs, n, got, c.want)
+			}
 		}
 	}
 }
@@ -81,17 +80,17 @@ func TestEquivalenceSegmentedSubprocess(t *testing.T) {
 // protocol (slice cache included) cold and warm: the second pass over
 // the same pool must resolve the per-segment slices from worker caches.
 func TestEquivalenceSegmentedChanTransport(t *testing.T) {
-	log := equivLog(60)
-	q := equivQuery(t, log)
-	want := explainSerial(t, log, q)
-	snapLog, layout := segmentedOver(t, log, 13)
+	cases := bernoulliCases(t)
 	pool := chanPool(t, 3)
 	for pass, label := range []string{"cold", "warm"} {
-		for _, n := range []int{1, 2, 7} {
-			got := explainSegmented(t, snapLog, layout, q, n, pool)
-			if got != want {
-				t.Errorf("segmented chan shards=%d (%s) diverges:\n--- got ---\n%s--- want ---\n%s",
-					n, label, got, want)
+		for _, c := range cases {
+			snapLog, layout := segmentedOver(t, c.log, 13)
+			for _, n := range []int{1, 2, 7} {
+				got := explainSegmented(t, snapLog, layout, c.q, n, pool, c.cfg)
+				if got != c.want {
+					t.Errorf("segmented chan maxPairs=%d shards=%d (%s) diverges:\n--- got ---\n%s--- want ---\n%s",
+						c.cfg.MaxPairs, n, label, got, c.want)
+				}
 			}
 		}
 		if pass == 1 {
@@ -123,7 +122,7 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 		}
 		q := equivQuery(t, log)
 		want := explainSerial(t, log, q)
-		if got := explainSegmented(t, log, layout, q, 2, pool); got != want {
+		if got := explainSegmented(t, log, layout, q, 2, pool, core.Config{}); got != want {
 			t.Fatalf("segmented explanation at watermark %d diverges:\n--- got ---\n%s--- want ---\n%s",
 				log.Len(), got, want)
 		}
