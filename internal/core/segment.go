@@ -33,8 +33,9 @@ import (
 )
 
 // NewLogSliceHashed builds a LogSlice from a precomputed content hash —
-// the segment store hashes each sealed segment once at seal time, and
-// re-hashing it on every plan would throw that work away. hash must
+// the segment store hashes each sealed segment once, the first time its
+// views are asked for, and re-hashing it on every plan would throw that
+// work away. hash must
 // equal joblog.HashSlice(w).
 func NewLogSliceHashed(hash string, w joblog.WireLog) LogSlice {
 	return LogSlice{Hash: hash, Log: w}

@@ -5,7 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The CSV layout is: header row of "name:kind" cells (first column is the
@@ -15,43 +20,175 @@ import (
 
 const idHeader = "id:id"
 
-// WriteCSV writes the log to w.
+// WriteCSV writes the log to w. The bytes are what encoding/csv's Writer
+// produces for the same cells (pinned by TestWriteCSVMatchesEncodingCSV),
+// without a string per numeric cell: lines are appended into one reused
+// buffer, numerics by strconv.AppendFloat in Value.String's format.
 func (l *Log) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, 0, l.Schema.Len()+1)
-	header = append(header, idHeader)
+	buf := make([]byte, 0, csvWriteChunk+4096) // a chunk, and the line that crosses it
+	buf = append(buf, idHeader...)
 	for _, f := range l.Schema.Fields() {
-		header = append(header, f.Name+":"+f.Kind.String())
+		buf = append(buf, ',')
+		buf = appendCSVField(buf, f.Name+":"+f.Kind.String())
 	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("joblog: write header: %w", err)
-	}
-	row := make([]string, len(header))
+	buf = append(buf, '\n')
 	for _, r := range l.Records {
-		row[0] = r.ID
-		for i, v := range r.Values {
-			row[i+1] = v.String()
+		buf = appendCSVField(buf, r.ID)
+		for _, v := range r.Values {
+			buf = append(buf, ',')
+			switch v.Kind {
+			case Missing:
+			case Numeric:
+				// Digits, '.', 'e', signs, NaN and Inf: never quoted.
+				buf = strconv.AppendFloat(buf, v.Num, 'g', -1, 64)
+			default:
+				buf = appendCSVField(buf, v.Str)
+			}
 		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("joblog: write record %q: %w", r.ID, err)
+		buf = append(buf, '\n')
+		if len(buf) >= csvWriteChunk {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("joblog: write csv: %w", err)
+			}
+			buf = buf[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("joblog: write csv: %w", err)
+	}
+	return nil
+}
+
+// csvWriteChunk is how many bytes WriteCSV gathers between writes.
+const csvWriteChunk = 64 << 10
+
+// appendCSVField appends one cell, quoted exactly when encoding/csv's
+// Writer (comma separator, LF line ends) would quote it: the cell is
+// `\.`, holds a comma, quote, CR or LF, or starts with a space rune.
+// Inside quotes only the quote itself is escaped, by doubling.
+func appendCSVField(buf []byte, field string) []byte {
+	if !csvFieldNeedsQuotes(field) {
+		return append(buf, field...)
+	}
+	buf = append(buf, '"')
+	for i := 0; i < len(field); i++ {
+		if field[i] == '"' {
+			buf = append(buf, '"')
+		}
+		buf = append(buf, field[i])
+	}
+	return append(buf, '"')
+}
+
+func csvFieldNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
+	}
+	if field == `\.` || strings.ContainsAny(field, ",\"\r\n") {
+		return true
+	}
+	first, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(first)
 }
 
 // ReadCSV reads a log previously written by WriteCSV.
+//
+// The calling goroutine drives the csv.Reader and hands fixed-size
+// batches of rows to GOMAXPROCS decode workers, so float parsing — most
+// of the cost — runs on every core while the file is still being split
+// into cells. Records come back in file order whatever the schedule,
+// and of several defects in one file the first in file order is the one
+// reported.
 func ReadCSV(r io.Reader) (*Log, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
-	rows, err := cr.ReadAll()
+	// The reader may reuse its cell slice: rows are copied into batches.
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("joblog: empty csv")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("joblog: read csv: %w", err)
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("joblog: empty csv")
+	fields, err := parseCSVHeader(header)
+	if err != nil {
+		return nil, err
 	}
-	header := rows[0]
+	width := len(header)
+
+	d := &csvDecoder{fields: fields}
+	workers := runtime.GOMAXPROCS(0)
+	// One batch of slack per worker keeps the reader splitting cells while
+	// every worker is parsing.
+	work := make(chan *csvBatch, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tables := make([]map[string]string, len(fields))
+			for b := range work {
+				d.decode(b, tables)
+			}
+		}()
+	}
+
+	// readErr is the defect that stopped the reader, if one did: every row
+	// handed to a worker precedes it, so any worker's error outranks it.
+	var readErr error
+	var b *csvBatch
+	for row := 2; ; row++ {
+		cells, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			readErr = fmt.Errorf("joblog: read csv: %w", err)
+			break
+		}
+		if len(cells) != width {
+			readErr = fmt.Errorf("joblog: row %d has %d cells, want %d", row, len(cells), width)
+			break
+		}
+		if b == nil {
+			b = &csvBatch{firstRow: row, cells: make([]string, 0, csvBatchRows*width)}
+		}
+		b.cells = append(b.cells, cells...)
+		if len(b.cells) == csvBatchRows*width {
+			work <- b
+			b = nil
+		}
+	}
+	if b != nil {
+		work <- b
+	}
+	close(work)
+	wg.Wait()
+
+	if d.err != nil {
+		return nil, d.err
+	}
+	if readErr != nil {
+		return nil, readErr
+	}
+	log := NewLog(NewSchema(fields))
+	n := 0
+	for _, part := range d.parts {
+		n += len(part)
+	}
+	log.Records = make([]*Record, 0, n)
+	for _, part := range d.parts {
+		for i := range part {
+			log.Records = append(log.Records, &part[i])
+		}
+	}
+	return log, nil
+}
+
+// parseCSVHeader turns the "name:kind" header row into the schema's
+// fields.
+func parseCSVHeader(header []string) ([]Field, error) {
 	if len(header) < 1 || header[0] != idHeader {
 		return nil, fmt.Errorf("joblog: first header cell must be %q, got %q", idHeader, header[0])
 	}
@@ -72,24 +209,94 @@ func ReadCSV(r io.Reader) (*Log, error) {
 		}
 		fields = append(fields, Field{Name: name, Kind: kind})
 	}
-	log := NewLog(NewSchema(fields))
-	for rowNum, row := range rows[1:] {
-		if len(row) != len(header) {
-			return nil, fmt.Errorf("joblog: row %d has %d cells, want %d", rowNum+2, len(row), len(header))
-		}
-		rec := &Record{ID: row[0], Values: make([]Value, len(fields))}
-		for i, cell := range row[1:] {
-			v, err := ParseValue(fields[i].Kind, cell)
+	return fields, checkFieldNames(fields)
+}
+
+// csvBatchRows is how many rows the reader hands a decode worker at a
+// time: enough that the hand-off is noise beside the parsing, few
+// enough that a 540-row file still spreads over two workers.
+const csvBatchRows = 256
+
+// csvInternLimit bounds each worker's table of distinct strings per
+// nominal field. Real nominal columns (scripts, hosts, instance types)
+// stay far below it and share one copy per value; a column that is
+// unique per row stops growing a table that will never hit.
+const csvInternLimit = 1024
+
+// csvBatch is a run of consecutive well-formed rows: width cells each,
+// row-major, still aliasing the reader's line strings.
+type csvBatch struct {
+	firstRow int // file row number (the header is row 1) of the first row
+	cells    []string
+}
+
+// csvDecoder collects what the decode workers produce.
+type csvDecoder struct {
+	fields []Field
+
+	mu     sync.Mutex
+	parts  [][]Record // decoded batches, in file order
+	err    error      // the defect with the lowest row so far
+	errRow int
+}
+
+// decode parses one batch into a slab of records over a slab of values.
+// Nothing it keeps aliases the batch's cells — IDs are copied and
+// nominal cells are interned through tables, the calling worker's
+// per-field tables — so no record pins its CSV line.
+func (d *csvDecoder) decode(b *csvBatch, tables []map[string]string) {
+	nf := len(d.fields)
+	width := nf + 1
+	n := len(b.cells) / width
+	recs := make([]Record, n)
+	vals := make([]Value, n*nf)
+	for i := 0; i < n; i++ {
+		row := b.cells[i*width : (i+1)*width]
+		rec := &recs[i]
+		rec.ID = strings.Clone(row[0])
+		rec.Values = vals[i*nf : (i+1)*nf : (i+1)*nf]
+		for f, cell := range row[1:] {
+			v, err := ParseValue(d.fields[f].Kind, cell)
 			if err != nil {
-				return nil, fmt.Errorf("joblog: row %d field %q: %w", rowNum+2, fields[i].Name, err)
+				d.fail(b.firstRow+i, fmt.Errorf("joblog: row %d field %q: %w", b.firstRow+i, d.fields[f].Name, err))
+				return
 			}
-			rec.Values[i] = v
-		}
-		if err := log.Append(rec); err != nil {
-			return nil, err
+			if v.Kind == Nominal {
+				t := tables[f]
+				if t == nil {
+					t = make(map[string]string)
+					tables[f] = t
+				}
+				s, ok := t[v.Str]
+				if !ok {
+					s = strings.Clone(v.Str)
+					if len(t) < csvInternLimit {
+						t[s] = s
+					}
+				}
+				v.Str = s
+			}
+			rec.Values[f] = v
 		}
 	}
-	return log, nil
+	// Every batch before the file's last is full, so the first row says
+	// which batch this is.
+	seq := (b.firstRow - 2) / csvBatchRows
+	d.mu.Lock()
+	for len(d.parts) <= seq {
+		d.parts = append(d.parts, nil)
+	}
+	d.parts[seq] = recs
+	d.mu.Unlock()
+}
+
+// fail records a row's defect, keeping the one earliest in the file.
+func (d *csvDecoder) fail(row int, err error) {
+	d.mu.Lock()
+	if d.err == nil || row < d.errRow {
+		d.err, d.errRow = err, row
+	}
+	d.mu.Unlock()
 }
 
 // jsonLog is the JSON wire form: schema plus records keyed by field name.
@@ -148,6 +355,9 @@ func ReadJSON(r io.Reader) (*Log, error) {
 			return nil, fmt.Errorf("joblog: field %q has unknown kind %q", jf.Name, jf.Kind)
 		}
 		fields = append(fields, Field{Name: jf.Name, Kind: kind})
+	}
+	if err := checkFieldNames(fields); err != nil {
+		return nil, err
 	}
 	log := NewLog(NewSchema(fields))
 	for _, jr := range doc.Records {

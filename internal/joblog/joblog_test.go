@@ -226,26 +226,13 @@ func assertLogsEqual(t *testing.T, want, got *Log) {
 	}
 }
 
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":       "",
-		"bad id col":  "x:id\n",
-		"no kind":     "id:id,foo\n",
-		"bad kind":    "id:id,foo:weird\n",
-		"bad numeric": "id:id,n:numeric\nr1,xyz\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
 func TestReadJSONErrors(t *testing.T) {
 	cases := map[string]string{
 		"not json": "{",
 		"bad kind": `{"fields":[{"name":"x","kind":"weird"}],"records":[]}`,
 		"bad num":  `{"fields":[{"name":"x","kind":"numeric"}],"records":[{"id":"a","values":{"x":"zzz"}}]}`,
+		"dup name": `{"fields":[{"name":"x","kind":"numeric"},{"name":"x","kind":"nominal"}],"records":[]}`,
+		"no name":  `{"fields":[{"name":"","kind":"numeric"}],"records":[]}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadJSON(strings.NewReader(in)); err == nil {

@@ -39,6 +39,22 @@ func NewSchema(fields []Field) *Schema {
 	return s
 }
 
+// checkFieldNames reports as an error what NewSchema panics on. Every
+// decoder of outside input (CSV, JSON, wire) calls it before NewSchema.
+func checkFieldNames(fields []Field) error {
+	seen := make(map[string]bool, len(fields))
+	for i, f := range fields {
+		if f.Name == "" {
+			return fmt.Errorf("joblog: field %d has an empty name", i)
+		}
+		if seen[f.Name] {
+			return fmt.Errorf("joblog: duplicate field %q", f.Name)
+		}
+		seen[f.Name] = true
+	}
+	return nil
+}
+
 // Len returns the number of fields.
 func (s *Schema) Len() int { return len(s.fields) }
 

@@ -6,18 +6,25 @@ package joblog
 //
 // Appends land in the tail; once the tail reaches the seal threshold it
 // is sealed into a segment that never changes again. A sealed segment
-// precomputes everything expensive and keeps it forever:
+// keeps everything expensive forever, each part built when something
+// first reads it:
 //
-//   - its wire form and content hash (HashSlice over the records) — the
-//     shard layer ships segments as hashed
-//     LogSlices, so a worker that cached a sealed segment's decoded form
-//     never receives its bytes again, no matter how much the log grows;
-//   - its columnar planes, built against the store's shared append-only
-//     intern table so symbol IDs across segments are exactly the IDs a
-//     whole-log fresh build would assign (segments seal in record order,
-//     so first-appearance order is preserved);
-//   - its per-field sorted indexes (memoized lazily on the segment's
-//     view).
+//   - at seal time, its columnar planes, built against the store's shared
+//     append-only intern table so symbol IDs across segments are exactly
+//     the IDs a whole-log fresh build would assign (segments seal in
+//     record order, so first-appearance order is preserved);
+//   - on first index use, its per-field sorted indexes (memoized on the
+//     segment's view);
+//   - the first time a snapshot is asked for its Segments — that is, the
+//     first time a shard worker is shipped to — its wire form and content
+//     hash (HashSlice over the records). The shard layer ships segments
+//     as hashed LogSlices, so a worker that cached a sealed segment's
+//     decoded form never receives its bytes again, no matter how much
+//     the log grows. A store that only ever answers locally holds no
+//     wire form at all.
+//
+// So the store's resident memory is the boxed records, one set of
+// planes per sealed segment and one assembled set per live snapshot.
 //
 // Snapshot() assembles the current watermark into an ordinary *Log whose
 // memoized views are stitched from the per-segment precomputations
@@ -52,7 +59,7 @@ const DefaultSealThreshold = 2048
 // Store is a growable job log: sealed immutable segments plus a mutable
 // tail. Records handed to Append are owned by the store and must not be
 // mutated afterwards — segments are immutable by contract, and their
-// content hashes are computed once at seal time.
+// content hashes are computed once.
 type Store struct {
 	mu     sync.Mutex
 	schema *Schema
@@ -99,8 +106,11 @@ type sealedPerm struct {
 type segment struct {
 	start int // global index of recs[0]
 	recs  []*Record
-	wire  WireLog
-	hash  string
+	// view is the segment's shippable form — wire records and their
+	// content hash — built by shipView the first time any snapshot's
+	// Segments asks for it, then shared by every snapshot.
+	viewOnce sync.Once
+	view     SegmentView
 	// cols is the segment's columnar view, planes indexed by local row;
 	// its intern pointer is the store's shared table. SortedIndex memos
 	// accumulate on it and stay warm for the segment's lifetime.
@@ -201,14 +211,20 @@ func (s *Store) sealLocked() {
 	recs := s.tail
 	s.tail = nil
 	segLog := &Log{Schema: s.schema, Records: recs}
-	wire := WireSlice(s.schema, recs)
 	s.sealed = append(s.sealed, &segment{
 		start: start,
 		recs:  recs,
-		wire:  wire,
-		hash:  HashSlice(wire),
 		cols:  buildColumnsWith(segLog, s.in),
 	})
+}
+
+// shipView returns the sealed segment's shippable view, building the
+// wire form and hashing it on first use.
+func (seg *segment) shipView(schema *Schema) SegmentView {
+	seg.viewOnce.Do(func() {
+		seg.view = newSegmentView(schema, seg.start, seg.recs, true)
+	})
+	return seg.view
 }
 
 // SegmentView describes one shippable unit of a snapshot: a contiguous
@@ -225,6 +241,11 @@ type SegmentView struct {
 
 // Len returns the number of records in the view.
 func (v SegmentView) Len() int { return len(v.Records.Records) }
+
+func newSegmentView(schema *Schema, start int, recs []*Record, sealed bool) SegmentView {
+	wire := WireSlice(schema, recs)
+	return SegmentView{Start: start, Hash: HashSlice(wire), Records: wire, Sealed: sealed}
+}
 
 type flatViewsKey struct{}
 
@@ -246,13 +267,7 @@ func (l *Log) SegmentViews() []SegmentView {
 			if end > len(recs) {
 				end = len(recs)
 			}
-			wire := WireSlice(l.Schema, recs[start:end])
-			views = append(views, SegmentView{
-				Start:   start,
-				Hash:    HashSlice(wire),
-				Records: wire,
-				Sealed:  end-start == DefaultSealThreshold,
-			})
+			views = append(views, newSegmentView(l.Schema, start, recs[start:end], end-start == DefaultSealThreshold))
 		}
 		return views
 	}).([]SegmentView)
@@ -260,9 +275,16 @@ func (l *Log) SegmentViews() []SegmentView {
 
 // Snapshot is an immutable view of the store at one watermark.
 type Snapshot struct {
-	log  *Log
-	segs []SegmentView
-	gen  uint64
+	log *Log
+	gen uint64
+	// sealed and tailStart are the watermark's decomposition: the
+	// segments sealed when the snapshot was taken, and where the tail
+	// (the rest of log.Records) begins.
+	sealed    []*segment
+	tailStart int
+
+	segsOnce sync.Once
+	segs     []SegmentView
 }
 
 // Log returns the snapshot's assembled log. Its columnar view, sorted
@@ -272,9 +294,24 @@ type Snapshot struct {
 func (sn *Snapshot) Log() *Log { return sn.log }
 
 // Segments returns the snapshot's shippable views in record order:
-// every sealed segment, then the tail (if non-empty). Callers must not
-// mutate the result.
-func (sn *Snapshot) Segments() []SegmentView { return sn.segs }
+// every sealed segment, then the tail (if non-empty). The views are
+// built on the first call — a sealed segment's once for all snapshots,
+// the tail's once for this one — so a snapshot that is only queried
+// locally never pays for wire forms or hashes. Callers must not mutate
+// the result.
+func (sn *Snapshot) Segments() []SegmentView {
+	sn.segsOnce.Do(func() {
+		schema := sn.log.Schema
+		sn.segs = make([]SegmentView, 0, len(sn.sealed)+1)
+		for _, seg := range sn.sealed {
+			sn.segs = append(sn.segs, seg.shipView(schema))
+		}
+		if tail := sn.log.Records[sn.tailStart:]; len(tail) > 0 {
+			sn.segs = append(sn.segs, newSegmentView(schema, sn.tailStart, tail, false))
+		}
+	})
+	return sn.segs
+}
 
 // Gen returns the watermark the snapshot was taken at.
 func (sn *Snapshot) Gen() uint64 { return sn.gen }
@@ -303,17 +340,12 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 	recs = append(recs, s.tail...)
 
 	log := &Log{Schema: s.schema, Records: recs}
-	log.installColumns(s.assembleColumnsLocked(log, tailStart))
-
-	views := make([]SegmentView, 0, len(s.sealed)+1)
-	for _, seg := range s.sealed {
-		views = append(views, SegmentView{Start: seg.start, Hash: seg.hash, Records: seg.wire, Sealed: true})
-	}
-	if len(s.tail) > 0 {
-		wire := WireSlice(s.schema, s.tail)
-		views = append(views, SegmentView{Start: tailStart, Hash: HashSlice(wire), Records: wire})
-	}
-	return &Snapshot{log: log, segs: views, gen: s.gen}
+	// An immutable copy of the segment list: the snapshot's lazy hooks and
+	// Segments run long after the store lock is released, and sealed
+	// segments never change.
+	sealed := append([]*segment(nil), s.sealed...)
+	log.installColumns(s.assembleColumnsLocked(log, sealed, tailStart))
+	return &Snapshot{log: log, gen: s.gen, sealed: sealed, tailStart: tailStart}
 }
 
 // assembleColumnsLocked stitches the snapshot's columnar view: sealed
@@ -322,7 +354,7 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 // copy of the shared intern table extended with the tail's nominal
 // cells in record order — exactly the IDs a fresh whole-log build
 // assigns, and isolated from future intern growth.
-func (s *Store) assembleColumnsLocked(l *Log, tailStart int) *Columns {
+func (s *Store) assembleColumnsLocked(l *Log, segs []*segment, tailStart int) *Columns {
 	n := len(l.Records)
 	priv := s.in.clone()
 	c := &Columns{log: l, n: n, intern: priv, cols: make([]Col, s.schema.Len())}
@@ -336,7 +368,7 @@ func (s *Store) assembleColumnsLocked(l *Log, tailStart int) *Columns {
 			col.Sym = make([]uint32, n)
 		}
 	}
-	for _, seg := range s.sealed {
+	for _, seg := range segs {
 		m := len(seg.recs)
 		for f := range c.cols {
 			dst, src := &c.cols[f], seg.cols.Col(f)
@@ -379,10 +411,7 @@ func (s *Store) assembleColumnsLocked(l *Log, tailStart int) *Columns {
 		}
 	}
 	// The sorted-index hook merges per-segment permutations instead of
-	// re-sorting the whole plane. It captures an immutable copy of the
-	// segment list — the hook may run long after the store lock is
-	// released, and sealed segments never change.
-	segs := append([]*segment(nil), s.sealed...)
+	// re-sorting the whole plane.
 	c.buildIndex = func(f int) *ColIndex { return s.mergedIndex(c, segs, tailStart, f) }
 	// The equality-bitmap hook blits per-segment bitmaps — memoized on
 	// the sealed segments, so they survive appends — and scans only the

@@ -324,3 +324,142 @@ func TestLogSegmentViews(t *testing.T) {
 		t.Errorf("empty log has %d views", len(got))
 	}
 }
+
+// builtViews counts the snapshot's sealed segments that hold a wire
+// form. White-box: reads segment.view without its Once, so only call it
+// while nothing else is asking for Segments.
+func builtViews(sn *Snapshot) int {
+	n := 0
+	for _, seg := range sn.sealed {
+		if seg.view.Records.Records != nil || seg.view.Hash != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSegmentsLazyUntilAsked pins the store's memory policy: appending,
+// sealing, snapshotting and every read local execution makes (planes,
+// sorted indexes, equality bitmaps, statistics) build no wire form and
+// hash nothing; the first Segments call builds exactly the content
+// addresses eager sealing used to.
+func TestSegmentsLazyUntilAsked(t *testing.T) {
+	schema := segTestSchema()
+	recs := segTestRecords(30)
+	st := NewStore(schema, 8)
+	for _, r := range recs[:27] {
+		st.MustAppend(r)
+	}
+	st.Seal()
+	for _, r := range recs[27:] {
+		st.MustAppend(r)
+	}
+	snap := st.Snapshot()
+	cols := snap.Log().Columns()
+	for f := 0; f < schema.Len(); f++ {
+		cols.SortedIndex(f)
+	}
+	cols.EqualRowsBitmap(0, Str("east"))
+	snap.Log().Domain("site")
+	snap.Log().NumericRange("x")
+	if n := builtViews(snap); n != 0 || snap.segs != nil {
+		t.Fatalf("%d sealed segments hold a wire form (snapshot views %v) before anyone asked", n, snap.segs != nil)
+	}
+
+	views := snap.Segments()
+	if len(views) != 5 || builtViews(snap) != 4 {
+		t.Fatalf("%d views, %d sealed wire forms; want 5 and 4", len(views), builtViews(snap))
+	}
+	off := 0
+	for i, v := range views {
+		want := recs[off : off+v.Len()]
+		if v.Start != off || v.Sealed != (i < 4) || v.Hash != HashSlice(WireSlice(schema, want)) {
+			t.Errorf("view %d = {start %d sealed %v hash %.12s}, want {start %d sealed %v hash %.12s}",
+				i, v.Start, v.Sealed, v.Hash, off, i < 4, HashSlice(WireSlice(schema, want)))
+		}
+		off += v.Len()
+	}
+	if off != len(recs) {
+		t.Errorf("views cover %d records, want %d", off, len(recs))
+	}
+
+	// A later snapshot shares the sealed views it did not have to build.
+	st.MustAppend(segTestRecords(31)[30])
+	later := st.Snapshot().Segments()
+	for i := 0; i < 4; i++ {
+		if &later[i].Records.Records[0] != &views[i].Records.Records[0] {
+			t.Errorf("sealed segment %d was wired again for a later snapshot", i)
+		}
+	}
+}
+
+// TestSegmentsLazyConcurrent: goroutines racing for one snapshot's
+// views (and, through a sibling snapshot, for the same sealed segments)
+// all get the one backing array.
+func TestSegmentsLazyConcurrent(t *testing.T) {
+	schema := segTestSchema()
+	recs := segTestRecords(40)
+	st := NewStore(schema, 8)
+	for _, r := range recs[:35] {
+		st.MustAppend(r)
+	}
+	snap := st.Snapshot()
+	st.MustAppend(recs[35])
+	sibling := st.Snapshot()
+
+	got := make([][]SegmentView, 4)
+	var sib []SegmentView
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = snap.Segments()
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sib = sibling.Segments()
+	}()
+	wg.Wait()
+	for g := 1; g < len(got); g++ {
+		if len(got[g]) != len(got[0]) || &got[g][0] != &got[0][0] {
+			t.Fatalf("goroutine %d got its own views", g)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if sib[i].Hash != got[0][i].Hash || &sib[i].Records.Records[0] != &got[0][i].Records.Records[0] {
+			t.Errorf("sealed segment %d was built twice by racing snapshots", i)
+		}
+	}
+}
+
+// TestSegmentsLazyOldWatermark: a snapshot first asked for its views
+// after the store has grown — and sealed the records that were its tail
+// — still describes the watermark it was taken at.
+func TestSegmentsLazyOldWatermark(t *testing.T) {
+	schema := segTestSchema()
+	recs := segTestRecords(30)
+	st := NewStore(schema, 8)
+	for _, r := range recs[:13] {
+		st.MustAppend(r)
+	}
+	old := st.Snapshot()
+	for _, r := range recs[13:] {
+		st.MustAppend(r)
+	}
+	if st.SealedSegments() != 3 {
+		t.Fatalf("fixture sealed %d segments, want 3", st.SealedSegments())
+	}
+	views := old.Segments()
+	if len(views) != 2 || !views[0].Sealed || views[1].Sealed || views[1].Start != 8 || views[1].Len() != 5 {
+		t.Fatalf("old snapshot's views = %+v, want one sealed run of 8 and a tail of 5", views)
+	}
+	if want := HashSlice(WireSlice(schema, recs[8:13])); views[1].Hash != want {
+		t.Errorf("old tail hash %.12s, want %.12s", views[1].Hash, want)
+	}
+	if now := st.Snapshot().Segments(); now[0].Hash != views[0].Hash || now[1].Hash == views[1].Hash {
+		t.Error("the current watermark does not share the sealed view, or shares the old tail's")
+	}
+}

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -71,15 +70,10 @@ func WireSlice(schema *Schema, records []*Record) WireLog {
 
 // Log rebuilds a Log from the wire form, validating schema and records.
 func (w WireLog) Log() (*Log, error) {
-	seen := make(map[string]bool, len(w.Fields))
-	for i, f := range w.Fields {
-		if f.Name == "" {
-			return nil, fmt.Errorf("joblog: wire field %d has an empty name", i)
-		}
-		if seen[f.Name] {
-			return nil, fmt.Errorf("joblog: duplicate wire field %q", f.Name)
-		}
-		seen[f.Name] = true
+	if err := checkFieldNames(w.Fields); err != nil {
+		return nil, err
+	}
+	for _, f := range w.Fields {
 		if f.Kind != Numeric && f.Kind != Nominal {
 			return nil, fmt.Errorf("joblog: wire field %q has invalid kind %v", f.Name, f.Kind)
 		}
@@ -120,29 +114,32 @@ func (w WireLog) Log() (*Log, error) {
 // framing.
 func HashSlice(w WireLog) string {
 	h := sha256.New()
-	var scratch [8]byte
-	writeUint := func(n uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], n)
-		h.Write(scratch[:])
+	// One buffer carries the encoding to the hash a record at a time:
+	// a Write per length prefix and per string cost more than the
+	// compression function they fed.
+	buf := make([]byte, 0, 4096)
+	putUint := func(n uint64) { buf = binary.LittleEndian.AppendUint64(buf, n) }
+	putStr := func(s string) {
+		putUint(uint64(len(s)))
+		buf = append(buf, s...)
 	}
-	writeStr := func(s string) {
-		writeUint(uint64(len(s)))
-		io.WriteString(h, s)
-	}
-	writeUint(uint64(len(w.Fields)))
+	putUint(uint64(len(w.Fields)))
 	for _, f := range w.Fields {
-		writeStr(f.Name)
-		writeUint(uint64(f.Kind))
+		putStr(f.Name)
+		putUint(uint64(f.Kind))
 	}
-	writeUint(uint64(len(w.Records)))
+	putUint(uint64(len(w.Records)))
 	for _, r := range w.Records {
-		writeStr(r.ID)
-		writeUint(uint64(len(r.Values)))
+		putStr(r.ID)
+		putUint(uint64(len(r.Values)))
 		for _, v := range r.Values {
-			writeStr(v.Kind)
-			writeUint(math.Float64bits(v.Num))
-			writeStr(v.Str)
+			putStr(v.Kind)
+			putUint(math.Float64bits(v.Num))
+			putStr(v.Str)
 		}
+		h.Write(buf)
+		buf = buf[:0]
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,6 +1,7 @@
 package joblog
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -62,4 +63,25 @@ func TestHashSliceInjective(t *testing.T) {
 	w5 := log.Wire()
 	w5.Records[1].Values[0].Kind = Nominal.String()
 	add("missing→nominal", HashSlice(w5))
+}
+
+// TestHashSlicePinned pins the content address itself: the digest of a
+// fixed slice (a missing cell, a NaN, a non-ASCII nominal) is a literal
+// taken from the commit before HashSlice fed SHA-256 from a reused
+// buffer. Worker slice caches key on this value, so an encoding change
+// must show up here and come with a shard.Version bump.
+func TestHashSlicePinned(t *testing.T) {
+	schema := NewSchema([]Field{
+		{Name: "site", Kind: Nominal},
+		{Name: "secs", Kind: Numeric},
+	})
+	recs := []*Record{
+		{ID: "job-1", Values: []Value{None(), Num(1.5)}},
+		{ID: "job-2", Values: []Value{Str("west"), Num(math.NaN())}},
+		{ID: "jöb-3", Values: []Value{Str("zürich-北"), Num(math.Copysign(0, -1))}},
+	}
+	const want = "82b99463305ef1d55492f5c68894ee2cd7721add9f1eed08558e8beedf415554"
+	if got := HashSlice(WireSlice(schema, recs)); got != want {
+		t.Errorf("HashSlice = %s, want %s", got, want)
+	}
 }

@@ -224,14 +224,24 @@ type explainResult struct {
 	x    *perfxplain.Explanation
 }
 
-// snapshot returns the resident log at its current watermark, as one
-// atomic observation.
-func (s *Server) snapshot() (*perfxplain.Log, uint64, error) {
+// resident returns the store, or the 400 every read answers before the
+// first ingest.
+func (s *Server) resident() (*perfxplain.Store, error) {
 	s.storeMu.Lock()
 	st := s.store
 	s.storeMu.Unlock()
 	if st == nil {
-		return nil, 0, badRequestf("no log loaded: POST a CSV log to /api/ingest first")
+		return nil, badRequestf("no log loaded: POST a CSV log to /api/ingest first")
+	}
+	return st, nil
+}
+
+// snapshot returns the resident log at its current watermark, as one
+// atomic observation. Only handlers that read records call it.
+func (s *Server) snapshot() (*perfxplain.Log, uint64, error) {
+	st, err := s.resident()
+	if err != nil {
+		return nil, 0, err
 	}
 	log, gen := st.SnapshotAt()
 	return log, gen, nil
@@ -507,9 +517,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // checkSchema rejects an ingest whose schema differs from the resident
 // store's — appends validate width only, so a silent mismatch would
-// corrupt field semantics.
+// corrupt field semantics. It reads the store's schema, never a
+// snapshot: the write path assembles no watermark nobody will query.
 func checkSchema(st *perfxplain.Store, l *perfxplain.Log) error {
-	have := st.Snapshot().Fields()
+	have := st.Fields()
 	got := l.Fields()
 	if len(have) != len(got) {
 		return badRequestf("schema mismatch: store has %d fields, ingest has %d", len(have), len(got))
@@ -551,12 +562,12 @@ type SchemaResponse struct {
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	log, gen, err := s.snapshot()
+	st, err := s.resident()
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SchemaResponse{Fields: log.Fields(), Records: log.Len(), Watermark: gen})
+	writeJSON(w, http.StatusOK, SchemaResponse{Fields: st.Fields(), Records: st.Len(), Watermark: st.Watermark()})
 }
 
 // DomainResponse is the JSON answer of /api/domains: the observed value

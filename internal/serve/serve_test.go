@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -531,6 +532,52 @@ func TestCacheInvalidationOnIngest(t *testing.T) {
 	}
 	if got := s.Computations(); got != 2 {
 		t.Errorf("computations after ingest = %d, want 2", got)
+	}
+}
+
+// TestIngestSchemaMismatch pins the two 400 bodies of a refused ingest,
+// against a preloaded store and against the store a first ingest into
+// an empty server created, and that a refused batch appends nothing.
+func TestIngestSchemaMismatch(t *testing.T) {
+	jobs, csv := fixture(t)
+	post := func(url string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+"/api/ingest", "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.String()
+	}
+	first := jobs.Fields()[0]
+	renamed := bytes.Replace(csv, []byte(first.Name+":"+first.Kind), []byte("renamed:"+first.Kind), 1)
+	narrow := []byte("id:id,secs:numeric\nr1,1\n")
+	wantField := fmt.Sprintf("{\n  \"error\": \"schema mismatch at field 0: store %s(%s), ingest renamed(%s)\"\n}\n",
+		first.Name, first.Kind, first.Kind)
+	wantWidth := fmt.Sprintf("{\n  \"error\": \"schema mismatch: store has %d fields, ingest has 1\"\n}\n", len(jobs.Fields()))
+
+	_, seeded, _ := seededServer(t, Config{})
+	empty := httptest.NewServer(NewServer(Config{}))
+	defer empty.Close()
+	if status, body := post(empty.URL, csv); status != http.StatusOK {
+		t.Fatalf("first ingest into an empty server: status %d: %s", status, body)
+	}
+	for name, url := range map[string]string{"preloaded": seeded.URL, "first-ingest": empty.URL} {
+		if status, body := post(url, renamed); status != http.StatusBadRequest || body != wantField {
+			t.Errorf("%s, renamed field: status %d body %q, want 400 %q", name, status, body, wantField)
+		}
+		if status, body := post(url, narrow); status != http.StatusBadRequest || body != wantWidth {
+			t.Errorf("%s, narrow log: status %d body %q, want 400 %q", name, status, body, wantWidth)
+		}
+		var schema SchemaResponse
+		getJSON(t, url+"/api/schema", &schema)
+		if schema.Records != jobs.Len() || len(schema.Fields) != len(jobs.Fields()) || schema.Fields[0] != first {
+			t.Errorf("%s: after refused ingests the schema reads %d records, first field %+v", name, schema.Records, schema.Fields[0])
+		}
 	}
 }
 

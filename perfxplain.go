@@ -50,11 +50,12 @@ import (
 // averages) and duration.
 type Log struct {
 	l *joblog.Log
-	// segs is set on logs obtained from Store.Snapshot: the watermark's
-	// segment views, whose hashed slices sharded explainers and
-	// evaluations ship. Nil for flat logs (CSV/JSON reads, Collect),
-	// which cut their own views; results are identical either way.
-	segs []joblog.SegmentView
+	// segs is set on logs obtained from Store.Snapshot: it returns the
+	// watermark's segment views, whose hashed slices sharded explainers
+	// and evaluations ship, building them on first call. Nil for flat
+	// logs (CSV/JSON reads, Collect), which cut their own views; results
+	// are identical either way.
+	segs func() []joblog.SegmentView
 }
 
 // layout resolves the log's segment views — the snapshot's, or a flat
@@ -65,7 +66,7 @@ func (l *Log) layout() (*core.SegmentLayout, error) {
 	if l.segs == nil {
 		return core.FlatLayout(l.l), nil
 	}
-	return core.NewSegmentLayout(l.segs)
+	return core.NewSegmentLayout(l.segs())
 }
 
 // Len returns the number of logged executions.
@@ -100,8 +101,10 @@ type FieldInfo struct {
 // Fields returns the log's schema as (name, kind) pairs in field order —
 // the introspection behind the explanation server's /api/schema endpoint
 // and the REPL's .schema command.
-func (l *Log) Fields() []FieldInfo {
-	fields := l.l.Schema.Fields()
+func (l *Log) Fields() []FieldInfo { return fieldInfos(l.l.Schema) }
+
+func fieldInfos(schema *joblog.Schema) []FieldInfo {
+	fields := schema.Fields()
 	out := make([]FieldInfo, len(fields))
 	for i, f := range fields {
 		out[i] = FieldInfo{Name: f.Name, Kind: f.Kind.String()}
@@ -255,14 +258,19 @@ func (s *Store) Len() int { return s.s.Len() }
 // SealedSegments returns the number of sealed segments.
 func (s *Store) SealedSegments() int { return s.s.SealedSegments() }
 
+// Fields returns the store's schema as (name, kind) pairs in field
+// order, without assembling a snapshot.
+func (s *Store) Fields() []FieldInfo { return fieldInfos(s.s.Schema()) }
+
 // Snapshot returns the store's current contents as a Log: a consistent
-// watermark that later appends never change. The snapshot carries its
-// segment views, so explainers and evaluations built over it plan
-// shards along segment boundaries and ship per-segment hashed slices —
+// watermark that later appends never change. The snapshot knows its
+// segments, so worker-backed explainers and evaluations built over it
+// plan shards along segment boundaries and ship per-segment hashed
+// slices (wire forms and hashes are built the first time one does) —
 // explanations are byte-identical to the same records in a flat log.
 func (s *Store) Snapshot() *Log {
 	snap := s.s.Snapshot()
-	return &Log{l: snap.Log(), segs: snap.Segments()}
+	return &Log{l: snap.Log(), segs: snap.Segments}
 }
 
 // Watermark returns the store's generation counter: a monotonic value
@@ -279,7 +287,7 @@ func (s *Store) Watermark() uint64 { return s.s.Gen() }
 // indexes and bitmap memos).
 func (s *Store) SnapshotAt() (*Log, uint64) {
 	snap := s.s.Snapshot()
-	return &Log{l: snap.Log(), segs: snap.Segments()}, snap.Gen()
+	return &Log{l: snap.Log(), segs: snap.Segments}, snap.Gen()
 }
 
 // LogsFromHistory parses Hadoop-style job-history streams (as written by

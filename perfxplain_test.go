@@ -2,6 +2,7 @@ package perfxplain
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -208,6 +209,48 @@ func TestLogCSVRoundTripPublic(t *testing.T) {
 	}
 }
 
+// TestSweepCSVRoundTripExact: the paper's 540-job sweep survives
+// WriteCSV → ReadLogCSV with every numeric's bits, every nominal, every
+// missing cell and the record order intact, and writes the same bytes
+// again.
+func TestSweepCSVRoundTripExact(t *testing.T) {
+	jobs, _, err := Collect(SweepOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := jobs.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	written := append([]byte(nil), buf.Bytes()...)
+	back, err := ReadLogCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != 540 || back.Len() != jobs.Len() || !back.l.Schema.Equal(jobs.l.Schema) {
+		t.Fatalf("read back %d records over %v", back.Len(), back.FeatureNames())
+	}
+	for i, want := range jobs.l.Records {
+		got := back.l.Records[i]
+		if got.ID != want.ID {
+			t.Fatalf("record %d is %q, want %q", i, got.ID, want.ID)
+		}
+		for f, wv := range want.Values {
+			gv := got.Values[f]
+			if gv.Kind != wv.Kind || gv.Str != wv.Str || math.Float64bits(gv.Num) != math.Float64bits(wv.Num) {
+				t.Fatalf("record %q field %d is %#v, want %#v", want.ID, f, gv, wv)
+			}
+		}
+	}
+	var again bytes.Buffer
+	if err := back.WriteCSV(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), written) {
+		t.Error("the log read back writes different bytes")
+	}
+}
+
 func TestFilterPublic(t *testing.T) {
 	jobs, _ := smallLogs(t)
 	one := jobs.Filter(func(id string) bool { return id == "job-0000" })
@@ -262,6 +305,58 @@ func TestPaperHeadlineShape(t *testing.T) {
 	}
 }
 
+// TestLocalExecutionBuildsNoSegmentViews pins the sentence on
+// Log.layout for store snapshots: explaining and evaluating on the
+// coordinator never asks the snapshot for its segment views — so no wire
+// form is built and nothing is hashed — while a worker-backed explainer
+// asks exactly once.
+func TestLocalExecutionBuildsNoSegmentViews(t *testing.T) {
+	jobs, _ := smallLogs(t)
+	q := boundWhySlower(t, jobs)
+	st := NewStore(jobs, 8)
+	if err := st.Ingest(jobs); err != nil {
+		t.Fatal(err)
+	}
+	st.Seal()
+	snap := st.Snapshot()
+	asked := 0
+	build := snap.segs
+	snap.segs = func() []joblog.SegmentView { asked++; return build() }
+
+	ex, err := NewExplainer(snap, Options{Seed: 5, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ex.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Evaluate(snap, q, x, Options{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if asked != 0 {
+		t.Fatalf("local execution asked for the segment views %d times", asked)
+	}
+
+	pool := &WorkerPool{&shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}}
+	defer pool.Close()
+	pooled, err := NewExplainer(snap, Options{Seed: 5, Shards: 4, SharedPool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pooled.Close()
+	px, err := pooled.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asked != 1 {
+		t.Errorf("worker-backed explainer asked for the segment views %d times, want 1", asked)
+	}
+	if RenderReport(q, px) != RenderReport(q, x) {
+		t.Error("worker-backed explanation differs from the local one")
+	}
+}
+
 // TestBrokenSegmentLayoutIsAnError pins that a snapshot whose segment
 // views do not tile its records fails every worker-backed entry point
 // instead of silently shipping some other way — and that local
@@ -274,10 +369,12 @@ func TestBrokenSegmentLayoutIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := st.Snapshot()
-	if len(snap.segs) < 3 {
-		t.Fatalf("fixture snapshot has %d segments", len(snap.segs))
+	views := snap.segs()
+	if len(views) < 3 {
+		t.Fatalf("fixture snapshot has %d segments", len(views))
 	}
-	gap := &Log{l: snap.l, segs: append(append([]joblog.SegmentView(nil), snap.segs[:1]...), snap.segs[2:]...)}
+	gapped := append(append([]joblog.SegmentView(nil), views[:1]...), views[2:]...)
+	gap := &Log{l: snap.l, segs: func() []joblog.SegmentView { return gapped }}
 
 	ex, err := NewExplainer(gap, Options{Seed: 5, Shards: 2})
 	if err != nil {
