@@ -80,8 +80,8 @@ func adaptiveBudgets(groups [][]int, pilotBudgets []int, pilot *pairSet, budget 
 	}
 	rel := make([]int, len(groups)) // related pairs seen in the stratum
 	obs := make([]int, len(groups)) // … labelled performed-as-observed
-	for i, ref := range pilot.refs {
-		gi, ok := rowGroup[ref.a]
+	for i, a := range pilot.a {
+		gi, ok := rowGroup[a]
 		if !ok {
 			continue // cannot happen: pilot pairs come from these groups
 		}

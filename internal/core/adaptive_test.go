@@ -218,10 +218,8 @@ func TestAdaptiveBudgetsShiftTowardUncertainty(t *testing.T) {
 	pilot := &pairSet{}
 	for k := 0; k < 100; k++ {
 		// Stratum 0: all observed (certain). Stratum 1: alternating (uncertain).
-		pilot.refs = append(pilot.refs, pairRef{a: g0[k%40], b: g0[(k+1)%40]})
-		pilot.labels = append(pilot.labels, true)
-		pilot.refs = append(pilot.refs, pairRef{a: g1[k%40], b: g1[(k+1)%40]})
-		pilot.labels = append(pilot.labels, k%2 == 0)
+		pilot.add(g0[k%40], g0[(k+1)%40], true)
+		pilot.add(g1[k%40], g1[(k+1)%40], k%2 == 0)
 	}
 	bs := adaptiveBudgets(groups, pilotBs, pilot, 800)
 	if bs[1] <= bs[0] {

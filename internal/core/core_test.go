@@ -212,10 +212,10 @@ func TestBlockingMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	if len(blocked.refs) != len(brute) {
-		t.Fatalf("blocked found %d pairs, brute force %d", len(blocked.refs), len(brute))
+	if blocked.len() != len(brute) {
+		t.Fatalf("blocked found %d pairs, brute force %d", blocked.len(), len(brute))
 	}
-	for i, ref := range blocked.refs {
+	for i, ref := range blocked.refs() {
 		k := key{log.Records[ref.a].ID, log.Records[ref.b].ID}
 		label, ok := brute[k]
 		if !ok {
@@ -232,12 +232,10 @@ func TestBalancedSample(t *testing.T) {
 	ps := &pairSet{}
 	// 10000 observed, 100 expected: wildly unbalanced.
 	for i := 0; i < 10000; i++ {
-		ps.refs = append(ps.refs, pairRef{0, 1})
-		ps.labels = append(ps.labels, true)
+		ps.add(0, 1, true)
 	}
 	for i := 0; i < 100; i++ {
-		ps.refs = append(ps.refs, pairRef{0, 1})
-		ps.labels = append(ps.labels, false)
+		ps.add(0, 1, false)
 	}
 	s := balancedSample(ps, 2000, rng)
 	obs, exp := s.counts()
@@ -249,8 +247,8 @@ func TestBalancedSample(t *testing.T) {
 		t.Errorf("balanced expected = %d, want ~100 (all kept)", exp)
 	}
 	// Small sets pass through untouched.
-	small := &pairSet{refs: []pairRef{{0, 1}}, labels: []bool{true}}
-	if got := balancedSample(small, 2000, rng); len(got.refs) != 1 {
+	small := &pairSet{a: []int{0}, b: []int{1}, labels: []bool{true}}
+	if got := balancedSample(small, 2000, rng); got.len() != 1 {
 		t.Error("small set should not be sampled")
 	}
 	// Uniform sampling keeps class proportions instead.

@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/dtree"
@@ -312,22 +315,22 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	if err != nil {
 		return nil, err
 	}
-	x.RelatedPairs = len(related.refs)
-	if len(related.refs) == 0 {
+	x.RelatedPairs = related.len()
+	if related.len() == 0 {
 		return nil, fmt.Errorf("core: no related pairs in the log for this query")
 	}
 	nObs, _ := related.counts()
-	x.TrainRelevance = 1 - float64(nObs)/float64(len(related.refs))
+	x.TrainRelevance = 1 - float64(nObs)/float64(related.len())
 	strat := e.cfg.SampleMode == SampleStratified
 	if strat {
-		x.TrainRelevanceLo, x.TrainRelevanceHi = stats.Wilson(len(related.refs)-nObs, len(related.refs), wilsonZ)
+		x.TrainRelevanceLo, x.TrainRelevanceHi = stats.Wilson(related.len()-nObs, related.len(), wilsonZ)
 	}
 
 	// Sampling stays serial: it is O(pairs) cheap, and drawing from one
 	// sequential stream over the deterministically ordered pair set keeps
 	// it reproducible.
 	sample := e.sample(related, stats.DeriveRand(e.cfg.Seed, "because-sample"))
-	x.SampleSize = len(sample.refs)
+	x.SampleSize = sample.len()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -381,12 +384,7 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 		x.TrainGenerality = x.Atoms[n-1].Generality
 	} else if m.N > 0 {
 		// Empty clause: precision is the sample's observed fraction.
-		obs := 0
-		for _, l := range sample.labels {
-			if l {
-				obs++
-			}
-		}
+		obs, _ := sample.counts()
 		x.TrainPrecision = float64(obs) / float64(m.N)
 		x.TrainGenerality = 1
 	}
@@ -409,7 +407,7 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 	if err != nil {
 		return nil, err
 	}
-	if len(related.refs) == 0 {
+	if related.len() == 0 {
 		return nil, fmt.Errorf("core: no related pairs in the log for this query")
 	}
 	sample := e.sample(related, stats.DeriveRand(e.cfg.Seed, "despite-sample"))
@@ -464,6 +462,7 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 	posBits := bitset.FromBools(labels)
 	curBits := bitset.Make(m.N)
 	curBits.Ones(m.N)
+	subLabels := make([]bool, m.N) // the working set's labels, refilled per round
 
 	for round := 0; round < width; round++ {
 		// The round loop is the cancellation checkpoint of the growth
@@ -481,7 +480,11 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 			break
 		}
 
-		cands := e.candidates(m, labels, cur, pairVec, clause)
+		subLabels = subLabels[:len(cur)]
+		for k, i := range cur {
+			subLabels[k] = labels[i]
+		}
+		cands := e.candidates(m, cur, subLabels, pairVec, clause)
 		if len(cands) == 0 {
 			break
 		}
@@ -560,27 +563,26 @@ type candidate struct {
 // candidates builds the best applicable predicate per feature by
 // information gain (Algorithm 1 line 5) — the algorithm's inner loop,
 // scored concurrently across features straight off the pair-matrix
-// planes: numeric features gather a flat float column, nominal features
-// count interned symbols and only decode the few distinct values for the
-// deterministic string-ordered tie-break. Results land in a per-feature
-// slot and are compacted in schema order afterwards, so the candidate
-// list is independent of scheduling. Features derived from the query
-// target are excluded, as are features whose pair-of-interest value is
-// missing (no applicable predicate exists) and atoms already in the
-// clause.
-func (e *Explainer) candidates(m *features.PairMatrix, labels []bool,
-	cur []int, pairVec []joblog.Value, clause pxql.Predicate) []candidate {
+// columns: numeric features read a flat float column, nominal features
+// count packed symbols and only decode the few distinct values for the
+// deterministic string-ordered tie-break. cur addresses the working-set
+// rows of m in ascending order; subLabels is parallel to cur. Results
+// land in a per-feature slot and are compacted in schema order
+// afterwards, so the candidate list is independent of scheduling.
+// Features derived from the query target are excluded, as are features
+// whose pair-of-interest value is missing (no applicable predicate
+// exists) and atoms already in the clause.
+func (e *Explainer) candidates(m *features.PairMatrix, cur []int, subLabels []bool,
+	pairVec []joblog.Value, clause pxql.Predicate) []candidate {
 
 	schema := e.d.Schema()
 	in := e.log.Columns().Intern()
-	subLabels := make([]bool, len(cur))
-	for k, i := range cur {
-		subLabels[k] = labels[i]
-	}
 
 	found := make([]*candidate, schema.Len())
 	par.Do(schema.Len(), e.cfg.Parallelism, func(f int) {
-		atom, gain, ok := e.scoreFeature(in, m, cur, subLabels, pairVec, clause, f)
+		sc := scratchPool.Get().(*scoreScratch)
+		defer scratchPool.Put(sc)
+		atom, gain, ok := e.scoreFeature(in, m, cur, subLabels, pairVec, clause, f, sc)
 		if !ok {
 			return
 		}
@@ -596,14 +598,25 @@ func (e *Explainer) candidates(m *features.PairMatrix, labels []bool,
 	return out
 }
 
+// scoreScratch is one scoring goroutine's reusable buffers: the numeric
+// gather, the symbol probe table and the decoded per-value counts. Every
+// field is overwritten before it is read, so which goroutine last held a
+// scratch never shows in a result.
+type scoreScratch struct {
+	vals   []float64
+	syms   symTable
+	counts []dtree.NominalCount
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scoreScratch) }}
+
 // scoreFeature computes the best applicable predicate over one derived
 // feature f for one scoring round — the per-feature body of Algorithm 1
-// line 5. cur addresses the working-set rows of m; subLabels is parallel
-// to cur. ok is false when the feature is excluded (target-derived,
+// line 5. ok is false when the feature is excluded (target-derived,
 // above the clause feature level, inapplicable to the pair of interest,
 // already in the clause) or admits no split.
 func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur []int, subLabels []bool,
-	pairVec []joblog.Value, clause pxql.Predicate, f int) (pxql.Atom, float64, bool) {
+	pairVec []joblog.Value, clause pxql.Predicate, f int, sc *scoreScratch) (pxql.Atom, float64, bool) {
 
 	d, candLevel := e.d, e.cfg.Level
 	schema := d.Schema()
@@ -627,11 +640,20 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur 
 	var atom pxql.Atom
 	var gain float64
 	if numOff := d.NumOffset(f); numOff >= 0 {
-		col := make([]float64, len(cur))
-		for k, i := range cur {
-			col[k] = m.NumAt(i, numOff)
+		// A working set that is still the whole sample is the column
+		// itself; a strict subset gathers its rows into scratch.
+		col := m.NumCol(numOff)
+		vals := col
+		if len(cur) < len(col) {
+			if cap(sc.vals) < len(cur) {
+				sc.vals = make([]float64, len(cur))
+			}
+			vals = sc.vals[:len(cur)]
+			for k, i := range cur {
+				vals[k] = col[i]
+			}
 		}
-		thr, g, ok := dtree.BestThresholdF(col, subLabels)
+		thr, g, ok := dtree.BestThresholdF(vals, subLabels)
 		if !ok {
 			return pxql.Atom{}, 0, false
 		}
@@ -642,7 +664,7 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur 
 		atom = pxql.Atom{Feature: schema.Field(f).Name, Op: op, Value: joblog.Num(thr)}
 		gain = g
 	} else {
-		val, g, ok := bestNominalSyms(d, in, f, m, cur, subLabels)
+		val, g, ok := bestNominalSyms(d, in, f, m, cur, subLabels, sc)
 		if !ok {
 			return pxql.Atom{}, 0, false
 		}
@@ -661,54 +683,124 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur 
 	return atom, gain, true
 }
 
-// bestNominalSyms scores one symbol-plane matrix column for
-// dtree.BestNominalFromCounts: class counts accumulate per interned symbol, then the few distinct
-// symbols are decoded and merged by rendered string (distinct diff
-// symbols may render identically when a value contains the arrow) so the
-// scoring and its string-ordered tie-break see values, not symbols.
-func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
-	m *features.PairMatrix, cur []int, subLabels []bool) (string, float64, bool) {
+// symCount is one distinct symbol's class counts.
+type symCount struct {
+	sym      uint64
+	pos, neg int
+}
 
-	symOff := d.SymOffset(featIdx)
-	type cnt struct{ pos, neg int }
-	bySym := make(map[uint64]*cnt)
-	for k, i := range cur {
-		s := m.SymAt(i, symOff)
-		if s == features.MissingSym {
+// symTable counts class labels per symbol without a map: an
+// open-addressed probe table (slot holds 1 + the symbol's index in ents,
+// 0 when empty) over a dense entry list in first-appearance order. It
+// doubles whenever it is more than half full, so a probe sequence always
+// ends, and it keeps its capacity between columns.
+type symTable struct {
+	slot []int32
+	ents []symCount
+}
+
+// symHash spreads a packed symbol over the table (Fibonacci hashing; the
+// low bits of a diff pack are one side's intern ID only).
+func symHash(sym uint64, mask int) int {
+	return int((sym*0x9e3779b97f4a7c15)>>32) & mask
+}
+
+func (t *symTable) reset() {
+	if t.slot == nil {
+		t.slot = make([]int32, 64)
+	}
+	clear(t.slot)
+	t.ents = t.ents[:0]
+}
+
+// probe returns sym's slot: the one that holds it, or the empty one it
+// would take.
+func (t *symTable) probe(sym uint64) int {
+	mask := len(t.slot) - 1
+	h := symHash(sym, mask)
+	for t.slot[h] != 0 && t.ents[t.slot[h]-1].sym != sym {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// at returns the entry of sym, adding it on first sight. The pointer is
+// valid until the next call.
+func (t *symTable) at(sym uint64) *symCount {
+	h := t.probe(sym)
+	if t.slot[h] == 0 {
+		if 2*(len(t.ents)+1) > len(t.slot) {
+			t.slot = make([]int32, 2*len(t.slot))
+			for i := range t.ents {
+				t.slot[t.probe(t.ents[i].sym)] = int32(i + 1)
+			}
+			h = t.probe(sym)
+		}
+		t.ents = append(t.ents, symCount{sym: sym})
+		t.slot[h] = int32(len(t.ents))
+	}
+	return &t.ents[t.slot[h]-1]
+}
+
+// bestNominalSyms scores one symbol-plane matrix column for
+// dtree.BestNominalFromCounts: class counts accumulate per packed symbol
+// — issame and compare columns hold only the codes 0..2, so they count
+// into a fixed array; base and diff columns count into the scratch probe
+// table — then the few distinct symbols are decoded, sorted by rendered
+// string and merged where equal (distinct diff symbols may render
+// identically when a value contains the arrow), so the scoring and its
+// string-ordered tie-break see values, not symbols.
+func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
+	m *features.PairMatrix, cur []int, subLabels []bool, sc *scoreScratch) (string, float64, bool) {
+
+	col := m.SymCol(d.SymOffset(featIdx))
+	counts := sc.counts[:0]
+	if _, kind := d.RawOf(featIdx); kind == features.IsSame || kind == features.Compare {
+		const codes = 3 // SymF/SymT and SymLT/SymSIM/SymGT; slot 3 takes MissingSym
+		var tot, pos [codes + 1]int
+		for k, i := range cur {
+			c := min(col[i], codes)
+			tot[c]++
+			pos[c] += int(bitset.B2u(subLabels[k]))
+		}
+		for c := 0; c < codes; c++ {
+			if tot[c] > 0 {
+				counts = append(counts, dtree.NominalCount{
+					Value: d.SymString(in, featIdx, uint64(c)), Pos: pos[c], Neg: tot[c] - pos[c]})
+			}
+		}
+	} else {
+		t := &sc.syms
+		t.reset()
+		for k, i := range cur {
+			s := col[i]
+			if s == features.MissingSym {
+				continue
+			}
+			e := t.at(s)
+			if subLabels[k] {
+				e.pos++
+			} else {
+				e.neg++
+			}
+		}
+		for _, e := range t.ents {
+			counts = append(counts, dtree.NominalCount{
+				Value: d.SymString(in, featIdx, e.sym), Pos: e.pos, Neg: e.neg})
+		}
+	}
+	slices.SortFunc(counts, func(a, b dtree.NominalCount) int { return strings.Compare(a.Value, b.Value) })
+	merged := counts[:0]
+	for _, c := range counts {
+		if n := len(merged); n > 0 && merged[n-1].Value == c.Value {
+			merged[n-1].Pos += c.Pos
+			merged[n-1].Neg += c.Neg
 			continue
 		}
-		c := bySym[s]
-		if c == nil {
-			c = &cnt{}
-			bySym[s] = c
-		}
-		if subLabels[k] {
-			c.pos++
-		} else {
-			c.neg++
-		}
+		merged = append(merged, c)
 	}
-	byVal := make(map[string]*cnt, len(bySym))
-	//pxql:orderinvariant — integer count merge commutes; byVal is sorted below
-	for s, c := range bySym {
-		v := d.SymString(in, featIdx, s)
-		if mc := byVal[v]; mc != nil {
-			mc.pos += c.pos
-			mc.neg += c.neg
-		} else {
-			byVal[v] = &cnt{pos: c.pos, neg: c.neg}
-		}
-	}
-	vals := make([]string, 0, len(byVal))
-	for v := range byVal {
-		vals = append(vals, v)
-	}
-	sort.Strings(vals)
-	counts := make([]dtree.NominalCount, len(vals))
-	for i, v := range vals {
-		counts[i] = dtree.NominalCount{Value: v, Pos: byVal[v].pos, Neg: byVal[v].neg}
-	}
-	return dtree.BestNominalFromCounts(counts, len(cur))
+	sc.counts = counts
+	return dtree.BestNominalFromCounts(merged, len(cur))
 }
 
 func containsAtom(p pxql.Predicate, a pxql.Atom) bool {

@@ -67,11 +67,11 @@ func (e *Explainer) trainRelevance(ctx context.Context, q *pxql.Query, despite p
 	if err != nil {
 		return 0, err
 	}
-	if len(related.refs) == 0 {
+	if related.len() == 0 {
 		return 0, nil
 	}
 	nObs, _ := related.counts()
-	return 1 - float64(nObs)/float64(len(related.refs)), nil
+	return 1 - float64(nObs)/float64(related.len()), nil
 }
 
 // diverseSample balances classes like balancedSample and additionally
@@ -83,27 +83,27 @@ func (e *Explainer) trainRelevance(ctx context.Context, q *pxql.Query, despite p
 func diverseSample(ps *pairSet, m int, log *joblog.Log, rng *rand.Rand) *pairSet {
 	base := balancedSample(ps, m, rng)
 	distinct := make(map[int]bool)
-	for _, ref := range base.refs {
-		distinct[ref.a] = true
-		distinct[ref.b] = true
+	for i, a := range base.a {
+		distinct[a] = true
+		distinct[base.b[i]] = true
 	}
 	if len(distinct) == 0 {
 		return base
 	}
-	cap := 4 * len(base.refs) / len(distinct)
+	cap := 4 * base.len() / len(distinct)
 	if cap < 4 {
 		cap = 4
 	}
-	counts := make(map[int]int)
-	out := &pairSet{}
-	for i, ref := range base.refs {
-		if counts[ref.a] >= cap || counts[ref.b] >= cap {
+	counts := make(map[int]int, len(distinct))
+	out := newPairSet(base.len())
+	for i, a := range base.a {
+		b := base.b[i]
+		if counts[a] >= cap || counts[b] >= cap {
 			continue
 		}
-		counts[ref.a]++
-		counts[ref.b]++
-		out.refs = append(out.refs, ref)
-		out.labels = append(out.labels, base.labels[i])
+		counts[a]++
+		counts[b]++
+		out.add(a, b, base.labels[i])
 	}
 	return out
 }

@@ -87,23 +87,22 @@ func TestDiverseSampleCapsRepeats(t *testing.T) {
 	ps := &pairSet{}
 	for i := 1; i < 30; i++ {
 		for rep := 0; rep < 40; rep++ {
-			ps.refs = append(ps.refs, pairRef{0, i})
-			ps.labels = append(ps.labels, rep%2 == 0)
+			ps.add(0, i, rep%2 == 0)
 		}
 	}
 	out := diverseSample(ps, 400, log, rng)
 	counts := make(map[int]int)
-	for _, ref := range out.refs {
+	for _, ref := range out.refs() {
 		counts[ref.a]++
 		counts[ref.b]++
 	}
-	if len(out.refs) == 0 {
+	if out.len() == 0 {
 		t.Fatal("diverse sample empty")
 	}
 	// Record 0 must not keep its total dominance: its share should be
 	// bounded by the cap, far below appearing in every pair.
-	if counts[0] == len(out.refs) && len(out.refs) > 100 {
-		t.Errorf("record 0 still appears in all %d pairs", len(out.refs))
+	if counts[0] == out.len() && out.len() > 100 {
+		t.Errorf("record 0 still appears in all %d pairs", out.len())
 	}
 }
 

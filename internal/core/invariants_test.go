@@ -78,10 +78,10 @@ func TestBaseFeaturePrefilterSoundness(t *testing.T) {
 			}
 		}
 	}
-	if len(fast.refs) != len(brute) {
-		t.Fatalf("prefiltered enumeration found %d pairs, brute force %d", len(fast.refs), len(brute))
+	if fast.len() != len(brute) {
+		t.Fatalf("prefiltered enumeration found %d pairs, brute force %d", fast.len(), len(brute))
 	}
-	for _, ref := range fast.refs {
+	for _, ref := range fast.refs() {
 		k := key{log.Records[ref.a].ID, log.Records[ref.b].ID}
 		if !brute[k] {
 			t.Fatalf("pair %v not in brute-force set", k)
@@ -100,16 +100,16 @@ func TestMaxPairsCap(t *testing.T) {
 	checkRelated(t, "full", log, q, nil, full, true)
 	capped := enumLocal(t, log, q, nil, false, 500, 1, serialExec)
 	checkRelated(t, "capped", log, q, nil, capped, false)
-	if len(capped.refs) >= len(full.refs) {
-		t.Fatalf("cap had no effect: %d vs %d", len(capped.refs), len(full.refs))
+	if capped.len() >= full.len() {
+		t.Fatalf("cap had no effect: %d vs %d", capped.len(), full.len())
 	}
 	// Loose bound: expectation is <= 500 related pairs (cap applies to the
 	// candidate space, so the related subset is smaller still).
-	if len(capped.refs) > 1000 {
-		t.Errorf("capped enumeration kept %d pairs", len(capped.refs))
+	if capped.len() > 1000 {
+		t.Errorf("capped enumeration kept %d pairs", capped.len())
 	}
 	// Labels of sampled pairs must agree with a direct evaluation.
-	for i, ref := range capped.refs {
+	for i, ref := range capped.refs() {
 		a, b := log.Records[ref.a], log.Records[ref.b]
 		obs := q.Observed.EvalPair(d, a, b)
 		if capped.labels[i] != obs {

@@ -12,7 +12,7 @@ package core
 // constant-false evaluator all the same.
 //
 // Beyond the per-row eval, each atom has a batched kernel (fillRange)
-// that scans its matrix plane and fills a selection bitmap — one bit per
+// that scans its matrix column and fills a selection bitmap — one bit per
 // pair, built with branchless mask arithmetic. bitmapCache memoizes one
 // bitmap per distinct atom over the whole matrix, filled tile-by-tile on
 // the worker pool so planes stay cache-resident; every candidate clause
@@ -106,37 +106,27 @@ func (ma *matrixAtom) fillRange(m *features.PairMatrix, lo, hi int, sel, live bi
 	switch {
 	case ma.numOff >= 0:
 		kern := pxql.NewNumKernel(ma.op, ma.num)
-		stride := m.NumStride()
-		plane := m.Num
-		idx := lo*stride + ma.numOff
+		col := m.NumCol(ma.numOff)
 		for w, base := lo>>6, lo; base < hi; w, base = w+1, base+64 {
-			end := min(base+64, hi)
 			if live != nil && live[w] == 0 {
-				idx += (end - base) * stride
 				continue
 			}
 			var selW uint64
-			for i := base; i < end; i++ {
-				selW |= kern.Bit(plane[idx]) << uint(i-base)
-				idx += stride
+			for i, x := range col[base:min(base+64, hi)] {
+				selW |= kern.Bit(x) << uint(i)
 			}
 			sel[w] = selW
 		}
 	case ma.symOff >= 0:
 		kern := pxql.NewSymKernel(ma.syms, ma.ne)
-		stride := m.SymStride()
-		plane := m.Sym
-		idx := lo*stride + ma.symOff
+		col := m.SymCol(ma.symOff)
 		for w, base := lo>>6, lo; base < hi; w, base = w+1, base+64 {
-			end := min(base+64, hi)
 			if live != nil && live[w] == 0 {
-				idx += (end - base) * stride
 				continue
 			}
 			var selW uint64
-			for i := base; i < end; i++ {
-				selW |= kern.Bit(plane[idx]) << uint(i-base)
-				idx += stride
+			for i, s := range col[base:min(base+64, hi)] {
+				selW |= kern.Bit(s) << uint(i)
 			}
 			sel[w] = selW
 		}

@@ -87,8 +87,8 @@ func oracleMetrics(log *joblog.Log, level features.Level, q *pxql.Query, x *Expl
 
 // sortedSet renders an engine pair set in the oracle's form and order.
 func sortedSet(ps *pairSet) []oraclePair {
-	out := make([]oraclePair, len(ps.refs))
-	for i, r := range ps.refs {
+	out := make([]oraclePair, ps.len())
+	for i, r := range ps.refs() {
 		out[i] = oraclePair{r.a, r.b, ps.labels[i]}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -35,16 +35,27 @@ import (
 	"perfxplain/internal/stats"
 )
 
-// pairRef is an ordered pair of record indices into the log.
-type pairRef struct {
-	a, b int
+// pairSet is a labelled collection of related pairs, one plane per
+// field: pair i is the ordered record pair (a[i], b[i]) — indices into the
+// log — and labels[i] is true when it performed as observed. The planes
+// are what enumeration results carry and what the bulk fill reads, so a
+// pair set is built and materialized without repacking.
+type pairSet struct {
+	a, b   []int
+	labels []bool
 }
 
-// pairSet is a labelled collection of related pairs. label true means the
-// pair performed as observed.
-type pairSet struct {
-	refs   []pairRef
-	labels []bool
+// newPairSet returns an empty pair set with room for n pairs.
+func newPairSet(n int) *pairSet {
+	return &pairSet{a: make([]int, 0, n), b: make([]int, 0, n), labels: make([]bool, 0, n)}
+}
+
+func (ps *pairSet) len() int { return len(ps.a) }
+
+func (ps *pairSet) add(a, b int, label bool) {
+	ps.a = append(ps.a, a)
+	ps.b = append(ps.b, b)
+	ps.labels = append(ps.labels, label)
 }
 
 // blockIndexes extracts the raw schema indices of despite conjuncts of
@@ -516,14 +527,7 @@ func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairSet {
 	if m <= 0 {
 		return ps
 	}
-	nObs, nExp := 0, 0
-	for _, l := range ps.labels {
-		if l {
-			nObs++
-		} else {
-			nExp++
-		}
-	}
+	nObs, nExp := ps.counts()
 	pObs, pExp := 1.0, 1.0
 	if nObs > 0 {
 		pObs = minf(1, float64(m)/(2*float64(nObs)))
@@ -533,7 +537,7 @@ func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairSet {
 	}
 	// Below the size budget, thin only the majority class down toward the
 	// minority so small related sets still train balanced.
-	if len(ps.refs) <= m {
+	if ps.len() <= m {
 		pObs, pExp = 1, 1
 		switch {
 		case nObs > 2*nExp && nExp > 0:
@@ -542,48 +546,63 @@ func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairSet {
 			pExp = 2 * float64(nObs) / float64(nExp)
 		}
 	}
-	out := &pairSet{}
-	for i, ref := range ps.refs {
+	// Presized to the expected draw plus four standard deviations of
+	// slack, so the appends below all but never regrow.
+	out := newPairSet(expectedDraw(nObs, pObs, nExp, pExp))
+	for i, l := range ps.labels {
 		p := pExp
-		if ps.labels[i] {
+		if l {
 			p = pObs
 		}
 		if rng.Float64() < p {
-			out.refs = append(out.refs, ref)
-			out.labels = append(out.labels, ps.labels[i])
+			out.add(ps.a[i], ps.b[i], l)
 		}
 	}
 	return out
+}
+
+// expectedDraw bounds the size of an independent-keep draw of nObs pairs
+// at pObs and nExp pairs at pExp: the mean plus four standard deviations,
+// capped at the population.
+func expectedDraw(nObs int, pObs float64, nExp int, pExp float64) int {
+	mean := float64(nObs)*pObs + float64(nExp)*pExp
+	return min(nObs+nExp, int(mean+4*math.Sqrt(mean))+1)
 }
 
 // uniformSample ignores class balance — kept for the ablation benchmark
 // showing why Section 4.3's balancing matters.
 func uniformSample(ps *pairSet, m int, rng *rand.Rand) *pairSet {
-	if m <= 0 || len(ps.refs) <= m {
+	if m <= 0 || ps.len() <= m {
 		return ps
 	}
-	p := float64(m) / float64(len(ps.refs))
-	out := &pairSet{}
-	for i, ref := range ps.refs {
+	p := float64(m) / float64(ps.len())
+	out := newPairSet(expectedDraw(ps.len(), p, 0, 0))
+	for i, l := range ps.labels {
 		if rng.Float64() < p {
-			out.refs = append(out.refs, ref)
-			out.labels = append(out.labels, ps.labels[i])
+			out.add(ps.a[i], ps.b[i], l)
 		}
 	}
 	return out
 }
 
+// fillChunk is the row count of one materialization work unit: small
+// enough that a 2 000-pair sample spreads over the workers, large enough
+// that each raw column's plane is hoisted once per few hundred gathers.
+const fillChunk = 512
+
 // materialize computes the derived feature vectors for the pair set into
-// a flat pair matrix, fanned out across workers; each row is written by
-// exactly one goroutine, so the result is identical at every worker
-// count. The planes are allocated once up front — the steady-state fill
-// path performs zero allocations per pair.
+// a flat pair matrix, fixed-size row chunks fanned out across workers;
+// each cell is written by exactly one goroutine, so the result is
+// identical at every worker count. The planes are allocated once up front
+// — the steady-state fill path performs zero allocations per pair.
 func materialize(log *joblog.Log, d *features.Deriver, ps *pairSet, workers int) *features.PairMatrix {
 	cols := log.Columns()
-	m := d.NewPairMatrix(len(ps.refs))
-	par.Do(len(ps.refs), workers, func(i int) {
-		ref := ps.refs[i]
-		m.Fill(cols, i, ref.a, ref.b)
+	n := ps.len()
+	m := d.NewPairMatrix(n)
+	par.Do((n+fillChunk-1)/fillChunk, workers, func(c int) {
+		lo := c * fillChunk
+		hi := min(lo+fillChunk, n)
+		m.FillPairs(cols, lo, ps.a[lo:hi], ps.b[lo:hi])
 	})
 	return m
 }

@@ -38,13 +38,14 @@ func RelatedPairsP(log *joblog.Log, level features.Level, q *pxql.Query,
 		// level outside Level1..3) can fail here.
 		panic(err)
 	}
-	out := make([]LabeledPair, len(ps.refs))
-	for i, ref := range ps.refs {
+	out := make([]LabeledPair, ps.len())
+	for i, a := range ps.a {
+		b := ps.b[i]
 		out[i] = LabeledPair{
-			A:        log.Records[ref.a],
-			B:        log.Records[ref.b],
-			IA:       ref.a,
-			IB:       ref.b,
+			A:        log.Records[a],
+			B:        log.Records[b],
+			IA:       a,
+			IB:       b,
 			Observed: ps.labels[i],
 		}
 	}

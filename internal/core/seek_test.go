@@ -117,9 +117,9 @@ func TestSeekEnumExact(t *testing.T) {
 			name := fmt.Sprintf("%s prune=%v seek=%v", tc.name, prune, seek)
 			checkRelated(t, name, log, q, q.Despite, ps, keepP == 1)
 			mean := keepP * float64(exact)
-			if d := math.Abs(float64(len(ps.refs)) - mean); len(ps.refs) < 50 || d > 5*math.Sqrt(mean*(1-keepP)) {
+			if d := math.Abs(float64(ps.len()) - mean); ps.len() < 50 || d > 5*math.Sqrt(mean*(1-keepP)) {
 				t.Errorf("%s: kept %d of %d related pairs at keepP %.3f; want at least 50 and within 5σ of %.0f",
-					name, len(ps.refs), exact, keepP, mean)
+					name, ps.len(), exact, keepP, mean)
 			}
 			return ps
 		}
@@ -129,7 +129,7 @@ func TestSeekEnumExact(t *testing.T) {
 		}
 		if same := samePairs(seekOnly, plain); same == tc.skip {
 			t.Errorf("%s: seek on/off identical = %v (%d vs %d pairs); want identical exactly when the walk is not skip-sampled",
-				tc.name, same, len(seekOnly.refs), len(plain.refs))
+				tc.name, same, seekOnly.len(), plain.len())
 		}
 		// The planner's own defaults (prune and seek on) are the seeked walk.
 		if got := enumLocal(t, log, q, q.Despite, false, tc.maxPairs, 77, serialExec); !samePairs(got, seekOnly) {

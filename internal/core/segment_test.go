@@ -67,9 +67,9 @@ func TestPlanEnumShardsOverMatchesStatic(t *testing.T) {
 					}
 				}
 				refs, labels := runPlan(t, specs)
-				if !reflect.DeepEqual(refs, want.refs) || !reflect.DeepEqual(labels, want.labels) {
+				if !reflect.DeepEqual(refs, want.refs()) || !reflect.DeepEqual(labels, want.labels) {
 					t.Errorf("%s: segmented plan output differs from the serial walk (%d pairs vs %d)",
-						name, len(refs), len(want.refs))
+						name, len(refs), want.len())
 				}
 			}
 		}
@@ -88,9 +88,9 @@ func TestPlanEnumShardsStratifiedOverMatchesStatic(t *testing.T) {
 			name := fmt.Sprintf("seal=%d shards=%d", sealEvery, nShards)
 			specs := PlanEnumShards(layout, snapLog, features.Level3, q, q.Despite, true, 300, nShards, pairSeed)
 			refs, labels := runPlan(t, specs)
-			if !reflect.DeepEqual(refs, want.refs) || !reflect.DeepEqual(labels, want.labels) {
+			if !reflect.DeepEqual(refs, want.refs()) || !reflect.DeepEqual(labels, want.labels) {
 				t.Errorf("%s: stratified segmented plan differs from the serial walk (%d pairs vs %d)",
-					name, len(refs), len(want.refs))
+					name, len(refs), want.len())
 			}
 		}
 	}

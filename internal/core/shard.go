@@ -699,6 +699,16 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 	return res, nil
 }
 
+// inRange reports whether every index lies in [0, n).
+func inRange(idx []int, n int) bool {
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			return false
+		}
+	}
+	return true
+}
+
 // enumeratePairs enumerates the related pairs of (q, despite): one
 // planned round of enumeration specs, or — with a pilot fraction
 // configured — the Wilson-adaptive two-pass scheme (see adaptive.go).
@@ -732,18 +742,17 @@ func runEnumSpecs(ctx context.Context, ex Exec, log *joblog.Log, specs []EnumSpe
 	for si := range results {
 		n += len(results[si].RefA)
 	}
-	ps := &pairSet{refs: make([]pairRef, 0, n), labels: make([]bool, 0, n)}
+	ps := newPairSet(n)
 	for si := range results {
 		r := &results[si]
 		if len(r.RefA) != len(r.RefB) || len(r.RefA) != len(r.Labels) {
 			return nil, fmt.Errorf("core: shard %d returned ragged enumeration result", si)
 		}
-		for k := range r.RefA {
-			if r.RefA[k] < 0 || r.RefA[k] >= log.Len() || r.RefB[k] < 0 || r.RefB[k] >= log.Len() {
-				return nil, fmt.Errorf("core: shard %d returned pair outside the %d-record log", si, log.Len())
-			}
-			ps.refs = append(ps.refs, pairRef{r.RefA[k], r.RefB[k]})
+		if !inRange(r.RefA, log.Len()) || !inRange(r.RefB, log.Len()) {
+			return nil, fmt.Errorf("core: shard %d returned pair outside the %d-record log", si, log.Len())
 		}
+		ps.a = append(ps.a, r.RefA...)
+		ps.b = append(ps.b, r.RefB...)
 		ps.labels = append(ps.labels, r.Labels...)
 	}
 	return ps, nil

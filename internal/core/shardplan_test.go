@@ -55,6 +55,21 @@ func blockedQuery() *pxql.Query {
 	}
 }
 
+// pairRef is an ordered pair of record indices, the unit the enumeration
+// tests compare pair sets by.
+type pairRef struct {
+	a, b int
+}
+
+// refs zips the pair set's index planes into pairs.
+func (ps *pairSet) refs() []pairRef {
+	out := make([]pairRef, ps.len())
+	for i := range out {
+		out[i] = pairRef{ps.a[i], ps.b[i]}
+	}
+	return out
+}
+
 // runPlan executes every spec of a plan in order and returns the merged
 // refs and labels.
 func runPlan(t *testing.T, specs []EnumSpec) (refs []pairRef, labels []bool) {
@@ -92,8 +107,8 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 		pairSeed := stats.DeriveSeed(tc.seed, "plan-test")
 		serial := enumLocal(t, log, q, q.Despite, false, tc.maxPairs, pairSeed, serialExec)
 		checkRelated(t, fmt.Sprintf("maxPairs=%d seed=%d serial", tc.maxPairs, tc.seed), log, q, q.Despite, serial, !tc.capped)
-		if len(serial.refs) < 50 {
-			t.Fatalf("maxPairs=%d seed=%d: the serial walk kept %d pairs; too few to compare", tc.maxPairs, tc.seed, len(serial.refs))
+		if serial.len() < 50 {
+			t.Fatalf("maxPairs=%d seed=%d: the serial walk kept %d pairs; too few to compare", tc.maxPairs, tc.seed, serial.len())
 		}
 		for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 			name := fmt.Sprintf("maxPairs=%d seed=%d shards=%d", tc.maxPairs, tc.seed, nShards)
@@ -106,9 +121,9 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 			// Union equals the serial pair set, in serial order, with
 			// identical labels — which also implies every serial pair
 			// appears at least once.
-			if !reflect.DeepEqual(refs, serial.refs) || !reflect.DeepEqual(labels, serial.labels) {
+			if !reflect.DeepEqual(refs, serial.refs()) || !reflect.DeepEqual(labels, serial.labels) {
 				t.Errorf("%s: merged shard output differs from the serial walk (%d pairs vs %d)",
-					name, len(refs), len(serial.refs))
+					name, len(refs), serial.len())
 				continue
 			}
 			// Exactly once: no pair is owned by two shards.
@@ -162,7 +177,7 @@ func TestPlanEnumShardsInvariance(t *testing.T) {
 	checkRelated(t, "grown log", log, q, q.Despite, serial, false)
 	p3 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 300, 5, seed)
 	refs3, labels3 := runPlan(t, p3)
-	if !reflect.DeepEqual(refs3, serial.refs) || !reflect.DeepEqual(labels3, serial.labels) {
+	if !reflect.DeepEqual(refs3, serial.refs()) || !reflect.DeepEqual(labels3, serial.labels) {
 		t.Error("plan over the grown log no longer partitions its serial walk")
 	}
 }
@@ -373,11 +388,11 @@ func TestFlatLayoutSpansSegments(t *testing.T) {
 	stratified := enumLocal(t, log, q, q.Despite, true, 400, seed, serialExec)
 	for _, nShards := range []int{1, 2, 7} {
 		refs, labels := runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 400, nShards, seed))
-		if !reflect.DeepEqual(refs, bernoulli.refs) || !reflect.DeepEqual(labels, bernoulli.labels) {
+		if !reflect.DeepEqual(refs, bernoulli.refs()) || !reflect.DeepEqual(labels, bernoulli.labels) {
 			t.Errorf("shards=%d: Bernoulli plan over two slices differs from the serial walk", nShards)
 		}
 		refs, labels = runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, true, 400, nShards, seed))
-		if !reflect.DeepEqual(refs, stratified.refs) || !reflect.DeepEqual(labels, stratified.labels) {
+		if !reflect.DeepEqual(refs, stratified.refs()) || !reflect.DeepEqual(labels, stratified.labels) {
 			t.Errorf("shards=%d: stratified plan over two slices differs from the serial walk", nShards)
 		}
 	}

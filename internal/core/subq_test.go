@@ -90,7 +90,7 @@ func TestZonePruneExact(t *testing.T) {
 		got := enumLocal(t, log, q, q.Despite, false, maxPairs, 77, serialExec)
 		if !samePairs(got, base) {
 			t.Errorf("maxPairs=%d: pruned enumeration differs from unpruned (%d vs %d pairs)",
-				maxPairs, len(got.refs), len(base.refs))
+				maxPairs, got.len(), base.len())
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestStratifiedInvariance(t *testing.T) {
 	seed := stats.DeriveSeed(5, "strat-test")
 
 	base := enumLocal(t, log, q, q.Despite, true, budget, seed, serialExec)
-	if len(base.refs) == 0 {
+	if base.len() == 0 {
 		t.Fatal("stratified enumeration found no related pairs; fixture is toothless")
 	}
 	checkRelated(t, "stratified serial", log, q, q.Despite, base, false)
@@ -123,9 +123,9 @@ func TestStratifiedInvariance(t *testing.T) {
 			t.Fatalf("shards=%d: planned %d specs", nShards, len(specs))
 		}
 		refs, labels := runPlan(t, specs)
-		if !reflect.DeepEqual(refs, base.refs) || !reflect.DeepEqual(labels, base.labels) {
+		if !reflect.DeepEqual(refs, base.refs()) || !reflect.DeepEqual(labels, base.labels) {
 			t.Errorf("shards=%d: merged stratified shard output differs from serial (%d vs %d pairs)",
-				nShards, len(refs), len(base.refs))
+				nShards, len(refs), base.len())
 		}
 	}
 }

@@ -95,7 +95,7 @@ func requireRegime(t *testing.T, log *joblog.Log, despite pxql.Predicate, maxPai
 }
 
 func samePairs(a, b *pairSet) bool {
-	return reflect.DeepEqual(a.refs, b.refs) && reflect.DeepEqual(a.labels, b.labels)
+	return reflect.DeepEqual(a.refs(), b.refs()) && reflect.DeepEqual(a.labels, b.labels)
 }
 
 // TestLocalExecutorStopsAtCancellation pins the local executor's

@@ -117,6 +117,40 @@ func TestBestThresholdNeverSplitsTies(t *testing.T) {
 	}
 }
 
+// TestBestThresholdSeparatesItsSplit pins lo <= t < hi where the plain
+// midpoint leaves that interval: `value <= t` must select exactly the
+// lower side the gain was scored on.
+func TestBestThresholdSeparatesItsSplit(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"sum overflows", 1e308, 1.7e308},
+		{"upper is +Inf", 3, inf},
+		// The midpoint of neighbours ties and rounds to the even mantissa: hi.
+		{"adjacent floats", math.Nextafter(1, 2), math.Nextafter(math.Nextafter(1, 2), 2)},
+		{"lower is -Inf", -inf, 3},
+		{"both infinite", -inf, inf},
+		{"negative sum overflows", -1.7e308, -1e308},
+		{"plain midpoint", 10, 20},
+	} {
+		vals := []float64{tc.lo, tc.lo, tc.hi, tc.hi}
+		labels := []bool{true, true, false, false}
+		thr, gain, ok := BestThresholdF(vals, labels)
+		if !ok || math.Abs(gain-1) > 1e-12 {
+			t.Errorf("%s: ok=%v gain=%v, want a perfect split", tc.name, ok, gain)
+			continue
+		}
+		if !(tc.lo <= thr && thr < tc.hi) {
+			t.Errorf("%s: threshold %v outside [%v, %v)", tc.name, thr, tc.lo, tc.hi)
+		}
+	}
+	if thr, _, _ := BestThresholdF([]float64{10, 20}, []bool{true, false}); thr != 15 {
+		t.Errorf("midpoint of 10 and 20 = %v, want 15", thr)
+	}
+}
+
 // bestNominal tallies a nominal column ("" is a missing cell) into the
 // sorted per-value class counts BestNominalFromCounts takes.
 func bestNominal(vals []string, labels []bool) (string, float64, bool) {

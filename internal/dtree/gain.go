@@ -41,7 +41,8 @@ func GainFromCounts(posIn, negIn, posOut, negOut int) float64 {
 // distinct observed values. NaN encodes an unknown (missing or
 // kind-mismatched) value: it is skipped, and the returned gain is scaled
 // by the known fraction. ok is false when fewer than two distinct known
-// values exist.
+// values exist. The threshold always separates the two values it was
+// scored between: lo <= t < hi.
 func BestThresholdF(vals []float64, labels []bool) (t, gain float64, ok bool) {
 	type vl struct {
 		v   float64
@@ -82,13 +83,25 @@ func BestThresholdF(vals []float64, labels []bool) (t, gain float64, ok bool) {
 		g := GainFromCounts(posLe, negLe, totalPos-posLe, totalNeg-negLe)
 		if g > bestGain {
 			bestGain = g
-			bestT = (known[i].v + known[i+1].v) / 2
+			bestT = cutBetween(known[i].v, known[i+1].v)
 		}
 	}
 	if bestGain < 0 {
 		return 0, 0, false // all values identical
 	}
 	return bestT, bestGain * knownFrac, true
+}
+
+// cutBetween returns the C4.5 midpoint of two adjacent distinct values
+// lo < hi, or lo when the midpoint leaves [lo, hi) — the sum overflowed,
+// an end is infinite, or the two are neighbouring floats and the midpoint
+// rounded up — so that `value <= t` is exactly the lower side of the
+// split.
+func cutBetween(lo, hi float64) float64 {
+	if mid := (lo + hi) / 2; mid >= lo && mid < hi {
+		return mid
+	}
+	return lo
 }
 
 // NominalCount is one distinct nominal value's class counts, the input

@@ -18,9 +18,10 @@ package features
 //     encodings cannot collide; MissingSym (all ones) encodes missing and
 //     cannot alias a diff pack because intern IDs stay below 1<<31.
 //
-// A PairMatrix is the row-major materialization of both planes for a set
-// of pairs: one Fill per pair writes every derived feature with zero
-// allocation, and scoring code gathers columns by (plane, offset).
+// A PairMatrix is the feature-major materialization of both planes for a
+// set of pairs: one FillPairs call writes every derived feature of a run
+// of pairs, one raw column at a time, with zero allocation, and scoring
+// code reads contiguous columns by (plane, offset).
 //
 // Raw fields flagged HasAlien (value kind disagreeing with the schema —
 // see joblog/columns.go) take the boxed derive() path for their base
@@ -53,8 +54,8 @@ func DiffSym(x, y uint32) uint64 { return uint64(x)<<32 | uint64(y) }
 
 // rawPlan is one raw field's slice of the plane layout: the offsets of
 // its derived features, -1 when a family is absent at the deriver's
-// level (or lives in the other plane). MaterializeInto walks this plan
-// so each raw cell is read once, not once per derived family.
+// level (or lives in the other plane). FillPairs walks this plan so
+// each raw cell is read once, not once per derived family.
 type rawPlan struct {
 	rawIdx     int
 	isSameOff  int // symbol plane
@@ -66,7 +67,7 @@ type rawPlan struct {
 }
 
 // buildPlanes precomputes, for every derived feature, which plane it
-// lives in and at which row offset (exactly one of numOff/symOff is
+// lives in and at which column offset (exactly one of numOff/symOff is
 // >= 0), plus the per-raw-field materialization plan.
 func (d *Deriver) buildPlanes() {
 	d.numOff = make([]int, len(d.mapping))
@@ -346,124 +347,149 @@ func diffSymsFor(in *joblog.Intern, s string) []uint64 {
 	return out
 }
 
-// PairMatrix is a flat, row-major materialization of the derived feature
-// vectors of a set of pairs: row i holds pair i's numeric plane (one
-// float per numeric base feature) and symbol plane (one packed symbol per
-// nominal feature). Rows are written by Fill and read by offset; no boxed
-// values are created.
+// PairMatrix is a flat, feature-major materialization of the derived
+// feature vectors of a set of pairs: each numeric base feature is one
+// contiguous float column (Num[numOff*N+row]) and each nominal feature one
+// contiguous packed-symbol column (Sym[symOff*N+row]), so a per-feature
+// scan reads N adjacent cells. Columns are written by FillPairs and read
+// by offset; no boxed values are created.
 type PairMatrix struct {
-	D    *Deriver
-	N    int
-	Num  []float64
-	Sym  []uint64
-	numW int
-	symW int
+	D   *Deriver
+	N   int
+	Num []float64
+	Sym []uint64
 }
 
 // NewPairMatrix allocates a matrix for n pairs.
 func (d *Deriver) NewPairMatrix(n int) *PairMatrix {
 	return &PairMatrix{
-		D:    d,
-		N:    n,
-		Num:  make([]float64, n*d.numW),
-		Sym:  make([]uint64, n*d.symW),
-		numW: d.numW,
-		symW: d.symW,
+		D:   d,
+		N:   n,
+		Num: make([]float64, n*d.numW),
+		Sym: make([]uint64, n*d.symW),
 	}
 }
 
-// NumAt reads the numeric plane at (row, NumOffset(feature)).
-func (m *PairMatrix) NumAt(row, numOff int) float64 { return m.Num[row*m.numW+numOff] }
-
-// SymAt reads the symbol plane at (row, SymOffset(feature)).
-func (m *PairMatrix) SymAt(row, symOff int) uint64 { return m.Sym[row*m.symW+symOff] }
-
-// NumStride returns the row stride of the numeric plane — the batched
-// kernels walk a column incrementally instead of multiplying per row.
-func (m *PairMatrix) NumStride() int { return m.numW }
-
-// SymStride returns the row stride of the symbol plane.
-func (m *PairMatrix) SymStride() int { return m.symW }
-
-// Fill materializes the derived vector of the record pair (a, b) into
-// row. It is safe to call concurrently for distinct rows.
-func (m *PairMatrix) Fill(cols *joblog.Columns, row, a, b int) {
-	m.D.MaterializeInto(cols, a, b, m.Num[row*m.numW:(row+1)*m.numW], m.Sym[row*m.symW:(row+1)*m.symW])
+// NumCol returns the numeric column at NumOffset(feature), one cell per
+// row.
+func (m *PairMatrix) NumCol(numOff int) []float64 {
+	return m.Num[numOff*m.N : (numOff+1)*m.N : (numOff+1)*m.N]
 }
 
-// MaterializeInto computes every derived feature of the pair (a, b) into
-// the caller's plane rows (one pair-matrix row of each plane wide). The
-// loop is raw-field-major: each raw cell's missing bits and payloads
-// are read once and fan out to the whole derived family, and the 10%
-// similarity band is computed once for both issame and compare. This is
-// the allocation-free bulk engine behind PairMatrix.Fill; callers may
-// also reuse scratch rows directly.
-func (d *Deriver) MaterializeInto(cols *joblog.Columns, a, b int, numRow []float64, symRow []uint64) {
+// SymCol returns the symbol column at SymOffset(feature), one cell per
+// row.
+func (m *PairMatrix) SymCol(symOff int) []uint64 {
+	return m.Sym[symOff*m.N : (symOff+1)*m.N : (symOff+1)*m.N]
+}
+
+// NumAt reads the numeric plane at (row, NumOffset(feature)).
+func (m *PairMatrix) NumAt(row, numOff int) float64 { return m.Num[numOff*m.N+row] }
+
+// SymAt reads the symbol plane at (row, SymOffset(feature)).
+func (m *PairMatrix) SymAt(row, symOff int) uint64 { return m.Sym[symOff*m.N+row] }
+
+// Fill materializes the derived vector of the record pair (a, b) into
+// row: FillPairs on one pair. It is safe to call concurrently for
+// distinct rows.
+func (m *PairMatrix) Fill(cols *joblog.Columns, row, a, b int) {
+	ai, bi := [1]int{a}, [1]int{b}
+	m.FillPairs(cols, row, ai[:], bi[:])
+}
+
+// FillPairs materializes the derived vectors of the record pairs
+// (ai[k], bi[k]) into rows lo+k — the allocation-free bulk engine behind
+// the pair matrix. The loop is raw-field-major: one raw column's plane,
+// missing bits and destination columns are hoisted, then every pair
+// gathers from that one plane, so it stays cache-resident however many
+// rows the log has; each raw cell is read once and fans out to the whole
+// derived family, and the 10% similarity band is computed once for both
+// issame and compare. Concurrent calls over disjoint row ranges are safe.
+func (m *PairMatrix) FillPairs(cols *joblog.Columns, lo int, ai, bi []int) {
+	n := len(ai)
+	bi = bi[:n]
+	d := m.D
+	nan := math.NaN()
 	for pi := range d.rawPlans {
 		p := &d.rawPlans[pi]
 		c := cols.Col(p.rawIdx)
-		if c.Miss.Get(a) || c.Miss.Get(b) {
-			symRow[p.isSameOff] = MissingSym
-			if p.compareOff >= 0 {
-				symRow[p.compareOff] = MissingSym
-				symRow[p.diffOff] = MissingSym
-			}
-			if p.baseNumOff >= 0 {
-				numRow[p.baseNumOff] = math.NaN()
-			} else if p.baseSymOff >= 0 {
-				symRow[p.baseSymOff] = MissingSym
-			}
-			continue
+		miss := c.Miss
+		isSame := m.SymCol(p.isSameOff)[lo : lo+n]
+		var compare, diff, baseSym []uint64
+		var baseNum []float64
+		if p.compareOff >= 0 {
+			compare = m.SymCol(p.compareOff)[lo : lo+n]
+			diff = m.SymCol(p.diffOff)[lo : lo+n]
 		}
-		if c.Kind == joblog.Numeric {
-			na, nb := c.Num[a], c.Num[b]
-			sim := stats.Similar(na, nb)
-			if sim {
-				symRow[p.isSameOff] = SymT
-			} else {
-				symRow[p.isSameOff] = SymF
-			}
-			if p.compareOff >= 0 {
-				switch {
-				case sim:
-					symRow[p.compareOff] = SymSIM
-				case na < nb:
-					symRow[p.compareOff] = SymLT
-				default:
-					symRow[p.compareOff] = SymGT
+		if p.baseNumOff >= 0 {
+			baseNum = m.NumCol(p.baseNumOff)[lo : lo+n]
+		} else if p.baseSymOff >= 0 {
+			baseSym = m.SymCol(p.baseSymOff)[lo : lo+n]
+		}
+		for k, a := range ai {
+			b := bi[k]
+			if miss.Get(a) || miss.Get(b) {
+				isSame[k] = MissingSym
+				if compare != nil {
+					compare[k] = MissingSym
+					diff[k] = MissingSym
 				}
-				symRow[p.diffOff] = MissingSym
+				if baseNum != nil {
+					baseNum[k] = nan
+				} else if baseSym != nil {
+					baseSym[k] = MissingSym
+				}
+				continue
 			}
-			if p.baseNumOff >= 0 {
+			if c.Kind == joblog.Numeric {
+				na, nb := c.Num[a], c.Num[b]
+				sim := stats.Similar(na, nb)
+				if sim {
+					isSame[k] = SymT
+				} else {
+					isSame[k] = SymF
+				}
+				if compare != nil {
+					switch {
+					case sim:
+						compare[k] = SymSIM
+					case na < nb:
+						compare[k] = SymLT
+					default:
+						compare[k] = SymGT
+					}
+					diff[k] = MissingSym
+				}
+				if baseNum != nil {
+					switch {
+					case c.HasAlien && (c.Alien(a) || c.Alien(b)):
+						baseNum[k] = d.DeriveNum(cols, a, b, p.baseIdx)
+					case na == nb:
+						baseNum[k] = na
+					default:
+						baseNum[k] = nan
+					}
+				}
+				continue
+			}
+			sa, sb := c.Sym[a], c.Sym[b]
+			if sa == sb {
+				isSame[k] = SymT
+			} else {
+				isSame[k] = SymF
+			}
+			if compare != nil {
+				compare[k] = MissingSym
+				diff[k] = DiffSym(sa, sb)
+			}
+			if baseSym != nil {
 				switch {
 				case c.HasAlien && (c.Alien(a) || c.Alien(b)):
-					numRow[p.baseNumOff] = d.DeriveNum(cols, a, b, p.baseIdx)
-				case na == nb:
-					numRow[p.baseNumOff] = na
+					baseSym[k] = d.DeriveSym(cols, a, b, p.baseIdx)
+				case sa == sb:
+					baseSym[k] = uint64(sa)
 				default:
-					numRow[p.baseNumOff] = math.NaN()
+					baseSym[k] = MissingSym
 				}
-			}
-			continue
-		}
-		sa, sb := c.Sym[a], c.Sym[b]
-		if sa == sb {
-			symRow[p.isSameOff] = SymT
-		} else {
-			symRow[p.isSameOff] = SymF
-		}
-		if p.compareOff >= 0 {
-			symRow[p.compareOff] = MissingSym
-			symRow[p.diffOff] = DiffSym(sa, sb)
-		}
-		if p.baseSymOff >= 0 {
-			switch {
-			case c.HasAlien && (c.Alien(a) || c.Alien(b)):
-				symRow[p.baseSymOff] = d.DeriveSym(cols, a, b, p.baseIdx)
-			case sa == sb:
-				symRow[p.baseSymOff] = uint64(sa)
-			default:
-				symRow[p.baseSymOff] = MissingSym
 			}
 		}
 	}

