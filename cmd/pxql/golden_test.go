@@ -17,11 +17,21 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// mainArg, as a child's first argument, routes TestMain into main().
+const mainArg = "pxql-main"
+
 // TestMain doubles as the shard worker: with -shard-workers the CLI
 // spawns os.Executable() -shard-worker, which under `go test` is this
 // test binary — route those children into the protocol loop exactly as
-// the real binary's flag does.
+// the real binary's flag does. A child started with mainArg first runs
+// main() itself over the remaining arguments, so a test can see the
+// binary's own flag parsing and exit code.
 func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == mainArg {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
 	for _, a := range os.Args[1:] {
 		if a == "-shard-worker" {
 			if err := perfxplain.ShardWorker(os.Stdin, os.Stdout); err != nil {

@@ -44,9 +44,6 @@ func main() {
 	width := flag.Int("width", 3, "explanation width")
 	level := flag.Int("level", 3, "feature level 1-3")
 	seed := flag.Int64("seed", 1, "sampling seed")
-	sampleMode := flag.String("sample-mode", "", "pair-space thinning: bernoulli (default) or stratified (per-blocking-group quotas with Wilson confidence bounds)")
-	sampleBudget := flag.Int("sample-budget", 0, "stratified total pair budget (0 = the library's MaxPairs default)")
-	samplePilot := flag.Float64("sample-pilot", 0, "pilot fraction in (0, 1) for Wilson-adaptive stratified budgets (0 = one-shot proportional allocation; requires -sample-mode stratified)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for the explanation pipeline (0 = all cores); the answer is identical at every setting")
 	seal := flag.Int("seal", 0, "ingest the log into a segment store sealing every N records and query its snapshot (0 = off); the answer is identical, but shard workers cache sealed segments across queries")
 	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N self-contained specs (0 = eight per core); the answer is identical at every setting")
@@ -90,9 +87,6 @@ func main() {
 		width:        *width,
 		level:        *level,
 		seed:         *seed,
-		sampleMode:   *sampleMode,
-		sampleBudget: *sampleBudget,
-		samplePilot:  *samplePilot,
 		parallelism:  *parallelism,
 		seal:         *seal,
 		shards:       *shards,
@@ -117,9 +111,6 @@ type cliOpts struct {
 	find                               bool
 	width, level                       int
 	seed                               int64
-	sampleMode                         string
-	sampleBudget                       int
-	samplePilot                        float64
 	parallelism, shards, shardWorkers  int
 	seal                               int
 	shardRemote, shardToken            string
@@ -205,8 +196,7 @@ func run(o cliOpts) error {
 	}
 
 	opt := perfxplain.Options{Width: width, DespiteWidth: width, FeatureLevel: level,
-		Seed: seed, SampleMode: o.sampleMode, SampleBudget: o.sampleBudget, SamplePilot: o.samplePilot,
-		Parallelism: parallelism, Shards: shards, ShardWorkers: shardWorkers,
+		Seed: seed, Parallelism: parallelism, Shards: shards, ShardWorkers: shardWorkers,
 		ShardAddrs: shardAddrs, ShardToken: shardToken}
 	var x *perfxplain.Explanation
 	// evaluate routes held-out evaluation through the PerfXplain

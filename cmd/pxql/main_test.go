@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"perfxplain"
@@ -119,5 +122,13 @@ func TestRunErrors(t *testing.T) {
 		if err := fn(); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+
+	// A flag the CLI no longer has is refused by the flag package before
+	// anything runs — never accepted and ignored.
+	out, err := exec.Command(os.Args[0], mainArg, "-log", log, "-find", "-query", testQuery, "-sample-mode", "stratified").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(out), "flag provided but not defined: -sample-mode") {
+		t.Errorf("pxql -sample-mode stratified: err %v, output:\n%s\nwant a non-zero exit naming the undefined flag", err, out)
 	}
 }

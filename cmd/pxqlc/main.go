@@ -40,7 +40,6 @@ func main() {
 	width := flag.Int("width", 0, "explanation width (0 = server default)")
 	level := flag.Int("level", 0, "feature level 1-3 (0 = server default)")
 	seed := flag.Int64("seed", 0, "sampling seed (0 = server default)")
-	sampleMode := flag.String("sample-mode", "", "pair-space thinning: bernoulli or stratified (empty = server default)")
 	timeoutMS := flag.Int("timeout-ms", 0, "per-query deadline in milliseconds (0 = server default)")
 	verbose := flag.Bool("verbose", false, "report cache status and watermark to stderr")
 	flag.Parse()
@@ -54,7 +53,6 @@ func main() {
 			Width:      *width,
 			Level:      *level,
 			Seed:       *seed,
-			SampleMode: *sampleMode,
 			TimeoutMS:  *timeoutMS,
 		},
 		eval:    *evalToo,
@@ -96,7 +94,6 @@ type explainRequest struct {
 	Width      int      `json:"width,omitempty"`
 	Level      int      `json:"level,omitempty"`
 	Seed       int64    `json:"seed,omitempty"`
-	SampleMode string   `json:"sample_mode,omitempty"`
 	TimeoutMS  int      `json:"timeout_ms,omitempty"`
 }
 

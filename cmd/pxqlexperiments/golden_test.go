@@ -90,7 +90,7 @@ func TestGoldenExperimentsCLI(t *testing.T) {
 		outputs := make([]string, 0, 3)
 		for _, p := range []int{1, 4, 0} {
 			p := p
-			out := captureStdout(t, func() error { return run(exp, 7, 2, true, "", 0, 0, p, 0, 0, "", "", false) })
+			out := captureStdout(t, func() error { return run(exp, 7, 2, true, p, 0, 0, "", "", false) })
 			outputs = append(outputs, normalize(out))
 		}
 		for i := 1; i < len(outputs); i++ {

@@ -27,9 +27,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "sweep + harness seed")
 	reps := flag.Int("reps", 10, "cross-validation repetitions")
 	small := flag.Bool("small", false, "use the reduced 32-job grid (faster, noisier)")
-	sampleMode := flag.String("sample-mode", "", "pair-space thinning for PerfXplain explainers: bernoulli (default) or stratified")
-	sampleBudget := flag.Int("sample-budget", 0, "stratified total pair budget (0 = the harness MaxPairs)")
-	samplePilot := flag.Float64("sample-pilot", 0, "pilot fraction in (0, 1) for Wilson-adaptive stratified budgets (0 = one-shot; requires -sample-mode stratified)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for repetitions and cells (0 = all cores); tables are identical at every setting")
 	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N self-contained specs (0 = eight per core); tables are identical at every setting")
 	shardWorkers := flag.Int("shard-workers", 0, "execute the specs on K worker subprocesses instead of this process (requires -shards)")
@@ -60,14 +57,14 @@ func main() {
 		return
 	}
 
-	if err := run(*exp, *seed, *reps, *small, *sampleMode, *sampleBudget, *samplePilot, *parallelism, *shards, *shardWorkers, *shardRemote, token, *verbose); err != nil {
+	if err := run(*exp, *seed, *reps, *small, *parallelism, *shards, *shardWorkers, *shardRemote, token, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "pxqlexperiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, seed int64, reps int, small bool, sampleMode string, sampleBudget int,
-	samplePilot float64, parallelism, shards, shardWorkers int, shardRemote, shardToken string, verbose bool) error {
+func run(exp string, seed int64, reps int, small bool,
+	parallelism, shards, shardWorkers int, shardRemote, shardToken string, verbose bool) error {
 
 	if shardWorkers > 0 && shards <= 0 {
 		return fmt.Errorf("-shard-workers requires -shards")
@@ -95,9 +92,6 @@ func run(exp string, seed int64, reps int, small bool, sampleMode string, sample
 
 	h := eval.NewHarness(res.Jobs, res.Tasks, seed)
 	h.Reps = reps
-	h.SampleMode = sampleMode
-	h.SampleBudget = sampleBudget
-	h.SamplePilot = samplePilot
 	h.Parallelism = parallelism
 	// One worker pool serves every repetition and experiment cell of the
 	// whole run — its workers (and their cached log slices) survive from

@@ -108,7 +108,7 @@ func (p *Pass) markerLines(f *ast.File) map[int][]string {
 // HasMarker reports whether marker name (without the pxql: prefix)
 // annotates the node at pos: a //pxql:<name> comment on the same line
 // or on the line directly above. The payload after the name, if any, is
-// ignored here — FileMarkers exposes it.
+// ignored.
 func (p *Pass) HasMarker(pos token.Pos, name string) bool {
 	f := p.fileOf(pos)
 	if f == nil {
@@ -123,12 +123,6 @@ func (p *Pass) HasMarker(pos token.Pos, name string) bool {
 		}
 	}
 	return false
-}
-
-// FileMarkers returns every //pxql:* marker in f as raw strings (name
-// plus payload, whitespace-trimmed), with the line each appears on.
-func (p *Pass) FileMarkers(f *ast.File) map[int][]string {
-	return p.markerLines(f)
 }
 
 func (p *Pass) fileOf(pos token.Pos) *ast.File {

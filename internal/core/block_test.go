@@ -50,7 +50,7 @@ func checkNumericBlocking(t *testing.T, exec func(log *joblog.Log) Exec) {
 	}
 	ex := exec(log)
 	ps, err := runEnumSpecs(context.Background(), ex, log,
-		PlanEnumShards(ex.Layout, log, features.Level3, q, q.Despite, false, 0, ex.shards(), 11))
+		PlanEnumShards(ex.Layout, log, features.Level3, q, q.Despite, 0, ex.shards(), 11))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,7 @@ func TestBlockingMatchesBruteForce(t *testing.T) {
 		Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 		Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("SIM")}},
 	}
-	blocked := enumLocal(t, log, q, q.Despite, false, 0, 1, serialExec)
+	blocked := enumLocal(t, log, q, q.Despite, 0, 1, serialExec)
 
 	// Brute force for comparison.
 	type key struct{ a, b string }

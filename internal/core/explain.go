@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -43,38 +42,6 @@ type Config struct {
 	// MaxPairs caps enumerated related pairs; larger pair spaces are
 	// Bernoulli-subsampled. Default 200000.
 	MaxPairs int
-	// SampleMode selects how an over-budget pair space is thinned.
-	// "bernoulli" (or empty, the default) keeps each candidate pair
-	// independently with probability budget/total — the seed-stable
-	// behaviour every golden output pins. "stratified" draws a fixed
-	// per-blocking-group quota instead (proportional allocation with a
-	// small-group floor, see stratifyBudgets), so rare strata survive
-	// skew that would starve them under Bernoulli thinning, and the
-	// explanation carries Wilson confidence bounds on its training
-	// diagnostics. Both modes are deterministic in the seed and
-	// byte-identical at every parallelism and shard count.
-	SampleMode string
-	// SampleBudget is the stratified mode's total pair budget; <= 0
-	// defaults to MaxPairs. Ignored in Bernoulli mode.
-	SampleBudget int
-	// SamplePilot enables Wilson-adaptive two-pass stratified sampling:
-	// the fraction (0 < SamplePilot < 1) of SampleBudget spent on a pilot
-	// round allocated per the proportional rule, after which the
-	// remainder is allocated proportional to each stratum's (Wilson
-	// interval width × pair space) — budget flows to the strata whose
-	// estimates are still uncertain instead of merely large (see
-	// adaptiveBudgets). 0, the default, keeps the one-shot proportional
-	// allocation. Requires SampleMode "stratified". The sampled set
-	// remains deterministic in the seed and byte-identical at every
-	// parallelism and shard count.
-	SamplePilot float64
-	// TopK caps how many candidate predicates each growth round scores
-	// fully: candidates are ranked by information gain and only the top K
-	// enter the percentile-rank blend. 0 keeps every candidate. Defaults
-	// to 32 in stratified mode and 0 (off) otherwise — the percentile
-	// normalisation makes pruning visible in exact outputs, so it is
-	// opt-in there.
-	TopK int
 	// Seed drives sampling.
 	Seed int64
 	// RawScores disables the percentile-rank normalisation of precision
@@ -131,28 +98,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxPairs == 0 {
 		c.MaxPairs = d.MaxPairs
 	}
-	if c.SampleMode == SampleStratified {
-		if c.SampleBudget <= 0 {
-			c.SampleBudget = c.MaxPairs
-		}
-		if c.TopK == 0 {
-			c.TopK = 32
-		}
-	}
-	if c.TopK < 0 {
-		c.TopK = 0
-	}
 	return c
 }
-
-// SampleMode values.
-const (
-	// SampleBernoulli is the default independent-keep thinning.
-	SampleBernoulli = "bernoulli"
-	// SampleStratified is per-blocking-group budgeted sampling with
-	// Wilson confidence bounds on the training diagnostics.
-	SampleStratified = "stratified"
-)
 
 // Explainer answers PXQL queries against one execution log.
 type Explainer struct {
@@ -163,16 +110,6 @@ type Explainer struct {
 
 // NewExplainer builds an explainer over the log.
 func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
-	if cfg.SampleMode != "" && cfg.SampleMode != SampleBernoulli && cfg.SampleMode != SampleStratified {
-		return nil, fmt.Errorf("core: unknown sample mode %q (want %q or %q)",
-			cfg.SampleMode, SampleBernoulli, SampleStratified)
-	}
-	if cfg.SamplePilot < 0 || cfg.SamplePilot >= 1 {
-		return nil, fmt.Errorf("core: sample pilot fraction %v outside [0, 1)", cfg.SamplePilot)
-	}
-	if cfg.SamplePilot > 0 && cfg.SampleMode != SampleStratified {
-		return nil, fmt.Errorf("core: sample pilot fraction requires sample mode %q", SampleStratified)
-	}
 	cfg = cfg.withDefaults()
 	if log == nil || log.Len() == 0 {
 		return nil, fmt.Errorf("core: empty log")
@@ -206,12 +143,6 @@ type Explanation struct {
 	SampleSize      int
 	RelatedPairs    int
 
-	// TrainRelevanceLo/Hi bound TrainRelevance with a 95% Wilson score
-	// interval when the pair space was sampled approximately (stratified
-	// mode); both stay zero in exact/Bernoulli mode.
-	TrainRelevanceLo float64
-	TrainRelevanceHi float64
-
 	// Atoms records per-predicate marginal quality: entry i holds the
 	// cumulative precision and generality of the because clause's first
 	// i+1 atoms on the training sample. Greedy construction puts the most
@@ -225,18 +156,7 @@ type AtomStats struct {
 	Atom       pxql.Atom
 	Precision  float64 // P(obs | first i+1 atoms) on the sample
 	Generality float64 // P(first i+1 atoms) on the sample
-
-	// 95% Wilson score intervals around Precision and Generality,
-	// populated only in stratified sampling mode (zero otherwise).
-	PrecisionLo  float64
-	PrecisionHi  float64
-	GeneralityLo float64
-	GeneralityHi float64
 }
-
-// wilsonZ is the critical value of the 95% confidence intervals attached
-// to stratified-mode diagnostics.
-const wilsonZ = 1.96
 
 // String renders the explanation in the paper's DESPITE/BECAUSE form.
 func (x *Explanation) String() string {
@@ -321,10 +241,6 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	}
 	nObs, _ := related.counts()
 	x.TrainRelevance = 1 - float64(nObs)/float64(related.len())
-	strat := e.cfg.SampleMode == SampleStratified
-	if strat {
-		x.TrainRelevanceLo, x.TrainRelevanceHi = stats.Wilson(related.len()-nObs, related.len(), wilsonZ)
-	}
 
 	// Sampling stays serial: it is O(pairs) cheap, and drawing from one
 	// sequential stream over the deterministically ordered pair set keeps
@@ -372,10 +288,6 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 		}
 		if m.N > 0 {
 			st.Generality = float64(sat) / float64(m.N)
-		}
-		if strat {
-			st.PrecisionLo, st.PrecisionHi = stats.Wilson(satObs, sat, wilsonZ)
-			st.GeneralityLo, st.GeneralityHi = stats.Wilson(sat, m.N, wilsonZ)
 		}
 		x.Atoms = append(x.Atoms, st)
 	}
@@ -489,22 +401,6 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 			break
 		}
 
-		// Top-K candidate pruning (opt-in, default-on in stratified
-		// mode): keep only the K highest-gain candidates before the
-		// bitmap fills, so dominated features never pay for a bitmap.
-		// The survivors are restored to ascending feature order — the
-		// order every downstream tie-break assumes.
-		if k := e.cfg.TopK; k > 0 && len(cands) > k {
-			sort.Slice(cands, func(a, b int) bool {
-				if cands[a].gain != cands[b].gain {
-					return cands[a].gain > cands[b].gain
-				}
-				return cands[a].featIdx < cands[b].featIdx
-			})
-			cands = cands[:k]
-			sort.Slice(cands, func(a, b int) bool { return cands[a].featIdx < cands[b].featIdx })
-		}
-
 		// Cross-feature selection: percentile-normalised blend of
 		// precision (P(positive | p)) and generality (P(p)). Each
 		// candidate's counts compose from its bitmap by word-AND +
@@ -557,7 +453,6 @@ type candidate struct {
 	featIdx int
 	atom    pxql.Atom
 	ma      matrixAtom
-	gain    float64
 }
 
 // candidates builds the best applicable predicate per feature by
@@ -582,11 +477,11 @@ func (e *Explainer) candidates(m *features.PairMatrix, cur []int, subLabels []bo
 	par.Do(schema.Len(), e.cfg.Parallelism, func(f int) {
 		sc := scratchPool.Get().(*scoreScratch)
 		defer scratchPool.Put(sc)
-		atom, gain, ok := e.scoreFeature(in, m, cur, subLabels, pairVec, clause, f, sc)
+		atom, _, ok := e.scoreFeature(in, m, cur, subLabels, pairVec, clause, f, sc)
 		if !ok {
 			return
 		}
-		found[f] = &candidate{featIdx: f, atom: atom, ma: newMatrixAtom(e.d, in, f, atom), gain: gain}
+		found[f] = &candidate{featIdx: f, atom: atom, ma: newMatrixAtom(e.d, in, f, atom)}
 	})
 
 	var out []candidate

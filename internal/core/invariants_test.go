@@ -63,7 +63,7 @@ func TestBaseFeaturePrefilterSoundness(t *testing.T) {
 		Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 		Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("SIM")}},
 	}
-	fast := enumLocal(t, log, q, q.Despite, false, 0, 1, serialExec)
+	fast := enumLocal(t, log, q, q.Despite, 0, 1, serialExec)
 
 	// Brute force without any prefiltering.
 	type key struct{ a, b string }
@@ -96,9 +96,9 @@ func TestMaxPairsCap(t *testing.T) {
 	log := syntheticLog(60, rng) // ~3500 ordered pairs
 	d := features.NewDeriver(log.Schema, features.Level3)
 	q := gtQuery(log, d)
-	full := enumLocal(t, log, q, nil, false, 0, 1, serialExec)
+	full := enumLocal(t, log, q, nil, 0, 1, serialExec)
 	checkRelated(t, "full", log, q, nil, full, true)
-	capped := enumLocal(t, log, q, nil, false, 500, 1, serialExec)
+	capped := enumLocal(t, log, q, nil, 500, 1, serialExec)
 	checkRelated(t, "capped", log, q, nil, capped, false)
 	if capped.len() >= full.len() {
 		t.Fatalf("cap had no effect: %d vs %d", capped.len(), full.len())

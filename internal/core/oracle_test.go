@@ -199,7 +199,7 @@ func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
 				Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: features.ValSIM}},
 			}
 			ps, err := runEnumSpecs(ctx, ex, log,
-				PlanEnumShards(ex.Layout, log, features.Level3, q, despite, false, 0, ex.shards(), 11))
+				PlanEnumShards(ex.Layout, log, features.Level3, q, despite, 0, ex.shards(), 11))
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}

@@ -25,7 +25,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
 
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
@@ -91,7 +90,7 @@ func blockedGroups(log *joblog.Log, despite pxql.Predicate, maxPairs int) (group
 
 // blockedGroupsOpt is blockedGroups with zone-map group pruning and
 // seek-driven row filtering switchable (test oracles run with either or
-// both off; stratified planning must disable seek — see seek.go). keepP
+// both off; the planners always run with both on). keepP
 // is computed over the UNPRUNED, UNFILTERED candidate pair count before
 // any group is dropped or thinned: pruned groups and filtered rows
 // contribute no despite-satisfying pair, so neither cut changes the
@@ -260,8 +259,8 @@ rows:
 
 // pairCount64 is a group's ordered-pair count n·(n−1) computed with
 // uint64 saturation, so pair-space products on huge synthetic logs
-// clamp instead of wrapping (they only feed probabilities and budget
-// proportions, where MaxUint64 is an honest "effectively infinite").
+// clamp instead of wrapping (they only feed the keep probability, where
+// MaxUint64 is an honest "effectively infinite").
 func pairCount64(n int) uint64 {
 	if n < 2 {
 		return 0
@@ -279,92 +278,6 @@ func satAdd64(a, b uint64) uint64 {
 		return s
 	}
 	return ^uint64(0)
-}
-
-// clampInt converts a saturating uint64 count back to a non-negative
-// int budget without wrapping.
-func clampInt(x uint64) int {
-	const maxInt = int(^uint(0) >> 1)
-	if x > uint64(maxInt) {
-		return maxInt
-	}
-	return int(x)
-}
-
-// stratumFloor is the minimum pair budget a non-degenerate stratum
-// receives, so thin blocking groups still contribute a usable estimate.
-const stratumFloor = 16
-
-// stratifyBudgets allocates a total pair budget across blocking groups
-// proportionally to their ordered-pair mass, with a per-stratum floor. A
-// group allocated at least three quarters of its pairs is taken whole:
-// near-exhaustive draws cost more bookkeeping than just walking the
-// group (this also absorbs groups smaller than the floor). A
-// non-positive budget, or one covering the whole space, keeps every
-// pair. The allocation is pure integer arithmetic over the group sizes,
-// so every shard and process computes identical budgets.
-func stratifyBudgets(groups [][]int, budget int) []int {
-	bs := make([]int, len(groups))
-	var total uint64
-	for _, g := range groups {
-		total = satAdd64(total, pairCount64(len(g)))
-	}
-	for gi, g := range groups {
-		m := pairCount64(len(g))
-		if budget <= 0 || total <= uint64(budget) {
-			bs[gi] = clampInt(m)
-			continue
-		}
-		hi, lo := bits.Mul64(uint64(budget), m)
-		b, _ := bits.Div64(hi, lo, total)
-		if b < stratumFloor {
-			b = stratumFloor
-		}
-		// b >= ceil(3m/4), the overflow-free form of 4·b >= 3·m.
-		if b >= m-m/4 {
-			b = m
-		}
-		bs[gi] = clampInt(b)
-	}
-	return bs
-}
-
-// groupDraws draws budget distinct flat pair indices from a group's
-// n·(n−1) ordered-pair space: one splitmix counter stream per group,
-// seeded from the enumeration seed and g0 — the group's first member's
-// global record index, which every shard straddling the group agrees on.
-// The result is sorted ascending, so iterating it visits pairs in the
-// exact walk's (outer position, inner position) order restricted to the
-// drawn set. A pure function of (seed, g0, n, budget): every shard,
-// process and worker count derives the identical draw set.
-func groupDraws(seed uint64, g0, n, budget int) []uint64 {
-	m := pairCount64(n)
-	if budget <= 0 || m == 0 {
-		return []uint64{}
-	}
-	gseed := stats.SplitMix64(seed ^ (uint64(g0)*0x9e3779b97f4a7c15 + 0x6a09e667f3bcc909))
-	drawn := make(map[uint64]struct{}, budget)
-	ts := make([]uint64, 0, budget)
-	// Rejection-sample the counter stream; the bound keeps pathological
-	// near-exhaustive budgets from spinning on duplicates.
-	ctrMax := satAdd64(satAdd64(m, m), satAdd64(satAdd64(m, m), 64))
-	for ctr := uint64(0); len(ts) < budget && ctr < ctrMax; ctr++ {
-		t := stats.SplitMix64(gseed+ctr) % m
-		if _, dup := drawn[t]; dup {
-			continue
-		}
-		drawn[t] = struct{}{}
-		ts = append(ts, t)
-	}
-	// Deterministic fill if rejection ran out of its counter allowance.
-	for t := uint64(0); t < m && len(ts) < budget; t++ {
-		if _, dup := drawn[t]; !dup {
-			drawn[t] = struct{}{}
-			ts = append(ts, t)
-		}
-	}
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-	return ts
 }
 
 // keepPair is the counter-based Bernoulli subsampling decision for the

@@ -31,13 +31,13 @@ func TestEnumerateRelatedIdenticalAcrossParallelism(t *testing.T) {
 	requireRegime(t, log, q.Despite, 300, true, false)
 	requireRegime(t, log, q.Despite, 150, true, true)
 	for _, maxPairs := range []int{0, 300, 150} {
-		base := enumLocal(t, log, q, q.Despite, false, maxPairs, 99, serialExec)
+		base := enumLocal(t, log, q, q.Despite, maxPairs, 99, serialExec)
 		checkRelated(t, fmt.Sprintf("maxPairs=%d serial", maxPairs), log, q, q.Despite, base, maxPairs == 0)
 		if base.len() < 30 {
 			t.Fatalf("maxPairs=%d: the serial walk kept %d pairs; too few to compare", maxPairs, base.len())
 		}
 		for _, p := range []int{2, 4, 7, runtime.GOMAXPROCS(0)} {
-			got := enumLocal(t, log, q, q.Despite, false, maxPairs, 99, Exec{Parallelism: p})
+			got := enumLocal(t, log, q, q.Despite, maxPairs, 99, Exec{Parallelism: p})
 			if !samePairs(got, base) {
 				t.Fatalf("maxPairs=%d: enumeration at parallelism %d differs from serial (%d vs %d pairs)",
 					maxPairs, p, got.len(), base.len())

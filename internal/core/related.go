@@ -31,7 +31,7 @@ func RelatedPairsP(log *joblog.Log, level features.Level, q *pxql.Query,
 	maxPairs int, seed int64, parallelism int) []LabeledPair {
 
 	ex := Exec{Parallelism: parallelism}
-	ps, err := runEnumSpecs(context.Background(), ex, log, PlanEnumShards(nil, log, level, q, q.Despite, false,
+	ps, err := runEnumSpecs(context.Background(), ex, log, PlanEnumShards(nil, log, level, q, q.Despite,
 		maxPairs, ex.shards(), stats.DeriveSeed(seed, "related-pairs")))
 	if err != nil {
 		// Uncancellable and local: only a planner or kernel bug (or a

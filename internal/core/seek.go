@@ -41,11 +41,6 @@ package core
 // TestSeekEnumExact pins all three cases. Conjuncts that do not lower
 // exactly — OpNe, nominal columns, alien columns, kind-mismatched
 // constants — contribute no filter and those rows are walked as before.
-//
-// Stratified mode never seeks: groupDraws is keyed on (group's first
-// global index, group size), so filtering rows would change the draw
-// set and break the PR 7 sampling contract. The planners pass seek
-// accordingly (see blockedGroupsOpt call sites).
 
 import (
 	"perfxplain/internal/bitset"

@@ -17,12 +17,12 @@ package core
 // slices at all.
 //
 // Byte-identity: a spec addresses records by their index in the log and
-// carries blocking groups, outer ranges, budgets, seeds and predicates;
-// a worker concatenates the segment slices into one whole-log view and
-// runs the same kernel the coordinator runs over its resident columns,
-// so the merged output is the same at every spec count, executor and
-// seal boundary — pinned against an independent oracle by the planner
-// and segment equivalence suites.
+// carries blocking groups, outer ranges, the keep probability, the seed
+// and the predicates; a worker concatenates the segment slices into one
+// whole-log view and runs the same kernel the coordinator runs over its
+// resident columns, so the merged output is the same at every spec
+// count, executor and seal boundary — pinned against an independent
+// oracle by the planner and segment equivalence suites.
 
 import (
 	"fmt"
@@ -146,11 +146,9 @@ func DecodeSlices(slices []LogSlice) (*SliceData, error) {
 // planner partition a quadratic pair walk. Shard boundaries may fall
 // inside a blocking group (it then appears in several cuts with disjoint
 // outer ranges); when nShards exceeds the outer-member count, trailing
-// cuts are empty. budgets, when non-nil, carries one stratified pair
-// budget per group (parallel to groups) onto every cut the group appears
-// in; nil leaves Budget zero (Bernoulli mode). Cuts of one group share
-// its member list: specs are read-only, and the wire copies anyway.
-func cutGroupShards(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
+// cuts are empty. Cuts of one group share its member list: specs are
+// read-only, and the wire copies anyway.
+func cutGroupShards(groups [][]int, nShards int) [][]EnumGroup {
 	if nShards < 1 {
 		nShards = 1
 	}
@@ -162,7 +160,7 @@ func cutGroupShards(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
 	for s := 0; s < nShards; s++ {
 		lo, hi := cutPoint(units, nShards, s), cutPoint(units, nShards, s+1)
 		off := 0
-		for gi, g := range groups {
+		for _, g := range groups {
 			gLo, gHi := lo-off, hi-off
 			off += len(g)
 			if gLo < 0 {
@@ -174,11 +172,7 @@ func cutGroupShards(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
 			if gLo >= gHi {
 				continue
 			}
-			eg := EnumGroup{Members: g, Lo: gLo, Hi: gHi}
-			if budgets != nil {
-				eg.Budget = budgets[gi]
-			}
-			cuts[s] = append(cuts[s], eg)
+			cuts[s] = append(cuts[s], EnumGroup{Members: g, Lo: gLo, Hi: gHi})
 		}
 	}
 	return cuts
@@ -191,51 +185,30 @@ func cutGroupShards(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
 // whatever nShards is; when it exceeds the outer-member count, trailing
 // specs are empty (no groups) and execute to empty results.
 //
-// limit is the sampling bound of the mode: in Bernoulli mode the
-// maxPairs cap behind one global keep probability; in stratified mode
-// the total pair budget, allocated per blocking group (stratifyBudgets)
-// so that workers re-derive each group's draw set from the seed and the
-// group's first record index — identical at every shard count.
+// maxPairs caps the walk: a larger candidate pair space is thinned under
+// one global keep probability (blockedGroups), which every spec carries.
 //
 // The plan is a pure function of (records, layout, despite, query
-// outcome clauses, limit, nShards, seed): everything it reads —
+// outcome clauses, maxPairs, nShards, seed): everything it reads —
 // including the memoized columnar view backing the zone-map group
 // pruner — is derived deterministically from the record list, so
 // rebuilding the log's caches never changes it.
 func PlanEnumShards(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, stratified bool, limit, nShards int, seed uint64) []EnumSpec {
+	despite pxql.Predicate, maxPairs, nShards int, seed uint64) []EnumSpec {
 
-	if stratified {
-		// seek=false: stratified draws are keyed on each group's first
-		// member and size, so row filtering would change the draw set.
-		groups, _ := blockedGroupsOpt(log, despite, 0, true, false)
-		return planEnumRound(layout, level, q, despite, groups, 1, stratifyBudgets(groups, limit), RoundFinal, nShards, seed)
-	}
-	groups, keepP := blockedGroups(log, despite, limit)
-	return planEnumRound(layout, level, q, despite, groups, keepP, nil, RoundFinal, nShards, seed)
-}
-
-// planEnumRound cuts one enumeration round over explicit groups — the
-// shared tail of PlanEnumShards and the Wilson-adaptive rounds (which
-// compute pilot and final budgets themselves). budgets, parallel to
-// groups, selects the stratified walk; nil the Bernoulli one under keepP.
-func planEnumRound(layout *SegmentLayout, level features.Level, q *pxql.Query, despite pxql.Predicate,
-	groups [][]int, keepP float64, budgets []int, round, nShards int, seed uint64) []EnumSpec {
-
-	cuts := cutGroupShards(groups, budgets, nShards)
+	groups, keepP := blockedGroups(log, despite, maxPairs)
+	cuts := cutGroupShards(groups, nShards)
 	specs := make([]EnumSpec, len(cuts))
 	for s, cut := range cuts {
 		specs[s] = EnumSpec{
-			Slices:     layout.slices(),
-			Groups:     cut,
-			KeepP:      keepP,
-			Seed:       seed,
-			Stratified: budgets != nil,
-			Round:      round,
-			Level:      level,
-			Despite:    despite.Spec(),
-			Observed:   q.Observed.Spec(),
-			Expected:   q.Expected.Spec(),
+			Slices:   layout.slices(),
+			Groups:   cut,
+			KeepP:    keepP,
+			Seed:     seed,
+			Level:    level,
+			Despite:  despite.Spec(),
+			Observed: q.Observed.Spec(),
+			Expected: q.Expected.Spec(),
 		}
 	}
 	return specs
@@ -252,7 +225,7 @@ func PlanEvalShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 
 	despite := q.Despite.And(x.Despite)
 	groups, keepP := blockedGroups(log, despite, maxPairs)
-	cuts := cutGroupShards(groups, nil, nShards)
+	cuts := cutGroupShards(groups, nShards)
 	specs := make([]EvalSpec, len(cuts))
 	for s, cut := range cuts {
 		specs[s] = EvalSpec{

@@ -46,13 +46,13 @@ func TestPlanEnumShardsOverMatchesStatic(t *testing.T) {
 	q := blockedQuery()
 	for _, maxPairs := range []int{0, 500} {
 		pairSeed := stats.DeriveSeed(5, "seg-test")
-		want := enumLocal(t, log, q, q.Despite, false, maxPairs, pairSeed, serialExec)
+		want := enumLocal(t, log, q, q.Despite, maxPairs, pairSeed, serialExec)
 		checkRelated(t, fmt.Sprintf("maxPairs=%d static", maxPairs), log, q, q.Despite, want, maxPairs == 0)
 		for _, sealEvery := range segSealEveries {
 			snapLog, layout := storeOver(t, log, sealEvery)
 			for _, nShards := range []int{1, 2, 7} {
 				name := fmt.Sprintf("maxPairs=%d seal=%d shards=%d", maxPairs, sealEvery, nShards)
-				specs := PlanEnumShards(layout, snapLog, features.Level3, q, q.Despite, false, maxPairs, nShards, pairSeed)
+				specs := PlanEnumShards(layout, snapLog, features.Level3, q, q.Despite, maxPairs, nShards, pairSeed)
 				if len(specs) != nShards {
 					t.Fatalf("%s: planned %d specs", name, len(specs))
 				}
@@ -71,26 +71,6 @@ func TestPlanEnumShardsOverMatchesStatic(t *testing.T) {
 					t.Errorf("%s: segmented plan output differs from the serial walk (%d pairs vs %d)",
 						name, len(refs), want.len())
 				}
-			}
-		}
-	}
-}
-
-func TestPlanEnumShardsStratifiedOverMatchesStatic(t *testing.T) {
-	log := groupedLog(90, rand.New(rand.NewSource(22)))
-	q := blockedQuery()
-	pairSeed := stats.DeriveSeed(6, "seg-strat")
-	want := enumLocal(t, log, q, q.Despite, true, 300, pairSeed, serialExec)
-	checkRelated(t, "stratified static", log, q, q.Despite, want, false)
-	for _, sealEvery := range segSealEveries {
-		snapLog, layout := storeOver(t, log, sealEvery)
-		for _, nShards := range []int{1, 2, 7} {
-			name := fmt.Sprintf("seal=%d shards=%d", sealEvery, nShards)
-			specs := PlanEnumShards(layout, snapLog, features.Level3, q, q.Despite, true, 300, nShards, pairSeed)
-			refs, labels := runPlan(t, specs)
-			if !reflect.DeepEqual(refs, want.refs()) || !reflect.DeepEqual(labels, want.labels) {
-				t.Errorf("%s: stratified segmented plan differs from the serial walk (%d pairs vs %d)",
-					name, len(refs), want.len())
 			}
 		}
 	}
@@ -166,20 +146,18 @@ func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 		return x.String()
 	}
 
-	for _, mode := range []string{"", "stratified"} {
-		base := explain(log, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000, SampleMode: mode})
-		for _, sealEvery := range []int{0, 17, 40} { // 0: the flat log's own layout
-			snapLog, layout := log, FlatLayout(log)
-			if sealEvery > 0 {
-				snapLog, layout = storeOver(t, log, sealEvery)
-			}
-			for _, nShards := range []int{1, 2, 7} {
-				got := explain(snapLog, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000,
-					SampleMode: mode, Exec: Exec{Shards: nShards, Runner: serialEvalRunner{}, Layout: layout}})
-				if got != base {
-					t.Errorf("mode=%q seal=%d shards=%d: sharded explanation differs:\n%s\nvs local execution:\n%s",
-						mode, sealEvery, nShards, got, base)
-				}
+	base := explain(log, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000})
+	for _, sealEvery := range []int{0, 17, 40} { // 0: the flat log's own layout
+		snapLog, layout := log, FlatLayout(log)
+		if sealEvery > 0 {
+			snapLog, layout = storeOver(t, log, sealEvery)
+		}
+		for _, nShards := range []int{1, 2, 7} {
+			got := explain(snapLog, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000,
+				Exec: Exec{Shards: nShards, Runner: serialEvalRunner{}, Layout: layout}})
+			if got != base {
+				t.Errorf("seal=%d shards=%d: sharded explanation differs:\n%s\nvs local execution:\n%s",
+					sealEvery, nShards, got, base)
 			}
 		}
 	}

@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"perfxplain/internal/bitset"
@@ -141,7 +140,7 @@ func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind stri
 	walk func(*S, *SliceData) (*R, error), ship func(ShardRunner, []S) ([]R, error)) ([]R, error) {
 
 	if ex.Runner == nil {
-		data := &SliceData{Log: log, Cols: log.Columns(), draws: &drawMemo{}}
+		data := &SliceData{Log: log, Cols: log.Columns()}
 		return runLocal(ctx, specs, ex.Parallelism, func(s *S) (*R, error) { return walk(s, data) })
 	}
 	if err := ctx.Err(); err != nil {
@@ -178,7 +177,7 @@ type SlicePrefetcher interface {
 // a miss, in which case the full payload is resent. Execution is
 // byte-identical either way: the hash covers every bit of the payload,
 // so a hit decodes to exactly what a fresh ship would have.
-//pxql:wirehash 592e30cf95cc494a v=8
+//pxql:wirehash 7b1f34cc928623e8 v=9
 
 //pxql:wire decode=Data
 type LogSlice struct {
@@ -224,9 +223,6 @@ func (s *LogSlice) SizeEstimate() int {
 type SliceData struct {
 	Log  *joblog.Log
 	Cols *joblog.Columns
-	// draws, set by the local executor, shares stratified draw sets
-	// between the specs of its batch (see drawMemo).
-	draws *drawMemo
 }
 
 // Data decodes the slice, validating everything. A reference slice
@@ -253,11 +249,6 @@ type EnumGroup struct {
 	Members []int `json:"members"` // record indices into the spec's combined slices, group order
 	Lo      int   `json:"lo"`
 	Hi      int   `json:"hi"`
-	// Budget is the group's total stratified pair budget (the whole
-	// group's, not this shard's slice — straddling shards re-derive the
-	// identical draw set and take the outer positions they own). Zero and
-	// ignored in Bernoulli mode.
-	Budget int `json:"budget,omitempty"`
 }
 
 // EnumSpec is a self-contained unit of pair enumeration: an executor
@@ -282,28 +273,12 @@ type EnumSpec struct {
 	// Seed is the splitmix seed. Counters key on (i, j) global record
 	// indices on the hashed path; on the skip path the stream keys on the
 	// outer record's index and its gaps count positions in Members.
-	Seed uint64 `json:"seed"`
-	// Stratified switches the walk from Bernoulli thinning (under KeepP)
-	// to per-group budgeted draws (groupDraws over each group's
-	// Budget, seeded by the first member's record index).
-	Stratified bool `json:"stratified,omitempty"`
-	// Round marks which pass of a Wilson-adaptive two-pass enumeration
-	// this spec belongs to: RoundFinal (0, also the one-shot mode) or
-	// RoundPilot (1). The walk itself is identical — budgets differ —
-	// but workers and traces can tell the passes apart, and the marker
-	// keeps a pilot result from ever being mistaken for the final set.
-	Round    int                `json:"round,omitempty"`
+	Seed     uint64             `json:"seed"`
 	Level    features.Level     `json:"level"`
 	Despite  pxql.PredicateSpec `json:"despite"`
 	Observed pxql.PredicateSpec `json:"observed"`
 	Expected pxql.PredicateSpec `json:"expected"`
 }
-
-// Enumeration round markers (EnumSpec.Round).
-const (
-	RoundFinal = 0 // the output pass: its pairs are the sampled set
-	RoundPilot = 1 // the pilot pass feeding Wilson-adaptive budgets
-)
 
 // EnumResult lists a shard's related pairs in iteration order, addressed
 // by global record index.
@@ -391,41 +366,6 @@ func (d *SliceData) compile(dr *features.Deriver, specs ...pxql.PredicateSpec) (
 	return out, nil
 }
 
-// drawMemo shares stratified draw sets between the specs of one local
-// batch. Every spec a blocking group straddles needs the group's whole
-// draw set (groupDraws is pure in its arguments), and the coordinator
-// cuts eight specs per core: without the memo a few large groups would
-// be re-drawn once per spec instead of once per group. Workers see one
-// spec at a time and derive per spec (a nil memo).
-type drawMemo struct {
-	mu sync.Mutex
-	m  map[[4]uint64]*drawSet
-}
-
-type drawSet struct {
-	once sync.Once
-	ts   []uint64
-}
-
-func (dm *drawMemo) groupDraws(seed uint64, g0, n, budget int) []uint64 {
-	if dm == nil {
-		return groupDraws(seed, g0, n, budget)
-	}
-	key := [4]uint64{seed, uint64(g0), uint64(n), uint64(budget)}
-	dm.mu.Lock()
-	if dm.m == nil {
-		dm.m = make(map[[4]uint64]*drawSet)
-	}
-	e := dm.m[key]
-	if e == nil {
-		e = &drawSet{}
-		dm.m[key] = e
-	}
-	dm.mu.Unlock()
-	e.once.Do(func() { e.ts = groupDraws(seed, g0, n, budget) })
-	return e.ts
-}
-
 // tileBuf is one walk's pair of tile index arrays. A walk cut into many
 // specs would otherwise allocate 64 KB per spec to hold a few thousand
 // kept pairs; the pool recycles them between specs and queries.
@@ -440,10 +380,8 @@ var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 // the groups' outer ranges own that survive the sampling decision — in
 // (group, outer member, inner member) order, as tiles of at most
 // pairBlock pairs (parallel index arrays reused between calls; visit
-// must not retain them). With stratified true, groups whose Budget is
-// below their pair count walk their budgeted draw set instead and the
-// rest are walked whole. With it false each pair is kept independently
-// with probability keepP, decided one of two ways:
+// must not retain them). Each pair is kept independently with
+// probability keepP, decided one of two ways:
 //
 //   - keepP >= skipKeepP: every candidate pair (i, j) is hashed
 //     (keepPair) — a pure function of (seed, i, j);
@@ -458,22 +396,16 @@ var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 //
 // Both are exact iid Bernoulli(keepP) thinnings of the same pair space
 // in the same order; they keep different pairs.
-func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, stratified bool, draws *drawMemo, visit func(ai, bi []int)) error {
+func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, visit func(ai, bi []int)) error {
 	for gi, g := range groups {
 		if g.Lo < 0 || g.Hi < g.Lo || g.Hi > len(g.Members) {
 			return fmt.Errorf("core: spec group %d has invalid outer range [%d, %d)", gi, g.Lo, g.Hi)
-		}
-		if g.Budget < 0 {
-			return fmt.Errorf("core: spec group %d has negative budget %d", gi, g.Budget)
 		}
 		for _, li := range g.Members {
 			if li < 0 || li >= n {
 				return fmt.Errorf("core: spec group %d references record %d of %d", gi, li, n)
 			}
 		}
-	}
-	if stratified {
-		keepP = 1 // budgets replace the Bernoulli cap
 	}
 	tb := tilePool.Get().(*tileBuf)
 	defer tilePool.Put(tb)
@@ -482,31 +414,7 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, stratified
 	invLogQ := 1 / math.Log1p(-keepP) // read on the skip path only
 	for _, g := range groups {
 		members := g.Members
-		switch {
-		case stratified && uint64(g.Budget) < pairCount64(len(members)):
-			// Take the whole group's draw set (identical in every
-			// straddling spec) and walk the outer positions this spec
-			// owns — a contiguous run of the sorted flat indices. Each
-			// flat index t decodes to (outer position p, inner position
-			// skipping p); ascending t is exactly the full walk's order
-			// restricted to the drawn set.
-			ts := draws.groupDraws(seed, members[0], len(members), g.Budget)
-			n1 := uint64(len(members) - 1)
-			lo := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Lo)*n1 })
-			hi := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Hi)*n1 })
-			for _, t := range ts[lo:hi] {
-				p, q := int(t/n1), int(t%n1)
-				if q >= p {
-					q++
-				}
-				ai = append(ai, members[p])
-				bi = append(bi, members[q])
-				if len(ai) == pairBlock {
-					visit(ai, bi)
-					ai, bi = ai[:0], bi[:0]
-				}
-			}
-		case skip:
+		if skip {
 			// Inner positions run over the group's other members: q
 			// counts them in member order with the outer's own slot p
 			// left out, so ascending q is the dense loop's order.
@@ -532,7 +440,7 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, stratified
 					}
 				}
 			}
-		default:
+		} else {
 			for _, i := range members[g.Lo:g.Hi] {
 				for _, j := range members {
 					if i == j || !keepPair(seed, i, j, keepP) {
@@ -595,12 +503,6 @@ func expectedKept(groups []EnumGroup, keepP float64) int {
 // interpreted semantics exactly), so labels and refs are the same on
 // every view of the same records.
 func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
-	if s.Round != RoundFinal && s.Round != RoundPilot {
-		return nil, fmt.Errorf("core: enum spec has invalid round %d", s.Round)
-	}
-	if s.Round != RoundFinal && !s.Stratified {
-		return nil, fmt.Errorf("core: enum spec marks a pilot round without stratified mode")
-	}
 	d, err := data.deriver(s.Level)
 	if err != nil {
 		return nil, err
@@ -612,7 +514,7 @@ func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 	cDes, cObs, cExp := c[0], c[1], c[2]
 
 	res := &EnumResult{}
-	if !s.Stratified && skipSampled(s.KeepP) {
+	if skipSampled(s.KeepP) {
 		// A thinned walk's output is bounded by its kept pairs, whose
 		// count is known in expectation: one sized buffer per plane
 		// instead of append-doubling through a few hundred kilobytes.
@@ -622,7 +524,7 @@ func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 	des := bitset.Make(pairBlock)
 	obsSel := bitset.Make(pairBlock)
 	expSel := bitset.Make(pairBlock)
-	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, s.Stratified, data.draws, func(ai, bi []int) {
+	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, func(ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, oS, eS := des[:nw], obsSel[:nw], expSel[:nw]
 		cDes.EvalBlock(ai, bi, dS)
@@ -679,7 +581,7 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 	res := &EvalResult{}
 	des := bitset.Make(pairBlock)
 	scratch := bitset.Make(pairBlock)
-	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, false, nil, func(ai, bi []int) {
+	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, func(ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, t := des[:nw], scratch[:nw]
 		cDes.EvalBlock(ai, bi, dS)
@@ -710,24 +612,15 @@ func inRange(idx []int, n int) bool {
 }
 
 // enumeratePairs enumerates the related pairs of (q, despite): one
-// planned round of enumeration specs, or — with a pilot fraction
-// configured — the Wilson-adaptive two-pass scheme (see adaptive.go).
+// planned round of enumeration specs, Bernoulli-thinned to MaxPairs.
 func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite pxql.Predicate, seed uint64) (*pairSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	stratified := e.cfg.SampleMode == SampleStratified
-	if stratified && e.cfg.SamplePilot > 0 && e.cfg.SampleBudget > 0 {
-		return e.enumerateAdaptive(ctx, q, despite, seed)
-	}
 	ex := e.cfg.Exec
 	ex.prefetch()
-	limit := e.cfg.MaxPairs
-	if stratified {
-		limit = e.cfg.SampleBudget
-	}
 	return runEnumSpecs(ctx, ex, e.log,
-		PlanEnumShards(ex.Layout, e.log, e.d.Level(), q, despite, stratified, limit, ex.shards(), seed))
+		PlanEnumShards(ex.Layout, e.log, e.d.Level(), q, despite, e.cfg.MaxPairs, ex.shards(), seed))
 }
 
 // runEnumSpecs executes planned enumeration specs and merges the

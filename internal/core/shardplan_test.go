@@ -105,14 +105,14 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 	} {
 		requireRegime(t, log, q.Despite, tc.maxPairs, tc.capped, tc.skip)
 		pairSeed := stats.DeriveSeed(tc.seed, "plan-test")
-		serial := enumLocal(t, log, q, q.Despite, false, tc.maxPairs, pairSeed, serialExec)
+		serial := enumLocal(t, log, q, q.Despite, tc.maxPairs, pairSeed, serialExec)
 		checkRelated(t, fmt.Sprintf("maxPairs=%d seed=%d serial", tc.maxPairs, tc.seed), log, q, q.Despite, serial, !tc.capped)
 		if serial.len() < 50 {
 			t.Fatalf("maxPairs=%d seed=%d: the serial walk kept %d pairs; too few to compare", tc.maxPairs, tc.seed, serial.len())
 		}
 		for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 			name := fmt.Sprintf("maxPairs=%d seed=%d shards=%d", tc.maxPairs, tc.seed, nShards)
-			specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, tc.maxPairs, nShards, pairSeed)
+			specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, tc.maxPairs, nShards, pairSeed)
 			if len(specs) != nShards {
 				t.Fatalf("%s: planned %d specs", name, len(specs))
 			}
@@ -149,13 +149,13 @@ func TestPlanEnumShardsInvariance(t *testing.T) {
 	q := blockedQuery()
 	seed := stats.DeriveSeed(9, "invariance")
 
-	p1 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 300, 5, seed)
+	p1 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, 300, 5, seed)
 	refs1, labels1 := runPlan(t, p1)
 
 	// Force the columnar view (and its intern table) into existence —
 	// count-invalidation state must not leak into plans.
 	log.Columns()
-	p2 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 300, 5, seed)
+	p2 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, 300, 5, seed)
 	if !reflect.DeepEqual(p1, p2) {
 		t.Error("plan changed after building the columnar view")
 	}
@@ -173,9 +173,9 @@ func TestPlanEnumShardsInvariance(t *testing.T) {
 		t.Error("snapshot plan output changed after the source log grew")
 	}
 
-	serial := enumLocal(t, log, q, q.Despite, false, 300, seed, serialExec)
+	serial := enumLocal(t, log, q, q.Despite, 300, seed, serialExec)
 	checkRelated(t, "grown log", log, q, q.Despite, serial, false)
-	p3 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 300, 5, seed)
+	p3 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, 300, 5, seed)
 	refs3, labels3 := runPlan(t, p3)
 	if !reflect.DeepEqual(refs3, serial.refs()) || !reflect.DeepEqual(labels3, serial.labels) {
 		t.Error("plan over the grown log no longer partitions its serial walk")
@@ -328,7 +328,7 @@ func TestLogSliceHashStability(t *testing.T) {
 func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 	log := groupedLog(40, rand.New(rand.NewSource(8)))
 	q := blockedQuery()
-	specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 64, 17)
+	specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, 0, 64, 17)
 
 	empties := 0
 	ranges := make(map[string][][2]int) // group fingerprint -> outer ranges
@@ -374,8 +374,8 @@ func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 
 // TestFlatLayoutSpansSegments pins the flat layout past one segment: a
 // log longer than the seal threshold ships as several slices, and plans
-// over them still partition the serial walk — in both sampling modes,
-// with blocking groups straddling the slice boundary.
+// over them still partition the serial walk, with blocking groups
+// straddling the slice boundary.
 func TestFlatLayoutSpansSegments(t *testing.T) {
 	log := groupedLog(joblog.DefaultSealThreshold+150, rand.New(rand.NewSource(14)))
 	layout := FlatLayout(log)
@@ -384,16 +384,11 @@ func TestFlatLayoutSpansSegments(t *testing.T) {
 	}
 	q := blockedQuery()
 	seed := stats.DeriveSeed(2, "flat-span")
-	bernoulli := enumLocal(t, log, q, q.Despite, false, 400, seed, serialExec)
-	stratified := enumLocal(t, log, q, q.Despite, true, 400, seed, serialExec)
+	serial := enumLocal(t, log, q, q.Despite, 400, seed, serialExec)
 	for _, nShards := range []int{1, 2, 7} {
-		refs, labels := runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 400, nShards, seed))
-		if !reflect.DeepEqual(refs, bernoulli.refs()) || !reflect.DeepEqual(labels, bernoulli.labels) {
-			t.Errorf("shards=%d: Bernoulli plan over two slices differs from the serial walk", nShards)
-		}
-		refs, labels = runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, true, 400, nShards, seed))
-		if !reflect.DeepEqual(refs, stratified.refs()) || !reflect.DeepEqual(labels, stratified.labels) {
-			t.Errorf("shards=%d: stratified plan over two slices differs from the serial walk", nShards)
+		refs, labels := runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, 400, nShards, seed))
+		if !reflect.DeepEqual(refs, serial.refs()) || !reflect.DeepEqual(labels, serial.labels) {
+			t.Errorf("shards=%d: plan over two slices differs from the serial walk", nShards)
 		}
 	}
 }

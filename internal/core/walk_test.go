@@ -24,39 +24,31 @@ var serialExec = Exec{Parallelism: 1, Shards: 1}
 
 // enumLocal runs one planned enumeration round of (q, despite) under ex.
 func enumLocal(t testing.TB, log *joblog.Log, q *pxql.Query, despite pxql.Predicate,
-	stratified bool, limit int, seed uint64, ex Exec) *pairSet {
+	maxPairs int, seed uint64, ex Exec) *pairSet {
 
 	t.Helper()
 	ps, err := runEnumSpecs(context.Background(), ex, log,
-		PlanEnumShards(ex.Layout, log, features.Level3, q, despite, stratified, limit, ex.shards(), seed))
+		PlanEnumShards(ex.Layout, log, features.Level3, q, despite, maxPairs, ex.shards(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ps
 }
 
-// enumGroups serially walks an explicit blocked group list — the
-// Bernoulli walk under keepP when budgets is nil, the stratified one
-// under per-group budgets otherwise.
-func enumGroups(t testing.TB, log *joblog.Log, q *pxql.Query, despite pxql.Predicate,
-	groups [][]int, keepP float64, budgets []int, seed uint64) *pairSet {
-
-	t.Helper()
-	ps, err := runEnumSpecs(context.Background(), serialExec, log,
-		planEnumRound(nil, features.Level3, q, despite, groups, keepP, budgets, RoundFinal, 1, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ps
-}
-
-// enumSwitched is the serial Bernoulli walk with zone-map pruning and
-// seek filtering individually switchable — with both off, the
-// denominator of the exactness tests and the benchmark gates.
+// enumSwitched is the serial walk with zone-map pruning and seek
+// filtering individually switchable — with both off, the denominator of
+// the exactness tests. It is PlanEnumShards' one spec over
+// blockedGroupsOpt's groups instead of blockedGroups'.
 func enumSwitched(t testing.TB, log *joblog.Log, q *pxql.Query, maxPairs int, seed uint64, prune, seek bool) *pairSet {
 	t.Helper()
+	spec := PlanEnumShards(nil, log, features.Level3, q, q.Despite, maxPairs, 1, seed)[0]
 	groups, keepP := blockedGroupsOpt(log, q.Despite, maxPairs, prune, seek)
-	return enumGroups(t, log, q, q.Despite, groups, keepP, nil, seed)
+	spec.Groups, spec.KeepP = cutGroupShards(groups, 1)[0], keepP
+	ps, err := runEnumSpecs(context.Background(), serialExec, log, []EnumSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
 }
 
 // checkRelated compares an engine pair set with the oracle: the same set
@@ -131,7 +123,7 @@ func TestLocalExecutorStopsAtCancellation(t *testing.T) {
 	q := blockedQuery()
 	for _, p := range []int{1, 2, 7} {
 		ex := Exec{Parallelism: p}
-		if _, err := runEnumSpecs(ctx, ex, log, PlanEnumShards(nil, log, features.Level3, q, q.Despite, false, 0, ex.shards(), 1)); err != context.Canceled {
+		if _, err := runEnumSpecs(ctx, ex, log, PlanEnumShards(nil, log, features.Level3, q, q.Despite, 0, ex.shards(), 1)); err != context.Canceled {
 			t.Errorf("parallelism %d: cancelled enumeration returned %v", p, err)
 		}
 		if _, err := EvaluateExplanation(ctx, log, features.Level3, q, &Explanation{}, 0, 1, ex); err != context.Canceled {

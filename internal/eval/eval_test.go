@@ -36,6 +36,41 @@ func testHarness(t *testing.T) *Harness {
 	return h
 }
 
+// paperHarness runs the paper's protocol (10 repetitions) over its full
+// 540-job sweep, collected once. The cross-technique claims are asserted
+// here and not on the 32-job grid, where their margins sit inside the
+// spread between harness seeds.
+var (
+	paperOnce sync.Once
+	paperRes  *collect.Result
+	paperErr  error
+)
+
+func paperHarness(t *testing.T) *Harness {
+	t.Helper()
+	paperOnce.Do(func() {
+		paperRes, paperErr = collect.DefaultSweep(42).Collect()
+	})
+	if paperErr != nil {
+		t.Fatal(paperErr)
+	}
+	return NewHarness(paperRes.Jobs, paperRes.Tasks, 7)
+}
+
+// checkBeatsBaselines asserts Figure 3's cross-technique claim at point
+// i of the table: PerfXplain's precision is no lower than either
+// baseline's.
+func checkBeatsBaselines(t *testing.T, tab *Table, i int) {
+	t.Helper()
+	px := tab.SeriesByName(TechPerfXplain)
+	for _, tech := range []string{TechRuleOfThumb, TechSimButDiff} {
+		if s := tab.SeriesByName(tech); px.Mean[i] < s.Mean[i] {
+			t.Errorf("%s at %s %v: PerfXplain precision %.3f below %s %.3f",
+				tab.ID, tab.XLabel, px.X[i], px.Mean[i], tech, s.Mean[i])
+		}
+	}
+}
+
 func TestTemplatesParse(t *testing.T) {
 	for _, tmpl := range Templates() {
 		q, err := tmpl.Query()
@@ -91,6 +126,16 @@ func TestPrecisionVsWidthShape(t *testing.T) {
 	if !strings.Contains(out, "PerfXplain") || !strings.Contains(out, "width") {
 		t.Errorf("render missing columns:\n%s", out)
 	}
+
+	// The paper's Figure 3(b) claim, on its own log: at width 3
+	// PerfXplain is at least as precise as both baselines. Over harness
+	// seeds 1–8 it reads 0.89–0.95 against 0.41–0.45 — a margin of 0.45
+	// where the seed-to-seed σ is 0.02.
+	full, err := paperHarness(t).PrecisionVsWidth(WhySlowerDespiteSameNumInstances(), []int{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBeatsBaselines(t, full, 0)
 }
 
 func TestPrecisionVsWidthTaskLevel(t *testing.T) {
@@ -105,6 +150,26 @@ func TestPrecisionVsWidthTaskLevel(t *testing.T) {
 	px := tab.SeriesByName(TechPerfXplain)
 	if px == nil || len(px.Mean) != 2 {
 		t.Fatalf("bad series: %+v", tab.Series)
+	}
+
+	// The paper's Figure 3(a) claims, on its own log: at width 3
+	// PerfXplain is at least as precise as both baselines, and its third
+	// atom still pays — width 3 is strictly above width 1. Five
+	// repetitions keep the 10 170-task walk affordable under -race; over
+	// harness seeds 1–8 they read width 3 at 0.85–0.97 against baselines
+	// at 0.43–0.50 (margin 0.35, seed-to-seed σ 0.05) and 0.28–0.57 above
+	// width 1 (σ 0.10). A growth round that scores only some of its
+	// candidates flattens the curve to one value at every width and fails
+	// the second check; that is what this guards.
+	ph := paperHarness(t)
+	ph.Reps = 5
+	full, err := ph.PrecisionVsWidth(WhyLastTaskFaster(), []int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBeatsBaselines(t, full, 1)
+	if px = full.SeriesByName(TechPerfXplain); px.Mean[1] <= px.Mean[0] {
+		t.Errorf("Figure 3(a): PerfXplain width-3 precision %.3f not above width-1 %.3f", px.Mean[1], px.Mean[0])
 	}
 }
 

@@ -207,9 +207,6 @@ func (h *Harness) DespiteRelevance(widths []int) (*Table, error) {
 				DespiteWidth: maxW,
 				SampleSize:   h.SampleSize,
 				MaxPairs:     h.MaxPairs,
-				SampleMode:   h.SampleMode,
-				SampleBudget: h.SampleBudget,
-				SamplePilot:  h.SamplePilot,
 				Seed:         seed,
 			}, inner)
 			if err == nil {
@@ -260,9 +257,6 @@ func (h *Harness) Table3(despiteWidth int) (*Table, error) {
 				DespiteWidth: despiteWidth,
 				SampleSize:   h.SampleSize,
 				MaxPairs:     h.MaxPairs,
-				SampleMode:   h.SampleMode,
-				SampleBudget: h.SampleBudget,
-				SamplePilot:  h.SamplePilot,
 				Seed:         seed,
 			}, inner)
 			if err != nil {

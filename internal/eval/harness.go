@@ -34,17 +34,6 @@ type Harness struct {
 	Seed int64
 	// MaxPairs caps pair enumeration in training and evaluation.
 	MaxPairs int
-	// SampleMode and SampleBudget select the pair-space thinning of
-	// every PerfXplain explainer the harness builds (see core.Config):
-	// empty/"bernoulli" is the exact historical behaviour, "stratified"
-	// draws per-blocking-group quotas with Wilson bounds.
-	SampleMode   string
-	SampleBudget int
-	// SamplePilot, in (0, 1), makes stratified sampling two-pass: a
-	// pilot fraction of the budget is spent proportionally, then the
-	// remainder follows the pilot's Wilson interval widths (see
-	// core.Config.SamplePilot). 0 keeps the one-shot rule.
-	SamplePilot float64
 	// SampleSize is PerfXplain's balanced-sample target (paper: 2000).
 	SampleSize int
 	// Level is the feature hierarchy level (default Level3).
@@ -205,9 +194,6 @@ func (h *Harness) explainFull(tech string, train *joblog.Log, q *pxql.Query,
 			SampleSize:   h.SampleSize,
 			Level:        level,
 			MaxPairs:     h.MaxPairs,
-			SampleMode:   h.SampleMode,
-			SampleBudget: h.SampleBudget,
-			SamplePilot:  h.SamplePilot,
 			Seed:         seed,
 		}, workers)
 		if err != nil {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -316,17 +315,4 @@ func fillTask(attrs map[string]string) (*mapreduce.TaskResult, error) {
 	t.CombineInputRecords = counters["COMBINE_INPUT_RECORDS"]
 	t.CombineOutputRecords = counters["COMBINE_OUTPUT_RECORDS"]
 	return t, nil
-}
-
-// SortedCounterNames exists for documentation tooling: the counter names
-// this package round-trips.
-func SortedCounterNames() []string {
-	names := []string{
-		"HDFS_BYTES_READ", "HDFS_BYTES_WRITTEN", "FILE_BYTES_WRITTEN",
-		"INPUT_BYTES", "INPUT_RECORDS", "OUTPUT_BYTES", "OUTPUT_RECORDS",
-		"REDUCE_SHUFFLE_BYTES", "SPILLED_RECORDS",
-		"COMBINE_INPUT_RECORDS", "COMBINE_OUTPUT_RECORDS",
-	}
-	sort.Strings(names)
-	return names
 }

@@ -147,15 +147,3 @@ func TestMapOnlyJobRoundTrip(t *testing.T) {
 		t.Errorf("map-only round trip: %d reduces, %d tasks", back.NumReduceTasks, len(back.Tasks))
 	}
 }
-
-func TestSortedCounterNames(t *testing.T) {
-	names := SortedCounterNames()
-	if len(names) != 11 {
-		t.Errorf("counter catalogue = %d entries", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Error("names not sorted")
-		}
-	}
-}

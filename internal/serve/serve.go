@@ -169,15 +169,12 @@ type ExplainRequest struct {
 	// GenDespite generates a despite extension before explaining.
 	GenDespite bool `json:"gen_despite,omitempty"`
 
-	Width        int     `json:"width,omitempty"`
-	DespiteWidth int     `json:"despite_width,omitempty"`
-	Level        int     `json:"level,omitempty"`
-	Seed         int64   `json:"seed,omitempty"`
-	SampleMode   string  `json:"sample_mode,omitempty"`
-	SampleBudget int     `json:"sample_budget,omitempty"`
-	SamplePilot  float64 `json:"sample_pilot,omitempty"`
-	MaxPairs     int     `json:"max_pairs,omitempty"`
-	Target       string  `json:"target,omitempty"`
+	Width        int    `json:"width,omitempty"`
+	DespiteWidth int    `json:"despite_width,omitempty"`
+	Level        int    `json:"level,omitempty"`
+	Seed         int64  `json:"seed,omitempty"`
+	MaxPairs     int    `json:"max_pairs,omitempty"`
+	Target       string `json:"target,omitempty"`
 
 	// TimeoutMS is the per-query deadline in milliseconds (0 selects the
 	// server default; values above the server maximum are clipped).
@@ -197,9 +194,6 @@ type ExplainResponse struct {
 	Precision  float64 `json:"precision"`
 	Generality float64 `json:"generality"`
 	Relevance  float64 `json:"relevance"`
-	// RelevanceLo/Hi carry the 95% Wilson interval in stratified mode.
-	RelevanceLo float64 `json:"relevance_lo,omitempty"`
-	RelevanceHi float64 `json:"relevance_hi,omitempty"`
 
 	// Watermark is the store generation the answer was computed at.
 	Watermark uint64 `json:"watermark"`
@@ -265,15 +259,6 @@ func (s *Server) mergeOptions(req *ExplainRequest) perfxplain.Options {
 	if req.Seed != 0 {
 		opt.Seed = req.Seed
 	}
-	if req.SampleMode != "" {
-		opt.SampleMode = req.SampleMode
-	}
-	if req.SampleBudget > 0 {
-		opt.SampleBudget = req.SampleBudget
-	}
-	if req.SamplePilot > 0 {
-		opt.SamplePilot = req.SamplePilot
-	}
 	if req.MaxPairs > 0 {
 		opt.MaxPairs = req.MaxPairs
 	}
@@ -288,10 +273,9 @@ func (s *Server) mergeOptions(req *ExplainRequest) perfxplain.Options {
 // are deliberately absent: the engine is byte-identical across them, so
 // including them would only split the cache.
 func fingerprint(opt perfxplain.Options, find, genDespite bool) string {
-	return fmt.Sprintf("w%d dw%d ss%d mp%d lvl%d sm%q sb%d sp%g seed%d tgt%q div%v find%v gd%v",
+	return fmt.Sprintf("w%d dw%d ss%d mp%d lvl%d seed%d tgt%q div%v find%v gd%v",
 		opt.Width, opt.DespiteWidth, opt.SampleSize, opt.MaxPairs, opt.FeatureLevel,
-		opt.SampleMode, opt.SampleBudget, opt.SamplePilot, opt.Seed, opt.Target,
-		opt.DiverseSample, find, genDespite)
+		opt.Seed, opt.Target, opt.DiverseSample, find, genDespite)
 }
 
 // reqContext derives the per-query context: the request's deadline
@@ -389,9 +373,6 @@ func (s *Server) compute(ctx context.Context, log *perfxplain.Log, gen uint64,
 		Generality: x.TrainGenerality(),
 		Relevance:  x.TrainRelevance(),
 		Watermark:  gen,
-	}
-	if lo, hi, ok := x.TrainRelevanceBounds(); ok {
-		resp.RelevanceLo, resp.RelevanceHi = lo, hi
 	}
 	return &explainResult{resp: resp, q: q, x: x}, nil
 }

@@ -12,8 +12,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -678,6 +680,26 @@ func TestClientErrors(t *testing.T) {
 	for _, c := range cases {
 		if status, _, raw := postExplain(t, ts.URL+"/api/explain", c.req); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", c.name, status, raw)
+		}
+	}
+
+	// A field the API no longer has is refused by name on both query
+	// endpoints — never answered as if it had not been sent.
+	for field, value := range map[string]string{"sample_mode": `"stratified"`, "sample_budget": "600", "sample_pilot": "0.25"} {
+		for _, endpoint := range []string{"/api/explain", "/api/evaluate"} {
+			body := fmt.Sprintf(`{"query": %q, "find": true, %q: %s}`, testQuery, field, value)
+			resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), field) {
+				t.Errorf("%s with %s: status %d, body %s; want a 400 naming the field", endpoint, field, resp.StatusCode, raw)
+			}
 		}
 	}
 

@@ -109,7 +109,7 @@ func TestWorkerCombinesEachWatermarkOnce(t *testing.T) {
 		t.Fatalf("fixture layout has %d slices, want 4", len(layout.Slices))
 	}
 	q := &pxql.Query{Despite: pxql.Predicate{{Feature: "script_issame", Op: pxql.OpEq, Value: features.ValT}}}
-	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 0, 7, 1)
+	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, 0, 7, 1)
 
 	ws := newWorkerState()
 	known := map[string]int{}

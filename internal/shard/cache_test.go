@@ -36,7 +36,7 @@ func encodeAny(t *testing.T, v any) []byte {
 func pipelineResults(t *testing.T, log *joblog.Log, runner core.ShardRunner, shards int, seed uint64) []byte {
 	t.Helper()
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, shards, seed)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, shards, seed)
 	enum, err := runner.RunEnum(specs)
 	if err != nil {
 		t.Fatal(err)

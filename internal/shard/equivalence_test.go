@@ -177,7 +177,7 @@ type equivCase struct {
 	want string
 }
 
-// skipCapped is the default Bernoulli mode capped far enough below
+// skipCapped is the default configuration capped far enough below
 // equivLog(150)'s 11 100 candidate pairs that both walks take the
 // geometric-skip path of core.walkTiles (keep probability under 1/8)
 // while still keeping a few hundred pairs.
@@ -192,7 +192,7 @@ func skipCappedCase(t *testing.T) equivCase {
 	t.Helper()
 	log := equivLog(150)
 	q := equivQuery(t, log)
-	enum := core.PlanEnumShards(nil, log, features.Level3, q, q.Despite, false, skipCapped.MaxPairs, 1, 1)[0]
+	enum := core.PlanEnumShards(nil, log, features.Level3, q, q.Despite, skipCapped.MaxPairs, 1, 1)[0]
 	eval := core.PlanEvalShards(nil, log, features.Level3, q, &core.Explanation{}, skipCapped.MaxPairs, 1, 1)[0]
 	for _, keepP := range []float64{enum.KeepP, eval.KeepP} {
 		if keepP <= 0 || keepP >= 1.0/8 {
@@ -206,8 +206,8 @@ func skipCappedCase(t *testing.T) equivCase {
 	return equivCase{log, q, skipCapped, want}
 }
 
-// bernoulliCases are the two default-mode cases: uncapped over the small
-// log, and skipCappedCase.
+// bernoulliCases are the two thinning cases: uncapped over the small log,
+// and skipCappedCase.
 func bernoulliCases(t *testing.T) []equivCase {
 	t.Helper()
 	log := equivLog(60)
@@ -286,14 +286,12 @@ func TestEquivalenceInProcess(t *testing.T) {
 	}
 }
 
-// TestEquivalenceSamplingModes runs the stratified and Wilson-adaptive
-// modes — budgeted per-group draws, and a pilot round feeding a final
-// one — and the Bernoulli mode capped onto the geometric-skip path
-// through every executor: each must reproduce the serial local run of
-// its mode at shards 1, 2 and 7.
+// TestEquivalenceSamplingModes runs the sampler's position-keyed regime
+// — the cap pushed onto the geometric-skip path, where a pair's fate
+// hangs on its place in the planned group — through every executor:
+// each must reproduce the serial local run at shards 1, 2 and 7. (The
+// hashed regime and the uncapped walk are the other suites' case.)
 func TestEquivalenceSamplingModes(t *testing.T) {
-	log := equivLog(60)
-	q := equivQuery(t, log)
 	runners := []struct {
 		name   string
 		runner core.ShardRunner
@@ -303,24 +301,16 @@ func TestEquivalenceSamplingModes(t *testing.T) {
 		{"subprocess", workerPool(t, 3)},
 		{"socket", socketPool(t, 2)},
 	}
-	cases := []equivCase{skipCappedCase(t)}
-	for _, mode := range []core.Config{
-		{SampleMode: core.SampleStratified, SampleBudget: 600},
-		{SampleMode: core.SampleStratified, SampleBudget: 600, SamplePilot: 0.25},
-	} {
-		cases = append(cases, equivCase{log, q, mode, explainOver(t, log, q, serialExec, mode)})
-	}
-	for _, c := range cases {
-		for _, r := range runners {
-			for _, n := range []int{1, 2, 7} {
-				exec := core.Exec{Parallelism: 4, Shards: n}
-				if r.runner != nil {
-					exec = pooled(c.log, n, r.runner)
-				}
-				if got := explainOver(t, c.log, c.q, exec, c.cfg); got != c.want {
-					t.Errorf("%s mode=%q pilot=%v maxPairs=%d shards=%d diverges from the serial run:\n--- got ---\n%s--- want ---\n%s",
-						r.name, c.cfg.SampleMode, c.cfg.SamplePilot, c.cfg.MaxPairs, n, got, c.want)
-				}
+	c := skipCappedCase(t)
+	for _, r := range runners {
+		for _, n := range []int{1, 2, 7} {
+			exec := core.Exec{Parallelism: 4, Shards: n}
+			if r.runner != nil {
+				exec = pooled(c.log, n, r.runner)
+			}
+			if got := explainOver(t, c.log, c.q, exec, c.cfg); got != c.want {
+				t.Errorf("%s maxPairs=%d shards=%d diverges from the serial run:\n--- got ---\n%s--- want ---\n%s",
+					r.name, c.cfg.MaxPairs, n, got, c.want)
 			}
 		}
 	}
@@ -345,7 +335,7 @@ func TestEquivalenceSubprocess(t *testing.T) {
 func TestEquivalenceEmptyShards(t *testing.T) {
 	log := equivLog(14) // big group ~9 records, others tiny
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 64, 123)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 64, 123)
 	empty := 0
 	for _, s := range specs {
 		if len(s.Groups) == 0 {
@@ -370,7 +360,7 @@ func TestEquivalenceEmptyShards(t *testing.T) {
 func TestEquivalenceStraddlingGroup(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 7, 123)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 7, 123)
 	seen := map[int]int{} // group fingerprint (first member) -> spec count
 	for _, s := range specs {
 		for _, g := range s.Groups {
@@ -517,7 +507,7 @@ func TestSocketWorkerDiesMidFrame(t *testing.T) {
 
 	log := equivLog(20)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 2, 1)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 2, 1)
 	done := make(chan error, 1)
 	go func() {
 		_, err := pool.RunEnum(specs)
@@ -557,7 +547,7 @@ func TestSocketBadToken(t *testing.T) {
 	defer pool.Close()
 	log := equivLog(20)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 2, 1)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 2, 1)
 	_, err = pool.RunEnum(specs)
 	if err == nil {
 		t.Fatal("expected a handshake rejection with the wrong token")
@@ -577,7 +567,7 @@ func TestSocketBadToken(t *testing.T) {
 func TestSubprocessWorkerCrash(t *testing.T) {
 	log := equivLog(30)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 4, 1)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 4, 1)
 	pool := &shard.Pool{Command: []string{"sh", "-c", "exit 1"}, Workers: 2}
 	t.Cleanup(pool.Close)
 	for round := 0; round < 2; round++ {

@@ -156,7 +156,7 @@ func roundTripJSON[T any](t *testing.T, v *T) {
 func seedSpec() core.EnumSpec {
 	log := (&byteDriver{data: []byte{2, 0, 1, 9, 1, 7, 1, 3, 1, 7, 1, 5}}).fuzzLog()
 	q := &pxql.Query{}
-	return core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 1, 1)[0]
+	return core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 1, 1)[0]
 }
 
 // v5Frame is a task frame as protocol v5 wrote it: version 5, and an
@@ -215,13 +215,15 @@ func v6MatFrame(t testing.TB) []byte {
 	}})
 }
 
-// v7Frame is a well-formed enumeration task as protocol v7 framed it —
-// field for field a current frame, but for the version: v8 changed which
-// pairs a KeepP below 1/8 keeps, not the wire shape.
-func v7Frame(t testing.TB) []byte {
+// staleFrame is a well-formed enumeration task as protocol v7 or v8
+// framed it — field for field a current frame, but for the version: v8
+// changed which pairs a KeepP below 1/8 keeps, and v9 took the fields
+// that selected v8's other samplers off the wire (gob drops fields the
+// receiver lacks, so a frame carrying them decodes to this one).
+func staleFrame(t testing.TB, version int) []byte {
 	spec := seedSpec()
 	spec.KeepP = 0.01
-	return gobBytes(t, &shard.Task{Version: 7, Seq: 6, Enum: &spec})
+	return gobBytes(t, &shard.Task{Version: version, Seq: 6, Enum: &spec})
 }
 
 // removedFieldFrame is a frame claiming the current version whose only
@@ -271,15 +273,27 @@ func TestWorkerRefusesV5Frame(t *testing.T) {
 }
 
 // TestWorkerRefusesV7Frame pins that mixed builds refuse rather than
-// diverge: a v7 frame decodes into a perfectly runnable v8 task — the
-// wire shape is unchanged — and would be thinned by a different sampler
-// than its coordinator's, so the version check alone stands between it
-// and a silently different sample.
+// diverge: a v7 frame decodes into a perfectly runnable current task
+// and would be thinned by a different sampler than its coordinator's,
+// so the version check alone stands between it and a silently different
+// sample.
 func TestWorkerRefusesV7Frame(t *testing.T) {
-	results := workerResults(t, v7Frame(t))
+	results := workerResults(t, staleFrame(t, 7))
 	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
 		results[0].Err != fmt.Sprintf("shard: protocol version 7, want %d", shard.Version) {
 		t.Fatalf("v7 frame answered with %+v", results)
+	}
+}
+
+// TestWorkerRefusesV8Frame pins the same for the previous version: a v8
+// frame that asked for a sampler v9 no longer has would decode into a
+// runnable task and be Bernoulli-thinned instead, an answer its
+// coordinator never asked for.
+func TestWorkerRefusesV8Frame(t *testing.T) {
+	results := workerResults(t, staleFrame(t, 8))
+	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
+		results[0].Err != fmt.Sprintf("shard: protocol version 8, want %d", shard.Version) {
+		t.Fatalf("v8 frame answered with %+v", results)
 	}
 }
 
@@ -335,9 +349,8 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add([]byte("DESPITE pigscript_issame = T OBSERVED duration_compare = GT"))
 	// Well-formed frames for the mutator to start from: a current task,
 	// the same task with its slice list emptied, a v5-framed one, a
-	// v6-framed materialization task, a v7 task (current shape, older
-	// thinning contract), and a current frame whose only payload is a
-	// field the protocol removed.
+	// v6-framed materialization task, a v8 task, and a current
+	// frame whose only payload is a field the protocol removed.
 	spec := seedSpec()
 	var frame bytes.Buffer
 	if err := gob.NewEncoder(&frame).Encode(&shard.Task{Version: shard.Version, Seq: 1, Enum: &spec}); err != nil {
@@ -352,7 +365,7 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add(frame.Bytes())
 	f.Add(v5Frame(f))
 	f.Add(v6MatFrame(f))
-	f.Add(v7Frame(f))
+	f.Add(staleFrame(f, 8))
 	f.Add(removedFieldFrame(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -372,7 +385,7 @@ func FuzzShardCodec(f *testing.F) {
 			Expected: d.fuzzPredicate(dr),
 		}
 		layout := core.FlatLayout(log)
-		specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, d.intn(4) == 0,
+		specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite,
 			1+d.intn(64), 1+d.intn(5), uint64(d.next()))
 
 		for si := range specs {

@@ -4,8 +4,8 @@ package shard
 // transports — subprocess pipes, in-process channel workers, or
 // authenticated TCP sockets to remote machines (see transport.go).
 // Workers are dialed lazily on first use and persist across batches (an
-// Explain makes one enumeration call per round — two with a generated
-// despite clause or a pilot pass; a harness adds evaluation rounds);
+// Explain makes one enumeration call — two with a generated despite
+// clause; a harness adds evaluation rounds);
 // Close terminates them. Specs are pulled off a shared counter, so
 // scheduling is dynamic, but results land in spec-indexed slots —
 // output never depends on which worker ran what.

@@ -21,7 +21,7 @@ import (
 func TestPoolCloseIdempotent(t *testing.T) {
 	log := equivLog(30)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 4, 1)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 4, 1)
 
 	pool := workerPool(t, 2)
 	if _, err := pool.RunEnum(specs); err != nil {
@@ -50,7 +50,7 @@ func TestPoolCloseIdempotent(t *testing.T) {
 func TestPoolCloseConcurrentWithBatches(t *testing.T) {
 	log := equivLog(40)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, false, 0, 8, 1)
+	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 8, 1)
 
 	for round := 0; round < 4; round++ {
 		pool := workerPool(t, 2)

@@ -38,9 +38,9 @@ import (
 // field changes meaning; workers reject frames from other versions.
 // Version 2: content-addressed slices (LogSlice refs + CacheMiss) and
 // evaluation shards.
-// Version 3: stratified enumeration shards (EnumSpec.Stratified,
-// EnumGroup.Budget).
-// Version 4: Wilson-adaptive enumeration rounds (EnumSpec.Round) and
+// Version 3: stratified enumeration shards (a mode switch and per-group
+// pair budgets).
+// Version 4: two-pass adaptive enumeration rounds (a round marker) and
 // pipelined slice prefetch (Task.Prefetch).
 // Version 5: segmented multi-slice specs (EnumSpec.Slices,
 // EvalSpec.Slices) — a spec may carry the per-segment hashed slices of
@@ -57,6 +57,9 @@ import (
 // there instead of hashing every (i, j) — so a v7 worker and a v8
 // coordinator would each return a valid thinning and merge into a set
 // neither would produce alone. They refuse each other instead.
+// Version 9: Bernoulli thinning under KeepP is the only sampler — v3's
+// mode switch and group budgets and v4's round marker are gone, so a v8
+// frame asking for a stratified walk is refused, not walked whole.
 //
 // The skip gap is ⌊ln U / ln(1−KeepP)⌋ through math.Log, which is
 // assembly on amd64 and s390x and pure Go elsewhere (where the compiler
@@ -64,9 +67,9 @@ import (
 // different GOARCH values may disagree in the last bit of a logarithm and
 // so, rarely, on a gap. Results are byte-identical across executors —
 // local, subprocess, socket — only among builds that share a GOARCH.
-const Version = 8
+const Version = 9
 
-//pxql:wirehash 4b7e22dbdf19f9a5 v=8
+//pxql:wirehash 4b7e22dbdf19f9a5 v=9
 
 // Task is one request frame: exactly one spec pointer is set — or
 // Prefetch alone, a payload-only frame that warms the worker's

@@ -215,7 +215,7 @@ func TestFlatLogWarmCacheAcrossQueries(t *testing.T) {
 	// The enumeration frames in particular: each of a round's specs
 	// references every layout slice, and each reference is a hit.
 	layout := core.FlatLayout(log)
-	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, false, 0, 4, 123)
+	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, 0, 4, 123)
 	if _, err := pool.RunEnum(specs); err != nil {
 		t.Fatal(err)
 	}

@@ -153,28 +153,6 @@ func KeepFloat(seed, key uint64) float64 {
 	return float64(SplitMix64(seed^key)>>11) / (1 << 53)
 }
 
-// Wilson returns the Wilson score interval for a binomial proportion:
-// the [lo, hi] range that contains the true success probability with the
-// confidence implied by the normal quantile z (z = 1.96 ≈ 95%), given pos
-// successes out of n trials. Unlike the naive ±z·σ interval it stays
-// inside [0, 1] and behaves sensibly at extreme proportions and small n,
-// which is what the stratified sampler's per-stratum estimates need.
-// With no trials nothing is known: Wilson(_, 0, _) = (0, 1).
-func Wilson(pos, n int, z float64) (lo, hi float64) {
-	if n <= 0 {
-		return 0, 1
-	}
-	p := float64(pos) / float64(n)
-	nf := float64(n)
-	z2 := z * z
-	denom := 1 + z2/nf
-	center := p + z2/(2*nf)
-	margin := z * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
-	lo = Clamp((center-margin)/denom, 0, 1)
-	hi = Clamp((center+margin)/denom, 0, 1)
-	return lo, hi
-}
-
 // Clamp limits x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

@@ -356,27 +356,6 @@ type Options struct {
 	FeatureLevel int
 	// MaxPairs caps pair enumeration (0 = library default).
 	MaxPairs int
-	// SampleMode selects how an over-budget pair space is thinned:
-	// "bernoulli" (or empty, the default) keeps each candidate pair
-	// independently — the historical, golden-pinned behaviour —
-	// while "stratified" draws a fixed quota per blocking group, so
-	// rare groups survive skew, and attaches 95% Wilson confidence
-	// bounds to the explanation's training diagnostics (see
-	// AtomDetail and TrainRelevanceBounds). Both modes are
-	// deterministic per seed and byte-identical at every parallelism
-	// and shard count.
-	SampleMode string
-	// SampleBudget is the stratified total pair budget (0 = MaxPairs).
-	SampleBudget int
-	// SamplePilot, in (0, 1), turns the stratified mode two-pass: that
-	// fraction of SampleBudget is spent on a pilot round under the
-	// proportional allocation, and the remainder is re-allocated toward
-	// the strata whose pilot estimates carry the widest Wilson
-	// intervals — uncertain strata get the draws, settled ones stop
-	// early. 0 (the default) keeps the one-shot proportional rule.
-	// Requires SampleMode "stratified"; determinism guarantees are
-	// unchanged (byte-identical at every parallelism and shard count).
-	SamplePilot float64
 	// Seed drives sampling; runs are deterministic per seed.
 	Seed int64
 	// Target selects the performance metric being explained (default
@@ -594,9 +573,6 @@ func NewExplainer(log *Log, opt Options) (*Explainer, error) {
 		DespiteWidth:  opt.DespiteWidth,
 		SampleSize:    opt.SampleSize,
 		MaxPairs:      opt.MaxPairs,
-		SampleMode:    opt.SampleMode,
-		SampleBudget:  opt.SampleBudget,
-		SamplePilot:   opt.SamplePilot,
 		Seed:          opt.Seed,
 		Target:        opt.Target,
 		DiverseSample: opt.DiverseSample,
@@ -659,17 +635,6 @@ func (x *Explanation) TrainGenerality() float64 { return x.x.TrainGenerality }
 // TrainRelevance is P(expected | despite) on the related training pairs.
 func (x *Explanation) TrainRelevance() float64 { return x.x.TrainRelevance }
 
-// TrainRelevanceBounds is the 95% Wilson score interval around
-// TrainRelevance. ok is false when the explanation was generated in
-// exact/Bernoulli mode (no interval applies: the estimate is not a
-// stratified sample statistic).
-func (x *Explanation) TrainRelevanceBounds() (lo, hi float64, ok bool) {
-	if x.x.TrainRelevanceLo == 0 && x.x.TrainRelevanceHi == 0 {
-		return 0, 0, false
-	}
-	return x.x.TrainRelevanceLo, x.x.TrainRelevanceHi, true
-}
-
 // String renders the explanation in the paper's DESPITE/BECAUSE form.
 func (x *Explanation) String() string { return x.x.String() }
 
@@ -682,11 +647,6 @@ type AtomDetail struct {
 	Precision float64
 	// Generality is P(atoms so far) on the training sample.
 	Generality float64
-	// PrecisionLo/Hi and GeneralityLo/Hi are 95% Wilson score intervals
-	// around the two estimates, populated only when the explanation was
-	// generated with Options.SampleMode = "stratified" (zero otherwise).
-	PrecisionLo, PrecisionHi   float64
-	GeneralityLo, GeneralityHi float64
 }
 
 // AtomDetails reports how each successive because-clause predicate
@@ -695,23 +655,18 @@ func (x *Explanation) AtomDetails() []AtomDetail {
 	out := make([]AtomDetail, 0, len(x.x.Atoms))
 	for _, st := range x.x.Atoms {
 		out = append(out, AtomDetail{
-			Atom:         st.Atom.String(),
-			Precision:    st.Precision,
-			Generality:   st.Generality,
-			PrecisionLo:  st.PrecisionLo,
-			PrecisionHi:  st.PrecisionHi,
-			GeneralityLo: st.GeneralityLo,
-			GeneralityHi: st.GeneralityHi,
+			Atom:       st.Atom.String(),
+			Precision:  st.Precision,
+			Generality: st.Generality,
 		})
 	}
 	return out
 }
 
 // RenderReport renders the canonical query-plus-explanation report the
-// pxql command prints — query, explanation, training quality, and the
-// relevance confidence interval when one applies. The server returns
-// exactly this string, so a cached answer is byte-identical to a one-shot
-// CLI run over the same records.
+// pxql command prints — query, explanation and training quality. The
+// server returns exactly this string, so a cached answer is
+// byte-identical to a one-shot CLI run over the same records.
 func RenderReport(q *Query, x *Explanation) string {
 	var b strings.Builder
 	b.WriteString("query:\n")
@@ -720,9 +675,6 @@ func RenderReport(q *Query, x *Explanation) string {
 	b.WriteString(indentReport(x.String()))
 	fmt.Fprintf(&b, "\ntraining: precision %.3f, generality %.3f, relevance %.3f\n",
 		x.TrainPrecision(), x.TrainGenerality(), x.TrainRelevance())
-	if lo, hi, ok := x.TrainRelevanceBounds(); ok {
-		fmt.Fprintf(&b, "          relevance 95%% CI [%.3f, %.3f]\n", lo, hi)
-	}
 	return b.String()
 }
 
