@@ -78,6 +78,16 @@ func (s Set) Count() int {
 	return n
 }
 
+// Any reports whether any bit is set.
+func (s Set) Any() bool {
+	for _, w := range s {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // AndCount returns the popcount of a ∧ b without materializing it — the
 // fused compose step of candidate scoring.
 func AndCount(a, b Set) int {

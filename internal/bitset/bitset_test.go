@@ -47,6 +47,9 @@ func TestOpsMatchBoolModel(t *testing.T) {
 		if got := a.Count(); got != wantCount {
 			t.Errorf("n=%d: Count = %d, want %d", n, got, wantCount)
 		}
+		if got := a.Any(); got != (wantCount > 0) {
+			t.Errorf("n=%d: Any = %v with %d bits set", n, got, wantCount)
+		}
 		if got := AndCount(a, b); got != wantAnd {
 			t.Errorf("n=%d: AndCount = %d, want %d", n, got, wantAnd)
 		}

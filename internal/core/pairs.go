@@ -57,35 +57,65 @@ func (ps *pairSet) add(a, b int, label bool) {
 	ps.labels = append(ps.labels, label)
 }
 
-// blockIndexes extracts the raw schema indices of despite conjuncts of
-// the form <raw>_issame = T, the blocking keys of pair enumeration.
+// blockColumn reports whether despite conjunct a has the form
+// <raw>_issame = T over a field of the log — a blocking key of pair
+// enumeration — and which field.
+func blockColumn(log *joblog.Log, a pxql.Atom) (rawIdx int, ok bool) {
+	raw, kind := features.ParseName(a.Feature)
+	if kind != features.IsSame || a.Op != pxql.OpEq || a.Value != features.ValT {
+		return 0, false
+	}
+	return log.Schema.Index(raw)
+}
+
+// blockIndexes extracts the raw schema indices of the despite clause's
+// blocking keys.
 func blockIndexes(log *joblog.Log, despite pxql.Predicate) []int {
 	var blockIdx []int
 	for _, a := range despite {
-		raw, kind := features.ParseName(a.Feature)
-		if kind != features.IsSame || a.Op != pxql.OpEq || a.Value != features.ValT {
-			continue
-		}
-		if i, ok := log.Schema.Index(raw); ok {
+		if i, ok := blockColumn(log, a); ok {
 			blockIdx = append(blockIdx, i)
 		}
 	}
 	return blockIdx
 }
 
+// residualDespite is the despite clause minus what blocking proves: a
+// conjunct <raw>_issame = T whose column's classes are exact holds on
+// every ordered pair of every group blockRecords builds — members are
+// present in the column and share its class — so a walk over those
+// groups need not evaluate it. Everything else stays: the same feature
+// under != or against F, base-feature prefilters (candidateRecords
+// thins rows; it does not prove the atom), and issame on a numeric column
+// with a loose SIM chain, whose components over-include.
+func residualDespite(log *joblog.Log, despite pxql.Predicate) pxql.Predicate {
+	cols := log.Columns()
+	var residual pxql.Predicate
+	for _, a := range despite {
+		if f, ok := blockColumn(log, a); ok && blockClassesOf(cols, f).exact {
+			continue
+		}
+		residual = append(residual, a)
+	}
+	return residual
+}
+
 // blockedGroups blocks the candidate records of (log, despite) into
 // groups — the single definition of the blocked pair space behind both
 // walk planners (PlanEnumShards, PlanEvalShards), so training
 // enumeration and explanation evaluation can never drift on blocking,
-// group order or the subsampling probability. Groups are returned in
-// first-appearance order over the record list; keepP is the
-// Bernoulli keep probability implied by maxPairs over the candidate
-// ordered-pair count. The construction is a pure function of the record
-// list (the memoized columnar view it reads is itself rebuilt
-// deterministically from the records), so repeated calls — before or
-// after any cache invalidation — produce identical groups.
-func blockedGroups(log *joblog.Log, despite pxql.Predicate, maxPairs int) (groups [][]int, keepP float64) {
-	return blockedGroupsOpt(log, despite, maxPairs, true, true)
+// group order, the subsampling probability or the clause left to verify.
+// Groups are returned in first-appearance order over the record list;
+// keepP is the Bernoulli keep probability implied by maxPairs over the
+// candidate ordered-pair count; residual is the despite clause the walk
+// still has to evaluate on the groups' pairs (residualDespite). The
+// construction is a pure function of the record list (the memoized
+// columnar view it reads is itself rebuilt deterministically from the
+// records), so repeated calls — before or after any cache invalidation —
+// produce identical groups.
+func blockedGroups(log *joblog.Log, despite pxql.Predicate, maxPairs int) (groups [][]int, keepP float64, residual pxql.Predicate) {
+	groups, keepP = blockedGroupsOpt(log, despite, maxPairs, true, true)
+	return groups, keepP, residualDespite(log, despite)
 }
 
 // blockedGroupsOpt is blockedGroups with zone-map group pruning and
@@ -149,15 +179,18 @@ func blockedGroupsOpt(log *joblog.Log, despite pxql.Predicate, maxPairs int, pru
 // reads: a fixed-width class word per row such that two rows whose
 // <raw>_issame derives T always share a class. A row with miss set or
 // class noClass can satisfy isSame = T with no row and is unblockable.
+// exact reports the converse: any two blockable rows sharing a class
+// derive T, so membership of one group proves the conjunct.
 type blockClasses struct {
 	class []uint32
 	miss  bitset.Set
+	exact bool
 }
 
 // noClass marks a present numeric cell that is similar to nothing (NaN).
 const noClass = ^uint32(0)
 
-// simClassKey memoizes a numeric column's SIM-chain classes on the
+// simClassKey memoizes a numeric column's SIM-chain blockClasses on the
 // columnar view, beside the sorted index they are read off.
 type simClassKey int
 
@@ -165,40 +198,46 @@ type simClassKey int
 // the planes, which is exactly what features.IsSameSym compares — alien
 // cells included — so blocking needs no boxed fallback.
 //
-// Nominal: the interned symbol; isSame is symbol equality.
+// Nominal: the interned symbol; isSame is symbol equality, so the classes
+// are exact.
 //
 // Numeric: isSame is the 10% SIM band (stats.Similar), which is not
 // transitive, so rows are classed by SIM-chain component: the distinct
 // non-NaN values in ascending order (the memoized sorted index), cut
 // wherever two neighbours are not Similar. Any value between two similar
 // values is similar to both, so two similar values are never separated
-// by a cut. Components over-include (the ends of a long chain need not
-// be similar); the walk kernels verify the full predicate, so that costs
-// pairs walked, never pairs returned. An infinite value is similar to
-// every finite one whatever lies between, so a column holding one is a
-// single class.
+// by a cut. Components over-include when the ends of a long chain are not
+// similar; the planners then leave the conjunct in the clause the walk
+// verifies, so that costs pairs walked, never pairs returned. When every
+// component is tight — its two ends Similar, hence by the same
+// betweenness every pair inside it — the classes are exact. An infinite
+// value is similar to every finite one whatever lies between (and not to
+// itself), so a column holding one is a single class and never exact.
 func blockClassesOf(cols *joblog.Columns, f int) blockClasses {
 	col := cols.Col(f)
 	if col.Kind != joblog.Numeric {
-		return blockClasses{class: col.Sym, miss: col.Miss}
+		return blockClasses{class: col.Sym, miss: col.Miss, exact: true}
 	}
 	ix := cols.SortedIndex(f) // outside the memo lock: Memo builders must not re-enter it
-	class := cols.Memo(simClassKey(f), func() any {
+	return cols.Memo(simClassKey(f), func() any {
 		class := make([]uint32, cols.Len())
 		for i := range class {
 			class[i] = noClass
 		}
 		chain := !math.IsInf(ix.Min, -1) && !math.IsInf(ix.Max, 1)
+		tight := chain
 		comp := uint32(0)
+		start := 0 // position in Perm of the current component's smallest value
 		for k, r := range ix.Perm {
 			if k > 0 && chain && !stats.Similar(col.Num[ix.Perm[k-1]], col.Num[r]) {
 				comp++
+				start = k
 			}
+			tight = tight && stats.Similar(col.Num[ix.Perm[start]], col.Num[r])
 			class[r] = comp
 		}
-		return class
-	}).([]uint32)
-	return blockClasses{class: class, miss: col.Miss}
+		return blockClasses{class: class, miss: col.Miss, exact: tight}
+	}).(blockClasses)
 }
 
 // blockRecords groups recs by their blocking-class tuple over the

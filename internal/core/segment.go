@@ -196,7 +196,7 @@ func cutGroupShards(groups [][]int, nShards int) [][]EnumGroup {
 func PlanEnumShards(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
 	despite pxql.Predicate, maxPairs, nShards int, seed uint64) []EnumSpec {
 
-	groups, keepP := blockedGroups(log, despite, maxPairs)
+	groups, keepP, residual := blockedGroups(log, despite, maxPairs)
 	cuts := cutGroupShards(groups, nShards)
 	specs := make([]EnumSpec, len(cuts))
 	for s, cut := range cuts {
@@ -206,7 +206,7 @@ func PlanEnumShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 			KeepP:    keepP,
 			Seed:     seed,
 			Level:    level,
-			Despite:  despite.Spec(),
+			Despite:  residual.Spec(),
 			Observed: q.Observed.Spec(),
 			Expected: q.Expected.Spec(),
 		}
@@ -223,8 +223,7 @@ func PlanEnumShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 func PlanEvalShards(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
 	x *Explanation, maxPairs, nShards int, seed uint64) []EvalSpec {
 
-	despite := q.Despite.And(x.Despite)
-	groups, keepP := blockedGroups(log, despite, maxPairs)
+	groups, keepP, residual := blockedGroups(log, q.Despite.And(x.Despite), maxPairs)
 	cuts := cutGroupShards(groups, nShards)
 	specs := make([]EvalSpec, len(cuts))
 	for s, cut := range cuts {
@@ -234,7 +233,7 @@ func PlanEvalShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 			KeepP:    keepP,
 			Seed:     seed,
 			Level:    level,
-			Despite:  despite.Spec(),
+			Despite:  residual.Spec(),
 			Observed: q.Observed.Spec(),
 			Expected: q.Expected.Spec(),
 			Because:  x.Because.Spec(),

@@ -273,8 +273,10 @@ type EnumSpec struct {
 	// Seed is the splitmix seed. Counters key on (i, j) global record
 	// indices on the hashed path; on the skip path the stream keys on the
 	// outer record's index and its gaps count positions in Members.
-	Seed     uint64             `json:"seed"`
-	Level    features.Level     `json:"level"`
+	Seed  uint64         `json:"seed"`
+	Level features.Level `json:"level"`
+	// Despite is the residual despite clause: the conjuncts Groups does
+	// not already prove of every pair it holds (residualDespite).
 	Despite  pxql.PredicateSpec `json:"despite"`
 	Observed pxql.PredicateSpec `json:"observed"`
 	Expected pxql.PredicateSpec `json:"expected"`
@@ -307,7 +309,7 @@ type EvalSpec struct {
 	KeepP    float64            `json:"keep_p"`
 	Seed     uint64             `json:"seed"`
 	Level    features.Level     `json:"level"`
-	Despite  pxql.PredicateSpec `json:"despite"` // query despite ∧ generated extension
+	Despite  pxql.PredicateSpec `json:"despite"` // residual of query despite ∧ generated extension
 	Observed pxql.PredicateSpec `json:"observed"`
 	Expected pxql.PredicateSpec `json:"expected"`
 	Because  pxql.PredicateSpec `json:"because"`
@@ -366,10 +368,14 @@ func (d *SliceData) compile(dr *features.Deriver, specs ...pxql.PredicateSpec) (
 	return out, nil
 }
 
-// tileBuf is one walk's pair of tile index arrays. A walk cut into many
-// specs would otherwise allocate 64 KB per spec to hold a few thousand
-// kept pairs; the pool recycles them between specs and queries.
-type tileBuf struct{ ai, bi [pairBlock]int }
+// tileBuf is one walk's tile: its pair of index arrays and the code
+// planes its clauses share (pxql.Tile). A walk cut into many specs would
+// otherwise allocate some 70 KB per spec to hold a few thousand kept
+// pairs; the pool recycles them between specs and queries.
+type tileBuf struct {
+	ai, bi [pairBlock]int
+	tile   pxql.Tile
+}
 
 var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 
@@ -379,8 +385,10 @@ var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 // spec's groups against an n-record view, then visits the ordered pairs
 // the groups' outer ranges own that survive the sampling decision — in
 // (group, outer member, inner member) order, as tiles of at most
-// pairBlock pairs (parallel index arrays reused between calls; visit
-// must not retain them). Each pair is kept independently with
+// pairBlock pairs: parallel index arrays, and the same block as a
+// pxql.Tile bound to the clauses the kernel will push through it. All
+// three are reused between calls; visit must not retain them. Each pair
+// is kept independently with
 // probability keepP, decided one of two ways:
 //
 //   - keepP >= skipKeepP: every candidate pair (i, j) is hashed
@@ -396,7 +404,9 @@ var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 //
 // Both are exact iid Bernoulli(keepP) thinnings of the same pair space
 // in the same order; they keep different pairs.
-func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, visit func(ai, bi []int)) error {
+func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, clauses []*pxql.CompiledPredicate,
+	visit func(tile *pxql.Tile, ai, bi []int)) error {
+
 	for gi, g := range groups {
 		if g.Lo < 0 || g.Hi < g.Lo || g.Hi > len(g.Members) {
 			return fmt.Errorf("core: spec group %d has invalid outer range [%d, %d)", gi, g.Lo, g.Hi)
@@ -410,6 +420,8 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, visit func
 	tb := tilePool.Get().(*tileBuf)
 	defer tilePool.Put(tb)
 	ai, bi := tb.ai[:0], tb.bi[:0]
+	tile := &tb.tile
+	tile.Bind(pairBlock, clauses...)
 	skip := skipSampled(keepP)
 	invLogQ := 1 / math.Log1p(-keepP) // read on the skip path only
 	for _, g := range groups {
@@ -435,7 +447,8 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, visit func
 					ai = append(ai, i)
 					bi = append(bi, j)
 					if len(ai) == pairBlock {
-						visit(ai, bi)
+						tile.Reset(ai, bi)
+						visit(tile, ai, bi)
 						ai, bi = ai[:0], bi[:0]
 					}
 				}
@@ -449,7 +462,8 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, visit func
 					ai = append(ai, i)
 					bi = append(bi, j)
 					if len(ai) == pairBlock {
-						visit(ai, bi)
+						tile.Reset(ai, bi)
+						visit(tile, ai, bi)
 						ai, bi = ai[:0], bi[:0]
 					}
 				}
@@ -457,7 +471,8 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, visit func
 		}
 	}
 	if len(ai) > 0 {
-		visit(ai, bi)
+		tile.Reset(ai, bi)
+		visit(tile, ai, bi)
 	}
 	return nil
 }
@@ -493,15 +508,17 @@ func expectedKept(groups []EnumGroup, keepP float64) int {
 //	<raw>_issame = T   (group records by their raw value)
 //	<raw> = c          (base feature: keep records with value c)
 //
-// into blocking and prefilter steps; the full predicates are still
-// verified here, so blocking is purely an optimisation. Per tile the
-// despite clause fills a selection bitmap (EvalBlock), the observed and
-// expected clauses are pushed down over that selection (AndBlock — dead
-// words are skipped), and the related set is their word-wise union, read
-// out in ascending bit order. Predicates are compiled against the view's
-// own columns; compiled evaluation is intern-independent (it matches the
-// interpreted semantics exactly), so labels and refs are the same on
-// every view of the same records.
+// into blocking and prefilter steps, and Despite is the residual clause:
+// what the planner's grouping has not already proven of every in-group
+// pair (see residualDespite). The walk verifies the residual and the
+// outcome clauses in full. Per tile the despite clause fills a selection
+// bitmap, the observed and expected clauses are pushed down over that
+// selection (AndTile — dead words are skipped, and clauses over one
+// column share its code plane), and the related set is their word-wise
+// union, read out in ascending bit order. Predicates are compiled
+// against the view's own columns; compiled evaluation is
+// intern-independent (it matches the interpreted semantics exactly), so
+// labels and refs are the same on every view of the same records.
 func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 	d, err := data.deriver(s.Level)
 	if err != nil {
@@ -524,14 +541,15 @@ func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 	des := bitset.Make(pairBlock)
 	obsSel := bitset.Make(pairBlock)
 	expSel := bitset.Make(pairBlock)
-	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, func(ai, bi []int) {
+	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, oS, eS := des[:nw], obsSel[:nw], expSel[:nw]
-		cDes.EvalBlock(ai, bi, dS)
+		dS.Ones(len(ai))
+		cDes.AndTile(tile, dS)
 		oS.CopyFrom(dS)
-		cObs.AndBlock(ai, bi, oS)
+		cObs.AndTile(tile, oS)
 		eS.CopyFrom(dS)
-		cExp.AndBlock(ai, bi, eS)
+		cExp.AndTile(tile, eS)
 		// Related = (obs ∪ exp) within the despite selection. A pair
 		// satisfying both obs and exp would contradict obs ⊨ ¬exp
 		// (Definition 1); classify as observed, which can only happen
@@ -581,18 +599,19 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 	res := &EvalResult{}
 	des := bitset.Make(pairBlock)
 	scratch := bitset.Make(pairBlock)
-	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, func(ai, bi []int) {
+	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, t := des[:nw], scratch[:nw]
-		cDes.EvalBlock(ai, bi, dS)
+		dS.Ones(len(ai))
+		cDes.AndTile(tile, dS)
 		res.Context += dS.Count()
 		t.CopyFrom(dS)
-		cExp.AndBlock(ai, bi, t)
+		cExp.AndTile(tile, t)
 		res.Exp += t.Count()
 		t.CopyFrom(dS)
-		cBec.AndBlock(ai, bi, t)
+		cBec.AndTile(tile, t)
 		res.Bec += t.Count()
-		cObs.AndBlock(ai, bi, t)
+		cObs.AndTile(tile, t)
 		res.ObsGivenBec += t.Count()
 	})
 	if err != nil {

@@ -81,7 +81,7 @@ func checkRelated(t *testing.T, name string, log *joblog.Log, q *pxql.Query, des
 // other sampler when a fixture changes.
 func requireRegime(t *testing.T, log *joblog.Log, despite pxql.Predicate, maxPairs int, capped, skip bool) {
 	t.Helper()
-	if _, keepP := blockedGroups(log, despite, maxPairs); (keepP < 1) != capped || skipSampled(keepP) != skip {
+	if _, keepP, _ := blockedGroups(log, despite, maxPairs); (keepP < 1) != capped || skipSampled(keepP) != skip {
 		t.Fatalf("maxPairs %d gives keepP %v; want capped=%v skip-sampled=%v", maxPairs, keepP, capped, skip)
 	}
 }

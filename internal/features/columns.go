@@ -161,10 +161,18 @@ func CompareSym(c *joblog.Col, a, b int) uint64 {
 	if c.Kind != joblog.Numeric || c.Miss.Get(a) || c.Miss.Get(b) {
 		return MissingSym
 	}
+	return CompareNum(c.Num[a], c.Num[b])
+}
+
+// CompareNum is the compare symbol of two present numeric cells: SIM
+// inside the 10% band, else LT or GT — GT also when a NaN is involved,
+// which is similar to and less than nothing. isSame is T exactly when
+// this is SIM, so the one code answers both families.
+func CompareNum(x, y float64) uint64 {
 	switch {
-	case stats.Similar(c.Num[a], c.Num[b]):
+	case stats.Similar(x, y):
 		return SymSIM
-	case c.Num[a] < c.Num[b]:
+	case x < y:
 		return SymLT
 	default:
 		return SymGT

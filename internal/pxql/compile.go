@@ -25,16 +25,26 @@ package pxql
 // the boxed evaluator for exactness; the opcode is chosen at compile
 // time, so clean logs never pay for the check.
 //
+// The same goes for everything else a block loop would otherwise decide
+// per pair: the NumKernel / SymKernel of the atom, and — for issame and
+// compare atoms over a column with no missing cell — the family, the
+// column kind and the missing test themselves. Those atoms compile to
+// caCode: a gather-compare over the raw plane yielding the pair's column
+// code, looked up in a truth table. A Tile shares that code between the
+// clauses a walk pushes through one pair block.
+//
 // Compiled evaluation is verified against the interpreted EvalPair by
 // unit tests and a fuzz target (fuzz_test.go): for every predicate and
 // log the two must agree on every ordered pair.
 
 import (
 	"math/bits"
+	"slices"
 
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
+	"perfxplain/internal/stats"
 )
 
 type caKind uint8
@@ -43,6 +53,7 @@ const (
 	caFalse caKind = iota // atom can never hold
 	caNum                 // numeric-plane compare
 	caSym                 // symbol-plane equality / inequality
+	caCode                // issame / compare over a column with no missing cell
 	caAlien               // boxed fallback for kind-mismatched fields
 )
 
@@ -53,8 +64,11 @@ type compiledAtom struct {
 	family     features.PairKind // caSym: which derived family
 	op         Op                // caNum
 	num        float64           // caNum constant
+	numKern    NumKernel         // caNum block kernel
 	ne         bool              // caSym: operator is !=
 	syms       []uint64          // caSym: symbols rendering the constant
+	symKern    SymKernel         // caSym block kernel
+	truth      uint64            // caCode: bit c set when the atom holds on column code c
 	atom       Atom              // caAlien fallback
 }
 
@@ -93,21 +107,60 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 		if a.Value.Kind != joblog.Numeric {
 			return compiledAtom{kind: caFalse}
 		}
-		return compiledAtom{kind: caNum, derivedIdx: i, col: col, op: a.Op, num: a.Value.Num}
+		return compiledAtom{kind: caNum, derivedIdx: i, col: col, op: a.Op, num: a.Value.Num,
+			numKern: NewNumKernel(a.Op, a.Value.Num)}
 	}
 	// Symbol plane: present derived values are nominal, so only nominal
 	// constants under = or != can ever match.
 	if a.Value.Kind != joblog.Nominal || (a.Op != OpEq && a.Op != OpNe) {
 		return compiledAtom{kind: caFalse}
 	}
+	ne := a.Op == OpNe
+	syms := d.SymsForString(cols.Intern(), i, a.Value.Str)
+	coded := family == features.IsSame || family == features.Compare && col.Kind == joblog.Numeric
+	if coded && !col.Miss.Any() {
+		return compiledAtom{kind: caCode, col: col, truth: codeTruth(family, col.Kind, syms, ne)}
+	}
 	return compiledAtom{
 		kind:       caSym,
 		derivedIdx: i,
 		col:        col,
 		family:     family,
-		ne:         a.Op == OpNe,
-		syms:       d.SymsForString(cols.Intern(), i, a.Value.Str),
+		ne:         ne,
+		syms:       syms,
+		symKern:    NewSymKernel(syms, ne),
 	}
+}
+
+// pairCode computes the column code of the pair (a, b): what two present
+// cells of a raw column derive, in the column's own terms —
+// features.SymLT / SymSIM / SymGT for a numeric column (issame is T
+// exactly on SIM, so the compare code answers both families) and
+// SymF / SymT for a nominal one. It depends on the pair and the column
+// alone, which is what lets every atom over the column read one computed
+// code through its own truth table.
+func pairCode(c *joblog.Col, a, b int) uint64 {
+	if c.Kind == joblog.Numeric {
+		return features.CompareNum(c.Num[a], c.Num[b])
+	}
+	return b2u(c.Sym[a] == c.Sym[b])
+}
+
+// codeTruth lowers an issame or compare atom to its truth table over the
+// column codes: bit c is set when the symbol the family derives from
+// code c satisfies the atom (EvalSymSet, as the generic loop applies it).
+func codeTruth(family features.PairKind, kind joblog.Kind, syms []uint64, ne bool) uint64 {
+	var truth uint64
+	for code := uint64(features.SymLT); code <= features.SymGT; code++ {
+		sym := code
+		if family == features.IsSame && kind == joblog.Numeric {
+			sym = b2u(code == features.SymSIM)
+		}
+		if EvalSymSet(syms, sym, ne) {
+			truth |= 1 << code
+		}
+	}
+	return truth
 }
 
 // NumOpMasks decomposes a comparison operator into its trichotomy masks:
@@ -284,11 +337,83 @@ func (ca *compiledAtom) eval(d *features.Deriver, cols *joblog.Columns, a, b int
 			return false
 		}
 		return EvalSymSet(ca.syms, s, ca.ne)
+	case caCode:
+		return ca.truth>>pairCode(ca.col, a, b)&1 != 0
 	case caAlien:
 		return ca.atom.Eval(d.ValueCol(cols, a, b, ca.derivedIdx))
 	default: // caFalse
 		return false
 	}
+}
+
+// Tile is one pair block — pair k is (ai[k], bi[k]) — as a walk pushes
+// its clauses through it, plus the walk's scratch of column code planes:
+// when two or more caCode atoms of those clauses read one raw column
+// (OBSERVED duration_compare = GT beside EXPECTED duration_compare =
+// SIM), the column's code is computed once per pair per tile, by the
+// first atom to need it, and the others read it. Codes are filled a
+// selection word at a time and only for words still live, so a selective
+// clause in front bounds the work here as it does everywhere else. The
+// zero Tile is ready to Bind; a Tile belongs to one goroutine at a time.
+type Tile struct {
+	ai, bi []int
+	planes []codePlane
+}
+
+type codePlane struct {
+	col   *joblog.Col
+	codes []uint8
+	have  bitset.Set // bit w: codes of selection word w are filled for this tile
+}
+
+// Bind readies the tile for a walk that pushes preds through blocks of at
+// most maxPairs pairs: one code plane for every column two or more of
+// their code atoms read. A tile that has served an earlier walk keeps
+// its buffers, so a pooled one binds without allocating.
+func (t *Tile) Bind(maxPairs int, preds ...*CompiledPredicate) {
+	old := t.planes
+	t.planes = t.planes[:0]
+	var once []*joblog.Col // columns one code atom reads so far
+	for _, cp := range preds {
+		for i := range cp.atoms {
+			ca := &cp.atoms[i]
+			switch {
+			case ca.kind != caCode || t.plane(ca.col) != nil:
+			case slices.Contains(once, ca.col):
+				var pl codePlane
+				if n := len(t.planes); n < len(old) {
+					pl = old[n]
+				}
+				if len(pl.codes) < maxPairs {
+					pl.codes = make([]uint8, maxPairs)
+					pl.have = bitset.Make(bitset.Words(maxPairs))
+				}
+				pl.col = ca.col
+				t.planes = append(t.planes, pl)
+			default:
+				once = append(once, ca.col)
+			}
+		}
+	}
+}
+
+// Reset points the tile at its next pair block.
+func (t *Tile) Reset(ai, bi []int) {
+	t.ai, t.bi = ai, bi[:len(ai)]
+	for i := range t.planes {
+		t.planes[i].have.Zero()
+	}
+}
+
+// plane returns the shared code plane of column c, nil when fewer than
+// two atoms of the walk read it.
+func (t *Tile) plane(c *joblog.Col) *codePlane {
+	for i := range t.planes {
+		if t.planes[i].col == c {
+			return &t.planes[i]
+		}
+	}
+	return nil
 }
 
 // EvalBlock fills sel with the predicate's selection bitmap over a pair
@@ -305,28 +430,36 @@ func (cp *CompiledPredicate) EvalBlock(ai, bi []int, sel bitset.Set) {
 }
 
 // AndBlock intersects sel with the predicate's selection bitmap over the
-// pair block (sel &= eval(block)) — the pushdown step of batched
-// composition: callers seed sel with an outer selection (e.g. the
-// despite clause's bitmap) and push further clauses through it. Words
-// already zero are skipped entirely, so a selective outer clause bounds
-// the work of every clause behind it.
+// pair block (sel &= eval(block)) — AndTile on a block no other clause
+// shares.
 func (cp *CompiledPredicate) AndBlock(ai, bi []int, sel bitset.Set) {
-	sel = sel[:bitset.Words(len(ai))]
+	cp.AndTile(&Tile{ai: ai, bi: bi[:len(ai)]}, sel)
+}
+
+// AndTile intersects sel with the predicate's selection bitmap over the
+// tile's pair block (sel &= eval(block)) — the pushdown step of batched
+// composition: callers seed sel with an outer selection (all ones, or
+// the despite clause's bitmap) and push further clauses through it.
+// Words already zero are skipped entirely, so a selective outer clause
+// bounds the work of every clause behind it.
+func (cp *CompiledPredicate) AndTile(t *Tile, sel bitset.Set) {
+	sel = sel[:bitset.Words(len(t.ai))]
 	for i := range cp.atoms {
-		cp.atoms[i].andBlock(cp.d, cp.cols, ai, bi, sel)
+		cp.atoms[i].andTile(cp.d, cp.cols, t, sel)
 	}
 }
 
-// andBlock intersects acc with the atom's selection bits over the pair
-// block. The kind/operator dispatch is hoisted out of the pair loop;
+// andTile intersects acc with the atom's selection bits over the tile's
+// pair block. Everything but the gather is decided at compile time;
 // selection words are built with branchless mask arithmetic and ANDed in
 // word-wise, preserving clear tail bits.
-func (ca *compiledAtom) andBlock(d *features.Deriver, cols *joblog.Columns, ai, bi []int, acc bitset.Set) {
+func (ca *compiledAtom) andTile(d *features.Deriver, cols *joblog.Columns, t *Tile, acc bitset.Set) {
+	ai, bi := t.ai, t.bi
 	n := len(ai)
 	switch ca.kind {
 	case caNum:
 		c := ca.col
-		kern := NewNumKernel(ca.op, ca.num)
+		kern := ca.numKern
 		for w, base := 0, 0; base < n; w, base = w+1, base+64 {
 			m := acc[w]
 			if m == 0 {
@@ -340,7 +473,36 @@ func (ca *compiledAtom) andBlock(d *features.Deriver, cols *joblog.Columns, ai, 
 			acc[w] = m & selW
 		}
 	case caSym:
-		ca.andBlockSym(n, ai, bi, acc)
+		// The generic symbol loop: diff and nominal base atoms, and
+		// issame / compare over a column with missing cells.
+		c := ca.col
+		family := ca.family
+		kern := ca.symKern
+		for w, base := 0, 0; base < n; w, base = w+1, base+64 {
+			m := acc[w]
+			if m == 0 {
+				continue
+			}
+			end := min(base+64, n)
+			var selW uint64
+			for k := base; k < end; k++ {
+				var s uint64
+				switch family {
+				case features.IsSame:
+					s = features.IsSameSym(c, ai[k], bi[k])
+				case features.Compare:
+					s = features.CompareSym(c, ai[k], bi[k])
+				case features.Diff:
+					s = features.DiffSymOf(c, ai[k], bi[k])
+				default: // features.Base, nominal plane
+					s = features.BaseSymFast(c, ai[k], bi[k])
+				}
+				selW |= kern.Bit(s) << uint(k-base)
+			}
+			acc[w] = m & selW
+		}
+	case caCode:
+		ca.andTileCode(t, acc)
 	case caAlien:
 		// Exactness over speed: the boxed fallback evaluates per pair, but
 		// only for bits still live in the accumulator.
@@ -362,34 +524,64 @@ func (ca *compiledAtom) andBlock(d *features.Deriver, cols *joblog.Columns, ai, 
 	}
 }
 
-// andBlockSym is the symbol-plane block kernel: per pair, the derived
-// symbol of the atom's family, then the shared SymKernel membership
-// test.
-func (ca *compiledAtom) andBlockSym(n int, ai, bi []int, acc bitset.Set) {
-	c := ca.col
-	family := ca.family
-	kern := NewSymKernel(ca.syms, ca.ne)
+// andTileCode is the block kernel of issame and compare atoms over a
+// column with no missing cell: per live selection word, the pairs' column
+// codes — read from the tile's shared plane when the column has one,
+// filling it on first touch, else gathered into a stack buffer — and
+// then one truth-table lookup per pair.
+func (ca *compiledAtom) andTileCode(t *Tile, acc bitset.Set) {
+	ai, bi := t.ai, t.bi
+	n := len(ai)
+	pl := t.plane(ca.col)
+	truth := ca.truth
+	var buf [64]uint8
 	for w, base := 0, 0; base < n; w, base = w+1, base+64 {
 		m := acc[w]
 		if m == 0 {
 			continue
 		}
 		end := min(base+64, n)
-		var selW uint64
-		for k := base; k < end; k++ {
-			var s uint64
-			switch family {
-			case features.IsSame:
-				s = features.IsSameSym(c, ai[k], bi[k])
-			case features.Compare:
-				s = features.CompareSym(c, ai[k], bi[k])
-			case features.Diff:
-				s = features.DiffSymOf(c, ai[k], bi[k])
-			default: // features.Base, nominal plane
-				s = features.BaseSymFast(c, ai[k], bi[k])
+		codes := buf[:end-base]
+		if pl != nil {
+			codes = pl.codes[base:end]
+		}
+		if pl == nil || !pl.have.Get(w) {
+			fillCodes(ca.col, ai[base:end], bi[base:end], codes)
+			if pl != nil {
+				pl.have.SetBit(w)
 			}
-			selW |= kern.Bit(s) << uint(k-base)
+		}
+		var selW uint64
+		for k, c := range codes {
+			selW |= (truth >> c & 1) << uint(k)
 		}
 		acc[w] = m & selW
+	}
+}
+
+// fillCodes gathers the column codes of the pairs (ai[k], bi[k]) — the
+// kind test is hoisted, and with no missing cell in the column the loop
+// is two plane reads and one compare. The numeric arm is
+// features.CompareNum spelled out: that is past the inliner's budget, and
+// a call per pair cost the tile a tenth of its time.
+func fillCodes(c *joblog.Col, ai, bi []int, codes []uint8) {
+	bi, codes = bi[:len(ai)], codes[:len(ai)]
+	if c.Kind == joblog.Numeric {
+		num := c.Num
+		for k, a := range ai {
+			x, y := num[a], num[bi[k]]
+			code := uint8(features.SymGT)
+			if stats.Similar(x, y) {
+				code = features.SymSIM
+			} else if x < y {
+				code = features.SymLT
+			}
+			codes[k] = code
+		}
+		return
+	}
+	sym := c.Sym
+	for k, a := range ai {
+		codes[k] = uint8(b2u(sym[a] == sym[bi[k]]))
 	}
 }

@@ -2,8 +2,8 @@ package pxql
 
 // Cross-checks of the compiled predicate evaluator against the
 // interpreted EvalPair, including a fuzz target over the full
-// parse → compile → eval path, and a fuzz target over the parser and
-// its printer. Run the fuzzers with
+// parse → compile → eval path (per pair, per block and through a shared
+// Tile), and a fuzz target over the parser and its printer. Run the fuzzers with
 //
 //	go test -fuzz FuzzCompiledPredicate ./internal/pxql
 //	go test -fuzz FuzzParseQuery ./internal/pxql
@@ -38,12 +38,21 @@ func fuzzSchema() *joblog.Schema {
 // from pools that include missing values, strings containing the diff
 // arrow and parentheses (to exercise ambiguous "(x→y)" constants), and
 // occasionally kind-mismatched ("alien") values, which the compiler must
-// route through the boxed fallback.
+// route through the boxed fallback. The seed also picks, per column,
+// whether it is clean — no missing and no alien cell, the precondition of
+// the code kernels, which on a column drawn cell by cell holds only by
+// luck — and a quarter of the logs run past 12 rows, so their ordered
+// pairs fill more than two selection words.
 func fuzzLog(seed uint64) *joblog.Log {
 	nums := []float64{0, 1, -1, 2.5, 100, 0.10, 110, math.Inf(1), math.NaN()}
 	strs := []string{"x", "y", "", "T", "F", "LT", "(x→y)", "a→b", "x)", "(x"}
 	log := joblog.NewLog(fuzzSchema())
-	n := int(stats.SplitMix64(seed)%6) + 3
+	shape := stats.SplitMix64(seed)
+	n := int(shape%6) + 3
+	if shape>>8%4 == 0 {
+		n += 10
+	}
+	clean := shape >> 16 // bit f: column f is clean
 	ctr := seed
 	next := func() uint64 {
 		ctr++
@@ -53,7 +62,11 @@ func fuzzLog(seed uint64) *joblog.Log {
 		rec := &joblog.Record{ID: string(rune('a' + i)), Values: make([]joblog.Value, log.Schema.Len())}
 		for f := 0; f < log.Schema.Len(); f++ {
 			r := next()
-			switch r % 10 {
+			draw := r % 10
+			if clean>>uint(f)&1 == 1 {
+				draw = 2 + r%8
+			}
+			switch draw {
 			case 0:
 				rec.Values[f] = joblog.None()
 			case 1:
@@ -168,7 +181,11 @@ func FuzzCompiledPredicate(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		checkCompiledAgainstInterpreted(t, p, fuzzLog(logSeed))
+		log := fuzzLog(logSeed)
+		checkCompiledAgainstInterpreted(t, p, log)
+		// The same clause three times over: every code-kernel column of
+		// it has two readers and so a shared plane.
+		checkTileAgainstBlocks(t, &Tile{}, [3]Predicate{p, p, p}, log)
 	})
 }
 
@@ -201,6 +218,120 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		log := fuzzLog(seed)
 		for _, p := range preds {
 			checkCompiledAgainstInterpreted(t, p, log)
+		}
+	}
+}
+
+// checkTileAgainstBlocks pushes three predicates through one Tile — the
+// shape of a walk kernel's tile body, so atoms over one column share its
+// code plane — and requires every selection to equal, bit for bit, the
+// predicate's own EvalBlock over the same pairs and the interpreted
+// EvalPair. The second predicate is pushed down over the first one's
+// selection, so it fills the shared planes only where words are still
+// live and the third, seeded with all ones, must fill the rest; the tile
+// is reused across block lengths on both sides of a word boundary and at
+// a full 4 096, so codes left by a longer block — or, the tile being
+// bound afresh on every call, by an earlier walk — must never be read.
+func checkTileAgainstBlocks(t *testing.T, tile *Tile, preds [3]Predicate, log *joblog.Log) {
+	t.Helper()
+	const full = 4096
+	d := features.NewDeriver(log.Schema, features.Level3)
+	cols := log.Columns()
+	var cps [3]*CompiledPredicate
+	for i, p := range preds {
+		cps[i] = p.Compile(d, cols)
+	}
+	// Every ordered pair, self-pairs included, cycled past a full tile.
+	// Each leg starts one pair further along, so no position holds the
+	// pair it held in the block before.
+	ai, bi := make([]int, full+8), make([]int, full+8)
+	for k := range ai {
+		ai[k], bi[k] = k/log.Len()%log.Len(), k%log.Len()
+	}
+	tile.Bind(full, cps[:]...)
+	for leg, n := range []int{full, 1, 63, 64, 65, full} {
+		a, b := ai[leg:leg+n], bi[leg:leg+n]
+		tile.Reset(a, b)
+		var want, got [3]bitset.Set
+		for i, cp := range cps {
+			want[i], got[i] = bitset.Make(n), bitset.Make(n)
+			cp.EvalBlock(a, b, want[i])
+			for k := range a {
+				if w := preds[i].EvalPair(d, log.Records[a[k]], log.Records[b[k]]); want[i].Get(k) != w {
+					t.Fatalf("EvalBlock bit %d = %v, interpreted = %v for %q at block length %d", k, want[i].Get(k), w, preds[i], n)
+				}
+			}
+			got[i].Ones(n)
+		}
+		cps[0].AndTile(tile, got[0])
+		got[1].CopyFrom(got[0])
+		cps[1].AndTile(tile, got[1])
+		want[1].AndWith(want[0])
+		cps[2].AndTile(tile, got[2])
+		for i := range cps {
+			for k := range a {
+				if got[i].Get(k) != want[i].Get(k) {
+					t.Fatalf("tile selection %d bit %d = %v, independent EvalBlock = %v for %q at block length %d on pair (%d, %d)",
+						i, k, got[i].Get(k), want[i].Get(k), preds[i], n, a[k], b[k])
+				}
+			}
+			if got[i].Count() != want[i].Count() {
+				t.Fatalf("tile selection %d popcount = %d, want %d at block length %d (tail bits must stay clear)",
+					i, got[i].Count(), want[i].Count(), n)
+			}
+		}
+	}
+}
+
+// TestTileSharesCodePlanes runs the tile leg over clause triples whose
+// atoms meet on columns — compare against compare, issame against
+// compare on a numeric column, issame against issame on a nominal one —
+// and checks the corpus itself: for each of those columns the seeds must
+// produce both clean logs (code kernel, shared plane) and dirty ones
+// (generic symbol loop or boxed fallback), or one side goes untested.
+func TestTileSharesCodePlanes(t *testing.T) {
+	atom := func(feature string, op Op, v string) Atom {
+		return Atom{Feature: feature, Op: op, Value: joblog.Str(v)}
+	}
+	triples := [][3]Predicate{
+		{ // a walk kernel's own shape: despite, observed, expected
+			{atom("s1_issame", OpEq, "T")},
+			{atom("duration_compare", OpEq, "GT")},
+			{atom("duration_compare", OpEq, "SIM")},
+		},
+		{
+			{atom("n1_compare", OpNe, "LT"), atom("s1_issame", OpNe, "T")},
+			{atom("n1_issame", OpEq, "T"), atom("s2_diff", OpNe, "(x→y)")},
+			{atom("s1_issame", OpEq, "F"), atom("n1_issame", OpEq, "F"), atom("n1_compare", OpEq, "GT")},
+		},
+		{ // constants no pair renders, a column only one atom reads, a base atom
+			{atom("n2_compare", OpEq, "T"), atom("n2_issame", OpNe, "SIM")},
+			{atom("n2_compare", OpNe, "nope"), atom("s2_issame", OpEq, "T")},
+			{atom("n2_issame", OpEq, "T"), {Feature: "n1", Op: OpLe, Value: joblog.Num(2.5)}},
+		},
+	}
+	kinds := map[string]map[caKind]int{}
+	tile := &Tile{} // one tile rebound walk after walk, as the pooled one is
+	for seed := uint64(0); seed < 40; seed++ {
+		log := fuzzLog(seed)
+		for _, preds := range triples {
+			checkTileAgainstBlocks(t, tile, preds, log)
+			d := features.NewDeriver(log.Schema, features.Level3)
+			for _, p := range preds {
+				for i, ca := range p.Compile(d, log.Columns()).atoms {
+					if kinds[p[i].Feature] == nil {
+						kinds[p[i].Feature] = map[caKind]int{}
+					}
+					kinds[p[i].Feature][ca.kind]++
+				}
+			}
+		}
+	}
+	for _, feature := range []string{"s1_issame", "n1_issame", "n1_compare", "duration_compare"} {
+		seen := kinds[feature]
+		if seen[caCode] == 0 || seen[caSym] == 0 || seen[caAlien] == 0 {
+			t.Errorf("%s compiled to the code kernel %d times, the generic symbol loop %d, the boxed fallback %d; every loop must be reached",
+				feature, seen[caCode], seen[caSym], seen[caAlien])
 		}
 	}
 }

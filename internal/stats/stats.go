@@ -102,14 +102,17 @@ func Similar(a, b float64) bool {
 	return SimilarTol(a, b, 0.10)
 }
 
-// SimilarTol is Similar with an explicit relative tolerance.
+// SimilarTol is Similar with an explicit relative tolerance. A NaN on
+// either side makes the difference NaN, which fails the comparison
+// whatever the scale, and two zeros pass it as 0 <= 0 — so neither case
+// needs a branch and the body stays small enough to inline into the pair
+// kernels.
 func SimilarTol(a, b, tol float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale == 0 {
-		return true
+	scale := math.Abs(a)
+	if y := math.Abs(b); y > scale {
+		scale = y
 	}
-	return diff <= tol*scale
+	return math.Abs(a-b) <= tol*scale
 }
 
 // DeriveRand deterministically derives an independent generator from a

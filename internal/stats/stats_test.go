@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -159,6 +160,115 @@ func TestSimilarProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// similarRef is SimilarTol as it was written before it was made
+// call-free: math.Max for the scale and an explicit zero-scale branch.
+// The pair kernels' SimilarTol must be the same function, bit pattern
+// for bit pattern.
+func similarRef(a, b float64) bool {
+	diff := math.Abs(a - b)
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	if scale == 0 {
+		return true
+	}
+	return diff <= 0.10*scale
+}
+
+func TestSimilarMatchesReference(t *testing.T) {
+	check := func(a, b float64) {
+		t.Helper()
+		if got, want := Similar(a, b), similarRef(a, b); got != want {
+			t.Fatalf("Similar(%v [%#x], %v [%#x]) = %v, reference %v",
+				a, math.Float64bits(a), b, math.Float64bits(b), got, want)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	edge := []float64{0, negZero, 1, -1, 1.1, 1.1000000000000001, 1.0999999999999999,
+		1e-310, -1e-310, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, a := range edge {
+		for _, b := range edge {
+			check(a, b)
+		}
+	}
+	// Every bit pattern is fair game: NaN payloads, subnormals, both
+	// infinities. Half the draws perturb a's low bits instead, so the
+	// pair lands near the band's edge far more often than chance allows.
+	rng := rand.New(rand.NewSource(20120827))
+	for i := 0; i < 1_000_000; i++ {
+		a := math.Float64frombits(rng.Uint64())
+		b := math.Float64frombits(rng.Uint64())
+		if i&1 == 1 {
+			b = a * (1 + 0.25*(rng.Float64()-0.5))
+		}
+		check(a, b)
+	}
+}
+
+// Property the numeric blocking classes rest on (core.blockClassesOf):
+// the band is convex. If a and b are Similar, so is every pair of values
+// between them — in floating point, not only on paper — which is what
+// lets a component whose two ends are Similar skip the per-pair check.
+// The far end is the last representable b still Similar to a, where a
+// rounding slip would show first.
+func TestSimilarBetween(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		a := math.Ldexp(1+rng.Float64(), rng.Intn(2090)-1074) // subnormal to near overflow
+		if trial&1 == 1 {
+			a = -a
+		}
+		// The last b still Similar to a, by bisection over the bit
+		// patterns of the magnitude (monotone in the value).
+		mag := math.Abs(a)
+		ok, no := math.Float64bits(mag), math.Float64bits(mag*1.2)+2
+		for no-ok > 1 {
+			mid := ok + (no-ok)/2
+			if Similar(mag, math.Float64frombits(mid)) {
+				ok = mid
+			} else {
+				no = mid
+			}
+		}
+		b := math.Copysign(math.Float64frombits(ok), a)
+		lo, hi := a, b
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		for k := 0; k < 50; k++ {
+			x := lo + (hi-lo)*rng.Float64()
+			y := lo + (hi-lo)*rng.Float64()
+			if k < 10 { // hug the ends
+				x, y = lo, hi
+				for s := rng.Intn(4); s > 0; s-- {
+					x = math.Nextafter(x, hi)
+				}
+				for s := rng.Intn(4); s > 0; s-- {
+					y = math.Nextafter(y, lo)
+				}
+			}
+			if x < lo || x > hi || y < lo || y > hi {
+				continue
+			}
+			if !Similar(x, y) {
+				t.Fatalf("Similar(%v, %v) holds but Similar(%v, %v), between them, does not", a, b, x, y)
+			}
+		}
+	}
+}
+
+var similarSink bool
+
+func BenchmarkSimilar(b *testing.B) {
+	xs := make([]float64, 1024)
+	rng := rand.New(rand.NewSource(1))
+	for i := range xs {
+		xs[i] = 100 * (1 + 0.3*rng.Float64())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		similarSink = Similar(xs[i&1023], xs[(i+7)&1023]) != similarSink
 	}
 }
 
