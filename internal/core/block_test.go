@@ -17,6 +17,17 @@ import (
 	"perfxplain/internal/pxql"
 )
 
+// blockRecords groups recs by their blocking-class tuple over the
+// blockIdx columns: groupByClasses over the columns' classes, the way
+// candidateGroups calls it.
+func blockRecords(cols *joblog.Columns, recs []int, blockIdx []int) [][]int {
+	bcs := make([]blockClasses, len(blockIdx))
+	for c, f := range blockIdx {
+		bcs[c] = blockClassesOf(cols, f)
+	}
+	return groupByClasses(bcs, recs)
+}
+
 // numericLog is a two-column log: k holds ks, duration counts up by 30%
 // a row, so every ordered pair is either observed (GT) or not related.
 func numericLog(ks []joblog.Value) *joblog.Log {
@@ -54,7 +65,7 @@ func checkNumericBlocking(t *testing.T, exec func(log *joblog.Log) Exec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedSet(ps); !reflect.DeepEqual(got, want) {
+	if got := sortedSet(ps.flatten()); !reflect.DeepEqual(got, want) {
 		t.Errorf("engine related set %v, Definition 7's %v", got, want)
 	}
 }

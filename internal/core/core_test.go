@@ -229,14 +229,15 @@ func TestBlockingMatchesBruteForce(t *testing.T) {
 
 func TestBalancedSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ps := &pairSet{}
+	flat := &pairPlanes{}
 	// 10000 observed, 100 expected: wildly unbalanced.
 	for i := 0; i < 10000; i++ {
-		ps.add(0, 1, true)
+		flat.add(0, 1, true)
 	}
 	for i := 0; i < 100; i++ {
-		ps.add(0, 1, false)
+		flat.add(0, 1, false)
 	}
+	ps := chunked(t, flat, 2)
 	s := balancedSample(ps, 2000, rng)
 	obs, exp := s.counts()
 	// Expect ≈1000 observed and all 100 expected.
@@ -247,7 +248,7 @@ func TestBalancedSample(t *testing.T) {
 		t.Errorf("balanced expected = %d, want ~100 (all kept)", exp)
 	}
 	// Small sets pass through untouched.
-	small := &pairSet{a: []int{0}, b: []int{1}, labels: []bool{true}}
+	small := chunked(t, &pairPlanes{a: []int{0}, b: []int{1}, labels: []bool{true}}, 2)
 	if got := balancedSample(small, 2000, rng); got.len() != 1 {
 		t.Error("small set should not be sampled")
 	}

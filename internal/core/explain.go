@@ -237,20 +237,25 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	}
 	x.RelatedPairs = related.len()
 	if related.len() == 0 {
+		related.release()
 		return nil, fmt.Errorf("core: no related pairs in the log for this query")
 	}
-	nObs, _ := related.counts()
-	x.TrainRelevance = 1 - float64(nObs)/float64(related.len())
+	x.TrainRelevance = 1 - float64(related.nObs)/float64(related.len())
 
 	// Sampling stays serial: it is O(pairs) cheap, and drawing from one
 	// sequential stream over the deterministically ordered pair set keeps
-	// it reproducible.
+	// it reproducible. The sample is a copy, so the walks' planes can go
+	// back to their pool.
 	sample := e.sample(related, stats.DeriveRand(e.cfg.Seed, "because-sample"))
+	related.release()
 	x.SampleSize = sample.len()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// The matrix is recycled: everything below reads it, and nothing the
+	// explanation keeps — atoms, thresholds, counts — points into it.
 	m := materialize(e.log, e.d, sample, e.cfg.Parallelism)
+	defer putMatrix(m)
 	pairVec := e.d.Vector(a, b)
 
 	bc := newBitmapCache(m, e.cfg.Parallelism)
@@ -320,13 +325,16 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 		return nil, err
 	}
 	if related.len() == 0 {
+		related.release()
 		return nil, fmt.Errorf("core: no related pairs in the log for this query")
 	}
 	sample := e.sample(related, stats.DeriveRand(e.cfg.Seed, "despite-sample"))
+	related.release()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	m := materialize(e.log, e.d, sample, e.cfg.Parallelism)
+	defer putMatrix(m)
 	pairVec := e.d.Vector(a, b)
 
 	// Positive class for despite generation is "performed as expected":
@@ -338,7 +346,7 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 	return e.grow(ctx, newBitmapCache(m, e.cfg.Parallelism), flipped, pairVec, e.cfg.DespiteWidth)
 }
 
-func (e *Explainer) sample(ps *pairSet, rng *rand.Rand) *pairSet {
+func (e *Explainer) sample(ps *pairSet, rng *rand.Rand) *pairPlanes {
 	switch {
 	case e.cfg.UnbalancedSample:
 		return uniformSample(ps, e.cfg.SampleSize, rng)

@@ -67,11 +67,11 @@ func (e *Explainer) trainRelevance(ctx context.Context, q *pxql.Query, despite p
 	if err != nil {
 		return 0, err
 	}
+	defer related.release()
 	if related.len() == 0 {
 		return 0, nil
 	}
-	nObs, _ := related.counts()
-	return 1 - float64(nObs)/float64(related.len()), nil
+	return 1 - float64(related.nObs)/float64(related.len()), nil
 }
 
 // diverseSample balances classes like balancedSample and additionally
@@ -80,7 +80,7 @@ func (e *Explainer) trainRelevance(ctx context.Context, q *pxql.Query, despite p
 // varied set of executions. The cap adapts to the pair volume: with m
 // pairs over n distinct records, each record may appear at most
 // max(4, 4m/n) times.
-func diverseSample(ps *pairSet, m int, log *joblog.Log, rng *rand.Rand) *pairSet {
+func diverseSample(ps *pairSet, m int, log *joblog.Log, rng *rand.Rand) *pairPlanes {
 	base := balancedSample(ps, m, rng)
 	distinct := make(map[int]bool)
 	for i, a := range base.a {
@@ -95,7 +95,7 @@ func diverseSample(ps *pairSet, m int, log *joblog.Log, rng *rand.Rand) *pairSet
 		cap = 4
 	}
 	counts := make(map[int]int, len(distinct))
-	out := newPairSet(base.len())
+	out := newPairPlanes(base.len())
 	for i, a := range base.a {
 		b := base.b[i]
 		if counts[a] >= cap || counts[b] >= cap {

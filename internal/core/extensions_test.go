@@ -84,13 +84,13 @@ func TestDiverseSampleCapsRepeats(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	log := syntheticLog(30, rng)
 	// Pathological pair set: record 0 participates in every pair.
-	ps := &pairSet{}
+	ps := &pairPlanes{}
 	for i := 1; i < 30; i++ {
 		for rep := 0; rep < 40; rep++ {
 			ps.add(0, i, rep%2 == 0)
 		}
 	}
-	out := diverseSample(ps, 400, log, rng)
+	out := diverseSample(chunked(t, ps, log.Len()), 400, log, rng)
 	counts := make(map[int]int)
 	for _, ref := range out.refs() {
 		counts[ref.a]++

@@ -136,7 +136,7 @@ func TestResidualDespiteEqualsFull(t *testing.T) {
 				}
 				walked += len(full.RefA)
 				if maxPairs == 0 {
-					ps := &pairSet{a: residual.RefA, b: residual.RefB, labels: residual.Labels}
+					ps := &pairPlanes{a: residual.RefA, b: residual.RefB, labels: residual.Labels}
 					checkRelated(t, name, tc.log, q, tc.despite, ps, true)
 				}
 

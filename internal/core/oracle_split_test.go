@@ -241,7 +241,7 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := &pairSet{}
+		ps := &pairPlanes{}
 		for a := range log.Records {
 			for b := range log.Records {
 				if a != b {

@@ -86,7 +86,7 @@ func oracleMetrics(log *joblog.Log, level features.Level, q *pxql.Query, x *Expl
 }
 
 // sortedSet renders an engine pair set in the oracle's form and order.
-func sortedSet(ps *pairSet) []oraclePair {
+func sortedSet(ps *pairPlanes) []oraclePair {
 	out := make([]oraclePair, ps.len())
 	for i, r := range ps.refs() {
 		out[i] = oraclePair{r.a, r.b, ps.labels[i]}
@@ -204,7 +204,7 @@ func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
 			wantSet := oracleRelated(log, features.Level3, q, despite)
-			if got := sortedSet(ps); !reflect.DeepEqual(got, wantSet) {
+			if got := sortedSet(ps.flatten()); !reflect.DeepEqual(got, wantSet) {
 				t.Errorf("trial %d %s (%d records): engine related set (%d pairs) differs from Definition 7 (%d pairs)",
 					trial, name, log.Len(), len(got), len(wantSet))
 			}

@@ -17,7 +17,9 @@ package core
 // pair's keep decision reads nothing a dropped group could change — it is
 // a pure function of (seed, i, j) at keepP >= skipKeepP, and of (seed, i,
 // j's position in its own group's member list) below it (see walkTiles) —
-// so thinning is unchanged in both regimes. Every rule below is
+// so thinning is unchanged in both regimes. Pruning builds its own list
+// of surviving groups: the input may be the view's memoized plan
+// (candidateGroups), which every query over the view shares. Every rule below is
 // conservative: when in doubt, a conjunct emits no check (or the check
 // returns alive) and the group is walked.
 

@@ -38,15 +38,19 @@ func RelatedPairsP(log *joblog.Log, level features.Level, q *pxql.Query,
 		// level outside Level1..3) can fail here.
 		panic(err)
 	}
-	out := make([]LabeledPair, ps.len())
-	for i, a := range ps.a {
-		b := ps.b[i]
-		out[i] = LabeledPair{
-			A:        log.Records[a],
-			B:        log.Records[b],
-			IA:       a,
-			IB:       b,
-			Observed: ps.labels[i],
+	defer ps.release()
+	out := make([]LabeledPair, 0, ps.len())
+	for ci := range ps.chunks {
+		c := &ps.chunks[ci]
+		for i, a := range c.RefA {
+			b := c.RefB[i]
+			out = append(out, LabeledPair{
+				A:        log.Records[a],
+				B:        log.Records[b],
+				IA:       a,
+				IB:       b,
+				Observed: c.Labels[i],
+			})
 		}
 	}
 	return out

@@ -38,6 +38,11 @@ package core
 //     still sees one and the same thinning; only a test or ablation that
 //     switches seek off sees the other.
 //
+// A filtered group is a fresh list; the group it was cut from — possibly
+// the view's memoized one (candidateGroups), shared with every other
+// query — is left as found, so a later plan without the conjunct sees
+// every row again.
+//
 // TestSeekEnumExact pins all three cases. Conjuncts that do not lower
 // exactly — OpNe, nominal columns, alien columns, kind-mismatched
 // constants — contribute no filter and those rows are walked as before.
@@ -111,9 +116,18 @@ func newRowSeeker(log *joblog.Log, despite pxql.Predicate) *rowSeeker {
 	return &rowSeeker{allow: allow}
 }
 
-// filter rewrites g in place to its qualifying rows, preserving order.
+// filter returns g's qualifying rows in order: g itself when every row
+// qualifies, a fresh list otherwise. g is never written — it may be a
+// view's memoized group, shared with other queries.
 func (s *rowSeeker) filter(g []int) []int {
-	out := g[:0]
+	n := 0
+	for _, i := range g {
+		n += int(bitset.B2u(s.allow.Get(i)))
+	}
+	if n == len(g) {
+		return g
+	}
+	out := make([]int, 0, n)
 	for _, i := range g {
 		if s.allow.Get(i) {
 			out = append(out, i)

@@ -112,7 +112,7 @@ func TestSeekEnumExact(t *testing.T) {
 		if (tc.maxPairs == 0) != (keepP == 1) || skipSampled(keepP) != tc.skip {
 			t.Fatalf("%s: maxPairs %d gives keepP %v; the fixture misses its regime", tc.name, tc.maxPairs, keepP)
 		}
-		walk := func(prune, seek bool) *pairSet {
+		walk := func(prune, seek bool) *pairPlanes {
 			ps := enumSwitched(t, log, q, tc.maxPairs, 77, prune, seek)
 			name := fmt.Sprintf("%s prune=%v seek=%v", tc.name, prune, seek)
 			checkRelated(t, name, log, q, q.Despite, ps, keepP == 1)

@@ -177,7 +177,7 @@ type SlicePrefetcher interface {
 // a miss, in which case the full payload is resent. Execution is
 // byte-identical either way: the hash covers every bit of the payload,
 // so a hit decodes to exactly what a fresh ship would have.
-//pxql:wirehash 7b1f34cc928623e8 v=9
+//pxql:wirehash 7b1f34cc928623e8 v=10
 
 //pxql:wire decode=Data
 type LogSlice struct {
@@ -268,7 +268,8 @@ type EnumSpec struct {
 	// whole plan, computed over the unpruned, unfiltered candidate count.
 	// It also selects the sampler (see walkTiles): at or above skipKeepP
 	// every candidate pair is hashed; below it each outer record draws
-	// geometric skips over its group's members.
+	// geometric skips over its group's members (skip.go: integers only,
+	// the same sample on every architecture).
 	KeepP float64 `json:"keep_p"`
 	// Seed is the splitmix seed. Counters key on (i, j) global record
 	// indices on the hashed path; on the skip path the stream keys on the
@@ -368,13 +369,15 @@ func (d *SliceData) compile(dr *features.Deriver, specs ...pxql.PredicateSpec) (
 	return out, nil
 }
 
-// tileBuf is one walk's tile: its pair of index arrays and the code
-// planes its clauses share (pxql.Tile). A walk cut into many specs would
-// otherwise allocate some 70 KB per spec to hold a few thousand kept
-// pairs; the pool recycles them between specs and queries.
+// tileBuf is one walk's tile: its pair of index arrays, the code planes
+// its clauses share (pxql.Tile) and the skip sampler's inversion table. A
+// walk cut into many specs would otherwise allocate some 80 KB per spec
+// to hold a few thousand kept pairs; the pool recycles them between specs
+// and queries.
 type tileBuf struct {
 	ai, bi [pairBlock]int
 	tile   pxql.Tile
+	skip   skipTable
 }
 
 var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
@@ -397,10 +400,12 @@ var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 //     record i draws geometric gaps from its own splitmix counter stream
 //     (skipStream) over the group's other members in member order — a
 //     pure function of (seed, i, the inner member's position in
-//     g.Members, keepP). A spec always carries a group's whole member
+//     g.Members, keepP), computed in integers through a fixed-point
+//     table built once per walk (skip.go), so it is the same function on
+//     every architecture. A spec always carries a group's whole member
 //     list, however the group straddles specs, segments or workers, so
 //     the kept set is the same at every parallelism, spec count,
-//     executor, transport and seal boundary.
+//     executor, transport, seal boundary and GOARCH.
 //
 // Both are exact iid Bernoulli(keepP) thinnings of the same pair space
 // in the same order; they keep different pairs.
@@ -423,7 +428,9 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, clauses []
 	tile := &tb.tile
 	tile.Bind(pairBlock, clauses...)
 	skip := skipSampled(keepP)
-	invLogQ := 1 / math.Log1p(-keepP) // read on the skip path only
+	if skip {
+		tb.skip.build(skipQuantum(keepP))
+	}
 	for _, g := range groups {
 		members := g.Members
 		if skip {
@@ -433,7 +440,7 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, clauses []
 			n1 := len(members) - 1
 			for p := g.Lo; p < g.Hi; p++ {
 				i := members[p]
-				st := newSkipStream(seed, i, invLogQ)
+				st := newSkipStream(seed, i, &tb.skip)
 				for q := 0; ; q++ {
 					gap, ok := st.next(n1 - q)
 					if !ok {
@@ -520,28 +527,55 @@ func expectedKept(groups []EnumGroup, keepP float64) int {
 // intern-independent (it matches the interpreted semantics exactly), so
 // labels and refs are the same on every view of the same records.
 func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
+	res := &EnumResult{}
+	if err := s.runInto(data, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// resultPool recycles the local executor's result planes between rounds:
+// a thinned walk returns some hundred kilobytes per spec that the sampler
+// reads once (pairSet.release puts them back). Results decoded off the
+// wire are adopted as they are and never enter the pool.
+var resultPool = sync.Pool{New: func() any { return new(EnumResult) }}
+
+// runPooled is RunWith into planes from resultPool.
+func (s *EnumSpec) runPooled(data *SliceData) (*EnumResult, error) {
+	res := resultPool.Get().(*EnumResult)
+	if err := s.runInto(data, res); err != nil {
+		resultPool.Put(res)
+		return nil, err
+	}
+	return res, nil
+}
+
+// runInto is RunWith's walk, overwriting res and reusing its planes'
+// capacity.
+func (s *EnumSpec) runInto(data *SliceData, res *EnumResult) error {
 	d, err := data.deriver(s.Level)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c, err := data.compile(d, s.Despite, s.Observed, s.Expected)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cDes, cObs, cExp := c[0], c[1], c[2]
 
-	res := &EnumResult{}
+	res.RefA, res.RefB, res.Labels = res.RefA[:0], res.RefB[:0], res.Labels[:0]
 	if skipSampled(s.KeepP) {
 		// A thinned walk's output is bounded by its kept pairs, whose
 		// count is known in expectation: one sized buffer per plane
 		// instead of append-doubling through a few hundred kilobytes.
-		n := expectedKept(s.Groups, s.KeepP)
-		res.RefA, res.RefB, res.Labels = make([]int, 0, n), make([]int, 0, n), make([]bool, 0, n)
+		if n := expectedKept(s.Groups, s.KeepP); cap(res.RefA) < n || cap(res.RefB) < n || cap(res.Labels) < n {
+			res.RefA, res.RefB, res.Labels = make([]int, 0, n), make([]int, 0, n), make([]bool, 0, n)
+		}
 	}
 	des := bitset.Make(pairBlock)
 	obsSel := bitset.Make(pairBlock)
 	expSel := bitset.Make(pairBlock)
-	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
+	return walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, oS, eS := des[:nw], obsSel[:nw], expSel[:nw]
 		dS.Ones(len(ai))
@@ -561,10 +595,6 @@ func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 			res.Labels = append(res.Labels, oS.Get(k))
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // Run executes the evaluation spec standalone in this process, decoding
@@ -620,14 +650,15 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 	return res, nil
 }
 
-// inRange reports whether every index lies in [0, n).
+// inRange reports whether every index lies in [0, n): one branch-free
+// max-reduce over the plane — a negative index reads as a huge unsigned
+// one — and a single comparison.
 func inRange(idx []int, n int) bool {
+	var top uint
 	for _, i := range idx {
-		if i < 0 || i >= n {
-			return false
-		}
+		top = max(top, uint(i))
 	}
-	return true
+	return len(idx) == 0 || top < uint(n)
 }
 
 // enumeratePairs enumerates the related pairs of (q, despite): one
@@ -642,30 +673,14 @@ func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite p
 		PlanEnumShards(ex.Layout, e.log, e.d.Level(), q, despite, e.cfg.MaxPairs, ex.shards(), seed))
 }
 
-// runEnumSpecs executes planned enumeration specs and merges the
-// validated results in spec order — the shared tail of every
-// enumeration round, whoever ran it.
+// runEnumSpecs executes planned enumeration specs and adopts the
+// validated results in spec order — the shared tail of every enumeration
+// round, whoever ran it. The caller releases the set once it has sampled
+// or counted it.
 func runEnumSpecs(ctx context.Context, ex Exec, log *joblog.Log, specs []EnumSpec) (*pairSet, error) {
-	results, err := runSpecs(ctx, ex, log, "enumeration", specs, (*EnumSpec).RunWith, ShardRunner.RunEnum)
+	results, err := runSpecs(ctx, ex, log, "enumeration", specs, (*EnumSpec).runPooled, ShardRunner.RunEnum)
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	for si := range results {
-		n += len(results[si].RefA)
-	}
-	ps := newPairSet(n)
-	for si := range results {
-		r := &results[si]
-		if len(r.RefA) != len(r.RefB) || len(r.RefA) != len(r.Labels) {
-			return nil, fmt.Errorf("core: shard %d returned ragged enumeration result", si)
-		}
-		if !inRange(r.RefA, log.Len()) || !inRange(r.RefB, log.Len()) {
-			return nil, fmt.Errorf("core: shard %d returned pair outside the %d-record log", si, log.Len())
-		}
-		ps.a = append(ps.a, r.RefA...)
-		ps.b = append(ps.b, r.RefB...)
-		ps.labels = append(ps.labels, r.Labels...)
-	}
-	return ps, nil
+	return adoptResults(results, log.Len(), ex.Runner == nil)
 }

@@ -61,8 +61,8 @@ type pairRef struct {
 	a, b int
 }
 
-// refs zips the pair set's index planes into pairs.
-func (ps *pairSet) refs() []pairRef {
+// refs zips the index planes into pairs.
+func (ps *pairPlanes) refs() []pairRef {
 	out := make([]pairRef, ps.len())
 	for i := range out {
 		out[i] = pairRef{ps.a[i], ps.b[i]}

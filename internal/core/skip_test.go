@@ -1,26 +1,39 @@
 package core
 
-// Tests for the geometric-skip thinning path of walkTiles (skipStream,
-// geomGap): the gap arithmetic is pinned by a fixed vector, the kept
+// Tests for the skip thinning path of walkTiles (skip.go): the table and
+// its inversion are checked against a math/big reference, the stream is
+// pinned by a fixed vector that holds on every architecture, the kept
 // positions obey the walk's order contract, their count and spacing
-// follow the Bernoulli(keepP) law they replace, the float→int step is
-// safe at every edge, and the crossover constant selects the dense loop
+// follow the Bernoulli(keepP) law they replace, every edge of room and
+// keepP terminates, and the crossover constant selects the dense loop
 // exactly where the contract says.
 
 import (
+	"go/parser"
+	"go/token"
 	"math"
-	"perfxplain/internal/pxql"
+	"math/big"
 	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 
+	"perfxplain/internal/pxql"
 	"perfxplain/internal/stats"
 )
+
+// skipTableFor builds the inversion table of one keep probability.
+func skipTableFor(keepP float64) *skipTable {
+	tab := new(skipTable)
+	tab.build(skipQuantum(keepP))
+	return tab
+}
 
 // skipRow collects the inner positions one outer record's stream keeps
 // over room = n−1 inner positions — the skip branch of walkTiles for a
 // single outer member, without the position→member mapping.
 func skipRow(seed uint64, i, room int, keepP float64) []int {
-	st := newSkipStream(seed, i, 1/math.Log1p(-keepP))
+	st := newSkipStream(seed, i, skipTableFor(keepP))
 	var kept []int
 	for q := 0; ; q++ {
 		gap, ok := st.next(room - q)
@@ -44,15 +57,97 @@ func walkedPairs(t *testing.T, members []int, n int, seed uint64, keepP float64)
 	return as, bs
 }
 
-// TestSkipStreamPinned fails loudly on any drift in the stream keying or
-// the gap arithmetic: a fixed (seed, row, n, keepP) keeps exactly these
-// positions first. Re-pinning this vector changes every thinned sample —
+// TestSkipSamplerImports keeps floating-point library code off the
+// sample path for good: the sampler's file may import math/bits and
+// internal/stats and nothing else.
+func TestSkipSamplerImports(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "skip.go", nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{"math/bits": true, "perfxplain/internal/stats": true}
+	for _, imp := range f.Imports {
+		if path, _ := strconv.Unquote(imp.Path.Value); !allowed[path] {
+			t.Errorf("skip.go imports %s; the integer sampler may import only math/bits and internal/stats", path)
+		}
+	}
+}
+
+// TestSkipTableMatchesBig rebuilds the quantum, the table and the guide
+// in arbitrary precision and inverts 10⁵ uniforms by binary search over
+// the reference table: the fixed-point table is exactly the recurrence
+// it documents, and the guide-then-scan inversion is exactly
+// #{g >= 1 : U < T[g]}.
+func TestSkipTableMatchesBig(t *testing.T) {
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	for _, keepP := range []float64{1.0 / 9, 0.00274, 1e-6, 0x1p-53} {
+		tab := skipTableFor(keepP)
+
+		// Q = ⌊2⁶⁴·(1−keepP)⌋ with 1−keepP exact.
+		q := new(big.Float).SetPrec(2048).SetFloat64(keepP)
+		q.Sub(big.NewFloat(1).SetPrec(2048), q)
+		q.Mul(q, new(big.Float).SetPrec(2048).SetInt(two64))
+		wantQ, _ := q.Int(nil)
+		if !wantQ.IsUint64() || wantQ.Uint64() != tab.q {
+			t.Fatalf("keepP=%g: Q = %#x, want %s", keepP, tab.q, wantQ.Text(16))
+		}
+
+		ref := make([]*big.Int, skipSpan+1)
+		ref[1] = wantQ
+		for g := 2; g <= skipSpan; g++ {
+			ref[g] = new(big.Int).Mul(ref[g-1], wantQ)
+			ref[g].Rsh(ref[g], 64)
+		}
+		for g := 1; g <= skipSpan; g++ {
+			if ref[g].Uint64() != tab.t[g] {
+				t.Fatalf("keepP=%g: T[%d] = %#x, want %s", keepP, g, tab.t[g], ref[g].Text(16))
+			}
+		}
+		// gapOf counts the reference entries above u; T is non-increasing.
+		gapOf := func(u *big.Int) int {
+			return sort.Search(skipSpan, func(k int) bool { return ref[k+1].Cmp(u) <= 0 })
+		}
+		for b := range tab.guide {
+			top := new(big.Int).Lsh(big.NewInt(int64(b+1)), skipGuideShift)
+			top.Sub(top, big.NewInt(1)) // the bucket's largest U
+			if want := gapOf(top); int(tab.guide[b]) != want {
+				t.Fatalf("keepP=%g: guide[%d] = %d, want %d", keepP, b, tab.guide[b], want)
+			}
+		}
+		// Uniforms over [T[skipSpan], 2⁶⁴), the range invert is defined on.
+		floor := tab.t[skipSpan]
+		span := -floor // 2⁶⁴ − floor; floor > 0 at every keepP here but 1/9
+		for k := uint64(0); k < 100000; k++ {
+			u := stats.SplitMix64(k)
+			if span != 0 {
+				u = floor + u%span
+			}
+			if got, want := tab.invert(u), gapOf(new(big.Int).SetUint64(u)); got != want {
+				t.Fatalf("keepP=%g: invert(%#x) = %d, want %d", keepP, u, got, want)
+			}
+		}
+	}
+}
+
+// TestSkipStreamPinned fails loudly on any drift in the stream keying,
+// the quantisation or the table: a fixed (seed, row, n, keepP) keeps
+// exactly these positions first — on every architecture, the sampler
+// being integer-only. The second vector's gaps run past skipSpan, so it
+// pins the redraw too. Re-pinning either changes every thinned sample —
 // bump shard.Version with it.
 func TestSkipStreamPinned(t *testing.T) {
-	got := skipRow(0x9e3779b97f4a7c15, 12345, 99999, 0.01)
-	want := []int{2, 29, 135, 238, 406, 533, 574, 651}
-	if len(got) < len(want) || !reflect.DeepEqual(got[:len(want)], want) {
-		t.Errorf("first kept positions %v, want %v", got[:min(len(got), len(want))], want)
+	for _, tc := range []struct {
+		room  int
+		keepP float64
+		want  []int
+	}{
+		{99999, 0.01, []int{2, 29, 135, 238, 406, 533, 574, 651, 767, 1006, 1042, 1268, 1517, 1585, 1659, 1712}},
+		{9999999, 1e-4, []int{243, 16306, 16400, 29242, 37129, 52455, 54301, 82845, 94607, 97626, 162166, 163164}},
+	} {
+		got := skipRow(0x9e3779b97f4a7c15, 12345, tc.room, tc.keepP)
+		if len(got) < len(tc.want) || !reflect.DeepEqual(got[:len(tc.want)], tc.want) {
+			t.Errorf("keepP=%g: first kept positions %v, want %v", tc.keepP, got[:min(len(got), len(tc.want))], tc.want)
+		}
 	}
 }
 
@@ -105,8 +200,9 @@ func TestSkipStreamLaw(t *testing.T) {
 
 	const perRow = 20
 	hist := make([]int, 60)
+	tab := skipTableFor(keepP)
 	for i := 0; i < rows; i++ {
-		st := newSkipStream(99, i, 1/math.Log1p(-keepP))
+		st := newSkipStream(99, i, tab)
 		for k := 0; k < perRow; k++ {
 			gap, ok := st.next(1 << 40)
 			if !ok {
@@ -127,32 +223,53 @@ func TestSkipStreamLaw(t *testing.T) {
 	}
 }
 
-// TestSkipStreamEdges pins termination and the float→int guard: u = 0
-// (an infinite gap), a vanishing keepP (gaps far beyond any int), keepP
-// just under the crossover, the smallest group and an empty row all end
-// without converting an out-of-range float.
+// TestSkipStreamEdges pins termination and the quantisation at every
+// edge: no room and one position of room, a keepP at and far below the
+// float grid's resolution near 1 (gaps far beyond any group), keepP just
+// under the crossover, the smallest group and an empty row; and NaN and
+// non-positive probabilities never reach the sampler at all.
 func TestSkipStreamEdges(t *testing.T) {
-	inv := func(p float64) float64 { return 1 / math.Log1p(-p) }
-	if gap, ok := geomGap(0, inv(0.01), 1<<40); ok {
-		t.Errorf("u = 0 produced gap %d; want the row to end", gap)
+	for _, tc := range []struct {
+		keepP float64
+		q     uint64
+	}{
+		{0x1p-3, 7 << 61}, {0x1p-53, ^uint64(0) - 1<<11 + 1}, {0x1p-64, ^uint64(0)},
+		{1e-300, ^uint64(0)}, {5e-324, ^uint64(0)},
+		{1e-12, 0xfffffffffee68667}, // ⌈2⁶⁴·1e-12⌉ = 18446745 — one past the floor
+	} {
+		if q := skipQuantum(tc.keepP); q != tc.q {
+			t.Errorf("skipQuantum(%g) = %#x, want %#x", tc.keepP, q, tc.q)
+		}
 	}
-	if gap, ok := geomGap(0.5, inv(1e-12), 1<<40); !ok || gap != 693147180559 {
-		t.Errorf("keepP = 1e-12, u = 0.5: gap %d ok %v; want ⌊ln 2 · 1e12⌋", gap, ok)
-	}
-	if gap, ok := geomGap(0.5, inv(1e-300), math.MaxInt); ok {
-		t.Errorf("keepP = 1e-300 produced gap %d; want the row to end", gap)
-	}
-	if gap, ok := geomGap(0.5, inv(5e-324), math.MaxInt); ok {
-		t.Errorf("subnormal keepP (infinite 1/ln) produced gap %d; want the row to end", gap)
-	}
-	if gap, ok := geomGap(math.NaN(), inv(0.01), 10); ok {
-		t.Errorf("NaN uniform produced gap %d", gap)
-	}
-	if gap, ok := geomGap(math.Nextafter(1, 0), inv(0.01), 1); !ok || gap != 0 {
-		t.Errorf("u just under 1: gap %d ok %v; want 0", gap, ok)
-	}
-	if _, ok := geomGap(0.9, inv(0.01), 0); ok {
-		t.Error("a gap fit into no room")
+	for _, keepP := range []float64{math.Nextafter(skipKeepP, 0), 0.01, 0x1p-53, 1e-300} {
+		tab := skipTableFor(keepP)
+		zeros := 0
+		for i := 0; i < 2000; i++ {
+			st := newSkipStream(3, i, tab)
+			if gap, ok := st.next(0); ok {
+				t.Fatalf("keepP=%g row %d: gap %d fit into no room", keepP, i, gap)
+			}
+			if gap, ok := st.next(1); ok && gap != 0 {
+				t.Fatalf("keepP=%g row %d: gap %d fit into one position", keepP, i, gap)
+			} else if ok {
+				zeros++
+			}
+			// A row far longer than any gap the table resolves in one draw
+			// still ends, by redrawing at most room/skipSpan times.
+			st = newSkipStream(3, i, tab)
+			for q, room := 0, 1<<14; ; q++ {
+				gap, ok := st.next(room - q)
+				if !ok {
+					break
+				}
+				if q += gap; q >= room {
+					t.Fatalf("keepP=%g row %d: kept position %d of %d", keepP, i, q, room)
+				}
+			}
+		}
+		if (keepP > 0.001) != (zeros > 0) {
+			t.Errorf("keepP=%g: %d of 2000 rows kept their only position", keepP, zeros)
+		}
 	}
 	under := math.Nextafter(skipKeepP, 0)
 	if !skipSampled(under) || skipSampled(skipKeepP) || skipSampled(0) || skipSampled(-1) || skipSampled(math.NaN()) {
@@ -231,3 +348,28 @@ func TestSkipStreamCrossover(t *testing.T) {
 		t.Error("both sides of the crossover kept the same pairs; the fixture cannot tell the samplers apart")
 	}
 }
+
+// BenchmarkSkipStream reports the sampler's cost per draw (one op is one
+// draw) at the two ends
+// of its regime: big_blocked's keepP, where one draw in twenty redraws,
+// and just under the crossover, where none does.
+func BenchmarkSkipStream(b *testing.B) {
+	for _, keepP := range []float64{0.00274, 1.0 / 9} {
+		b.Run(strconv.FormatFloat(keepP, 'g', 3, 64), func(b *testing.B) {
+			tab := skipTableFor(keepP)
+			const perRow = 256
+			sink := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i += perRow {
+				st := newSkipStream(17, i, tab)
+				for k := 0; k < perRow && i+k < b.N; k++ {
+					gap, _ := st.next(1 << 40)
+					sink += gap
+				}
+			}
+			skipSink = sink
+		})
+	}
+}
+
+var skipSink int

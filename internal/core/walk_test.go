@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"perfxplain/internal/features"
@@ -24,11 +25,30 @@ var serialExec = Exec{Parallelism: 1, Shards: 1}
 
 // enumLocal runs one planned enumeration round of (q, despite) under ex.
 func enumLocal(t testing.TB, log *joblog.Log, q *pxql.Query, despite pxql.Predicate,
-	maxPairs int, seed uint64, ex Exec) *pairSet {
+	maxPairs int, seed uint64, ex Exec) *pairPlanes {
 
 	t.Helper()
 	ps, err := runEnumSpecs(context.Background(), ex, log,
 		PlanEnumShards(ex.Layout, log, features.Level3, q, despite, maxPairs, ex.shards(), seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.release()
+	return ps.flatten()
+}
+
+// chunked cuts flat planes into a pair set of len(cuts)+1 chunks at the
+// given ascending offsets — what a round of that many specs would have
+// returned.
+func chunked(t testing.TB, p *pairPlanes, n int, cuts ...int) *pairSet {
+	t.Helper()
+	var results []EnumResult
+	lo := 0
+	for _, hi := range append(slices.Clip(cuts), p.len()) {
+		results = append(results, EnumResult{RefA: p.a[lo:hi], RefB: p.b[lo:hi], Labels: p.labels[lo:hi]})
+		lo = hi
+	}
+	ps, err := adoptResults(results, n, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +59,7 @@ func enumLocal(t testing.TB, log *joblog.Log, q *pxql.Query, despite pxql.Predic
 // filtering individually switchable — with both off, the denominator of
 // the exactness tests. It is PlanEnumShards' one spec over
 // blockedGroupsOpt's groups instead of blockedGroups'.
-func enumSwitched(t testing.TB, log *joblog.Log, q *pxql.Query, maxPairs int, seed uint64, prune, seek bool) *pairSet {
+func enumSwitched(t testing.TB, log *joblog.Log, q *pxql.Query, maxPairs int, seed uint64, prune, seek bool) *pairPlanes {
 	t.Helper()
 	spec := PlanEnumShards(nil, log, features.Level3, q, q.Despite, maxPairs, 1, seed)[0]
 	groups, keepP := blockedGroupsOpt(log, q.Despite, maxPairs, prune, seek)
@@ -48,12 +68,13 @@ func enumSwitched(t testing.TB, log *joblog.Log, q *pxql.Query, maxPairs int, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ps
+	defer ps.release()
+	return ps.flatten()
 }
 
 // checkRelated compares an engine pair set with the oracle: the same set
 // when the walk was exact, a subset with the same labels when sampled.
-func checkRelated(t *testing.T, name string, log *joblog.Log, q *pxql.Query, despite pxql.Predicate, ps *pairSet, exact bool) {
+func checkRelated(t *testing.T, name string, log *joblog.Log, q *pxql.Query, despite pxql.Predicate, ps *pairPlanes, exact bool) {
 	t.Helper()
 	got, want := sortedSet(ps), oracleRelated(log, features.Level3, q, despite)
 	if exact {
@@ -86,7 +107,7 @@ func requireRegime(t *testing.T, log *joblog.Log, despite pxql.Predicate, maxPai
 	}
 }
 
-func samePairs(a, b *pairSet) bool {
+func samePairs(a, b *pairPlanes) bool {
 	return reflect.DeepEqual(a.refs(), b.refs()) && reflect.DeepEqual(a.labels, b.labels)
 }
 

@@ -378,6 +378,22 @@ func (d *Deriver) NewPairMatrix(n int) *PairMatrix {
 	}
 }
 
+// ReshapePairMatrix readies m — a matrix of any deriver and size, or the
+// zero value — for n pairs of d's features, keeping its planes when they
+// are large enough. Cells hold whatever the planes held before: FillPairs
+// writes every cell of the rows it is given, and every row in [0, n) must
+// be filled before it is read.
+func (d *Deriver) ReshapePairMatrix(m *PairMatrix, n int) {
+	m.D, m.N = d, n
+	if cap(m.Num) < n*d.numW {
+		m.Num = make([]float64, n*d.numW)
+	}
+	if cap(m.Sym) < n*d.symW {
+		m.Sym = make([]uint64, n*d.symW)
+	}
+	m.Num, m.Sym = m.Num[:n*d.numW], m.Sym[:n*d.symW]
+}
+
 // NumCol returns the numeric column at NumOffset(feature), one cell per
 // row.
 func (m *PairMatrix) NumCol(numOff int) []float64 {

@@ -97,9 +97,12 @@ func TestColumnarDeriveMatchesBoxed(t *testing.T) {
 
 // TestFillMatchesFillPairs pins Fill as the bulk kernel on one pair: a
 // matrix filled row by row, one filled by a single FillPairs call and one
-// filled in ragged chunks hold identical planes.
+// filled in ragged chunks hold identical planes — and so does a recycled
+// one, reshaped from whatever shape and content the last level left it
+// with, because a fill writes every cell of its rows.
 func TestFillMatchesFillPairs(t *testing.T) {
-	for _, level := range []Level{Level1, Level2, Level3} {
+	recycled := new(PairMatrix)
+	for _, level := range []Level{Level1, Level3, Level2, Level3} {
 		log := randLog(11, 9)
 		d := NewDeriver(log.Schema, level)
 		cols := log.Columns()
@@ -115,10 +118,19 @@ func TestFillMatchesFillPairs(t *testing.T) {
 			hi := min(lo+step, len(ai))
 			ragged.FillPairs(cols, lo, ai[lo:hi], bi[lo:hi])
 		}
-		for name, m := range map[string]*PairMatrix{"row-by-row": rows, "ragged chunks": ragged} {
+		d.ReshapePairMatrix(recycled, len(ai))
+		recycled.FillPairs(cols, 0, ai, bi)
+		for name, m := range map[string]*PairMatrix{"row-by-row": rows, "ragged chunks": ragged, "recycled": recycled} {
 			if !slices.Equal(m.Sym, bulk.Sym) || !slices.EqualFunc(m.Num, bulk.Num, sameFloat) {
 				t.Errorf("L%d: %s fill differs from one FillPairs call", level, name)
 			}
+		}
+		// Poison what the next level inherits.
+		for i := range recycled.Num {
+			recycled.Num[i] = -1
+		}
+		for i := range recycled.Sym {
+			recycled.Sym[i] = 0xdead
 		}
 	}
 }

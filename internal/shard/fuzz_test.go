@@ -215,11 +215,11 @@ func v6MatFrame(t testing.TB) []byte {
 	}})
 }
 
-// staleFrame is a well-formed enumeration task as protocol v7 or v8
+// staleFrame is a well-formed enumeration task as protocol v7, v8 or v9
 // framed it — field for field a current frame, but for the version: v8
-// changed which pairs a KeepP below 1/8 keeps, and v9 took the fields
-// that selected v8's other samplers off the wire (gob drops fields the
-// receiver lacks, so a frame carrying them decodes to this one).
+// and v10 changed which pairs a KeepP below 1/8 keeps, and v9 took the
+// fields that selected v8's other samplers off the wire (gob drops fields
+// the receiver lacks, so a frame carrying them decodes to this one).
 func staleFrame(t testing.TB, version int) []byte {
 	spec := seedSpec()
 	spec.KeepP = 0.01
@@ -294,6 +294,18 @@ func TestWorkerRefusesV8Frame(t *testing.T) {
 	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
 		results[0].Err != fmt.Sprintf("shard: protocol version 8, want %d", shard.Version) {
 		t.Fatalf("v8 frame answered with %+v", results)
+	}
+}
+
+// TestWorkerRefusesV9Frame pins the same for the float sampler's last
+// version: a v9 frame decodes into a runnable task whose coordinator
+// drew its gaps through math.Log; thinned by the integer table it would
+// merge into a sample neither build produces alone.
+func TestWorkerRefusesV9Frame(t *testing.T) {
+	results := workerResults(t, staleFrame(t, 9))
+	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
+		results[0].Err != fmt.Sprintf("shard: protocol version 9, want %d", shard.Version) {
+		t.Fatalf("v9 frame answered with %+v", results)
 	}
 }
 

@@ -60,16 +60,18 @@ import (
 // Version 9: Bernoulli thinning under KeepP is the only sampler — v3's
 // mode switch and group budgets and v4's round marker are gone, so a v8
 // frame asking for a stratified walk is refused, not walked whole.
-//
-// The skip gap is ⌊ln U / ln(1−KeepP)⌋ through math.Log, which is
-// assembly on amd64 and s390x and pure Go elsewhere (where the compiler
-// may also fuse its multiply-adds): a coordinator and workers built for
-// different GOARCH values may disagree in the last bit of a logarithm and
-// so, rarely, on a gap. Results are byte-identical across executors —
-// local, subprocess, socket — only among builds that share a GOARCH.
-const Version = 9
+// Version 10: no field changed, but KeepP below 1/8 selects a different
+// sample again — the skip gap is now inverted from a fixed-point table in
+// integer arithmetic (core's skip.go) instead of ⌊ln U / ln(1−KeepP)⌋
+// through math.Log, which agreed with itself only among builds sharing a
+// GOARCH. The two samplers spend a different number of draws on any gap
+// longer than the table (one in twenty at KeepP = 0.003), after which
+// the rest of the row differs, so v9 and v10 refuse each other; among
+// v10 builds results are byte-identical across executors — local,
+// subprocess, socket — whatever architecture each side was compiled for.
+const Version = 10
 
-//pxql:wirehash 4b7e22dbdf19f9a5 v=9
+//pxql:wirehash 4b7e22dbdf19f9a5 v=10
 
 // Task is one request frame: exactly one spec pointer is set — or
 // Prefetch alone, a payload-only frame that warms the worker's
