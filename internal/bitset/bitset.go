@@ -120,32 +120,26 @@ func (s Set) ForEach(fn func(i int)) {
 	}
 }
 
-// BlitFrom copies the first n bits of src into s starting at bit offset
-// off, leaving every other bit of s untouched — the concatenation
+// BlitFrom copies n bits of src, starting at bit from, into s starting
+// at bit off, leaving every other bit of s untouched — the concatenation
 // primitive for stitching per-segment bitmaps (whose lengths are rarely
-// word-aligned) into one log-wide bitmap. s must have capacity for
-// off+n bits.
-func (s Set) BlitFrom(src Set, off, n int) {
-	if n <= 0 {
-		return
-	}
-	if uint(off)&63 == 0 {
-		// Word-aligned fast path: whole-word copies plus a masked tail.
-		w := off >> 6
+// word-aligned) into one log-wide bitmap, and for cutting a run of rows
+// out of one. s must have capacity for off+n bits, src for from+n.
+func (s Set) BlitFrom(src Set, from, off, n int) {
+	if uint(off)&63 == 0 && uint(from)&63 == 0 {
+		// Word-aligned on both sides: whole-word copies, then the tail.
 		full := n >> 6
-		copy(s[w:w+full], src[:full])
-		if tail := uint(n) & 63; tail != 0 {
-			mask := uint64(1)<<tail - 1
-			s[w+full] = s[w+full]&^mask | src[full]&mask
-		}
-		return
+		copy(s[off>>6:off>>6+full], src[from>>6:from>>6+full])
+		from, off, n = from+full<<6, off+full<<6, n&63
 	}
-	for i := 0; i < n; i++ {
-		if src.Get(i) {
-			s.SetBit(off + i)
-		} else {
-			s[(off+i)>>6] &^= 1 << (uint(off+i) & 63)
-		}
+	for n > 0 {
+		// The longest run that stays inside one word on both sides.
+		k := min(n, 64-int(uint(off)&63), 64-int(uint(from)&63))
+		mask := ^uint64(0) >> uint(64-k)
+		run := src[from>>6] >> (uint(from) & 63) & mask
+		sh := uint(off) & 63
+		s[off>>6] = s[off>>6]&^(mask<<sh) | run<<sh
+		from, off, n = from+k, off+k, n-k
 	}
 }
 

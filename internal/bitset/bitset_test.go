@@ -128,16 +128,18 @@ func TestBlitFromMatchesBoolModel(t *testing.T) {
 				if off >= total || off+n > total {
 					continue
 				}
-				dsts, dst := refBits(total, rng)
-				srcs, src := refBits(n, rng)
-				want := append([]bool(nil), dsts...)
-				copy(want[off:off+n], srcs)
+				for _, from := range []int{0, 1, 37, 64, 100} {
+					dsts, dst := refBits(total, rng)
+					srcs, src := refBits(from+n, rng)
+					want := append([]bool(nil), dsts...)
+					copy(want[off:off+n], srcs[from:])
 
-				dst.BlitFrom(src, off, n)
-				for i := 0; i < total; i++ {
-					if dst.Get(i) != want[i] {
-						t.Fatalf("total=%d off=%d n=%d: bit %d = %v, want %v",
-							total, off, n, i, dst.Get(i), want[i])
+					dst.BlitFrom(src, from, off, n)
+					for i := 0; i < total; i++ {
+						if dst.Get(i) != want[i] {
+							t.Fatalf("total=%d from=%d off=%d n=%d: bit %d = %v, want %v",
+								total, from, off, n, i, dst.Get(i), want[i])
+						}
 					}
 				}
 			}

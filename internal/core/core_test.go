@@ -39,6 +39,16 @@ func syntheticLog(n int, rng *rand.Rand) *joblog.Log {
 
 func id(i int) string { return "job-" + string(rune('A'+i/26)) + string(rune('a'+i%26)) }
 
+// records boxes the log's rows, so helpers can walk them pairwise
+// whichever form the log has; a log of records yields its own.
+func records(l *joblog.Log) []*joblog.Record {
+	recs := make([]*joblog.Record, l.Len())
+	for i := range recs {
+		recs[i] = l.Record(i)
+	}
+	return recs
+}
+
 // gtQuery asks: why was J1 slower than J2, expecting similar durations.
 func gtQuery(log *joblog.Log, d *features.Deriver) *pxql.Query {
 	q := &pxql.Query{
@@ -46,8 +56,9 @@ func gtQuery(log *joblog.Log, d *features.Deriver) *pxql.Query {
 		Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: joblog.Str("SIM")}},
 	}
 	// Find a pair of interest satisfying obs.
-	for _, a := range log.Records {
-		for _, b := range log.Records {
+	recs := records(log)
+	for _, a := range recs {
+		for _, b := range recs {
 			if a == b {
 				continue
 			}

@@ -36,8 +36,9 @@ type oraclePair struct {
 func oracleRelated(log *joblog.Log, level features.Level, q *pxql.Query, despite pxql.Predicate) []oraclePair {
 	d := features.NewDeriver(log.Schema, level)
 	out := []oraclePair{}
-	for i, a := range log.Records {
-		for j, b := range log.Records {
+	recs := records(log)
+	for i, a := range recs {
+		for j, b := range recs {
 			if i == j || !despite.EvalPair(d, a, b) {
 				continue
 			}
@@ -57,8 +58,9 @@ func oracleRelated(log *joblog.Log, level features.Level, q *pxql.Query, despite
 func oracleMetrics(log *joblog.Log, level features.Level, q *pxql.Query, x *Explanation) (m Metrics, ok bool) {
 	d := features.NewDeriver(log.Schema, level)
 	exp, obsAndBec := 0, 0
-	for i, a := range log.Records {
-		for j, b := range log.Records {
+	recs := records(log)
+	for i, a := range recs {
+		for j, b := range recs {
 			if i == j || !q.Despite.EvalPair(d, a, b) || !x.Despite.EvalPair(d, a, b) {
 				continue
 			}

@@ -513,10 +513,10 @@ func candidateRecords(log *joblog.Log, despite pxql.Predicate) (recs []int, filt
 	}
 	if !fast {
 		out := make([]int, 0, n)
-		for i, r := range log.Records {
+		for i := 0; i < n; i++ {
 			ok := true
 			for _, f := range filters {
-				if !r.Values[f.idx].Equal(f.val) {
+				if !cols.Value(i, f.idx).Equal(f.val) {
 					ok = false
 					break
 				}

@@ -39,14 +39,22 @@ func RelatedPairsP(log *joblog.Log, level features.Level, q *pxql.Query,
 		panic(err)
 	}
 	defer ps.release()
+	// A plane-backed log boxes a record per call: box each row once.
+	recs := make([]*joblog.Record, log.Len())
+	rec := func(i int) *joblog.Record {
+		if recs[i] == nil {
+			recs[i] = log.Record(i)
+		}
+		return recs[i]
+	}
 	out := make([]LabeledPair, 0, ps.len())
 	for ci := range ps.chunks {
 		c := &ps.chunks[ci]
 		for i, a := range c.RefA {
 			b := c.RefB[i]
 			out = append(out, LabeledPair{
-				A:        log.Records[a],
-				B:        log.Records[b],
+				A:        rec(a),
+				B:        rec(b),
 				IA:       a,
 				IB:       b,
 				Observed: c.Labels[i],

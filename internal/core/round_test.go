@@ -7,6 +7,7 @@ package core
 // lives in a pooled buffer.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -190,7 +191,7 @@ func sweepQuestions(t testing.TB, log *joblog.Log, n int) []*pxql.Query {
 	for i := 0; i < 32 && len(out) < n; i++ {
 		for j := 0; j < 32 && len(out) < n; j++ {
 			q := *tmpl
-			q.ID1, q.ID2 = log.Records[i].ID, log.Records[j].ID
+			q.ID1, q.ID2 = log.ID(i), log.ID(j)
 			if _, _, err := e.bind(&q); i != j && err == nil {
 				out = append(out, &q)
 			}
@@ -278,6 +279,72 @@ func TestExplainSteadyStateBytes(t *testing.T) {
 	if per := float64(after.TotalAlloc-before.TotalAlloc) / rounds / 1e6; per > 3.0 {
 		t.Errorf("a warm explanation allocates %.2f MB; pooled rounds stay under 3", per)
 	}
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second cycle frees what the first one's finalizers and pools let go
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestResidentBytesPerRow bounds what a resident log costs against the
+// floor planes set: 8 bytes a numeric cell, 4 a nominal one. A store
+// that has loaded and sealed a CSV keeps, per row, at most 1.6 floors —
+// planes, missing bits, the ID and nothing boxed — and with a snapshot
+// assembled and a question answered over it at most 3.2: the snapshot's
+// stitched planes are a second copy of the segments', and indexes, block
+// groups and the round's pooled buffers ride on top. With a 32-byte
+// Value per cell beside the planes the same two points read 5.4 and 6.7.
+func TestResidentBytesPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the log's")
+	}
+	var csv bytes.Buffer
+	floor := 0
+	func() { // the construction form dies with this frame
+		src := amplifiedSweep(t, 400)
+		if err := src.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range src.Schema.Fields() {
+			floor += 4
+			if f.Kind == joblog.Numeric {
+				floor += 4
+			}
+		}
+	}()
+	base := liveHeap()
+	log, err := joblog.ReadCSVPlanes(bytes.NewReader(csv.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := joblog.NewStore(log.Schema, 0)
+	if err := st.Ingest(log); err != nil {
+		t.Fatal(err)
+	}
+	st.Seal()
+	log = nil
+	perRow := func() float64 { return float64(liveHeap()-base) / float64(st.Len()) / float64(floor) }
+	if got := perRow(); got > 1.6 {
+		t.Errorf("a sealed store keeps %.2f plane floors (%d B) per row, want at most 1.6", got, floor)
+	}
+
+	snap := st.Snapshot().Log()
+	e, err := NewExplainer(snap, Config{Seed: 1, Exec: Exec{Parallelism: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Explain(context.Background(), sweepQuestions(t, snap, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := perRow(); got > 3.2 {
+		t.Errorf("a store, its snapshot and one explanation keep %.2f plane floors per row, want at most 3.2", got)
+	}
+	runtime.KeepAlive(snap)
+	runtime.KeepAlive(csv)
 }
 
 // BenchmarkPlanEnumShards times one plan over a warm view — the

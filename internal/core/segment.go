@@ -96,11 +96,10 @@ func (ly *SegmentLayout) slices() []LogSlice {
 }
 
 // CombineSlices concatenates decoded slices, in order, into one view —
-// the worker-side assembly of a spec's whole-log form. The combined
-// columnar view is built plainly (fresh intern); compiled predicate
-// evaluation is intern-independent, so walks over it are byte-identical
-// to the coordinator's. With a single slice the decoded form is
-// returned as-is.
+// the worker-side assembly of a spec's whole-log form. The slices'
+// planes are stitched, not rebuilt (joblog.Concat), and come out equal
+// to the coordinator's own, plane for plane. With a single slice the
+// decoded form is returned as-is.
 func CombineSlices(datas []*SliceData) (*SliceData, error) {
 	if len(datas) == 0 {
 		return nil, fmt.Errorf("core: spec has no slices")
@@ -108,19 +107,14 @@ func CombineSlices(datas []*SliceData) (*SliceData, error) {
 	if len(datas) == 1 {
 		return datas[0], nil
 	}
-	schema := datas[0].Log.Schema
-	n := 0
-	for _, d := range datas {
-		n += d.Log.Len()
-	}
-	recs := make([]*joblog.Record, 0, n)
+	logs := make([]*joblog.Log, len(datas))
 	for i, d := range datas {
-		if i > 0 && !d.Log.Schema.Equal(schema) {
-			return nil, fmt.Errorf("core: segment slice %d disagrees with the layout schema", i)
-		}
-		recs = append(recs, d.Log.Records...)
+		logs[i] = d.Log
 	}
-	log := &joblog.Log{Schema: schema, Records: recs}
+	log, err := joblog.Concat(logs)
+	if err != nil {
+		return nil, fmt.Errorf("core: segment slices: %w", err)
+	}
 	return &SliceData{Log: log, Cols: log.Columns()}, nil
 }
 

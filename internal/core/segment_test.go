@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -201,5 +202,55 @@ func TestNewSegmentLayoutValidates(t *testing.T) {
 	// A runner needs the log's layout: there is no other way to plan.
 	if _, err := NewExplainer(log, Config{Exec: Exec{Runner: serialEvalRunner{}}}); err == nil {
 		t.Error("explainer accepted a runner without a layout")
+	}
+}
+
+// TestCombineSlicesEqualsFlatColumns: what a worker walks — the layout's
+// slices decoded one at a time and combined — is the coordinator's own
+// columnar view plane for plane: the same IDs, symbol numbering, numeric
+// bits, missing and alien cells, and boxed values, whatever the seal
+// threshold cut the log into.
+func TestCombineSlicesEqualsFlatColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 12; trial++ {
+		log := oracleLog(rng)
+		want := log.Columns()
+		for _, sealEvery := range []int{1, 4, 9, 100} {
+			_, layout := storeOver(t, log, sealEvery)
+			data, err := DecodeSlices(layout.Slices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := data.Cols
+			name := fmt.Sprintf("trial %d seal=%d", trial, sealEvery)
+			if data.Log.Records != nil || data.Log.Columns() != got {
+				t.Fatalf("%s: the combined view is not its log's planes", name)
+			}
+			if got.Len() != want.Len() || !reflect.DeepEqual(got.Intern().Strings(), want.Intern().Strings()) {
+				t.Fatalf("%s: %d rows interning %q, want %d rows interning %q", name,
+					got.Len(), got.Intern().Strings(), want.Len(), want.Intern().Strings())
+			}
+			for f := 0; f < log.Schema.Len(); f++ {
+				g, w := got.Col(f), want.Col(f)
+				if g.Kind != w.Kind || g.HasAlien != w.HasAlien || !reflect.DeepEqual(g.Sym, w.Sym) ||
+					!reflect.DeepEqual(g.Miss, w.Miss) || len(g.Num) != len(w.Num) {
+					t.Fatalf("%s: field %d planes differ", name, f)
+				}
+				for i := 0; i < want.Len(); i++ {
+					if g.Alien(i) != w.Alien(i) || (w.Num != nil && math.Float64bits(g.Num[i]) != math.Float64bits(w.Num[i])) {
+						t.Fatalf("%s: field %d row %d differs", name, f, i)
+					}
+					if gv, wv := got.Value(i, f), want.Value(i, f); gv.Kind != wv.Kind || gv.Str != wv.Str ||
+						math.Float64bits(gv.Num) != math.Float64bits(wv.Num) {
+						t.Fatalf("%s: field %d row %d reads %#v, want %#v", name, f, i, gv, wv)
+					}
+				}
+			}
+			for i := 0; i < want.Len(); i++ {
+				if got.ID(i) != want.ID(i) {
+					t.Fatalf("%s: row %d is %q, want %q", name, i, got.ID(i), want.ID(i))
+				}
+			}
+		}
 	}
 }

@@ -1,24 +1,37 @@
 package joblog
 
-// This file implements the columnar view of a Log: one dense []float64
+// This file implements the columnar form of a Log: one dense []float64
 // per numeric field, one []uint32 of interned symbol IDs per nominal
-// field, a per-field missing bitmap, and one per-log string intern table.
-// The view is built lazily on first use and invalidated exactly like the
-// stats memo — keyed on the log's (generation, record count), so both
-// growth and mutations routed through the Log API rebuild it.
+// field, a per-field missing bitmap, the record IDs and one per-log
+// string intern table. For a log built by Append it is a view, built
+// lazily on first use and invalidated exactly like every memo — keyed on
+// the log's (generation, record count), so both growth and mutations
+// routed through the Log API rebuild it. For everything a binary keeps
+// resident — a store's segments and snapshots, a log read by
+// ReadCSVPlanes, a worker's decoded slice — it is the log: those hold no
+// Record at all (see Log).
 //
 // The columnar engine (pxql predicate compilation, the features pair
 // matrix, dtree split scoring) reads these planes instead of boxed
 // Value structs: nominal comparisons become uint32 equality, numeric
 // comparisons read a flat float64 slice, and missing checks are one bit.
 //
-// Values whose kind disagrees with their schema field ("alien" cells —
-// representable because Append validates only record width) are flagged
-// in a per-field bitmap; columnar consumers fall back to the boxed record
-// value for flagged fields, so the view is exact even for hand-built
-// pathological logs while the fast path assumes nothing it can't prove.
+// Planes hold canonical cells exactly: a cell whose kind is the field's
+// kind (or Missing) and whose payload sits only in that kind's member.
+// Append validates record width and nothing else, so a hand-built log
+// may hold other cells — a kind that disagrees with the schema ("alien"),
+// a Missing cell with a payload, a numeric carrying a string. Those go,
+// boxed, into a sparse side table keyed by (row, field), and Value reads
+// it first, so a record read back from planes is the record appended,
+// to the bit. Alien cells are also flagged in a per-field bitmap:
+// columnar consumers fall back to Value for flagged fields, so the fast
+// path assumes nothing it cannot prove.
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 
 	"perfxplain/internal/bitset"
@@ -41,6 +54,9 @@ func NewBitmap(n int) Bitmap { return bitset.Make(n) }
 type Intern struct {
 	strs []string
 	ids  map[string]uint32
+	// own makes intern keep a private copy of each new string: the CSV
+	// decoder's cells alias their lines, which a table must not pin.
+	own bool
 }
 
 func newIntern() *Intern {
@@ -55,6 +71,9 @@ func (in *Intern) intern(s string) uint32 {
 	id := uint32(len(in.strs))
 	if id >= 1<<31 {
 		panic("joblog: intern table overflow")
+	}
+	if in.own {
+		s = strings.Clone(s)
 	}
 	in.strs = append(in.strs, s)
 	in.ids[s] = id
@@ -79,6 +98,19 @@ func (in *Intern) Len() int { return len(in.strs) }
 // order.
 func (in *Intern) Strings() []string {
 	return append([]string(nil), in.strs...)
+}
+
+// remapFrom interns src's strings in src's ID order and returns the
+// translation from src's IDs to in's. Both tables number strings by
+// first appearance, so walking runs of rows in order and their tables
+// in ID order numbers the concatenation by first appearance too —
+// exactly the IDs one build over all the rows assigns.
+func (in *Intern) remapFrom(src *Intern) []uint32 {
+	remap := make([]uint32, len(src.strs))
+	for id, s := range src.strs {
+		remap[id] = in.intern(s)
+	}
+	return remap
 }
 
 // clone returns an independent table assigning the same IDs.
@@ -115,14 +147,22 @@ type Col struct {
 // the schema kind.
 func (c *Col) Alien(i int) bool { return c.HasAlien && c.alien.Get(i) }
 
-// Columns is the columnar view of a Log at a fixed generation and
+// cellRef addresses one cell of a view.
+type cellRef struct{ row, f int }
+
+// Columns is the columnar form of a Log at a fixed generation and
 // record count.
 type Columns struct {
-	log    *Log
 	n      int
 	gen    uint64
 	intern *Intern
 	cols   []Col
+	// ids holds the record identifiers by row.
+	ids []string
+	// side holds, boxed, every cell the planes do not reproduce exactly
+	// (see canonical). Nil on the logs real collectors and CSV files
+	// produce.
+	side map[cellRef]Value
 
 	// buildIndex, when set, replaces buildColIndex as the builder behind
 	// SortedIndex — the seam the segment store uses to assemble a
@@ -141,6 +181,186 @@ type Columns struct {
 	memos  map[any]any
 }
 
+// newColumns returns a view of n rows over the schema's fields, every
+// plane zeroed, interning into in.
+func newColumns(schema *Schema, n int, in *Intern) *Columns {
+	c := &Columns{intern: in, cols: make([]Col, schema.Len())}
+	for f := range c.cols {
+		c.cols[f].Kind = schema.Field(f).Kind
+	}
+	c.grow(n)
+	return c
+}
+
+// grow extends the view to n rows; the new rows' cells read as numeric
+// zero or symbol zero until they are written. Only a view nothing else
+// can see yet — one under construction, a store's tail — may grow.
+func (c *Columns) grow(n int) {
+	add, addWords := n-c.n, bitset.Words(n)-bitset.Words(c.n)
+	c.n = n
+	c.ids = append(c.ids, make([]string, add)...)
+	for f := range c.cols {
+		col := &c.cols[f]
+		if col.Kind == Numeric {
+			col.Num = append(col.Num, make([]float64, add)...)
+		} else {
+			col.Sym = append(col.Sym, make([]uint32, add)...)
+		}
+		col.Miss = append(col.Miss, make(Bitmap, addWords)...)
+		if col.alien != nil {
+			col.alien = append(col.alien, make(Bitmap, addWords)...)
+		}
+	}
+}
+
+// clip drops the spare capacity growth left behind, for a view about to
+// be kept for good.
+func (c *Columns) clip() {
+	c.ids = clipped(c.ids)
+	for f := range c.cols {
+		col := &c.cols[f]
+		col.Num, col.Sym = clipped(col.Num), clipped(col.Sym)
+		col.Miss, col.alien = clipped(col.Miss), clipped(col.alien)
+	}
+}
+
+// clipped returns s, reallocated to its length when more than an eighth
+// of its backing array is unused.
+func clipped[S ~[]E, E any](s S) S {
+	if cap(s)-len(s) <= cap(s)/8 {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
+}
+
+// canonical reports whether a plane of the given kind reproduces v
+// exactly: v is of that kind or Missing, and carries payload only in
+// its kind's member (any bit of Num counts, so -0 and NaN payloads in a
+// cell that should have none are kept).
+func canonical(kind Kind, v Value) bool {
+	switch v.Kind {
+	case Missing:
+		return v.Str == "" && math.Float64bits(v.Num) == 0
+	case kind:
+		if kind == Numeric {
+			return v.Str == ""
+		}
+		return math.Float64bits(v.Num) == 0
+	}
+	return false
+}
+
+// setCell writes v as the f'th cell of row — the one place a boxed Value
+// becomes plane content. Missing cells set their bit and leave the plane
+// zero; every other cell fills the plane from its kind's member (Num,
+// or the interned Str) whatever its own kind, which is what the derive
+// comparisons read; what the plane cannot give back goes into the side
+// table.
+func (c *Columns) setCell(row, f int, v Value) {
+	col := &c.cols[f]
+	if !canonical(col.Kind, v) {
+		if c.side == nil {
+			c.side = make(map[cellRef]Value)
+		}
+		c.side[cellRef{row, f}] = v
+	}
+	if v.Kind == Missing {
+		col.Miss.SetBit(row)
+		return
+	}
+	if v.Kind != col.Kind {
+		if col.alien == nil {
+			col.alien = NewBitmap(c.n)
+		}
+		col.alien.SetBit(row)
+		col.HasAlien = true
+	}
+	if col.Kind == Numeric {
+		col.Num[row] = v.Num
+	} else {
+		col.Sym[row] = c.intern.intern(v.Str)
+	}
+}
+
+// setRow writes record r as row. Cells go in field order, so a build
+// that writes rows in order interns in row-major first-appearance order.
+func (c *Columns) setRow(row int, r *Record) {
+	c.ids[row] = r.ID
+	for f := range c.cols {
+		c.setCell(row, f, r.Values[f])
+	}
+}
+
+// stitch copies rows [lo, hi) of src into c starting at row at — the one
+// routine behind snapshot assembly, bulk ingest, CSV batch landing and a
+// worker's slice concatenation. remap translates src's symbol IDs into
+// c's (Intern.remapFrom); nil when both number symbols from one table.
+func (c *Columns) stitch(at int, src *Columns, lo, hi int, remap []uint32) {
+	m := hi - lo
+	copy(c.ids[at:at+m], src.ids[lo:hi])
+	for f := range c.cols {
+		dst, from := &c.cols[f], &src.cols[f]
+		switch {
+		case dst.Kind == Numeric:
+			copy(dst.Num[at:at+m], from.Num[lo:hi])
+		case remap == nil:
+			copy(dst.Sym[at:at+m], from.Sym[lo:hi])
+		default:
+			for i, id := range from.Sym[lo:hi] {
+				// A missing cell's symbol is a zero no table need hold.
+				if !from.Miss.Get(lo + i) {
+					dst.Sym[at+i] = remap[id]
+				}
+			}
+		}
+		dst.Miss.BlitFrom(from.Miss, lo, at, m)
+		if from.HasAlien {
+			if dst.alien == nil {
+				dst.alien = NewBitmap(c.n)
+			}
+			dst.alien.BlitFrom(from.alien, lo, at, m)
+			// src may hold its aliens outside [lo, hi). The window's edge
+			// words may hold neighbours' bits; those were counted already.
+			dst.HasAlien = dst.HasAlien || dst.alien[at>>6:bitset.Words(at+m)].Any()
+		}
+	}
+	// Each cell lands under its own key, whatever order they are met in.
+	//pxql:orderinvariant
+	for k, v := range src.side {
+		if k.row >= lo && k.row < hi {
+			if c.side == nil {
+				c.side = make(map[cellRef]Value)
+			}
+			c.side[cellRef{k.row - lo + at, k.f}] = v
+		}
+	}
+}
+
+// Concat returns the plane-backed log holding the logs' records one
+// after another — how a shard worker turns the segment slices of a spec
+// into the whole log. Planes are stitched, not rebuilt, and symbols come
+// out numbered as one build over all the records would number them.
+func Concat(logs []*Log) (*Log, error) {
+	if len(logs) == 0 {
+		return nil, errors.New("joblog: nothing to concatenate")
+	}
+	schema, n := logs[0].Schema, 0
+	for i, l := range logs {
+		if !l.Schema.Equal(schema) {
+			return nil, fmt.Errorf("joblog: log %d disagrees with the first on the schema", i)
+		}
+		n += l.Len()
+	}
+	c := newColumns(schema, n, newIntern())
+	at := 0
+	for _, l := range logs {
+		src := l.Columns()
+		c.stitch(at, src, 0, src.n, c.intern.remapFrom(src.intern))
+		at += src.n
+	}
+	return &Log{Schema: schema, rows: c}, nil
+}
+
 // Len returns the number of records the view covers.
 func (c *Columns) Len() int { return c.n }
 
@@ -150,9 +370,44 @@ func (c *Columns) Col(f int) *Col { return &c.cols[f] }
 // Intern returns the view's string intern table.
 func (c *Columns) Intern() *Intern { return c.intern }
 
-// Value returns the boxed record value — the exact-semantics fallback
-// for alien cells and a convenience for code bridging both layouts.
-func (c *Columns) Value(row, f int) Value { return c.log.Records[row].Values[f] }
+// ID returns the identifier of the record at row.
+func (c *Columns) ID(row int) string { return c.ids[row] }
+
+// Value returns the boxed value of one cell, exactly as it was appended:
+// the side table's entry when the cell has one, the plane's otherwise.
+// It is the exact-semantics fallback for alien cells and the bridge for
+// code that wants a Record.
+func (c *Columns) Value(row, f int) Value {
+	if c.side != nil {
+		if v, ok := c.side[cellRef{row, f}]; ok {
+			return v
+		}
+	}
+	col := &c.cols[f]
+	switch {
+	case col.Miss.Get(row):
+		return Value{}
+	case col.Kind == Numeric:
+		return Value{Kind: Numeric, Num: col.Num[row]}
+	default:
+		return Value{Kind: col.Kind, Str: c.intern.strs[col.Sym[row]]}
+	}
+}
+
+// values boxes row's cells into dst, one per field.
+func (c *Columns) values(row int, dst []Value) {
+	for f := range dst {
+		dst[f] = c.Value(row, f)
+	}
+}
+
+// Record boxes the record at row. The planes are the store; this is for
+// the two records a query binds and for output, not for scans.
+func (c *Columns) Record(row int) *Record {
+	r := &Record{ID: c.ids[row], Values: make([]Value, len(c.cols))}
+	c.values(row, r.Values)
+	return r
+}
 
 // Memo returns the value cached under key, calling build to produce it
 // on first use. It is the consumer-side extension point of the columnar
@@ -187,72 +442,25 @@ func (c *Columns) memoGet(key any) (any, bool) {
 	return v, ok
 }
 
-// Columns returns the log's columnar view, building it on first use and
-// rebuilding when the log changed — generation or record count (the same
-// invalidation rule as the stats memo). The returned view is immutable
-// and remains valid for its build point even if the log grows afterwards.
+// Columns returns the log's columnar form. A plane-backed log returns
+// the planes it is made of. A log of records builds a view on first use
+// and rebuilds it when the log changed — generation or record count (the
+// invalidation rule of every memo); the view is immutable and remains
+// valid for its build point even if the log grows afterwards.
 func (l *Log) Columns() *Columns {
+	if l.rows != nil {
+		return l.rows
+	}
 	l.colsMu.Lock()
 	defer l.colsMu.Unlock()
 	if l.colsCache != nil && l.colsCache.n == len(l.Records) && l.colsCache.gen == l.gen {
 		return l.colsCache
 	}
-	l.colsCache = buildColumns(l)
-	return l.colsCache
-}
-
-func buildColumns(l *Log) *Columns {
-	return buildColumnsWith(l, newIntern())
-}
-
-// installColumns caches a pre-assembled view as the log's columnar view
-// for its current generation — the segment store's snapshot assembly
-// hands over planes stitched from sealed segments instead of paying a
-// whole-log rebuild. The view must cover exactly the log's records.
-func (l *Log) installColumns(c *Columns) {
-	l.colsMu.Lock()
-	defer l.colsMu.Unlock()
-	c.log = l
+	c := newColumns(l.Schema, len(l.Records), newIntern())
 	c.gen = l.gen
-	l.colsCache = c
-}
-
-// buildColumnsWith builds the view over an existing intern table — empty
-// for the cached Columns path, a store's shared table for its segments.
-func buildColumnsWith(l *Log, in *Intern) *Columns {
-	n := len(l.Records)
-	c := &Columns{log: l, n: n, gen: l.gen, intern: in, cols: make([]Col, l.Schema.Len())}
-	for f := 0; f < l.Schema.Len(); f++ {
-		col := &c.cols[f]
-		col.Kind = l.Schema.Field(f).Kind
-		col.Miss = NewBitmap(n)
-		if col.Kind == Numeric {
-			col.Num = make([]float64, n)
-		} else {
-			col.Sym = make([]uint32, n)
-		}
-	}
 	for i, r := range l.Records {
-		for f := range c.cols {
-			col := &c.cols[f]
-			v := r.Values[f]
-			if v.Kind == Missing {
-				col.Miss.SetBit(i)
-				continue
-			}
-			if v.Kind != col.Kind {
-				if col.alien == nil {
-					col.alien = NewBitmap(n)
-				}
-				col.alien.SetBit(i)
-				col.HasAlien = true
-			}
-			if col.Kind == Numeric {
-				col.Num[i] = v.Num
-			} else {
-				col.Sym[i] = c.intern.intern(v.Str)
-			}
-		}
+		c.setRow(i, r)
 	}
+	l.colsCache = c
 	return c
 }

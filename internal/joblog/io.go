@@ -32,9 +32,11 @@ func (l *Log) WriteCSV(w io.Writer) error {
 		buf = appendCSVField(buf, f.Name+":"+f.Kind.String())
 	}
 	buf = append(buf, '\n')
-	for _, r := range l.Records {
-		buf = appendCSVField(buf, r.ID)
-		for _, v := range r.Values {
+	rowBuf := make([]Value, l.Schema.Len())
+	for i, n := 0, l.Len(); i < n; i++ {
+		id, vals := l.row(i, rowBuf)
+		buf = appendCSVField(buf, id)
+		for _, v := range vals {
 			buf = append(buf, ',')
 			switch v.Kind {
 			case Missing:
@@ -91,15 +93,38 @@ func csvFieldNeedsQuotes(field string) bool {
 	return unicode.IsSpace(first)
 }
 
-// ReadCSV reads a log previously written by WriteCSV.
+// ReadCSV reads a log previously written by WriteCSV into the
+// construction form: ReadCSVPlanes' decoder with every row boxed on top,
+// for callers that go on to index, edit or re-append Records.
+func ReadCSV(r io.Reader) (*Log, error) {
+	l, err := ReadCSVPlanes(r)
+	if err != nil {
+		return nil, err
+	}
+	// One slab of records over one slab of values.
+	n, nf := l.Len(), l.Schema.Len()
+	recs, vals := make([]Record, n), make([]Value, n*nf)
+	out := &Log{Schema: l.Schema, Records: make([]*Record, n)}
+	for i := range recs {
+		recs[i] = Record{ID: l.rows.ids[i], Values: vals[i*nf : (i+1)*nf : (i+1)*nf]}
+		l.rows.values(i, recs[i].Values)
+		out.Records[i] = &recs[i]
+	}
+	return out, nil
+}
+
+// ReadCSVPlanes reads a log previously written by WriteCSV as a
+// plane-backed log: no Record or Value is ever allocated for it.
 //
 // The calling goroutine drives the csv.Reader and hands fixed-size
 // batches of rows to GOMAXPROCS decode workers, so float parsing — most
 // of the cost — runs on every core while the file is still being split
-// into cells. Records come back in file order whatever the schedule,
-// and of several defects in one file the first in file order is the one
+// into cells. Each batch decodes into planes of its own; a serial pass
+// then lands the batches in file order, so rows and symbol IDs come out
+// as one row-major build would assign them whatever the schedule, and of
+// several defects in one file the first in file order is the one
 // reported.
-func ReadCSV(r io.Reader) (*Log, error) {
+func ReadCSVPlanes(r io.Reader) (*Log, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	// The reader may reuse its cell slice: rows are copied into batches.
@@ -117,7 +142,7 @@ func ReadCSV(r io.Reader) (*Log, error) {
 	}
 	width := len(header)
 
-	d := &csvDecoder{fields: fields}
+	d := &csvDecoder{schema: NewSchema(fields)}
 	workers := runtime.GOMAXPROCS(0)
 	// One batch of slack per worker keeps the reader splitting cells while
 	// every worker is parsing.
@@ -127,9 +152,8 @@ func ReadCSV(r io.Reader) (*Log, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tables := make([]map[string]string, len(fields))
 			for b := range work {
-				d.decode(b, tables)
+				d.decode(b)
 			}
 		}()
 	}
@@ -172,18 +196,17 @@ func ReadCSV(r io.Reader) (*Log, error) {
 	if readErr != nil {
 		return nil, readErr
 	}
-	log := NewLog(NewSchema(fields))
 	n := 0
 	for _, part := range d.parts {
-		n += len(part)
+		n += part.n
 	}
-	log.Records = make([]*Record, 0, n)
+	c := newColumns(d.schema, n, newIntern())
+	at := 0
 	for _, part := range d.parts {
-		for i := range part {
-			log.Records = append(log.Records, &part[i])
-		}
+		c.stitch(at, part, 0, part.n, c.intern.remapFrom(part.intern))
+		at += part.n
 	}
-	return log, nil
+	return &Log{Schema: d.schema, rows: c}, nil
 }
 
 // parseCSVHeader turns the "name:kind" header row into the schema's
@@ -217,12 +240,6 @@ func parseCSVHeader(header []string) ([]Field, error) {
 // enough that a 540-row file still spreads over two workers.
 const csvBatchRows = 256
 
-// csvInternLimit bounds each worker's table of distinct strings per
-// nominal field. Real nominal columns (scripts, hosts, instance types)
-// stay far below it and share one copy per value; a column that is
-// unique per row stops growing a table that will never hit.
-const csvInternLimit = 1024
-
 // csvBatch is a run of consecutive well-formed rows: width cells each,
 // row-major, still aliasing the reader's line strings.
 type csvBatch struct {
@@ -232,51 +249,36 @@ type csvBatch struct {
 
 // csvDecoder collects what the decode workers produce.
 type csvDecoder struct {
-	fields []Field
+	schema *Schema
 
 	mu     sync.Mutex
-	parts  [][]Record // decoded batches, in file order
+	parts  []*Columns // decoded batches, in file order
 	err    error      // the defect with the lowest row so far
 	errRow int
 }
 
-// decode parses one batch into a slab of records over a slab of values.
-// Nothing it keeps aliases the batch's cells — IDs are copied and
-// nominal cells are interned through tables, the calling worker's
-// per-field tables — so no record pins its CSV line.
-func (d *csvDecoder) decode(b *csvBatch, tables []map[string]string) {
-	nf := len(d.fields)
+// decode parses one batch into planes of its own, its nominal cells
+// numbered by a batch-local table. Nothing it keeps aliases the batch's
+// cells — IDs are copied and the table owns its strings — so no plane
+// pins a CSV line.
+func (d *csvDecoder) decode(b *csvBatch) {
+	nf := d.schema.Len()
 	width := nf + 1
 	n := len(b.cells) / width
-	recs := make([]Record, n)
-	vals := make([]Value, n*nf)
+	local := newIntern()
+	local.own = true
+	c := newColumns(d.schema, n, local)
 	for i := 0; i < n; i++ {
 		row := b.cells[i*width : (i+1)*width]
-		rec := &recs[i]
-		rec.ID = strings.Clone(row[0])
-		rec.Values = vals[i*nf : (i+1)*nf : (i+1)*nf]
+		c.ids[i] = strings.Clone(row[0])
 		for f, cell := range row[1:] {
-			v, err := ParseValue(d.fields[f].Kind, cell)
+			field := d.schema.fields[f]
+			v, err := ParseValue(field.Kind, cell)
 			if err != nil {
-				d.fail(b.firstRow+i, fmt.Errorf("joblog: row %d field %q: %w", b.firstRow+i, d.fields[f].Name, err))
+				d.fail(b.firstRow+i, fmt.Errorf("joblog: row %d field %q: %w", b.firstRow+i, field.Name, err))
 				return
 			}
-			if v.Kind == Nominal {
-				t := tables[f]
-				if t == nil {
-					t = make(map[string]string)
-					tables[f] = t
-				}
-				s, ok := t[v.Str]
-				if !ok {
-					s = strings.Clone(v.Str)
-					if len(t) < csvInternLimit {
-						t[s] = s
-					}
-				}
-				v.Str = s
-			}
-			rec.Values[f] = v
+			c.setCell(i, f, v)
 		}
 	}
 	// Every batch before the file's last is full, so the first row says
@@ -286,7 +288,7 @@ func (d *csvDecoder) decode(b *csvBatch, tables []map[string]string) {
 	for len(d.parts) <= seq {
 		d.parts = append(d.parts, nil)
 	}
-	d.parts[seq] = recs
+	d.parts[seq] = c
 	d.mu.Unlock()
 }
 
@@ -322,13 +324,15 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	for _, f := range l.Schema.Fields() {
 		doc.Fields = append(doc.Fields, jsonField{Name: f.Name, Kind: f.Kind.String()})
 	}
-	for _, r := range l.Records {
-		jr := jsonRecord{ID: r.ID, Values: make(map[string]string)}
-		for i, v := range r.Values {
+	rowBuf := make([]Value, l.Schema.Len())
+	for i, n := 0, l.Len(); i < n; i++ {
+		id, vals := l.row(i, rowBuf)
+		jr := jsonRecord{ID: id, Values: make(map[string]string)}
+		for f, v := range vals {
 			if v.IsMissing() {
 				continue
 			}
-			jr.Values[l.Schema.Field(i).Name] = v.String()
+			jr.Values[l.Schema.Field(f).Name] = v.String()
 		}
 		doc.Records = append(doc.Records, jr)
 	}

@@ -72,8 +72,8 @@ func assertLogsIdentical(t *testing.T, want, got *Log) {
 	if want.Len() != got.Len() {
 		t.Fatalf("%d records, want %d", got.Len(), want.Len())
 	}
-	for i, w := range want.Records {
-		g := got.Records[i]
+	for i := 0; i < want.Len(); i++ {
+		w, g := want.Record(i), got.Record(i)
 		if w.ID != g.ID || len(w.Values) != len(g.Values) {
 			t.Fatalf("record %d is %q with %d values, want %q with %d", i, g.ID, len(g.Values), w.ID, len(w.Values))
 		}
@@ -183,11 +183,11 @@ func TestReadCSVBatchesKeepFileOrder(t *testing.T) {
 }
 
 // TestReadCSVInternIsBounded: a nominal column that never repeats is
-// still read exactly, past the point where its table stops growing.
+// still read exactly, across many batches' local symbol tables.
 func TestReadCSVInternIsBounded(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("id:id,host:nominal\n")
-	for i := 0; i < 3*csvInternLimit; i++ {
+	for i := 0; i < 12*csvBatchRows; i++ {
 		fmt.Fprintf(&sb, "r%d,host-%d\n", i, i)
 	}
 	want, err := readCSVReference(strings.NewReader(sb.String()))
@@ -203,7 +203,9 @@ func TestReadCSVInternIsBounded(t *testing.T) {
 
 // FuzzReadLogCSV is differential: on any input the streaming decoder
 // and the reference return identical logs or identical errors, and
-// neither panics.
+// neither panics — the decoder both as ReadCSV boxes its rows and as
+// ReadCSVPlanes leaves them: the same planes, numbered in the same
+// order, as a build over the reference's records.
 func FuzzReadLogCSV(f *testing.F) {
 	for _, seed := range []string{
 		"",                    // empty file
@@ -224,13 +226,20 @@ func FuzzReadLogCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := readCSVReference(bytes.NewReader(data))
 		got, gotErr := ReadCSV(bytes.NewReader(data))
-		if wantErr != nil || gotErr != nil {
-			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-				t.Fatalf("error %v, reference %v", gotErr, wantErr)
+		planes, planesErr := ReadCSVPlanes(bytes.NewReader(data))
+		if wantErr != nil || gotErr != nil || planesErr != nil {
+			if wantErr == nil || gotErr == nil || planesErr == nil ||
+				wantErr.Error() != gotErr.Error() || wantErr.Error() != planesErr.Error() {
+				t.Fatalf("error %v, from planes %v, reference %v", gotErr, planesErr, wantErr)
 			}
 			return
 		}
 		assertLogsIdentical(t, want, got)
+		if planes.Records != nil {
+			t.Fatal("ReadCSVPlanes built records")
+		}
+		assertLogsIdentical(t, want, planes)
+		assertColumnsIdentical(t, want.Columns(), planes.Columns())
 	})
 }
 
@@ -363,13 +372,21 @@ func retainedBytes(t *testing.T, data []byte, read func(io.Reader) (*Log, error)
 // than the reference by most of the file's size. (As a share the saving
 // depends on how wide cells are beside their 32-byte Values: 28 % here,
 // 35 % on the 37-column job sweep.)
+//
+// Read as planes the same file keeps no Value at all: 8 bytes a numeric
+// cell, 4 a nominal one, a bit for missing, the ID, and one copy of each
+// distinct string — under a third of what the boxed rows hold.
 func TestReadCSVRetainsNoLines(t *testing.T) {
 	data := stringHeavyCSV(5000)
 	ref := retainedBytes(t, data, readCSVReference)
 	got := retainedBytes(t, data, ReadCSV)
-	t.Logf("file %d B; retained: decoder %d B, reference %d B (%.0f%%)", len(data), got, ref, 100*float64(got)/float64(ref))
+	planes := retainedBytes(t, data, ReadCSVPlanes)
+	t.Logf("file %d B; retained: decoder %d B, as planes %d B, reference %d B (%.0f%%)", len(data), got, planes, ref, 100*float64(got)/float64(ref))
 	if saved := int64(ref) - int64(got); saved < int64(len(data))*3/4 {
 		t.Errorf("ReadCSV retains %d B, the line-pinning reference %d B: saved %d B of a %d B file, want at least three quarters of it",
 			got, ref, saved, len(data))
+	}
+	if planes > got/3 {
+		t.Errorf("ReadCSVPlanes retains %d B, the boxed rows %d B: want under a third", planes, got)
 	}
 }

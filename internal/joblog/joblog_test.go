@@ -209,8 +209,8 @@ func assertLogsEqual(t *testing.T, want, got *Log) {
 	if want.Len() != got.Len() {
 		t.Fatalf("record count %d vs %d", want.Len(), got.Len())
 	}
-	for i := range want.Records {
-		w, g := want.Records[i], got.Records[i]
+	for i := 0; i < want.Len(); i++ {
+		w, g := want.Record(i), got.Record(i)
 		if w.ID != g.ID {
 			t.Fatalf("record %d id %q vs %q", i, w.ID, g.ID)
 		}

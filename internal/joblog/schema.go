@@ -1,6 +1,7 @@
 package joblog
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -110,9 +111,25 @@ func (r *Record) Clone() *Record {
 // duration) relation of the paper: the duration target and any foreign
 // keys (jobid for tasks) are ordinary fields so that derived pair features
 // can be computed over them uniformly.
+//
+// A log comes in two forms. Built by Append (collectors, the evaluation
+// harness, ReadCSV, ReadJSON) it is a list of boxed Records — the
+// construction form, mutable, with the columnar view as a memo beside it.
+// Everything a binary keeps resident — a store's snapshot, a log read by
+// ReadCSVPlanes, a slice a shard worker decoded — is plane-backed:
+// Records is nil, the Columns are the only representation, the log is
+// immutable, and Record boxes a row on demand. Len, ID, Record, Find,
+// Filter, Domain, NumericRange, Columns, Wire, SegmentViews, WriteCSV and
+// WriteJSON answer identically on both forms.
 type Log struct {
-	Schema  *Schema
+	Schema *Schema
+	// Records is the construction form's row store; nil on a plane-backed
+	// log. Code that may meet either form reads rows through Len, ID and
+	// Record instead.
 	Records []*Record
+
+	// rows, when set, is the whole log (see above).
+	rows *Columns
 
 	// gen is a monotonic generation counter bumped by every mutation the
 	// log knows about: Append, SetRecord, Truncate and the explicit
@@ -124,23 +141,23 @@ type Log struct {
 	// still invalidates through the length half of the key.
 	gen uint64
 
-	// statsMu guards statsCache. The cache memoizes the whole-log scans
+	// statsMu guards statsCache. The cache memoizes the whole-column scans
 	// behind Domain and NumericRange so repeat callers (today: RuleOfThumb's
 	// RReliefF statistics via relief.computeStats; any query path that
 	// inspects field domains) pay one scan per field instead of one per
-	// call. Invalidation keys on (gen, record count).
+	// call. It is the log's own, not a Columns.Memo entry: its callers
+	// include Memo builders, and Memo does not re-enter.
 	statsMu    sync.Mutex
 	statsCache *logStats
 
-	// colsMu guards colsCache, the lazily built columnar view (see
-	// columns.go). Same invalidation rule as the stats memo: keyed on
-	// (gen, record count).
+	// colsMu guards colsCache, the lazily built columnar view of a log of
+	// records (see columns.go).
 	colsMu    sync.Mutex
 	colsCache *Columns
 
 	// idMu guards idCache, the memoized ID→index map behind Find, keyed
 	// like the other memos; the first occurrence wins so duplicate IDs
-	// resolve exactly like the linear scan did.
+	// resolve exactly like a linear scan.
 	idMu       sync.Mutex
 	idCache    map[string]int
 	idCacheN   int
@@ -150,7 +167,7 @@ type Log struct {
 // logStats holds memoized per-field scan results, valid for a specific
 // (generation, record count).
 type logStats struct {
-	n       int    // len(Records) the cache was built against
+	n       int    // Len() the cache was built against
 	gen     uint64 // l.gen the cache was built against
 	domains map[string][]string
 	ranges  map[string]numericRange
@@ -165,9 +182,9 @@ type numericRange struct {
 // count), resetting it when records were added, edited, or truncated.
 // Callers hold statsMu.
 func (l *Log) stats() *logStats {
-	if l.statsCache == nil || l.statsCache.n != len(l.Records) || l.statsCache.gen != l.gen {
+	if n := l.Len(); l.statsCache == nil || l.statsCache.n != n || l.statsCache.gen != l.gen {
 		l.statsCache = &logStats{
-			n:       len(l.Records),
+			n:       n,
 			gen:     l.gen,
 			domains: make(map[string][]string),
 			ranges:  make(map[string]numericRange),
@@ -181,11 +198,25 @@ func NewLog(schema *Schema) *Log {
 	return &Log{Schema: schema}
 }
 
+// errPlaneBacked is what every mutator answers on a plane-backed log.
+var errPlaneBacked = errors.New("joblog: a plane-backed log is immutable")
+
+// checkWidth is the validation every way of adding a record shares.
+func checkWidth(schema *Schema, r *Record) error {
+	if len(r.Values) != schema.Len() {
+		return fmt.Errorf("joblog: record %q has %d values, schema has %d fields",
+			r.ID, len(r.Values), schema.Len())
+	}
+	return nil
+}
+
 // Append adds a record after validating its width against the schema.
 func (l *Log) Append(r *Record) error {
-	if len(r.Values) != l.Schema.Len() {
-		return fmt.Errorf("joblog: record %q has %d values, schema has %d fields",
-			r.ID, len(r.Values), l.Schema.Len())
+	if l.rows != nil {
+		return errPlaneBacked
+	}
+	if err := checkWidth(l.Schema, r); err != nil {
+		return err
 	}
 	l.Records = append(l.Records, r)
 	l.gen++
@@ -205,12 +236,14 @@ func (l *Log) MustAppend(r *Record) {
 // so it must go through here (or Invalidate) for the memoized views to
 // notice.
 func (l *Log) SetRecord(i int, r *Record) error {
+	if l.rows != nil {
+		return errPlaneBacked
+	}
 	if i < 0 || i >= len(l.Records) {
 		return fmt.Errorf("joblog: set record %d of %d", i, len(l.Records))
 	}
-	if len(r.Values) != l.Schema.Len() {
-		return fmt.Errorf("joblog: record %q has %d values, schema has %d fields",
-			r.ID, len(r.Values), l.Schema.Len())
+	if err := checkWidth(l.Schema, r); err != nil {
+		return err
 	}
 	l.Records[i] = r
 	l.gen++
@@ -221,6 +254,9 @@ func (l *Log) SetRecord(i int, r *Record) error {
 // to the old length is a different log and invalidates every memo — the
 // generation counter, not the count, carries that fact.
 func (l *Log) Truncate(n int) error {
+	if l.rows != nil {
+		return errPlaneBacked
+	}
 	if n < 0 || n > len(l.Records) {
 		return fmt.Errorf("joblog: truncate to %d of %d", n, len(l.Records))
 	}
@@ -235,7 +271,41 @@ func (l *Log) Truncate(n int) error {
 func (l *Log) Invalidate() { l.gen++ }
 
 // Len returns the number of records.
-func (l *Log) Len() int { return len(l.Records) }
+func (l *Log) Len() int {
+	if l.rows != nil {
+		return l.rows.n
+	}
+	return len(l.Records)
+}
+
+// ID returns the identifier of the i'th record.
+func (l *Log) ID(i int) string {
+	if l.rows != nil {
+		return l.rows.ids[i]
+	}
+	return l.Records[i].ID
+}
+
+// Record returns the i'th record. On a plane-backed log it is boxed from
+// the planes on every call (Columns.Record): bind the few rows a query
+// names, read scans from Columns.
+func (l *Log) Record(i int) *Record {
+	if l.rows != nil {
+		return l.rows.Record(i)
+	}
+	return l.Records[i]
+}
+
+// row returns the i'th record's ID and values for reading: a record's
+// own slice, or the plane-backed log's cells boxed into buf (one value
+// per field), which the next call overwrites.
+func (l *Log) row(i int, buf []Value) (string, []Value) {
+	if l.rows == nil {
+		return l.Records[i].ID, l.Records[i].Values
+	}
+	l.rows.values(i, buf)
+	return l.rows.ids[i], buf
+}
 
 // Value returns the named field of record r, or a missing value if the
 // field does not exist.
@@ -248,43 +318,45 @@ func (l *Log) Value(r *Record, name string) Value {
 }
 
 // Find returns the record with the given ID, or nil. The lookup is a
-// memoized ID→index map rebuilt when the record count changes, so the
-// per-query callers (explanation binding, both baselines, the evaluation
-// harness) pay O(1) per call instead of a scan per lookup.
+// memoized ID→index map, so the per-query callers (explanation binding,
+// both baselines, the evaluation harness) pay O(1) per call instead of
+// a scan per lookup.
 func (l *Log) Find(id string) *Record {
 	i, ok := l.FindIndex(id)
 	if !ok {
 		return nil
 	}
-	return l.Records[i]
+	return l.Record(i)
 }
 
 // FindIndex returns the index of the record with the given ID, backed by
-// the same memoized map as Find. ok is false when the ID is absent.
+// the same memoized map as Find; of records sharing an ID the first
+// wins. ok is false when the ID is absent.
 func (l *Log) FindIndex(id string) (int, bool) {
 	l.idMu.Lock()
 	defer l.idMu.Unlock()
-	if l.idCache == nil || l.idCacheN != len(l.Records) || l.idCacheGen != l.gen {
-		idx := make(map[string]int, len(l.Records))
-		for i, r := range l.Records {
-			if _, dup := idx[r.ID]; !dup {
-				idx[r.ID] = i
+	if n := l.Len(); l.idCache == nil || l.idCacheN != n || l.idCacheGen != l.gen {
+		idx := make(map[string]int, n)
+		for i := 0; i < n; i++ {
+			id := l.ID(i)
+			if _, dup := idx[id]; !dup {
+				idx[id] = i
 			}
 		}
 		l.idCache = idx
-		l.idCacheN = len(l.Records)
+		l.idCacheN = n
 		l.idCacheGen = l.gen
 	}
 	i, ok := l.idCache[id]
 	return i, ok
 }
 
-// Filter returns a new log (sharing the schema) with the records for which
-// keep returns true.
+// Filter returns a new log of records (sharing the schema) with the
+// records for which keep returns true.
 func (l *Log) Filter(keep func(*Record) bool) *Log {
 	out := NewLog(l.Schema)
-	for _, r := range l.Records {
-		if keep(r) {
+	for i, n := 0, l.Len(); i < n; i++ {
+		if r := l.Record(i); keep(r) {
 			out.Records = append(out.Records, r)
 		}
 	}
@@ -292,12 +364,12 @@ func (l *Log) Filter(keep func(*Record) bool) *Log {
 }
 
 // Domain returns the sorted distinct non-missing nominal values observed
-// for the named field. For numeric fields it returns nil. The scan is
-// memoized per field until the record count changes; callers must not
-// mutate the returned slice.
+// for the named field. For numeric fields it returns nil. The scan reads
+// the field's plane and is memoized until the log changes; callers must
+// not mutate the returned slice.
 func (l *Log) Domain(name string) []string {
-	i, ok := l.Schema.Index(name)
-	if !ok || l.Schema.Field(i).Kind != Nominal {
+	f, ok := l.Schema.Index(name)
+	if !ok || l.Schema.Field(f).Kind != Nominal {
 		return nil
 	}
 	l.statsMu.Lock()
@@ -306,16 +378,19 @@ func (l *Log) Domain(name string) []string {
 	if out, hit := st.domains[name]; hit {
 		return out
 	}
-	seen := make(map[string]bool)
-	for _, r := range l.Records {
-		v := r.Values[i]
-		if v.Kind == Nominal {
-			seen[v.Str] = true
+	c := l.Columns()
+	col := c.Col(f)
+	seen := make([]bool, c.intern.Len())
+	for i, id := range col.Sym {
+		if !col.Miss.Get(i) && !col.Alien(i) {
+			seen[id] = true
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
+	out := []string{}
+	for id, ok := range seen {
+		if ok {
+			out = append(out, c.intern.strs[id])
+		}
 	}
 	sort.Strings(out)
 	st.domains[name] = out
@@ -324,11 +399,11 @@ func (l *Log) Domain(name string) []string {
 
 // NumericRange returns the observed min and max of a numeric field,
 // ignoring missing values. ok is false if the field is absent, nominal,
-// or entirely missing. Like Domain, the scan is memoized until the
-// record count changes.
+// or entirely missing. Like Domain, the scan is memoized until the log
+// changes.
 func (l *Log) NumericRange(name string) (min, max float64, ok bool) {
-	i, found := l.Schema.Index(name)
-	if !found || l.Schema.Field(i).Kind != Numeric {
+	f, found := l.Schema.Index(name)
+	if !found || l.Schema.Field(f).Kind != Numeric {
 		return 0, 0, false
 	}
 	l.statsMu.Lock()
@@ -337,23 +412,23 @@ func (l *Log) NumericRange(name string) (min, max float64, ok bool) {
 	if r, hit := st.ranges[name]; hit {
 		return r.min, r.max, r.ok
 	}
-	first := true
-	for _, r := range l.Records {
-		v := r.Values[i]
-		if v.Kind != Numeric {
+	col := l.Columns().Col(f)
+	var r numericRange
+	for i, x := range col.Num {
+		if col.Miss.Get(i) || col.Alien(i) {
 			continue
 		}
-		if first {
-			min, max, first = v.Num, v.Num, false
+		if !r.ok {
+			r = numericRange{min: x, max: x, ok: true}
 			continue
 		}
-		if v.Num < min {
-			min = v.Num
+		if x < r.min {
+			r.min = x
 		}
-		if v.Num > max {
-			max = v.Num
+		if x > r.max {
+			r.max = x
 		}
 	}
-	st.ranges[name] = numericRange{min: min, max: max, ok: !first}
-	return min, max, !first
+	st.ranges[name] = r
+	return r.min, r.max, r.ok
 }

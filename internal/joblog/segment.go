@@ -4,15 +4,20 @@ package joblog
 // tail, so the log can grow while queries run against a consistent
 // snapshot.
 //
-// Appends land in the tail; once the tail reaches the seal threshold it
-// is sealed into a segment that never changes again. A sealed segment
-// keeps everything expensive forever, each part built when something
-// first reads it:
+// Appends land in the tail, a set of growable planes; once the tail
+// reaches the seal threshold it becomes a segment that never changes
+// again. The store holds no Record: Append writes the record's cells
+// into the tail's planes and lets the record go, and a snapshot boxes a
+// row back only when asked (Log.Record). A sealed segment keeps
+// everything expensive forever, each part built when something first
+// reads it:
 //
-//   - at seal time, its columnar planes, built against the store's shared
-//     append-only intern table so symbol IDs across segments are exactly
-//     the IDs a whole-log fresh build would assign (segments seal in
-//     record order, so first-appearance order is preserved);
+//   - from the moment its rows were appended, its columnar planes, record
+//     IDs and the side table of cells the planes cannot reproduce
+//     (columns.go), numbered by the store's shared append-only intern
+//     table so symbol IDs across segments are exactly the IDs a whole-log
+//     fresh build would assign (rows arrive in record order, so
+//     first-appearance order is preserved);
 //   - on first index use, its per-field sorted indexes (memoized on the
 //     segment's view);
 //   - the first time a snapshot is asked for its Segments — that is, the
@@ -23,19 +28,19 @@ package joblog
 //     the log grows. A store that only ever answers locally holds no
 //     wire form at all.
 //
-// So the store's resident memory is the boxed records, one set of
-// planes per sealed segment and one assembled set per live snapshot.
+// So the store's resident memory is planes: one set per sealed segment
+// (8 bytes a numeric cell, 4 a nominal one, a bit for missing) and one
+// assembled set per live snapshot.
 //
-// Snapshot() assembles the current watermark into an ordinary *Log whose
-// memoized views are stitched from the per-segment precomputations
-// instead of rebuilt from scratch: planes are memcpy'd at segment
-// offsets, bitmaps are blitted, and the column sorted index k-way
-// merges the per-segment permutations. Domain and NumericRange are the
-// snapshot log's own lazy, memoized scans, as on any flat log. The
-// assembled log is byte-identical to a fresh Log holding the same
-// records — pinned by TestStoreSnapshotEquivalence — so every consumer
-// (the explainer, the planners, the baselines) works on snapshots
-// unchanged.
+// Snapshot() assembles the current watermark into a plane-backed *Log
+// whose planes are stitched from the segments' instead of rebuilt from
+// scratch: planes are memcpy'd at segment offsets, bitmaps are blitted,
+// and the column sorted index k-way merges the per-segment
+// permutations. Domain and NumericRange are the snapshot log's own
+// lazy, memoized scans, as on any log. The assembled log is
+// byte-identical to a fresh Log holding the same records — pinned by
+// TestStoreSnapshotEquivalence — so every consumer (the explainer, the
+// planners, the baselines) works on snapshots unchanged.
 //
 // Concurrency: every Store method is safe for concurrent use. Snapshots
 // are immutable once built (they own a private intern copy, so tail
@@ -57,21 +62,21 @@ import (
 const DefaultSealThreshold = 2048
 
 // Store is a growable job log: sealed immutable segments plus a mutable
-// tail. Records handed to Append are owned by the store and must not be
-// mutated afterwards — segments are immutable by contract, and their
-// content hashes are computed once.
+// tail. It copies what it is given: a record handed to Append is read
+// once and not kept.
 type Store struct {
 	mu     sync.Mutex
 	schema *Schema
 	sealN  int
-	// in is the shared append-only intern table: segments seal in record
-	// order and intern their nominal cells sequentially, so per-segment
+	// in is the shared append-only intern table: rows arrive in record
+	// order and intern their nominal cells as they land, so per-segment
 	// symbol planes concatenate to exactly what a whole-log build
-	// assigns. Snapshots copy it (extended with tail cells) so readers
-	// never observe growth.
+	// assigns. Snapshots copy it so readers never observe growth.
 	in     *Intern
 	sealed []*segment
-	tail   []*Record
+	// tail holds the rows not yet sealed, as planes that grow; sealing
+	// hands it to a segment as it is.
+	tail *Columns
 	// gen is the watermark: one tick per append (and per forced seal),
 	// mirrored into every snapshot taken at that point.
 	gen uint64
@@ -104,17 +109,16 @@ type sealedPerm struct {
 
 // segment is one sealed, immutable run of records.
 type segment struct {
-	start int // global index of recs[0]
-	recs  []*Record
+	start int // global index of the segment's first row
+	// cols is the segment: planes, IDs and side table indexed by local
+	// row; its intern pointer is the store's shared table. SortedIndex
+	// memos accumulate on it and stay warm for the segment's lifetime.
+	cols *Columns
 	// view is the segment's shippable form — wire records and their
 	// content hash — built by shipView the first time any snapshot's
 	// Segments asks for it, then shared by every snapshot.
 	viewOnce sync.Once
 	view     SegmentView
-	// cols is the segment's columnar view, planes indexed by local row;
-	// its intern pointer is the store's shared table. SortedIndex memos
-	// accumulate on it and stay warm for the segment's lifetime.
-	cols *Columns
 }
 
 // NewStore returns an empty store over the schema. sealThreshold is the
@@ -124,7 +128,8 @@ func NewStore(schema *Schema, sealThreshold int) *Store {
 	if sealThreshold <= 0 {
 		sealThreshold = DefaultSealThreshold
 	}
-	return &Store{schema: schema, sealN: sealThreshold, in: newIntern()}
+	in := newIntern()
+	return &Store{schema: schema, sealN: sealThreshold, in: in, tail: newColumns(schema, 0, in)}
 }
 
 // Schema returns the store's schema.
@@ -137,13 +142,14 @@ func (s *Store) Len() int {
 	return s.lenLocked()
 }
 
-func (s *Store) lenLocked() int {
-	n := len(s.tail)
+func (s *Store) lenLocked() int { return s.tailStartLocked() + s.tail.n }
+
+// tailStartLocked is the global index of the tail's first row.
+func (s *Store) tailStartLocked() int {
 	if k := len(s.sealed); k > 0 {
-		last := s.sealed[k-1]
-		n += last.start + len(last.recs)
+		return s.sealed[k-1].start + s.sealed[k-1].cols.n
 	}
-	return n
+	return 0
 }
 
 // Gen returns the store's watermark: a monotonic counter ticked by every
@@ -165,22 +171,74 @@ func (s *Store) SealedSegments() int {
 func (s *Store) TailLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.tail)
+	return s.tail.n
 }
 
 // Append adds a record after validating its width against the schema,
 // sealing a new segment when the tail reaches the threshold.
 func (s *Store) Append(r *Record) error {
-	if len(r.Values) != s.schema.Len() {
-		return fmt.Errorf("joblog: record %q has %d values, schema has %d fields",
-			r.ID, len(r.Values), s.schema.Len())
+	if err := checkWidth(s.schema, r); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tail = append(s.tail, r)
+	row := s.tail.n
+	s.tail.grow(row + 1)
+	s.tail.setRow(row, r)
 	s.gen++
-	if len(s.tail) >= s.sealN {
+	if s.tail.n >= s.sealN {
 		s.sealLocked()
+	}
+	return nil
+}
+
+// SchemaError reports a log offered to a store of a different schema.
+type SchemaError struct{ msg string }
+
+func (e *SchemaError) Error() string { return e.msg }
+
+// checkSchema compares field lists by name and kind: planes are
+// positional, so a mismatch accepted here would land cells in columns of
+// another meaning or another type.
+func (s *Store) checkSchema(got *Schema) error {
+	if s.schema.Len() != got.Len() {
+		return &SchemaError{fmt.Sprintf("schema mismatch: store has %d fields, ingest has %d", s.schema.Len(), got.Len())}
+	}
+	for i, have := range s.schema.fields {
+		if g := got.fields[i]; g != have {
+			return &SchemaError{fmt.Sprintf("schema mismatch at field %d: store %s(%s), ingest %s(%s)",
+				i, have.Name, have.Kind, g.Name, g.Kind)}
+		}
+	}
+	return nil
+}
+
+// Ingest appends every record of l, in log order, as one batch: the
+// whole of it lands under a single lock hold, so a concurrent Snapshot
+// sees none of it or all of it, and two concurrent batches never
+// interleave. Otherwise it is Append once per record — segments seal at
+// the same rows and the watermark ticks once per record — without a
+// Record being built: rows move plane to plane. A log whose schema is
+// not the store's (names and kinds, in order) is refused with a
+// *SchemaError and nothing is appended.
+func (s *Store) Ingest(l *Log) error {
+	if err := s.checkSchema(l.Schema); err != nil {
+		return err
+	}
+	src := l.Columns()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	remap := s.in.remapFrom(src.intern)
+	for lo := 0; lo < src.n; {
+		at := s.tail.n
+		hi := min(src.n, lo+s.sealN-at)
+		s.tail.grow(at + hi - lo)
+		s.tail.stitch(at, src, lo, hi, remap)
+		s.gen += uint64(hi - lo)
+		lo = hi
+		if s.tail.n >= s.sealN {
+			s.sealLocked()
+		}
 	}
 	return nil
 }
@@ -199,7 +257,7 @@ func (s *Store) MustAppend(r *Record) {
 func (s *Store) Seal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.tail) == 0 {
+	if s.tail.n == 0 {
 		return
 	}
 	s.sealLocked()
@@ -207,22 +265,18 @@ func (s *Store) Seal() {
 }
 
 func (s *Store) sealLocked() {
-	start := s.lenLocked() - len(s.tail)
-	recs := s.tail
-	s.tail = nil
-	segLog := &Log{Schema: s.schema, Records: recs}
-	s.sealed = append(s.sealed, &segment{
-		start: start,
-		recs:  recs,
-		cols:  buildColumnsWith(segLog, s.in),
-	})
+	s.tail.clip()
+	s.sealed = append(s.sealed, &segment{start: s.tailStartLocked(), cols: s.tail})
+	s.tail = newColumns(s.schema, 0, s.in)
 }
 
 // shipView returns the sealed segment's shippable view, building the
-// wire form and hashing it on first use.
-func (seg *segment) shipView(schema *Schema) SegmentView {
+// wire form and hashing it on first use. The rows are read through l, a
+// snapshot log holding the segment: its intern table is private, where
+// the segment's own is the store's and still growing.
+func (seg *segment) shipView(l *Log) SegmentView {
 	seg.viewOnce.Do(func() {
-		seg.view = newSegmentView(schema, seg.start, seg.recs, true)
+		seg.view = newSegmentView(seg.start, l.wire(seg.start, seg.start+seg.cols.n), true)
 	})
 	return seg.view
 }
@@ -242,8 +296,7 @@ type SegmentView struct {
 // Len returns the number of records in the view.
 func (v SegmentView) Len() int { return len(v.Records.Records) }
 
-func newSegmentView(schema *Schema, start int, recs []*Record, sealed bool) SegmentView {
-	wire := WireSlice(schema, recs)
+func newSegmentView(start int, wire WireLog, sealed bool) SegmentView {
 	return SegmentView{Start: start, Hash: HashSlice(wire), Records: wire, Sealed: sealed}
 }
 
@@ -260,14 +313,10 @@ type flatViewsKey struct{}
 func (l *Log) SegmentViews() []SegmentView {
 	c := l.Columns()
 	return c.Memo(flatViewsKey{}, func() any {
-		recs := l.Records[:c.n]
-		views := make([]SegmentView, 0, (len(recs)+DefaultSealThreshold-1)/DefaultSealThreshold)
-		for start := 0; start < len(recs); start += DefaultSealThreshold {
-			end := start + DefaultSealThreshold
-			if end > len(recs) {
-				end = len(recs)
-			}
-			views = append(views, newSegmentView(l.Schema, start, recs[start:end], end-start == DefaultSealThreshold))
+		views := make([]SegmentView, 0, (c.n+DefaultSealThreshold-1)/DefaultSealThreshold)
+		for start := 0; start < c.n; start += DefaultSealThreshold {
+			end := min(start+DefaultSealThreshold, c.n)
+			views = append(views, newSegmentView(start, l.wire(start, end), end-start == DefaultSealThreshold))
 		}
 		return views
 	}).([]SegmentView)
@@ -279,7 +328,7 @@ type Snapshot struct {
 	gen uint64
 	// sealed and tailStart are the watermark's decomposition: the
 	// segments sealed when the snapshot was taken, and where the tail
-	// (the rest of log.Records) begins.
+	// (the rest of the log's rows) begins.
 	sealed    []*segment
 	tailStart int
 
@@ -287,10 +336,9 @@ type Snapshot struct {
 	segs     []SegmentView
 }
 
-// Log returns the snapshot's assembled log. Its columnar view, sorted
-// indexes, and attribute statistics are pre-installed from the
-// per-segment precomputations; it behaves exactly like a fresh Log over
-// the same records.
+// Log returns the snapshot's assembled, plane-backed log. Its planes
+// and sorted indexes come from the per-segment precomputations; it
+// reads exactly like a fresh Log over the same records.
 func (sn *Snapshot) Log() *Log { return sn.log }
 
 // Segments returns the snapshot's shippable views in record order:
@@ -301,13 +349,12 @@ func (sn *Snapshot) Log() *Log { return sn.log }
 // the result.
 func (sn *Snapshot) Segments() []SegmentView {
 	sn.segsOnce.Do(func() {
-		schema := sn.log.Schema
 		sn.segs = make([]SegmentView, 0, len(sn.sealed)+1)
 		for _, seg := range sn.sealed {
-			sn.segs = append(sn.segs, seg.shipView(schema))
+			sn.segs = append(sn.segs, seg.shipView(sn.log))
 		}
-		if tail := sn.log.Records[sn.tailStart:]; len(tail) > 0 {
-			sn.segs = append(sn.segs, newSegmentView(schema, sn.tailStart, tail, false))
+		if n := sn.log.Len(); n > sn.tailStart {
+			sn.segs = append(sn.segs, newSegmentView(sn.tailStart, sn.log.wire(sn.tailStart, n), false))
 		}
 	})
 	return sn.segs
@@ -331,85 +378,27 @@ func (s *Store) Snapshot() *Snapshot {
 }
 
 func (s *Store) buildSnapshotLocked() *Snapshot {
-	n := s.lenLocked()
-	recs := make([]*Record, 0, n)
-	for _, seg := range s.sealed {
-		recs = append(recs, seg.recs...)
-	}
-	tailStart := len(recs)
-	recs = append(recs, s.tail...)
-
-	log := &Log{Schema: s.schema, Records: recs}
 	// An immutable copy of the segment list: the snapshot's lazy hooks and
 	// Segments run long after the store lock is released, and sealed
 	// segments never change.
-	sealed := append([]*segment(nil), s.sealed...)
-	log.installColumns(s.assembleColumnsLocked(log, sealed, tailStart))
-	return &Snapshot{log: log, gen: s.gen, sealed: sealed, tailStart: tailStart}
+	segs := append([]*segment(nil), s.sealed...)
+	tailStart := s.tailStartLocked()
+	c := s.assembleColumnsLocked(segs, tailStart)
+	return &Snapshot{log: &Log{Schema: s.schema, rows: c}, gen: s.gen, sealed: segs, tailStart: tailStart}
 }
 
-// assembleColumnsLocked stitches the snapshot's columnar view: sealed
-// planes are memcpy'd at their segment offsets, sealed bitmaps are
-// blitted, and tail cells are filled directly. The view owns a private
-// copy of the shared intern table extended with the tail's nominal
-// cells in record order — exactly the IDs a fresh whole-log build
+// assembleColumnsLocked stitches the snapshot's planes: sealed planes
+// are memcpy'd at their segment offsets, sealed bitmaps are blitted, and
+// the tail's rows follow the same way. The view owns a private copy of
+// the shared intern table — exactly the IDs a fresh whole-log build
 // assigns, and isolated from future intern growth.
-func (s *Store) assembleColumnsLocked(l *Log, segs []*segment, tailStart int) *Columns {
-	n := len(l.Records)
-	priv := s.in.clone()
-	c := &Columns{log: l, n: n, intern: priv, cols: make([]Col, s.schema.Len())}
-	for f := 0; f < s.schema.Len(); f++ {
-		col := &c.cols[f]
-		col.Kind = s.schema.Field(f).Kind
-		col.Miss = NewBitmap(n)
-		if col.Kind == Numeric {
-			col.Num = make([]float64, n)
-		} else {
-			col.Sym = make([]uint32, n)
-		}
-	}
+func (s *Store) assembleColumnsLocked(segs []*segment, tailStart int) *Columns {
+	n := tailStart + s.tail.n
+	c := newColumns(s.schema, n, s.in.clone())
 	for _, seg := range segs {
-		m := len(seg.recs)
-		for f := range c.cols {
-			dst, src := &c.cols[f], seg.cols.Col(f)
-			if dst.Kind == Numeric {
-				copy(dst.Num[seg.start:seg.start+m], src.Num)
-			} else {
-				copy(dst.Sym[seg.start:seg.start+m], src.Sym)
-			}
-			dst.Miss.BlitFrom(src.Miss, seg.start, m)
-			if src.HasAlien {
-				if dst.alien == nil {
-					dst.alien = NewBitmap(n)
-				}
-				dst.alien.BlitFrom(src.alien, seg.start, m)
-				dst.HasAlien = true
-			}
-		}
+		c.stitch(seg.start, seg.cols, 0, seg.cols.n, nil)
 	}
-	for i, r := range s.tail {
-		row := tailStart + i
-		for f := range c.cols {
-			col := &c.cols[f]
-			v := r.Values[f]
-			if v.Kind == Missing {
-				col.Miss.SetBit(row)
-				continue
-			}
-			if v.Kind != col.Kind {
-				if col.alien == nil {
-					col.alien = NewBitmap(n)
-				}
-				col.alien.SetBit(row)
-				col.HasAlien = true
-			}
-			if col.Kind == Numeric {
-				col.Num[row] = v.Num
-			} else {
-				col.Sym[row] = priv.intern(v.Str)
-			}
-		}
-	}
+	c.stitch(tailStart, s.tail, 0, s.tail.n, nil)
 	// The sorted-index hook merges per-segment permutations instead of
 	// re-sorting the whole plane.
 	c.buildIndex = func(f int) *ColIndex { return s.mergedIndex(c, segs, tailStart, f) }
@@ -422,7 +411,7 @@ func (s *Store) assembleColumnsLocked(l *Log, segs []*segment, tailStart int) *C
 	c.buildEqRows = func(key eqRowsKey) Bitmap {
 		out := NewBitmap(n)
 		for _, seg := range segs {
-			out.BlitFrom(seg.cols.equalPlaneRows(key), seg.start, len(seg.recs))
+			out.BlitFrom(seg.cols.equalPlaneRows(key), 0, seg.start, seg.cols.n)
 		}
 		col := c.Col(key.f)
 		if col.Kind == Numeric {

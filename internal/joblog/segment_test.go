@@ -1,7 +1,9 @@
 package joblog
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"sync"
@@ -10,8 +12,9 @@ import (
 
 // segTestSchema exercises every plane shape the snapshot assembler
 // stitches: nominal and numeric fields, alien cells in both directions,
-// missing cells, and a NaN-first numeric field (whose range the merge
-// must poison exactly like the sequential scan).
+// missing cells, cells only the side table can give back, and a
+// NaN-first numeric field (whose range the merge must poison exactly
+// like the sequential scan).
 func segTestSchema() *Schema {
 	return NewSchema([]Field{
 		{Name: "site", Kind: Nominal},
@@ -53,7 +56,24 @@ func segTestRecords(n int) []*Record {
 		} else {
 			vals[4] = Num(float64(next() % 100))
 		}
-		recs[i] = &Record{ID: fmt.Sprintf("r-%03d", i), Values: vals}
+		// Cells a plane alone would lose, and IDs that are not keys; none of
+		// it draws from rng, so the rest of the fixture is what it was.
+		switch i % 13 {
+		case 6:
+			vals[1] = Value{Kind: Missing, Num: 7, Str: "ghost"}
+		case 9:
+			vals[4] = Value{Kind: Numeric, Num: math.Copysign(0, -1), Str: "tagged"}
+		case 11:
+			vals[0] = Value{Kind: Nominal, Str: "east", Num: math.Float64frombits(0x7ff8000000000abc)}
+		}
+		id := fmt.Sprintf("r-%03d", i)
+		switch {
+		case i == 4:
+			id = ""
+		case i%9 == 8:
+			id = fmt.Sprintf("r-%03d", i-5)
+		}
+		recs[i] = &Record{ID: id, Values: vals}
 	}
 	return recs
 }
@@ -75,12 +95,37 @@ func sameFloats(a, b []float64) bool {
 }
 
 // assertLogEquivalent checks that got behaves exactly like a fresh Log
-// over the same records: columnar planes, intern table, sorted indexes,
-// and attribute statistics.
+// over the same records: the records themselves, ID lookup, CSV and JSON
+// bytes, columnar planes, intern table, sorted indexes, and attribute
+// statistics.
 func assertLogEquivalent(t *testing.T, got, want *Log) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if g, w := got.Record(i), want.Record(i); !sameRecord(g, w) || got.ID(i) != w.ID {
+			t.Fatalf("Record(%d) = %#v, want %#v", i, g, w)
+		}
+		gi, gok := got.FindIndex(want.ID(i))
+		if wi, wok := want.FindIndex(want.ID(i)); gi != wi || gok != wok {
+			t.Errorf("FindIndex(%q) = %d, %v, want %d, %v", want.ID(i), gi, gok, wi, wok)
+		}
+	}
+	if _, ok := got.FindIndex("no such record"); ok || got.Find("no such record") != nil {
+		t.Error("Find resolves an ID the log does not hold")
+	}
+	for name, write := range map[string]func(*Log, io.Writer) error{"WriteCSV": (*Log).WriteCSV, "WriteJSON": (*Log).WriteJSON} {
+		var g, w bytes.Buffer
+		if err := write(got, &g); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(want, &w); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Errorf("%s wrote\n%s\nwant\n%s", name, g.Bytes(), w.Bytes())
+		}
 	}
 	gc, wc := got.Columns(), want.Columns()
 	if !reflect.DeepEqual(gc.Intern().Strings(), wc.Intern().Strings()) {

@@ -49,26 +49,38 @@ type WireLog struct {
 }
 
 // Wire converts the log to its wire form.
-func (l *Log) Wire() WireLog {
-	return WireSlice(l.Schema, l.Records)
-}
+func (l *Log) Wire() WireLog { return l.wire(0, l.Len()) }
 
-// WireSlice builds the wire form of a subset of records under a schema —
-// the shape shard specs ship: only the records a shard's pairs touch.
-func WireSlice(schema *Schema, records []*Record) WireLog {
-	w := WireLog{Fields: schema.Fields()}
-	w.Records = make([]WireRecord, len(records))
-	for i, r := range records {
-		wr := WireRecord{ID: r.ID, Values: make([]WireValue, len(r.Values))}
-		for j, v := range r.Values {
-			wr.Values[j] = WireValue{Kind: v.Kind.String(), Num: v.Num, Str: v.Str}
-		}
-		w.Records[i] = wr
+// wire is the wire form of records [lo, hi) — the shape shard specs
+// ship, a segment at a time.
+func (l *Log) wire(lo, hi int) WireLog {
+	w := WireLog{Fields: l.Schema.Fields(), Records: make([]WireRecord, hi-lo)}
+	rowBuf := make([]Value, l.Schema.Len())
+	for i := lo; i < hi; i++ {
+		w.Records[i-lo] = wireRecord(l.row(i, rowBuf))
 	}
 	return w
 }
 
-// Log rebuilds a Log from the wire form, validating schema and records.
+// WireSlice builds the wire form of a list of records under a schema.
+func WireSlice(schema *Schema, records []*Record) WireLog {
+	w := WireLog{Fields: schema.Fields(), Records: make([]WireRecord, len(records))}
+	for i, r := range records {
+		w.Records[i] = wireRecord(r.ID, r.Values)
+	}
+	return w
+}
+
+func wireRecord(id string, vals []Value) WireRecord {
+	wr := WireRecord{ID: id, Values: make([]WireValue, len(vals))}
+	for j, v := range vals {
+		wr.Values[j] = WireValue{Kind: v.Kind.String(), Num: v.Num, Str: v.Str}
+	}
+	return wr
+}
+
+// Log rebuilds a plane-backed Log from the wire form, validating schema
+// and records.
 func (w WireLog) Log() (*Log, error) {
 	if err := checkFieldNames(w.Fields); err != nil {
 		return nil, err
@@ -78,31 +90,30 @@ func (w WireLog) Log() (*Log, error) {
 			return nil, fmt.Errorf("joblog: wire field %q has invalid kind %v", f.Name, f.Kind)
 		}
 	}
-	l := NewLog(NewSchema(w.Fields))
-	for _, wr := range w.Records {
+	schema := NewSchema(w.Fields)
+	c := newColumns(schema, len(w.Records), newIntern())
+	for i, wr := range w.Records {
 		if len(wr.Values) != len(w.Fields) {
 			return nil, fmt.Errorf("joblog: wire record %q has %d values, schema has %d fields",
 				wr.ID, len(wr.Values), len(w.Fields))
 		}
-		rec := &Record{ID: wr.ID, Values: make([]Value, len(wr.Values))}
+		c.ids[i] = wr.ID
 		for j, wv := range wr.Values {
+			var v Value
 			switch wv.Kind {
 			case Missing.String():
-				rec.Values[j] = None()
 			case Numeric.String():
-				rec.Values[j] = Num(wv.Num)
+				v = Num(wv.Num)
 			case Nominal.String():
-				rec.Values[j] = Str(wv.Str)
+				v = Str(wv.Str)
 			default:
 				return nil, fmt.Errorf("joblog: wire record %q value %d has unknown kind %q",
 					wr.ID, j, wv.Kind)
 			}
-		}
-		if err := l.Append(rec); err != nil {
-			return nil, err
+			c.setCell(i, j, v)
 		}
 	}
-	return l, nil
+	return &Log{Schema: schema, rows: c}, nil
 }
 
 // HashSlice returns the content address of a wire log slice: the hex

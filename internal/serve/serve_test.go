@@ -583,6 +583,50 @@ func TestIngestSchemaMismatch(t *testing.T) {
 	}
 }
 
+// repeated reads a block n times over.
+type repeated struct {
+	block []byte
+	n     int
+	off   int
+}
+
+func (r *repeated) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p, r.block[r.off:])
+	if r.off += k; r.off == len(r.block) {
+		r.off, r.n = 0, r.n-1
+	}
+	return k, nil
+}
+
+// TestIngestBodyLimit: a body past maxIngestBytes answers 413 and
+// appends nothing — the decoder's batches die with the failed read — and
+// the same rows cut to fit are taken.
+func TestIngestBodyLimit(t *testing.T) {
+	s, _, st := seededServer(t, Config{})
+	records, watermark := st.Len(), st.Watermark()
+	header := "id:id,note:nominal\n"
+	row := []byte("r," + strings.Repeat("x", 1<<16) + "\n")
+	post := func(rows int) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/api/ingest", io.MultiReader(strings.NewReader(header), &repeated{block: row, n: rows}))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post(maxIngestBytes/len(row) + 1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a %d MB body: status %d (%s), want 413", maxIngestBytes>>20+1, rec.Code, rec.Body)
+	}
+	// Under the limit the body is read whole, and refused for what it is.
+	if rec := post(8); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "schema mismatch") {
+		t.Errorf("a body under the limit: status %d (%s), want the 400 of a foreign schema", rec.Code, rec.Body)
+	}
+	if st.Len() != records || st.Watermark() != watermark {
+		t.Errorf("refused bodies left %d records at watermark %d, want %d at %d", st.Len(), st.Watermark(), records, watermark)
+	}
+}
+
 func TestEvaluateEndpoint(t *testing.T) {
 	_, ts, st := seededServer(t, Config{})
 	status, resp, raw := postExplain(t, ts.URL+"/api/evaluate", ExplainRequest{Query: testQuery, Find: true})

@@ -74,9 +74,9 @@ func (l *Log) Len() int { return l.l.Len() }
 
 // IDs returns the record identifiers in log order.
 func (l *Log) IDs() []string {
-	out := make([]string, 0, l.l.Len())
-	for _, r := range l.l.Records {
-		out = append(out, r.ID)
+	out := make([]string, l.l.Len())
+	for i := range out {
+		out[i] = l.l.ID(i)
 	}
 	return out
 }
@@ -150,9 +150,10 @@ func (l *Log) WriteCSV(w io.Writer) error { return l.l.WriteCSV(w) }
 // WriteJSON writes the log as JSON.
 func (l *Log) WriteJSON(w io.Writer) error { return l.l.WriteJSON(w) }
 
-// ReadLogCSV reads a log written by WriteCSV.
+// ReadLogCSV reads a log written by WriteCSV. The log is held as
+// columns only: no per-record structure is built for it.
 func ReadLogCSV(r io.Reader) (*Log, error) {
-	l, err := joblog.ReadCSV(r)
+	l, err := joblog.ReadCSVPlanes(r)
 	if err != nil {
 		return nil, err
 	}
@@ -236,15 +237,16 @@ func NewStore(like *Log, sealEvery int) *Store {
 	return &Store{joblog.NewStore(like.l.Schema, sealEvery)}
 }
 
-// Ingest appends every record of l to the store, in log order.
-func (s *Store) Ingest(l *Log) error {
-	for _, r := range l.l.Records {
-		if err := s.s.Append(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// SchemaError is the error Store.Ingest returns for a log whose schema
+// is not the store's.
+type SchemaError = joblog.SchemaError
+
+// Ingest appends every record of l to the store, in log order, as one
+// batch: a concurrent Snapshot holds none of it or all of it, and the
+// watermark advances by l.Len(). l's schema must be the store's — the
+// same field names and kinds in the same order — or nothing is appended
+// and the error is a *SchemaError.
+func (s *Store) Ingest(l *Log) error { return s.s.Ingest(l.l) }
 
 // Seal forces the current tail into a sealed segment (a no-op on an
 // empty tail). Appends normally seal automatically at the threshold;

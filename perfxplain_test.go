@@ -2,6 +2,7 @@ package perfxplain
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -231,7 +232,7 @@ func TestSweepCSVRoundTripExact(t *testing.T) {
 		t.Fatalf("read back %d records over %v", back.Len(), back.FeatureNames())
 	}
 	for i, want := range jobs.l.Records {
-		got := back.l.Records[i]
+		got := back.l.Record(i)
 		if got.ID != want.ID {
 			t.Fatalf("record %d is %q, want %q", i, got.ID, want.ID)
 		}
@@ -248,6 +249,41 @@ func TestSweepCSVRoundTripExact(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), written) {
 		t.Error("the log read back writes different bytes")
+	}
+}
+
+// TestStoreIngestChecksSchemaAndCounts: a library caller's batch is held
+// to the store's schema by name and kind, not only by width, and a batch
+// that is taken moves the watermark by its row count.
+func TestStoreIngestChecksSchemaAndCounts(t *testing.T) {
+	jobs, tasks := smallLogs(t)
+	st := NewStore(jobs, 7)
+	if err := st.Ingest(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != jobs.Len() || st.Watermark() != uint64(jobs.Len()) {
+		t.Fatalf("after one batch of %d: %d records at watermark %d", jobs.Len(), st.Len(), st.Watermark())
+	}
+	// The same width, one column of the other kind.
+	var csv bytes.Buffer
+	if err := jobs.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	first := jobs.Fields()[0]
+	other := map[string]string{"numeric": "nominal", "nominal": "numeric"}[first.Kind]
+	rekinded, err := ReadLogCSV(bytes.NewReader(bytes.Replace(csv.Bytes()[:bytes.IndexByte(csv.Bytes(), '\n')+1],
+		[]byte(first.Name+":"+first.Kind), []byte(first.Name+":"+other), 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]*Log{"another kind": rekinded, "another relation": tasks} {
+		var se *SchemaError
+		if err := st.Ingest(l); !errors.As(err, &se) {
+			t.Errorf("%s: Ingest error %v, want a *SchemaError", name, err)
+		}
+	}
+	if st.Len() != jobs.Len() || st.Watermark() != uint64(jobs.Len()) {
+		t.Errorf("refused batches left %d records at watermark %d", st.Len(), st.Watermark())
 	}
 }
 
