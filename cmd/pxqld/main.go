@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -165,7 +166,26 @@ func run(o runOpts) error {
 			st.Len(), st.SealedSegments(), o.logPath)
 	}
 
-	srv := serve.NewServer(cfg)
-	fmt.Fprintf(os.Stderr, "pxqld: listening on %s\n", o.listen)
-	return http.ListenAndServe(o.listen, srv)
+	// Bind before saying so: the address printed is the one bound (so
+	// -listen 127.0.0.1:0 is usable), and it accepts from that line on.
+	ln, err := net.Listen("tcp", o.listen)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "pxqld: listening on %s\n", ln.Addr())
+	srv := &http.Server{
+		Handler:           serve.NewServer(cfg),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	return srv.Serve(ln)
 }
+
+// A client gets readHeaderTimeout to send its request line and headers,
+// and an idle keep-alive connection is closed after idleTimeout. Bodies
+// and answers are bounded elsewhere: by size (serve) and by the query
+// deadline (-timeout, -max-timeout).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)

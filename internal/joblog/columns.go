@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	"perfxplain/internal/bitset"
@@ -54,9 +53,6 @@ func NewBitmap(n int) Bitmap { return bitset.Make(n) }
 type Intern struct {
 	strs []string
 	ids  map[string]uint32
-	// own makes intern keep a private copy of each new string: the CSV
-	// decoder's cells alias their lines, which a table must not pin.
-	own bool
 }
 
 func newIntern() *Intern {
@@ -72,12 +68,19 @@ func (in *Intern) intern(s string) uint32 {
 	if id >= 1<<31 {
 		panic("joblog: intern table overflow")
 	}
-	if in.own {
-		s = strings.Clone(s)
-	}
 	in.strs = append(in.strs, s)
 	in.ids[s] = id
 	return id
+}
+
+// internBytes is intern for a cell still in its read buffer: a symbol
+// seen before costs a lookup and no string, a new one gets a string of
+// its own, so the table never pins the buffer.
+func (in *Intern) internBytes(b []byte) uint32 {
+	if id, ok := in.ids[string(b)]; ok {
+		return id
+	}
+	return in.intern(string(b))
 }
 
 // Lookup returns the ID of s if it was observed in the log. Constants
@@ -292,7 +295,7 @@ func (c *Columns) setRow(row int, r *Record) {
 }
 
 // stitch copies rows [lo, hi) of src into c starting at row at — the one
-// routine behind snapshot assembly, bulk ingest, CSV batch landing and a
+// routine behind snapshot assembly, bulk ingest, CSV block landing and a
 // worker's slice concatenation. remap translates src's symbol IDs into
 // c's (Intern.remapFrom); nil when both number symbols from one table.
 func (c *Columns) stitch(at int, src *Columns, lo, hi int, remap []uint32) {

@@ -97,6 +97,10 @@ func numberedRows(n int) string {
 	return sb.String()
 }
 
+// testBlock is the block size of the tests that want a small file cut
+// many times: a few dozen of numberedRows' rows.
+const testBlock = 1 << 10
+
 // withProcs runs f with at least two Ps, so the decode workers really
 // interleave (and the race detector sees them) on a one-core box.
 func withProcs(t *testing.T, f func()) {
@@ -123,13 +127,16 @@ func TestReadCSVErrors(t *testing.T) {
 		{"ragged", "id:id,n:numeric\nr1,1\nr2,2,3\n", "joblog: row 3 has 3 cells, want 2"},
 		{"bare quote", "id:id,s:nominal\nr1,a\"b\n", `joblog: read csv: parse error on line 2, column 5: bare " in non-quoted-field`},
 		{"bare quote in header", "id:id,s\"x:nominal\n", `joblog: read csv: parse error on line 1, column 8: bare " in non-quoted-field`},
-		{"bad numeric in last batch", numberedRows(csvBatchRows+3) + "late,site-0,1e\n",
-			fmt.Sprintf(`joblog: row %d field "secs": joblog: parse numeric "1e": strconv.ParseFloat: parsing "1e": invalid syntax`, csvBatchRows+5)},
+		{"bad numeric in last block", numberedRows(259) + "late,site-0,1e\n",
+			`joblog: row 261 field "secs": joblog: parse numeric "1e": strconv.ParseFloat: parsing "1e": invalid syntax`},
 	}
 	for _, c := range cases {
 		_, err := ReadCSV(strings.NewReader(c.in))
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: error %v, want %s", c.name, err, c.want)
+		}
+		if _, err := readCSVPlanes(strings.NewReader(c.in), testBlock); err == nil || err.Error() != c.want {
+			t.Errorf("%s: in %d-byte blocks: error %v, want %s", c.name, testBlock, err, c.want)
 		}
 		if _, ref := readCSVReference(strings.NewReader(c.in)); ref == nil || ref.Error() != c.want {
 			t.Errorf("%s: reference error %v, want %s", c.name, ref, c.want)
@@ -140,16 +147,16 @@ func TestReadCSVErrors(t *testing.T) {
 // TestReadCSVFirstDefectWins: with several defects the one earliest in
 // the file is reported, whichever goroutine met it and whenever.
 func TestReadCSVFirstDefectWins(t *testing.T) {
-	rows := strings.Split(strings.TrimSuffix(numberedRows(4*csvBatchRows), "\n"), "\n")
-	rows[csvBatchRows/2] = "early,site-0,not-a-number"
-	rows[2*csvBatchRows+7] = "ragged,site-0"
-	rows[3*csvBatchRows] = `syntax,si"te,1`
+	rows := strings.Split(strings.TrimSuffix(numberedRows(1024), "\n"), "\n")
+	rows[128] = "early,site-0,not-a-number"
+	rows[519] = "ragged,site-0"
+	rows[768] = `syntax,si"te,1`
 	in := strings.Join(rows, "\n")
-	want := fmt.Sprintf(`joblog: row %d field "secs": joblog: parse numeric "not-a-number": `+
-		`strconv.ParseFloat: parsing "not-a-number": invalid syntax`, csvBatchRows/2+1)
+	want := `joblog: row 129 field "secs": joblog: parse numeric "not-a-number": ` +
+		`strconv.ParseFloat: parsing "not-a-number": invalid syntax`
 	withProcs(t, func() {
 		for i := 0; i < 20; i++ {
-			if _, err := ReadCSV(strings.NewReader(in)); err == nil || err.Error() != want {
+			if _, err := readCSVPlanes(strings.NewReader(in), testBlock); err == nil || err.Error() != want {
 				t.Fatalf("run %d: error %v, want %s", i, err, want)
 			}
 		}
@@ -162,43 +169,116 @@ func TestReadCSVFirstDefectWins(t *testing.T) {
 	}
 }
 
-// TestReadCSVBatchesKeepFileOrder reads files around the batch size on
-// several Ps and requires the reference's records in the reference's
-// order.
-func TestReadCSVBatchesKeepFileOrder(t *testing.T) {
+// TestReadCSVBlocksKeepFileOrder reads files of a few blocks and of
+// dozens on several Ps, cut where the header ends, mid-row and at the
+// file's last byte, and requires the reference's records in the
+// reference's order.
+func TestReadCSVBlocksKeepFileOrder(t *testing.T) {
 	withProcs(t, func() {
-		for _, n := range []int{0, 1, csvBatchRows - 1, csvBatchRows, csvBatchRows + 1, 7*csvBatchRows + 5} {
+		for _, n := range []int{0, 1, 50, 1797} {
 			in := numberedRows(n)
 			want, err := readCSVReference(strings.NewReader(in))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadCSV(strings.NewReader(in))
-			if err != nil {
-				t.Fatalf("%d rows: %v", n, err)
+			header := strings.Index(in, "\n") + 1
+			for _, size := range []int{header - 1, header, header + 1, 512, testBlock, len(in) - 1, len(in), len(in) + 1} {
+				got, err := readCSVPlanes(strings.NewReader(in), size)
+				if err != nil {
+					t.Fatalf("%d rows in %d-byte blocks: %v", n, size, err)
+				}
+				assertLogsIdentical(t, want, got)
 			}
-			assertLogsIdentical(t, want, got)
 		}
 	})
 }
 
 // TestReadCSVInternIsBounded: a nominal column that never repeats is
-// still read exactly, across many batches' local symbol tables.
+// still read exactly, across many blocks' local symbol tables.
 func TestReadCSVInternIsBounded(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("id:id,host:nominal\n")
-	for i := 0; i < 12*csvBatchRows; i++ {
+	for i := 0; i < 3072; i++ {
 		fmt.Fprintf(&sb, "r%d,host-%d\n", i, i)
 	}
 	want, err := readCSVReference(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(strings.NewReader(sb.String()))
+	got, err := readCSVPlanes(strings.NewReader(sb.String()), testBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertLogsIdentical(t, want, got)
+	assertColumnsIdentical(t, want.Columns(), got.Columns())
+}
+
+// awkwardCSV is every shape the splitter has rules for, in one file: a
+// quoted comma, a doubled quote, a newline inside quotes, CRLF and LF
+// line ends, blank lines of both kinds, a lone '\r' inside a cell and
+// one ending the file, which has no final newline.
+const awkwardCSV = "id:id,s:nominal,n:numeric\r\n" +
+	"r1,\"a,b\",1\r\n" +
+	"\r\n" +
+	"r2,\"say \"\"hi\"\"\",2e3\n" +
+	"\n\n" +
+	"r3,\"line\nbreak\r\nand more\",-0\n" +
+	"r4,lone\rcr,4.25\n" +
+	"r5,,\r\n" +
+	"\"r,6\",plain,0.30000000000000004\n" +
+	"r7,last,7\r"
+
+// TestReadCSVBlockCutsEverywhere reads awkwardCSV, and variants of it
+// with two defects in either order, at every block size from one byte
+// to the whole file — so every byte is, at some size, the last of a
+// read — and requires the reference's log or the reference's error
+// each time.
+func TestReadCSVBlockCutsEverywhere(t *testing.T) {
+	files := map[string]string{
+		"clean":                   awkwardCSV,
+		"syntax then numeric":     strings.Replace(awkwardCSV, "lone\rcr", "lo\"ne", 1) + "\nr8,x,1e\n",
+		"numeric then syntax":     strings.Replace(awkwardCSV, "2e3", "2e", 1) + "\nr8,x\"y,1\n",
+		"ragged then syntax":      strings.Replace(awkwardCSV, "r5,,", "r5,", 1) + "\nr8,\"x\"y,1\n",
+		"syntax then ragged":      strings.Replace(awkwardCSV, "and more\"", "and more\"x", 1) + "\nr8\n",
+		"unclosed quote at end":   awkwardCSV + "\nr8,\"never closed,1\n",
+		"header only, no newline": "id:id,s:nominal",
+		"blank lines only":        "\n\r\n\n",
+	}
+	for name, in := range files {
+		want, wantErr := readCSVReference(strings.NewReader(in))
+		if name == "clean" && wantErr != nil {
+			t.Fatalf("the clean file does not read: %v", wantErr)
+		}
+		for size := 1; size <= len(in)+1; size++ {
+			got, err := readCSVPlanes(strings.NewReader(in), size)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("%s in %d-byte blocks: error %v, want %v", name, size, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s in %d-byte blocks: %v", name, size, err)
+			}
+			assertLogsIdentical(t, want, got)
+			assertColumnsIdentical(t, want.Columns(), got.Columns())
+		}
+	}
+}
+
+// rowsFilling returns numberedRows' header and rows, the last one
+// stretched so the file is n bytes to the byte.
+func rowsFilling(n int) string {
+	rows := numberedRows(n / 16) // at least 17 bytes a row: longer than n
+	cut := strings.LastIndex(rows[:n-16], "\n") + 1
+	return rows[:cut] + "pad," + strings.Repeat("x", n-cut-len("pad,,1\n")) + ",1\n"
+}
+
+// straddling returns a file whose first block, read csvBlockSize bytes at
+// a time, ends at bytes into shape: whole rows up to there, then shape,
+// then a few rows more.
+func straddling(shape string, at int) string {
+	return rowsFilling(csvBlockSize-at) + shape + "tail-1,site-1,1.5\ntail-2,site-2,2.5\n"
 }
 
 // FuzzReadLogCSV is differential: on any input the streaming decoder
@@ -216,12 +296,26 @@ func FuzzReadLogCSV(f *testing.F) {
 		"id:id,n:numeric\nr1,x\nr2,\"\n",                               // syntax error after a row error
 		"id:id,n:numeric\nr1,1\nr2,\"\n",                               // syntax error alone
 		"id:id,n:numeric\r\nr1,-0\r\nr2,+Inf\r\nr3,4.9e-324\r\n",       // CRLF, signed zero, subnormal
-		numberedRows(csvBatchRows),                                     // exactly one batch
-		numberedRows(csvBatchRows + 1),                                 // one row over
-		numberedRows(csvBatchRows+3) + "late,site-0,1e\n",              // bad float in the last batch
+		numberedRows(256),                                              // a few hundred rows
+		numberedRows(257),                                              // one row over
+		numberedRows(259) + "late,site-0,1e\n",                         // bad float in the last row
 		"\xef\xbb\xbfid:id,n:numeric\nr1,1\n",                          // BOM: not the id header
+		// The same shapes with the first block ending inside them.
+		straddling("q,\"a,b\"\"c\nd\",1\n", 3),                    // inside quotes, before the comma
+		straddling("q,\"a,b\"\"c\nd\",1\n", 7),                    // between the doubled quotes
+		straddling("q,\"a,b\"\"c\nd\",1\n", 10),                   // after the newline inside quotes
+		straddling("r,s,1\r\n\r\n\nr2,s,2\r\n", 6),                // between '\r' and '\n'
+		straddling("r,s,1\r\n\r\n\nr2,s,2\r\n", 9),                // among blank lines
+		straddling("r,lone\rcr,4\n", 7),                           // after a lone '\r'
+		straddling("r,s\"x,1\nr2,s,1e\n", 5),                      // syntax error across the cut, bad float after it
+		straddling("r,s,1e\nr2,s\"x,1\n", 9),                      // the reverse
+		straddling("r,s\nr2,\"never closed,1\n", 4),               // ragged, then an unclosed quote
+		strings.TrimSuffix(straddling("r,s,1\n", 2), "\n") + "\r", // no final newline, a lone '\r' instead
 	} {
 		f.Add([]byte(seed))
+	}
+	if n := len(rowsFilling(csvBlockSize - 5)); n != csvBlockSize-5 {
+		f.Fatalf("rowsFilling(%d) is %d bytes: the straddling seeds miss their cut", csvBlockSize-5, n)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := readCSVReference(bytes.NewReader(data))

@@ -96,9 +96,12 @@ func ParseValue(kind Kind, s string) (Value, error) {
 	}
 	switch kind {
 	case Numeric:
-		x, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return None(), fmt.Errorf("joblog: parse numeric %q: %w", s, err)
+		x, ok := parseNumeric(s)
+		if !ok {
+			var err error
+			if x, err = strconv.ParseFloat(s, 64); err != nil {
+				return None(), fmt.Errorf("joblog: parse numeric %q: %w", s, err)
+			}
 		}
 		return Num(x), nil
 	case Nominal:

@@ -385,8 +385,13 @@ func (s *Server) compute(ctx context.Context, log *perfxplain.Log, gen uint64,
 	return &explainResult{resp: resp, q: q, x: x}, nil
 }
 
-func decodeRequest(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxQueryBytes bounds one /api/explain or /api/evaluate body; a longer
+// one answers 413. A request is a PXQL query, two record IDs and a few
+// numbers.
+const maxQueryBytes = 1 << 20
+
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest{fmt.Errorf("decode request: %w", err)}
@@ -400,7 +405,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExplainRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -427,7 +432,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExplainRequest
-	if err := decodeRequest(r, &req); err != nil {
+	if err := decodeRequest(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -602,7 +602,7 @@ func (r *repeated) Read(p []byte) (int, error) {
 }
 
 // TestIngestBodyLimit: a body past maxIngestBytes answers 413 and
-// appends nothing — the decoder's batches die with the failed read — and
+// appends nothing — the decoder's blocks die with the failed read — and
 // the same rows cut to fit are taken.
 func TestIngestBodyLimit(t *testing.T) {
 	s, _, st := seededServer(t, Config{})
@@ -624,6 +624,26 @@ func TestIngestBodyLimit(t *testing.T) {
 	}
 	if st.Len() != records || st.Watermark() != watermark {
 		t.Errorf("refused bodies left %d records at watermark %d, want %d at %d", st.Len(), st.Watermark(), records, watermark)
+	}
+}
+
+// TestQueryBodyLimit: a query body past maxQueryBytes answers 413 on both
+// query endpoints, and one just under it is decoded and judged as JSON.
+func TestQueryBodyLimit(t *testing.T) {
+	s, _, _ := seededServer(t, Config{})
+	post := func(path string, pad int) *httptest.ResponseRecorder {
+		body := `{"query":"` + strings.Repeat(" ", pad) + `"}`
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, path := range []string{"/api/explain", "/api/evaluate"} {
+		if rec := post(path, maxQueryBytes); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s, a body over %d bytes: status %d (%s), want 413", path, maxQueryBytes, rec.Code, rec.Body)
+		}
+		if rec := post(path, maxQueryBytes-64); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "empty query") {
+			t.Errorf("%s, a body under the limit: status %d (%s), want the 400 of an empty query", path, rec.Code, rec.Body)
+		}
 	}
 }
 
