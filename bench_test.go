@@ -24,8 +24,6 @@ import (
 	"perfxplain/internal/core"
 	"perfxplain/internal/eval"
 	"perfxplain/internal/features"
-	"perfxplain/internal/joblog"
-	"perfxplain/internal/stats"
 )
 
 // benchLogs collects the full Table 2 sweep once for all benchmarks.
@@ -236,96 +234,6 @@ func seriesShort(name string) string {
 		return "rel_before"
 	}
 	return "rel_after"
-}
-
-// --- Ablation benchmarks (DESIGN.md Section 5) -------------------------
-
-// ablationPrecision runs PerfXplain on the WhySlower query under a
-// modified core configuration and returns mean width-3 held-out
-// precision over a few splits.
-func ablationPrecision(b *testing.B, mutate func(*core.Config)) float64 {
-	b.Helper()
-	benchHarness(b, 3) // ensures benchRes is populated
-	t := eval.WhySlowerDespiteSameNumInstances()
-	var precs []float64
-	for rep := int64(0); rep < 3; rep++ {
-		rng := stats.DeriveRand(900+rep, "ablation")
-		jobs := benchRes.Jobs
-		trainIDs := make(map[string]bool)
-		for _, id := range recordIDs(jobs) {
-			if rng.Float64() < 0.5 {
-				trainIDs[id] = true
-			}
-		}
-		train := jobs.Filter(func(r *joblog.Record) bool { return trainIDs[r.ID] })
-		test := jobs.Filter(func(r *joblog.Record) bool { return !trainIDs[r.ID] })
-		q, err := t.Query()
-		if err != nil {
-			b.Fatal(err)
-		}
-		pairs := core.RelatedPairsP(train, features.Level3, q, 50000, rep, 0)
-		bound := false
-		for _, p := range pairs {
-			if p.Observed {
-				q.ID1, q.ID2 = p.A.ID, p.B.ID
-				bound = true
-				break
-			}
-		}
-		if !bound {
-			continue
-		}
-		cfg := core.Config{Width: 3, Seed: rep, MaxPairs: 50000}
-		mutate(&cfg)
-		ex, err := core.NewExplainer(train, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, err := ex.Explain(context.Background(), q)
-		if err != nil {
-			continue
-		}
-		m, err := core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, 50000, rep, core.Exec{})
-		if err != nil {
-			continue
-		}
-		precs = append(precs, m.Precision)
-	}
-	return stats.Mean(precs)
-}
-
-func recordIDs(l *joblog.Log) []string {
-	out := make([]string, 0, l.Len())
-	for _, r := range l.Records {
-		out = append(out, r.ID)
-	}
-	return out
-}
-
-// BenchmarkAblationRawScores compares the paper's percentile-rank score
-// normalisation (Section 4.2) against raw precision/generality blending.
-func BenchmarkAblationRawScores(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		normalized := ablationPrecision(b, func(c *core.Config) {})
-		raw := ablationPrecision(b, func(c *core.Config) { c.RawScores = true })
-		if i == b.N-1 {
-			b.ReportMetric(normalized, "prec_normalized")
-			b.ReportMetric(raw, "prec_rawscores")
-		}
-	}
-}
-
-// BenchmarkAblationUnbalanced compares the paper's class-balanced sampler
-// (Section 4.3) against uniform sampling.
-func BenchmarkAblationUnbalanced(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		balanced := ablationPrecision(b, func(c *core.Config) {})
-		uniform := ablationPrecision(b, func(c *core.Config) { c.UnbalancedSample = true })
-		if i == b.N-1 {
-			b.ReportMetric(balanced, "prec_balanced")
-			b.ReportMetric(uniform, "prec_uniform")
-		}
-	}
 }
 
 // BenchmarkExplainLatency measures raw explanation-generation latency on

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"perfxplain"
+	"perfxplain/cmd/internal/shardflag"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -123,7 +124,7 @@ func TestGoldenCLISharded(t *testing.T) {
 		{2, 0}, {7, 0}, {2, 3}, {7, 3},
 	} {
 		got := captureStdout(t, func() error {
-			return run(cliOpts{logPath: log, querySrc: testQuery, find: true, width: 3, level: 3, seed: 1, shards: tc.shards, shardWorkers: tc.workers, technique: "perfxplain", evalPath: log})
+			return run(cliOpts{logPath: log, querySrc: testQuery, find: true, width: 3, level: 3, seed: 1, shard: shardflag.Flags{Shards: tc.shards, Workers: tc.workers}, technique: "perfxplain", evalPath: log})
 		})
 		if got != want {
 			t.Errorf("-shards %d -shard-workers %d diverges from the serial CLI:\n--- sharded ---\n%s--- serial ---\n%s",
@@ -145,7 +146,7 @@ func TestGoldenCLISealed(t *testing.T) {
 		{1, 0, 0}, {5, 0, 0}, {5, 7, 0}, {5, 2, 3},
 	} {
 		got := captureStdout(t, func() error {
-			return run(cliOpts{logPath: log, querySrc: testQuery, find: true, width: 3, level: 3, seed: 1, seal: tc.seal, shards: tc.shards, shardWorkers: tc.workers, technique: "perfxplain", evalPath: log})
+			return run(cliOpts{logPath: log, querySrc: testQuery, find: true, width: 3, level: 3, seed: 1, seal: tc.seal, shard: shardflag.Flags{Shards: tc.shards, Workers: tc.workers}, technique: "perfxplain", evalPath: log})
 		})
 		if got != want {
 			t.Errorf("-seal %d -shards %d -shard-workers %d diverges from the static log:\n--- sealed ---\n%s--- static ---\n%s",

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +34,7 @@ import (
 	"strings"
 
 	"perfxplain"
+	"perfxplain/cmd/internal/shardflag"
 )
 
 func main() {
@@ -46,31 +48,14 @@ func main() {
 	seed := flag.Int64("seed", 1, "sampling seed")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for the explanation pipeline (0 = all cores); the answer is identical at every setting")
 	seal := flag.Int("seal", 0, "ingest the log into a segment store sealing every N records and query its snapshot (0 = off); the answer is identical, but shard workers cache sealed segments across queries")
-	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N self-contained specs (0 = eight per core); the answer is identical at every setting")
-	shardWorkers := flag.Int("shard-workers", 0, "execute the specs on K worker subprocesses instead of this process (requires -shards)")
-	shardWorker := flag.Bool("shard-worker", false, "serve shard tasks on stdin/stdout and exit (internal: spawned by -shard-workers), or on a TCP listener with -listen")
-	listen := flag.String("listen", "", "with -shard-worker: listen on this TCP address (e.g. :9071) and serve remote coordinators (requires a token)")
-	shardRemote := flag.String("shard-remote", "", "execute shards on remote socket workers at these comma-separated host:port addresses (requires -shards and a token)")
-	shardToken := flag.String("shard-token", "", "shared auth token for remote shard workers (or set "+perfxplain.ShardTokenEnv+")")
+	shard := shardflag.Register(flag.CommandLine, true)
 	verbose := flag.Bool("verbose", false, "print shard-runtime counters (frames, bytes shipped, slice-cache hits/misses) to stderr")
 	technique := flag.String("technique", "perfxplain", "perfxplain | ruleofthumb | simbutdiff")
 	genDespite := flag.Bool("gen-despite", false, "generate a despite extension before explaining (perfxplain only)")
 	evalPath := flag.String("eval", "", "optional second log CSV to evaluate the explanation against")
 	flag.Parse()
 
-	token := *shardToken
-	if token == "" {
-		token = os.Getenv(perfxplain.ShardTokenEnv)
-	}
-
-	if *shardWorker {
-		var err error
-		if *listen != "" {
-			fmt.Fprintf(os.Stderr, "pxql: serving shard workers on %s\n", *listen)
-			err = perfxplain.ListenAndServeShardWorkers(*listen, token)
-		} else {
-			err = perfxplain.ShardWorker(os.Stdin, os.Stdout)
-		}
+	if ok, err := shard.ServeWorker("pxql"); ok {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pxql: shard worker:", err)
 			os.Exit(1)
@@ -79,24 +64,21 @@ func main() {
 	}
 
 	if err := run(cliOpts{
-		logPath:      *logPath,
-		querySrc:     *querySrc,
-		queryFile:    *queryFile,
-		pair:         *pair,
-		find:         *find,
-		width:        *width,
-		level:        *level,
-		seed:         *seed,
-		parallelism:  *parallelism,
-		seal:         *seal,
-		shards:       *shards,
-		shardWorkers: *shardWorkers,
-		shardRemote:  *shardRemote,
-		shardToken:   token,
-		verbose:      *verbose,
-		technique:    *technique,
-		genDespite:   *genDespite,
-		evalPath:     *evalPath,
+		logPath:     *logPath,
+		querySrc:    *querySrc,
+		queryFile:   *queryFile,
+		pair:        *pair,
+		find:        *find,
+		width:       *width,
+		level:       *level,
+		seed:        *seed,
+		parallelism: *parallelism,
+		seal:        *seal,
+		shard:       *shard,
+		verbose:     *verbose,
+		technique:   *technique,
+		genDespite:  *genDespite,
+		evalPath:    *evalPath,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "pxql:", err)
 		os.Exit(1)
@@ -111,9 +93,8 @@ type cliOpts struct {
 	find                               bool
 	width, level                       int
 	seed                               int64
-	parallelism, shards, shardWorkers  int
-	seal                               int
-	shardRemote, shardToken            string
+	parallelism, seal                  int
+	shard                              shardflag.Flags
 	verbose                            bool
 	technique                          string
 	genDespite                         bool
@@ -123,29 +104,15 @@ type cliOpts struct {
 func run(o cliOpts) error {
 	logPath, querySrc, queryFile, pair := o.logPath, o.querySrc, o.queryFile, o.pair
 	find, width, level, seed := o.find, o.width, o.level, o.seed
-	parallelism, shards, shardWorkers := o.parallelism, o.shards, o.shardWorkers
-	shardRemote, shardToken, verbose := o.shardRemote, o.shardToken, o.verbose
+	parallelism, verbose := o.parallelism, o.verbose
 	technique, genDespite, evalPath := o.technique, o.genDespite, o.evalPath
 
 	if logPath == "" {
 		return fmt.Errorf("-log is required")
 	}
-	if shardWorkers > 0 && shards <= 0 {
-		return fmt.Errorf("-shard-workers requires -shards")
-	}
-	var shardAddrs []string
-	if shardRemote != "" {
-		if shards <= 0 {
-			return fmt.Errorf("-shard-remote requires -shards")
-		}
-		if shardToken == "" {
-			return fmt.Errorf("-shard-remote requires -shard-token (or %s)", perfxplain.ShardTokenEnv)
-		}
-		for _, a := range strings.Split(shardRemote, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				shardAddrs = append(shardAddrs, a)
-			}
-		}
+	poolCfg, sharded, err := o.shard.Pool()
+	if err != nil {
+		return err
 	}
 	log, err := readLog(logPath)
 	if err != nil {
@@ -196,35 +163,30 @@ func run(o cliOpts) error {
 	}
 
 	opt := perfxplain.Options{Width: width, DespiteWidth: width, FeatureLevel: level,
-		Seed: seed, Parallelism: parallelism, Shards: shards, ShardWorkers: shardWorkers,
-		ShardAddrs: shardAddrs, ShardToken: shardToken}
-	var x *perfxplain.Explanation
-	// evaluate routes held-out evaluation through the PerfXplain
-	// explainer when one exists, so the quadratic walk shares its shard
-	// runner — and the workers' cached log slices.
-	evaluate := func(evalLog *perfxplain.Log) (perfxplain.Metrics, error) {
-		return perfxplain.Evaluate(evalLog, q, x, perfxplain.Options{Seed: seed, Parallelism: parallelism})
+		Seed: seed, Parallelism: parallelism, Shards: o.shard.Shards}
+	var pool *perfxplain.WorkerPool
+	if sharded {
+		if pool, err = perfxplain.NewWorkerPool(perfxplain.PoolOptions(poolCfg)); err != nil {
+			return err
+		}
+		defer pool.Close()
+		opt.SharedPool = pool
 	}
-	shardStats := func() (perfxplain.ShardStats, bool) { return perfxplain.ShardStats{}, false }
+	var x *perfxplain.Explanation
 	switch strings.ToLower(technique) {
 	case "perfxplain":
 		ex, err := perfxplain.NewExplainer(log, opt)
 		if err != nil {
 			return err
 		}
-		defer ex.Close()
 		if genDespite {
-			x, err = ex.ExplainWithDespite(q)
+			x, err = ex.ExplainWithDespiteContext(context.Background(), q)
 		} else {
-			x, err = ex.Explain(q)
+			x, err = ex.ExplainContext(context.Background(), q)
 		}
 		if err != nil {
 			return err
 		}
-		evaluate = func(evalLog *perfxplain.Log) (perfxplain.Metrics, error) {
-			return ex.Evaluate(evalLog, q, x)
-		}
-		shardStats = ex.ShardStats
 	case "ruleofthumb":
 		x, err = perfxplain.RuleOfThumbExplain(log, q, width, seed)
 		if err != nil {
@@ -251,17 +213,17 @@ func run(o cliOpts) error {
 				return err
 			}
 		}
-		m, err := evaluate(evalLog)
+		// Held-out evaluation runs on the same pool, so its workers'
+		// cached log slices carry over.
+		m, err := perfxplain.Evaluate(evalLog, q, x, opt)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("held-out:  precision %.3f, generality %.3f, relevance %.3f\n",
 			m.Precision, m.Generality, m.Relevance)
 	}
-	if verbose {
-		if s, ok := shardStats(); ok {
-			fmt.Fprintln(os.Stderr, "shard runtime:", s)
-		}
+	if verbose && pool != nil {
+		fmt.Fprintln(os.Stderr, "shard runtime:", pool.Stats())
 	}
 	return nil
 }

@@ -70,7 +70,7 @@ func TestRunExplicitPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, id2, ok := perfxplain.FindPairOfInterest(jobs, q, 1)
+	id1, id2, ok := perfxplain.FindPairOfInterestP(jobs, q, 1, 0)
 	if !ok {
 		t.Fatal("no pair")
 	}

@@ -22,19 +22,24 @@
 // canonical query and semantic options — never stale across appends);
 // concurrent identical queries collapse onto one computation. Responses
 // are byte-identical to a one-shot `pxql` run over the same records.
-// The interactive client is cmd/pxqlc.
+// The interactive client is cmd/pxqlc. SIGINT or SIGTERM stops
+// accepting, lets in-flight requests finish for up to shutdownTimeout,
+// then closes the worker pool and exits.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"strings"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"perfxplain"
+	"perfxplain/cmd/internal/shardflag"
 	"perfxplain/internal/serve"
 )
 
@@ -46,11 +51,7 @@ func main() {
 	level := flag.Int("level", 3, "default feature level 1-3 (requests may override)")
 	seed := flag.Int64("seed", 1, "default sampling seed (requests may override)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines per explanation (0 = all cores)")
-	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N specs (0 = eight per core)")
-	shardWorkers := flag.Int("shard-workers", 0, "run shards on K long-lived worker subprocesses (requires -shards)")
-	shardWorker := flag.Bool("shard-worker", false, "serve shard tasks on stdin/stdout and exit (internal: spawned by -shard-workers)")
-	shardRemote := flag.String("shard-remote", "", "run shards on remote socket workers at these comma-separated host:port addresses (requires -shards and a token)")
-	shardToken := flag.String("shard-token", "", "shared auth token for remote shard workers (or set "+perfxplain.ShardTokenEnv+")")
+	shard := shardflag.Register(flag.CommandLine, false)
 	maxConcurrent := flag.Int("max-concurrent", 2, "explanations/evaluations admitted at once")
 	maxQueue := flag.Int("max-queue", 0, "requests allowed to wait for a slot before 429 (0 = 8*max-concurrent)")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-query deadline (504 on expiry)")
@@ -58,10 +59,10 @@ func main() {
 	cacheSize := flag.Int("cache", 128, "explanation cache capacity in entries")
 	flag.Parse()
 
-	if *shardWorker {
-		// Internal mode: the shared worker pool spawns this executable
-		// with -shard-worker, the same convention as the pxql CLI.
-		if err := perfxplain.ShardWorker(os.Stdin, os.Stdout); err != nil {
+	// Internal mode: the shared worker pool spawns this executable with
+	// -shard-worker, the same convention as the pxql CLI.
+	if ok, err := shard.ServeWorker("pxqld"); ok {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "pxqld: shard worker:", err)
 			os.Exit(1)
 		}
@@ -71,8 +72,7 @@ func main() {
 	if err := run(runOpts{
 		listen: *listen, logPath: *logPath, sealEvery: *sealEvery,
 		width: *width, level: *level, seed: *seed, parallelism: *parallelism,
-		shards: *shards, shardWorkers: *shardWorkers,
-		shardRemote: *shardRemote, shardToken: *shardToken,
+		shard:         *shard,
 		maxConcurrent: *maxConcurrent, maxQueue: *maxQueue,
 		timeout: *timeout, maxTimeout: *maxTimeout, cacheSize: *cacheSize,
 	}); err != nil {
@@ -87,49 +87,26 @@ type runOpts struct {
 	width, level            int
 	seed                    int64
 	parallelism             int
-	shards, shardWorkers    int
-	shardRemote, shardToken string
+	shard                   shardflag.Flags
 	maxConcurrent, maxQueue int
 	timeout, maxTimeout     time.Duration
 	cacheSize               int
 }
 
 func run(o runOpts) error {
-	token := o.shardToken
-	if token == "" {
-		token = os.Getenv(perfxplain.ShardTokenEnv)
+	poolCfg, sharded, err := o.shard.Pool()
+	if err != nil {
+		return err
 	}
-	var shardAddrs []string
-	if o.shardRemote != "" {
-		if o.shards <= 0 {
-			return fmt.Errorf("-shard-remote requires -shards")
-		}
-		if token == "" {
-			return fmt.Errorf("-shard-remote requires -shard-token (or %s)", perfxplain.ShardTokenEnv)
-		}
-		for _, a := range strings.Split(o.shardRemote, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				shardAddrs = append(shardAddrs, a)
-			}
-		}
-	}
-	if o.shardWorkers > 0 && o.shards <= 0 {
-		return fmt.Errorf("-shard-workers requires -shards")
-	}
-
 	opt := perfxplain.Options{
 		Width: o.width, DespiteWidth: o.width, FeatureLevel: o.level,
-		Seed: o.seed, Parallelism: o.parallelism, Shards: o.shards,
+		Seed: o.seed, Parallelism: o.parallelism, Shards: o.shard.Shards,
 	}
 	// The server owns ONE worker pool for its whole lifetime — workers
 	// (and their content-addressed slice caches) survive across every
 	// request, which is the point of a resident server.
-	if o.shards > 0 && (o.shardWorkers > 0 || len(shardAddrs) > 0) {
-		pool, err := perfxplain.NewWorkerPool(perfxplain.PoolOptions{
-			Workers: o.shardWorkers,
-			Addrs:   shardAddrs,
-			Token:   token,
-		})
+	if sharded {
+		pool, err := perfxplain.NewWorkerPool(perfxplain.PoolOptions(poolCfg))
 		if err != nil {
 			return err
 		}
@@ -166,6 +143,8 @@ func run(o runOpts) error {
 			st.Len(), st.SealedSegments(), o.logPath)
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	// Bind before saying so: the address printed is the one bound (so
 	// -listen 127.0.0.1:0 is usable), and it accepts from that line on.
 	ln, err := net.Listen("tcp", o.listen)
@@ -178,14 +157,27 @@ func run(o runOpts) error {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	return srv.Serve(ln)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	// A second signal kills the process outright.
+	stop()
+	drain, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	return srv.Shutdown(drain)
 }
 
 // A client gets readHeaderTimeout to send its request line and headers,
 // and an idle keep-alive connection is closed after idleTimeout. Bodies
 // and answers are bounded elsewhere: by size (serve) and by the query
-// deadline (-timeout, -max-timeout).
+// deadline (-timeout, -max-timeout). On a signal, requests in flight get
+// shutdownTimeout to finish.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 30 * time.Second
 )

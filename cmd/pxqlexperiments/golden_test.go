@@ -14,6 +14,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"perfxplain/cmd/internal/shardflag"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -90,7 +92,7 @@ func TestGoldenExperimentsCLI(t *testing.T) {
 		outputs := make([]string, 0, 3)
 		for _, p := range []int{1, 4, 0} {
 			p := p
-			out := captureStdout(t, func() error { return run(exp, 7, 2, true, p, 0, 0, "", "", false) })
+			out := captureStdout(t, func() error { return run(exp, 7, 2, true, p, shardflag.Flags{}, false) })
 			outputs = append(outputs, normalize(out))
 		}
 		for i := 1; i < len(outputs); i++ {

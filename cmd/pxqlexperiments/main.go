@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"perfxplain/cmd/internal/shardflag"
 	"perfxplain/internal/collect"
 	"perfxplain/internal/eval"
 	"perfxplain/internal/shard"
@@ -28,28 +29,11 @@ func main() {
 	reps := flag.Int("reps", 10, "cross-validation repetitions")
 	small := flag.Bool("small", false, "use the reduced 32-job grid (faster, noisier)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for repetitions and cells (0 = all cores); tables are identical at every setting")
-	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N self-contained specs (0 = eight per core); tables are identical at every setting")
-	shardWorkers := flag.Int("shard-workers", 0, "execute the specs on K worker subprocesses instead of this process (requires -shards)")
-	shardWorker := flag.Bool("shard-worker", false, "serve shard tasks on stdin/stdout and exit (internal: spawned by -shard-workers), or on a TCP listener with -listen")
-	listen := flag.String("listen", "", "with -shard-worker: listen on this TCP address and serve remote coordinators (requires a token)")
-	shardRemote := flag.String("shard-remote", "", "execute shards on remote socket workers at these comma-separated host:port addresses (requires -shards and a token)")
-	shardToken := flag.String("shard-token", "", "shared auth token for remote shard workers (or set PXQL_SHARD_TOKEN)")
+	sf := shardflag.Register(flag.CommandLine, true)
 	verbose := flag.Bool("verbose", false, "print shard-runtime counters (frames, bytes shipped, slice-cache hits/misses) to stderr after each experiment run")
 	flag.Parse()
 
-	token := *shardToken
-	if token == "" {
-		token = os.Getenv("PXQL_SHARD_TOKEN")
-	}
-
-	if *shardWorker {
-		var err error
-		if *listen != "" {
-			fmt.Fprintf(os.Stderr, "pxqlexperiments: serving shard workers on %s\n", *listen)
-			err = shard.ListenAndServe(*listen, token)
-		} else {
-			err = shard.Worker(os.Stdin, os.Stdout)
-		}
+	if ok, err := sf.ServeWorker("pxqlexperiments"); ok {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pxqlexperiments: shard worker:", err)
 			os.Exit(1)
@@ -57,25 +41,18 @@ func main() {
 		return
 	}
 
-	if err := run(*exp, *seed, *reps, *small, *parallelism, *shards, *shardWorkers, *shardRemote, token, *verbose); err != nil {
+	if err := run(*exp, *seed, *reps, *small, *parallelism, *sf, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "pxqlexperiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, seed int64, reps int, small bool,
-	parallelism, shards, shardWorkers int, shardRemote, shardToken string, verbose bool) error {
-
-	if shardWorkers > 0 && shards <= 0 {
-		return fmt.Errorf("-shard-workers requires -shards")
-	}
-	if shardRemote != "" && shards <= 0 {
-		return fmt.Errorf("-shard-remote requires -shards")
-	}
-	// Validate the token up front: the sweep below can take minutes, and
-	// a missing token should fail before it, not after.
-	if shardRemote != "" && shardToken == "" {
-		return fmt.Errorf("-shard-remote requires -shard-token (or PXQL_SHARD_TOKEN)")
+func run(exp string, seed int64, reps int, small bool, parallelism int, sf shardflag.Flags, verbose bool) error {
+	// Validate the shard flags up front: the sweep below can take
+	// minutes, and a missing token should fail before it, not after.
+	poolCfg, sharded, err := sf.Pool()
+	if err != nil {
+		return err
 	}
 	sweep := collect.DefaultSweep(seed)
 	if small {
@@ -93,39 +70,20 @@ func run(exp string, seed int64, reps int, small bool,
 	h := eval.NewHarness(res.Jobs, res.Tasks, seed)
 	h.Reps = reps
 	h.Parallelism = parallelism
+	h.Shards = sf.Shards
 	// One worker pool serves every repetition and experiment cell of the
 	// whole run — its workers (and their cached log slices) survive from
 	// one explainer and one evaluation to the next.
-	var pool *shard.Pool
-	if shards > 0 {
-		h.Shards = shards
-		switch {
-		case shardRemote != "":
-			var addrs []string
-			for _, a := range strings.Split(shardRemote, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					addrs = append(addrs, a)
-				}
-			}
-			workers := shardWorkers
-			if workers <= 0 {
-				workers = len(addrs)
-			}
-			pool = &shard.Pool{Dialer: &shard.SocketDialer{Addrs: addrs, Token: shardToken}, Workers: workers}
-		case shardWorkers > 0:
-			exe, err := os.Executable()
-			if err != nil {
-				return fmt.Errorf("resolve shard worker command: %w", err)
-			}
-			pool = &shard.Pool{Command: []string{exe, "-shard-worker"}, Workers: shardWorkers}
+	if sharded {
+		pool, err := shard.NewPool(poolCfg)
+		if err != nil {
+			return err
 		}
-		if pool != nil {
-			defer pool.Close()
-			h.Runner = pool
+		defer pool.Close()
+		h.Runner = pool
+		if verbose {
+			defer func() { fmt.Fprintln(os.Stderr, "shard runtime:", pool.Stats()) }()
 		}
-	}
-	if verbose && pool != nil {
-		defer func() { fmt.Fprintln(os.Stderr, "shard runtime:", pool.Stats()) }()
 	}
 
 	type runner func() error

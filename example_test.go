@@ -1,6 +1,7 @@
 package perfxplain_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	id1, id2, ok := perfxplain.FindPairOfInterest(jobs, q, 1)
+	id1, id2, ok := perfxplain.FindPairOfInterestP(jobs, q, 1, 0)
 	if !ok {
 		log.Fatal("no matching pair")
 	}
@@ -30,7 +31,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	id1, id2, ok := perfxplain.FindPairOfInterest(jobs, q, 11)
+	id1, id2, ok := perfxplain.FindPairOfInterestP(jobs, q, 11, 0)
 	if !ok {
 		log.Fatal("no pair of interest")
 	}
@@ -36,18 +37,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ex.Close()
 
 	// Relevance of the raw query: how likely is the expected behaviour
 	// given no context at all?
-	empty, err := ex.Explain(q)
+	empty, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("relevance with empty despite clause:     %.2f\n", empty.TrainRelevance())
 
 	// Let PerfXplain build the despite clause, then explain within it.
-	x, err := ex.ExplainWithDespite(q)
+	x, err := ex.ExplainWithDespiteContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -52,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	id1, id2, ok := perfxplain.FindPairOfInterest(jobs, q, 5)
+	id1, id2, ok := perfxplain.FindPairOfInterestP(jobs, q, 5, 0)
 	if !ok {
 		log.Fatal("no pair of interest")
 	}
@@ -62,8 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ex.Close()
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	id1, id2, ok := perfxplain.FindPairOfInterest(jobs, q, 13)
+	id1, id2, ok := perfxplain.FindPairOfInterestP(jobs, q, 13, 0)
 	if !ok {
 		log.Fatal("no pair of interest")
 	}
@@ -46,8 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ex.Close()
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

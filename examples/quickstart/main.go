@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 	}
 
 	// Pick a concrete pair of jobs exhibiting the observed behaviour.
-	id1, id2, ok := perfxplain.FindPairOfInterest(jobs, q, 1)
+	id1, id2, ok := perfxplain.FindPairOfInterestP(jobs, q, 1, 0)
 	if !ok {
 		log.Fatal("no pair of jobs in the log matches the query")
 	}
@@ -45,8 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ex.Close()
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

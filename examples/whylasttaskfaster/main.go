@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	id1, id2, ok := perfxplain.FindPairOfInterest(tasks, q, 3)
+	id1, id2, ok := perfxplain.FindPairOfInterestP(tasks, q, 3, 0)
 	if !ok {
 		log.Fatal("no pair of interest")
 	}
@@ -45,8 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ex.Close()
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

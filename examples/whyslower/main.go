@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	id1, id2, ok := perfxplain.FindPairOfInterest(train, q, 7)
+	id1, id2, ok := perfxplain.FindPairOfInterestP(train, q, 7, 0)
 	if !ok {
 		log.Fatal("no pair of interest")
 	}
@@ -49,8 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ex.Close()
-	px, err := ex.Explain(q)
+	px, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sbd, err := perfxplain.SimButDiffExplain(train, q, 3, 7)
+	sbd, err := perfxplain.SimButDiffExplainP(train, q, 3, 7, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

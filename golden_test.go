@@ -16,6 +16,7 @@ package perfxplain
 // only when an intentional behaviour change is being made.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -120,7 +121,7 @@ func TestGoldenExplanations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", gc.name, err)
 		}
-		id1, id2, ok := FindPairOfInterest(log, q, gc.pairSeed)
+		id1, id2, ok := FindPairOfInterestP(log, q, gc.pairSeed, 0)
 		if !ok {
 			t.Fatalf("%s: no pair of interest", gc.name)
 		}
@@ -152,9 +153,9 @@ func TestGoldenExplanations(t *testing.T) {
 				}
 				var x *Explanation
 				if gc.genDespite {
-					x, err = ex.ExplainWithDespite(q)
+					x, err = ex.ExplainWithDespiteContext(context.Background(), q)
 				} else {
-					x, err = ex.Explain(q)
+					x, err = ex.ExplainContext(context.Background(), q)
 				}
 				if err != nil {
 					t.Fatalf("%s L%d %s: %v", gc.name, level, v.name, err)

@@ -6,13 +6,3 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{MapIter, WallRand, FloatReduce, ShardErr, WireCheck}
 }
-
-// ByName resolves an analyzer from the registry.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -7,8 +7,8 @@ package analysis
 // failures the equivalence contract depends on surfacing. The analyzer
 // enforces two rules on the shard/runtime API surface:
 //
-//  1. a locally created closeable (shard.Pool, WorkerPool, Explainer, a
-//     dialed Transport) must have Close referenced in the same function
+//  1. a locally created closeable (shard.Pool, WorkerPool, a dialed
+//     Transport) must have Close referenced in the same function
 //     or escape it (returned, stored, passed on) — and when the function
 //     has multiple exit paths after the creation, the Close must be
 //     deferred, or early returns leak the fleet;
@@ -37,8 +37,8 @@ var ShardErr = &Analyzer{
 const shardPkgSuffix = "internal/shard"
 
 // closeableNames are module types outside internal/shard that own a
-// worker fleet and must be closed (the public API wrappers).
-var closeableNames = map[string]bool{"WorkerPool": true, "Explainer": true}
+// worker fleet and must be closed (the public API wrapper).
+var closeableNames = map[string]bool{"WorkerPool": true}
 
 func runShardErr(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -75,7 +75,7 @@ func isShardPath(path string) bool {
 // closeableType reports whether t (after pointer deref) is a type whose
 // values own shard resources: any named type in internal/shard with a
 // Close method, or a module type named in closeableNames with a Close
-// method (perfxplain.WorkerPool, perfxplain.Explainer), or an interface
+// method (perfxplain.WorkerPool), or an interface
 // from internal/shard with Close in its method set (Transport).
 func closeableType(t types.Type) (name string, ok bool) {
 	if t == nil {

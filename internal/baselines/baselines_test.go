@@ -61,7 +61,7 @@ func TestRuleOfThumbRanksAndExplains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranking := rot.Ranking()
+	ranking := rot.ranking
 	if len(ranking) != 3 {
 		t.Fatalf("ranking = %v (target must be excluded)", ranking)
 	}

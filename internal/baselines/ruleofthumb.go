@@ -59,11 +59,6 @@ func NewRuleOfThumb(log *joblog.Log, target string, seed int64) (*RuleOfThumb, e
 	}, nil
 }
 
-// Ranking exposes the one-time feature importance order (diagnostics).
-func (r *RuleOfThumb) Ranking() []string {
-	return append([]string(nil), r.ranking...)
-}
-
 // Explain returns the top-width disagreeing important features for the
 // query's pair of interest. The PXQL query itself is otherwise ignored —
 // exactly the behaviour the paper critiques.

@@ -117,9 +117,6 @@ func New(cfg Config) (*Cluster, error) {
 	return cl, nil
 }
 
-// Size returns the number of instances.
-func (c *Cluster) Size() int { return len(c.Instances) }
-
 // BgLoad returns the instance's background load (in runnable processes)
 // at virtual time t. The process is piecewise-constant over fixed
 // intervals and fully determined by the cluster seed, so repeated queries

@@ -12,8 +12,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Size() != 16 {
-		t.Errorf("Size = %d", cl.Size())
+	if len(cl.Instances) != 16 {
+		t.Errorf("Size = %d", len(cl.Instances))
 	}
 }
 

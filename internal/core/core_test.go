@@ -263,12 +263,6 @@ func TestBalancedSample(t *testing.T) {
 	if got := balancedSample(small, 2000, rng); got.len() != 1 {
 		t.Error("small set should not be sampled")
 	}
-	// Uniform sampling keeps class proportions instead.
-	u := uniformSample(ps, 2000, rng)
-	uObs, uExp := u.counts()
-	if uExp > uObs/10 {
-		t.Errorf("uniform sample unexpectedly balanced: %d obs, %d exp", uObs, uExp)
-	}
 }
 
 func TestEvaluateExplanationKnownPrecision(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -44,17 +43,6 @@ type Config struct {
 	MaxPairs int
 	// Seed drives sampling.
 	Seed int64
-	// RawScores disables the percentile-rank normalisation of precision
-	// and generality (ablation; Section 4.2 explains why normalisation is
-	// needed).
-	RawScores bool
-	// UnbalancedSample replaces the class-balanced sampler with a uniform
-	// one (ablation for Section 4.3).
-	UnbalancedSample bool
-	// DiverseSample additionally caps how often a single execution may
-	// appear in the training sample, implementing the paper's Section 4.3
-	// future-work idea of biasing toward a varied set of executions.
-	DiverseSample bool
 	// Exec says who executes the quadratic enumeration walk and with how
 	// much parallelism: Parallelism, Shards, Runner, Layout (see Exec).
 	// Sampling, materialization and growth always run on the coordinator,
@@ -246,7 +234,7 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	// sequential stream over the deterministically ordered pair set keeps
 	// it reproducible. The sample is a copy, so the walks' planes can go
 	// back to their pool.
-	sample := e.sample(related, stats.DeriveRand(e.cfg.Seed, "because-sample"))
+	sample := balancedSample(related, e.cfg.SampleSize, stats.DeriveRand(e.cfg.Seed, "because-sample"))
 	related.release()
 	x.SampleSize = sample.len()
 	if err := ctx.Err(); err != nil {
@@ -328,7 +316,7 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 		related.release()
 		return nil, fmt.Errorf("core: no related pairs in the log for this query")
 	}
-	sample := e.sample(related, stats.DeriveRand(e.cfg.Seed, "despite-sample"))
+	sample := balancedSample(related, e.cfg.SampleSize, stats.DeriveRand(e.cfg.Seed, "despite-sample"))
 	related.release()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -344,17 +332,6 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 		flipped[i] = !l
 	}
 	return e.grow(ctx, newBitmapCache(m, e.cfg.Parallelism), flipped, pairVec, e.cfg.DespiteWidth)
-}
-
-func (e *Explainer) sample(ps *pairSet, rng *rand.Rand) *pairPlanes {
-	switch {
-	case e.cfg.UnbalancedSample:
-		return uniformSample(ps, e.cfg.SampleSize, rng)
-	case e.cfg.DiverseSample:
-		return diverseSample(ps, e.cfg.SampleSize, e.log, rng)
-	default:
-		return balancedSample(ps, e.cfg.SampleSize, rng)
-	}
 }
 
 // grow is Algorithm 1's greedy loop, shared by because generation
@@ -433,11 +410,7 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 			}
 			gens[ci] = float64(sat) / float64(len(cur))
 		}
-		precScores, genScores := precs, gens
-		if !e.cfg.RawScores {
-			precScores = stats.PercentileRanks(precs)
-			genScores = stats.PercentileRanks(gens)
-		}
+		precScores, genScores := stats.PercentileRanks(precs), stats.PercentileRanks(gens)
 		w := e.cfg.PrecisionWeight
 		best, bestScore := -1, -1.0
 		for ci := range cands {

@@ -7,9 +7,6 @@ package core
 //     the user's despite clause scores below r, PerfXplain extends it
 //     automatically until the threshold is reached or no further
 //     improvement is possible.
-//   - Section 4.3's future-work item: biasing the training sample toward
-//     a varied set of executions, so no single execution dominates the
-//     learned explanation.
 //   - The conclusion's observation that the approach applies to any
 //     performance metric: Config.Target already parameterises the metric;
 //     TargetQuery builds the obs/exp clauses for an arbitrary numeric
@@ -18,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
@@ -72,40 +68,6 @@ func (e *Explainer) trainRelevance(ctx context.Context, q *pxql.Query, despite p
 		return 0, nil
 	}
 	return 1 - float64(related.nObs)/float64(related.len()), nil
-}
-
-// diverseSample balances classes like balancedSample and additionally
-// caps how often any single execution may appear across the sampled
-// pairs, implementing the paper's future-work idea of prioritising a
-// varied set of executions. The cap adapts to the pair volume: with m
-// pairs over n distinct records, each record may appear at most
-// max(4, 4m/n) times.
-func diverseSample(ps *pairSet, m int, log *joblog.Log, rng *rand.Rand) *pairPlanes {
-	base := balancedSample(ps, m, rng)
-	distinct := make(map[int]bool)
-	for i, a := range base.a {
-		distinct[a] = true
-		distinct[base.b[i]] = true
-	}
-	if len(distinct) == 0 {
-		return base
-	}
-	cap := 4 * base.len() / len(distinct)
-	if cap < 4 {
-		cap = 4
-	}
-	counts := make(map[int]int, len(distinct))
-	out := newPairPlanes(base.len())
-	for i, a := range base.a {
-		b := base.b[i]
-		if counts[a] >= cap || counts[b] >= cap {
-			continue
-		}
-		counts[a]++
-		counts[b]++
-		out.add(a, b, base.labels[i])
-	}
-	return out
 }
 
 // TargetQuery builds the (observed, expected) clause pair for an

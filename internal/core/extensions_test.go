@@ -80,52 +80,6 @@ func TestDespiteToThreshold(t *testing.T) {
 	}
 }
 
-func TestDiverseSampleCapsRepeats(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	log := syntheticLog(30, rng)
-	// Pathological pair set: record 0 participates in every pair.
-	ps := &pairPlanes{}
-	for i := 1; i < 30; i++ {
-		for rep := 0; rep < 40; rep++ {
-			ps.add(0, i, rep%2 == 0)
-		}
-	}
-	out := diverseSample(chunked(t, ps, log.Len()), 400, log, rng)
-	counts := make(map[int]int)
-	for _, ref := range out.refs() {
-		counts[ref.a]++
-		counts[ref.b]++
-	}
-	if out.len() == 0 {
-		t.Fatal("diverse sample empty")
-	}
-	// Record 0 must not keep its total dominance: its share should be
-	// bounded by the cap, far below appearing in every pair.
-	if counts[0] == out.len() && out.len() > 100 {
-		t.Errorf("record 0 still appears in all %d pairs", out.len())
-	}
-}
-
-func TestDiverseSampleEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	log := syntheticLog(50, rng)
-	ex, err := NewExplainer(log, Config{Width: 2, Seed: 7, DiverseSample: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := gtQuery(log, ex.d)
-	x, err := ex.Explain(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x.Because) == 0 {
-		t.Error("diverse sampling produced no explanation")
-	}
-	if got := x.Because[0].Feature; !strings.HasPrefix(got, "x") {
-		t.Errorf("explanation uses %q, want an x-derived feature", got)
-	}
-}
-
 func TestTargetQuery(t *testing.T) {
 	q, err := TargetQuery("hdfs_bytes_written", "GT", "SIM")
 	if err != nil {

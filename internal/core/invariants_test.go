@@ -118,17 +118,15 @@ func TestMaxPairsCap(t *testing.T) {
 	}
 }
 
-// RawScores and DiverseSample paths must still produce applicable,
-// validated clauses.
+// Every feature level must produce applicable, validated clauses that
+// use only the level's features.
 func TestConfigVariantsProduceValidClauses(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	log := syntheticLog(50, rng)
 	for name, cfg := range map[string]Config{
-		"raw scores": {Width: 2, Seed: 3, RawScores: true},
-		"diverse":    {Width: 2, Seed: 3, DiverseSample: true},
-		"unbalanced": {Width: 2, Seed: 3, UnbalancedSample: true},
-		"level2":     {Width: 2, Seed: 3, Level: features.Level2},
-		"level1":     {Width: 2, Seed: 3, Level: features.Level1},
+		"level3": {Width: 2, Seed: 3},
+		"level2": {Width: 2, Seed: 3, Level: features.Level2},
+		"level1": {Width: 2, Seed: 3, Level: features.Level1},
 	} {
 		ex, err := NewExplainer(log, cfg)
 		if err != nil {

@@ -603,25 +603,6 @@ func expectedDraw(nObs int, pObs float64, nExp int, pExp float64) int {
 	return min(nObs+nExp, int(mean+4*math.Sqrt(mean))+1)
 }
 
-// uniformSample ignores class balance — kept for the ablation benchmark
-// showing why Section 4.3's balancing matters.
-func uniformSample(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
-	if m <= 0 || ps.len() <= m {
-		return ps.flatten()
-	}
-	p := float64(m) / float64(ps.len())
-	out := newPairPlanes(expectedDraw(ps.len(), p, 0, 0))
-	for ci := range ps.chunks {
-		c := &ps.chunks[ci]
-		for i, l := range c.Labels {
-			if rng.Float64() < p {
-				out.add(c.RefA[i], c.RefB[i], l)
-			}
-		}
-	}
-	return out
-}
-
 // fillChunk is the row count of one materialization work unit: small
 // enough that a 2 000-pair sample spreads over the workers, large enough
 // that each raw column's plane is hoisted once per few hundred gathers.

@@ -97,20 +97,9 @@ func TestBlockGroupsMemoReadOnly(t *testing.T) {
 	wg.Wait()
 }
 
-// samplers are the three §4.3 samplers under one signature.
-func samplers(log *joblog.Log) map[string]func(*pairSet, int, *rand.Rand) *pairPlanes {
-	return map[string]func(*pairSet, int, *rand.Rand) *pairPlanes{
-		"balanced": balancedSample,
-		"uniform":  uniformSample,
-		"diverse": func(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
-			return diverseSample(ps, m, log, rng)
-		},
-	}
-}
-
 // TestChunkedSampleMatchesFlat cuts one related set every way a round of
 // specs could have returned it — all 2¹¹ compositions of 12 pairs, and a
-// few with empty chunks, as trailing specs return — and requires each
+// few with empty chunks, as trailing specs return — and requires the
 // sampler to draw exactly the sample it draws from the uncut set, at a
 // budget that thins, one that only rebalances and one that passes
 // everything through.
@@ -120,28 +109,26 @@ func TestChunkedSampleMatchesFlat(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		flat.add(i, (i*5+1)%12, i%4 != 0)
 	}
-	for name, sample := range samplers(log) {
-		for _, m := range []int{6, 12, 40, 0} {
-			want := sample(chunked(t, flat, log.Len()), m, rand.New(rand.NewSource(4)))
-			if m == 6 && (want.len() == 0 || want.len() == flat.len()) {
-				t.Fatalf("%s: a budget of 6 drew %d of 12 pairs; the fixture thins nothing", name, want.len())
-			}
-			var cutSets [][]int
-			for mask := 0; mask < 1<<11; mask++ {
-				var cuts []int
-				for k := 0; k < 11; k++ {
-					if mask>>k&1 == 1 {
-						cuts = append(cuts, k+1)
-					}
+	for _, m := range []int{6, 12, 40, 0} {
+		want := balancedSample(chunked(t, flat, log.Len()), m, rand.New(rand.NewSource(4)))
+		if m == 6 && (want.len() == 0 || want.len() == flat.len()) {
+			t.Fatalf("a budget of 6 drew %d of 12 pairs; the fixture thins nothing", want.len())
+		}
+		var cutSets [][]int
+		for mask := 0; mask < 1<<11; mask++ {
+			var cuts []int
+			for k := 0; k < 11; k++ {
+				if mask>>k&1 == 1 {
+					cuts = append(cuts, k+1)
 				}
-				cutSets = append(cutSets, cuts)
 			}
-			cutSets = append(cutSets, []int{0}, []int{12}, []int{0, 0, 5, 5, 12, 12})
-			for _, cuts := range cutSets {
-				ps := chunked(t, flat, log.Len(), cuts...)
-				if got := sample(ps, m, rand.New(rand.NewSource(4))); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s m=%d cuts %v: sample %v, uncut %v", name, m, cuts, got, want)
-				}
+			cutSets = append(cutSets, cuts)
+		}
+		cutSets = append(cutSets, []int{0}, []int{12}, []int{0, 0, 5, 5, 12, 12})
+		for _, cuts := range cutSets {
+			ps := chunked(t, flat, log.Len(), cuts...)
+			if got := balancedSample(ps, m, rand.New(rand.NewSource(4))); !reflect.DeepEqual(got, want) {
+				t.Fatalf("m=%d cuts %v: sample %v, uncut %v", m, cuts, got, want)
 			}
 		}
 	}

@@ -62,9 +62,9 @@ func paperHarness(t *testing.T) *Harness {
 // baseline's.
 func checkBeatsBaselines(t *testing.T, tab *Table, i int) {
 	t.Helper()
-	px := tab.SeriesByName(TechPerfXplain)
+	px := seriesByName(tab, TechPerfXplain)
 	for _, tech := range []string{TechRuleOfThumb, TechSimButDiff} {
-		if s := tab.SeriesByName(tech); px.Mean[i] < s.Mean[i] {
+		if s := seriesByName(tab, tech); px.Mean[i] < s.Mean[i] {
 			t.Errorf("%s at %s %v: PerfXplain precision %.3f below %s %.3f",
 				tab.ID, tab.XLabel, px.X[i], px.Mean[i], tech, s.Mean[i])
 		}
@@ -98,13 +98,13 @@ func TestPrecisionVsWidthShape(t *testing.T) {
 	if len(tab.Series) != 3 {
 		t.Fatalf("series = %d", len(tab.Series))
 	}
-	px := tab.SeriesByName(TechPerfXplain)
+	px := seriesByName(tab, TechPerfXplain)
 	if px == nil {
 		t.Fatal("no PerfXplain series")
 	}
 	// Width 0 is the same for every technique (empty clause).
 	for _, tech := range AllTechniques {
-		s := tab.SeriesByName(tech)
+		s := seriesByName(tab, tech)
 		if s.Mean[0] != px.Mean[0] {
 			t.Errorf("width-0 precision differs: %v vs %v", s.Mean[0], px.Mean[0])
 		}
@@ -147,7 +147,7 @@ func TestPrecisionVsWidthTaskLevel(t *testing.T) {
 	if tab.ID != "Figure 3(a)" {
 		t.Errorf("ID = %q", tab.ID)
 	}
-	px := tab.SeriesByName(TechPerfXplain)
+	px := seriesByName(tab, TechPerfXplain)
 	if px == nil || len(px.Mean) != 2 {
 		t.Fatalf("bad series: %+v", tab.Series)
 	}
@@ -168,7 +168,7 @@ func TestPrecisionVsWidthTaskLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBeatsBaselines(t, full, 1)
-	if px = full.SeriesByName(TechPerfXplain); px.Mean[1] <= px.Mean[0] {
+	if px = seriesByName(full, TechPerfXplain); px.Mean[1] <= px.Mean[0] {
 		t.Errorf("Figure 3(a): PerfXplain width-3 precision %.3f not above width-1 %.3f", px.Mean[1], px.Mean[0])
 	}
 }
@@ -196,7 +196,7 @@ func TestLogSizeSweep(t *testing.T) {
 	if tab.ID != "Figure 3(d)" {
 		t.Errorf("ID = %q", tab.ID)
 	}
-	px := tab.SeriesByName(TechPerfXplain)
+	px := seriesByName(tab, TechPerfXplain)
 	if px == nil || len(px.X) != 2 {
 		t.Fatalf("bad series: %+v", tab.Series)
 	}
@@ -234,8 +234,8 @@ func TestTable3(t *testing.T) {
 	if tab.ID != "Table 3" {
 		t.Errorf("ID = %q", tab.ID)
 	}
-	before := tab.SeriesByName("RelevanceBefore")
-	after := tab.SeriesByName("RelevanceAfter")
+	before := seriesByName(tab, "RelevanceBefore")
+	after := seriesByName(tab, "RelevanceAfter")
 	if before == nil || after == nil {
 		t.Fatal("missing series")
 	}
@@ -327,4 +327,14 @@ func TestTableRenderEmptyAndMismatched(t *testing.T) {
 	if !strings.Contains(out, "-") {
 		t.Errorf("missing cells should render as '-':\n%s", out)
 	}
+}
+
+// seriesByName returns the table's named series, or nil.
+func seriesByName(t *Table, name string) *Series {
+	for i := range t.Series {
+		if t.Series[i].Name == name {
+			return &t.Series[i]
+		}
+	}
+	return nil
 }

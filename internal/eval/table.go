@@ -99,13 +99,3 @@ func trimFloat(x float64) string {
 	s := fmt.Sprintf("%g", x)
 	return s
 }
-
-// SeriesByName returns the named series, or nil.
-func (t *Table) SeriesByName(name string) *Series {
-	for i := range t.Series {
-		if t.Series[i].Name == name {
-			return &t.Series[i]
-		}
-	}
-	return nil
-}

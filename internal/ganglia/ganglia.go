@@ -130,21 +130,6 @@ func (c *Collector) Record(host string, t float64, m Metrics) error {
 	return nil
 }
 
-// Hosts returns the hosts with recorded samples, sorted.
-func (c *Collector) Hosts() []string {
-	hs := make([]string, 0, len(c.series))
-	for h := range c.series {
-		hs = append(hs, h)
-	}
-	sort.Strings(hs)
-	return hs
-}
-
-// Samples returns the host's full series (shared slice; do not mutate).
-func (c *Collector) Samples(host string) []Sample {
-	return c.series[host]
-}
-
 // Average returns the mean metrics of host over the window [t0, t1].
 // This is the paper's per-task averaging: all samples taken while the
 // task executed. Tasks shorter than the sampling interval may cover no

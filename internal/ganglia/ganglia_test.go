@@ -43,12 +43,8 @@ func TestRecordOrdering(t *testing.T) {
 	if err := c.Record("h2", 1, Metrics{}); err != nil {
 		t.Error("other hosts are independent")
 	}
-	hosts := c.Hosts()
-	if len(hosts) != 2 || hosts[0] != "h1" {
-		t.Errorf("Hosts = %v", hosts)
-	}
-	if len(c.Samples("h1")) != 2 {
-		t.Errorf("Samples = %v", c.Samples("h1"))
+	if len(c.series) != 2 || len(c.series["h1"]) != 2 {
+		t.Errorf("series = %v", c.series)
 	}
 }
 

@@ -131,14 +131,13 @@ type Log struct {
 	// rows, when set, is the whole log (see above).
 	rows *Columns
 
-	// gen is a monotonic generation counter bumped by every mutation the
-	// log knows about: Append, SetRecord, Truncate and the explicit
-	// Invalidate escape hatch. Every memo below keys on (gen, record
-	// count) rather than the count alone — count-keying served stale
-	// planes after a truncate-then-append back to the same length or an
-	// in-place record edit. The count stays part of the key because
-	// harness code grows Records directly without calling Append; growth
-	// still invalidates through the length half of the key.
+	// gen is a monotonic generation counter bumped by every Append.
+	// Every memo below keys on (gen, record count) rather than the count
+	// alone — count-keying served stale planes after Records was cut back
+	// by hand and refilled by Append to the same length. The count stays
+	// part of the key because harness code grows Records directly without
+	// calling Append; growth still invalidates through the length half of
+	// the key.
 	gen uint64
 
 	// statsMu guards statsCache. The cache memoizes the whole-column scans
@@ -179,7 +178,7 @@ type numericRange struct {
 }
 
 // stats returns the memo for the log's current (generation, record
-// count), resetting it when records were added, edited, or truncated.
+// count), resetting it when records were appended.
 // Callers hold statsMu.
 func (l *Log) stats() *logStats {
 	if n := l.Len(); l.statsCache == nil || l.statsCache.n != n || l.statsCache.gen != l.gen {
@@ -230,45 +229,6 @@ func (l *Log) MustAppend(r *Record) {
 		panic(err)
 	}
 }
-
-// SetRecord replaces the i'th record after validating its width. Unlike
-// growth, an in-place edit cannot be detected through the record count,
-// so it must go through here (or Invalidate) for the memoized views to
-// notice.
-func (l *Log) SetRecord(i int, r *Record) error {
-	if l.rows != nil {
-		return errPlaneBacked
-	}
-	if i < 0 || i >= len(l.Records) {
-		return fmt.Errorf("joblog: set record %d of %d", i, len(l.Records))
-	}
-	if err := checkWidth(l.Schema, r); err != nil {
-		return err
-	}
-	l.Records[i] = r
-	l.gen++
-	return nil
-}
-
-// Truncate drops every record at index n and beyond. A later Append back
-// to the old length is a different log and invalidates every memo — the
-// generation counter, not the count, carries that fact.
-func (l *Log) Truncate(n int) error {
-	if l.rows != nil {
-		return errPlaneBacked
-	}
-	if n < 0 || n > len(l.Records) {
-		return fmt.Errorf("joblog: truncate to %d of %d", n, len(l.Records))
-	}
-	l.Records = l.Records[:n]
-	l.gen++
-	return nil
-}
-
-// Invalidate bumps the generation counter without changing the record
-// list — the escape hatch for callers that mutated a Record's Values in
-// place and need the columnar view, stats and ID memos rebuilt.
-func (l *Log) Invalidate() { l.gen++ }
 
 // Len returns the number of records.
 func (l *Log) Len() int {

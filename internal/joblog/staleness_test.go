@@ -1,63 +1,25 @@
 package joblog
 
 import (
-	"math"
 	"reflect"
 	"testing"
 )
 
 // The generation counter exists because count-keyed invalidation cannot
-// see mutations that leave the record count unchanged. These tests pin
-// the two shapes that used to serve stale data: editing a record in
-// place, and truncating then refilling back to the same length.
-
-func TestMemosFreshAfterSetRecord(t *testing.T) {
-	l := memoLog() // a: (east, 3), b: (west, 7)
-	// Warm every memo.
-	cols := l.Columns()
-	if got := cols.Col(1).Num[0]; got != 3 {
-		t.Fatalf("warm Num[0] = %v", got)
-	}
-	if _, ok := l.FindIndex("a"); !ok {
-		t.Fatal("warm Find missed a")
-	}
-	l.Domain("site")
-	l.NumericRange("x")
-
-	if err := l.SetRecord(0, &Record{ID: "z", Values: []Value{Str("north"), Num(99)}}); err != nil {
-		t.Fatal(err)
-	}
-
-	cols = l.Columns()
-	if got := cols.Col(1).Num[0]; got != 99 {
-		t.Errorf("Num[0] after SetRecord = %v, want 99 (stale columns)", got)
-	}
-	if _, ok := l.FindIndex("a"); ok {
-		t.Error("Find still resolves replaced ID a (stale index)")
-	}
-	if i, ok := l.FindIndex("z"); !ok || i != 0 {
-		t.Errorf("FindIndex(z) = %d, %v, want 0, true", i, ok)
-	}
-	if got := l.Domain("site"); !reflect.DeepEqual(got, []string{"north", "west"}) {
-		t.Errorf("Domain after SetRecord = %v (stale stats)", got)
-	}
-	if min, max, _ := l.NumericRange("x"); min != 7 || max != 99 {
-		t.Errorf("NumericRange after SetRecord = [%v, %v], want [7, 99] (stale stats)", min, max)
-	}
-}
-
-func TestMemosFreshAfterTruncateRefill(t *testing.T) {
+// see every mutation: a log cut back by hand and refilled by Append to
+// the same length must not serve the warm memos. This test pins that
+// every memo — columns, ID index, domains, ranges — rebuilds after an
+// Append.
+func TestMemosFreshAfterAppend(t *testing.T) {
 	l := memoLog() // a: (east, 3), b: (west, 7)
 	l.Columns()
 	l.FindIndex("a")
 	l.Domain("site")
 	l.NumericRange("x")
 
-	// Truncate and refill back to the original length: the count alone
-	// cannot distinguish this log from the warm one.
-	if err := l.Truncate(1); err != nil {
-		t.Fatal(err)
-	}
+	// Cut back by hand and refill to the original length: the count
+	// alone cannot distinguish this log from the warm one.
+	l.Records = l.Records[:1]
 	l.MustAppend(&Record{ID: "c", Values: []Value{Str("south"), Num(-2)}})
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
@@ -68,44 +30,15 @@ func TestMemosFreshAfterTruncateRefill(t *testing.T) {
 		t.Errorf("Num[1] after refill = %v, want -2 (stale columns)", got)
 	}
 	if _, ok := l.FindIndex("b"); ok {
-		t.Error("Find still resolves truncated ID b (stale index)")
+		t.Error("Find still resolves dropped ID b (stale index)")
+	}
+	if i, ok := l.FindIndex("c"); !ok || i != 1 {
+		t.Errorf("FindIndex(c) = %d, %v, want 1, true", i, ok)
 	}
 	if got := l.Domain("site"); !reflect.DeepEqual(got, []string{"east", "south"}) {
 		t.Errorf("Domain after refill = %v (stale stats)", got)
 	}
 	if min, max, _ := l.NumericRange("x"); min != -2 || max != 3 {
 		t.Errorf("NumericRange after refill = [%v, %v], want [-2, 3] (stale stats)", min, max)
-	}
-}
-
-func TestSetRecordTruncateValidate(t *testing.T) {
-	l := memoLog()
-	if err := l.SetRecord(5, &Record{ID: "x", Values: []Value{Str("a"), Num(1)}}); err == nil {
-		t.Error("SetRecord out of range succeeded")
-	}
-	if err := l.SetRecord(0, &Record{ID: "x", Values: []Value{Str("a")}}); err == nil {
-		t.Error("SetRecord with wrong width succeeded")
-	}
-	if err := l.Truncate(-1); err == nil {
-		t.Error("Truncate(-1) succeeded")
-	}
-	if err := l.Truncate(3); err == nil {
-		t.Error("Truncate past the end succeeded")
-	}
-}
-
-// Invalidate is the escape hatch for callers that mutate Records or
-// Values directly: one bump, every memo rebuilds.
-func TestInvalidateRefreshesMemos(t *testing.T) {
-	l := memoLog()
-	l.Columns()
-	l.NumericRange("x")
-	l.Records[1].Values[1] = Num(math.NaN()) // in-place edit, same count
-	l.Invalidate()
-	if got := l.Columns().Col(1).Num[1]; !math.IsNaN(got) {
-		t.Errorf("Num[1] after Invalidate = %v, want NaN", got)
-	}
-	if min, _, _ := l.NumericRange("x"); min != 3 {
-		t.Errorf("NumericRange min after Invalidate = %v, want 3", min)
 	}
 }

@@ -88,7 +88,7 @@ func TestRunSizedFilterJob(t *testing.T) {
 	if res.NumMapTasks != wantMaps {
 		t.Errorf("map tasks = %d, want %d (input/blocksize)", res.NumMapTasks, wantMaps)
 	}
-	if res.NumReduceTasks != 0 || len(res.ReduceTasks()) != 0 {
+	if res.NumReduceTasks != 0 || len(tasksOfType(res, "REDUCE")) != 0 {
 		t.Error("filter job should be map-only")
 	}
 	if res.Duration() <= 0 {
@@ -123,13 +123,13 @@ func TestRunSizedGroupByJob(t *testing.T) {
 	if res.NumReduceTasks != 6 {
 		t.Fatalf("reduce tasks = %d, want 6", res.NumReduceTasks)
 	}
-	reds := res.ReduceTasks()
+	reds := tasksOfType(res, "REDUCE")
 	if len(reds) != 6 {
 		t.Fatalf("reduce results = %d", len(reds))
 	}
 	// Reduces start only after every map finished (the map barrier).
 	var lastMapFinish float64
-	for _, m := range res.MapTasks() {
+	for _, m := range tasksOfType(res, "MAP") {
 		if m.Finish > lastMapFinish {
 			lastMapFinish = m.Finish
 		}
@@ -145,12 +145,10 @@ func TestRunSizedGroupByJob(t *testing.T) {
 		totalShuffle += r.ShuffleBytes
 	}
 	// Shuffle volume conservation within rounding.
-	mapOut := res.SumTasks(func(tk *TaskResult) int64 {
-		if tk.Type == "MAP" {
-			return tk.OutputBytes
-		}
-		return 0
-	})
+	var mapOut int64
+	for _, tk := range tasksOfType(res, "MAP") {
+		mapOut += tk.OutputBytes
+	}
 	if diff := math.Abs(float64(totalShuffle - mapOut)); diff > float64(res.NumReduceTasks) {
 		t.Errorf("shuffle %d vs map output %d", totalShuffle, mapOut)
 	}
@@ -177,12 +175,10 @@ func TestRunMaterializedMatchesExec(t *testing.T) {
 		t.Errorf("output groups = %d, want %d", len(res.Output), len(direct))
 	}
 	// Real counters: map input records across tasks equals the line count.
-	inRecs := res.SumTasks(func(tk *TaskResult) int64 {
-		if tk.Type == "MAP" {
-			return tk.InputRecords
-		}
-		return 0
-	})
+	var inRecs int64
+	for _, tk := range tasksOfType(res, "MAP") {
+		inRecs += tk.InputRecords
+	}
 	if inRecs != int64(len(lines)) {
 		t.Errorf("map input records = %d, want %d", inRecs, len(lines))
 	}
@@ -264,7 +260,7 @@ func TestLastWaveSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maps := res.MapTasks()
+	maps := tasksOfType(res, "MAP")
 	if len(maps) != 9 {
 		t.Fatalf("map count = %d", len(maps))
 	}
@@ -323,9 +319,9 @@ func TestIOSortFactorAffectsSortTime(t *testing.T) {
 	if sortOf(lowFactor) <= sortOf(highFactor) {
 		t.Errorf("sort time low-factor %v <= high-factor %v", sortOf(lowFactor), sortOf(highFactor))
 	}
-	if lowFactor.ReduceTasks()[0].MergePasses <= highFactor.ReduceTasks()[0].MergePasses {
-		t.Errorf("merge passes: %d vs %d", lowFactor.ReduceTasks()[0].MergePasses,
-			highFactor.ReduceTasks()[0].MergePasses)
+	if tasksOfType(lowFactor, "REDUCE")[0].MergePasses <= tasksOfType(highFactor, "REDUCE")[0].MergePasses {
+		t.Errorf("merge passes: %d vs %d", tasksOfType(lowFactor, "REDUCE")[0].MergePasses,
+			tasksOfType(highFactor, "REDUCE")[0].MergePasses)
 	}
 }
 
@@ -383,4 +379,16 @@ func TestTaskGangliaWindows(t *testing.T) {
 			t.Errorf("task %s boottime missing", task.ID)
 		}
 	}
+}
+
+// tasksOfType returns the job's tasks of one type ("MAP" or "REDUCE") in
+// index order.
+func tasksOfType(j *JobResult, typ string) []*TaskResult {
+	var out []*TaskResult
+	for _, t := range j.Tasks {
+		if t.Type == typ {
+			out = append(out, t)
+		}
+	}
+	return out
 }

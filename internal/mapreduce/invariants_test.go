@@ -64,12 +64,12 @@ func checkSlotExclusivity(t *testing.T, res *JobResult) {
 func checkMapBarrier(t *testing.T, res *JobResult) {
 	t.Helper()
 	var lastMap float64
-	for _, m := range res.MapTasks() {
+	for _, m := range tasksOfType(res, "MAP") {
 		if m.Finish > lastMap {
 			lastMap = m.Finish
 		}
 	}
-	for _, r := range res.ReduceTasks() {
+	for _, r := range tasksOfType(res, "REDUCE") {
 		if r.Start < lastMap-eps {
 			t.Fatalf("%s: reduce %s started %v before map barrier %v",
 				res.ID, r.ID, r.Start, lastMap)

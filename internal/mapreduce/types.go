@@ -153,15 +153,6 @@ type JobResult struct {
 // Duration is the job runtime in virtual seconds.
 func (j *JobResult) Duration() float64 { return j.Finish - j.Start }
 
-// SumTasks folds f over all tasks.
-func (j *JobResult) SumTasks(f func(*TaskResult) int64) int64 {
-	var s int64
-	for _, t := range j.Tasks {
-		s += f(t)
-	}
-	return s
-}
-
 // SumTasksF folds a float64 accessor over all tasks.
 func (j *JobResult) SumTasksF(f func(*TaskResult) float64) float64 {
 	var s float64
@@ -169,20 +160,4 @@ func (j *JobResult) SumTasksF(f func(*TaskResult) float64) float64 {
 		s += f(t)
 	}
 	return s
-}
-
-// MapTasks returns the map tasks in index order.
-func (j *JobResult) MapTasks() []*TaskResult { return j.tasksOfType("MAP") }
-
-// ReduceTasks returns the reduce tasks in index order.
-func (j *JobResult) ReduceTasks() []*TaskResult { return j.tasksOfType("REDUCE") }
-
-func (j *JobResult) tasksOfType(typ string) []*TaskResult {
-	var out []*TaskResult
-	for _, t := range j.Tasks {
-		if t.Type == typ {
-			out = append(out, t)
-		}
-	}
-	return out
 }

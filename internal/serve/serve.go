@@ -218,12 +218,14 @@ type EvaluateResponse struct {
 }
 
 // explainResult is the cached unit: the wire response plus the live
-// explanation objects, so /api/evaluate can reuse a cached explanation
-// without re-parsing. All fields are immutable after construction.
+// explanation objects and the options they were computed under, so
+// /api/evaluate can reuse a cached explanation without re-parsing. All
+// fields are immutable after construction.
 type explainResult struct {
 	resp ExplainResponse
 	q    *perfxplain.Query
 	x    *perfxplain.Explanation
+	opt  perfxplain.Options
 }
 
 // resident returns the store, or the 400 every read answers before the
@@ -251,8 +253,12 @@ func (s *Server) snapshot() (*perfxplain.Log, uint64, error) {
 
 // mergeOptions resolves a request's semantic knobs over the server's
 // base options. Runtime knobs pass through from the base untouched.
-func (s *Server) mergeOptions(req *ExplainRequest) perfxplain.Options {
+// Non-positive numbers inherit the base; a level above 3 is refused.
+func (s *Server) mergeOptions(req *ExplainRequest) (perfxplain.Options, error) {
 	opt := s.cfg.Explain
+	if req.Level > 3 {
+		return opt, badRequestf("level %d: want 1, 2 or 3", req.Level)
+	}
 	if req.Width > 0 {
 		opt.Width = req.Width
 	}
@@ -273,7 +279,7 @@ func (s *Server) mergeOptions(req *ExplainRequest) perfxplain.Options {
 	if req.Target != "" {
 		opt.Target = req.Target
 	}
-	return opt
+	return opt, nil
 }
 
 // fingerprint digests the semantic knobs — exactly the fields that can
@@ -281,9 +287,9 @@ func (s *Server) mergeOptions(req *ExplainRequest) perfxplain.Options {
 // are deliberately absent: the engine is byte-identical across them, so
 // including them would only split the cache.
 func fingerprint(opt perfxplain.Options, find, genDespite bool) string {
-	return fmt.Sprintf("w%d dw%d ss%d mp%d lvl%d seed%d tgt%q div%v find%v gd%v",
+	return fmt.Sprintf("w%d dw%d ss%d mp%d lvl%d seed%d tgt%q find%v gd%v",
 		opt.Width, opt.DespiteWidth, opt.SampleSize, opt.MaxPairs, opt.FeatureLevel,
-		opt.Seed, opt.Target, opt.DiverseSample, find, genDespite)
+		opt.Seed, opt.Target, find, genDespite)
 }
 
 // reqContext derives the per-query context: the request's deadline
@@ -321,7 +327,10 @@ func (s *Server) explain(ctx context.Context, log *perfxplain.Log, gen uint64, r
 	if id1, _ := q.Pair(); id1 == "" && !req.Find {
 		return nil, false, badRequestf("no pair of interest: add a FOR clause, pair, or find")
 	}
-	opt := s.mergeOptions(req)
+	opt, err := s.mergeOptions(req)
+	if err != nil {
+		return nil, false, err
+	}
 
 	// The canonical rendering of the (possibly rebound) query plus the
 	// semantic fingerprint and watermark identify the answer's bytes.
@@ -360,7 +369,6 @@ func (s *Server) compute(ctx context.Context, log *perfxplain.Log, gen uint64,
 	if err != nil {
 		return nil, err
 	}
-	defer ex.Close()
 	var x *perfxplain.Explanation
 	if req.GenDespite {
 		x, err = ex.ExplainWithDespiteContext(ctx, q)
@@ -382,7 +390,7 @@ func (s *Server) compute(ctx context.Context, log *perfxplain.Log, gen uint64,
 		Relevance:  x.TrainRelevance(),
 		Watermark:  gen,
 	}
-	return &explainResult{resp: resp, q: q, x: x}, nil
+	return &explainResult{resp: resp, q: q, x: x, opt: opt}, nil
 }
 
 // maxQueryBytes bounds one /api/explain or /api/evaluate body; a longer
@@ -454,8 +462,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opt := s.mergeOptions(&req)
-	m, err := perfxplain.EvaluateContext(ctx, log, res.q, res.x, opt)
+	m, err := perfxplain.EvaluateContext(ctx, log, res.q, res.x, res.opt)
 	s.adm.release()
 	if err != nil {
 		writeError(w, err)

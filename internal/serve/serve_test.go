@@ -123,8 +123,7 @@ func localReport(t *testing.T, log *perfxplain.Log, query string, opt perfxplain
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ex.Close()
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +214,7 @@ func localEvaluation(t *testing.T, log *perfxplain.Log, query string, pair []str
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ex.Close()
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -740,6 +738,7 @@ func TestClientErrors(t *testing.T) {
 		{"parse error", ExplainRequest{Query: "OBSERVED !!!"}},
 		{"no pair no find", ExplainRequest{Query: testQuery}},
 		{"half pair", ExplainRequest{Query: testQuery, Pair: []string{"job-0001"}}},
+		{"level past 3", ExplainRequest{Query: testQuery, Find: true, Level: 4}},
 	}
 	for _, c := range cases {
 		if status, _, raw := postExplain(t, ts.URL+"/api/explain", c.req); status != http.StatusBadRequest {

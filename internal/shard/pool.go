@@ -19,6 +19,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -68,6 +69,47 @@ type workerProc struct {
 	// prefetch-hit counter tick on first use, so the stats report how
 	// much prefetched payload actually paid off.
 	prefetched map[string]bool
+}
+
+// PoolConfig names a worker fleet for NewPool.
+type PoolConfig struct {
+	// Workers is the number of worker connections (default: 1, or one
+	// per address when Addrs is set).
+	Workers int
+	// Command is the subprocess argv (default: this executable with
+	// -shard-worker appended). Ignored when Addrs is set.
+	Command []string
+	// Env is appended to each subprocess worker's environment.
+	Env []string
+	// Addrs selects remote socket workers listening on these addresses.
+	Addrs []string
+	// Token is the shared handshake secret; required with Addrs.
+	Token string
+}
+
+// NewPool builds the pool cfg names: socket workers when cfg.Addrs is
+// set, subprocess workers otherwise. It is the one place a fleet is
+// configured; the workers are dialed lazily on first use.
+func NewPool(cfg PoolConfig) (*Pool, error) {
+	if len(cfg.Addrs) > 0 {
+		if cfg.Token == "" {
+			return nil, errors.New("shard: remote workers require a token")
+		}
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = len(cfg.Addrs)
+		}
+		return &Pool{Dialer: &SocketDialer{Addrs: cfg.Addrs, Token: cfg.Token}, Workers: workers}, nil
+	}
+	cmd := cfg.Command
+	if len(cmd) == 0 {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("shard: resolve worker command: %w", err)
+		}
+		cmd = []string{exe, "-shard-worker"}
+	}
+	return &Pool{Command: cmd, Env: cfg.Env, Workers: cfg.Workers}, nil
 }
 
 // Stats returns a snapshot of the pool's runtime counters.

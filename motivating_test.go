@@ -7,6 +7,7 @@ package perfxplain
 // the surprise with a block-size (or cluster-capacity) predicate.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -73,7 +74,7 @@ func TestMotivatingScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, small, ok := FindPairOfInterest(jobs, q, 1)
+	big, small, ok := FindPairOfInterestP(jobs, q, 1, 0)
 	if !ok {
 		t.Fatal("the motivating phenomenon did not occur in the simulated log")
 	}
@@ -88,7 +89,7 @@ func TestMotivatingScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

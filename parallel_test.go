@@ -1,6 +1,7 @@
 package perfxplain
 
 import (
+	"context"
 	"net"
 	"runtime"
 	"sync"
@@ -41,7 +42,7 @@ func explainAt(t *testing.T, jobs *Log, parallelism int) (explanation string, me
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, id2, ok := FindPairOfInterest(jobs, q, 7)
+	id1, id2, ok := FindPairOfInterestP(jobs, q, 7, 0)
 	if !ok {
 		t.Fatal("no pair of interest in the small sweep")
 	}
@@ -50,7 +51,7 @@ func explainAt(t *testing.T, jobs *Log, parallelism int) (explanation string, me
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.ExplainWithDespite(q)
+	x, err := ex.ExplainWithDespiteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +81,9 @@ func TestExplanationIdenticalAcrossParallelism(t *testing.T) {
 
 // TestRemoteWorkersPublicAPI pins the public remote path end to end:
 // ServeShardWorkers on a loopback listener, coordinators reaching it
-// via Options.ShardAddrs and via a shared WorkerPool, explanations and
-// held-out metrics byte-identical to local execution, and the shared
-// pool surviving — caches warm — across several explainers.
+// through a caller-owned WorkerPool, explanations and held-out metrics
+// byte-identical to local execution, and the pool surviving — caches
+// warm — across several explainers and evaluations.
 func TestRemoteWorkersPublicAPI(t *testing.T) {
 	jobs := detLog(t)
 	baseX, baseM := explainAt(t, jobs, 1)
@@ -94,89 +95,60 @@ func TestRemoteWorkersPublicAPI(t *testing.T) {
 	}
 	go ServeShardWorkers(ln, token)
 	t.Cleanup(func() { ln.Close() })
-	addr := ln.Addr().String()
 
 	q, err := ParseQuery(detQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, id2, ok := FindPairOfInterest(jobs, q, 7)
+	id1, id2, ok := FindPairOfInterestP(jobs, q, 7, 0)
 	if !ok {
 		t.Fatal("no pair of interest")
 	}
 	q.Bind(id1, id2)
 
-	// Per-explainer remote pool via Options.ShardAddrs.
-	opt := Options{Width: 3, DespiteWidth: 2, Seed: 7, Shards: 4,
-		ShardAddrs: []string{addr}, ShardToken: token}
-	ex, err := NewExplainer(jobs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := ex.ExplainWithDespite(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.String() != baseX {
-		t.Errorf("remote explanation differs:\n%s\nvs direct:\n%s", x.String(), baseX)
-	}
-	m, err := ex.Evaluate(jobs, q, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != baseM {
-		t.Errorf("remote metrics %+v differ from direct %+v", m, baseM)
-	}
-	if s, ok := ex.ShardStats(); !ok || s.FramesSent == 0 {
-		t.Errorf("remote explainer reported no shard traffic: %+v ok=%v", s, ok)
-	}
-	ex.Close()
-	ex.Close() // Close is idempotent
-
-	// One shared pool across several explainers (the harness topology).
-	pool, err := NewWorkerPool(PoolOptions{Addrs: []string{addr}, Token: token, Workers: 2})
+	pool, err := NewWorkerPool(PoolOptions{Addrs: []string{ln.Addr().String()}, Token: token, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(pool.Close)
+	opt := Options{Width: 3, DespiteWidth: 2, Seed: 7, Shards: 4, SharedPool: pool}
 	for round := 0; round < 2; round++ {
-		sx, err := NewExplainer(jobs, Options{Width: 3, DespiteWidth: 2, Seed: 7, Shards: 4, SharedPool: pool})
+		ex, err := NewExplainer(jobs, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sx.ExplainWithDespite(q)
+		got, err := ex.ExplainWithDespiteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != baseX {
-			t.Errorf("shared-pool round %d explanation differs:\n%s\nvs direct:\n%s", round, got.String(), baseX)
+			t.Errorf("round %d explanation differs:\n%s\nvs direct:\n%s", round, got.String(), baseX)
 		}
-		gm, err := sx.Evaluate(jobs, q, got)
+		gm, err := Evaluate(jobs, q, got, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gm != baseM {
-			t.Errorf("shared-pool round %d metrics %+v differ from direct %+v", round, gm, baseM)
+			t.Errorf("round %d metrics %+v differ from direct %+v", round, gm, baseM)
 		}
-		sx.Close() // must not tear down the shared pool
 	}
-	if s := pool.Stats(); s.SliceHits == 0 {
-		t.Errorf("shared pool recorded no slice-cache hits across rounds: %+v", s)
+	if s := pool.Stats(); s.FramesSent == 0 || s.SliceHits == 0 {
+		t.Errorf("pool recorded no traffic or no slice-cache hits across rounds: %+v", s)
 	}
 }
 
 // TestShardWorkerOptionsResolveIdentically pins the one resolver behind
-// NewExplainer and the package-level Evaluate: shard-worker options
-// without Options.Shards are rejected by both with the same error —
-// Evaluate used to ignore them silently — and Shards without workers is
-// accepted by both as local execution.
+// NewExplainer and Evaluate: a SharedPool without Options.Shards is
+// rejected by both with the same error, and Shards without a pool is
+// accepted by both as local execution. A pool of socket workers without
+// a token is refused when it is built.
 func TestShardWorkerOptionsResolveIdentically(t *testing.T) {
 	jobs := detLog(t)
 	q, err := ParseQuery(detQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, id2, ok := FindPairOfInterest(jobs, q, 7)
+	id1, id2, ok := FindPairOfInterestP(jobs, q, 7, 0)
 	if !ok {
 		t.Fatal("no pair of interest")
 	}
@@ -185,7 +157,7 @@ func TestShardWorkerOptionsResolveIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +166,7 @@ func TestShardWorkerOptionsResolveIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, err := Evaluate(jobs, q, x, Options{Seed: 7, Shards: 3}); err != nil || got != want {
-		t.Errorf("Evaluate with Shards and no workers: %+v, %v; want %+v", got, err, want)
+		t.Errorf("Evaluate with Shards and no pool: %+v, %v; want %+v", got, err, want)
 	}
 
 	shared, err := NewWorkerPool(PoolOptions{Command: []string{"unused"}})
@@ -202,21 +174,14 @@ func TestShardWorkerOptionsResolveIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shared.Close()
-	for name, opt := range map[string]Options{
-		"ShardWorkers": {ShardWorkers: 2},
-		"ShardAddrs":   {ShardAddrs: []string{"127.0.0.1:1"}, ShardToken: "t"},
-		"SharedPool":   {SharedPool: shared},
-	} {
-		_, newErr := NewExplainer(jobs, opt)
-		_, evalErr := Evaluate(jobs, q, x, opt)
-		if newErr == nil || evalErr == nil || newErr.Error() != evalErr.Error() ||
-			newErr.Error() != "perfxplain: shard workers require Options.Shards" {
-			t.Errorf("%s without Shards: NewExplainer: %v, Evaluate: %v; want the same rejection", name, newErr, evalErr)
-		}
+	opt := Options{SharedPool: shared}
+	_, newErr := NewExplainer(jobs, opt)
+	_, evalErr := Evaluate(jobs, q, x, opt)
+	if newErr == nil || evalErr == nil || newErr.Error() != evalErr.Error() ||
+		newErr.Error() != "perfxplain: Options.SharedPool requires Options.Shards" {
+		t.Errorf("SharedPool without Shards: NewExplainer: %v, Evaluate: %v; want the same rejection", newErr, evalErr)
 	}
-	_, newErr := NewExplainer(jobs, Options{Shards: 2, ShardAddrs: []string{"127.0.0.1:1"}})
-	_, evalErr := Evaluate(jobs, q, x, Options{Shards: 2, ShardAddrs: []string{"127.0.0.1:1"}})
-	if newErr == nil || evalErr == nil || newErr.Error() != evalErr.Error() {
-		t.Errorf("ShardAddrs without a token: NewExplainer: %v, Evaluate: %v; want the same rejection", newErr, evalErr)
+	if _, err := NewWorkerPool(PoolOptions{Addrs: []string{"127.0.0.1:1"}}); err == nil {
+		t.Error("a socket pool without a token was built")
 	}
 }

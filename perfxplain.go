@@ -11,11 +11,12 @@
 //
 //	jobs, tasks, _ := perfxplain.Collect(perfxplain.SweepOptions{Small: true, Seed: 1})
 //	ex, _ := perfxplain.NewExplainer(jobs, perfxplain.Options{})
-//	x, _ := ex.ExplainQuery(`
+//	q, _ := perfxplain.ParseQuery(`
 //	    FOR J1, J2 WHERE J1.JobID = 'job-0004' AND J2.JobID = 'job-0020'
 //	    DESPITE numinstances_issame = T AND pigscript_issame = T
 //	    OBSERVED duration_compare = GT
 //	    EXPECTED duration_compare = SIM`)
+//	x, _ := ex.ExplainContext(context.Background(), q)
 //	fmt.Println(x)
 //
 // The package also bundles the full substrate the paper's evaluation
@@ -29,10 +30,10 @@ package perfxplain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"strings"
 
 	"perfxplain/internal/baselines"
@@ -364,9 +365,6 @@ type Options struct {
 	// "duration"). The paper's approach applies directly to any numeric
 	// metric in the log.
 	Target string
-	// DiverseSample biases the training sample toward a varied set of
-	// executions (the paper's Section 4.3 future-work idea).
-	DiverseSample bool
 	// Parallelism bounds the worker goroutines used throughout the
 	// explanation pipeline — pair enumeration, materialization, predicate
 	// scoring and evaluation. Values <= 0 mean runtime.GOMAXPROCS(0), i.e.
@@ -374,36 +372,18 @@ type Options struct {
 	// setting: same seed, same answer, whatever the hardware.
 	Parallelism int
 	// Shards is the number of self-contained specs each quadratic walk —
-	// pair enumeration and metric evaluation — is cut into. Without
-	// workers the specs run on this process's cores and the count only
+	// pair enumeration and metric evaluation — is cut into. Without a
+	// SharedPool the specs run on this process's cores and the count only
 	// sets scheduling granularity (0 = eight per Parallelism worker);
-	// with ShardWorkers, ShardAddrs or SharedPool it is required, and the
-	// specs ship to the workers. The training sample, growth and
-	// diagnostics always stay in this process. Explanations are
-	// byte-identical at every shard count and in every execution mode.
+	// with one it is required, and the specs ship to the pool's workers.
+	// The training sample, growth and diagnostics always stay in this
+	// process. Explanations are byte-identical at every shard count and
+	// in every execution mode.
 	Shards int
-	// ShardWorkers, when > 0 alongside Shards, executes shards on that
-	// many worker subprocesses speaking the shard protocol over pipes.
-	// Call Explainer.Close to terminate them when done. With ShardAddrs
-	// set it is the number of socket connections instead (default: one
-	// per address).
-	ShardWorkers int
-	// ShardWorkerCommand is the argv spawned per worker (default: this
-	// executable with the -shard-worker flag appended, which is what the
-	// pxql and pxqlexperiments binaries implement).
-	ShardWorkerCommand []string
-	// ShardAddrs, when set alongside Shards, executes shards on remote
-	// socket workers — machines running `pxql -shard-worker -listen`
-	// (or ListenAndServeShardWorkers). Requires ShardToken.
-	ShardAddrs []string
-	// ShardToken is the shared secret of the socket handshake; it must
-	// match the remote listeners' token.
-	ShardToken string
 	// SharedPool executes shards on a caller-owned worker pool (see
-	// NewWorkerPool) instead of constructing one per explainer: harnesses
-	// that build many explainers reuse one fleet — and its worker-side
-	// slice caches — across all of them. Overrides ShardWorkers and
-	// ShardAddrs; Explainer.Close leaves a shared pool running.
+	// NewWorkerPool). The pool outlives the explainers and evaluations
+	// that use it — and so do its workers' slice caches; its owner
+	// closes it.
 	SharedPool *WorkerPool
 }
 
@@ -435,27 +415,10 @@ type PoolOptions struct {
 // NewWorkerPool builds a shard worker pool. The fleet is dialed lazily
 // on first use; Close terminates it.
 func NewWorkerPool(opt PoolOptions) (*WorkerPool, error) {
-	p := &shard.Pool{Workers: opt.Workers}
-	if len(opt.Addrs) > 0 {
-		if opt.Token == "" {
-			return nil, fmt.Errorf("perfxplain: remote shard workers require PoolOptions.Token")
-		}
-		p.Dialer = &shard.SocketDialer{Addrs: opt.Addrs, Token: opt.Token}
-		if p.Workers <= 0 {
-			p.Workers = len(opt.Addrs)
-		}
-		return &WorkerPool{p}, nil
+	p, err := shard.NewPool(shard.PoolConfig(opt))
+	if err != nil {
+		return nil, err
 	}
-	cmd := opt.Command
-	if len(cmd) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("perfxplain: resolve shard worker command: %w", err)
-		}
-		cmd = []string{exe, "-shard-worker"}
-	}
-	p.Command = cmd
-	p.Env = opt.Env
 	return &WorkerPool{p}, nil
 }
 
@@ -465,7 +428,7 @@ func NewWorkerPool(opt PoolOptions) (*WorkerPool, error) {
 func (wp *WorkerPool) Close() { wp.p.Close() }
 
 // Stats returns the pool's runtime counters.
-func (wp *WorkerPool) Stats() ShardStats { return newShardStats(wp.p.Stats()) }
+func (wp *WorkerPool) Stats() ShardStats { return ShardStats(wp.p.Stats()) }
 
 // ShardStats are the shard runtime's counters: protocol frames, frame
 // bytes on metered transports, the content-addressed slice cache's
@@ -480,138 +443,64 @@ type ShardStats struct {
 	PrefetchSent, PrefetchHits int64
 }
 
-func newShardStats(s shard.StatsSnapshot) ShardStats {
-	return ShardStats{
-		FramesSent:      s.FramesSent,
-		FramesReceived:  s.FramesReceived,
-		BytesSent:       s.BytesSent,
-		BytesReceived:   s.BytesReceived,
-		SliceHits:       s.SliceHits,
-		SliceMisses:     s.SliceMisses,
-		SliceBytesSaved: s.SliceBytesSaved,
-		PrefetchSent:    s.PrefetchSent,
-		PrefetchHits:    s.PrefetchHits,
-	}
-}
-
 // String renders the counters in the CLIs' -verbose format (one
 // formatter, shared with the shard runtime, so the two never drift).
-func (s ShardStats) String() string {
-	return shard.StatsSnapshot{
-		FramesSent:      s.FramesSent,
-		FramesReceived:  s.FramesReceived,
-		BytesSent:       s.BytesSent,
-		BytesReceived:   s.BytesReceived,
-		SliceHits:       s.SliceHits,
-		SliceMisses:     s.SliceMisses,
-		SliceBytesSaved: s.SliceBytesSaved,
-		PrefetchSent:    s.PrefetchSent,
-		PrefetchHits:    s.PrefetchHits,
-	}.String()
-}
-
-// workers resolves the options' shard-worker configuration — the one
-// place it is accepted or rejected, for explainers and one-shot
-// evaluations alike. pool is nil when the walks run in this process;
-// owned reports a pool dialed for this caller, who must Close it (a
-// SharedPool stays its owner's).
-func (o Options) workers() (pool *WorkerPool, owned bool, err error) {
-	configured := o.ShardWorkers > 0 || len(o.ShardAddrs) > 0
-	switch {
-	case (configured || o.SharedPool != nil) && o.Shards <= 0:
-		return nil, false, fmt.Errorf("perfxplain: shard workers require Options.Shards")
-	case o.SharedPool != nil:
-		return o.SharedPool, false, nil
-	case !configured:
-		return nil, false, nil
-	case len(o.ShardAddrs) > 0 && o.ShardToken == "":
-		return nil, false, fmt.Errorf("perfxplain: Options.ShardAddrs requires Options.ShardToken")
-	}
-	pool, err = NewWorkerPool(PoolOptions{
-		Workers: o.ShardWorkers,
-		Command: o.ShardWorkerCommand,
-		Addrs:   o.ShardAddrs,
-		Token:   o.ShardToken,
-	})
-	return pool, err == nil, err
-}
+func (s ShardStats) String() string { return shard.StatsSnapshot(s).String() }
 
 // exec describes who walks log's pair space under these options: this
-// process, or pool's workers over the log's segment layout.
-func (o Options) exec(log *Log, pool *WorkerPool) (core.Exec, error) {
+// process, or the shared pool's workers over the log's segment layout.
+func (o Options) exec(log *Log) (core.Exec, error) {
 	ex := core.Exec{Parallelism: o.Parallelism, Shards: o.Shards}
-	if pool != nil {
-		layout, err := log.layout()
-		if err != nil {
-			return core.Exec{}, err
-		}
-		ex.Runner, ex.Layout = pool.p, layout
+	if o.SharedPool == nil {
+		return ex, nil
 	}
+	if o.Shards <= 0 {
+		return core.Exec{}, errors.New("perfxplain: Options.SharedPool requires Options.Shards")
+	}
+	layout, err := log.layout()
+	if err != nil {
+		return core.Exec{}, err
+	}
+	ex.Runner, ex.Layout = o.SharedPool.p, layout
 	return ex, nil
 }
 
 // Explainer answers PXQL queries over one log.
 type Explainer struct {
-	ex    *core.Explainer
-	log   *Log
-	opt   Options
-	pool  *WorkerPool // nil when the walks run in this process
-	owned bool        // pool was dialed for this explainer
+	ex *core.Explainer
 }
 
-// NewExplainer builds an explainer over a job or task log. With shard
-// workers configured, enumeration specs ship the log's segments as
-// hashed slices — a Store.Snapshot's sealed segments and tail, a flat
-// log's fixed-size runs — so re-explaining after appends re-ships only
-// the tail.
+// NewExplainer builds an explainer over a job or task log. With a
+// SharedPool, enumeration specs ship the log's segments as hashed
+// slices — a Store.Snapshot's sealed segments and tail, a flat log's
+// fixed-size runs — so re-explaining after appends re-ships only the
+// tail.
 func NewExplainer(log *Log, opt Options) (*Explainer, error) {
-	pool, owned, err := opt.workers()
-	if err != nil {
-		return nil, err
-	}
-	e := &Explainer{log: log, opt: opt, pool: pool, owned: owned}
 	cfg := core.Config{
-		Width:         opt.Width,
-		DespiteWidth:  opt.DespiteWidth,
-		SampleSize:    opt.SampleSize,
-		MaxPairs:      opt.MaxPairs,
-		Seed:          opt.Seed,
-		Target:        opt.Target,
-		DiverseSample: opt.DiverseSample,
+		Width:        opt.Width,
+		DespiteWidth: opt.DespiteWidth,
+		SampleSize:   opt.SampleSize,
+		MaxPairs:     opt.MaxPairs,
+		Seed:         opt.Seed,
+		Target:       opt.Target,
 	}
 	if opt.FeatureLevel != 0 {
 		cfg.Level = features.Level(opt.FeatureLevel)
 	}
-	if cfg.Exec, err = opt.exec(log, pool); err == nil {
-		e.ex, err = core.NewExplainer(log.l, cfg)
-	}
-	if err != nil {
-		e.Close()
+	var err error
+	if cfg.Exec, err = opt.exec(log); err != nil {
 		return nil, err
 	}
-	return e, nil
+	ex, err := core.NewExplainer(log.l, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Explainer{ex}, nil
 }
 
-// Close releases the explainer's resources: it terminates the worker
-// pool the explainer owns (Options.ShardWorkers or Options.ShardAddrs).
-// A pool shared via Options.SharedPool is left running — its owner
-// closes it. Close is idempotent, safe to call concurrently with
-// in-flight work, and always safe to defer.
-func (e *Explainer) Close() {
-	if e.owned {
-		e.pool.Close()
-	}
-}
-
-// ShardStats returns the runtime counters of the explainer's worker
-// pool; ok is false when the walks run in this process or on a shared
-// pool (query the WorkerPool directly for those).
-func (e *Explainer) ShardStats() (s ShardStats, ok bool) {
-	if !e.owned {
-		return ShardStats{}, false
-	}
-	return e.pool.Stats(), true
-}
+// Close releases nothing: worker pools are always their caller's. It
+// stays because existing callers defer it.
+func (e *Explainer) Close() {}
 
 // Explanation is a generated (despite, because) answer plus its quality
 // measured on the training log.
@@ -684,17 +573,12 @@ func indentReport(s string) string {
 	return "  " + strings.ReplaceAll(s, "\n", "\n  ")
 }
 
-// Explain generates a because clause for the query (the user's despite
-// clause is used as-is).
-func (e *Explainer) Explain(q *Query) (*Explanation, error) {
-	return e.ExplainContext(context.Background(), q)
-}
-
-// ExplainContext is Explain with cancellation: the pipeline checks ctx
-// between stages and at every growth round, returning ctx.Err() once it
-// is done. The context carries cancellation only — a completed
-// explanation is byte-identical to an uncancelled run with the same
-// options, whatever deadline the context had.
+// ExplainContext generates a because clause for the query (the user's
+// despite clause is used as-is). The pipeline checks ctx between stages
+// and at every growth round, returning ctx.Err() once it is done. The
+// context carries cancellation only — a completed explanation is
+// byte-identical to an uncancelled run with the same options, whatever
+// deadline the context had.
 func (e *Explainer) ExplainContext(ctx context.Context, q *Query) (*Explanation, error) {
 	x, err := e.ex.Explain(ctx, q.q)
 	if err != nil {
@@ -703,33 +587,9 @@ func (e *Explainer) ExplainContext(ctx context.Context, q *Query) (*Explanation,
 	return &Explanation{x: x, q: q.q}, nil
 }
 
-// ExplainQuery parses PXQL source and explains it in one step.
-func (e *Explainer) ExplainQuery(src string) (*Explanation, error) {
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Explain(q)
-}
-
-// ExplainQueryContext parses PXQL source and explains it in one step,
-// with ExplainContext's cancellation semantics.
-func (e *Explainer) ExplainQueryContext(ctx context.Context, src string) (*Explanation, error) {
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExplainContext(ctx, q)
-}
-
-// ExplainWithDespite first generates a despite extension (for
-// under-specified queries), then the because clause in its context.
-func (e *Explainer) ExplainWithDespite(q *Query) (*Explanation, error) {
-	return e.ExplainWithDespiteContext(context.Background(), q)
-}
-
-// ExplainWithDespiteContext is ExplainWithDespite with ExplainContext's
-// cancellation semantics, covering the despite-generation stage too.
+// ExplainWithDespiteContext first generates a despite extension (for
+// under-specified queries), then the because clause in its context, with
+// ExplainContext's cancellation semantics.
 func (e *Explainer) ExplainWithDespiteContext(ctx context.Context, q *Query) (*Explanation, error) {
 	x, err := e.ex.ExplainWithDespite(ctx, q.q)
 	if err != nil {
@@ -762,7 +622,7 @@ func (e *Explainer) DespiteToThreshold(q *Query, threshold float64) (despite str
 
 // NewTargetQuery builds an unbound query about an arbitrary numeric
 // metric: "I observed <target> to be <obsCode> (LT/SIM/GT) but expected
-// <expCode>". Combine with Bind or FindPairOfInterest, and set
+// <expCode>". Combine with Bind or FindPairOfInterestP, and set
 // Options.Target to the same metric when building the Explainer.
 func NewTargetQuery(target, obsCode, expCode string) (*Query, error) {
 	q, err := core.TargetQuery(target, obsCode, expCode)
@@ -772,36 +632,24 @@ func NewTargetQuery(target, obsCode, expCode string) (*Query, error) {
 	return &Query{q}, nil
 }
 
-// ShardTokenEnv is the environment variable the pxql binaries read the
-// shared shard-worker token from when no flag supplies it.
-const ShardTokenEnv = "PXQL_SHARD_TOKEN"
-
 // ShardWorker serves shard tasks from r until EOF, writing results to w
 // — the loop behind the pxql binaries' -shard-worker mode. Programs
 // embedding this package can expose the same mode (reading stdin,
-// writing stdout) and name themselves in Options.ShardWorkerCommand to
-// run explanation shards on their own subprocesses.
+// writing stdout) and name themselves in PoolOptions.Command to run
+// explanation shards on their own subprocesses.
 func ShardWorker(r io.Reader, w io.Writer) error {
 	return shard.Worker(r, w)
 }
 
-// ListenAndServeShardWorkers turns this process into a remote shard
-// worker: it listens on a TCP address and serves the shard protocol on
-// every connection a coordinator opens — the loop behind `pxql
-// -shard-worker -listen`. Connections are authenticated with an
-// HMAC challenge over the shared token (which must be non-empty and
-// match the coordinator's Options.ShardToken); each connection gets its
-// own worker loop and content-addressed slice cache. The call blocks
-// until the listener fails.
-func ListenAndServeShardWorkers(addr, token string) error {
-	//pxql:realtime — the HMAC handshake timestamps challenges; server mode is off the deterministic path
-	return shard.ListenAndServe(addr, token)
-}
-
-// ServeShardWorkers serves the shard protocol on an existing listener;
-// see ListenAndServeShardWorkers.
+// ServeShardWorkers turns this process into a remote shard worker: it
+// serves the shard protocol on every connection a coordinator opens on
+// l — the loop behind `pxql -shard-worker -listen`. Connections are
+// authenticated with an HMAC challenge over the shared token (which must
+// be non-empty and match the coordinator's PoolOptions.Token); each
+// connection gets its own worker loop and content-addressed slice cache.
+// The call blocks until the listener fails.
 func ServeShardWorkers(l net.Listener, token string) error {
-	//pxql:realtime — see ListenAndServeShardWorkers
+	//pxql:realtime — the HMAC handshake timestamps challenges; server mode is off the deterministic path
 	return shard.Serve(l, token)
 }
 
@@ -815,12 +663,9 @@ type Metrics struct {
 
 // Evaluate measures an explanation for a query against a log, typically
 // a held-out one. The quadratic evaluation walk is cut into
-// Options.Shards specs and runs on this process's cores — or on shard
-// workers: Options.SharedPool when given, a pool dialed (and torn down)
-// for this call when ShardAddrs or ShardWorkers are set. Repeated
-// evaluations should prefer a SharedPool or Explainer.Evaluate, which
-// keep workers — and their slice caches — alive between calls. The
-// metrics are identical in every mode.
+// Options.Shards specs and runs on this process's cores, or on
+// Options.SharedPool's workers, whose cached log slices make repeated
+// evaluations cheap to ship. The metrics are identical in every mode.
 func Evaluate(log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) {
 	return EvaluateContext(context.Background(), log, q, x, opt)
 }
@@ -830,22 +675,7 @@ func Evaluate(log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) 
 // workers), returning ctx.Err() once it is done. Completed metrics are
 // identical to an uncancelled run.
 func EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) {
-	// Shard worker config is never silently ignored — though a one-shot
-	// Evaluate dialing and tearing down a fleet per call pays the cost
-	// callers configure workers to avoid.
-	pool, owned, err := opt.workers()
-	if err != nil {
-		return Metrics{}, err
-	}
-	if owned {
-		defer pool.Close()
-	}
-	return evaluate(ctx, log, q, x, opt, pool)
-}
-
-// evaluate runs the metric walk behind both Evaluate entry points.
-func evaluate(ctx context.Context, log *Log, q *Query, x *Explanation, opt Options, pool *WorkerPool) (Metrics, error) {
-	ex, err := opt.exec(log, pool)
+	ex, err := opt.exec(log)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -858,21 +688,6 @@ func evaluate(ctx context.Context, log *Log, q *Query, x *Explanation, opt Optio
 		return Metrics{}, err
 	}
 	return Metrics{Relevance: m.Relevance, Precision: m.Precision, Generality: m.Generality}, nil
-}
-
-// Evaluate measures an explanation against a log through this
-// explainer's shard configuration: with a worker pool (owned or shared)
-// the quadratic walk fans out to the workers, whose cached log slices
-// make repeated evaluations — several widths of one explanation, say —
-// cheap to ship. Metrics are identical to the package-level Evaluate.
-func (e *Explainer) Evaluate(log *Log, q *Query, x *Explanation) (Metrics, error) {
-	return e.EvaluateContext(context.Background(), log, q, x)
-}
-
-// EvaluateContext is Evaluate with EvaluateContext's (package-level)
-// cancellation semantics, through this explainer's shard configuration.
-func (e *Explainer) EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation) (Metrics, error) {
-	return evaluate(ctx, log, q, x, e.opt, e.pool)
 }
 
 // RuleOfThumbExplain runs the RuleOfThumb baseline (paper Section 5.1):
@@ -892,19 +707,14 @@ func RuleOfThumbExplain(log *Log, q *Query, width int, seed int64) (*Explanation
 	return &Explanation{x: x, q: q.q}, nil
 }
 
-// SimButDiffExplain runs the SimButDiff baseline (paper Section 5.2):
+// SimButDiffExplainP runs the SimButDiff baseline (paper Section 5.2):
 // what-if analysis over isSame features of pairs similar to the pair of
-// interest, on all available cores.
-func SimButDiffExplain(log *Log, q *Query, width int, seed int64) (*Explanation, error) {
-	return SimButDiffExplainP(log, q, width, seed, 0)
-}
-
-// SimButDiffExplainP is SimButDiffExplain with an explicit worker bound
-// for pair enumeration (<= 0 means GOMAXPROCS); the explanation is
-// identical at every setting. RuleOfThumb has no such variant: its
-// RReliefF neighbour searches already run on all cores (bit-identically
-// — see relief.Config.Parallelism), and the weight accumulation itself
-// is sequential.
+// interest. parallelism bounds the pair-enumeration workers (<= 0 means
+// GOMAXPROCS); the explanation is identical at every setting.
+// RuleOfThumb has no such argument: its RReliefF neighbour searches
+// already run on all cores (bit-identically — see
+// relief.Config.Parallelism), and the weight accumulation itself is
+// sequential.
 func SimButDiffExplainP(log *Log, q *Query, width int, seed int64, parallelism int) (*Explanation, error) {
 	if width <= 0 {
 		width = 3
@@ -920,21 +730,14 @@ func SimButDiffExplainP(log *Log, q *Query, width int, seed int64, parallelism i
 	return &Explanation{x: x, q: q.q}, nil
 }
 
-// FindPairOfInterest returns a pair of record IDs in the log that
+// FindPairOfInterestP returns a pair of record IDs in the log that
 // satisfies the query's despite and observed clauses — a convenience for
 // demos and tests that need a concrete pair to ask about. Among the
 // matching pairs it returns the most salient one: the largest gap on the
 // raw feature the observed clause compares (a user asks about the case
 // that caught their eye, not a borderline one). ok is false when no such
-// pair exists. The search runs on all available cores; use
-// FindPairOfInterestP to bound it.
-func FindPairOfInterest(log *Log, q *Query, seed int64) (id1, id2 string, ok bool) {
-	return FindPairOfInterestP(log, q, seed, 0)
-}
-
-// FindPairOfInterestP is FindPairOfInterest with an explicit worker
-// bound (<= 0 means GOMAXPROCS); the selected pair is identical at
-// every setting.
+// pair exists. parallelism bounds the search's workers (<= 0 means
+// GOMAXPROCS); the selected pair is identical at every setting.
 func FindPairOfInterestP(log *Log, q *Query, seed int64, parallelism int) (id1, id2 string, ok bool) {
 	pairs := core.RelatedPairsP(log.l, features.Level3, q.q, 50000, seed, parallelism)
 	raw := ""

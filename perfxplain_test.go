@@ -2,6 +2,7 @@ package perfxplain
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -42,7 +43,7 @@ func boundWhySlower(t *testing.T, jobs *Log) *Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, id2, ok := FindPairOfInterest(jobs, q, 1)
+	id1, id2, ok := FindPairOfInterestP(jobs, q, 1, 0)
 	if !ok {
 		t.Fatal("no pair of interest in small log")
 	}
@@ -85,7 +86,7 @@ func TestEndToEndExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +118,21 @@ func TestExplainQueryWithForClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.ExplainQuery(src)
+	bound, err := ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got1, got2 := bound.Pair(); got1 != id1 || got2 != id2 {
+		t.Errorf("FOR clause bound %s, %s; want %s, %s", got1, got2, id1, id2)
+	}
+	x, err := ex.ExplainContext(context.Background(), bound)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x.Because() == "" {
 		t.Error("no explanation")
 	}
-	if _, err := ex.ExplainQuery("NOT PXQL"); err == nil {
+	if _, err := ParseQuery("NOT PXQL"); err == nil {
 		t.Error("bad source should error")
 	}
 }
@@ -136,7 +144,7 @@ func TestDespiteGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, id2, ok := FindPairOfInterest(jobs, q, 2)
+	id1, id2, ok := FindPairOfInterestP(jobs, q, 2, 0)
 	if !ok {
 		t.Fatal("no pair")
 	}
@@ -152,7 +160,7 @@ func TestDespiteGeneration(t *testing.T) {
 	if des == "" || des == "true" {
 		t.Errorf("despite = %q", des)
 	}
-	x, err := ex.ExplainWithDespite(q)
+	x, err := ex.ExplainWithDespiteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +174,7 @@ func TestBaselinesPublicAPI(t *testing.T) {
 	q := boundWhySlower(t, jobs)
 	for name, fn := range map[string]func() (*Explanation, error){
 		"RuleOfThumb": func() (*Explanation, error) { return RuleOfThumbExplain(jobs, q, 0, 1) },
-		"SimButDiff":  func() (*Explanation, error) { return SimButDiffExplain(jobs, q, 0, 1) },
+		"SimButDiff":  func() (*Explanation, error) { return SimButDiffExplainP(jobs, q, 0, 1, 0) },
 	} {
 		x, err := fn()
 		if err != nil {
@@ -311,7 +319,7 @@ func TestPaperHeadlineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	px, err := ex.Explain(q)
+	px, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +327,7 @@ func TestPaperHeadlineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sbd, err := SimButDiffExplain(jobs, q, 3, 5)
+	sbd, err := SimButDiffExplainP(jobs, q, 3, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +371,7 @@ func TestLocalExecutionBuildsNoSegmentViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +389,7 @@ func TestLocalExecutionBuildsNoSegmentViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pooled.Close()
-	px, err := pooled.Explain(q)
+	px, err := pooled.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +424,7 @@ func TestBrokenSegmentLayoutIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local explainer over a gapped snapshot: %v", err)
 	}
-	x, err := ex.Explain(q)
+	x, err := ex.ExplainContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,15 +442,7 @@ func TestBrokenSegmentLayoutIsAnError(t *testing.T) {
 	if _, err := Evaluate(gap, q, x, pooled); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("sharded Evaluate over a gapped snapshot: %v", err)
 	}
-	sharded, err := NewExplainer(snap, pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	if _, err := sharded.Evaluate(gap, q, x); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Explainer.Evaluate over a gapped snapshot: %v", err)
-	}
-	if _, err := sharded.Evaluate(snap, q, x); err != nil {
-		t.Errorf("Explainer.Evaluate over the intact snapshot: %v", err)
+	if _, err := Evaluate(snap, q, x, pooled); err != nil {
+		t.Errorf("sharded Evaluate over the intact snapshot: %v", err)
 	}
 }
