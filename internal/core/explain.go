@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -38,8 +39,9 @@ type Config struct {
 	// subject and therefore excluded from generated clauses. Default
 	// "duration".
 	Target string
-	// MaxPairs caps enumerated related pairs; larger pair spaces are
-	// Bernoulli-subsampled. Default 200000.
+	// MaxPairs caps walked related pairs; larger pair spaces are
+	// Bernoulli-subsampled. A question the rank sampler draws (rank.go)
+	// walks nothing, so the cap does not apply to it. Default 200000.
 	MaxPairs int
 	// Seed drives sampling.
 	Seed int64
@@ -127,9 +129,13 @@ type Explanation struct {
 	// Training diagnostics, measured on the (sampled) training pairs.
 	TrainPrecision  float64 // P(obs | bec ∧ des' ∧ des) on the sample
 	TrainGenerality float64 // P(bec | des' ∧ des) on the sample
-	TrainRelevance  float64 // P(exp | des' ∧ des) on the related pairs
-	SampleSize      int
-	RelatedPairs    int
+	// TrainRelevance is P(exp | des' ∧ des) on the related pairs and
+	// RelatedPairs their number: exact when the sample was drawn by rank
+	// (rank.go), the kept pairs' after MaxPairs thinning when it was
+	// walked.
+	TrainRelevance float64
+	SampleSize     int
+	RelatedPairs   int
 
 	// Atoms records per-predicate marginal quality: entry i holds the
 	// cumulative precision and generality of the because clause's first
@@ -219,23 +225,12 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 		despite = q.Despite.And(des)
 	}
 
-	related, err := e.enumeratePairs(ctx, q, despite, stats.DeriveSeed(e.cfg.Seed, "because-pairs"))
+	sample, nObs, nExp, err := e.trainingSample(ctx, q, despite, "because")
 	if err != nil {
 		return nil, err
 	}
-	x.RelatedPairs = related.len()
-	if related.len() == 0 {
-		related.release()
-		return nil, fmt.Errorf("core: no related pairs in the log for this query")
-	}
-	x.TrainRelevance = 1 - float64(related.nObs)/float64(related.len())
-
-	// Sampling stays serial: it is O(pairs) cheap, and drawing from one
-	// sequential stream over the deterministically ordered pair set keeps
-	// it reproducible. The sample is a copy, so the walks' planes can go
-	// back to their pool.
-	sample := balancedSample(related, e.cfg.SampleSize, stats.DeriveRand(e.cfg.Seed, "because-sample"))
-	related.release()
+	x.RelatedPairs = nObs + nExp
+	x.TrainRelevance = 1 - float64(nObs)/float64(x.RelatedPairs)
 	x.SampleSize = sample.len()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -308,16 +303,10 @@ func (e *Explainer) GenerateDespite(ctx context.Context, q *pxql.Query) (pxql.Pr
 }
 
 func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *joblog.Record) (pxql.Predicate, error) {
-	related, err := e.enumeratePairs(ctx, q, q.Despite, stats.DeriveSeed(e.cfg.Seed, "despite-pairs"))
+	sample, _, _, err := e.trainingSample(ctx, q, q.Despite, "despite")
 	if err != nil {
 		return nil, err
 	}
-	if related.len() == 0 {
-		related.release()
-		return nil, fmt.Errorf("core: no related pairs in the log for this query")
-	}
-	sample := balancedSample(related, e.cfg.SampleSize, stats.DeriveRand(e.cfg.Seed, "despite-sample"))
-	related.release()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -333,6 +322,55 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 	}
 	return e.grow(ctx, newBitmapCache(m, e.cfg.Parallelism), flipped, pairVec, e.cfg.DespiteWidth)
 }
+
+// trainingSample draws Section 4.3's balanced sample of (q, despite)'s
+// related pairs and reports the class counts of the set it was drawn
+// from. A rank-drawable question (rankSpaceOf) is sampled by rank and its
+// counts are exact; any other is walked, thinned to MaxPairs, and its
+// counts are those of the kept pairs. stream names the seeds. An empty
+// related set is an error: there is nothing to learn from.
+func (e *Explainer) trainingSample(ctx context.Context, q *pxql.Query, despite pxql.Predicate, stream string) (
+	sample *pairPlanes, nObs, nExp int, err error) {
+
+	if err := ctx.Err(); err != nil {
+		return nil, 0, 0, err
+	}
+	if rs := rankSpaceOf(e.log, q, despite); rs != nil {
+		if rs.nObs+rs.nExp == 0 {
+			return nil, 0, 0, errNoRelated
+		}
+		return rs.sample(e.cfg.SampleSize, stats.DeriveSeed(e.cfg.Seed, stream+"-sample")), rs.nObs, rs.nExp, nil
+	}
+	related, err := e.enumeratePairs(ctx, q, despite, stats.DeriveSeed(e.cfg.Seed, stream+"-pairs"))
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	// The sample is a copy, so the walks' planes can go back to their pool.
+	defer related.release()
+	if related.len() == 0 {
+		return nil, 0, 0, errNoRelated
+	}
+	// Sampling stays serial: it is O(pairs) cheap, and drawing from one
+	// sequential stream over the deterministically ordered pair set keeps
+	// it reproducible.
+	return balancedSample(related, e.cfg.SampleSize, stats.DeriveRand(e.cfg.Seed, stream+"-sample")),
+		related.nObs, related.nExp, nil
+}
+
+// relatedCounts is trainingSample's class counts alone.
+func (e *Explainer) relatedCounts(ctx context.Context, q *pxql.Query, despite pxql.Predicate, pairSeed uint64) (nObs, nExp int, err error) {
+	if rs := rankSpaceOf(e.log, q, despite); rs != nil {
+		return rs.nObs, rs.nExp, ctx.Err()
+	}
+	related, err := e.enumeratePairs(ctx, q, despite, pairSeed)
+	if err != nil {
+		return 0, 0, err
+	}
+	related.release()
+	return related.nObs, related.nExp, nil
+}
+
+var errNoRelated = errors.New("core: no related pairs in the log for this query")
 
 // grow is Algorithm 1's greedy loop, shared by because generation
 // (positive labels = performed-as-observed) and despite generation

@@ -59,15 +59,11 @@ func (e *Explainer) DespiteToThreshold(ctx context.Context, q *pxql.Query, r flo
 
 // trainRelevance measures P(exp | despite) over the log's related pairs.
 func (e *Explainer) trainRelevance(ctx context.Context, q *pxql.Query, despite pxql.Predicate, pairSeed uint64) (float64, error) {
-	related, err := e.enumeratePairs(ctx, q, despite, pairSeed)
-	if err != nil {
+	nObs, nExp, err := e.relatedCounts(ctx, q, despite, pairSeed)
+	if err != nil || nObs+nExp == 0 {
 		return 0, err
 	}
-	defer related.release()
-	if related.len() == 0 {
-		return 0, nil
-	}
-	return 1 - float64(related.nObs)/float64(related.len()), nil
+	return 1 - float64(nObs)/float64(nObs+nExp), nil
 }
 
 // TargetQuery builds the (observed, expected) clause pair for an

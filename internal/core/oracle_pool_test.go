@@ -4,7 +4,9 @@ package core_test
 // chan-transport pool runs the whole frame protocol — slice shipping,
 // worker-side decode, caching and segment concatenation — so what comes
 // back is the kernel's answer over a decoded copy of the log, compared
-// with the paper's definitions rather than with local execution.
+// with the paper's definitions rather than with local execution. The
+// rank sampler's leg rides along: its questions ship nothing, and its
+// sample under the pool must be the serial local one.
 
 import (
 	"testing"
@@ -15,7 +17,7 @@ import (
 )
 
 func TestOracleChanPool(t *testing.T) {
-	for _, shards := range []int{1, 2, 7} {
+	for _, shards := range []int{1, 2, 3, 7} {
 		pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}
 		// The flat log's own layout.
 		core.CheckOracle(t, func(log *joblog.Log) core.Exec {

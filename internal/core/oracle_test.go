@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,6 +20,7 @@ import (
 	"sort"
 	"testing"
 
+	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
 	"perfxplain/internal/pxql"
@@ -190,16 +192,12 @@ func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
 		Despite: pxql.Predicate{{Feature: "k_issame", Op: pxql.OpEq, Value: features.ValT}},
 		Because: pxql.Predicate{{Feature: "v_compare", Op: pxql.OpEq, Value: features.ValGT}},
 	}
-	related, contexts := map[string]int{}, map[string]int{}
+	related, contexts, ranked := map[string]int{}, map[string]int{}, map[string]int{}
 	for trial := 0; trial < 25; trial++ {
 		log := oracleLog(rng)
 		ex := exec(log)
 		for name, despite := range oracleDespites() {
-			q := &pxql.Query{
-				Despite:  despite,
-				Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: features.ValGT}},
-				Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: features.ValSIM}},
-			}
+			q := oracleQuery(despite)
 			ps, err := runEnumSpecs(ctx, ex, log,
 				PlanEnumShards(ex.Layout, log, features.Level3, q, despite, 0, ex.shards(), 11))
 			if err != nil {
@@ -218,14 +216,86 @@ func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
 			}
 			related[name] += len(wantSet)
 			contexts[name] += want.ContextPairs
+			if rs := rankSpaceOf(log, q, despite); rs != nil {
+				ranked[name]++
+				checkRankLeg(t, fmt.Sprintf("trial %d %s", trial, name), log, q, ex, rs, wantSet)
+			}
 		}
 	}
-	// Teeth: only the NaN-poisoned equality may have nothing to find.
+	// Teeth: only the NaN-poisoned equality may have nothing to find, and
+	// exactly the shapes blocking proves whole are drawn by rank.
 	for name := range oracleDespites() {
 		if name != "seek-nan" && (related[name] == 0 || contexts[name] == 0) {
 			t.Errorf("%s: the generator produced %d related and %d context pairs over all trials; the shape is untested",
 				name, related[name], contexts[name])
 		}
+		if want := rankShapes[name]; (ranked[name] > 0) != want {
+			t.Errorf("%s: rank-drawn in %d trials, want eligible=%v", name, ranked[name], want)
+		}
+	}
+}
+
+// rankShapes are the oracle despite shapes the rank sampler draws: those
+// whose every conjunct blocking proves. Every oracle log's durations are
+// positive, so the target never rules one out.
+var rankShapes = map[string]bool{
+	"none": true, "blocked": true, "blocked-numeric": true, "blocked-alien-num": true, "blocked-alien-nom": true,
+}
+
+// oracleQuery asks why a pair was slower (GT) than expected (SIM) under
+// despite.
+func oracleQuery(despite pxql.Predicate) *pxql.Query {
+	return &pxql.Query{
+		Despite:  despite,
+		Observed: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: features.ValGT}},
+		Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: features.ValSIM}},
+	}
+}
+
+// checkRankLeg is the rank sampler's side of the oracle property: its
+// exact class counts are Definition 7's, and the training sample an
+// explainer draws under ex — small enough that both classes thin — holds
+// distinct pairs of that set with the set's labels, byte-identical to the
+// serial local explainer's.
+func checkRankLeg(t *testing.T, label string, log *joblog.Log, q *pxql.Query, ex Exec, rs *rankSpace, want []oraclePair) {
+	t.Helper()
+	wantObs := make(map[[2]int]bool, len(want))
+	nObs := 0
+	for _, p := range want {
+		wantObs[[2]int{p.a, p.b}] = p.obs
+		nObs += int(bitset.B2u(p.obs))
+	}
+	if rs.nObs != nObs || rs.nExp != len(want)-nObs {
+		t.Errorf("%s: rank counts obs=%d exp=%d, Definition 7 has obs=%d exp=%d", label, rs.nObs, rs.nExp, nObs, len(want)-nObs)
+	}
+	var samples []*pairPlanes
+	for _, x := range []Exec{ex, {Parallelism: 1}} {
+		e, err := NewExplainer(log, Config{SampleSize: 24, Seed: 5, Exec: x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, o, n, err := e.trainingSample(context.Background(), q, q.Despite, "because")
+		if len(want) == 0 {
+			if !errors.Is(err, errNoRelated) {
+				t.Errorf("%s: empty related set sampled with err %v", label, err)
+			}
+			return
+		}
+		if err != nil || o != nObs || o+n != len(want) {
+			t.Fatalf("%s: trainingSample counts obs=%d total=%d (err %v), want %d of %d", label, o, o+n, err, nObs, len(want))
+		}
+		seen := make(map[[2]int]bool, s.len())
+		for i := range s.a {
+			k := [2]int{s.a[i], s.b[i]}
+			if obs, ok := wantObs[k]; !ok || obs != s.labels[i] || seen[k] {
+				t.Fatalf("%s: drawn pair %v (observed=%v) is not a distinct pair of Definition 7's set", label, k, s.labels[i])
+			}
+			seen[k] = true
+		}
+		samples = append(samples, s)
+	}
+	if !reflect.DeepEqual(samples[0], samples[1]) {
+		t.Errorf("%s: rank sample under %+v differs from the serial local one", label, ex)
 	}
 }
 
@@ -234,10 +304,13 @@ func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
 var CheckOracle = checkOracle
 
 func TestOracleLocal(t *testing.T) {
-	for _, p := range []int{1, 2, 7} {
+	for _, p := range []int{1, 2, 4, 7} {
 		checkOracle(t, func(*joblog.Log) Exec { return Exec{Parallelism: p} })
 	}
-	// An explicit spec count on the coordinator: more specs than members,
-	// so groups straddle specs and trailing specs are empty.
-	checkOracle(t, func(*joblog.Log) Exec { return Exec{Parallelism: 2, Shards: 64} })
+	// Explicit spec counts on the coordinator, from one spec up to more
+	// specs than members, so groups straddle specs and trailing specs are
+	// empty.
+	for _, n := range []int{1, 3, 64} {
+		checkOracle(t, func(*joblog.Log) Exec { return Exec{Parallelism: 2, Shards: n} })
+	}
 }

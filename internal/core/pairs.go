@@ -281,17 +281,22 @@ func candidateGroups(log *joblog.Log, despite pxql.Predicate) blockPlan {
 	if recs, filtered := candidateRecords(log, despite); filtered {
 		return newBlockPlan(bcs, recs)
 	}
-	key := make([]byte, 0, 4*len(blockIdx))
-	for _, f := range blockIdx {
-		key = append(key, byte(f), byte(f>>8), byte(f>>16), byte(f>>24))
-	}
-	return cols.Memo(blockPlanKey(key), func() any {
+	return cols.Memo(blockKey(blockIdx), func() any {
 		recs := make([]int, cols.Len())
 		for i := range recs {
 			recs[i] = i
 		}
 		return newBlockPlan(bcs, recs)
 	}).(blockPlan)
+}
+
+// blockKey encodes a blocking-column tuple as its memo key.
+func blockKey(blockIdx []int) blockPlanKey {
+	key := make([]byte, 0, 4*len(blockIdx))
+	for _, f := range blockIdx {
+		key = append(key, byte(f), byte(f>>8), byte(f>>16), byte(f>>24))
+	}
+	return blockPlanKey(key)
 }
 
 func newBlockPlan(bcs []blockClasses, recs []int) blockPlan {
@@ -547,19 +552,15 @@ func candidateRecords(log *joblog.Log, despite pxql.Predicate) (recs []int, filt
 	return out, true
 }
 
-// balancedSample keeps each example with probability m/(2·classSize), the
-// paper's Section 4.3 rule, yielding ≈m/2 of each class in expectation.
-// A wildly unbalanced related set therefore cannot trick the scorer into
-// accepting the empty explanation. The rule applies even when the related
-// set is smaller than m: balance, not just volume, is the point — the
-// minority class is always kept in full while an oversized majority is
-// thinned toward it.
-func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
-	if m <= 0 {
-		return ps.flatten()
-	}
-	nObs, nExp := ps.nObs, ps.nExp
-	pObs, pExp := 1.0, 1.0
+// balancedRates is the paper's Section 4.3 rule: keep each example with
+// probability m/(2·classSize), yielding ≈m/2 of each class in
+// expectation. A wildly unbalanced related set therefore cannot trick the
+// scorer into accepting the empty explanation. The rule applies even when
+// the related set is smaller than m: balance, not just volume, is the
+// point — the minority class is always kept in full while an oversized
+// majority is thinned toward it.
+func balancedRates(nObs, nExp, m int) (pObs, pExp float64) {
+	pObs, pExp = 1.0, 1.0
 	if nObs > 0 {
 		pObs = minf(1, float64(m)/(2*float64(nObs)))
 	}
@@ -568,7 +569,7 @@ func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
 	}
 	// Below the size budget, thin only the majority class down toward the
 	// minority so small related sets still train balanced.
-	if ps.len() <= m {
+	if nObs+nExp <= m {
 		pObs, pExp = 1, 1
 		switch {
 		case nObs > 2*nExp && nExp > 0:
@@ -577,6 +578,17 @@ func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
 			pExp = 2 * float64(nObs) / float64(nExp)
 		}
 	}
+	return pObs, pExp
+}
+
+// balancedSample draws a walked related set's balanced sample: one
+// rng.Float64 per pair against its class's balancedRates probability.
+func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
+	if m <= 0 {
+		return ps.flatten()
+	}
+	nObs, nExp := ps.nObs, ps.nExp
+	pObs, pExp := balancedRates(nObs, nExp, m)
 	// Presized to the expected draw plus four standard deviations of
 	// slack, so the appends below all but never regrow.
 	out := newPairPlanes(expectedDraw(nObs, pObs, nExp, pExp))

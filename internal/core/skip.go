@@ -1,12 +1,13 @@
 package core
 
-// The skip sampler of walkTiles: Bernoulli(keepP) thinning of an outer
-// record's inner positions by drawing the gaps between kept positions,
-// in integer arithmetic only. This file imports math/bits and
-// internal/stats and nothing else (TestSkipSamplerImports): no logarithm,
-// no floating-point operation whose result could differ between
-// architectures reaches a sampling decision, so a thinned walk keeps the
-// same pairs on every GOARCH.
+// The skip sampler of walkTiles and the rank sampler (rank.go):
+// Bernoulli(keepP) thinning of a sequence of positions — an outer
+// record's inner positions, a class's rank space — by drawing the gaps
+// between kept positions, in integer arithmetic only. This file imports
+// math/bits and internal/stats and nothing else (TestSkipSamplerImports):
+// no logarithm, no floating-point operation whose result could differ
+// between architectures reaches a sampling decision, so a thinned walk or
+// rank draw keeps the same pairs on every GOARCH.
 //
 // The gap before the next kept position is geometric:
 // P(gap >= g) = (1−keepP)^g. With Q = ⌊2⁶⁴·(1−keepP)⌋ the table
@@ -54,13 +55,19 @@ type skipTable struct {
 	guide [1 << skipGuideBits]uint16
 }
 
-// skipQuantum is Q = ⌊2⁶⁴·(1−keepP)⌋ for keepP in (0, skipKeepP), taken
-// as 2⁶⁴ − ⌈2⁶⁴·keepP⌉: scaling by a power of two is exact, the product
-// is below 2⁶¹ — inside every architecture's float→integer range — and
-// the subtraction happens in integers, so no bit depends on how a
-// platform rounds or converts. A keepP below 2⁻⁶⁴ gives Q = 2⁶⁴−1, the
-// smallest keep probability the table can express.
+// skipQuantum is Q = ⌊2⁶⁴·(1−keepP)⌋ for keepP in (0, 1), taken as
+// 2⁶⁴ − ⌈2⁶⁴·keepP⌉: scaling by a power of two is exact, the value
+// converted is below 2⁶¹ — inside every architecture's float→integer
+// range — and the subtraction happens in integers, so no bit depends on
+// how a platform rounds or converts. A keepP below 2⁻⁶⁴ gives Q = 2⁶⁴−1,
+// the smallest keep probability the table can express. From skipKeepP up
+// (rates only the rank sampler uses), 2⁶⁴·keepP is an integer and a
+// multiple of four, so it is converted at a quarter of its size and
+// shifted back.
 func skipQuantum(keepP float64) uint64 {
+	if keepP >= skipKeepP {
+		return -(uint64(keepP*(1<<62)) << 2)
+	}
 	x := keepP * (1 << 64)
 	c := uint64(x)
 	if float64(c) < x {

@@ -236,6 +236,8 @@ func TestSkipStreamEdges(t *testing.T) {
 		{0x1p-3, 7 << 61}, {0x1p-53, ^uint64(0) - 1<<11 + 1}, {0x1p-64, ^uint64(0)},
 		{1e-300, ^uint64(0)}, {5e-324, ^uint64(0)},
 		{1e-12, 0xfffffffffee68667}, // ⌈2⁶⁴·1e-12⌉ = 18446745 — one past the floor
+		// The rank sampler's rates, up to the last float below 1.
+		{0.5, 1 << 63}, {0.75, 1 << 62}, {0.3, 0xb333333333333400}, {math.Nextafter(1, 0), 1 << 11},
 	} {
 		if q := skipQuantum(tc.keepP); q != tc.q {
 			t.Errorf("skipQuantum(%g) = %#x, want %#x", tc.keepP, q, tc.q)

@@ -337,6 +337,45 @@ func FuzzReadLogCSV(f *testing.F) {
 	})
 }
 
+// FuzzReadLogJSON: on any body ReadJSON either errors or yields a log
+// that WriteJSON → ReadJSON reproduces exactly, and it never panics.
+func FuzzReadLogJSON(f *testing.F) {
+	const doc = `{"fields":[{"name":"site","kind":"nominal"},{"name":"secs","kind":"numeric"}],` +
+		`"records":[{"id":"r1","values":{"site":"a","secs":"1.5"}},{"id":"r2","values":{"secs":"NaN"}}]}`
+	for _, seed := range []string{
+		doc,
+		doc[:len(doc)/2], // truncated mid-record
+		`{"fields":[{"name":"secs","kind":"numeric"}],"records":[{"id":"r1","values":{"secs":1.5}}]}`, // number, not string
+		`{"fields":"secs","records":[]}`,                                                               // fields not a list
+		`{"fields":[{"name":"secs","kind":"boolean"}],"records":[]}`,                                   // unknown kind
+		`{"fields":[{"name":"n","kind":"numeric"},{"name":"n","kind":"nominal"}],"records":[]}`,        // duplicate column
+		`{"fields":[{"name":"n","kind":"numeric"}],"records":[{"id":"r","values":{"n":"1","n":"2"}}]}`, // duplicate key
+		`{"fields":[{"name":"n","kind":"numeric"}],"records":[{"id":"r","values":{"n":"1e400"}}]}`,     // out of range
+		`{"fields":[{"name":"n","kind":"numeric"}],"records":[{"id":"r","values":{"n":"` + strings.Repeat("9", 400) + `"}}]}`,
+		`{"fields":[{"name":"n","kind":"numeric"}],"records":[{"id":"r","values":{"n":"-0"}},{"id":"r","values":{"n":"0x1p-2"}}]}`,
+		`{"fields":[],"records":[{"id":"","values":null}]}`, // no fields, empty id
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := l.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of a log ReadJSON accepted: %v", err)
+		}
+		again, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("ReadJSON of WriteJSON's output: %v\n%s", err, buf.Bytes())
+		}
+		assertLogsIdentical(t, l, again)
+	})
+}
+
 // TestWriteCSVMatchesEncodingCSV pins WriteCSV's bytes to what
 // encoding/csv writes for Value.String of the same cells.
 func TestWriteCSVMatchesEncodingCSV(t *testing.T) {

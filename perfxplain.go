@@ -357,7 +357,8 @@ type Options struct {
 	// FeatureLevel restricts explanation features: 1 = isSame only,
 	// 2 = + compare/diff, 3 = full (default).
 	FeatureLevel int
-	// MaxPairs caps pair enumeration (0 = library default).
+	// MaxPairs caps walked pair enumeration (0 = library default); a
+	// question whose sample is drawn by rank walks nothing and ignores it.
 	MaxPairs int
 	// Seed drives sampling; runs are deterministic per seed.
 	Seed int64
@@ -523,7 +524,11 @@ func (x *Explanation) TrainPrecision() float64 { return x.x.TrainPrecision }
 // TrainGenerality is P(because | despite) on the training sample.
 func (x *Explanation) TrainGenerality() float64 { return x.x.TrainGenerality }
 
-// TrainRelevance is P(expected | despite) on the related training pairs.
+// TrainRelevance is P(expected | despite) on the related training pairs:
+// exact over Definition 7's whole set when the sample was drawn by rank
+// (one compare atom each for observed and expected, a despite clause
+// blocking proves whole, positive targets), an estimate over the pairs
+// kept after MaxPairs thinning when it was walked.
 func (x *Explanation) TrainRelevance() float64 { return x.x.TrainRelevance }
 
 // String renders the explanation in the paper's DESPITE/BECAUSE form.
