@@ -94,5 +94,8 @@ func (f *Flags) Pool() (cfg shard.PoolConfig, ok bool, err error) {
 			cfg.Addrs = append(cfg.Addrs, a)
 		}
 	}
-	return cfg, len(cfg.Addrs) > 0 || f.Workers > 0, nil
+	if len(cfg.Addrs) == 0 {
+		return shard.PoolConfig{}, false, errors.New("-shard-remote names no address")
+	}
+	return cfg, true, nil
 }

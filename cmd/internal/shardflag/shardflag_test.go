@@ -28,6 +28,9 @@ func TestPoolValidation(t *testing.T) {
 			want:    shard.PoolConfig{Addrs: []string{"h:1", "h:2"}, Token: "s"},
 			sharded: true,
 		},
+		// Blank entries only: no fleet, not this process or subprocesses.
+		{args: []string{"-shards", "4", "-shard-remote", " , ", "-shard-token", "s"}, err: "-shard-remote names no address"},
+		{args: []string{"-shards", "4", "-shard-workers", "2", "-shard-remote", " , ", "-shard-token", "s"}, err: "-shard-remote names no address"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 )
@@ -136,20 +137,19 @@ func (c *client) post(path string, body, into any) error {
 	return decodeResponse(resp, into)
 }
 
+// get returns a JSON answer as the server wrote it, surfacing the
+// server's error field like post.
 func (c *client) get(path string) (string, error) {
 	resp, err := http.Get(c.base + path)
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
+	var raw json.RawMessage
+	if err := decodeResponse(resp, &raw); err != nil {
 		return "", err
 	}
-	if resp.StatusCode/100 != 2 {
-		return "", fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(b)))
-	}
-	return string(b), nil
+	return string(raw), nil
 }
 
 func decodeResponse(resp *http.Response, into any) error {
@@ -204,7 +204,8 @@ const replHelp = `PXQL queries run as typed (end a line with \ to continue). Dot
   .help             this text
   .quit             exit`
 
-// repl reads queries and dot commands from r until EOF.
+// repl reads queries and dot commands from r until EOF. Input that ends
+// inside a continued query is an error: that query was never sent.
 func (c *client) repl(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -240,7 +241,13 @@ func (c *client) repl(r io.Reader) error {
 		prompt()
 	}
 	fmt.Fprintln(c.errw)
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if len(pending) > 0 {
+		return fmt.Errorf("input ended inside a continued query, not sent: %q", strings.Join(pending, "\n"))
+	}
+	return nil
 }
 
 // command dispatches one dot command; it returns true on .quit.
@@ -260,7 +267,7 @@ func (c *client) command(line string) (quit bool) {
 		if arg == "" {
 			err = fmt.Errorf("usage: .domains <field>")
 		} else {
-			out, err = c.get("/api/domains?field=" + arg)
+			out, err = c.get("/api/domains?field=" + url.QueryEscape(arg))
 		}
 	case ".stats":
 		out, err = c.get("/api/stats")

@@ -53,13 +53,10 @@ func pxqlc(t *testing.T, base string, args ...string) (stdout, stderr string, co
 	return out.String(), errw.String(), code
 }
 
-// TestPxqlcAgainstServer drives pxqlc's one-off mode against an
-// in-process explanation server on a loopback port over the small sweep
-// (read back from CSV, as pxql and pxqld read it): its explain report is
-// pxql's for the same query and seed, its evaluation is pxql's held-out
-// numbers over the same log, and a malformed query exits non-zero with
-// the server's typed 400 message.
-func TestPxqlcAgainstServer(t *testing.T) {
+// golden returns pxql's report and held-out line for testQuery, in
+// pxqlc's rendering.
+func golden(t *testing.T) (report, eval string) {
+	t.Helper()
 	golden, err := os.ReadFile(filepath.Join("..", "pxql", "testdata", "cli_perfxplain.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -69,13 +66,18 @@ func TestPxqlcAgainstServer(t *testing.T) {
 	if len(lines) < 3 || !strings.HasPrefix(lines[0], "pair of interest: ") || !strings.HasPrefix(lines[len(lines)-2], "held-out:") {
 		t.Fatalf("unexpected pxql golden layout:\n%s", golden)
 	}
-	wantReport := strings.Join(lines[1:len(lines)-2], "")
 	var p, g, r float64
 	if _, err := fmt.Sscanf(lines[len(lines)-2], "held-out:  precision %f, generality %f, relevance %f", &p, &g, &r); err != nil {
 		t.Fatal(err)
 	}
-	wantEval := fmt.Sprintf("evaluated: precision %.3f, generality %.3f, relevance %.3f\n", p, g, r)
+	return strings.Join(lines[1:len(lines)-2], ""),
+		fmt.Sprintf("evaluated: precision %.3f, generality %.3f, relevance %.3f\n", p, g, r)
+}
 
+// server is an in-process explanation server on a loopback port over
+// the small sweep, read back from CSV as pxql and pxqld read it.
+func server(t *testing.T) *httptest.Server {
+	t.Helper()
 	jobs, _, err := perfxplain.Collect(perfxplain.SweepOptions{Small: true, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +98,18 @@ func TestPxqlcAgainstServer(t *testing.T) {
 		Store:   st,
 		Explain: perfxplain.Options{Width: 3, DespiteWidth: 3, FeatureLevel: 3, Seed: 1},
 	}))
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestPxqlcAgainstServer drives pxqlc's one-off mode against the
+// in-process server: its explain report is pxql's for the same query
+// and seed, its evaluation is pxql's held-out numbers over the same log,
+// and a malformed query exits non-zero with the server's typed 400
+// message.
+func TestPxqlcAgainstServer(t *testing.T) {
+	wantReport, wantEval := golden(t)
+	ts := server(t)
 
 	out, errw, code := pxqlc(t, ts.URL, "-find", "-q", testQuery)
 	if code != 0 || out != wantReport {
@@ -109,5 +122,62 @@ func TestPxqlcAgainstServer(t *testing.T) {
 	out, errw, code = pxqlc(t, ts.URL, "-find", "-q", "OBSERVED duration_compare ==")
 	if code == 0 || out != "" || !strings.HasPrefix(errw, "pxqlc: 400 Bad Request: ") {
 		t.Errorf("malformed query: exit %d, stdout %q, stderr %q; want a non-zero exit and the server's 400 message", code, out, errw)
+	}
+}
+
+// TestREPL scripts the interactive loop against the in-process server:
+// dot commands answer, a query continued with a trailing backslash
+// reports pxql's golden bytes, a malformed query's 400 goes to the error
+// stream without ending the session, .history lists what was sent, and
+// .quit ends the session before the lines after it.
+func TestREPL(t *testing.T) {
+	wantReport, _ := golden(t)
+	ts := server(t)
+	var out, errw bytes.Buffer
+	c := &client{base: ts.URL, req: explainRequest{Find: true}, out: &out, errw: &errw}
+	script := `.schema
+DESPITE numinstances_issame = T AND pigscript_issame = T \
+OBSERVED duration_compare = GT EXPECTED duration_compare = SIM
+OBSERVED duration_compare ==
+.domains pigscript
+.domains no such&field
+.history
+.quit
+OBSERVED duration_compare = LT
+`
+	if err := c.repl(strings.NewReader(script)); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := out.String(), errw.String()
+	schema, rest, ok := strings.Cut(stdout, wantReport)
+	if !ok || strings.Contains(rest, wantReport) {
+		t.Fatalf("the session's output does not hold the golden report once:\n%s", stdout)
+	}
+	if !strings.Contains(schema, `"pigscript"`) {
+		t.Errorf(".schema printed %q", schema)
+	}
+	if !strings.Contains(rest, `"field": "pigscript"`) || !strings.Contains(rest, `"simple-groupby.pig"`) {
+		t.Errorf(".domains printed %q", rest)
+	}
+	wantHistory := "  1  DESPITE numinstances_issame = T AND pigscript_issame = T OBSERVED duration_compare = GT EXPECTED duration_compare = SIM\n" +
+		"  2  OBSERVED duration_compare ==\n"
+	if !strings.HasSuffix(rest, wantHistory) {
+		t.Errorf(".history printed %q, want the two sent queries", rest)
+	}
+	if !strings.Contains(stderr, "error: 400 Bad Request: ") {
+		t.Errorf("the malformed query's 400 is not on the error stream: %q", stderr)
+	}
+	if !strings.Contains(stderr, `error: 400 Bad Request: unknown field "no such&field"`) {
+		t.Errorf(".domains did not send its argument whole: %q", stderr)
+	}
+	if len(c.history) != 2 {
+		t.Errorf("%d queries sent, want 2: the line after .quit must not be", len(c.history))
+	}
+
+	// Input that ends inside a continued query is reported, not dropped.
+	c = &client{base: ts.URL, out: &out, errw: &errw}
+	if err := c.repl(strings.NewReader("OBSERVED duration_compare = GT \\\n")); err == nil ||
+		!strings.Contains(err.Error(), "OBSERVED duration_compare = GT") {
+		t.Errorf("a query pending at EOF ended the session with %v", err)
 	}
 }

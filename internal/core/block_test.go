@@ -46,8 +46,8 @@ func numericLog(ks []joblog.Value) *joblog.Log {
 // k_issame = T, Definition 7 relates four ordered pairs (the later,
 // slower row of each similar couple against the earlier) and only one of
 // them — rows 2 and 0 — joins equal values. The engine must return all
-// four under exec(log), whoever that makes the executor.
-func checkNumericBlocking(t *testing.T, exec func(log *joblog.Log) Exec) {
+// four under ex, whoever that makes the executor.
+func checkNumericBlocking(t *testing.T, ex Exec) {
 	t.Helper()
 	log := numericLog([]joblog.Value{joblog.Num(100), joblog.Num(105), joblog.Num(100), joblog.Num(200), joblog.Num(210)})
 	q := &pxql.Query{
@@ -59,9 +59,8 @@ func checkNumericBlocking(t *testing.T, exec func(log *joblog.Log) Exec) {
 	if len(want) != 4 {
 		t.Fatalf("Definition 7 relates %d pairs on the fixture, want 4: %v", len(want), want)
 	}
-	ex := exec(log)
 	ps, err := runEnumSpecs(context.Background(), ex, log,
-		PlanEnumShards(ex.Layout, log, features.Level3, q, q.Despite, 0, ex.shards(), 11))
+		PlanEnumShards(log, features.Level3, q, q.Despite, 0, ex.shards(), 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func checkNumericBlocking(t *testing.T, exec func(log *joblog.Log) Exec) {
 var CheckNumericBlocking = checkNumericBlocking
 
 func TestNumericBlockingLocal(t *testing.T) {
-	checkNumericBlocking(t, func(*joblog.Log) Exec { return Exec{Parallelism: 2} })
+	checkNumericBlocking(t, Exec{Parallelism: 2})
 }
 
 // TestNumericBlockingClasses pins the SIM-chain classes themselves: a

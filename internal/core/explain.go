@@ -46,7 +46,7 @@ type Config struct {
 	// Seed drives sampling.
 	Seed int64
 	// Exec says who executes the quadratic enumeration walk and with how
-	// much parallelism: Parallelism, Shards, Runner, Layout (see Exec).
+	// much parallelism: Parallelism, Shards, Runner (see Exec).
 	// Sampling, materialization and growth always run on the coordinator,
 	// on Parallelism goroutines.
 	Exec
@@ -106,9 +106,6 @@ func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
 	}
 	if _, ok := log.Schema.Index(cfg.Target); !ok {
 		return nil, fmt.Errorf("core: log has no target feature %q", cfg.Target)
-	}
-	if err := cfg.Exec.check(log); err != nil {
-		return nil, err
 	}
 	// The deriver always exposes the full Table 1 feature set: queries may
 	// mention any derived feature regardless of the configured level. The

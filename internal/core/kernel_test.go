@@ -119,7 +119,7 @@ func TestResidualDespiteEqualsFull(t *testing.T) {
 				groups, keepP := blockedGroupsOpt(tc.log, tc.despite, maxPairs, prune, seek)
 				cut := cutGroupShards(groups, 1)[0]
 
-				enum := PlanEnumShards(nil, tc.log, features.Level3, q, tc.despite, maxPairs, 1, 5)[0]
+				enum := PlanEnumShards(tc.log, features.Level3, q, tc.despite, maxPairs, 1, 5)[0]
 				enum.Groups, enum.KeepP = cut, keepP
 				residual, err := enum.RunWith(data)
 				if err != nil {
@@ -140,7 +140,7 @@ func TestResidualDespiteEqualsFull(t *testing.T) {
 					checkRelated(t, name, tc.log, q, tc.despite, ps, true)
 				}
 
-				eval := PlanEvalShards(nil, tc.log, features.Level3, q, x, maxPairs, 1, 5)[0]
+				eval := PlanEvalShards(tc.log, features.Level3, q, x, maxPairs, 1, 5)[0]
 				eval.Groups, eval.KeepP = cut, keepP
 				residualCounts, err := eval.RunWith(data)
 				if err != nil {

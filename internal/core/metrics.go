@@ -52,14 +52,11 @@ func EvaluateExplanation(ctx context.Context, log *joblog.Log, level features.Le
 	if err := validateEvaluation(log, level, q, x); err != nil {
 		return Metrics{}, err
 	}
-	if err := ex.check(log); err != nil {
-		return Metrics{}, err
-	}
 	// Repeated evaluations over one log (a harness scoring several
 	// widths) hit the worker caches whatever the dynamic task-to-worker
 	// assignment does.
-	ex.prefetch()
-	specs := PlanEvalShards(ex.Layout, log, level, q, x, maxPairs, ex.shards(), stats.DeriveSeed(seed, "evaluate"))
+	ex.prefetch(log)
+	specs := PlanEvalShards(log, level, q, x, maxPairs, ex.shards(), stats.DeriveSeed(seed, "evaluate"))
 	results, err := runSpecs(ctx, ex, log, "evaluation", specs, (*EvalSpec).RunWith, ShardRunner.RunEval)
 	if err != nil {
 		return Metrics{}, err

@@ -12,30 +12,17 @@ import (
 	"testing"
 
 	"perfxplain/internal/core"
-	"perfxplain/internal/joblog"
 	"perfxplain/internal/shard"
 )
 
 func TestOracleChanPool(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 7} {
 		pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}
-		// The flat log's own layout.
-		core.CheckOracle(t, func(log *joblog.Log) core.Exec {
-			return core.Exec{Shards: shards, Runner: pool, Layout: core.FlatLayout(log)}
-		})
-		// The same records as a store snapshot sealed every few appends:
-		// blocking groups straddle segment boundaries and the tail.
-		core.CheckOracle(t, func(log *joblog.Log) core.Exec {
-			st := joblog.NewStore(log.Schema, 1+2*shards)
-			for _, r := range log.Records {
-				st.MustAppend(r)
-			}
-			layout, err := core.NewSegmentLayout(st.Snapshot().Segments())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return core.Exec{Shards: shards, Runner: pool, Layout: layout}
-		})
+		ex := core.Exec{Shards: shards, Runner: pool}
+		// The flat log's own segments, then the same records as a store
+		// snapshot sealed every few appends.
+		core.CheckOracle(t, ex, 0)
+		core.CheckOracle(t, ex, 1+2*shards)
 		pool.Close()
 	}
 }
@@ -45,7 +32,5 @@ func TestOracleChanPool(t *testing.T) {
 func TestNumericBlockingChanPool(t *testing.T) {
 	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}
 	defer pool.Close()
-	core.CheckNumericBlocking(t, func(log *joblog.Log) core.Exec {
-		return core.Exec{Shards: 2, Runner: pool, Layout: core.FlatLayout(log)}
-	})
+	core.CheckNumericBlocking(t, core.Exec{Shards: 2, Runner: pool})
 }

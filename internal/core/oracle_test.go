@@ -182,9 +182,11 @@ func oracleDespites() map[string]pxql.Predicate {
 }
 
 // checkOracle is the property: on random small logs, exact enumeration
-// and evaluation under exec(log) — whoever that makes the executor —
-// equal the oracle, for every despite shape.
-func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
+// and evaluation under ex — whoever that makes the executor — equal the
+// oracle, for every despite shape. A positive sealEvery walks the same
+// records as a store snapshot sealed that often, so blocking groups
+// straddle segment boundaries and the tail.
+func checkOracle(t *testing.T, ex Exec, sealEvery int) {
 	t.Helper()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(20120827))
@@ -195,11 +197,14 @@ func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
 	related, contexts, ranked := map[string]int{}, map[string]int{}, map[string]int{}
 	for trial := 0; trial < 25; trial++ {
 		log := oracleLog(rng)
-		ex := exec(log)
+		walked := log
+		if sealEvery > 0 {
+			walked = storeOver(log, sealEvery)
+		}
 		for name, despite := range oracleDespites() {
 			q := oracleQuery(despite)
-			ps, err := runEnumSpecs(ctx, ex, log,
-				PlanEnumShards(ex.Layout, log, features.Level3, q, despite, 0, ex.shards(), 11))
+			ps, err := runEnumSpecs(ctx, ex, walked,
+				PlanEnumShards(walked, features.Level3, q, despite, 0, ex.shards(), 11))
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
@@ -208,7 +213,7 @@ func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
 				t.Errorf("trial %d %s (%d records): engine related set (%d pairs) differs from Definition 7 (%d pairs)",
 					trial, name, log.Len(), len(got), len(wantSet))
 			}
-			got, err := EvaluateExplanation(ctx, log, features.Level3, q, x, 0, 11, ex)
+			got, err := EvaluateExplanation(ctx, walked, features.Level3, q, x, 0, 11, ex)
 			want, defined := oracleMetrics(log, features.Level3, q, x)
 			if (err == nil) != defined || (defined && got != want) {
 				t.Errorf("trial %d %s: engine metrics %+v (err %v) differ from Definitions 4–6 %+v (defined %v)",
@@ -218,7 +223,7 @@ func checkOracle(t *testing.T, exec func(log *joblog.Log) Exec) {
 			contexts[name] += want.ContextPairs
 			if rs := rankSpaceOf(log, q, despite); rs != nil {
 				ranked[name]++
-				checkRankLeg(t, fmt.Sprintf("trial %d %s", trial, name), log, q, ex, rs, wantSet)
+				checkRankLeg(t, fmt.Sprintf("trial %d %s", trial, name), walked, q, ex, rs, wantSet)
 			}
 		}
 	}
@@ -305,12 +310,12 @@ var CheckOracle = checkOracle
 
 func TestOracleLocal(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
-		checkOracle(t, func(*joblog.Log) Exec { return Exec{Parallelism: p} })
+		checkOracle(t, Exec{Parallelism: p}, 0)
 	}
 	// Explicit spec counts on the coordinator, from one spec up to more
 	// specs than members, so groups straddle specs and trailing specs are
 	// empty.
 	for _, n := range []int{1, 3, 64} {
-		checkOracle(t, func(*joblog.Log) Exec { return Exec{Parallelism: 2, Shards: n} })
+		checkOracle(t, Exec{Parallelism: 2, Shards: n}, 0)
 	}
 }

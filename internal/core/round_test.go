@@ -49,7 +49,7 @@ func TestBlockGroupsMemoReadOnly(t *testing.T) {
 	queries := memoQueries()
 	plan := func(log *joblog.Log, name string, maxPairs int) []EnumSpec {
 		q := queries[name]
-		return PlanEnumShards(nil, log, features.Level3, q, q.Despite, maxPairs, 5, 3)
+		return PlanEnumShards(log, features.Level3, q, q.Despite, maxPairs, 5, 3)
 	}
 	want := map[string][]EnumSpec{}
 	for name := range queries {
@@ -341,11 +341,11 @@ func BenchmarkPlanEnumShards(b *testing.B) {
 	log := zoneSkewedLog(20000, 12, rand.New(rand.NewSource(8)))
 	for name, q := range memoQueries() {
 		b.Run(name, func(b *testing.B) {
-			PlanEnumShards(nil, log, features.Level3, q, q.Despite, 200000, 16, 1)
+			PlanEnumShards(log, features.Level3, q, q.Despite, 200000, 16, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				PlanEnumShards(nil, log, features.Level3, q, q.Despite, 200000, 16, uint64(i))
+				PlanEnumShards(log, features.Level3, q, q.Despite, 200000, 16, uint64(i))
 			}
 		})
 	}

@@ -1,20 +1,19 @@
 package core
 
-// The walk planners — the only producers of walk units — and the segment
-// layout a Runner's specs ship records by. Every log has a segment
-// layout: a joblog.Store snapshot decomposes into its sealed immutable
-// segments plus the mutable tail, a flat log into contiguous runs of
-// joblog.DefaultSealThreshold records (joblog.Log.SegmentViews).
-// SegmentLayout is that decomposition in planner terms — one
-// content-addressed LogSlice per segment, concatenating in order to the
-// whole log — and it is the only way specs carry records to workers:
-// every spec of a plan references the same slices, and a spec differs
-// from its siblings only in the blocking groups and outer ranges it
-// owns. A segment keeps its hash for as long as its records do, so
-// worker caches stay warm across queries and appends, and only the tail
-// slice (whose hash changes with every append) re-ships. Specs the
-// coordinator runs itself are planned over a nil layout and carry no
-// slices at all.
+// The walk planners — the only producers of walk units — and the
+// worker-side assembly of the records a Runner ships. Every log has a
+// segment decomposition (joblog.Log.SegmentViews): a joblog.Store
+// snapshot's sealed immutable segments plus its mutable tail, or a flat
+// log's contiguous runs of joblog.DefaultSealThreshold records. A
+// Runner receives it, at the moment a walk ships, as one
+// content-addressed LogSlice per segment (LogSlices), concatenating in
+// order to the whole log; the specs of the batch carry only what tells
+// them apart — the blocking groups and outer ranges each owns. A segment
+// keeps its hash for as long as its records do, so worker caches stay
+// warm across queries and appends, and only the tail slice (whose hash
+// changes with every append) re-ships. Nothing builds the slices until
+// a walk actually ships: local execution and questions whose sample is
+// drawn by rank wire and hash nothing.
 //
 // Byte-identity: a spec addresses records by their index in the log and
 // carries blocking groups, outer ranges, the keep probability, the seed
@@ -32,67 +31,16 @@ import (
 	"perfxplain/internal/pxql"
 )
 
-// NewLogSliceHashed builds a LogSlice from a precomputed content hash —
-// the segment store hashes each sealed segment once, the first time its
-// views are asked for, and re-hashing it on every plan would throw that
-// work away. hash must
-// equal joblog.HashSlice(w).
-func NewLogSliceHashed(hash string, w joblog.WireLog) LogSlice {
-	return LogSlice{Hash: hash, Log: w}
-}
-
-// SegmentLayout is the shard-planner view of a log: its segments as
-// content-addressed slices, in record order, covering the log's records
-// exactly.
-type SegmentLayout struct {
-	// Slices holds one content-addressed slice per segment (sealed
-	// segments first, then the tail), concatenating to the whole log.
-	Slices []LogSlice
-	total  int
-}
-
-// NewSegmentLayout builds a layout from a log's segment views — a
-// snapshot's Segments or a flat log's SegmentViews — validating that
-// the views tile the record space contiguously from 0.
-func NewSegmentLayout(views []joblog.SegmentView) (*SegmentLayout, error) {
-	ly := &SegmentLayout{Slices: make([]LogSlice, len(views))}
+// LogSlices returns the log's segments as the content-addressed slices
+// a Runner ships, in record order. The wire forms and hashes are the
+// log's memoized SegmentViews, built on the first call.
+func LogSlices(log *joblog.Log) []LogSlice {
+	views := log.SegmentViews()
+	out := make([]LogSlice, len(views))
 	for i, v := range views {
-		if v.Start != ly.total {
-			return nil, fmt.Errorf("core: segment %d starts at %d, want %d", i, v.Start, ly.total)
-		}
-		ly.Slices[i] = NewLogSliceHashed(v.Hash, v.Records)
-		ly.total += v.Len()
+		out[i] = LogSlice{Hash: v.Hash, Log: v.Records}
 	}
-	return ly, nil
-}
-
-// FlatLayout is the layout of a log that is not a store snapshot: its
-// own SegmentViews, which tile the record space by construction.
-func FlatLayout(log *joblog.Log) *SegmentLayout {
-	ly, err := NewSegmentLayout(log.SegmentViews())
-	if err != nil {
-		panic(err) // a bug in SegmentViews alone can produce this
-	}
-	return ly
-}
-
-// Total returns the number of records the layout covers. A nil layout
-// covers none, so the coverage check every runner-backed entry point
-// makes against its (non-empty) log also rejects a missing layout.
-func (ly *SegmentLayout) Total() int {
-	if ly == nil {
-		return 0
-	}
-	return ly.total
-}
-
-// slices returns the layout's slices; a nil layout — the coordinator
-// planning for itself — has none.
-func (ly *SegmentLayout) slices() []LogSlice {
-	if ly == nil {
-		return nil
-	}
-	return ly.Slices
+	return out
 }
 
 // CombineSlices concatenates decoded slices, in order, into one view —
@@ -118,10 +66,9 @@ func CombineSlices(datas []*SliceData) (*SliceData, error) {
 	return &SliceData{Log: log, Cols: log.Columns()}, nil
 }
 
-// DecodeSlices decodes payload slices and combines them — the
-// standalone executor path of an enumeration or evaluation spec (the
-// shard runtimes resolve each slice through a cache first and combine
-// the decoded forms themselves).
+// DecodeSlices decodes payload slices and combines them into the view
+// a batch's specs run against (the shard runtimes resolve each slice
+// through a cache first and combine the decoded forms themselves).
 func DecodeSlices(slices []LogSlice) (*SliceData, error) {
 	datas := make([]*SliceData, len(slices))
 	for i := range slices {
@@ -173,8 +120,7 @@ func cutGroupShards(groups [][]int, nShards int) [][]EnumGroup {
 }
 
 // PlanEnumShards partitions the blocked pair space of (log, despite)
-// into nShards self-contained enumeration specs over the log's layout
-// (nil when the coordinator will run them itself). Concatenating spec
+// into nShards self-contained enumeration specs. Concatenating spec
 // results in spec order walks (group order, member order) exactly once,
 // whatever nShards is; when it exceeds the outer-member count, trailing
 // specs are empty (no groups) and execute to empty results.
@@ -182,12 +128,12 @@ func cutGroupShards(groups [][]int, nShards int) [][]EnumGroup {
 // maxPairs caps the walk: a larger candidate pair space is thinned under
 // one global keep probability (blockedGroups), which every spec carries.
 //
-// The plan is a pure function of (records, layout, despite, query
+// The plan is a pure function of (records, despite, query
 // outcome clauses, maxPairs, nShards, seed): everything it reads —
 // including the memoized columnar view backing the zone-map group
 // pruner — is derived deterministically from the record list, so
 // rebuilding the log's caches never changes it.
-func PlanEnumShards(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
+func PlanEnumShards(log *joblog.Log, level features.Level, q *pxql.Query,
 	despite pxql.Predicate, maxPairs, nShards int, seed uint64) []EnumSpec {
 
 	groups, keepP, residual := blockedGroups(log, despite, maxPairs)
@@ -195,7 +141,6 @@ func PlanEnumShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 	specs := make([]EnumSpec, len(cuts))
 	for s, cut := range cuts {
 		specs[s] = EnumSpec{
-			Slices:   layout.slices(),
 			Groups:   cut,
 			KeepP:    keepP,
 			Seed:     seed,
@@ -210,11 +155,11 @@ func PlanEnumShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 
 // PlanEvalShards partitions the quadratic walk of EvaluateExplanation —
 // the ordered pairs of the despite context des ∧ des' — into nShards
-// self-contained evaluation specs, cut exactly like enumeration shards
-// over the same layout slices: repeated evaluations over one log (a
-// harness scoring an explanation at several widths) reference cached
-// slices instead of re-shipping them.
-func PlanEvalShards(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
+// self-contained evaluation specs, cut exactly like enumeration shards.
+// Shipped, they travel with the same log slices, so repeated evaluations
+// over one log (a harness scoring an explanation at several widths)
+// reference cached slices instead of re-shipping them.
+func PlanEvalShards(log *joblog.Log, level features.Level, q *pxql.Query,
 	x *Explanation, maxPairs, nShards int, seed uint64) []EvalSpec {
 
 	groups, keepP, residual := blockedGroups(log, q.Despite.And(x.Despite), maxPairs)
@@ -222,7 +167,6 @@ func PlanEvalShards(layout *SegmentLayout, log *joblog.Log, level features.Level
 	specs := make([]EvalSpec, len(cuts))
 	for s, cut := range cuts {
 		specs[s] = EvalSpec{
-			Slices:   layout.slices(),
 			Groups:   cut,
 			KeepP:    keepP,
 			Seed:     seed,

@@ -11,10 +11,11 @@ package core
 //
 //   - the coordinator itself (Exec.Runner nil): the specs run on par.Do
 //     over the log's resident columnar view — no wire form, no hashing,
-//     no decode; they carry no Slices;
-//   - a ShardRunner (internal/shard's worker Pool): the specs carry the
-//     log's segment layout as content-addressed LogSlices, which workers
-//     decode, cache and concatenate into the same whole-log view.
+//     no decode;
+//   - a ShardRunner (internal/shard's worker Pool): the batch ships with
+//     the log's segments as content-addressed LogSlices (LogSlices, built
+//     only now), which workers decode, cache and concatenate into the
+//     same whole-log view.
 //
 // Results merge in spec order through one validated tail per spec kind,
 // so the output is byte-identical at every spec count, parallelism and
@@ -41,14 +42,16 @@ import (
 	"perfxplain/internal/pxql"
 )
 
-// ShardRunner executes batches of planned shard specs and returns one
-// result per spec, in spec order. Implementations may run specs in any
-// order and on any mix of goroutines or worker processes; the specs and
-// their results are designed so that only the batch's order — which the
-// caller fixes — affects the merged output.
+// ShardRunner executes batches of planned shard specs over a log's
+// slices — its segments, concatenating in order to the whole log every
+// spec's record indices address — and returns one result per spec, in
+// spec order. Implementations may run specs in any order and on any mix
+// of goroutines or worker processes; the specs and their results are
+// designed so that only the batch's order — which the caller fixes —
+// affects the merged output.
 type ShardRunner interface {
-	RunEnum(specs []EnumSpec) ([]EnumResult, error)
-	RunEval(specs []EvalSpec) ([]EvalResult, error)
+	RunEnum(slices []LogSlice, specs []EnumSpec) ([]EnumResult, error)
+	RunEval(slices []LogSlice, specs []EvalSpec) ([]EvalResult, error)
 }
 
 // Exec says who executes a planned batch of walk specs and how many
@@ -64,15 +67,10 @@ type Exec struct {
 	// <= 0 means eight per Parallelism worker, so uneven blocking groups
 	// still balance. Output is byte-identical at every count.
 	Shards int
-	// Runner executes the specs on workers (see internal/shard). nil
-	// runs them on this process's cores over the log's resident columns.
+	// Runner executes the specs on workers (see internal/shard), shipping
+	// the log's segments with them. nil runs them on this process's cores
+	// over the log's resident columns.
 	Runner ShardRunner
-	// Layout is the log's segment decomposition — NewSegmentLayout over a
-	// store snapshot's Segments or a flat log's SegmentViews — whose
-	// content-addressed slices a Runner's specs carry. Required with a
-	// Runner, unused without one; it must cover exactly the log's
-	// records.
-	Layout *SegmentLayout
 }
 
 // shards resolves the spec count of one walk.
@@ -81,16 +79,6 @@ func (ex Exec) shards() int {
 		return ex.Shards
 	}
 	return par.Resolve(ex.Parallelism) * 8
-}
-
-// check rejects a layout that does not cover the log — including the
-// missing layout of a Runner, which has no other way to receive records.
-func (ex Exec) check(log *joblog.Log) error {
-	if (ex.Runner != nil || ex.Layout != nil) && ex.Layout.Total() != log.Len() {
-		return fmt.Errorf("core: segment layout covers %d records, log has %d (a Runner ships Exec.Layout, the log's own layout)",
-			ex.Layout.Total(), log.Len())
-	}
-	return nil
 }
 
 // runLocal is the coordinator's own executor: the batch's specs run on
@@ -120,24 +108,24 @@ func runLocal[S, R any](ctx context.Context, specs []S, workers int, run func(*S
 	return out, nil
 }
 
-// prefetch starts shipping the layout's slices to every worker — called
-// at the head of each planning round, so payloads a worker already
-// holds are skipped and new ones overlap with planning. Advisory (see
+// prefetch starts shipping log's slices to every worker — called at the
+// head of each walk's planning, so payloads a worker already holds are
+// skipped and new ones overlap with planning. Advisory (see
 // SlicePrefetcher), and a no-op without a Runner.
-func (ex Exec) prefetch() {
+func (ex Exec) prefetch(log *joblog.Log) {
 	if pf, ok := ex.Runner.(SlicePrefetcher); ok {
-		pf.PrefetchSlices(ex.Layout.Slices)
+		pf.PrefetchSlices(LogSlices(log))
 	}
 }
 
 // runSpecs executes one batch of planned specs and returns one result
 // per spec — the one seam where the executor is chosen: with no Runner
 // the kernel (walk) runs locally over the log's resident columns;
-// otherwise the batch goes to the Runner (ship is its method for this
-// spec kind, kind its name in errors). A cancelled ctx surfaces as the
-// bare ctx.Err().
+// otherwise the batch goes to the Runner with the log's slices (ship is
+// its method for this spec kind, kind its name in errors). A cancelled
+// ctx surfaces as the bare ctx.Err().
 func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind string, specs []S,
-	walk func(*S, *SliceData) (*R, error), ship func(ShardRunner, []S) ([]R, error)) ([]R, error) {
+	walk func(*S, *SliceData) (*R, error), ship func(ShardRunner, []LogSlice, []S) ([]R, error)) ([]R, error) {
 
 	if ex.Runner == nil {
 		data := &SliceData{Log: log, Cols: log.Columns()}
@@ -146,7 +134,7 @@ func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind stri
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	results, err := ship(ex.Runner, specs)
+	results, err := ship(ex.Runner, LogSlices(log), specs)
 	if err != nil {
 		return nil, fmt.Errorf("core: shard %s: %w", kind, err)
 	}
@@ -164,7 +152,7 @@ func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind stri
 // arrived simply ships the payload with its own task frame — results
 // are byte-identical whether a prefetch landed, raced, or was dropped.
 // The pipeline type-asserts this on Exec.Runner at the head of each
-// planning round (see Exec.prefetch).
+// walk's planning (see Exec.prefetch).
 type SlicePrefetcher interface {
 	PrefetchSlices(slices []LogSlice)
 }
@@ -177,7 +165,7 @@ type SlicePrefetcher interface {
 // a miss, in which case the full payload is resent. Execution is
 // byte-identical either way: the hash covers every bit of the payload,
 // so a hit decodes to exactly what a fresh ship would have.
-//pxql:wirehash 7b1f34cc928623e8 v=10
+//pxql:wirehash 918e30003077463d v=11
 
 //pxql:wire decode=Data
 type LogSlice struct {
@@ -244,25 +232,20 @@ func (s *LogSlice) Data() (*SliceData, error) {
 // larger than a shard's unit budget straddles shard boundaries by
 // appearing in several specs with disjoint outer ranges.
 //
-//pxql:wire decode=EnumSpec.Run
+//pxql:wire decode=EnumSpec.RunWith
 type EnumGroup struct {
-	Members []int `json:"members"` // record indices into the spec's combined slices, group order
+	Members []int `json:"members"` // record indices into the batch's combined slices, group order
 	Lo      int   `json:"lo"`
 	Hi      int   `json:"hi"`
 }
 
 // EnumSpec is a self-contained unit of pair enumeration: an executor
-// given only this value (and, locally, the resident view its empty
-// Slices stand for) produces exactly the related pairs of the spec's
+// given this value and the whole-log view of its batch's slices (locally,
+// the resident columns) produces exactly the related pairs of the spec's
 // slice of the iteration space.
 //
-//pxql:wire decode=Run
+//pxql:wire decode=RunWith
 type EnumSpec struct {
-	// Slices is the log's segment layout (see SegmentLayout): one
-	// content-addressed slice per segment, concatenating in order to the
-	// whole log, shared by every spec of every round at one watermark.
-	// Empty on specs the coordinator runs itself.
-	Slices []LogSlice  `json:"slices"`
 	Groups []EnumGroup `json:"groups,omitempty"`
 	// KeepP is the global Bernoulli keep probability — one value for the
 	// whole plan, computed over the unpruned, unfiltered candidate count.
@@ -303,9 +286,8 @@ type EnumResult struct {
 // accumulated by fused popcounts, so merged metrics are exact and
 // identical at every spec count.
 //
-//pxql:wire decode=Run
+//pxql:wire decode=RunWith
 type EvalSpec struct {
-	Slices   []LogSlice         `json:"slices"` // the segment layout, exactly as on EnumSpec
 	Groups   []EnumGroup        `json:"groups,omitempty"`
 	KeepP    float64            `json:"keep_p"`
 	Seed     uint64             `json:"seed"`
@@ -330,16 +312,6 @@ type EvalResult struct {
 // nShards-way proportional cut — contiguous, deterministic, and balanced
 // to within one unit.
 func cutPoint(n, nShards, s int) int { return s * n / nShards }
-
-// Run executes the enumeration spec standalone in this process,
-// decoding and combining its slices.
-func (s *EnumSpec) Run() (*EnumResult, error) {
-	data, err := DecodeSlices(s.Slices)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunWith(data)
-}
 
 // deriverKey memoizes a view's deriver per feature level on its columnar
 // view (joblog.Columns.Memo), so the specs of a batch — and every later
@@ -597,16 +569,6 @@ func (s *EnumSpec) runInto(data *SliceData, res *EnumResult) error {
 	})
 }
 
-// Run executes the evaluation spec standalone in this process, decoding
-// and combining its slices.
-func (s *EvalSpec) Run() (*EvalResult, error) {
-	data, err := DecodeSlices(s.Slices)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunWith(data)
-}
-
 // RunWith walks the spec's slice of the metric walk over a whole-log
 // view — the one evaluation kernel. Each tile of pairs is evaluated
 // batched: the despite context fills a selection bitmap, expected and
@@ -668,9 +630,9 @@ func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite p
 		return nil, err
 	}
 	ex := e.cfg.Exec
-	ex.prefetch()
+	ex.prefetch(e.log)
 	return runEnumSpecs(ctx, ex, e.log,
-		PlanEnumShards(ex.Layout, e.log, e.d.Level(), q, despite, e.cfg.MaxPairs, ex.shards(), seed))
+		PlanEnumShards(e.log, e.d.Level(), q, despite, e.cfg.MaxPairs, ex.shards(), seed))
 }
 
 // runEnumSpecs executes planned enumeration specs and adopts the

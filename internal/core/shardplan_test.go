@@ -1,7 +1,7 @@
 package core
 
 // Metamorphic and property tests for the shard planner over a flat
-// log's own layout. The reference is the independent oracle
+// log's own slices. The reference is the independent oracle
 // (oracle_test.go) for what is enumerated, and the one-spec serial plan
 // for the order: whatever the shard count, the plan must partition the
 // serial pair walk exactly — every related pair in exactly one shard,
@@ -70,12 +70,24 @@ func (ps *pairPlanes) refs() []pairRef {
 	return out
 }
 
-// runPlan executes every spec of a plan in order and returns the merged
-// refs and labels.
-func runPlan(t *testing.T, specs []EnumSpec) (refs []pairRef, labels []bool) {
+// sliceView is what a worker walks: the log's slices, decoded and
+// combined.
+func sliceView(t testing.TB, log *joblog.Log) *SliceData {
 	t.Helper()
+	data, err := DecodeSlices(LogSlices(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// runPlan executes every spec of a plan over log's shipped slices, in
+// order, and returns the merged refs and labels.
+func runPlan(t *testing.T, log *joblog.Log, specs []EnumSpec) (refs []pairRef, labels []bool) {
+	t.Helper()
+	data := sliceView(t, log)
 	for si := range specs {
-		res, err := specs[si].Run()
+		res, err := specs[si].RunWith(data)
 		if err != nil {
 			t.Fatalf("spec %d: %v", si, err)
 		}
@@ -112,11 +124,11 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 		}
 		for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 			name := fmt.Sprintf("maxPairs=%d seed=%d shards=%d", tc.maxPairs, tc.seed, nShards)
-			specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, tc.maxPairs, nShards, pairSeed)
+			specs := PlanEnumShards(log, features.Level3, q, q.Despite, tc.maxPairs, nShards, pairSeed)
 			if len(specs) != nShards {
 				t.Fatalf("%s: planned %d specs", name, len(specs))
 			}
-			refs, labels := runPlan(t, specs)
+			refs, labels := runPlan(t, log, specs)
 
 			// Union equals the serial pair set, in serial order, with
 			// identical labels — which also implies every serial pair
@@ -142,41 +154,42 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 
 // TestPlanEnumShardsInvariance pins that planning is a pure function of
 // the record list: rebuilding the memoized columnar view does not change
-// the plan, and a snapshot plan keeps producing the same pairs after the
-// source log grows (specs are self-contained copies).
+// the plan, and a plan keeps producing the same pairs after the source
+// log grows (specs are self-contained copies addressing records by
+// index, and appends never move a record).
 func TestPlanEnumShardsInvariance(t *testing.T) {
 	log := groupedLog(60, rand.New(rand.NewSource(5)))
 	q := blockedQuery()
 	seed := stats.DeriveSeed(9, "invariance")
 
-	p1 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, 300, 5, seed)
-	refs1, labels1 := runPlan(t, p1)
+	p1 := PlanEnumShards(log, features.Level3, q, q.Despite, 300, 5, seed)
+	refs1, labels1 := runPlan(t, log, p1)
 
 	// Force the columnar view (and its intern table) into existence —
 	// count-invalidation state must not leak into plans.
 	log.Columns()
-	p2 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, 300, 5, seed)
+	p2 := PlanEnumShards(log, features.Level3, q, q.Despite, 300, 5, seed)
 	if !reflect.DeepEqual(p1, p2) {
 		t.Error("plan changed after building the columnar view")
 	}
 
-	// Grow the log: the snapshot plan still runs to the same output
-	// (self-contained specs), and a fresh plan over the grown log still
+	// Grow the log: the old plan still runs to the same output over the
+	// grown log's slices, and a fresh plan over the grown log still
 	// partitions its serial walk.
 	extra := groupedLog(25, rand.New(rand.NewSource(11)))
 	for i, r := range extra.Records {
 		log.MustAppend(&joblog.Record{ID: fmt.Sprintf("late%03d", i), Values: r.Values})
 	}
 	log.Columns() // rebuild the memo at the new count
-	refsAgain, labelsAgain := runPlan(t, p1)
+	refsAgain, labelsAgain := runPlan(t, log, p1)
 	if !reflect.DeepEqual(refsAgain, refs1) || !reflect.DeepEqual(labelsAgain, labels1) {
-		t.Error("snapshot plan output changed after the source log grew")
+		t.Error("plan output changed after the source log grew")
 	}
 
 	serial := enumLocal(t, log, q, q.Despite, 300, seed, serialExec)
 	checkRelated(t, "grown log", log, q, q.Despite, serial, false)
-	p3 := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, 300, 5, seed)
-	refs3, labels3 := runPlan(t, p3)
+	p3 := PlanEnumShards(log, features.Level3, q, q.Despite, 300, 5, seed)
+	refs3, labels3 := runPlan(t, log, p3)
 	if !reflect.DeepEqual(refs3, serial.refs()) || !reflect.DeepEqual(labels3, serial.labels) {
 		t.Error("plan over the grown log no longer partitions its serial walk")
 	}
@@ -208,13 +221,14 @@ func TestPlanEvalShardsMatchesSerial(t *testing.T) {
 			}
 			for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 				name := fmt.Sprintf("x=%d maxPairs=%d shards=%d", xi, maxPairs, nShards)
-				specs := PlanEvalShards(FlatLayout(log), log, features.Level3, q, x, maxPairs, nShards, stats.DeriveSeed(3, "evaluate"))
+				specs := PlanEvalShards(log, features.Level3, q, x, maxPairs, nShards, stats.DeriveSeed(3, "evaluate"))
 				if len(specs) != nShards {
 					t.Fatalf("%s: planned %d specs", name, len(specs))
 				}
 				var context, exp, bec, obsGivenBec int
+				data := sliceView(t, log)
 				for si := range specs {
-					res, err := specs[si].Run()
+					res, err := specs[si].RunWith(data)
 					if err != nil {
 						t.Fatalf("%s: spec %d: %v", name, si, err)
 					}
@@ -247,7 +261,7 @@ func TestPlanEvalShardsSharedRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ex := range []Exec{{}, {Shards: 4}, {Parallelism: 2}, {Parallelism: 7, Shards: 3},
-		{Shards: 4, Runner: serialEvalRunner{}, Layout: FlatLayout(log)}} {
+		{Shards: 4, Runner: serialEvalRunner{}}} {
 		got, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 400, 9, ex)
 		if err != nil {
 			t.Fatal(err)
@@ -256,21 +270,21 @@ func TestPlanEvalShardsSharedRunner(t *testing.T) {
 			t.Errorf("exec %+v: metrics %+v differ from serial %+v", ex, got, serial)
 		}
 	}
-	// A runner without the log's layout is a caller bug, not a fallback.
-	if _, err := EvaluateExplanation(context.Background(), log, features.Level3, q, x, 400, 9, Exec{Shards: 4, Runner: serialEvalRunner{}}); err == nil {
-		t.Error("runner-backed evaluation accepted a nil layout")
-	}
 }
 
-// serialEvalRunner executes specs inline — the minimal ShardRunner for
-// planner tests inside the core package (internal/shard cannot be
-// imported from here).
+// serialEvalRunner decodes the shipped slices and executes specs inline
+// — the minimal ShardRunner for planner tests inside the core package
+// (internal/shard cannot be imported from here).
 type serialEvalRunner struct{}
 
-func (serialEvalRunner) RunEnum(specs []EnumSpec) ([]EnumResult, error) {
+func (serialEvalRunner) RunEnum(slices []LogSlice, specs []EnumSpec) ([]EnumResult, error) {
+	data, err := DecodeSlices(slices)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]EnumResult, len(specs))
 	for i := range specs {
-		r, err := specs[i].Run()
+		r, err := specs[i].RunWith(data)
 		if err != nil {
 			return nil, err
 		}
@@ -279,10 +293,14 @@ func (serialEvalRunner) RunEnum(specs []EnumSpec) ([]EnumResult, error) {
 	return out, nil
 }
 
-func (serialEvalRunner) RunEval(specs []EvalSpec) ([]EvalResult, error) {
+func (serialEvalRunner) RunEval(slices []LogSlice, specs []EvalSpec) ([]EvalResult, error) {
+	data, err := DecodeSlices(slices)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]EvalResult, len(specs))
 	for i := range specs {
-		r, err := specs[i].Run()
+		r, err := specs[i].RunWith(data)
 		if err != nil {
 			return nil, err
 		}
@@ -292,9 +310,9 @@ func (serialEvalRunner) RunEval(specs []EvalSpec) ([]EvalResult, error) {
 }
 
 // TestLogSliceHashStability pins the content-address: equal content
-// hashes equal, a record mutation changes the hash, and the planners
-// actually share one hash across the
-// specs of a round (the property the cache's savings depend on).
+// hashes equal, a record mutation changes the hash, and a log ships the
+// same slice every time it is asked (the property the cache's savings
+// depend on).
 func TestLogSliceHashStability(t *testing.T) {
 	log := groupedLog(30, rand.New(rand.NewSource(12)))
 	s1 := NewLogSlice(log.Wire())
@@ -308,15 +326,8 @@ func TestLogSliceHashStability(t *testing.T) {
 		t.Error("record change did not change the hash")
 	}
 
-	q := blockedQuery()
-	x := &Explanation{}
-	specs := PlanEvalShards(FlatLayout(log), log, features.Level3, q, x, 0, 4, 7)
-	again := PlanEvalShards(FlatLayout(log), log, features.Level3, q, x, 0, 4, 7)
-	for si := range specs {
-		if len(specs[si].Slices) != 1 || specs[si].Slices[0].Hash == "" ||
-			specs[si].Slices[0].Hash != again[si].Slices[0].Hash || specs[si].Slices[0].Hash != specs[0].Slices[0].Hash {
-			t.Errorf("eval spec %d hash unstable across plans or specs", si)
-		}
+	if ss, again := LogSlices(log), LogSlices(log); len(ss) != 1 || ss[0].Hash != s1.Hash || again[0].Hash != s1.Hash {
+		t.Errorf("the log's one slice is not its content address, or changes between calls")
 	}
 }
 
@@ -328,7 +339,7 @@ func TestLogSliceHashStability(t *testing.T) {
 func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 	log := groupedLog(40, rand.New(rand.NewSource(8)))
 	q := blockedQuery()
-	specs := PlanEnumShards(FlatLayout(log), log, features.Level3, q, q.Despite, 0, 64, 17)
+	specs := PlanEnumShards(log, features.Level3, q, q.Despite, 0, 64, 17)
 
 	empties := 0
 	ranges := make(map[string][][2]int) // group fingerprint -> outer ranges
@@ -336,7 +347,7 @@ func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 	for _, s := range specs {
 		if len(s.Groups) == 0 {
 			empties++
-			if res, err := s.Run(); err != nil || len(res.RefA) != 0 {
+			if res, err := s.RunWith(sliceView(t, log)); err != nil || len(res.RefA) != 0 {
 				t.Fatalf("empty spec: res=%v err=%v", res, err)
 			}
 		}
@@ -372,21 +383,20 @@ func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 	}
 }
 
-// TestFlatLayoutSpansSegments pins the flat layout past one segment: a
-// log longer than the seal threshold ships as several slices, and plans
-// over them still partition the serial walk, with blocking groups
-// straddling the slice boundary.
-func TestFlatLayoutSpansSegments(t *testing.T) {
+// TestLogSlicesSpanSegments pins a flat log's slices past one segment:
+// a log longer than the seal threshold ships as several slices, and
+// plans run over them still partition the serial walk, with blocking
+// groups straddling the slice boundary.
+func TestLogSlicesSpanSegments(t *testing.T) {
 	log := groupedLog(joblog.DefaultSealThreshold+150, rand.New(rand.NewSource(14)))
-	layout := FlatLayout(log)
-	if len(layout.Slices) != 2 || layout.Total() != log.Len() {
-		t.Fatalf("layout has %d slices over %d records", len(layout.Slices), layout.Total())
+	if ss := LogSlices(log); len(ss) != 2 || len(ss[0].Log.Records)+len(ss[1].Log.Records) != log.Len() {
+		t.Fatalf("the log ships as %d slices", len(ss))
 	}
 	q := blockedQuery()
 	seed := stats.DeriveSeed(2, "flat-span")
 	serial := enumLocal(t, log, q, q.Despite, 400, seed, serialExec)
 	for _, nShards := range []int{1, 2, 7} {
-		refs, labels := runPlan(t, PlanEnumShards(layout, log, features.Level3, q, q.Despite, 400, nShards, seed))
+		refs, labels := runPlan(t, log, PlanEnumShards(log, features.Level3, q, q.Despite, 400, nShards, seed))
 		if !reflect.DeepEqual(refs, serial.refs()) || !reflect.DeepEqual(labels, serial.labels) {
 			t.Errorf("shards=%d: plan over two slices differs from the serial walk", nShards)
 		}

@@ -29,7 +29,7 @@ func enumLocal(t testing.TB, log *joblog.Log, q *pxql.Query, despite pxql.Predic
 
 	t.Helper()
 	ps, err := runEnumSpecs(context.Background(), ex, log,
-		PlanEnumShards(ex.Layout, log, features.Level3, q, despite, maxPairs, ex.shards(), seed))
+		PlanEnumShards(log, features.Level3, q, despite, maxPairs, ex.shards(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func chunked(t testing.TB, p *pairPlanes, n int, cuts ...int) *pairSet {
 // blockedGroupsOpt's groups instead of blockedGroups'.
 func enumSwitched(t testing.TB, log *joblog.Log, q *pxql.Query, maxPairs int, seed uint64, prune, seek bool) *pairPlanes {
 	t.Helper()
-	spec := PlanEnumShards(nil, log, features.Level3, q, q.Despite, maxPairs, 1, seed)[0]
+	spec := PlanEnumShards(log, features.Level3, q, q.Despite, maxPairs, 1, seed)[0]
 	groups, keepP := blockedGroupsOpt(log, q.Despite, maxPairs, prune, seek)
 	spec.Groups, spec.KeepP = cutGroupShards(groups, 1)[0], keepP
 	ps, err := runEnumSpecs(context.Background(), serialExec, log, []EnumSpec{spec})
@@ -144,7 +144,7 @@ func TestLocalExecutorStopsAtCancellation(t *testing.T) {
 	q := blockedQuery()
 	for _, p := range []int{1, 2, 7} {
 		ex := Exec{Parallelism: p}
-		if _, err := runEnumSpecs(ctx, ex, log, PlanEnumShards(nil, log, features.Level3, q, q.Despite, 0, ex.shards(), 1)); err != context.Canceled {
+		if _, err := runEnumSpecs(ctx, ex, log, PlanEnumShards(log, features.Level3, q, q.Despite, 0, ex.shards(), 1)); err != context.Canceled {
 			t.Errorf("parallelism %d: cancelled enumeration returned %v", p, err)
 		}
 		if _, err := EvaluateExplanation(ctx, log, features.Level3, q, &Explanation{}, 0, 1, ex); err != context.Canceled {

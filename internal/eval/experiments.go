@@ -21,7 +21,7 @@ var DefaultWidths = []int{0, 1, 2, 3, 4, 5}
 // whoever executes it — spec counts sum to the same totals — so tables
 // are byte-identical with and without a runner.
 func (h *Harness) evaluate(test *joblog.Log, q *pxql.Query, x *core.Explanation, seed int64, workers int) (core.Metrics, error) {
-	return core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, h.MaxPairs, seed, h.exec(test, workers))
+	return core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, h.MaxPairs, seed, h.exec(workers))
 }
 
 // repRows allocates one result row per repetition for each technique;

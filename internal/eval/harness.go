@@ -56,22 +56,17 @@ type Harness struct {
 	Runner core.ShardRunner
 }
 
-// exec describes who walks log's pair space: the calling fan-out's inner
+// exec describes who walks a pair space: the calling fan-out's inner
 // parallelism bound (see innerParallelism — concurrent reps must not
-// oversubscribe the cores), the harness's shard count and, with a
-// Runner, the log's segment layout.
-func (h *Harness) exec(log *joblog.Log, workers int) core.Exec {
-	ex := core.Exec{Parallelism: workers, Shards: h.Shards, Runner: h.Runner}
-	if h.Runner != nil {
-		ex.Layout = core.FlatLayout(log)
-	}
-	return ex
+// oversubscribe the cores), the harness's shard count and runner.
+func (h *Harness) exec(workers int) core.Exec {
+	return core.Exec{Parallelism: workers, Shards: h.Shards, Runner: h.Runner}
 }
 
 // newExplainer builds a PerfXplain explainer over a training log on the
 // given worker bound.
 func (h *Harness) newExplainer(train *joblog.Log, cfg core.Config, workers int) (*core.Explainer, error) {
-	cfg.Exec = h.exec(train, workers)
+	cfg.Exec = h.exec(workers)
 	return core.NewExplainer(train, cfg)
 }
 

@@ -13,6 +13,7 @@ package hadooplog
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -51,7 +52,9 @@ func WriteJob(w io.Writer, job *mapreduce.JobResult) error {
 		{"INPUT_BYTES", strconv.FormatInt(job.Input.Bytes, 10)},
 		{"INPUT_RECORDS", strconv.FormatInt(job.Input.Records, 10)},
 	}
-	writeLine(bw, "Job", jobAttrs)
+	if err := writeLine(bw, "Job", jobAttrs); err != nil {
+		return err
+	}
 
 	for _, t := range job.Tasks {
 		counters := counterString([]counter{
@@ -83,7 +86,9 @@ func WriteJob(w io.Writer, job *mapreduce.JobResult) error {
 			{"GC_TIME_MILLIS", ms(t.GCTime)},
 			{"COUNTERS", counters},
 		}
-		writeLine(bw, "Task", taskAttrs)
+		if err := writeLine(bw, "Task", taskAttrs); err != nil {
+			return err
+		}
 	}
 	return bw.Flush()
 }
@@ -95,25 +100,57 @@ type counter struct {
 	value       int64
 }
 
+// maxMS bounds the magnitude of a time in milliseconds: every integer
+// up to 2^53 is exact in the float64 seconds a result holds, and past it
+// the conversion back to milliseconds overflows.
+const maxMS = 1 << 53
+
+// ms renders seconds as the integer milliseconds history files hold.
+// Rounding seconds·1000 is exact for the times jobs take; toward maxMS it
+// can land a millisecond or two off every integer that reads back as the
+// same seconds, so the neighbours are tried too: a time read from a
+// history file is written back as one that reads the same.
 func ms(seconds float64) string {
-	return strconv.FormatInt(int64(math.Round(seconds*1000)), 10)
+	r := int64(math.Round(seconds * 1000))
+	for _, d := range []int64{0, -1, 1, -2, 2} {
+		if float64(r+d)/1000 == seconds {
+			return strconv.FormatInt(r+d, 10)
+		}
+	}
+	return strconv.FormatInt(r, 10)
 }
 
-func fromMS(s string) (float64, error) {
-	v, err := strconv.ParseInt(s, 10, 64)
+// fromMS parses attribute key's integer milliseconds into seconds.
+func fromMS(attrs map[string]string, key string) (float64, error) {
+	v, err := strconv.ParseInt(attrs[key], 10, 64)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("hadooplog: %s: %w", key, err)
+	}
+	if v > maxMS || v < -maxMS {
+		return 0, fmt.Errorf("hadooplog: %s: %d ms is beyond ±2^53 ms", key, v)
 	}
 	return float64(v) / 1000, nil
 }
 
-func writeLine(w io.Writer, record string, attrs []attr) {
+// maxLine is the longest line ReadJob accepts, newline included.
+const maxLine = 1 << 20
+
+// errLongLine is WriteJob's refusal to write a line ReadJob could not
+// read back.
+var errLongLine = errors.New("hadooplog: line longer than ReadJob accepts")
+
+func writeLine(w io.Writer, record string, attrs []attr) error {
 	parts := make([]string, 0, len(attrs)+1)
 	parts = append(parts, record)
 	for _, a := range attrs {
 		parts = append(parts, a.key+"=\""+escape(a.value)+"\"")
 	}
-	fmt.Fprintf(w, "%s .\n", strings.Join(parts, " "))
+	line := strings.Join(parts, " ") + " .\n"
+	if len(line) > maxLine {
+		return fmt.Errorf("%w: a %d-byte %s line, limit %d", errLongLine, len(line), record, maxLine)
+	}
+	_, err := io.WriteString(w, line)
+	return err
 }
 
 func escape(s string) string {
@@ -210,7 +247,7 @@ func parseLine(line string) (record string, attrs map[string]string, err error) 
 // metrics are absent from the format and left nil.
 func ReadJob(r io.Reader) (*mapreduce.JobResult, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(make([]byte, maxLine), maxLine)
 	job := &mapreduce.JobResult{}
 	seenJob := false
 	for sc.Scan() {
@@ -235,7 +272,6 @@ func ReadJob(r io.Reader) (*mapreduce.JobResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.JobID = job.ID
 			job.Tasks = append(job.Tasks, t)
 		default:
 			return nil, fmt.Errorf("hadooplog: unknown record type %q", record)
@@ -247,6 +283,10 @@ func ReadJob(r io.Reader) (*mapreduce.JobResult, error) {
 	if !seenJob {
 		return nil, fmt.Errorf("hadooplog: no Job record found")
 	}
+	// Tasks may precede the Job record; they all belong to it.
+	for _, t := range job.Tasks {
+		t.JobID = job.ID
+	}
 	return job, nil
 }
 
@@ -254,11 +294,11 @@ func fillJob(job *mapreduce.JobResult, attrs map[string]string) error {
 	job.ID = attrs["JOBID"]
 	job.Script = attrs["JOBNAME"]
 	var err error
-	if job.Start, err = fromMS(attrs["SUBMIT_TIME"]); err != nil {
-		return fmt.Errorf("hadooplog: SUBMIT_TIME: %w", err)
+	if job.Start, err = fromMS(attrs, "SUBMIT_TIME"); err != nil {
+		return err
 	}
-	if job.Finish, err = fromMS(attrs["FINISH_TIME"]); err != nil {
-		return fmt.Errorf("hadooplog: FINISH_TIME: %w", err)
+	if job.Finish, err = fromMS(attrs, "FINISH_TIME"); err != nil {
+		return err
 	}
 	geti := func(key string) int {
 		v, _ := strconv.Atoi(attrs[key])
@@ -284,20 +324,29 @@ func fillTask(attrs map[string]string) (*mapreduce.TaskResult, error) {
 		Host:        attrs["HOSTNAME"],
 		TrackerName: attrs["TRACKER_NAME"],
 	}
-	var err error
-	if t.Start, err = fromMS(attrs["START_TIME"]); err != nil {
-		return nil, fmt.Errorf("hadooplog: START_TIME: %w", err)
-	}
-	if t.Finish, err = fromMS(attrs["FINISH_TIME"]); err != nil {
-		return nil, fmt.Errorf("hadooplog: FINISH_TIME: %w", err)
+	// The first two times are required; the others may be absent.
+	for i, f := range []struct {
+		key string
+		dst *float64
+	}{
+		{"START_TIME", &t.Start},
+		{"FINISH_TIME", &t.Finish},
+		{"SHUFFLE_TIME", &t.ShuffleTime},
+		{"SORT_TIME", &t.SortTime},
+		{"CPU_MILLISECONDS", &t.CPUSeconds},
+		{"GC_TIME_MILLIS", &t.GCTime},
+	} {
+		if _, ok := attrs[f.key]; !ok && i >= 2 {
+			continue
+		}
+		var err error
+		if *f.dst, err = fromMS(attrs, f.key); err != nil {
+			return nil, err
+		}
 	}
 	t.Index, _ = strconv.Atoi(attrs["TASK_INDEX"])
 	t.Slot, _ = strconv.Atoi(attrs["SLOT"])
-	t.ShuffleTime, _ = fromMS(attrs["SHUFFLE_TIME"])
-	t.SortTime, _ = fromMS(attrs["SORT_TIME"])
 	t.MergePasses, _ = strconv.Atoi(attrs["MERGE_PASSES"])
-	t.CPUSeconds, _ = fromMS(attrs["CPU_MILLISECONDS"])
-	t.GCTime, _ = fromMS(attrs["GC_TIME_MILLIS"])
 
 	counters, err := parseCounters(attrs["COUNTERS"])
 	if err != nil {

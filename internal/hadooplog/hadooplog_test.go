@@ -2,6 +2,8 @@ package hadooplog
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -146,4 +148,81 @@ func TestMapOnlyJobRoundTrip(t *testing.T) {
 	if back.NumReduceTasks != 0 || len(back.Tasks) != len(res.Tasks) {
 		t.Errorf("map-only round trip: %d reduces, %d tasks", back.NumReduceTasks, len(back.Tasks))
 	}
+}
+
+// TestTimesBeyond2To53Refused pins the time range: a time whose
+// magnitude passes 2^53 ms no longer reads as a float that writes back
+// with the opposite sign — it is refused, naming the attribute — and the
+// times at the bound survive a round trip.
+func TestTimesBeyond2To53Refused(t *testing.T) {
+	for key, line := range map[string]string{
+		"SUBMIT_TIME":  `Job SUBMIT_TIME="9223372036854775807" FINISH_TIME="0" .`,
+		"FINISH_TIME":  `Job SUBMIT_TIME="0" FINISH_TIME="-9007199254740993" .`,
+		"SHUFFLE_TIME": "Job SUBMIT_TIME=\"0\" FINISH_TIME=\"0\" .\nTask START_TIME=\"0\" FINISH_TIME=\"1\" SHUFFLE_TIME=\"9007199254740993\" .",
+	} {
+		if _, err := ReadJob(strings.NewReader(line)); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%s past 2^53 ms: error %v, want one naming the attribute", key, err)
+		}
+	}
+	job, err := ReadJob(strings.NewReader(`Job SUBMIT_TIME="-9007199254740992" FINISH_TIME="9007199254740991" .`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteJob(&buf, job); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJob(&buf)
+	if err != nil || back.Start != job.Start || back.Finish != job.Finish {
+		t.Errorf("times at the bound came back as %v, %v (%v); want %v, %v", back.Start, back.Finish, err, job.Start, job.Finish)
+	}
+}
+
+// jobString renders a job field for field, tasks included — NaN reads
+// as NaN on both sides of a comparison.
+func jobString(j *mapreduce.JobResult) string {
+	c := *j
+	c.Tasks = nil
+	s := fmt.Sprintf("%+v", c)
+	for _, t := range j.Tasks {
+		s += fmt.Sprintf("\n%+v", *t)
+	}
+	return s
+}
+
+// FuzzReadJob pins the history reader on untrusted input: it never
+// panics, and whatever it accepts writes back to a stream it reads the
+// same, field for field — or, for a line already near the length limit,
+// the writer refuses it rather than write what the reader cannot read.
+func FuzzReadJob(f *testing.F) {
+	job := "Meta VERSION=\"1\" .\nJob JOBID=\"j\" SUBMIT_TIME=\"0\" FINISH_TIME=\"5000\" REDUCE_TASKS_FACTOR=\"NaN\" .\n"
+	f.Add([]byte(job))
+	f.Add([]byte("Job JOBID=\"j\" SUBMIT_TIME=\"9223372036854775807\" FINISH_TIME=\"0\" .\n"))
+	f.Add([]byte(job + "Task TASKID=\"t\" START_TIME=\"0\" FINISH_TIME=\"1\" COUNTERS=\"{(g)(n)}\" .\n"))
+	f.Add([]byte("Task TASKID=\"t\" START_TIME=\"0\" FINISH_TIME=\"1\" COUNTERS=\"{(g)(INPUT_BYTES)(7)}\" .\n" + job))
+	f.Add([]byte("Job SUBMIT_TIME=\"0\" FINISH_TIME=\"1\" JOBNAME=\"unterminated \\\"quote .\n"))
+	head := "Job SUBMIT_TIME=\"0\" FINISH_TIME=\"1\" JOBNAME=\""
+	pad := maxLine - len(head) - len("\" .\n")
+	f.Add([]byte(head + strings.Repeat("x", pad) + "\" .\n"))   // at the cap: read, refused on write
+	f.Add([]byte(head + strings.Repeat("x", pad+1) + "\" .\n")) // past it: refused on read
+	f.Fuzz(func(t *testing.T, in []byte) {
+		job, err := ReadJob(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJob(&buf, job); err != nil {
+			if !errors.Is(err, errLongLine) {
+				t.Fatalf("writing an accepted job: %v", err)
+			}
+			return
+		}
+		back, err := ReadJob(&buf)
+		if err != nil {
+			t.Fatalf("re-reading a written job: %v", err)
+		}
+		if got, want := jobString(back), jobString(job); got != want {
+			t.Fatalf("round trip changed the job:\n got %s\nwant %s", got, want)
+		}
+	})
 }

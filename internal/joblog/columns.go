@@ -180,6 +180,18 @@ type Columns struct {
 	// a tail scan (see eqrows.go). Called only with resolved keys.
 	buildEqRows func(key eqRowsKey) Bitmap
 
+	// buildSegments, when set, replaces the fixed-size runs behind
+	// SegmentViews — the segment store's seam for handing a snapshot's
+	// sealed segments (whose views outlive the snapshot) and its tail to
+	// the shard runner.
+	buildSegments func() []SegmentView
+	// segs memoizes SegmentViews; non-nil once built (an empty view's
+	// decomposition is empty, not nil). Guarded by segsMu rather than the
+	// memo lock, so a runner wiring and hashing the log never stalls the
+	// index and deriver memos of questions answered locally meanwhile.
+	segsMu sync.Mutex
+	segs   []SegmentView
+
 	memoMu sync.Mutex
 	memos  map[any]any
 }

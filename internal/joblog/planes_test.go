@@ -132,7 +132,7 @@ func checkSealedRoundTrip(t *testing.T, schema *Schema, recs []*Record) {
 				t.Fatalf("seal=%d force=%v: log hashes %.12s from planes, %.12s from records", sealEvery, force, got, want)
 			}
 			off := 0
-			for _, v := range snap.Segments() {
+			for _, v := range snap.Log().SegmentViews() {
 				if want := HashSlice(WireSlice(schema, recs[off:off+v.Len()])); v.Hash != want {
 					t.Fatalf("seal=%d force=%v: segment at %d hashes %.12s, its records %.12s", sealEvery, force, off, v.Hash, want)
 				}
@@ -293,7 +293,7 @@ func TestStoreIngestEqualsAppends(t *testing.T) {
 						got.Gen(), st.SealedSegments(), st.TailLen(), want.Gen(), byAppend.SealedSegments(), byAppend.TailLen())
 				}
 				assertColumnsIdentical(t, want.Log().Columns(), got.Log().Columns())
-				gv, wv := got.Segments(), want.Segments()
+				gv, wv := got.Log().SegmentViews(), want.Log().SegmentViews()
 				for i := range wv {
 					if gv[i].Start != wv[i].Start || gv[i].Hash != wv[i].Hash || gv[i].Sealed != wv[i].Sealed {
 						t.Fatalf("seal=%d head=%d %s: segment %d is {%d %.12s %v}, appends leave {%d %.12s %v}", sealEvery, head, name, i,

@@ -20,9 +20,10 @@ package joblog
 //     first-appearance order is preserved);
 //   - on first index use, its per-field sorted indexes (memoized on the
 //     segment's view);
-//   - the first time a snapshot is asked for its Segments — that is, the
-//     first time a shard worker is shipped to — its wire form and content
-//     hash (HashSlice over the records). The shard layer ships segments
+//   - the first time a snapshot's log is asked for its SegmentViews —
+//     that is, the first time a walk ships to shard workers — its wire
+//     form and content hash (HashSlice over the records). The shard layer
+//     ships segments
 //     as hashed LogSlices, so a worker that cached a sealed segment's
 //     decoded form never receives its bytes again, no matter how much
 //     the log grows. A store that only ever answers locally holds no
@@ -116,7 +117,7 @@ type segment struct {
 	cols *Columns
 	// view is the segment's shippable form — wire records and their
 	// content hash — built by shipView the first time any snapshot's
-	// Segments asks for it, then shared by every snapshot.
+	// SegmentViews asks for it, then shared by every snapshot.
 	viewOnce sync.Once
 	view     SegmentView
 }
@@ -300,26 +301,45 @@ func newSegmentView(start int, wire WireLog, sealed bool) SegmentView {
 	return SegmentView{Start: start, Hash: HashSlice(wire), Records: wire, Sealed: sealed}
 }
 
-type flatViewsKey struct{}
-
-// SegmentViews returns a flat log's own segment decomposition: the
-// views a store fed the same records at DefaultSealThreshold would
-// expose — contiguous runs of that many records, the last one short and
-// unsealed. Wire forms and content hashes are memoized on the columnar
-// view, so they are computed once per log generation and a log that
-// only grows by Append keeps the hashes of its full runs. Snapshot logs
-// carry their store's views (Snapshot.Segments) instead; callers must
-// not mutate the result.
+// SegmentViews returns the log's segment decomposition: its shippable
+// views in record order, tiling the records contiguously from 0. A store
+// snapshot's log returns its store's — every sealed segment, then the
+// tail if non-empty. Any other log returns the views a store fed the
+// same records at DefaultSealThreshold would expose: contiguous runs of
+// that many records, the last one short and unsealed.
+//
+// The views are built on the first call and memoized on the columnar
+// view — once per log generation, a sealed segment's once for all
+// snapshots — so a log that is only queried locally never pays for wire
+// forms or hashes, and a flat log that only grows by Append keeps the
+// hashes of its full runs. Callers must not mutate the result.
 func (l *Log) SegmentViews() []SegmentView {
 	c := l.Columns()
-	return c.Memo(flatViewsKey{}, func() any {
-		views := make([]SegmentView, 0, (c.n+DefaultSealThreshold-1)/DefaultSealThreshold)
-		for start := 0; start < c.n; start += DefaultSealThreshold {
-			end := min(start+DefaultSealThreshold, c.n)
-			views = append(views, newSegmentView(start, l.wire(start, end), end-start == DefaultSealThreshold))
-		}
-		return views
-	}).([]SegmentView)
+	c.segsMu.Lock()
+	defer c.segsMu.Unlock()
+	if c.segs != nil {
+		return c.segs
+	}
+	if c.buildSegments != nil {
+		c.segs = c.buildSegments()
+		return c.segs
+	}
+	c.segs = make([]SegmentView, 0, (c.n+DefaultSealThreshold-1)/DefaultSealThreshold)
+	for start := 0; start < c.n; start += DefaultSealThreshold {
+		end := min(start+DefaultSealThreshold, c.n)
+		c.segs = append(c.segs, newSegmentView(start, l.wire(start, end), end-start == DefaultSealThreshold))
+	}
+	return c.segs
+}
+
+// SegmentViewsBuilt reports whether SegmentViews has built the views of
+// the log's current generation — the observable behind the promise that
+// answering locally, or by rank, wires and hashes nothing.
+func (l *Log) SegmentViewsBuilt() bool {
+	c := l.Columns()
+	c.segsMu.Lock()
+	defer c.segsMu.Unlock()
+	return c.segs != nil
 }
 
 // Snapshot is an immutable view of the store at one watermark.
@@ -331,9 +351,6 @@ type Snapshot struct {
 	// (the rest of the log's rows) begins.
 	sealed    []*segment
 	tailStart int
-
-	segsOnce sync.Once
-	segs     []SegmentView
 }
 
 // Log returns the snapshot's assembled, plane-backed log. Its planes
@@ -341,23 +358,18 @@ type Snapshot struct {
 // reads exactly like a fresh Log over the same records.
 func (sn *Snapshot) Log() *Log { return sn.log }
 
-// Segments returns the snapshot's shippable views in record order:
-// every sealed segment, then the tail (if non-empty). The views are
-// built on the first call — a sealed segment's once for all snapshots,
-// the tail's once for this one — so a snapshot that is only queried
-// locally never pays for wire forms or hashes. Callers must not mutate
-// the result.
-func (sn *Snapshot) Segments() []SegmentView {
-	sn.segsOnce.Do(func() {
-		sn.segs = make([]SegmentView, 0, len(sn.sealed)+1)
-		for _, seg := range sn.sealed {
-			sn.segs = append(sn.segs, seg.shipView(sn.log))
-		}
-		if n := sn.log.Len(); n > sn.tailStart {
-			sn.segs = append(sn.segs, newSegmentView(sn.tailStart, sn.log.wire(sn.tailStart, n), false))
-		}
-	})
-	return sn.segs
+// segments builds the snapshot's shippable views — its log's
+// SegmentViews: every sealed segment (built once for all snapshots),
+// then the tail (built for this one) if non-empty.
+func (sn *Snapshot) segments() []SegmentView {
+	views := make([]SegmentView, 0, len(sn.sealed)+1)
+	for _, seg := range sn.sealed {
+		views = append(views, seg.shipView(sn.log))
+	}
+	if n := sn.log.Len(); n > sn.tailStart {
+		views = append(views, newSegmentView(sn.tailStart, sn.log.wire(sn.tailStart, n), false))
+	}
+	return views
 }
 
 // Gen returns the watermark the snapshot was taken at.
@@ -378,13 +390,15 @@ func (s *Store) Snapshot() *Snapshot {
 }
 
 func (s *Store) buildSnapshotLocked() *Snapshot {
-	// An immutable copy of the segment list: the snapshot's lazy hooks and
-	// Segments run long after the store lock is released, and sealed
-	// segments never change.
+	// An immutable copy of the segment list: the snapshot's lazy hooks
+	// run long after the store lock is released, and sealed segments
+	// never change.
 	segs := append([]*segment(nil), s.sealed...)
 	tailStart := s.tailStartLocked()
 	c := s.assembleColumnsLocked(segs, tailStart)
-	return &Snapshot{log: &Log{Schema: s.schema, rows: c}, gen: s.gen, sealed: segs, tailStart: tailStart}
+	sn := &Snapshot{log: &Log{Schema: s.schema, rows: c}, gen: s.gen, sealed: segs, tailStart: tailStart}
+	c.buildSegments = sn.segments
+	return sn
 }
 
 // assembleColumnsLocked stitches the snapshot's planes: sealed planes

@@ -200,7 +200,7 @@ func TestStoreSnapshotEquivalence(t *testing.T) {
 
 					// The views tile the record space contiguously.
 					off := 0
-					for _, v := range snap.Segments() {
+					for _, v := range snap.Log().SegmentViews() {
 						if v.Start != off {
 							t.Fatalf("segment starts at %d, want %d", v.Start, off)
 						}
@@ -229,7 +229,7 @@ func TestSnapshotStableAcrossAppends(t *testing.T) {
 	n1 := snap1.Log().Len()
 	dom1 := snap1.Log().Domain("site")
 	hashes1 := map[string]bool{}
-	for _, v := range snap1.Segments() {
+	for _, v := range snap1.Log().SegmentViews() {
 		if v.Sealed {
 			hashes1[v.Hash] = true
 		}
@@ -248,7 +248,7 @@ func TestSnapshotStableAcrossAppends(t *testing.T) {
 	if got := snap2.Log().Len(); got != 30 {
 		t.Fatalf("new snapshot Len = %d, want 30", got)
 	}
-	for _, v := range snap2.Segments() {
+	for _, v := range snap2.Log().SegmentViews() {
 		if v.Sealed && v.Start < n1 && !hashes1[v.Hash] {
 			// Every sealed segment the first watermark already had must
 			// reappear with an identical hash — that is what keeps
@@ -341,7 +341,7 @@ func TestLogSegmentViews(t *testing.T) {
 	for _, r := range recs {
 		st.MustAppend(r)
 	}
-	views, want := log.SegmentViews(), st.Snapshot().Segments()
+	views, want := log.SegmentViews(), st.Snapshot().Log().SegmentViews()
 	if len(views) != 3 || len(views) != len(want) {
 		t.Fatalf("flat log has %d views, store has %d; want 3", len(views), len(want))
 	}
@@ -372,7 +372,7 @@ func TestLogSegmentViews(t *testing.T) {
 
 // builtViews counts the snapshot's sealed segments that hold a wire
 // form. White-box: reads segment.view without its Once, so only call it
-// while nothing else is asking for Segments.
+// while nothing else is asking for SegmentViews.
 func builtViews(sn *Snapshot) int {
 	n := 0
 	for _, seg := range sn.sealed {
@@ -386,7 +386,7 @@ func builtViews(sn *Snapshot) int {
 // TestSegmentsLazyUntilAsked pins the store's memory policy: appending,
 // sealing, snapshotting and every read local execution makes (planes,
 // sorted indexes, equality bitmaps, statistics) build no wire form and
-// hash nothing; the first Segments call builds exactly the content
+// hash nothing; the first SegmentViews call builds exactly the content
 // addresses eager sealing used to.
 func TestSegmentsLazyUntilAsked(t *testing.T) {
 	schema := segTestSchema()
@@ -407,11 +407,11 @@ func TestSegmentsLazyUntilAsked(t *testing.T) {
 	cols.EqualRowsBitmap(0, Str("east"))
 	snap.Log().Domain("site")
 	snap.Log().NumericRange("x")
-	if n := builtViews(snap); n != 0 || snap.segs != nil {
-		t.Fatalf("%d sealed segments hold a wire form (snapshot views %v) before anyone asked", n, snap.segs != nil)
+	if n := builtViews(snap); n != 0 || snap.Log().SegmentViewsBuilt() {
+		t.Fatalf("%d sealed segments hold a wire form (snapshot views %v) before anyone asked", n, snap.Log().SegmentViewsBuilt())
 	}
 
-	views := snap.Segments()
+	views := snap.Log().SegmentViews()
 	if len(views) != 5 || builtViews(snap) != 4 {
 		t.Fatalf("%d views, %d sealed wire forms; want 5 and 4", len(views), builtViews(snap))
 	}
@@ -430,7 +430,7 @@ func TestSegmentsLazyUntilAsked(t *testing.T) {
 
 	// A later snapshot shares the sealed views it did not have to build.
 	st.MustAppend(segTestRecords(31)[30])
-	later := st.Snapshot().Segments()
+	later := st.Snapshot().Log().SegmentViews()
 	for i := 0; i < 4; i++ {
 		if &later[i].Records.Records[0] != &views[i].Records.Records[0] {
 			t.Errorf("sealed segment %d was wired again for a later snapshot", i)
@@ -459,13 +459,13 @@ func TestSegmentsLazyConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g] = snap.Segments()
+			got[g] = snap.Log().SegmentViews()
 		}(g)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sib = sibling.Segments()
+		sib = sibling.Log().SegmentViews()
 	}()
 	wg.Wait()
 	for g := 1; g < len(got); g++ {
@@ -497,14 +497,14 @@ func TestSegmentsLazyOldWatermark(t *testing.T) {
 	if st.SealedSegments() != 3 {
 		t.Fatalf("fixture sealed %d segments, want 3", st.SealedSegments())
 	}
-	views := old.Segments()
+	views := old.Log().SegmentViews()
 	if len(views) != 2 || !views[0].Sealed || views[1].Sealed || views[1].Start != 8 || views[1].Len() != 5 {
 		t.Fatalf("old snapshot's views = %+v, want one sealed run of 8 and a tail of 5", views)
 	}
 	if want := HashSlice(WireSlice(schema, recs[8:13])); views[1].Hash != want {
 		t.Errorf("old tail hash %.12s, want %.12s", views[1].Hash, want)
 	}
-	if now := st.Snapshot().Segments(); now[0].Hash != views[0].Hash || now[1].Hash == views[1].Hash {
+	if now := st.Snapshot().Log().SegmentViews(); now[0].Hash != views[0].Hash || now[1].Hash == views[1].Hash {
 		t.Error("the current watermark does not share the sealed view, or shares the old tail's")
 	}
 }

@@ -123,8 +123,8 @@ func (c *sliceCache) put(hash string, data *core.SliceData, size int64) {
 }
 
 // workerState is the per-worker-loop protocol state: the slice cache
-// plus a one-entry memo of the last combined segment view. Segmented
-// specs at one watermark all carry the same slice list, so every task
+// plus a one-entry memo of the last combined segment view. The tasks of
+// one watermark all carry the same slice list, so every task
 // after the first reuses the concatenated log and columnar planes
 // instead of rebuilding them — the memo is keyed on the joined segment
 // hashes and rolls forward naturally when the watermark advances.
@@ -144,7 +144,7 @@ func newWorkerState() *workerState {
 // fails the whole frame, and the coordinator clears its shipped marks
 // for every reference in it and re-ships in full.
 func (ws *workerState) load(t *Task) (data *core.SliceData, miss bool, err error) {
-	ss := t.slices()
+	ss := t.Slices
 	datas := make([]*core.SliceData, len(ss))
 	for i := range ss {
 		if datas[i], miss, err = ws.resolve(&ss[i]); miss || err != nil {

@@ -91,7 +91,7 @@ func batchLog(n int) *joblog.Log {
 }
 
 // TestWorkerCombinesEachWatermarkOnce pins the worker's side of a
-// batch: every spec of a round carries the same slices, the pool strips
+// batch: every task of a round carries the same slices, the pool strips
 // all but the first frame to references, and the worker resolves those
 // from its cache and reuses one combined whole-log view — not one
 // concatenation (N times the whole log at N shards) per spec.
@@ -101,21 +101,18 @@ func TestWorkerCombinesEachWatermarkOnce(t *testing.T) {
 	for _, r := range log.Records {
 		st.MustAppend(r)
 	}
-	layout, err := core.NewSegmentLayout(st.Snapshot().Segments())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(layout.Slices) != 4 {
-		t.Fatalf("fixture layout has %d slices, want 4", len(layout.Slices))
+	slices := core.LogSlices(st.Snapshot().Log())
+	if len(slices) != 4 {
+		t.Fatalf("fixture snapshot ships %d slices, want 4", len(slices))
 	}
 	q := &pxql.Query{Despite: pxql.Predicate{{Feature: "script_issame", Op: pxql.OpEq, Value: features.ValT}}}
-	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, 0, 7, 1)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 7, 1)
 
 	ws := newWorkerState()
 	known := map[string]int{}
 	var first *core.SliceData
 	for i := range specs {
-		frame, refd := (&Task{Enum: &specs[i]}).strippedWith(known)
+		frame, refd := (&Task{Slices: slices, Enum: &specs[i]}).strippedWith(known)
 		if want := len(known); len(refd) != want {
 			t.Fatalf("spec %d: %d slices stripped to references, want %d", i, len(refd), want)
 		}
@@ -129,7 +126,7 @@ func TestWorkerCombinesEachWatermarkOnce(t *testing.T) {
 		if d != first {
 			t.Errorf("spec %d got its own combined view; a worker must combine a watermark once", i)
 		}
-		for _, s := range layout.Slices {
+		for _, s := range slices {
 			known[s.Hash] = 0
 		}
 	}
@@ -139,8 +136,8 @@ func TestWorkerCombinesEachWatermarkOnce(t *testing.T) {
 
 	// A reference the worker never received is a miss, not an error: the
 	// coordinator re-ships.
-	ref := core.EnumSpec{Slices: []core.LogSlice{layout.Slices[0].AsRef()}}
-	if _, miss, err := newWorkerState().load(&Task{Enum: &ref}); !miss || err != nil {
+	ref := &Task{Slices: []core.LogSlice{slices[0].AsRef()}, Enum: &core.EnumSpec{}}
+	if _, miss, err := newWorkerState().load(ref); !miss || err != nil {
 		t.Errorf("reference to an unseen slice: miss=%v err=%v, want a miss", miss, err)
 	}
 }

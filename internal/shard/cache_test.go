@@ -36,14 +36,14 @@ func encodeAny(t *testing.T, v any) []byte {
 func pipelineResults(t *testing.T, log *joblog.Log, runner core.ShardRunner, shards int, seed uint64) []byte {
 	t.Helper()
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, shards, seed)
-	enum, err := runner.RunEnum(specs)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, shards, seed)
+	enum, err := runner.RunEnum(core.LogSlices(log), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := &core.Explanation{}
-	evalSpecs := core.PlanEvalShards(core.FlatLayout(log), log, features.Level3, q, x, 0, shards, seed)
-	eval, err := runner.RunEval(evalSpecs)
+	evalSpecs := core.PlanEvalShards(log, features.Level3, q, x, 0, shards, seed)
+	eval, err := runner.RunEval(core.LogSlices(log), evalSpecs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package shard_test
 
 // The distributed-vs-local equivalence suite: every worker transport of
 // the pair pipeline — subprocess workers over the gob pipe protocol,
-// socket and channel transports — planned over the flat log's own
-// segment layout, must produce explanations, atom details and metrics
+// socket and channel transports — shipping the flat log's own
+// segments, must produce explanations, atom details and metrics
 // byte-identical to serial local execution (one spec, one goroutine, no
 // runner — itself pinned to the paper's definitions by internal/core's
 // oracle suite) at every shard count and in every sampling mode, and so
@@ -192,8 +192,8 @@ func skipCappedCase(t *testing.T) equivCase {
 	t.Helper()
 	log := equivLog(150)
 	q := equivQuery(t, log)
-	enum := core.PlanEnumShards(nil, log, features.Level3, q, q.Despite, skipCapped.MaxPairs, 1, 1)[0]
-	eval := core.PlanEvalShards(nil, log, features.Level3, q, &core.Explanation{}, skipCapped.MaxPairs, 1, 1)[0]
+	enum := core.PlanEnumShards(log, features.Level3, q, q.Despite, skipCapped.MaxPairs, 1, 1)[0]
+	eval := core.PlanEvalShards(log, features.Level3, q, &core.Explanation{}, skipCapped.MaxPairs, 1, 1)[0]
 	for _, keepP := range []float64{enum.KeepP, eval.KeepP} {
 		if keepP <= 0 || keepP >= 1.0/8 {
 			t.Fatalf("MaxPairs %d gives keep probability %v; the capped leg misses the skip path", skipCapped.MaxPairs, keepP)
@@ -217,18 +217,22 @@ func bernoulliCases(t *testing.T) []equivCase {
 
 // pooled is the executor of a flat log's walks on runner's workers.
 func pooled(log *joblog.Log, shards int, runner core.ShardRunner) core.Exec {
-	return core.Exec{Parallelism: 4, Shards: shards, Runner: runner, Layout: core.FlatLayout(log)}
+	return core.Exec{Parallelism: 4, Shards: shards, Runner: runner}
 }
 
-// specRunner executes each spec standalone in this process — it decodes
-// the spec's own slices, with no pool, frame or cache in between — the
+// specRunner executes the specs in this process — it decodes the
+// shipped slices, with no pool, frame or cache in between — the
 // reference for tests that compare raw spec results.
 type specRunner struct{}
 
-func (specRunner) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
+func (specRunner) RunEnum(slices []core.LogSlice, specs []core.EnumSpec) ([]core.EnumResult, error) {
+	data, err := core.DecodeSlices(slices)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]core.EnumResult, len(specs))
 	for i := range specs {
-		r, err := specs[i].Run()
+		r, err := specs[i].RunWith(data)
 		if err != nil {
 			return nil, err
 		}
@@ -237,10 +241,14 @@ func (specRunner) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
 	return out, nil
 }
 
-func (specRunner) RunEval(specs []core.EvalSpec) ([]core.EvalResult, error) {
+func (specRunner) RunEval(slices []core.LogSlice, specs []core.EvalSpec) ([]core.EvalResult, error) {
+	data, err := core.DecodeSlices(slices)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]core.EvalResult, len(specs))
 	for i := range specs {
-		r, err := specs[i].Run()
+		r, err := specs[i].RunWith(data)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +343,7 @@ func TestEquivalenceSubprocess(t *testing.T) {
 func TestEquivalenceEmptyShards(t *testing.T) {
 	log := equivLog(14) // big group ~9 records, others tiny
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 64, 123)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 64, 123)
 	empty := 0
 	for _, s := range specs {
 		if len(s.Groups) == 0 {
@@ -360,7 +368,7 @@ func TestEquivalenceEmptyShards(t *testing.T) {
 func TestEquivalenceStraddlingGroup(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 7, 123)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 7, 123)
 	seen := map[int]int{} // group fingerprint (first member) -> spec count
 	for _, s := range specs {
 		for _, g := range s.Groups {
@@ -507,10 +515,10 @@ func TestSocketWorkerDiesMidFrame(t *testing.T) {
 
 	log := equivLog(20)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 2, 1)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := pool.RunEnum(specs)
+		_, err := pool.RunEnum(core.LogSlices(log), specs)
 		done <- err
 	}()
 	select {
@@ -547,8 +555,8 @@ func TestSocketBadToken(t *testing.T) {
 	defer pool.Close()
 	log := equivLog(20)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 2, 1)
-	_, err = pool.RunEnum(specs)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
+	_, err = pool.RunEnum(core.LogSlices(log), specs)
 	if err == nil {
 		t.Fatal("expected a handshake rejection with the wrong token")
 	}
@@ -567,11 +575,11 @@ func TestSocketBadToken(t *testing.T) {
 func TestSubprocessWorkerCrash(t *testing.T) {
 	log := equivLog(30)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 4, 1)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 4, 1)
 	pool := &shard.Pool{Command: []string{"sh", "-c", "exit 1"}, Workers: 2}
 	t.Cleanup(pool.Close)
 	for round := 0; round < 2; round++ {
-		if _, err := pool.RunEnum(specs); err == nil {
+		if _, err := pool.RunEnum(core.LogSlices(log), specs); err == nil {
 			t.Fatalf("round %d: expected an error from crashing workers", round)
 		}
 	}
@@ -587,7 +595,7 @@ func TestSubprocessWorkerFailure(t *testing.T) {
 	q.Despite = append(q.Despite, pxql.Atom{Feature: "numinstances", Op: pxql.OpGt, Value: joblog.Num(0)})
 	pool := &shard.Pool{Command: []string{"/nonexistent/pxql-worker"}, Workers: 2}
 	t.Cleanup(pool.Close)
-	ex, err := core.NewExplainer(log, core.Config{Seed: 7, Exec: core.Exec{Shards: 4, Runner: pool, Layout: core.FlatLayout(log)}})
+	ex, err := core.NewExplainer(log, core.Config{Seed: 7, Exec: core.Exec{Shards: 4, Runner: pool}})
 	if err != nil {
 		t.Fatal(err)
 	}

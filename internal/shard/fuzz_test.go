@@ -9,9 +9,9 @@ package shard_test
 //  2. No panics on corrupt input: arbitrary bytes, and valid frames with
 //     fuzzer-chosen corruption, go through the full worker loop without
 //     panicking — failures surface as transport errors or in-band task
-//     errors. Two shapes are pinned by name: a frame from protocol v5
-//     (whose specs still carried inline records) is refused with the
-//     version-mismatch error, and a spec with no slices fails with
+//     errors. Two shapes are pinned by name: frames from protocols v5
+//     and v10 (whose specs still carried their records) are refused with
+//     the version-mismatch error, and a task with no slices fails with
 //     "core: spec has no slices".
 //
 // Run with: go test -fuzz FuzzShardCodec ./internal/shard
@@ -151,19 +151,19 @@ func roundTripJSON[T any](t *testing.T, v *T) {
 	}
 }
 
-// seedSpec plans one enumeration spec over a tiny flat log — the body
-// of the well-formed seed frames.
-func seedSpec() core.EnumSpec {
+// seedSpec plans one enumeration spec over a tiny flat log and returns
+// it with the log's slices — the body of the well-formed seed frames.
+func seedSpec() (core.EnumSpec, []core.LogSlice) {
 	log := (&byteDriver{data: []byte{2, 0, 1, 9, 1, 7, 1, 3, 1, 7, 1, 5}}).fuzzLog()
 	q := &pxql.Query{}
-	return core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 1, 1)[0]
+	return core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 1, 1)[0], core.LogSlices(log)
 }
 
 // v5Frame is a task frame as protocol v5 wrote it: version 5, and an
 // enumeration spec that still carries its records inline next to the
 // per-shard global index.
 func v5Frame(t testing.TB) []byte {
-	spec := seedSpec()
+	spec, slices := seedSpec()
 	type v5EnumSpec struct {
 		Log    joblog.WireLog
 		Slices []core.LogSlice
@@ -179,7 +179,7 @@ func v5Frame(t testing.TB) []byte {
 	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(&v5Task{Version: 5, Seq: 3, Enum: &v5EnumSpec{
-		Log: spec.Slices[0].Log, Global: []int{0, 1}, Groups: spec.Groups, KeepP: 1, Level: features.Level3,
+		Log: slices[0].Log, Global: []int{0, 1}, Groups: spec.Groups, KeepP: 1, Level: features.Level3,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func v5Frame(t testing.TB) []byte {
 // its slice-local pair indices. v7 has neither the spec kind nor the
 // intern field.
 func v6MatFrame(t testing.TB) []byte {
-	spec := seedSpec()
+	_, slices := seedSpec()
 	type v6LogSlice struct {
 		Hash   string
 		Log    joblog.WireLog
@@ -210,7 +210,7 @@ func v6MatFrame(t testing.TB) []byte {
 		Mat     *v6MatSpec
 	}
 	return gobBytes(t, &v6Task{Version: 6, Seq: 4, Mat: &v6MatSpec{
-		Slice: v6LogSlice{Hash: spec.Slices[0].Hash, Log: spec.Slices[0].Log, Intern: []string{"a", "b"}},
+		Slice: v6LogSlice{Hash: slices[0].Hash, Log: slices[0].Log, Intern: []string{"a", "b"}},
 		Level: features.Level3, PairA: []int{0}, PairB: []int{1},
 	}})
 }
@@ -221,9 +221,35 @@ func v6MatFrame(t testing.TB) []byte {
 // fields that selected v8's other samplers off the wire (gob drops fields
 // the receiver lacks, so a frame carrying them decodes to this one).
 func staleFrame(t testing.TB, version int) []byte {
-	spec := seedSpec()
+	spec, slices := seedSpec()
 	spec.KeepP = 0.01
-	return gobBytes(t, &shard.Task{Version: version, Seq: 6, Enum: &spec})
+	return gobBytes(t, &shard.Task{Version: version, Seq: 6, Slices: slices, Enum: &spec})
+}
+
+// v10Frame is an enumeration task as protocol v10 framed it: the log's
+// slices rode on the spec, not the task. A v11 worker decodes it to a
+// task with no slices (gob drops the spec field it lacks).
+func v10Frame(t testing.TB) []byte {
+	spec, slices := seedSpec()
+	type v10EnumSpec struct {
+		Slices   []core.LogSlice
+		Groups   []core.EnumGroup
+		KeepP    float64
+		Seed     uint64
+		Level    features.Level
+		Despite  pxql.PredicateSpec
+		Observed pxql.PredicateSpec
+		Expected pxql.PredicateSpec
+	}
+	type v10Task struct {
+		Version int
+		Seq     int
+		Enum    *v10EnumSpec
+	}
+	return gobBytes(t, &v10Task{Version: 10, Seq: 7, Enum: &v10EnumSpec{
+		Slices: slices, Groups: spec.Groups, KeepP: spec.KeepP, Seed: spec.Seed, Level: spec.Level,
+		Despite: spec.Despite, Observed: spec.Observed, Expected: spec.Expected,
+	}})
 }
 
 // removedFieldFrame is a frame claiming the current version whose only
@@ -309,6 +335,18 @@ func TestWorkerRefusesV9Frame(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesV10Frame pins that the slices' move from spec to
+// task is a refusal, not a confusing "no slices" failure: a v10 frame
+// decodes — its spec's slices dropped — and is answered with the
+// version-mismatch error before anything looks for records.
+func TestWorkerRefusesV10Frame(t *testing.T) {
+	results := workerResults(t, v10Frame(t))
+	if len(results) != 1 || results[0].Seq != 7 || results[0].Enum != nil ||
+		results[0].Err != fmt.Sprintf("shard: protocol version 10, want %d", shard.Version) {
+		t.Fatalf("v10 frame answered with %+v", results)
+	}
+}
+
 // TestWorkerRefusesRemovedSpecKinds pins what became of the spec kinds
 // v7 deleted: a v6 materialization frame is a version mismatch like any
 // other old frame, and a current-version frame carrying only a removed
@@ -327,20 +365,16 @@ func TestWorkerRefusesRemovedSpecKinds(t *testing.T) {
 	}
 }
 
-// TestSpecWithoutSlices pins the error for a spec that carries no
-// records at all — what a locally planned spec looks like to a worker —
-// standalone, through the worker loop and through a pool.
+// TestSpecWithoutSlices pins the error for a spec that arrives with no
+// records at all — decoded directly, through the worker loop and through
+// a pool.
 func TestSpecWithoutSlices(t *testing.T) {
 	const want = "core: spec has no slices"
-	enum := seedSpec()
-	enum.Slices = nil
-	if _, err := enum.Run(); err == nil || err.Error() != want {
-		t.Errorf("enum spec without slices: %v", err)
+	if _, err := core.DecodeSlices(nil); err == nil || err.Error() != want {
+		t.Errorf("decoding no slices: %v", err)
 	}
+	enum, _ := seedSpec()
 	eval := core.EvalSpec{Level: features.Level3}
-	if _, err := eval.Run(); err == nil || err.Error() != want {
-		t.Errorf("eval spec without slices: %v", err)
-	}
 	for _, task := range []shard.Task{
 		{Version: shard.Version, Enum: &enum},
 		{Version: shard.Version, Eval: &eval},
@@ -349,7 +383,7 @@ func TestSpecWithoutSlices(t *testing.T) {
 			t.Errorf("worker answered a spec without slices with %+v", results)
 		}
 	}
-	if _, err := chanPool(t, 1).RunEval([]core.EvalSpec{eval}); err == nil || !strings.HasSuffix(err.Error(), want) {
+	if _, err := chanPool(t, 1).RunEval(nil, []core.EvalSpec{eval}); err == nil || !strings.HasSuffix(err.Error(), want) {
 		t.Errorf("pool on a spec without slices: %v", err)
 	}
 }
@@ -361,23 +395,15 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add([]byte("DESPITE pigscript_issame = T OBSERVED duration_compare = GT"))
 	// Well-formed frames for the mutator to start from: a current task,
 	// the same task with its slice list emptied, a v5-framed one, a
-	// v6-framed materialization task, a v8 task, and a current
-	// frame whose only payload is a field the protocol removed.
-	spec := seedSpec()
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(&shard.Task{Version: shard.Version, Seq: 1, Enum: &spec}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frame.Bytes())
-	spec.Slices = nil
-	frame.Reset()
-	if err := gob.NewEncoder(&frame).Encode(&shard.Task{Version: shard.Version, Seq: 2, Enum: &spec}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frame.Bytes())
+	// v6-framed materialization task, a v8 task, a v10 task, and a
+	// current frame whose only payload is a field the protocol removed.
+	spec, slices := seedSpec()
+	f.Add(gobBytes(f, &shard.Task{Version: shard.Version, Seq: 1, Slices: slices, Enum: &spec}))
+	f.Add(gobBytes(f, &shard.Task{Version: shard.Version, Seq: 2, Enum: &spec}))
 	f.Add(v5Frame(f))
 	f.Add(v6MatFrame(f))
 	f.Add(staleFrame(f, 8))
+	f.Add(v10Frame(f))
 	f.Add(removedFieldFrame(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -396,19 +422,28 @@ func FuzzShardCodec(f *testing.F) {
 			Observed: d.fuzzPredicate(dr),
 			Expected: d.fuzzPredicate(dr),
 		}
-		layout := core.FlatLayout(log)
-		specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite,
+		slices := core.LogSlices(log)
+		view, err := core.DecodeSlices(slices)
+		if err != nil {
+			t.Fatalf("decode of own slices: %v", err)
+		}
+		// A reference without a cached payload must error, not panic or
+		// fabricate a view.
+		if _, err := core.DecodeSlices([]core.LogSlice{slices[0].AsRef()}); err == nil {
+			t.Fatalf("reference slice without cache decoded")
+		}
+		specs := core.PlanEnumShards(log, features.Level3, q, q.Despite,
 			1+d.intn(64), 1+d.intn(5), uint64(d.next()))
 
 		for si := range specs {
 			spec := &specs[si]
-			want, wantErr := spec.Run()
+			want, wantErr := spec.RunWith(view)
 
 			// Property 1: gob and JSON round-trips are lossless, and the
 			// decoded spec reproduces the original's execution exactly.
 			dec := roundTripGob(t, spec)
 			roundTripJSON(t, spec)
-			got, gotErr := dec.Run()
+			got, gotErr := dec.RunWith(view)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("decoded spec error mismatch: %v vs %v", wantErr, gotErr)
 			}
@@ -421,28 +456,20 @@ func FuzzShardCodec(f *testing.F) {
 		}
 
 		// Evaluation shards: gob/JSON-lossless, and the decoded spec
-		// reproduces the original's counts — including through the
-		// reference/cache path a worker would take.
+		// reproduces the original's counts.
 		x := &core.Explanation{Despite: d.fuzzPredicate(dr), Because: d.fuzzPredicate(dr)}
-		evalSpecs := core.PlanEvalShards(layout, log, features.Level3, q, x, 1+d.intn(64), 1+d.intn(4), uint64(d.next()))
+		evalSpecs := core.PlanEvalShards(log, features.Level3, q, x, 1+d.intn(64), 1+d.intn(4), uint64(d.next()))
 		for si := range evalSpecs {
 			spec := &evalSpecs[si]
-			want, wantErr := spec.Run()
+			want, wantErr := spec.RunWith(view)
 			dec := roundTripGob(t, spec)
 			roundTripJSON(t, spec)
-			got, gotErr := dec.Run()
+			got, gotErr := dec.RunWith(view)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("decoded eval spec error mismatch: %v vs %v", wantErr, gotErr)
 			}
 			if wantErr == nil && *want != *got {
 				t.Fatalf("decoded eval spec counts differ: %+v vs %+v", want, got)
-			}
-			// A reference frame without a cached payload must error, not
-			// panic or fabricate counts.
-			ref := *spec
-			ref.Slices = []core.LogSlice{spec.Slices[0].AsRef()}
-			if _, err := ref.Run(); err == nil {
-				t.Fatalf("reference slice without cache executed")
 			}
 		}
 
@@ -459,8 +486,8 @@ func FuzzShardCodec(f *testing.F) {
 
 		// Property 2b: a valid frame with fuzzer-chosen corruption — no
 		// panic anywhere in decode or execution; errors are fine.
-		task := shard.Task{Version: shard.Version, Seq: 1, Enum: &specs[0]}
-		frame := gobBytes(t, &task)
+		task := shard.Task{Version: shard.Version, Seq: 1, Slices: slices, Enum: &specs[0]}
+		frame := gobBytes(t, roundTripGob(t, &task))
 		if len(frame) > 0 {
 			i := d.intn(len(frame))
 			frame[i] ^= 1 << uint(d.intn(8))

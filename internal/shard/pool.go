@@ -213,7 +213,7 @@ func (w *workerProc) exchange(p *Pool, t *Task) (*Result, error) {
 func (w *workerProc) roundTrip(p *Pool, t *Task) (*Result, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ss := t.slices()
+	ss := t.Slices
 	hashed := false
 	for _, s := range ss {
 		if s.Hash != "" {
@@ -397,10 +397,10 @@ func (p *Pool) do(tasks []Task) ([]Result, error) {
 }
 
 // RunEnum implements core.ShardRunner.
-func (p *Pool) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
+func (p *Pool) RunEnum(slices []core.LogSlice, specs []core.EnumSpec) ([]core.EnumResult, error) {
 	tasks := make([]Task, len(specs))
 	for i := range specs {
-		tasks[i] = Task{Version: Version, Seq: i, Enum: &specs[i]}
+		tasks[i] = Task{Version: Version, Seq: i, Slices: slices, Enum: &specs[i]}
 	}
 	results, err := p.do(tasks)
 	if err != nil {
@@ -417,10 +417,10 @@ func (p *Pool) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
 }
 
 // RunEval implements core.ShardRunner.
-func (p *Pool) RunEval(specs []core.EvalSpec) ([]core.EvalResult, error) {
+func (p *Pool) RunEval(slices []core.LogSlice, specs []core.EvalSpec) ([]core.EvalResult, error) {
 	tasks := make([]Task, len(specs))
 	for i := range specs {
-		tasks[i] = Task{Version: Version, Seq: i, Eval: &specs[i]}
+		tasks[i] = Task{Version: Version, Seq: i, Slices: slices, Eval: &specs[i]}
 	}
 	results, err := p.do(tasks)
 	if err != nil {

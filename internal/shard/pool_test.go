@@ -21,10 +21,11 @@ import (
 func TestPoolCloseIdempotent(t *testing.T) {
 	log := equivLog(30)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 4, 1)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 4, 1)
 
+	slices := core.LogSlices(log)
 	pool := workerPool(t, 2)
-	if _, err := pool.RunEnum(specs); err != nil {
+	if _, err := pool.RunEnum(slices, specs); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -37,7 +38,7 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	}
 	wg.Wait()
 	pool.Close() // and once more, sequentially
-	if _, err := pool.RunEnum(specs); !errors.Is(err, shard.ErrPoolClosed) {
+	if _, err := pool.RunEnum(slices, specs); !errors.Is(err, shard.ErrPoolClosed) {
 		t.Fatalf("batch on a closed pool returned %v, want ErrPoolClosed", err)
 	}
 }
@@ -50,7 +51,8 @@ func TestPoolCloseIdempotent(t *testing.T) {
 func TestPoolCloseConcurrentWithBatches(t *testing.T) {
 	log := equivLog(40)
 	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(core.FlatLayout(log), log, features.Level3, q, q.Despite, 0, 8, 1)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 8, 1)
+	slices := core.LogSlices(log)
 
 	for round := 0; round < 4; round++ {
 		pool := workerPool(t, 2)
@@ -60,7 +62,7 @@ func TestPoolCloseConcurrentWithBatches(t *testing.T) {
 			wg.Add(1)
 			go func(b int) {
 				defer wg.Done()
-				_, errs[b] = pool.RunEnum(specs)
+				_, errs[b] = pool.RunEnum(slices, specs)
 			}(b)
 		}
 		wg.Add(2)
@@ -81,7 +83,7 @@ func TestPoolCloseConcurrentWithBatches(t *testing.T) {
 					round, b, err, err)
 			}
 		}
-		if _, err := pool.RunEnum(specs); !errors.Is(err, shard.ErrPoolClosed) {
+		if _, err := pool.RunEnum(slices, specs); !errors.Is(err, shard.ErrPoolClosed) {
 			t.Fatalf("round %d: pool not closed after concurrent Close: %v", round, err)
 		}
 	}

@@ -34,7 +34,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // exactly once (PrefetchSent), the tasks that follow ship stripped
 // reference frames (SliceHits), each prefetched slice converts to a
 // prefetch hit on first use (PrefetchHits), and the results are
-// byte-identical to the specs' standalone execution.
+// byte-identical to the specs' in-process execution.
 func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
@@ -48,11 +48,11 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 	}
 
 	const workers = 2
-	snapLog, layout := segmentedOver(t, log, 13)
-	specs := core.PlanEvalShards(layout, snapLog, features.Level3, q, x, 0, 6, 123)
-	slices := layout.Slices
+	snapLog := segmentedOver(log, 13)
+	specs := core.PlanEvalShards(snapLog, features.Level3, q, x, 0, 6, 123)
+	slices := core.LogSlices(snapLog)
 	if len(slices) < 2 {
-		t.Fatalf("fixture layout has %d slices; need several", len(slices))
+		t.Fatalf("fixture snapshot ships %d slices; need several", len(slices))
 	}
 
 	pool := socketPool(t, workers)
@@ -61,16 +61,16 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 		return pool.Stats().PrefetchSent == int64(workers*len(slices))
 	})
 
-	want, err := specRunner{}.RunEval(specs)
+	want, err := specRunner{}.RunEval(slices, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pool.RunEval(specs)
+	got, err := pool.RunEval(slices, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("prefetched eval results diverge from standalone execution:\n got %+v\nwant %+v", got, want)
+		t.Errorf("prefetched eval results diverge from in-process execution:\n got %+v\nwant %+v", got, want)
 	}
 
 	s := pool.Stats()

@@ -12,10 +12,11 @@ package shard
 // a corrupt or malicious frame produces an error result, never a panic
 // (FuzzShardCodec pins this).
 //
-// Every spec carries its records as content-addressed log slices — the
-// log's segment layout — and any of them may arrive as a reference: the
-// slice's hash without its payload, when the coordinator
-// knows it already shipped the payload on this connection. A worker that
+// Every task frame carries its records once, beside its spec, as
+// content-addressed log slices — the log's segments, concatenating in
+// order to the whole log the spec indexes — and any of them may arrive
+// as a reference: the slice's hash without its payload, when the
+// coordinator knows it already shipped the payload on this connection. A worker that
 // no longer holds a slice (cache eviction) answers with CacheMiss, and
 // the coordinator re-ships the full frame — so caching changes bytes on
 // the wire, never results.
@@ -69,36 +70,33 @@ import (
 // the rest of the row differs, so v9 and v10 refuse each other; among
 // v10 builds results are byte-identical across executors — local,
 // subprocess, socket — whatever architecture each side was compiled for.
-const Version = 10
+// Version 11: the slices move off the specs onto the frame —
+// EnumSpec.Slices and EvalSpec.Slices are gone and Task.Slices carries
+// the log's segments once per task. A v10 frame decodes to a task with
+// no slices (gob drops the spec fields the receiver lacks) and would
+// fail as one; the version check refuses it first.
+const Version = 11
 
-//pxql:wirehash 4b7e22dbdf19f9a5 v=10
+//pxql:wirehash c2fcf1d1b49abea8 v=11
 
-// Task is one request frame: exactly one spec pointer is set — or
-// Prefetch alone, a payload-only frame that warms the worker's
-// decoded-slice cache ahead of the tasks that will reference the slice.
-// The worker acks a prefetch with an empty result (no spec result
-// pointers); prefetching can therefore never change results, only when
-// payload bytes cross the wire.
+// Task is one request frame: exactly one spec pointer is set, with
+// Slices the records it walks — or Prefetch alone, a payload-only frame
+// that warms the worker's decoded-slice cache ahead of the tasks that
+// will reference the slice. The worker acks a prefetch with an empty
+// result (no spec result pointers); prefetching can therefore never
+// change results, only when payload bytes cross the wire.
 //
 //pxql:wire decode=workerState.dispatch
 type Task struct {
-	Version  int
-	Seq      int
+	Version int
+	Seq     int
+	// Slices is the log the spec walks: one content-addressed slice per
+	// segment, concatenating in order to the whole log, shared by every
+	// task of a batch.
+	Slices   []core.LogSlice
 	Enum     *core.EnumSpec
 	Eval     *core.EvalSpec
 	Prefetch *core.LogSlice
-}
-
-// slices returns the task's content-addressed log slices — its spec's
-// segment layout, in order; nil for a task that carries no spec.
-func (t *Task) slices() []core.LogSlice {
-	switch {
-	case t.Enum != nil:
-		return t.Enum.Slices
-	case t.Eval != nil:
-		return t.Eval.Slices
-	}
-	return nil
 }
 
 // strippedWith returns a copy of the task in which every slice whose
@@ -109,9 +107,8 @@ func (t *Task) slices() []core.LogSlice {
 // payloads.
 func (t *Task) strippedWith(known map[string]int) (*Task, []string) {
 	var refd []string
-	ss := t.slices()
-	out := make([]core.LogSlice, len(ss))
-	for i, s := range ss {
+	out := make([]core.LogSlice, len(t.Slices))
+	for i, s := range t.Slices {
 		if _, ok := known[s.Hash]; ok && s.Hash != "" && !s.Ref {
 			refd = append(refd, s.Hash)
 			s = s.AsRef()
@@ -119,16 +116,7 @@ func (t *Task) strippedWith(known map[string]int) (*Task, []string) {
 		out[i] = s
 	}
 	c := *t
-	switch {
-	case t.Enum != nil:
-		e := *t.Enum
-		e.Slices = out
-		c.Enum = &e
-	case t.Eval != nil:
-		e := *t.Eval
-		e.Slices = out
-		c.Eval = &e
-	}
+	c.Slices = out
 	return &c, refd
 }
 

@@ -1,7 +1,7 @@
 package shard_test
 
-// Store-snapshot equivalence through real worker pools: specs planned
-// over a snapshot's layout — several sealed segments plus a tail — must
+// Store-snapshot equivalence through real worker pools: specs shipped
+// with a snapshot's slices — several sealed segments plus a tail — must
 // reproduce serial local execution over the static flat log byte for
 // byte on every transport, and — the point of sealing — appends must leave
 // sealed segments warm in worker caches so only new slices re-ship.
@@ -16,28 +16,21 @@ import (
 )
 
 // segmentedOver replays a log through a segment store and returns the
-// snapshot's log plus its shard layout.
-func segmentedOver(t *testing.T, log *joblog.Log, sealEvery int) (*joblog.Log, *core.SegmentLayout) {
-	t.Helper()
+// snapshot's log.
+func segmentedOver(log *joblog.Log, sealEvery int) *joblog.Log {
 	st := joblog.NewStore(log.Schema, sealEvery)
 	for _, r := range log.Records {
 		st.MustAppend(r)
 	}
-	snap := st.Snapshot()
-	layout, err := core.NewSegmentLayout(snap.Segments())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap.Log(), layout
+	return st.Snapshot().Log()
 }
 
 // explainSegmented is explainOver in the default Bernoulli mode (under
-// cfg's cap, see bernoulliCases) over a snapshot log, on runner's workers over its store's
-// layout.
-func explainSegmented(t *testing.T, log *joblog.Log, layout *core.SegmentLayout,
-	q *pxql.Query, shards int, runner core.ShardRunner, cfg core.Config) string {
+// cfg's cap, see bernoulliCases) over a snapshot log, on runner's
+// workers, which receive its store's segments.
+func explainSegmented(t *testing.T, log *joblog.Log, q *pxql.Query, shards int, runner core.ShardRunner, cfg core.Config) string {
 	t.Helper()
-	return explainOver(t, log, q, core.Exec{Parallelism: 4, Shards: shards, Runner: runner, Layout: layout}, cfg)
+	return explainOver(t, log, q, core.Exec{Parallelism: 4, Shards: shards, Runner: runner}, cfg)
 }
 
 // TestEquivalenceSegmentedInProcess pins that local execution over a
@@ -48,7 +41,7 @@ func explainSegmented(t *testing.T, log *joblog.Log, layout *core.SegmentLayout,
 func TestEquivalenceSegmentedInProcess(t *testing.T) {
 	for _, c := range bernoulliCases(t) {
 		for _, sealEvery := range []int{13, 40} {
-			snapLog, _ := segmentedOver(t, c.log, sealEvery)
+			snapLog := segmentedOver(c.log, sealEvery)
 			for _, n := range []int{1, 2, 7} {
 				got := explainOver(t, snapLog, c.q, core.Exec{Parallelism: 4, Shards: n}, c.cfg)
 				if got != c.want {
@@ -65,9 +58,9 @@ func TestEquivalenceSegmentedInProcess(t *testing.T) {
 func TestEquivalenceSegmentedSubprocess(t *testing.T) {
 	pool := workerPool(t, 3)
 	for _, c := range bernoulliCases(t) {
-		snapLog, layout := segmentedOver(t, c.log, 13)
+		snapLog := segmentedOver(c.log, 13)
 		for _, n := range []int{1, 2, 7} {
-			got := explainSegmented(t, snapLog, layout, c.q, n, pool, c.cfg)
+			got := explainSegmented(t, snapLog, c.q, n, pool, c.cfg)
 			if got != c.want {
 				t.Errorf("segmented subprocess maxPairs=%d shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
 					c.cfg.MaxPairs, n, got, c.want)
@@ -84,9 +77,9 @@ func TestEquivalenceSegmentedChanTransport(t *testing.T) {
 	pool := chanPool(t, 3)
 	for pass, label := range []string{"cold", "warm"} {
 		for _, c := range cases {
-			snapLog, layout := segmentedOver(t, c.log, 13)
+			snapLog := segmentedOver(c.log, 13)
 			for _, n := range []int{1, 2, 7} {
-				got := explainSegmented(t, snapLog, layout, c.q, n, pool, c.cfg)
+				got := explainSegmented(t, snapLog, c.q, n, pool, c.cfg)
 				if got != c.want {
 					t.Errorf("segmented chan maxPairs=%d shards=%d (%s) diverges:\n--- got ---\n%s--- want ---\n%s",
 						c.cfg.MaxPairs, n, label, got, c.want)
@@ -116,13 +109,9 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 	explainAt := func(snap *joblog.Snapshot) {
 		t.Helper()
 		log := snap.Log()
-		layout, err := core.NewSegmentLayout(snap.Segments())
-		if err != nil {
-			t.Fatal(err)
-		}
 		q := equivQuery(t, log)
 		want := explainSerial(t, log, q)
-		if got := explainSegmented(t, log, layout, q, 2, pool, core.Config{}); got != want {
+		if got := explainSegmented(t, log, q, 2, pool, core.Config{}); got != want {
 			t.Fatalf("segmented explanation at watermark %d diverges:\n--- got ---\n%s--- want ---\n%s",
 				log.Len(), got, want)
 		}
@@ -140,11 +129,11 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 	// Every sealed segment of the first watermark survives in the second
 	// with an identical hash — the invariant that keeps caches warm.
 	hashes1, hashes2 := map[string]bool{}, map[string]bool{}
-	for _, v := range snap2.Segments() {
+	for _, v := range snap2.Log().SegmentViews() {
 		hashes2[v.Hash] = true
 	}
 	retained := 0
-	for _, v := range snap1.Segments() {
+	for _, v := range snap1.Log().SegmentViews() {
 		hashes1[v.Hash] = true
 		if v.Sealed {
 			if !hashes2[v.Hash] {
@@ -189,7 +178,7 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 }
 
 // TestFlatLogWarmCacheAcrossQueries pins what a flat log gains from
-// carrying records as layout slices: its segments are content-addressed
+// shipping its records as segment slices: they are content-addressed
 // like a store's, so on a warm pool a second explanation over the same
 // log ships no payload at all — every enumeration, materialization,
 // scoring and evaluation frame references slices the worker holds.
@@ -212,16 +201,16 @@ func TestFlatLogWarmCacheAcrossQueries(t *testing.T) {
 		t.Errorf("second explanation over the same flat log re-shipped %d payloads", d)
 	}
 
-	// The enumeration frames in particular: each of a round's specs
-	// references every layout slice, and each reference is a hit.
-	layout := core.FlatLayout(log)
-	specs := core.PlanEnumShards(layout, log, features.Level3, q, q.Despite, 0, 4, 123)
-	if _, err := pool.RunEnum(specs); err != nil {
+	// The enumeration frames in particular: each of a round's tasks
+	// references every slice of the log, and each reference is a hit.
+	slices := core.LogSlices(log)
+	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 4, 123)
+	if _, err := pool.RunEnum(slices, specs); err != nil {
 		t.Fatal(err)
 	}
 	again := pool.Stats()
-	if hits := again.SliceHits - warm.SliceHits; hits != int64(len(specs)*len(layout.Slices)) || again.SliceMisses != warm.SliceMisses {
+	if hits := again.SliceHits - warm.SliceHits; hits != int64(len(specs)*len(slices)) || again.SliceMisses != warm.SliceMisses {
 		t.Errorf("warm enumeration round: %d hits, %d misses; want %d hits, 0 misses",
-			hits, again.SliceMisses-warm.SliceMisses, len(specs)*len(layout.Slices))
+			hits, again.SliceMisses-warm.SliceMisses, len(specs)*len(slices))
 	}
 }

@@ -7,7 +7,13 @@
 // and each worker walks them with the same kernels the coordinator runs
 // locally when no pool is configured. Only the two quadratic walks ship:
 // the training sample they feed is small by construction (§4.3), so
-// materialization, growth and diagnostics stay on the coordinator.
+// materialization, growth and diagnostics stay on the coordinator, and a
+// question whose sample is drawn by rank sends no frame at all.
+//
+// Records travel on the frame, not the spec: each Task carries the log's
+// segments as content-addressed slices (the runner's RunEnum / RunEval
+// receive them from core at the moment a walk ships), and the pool
+// strips every slice a worker already holds to a hash reference.
 //
 // Pool implements core.ShardRunner and returns results in spec order,
 // so the merged output is byte-identical to local execution at every
@@ -23,7 +29,7 @@ import (
 
 // dispatch hands one decoded task to its executor — shared by every
 // worker loop (subprocess, socket connection, in-proc goroutine). The
-// spec's slices resolve through the worker's cache (see load): payload
+// task's slices resolve through the worker's cache (see load): payload
 // frames decode-and-cache, reference frames hit the cache or report
 // CacheMiss for the coordinator to re-ship.
 func (ws *workerState) dispatch(t *Task) *Result {

@@ -51,23 +51,6 @@ import (
 // averages) and duration.
 type Log struct {
 	l *joblog.Log
-	// segs is set on logs obtained from Store.Snapshot: it returns the
-	// watermark's segment views, whose hashed slices sharded explainers
-	// and evaluations ship, building them on first call. Nil for flat
-	// logs (CSV/JSON reads, Collect), which cut their own views; results
-	// are identical either way.
-	segs func() []joblog.SegmentView
-}
-
-// layout resolves the log's segment views — the snapshot's, or a flat
-// log's own — into the layout shard workers receive records by. Only
-// worker-backed execution calls it: local execution builds and hashes
-// no views.
-func (l *Log) layout() (*core.SegmentLayout, error) {
-	if l.segs == nil {
-		return core.FlatLayout(l.l), nil
-	}
-	return core.NewSegmentLayout(l.segs())
 }
 
 // Len returns the number of logged executions.
@@ -267,13 +250,11 @@ func (s *Store) Fields() []FieldInfo { return fieldInfos(s.s.Schema()) }
 
 // Snapshot returns the store's current contents as a Log: a consistent
 // watermark that later appends never change. The snapshot knows its
-// segments, so worker-backed explainers and evaluations built over it
-// plan shards along segment boundaries and ship per-segment hashed
+// segments, so worker-backed walks over it ship per-segment hashed
 // slices (wire forms and hashes are built the first time one does) —
 // explanations are byte-identical to the same records in a flat log.
 func (s *Store) Snapshot() *Log {
-	snap := s.s.Snapshot()
-	return &Log{l: snap.Log(), segs: snap.Segments}
+	return &Log{l: s.s.Snapshot().Log()}
 }
 
 // Watermark returns the store's generation counter: a monotonic value
@@ -290,7 +271,7 @@ func (s *Store) Watermark() uint64 { return s.s.Gen() }
 // indexes and bitmap memos).
 func (s *Store) SnapshotAt() (*Log, uint64) {
 	snap := s.s.Snapshot()
-	return &Log{l: snap.Log(), segs: snap.Segments}, snap.Gen()
+	return &Log{l: snap.Log()}, snap.Gen()
 }
 
 // LogsFromHistory parses Hadoop-style job-history streams (as written by
@@ -448,9 +429,10 @@ type ShardStats struct {
 // formatter, shared with the shard runtime, so the two never drift).
 func (s ShardStats) String() string { return shard.StatsSnapshot(s).String() }
 
-// exec describes who walks log's pair space under these options: this
-// process, or the shared pool's workers over the log's segment layout.
-func (o Options) exec(log *Log) (core.Exec, error) {
+// exec describes who walks the pair space under these options: this
+// process, or the shared pool's workers, which receive the log's
+// segments the first time a walk ships.
+func (o Options) exec() (core.Exec, error) {
 	ex := core.Exec{Parallelism: o.Parallelism, Shards: o.Shards}
 	if o.SharedPool == nil {
 		return ex, nil
@@ -458,11 +440,7 @@ func (o Options) exec(log *Log) (core.Exec, error) {
 	if o.Shards <= 0 {
 		return core.Exec{}, errors.New("perfxplain: Options.SharedPool requires Options.Shards")
 	}
-	layout, err := log.layout()
-	if err != nil {
-		return core.Exec{}, err
-	}
-	ex.Runner, ex.Layout = o.SharedPool.p, layout
+	ex.Runner = o.SharedPool.p
 	return ex, nil
 }
 
@@ -472,10 +450,10 @@ type Explainer struct {
 }
 
 // NewExplainer builds an explainer over a job or task log. With a
-// SharedPool, enumeration specs ship the log's segments as hashed
-// slices — a Store.Snapshot's sealed segments and tail, a flat log's
-// fixed-size runs — so re-explaining after appends re-ships only the
-// tail.
+// SharedPool, a question whose pairs are walked ships the log's segments
+// as hashed slices — a Store.Snapshot's sealed segments and tail, a flat
+// log's fixed-size runs — so re-explaining after appends re-ships only
+// the tail; one whose sample is drawn by rank ships nothing.
 func NewExplainer(log *Log, opt Options) (*Explainer, error) {
 	cfg := core.Config{
 		Width:        opt.Width,
@@ -489,7 +467,7 @@ func NewExplainer(log *Log, opt Options) (*Explainer, error) {
 		cfg.Level = features.Level(opt.FeatureLevel)
 	}
 	var err error
-	if cfg.Exec, err = opt.exec(log); err != nil {
+	if cfg.Exec, err = opt.exec(); err != nil {
 		return nil, err
 	}
 	ex, err := core.NewExplainer(log.l, cfg)
@@ -680,7 +658,7 @@ func Evaluate(log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) 
 // workers), returning ctx.Err() once it is done. Completed metrics are
 // identical to an uncancelled run.
 func EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) {
-	ex, err := opt.exec(log)
+	ex, err := opt.exec()
 	if err != nil {
 		return Metrics{}, err
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"perfxplain/internal/joblog"
 	"perfxplain/internal/shard"
 )
 
@@ -39,7 +38,14 @@ EXPECTED duration_compare = SIM`
 
 func boundWhySlower(t *testing.T, jobs *Log) *Query {
 	t.Helper()
-	q, err := ParseQuery(whySlowerSrc)
+	return boundQuery(t, jobs, whySlowerSrc)
+}
+
+// boundQuery parses src and binds it to the small log's first pair of
+// interest.
+func boundQuery(t *testing.T, jobs *Log, src string) *Query {
+	t.Helper()
+	q, err := ParseQuery(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,100 +355,88 @@ func TestPaperHeadlineShape(t *testing.T) {
 	}
 }
 
-// TestLocalExecutionBuildsNoSegmentViews pins the sentence on
-// Log.layout for store snapshots: explaining and evaluating on the
-// coordinator never asks the snapshot for its segment views — so no wire
-// form is built and nothing is hashed — while a worker-backed explainer
-// asks exactly once.
+// TestLocalExecutionBuildsNoSegmentViews pins when a store snapshot
+// wires and hashes its segments: only when a walk ships them. Explaining
+// and evaluating on the coordinator never builds the views; neither does
+// a pooled explainer answering a question whose sample is drawn by rank,
+// which sends no frame at all. The first walked question through the
+// pool builds them, an evaluation at the same watermark reuses them, and
+// every answer is the local one.
 func TestLocalExecutionBuildsNoSegmentViews(t *testing.T) {
 	jobs, _ := smallLogs(t)
-	q := boundWhySlower(t, jobs)
+	ranked := boundWhySlower(t, jobs)
+	// A base conjunct blocking cannot prove whole keeps this one walked.
+	walked := boundQuery(t, jobs, `
+DESPITE numinstances_issame = T AND pigscript_issame = T AND blocksize > 0
+OBSERVED duration_compare = GT
+EXPECTED duration_compare = SIM`)
 	st := NewStore(jobs, 8)
 	if err := st.Ingest(jobs); err != nil {
 		t.Fatal(err)
 	}
 	st.Seal()
 	snap := st.Snapshot()
-	asked := 0
-	build := snap.segs
-	snap.segs = func() []joblog.SegmentView { asked++; return build() }
 
-	ex, err := NewExplainer(snap, Options{Seed: 5, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	answer := func(opt Options, q *Query) (string, Metrics) {
+		t.Helper()
+		ex, err := NewExplainer(snap, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := ex.ExplainContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Evaluate(snap, q, x, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RenderReport(q, x), m
 	}
-	x, err := ex.ExplainContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Evaluate(snap, q, x, Options{Shards: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if asked != 0 {
-		t.Fatalf("local execution asked for the segment views %d times", asked)
-	}
-
-	pool := &WorkerPool{&shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}}
-	defer pool.Close()
-	pooled, err := NewExplainer(snap, Options{Seed: 5, Shards: 4, SharedPool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pooled.Close()
-	px, err := pooled.ExplainContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asked != 1 {
-		t.Errorf("worker-backed explainer asked for the segment views %d times, want 1", asked)
-	}
-	if RenderReport(q, px) != RenderReport(q, x) {
-		t.Error("worker-backed explanation differs from the local one")
-	}
-}
-
-// TestBrokenSegmentLayoutIsAnError pins that a snapshot whose segment
-// views do not tile its records fails every worker-backed entry point
-// instead of silently shipping some other way — and that local
-// execution, which never builds a layout, is unaffected.
-func TestBrokenSegmentLayoutIsAnError(t *testing.T) {
-	jobs, _ := smallLogs(t)
-	q := boundWhySlower(t, jobs)
-	st := NewStore(jobs, 8)
-	if err := st.Ingest(jobs); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Snapshot()
-	views := snap.segs()
-	if len(views) < 3 {
-		t.Fatalf("fixture snapshot has %d segments", len(views))
-	}
-	gapped := append(append([]joblog.SegmentView(nil), views[:1]...), views[2:]...)
-	gap := &Log{l: snap.l, segs: func() []joblog.SegmentView { return gapped }}
-
-	ex, err := NewExplainer(gap, Options{Seed: 5, Shards: 2})
-	if err != nil {
-		t.Fatalf("local explainer over a gapped snapshot: %v", err)
-	}
-	x, err := ex.ExplainContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Evaluate(gap, q, x, Options{}); err != nil {
-		t.Errorf("local Evaluate over a gapped snapshot: %v", err)
+	local := Options{Seed: 5, Shards: 4}
+	rankedReport, rankedMetrics := answer(local, ranked)
+	walkedReport, walkedMetrics := answer(local, walked)
+	if snap.l.SegmentViewsBuilt() {
+		t.Fatal("local execution built the snapshot's segment views")
 	}
 
 	pool := &WorkerPool{&shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}}
 	defer pool.Close()
-	pooled := Options{Seed: 5, Shards: 2, SharedPool: pool}
-	const want = "core: segment 1 starts at"
-	if _, err := NewExplainer(gap, pooled); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("sharded NewExplainer over a gapped snapshot: %v", err)
+	pooled := Options{Seed: 5, Shards: 4, SharedPool: pool}
+	ex, err := NewExplainer(snap, pooled)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Evaluate(gap, q, x, pooled); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("sharded Evaluate over a gapped snapshot: %v", err)
+	x, err := ex.ExplainContext(context.Background(), ranked)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Evaluate(snap, q, x, pooled); err != nil {
-		t.Errorf("sharded Evaluate over the intact snapshot: %v", err)
+	if RenderReport(ranked, x) != rankedReport {
+		t.Error("pooled rank-drawn explanation differs from the local one")
+	}
+	if frames := pool.Stats().FramesSent; snap.l.SegmentViewsBuilt() || frames != 0 {
+		t.Fatalf("a rank-drawn question through the pool built views %v and sent %d frames; want neither",
+			snap.l.SegmentViewsBuilt(), frames)
+	}
+
+	x, err = ex.ExplainContext(context.Background(), walked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RenderReport(walked, x) != walkedReport {
+		t.Error("pooled walked explanation differs from the local one")
+	}
+	if !snap.l.SegmentViewsBuilt() || pool.Stats().FramesSent == 0 {
+		t.Fatal("a walked question through the pool shipped nothing")
+	}
+	views := snap.l.SegmentViews()
+	if m, err := Evaluate(snap, walked, x, pooled); err != nil || m != walkedMetrics {
+		t.Errorf("pooled Evaluate = %+v, %v; local %+v", m, err, walkedMetrics)
+	}
+	if again := snap.l.SegmentViews(); &again[0] != &views[0] {
+		t.Error("the evaluation built the snapshot's views again")
+	}
+	if _, m := answer(pooled, ranked); m != rankedMetrics {
+		t.Errorf("pooled metrics %+v differ from the local %+v", m, rankedMetrics)
 	}
 }
