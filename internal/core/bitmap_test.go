@@ -18,11 +18,24 @@ import (
 	"perfxplain/internal/pxql"
 )
 
-// bitmapFixture materializes a pair matrix over a log with missing
-// cells, so both planes carry NaN/MissingSym rows the kernels must
+// bitmapFixture materializes a pair matrix over bitmapLog's log with
+// missing cells, so every store carries missing rows the kernels must
 // reject.
 func bitmapFixture(t *testing.T, nRecs int) (*features.Deriver, *joblog.Intern, *features.PairMatrix) {
 	t.Helper()
+	log, refs := bitmapLog(nRecs)
+	d := features.NewDeriver(log.Schema, features.Level3)
+	cols := log.Columns()
+	m := d.NewPairMatrix(len(refs))
+	for r, ref := range refs {
+		m.Fill(cols, r, ref.a, ref.b)
+	}
+	return d, cols.Intern(), m
+}
+
+// bitmapLog is bitmapFixture's log and its matrix rows' record pairs:
+// every ordered pair of distinct records.
+func bitmapLog(nRecs int) (*joblog.Log, []pairRef) {
 	rng := rand.New(rand.NewSource(23))
 	schema := joblog.NewSchema([]joblog.Field{
 		{Name: "x", Kind: joblog.Numeric},
@@ -47,8 +60,6 @@ func bitmapFixture(t *testing.T, nRecs int) (*features.Deriver, *joblog.Intern, 
 			xv, sv, joblog.Num(rng.Float64() * 100),
 		}})
 	}
-	d := features.NewDeriver(log.Schema, features.Level3)
-	cols := log.Columns()
 	var refs []pairRef
 	for i := 0; i < nRecs; i++ {
 		for j := 0; j < nRecs; j++ {
@@ -57,17 +68,14 @@ func bitmapFixture(t *testing.T, nRecs int) (*features.Deriver, *joblog.Intern, 
 			}
 		}
 	}
-	m := d.NewPairMatrix(len(refs))
-	for r, ref := range refs {
-		m.Fill(cols, r, ref.a, ref.b)
-	}
-	return d, cols.Intern(), m
+	return log, refs
 }
 
 // bitmapAtoms enumerates atoms spanning every kernel path: numeric
 // thresholds on each operator (NaN constant included), single- and
 // multi-symbol nominal equality/inequality, never-interned constants,
-// and kind-mismatched atoms that lower to constant false.
+// kind-mismatched atoms that lower to constant false, and each issame and
+// compare code on code planes, on a symbol column and without storage.
 func bitmapAtoms() []pxql.Atom {
 	var out []pxql.Atom
 	for _, op := range []pxql.Op{pxql.OpEq, pxql.OpNe, pxql.OpLt, pxql.OpLe, pxql.OpGt, pxql.OpGe} {
@@ -88,6 +96,23 @@ func bitmapAtoms() []pxql.Atom {
 		pxql.Atom{Feature: "x", Op: pxql.OpEq, Value: joblog.Str("two")}, // kind mismatch → false
 		pxql.Atom{Feature: "x", Op: pxql.OpEq, Value: joblog.None()},     // missing constant → false
 	)
+	// Every code of the issame and compare families under both operators:
+	// code planes for the numeric raw, a symbol column for the nominal
+	// one, no storage at all for the nominal raw's compare and the
+	// numeric raw's diff (false everywhere).
+	for _, op := range []pxql.Op{pxql.OpEq, pxql.OpNe} {
+		for _, v := range []string{"T", "F", "LT"} {
+			out = append(out,
+				pxql.Atom{Feature: "x_issame", Op: op, Value: joblog.Str(v)},
+				pxql.Atom{Feature: "site_issame", Op: op, Value: joblog.Str(v)})
+		}
+		for _, v := range []string{"LT", "SIM", "GT", "T"} {
+			out = append(out,
+				pxql.Atom{Feature: "x_compare", Op: op, Value: joblog.Str(v)},
+				pxql.Atom{Feature: "site_compare", Op: op, Value: joblog.Str(v)})
+		}
+		out = append(out, pxql.Atom{Feature: "x_diff", Op: op, Value: joblog.Str("(1→2)")})
+	}
 	return out
 }
 
@@ -106,8 +131,12 @@ func bitmapCands(t *testing.T, d *features.Deriver, in *joblog.Intern, atoms []p
 	return cands
 }
 
+// TestFillRangeMatchesEval holds each lowered atom's batched fill to its
+// per-row eval, and eval to Atom.Eval on the boxed vector the row engine
+// derives.
 func TestFillRangeMatchesEval(t *testing.T) {
 	d, in, m := bitmapFixture(t, 13) // 156 pairs: two full words + a partial tail
+	log, refs := bitmapLog(13)
 	for _, a := range bitmapAtoms() {
 		featIdx, ok := d.Schema().Index(a.Feature)
 		if !ok {
@@ -116,9 +145,12 @@ func TestFillRangeMatchesEval(t *testing.T) {
 		ma := newMatrixAtom(d, in, featIdx, a)
 		sel := bitset.Make(m.N)
 		ma.fillRange(m, 0, m.N, sel, nil)
-		for row := 0; row < m.N; row++ {
+		for row, ref := range refs {
 			if sel.Get(row) != ma.eval(m, row) {
 				t.Fatalf("atom %v: bit %d = %v, eval = %v", a, row, sel.Get(row), ma.eval(m, row))
+			}
+			if boxed := a.Eval(d.Value(log.Records[ref.a], log.Records[ref.b], featIdx)); boxed != ma.eval(m, row) {
+				t.Fatalf("atom %v: row %d evals %v, the boxed value %v", a, row, ma.eval(m, row), boxed)
 			}
 		}
 		// Word-aligned partial fills must write the same bits.

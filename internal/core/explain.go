@@ -416,7 +416,8 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 		for k, i := range cur {
 			subLabels[k] = labels[i]
 		}
-		cands := e.candidates(m, cur, subLabels, pairVec, clause)
+		ws := &workingSet{rows: cur, labels: subLabels, bits: curBits, pos: posBits}
+		cands := e.candidates(m, ws, pairVec, clause)
 		if len(cands) == 0 {
 			break
 		}
@@ -471,19 +472,29 @@ type candidate struct {
 	ma      matrixAtom
 }
 
+// workingSet is one growth round's surviving pairs in the forms scoring
+// reads: their matrix rows in ascending order with the labels in step,
+// and the same rows as a bitmap beside the positive rows of the whole
+// matrix, which code planes are counted against.
+type workingSet struct {
+	rows   []int
+	labels []bool
+	bits   bitset.Set
+	pos    bitset.Set
+}
+
 // candidates builds the best applicable predicate per feature by
 // information gain (Algorithm 1 line 5) — the algorithm's inner loop,
 // scored concurrently across features straight off the pair-matrix
 // columns: numeric features read a flat float column, nominal features
-// count packed symbols and only decode the few distinct values for the
-// deterministic string-ordered tie-break. cur addresses the working-set
-// rows of m in ascending order; subLabels is parallel to cur. Results
+// count packed symbols or popcount code planes and only decode the few
+// distinct values for the deterministic string-ordered tie-break. Results
 // land in a per-feature slot and are compacted in schema order
 // afterwards, so the candidate list is independent of scheduling.
 // Features derived from the query target are excluded, as are features
 // whose pair-of-interest value is missing (no applicable predicate
 // exists) and atoms already in the clause.
-func (e *Explainer) candidates(m *features.PairMatrix, cur []int, subLabels []bool,
+func (e *Explainer) candidates(m *features.PairMatrix, ws *workingSet,
 	pairVec []joblog.Value, clause pxql.Predicate) []candidate {
 
 	schema := e.d.Schema()
@@ -493,7 +504,7 @@ func (e *Explainer) candidates(m *features.PairMatrix, cur []int, subLabels []bo
 	par.Do(schema.Len(), e.cfg.Parallelism, func(f int) {
 		sc := scratchPool.Get().(*scoreScratch)
 		defer scratchPool.Put(sc)
-		atom, _, ok := e.scoreFeature(in, m, cur, subLabels, pairVec, clause, f, sc)
+		atom, _, ok := e.scoreFeature(in, m, ws, pairVec, clause, f, sc)
 		if !ok {
 			return
 		}
@@ -510,11 +521,12 @@ func (e *Explainer) candidates(m *features.PairMatrix, cur []int, subLabels []bo
 }
 
 // scoreScratch is one scoring goroutine's reusable buffers: the numeric
-// gather, the symbol probe table and the decoded per-value counts. Every
-// field is overwritten before it is read, so which goroutine last held a
-// scratch never shows in a result.
+// gather and its threshold sort, the symbol probe table and the decoded
+// per-value counts. Every field is overwritten before it is read, so
+// which goroutine last held a scratch never shows in a result.
 type scoreScratch struct {
 	vals   []float64
+	thr    dtree.ThresholdScratch
 	syms   symTable
 	counts []dtree.NominalCount
 }
@@ -526,7 +538,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scoreScratch) }}
 // line 5. ok is false when the feature is excluded (target-derived,
 // above the clause feature level, inapplicable to the pair of interest,
 // already in the clause) or admits no split.
-func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur []int, subLabels []bool,
+func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *workingSet,
 	pairVec []joblog.Value, clause pxql.Predicate, f int, sc *scoreScratch) (pxql.Atom, float64, bool) {
 
 	d, candLevel := e.d, e.cfg.Level
@@ -555,16 +567,16 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur 
 		// itself; a strict subset gathers its rows into scratch.
 		col := m.NumCol(numOff)
 		vals := col
-		if len(cur) < len(col) {
-			if cap(sc.vals) < len(cur) {
-				sc.vals = make([]float64, len(cur))
+		if len(ws.rows) < len(col) {
+			if cap(sc.vals) < len(ws.rows) {
+				sc.vals = make([]float64, len(ws.rows))
 			}
-			vals = sc.vals[:len(cur)]
-			for k, i := range cur {
+			vals = sc.vals[:len(ws.rows)]
+			for k, i := range ws.rows {
 				vals[k] = col[i]
 			}
 		}
-		thr, g, ok := dtree.BestThresholdF(vals, subLabels)
+		thr, g, ok := dtree.BestThresholdF(vals, ws.labels, &sc.thr)
 		if !ok {
 			return pxql.Atom{}, 0, false
 		}
@@ -575,7 +587,7 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, cur 
 		atom = pxql.Atom{Feature: schema.Field(f).Name, Op: op, Value: joblog.Num(thr)}
 		gain = g
 	} else {
-		val, g, ok := bestNominalSyms(d, in, f, m, cur, subLabels, sc)
+		val, g, ok := bestNominalSyms(d, in, f, m, ws, sc)
 		if !ok {
 			return pxql.Atom{}, 0, false
 		}
@@ -653,26 +665,47 @@ func (t *symTable) at(sym uint64) *symCount {
 	return &t.ents[t.slot[h]-1]
 }
 
-// bestNominalSyms scores one symbol-plane matrix column for
-// dtree.BestNominalFromCounts: class counts accumulate per packed symbol
-// — issame and compare columns hold only the codes 0..2, so they count
-// into a fixed array; base and diff columns count into the scratch probe
-// table — then the few distinct symbols are decoded, sorted by rendered
-// string and merged where equal (distinct diff symbols may render
-// identically when a value contains the arrow), so the scoring and its
-// string-ordered tie-break see values, not symbols.
+// bestNominalSyms scores one nominal feature's matrix store for
+// dtree.BestNominalFromCounts. Class counts come per code or per packed
+// symbol: a code-plane triple's are popcounts of each plane against the
+// working set and its positives; a nominal issame column holds only
+// 0/1, counted into a fixed array; base and diff columns count into the
+// scratch probe table. Then the few distinct symbols are decoded, sorted
+// by rendered string and merged where equal — issame renders both LT and
+// GT as F, and distinct diff symbols may render identically when a value
+// contains the arrow — so the scoring and its string-ordered tie-break
+// see values, not symbols. A feature without storage (missing on every
+// pair) admits no split.
 func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
-	m *features.PairMatrix, cur []int, subLabels []bool, sc *scoreScratch) (string, float64, bool) {
+	m *features.PairMatrix, ws *workingSet, sc *scoreScratch) (string, float64, bool) {
 
-	col := m.SymCol(d.SymOffset(featIdx))
 	counts := sc.counts[:0]
-	if _, kind := d.RawOf(featIdx); kind == features.IsSame || kind == features.Compare {
-		const codes = 3 // SymF/SymT and SymLT/SymSIM/SymGT; slot 3 takes MissingSym
+	symOff := d.SymOffset(featIdx)
+	_, kind := d.RawOf(featIdx)
+	switch codeOff := d.CodeOffset(featIdx); {
+	case codeOff >= 0:
+		present, sim, lt := m.CodePlanes(codeOff)
+		var tot, pos [features.SymGT + 1]int
+		tot[features.SymLT], pos[features.SymLT] = bitset.AndCount(lt, ws.bits), bitset.AndCount3(lt, ws.bits, ws.pos)
+		tot[features.SymSIM], pos[features.SymSIM] = bitset.AndCount(sim, ws.bits), bitset.AndCount3(sim, ws.bits, ws.pos)
+		tot[features.SymGT] = bitset.AndCount(present, ws.bits) - tot[features.SymLT] - tot[features.SymSIM]
+		pos[features.SymGT] = bitset.AndCount3(present, ws.bits, ws.pos) - pos[features.SymLT] - pos[features.SymSIM]
+		for c := range tot {
+			if tot[c] > 0 {
+				counts = append(counts, dtree.NominalCount{
+					Value: d.SymString(in, featIdx, uint64(c)), Pos: pos[c], Neg: tot[c] - pos[c]})
+			}
+		}
+	case symOff < 0:
+		return "", 0, false
+	case kind == features.IsSame:
+		col := m.SymCol(symOff)
+		const codes = 2 // SymF, SymT; slot 2 takes MissingSym
 		var tot, pos [codes + 1]int
-		for k, i := range cur {
+		for k, i := range ws.rows {
 			c := min(col[i], codes)
 			tot[c]++
-			pos[c] += int(bitset.B2u(subLabels[k]))
+			pos[c] += int(bitset.B2u(ws.labels[k]))
 		}
 		for c := 0; c < codes; c++ {
 			if tot[c] > 0 {
@@ -680,16 +713,17 @@ func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
 					Value: d.SymString(in, featIdx, uint64(c)), Pos: pos[c], Neg: tot[c] - pos[c]})
 			}
 		}
-	} else {
+	default:
+		col := m.SymCol(symOff)
 		t := &sc.syms
 		t.reset()
-		for k, i := range cur {
+		for k, i := range ws.rows {
 			s := col[i]
 			if s == features.MissingSym {
 				continue
 			}
 			e := t.at(s)
-			if subLabels[k] {
+			if ws.labels[k] {
 				e.pos++
 			} else {
 				e.neg++
@@ -711,7 +745,7 @@ func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
 		merged = append(merged, c)
 	}
 	sc.counts = counts
-	return dtree.BestNominalFromCounts(merged, len(cur))
+	return dtree.BestNominalFromCounts(merged, len(ws.rows))
 }
 
 func containsAtom(p pxql.Predicate, a pxql.Atom) bool {

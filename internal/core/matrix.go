@@ -1,9 +1,9 @@
 package core
 
 // matrixAtom is a candidate predicate lowered for evaluation against
-// pair-matrix rows: one plane offset plus the comparison, no boxed
-// values, no map lookups. Algorithm 1's working-set filtering, candidate
-// scoring and per-prefix diagnostics all run on these.
+// pair-matrix rows: one column or code-plane offset plus the comparison,
+// no boxed values, no map lookups. Algorithm 1's working-set filtering,
+// candidate scoring and per-prefix diagnostics all run on these.
 //
 // Generated atoms always agree in kind with their derived column (the
 // constant is a threshold over that column or one of its observed
@@ -13,10 +13,12 @@ package core
 //
 // Beyond the per-row eval, each atom has a batched kernel (fillRange)
 // that scans its matrix column and fills a selection bitmap — one bit per
-// pair, built with branchless mask arithmetic. bitmapCache memoizes one
-// bitmap per distinct atom over the whole matrix, filled tile-by-tile on
-// the worker pool so planes stay cache-resident; every candidate clause
-// is then composed by word-AND + popcount instead of re-walking pairs.
+// pair, built with branchless mask arithmetic; an issame or compare atom
+// over a numeric raw reads its code planes a word at a time instead.
+// bitmapCache memoizes one bitmap per distinct atom over the whole
+// matrix, filled tile-by-tile on the worker pool so planes stay
+// cache-resident; every candidate clause is then composed by word-AND +
+// popcount instead of re-walking pairs.
 
 import (
 	"perfxplain/internal/bitset"
@@ -27,21 +29,23 @@ import (
 )
 
 type matrixAtom struct {
-	numOff int // >= 0: numeric plane comparison
-	symOff int // >= 0: symbol plane equality/inequality
-	op     pxql.Op
-	num    float64
-	ne     bool
-	syms   []uint64
+	numOff  int // >= 0: numeric plane comparison
+	symOff  int // >= 0: symbol plane equality/inequality
+	codeOff int // >= 0: code-plane equality/inequality
+	op      pxql.Op
+	num     float64
+	ne      bool
+	syms    []uint64
+	codes   features.CodeSet
 }
 
 // newMatrixAtom lowers an atom over the derived feature featIdx for
 // matrix-row evaluation, byte-identical to Atom.Eval on the boxed vector
 // the row engine would have materialized.
 func newMatrixAtom(d *features.Deriver, in *joblog.Intern, featIdx int, a pxql.Atom) matrixAtom {
-	ma := matrixAtom{numOff: -1, symOff: -1}
+	ma := matrixAtom{numOff: -1, symOff: -1, codeOff: -1}
 	if a.Value.IsMissing() {
-		return ma // matches nothing; both offsets stay -1
+		return ma // matches nothing; every offset stays -1
 	}
 	if off := d.NumOffset(featIdx); off >= 0 {
 		if a.Value.Kind != joblog.Numeric {
@@ -53,9 +57,15 @@ func newMatrixAtom(d *features.Deriver, in *joblog.Intern, featIdx int, a pxql.A
 	if a.Value.Kind != joblog.Nominal || (a.Op != pxql.OpEq && a.Op != pxql.OpNe) {
 		return ma
 	}
-	ma.symOff = d.SymOffset(featIdx)
 	ma.ne = a.Op == pxql.OpNe
-	ma.syms = d.SymsForString(in, featIdx, a.Value.Str)
+	syms := d.SymsForString(in, featIdx, a.Value.Str)
+	if off := d.CodeOffset(featIdx); off >= 0 {
+		ma.codeOff, ma.codes = off, d.CodeSetOf(featIdx, syms)
+		return ma
+	}
+	// A family without storage (diff of a numeric raw, compare of a
+	// nominal one) is missing on every pair: symOff stays -1.
+	ma.symOff, ma.syms = d.SymOffset(featIdx), syms
 	return ma
 }
 
@@ -77,6 +87,10 @@ func (ma *matrixAtom) eval(m *features.PairMatrix, row int) bool {
 		}
 		return pxql.EvalSymSet(ma.syms, s, ma.ne)
 	}
+	if ma.codeOff >= 0 {
+		c := m.CodeAt(row, ma.codeOff)
+		return c != features.MissingSym && ma.codes.Has(c) != ma.ne
+	}
 	return false
 }
 
@@ -92,16 +106,19 @@ func evalPrefix(mas []matrixAtom, w int, m *features.PairMatrix, row int) bool {
 }
 
 // fillRange writes the atom's selection bits for matrix rows [lo, hi)
-// into sel (bit i of sel is row i; lo must be word-aligned). Whole words
-// are overwritten, with tail bits beyond hi left clear, so disjoint
-// tiles can be filled concurrently. A non-nil live mask restricts the
-// fill: words with no live bit are skipped and keep their current value
-// (zero in a fresh bitmap) — bits in live words are exact, which is all
-// a consumer masking by (a subset of) live can observe. The operator
+// into sel (bit i of sel is row i; lo must be word-aligned, hi too unless
+// it is m.N). Whole words are overwritten, with tail bits beyond hi left
+// clear, so disjoint tiles can be filled concurrently. A non-nil live
+// mask restricts the fill: words with no live bit are skipped and keep
+// their current value (zero in a fresh bitmap) — bits in live words are
+// exact, which is all a consumer masking by (a subset of) live can
+// observe. The operator
 // dispatch and kernel construction are hoisted out of the loops;
 // selection words are built with pxql's shared NumKernel/SymKernel bit
 // constructors — the same exactness rules as the compiled pair kernels,
-// so the bits equal eval row for row by construction.
+// so the bits equal eval row for row by construction. A code-plane atom
+// builds each word from the planes' words at once: the OR of its codes'
+// parts, or present minus that for !=.
 func (ma *matrixAtom) fillRange(m *features.PairMatrix, lo, hi int, sel, live bitset.Set) {
 	switch {
 	case ma.numOff >= 0:
@@ -127,6 +144,18 @@ func (ma *matrixAtom) fillRange(m *features.PairMatrix, lo, hi int, sel, live bi
 			var selW uint64
 			for i, s := range col[base:min(base+64, hi)] {
 				selW |= kern.Bit(s) << uint(i)
+			}
+			sel[w] = selW
+		}
+	case ma.codeOff >= 0:
+		present, sim, lt := m.CodePlanes(ma.codeOff)
+		for w, base := lo>>6, lo; base < hi; w, base = w+1, base+64 {
+			if live != nil && live[w] == 0 {
+				continue
+			}
+			selW := ma.codes.Word(present[w], sim[w], lt[w])
+			if ma.ne {
+				selW = present[w] &^ selW
 			}
 			sel[w] = selW
 		}

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"testing"
 
+	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
 	"perfxplain/internal/pxql"
@@ -269,15 +270,16 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 			subset = subset[1:]
 		}
 		for _, cur := range [][]int{whole, subset} {
+			ws := testWorkingSet(cur, ps.labels)
+			subLabels := ws.labels
 			subVecs := make([][]joblog.Value, len(cur))
-			subLabels := make([]bool, len(cur))
 			for k, i := range cur {
-				subVecs[k], subLabels[k] = vecs[i], ps.labels[i]
+				subVecs[k] = vecs[i]
 			}
 			for f := 0; f < e.d.Schema().Len(); f++ {
 				where := fmt.Sprintf("seed %d L%d %s over %d/%d pairs", seed, level, e.d.Schema().Field(f).Name, len(cur), m.N)
 				want, wantGain, wantOK := refScore(e.d, e.cfg.Target, level, f, subVecs, subLabels, pairVec[f])
-				got, gain, ok := e.scoreFeature(in, m, cur, subLabels, pairVec, nil, f, sc)
+				got, gain, ok := e.scoreFeature(in, m, ws, pairVec, nil, f, sc)
 				if ok != wantOK {
 					t.Fatalf("%s: ok = %v, reference says %v", where, ok, wantOK)
 				}
@@ -296,7 +298,7 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 					t.Errorf("%s: chose %v, reference accepts %v", where, got, want)
 				}
 				// An atom already in the clause is not offered again.
-				if _, _, again := e.scoreFeature(in, m, cur, subLabels, pairVec, pxql.Predicate{got}, f, sc); again {
+				if _, _, again := e.scoreFeature(in, m, ws, pairVec, pxql.Predicate{got}, f, sc); again {
 					t.Errorf("%s: offered %v although the clause holds it", where, got)
 				}
 				if got.Value.Str == "(a→b→c)" {
@@ -312,27 +314,45 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 	}
 }
 
+// testWorkingSet builds the working set of the matrix rows rows, whose
+// pairs are labelled labels (one per matrix row).
+func testWorkingSet(rows []int, labels []bool) *workingSet {
+	ws := &workingSet{rows: rows, labels: make([]bool, len(rows)),
+		bits: bitset.Make(len(labels)), pos: bitset.FromBools(labels)}
+	for k, i := range rows {
+		ws.labels[k] = labels[i]
+		ws.bits.SetBit(i)
+	}
+	return ws
+}
+
 // TestBestNominalSymsCodeColumnsDoNotAllocate pins the map-free count on
-// the issame and compare columns — half the symbol plane: with warm
+// the issame and compare features — code-plane popcounts for numeric
+// raws, the fixed array for a nominal raw's issame column: with warm
 // scratch, a scoring pass over them touches no allocator.
 func TestBestNominalSymsCodeColumnsDoNotAllocate(t *testing.T) {
 	d, in, m := bitmapFixture(t, 13)
-	cur := make([]int, 0, m.N)
-	subLabels := make([]bool, 0, m.N)
-	for i := 0; i < m.N; i += 2 {
-		cur = append(cur, i)
-		subLabels = append(subLabels, i%3 == 0)
+	var cur []int
+	labels := make([]bool, m.N)
+	for i := range labels {
+		labels[i] = i%3 == 0
+		if i%2 == 0 {
+			cur = append(cur, i)
+		}
 	}
+	ws := testWorkingSet(cur, labels)
 	var feats []int
 	for f := 0; f < d.Schema().Len(); f++ {
-		if _, family := d.RawOf(f); family == features.IsSame || family == features.Compare {
+		_, family := d.RawOf(f)
+		stored := d.CodeOffset(f) >= 0 || d.SymOffset(f) >= 0
+		if stored && (family == features.IsSame || family == features.Compare) {
 			feats = append(feats, f)
 		}
 	}
 	sc := new(scoreScratch)
 	score := func() {
 		for _, f := range feats {
-			bestNominalSyms(d, in, f, m, cur, subLabels, sc)
+			bestNominalSyms(d, in, f, m, ws, sc)
 		}
 	}
 	score() // sizes the scratch

@@ -30,7 +30,6 @@ import (
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
-	"perfxplain/internal/par"
 	"perfxplain/internal/pxql"
 	"perfxplain/internal/stats"
 )
@@ -615,18 +614,14 @@ func expectedDraw(nObs int, pObs float64, nExp int, pExp float64) int {
 	return min(nObs+nExp, int(mean+4*math.Sqrt(mean))+1)
 }
 
-// fillChunk is the row count of one materialization work unit: small
-// enough that a 2 000-pair sample spreads over the workers, large enough
-// that each raw column's plane is hoisted once per few hundred gathers.
-const fillChunk = 512
-
 // matrixFree holds one idle pair matrix between explanations: a
-// 2 000-pair sample's planes are some 2.4 MB, written in full by every
-// fill. One slot, not a sync.Pool: a pool keeps a private slot per
-// processor, and a second idle matrix is a fifth of what a server over a
-// small log holds in all (peak RSS on the 540-job sweep: +19 % with a
-// pool, +10 % with one slot). Explanations running beside the one that
-// took the slot allocate their own and drop them.
+// 2 000-pair sample's stores are some 0.7 MB, plus the gather scratch
+// FillSample keeps with them, and every fill rewrites them in full. One
+// slot, not a sync.Pool: a pool keeps a private slot per processor, and
+// a second idle matrix is a sizeable share of what a server over a small
+// log holds in all (peak RSS on the 540-job sweep: +19 % with a pool,
+// +10 % with one slot, when matrices were 2.4 MB). Explanations running
+// beside the one that took the slot allocate their own and drop them.
 var matrixFree = make(chan *features.PairMatrix, 1)
 
 // putMatrix returns a matrix nothing reads any more to the free slot.
@@ -638,27 +633,20 @@ func putMatrix(m *features.PairMatrix) {
 }
 
 // materialize computes the derived feature vectors for the sample into
-// a flat pair matrix, fixed-size row chunks fanned out across workers;
-// each cell is written by exactly one goroutine, so the result is
-// identical at every worker count. The planes are the idle matrix's when
-// there is one — the steady-state fill path performs zero allocations
-// per pair — and the caller hands the matrix to putMatrix once nothing
-// reads it any more.
+// a pair matrix with features' gathered fill, on up to workers
+// goroutines; each cell and word has one writer, so the result is
+// identical at every worker count. The matrix is the idle one when there
+// is one — the steady-state fill path performs no allocation per pair —
+// and the caller hands it to putMatrix once nothing reads it any more.
 func materialize(log *joblog.Log, d *features.Deriver, ps *pairPlanes, workers int) *features.PairMatrix {
-	cols := log.Columns()
-	n := ps.len()
 	var m *features.PairMatrix
 	select {
 	case m = <-matrixFree:
 	default:
 		m = new(features.PairMatrix)
 	}
-	d.ReshapePairMatrix(m, n)
-	par.Do((n+fillChunk-1)/fillChunk, workers, func(c int) {
-		lo := c * fillChunk
-		hi := min(lo+fillChunk, n)
-		m.FillPairs(cols, lo, ps.a[lo:hi], ps.b[lo:hi])
-	})
+	d.ReshapePairMatrix(m, ps.len())
+	m.FillSample(log.Columns(), ps.a, ps.b, workers)
 	return m
 }
 

@@ -57,7 +57,7 @@ func TestBestThreshold(t *testing.T) {
 	// and 20 and the gain should be the full prior entropy (perfect split).
 	vals := []float64{1, 5, 10, 20, 25, 30}
 	labels := []bool{true, true, true, false, false, false}
-	thr, gain, ok := BestThresholdF(vals, labels)
+	thr, gain, ok := BestThresholdF(vals, labels, nil)
 	if !ok {
 		t.Fatal("expected ok")
 	}
@@ -72,7 +72,7 @@ func TestBestThreshold(t *testing.T) {
 func TestBestThresholdMissingScalesGain(t *testing.T) {
 	vals := []float64{1, 2, 10, 20, missing, missing, missing, missing}
 	labels := []bool{true, true, false, false, true, false, true, false}
-	_, gain, ok := BestThresholdF(vals, labels)
+	_, gain, ok := BestThresholdF(vals, labels, nil)
 	if !ok {
 		t.Fatal("expected ok")
 	}
@@ -83,13 +83,13 @@ func TestBestThresholdMissingScalesGain(t *testing.T) {
 }
 
 func TestBestThresholdDegenerate(t *testing.T) {
-	if _, _, ok := BestThresholdF([]float64{5, 5, 5}, []bool{true, false, true}); ok {
+	if _, _, ok := BestThresholdF([]float64{5, 5, 5}, []bool{true, false, true}, nil); ok {
 		t.Error("identical values should not produce a threshold")
 	}
-	if _, _, ok := BestThresholdF([]float64{5, missing}, []bool{true, false}); ok {
+	if _, _, ok := BestThresholdF([]float64{5, missing}, []bool{true, false}, nil); ok {
 		t.Error("single known value should not produce a threshold")
 	}
-	if _, _, ok := BestThresholdF(nil, nil); ok {
+	if _, _, ok := BestThresholdF(nil, nil, nil); ok {
 		t.Error("empty input should not produce a threshold")
 	}
 }
@@ -105,7 +105,7 @@ func TestBestThresholdNeverSplitsTies(t *testing.T) {
 			vals[i] = float64(rng.Intn(5))
 			labels[i] = rng.Intn(2) == 0
 		}
-		thr, _, ok := BestThresholdF(vals, labels)
+		thr, _, ok := BestThresholdF(vals, labels, nil)
 		if !ok {
 			continue
 		}
@@ -137,7 +137,7 @@ func TestBestThresholdSeparatesItsSplit(t *testing.T) {
 	} {
 		vals := []float64{tc.lo, tc.lo, tc.hi, tc.hi}
 		labels := []bool{true, true, false, false}
-		thr, gain, ok := BestThresholdF(vals, labels)
+		thr, gain, ok := BestThresholdF(vals, labels, nil)
 		if !ok || math.Abs(gain-1) > 1e-12 {
 			t.Errorf("%s: ok=%v gain=%v, want a perfect split", tc.name, ok, gain)
 			continue
@@ -146,7 +146,7 @@ func TestBestThresholdSeparatesItsSplit(t *testing.T) {
 			t.Errorf("%s: threshold %v outside [%v, %v)", tc.name, thr, tc.lo, tc.hi)
 		}
 	}
-	if thr, _, _ := BestThresholdF([]float64{10, 20}, []bool{true, false}); thr != 15 {
+	if thr, _, _ := BestThresholdF([]float64{10, 20}, []bool{true, false}, nil); thr != 15 {
 		t.Errorf("midpoint of 10 and 20 = %v, want 15", thr)
 	}
 }
@@ -211,5 +211,97 @@ func TestBestNominalValueDeterministicTies(t *testing.T) {
 	v, _, ok := bestNominal([]string{"b", "a", "b", "a"}, []bool{true, false, true, false})
 	if !ok || v != "a" {
 		t.Errorf("tie resolved to %q (ok %v), want a", v, ok)
+	}
+}
+
+// bestThresholdSortSlice is BestThresholdF as it was before it sorted a
+// typed scratch buffer: a fresh slice ordered by sort.Slice.
+func bestThresholdSortSlice(vals []float64, labels []bool) (t, gain float64, ok bool) {
+	type vl struct {
+		v   float64
+		pos bool
+	}
+	known := make([]vl, 0, len(vals))
+	for i, v := range vals {
+		if !math.IsNaN(v) {
+			known = append(known, vl{v, labels[i]})
+		}
+	}
+	if len(known) < 2 {
+		return 0, 0, false
+	}
+	sort.Slice(known, func(a, b int) bool { return known[a].v < known[b].v })
+	totalPos := 0
+	for _, k := range known {
+		if k.pos {
+			totalPos++
+		}
+	}
+	totalNeg := len(known) - totalPos
+	knownFrac := float64(len(known)) / float64(len(vals))
+	bestGain := -1.0
+	var bestT float64
+	posLe, negLe := 0, 0
+	for i := 0; i < len(known)-1; i++ {
+		if known[i].pos {
+			posLe++
+		} else {
+			negLe++
+		}
+		if known[i].v == known[i+1].v {
+			continue
+		}
+		g := GainFromCounts(posLe, negLe, totalPos-posLe, totalNeg-negLe)
+		if g > bestGain {
+			bestGain = g
+			bestT = cutBetween(known[i].v, known[i+1].v)
+		}
+	}
+	if bestGain < 0 {
+		return 0, 0, false
+	}
+	return bestT, bestGain * knownFrac, true
+}
+
+// TestBestThresholdMatchesSortSlice holds BestThresholdF, sorting in a
+// reused scratch, to the sort.Slice implementation bit for bit on random
+// columns dense in ties, ±0, ±Inf and NaN. Half the columns have no
+// positive finite value, so a run of tied ±0 is often cut against +Inf —
+// the one place the order of equal values shows in the threshold.
+func TestBestThresholdMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	pools := [][]float64{
+		{negZero, 0, inf, -inf, math.NaN(), 1, -1, 2.5, 5e-324},
+		{negZero, 0, inf, -inf, math.NaN(), -1},
+	}
+	var sc ThresholdScratch
+	for trial := 0; trial < 4000; trial++ {
+		pool := pools[trial%2]
+		n := rng.Intn(120)
+		vals, labels := make([]float64, n), make([]bool, n)
+		for i := range vals {
+			vals[i] = pool[rng.Intn(len(pool))]
+			labels[i] = rng.Intn(2) == 0
+		}
+		wantT, wantG, wantOK := bestThresholdSortSlice(vals, labels)
+		gotT, gotG, gotOK := BestThresholdF(vals, labels, &sc)
+		if gotOK != wantOK || math.Float64bits(gotT) != math.Float64bits(wantT) ||
+			math.Float64bits(gotG) != math.Float64bits(wantG) {
+			t.Fatalf("%v %v: got (%v, %v, %v), sort.Slice gives (%v, %v, %v)",
+				vals, labels, gotT, gotG, gotOK, wantT, wantG, wantOK)
+		}
+	}
+}
+
+// TestBestThresholdReusesScratch pins the scratch contract: with a warm
+// buffer, a call allocates nothing.
+func TestBestThresholdReusesScratch(t *testing.T) {
+	vals := []float64{3, 1, math.NaN(), 2, 2, 9, 0}
+	labels := []bool{true, false, true, false, true, true, false}
+	var sc ThresholdScratch
+	BestThresholdF(vals, labels, &sc)
+	if allocs := testing.AllocsPerRun(50, func() { BestThresholdF(vals, labels, &sc) }); allocs != 0 {
+		t.Errorf("BestThresholdF with warm scratch allocates %v times per call, want 0", allocs)
 	}
 }

@@ -13,8 +13,9 @@
 package dtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"perfxplain/internal/stats"
 )
@@ -35,6 +36,18 @@ func GainFromCounts(posIn, negIn, posOut, negOut int) float64 {
 	return h - cond
 }
 
+// ThresholdScratch is BestThresholdF's reusable sort buffer. The zero
+// value is ready; one scratch serves one call at a time.
+type ThresholdScratch struct {
+	known []knownVal
+}
+
+// knownVal is one known value of a numeric column with its label.
+type knownVal struct {
+	v   float64
+	pos bool
+}
+
 // BestThresholdF finds the numeric threshold t maximising the
 // information gain of the partition (value <= t) vs (value > t) over a
 // flat float column, considering C4.5-style midpoints between adjacent
@@ -43,21 +56,29 @@ func GainFromCounts(posIn, negIn, posOut, negOut int) float64 {
 // by the known fraction. ok is false when fewer than two distinct known
 // values exist. The threshold always separates the two values it was
 // scored between: lo <= t < hi.
-func BestThresholdF(vals []float64, labels []bool) (t, gain float64, ok bool) {
-	type vl struct {
-		v   float64
-		pos bool
+//
+// The known values are sorted in sc's buffer (a nil sc uses a fresh
+// one). The counts at a cut do not depend on how the sort orders equal
+// values — the scan only cuts between distinct ones — and neither does
+// the cut, but in one corner: a run of tied -0 and +0 cut against an
+// infinite neighbour yields its last element. slices.SortFunc orders
+// ties exactly as sort.Slice did (both are the same pdqsort), which
+// TestBestThresholdMatchesSortSlice pins.
+func BestThresholdF(vals []float64, labels []bool, sc *ThresholdScratch) (t, gain float64, ok bool) {
+	if sc == nil {
+		sc = new(ThresholdScratch)
 	}
-	known := make([]vl, 0, len(vals))
+	known := sc.known[:0]
 	for i, v := range vals {
 		if !math.IsNaN(v) {
-			known = append(known, vl{v, labels[i]})
+			known = append(known, knownVal{v, labels[i]})
 		}
 	}
+	sc.known = known
 	if len(known) < 2 {
 		return 0, 0, false
 	}
-	sort.Slice(known, func(a, b int) bool { return known[a].v < known[b].v })
+	slices.SortFunc(known, func(a, b knownVal) int { return cmp.Compare(a.v, b.v) })
 
 	totalPos := 0
 	for _, k := range known {

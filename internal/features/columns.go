@@ -4,24 +4,34 @@ package features
 // computed straight from a joblog.Columns view into flat planes instead
 // of boxed joblog.Value structs.
 //
-// Derived features split across two planes by their derived-schema kind:
+// Derived features split across three stores by what they can hold:
 //
 //   - numeric derived features (base features of numeric raws) live in a
 //     float64 plane; NaN encodes missing. The sentinel is exact: a base
 //     feature is present only when the two raw values compare equal with
 //     ==, which no NaN ever does, so a present base value is never NaN.
-//   - nominal derived features live in a uint64 symbol plane holding a
-//     packed, per-column encoding: issame uses 0/1 (F/T), compare uses
-//     0/1/2 (LT/SIM/GT), base features carry the raw value's intern ID,
-//     and diff features pack the two intern IDs as x<<32|y. Symbols are
-//     only ever compared within one derived column, so the family-local
-//     encodings cannot collide; MissingSym (all ones) encodes missing and
-//     cannot alias a diff pack because intern IDs stay below 1<<31.
+//   - the issame and compare features of a numeric raw share one triple
+//     of bit planes, one bit per pair: present (neither cell missing), SIM
+//     (present and inside the 10% band) and LT (present, not SIM, first
+//     below second). Issame T is SIM and F is present ∧ ¬SIM; compare LT
+//     is LT, SIM is SIM and GT is present ∧ ¬SIM ∧ ¬LT — GT also when a
+//     NaN is involved, exactly as CompareNum. A pair's code in the three
+//     planes is two bits of information, stored in three.
+//   - the other nominal derived features live in a uint64 symbol plane
+//     holding a packed, per-column encoding: issame of a nominal raw uses
+//     0/1 (F/T), base features carry the raw value's intern ID, and diff
+//     features pack the two intern IDs as x<<32|y. Symbols are only ever
+//     compared within one derived column, so the family-local encodings
+//     cannot collide; MissingSym (all ones) encodes missing and cannot
+//     alias a diff pack because intern IDs stay below 1<<31.
 //
-// A PairMatrix is the feature-major materialization of both planes for a
-// set of pairs: one FillPairs call writes every derived feature of a run
-// of pairs, one raw column at a time, with zero allocation, and scoring
-// code reads contiguous columns by (plane, offset).
+// Diff of a numeric raw and compare of a nominal raw are missing on every
+// pair, so they get no storage at all: every offset of theirs is -1.
+//
+// A PairMatrix is the feature-major materialization of the three stores
+// for a set of pairs: one fill writes every derived feature of a run of
+// pairs, one raw column at a time, with zero allocation, and scoring code
+// reads contiguous columns and planes by offset.
 //
 // Raw fields flagged HasAlien (value kind disagreeing with the schema —
 // see joblog/columns.go) take the boxed derive() path for their base
@@ -30,9 +40,13 @@ package features
 // v.Str for alien cells too — precisely what derive() reads.
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 
+	"perfxplain/internal/bitset"
 	"perfxplain/internal/joblog"
+	"perfxplain/internal/par"
 	"perfxplain/internal/stats"
 )
 
@@ -52,64 +66,117 @@ const (
 // DiffSym packs a diff feature's two raw intern IDs.
 func DiffSym(x, y uint32) uint64 { return uint64(x)<<32 | uint64(y) }
 
-// rawPlan is one raw field's slice of the plane layout: the offsets of
-// its derived features, -1 when a family is absent at the deriver's
-// level (or lives in the other plane). FillPairs walks this plan so
-// each raw cell is read once, not once per derived family.
+// rawPlan is one raw field's slice of the layout: the offsets of its
+// derived features, -1 when a family is absent at the deriver's level or
+// has no storage. The fills walk this plan so each raw cell is read
+// once, not once per derived family.
 type rawPlan struct {
-	rawIdx     int
-	isSameOff  int // symbol plane
-	compareOff int // symbol plane; -1 below Level2
-	diffOff    int // symbol plane; -1 below Level2
+	rawIdx int
+	// kindIdx numbers the raw among the raws of its kind: a numeric raw's
+	// code-plane triple, and its slot in a gather's planes.
+	kindIdx    int
+	isSameOff  int // symbol plane; -1 for numeric raws (code planes)
+	diffOff    int // symbol plane; -1 below Level2 and for numeric raws
 	baseNumOff int // numeric plane; -1 unless Level3 and numeric raw
 	baseSymOff int // symbol plane; -1 unless Level3 and nominal raw
 	baseIdx    int // derived index of the base feature (alien fallback)
 }
 
-// buildPlanes precomputes, for every derived feature, which plane it
-// lives in and at which column offset (exactly one of numOff/symOff is
-// >= 0), plus the per-raw-field materialization plan.
+// buildPlanes precomputes, for every derived feature, where it is stored
+// — a numeric column, a symbol column or a code-plane triple, at most one
+// of numOff/symOff/codeOff >= 0 — plus the per-raw-field materialization
+// plan.
 func (d *Deriver) buildPlanes() {
 	d.numOff = make([]int, len(d.mapping))
 	d.symOff = make([]int, len(d.mapping))
+	d.codeOff = make([]int, len(d.mapping))
 	plans := make([]rawPlan, d.raw.Len())
 	for r := range plans {
-		plans[r] = rawPlan{rawIdx: r, isSameOff: -1, compareOff: -1,
-			diffOff: -1, baseNumOff: -1, baseSymOff: -1, baseIdx: -1}
+		plans[r] = rawPlan{rawIdx: r, isSameOff: -1, diffOff: -1,
+			baseNumOff: -1, baseSymOff: -1, baseIdx: -1}
+		if d.raw.Field(r).Kind == joblog.Numeric {
+			plans[r].kindIdx = d.codeW
+			d.codeW++
+		} else {
+			plans[r].kindIdx = r - d.codeW
+		}
 	}
 	for i, e := range d.mapping {
-		d.numOff[i], d.symOff[i] = -1, -1
-		if d.derived.Field(i).Kind == joblog.Numeric {
+		d.numOff[i], d.symOff[i], d.codeOff[i] = -1, -1, -1
+		p := &plans[e.rawIdx]
+		numeric := d.raw.Field(e.rawIdx).Kind == joblog.Numeric
+		switch {
+		case numeric && (e.kind == IsSame || e.kind == Compare):
+			d.codeOff[i] = p.kindIdx
+		case numeric && e.kind == Base:
 			d.numOff[i] = d.numW
 			d.numW++
-		} else {
+			p.baseNumOff, p.baseIdx = d.numOff[i], i
+		case numeric || e.kind == Compare:
+			// Diff of a numeric raw, compare of a nominal one: missing on
+			// every pair, nothing to store.
+		default:
 			d.symOff[i] = d.symW
 			d.symW++
-		}
-		p := &plans[e.rawIdx]
-		switch e.kind {
-		case IsSame:
-			p.isSameOff = d.symOff[i]
-		case Compare:
-			p.compareOff = d.symOff[i]
-		case Diff:
-			p.diffOff = d.symOff[i]
-		case Base:
-			p.baseNumOff = d.numOff[i]
-			p.baseSymOff = d.symOff[i]
-			p.baseIdx = i
+			switch e.kind {
+			case IsSame:
+				p.isSameOff = d.symOff[i]
+			case Diff:
+				p.diffOff = d.symOff[i]
+			case Base:
+				p.baseSymOff, p.baseIdx = d.symOff[i], i
+			}
 		}
 	}
 	d.rawPlans = plans
 }
 
 // NumOffset returns the numeric-plane offset of a derived feature, or -1
-// when it lives in the symbol plane.
+// when it has no numeric column.
 func (d *Deriver) NumOffset(derivedIdx int) int { return d.numOff[derivedIdx] }
 
 // SymOffset returns the symbol-plane offset of a derived feature, or -1
-// when it lives in the numeric plane.
+// when it has no symbol column.
 func (d *Deriver) SymOffset(derivedIdx int) int { return d.symOff[derivedIdx] }
+
+// CodeOffset returns the code-plane triple of an issame or compare
+// feature of a numeric raw, or -1 for every other feature.
+func (d *Deriver) CodeOffset(derivedIdx int) int { return d.codeOff[derivedIdx] }
+
+// CodeSet is a set of compare codes, bit c for code c (SymLT, SymSIM,
+// SymGT): the three disjoint parts a code-plane triple splits its present
+// pairs into.
+type CodeSet uint8
+
+// CodeSetOf returns the codes of the pairs whose issame or compare
+// feature derivedIdx holds one of syms: issame T is SIM, F is LT or GT.
+func (d *Deriver) CodeSetOf(derivedIdx int, syms []uint64) CodeSet {
+	isSame := d.mapping[derivedIdx].kind == IsSame
+	var cs CodeSet
+	for _, s := range syms {
+		switch {
+		case isSame && s == SymT:
+			cs |= 1 << SymSIM
+		case isSame && s == SymF:
+			cs |= 1<<SymLT | 1<<SymGT
+		case !isSame && s <= SymGT:
+			cs |= 1 << s
+		}
+	}
+	return cs
+}
+
+// Has reports whether code c is in the set.
+func (cs CodeSet) Has(c uint64) bool { return c <= SymGT && cs>>c&1 != 0 }
+
+// Word selects, from one word of a triple's present, SIM and LT planes,
+// the pairs whose code is in the set — mask arithmetic, no branch.
+func (cs CodeSet) Word(present, sim, lt uint64) uint64 {
+	inLT := -(uint64(cs) >> SymLT & 1)
+	inSIM := -(uint64(cs) >> SymSIM & 1)
+	inGT := -(uint64(cs) >> SymGT & 1)
+	return lt&inLT | sim&inSIM | present&^(sim|lt)&inGT
+}
 
 // DeriveNum computes a numeric-plane derived feature for the ordered
 // record pair (a, b); NaN means missing. Calling it for a symbol-plane
@@ -357,41 +424,52 @@ func diffSymsFor(in *joblog.Intern, s string) []uint64 {
 
 // PairMatrix is a flat, feature-major materialization of the derived
 // feature vectors of a set of pairs: each numeric base feature is one
-// contiguous float column (Num[numOff*N+row]) and each nominal feature one
-// contiguous packed-symbol column (Sym[symOff*N+row]), so a per-feature
-// scan reads N adjacent cells. Columns are written by FillPairs and read
-// by offset; no boxed values are created.
+// contiguous float column (Num[numOff*N+row]), each symbol feature one
+// contiguous packed-symbol column (Sym[symOff*N+row]), and each numeric
+// raw's issame and compare share one triple of bit planes in Code (see
+// CodePlanes), so a per-feature scan reads N adjacent cells or N/64
+// adjacent words. The stores are written by the fills and read by
+// offset; no boxed values are created.
 type PairMatrix struct {
-	D   *Deriver
-	N   int
-	Num []float64
-	Sym []uint64
+	D    *Deriver
+	N    int
+	Num  []float64
+	Sym  []uint64
+	Code []uint64
+
+	// g is FillSample's gather scratch; it rides with the matrix, so a
+	// recycled matrix fills without allocating.
+	g gather
 }
 
 // NewPairMatrix allocates a matrix for n pairs.
 func (d *Deriver) NewPairMatrix(n int) *PairMatrix {
-	return &PairMatrix{
-		D:   d,
-		N:   n,
-		Num: make([]float64, n*d.numW),
-		Sym: make([]uint64, n*d.symW),
-	}
+	m := new(PairMatrix)
+	d.ReshapePairMatrix(m, n)
+	return m
 }
 
 // ReshapePairMatrix readies m — a matrix of any deriver and size, or the
-// zero value — for n pairs of d's features, keeping its planes when they
-// are large enough. Cells hold whatever the planes held before: FillPairs
-// writes every cell of the rows it is given, and every row in [0, n) must
-// be filled before it is read.
+// zero value — for n pairs of d's features, keeping its stores when they
+// are large enough. Column cells hold whatever they held before and the
+// code planes are cleared: the fills write every cell and bit of the rows
+// they are given, and every row in [0, n) must be filled before it is
+// read.
 func (d *Deriver) ReshapePairMatrix(m *PairMatrix, n int) {
 	m.D, m.N = d, n
-	if cap(m.Num) < n*d.numW {
-		m.Num = make([]float64, n*d.numW)
+	m.Num = resize(m.Num, n*d.numW)
+	m.Sym = resize(m.Sym, n*d.symW)
+	m.Code = resize(m.Code, 3*d.codeW*bitset.Words(n))
+	clear(m.Code)
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short; the cells it keeps are not cleared.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
 	}
-	if cap(m.Sym) < n*d.symW {
-		m.Sym = make([]uint64, n*d.symW)
-	}
-	m.Num, m.Sym = m.Num[:n*d.numW], m.Sym[:n*d.symW]
+	return s[:n]
 }
 
 // NumCol returns the numeric column at NumOffset(feature), one cell per
@@ -406,115 +484,306 @@ func (m *PairMatrix) SymCol(symOff int) []uint64 {
 	return m.Sym[symOff*m.N : (symOff+1)*m.N : (symOff+1)*m.N]
 }
 
+// CodePlanes returns the present, SIM and LT planes of the triple at
+// CodeOffset(feature), one bit per row (see the file comment for what
+// they encode).
+func (m *PairMatrix) CodePlanes(codeOff int) (present, sim, lt bitset.Set) {
+	w := bitset.Words(m.N)
+	t := m.Code[3*codeOff*w : 3*(codeOff+1)*w : 3*(codeOff+1)*w]
+	return t[:w:w], t[w : 2*w : 2*w], t[2*w:]
+}
+
 // NumAt reads the numeric plane at (row, NumOffset(feature)).
 func (m *PairMatrix) NumAt(row, numOff int) float64 { return m.Num[numOff*m.N+row] }
 
 // SymAt reads the symbol plane at (row, SymOffset(feature)).
 func (m *PairMatrix) SymAt(row, symOff int) uint64 { return m.Sym[symOff*m.N+row] }
 
+// CodeAt reads the compare code of row in the triple at
+// CodeOffset(feature): SymLT, SymSIM or SymGT, or MissingSym.
+func (m *PairMatrix) CodeAt(row, codeOff int) uint64 {
+	present, sim, lt := m.CodePlanes(codeOff)
+	switch {
+	case !present.Get(row):
+		return MissingSym
+	case sim.Get(row):
+		return SymSIM
+	case lt.Get(row):
+		return SymLT
+	default:
+		return SymGT
+	}
+}
+
 // Fill materializes the derived vector of the record pair (a, b) into
-// row: FillPairs on one pair. It is safe to call concurrently for
-// distinct rows.
+// row: a fill of one pair, reading the view directly. It rewrites the
+// row's bit of every code plane in place, so it must not run beside any
+// other fill of the matrix.
 func (m *PairMatrix) Fill(cols *joblog.Columns, row, a, b int) {
 	ai, bi := [1]int{a}, [1]int{b}
-	m.FillPairs(cols, row, ai[:], bi[:])
+	m.fill(cols, nil, fillRun{lo: row, la: ai[:], lb: bi[:], ga: ai[:], gb: bi[:]})
 }
 
 // FillPairs materializes the derived vectors of the record pairs
-// (ai[k], bi[k]) into rows lo+k — the allocation-free bulk engine behind
-// the pair matrix. The loop is raw-field-major: one raw column's plane,
-// missing bits and destination columns are hoisted, then every pair
-// gathers from that one plane, so it stays cache-resident however many
-// rows the log has; each raw cell is read once and fans out to the whole
-// derived family, and the 10% similarity band is computed once for both
-// issame and compare. Concurrent calls over disjoint row ranges are safe.
+// (ai[k], bi[k]) into rows lo+k, reading the view directly — the
+// reference FillSample is held to, and allocation-free. lo must be a
+// multiple of 64, so a run owns every code-plane word it writes up to
+// its last row, and concurrent calls over disjoint runs are safe.
 func (m *PairMatrix) FillPairs(cols *joblog.Columns, lo int, ai, bi []int) {
+	if lo&63 != 0 {
+		panic(fmt.Sprintf("features: FillPairs at row %d, not a multiple of 64", lo))
+	}
+	m.fill(cols, nil, fillRun{lo: lo, la: ai, lb: bi, ga: ai, gb: bi})
+}
+
+// fillChunk is the row count of one FillSample work unit: small enough
+// that a 2 000-pair sample spreads over the workers, large enough that
+// each raw column's planes are hoisted once per few hundred pairs. It is
+// a multiple of 64, as every run's first row must be.
+const fillChunk = 512
+
+// FillSample fills every row of m, sized for len(ai) pairs, with the
+// derived vectors of the record pairs (ai[k], bi[k]), bit-identical to
+// FillPairs. It first gathers the cells the pairs read (see gather), one
+// raw column per work unit, then fills from the gather in fillChunk-row
+// runs; both phases run on up to workers goroutines, and every cell and
+// word has one writer, so the result is the same at every worker count.
+// Once m's stores and gather are large enough it allocates nothing per
+// pair.
+func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, workers int) {
 	n := len(ai)
-	bi = bi[:n]
-	d := m.D
-	nan := math.NaN()
-	for pi := range d.rawPlans {
-		p := &d.rawPlans[pi]
+	if n != m.N || len(bi) != n {
+		panic(fmt.Sprintf("features: FillSample of %d/%d pairs into a %d-row matrix", n, len(bi), m.N))
+	}
+	g, plans := &m.g, m.D.rawPlans
+	g.load(m.D, cols.Len(), ai, bi)
+	par.Do(len(plans), workers, func(i int) { g.column(cols.Col(plans[i].rawIdx), &plans[i]) })
+	par.Do((n+fillChunk-1)/fillChunk, workers, func(c int) {
+		lo := c * fillChunk
+		hi := min(lo+fillChunk, n)
+		m.fill(cols, g, fillRun{lo: lo, la: g.la[lo:hi], lb: g.lb[lo:hi], ga: ai[lo:hi], gb: bi[lo:hi]})
+	})
+}
+
+// fillRun is one run of pairs a fill writes: pair k goes to row lo+k, and
+// its records are (la[k], lb[k]) in the cells the fill reads and
+// (ga[k], gb[k]) in the view — the same indices for a direct fill, ranks
+// against view rows for a gathered one.
+type fillRun struct {
+	lo             int
+	la, lb, ga, gb []int
+}
+
+// rawCells is one raw column as a fill reads it: the plane of its kind
+// and its missing bits, addressed by the run's la/lb.
+type rawCells struct {
+	num  []float64
+	sym  []uint32
+	miss bitset.Set
+}
+
+// fill writes run r's rows raw-field-major: one raw column's cells and
+// destination columns are hoisted, then every pair of the run reads that
+// column, each raw cell fanning out to the whole derived family. With a
+// gather the cells are its sample-local copies, else the view's planes.
+func (m *PairMatrix) fill(cols *joblog.Columns, g *gather, r fillRun) {
+	for pi := range m.D.rawPlans {
+		p := &m.D.rawPlans[pi]
 		c := cols.Col(p.rawIdx)
-		miss := c.Miss
-		isSame := m.SymCol(p.isSameOff)[lo : lo+n]
-		var compare, diff, baseSym []uint64
-		var baseNum []float64
-		if p.compareOff >= 0 {
-			compare = m.SymCol(p.compareOff)[lo : lo+n]
-			diff = m.SymCol(p.diffOff)[lo : lo+n]
+		src := rawCells{num: c.Num, sym: c.Sym, miss: c.Miss}
+		if g != nil {
+			src = g.cells(p, c.Kind)
 		}
-		if p.baseNumOff >= 0 {
-			baseNum = m.NumCol(p.baseNumOff)[lo : lo+n]
-		} else if p.baseSymOff >= 0 {
-			baseSym = m.SymCol(p.baseSymOff)[lo : lo+n]
+		if c.Kind == joblog.Numeric {
+			m.fillNumeric(cols, p, src, r)
+		} else {
+			m.fillNominal(cols, p, src, r)
 		}
-		for k, a := range ai {
-			b := bi[k]
-			if miss.Get(a) || miss.Get(b) {
-				isSame[k] = MissingSym
-				if compare != nil {
-					compare[k] = MissingSym
-					diff[k] = MissingSym
-				}
-				if baseNum != nil {
-					baseNum[k] = nan
-				} else if baseSym != nil {
-					baseSym[k] = MissingSym
-				}
-				continue
+	}
+}
+
+// fillNumeric writes a numeric raw's code planes and base column for run
+// r. Bits are built 64 pairs to a word with mask arithmetic — the 10%
+// band is computed once for issame and compare, a missing cell clears
+// every bit of its pair, NaN cells fall to GT as in CompareNum — and
+// merged into the planes under the run's mask, so bits of rows outside
+// the run are kept. A base cell is the shared value or NaN, selected
+// without a branch; alien pairs then take the boxed fallback.
+func (m *PairMatrix) fillNumeric(cols *joblog.Columns, p *rawPlan, src rawCells, r fillRun) {
+	present, sim, lt := m.CodePlanes(p.kindIdx)
+	la, lb := r.la, r.lb[:len(r.la)]
+	var base []float64
+	if p.baseNumOff >= 0 {
+		base = m.NumCol(p.baseNumOff)[r.lo : r.lo+len(la)]
+	}
+	num, miss := src.num, src.miss
+	nan := math.Float64bits(math.NaN())
+	for k0 := 0; k0 < len(la); {
+		row := r.lo + k0
+		sh := uint(row) & 63
+		k1 := min(len(la), k0+64-int(sh))
+		var pw, sw, lw uint64
+		for k := k0; k < k1; k++ {
+			a, b := la[k], lb[k]
+			x, y := num[a], num[b]
+			pr := ^(miss[a>>6]>>(uint(a)&63) | miss[b>>6]>>(uint(b)&63)) & 1
+			s := bitset.B2u(stats.Similar(x, y)) & pr
+			at := uint(k-k0) & 63
+			pw |= pr << at
+			sw |= s << at
+			lw |= bitset.B2u(x < y) &^ s & pr << at
+			if base != nil {
+				keep := bitset.B2u(x == y) & pr
+				base[k] = math.Float64frombits(math.Float64bits(x)&-keep | nan&(keep-1))
 			}
-			if c.Kind == joblog.Numeric {
-				na, nb := c.Num[a], c.Num[b]
-				sim := stats.Similar(na, nb)
-				if sim {
-					isSame[k] = SymT
-				} else {
-					isSame[k] = SymF
-				}
-				if compare != nil {
-					switch {
-					case sim:
-						compare[k] = SymSIM
-					case na < nb:
-						compare[k] = SymLT
-					default:
-						compare[k] = SymGT
-					}
-					diff[k] = MissingSym
-				}
-				if baseNum != nil {
-					switch {
-					case c.HasAlien && (c.Alien(a) || c.Alien(b)):
-						baseNum[k] = d.DeriveNum(cols, a, b, p.baseIdx)
-					case na == nb:
-						baseNum[k] = na
-					default:
-						baseNum[k] = nan
-					}
-				}
-				continue
-			}
-			sa, sb := c.Sym[a], c.Sym[b]
-			if sa == sb {
-				isSame[k] = SymT
-			} else {
-				isSame[k] = SymF
-			}
-			if compare != nil {
-				compare[k] = MissingSym
-				diff[k] = DiffSym(sa, sb)
-			}
-			if baseSym != nil {
-				switch {
-				case c.HasAlien && (c.Alien(a) || c.Alien(b)):
-					baseSym[k] = d.DeriveSym(cols, a, b, p.baseIdx)
-				case sa == sb:
-					baseSym[k] = uint64(sa)
-				default:
-					baseSym[k] = MissingSym
-				}
+		}
+		w, mask := row>>6, ^uint64(0)>>(64-uint(k1-k0))<<sh
+		present[w] = present[w]&^mask | pw<<sh
+		sim[w] = sim[w]&^mask | sw<<sh
+		lt[w] = lt[w]&^mask | lw<<sh
+		k0 = k1
+	}
+	if c := cols.Col(p.rawIdx); base != nil && c.HasAlien {
+		for k := range la {
+			if a, b := r.ga[k], r.gb[k]; c.Alien(a) || c.Alien(b) {
+				base[k] = m.D.DeriveNum(cols, a, b, p.baseIdx)
 			}
 		}
 	}
+}
+
+// fillNominal writes a nominal raw's issame, diff and base columns for
+// run r, each cell selected with mask arithmetic: a missing cell on
+// either side ORs in MissingSym. Alien pairs' base cells then take the
+// boxed fallback.
+func (m *PairMatrix) fillNominal(cols *joblog.Columns, p *rawPlan, src rawCells, r fillRun) {
+	la, lb := r.la, r.lb[:len(r.la)]
+	n := len(la)
+	isSame := m.SymCol(p.isSameOff)[r.lo : r.lo+n]
+	var diff, base []uint64
+	if p.diffOff >= 0 {
+		diff = m.SymCol(p.diffOff)[r.lo : r.lo+n]
+	}
+	if p.baseSymOff >= 0 {
+		base = m.SymCol(p.baseSymOff)[r.lo : r.lo+n]
+	}
+	sym, miss := src.sym, src.miss
+	for k, a := range la {
+		b := lb[k]
+		sa, sb := sym[a], sym[b]
+		missing := -((miss[a>>6]>>(uint(a)&63) | miss[b>>6]>>(uint(b)&63)) & 1) // all ones or zero
+		eq := bitset.B2u(sa == sb)
+		isSame[k] = eq | missing
+		if diff != nil {
+			diff[k] = DiffSym(sa, sb) | missing
+		}
+		if base != nil {
+			base[k] = uint64(sa) | (eq&^missing - 1)
+		}
+	}
+	if c := cols.Col(p.rawIdx); base != nil && c.HasAlien {
+		for k := range la {
+			if a, b := r.ga[k], r.gb[k]; c.Alien(a) || c.Alien(b) {
+				base[k] = m.D.DeriveSym(cols, a, b, p.baseIdx)
+			}
+		}
+	}
+}
+
+// gather is FillSample's sample-local copy of the cells a list of pairs
+// reads. The distinct records are marked in a bitset over the view and
+// numbered by rank (a prefix popcount), each pair is rewritten as its two
+// ranks, and every raw column's cells for the marked records are copied
+// out in rank order — one ascending sweep of the column — so the fill's
+// scattered reads land in a few kilobytes per column, not in the whole
+// log's planes.
+type gather struct {
+	mark   bitset.Set // over the view's rows
+	rank   []int      // rank[w]: marked rows in the words before w
+	la, lb []int      // each pair's records, as ranks
+	n      int        // distinct records
+	num    []float64  // numeric raw j's cells at [j*n, (j+1)*n)
+	sym    []uint32   // nominal raw j's cells at [j*n, (j+1)*n)
+	miss   []uint64   // raw r's missing bits at [r*w, (r+1)*w), w = Words(n)
+}
+
+// load marks and ranks the records of the pairs (ai[k], bi[k]) over a
+// view of rows rows, and sizes the cell planes for them.
+func (g *gather) load(d *Deriver, rows int, ai, bi []int) {
+	g.mark = resize(g.mark, bitset.Words(rows))
+	clear(g.mark)
+	for k, a := range ai {
+		g.mark.SetBit(a)
+		g.mark.SetBit(bi[k])
+	}
+	g.rank = resize(g.rank, len(g.mark))
+	g.n = 0
+	for w, word := range g.mark {
+		g.rank[w] = g.n
+		g.n += bits.OnesCount64(word)
+	}
+	g.la, g.lb = resize(g.la, len(ai)), resize(g.lb, len(ai))
+	for k, a := range ai {
+		g.la[k], g.lb[k] = g.rankOf(a), g.rankOf(bi[k])
+	}
+	g.num = resize(g.num, d.codeW*g.n)
+	g.sym = resize(g.sym, (d.raw.Len()-d.codeW)*g.n)
+	g.miss = resize(g.miss, d.raw.Len()*bitset.Words(g.n))
+}
+
+// rankOf returns a marked row's rank: the marked rows before it.
+func (g *gather) rankOf(row int) int {
+	w := row >> 6
+	return g.rank[w] + bits.OnesCount64(g.mark[w]&(1<<(uint(row)&63)-1))
+}
+
+// column gathers raw column c's cells (plan p) for the marked records.
+// Columns write disjoint parts of the planes, so they may be gathered
+// concurrently.
+func (g *gather) column(c *joblog.Col, p *rawPlan) {
+	miss := g.missOf(p)
+	if c.Kind == joblog.Numeric {
+		gatherCells(g.num[p.kindIdx*g.n:(p.kindIdx+1)*g.n], c.Num, c.Miss, g.mark, miss)
+	} else {
+		gatherCells(g.sym[p.kindIdx*g.n:(p.kindIdx+1)*g.n], c.Sym, c.Miss, g.mark, miss)
+	}
+}
+
+// gatherCells copies the marked rows' cells of plane, and their missing
+// bits, into dst and miss in row order, writing every word of miss. The
+// missing bits build up in a register and land a word at a time.
+func gatherCells[E float64 | uint32](dst, plane []E, planeMiss, mark, miss bitset.Set) {
+	k, mw := 0, uint64(0)
+	for w, word := range mark {
+		pm := planeMiss[w]
+		for ; word != 0; word &= word - 1 {
+			bit := uint(bits.TrailingZeros64(word))
+			dst[k] = plane[w<<6|int(bit)]
+			mw |= (pm >> bit & 1) << (uint(k) & 63)
+			k++
+			if k&63 == 0 {
+				miss[k>>6-1], mw = mw, 0
+			}
+		}
+	}
+	if k&63 != 0 {
+		miss[k>>6] = mw
+	}
+}
+
+// missOf returns raw column p's gathered missing bits.
+func (g *gather) missOf(p *rawPlan) bitset.Set {
+	w := bitset.Words(g.n)
+	return g.miss[p.rawIdx*w : (p.rawIdx+1)*w]
+}
+
+// cells returns raw column p's gathered cells, addressed by rank.
+func (g *gather) cells(p *rawPlan, kind joblog.Kind) rawCells {
+	cells := rawCells{miss: g.missOf(p)}
+	if kind == joblog.Numeric {
+		cells.num = g.num[p.kindIdx*g.n : (p.kindIdx+1)*g.n]
+	} else {
+		cells.sym = g.sym[p.kindIdx*g.n : (p.kindIdx+1)*g.n]
+	}
+	return cells
 }

@@ -22,7 +22,7 @@ func randLog(seed uint64, n int) *joblog.Log {
 		{Name: "s1", Kind: joblog.Nominal},
 		{Name: "s2", Kind: joblog.Nominal},
 	})
-	nums := []float64{0, math.Copysign(0, -1), 1, 1.05, -3, 100, math.Inf(-1), math.NaN()}
+	nums := []float64{0, math.Copysign(0, -1), 1, 1.05, -3, 100, math.Inf(-1), math.Inf(1), math.NaN()}
 	strs := []string{"x", "y", "a→b", "(x→y)", ""}
 	log := joblog.NewLog(schema)
 	ctr := seed
@@ -74,6 +74,7 @@ func TestColumnarDeriveMatchesBoxed(t *testing.T) {
 			ai, bi := allPairs(log.Len())
 			m := d.NewPairMatrix(len(ai))
 			m.FillPairs(cols, 0, ai, bi)
+			checkCodeInvariants(t, m)
 			for row, a := range ai {
 				b := bi[row]
 				ra, rb := log.Records[a], log.Records[b]
@@ -95,15 +96,16 @@ func TestColumnarDeriveMatchesBoxed(t *testing.T) {
 	}
 }
 
-// TestFillMatchesFillPairs pins Fill as the bulk kernel on one pair: a
-// matrix filled row by row, one filled by a single FillPairs call and one
-// filled in ragged chunks hold identical planes — and so does a recycled
-// one, reshaped from whatever shape and content the last level left it
-// with, because a fill writes every cell of its rows.
+// TestFillMatchesFillPairs pins Fill and FillSample as the bulk kernel:
+// a matrix filled row by row, one filled by FillSample, one filled by a
+// single FillPairs call and one filled in word-aligned ragged chunks hold
+// identical columns and code planes — and so does a recycled one,
+// reshaped from whatever shape and poisoned content the last level left
+// it with, because a fill writes every cell and bit of its rows.
 func TestFillMatchesFillPairs(t *testing.T) {
 	recycled := new(PairMatrix)
 	for _, level := range []Level{Level1, Level3, Level2, Level3} {
-		log := randLog(11, 9)
+		log := randLog(11, 13) // 169 pairs: two full words and a tail
 		d := NewDeriver(log.Schema, level)
 		cols := log.Columns()
 		ai, bi := allPairs(log.Len())
@@ -113,15 +115,18 @@ func TestFillMatchesFillPairs(t *testing.T) {
 		for row := range ai {
 			rows.Fill(cols, row, ai[row], bi[row])
 		}
+		sample := d.NewPairMatrix(len(ai))
+		sample.FillSample(cols, ai, bi, 2)
 		ragged := d.NewPairMatrix(len(ai))
-		for lo, step := 0, 1; lo < len(ai); lo, step = lo+step, step+3 {
+		for lo, step := 0, 64; lo < len(ai); lo, step = lo+step, step+64 {
 			hi := min(lo+step, len(ai))
 			ragged.FillPairs(cols, lo, ai[lo:hi], bi[lo:hi])
 		}
 		d.ReshapePairMatrix(recycled, len(ai))
-		recycled.FillPairs(cols, 0, ai, bi)
-		for name, m := range map[string]*PairMatrix{"row-by-row": rows, "ragged chunks": ragged, "recycled": recycled} {
-			if !slices.Equal(m.Sym, bulk.Sym) || !slices.EqualFunc(m.Num, bulk.Num, sameFloat) {
+		recycled.FillSample(cols, ai, bi, 1)
+		for name, m := range map[string]*PairMatrix{"row-by-row": rows, "FillSample": sample,
+			"ragged chunks": ragged, "recycled": recycled} {
+			if !sameMatrix(m, bulk) {
 				t.Errorf("L%d: %s fill differs from one FillPairs call", level, name)
 			}
 		}
@@ -132,21 +137,52 @@ func TestFillMatchesFillPairs(t *testing.T) {
 		for i := range recycled.Sym {
 			recycled.Sym[i] = 0xdead
 		}
+		for i := range recycled.Code {
+			recycled.Code[i] = ^uint64(0)
+		}
 	}
 }
 
-// TestFillPairsConcurrentChunks fills disjoint row ranges from several
-// goroutines at once, the way core.materialize does; under -race it shows
-// that no two chunks share a written cell.
+// TestFillSampleMatchesDirect holds the gathered fill to the direct one
+// on samples drawn with replacement from a larger log — records repeat
+// across pairs and within one, cells are missing, NaN, ±Inf, −0 or alien
+// — at several sizes and worker counts, into one recycled matrix.
+func TestFillSampleMatchesDirect(t *testing.T) {
+	gathered := new(PairMatrix)
+	for seed := uint64(0); seed < 12; seed++ {
+		log := randLog(100+seed, 70)
+		d := NewDeriver(log.Schema, Level(1+seed%3))
+		cols := log.Columns()
+		n := []int{1, 63, 64, 65, 300, 1100}[seed%6]
+		ai, bi := make([]int, n), make([]int, n)
+		for k := range ai {
+			r := stats.SplitMix64(seed<<32 | uint64(k))
+			ai[k], bi[k] = int(r%uint64(log.Len())), int(r>>32%uint64(log.Len()))
+		}
+		direct := d.NewPairMatrix(n)
+		direct.FillPairs(cols, 0, ai, bi)
+		d.ReshapePairMatrix(gathered, n)
+		gathered.FillSample(cols, ai, bi, int(1+seed%4))
+		if !sameMatrix(gathered, direct) {
+			t.Fatalf("seed %d, %d pairs: gathered fill differs from the direct one", seed, n)
+		}
+		checkCodeInvariants(t, gathered)
+	}
+}
+
+// TestFillPairsConcurrentChunks fills disjoint word-aligned runs from
+// several goroutines at once, the way FillSample does; under -race it
+// shows that no two runs share a written cell or word. A run that does
+// not start on a word is refused.
 func TestFillPairsConcurrentChunks(t *testing.T) {
-	log := randLog(5, 12)
+	log := randLog(5, 23)
 	d := NewDeriver(log.Schema, Level3)
 	cols := log.Columns()
 	ai, bi := allPairs(log.Len())
 	want := d.NewPairMatrix(len(ai))
 	want.FillPairs(cols, 0, ai, bi)
 	got := d.NewPairMatrix(len(ai))
-	const chunk = 17
+	const chunk = 64
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(ai); lo += chunk {
 		hi := min(lo+chunk, len(ai))
@@ -157,8 +193,40 @@ func TestFillPairsConcurrentChunks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !slices.Equal(got.Sym, want.Sym) || !slices.EqualFunc(got.Num, want.Num, sameFloat) {
+	if !sameMatrix(got, want) {
 		t.Error("concurrent chunked fill differs from the serial one")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("FillPairs at row 17 did not panic")
+		}
+	}()
+	got.FillPairs(cols, 17, ai[17:30], bi[17:30])
+}
+
+// sameMatrix reports whether two matrices hold identical stores, floats
+// compared by bits.
+func sameMatrix(a, b *PairMatrix) bool {
+	return a.N == b.N && slices.Equal(a.Sym, b.Sym) && slices.Equal(a.Code, b.Code) &&
+		slices.EqualFunc(a.Num, b.Num, sameFloat)
+}
+
+// checkCodeInvariants checks every code-plane triple: SIM and LT are
+// disjoint subsets of present, and no bit is set past row N.
+func checkCodeInvariants(t *testing.T, m *PairMatrix) {
+	t.Helper()
+	for off := 0; off < m.D.codeW; off++ {
+		present, sim, lt := m.CodePlanes(off)
+		for w := range present {
+			if sim[w]&^present[w] != 0 || lt[w]&^present[w] != 0 || sim[w]&lt[w] != 0 {
+				t.Fatalf("triple %d word %d: present %#x SIM %#x LT %#x", off, w, present[w], sim[w], lt[w])
+			}
+		}
+		if tail := uint(m.N) & 63; tail != 0 {
+			if last := len(present) - 1; present[last]>>tail != 0 {
+				t.Fatalf("triple %d: bits set past row %d", off, m.N)
+			}
+		}
 	}
 }
 
@@ -191,7 +259,25 @@ func checkPlaneCell(t *testing.T, d *Deriver, cols *joblog.Columns, i int,
 		}
 		return
 	}
-	got := m.SymAt(row, d.SymOffset(i))
+	var got uint64
+	switch {
+	case d.CodeOffset(i) >= 0:
+		code := m.CodeAt(row, d.CodeOffset(i))
+		got = code
+		if kind == IsSame && code != MissingSym {
+			got = SymF
+			if code == SymSIM {
+				got = SymT
+			}
+		}
+	case d.SymOffset(i) >= 0:
+		got = m.SymAt(row, d.SymOffset(i))
+	default: // no storage: the family must be missing on every pair
+		if !want.IsMissing() {
+			t.Fatalf("%s has no storage but derives %v", d.Schema().Field(i).Name, want)
+		}
+		return
+	}
 	switch {
 	case want.Kind == joblog.Nominal:
 		if got == MissingSym || d.SymString(cols.Intern(), i, got) != want.Str {
@@ -212,7 +298,7 @@ func TestSymCodecRoundTrip(t *testing.T) {
 	cols := log.Columns()
 	in := cols.Intern()
 	for i := 0; i < d.Schema().Len(); i++ {
-		if d.SymOffset(i) < 0 {
+		if d.NumOffset(i) >= 0 {
 			continue
 		}
 		for a := range log.Records {
@@ -239,11 +325,13 @@ func TestSymCodecRoundTrip(t *testing.T) {
 }
 
 // TestMaterializeDoesNotAllocate pins the steady state of pair
-// materialization: once the columnar view and the matrix exist, a bulk
+// materialization: once the columnar view and the matrix exist, a direct
 // fill — missing and alien cells included — touches no allocator, and
-// neither does Fill, the same kernel on one pair.
+// neither does Fill, the same kernel on one pair. A gathered fill of a
+// recycled matrix allocates only its two fork-joins' closures, however
+// many pairs it fills.
 func TestMaterializeDoesNotAllocate(t *testing.T) {
-	log := randLog(7, 12)
+	log := randLog(7, 40)
 	cols := log.Columns()
 	d := NewDeriver(log.Schema, Level3)
 	ai, bi := allPairs(log.Len())
@@ -256,5 +344,15 @@ func TestMaterializeDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("materializing %d pairs allocates %v times per run, want 0", len(ai), allocs)
+	}
+	for _, n := range []int{100, len(ai)} {
+		sample := func() {
+			d.ReshapePairMatrix(m, n)
+			m.FillSample(cols, ai[:n], bi[:n], 1)
+		}
+		sample() // sizes the gather
+		if allocs := testing.AllocsPerRun(20, sample); allocs > 2 {
+			t.Errorf("FillSample of %d pairs allocates %v times per run, want at most 2", n, allocs)
+		}
 	}
 }

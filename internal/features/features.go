@@ -113,13 +113,16 @@ type Deriver struct {
 	derived *joblog.Schema
 	mapping []mapEntry // parallel to derived schema
 
-	// Plane layout for the columnar engine (see columns.go): per derived
-	// feature, its offset in the numeric or symbol plane of a PairMatrix,
-	// plus the raw-field-major materialization plan.
+	// Layout for the columnar engine (see columns.go): per derived
+	// feature, its offset among a PairMatrix's numeric columns, symbol
+	// columns or code-plane triples, plus the raw-field-major
+	// materialization plan.
 	numOff   []int
 	symOff   []int
+	codeOff  []int
 	numW     int
 	symW     int
+	codeW    int
 	rawPlans []rawPlan
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +15,9 @@ import (
 // and the option merge behind /api/explain and /api/evaluate: every body
 // either yields a 4xx or options whose semantic fields are the base's or
 // the request's positive values, whose feature level is 1–3, and whose
-// runtime knobs are the server's untouched. Nothing panics.
+// runtime knobs are the server's untouched. A body with anything but
+// white space after its first JSON value is always a 4xx. Nothing
+// panics.
 func FuzzExplainRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"query": "OBSERVED duration_compare = GT\nEXPECTED duration_compare = SIM", "find": true}`,
@@ -36,6 +39,10 @@ func FuzzExplainRequest(f *testing.F) {
 		`null`,
 		``,
 		`{"query": "` + strings.Repeat("x", maxQueryBytes) + `"}`,
+		`{"query":"a"}{"query":"b","width":9}`,
+		`{"query": "q"}}`,
+		`{"query": "q"}]`,
+		"{\"query\": \"q\"} \t\r\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -50,6 +57,9 @@ func FuzzExplainRequest(f *testing.F) {
 		r := httptest.NewRequest(http.MethodPost, "/api/explain", bytes.NewReader(body))
 		var req ExplainRequest
 		err := decodeRequest(httptest.NewRecorder(), r, &req)
+		if err == nil && trailsValue(body) {
+			t.Fatalf("%q: accepted with data after its first JSON value", body)
+		}
 		var opt perfxplain.Options
 		if err == nil {
 			opt, err = s.mergeOptions(&req)
@@ -85,4 +95,15 @@ func FuzzExplainRequest(f *testing.F) {
 			t.Errorf("%q: runtime knobs moved: %+v", body, opt)
 		}
 	})
+}
+
+// trailsValue reports whether body holds a complete first JSON value
+// followed by anything but JSON white space.
+func trailsValue(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var v json.RawMessage
+	if dec.Decode(&v) != nil {
+		return false
+	}
+	return len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0
 }

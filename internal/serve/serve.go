@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -398,10 +399,19 @@ func (s *Server) compute(ctx context.Context, log *perfxplain.Log, gen uint64,
 // numbers.
 const maxQueryBytes = 1 << 20
 
+// decodeRequest decodes a body holding exactly one JSON object into v:
+// unknown fields and anything but white space after the object are
+// client errors.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return badRequest{fmt.Errorf("decode request: %w", err)}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request object")
+		}
 		return badRequest{fmt.Errorf("decode request: %w", err)}
 	}
 	return nil
