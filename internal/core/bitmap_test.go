@@ -75,7 +75,8 @@ func bitmapLog(nRecs int) (*joblog.Log, []pairRef) {
 // thresholds on each operator (NaN constant included), single- and
 // multi-symbol nominal equality/inequality, never-interned constants,
 // kind-mismatched atoms that lower to constant false, and each issame and
-// compare code on code planes, on a symbol column and without storage.
+// compare code on a numeric and a nominal raw's code planes and without
+// storage.
 func bitmapAtoms() []pxql.Atom {
 	var out []pxql.Atom
 	for _, op := range []pxql.Op{pxql.OpEq, pxql.OpNe, pxql.OpLt, pxql.OpLe, pxql.OpGt, pxql.OpGe} {
@@ -97,9 +98,9 @@ func bitmapAtoms() []pxql.Atom {
 		pxql.Atom{Feature: "x", Op: pxql.OpEq, Value: joblog.None()},     // missing constant → false
 	)
 	// Every code of the issame and compare families under both operators:
-	// code planes for the numeric raw, a symbol column for the nominal
-	// one, no storage at all for the nominal raw's compare and the
-	// numeric raw's diff (false everywhere).
+	// code planes for both raws' issame and the numeric raw's compare, no
+	// storage at all for the nominal raw's compare and the numeric raw's
+	// diff (false everywhere).
 	for _, op := range []pxql.Op{pxql.OpEq, pxql.OpNe} {
 		for _, v := range []string{"T", "F", "LT"} {
 			out = append(out,

@@ -667,21 +667,20 @@ func (t *symTable) at(sym uint64) *symCount {
 
 // bestNominalSyms scores one nominal feature's matrix store for
 // dtree.BestNominalFromCounts. Class counts come per code or per packed
-// symbol: a code-plane triple's are popcounts of each plane against the
-// working set and its positives; a nominal issame column holds only
-// 0/1, counted into a fixed array; base and diff columns count into the
-// scratch probe table. Then the few distinct symbols are decoded, sorted
-// by rendered string and merged where equal — issame renders both LT and
-// GT as F, and distinct diff symbols may render identically when a value
-// contains the arrow — so the scoring and its string-ordered tie-break
-// see values, not symbols. A feature without storage (missing on every
-// pair) admits no split.
+// symbol: a code-plane triple's (every issame feature, and compare of a
+// numeric raw) are popcounts of each plane against the working set and
+// its positives; base and diff columns count into the scratch probe
+// table. Then the few distinct symbols are decoded, sorted by rendered
+// string and merged where equal — issame renders both LT and GT as F,
+// and distinct diff symbols may render identically when a value contains
+// the arrow — so the scoring and its string-ordered tie-break see values,
+// not symbols. A feature without storage (missing on every pair) admits
+// no split.
 func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
 	m *features.PairMatrix, ws *workingSet, sc *scoreScratch) (string, float64, bool) {
 
 	counts := sc.counts[:0]
 	symOff := d.SymOffset(featIdx)
-	_, kind := d.RawOf(featIdx)
 	switch codeOff := d.CodeOffset(featIdx); {
 	case codeOff >= 0:
 		present, sim, lt := m.CodePlanes(codeOff)
@@ -698,21 +697,6 @@ func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
 		}
 	case symOff < 0:
 		return "", 0, false
-	case kind == features.IsSame:
-		col := m.SymCol(symOff)
-		const codes = 2 // SymF, SymT; slot 2 takes MissingSym
-		var tot, pos [codes + 1]int
-		for k, i := range ws.rows {
-			c := min(col[i], codes)
-			tot[c]++
-			pos[c] += int(bitset.B2u(ws.labels[k]))
-		}
-		for c := 0; c < codes; c++ {
-			if tot[c] > 0 {
-				counts = append(counts, dtree.NominalCount{
-					Value: d.SymString(in, featIdx, uint64(c)), Pos: pos[c], Neg: tot[c] - pos[c]})
-			}
-		}
 	default:
 		col := m.SymCol(symOff)
 		t := &sc.syms

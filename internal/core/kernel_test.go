@@ -50,9 +50,9 @@ func repeatValues(n int, vs ...joblog.Value) []joblog.Value {
 // planners drop a blocking conjunct from the clause they ship exactly
 // when grouping proves it, and a walk of the same groups under the
 // residual returns what a walk under the full clause returns — for
-// enumeration and evaluation, exact and thinned, with zone pruning and
-// seek filtering on and off — which, when exact, is what the naive
-// oracle reads off the definitions.
+// enumeration and evaluation, exact and thinned, with seek filtering on
+// and off — which, when exact, is what the naive oracle reads off the
+// definitions.
 func TestResidualDespiteEqualsFull(t *testing.T) {
 	num, str, none := joblog.Num, joblog.Str, joblog.None()
 	kSame := pxql.Atom{Feature: "k_issame", Op: pxql.OpEq, Value: features.ValT}
@@ -113,10 +113,9 @@ func TestResidualDespiteEqualsFull(t *testing.T) {
 		data := &SliceData{Log: tc.log, Cols: tc.log.Columns()}
 		walked := 0
 		for _, maxPairs := range []int{0, 40} { // exact, and thinned below skipKeepP
-			for sw := 0; sw < 4; sw++ {
-				prune, seek := sw&1 != 0, sw&2 != 0
-				name := fmt.Sprintf("%s maxPairs=%d prune=%v seek=%v", tc.name, maxPairs, prune, seek)
-				groups, keepP := blockedGroupsOpt(tc.log, tc.despite, maxPairs, prune, seek)
+			for _, seek := range []bool{false, true} {
+				name := fmt.Sprintf("%s maxPairs=%d seek=%v", tc.name, maxPairs, seek)
+				groups, keepP := blockedGroupsOpt(tc.log, tc.despite, maxPairs, seek)
 				cut := cutGroupShards(groups, 1)[0]
 
 				enum := PlanEnumShards(tc.log, features.Level3, q, tc.despite, maxPairs, 1, 5)[0]

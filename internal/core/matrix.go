@@ -13,8 +13,9 @@ package core
 //
 // Beyond the per-row eval, each atom has a batched kernel (fillRange)
 // that scans its matrix column and fills a selection bitmap — one bit per
-// pair, built with branchless mask arithmetic; an issame or compare atom
-// over a numeric raw reads its code planes a word at a time instead.
+// pair, built with branchless mask arithmetic; an issame atom, or a
+// compare atom over a numeric raw, reads its code planes a word at a time
+// instead.
 // bitmapCache memoizes one bitmap per distinct atom over the whole
 // matrix, filled tile-by-tile on the worker pool so planes stay
 // cache-resident; every candidate clause is then composed by word-AND +

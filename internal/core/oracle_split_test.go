@@ -327,9 +327,8 @@ func testWorkingSet(rows []int, labels []bool) *workingSet {
 }
 
 // TestBestNominalSymsCodeColumnsDoNotAllocate pins the map-free count on
-// the issame and compare features — code-plane popcounts for numeric
-// raws, the fixed array for a nominal raw's issame column: with warm
-// scratch, a scoring pass over them touches no allocator.
+// the issame and compare features — code-plane popcounts for every raw:
+// with warm scratch, a scoring pass over them touches no allocator.
 func TestBestNominalSymsCodeColumnsDoNotAllocate(t *testing.T) {
 	d, in, m := bitmapFixture(t, 13)
 	var cur []int

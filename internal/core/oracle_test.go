@@ -106,7 +106,7 @@ func sortedSet(ps *pairPlanes) []oraclePair {
 
 // oracleLog draws a small log built to reach the engine's special cases:
 // skewed blocking groups including single-member ones, a missing blocking
-// value (unblockable), a per-group constant (zone maps kill whole
+// value (unblockable), a per-group constant (row seeks empty whole
 // groups), a seekable numeric column with missing, NaN and alien cells,
 // a nominal column with missing and alien cells, and a jittered numeric
 // column whose values cluster within the 10% SIM band without being

@@ -188,70 +188,56 @@ func residualDespite(log *joblog.Log, despite pxql.Predicate) pxql.Predicate {
 // records), so repeated calls — before or after any cache invalidation —
 // produce identical groups.
 func blockedGroups(log *joblog.Log, despite pxql.Predicate, maxPairs int) (groups [][]int, keepP float64, residual pxql.Predicate) {
-	groups, keepP = blockedGroupsOpt(log, despite, maxPairs, true, true)
+	groups, keepP = blockedGroupsOpt(log, despite, maxPairs, true)
 	return groups, keepP, residualDespite(log, despite)
 }
 
-// blockedGroupsOpt is blockedGroups with zone-map group pruning and
-// seek-driven row filtering switchable (test oracles run with either or
-// both off; the planners always run with both on). keepP
-// is computed over the UNPRUNED, UNFILTERED candidate pair count before
-// any group is dropped or thinned: pruned groups and filtered rows
-// contribute no despite-satisfying pair, so neither cut changes the
-// probability. What a cut does to the surviving pairs' fates depends on
-// the thinning regime walkTiles picks from keepP (see skipKeepP): at or
-// above the crossover a keep decision is a pure function of (seed, i, j)
-// and both cuts leave the output byte-identical; below it the decision
-// is a pure function of (seed, i, j's position among its group's
-// members), so pruning — which drops whole groups and leaves the others'
-// member lists alone — is still byte-identical, while seek filtering —
-// which renumbers positions inside a group — yields a different, equally
-// valid iid Bernoulli(keepP) thinning of the same related set.
-func blockedGroupsOpt(log *joblog.Log, despite pxql.Predicate, maxPairs int, prune, seek bool) (groups [][]int, keepP float64) {
+// blockedGroupsOpt is blockedGroups with seek-driven row filtering
+// switchable (test oracles run with it off; the planners always run with
+// it on). keepP is computed over the UNFILTERED candidate pair count
+// before any row is dropped: filtered rows contribute no
+// despite-satisfying pair, so the cut does not change the probability.
+// What it does to the surviving pairs' fates depends on the thinning
+// regime walkTiles picks from keepP (see skipKeepP): at or above the
+// crossover a keep decision is a pure function of (seed, i, j) and the
+// output is byte-identical; below it the decision is a pure function of
+// (seed, i, j's position among its group's members), and seek filtering
+// — which renumbers positions inside a group — yields a different,
+// equally valid iid Bernoulli(keepP) thinning of the same related set.
+func blockedGroupsOpt(log *joblog.Log, despite pxql.Predicate, maxPairs int, seek bool) (groups [][]int, keepP float64) {
 	plan := candidateGroups(log, despite)
 	groups, keepP = plan.groups, 1.0
 	if maxPairs > 0 && plan.total > uint64(maxPairs) {
 		keepP = float64(maxPairs) / float64(plan.total)
 	}
-
-	// groups may be the view's memoized plan, shared with every other
-	// query over it: both cuts build their own lists and leave their input
-	// as they found it.
-	if prune {
-		if p := newGroupPruner(log, despite); p != nil {
-			kept := make([][]int, 0, len(groups))
-			for _, g := range groups {
-				if !p.dead(g) {
-					kept = append(kept, g)
-				}
-			}
-			groups = kept
-		}
+	if !seek {
+		return groups, keepP
 	}
-	if seek {
-		if s := newRowSeeker(log, despite); s != nil {
-			kept := make([][]int, 0, len(groups))
-			for _, g := range groups {
-				// A filtered row can be neither side of a satisfying pair,
-				// and an ordered pair needs two distinct surviving rows.
-				if g = s.filter(g); len(g) >= 2 {
-					kept = append(kept, g)
-				}
+	// groups may be the view's memoized plan, shared with every other
+	// query over it: the cut builds its own list and leaves its input as
+	// it found it.
+	if s := newRowSeeker(log, despite); s != nil {
+		kept := make([][]int, 0, len(groups))
+		for _, g := range groups {
+			// A filtered row can be neither side of a satisfying pair,
+			// and an ordered pair needs two distinct surviving rows.
+			if g = s.filter(g); len(g) >= 2 {
+				kept = append(kept, g)
 			}
-			groups = kept
 		}
+		groups = kept
 	}
 	return groups, keepP
 }
 
 // blockPlan is the blocked candidate space of one blocking-column tuple
-// over a whole view: the un-pruned, un-seeked groups and their ordered
-// pair count. Memoized values are shared between queries and read-only.
+// over a whole view: the un-seeked groups and their ordered pair count.
+// Memoized values are shared between queries and read-only.
 type blockPlan struct {
 	groups [][]int
 	// total is the candidate ordered pair count the subsampling
 	// probability is taken over — always the full candidate space, never
-	// the pruned or filtered one. Saturating uint64: huge synthetic logs
+	// the seek-filtered one. Saturating uint64: huge synthetic logs
 	// overflow an int product.
 	total uint64
 }
@@ -451,7 +437,7 @@ func satAdd64(a, b uint64) uint64 {
 // ordered record pair (i, j) at keepP >= skipKeepP (the dense regime of
 // walkTiles): a pure function of the seed and the pair, so the decision
 // is identical whichever shard or goroutine evaluates it, and whatever
-// pruning or seek filtering did to the pair's group.
+// seek filtering did to the pair's group.
 func keepPair(seed uint64, i, j int, keepP float64) bool {
 	if keepP >= 1 {
 		return true

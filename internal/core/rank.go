@@ -72,7 +72,7 @@ func newRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) 
 	start := []int{0} // start[g] is group g's first slot in members
 	for _, g := range plan.groups {
 		if len(g) < 2 {
-			continue // no pairs, and pruning may drop it
+			continue // no pairs
 		}
 		for _, r := range g {
 			gid[r] = int32(len(start) - 1)
@@ -167,7 +167,7 @@ func compareCode(log *joblog.Log, p pxql.Predicate) (raw int, code uint64, ok bo
 // question must be walked. Eligible means observed and expected are
 // single compare atoms with distinct codes on one numeric column T, the
 // despite clause leaves no residual after blocking (so it holds no base
-// prefilter either, and no group can be pruned or seek-filtered), and
+// prefilter either, and no group can be seek-filtered), and
 // every member of a group of two or more has a present, finite, strictly
 // positive, non-alien T cell.
 func rankSpaceOf(log *joblog.Log, q *pxql.Query, despite pxql.Predicate) *rankSpace {

@@ -22,11 +22,51 @@ import (
 	"perfxplain/internal/pxql"
 )
 
+// zoneSkewedLog builds a log blocked by `script` into nGroups groups of
+// skewed sizes, where `cpus` is constant within each group (cpus =
+// group % 10) — so a `cpus > 8.5` conjunct's row seek empties every group
+// but the 9-cpu ones and leaves those whole — and duration = x.
+func zoneSkewedLog(n, nGroups int, rng *rand.Rand) *joblog.Log {
+	schema := joblog.NewSchema([]joblog.Field{
+		{Name: "script", Kind: joblog.Nominal},
+		{Name: "cpus", Kind: joblog.Numeric},
+		{Name: "x", Kind: joblog.Numeric},
+		{Name: "duration", Kind: joblog.Numeric},
+	})
+	log := joblog.NewLog(schema)
+	for i := 0; i < n; i++ {
+		// Skew group sizes harmonically: group k gets ~1/(k+1) of the mass.
+		k := 0
+		for r := rng.Float64() * harmonic(nGroups); r > 0; k++ {
+			r -= 1 / float64(k+1)
+		}
+		if k > 0 {
+			k--
+		}
+		x := 10 + rng.Float64()*1000
+		log.MustAppend(&joblog.Record{ID: fmt.Sprintf("z%04d", i), Values: []joblog.Value{
+			joblog.Str(fmt.Sprintf("script-%03d", k)),
+			joblog.Num(float64(k % 10)),
+			joblog.Num(x),
+			joblog.Num(x),
+		}})
+	}
+	return log
+}
+
+func harmonic(n int) float64 {
+	h := 0.0
+	for k := 1; k <= n; k++ {
+		h += 1 / float64(k)
+	}
+	return h
+}
+
 // memoQueries are three despite clauses over zoneSkewedLog that block on
 // the same column — one memoized plan — and cut it three ways: not at
-// all; by zone maps alone (cpus is constant per group, so the surviving
-// groups pass the seeker whole, aliasing the memoized lists); and by
-// row seeks inside every group.
+// all; by whole groups (cpus is constant per group, so the seeker empties
+// some groups and passes the others whole, aliasing the memoized lists);
+// and by row seeks inside every group.
 func memoQueries() map[string]*pxql.Query {
 	with := func(extra ...pxql.Atom) *pxql.Query {
 		q := blockedQuery()
@@ -58,7 +98,7 @@ func TestBlockGroupsMemoReadOnly(t *testing.T) {
 		}
 	}
 	if a, b := len(want["blocked0"][0].Groups), len(want["zone0"][0].Groups); b == 0 || b >= a {
-		t.Fatalf("zone plan keeps %d of %d groups in its first spec; the fixture prunes nothing", b, a)
+		t.Fatalf("zone plan keeps %d of %d groups in its first spec; the fixture cuts nothing", b, a)
 	}
 
 	shared := build()

@@ -1,29 +1,26 @@
 package core
 
-// Seek-driven within-group enumeration. Zone-map pruning (prune.go)
-// drops whole blocking groups that provably contain no despite-satisfying
-// pair; this file is the row-level counterpart for the groups that
-// survive: the same AtomNumRange lowering that proves a group dead
-// proves which individual rows can appear in a satisfying pair at all.
-// A despite conjunct `<raw> <op> c` over a numeric base feature holds on
-// an ordered pair only when BOTH sides are present, non-NaN, equal, and
-// carry a value inside the atom's lowered ValueRange — so any row whose
-// own cell falls outside the range (or is missing or NaN) cannot be
-// either side of a qualifying pair. Instead of tiling the group's full
-// n·(n−1) pair matrix and letting EvalBlock reject those pairs one tile
-// at a time, the per-column sorted index seeks directly to the
-// qualifying value range (ColIndex.RangeBetween) and the group is
-// filtered to the intersection before any pair is walked: a wide group
-// with a needle-thin qualifying range collapses from O(n²) pair
-// evaluations to O(k²) with k the qualifying rows.
+// Seek-driven within-group enumeration. A despite conjunct `<raw> <op> c`
+// over a numeric base feature holds on an ordered pair only when BOTH
+// sides are present, non-NaN, equal, and carry a value inside the atom's
+// lowered ValueRange — so any row whose own cell falls outside the range
+// (or is missing or NaN) cannot be either side of a qualifying pair.
+// Instead of tiling a blocking group's full n·(n−1) pair matrix and
+// letting EvalBlock reject those pairs one tile at a time, the per-column
+// sorted index seeks directly to the qualifying value range
+// (ColIndex.RangeBetween) and the group is filtered to the intersection
+// before any pair is walked: a wide group with a needle-thin qualifying
+// range collapses from O(n²) pair evaluations to O(k²) with k the
+// qualifying rows, and a group left with fewer than two rows is dropped
+// whole. This is the walk planner's one index cut below blocking.
 //
-// Exactness contract (mirrors prune.go): a row may be filtered only
-// when no ordered pair containing it satisfies the despite clause, so
-// filtering removes pairs that enumeration would have rejected anyway:
-// uncapped, output is byte-identical with the filter on or off. The
-// Bernoulli keep probability is computed over the UNFILTERED pair count
-// (see blockedGroups), so the filter never changes how hard a capped walk
-// is thinned. Which pairs a capped walk keeps depends on the regime
+// Exactness contract: a row may be filtered only when no ordered pair
+// containing it satisfies the despite clause, so filtering removes pairs
+// that enumeration would have rejected anyway: uncapped, output is
+// byte-identical with the filter on or off. The Bernoulli keep
+// probability is computed over the UNFILTERED pair count (see
+// blockedGroups), so the filter never changes how hard a capped walk is
+// thinned. Which pairs a capped walk keeps depends on the regime
 // walkTiles picks from keepP:
 //
 //   - keepP >= skipKeepP: each keep decision is a pure function of
@@ -64,10 +61,9 @@ type rowSeeker struct {
 // newRowSeeker lowers the despite clause's numeric base conjuncts to
 // seekable value ranges and intersects their qualifying row sets. It
 // returns nil when no conjunct lowers exactly — enumeration then walks
-// every group unfiltered, exactly as before. Like the pruner it reads
-// only the memoized columnar view (a pure deterministic function of the
-// record list), so the filter is identical across rebuilds, shard
-// counts and processes.
+// every group unfiltered, exactly as before. It reads only the memoized
+// columnar view (a pure deterministic function of the record list), so
+// the filter is identical across rebuilds, shard counts and processes.
 func newRowSeeker(log *joblog.Log, despite pxql.Predicate) *rowSeeker {
 	cols := log.Columns()
 	var allow bitset.Set
@@ -85,8 +81,7 @@ func newRowSeeker(log *joblog.Log, despite pxql.Predicate) *rowSeeker {
 		}
 		col := cols.Col(fi)
 		// Alien cells make the planes (and the index over them) diverge
-		// from boxed evaluation; kind mismatches never lower. Mirrors
-		// newGroupPruner's guards.
+		// from boxed evaluation; kind mismatches never lower.
 		if col.HasAlien || col.Kind != joblog.Numeric ||
 			a.Value.IsMissing() || a.Value.Kind != joblog.Numeric {
 			continue

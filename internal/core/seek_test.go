@@ -1,9 +1,9 @@
 package core
 
 // Tests for seek-driven within-group enumeration (seek.go): filtering a
-// surviving group to the rows the sorted index proves able to satisfy
-// the despite clause must leave enumeration byte-identical — the twin
-// of TestZonePruneExact one level down, rows instead of groups.
+// blocking group to the rows the sorted index proves able to satisfy the
+// despite clause must leave enumeration byte-identical, or, below the
+// skip crossover, an equally valid thinning of the same related set.
 
 import (
 	"fmt"
@@ -23,7 +23,7 @@ import (
 // kill any of them via zone maps (every group's zone spans [1, 8]) but
 // proves all non-needle rows unable to sit on either side of a
 // qualifying pair. One further group, script-dead, holds no needle at
-// all: the zone-map pruner drops it whole.
+// all: the seeker empties it.
 func needleLog(n, nGroups, every int, rng *rand.Rand) *joblog.Log {
 	schema := joblog.NewSchema([]joblog.Field{
 		{Name: "script", Kind: joblog.Nominal},
@@ -64,18 +64,16 @@ func needleQuery() *pxql.Query {
 	}
 }
 
-// TestSeekEnumExact pins what row filtering (and, beside it, group
-// pruning) may do to an enumeration, per thinning regime of walkTiles:
+// TestSeekEnumExact pins what row filtering may do to an enumeration,
+// per thinning regime of walkTiles:
 //
 //   - uncapped (keepP = 1) and capped at or above the crossover
 //     (skipKeepP <= keepP < 1): a pair's fate is a pure function of
-//     (seed, i, j), so seek on/off and prune on/off are byte-identical;
+//     (seed, i, j), so seek on/off are byte-identical;
 //   - capped below the crossover: the fate is keyed on the inner
 //     member's position in its group, which filtering renumbers — seek
 //     on/off are two thinnings of the same related set, each a subset of
-//     Definition 7's pairs with their labels and of binomial size, while
-//     prune on/off (whole groups, positions untouched) stay
-//     byte-identical.
+//     Definition 7's pairs with their labels and of binomial size.
 //
 // Every capped leg keeps at least 50 pairs, so no comparison is between
 // empty sets.
@@ -90,12 +88,11 @@ func TestSeekEnumExact(t *testing.T) {
 		}
 		return n
 	}
-	seeked, _ := blockedGroupsOpt(log, q.Despite, 0, false, true)
-	pruned, _ := blockedGroupsOpt(log, q.Despite, 0, true, false)
-	all, _ := blockedGroupsOpt(log, q.Despite, 0, false, false)
-	if len(all) == 0 || rows(seeked) >= rows(all) || len(pruned) >= len(all) {
-		t.Fatalf("of %d rows in %d groups the seeker kept %d rows and the pruner %d groups; the fixture is toothless",
-			rows(all), len(all), rows(seeked), len(pruned))
+	seeked, _ := blockedGroupsOpt(log, q.Despite, 0, true)
+	all, _ := blockedGroupsOpt(log, q.Despite, 0, false)
+	if len(all) == 0 || rows(seeked) >= rows(all) || len(seeked) >= len(all) {
+		t.Fatalf("of %d rows in %d groups the seeker kept %d rows in %d groups; the fixture is toothless",
+			rows(all), len(all), rows(seeked), len(seeked))
 	}
 	exact := len(oracleRelated(log, features.Level3, q, q.Despite))
 
@@ -108,13 +105,13 @@ func TestSeekEnumExact(t *testing.T) {
 		{"capped-dense", 40000, false},
 		{"capped-skip", 6000, true},
 	} {
-		_, keepP := blockedGroupsOpt(log, q.Despite, tc.maxPairs, false, false)
+		_, keepP := blockedGroupsOpt(log, q.Despite, tc.maxPairs, false)
 		if (tc.maxPairs == 0) != (keepP == 1) || skipSampled(keepP) != tc.skip {
 			t.Fatalf("%s: maxPairs %d gives keepP %v; the fixture misses its regime", tc.name, tc.maxPairs, keepP)
 		}
-		walk := func(prune, seek bool) *pairPlanes {
-			ps := enumSwitched(t, log, q, tc.maxPairs, 77, prune, seek)
-			name := fmt.Sprintf("%s prune=%v seek=%v", tc.name, prune, seek)
+		walk := func(seek bool) *pairPlanes {
+			ps := enumSwitched(t, log, q, tc.maxPairs, 77, seek)
+			name := fmt.Sprintf("%s seek=%v", tc.name, seek)
 			checkRelated(t, name, log, q, q.Despite, ps, keepP == 1)
 			mean := keepP * float64(exact)
 			if d := math.Abs(float64(ps.len()) - mean); ps.len() < 50 || d > 5*math.Sqrt(mean*(1-keepP)) {
@@ -123,17 +120,14 @@ func TestSeekEnumExact(t *testing.T) {
 			}
 			return ps
 		}
-		plain, seekOnly := walk(false, false), walk(false, true)
-		if !samePairs(walk(true, false), plain) || !samePairs(walk(true, true), seekOnly) {
-			t.Errorf("%s: group pruning changed the enumeration", tc.name)
-		}
+		plain, seekOnly := walk(false), walk(true)
 		if same := samePairs(seekOnly, plain); same == tc.skip {
 			t.Errorf("%s: seek on/off identical = %v (%d vs %d pairs); want identical exactly when the walk is not skip-sampled",
 				tc.name, same, seekOnly.len(), plain.len())
 		}
-		// The planner's own defaults (prune and seek on) are the seeked walk.
+		// The planner's own default (seek on) is the seeked walk.
 		if got := enumLocal(t, log, q, q.Despite, tc.maxPairs, 77, serialExec); !samePairs(got, seekOnly) {
-			t.Errorf("%s: planned enumeration differs from the pruned, seeked walk", tc.name)
+			t.Errorf("%s: planned enumeration differs from the seeked walk", tc.name)
 		}
 	}
 }

@@ -128,11 +128,11 @@ func cutGroupShards(groups [][]int, nShards int) [][]EnumGroup {
 // maxPairs caps the walk: a larger candidate pair space is thinned under
 // one global keep probability (blockedGroups), which every spec carries.
 //
-// The plan is a pure function of (records, despite, query
-// outcome clauses, maxPairs, nShards, seed): everything it reads —
-// including the memoized columnar view backing the zone-map group
-// pruner — is derived deterministically from the record list, so
-// rebuilding the log's caches never changes it.
+// The plan is a pure function of (records, despite, query outcome
+// clauses, maxPairs, nShards, seed): everything it reads — including the
+// memoized columnar view backing blocking and row seeks — is derived
+// deterministically from the record list, so rebuilding the log's caches
+// never changes it.
 func PlanEnumShards(log *joblog.Log, level features.Level, q *pxql.Query,
 	despite pxql.Predicate, maxPairs, nShards int, seed uint64) []EnumSpec {
 

@@ -248,7 +248,7 @@ type EnumGroup struct {
 type EnumSpec struct {
 	Groups []EnumGroup `json:"groups,omitempty"`
 	// KeepP is the global Bernoulli keep probability — one value for the
-	// whole plan, computed over the unpruned, unfiltered candidate count.
+	// whole plan, computed over the unfiltered candidate count.
 	// It also selects the sampler (see walkTiles): at or above skipKeepP
 	// every candidate pair is hashed; below it each outer record draws
 	// geometric skips over its group's members (skip.go: integers only,

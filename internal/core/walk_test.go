@@ -3,8 +3,7 @@ package core
 // Test-side drivers for the one walk path (plan → run → merge), plus the
 // local executor's cancellation contract: a one-spec plan on one
 // goroutine is the serial walk the suites compare orders against, and
-// the no-prune / no-seek denominators come from blockedGroupsOpt's own
-// switches.
+// the no-seek denominator comes from blockedGroupsOpt's own switch.
 
 import (
 	"context"
@@ -55,14 +54,13 @@ func chunked(t testing.TB, p *pairPlanes, n int, cuts ...int) *pairSet {
 	return ps
 }
 
-// enumSwitched is the serial walk with zone-map pruning and seek
-// filtering individually switchable — with both off, the denominator of
-// the exactness tests. It is PlanEnumShards' one spec over
-// blockedGroupsOpt's groups instead of blockedGroups'.
-func enumSwitched(t testing.TB, log *joblog.Log, q *pxql.Query, maxPairs int, seed uint64, prune, seek bool) *pairPlanes {
+// enumSwitched is the serial walk with seek filtering switchable — with
+// it off, the denominator of the exactness tests. It is PlanEnumShards'
+// one spec over blockedGroupsOpt's groups instead of blockedGroups'.
+func enumSwitched(t testing.TB, log *joblog.Log, q *pxql.Query, maxPairs int, seed uint64, seek bool) *pairPlanes {
 	t.Helper()
 	spec := PlanEnumShards(log, features.Level3, q, q.Despite, maxPairs, 1, seed)[0]
-	groups, keepP := blockedGroupsOpt(log, q.Despite, maxPairs, prune, seek)
+	groups, keepP := blockedGroupsOpt(log, q.Despite, maxPairs, seek)
 	spec.Groups, spec.KeepP = cutGroupShards(groups, 1)[0], keepP
 	ps, err := runEnumSpecs(context.Background(), serialExec, log, []EnumSpec{spec})
 	if err != nil {

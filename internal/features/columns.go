@@ -10,20 +10,23 @@ package features
 //     float64 plane; NaN encodes missing. The sentinel is exact: a base
 //     feature is present only when the two raw values compare equal with
 //     ==, which no NaN ever does, so a present base value is never NaN.
-//   - the issame and compare features of a numeric raw share one triple
-//     of bit planes, one bit per pair: present (neither cell missing), SIM
-//     (present and inside the 10% band) and LT (present, not SIM, first
-//     below second). Issame T is SIM and F is present ∧ ¬SIM; compare LT
-//     is LT, SIM is SIM and GT is present ∧ ¬SIM ∧ ¬LT — GT also when a
-//     NaN is involved, exactly as CompareNum. A pair's code in the three
-//     planes is two bits of information, stored in three.
+//   - every raw's issame feature, and a numeric raw's compare feature,
+//     share one triple of bit planes per raw, one bit per pair: present
+//     (neither cell missing), SIM and LT. For a numeric raw SIM is present
+//     and inside the 10% band, and LT is present, not SIM, first below
+//     second; for a nominal raw SIM is present and equal, and LT is always
+//     empty. Issame T is SIM and F is present ∧ ¬SIM; compare LT is LT,
+//     SIM is SIM and GT is present ∧ ¬SIM ∧ ¬LT — GT also when a NaN is
+//     involved, exactly as CompareNum. codeWord and sameWord build these
+//     bits 64 pairs at a time; the fills and the walk's compiled atoms
+//     (CodeWord, SameWord) both call them, so there is one encoding.
 //   - the other nominal derived features live in a uint64 symbol plane
-//     holding a packed, per-column encoding: issame of a nominal raw uses
-//     0/1 (F/T), base features carry the raw value's intern ID, and diff
-//     features pack the two intern IDs as x<<32|y. Symbols are only ever
-//     compared within one derived column, so the family-local encodings
-//     cannot collide; MissingSym (all ones) encodes missing and cannot
-//     alias a diff pack because intern IDs stay below 1<<31.
+//     holding a packed, per-column encoding: base features carry the raw
+//     value's intern ID, and diff features pack the two intern IDs as
+//     x<<32|y. Symbols are only ever compared within one derived column,
+//     so the family-local encodings cannot collide; MissingSym (all ones)
+//     encodes missing and cannot alias a diff pack because intern IDs stay
+//     below 1<<31.
 //
 // Diff of a numeric raw and compare of a nominal raw are missing on every
 // pair, so they get no storage at all: every offset of theirs is -1.
@@ -53,7 +56,8 @@ import (
 // MissingSym is the missing sentinel of the symbol plane.
 const MissingSym = ^uint64(0)
 
-// Symbol codes of the issame and compare families.
+// Symbol codes of the issame and compare families. The compare codes
+// are also the code-plane codes of issame: T is SIM, F is LT or GT.
 const (
 	SymF = 0 // issame F
 	SymT = 1 // issame T
@@ -69,13 +73,13 @@ func DiffSym(x, y uint32) uint64 { return uint64(x)<<32 | uint64(y) }
 // rawPlan is one raw field's slice of the layout: the offsets of its
 // derived features, -1 when a family is absent at the deriver's level or
 // has no storage. The fills walk this plan so each raw cell is read
-// once, not once per derived family.
+// once, not once per derived family; the raw's code-plane triple is its
+// rawIdx.
 type rawPlan struct {
 	rawIdx int
-	// kindIdx numbers the raw among the raws of its kind: a numeric raw's
-	// code-plane triple, and its slot in a gather's planes.
+	// kindIdx numbers the raw among the raws of its kind: its slot in a
+	// gather's planes.
 	kindIdx    int
-	isSameOff  int // symbol plane; -1 for numeric raws (code planes)
 	diffOff    int // symbol plane; -1 below Level2 and for numeric raws
 	baseNumOff int // numeric plane; -1 unless Level3 and numeric raw
 	baseSymOff int // symbol plane; -1 unless Level3 and nominal raw
@@ -92,13 +96,12 @@ func (d *Deriver) buildPlanes() {
 	d.codeOff = make([]int, len(d.mapping))
 	plans := make([]rawPlan, d.raw.Len())
 	for r := range plans {
-		plans[r] = rawPlan{rawIdx: r, isSameOff: -1, diffOff: -1,
-			baseNumOff: -1, baseSymOff: -1, baseIdx: -1}
+		plans[r] = rawPlan{rawIdx: r, diffOff: -1, baseNumOff: -1, baseSymOff: -1, baseIdx: -1}
 		if d.raw.Field(r).Kind == joblog.Numeric {
-			plans[r].kindIdx = d.codeW
-			d.codeW++
+			plans[r].kindIdx = d.numRaws
+			d.numRaws++
 		} else {
-			plans[r].kindIdx = r - d.codeW
+			plans[r].kindIdx = r - d.numRaws
 		}
 	}
 	for i, e := range d.mapping {
@@ -106,8 +109,8 @@ func (d *Deriver) buildPlanes() {
 		p := &plans[e.rawIdx]
 		numeric := d.raw.Field(e.rawIdx).Kind == joblog.Numeric
 		switch {
-		case numeric && (e.kind == IsSame || e.kind == Compare):
-			d.codeOff[i] = p.kindIdx
+		case e.kind == IsSame || numeric && e.kind == Compare:
+			d.codeOff[i] = e.rawIdx
 		case numeric && e.kind == Base:
 			d.numOff[i] = d.numW
 			d.numW++
@@ -118,12 +121,9 @@ func (d *Deriver) buildPlanes() {
 		default:
 			d.symOff[i] = d.symW
 			d.symW++
-			switch e.kind {
-			case IsSame:
-				p.isSameOff = d.symOff[i]
-			case Diff:
+			if e.kind == Diff {
 				p.diffOff = d.symOff[i]
-			case Base:
+			} else {
 				p.baseSymOff, p.baseIdx = d.symOff[i], i
 			}
 		}
@@ -139,8 +139,8 @@ func (d *Deriver) NumOffset(derivedIdx int) int { return d.numOff[derivedIdx] }
 // when it has no symbol column.
 func (d *Deriver) SymOffset(derivedIdx int) int { return d.symOff[derivedIdx] }
 
-// CodeOffset returns the code-plane triple of an issame or compare
-// feature of a numeric raw, or -1 for every other feature.
+// CodeOffset returns the code-plane triple of an issame feature or of a
+// numeric raw's compare feature, or -1 for every other feature.
 func (d *Deriver) CodeOffset(derivedIdx int) int { return d.codeOff[derivedIdx] }
 
 // CodeSet is a set of compare codes, bit c for code c (SymLT, SymSIM,
@@ -149,7 +149,8 @@ func (d *Deriver) CodeOffset(derivedIdx int) int { return d.codeOff[derivedIdx] 
 type CodeSet uint8
 
 // CodeSetOf returns the codes of the pairs whose issame or compare
-// feature derivedIdx holds one of syms: issame T is SIM, F is LT or GT.
+// feature derivedIdx holds one of syms: issame T is SIM, F is LT or GT
+// (a nominal raw's LT plane is empty, so its F is GT alone).
 func (d *Deriver) CodeSetOf(derivedIdx int, syms []uint64) CodeSet {
 	isSame := d.mapping[derivedIdx].kind == IsSame
 	var cs CodeSet
@@ -203,10 +204,10 @@ func (d *Deriver) DeriveNum(cols *joblog.Columns, a, b, derivedIdx int) float64 
 	return BaseNumFast(c, a, b)
 }
 
-// IsSameSym computes the issame symbol for the pair (a, b) of one raw
+// isSameSym computes the issame symbol for the pair (a, b) of one raw
 // column: T/F, or MissingSym. Exact for alien cells too — the planes
 // hold v.Num / interned v.Str, precisely what derive() compares.
-func IsSameSym(c *joblog.Col, a, b int) uint64 {
+func isSameSym(c *joblog.Col, a, b int) uint64 {
 	if c.Miss.Get(a) || c.Miss.Get(b) {
 		return MissingSym
 	}
@@ -222,9 +223,9 @@ func IsSameSym(c *joblog.Col, a, b int) uint64 {
 	return SymF
 }
 
-// CompareSym computes the compare symbol for the pair (a, b) of one raw
+// compareSym computes the compare symbol for the pair (a, b) of one raw
 // column: LT/SIM/GT for numeric raws, MissingSym otherwise.
-func CompareSym(c *joblog.Col, a, b int) uint64 {
+func compareSym(c *joblog.Col, a, b int) uint64 {
 	if c.Kind != joblog.Numeric || c.Miss.Get(a) || c.Miss.Get(b) {
 		return MissingSym
 	}
@@ -244,6 +245,62 @@ func CompareNum(x, y float64) uint64 {
 	default:
 		return SymGT
 	}
+}
+
+// CodeWord returns the code-plane bits of the pairs (a[k], b[k]) of a
+// numeric raw column, pair k at bit k: present, SIM and LT as the file
+// comment defines them. It takes at most 64 pairs and is exact for alien
+// cells, whose planes hold v.Num.
+func CodeWord(c *joblog.Col, a, b []int) (present, sim, lt uint64) {
+	return codeWord(c.Num, c.Miss, a, b, nil)
+}
+
+// SameWord returns the code-plane bits of the pairs (a[k], b[k]) of a
+// nominal raw column, pair k at bit k: present, and present with equal
+// symbols (the SIM plane; LT is empty). It takes at most 64 pairs and is
+// exact for alien cells, whose planes hold interned v.Str.
+func SameWord(c *joblog.Col, a, b []int) (present, equal uint64) {
+	return sameWord(c.Sym, c.Miss, a, b)
+}
+
+// codeWord is the kernel behind CodeWord and the numeric fill: per pair
+// of cells num[a[k]], num[b[k]] (missing bits in miss), with mask
+// arithmetic and no data-dependent branch, the 10% band is computed once
+// for both families, a missing cell clears every bit of its pair and a
+// NaN cell falls to GT as in CompareNum. A non-nil base receives base[k],
+// the pair's shared value or NaN.
+func codeWord(num []float64, miss bitset.Set, a, b []int, base []float64) (present, sim, lt uint64) {
+	b = b[:len(a)]
+	nan := math.Float64bits(math.NaN())
+	for k, i := range a {
+		j := b[k]
+		x, y := num[i], num[j]
+		pr := ^(miss[i>>6]>>(uint(i)&63) | miss[j>>6]>>(uint(j)&63)) & 1
+		s := bitset.B2u(stats.Similar(x, y)) & pr
+		at := uint(k) & 63
+		present |= pr << at
+		sim |= s << at
+		lt |= bitset.B2u(x < y) &^ s & pr << at
+		if base != nil {
+			keep := bitset.B2u(x == y) & pr
+			base[k] = math.Float64frombits(math.Float64bits(x)&-keep | nan&(keep-1))
+		}
+	}
+	return present, sim, lt
+}
+
+// sameWord is the kernel behind SameWord and the nominal fill: per pair of
+// cells sym[a[k]], sym[b[k]], presence and equality under presence.
+func sameWord(sym []uint32, miss bitset.Set, a, b []int) (present, equal uint64) {
+	b = b[:len(a)]
+	for k, i := range a {
+		j := b[k]
+		pr := ^(miss[i>>6]>>(uint(i)&63) | miss[j>>6]>>(uint(j)&63)) & 1
+		at := uint(k) & 63
+		present |= pr << at
+		equal |= bitset.B2u(sym[i] == sym[j]) & pr << at
+	}
+	return present, equal
 }
 
 // DiffSymOf computes the packed diff symbol for the pair (a, b) of one
@@ -283,9 +340,9 @@ func (d *Deriver) DeriveSym(cols *joblog.Columns, a, b, derivedIdx int) uint64 {
 	c := cols.Col(e.rawIdx)
 	switch e.kind {
 	case IsSame:
-		return IsSameSym(c, a, b)
+		return isSameSym(c, a, b)
 	case Compare:
-		return CompareSym(c, a, b)
+		return compareSym(c, a, b)
 	case Diff:
 		return DiffSymOf(c, a, b)
 	case Base:
@@ -425,8 +482,8 @@ func diffSymsFor(in *joblog.Intern, s string) []uint64 {
 // PairMatrix is a flat, feature-major materialization of the derived
 // feature vectors of a set of pairs: each numeric base feature is one
 // contiguous float column (Num[numOff*N+row]), each symbol feature one
-// contiguous packed-symbol column (Sym[symOff*N+row]), and each numeric
-// raw's issame and compare share one triple of bit planes in Code (see
+// contiguous packed-symbol column (Sym[symOff*N+row]), and each raw's
+// issame and compare share one triple of bit planes in Code (see
 // CodePlanes), so a per-feature scan reads N adjacent cells or N/64
 // adjacent words. The stores are written by the fills and read by
 // offset; no boxed values are created.
@@ -459,7 +516,7 @@ func (d *Deriver) ReshapePairMatrix(m *PairMatrix, n int) {
 	m.D, m.N = d, n
 	m.Num = resize(m.Num, n*d.numW)
 	m.Sym = resize(m.Sym, n*d.symW)
-	m.Code = resize(m.Code, 3*d.codeW*bitset.Words(n))
+	m.Code = resize(m.Code, 3*d.raw.Len()*bitset.Words(n))
 	clear(m.Code)
 }
 
@@ -603,44 +660,25 @@ func (m *PairMatrix) fill(cols *joblog.Columns, g *gather, r fillRun) {
 }
 
 // fillNumeric writes a numeric raw's code planes and base column for run
-// r. Bits are built 64 pairs to a word with mask arithmetic — the 10%
-// band is computed once for issame and compare, a missing cell clears
-// every bit of its pair, NaN cells fall to GT as in CompareNum — and
-// merged into the planes under the run's mask, so bits of rows outside
-// the run are kept. A base cell is the shared value or NaN, selected
-// without a branch; alien pairs then take the boxed fallback.
+// r: codeWord builds each word's bits, and mergeWord lays them into the
+// planes under the run's mask, so bits of rows outside the run are kept.
+// Alien pairs' base cells then take the boxed fallback.
 func (m *PairMatrix) fillNumeric(cols *joblog.Columns, p *rawPlan, src rawCells, r fillRun) {
-	present, sim, lt := m.CodePlanes(p.kindIdx)
+	present, sim, lt := m.CodePlanes(p.rawIdx)
 	la, lb := r.la, r.lb[:len(r.la)]
 	var base []float64
 	if p.baseNumOff >= 0 {
 		base = m.NumCol(p.baseNumOff)[r.lo : r.lo+len(la)]
 	}
-	num, miss := src.num, src.miss
-	nan := math.Float64bits(math.NaN())
 	for k0 := 0; k0 < len(la); {
 		row := r.lo + k0
-		sh := uint(row) & 63
-		k1 := min(len(la), k0+64-int(sh))
-		var pw, sw, lw uint64
-		for k := k0; k < k1; k++ {
-			a, b := la[k], lb[k]
-			x, y := num[a], num[b]
-			pr := ^(miss[a>>6]>>(uint(a)&63) | miss[b>>6]>>(uint(b)&63)) & 1
-			s := bitset.B2u(stats.Similar(x, y)) & pr
-			at := uint(k-k0) & 63
-			pw |= pr << at
-			sw |= s << at
-			lw |= bitset.B2u(x < y) &^ s & pr << at
-			if base != nil {
-				keep := bitset.B2u(x == y) & pr
-				base[k] = math.Float64frombits(math.Float64bits(x)&-keep | nan&(keep-1))
-			}
+		k1 := min(len(la), k0+64-row&63)
+		var b []float64
+		if base != nil {
+			b = base[k0:k1]
 		}
-		w, mask := row>>6, ^uint64(0)>>(64-uint(k1-k0))<<sh
-		present[w] = present[w]&^mask | pw<<sh
-		sim[w] = sim[w]&^mask | sw<<sh
-		lt[w] = lt[w]&^mask | lw<<sh
+		pw, sw, lw := codeWord(src.num, src.miss, la[k0:k1], lb[k0:k1], b)
+		mergeWord(present, sim, lt, row, k1-k0, pw, sw, lw)
 		k0 = k1
 	}
 	if c := cols.Col(p.rawIdx); base != nil && c.HasAlien {
@@ -652,14 +690,34 @@ func (m *PairMatrix) fillNumeric(cols *joblog.Columns, p *rawPlan, src rawCells,
 	}
 }
 
-// fillNominal writes a nominal raw's issame, diff and base columns for
-// run r, each cell selected with mask arithmetic: a missing cell on
+// mergeWord writes the bits of n pairs starting at row, built in the low
+// bits of pw, sw and lw, into one word of a code-plane triple, keeping
+// the word's other bits.
+func mergeWord(present, sim, lt bitset.Set, row, n int, pw, sw, lw uint64) {
+	w, sh := row>>6, uint(row)&63
+	mask := ^uint64(0) >> (64 - uint(n)) << sh
+	present[w] = present[w]&^mask | pw<<sh
+	sim[w] = sim[w]&^mask | sw<<sh
+	lt[w] = lt[w]&^mask | lw<<sh
+}
+
+// fillNominal writes a nominal raw's issame planes — sameWord's bits,
+// merged as fillNumeric merges its own — then its diff and base columns
+// for run r, each cell selected with mask arithmetic: a missing cell on
 // either side ORs in MissingSym. Alien pairs' base cells then take the
 // boxed fallback.
 func (m *PairMatrix) fillNominal(cols *joblog.Columns, p *rawPlan, src rawCells, r fillRun) {
+	present, sim, lt := m.CodePlanes(p.rawIdx)
 	la, lb := r.la, r.lb[:len(r.la)]
 	n := len(la)
-	isSame := m.SymCol(p.isSameOff)[r.lo : r.lo+n]
+	sym, miss := src.sym, src.miss
+	for k0 := 0; k0 < n; {
+		row := r.lo + k0
+		k1 := min(n, k0+64-row&63)
+		pw, ew := sameWord(sym, miss, la[k0:k1], lb[k0:k1])
+		mergeWord(present, sim, lt, row, k1-k0, pw, ew, 0)
+		k0 = k1
+	}
 	var diff, base []uint64
 	if p.diffOff >= 0 {
 		diff = m.SymCol(p.diffOff)[r.lo : r.lo+n]
@@ -667,18 +725,18 @@ func (m *PairMatrix) fillNominal(cols *joblog.Columns, p *rawPlan, src rawCells,
 	if p.baseSymOff >= 0 {
 		base = m.SymCol(p.baseSymOff)[r.lo : r.lo+n]
 	}
-	sym, miss := src.sym, src.miss
+	if diff == nil && base == nil {
+		return
+	}
 	for k, a := range la {
 		b := lb[k]
 		sa, sb := sym[a], sym[b]
 		missing := -((miss[a>>6]>>(uint(a)&63) | miss[b>>6]>>(uint(b)&63)) & 1) // all ones or zero
-		eq := bitset.B2u(sa == sb)
-		isSame[k] = eq | missing
 		if diff != nil {
 			diff[k] = DiffSym(sa, sb) | missing
 		}
 		if base != nil {
-			base[k] = uint64(sa) | (eq&^missing - 1)
+			base[k] = uint64(sa) | (bitset.B2u(sa == sb)&^missing - 1)
 		}
 	}
 	if c := cols.Col(p.rawIdx); base != nil && c.HasAlien {
@@ -726,8 +784,8 @@ func (g *gather) load(d *Deriver, rows int, ai, bi []int) {
 	for k, a := range ai {
 		g.la[k], g.lb[k] = g.rankOf(a), g.rankOf(bi[k])
 	}
-	g.num = resize(g.num, d.codeW*g.n)
-	g.sym = resize(g.sym, (d.raw.Len()-d.codeW)*g.n)
+	g.num = resize(g.num, d.numRaws*g.n)
+	g.sym = resize(g.sym, (d.raw.Len()-d.numRaws)*g.n)
 	g.miss = resize(g.miss, d.raw.Len()*bitset.Words(g.n))
 }
 

@@ -204,6 +204,58 @@ func TestFillPairsConcurrentChunks(t *testing.T) {
 	got.FillPairs(cols, 17, ai[17:30], bi[17:30])
 }
 
+// TestCodeWordMatchesScalar holds the shared code kernel to the scalar
+// definitions pair by pair: CodeWord's bits to CompareNum over present
+// cells, SameWord's to symbol equality. Runs of every length from 1 to 64
+// draw their pairs from a log of a few records, so records repeat within
+// a run and self pairs occur, and the cells cover missing, NaN, ±Inf, −0
+// and alien values.
+func TestCodeWordMatchesScalar(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		log := randLog(seed, 9)
+		cols := log.Columns()
+		ctr := seed << 32
+		for n := 1; n <= 64; n++ {
+			ai, bi := make([]int, n), make([]int, n)
+			for k := range ai {
+				ctr++
+				r := stats.SplitMix64(ctr)
+				ai[k], bi[k] = int(r%9), int(r>>32%9)
+			}
+			for f := 0; f < log.Schema.Len(); f++ {
+				c := cols.Col(f)
+				var present, sim, lt uint64
+				if c.Kind == joblog.Numeric {
+					present, sim, lt = CodeWord(c, ai, bi)
+				} else {
+					present, sim = SameWord(c, ai, bi)
+				}
+				if (present|sim|lt)>>n != 0 { // a shift by 64 leaves 0
+					t.Fatalf("seed %d field %d run %d: bits set past the run", seed, f, n)
+				}
+				for k, a := range ai {
+					b := bi[k]
+					wantPresent := !c.Miss.Get(a) && !c.Miss.Get(b)
+					var wantSIM, wantLT bool
+					switch {
+					case !wantPresent:
+					case c.Kind == joblog.Numeric:
+						code := CompareNum(c.Num[a], c.Num[b])
+						wantSIM, wantLT = code == SymSIM, code == SymLT
+					default:
+						wantSIM = c.Sym[a] == c.Sym[b]
+					}
+					gotPresent, gotSIM, gotLT := present>>k&1 != 0, sim>>k&1 != 0, lt>>k&1 != 0
+					if gotPresent != wantPresent || gotSIM != wantSIM || gotLT != wantLT {
+						t.Fatalf("seed %d field %d run %d pair %d (%d, %d): present/SIM/LT = %v/%v/%v, want %v/%v/%v",
+							seed, f, n, k, a, b, gotPresent, gotSIM, gotLT, wantPresent, wantSIM, wantLT)
+					}
+				}
+			}
+		}
+	}
+}
+
 // sameMatrix reports whether two matrices hold identical stores, floats
 // compared by bits.
 func sameMatrix(a, b *PairMatrix) bool {
@@ -212,13 +264,15 @@ func sameMatrix(a, b *PairMatrix) bool {
 }
 
 // checkCodeInvariants checks every code-plane triple: SIM and LT are
-// disjoint subsets of present, and no bit is set past row N.
+// disjoint subsets of present, a nominal raw's LT is empty, and no bit is
+// set past row N.
 func checkCodeInvariants(t *testing.T, m *PairMatrix) {
 	t.Helper()
-	for off := 0; off < m.D.codeW; off++ {
+	for off := 0; off < m.D.raw.Len(); off++ {
 		present, sim, lt := m.CodePlanes(off)
+		nominal := m.D.raw.Field(off).Kind == joblog.Nominal
 		for w := range present {
-			if sim[w]&^present[w] != 0 || lt[w]&^present[w] != 0 || sim[w]&lt[w] != 0 {
+			if sim[w]&^present[w] != 0 || lt[w]&^present[w] != 0 || sim[w]&lt[w] != 0 || nominal && lt[w] != 0 {
 				t.Fatalf("triple %d word %d: present %#x SIM %#x LT %#x", off, w, present[w], sim[w], lt[w])
 			}
 		}

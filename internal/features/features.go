@@ -115,14 +115,14 @@ type Deriver struct {
 
 	// Layout for the columnar engine (see columns.go): per derived
 	// feature, its offset among a PairMatrix's numeric columns, symbol
-	// columns or code-plane triples, plus the raw-field-major
-	// materialization plan.
+	// columns or code-plane triples (one per raw), plus the
+	// raw-field-major materialization plan.
 	numOff   []int
 	symOff   []int
 	codeOff  []int
 	numW     int
 	symW     int
-	codeW    int
+	numRaws  int
 	rawPlans []rawPlan
 }
 

@@ -3,9 +3,9 @@ package joblog
 // This file adds the per-column sorted index of the columnar view: a
 // permutation of the present rows ordered by plane value, plus zone
 // statistics (min/max/presence). Consumers seek — equality prefilters
-// binary-search to their candidate row range, zone-map pruning compares
-// an atom's lowered value range against [Min, Max] — instead of scanning
-// the plane. Like every derived aggregate it is memoized on the Columns
+// and the walk's row seek binary-search to their candidate row range,
+// numeric blocking reads its SIM chains off the order — instead of
+// scanning the plane. Like every derived aggregate it is memoized on the Columns
 // view (the index dies with the view when the log's generation or count
 // changes), and it is a pure function of the plane contents, so building
 // it never perturbs anything the shard planners compare for purity.
@@ -33,8 +33,8 @@ type ColIndex struct {
 	Min, Max float64
 	// NPresent counts the column's present rows (NaN cells included).
 	NPresent int
-	// HasNaN reports a present NaN cell in a numeric column — zone
-	// pruning must not treat [Min, Max] as covering those rows.
+	// HasNaN reports a present NaN cell in a numeric column: [Min, Max]
+	// does not cover those rows.
 	HasNaN bool
 
 	col *Col

@@ -26,12 +26,13 @@ package pxql
 // time, so clean logs never pay for the check.
 //
 // The same goes for everything else a block loop would otherwise decide
-// per pair: the NumKernel / SymKernel of the atom, and — for issame and
-// compare atoms over a column with no missing cell — the family, the
-// column kind and the missing test themselves. Those atoms compile to
-// caCode: a gather-compare over the raw plane yielding the pair's column
-// code, looked up in a truth table. A Tile shares that code between the
-// clauses a walk pushes through one pair block.
+// per pair: the NumKernel / SymKernel of the atom, and for every issame
+// atom and every compare atom over a numeric raw, the family and the
+// constant themselves. Those atoms compile to caCode: a code set over the
+// pair's present/SIM/LT bits, which features.CodeWord and SameWord build
+// 64 pairs at a time with the kernel the pair matrix is filled by, so the
+// walk and the matrix share one encoding. A Tile shares those bits
+// between the clauses a walk pushes through one pair block.
 //
 // Compiled evaluation is verified against the interpreted EvalPair by
 // unit tests and a fuzz target (fuzz_test.go): for every predicate and
@@ -44,7 +45,6 @@ import (
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
-	"perfxplain/internal/stats"
 )
 
 type caKind uint8
@@ -52,8 +52,8 @@ type caKind uint8
 const (
 	caFalse caKind = iota // atom can never hold
 	caNum                 // numeric-plane compare
-	caSym                 // symbol-plane equality / inequality
-	caCode                // issame / compare over a column with no missing cell
+	caSym                 // diff / nominal base symbol equality / inequality
+	caCode                // issame, or compare over a numeric raw: code planes
 	caAlien               // boxed fallback for kind-mismatched fields
 )
 
@@ -65,10 +65,10 @@ type compiledAtom struct {
 	op         Op                // caNum
 	num        float64           // caNum constant
 	numKern    NumKernel         // caNum block kernel
-	ne         bool              // caSym: operator is !=
+	ne         bool              // caSym, caCode: operator is !=
 	syms       []uint64          // caSym: symbols rendering the constant
 	symKern    SymKernel         // caSym block kernel
-	truth      uint64            // caCode: bit c set when the atom holds on column code c
+	codes      features.CodeSet  // caCode: codes rendering the constant
 	atom       Atom              // caAlien fallback
 }
 
@@ -117,9 +117,13 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 	}
 	ne := a.Op == OpNe
 	syms := d.SymsForString(cols.Intern(), i, a.Value.Str)
-	coded := family == features.IsSame || family == features.Compare && col.Kind == joblog.Numeric
-	if coded && !col.Miss.Any() {
-		return compiledAtom{kind: caCode, col: col, truth: codeTruth(family, col.Kind, syms, ne)}
+	switch {
+	case d.CodeOffset(i) >= 0:
+		return compiledAtom{kind: caCode, col: col, ne: ne, codes: d.CodeSetOf(i, syms)}
+	case d.SymOffset(i) < 0:
+		// Compare of a nominal raw, diff of a numeric one: missing on every
+		// pair.
+		return compiledAtom{kind: caFalse}
 	}
 	return compiledAtom{
 		kind:       caSym,
@@ -130,37 +134,6 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 		syms:       syms,
 		symKern:    NewSymKernel(syms, ne),
 	}
-}
-
-// pairCode computes the column code of the pair (a, b): what two present
-// cells of a raw column derive, in the column's own terms —
-// features.SymLT / SymSIM / SymGT for a numeric column (issame is T
-// exactly on SIM, so the compare code answers both families) and
-// SymF / SymT for a nominal one. It depends on the pair and the column
-// alone, which is what lets every atom over the column read one computed
-// code through its own truth table.
-func pairCode(c *joblog.Col, a, b int) uint64 {
-	if c.Kind == joblog.Numeric {
-		return features.CompareNum(c.Num[a], c.Num[b])
-	}
-	return b2u(c.Sym[a] == c.Sym[b])
-}
-
-// codeTruth lowers an issame or compare atom to its truth table over the
-// column codes: bit c is set when the symbol the family derives from
-// code c satisfies the atom (EvalSymSet, as the generic loop applies it).
-func codeTruth(family features.PairKind, kind joblog.Kind, syms []uint64, ne bool) uint64 {
-	var truth uint64
-	for code := uint64(features.SymLT); code <= features.SymGT; code++ {
-		sym := code
-		if family == features.IsSame && kind == joblog.Numeric {
-			sym = b2u(code == features.SymSIM)
-		}
-		if EvalSymSet(syms, sym, ne) {
-			truth |= 1 << code
-		}
-	}
-	return truth
 }
 
 // NumOpMasks decomposes a comparison operator into its trichotomy masks:
@@ -323,14 +296,9 @@ func (ca *compiledAtom) eval(d *features.Deriver, cols *joblog.Columns, a, b int
 		return EvalNumOp(ca.op, x, ca.num)
 	case caSym:
 		var s uint64
-		switch ca.family {
-		case features.IsSame:
-			s = features.IsSameSym(ca.col, a, b)
-		case features.Compare:
-			s = features.CompareSym(ca.col, a, b)
-		case features.Diff:
+		if ca.family == features.Diff {
 			s = features.DiffSymOf(ca.col, a, b)
-		default: // features.Base, nominal plane
+		} else { // features.Base, nominal plane
 			s = features.BaseSymFast(ca.col, a, b)
 		}
 		if s == features.MissingSym {
@@ -338,7 +306,18 @@ func (ca *compiledAtom) eval(d *features.Deriver, cols *joblog.Columns, a, b int
 		}
 		return EvalSymSet(ca.syms, s, ca.ne)
 	case caCode:
-		return ca.truth>>pairCode(ca.col, a, b)&1 != 0
+		c := ca.col
+		if c.Miss.Get(a) || c.Miss.Get(b) {
+			return false
+		}
+		code := uint64(features.SymGT) // nominal and unequal: neither SIM nor LT
+		switch {
+		case c.Kind == joblog.Numeric:
+			code = features.CompareNum(c.Num[a], c.Num[b])
+		case c.Sym[a] == c.Sym[b]:
+			code = features.SymSIM
+		}
+		return ca.codes.Has(code) != ca.ne
 	case caAlien:
 		return ca.atom.Eval(d.ValueCol(cols, a, b, ca.derivedIdx))
 	default: // caFalse
@@ -347,14 +326,15 @@ func (ca *compiledAtom) eval(d *features.Deriver, cols *joblog.Columns, a, b int
 }
 
 // Tile is one pair block — pair k is (ai[k], bi[k]) — as a walk pushes
-// its clauses through it, plus the walk's scratch of column code planes:
+// its clauses through it, plus the walk's scratch of shared code planes:
 // when two or more caCode atoms of those clauses read one raw column
 // (OBSERVED duration_compare = GT beside EXPECTED duration_compare =
-// SIM), the column's code is computed once per pair per tile, by the
-// first atom to need it, and the others read it. Codes are filled a
-// selection word at a time and only for words still live, so a selective
-// clause in front bounds the work here as it does everywhere else. The
-// zero Tile is ready to Bind; a Tile belongs to one goroutine at a time.
+// SIM), the column's present/SIM/LT words are computed once per tile, by
+// the first atom to need them, and the others read them. Words are
+// filled a selection word at a time and only for words still live, so a
+// selective clause in front bounds the work here as it does everywhere
+// else. The zero Tile is ready to Bind; a Tile belongs to one goroutine
+// at a time.
 type Tile struct {
 	ai, bi []int
 	planes []codePlane
@@ -362,8 +342,8 @@ type Tile struct {
 
 type codePlane struct {
 	col   *joblog.Col
-	codes []uint8
-	have  bitset.Set // bit w: codes of selection word w are filled for this tile
+	words []uint64   // present, SIM, LT of selection word w at 3w, 3w+1, 3w+2
+	have  bitset.Set // bit w: the words of selection word w are filled for this tile
 }
 
 // Bind readies the tile for a walk that pushes preds through blocks of at
@@ -384,9 +364,9 @@ func (t *Tile) Bind(maxPairs int, preds ...*CompiledPredicate) {
 				if n := len(t.planes); n < len(old) {
 					pl = old[n]
 				}
-				if len(pl.codes) < maxPairs {
-					pl.codes = make([]uint8, maxPairs)
-					pl.have = bitset.Make(bitset.Words(maxPairs))
+				if w := bitset.Words(maxPairs); len(pl.words) < 3*w {
+					pl.words = make([]uint64, 3*w)
+					pl.have = bitset.Make(w)
 				}
 				pl.col = ca.col
 				t.planes = append(t.planes, pl)
@@ -473,10 +453,8 @@ func (ca *compiledAtom) andTile(d *features.Deriver, cols *joblog.Columns, t *Ti
 			acc[w] = m & selW
 		}
 	case caSym:
-		// The generic symbol loop: diff and nominal base atoms, and
-		// issame / compare over a column with missing cells.
 		c := ca.col
-		family := ca.family
+		diff := ca.family == features.Diff
 		kern := ca.symKern
 		for w, base := 0, 0; base < n; w, base = w+1, base+64 {
 			m := acc[w]
@@ -487,14 +465,9 @@ func (ca *compiledAtom) andTile(d *features.Deriver, cols *joblog.Columns, t *Ti
 			var selW uint64
 			for k := base; k < end; k++ {
 				var s uint64
-				switch family {
-				case features.IsSame:
-					s = features.IsSameSym(c, ai[k], bi[k])
-				case features.Compare:
-					s = features.CompareSym(c, ai[k], bi[k])
-				case features.Diff:
+				if diff {
 					s = features.DiffSymOf(c, ai[k], bi[k])
-				default: // features.Base, nominal plane
+				} else { // features.Base, nominal plane
 					s = features.BaseSymFast(c, ai[k], bi[k])
 				}
 				selW |= kern.Bit(s) << uint(k-base)
@@ -524,64 +497,46 @@ func (ca *compiledAtom) andTile(d *features.Deriver, cols *joblog.Columns, t *Ti
 	}
 }
 
-// andTileCode is the block kernel of issame and compare atoms over a
-// column with no missing cell: per live selection word, the pairs' column
-// codes — read from the tile's shared plane when the column has one,
-// filling it on first touch, else gathered into a stack buffer — and
-// then one truth-table lookup per pair.
+// andTileCode is the block kernel of caCode atoms: per live selection
+// word, the pairs' present/SIM/LT words — read from the tile's shared
+// plane when the column has one, filling it on first touch, else built
+// in registers — and then the code set's selection, present minus it for
+// !=.
 func (ca *compiledAtom) andTileCode(t *Tile, acc bitset.Set) {
 	ai, bi := t.ai, t.bi
 	n := len(ai)
 	pl := t.plane(ca.col)
-	truth := ca.truth
-	var buf [64]uint8
 	for w, base := 0, 0; base < n; w, base = w+1, base+64 {
 		m := acc[w]
 		if m == 0 {
 			continue
 		}
-		end := min(base+64, n)
-		codes := buf[:end-base]
-		if pl != nil {
-			codes = pl.codes[base:end]
-		}
-		if pl == nil || !pl.have.Get(w) {
-			fillCodes(ca.col, ai[base:end], bi[base:end], codes)
+		var present, sim, lt uint64
+		if pl != nil && pl.have.Get(w) {
+			present, sim, lt = pl.words[3*w], pl.words[3*w+1], pl.words[3*w+2]
+		} else {
+			end := min(base+64, n)
+			present, sim, lt = codeWord(ca.col, ai[base:end], bi[base:end])
 			if pl != nil {
+				pl.words[3*w], pl.words[3*w+1], pl.words[3*w+2] = present, sim, lt
 				pl.have.SetBit(w)
 			}
 		}
-		var selW uint64
-		for k, c := range codes {
-			selW |= (truth >> c & 1) << uint(k)
+		sel := ca.codes.Word(present, sim, lt)
+		if ca.ne {
+			sel = present &^ sel
 		}
-		acc[w] = m & selW
+		acc[w] = m & sel
 	}
 }
 
-// fillCodes gathers the column codes of the pairs (ai[k], bi[k]) — the
-// kind test is hoisted, and with no missing cell in the column the loop
-// is two plane reads and one compare. The numeric arm is
-// features.CompareNum spelled out: that is past the inliner's budget, and
-// a call per pair cost the tile a tenth of its time.
-func fillCodes(c *joblog.Col, ai, bi []int, codes []uint8) {
-	bi, codes = bi[:len(ai)], codes[:len(ai)]
+// codeWord returns the code-plane words of up to 64 pairs of column c,
+// as the pair matrix stores them: a nominal column's SIM is equality and
+// its LT is empty.
+func codeWord(c *joblog.Col, ai, bi []int) (present, sim, lt uint64) {
 	if c.Kind == joblog.Numeric {
-		num := c.Num
-		for k, a := range ai {
-			x, y := num[a], num[bi[k]]
-			code := uint8(features.SymGT)
-			if stats.Similar(x, y) {
-				code = features.SymSIM
-			} else if x < y {
-				code = features.SymLT
-			}
-			codes[k] = code
-		}
-		return
+		return features.CodeWord(c, ai, bi)
 	}
-	sym := c.Sym
-	for k, a := range ai {
-		codes[k] = uint8(b2u(sym[a] == sym[bi[k]]))
-	}
+	present, sim = features.SameWord(c, ai, bi)
+	return present, sim, 0
 }

@@ -287,8 +287,10 @@ func checkTileAgainstBlocks(t *testing.T, tile *Tile, preds [3]Predicate, log *j
 // atoms meet on columns — compare against compare, issame against
 // compare on a numeric column, issame against issame on a nominal one —
 // and checks the corpus itself: for each of those columns the seeds must
-// produce both clean logs (code kernel, shared plane) and dirty ones
-// (generic symbol loop or boxed fallback), or one side goes untested.
+// produce clean logs and logs with missing cells (both on the code
+// kernel, shared plane included) and logs with alien cells (boxed
+// fallback), or one side goes untested. No issame or compare atom may
+// reach the generic symbol loop: the code planes are their one encoding.
 func TestTileSharesCodePlanes(t *testing.T) {
 	atom := func(feature string, op Op, v string) Atom {
 		return Atom{Feature: feature, Op: op, Value: joblog.Str(v)}
@@ -310,7 +312,11 @@ func TestTileSharesCodePlanes(t *testing.T) {
 			{atom("n2_issame", OpEq, "T"), {Feature: "n1", Op: OpLe, Value: joblog.Num(2.5)}},
 		},
 	}
-	kinds := map[string]map[caKind]int{}
+	type leg struct {
+		kind    caKind
+		missing bool // the column has a missing cell
+	}
+	legs := map[string]map[leg]int{}
 	tile := &Tile{} // one tile rebound walk after walk, as the pooled one is
 	for seed := uint64(0); seed < 40; seed++ {
 		log := fuzzLog(seed)
@@ -319,19 +325,29 @@ func TestTileSharesCodePlanes(t *testing.T) {
 			d := features.NewDeriver(log.Schema, features.Level3)
 			for _, p := range preds {
 				for i, ca := range p.Compile(d, log.Columns()).atoms {
-					if kinds[p[i].Feature] == nil {
-						kinds[p[i].Feature] = map[caKind]int{}
+					f := p[i].Feature
+					if _, family := features.ParseName(f); family != features.IsSame && family != features.Compare {
+						continue
 					}
-					kinds[p[i].Feature][ca.kind]++
+					if legs[f] == nil {
+						legs[f] = map[leg]int{}
+					}
+					missing := ca.col != nil && ca.col.Miss.Any()
+					legs[f][leg{ca.kind, missing}]++
+					if ca.kind == caSym {
+						t.Fatalf("seed %d: %s compiled to the generic symbol loop", seed, f)
+					}
 				}
 			}
 		}
 	}
 	for _, feature := range []string{"s1_issame", "n1_issame", "n1_compare", "duration_compare"} {
-		seen := kinds[feature]
-		if seen[caCode] == 0 || seen[caSym] == 0 || seen[caAlien] == 0 {
-			t.Errorf("%s compiled to the code kernel %d times, the generic symbol loop %d, the boxed fallback %d; every loop must be reached",
-				feature, seen[caCode], seen[caSym], seen[caAlien])
+		seen := legs[feature]
+		clean, dirty := seen[leg{caCode, false}], seen[leg{caCode, true}]
+		alien := seen[leg{caAlien, false}] + seen[leg{caAlien, true}]
+		if clean == 0 || dirty == 0 || alien == 0 {
+			t.Errorf("%s compiled to the code kernel %d times on clean columns and %d on columns with missing cells, the boxed fallback %d; every leg must be reached",
+				feature, clean, dirty, alien)
 		}
 	}
 }

