@@ -83,15 +83,6 @@ func TestResidualDespiteEqualsFull(t *testing.T) {
 			pxql.Predicate{kSame, gSame}, nil},
 		{"missing nominal cells", residualLog(joblog.Nominal, repeatValues(40, str("a"), none, str("b"), str("a"))),
 			pxql.Predicate{kSame}, nil},
-		// Alien cells: the planes hold what isSame compares (interned Str
-		// for a nominal column — the empty string for every numeric alien —
-		// and Num, zero for a string alien, for a numeric one), so grouping
-		// proves the conjunct there too; the full clause takes the boxed
-		// evaluator and must agree.
-		{"alien cells, nominal column", residualLog(joblog.Nominal, repeatValues(40, str("a"), num(5), str(""), num(6), str("b"))),
-			pxql.Predicate{kSame}, nil},
-		{"alien cells, numeric column", residualLog(joblog.Numeric, repeatValues(40, num(100), str("x"), num(0), str("y"), num(101))),
-			pxql.Predicate{kSame}, nil},
 		// The blocking feature under any other operator or constant is not
 		// a blocking conjunct and is never dropped.
 		{"k_issame != T", residualLog(joblog.Nominal, repeatValues(30, str("a"), str("b"))),

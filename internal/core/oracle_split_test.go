@@ -7,9 +7,9 @@ package core
 // test of a nominal feature, the best midpoint threshold of a numeric
 // one, C4.5's scaling of the gain by the known fraction. scoreFeature —
 // columns, packed symbols, probe table and all — is property-tested
-// against it on random small logs with missing cells, kind-mismatched
-// (alien) cells, NaN, ±0, infinities, and nominal values containing the
-// arrow, so that two diff symbols render alike.
+// against it on random small logs with missing cells, NaN, ±0,
+// infinities, and nominal values containing the arrow, so that two diff
+// symbols render alike.
 
 import (
 	"fmt"
@@ -196,7 +196,7 @@ func refScore(d *features.Deriver, target string, level features.Level, f int,
 }
 
 // splitLog is a random small log whose cells exercise every encoding
-// rule: missing, alien, NaN, signed zeros, infinities, values within and
+// rule: missing, NaN, signed zeros, infinities, values within and
 // outside the 10 % band, and strings whose diff renderings collide —
 // ("a→b", "c") and ("a", "b→c") both render "(a→b→c)".
 func splitLog(rng *rand.Rand, n int) *joblog.Log {
@@ -213,14 +213,10 @@ func splitLog(rng *rand.Rand, n int) *joblog.Log {
 	for i := 0; i < n; i++ {
 		rec := &joblog.Record{ID: id(i), Values: make([]joblog.Value, schema.Len())}
 		for f := range rec.Values {
-			numeric := schema.Field(f).Kind == joblog.Numeric
-			switch r := rng.Intn(10); {
-			case r == 0:
+			if rng.Intn(10) == 0 {
 				continue // missing
-			case r == 1:
-				numeric = !numeric // alien
 			}
-			if numeric {
+			if schema.Field(f).Kind == joblog.Numeric {
 				rec.Values[f] = joblog.Num(nums[rng.Intn(len(nums))])
 			} else {
 				rec.Values[f] = joblog.Str(strs[rng.Intn(len(strs))])

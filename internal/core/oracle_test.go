@@ -107,10 +107,10 @@ func sortedSet(ps *pairPlanes) []oraclePair {
 // oracleLog draws a small log built to reach the engine's special cases:
 // skewed blocking groups including single-member ones, a missing blocking
 // value (unblockable), a per-group constant (row seeks empty whole
-// groups), a seekable numeric column with missing, NaN and alien cells,
-// a nominal column with missing and alien cells, and a jittered numeric
-// column whose values cluster within the 10% SIM band without being
-// equal.
+// groups), a seekable numeric column with missing, NaN, +Inf and -0
+// cells, a nominal column with missing and empty cells, and a jittered
+// numeric column whose values cluster within the 10% SIM band without
+// being equal.
 func oracleLog(rng *rand.Rand) *joblog.Log {
 	schema := joblog.NewSchema([]joblog.Field{
 		{Name: "g", Kind: joblog.Nominal},
@@ -137,11 +137,11 @@ func oracleLog(rng *rand.Rand) *joblog.Log {
 		case 2:
 			v = joblog.Num(math.NaN())
 		case 3:
-			v = joblog.Str("alien")
+			v = joblog.Num([]float64{math.Inf(1), math.Copysign(0, -1)}[i%2])
 		case 4:
 			s = joblog.None()
 		case 5:
-			s = joblog.Num(float64(5 + i%2)) // any two numeric aliens derive s_issame = T: both carry the empty string
+			s = joblog.Str("")
 		}
 		// Three clusters a factor of two apart, each spread over 6%:
 		// similar within a cluster (rarely equal), never across.
@@ -163,8 +163,7 @@ func oracleLog(rng *rand.Rand) *joblog.Log {
 // on: none, blocked, blocked + zone-prunable, blocked + seekable (a
 // range and a NaN-poisoned equality), a base-equality prefilter, and
 // blocking on a numeric column — near-equal values (SIM-chain classes,
-// not exact-value keys) — and on the two columns holding alien cells
-// (blocking reads the planes, as the isSame kernel does).
+// not exact-value keys).
 func oracleDespites() map[string]pxql.Predicate {
 	blocked := pxql.Atom{Feature: "g_issame", Op: pxql.OpEq, Value: features.ValT}
 	return map[string]pxql.Predicate{
@@ -175,9 +174,7 @@ func oracleDespites() map[string]pxql.Predicate {
 		"seek-nan":  {blocked, {Feature: "v", Op: pxql.OpEq, Value: joblog.Num(math.NaN())}},
 		"prefilter": {{Feature: "s", Op: pxql.OpEq, Value: joblog.Str("s1")}, {Feature: "v", Op: pxql.OpLt, Value: joblog.Num(6)}},
 
-		"blocked-numeric":   {{Feature: "j_issame", Op: pxql.OpEq, Value: features.ValT}},
-		"blocked-alien-num": {blocked, {Feature: "v_issame", Op: pxql.OpEq, Value: features.ValT}},
-		"blocked-alien-nom": {{Feature: "s_issame", Op: pxql.OpEq, Value: features.ValT}},
+		"blocked-numeric": {{Feature: "j_issame", Op: pxql.OpEq, Value: features.ValT}},
 	}
 }
 
@@ -244,7 +241,7 @@ func checkOracle(t *testing.T, ex Exec, sealEvery int) {
 // whose every conjunct blocking proves. Every oracle log's durations are
 // positive, so the target never rules one out.
 var rankShapes = map[string]bool{
-	"none": true, "blocked": true, "blocked-numeric": true, "blocked-alien-num": true, "blocked-alien-nom": true,
+	"none": true, "blocked": true, "blocked-numeric": true,
 }
 
 // oracleQuery asks why a pair was slower (GT) than expected (SIM) under

@@ -312,8 +312,7 @@ const noClass = ^uint32(0)
 type simClassKey int
 
 // blockClassesOf returns column f's blocking classes. Both kinds read
-// the planes, which is exactly what features.IsSameSym compares — alien
-// cells included — so blocking needs no boxed fallback.
+// the planes, which is exactly what the issame code compares.
 //
 // Nominal: the interned symbol; isSame is symbol equality, so the classes
 // are exact.
@@ -467,13 +466,11 @@ const pairBlock = 4096
 
 // candidateRecords applies base-feature equality prefilters from the
 // despite clause and returns surviving record indices; filtered is false,
-// and every record a candidate, when the clause has none. Alien-free filter
-// columns seek their matching row run in the per-column sorted index
-// (plane equality is boxed equality there) and intersect as bitmaps;
-// any alien cell on a filter column falls the whole call back to the
-// exact boxed scan. Both paths implement Value.Equal semantics: missing
-// cells match nothing, a missing or kind-mismatched or never-logged
-// constant matches no record.
+// and every record a candidate, when the clause has none. Each filter
+// column seeks its matching row run in the per-column sorted index
+// (plane equality is boxed equality there) and the runs intersect as
+// bitmaps, with Value.Equal semantics: missing cells match nothing, a
+// missing or kind-mismatched or never-logged constant matches no record.
 func candidateRecords(log *joblog.Log, despite pxql.Predicate) (recs []int, filtered bool) {
 	type filter struct {
 		idx int
@@ -494,29 +491,6 @@ func candidateRecords(log *joblog.Log, despite pxql.Predicate) (recs []int, filt
 	}
 	n := log.Len()
 	cols := log.Columns()
-	fast := true
-	for _, f := range filters {
-		if cols.Col(f.idx).HasAlien {
-			fast = false
-			break
-		}
-	}
-	if !fast {
-		out := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			ok := true
-			for _, f := range filters {
-				if !cols.Value(i, f.idx).Equal(f.val) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, i)
-			}
-		}
-		return out, true
-	}
 	// Each atom's equality bitmap is memoized on the columnar view (and,
 	// for snapshot views, stitched from bitmaps memoized on the sealed
 	// segments — see joblog.EqualRowsBitmap), so repeated despite clauses

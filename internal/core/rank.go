@@ -47,7 +47,7 @@ type rankKey struct {
 // read-only once built.
 type rankGroups struct {
 	// ok is false when some grouped member's target cell is missing,
-	// non-finite, non-positive or alien: the shape is then not drawable.
+	// non-finite or non-positive: the shape is then not drawable.
 	ok      bool
 	members []int
 	// lo and hi bound member k's SIM window [lo[k], hi[k]) in members;
@@ -62,7 +62,7 @@ type rankGroups struct {
 // newRankGroups sorts the plan's groups by the target column through its
 // sorted index and sweeps each group once for the members' windows.
 func newRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) *rankGroups {
-	if col.Kind != joblog.Numeric || col.HasAlien {
+	if col.Kind != joblog.Numeric {
 		return &rankGroups{}
 	}
 	gid := make([]int32, n)
@@ -169,7 +169,7 @@ func compareCode(log *joblog.Log, p pxql.Predicate) (raw int, code uint64, ok bo
 // despite clause leaves no residual after blocking (so it holds no base
 // prefilter either, and no group can be seek-filtered), and
 // every member of a group of two or more has a present, finite, strictly
-// positive, non-alien T cell.
+// positive T cell.
 func rankSpaceOf(log *joblog.Log, q *pxql.Query, despite pxql.Predicate) *rankSpace {
 	tObs, cObs, ok := compareCode(log, q.Observed)
 	if !ok {

@@ -41,8 +41,8 @@ package core
 // every row again.
 //
 // TestSeekEnumExact pins all three cases. Conjuncts that do not lower
-// exactly — OpNe, nominal columns, alien columns, kind-mismatched
-// constants — contribute no filter and those rows are walked as before.
+// exactly — OpNe, nominal columns, kind-mismatched constants —
+// contribute no filter and those rows are walked as before.
 
 import (
 	"perfxplain/internal/bitset"
@@ -79,11 +79,8 @@ func newRowSeeker(log *joblog.Log, despite pxql.Predicate) *rowSeeker {
 		if !ok {
 			continue
 		}
-		col := cols.Col(fi)
-		// Alien cells make the planes (and the index over them) diverge
-		// from boxed evaluation; kind mismatches never lower.
-		if col.HasAlien || col.Kind != joblog.Numeric ||
-			a.Value.IsMissing() || a.Value.Kind != joblog.Numeric {
+		// Kind mismatches never lower.
+		if cols.Col(fi).Kind != joblog.Numeric || a.Value.Kind != joblog.Numeric {
 			continue
 		}
 		rng, ok := pxql.AtomNumRange(a.Op, a.Value.Num)

@@ -152,7 +152,7 @@ func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 // TestCombineSlicesEqualsFlatColumns: what a worker walks — a
 // snapshot's slices decoded one at a time and combined — is the coordinator's own
 // columnar view plane for plane: the same IDs, symbol numbering, numeric
-// bits, missing and alien cells, and boxed values, whatever the seal
+// bits, missing cells and boxed values, whatever the seal
 // threshold cut the log into.
 func TestCombineSlicesEqualsFlatColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -172,12 +172,12 @@ func TestCombineSlicesEqualsFlatColumns(t *testing.T) {
 			}
 			for f := 0; f < log.Schema.Len(); f++ {
 				g, w := got.Col(f), want.Col(f)
-				if g.Kind != w.Kind || g.HasAlien != w.HasAlien || !reflect.DeepEqual(g.Sym, w.Sym) ||
+				if g.Kind != w.Kind || !reflect.DeepEqual(g.Sym, w.Sym) ||
 					!reflect.DeepEqual(g.Miss, w.Miss) || len(g.Num) != len(w.Num) {
 					t.Fatalf("%s: field %d planes differ", name, f)
 				}
 				for i := 0; i < want.Len(); i++ {
-					if g.Alien(i) != w.Alien(i) || (w.Num != nil && math.Float64bits(g.Num[i]) != math.Float64bits(w.Num[i])) {
+					if w.Num != nil && math.Float64bits(g.Num[i]) != math.Float64bits(w.Num[i]) {
 						t.Fatalf("%s: field %d row %d differs", name, f, i)
 					}
 					if gv, wv := got.Value(i, f), want.Value(i, f); gv.Kind != wv.Kind || gv.Str != wv.Str ||

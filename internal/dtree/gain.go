@@ -51,10 +51,9 @@ type knownVal struct {
 // BestThresholdF finds the numeric threshold t maximising the
 // information gain of the partition (value <= t) vs (value > t) over a
 // flat float column, considering C4.5-style midpoints between adjacent
-// distinct observed values. NaN encodes an unknown (missing or
-// kind-mismatched) value: it is skipped, and the returned gain is scaled
-// by the known fraction. ok is false when fewer than two distinct known
-// values exist. The threshold always separates the two values it was
+// distinct observed values. NaN encodes an unknown value: it is skipped,
+// and the returned gain is scaled by the known fraction. ok is false
+// when fewer than two distinct known values exist. The threshold always separates the two values it was
 // scored between: lo <= t < hi.
 //
 // The known values are sorted in sc's buffer (a nil sc uses a fresh

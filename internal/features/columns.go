@@ -36,11 +36,9 @@ package features
 // pairs, one raw column at a time, with zero allocation, and scoring code
 // reads contiguous columns and planes by offset.
 //
-// Raw fields flagged HasAlien (value kind disagreeing with the schema —
-// see joblog/columns.go) take the boxed derive() path for their base
-// feature, so columnar results match the row engine exactly; issame,
-// compare and diff only ever read the planes, which hold v.Num / interned
-// v.Str for alien cells too — precisely what derive() reads.
+// The raw planes hold every cell exactly (see joblog/columns.go), so
+// every derived feature reads them alone and matches derive() on the
+// boxed records; no family has a boxed fallback.
 
 import (
 	"fmt"
@@ -83,7 +81,6 @@ type rawPlan struct {
 	diffOff    int // symbol plane; -1 below Level2 and for numeric raws
 	baseNumOff int // numeric plane; -1 unless Level3 and numeric raw
 	baseSymOff int // symbol plane; -1 unless Level3 and nominal raw
-	baseIdx    int // derived index of the base feature (alien fallback)
 }
 
 // buildPlanes precomputes, for every derived feature, where it is stored
@@ -96,7 +93,7 @@ func (d *Deriver) buildPlanes() {
 	d.codeOff = make([]int, len(d.mapping))
 	plans := make([]rawPlan, d.raw.Len())
 	for r := range plans {
-		plans[r] = rawPlan{rawIdx: r, diffOff: -1, baseNumOff: -1, baseSymOff: -1, baseIdx: -1}
+		plans[r] = rawPlan{rawIdx: r, diffOff: -1, baseNumOff: -1, baseSymOff: -1}
 		if d.raw.Field(r).Kind == joblog.Numeric {
 			plans[r].kindIdx = d.numRaws
 			d.numRaws++
@@ -114,7 +111,7 @@ func (d *Deriver) buildPlanes() {
 		case numeric && e.kind == Base:
 			d.numOff[i] = d.numW
 			d.numW++
-			p.baseNumOff, p.baseIdx = d.numOff[i], i
+			p.baseNumOff = d.numOff[i]
 		case numeric || e.kind == Compare:
 			// Diff of a numeric raw, compare of a nominal one: missing on
 			// every pair, nothing to store.
@@ -124,7 +121,7 @@ func (d *Deriver) buildPlanes() {
 			if e.kind == Diff {
 				p.diffOff = d.symOff[i]
 			} else {
-				p.baseSymOff, p.baseIdx = d.symOff[i], i
+				p.baseSymOff = d.symOff[i]
 			}
 		}
 	}
@@ -179,34 +176,8 @@ func (cs CodeSet) Word(present, sim, lt uint64) uint64 {
 	return lt&inLT | sim&inSIM | present&^(sim|lt)&inGT
 }
 
-// DeriveNum computes a numeric-plane derived feature for the ordered
-// record pair (a, b); NaN means missing. Calling it for a symbol-plane
-// feature is a programming error.
-func (d *Deriver) DeriveNum(cols *joblog.Columns, a, b, derivedIdx int) float64 {
-	e := d.mapping[derivedIdx]
-	if e.kind != Base {
-		panic("features: DeriveNum on a non-base feature")
-	}
-	c := cols.Col(e.rawIdx)
-	if c.Miss.Get(a) || c.Miss.Get(b) {
-		return math.NaN()
-	}
-	if c.HasAlien && (c.Alien(a) || c.Alien(b)) {
-		v := derive(c.Kind, cols.Value(a, e.rawIdx), cols.Value(b, e.rawIdx), Base)
-		if v.Kind == joblog.Numeric {
-			return v.Num
-		}
-		// A non-numeric derived value cannot live in this plane; encode
-		// missing, which every plane consumer treats identically (it can
-		// satisfy no predicate and no threshold).
-		return math.NaN()
-	}
-	return BaseNumFast(c, a, b)
-}
-
 // isSameSym computes the issame symbol for the pair (a, b) of one raw
-// column: T/F, or MissingSym. Exact for alien cells too — the planes
-// hold v.Num / interned v.Str, precisely what derive() compares.
+// column: T/F, or MissingSym.
 func isSameSym(c *joblog.Col, a, b int) uint64 {
 	if c.Miss.Get(a) || c.Miss.Get(b) {
 		return MissingSym
@@ -249,16 +220,14 @@ func CompareNum(x, y float64) uint64 {
 
 // CodeWord returns the code-plane bits of the pairs (a[k], b[k]) of a
 // numeric raw column, pair k at bit k: present, SIM and LT as the file
-// comment defines them. It takes at most 64 pairs and is exact for alien
-// cells, whose planes hold v.Num.
+// comment defines them. It takes at most 64 pairs.
 func CodeWord(c *joblog.Col, a, b []int) (present, sim, lt uint64) {
 	return codeWord(c.Num, c.Miss, a, b, nil)
 }
 
 // SameWord returns the code-plane bits of the pairs (a[k], b[k]) of a
 // nominal raw column, pair k at bit k: present, and present with equal
-// symbols (the SIM plane; LT is empty). It takes at most 64 pairs and is
-// exact for alien cells, whose planes hold interned v.Str.
+// symbols (the SIM plane; LT is empty). It takes at most 64 pairs.
 func SameWord(c *joblog.Col, a, b []int) (present, equal uint64) {
 	return sameWord(c.Sym, c.Miss, a, b)
 }
@@ -312,20 +281,18 @@ func DiffSymOf(c *joblog.Col, a, b int) uint64 {
 	return DiffSym(c.Sym[a], c.Sym[b])
 }
 
-// BaseSymFast computes the base symbol of a nominal raw column for the
-// pair (a, b), valid only for columns without alien cells (callers with
-// HasAlien columns must go through DeriveSym's boxed fallback).
-func BaseSymFast(c *joblog.Col, a, b int) uint64 {
+// BaseSym computes the base symbol of a nominal raw column for the pair
+// (a, b): the shared intern ID when the two agree, MissingSym otherwise.
+func BaseSym(c *joblog.Col, a, b int) uint64 {
 	if c.Miss.Get(a) || c.Miss.Get(b) || c.Sym[a] != c.Sym[b] {
 		return MissingSym
 	}
 	return uint64(c.Sym[a])
 }
 
-// BaseNumFast computes the base value of a numeric raw column for the
-// pair (a, b) — the shared value when the two agree exactly, NaN
-// otherwise. Valid only for columns without alien cells.
-func BaseNumFast(c *joblog.Col, a, b int) float64 {
+// BaseNum computes the base value of a numeric raw column for the pair
+// (a, b) — the shared value when the two agree exactly, NaN otherwise.
+func BaseNum(c *joblog.Col, a, b int) float64 {
 	if c.Miss.Get(a) || c.Miss.Get(b) || c.Num[a] != c.Num[b] {
 		return math.NaN()
 	}
@@ -346,52 +313,13 @@ func (d *Deriver) DeriveSym(cols *joblog.Columns, a, b, derivedIdx int) uint64 {
 	case Diff:
 		return DiffSymOf(c, a, b)
 	case Base:
-		if c.Miss.Get(a) || c.Miss.Get(b) {
-			return MissingSym
-		}
-		if c.HasAlien && (c.Alien(a) || c.Alien(b)) {
-			v := derive(c.Kind, cols.Value(a, e.rawIdx), cols.Value(b, e.rawIdx), Base)
-			if v.Kind == joblog.Nominal {
-				if id, ok := cols.Intern().Lookup(v.Str); ok {
-					return uint64(id)
-				}
-			}
-			return MissingSym
-		}
 		if c.Kind != joblog.Nominal {
 			panic("features: DeriveSym on a numeric base feature")
 		}
-		return BaseSymFast(c, a, b)
+		return BaseSym(c, a, b)
 	default:
 		panic("features: bad kind")
 	}
-}
-
-// ValueCol is Value over the columnar view: the boxed derived value of
-// one feature of the pair (a, b), identical to Value on the underlying
-// records.
-func (d *Deriver) ValueCol(cols *joblog.Columns, a, b, derivedIdx int) joblog.Value {
-	e := d.mapping[derivedIdx]
-	if d.numOff[derivedIdx] >= 0 {
-		x := d.DeriveNum(cols, a, b, derivedIdx)
-		if math.IsNaN(x) {
-			// Distinguish true missing from an alien-pair value that the
-			// plane cannot carry: re-derive boxed for alien fields.
-			if c := cols.Col(e.rawIdx); c.HasAlien {
-				return derive(c.Kind, cols.Value(a, e.rawIdx), cols.Value(b, e.rawIdx), e.kind)
-			}
-			return joblog.None()
-		}
-		return joblog.Num(x)
-	}
-	sym := d.DeriveSym(cols, a, b, derivedIdx)
-	if sym == MissingSym {
-		if c := cols.Col(e.rawIdx); c.HasAlien && e.kind == Base {
-			return derive(c.Kind, cols.Value(a, e.rawIdx), cols.Value(b, e.rawIdx), e.kind)
-		}
-		return joblog.None()
-	}
-	return joblog.Str(d.SymString(cols.Intern(), derivedIdx, sym))
 }
 
 // SymString decodes a symbol of the derived feature's column back to the
@@ -578,7 +506,7 @@ func (m *PairMatrix) CodeAt(row, codeOff int) uint64 {
 // other fill of the matrix.
 func (m *PairMatrix) Fill(cols *joblog.Columns, row, a, b int) {
 	ai, bi := [1]int{a}, [1]int{b}
-	m.fill(cols, nil, fillRun{lo: row, la: ai[:], lb: bi[:], ga: ai[:], gb: bi[:]})
+	m.fill(cols, nil, fillRun{lo: row, la: ai[:], lb: bi[:]})
 }
 
 // FillPairs materializes the derived vectors of the record pairs
@@ -590,7 +518,7 @@ func (m *PairMatrix) FillPairs(cols *joblog.Columns, lo int, ai, bi []int) {
 	if lo&63 != 0 {
 		panic(fmt.Sprintf("features: FillPairs at row %d, not a multiple of 64", lo))
 	}
-	m.fill(cols, nil, fillRun{lo: lo, la: ai, lb: bi, ga: ai, gb: bi})
+	m.fill(cols, nil, fillRun{lo: lo, la: ai, lb: bi})
 }
 
 // fillChunk is the row count of one FillSample work unit: small enough
@@ -618,17 +546,16 @@ func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, workers int)
 	par.Do((n+fillChunk-1)/fillChunk, workers, func(c int) {
 		lo := c * fillChunk
 		hi := min(lo+fillChunk, n)
-		m.fill(cols, g, fillRun{lo: lo, la: g.la[lo:hi], lb: g.lb[lo:hi], ga: ai[lo:hi], gb: bi[lo:hi]})
+		m.fill(cols, g, fillRun{lo: lo, la: g.la[lo:hi], lb: g.lb[lo:hi]})
 	})
 }
 
 // fillRun is one run of pairs a fill writes: pair k goes to row lo+k, and
-// its records are (la[k], lb[k]) in the cells the fill reads and
-// (ga[k], gb[k]) in the view — the same indices for a direct fill, ranks
-// against view rows for a gathered one.
+// its records are (la[k], lb[k]) in the cells the fill reads — view rows
+// for a direct fill, ranks for a gathered one.
 type fillRun struct {
-	lo             int
-	la, lb, ga, gb []int
+	lo     int
+	la, lb []int
 }
 
 // rawCells is one raw column as a fill reads it: the plane of its kind
@@ -652,9 +579,9 @@ func (m *PairMatrix) fill(cols *joblog.Columns, g *gather, r fillRun) {
 			src = g.cells(p, c.Kind)
 		}
 		if c.Kind == joblog.Numeric {
-			m.fillNumeric(cols, p, src, r)
+			m.fillNumeric(p, src, r)
 		} else {
-			m.fillNominal(cols, p, src, r)
+			m.fillNominal(p, src, r)
 		}
 	}
 }
@@ -662,8 +589,7 @@ func (m *PairMatrix) fill(cols *joblog.Columns, g *gather, r fillRun) {
 // fillNumeric writes a numeric raw's code planes and base column for run
 // r: codeWord builds each word's bits, and mergeWord lays them into the
 // planes under the run's mask, so bits of rows outside the run are kept.
-// Alien pairs' base cells then take the boxed fallback.
-func (m *PairMatrix) fillNumeric(cols *joblog.Columns, p *rawPlan, src rawCells, r fillRun) {
+func (m *PairMatrix) fillNumeric(p *rawPlan, src rawCells, r fillRun) {
 	present, sim, lt := m.CodePlanes(p.rawIdx)
 	la, lb := r.la, r.lb[:len(r.la)]
 	var base []float64
@@ -681,13 +607,6 @@ func (m *PairMatrix) fillNumeric(cols *joblog.Columns, p *rawPlan, src rawCells,
 		mergeWord(present, sim, lt, row, k1-k0, pw, sw, lw)
 		k0 = k1
 	}
-	if c := cols.Col(p.rawIdx); base != nil && c.HasAlien {
-		for k := range la {
-			if a, b := r.ga[k], r.gb[k]; c.Alien(a) || c.Alien(b) {
-				base[k] = m.D.DeriveNum(cols, a, b, p.baseIdx)
-			}
-		}
-	}
 }
 
 // mergeWord writes the bits of n pairs starting at row, built in the low
@@ -704,9 +623,8 @@ func mergeWord(present, sim, lt bitset.Set, row, n int, pw, sw, lw uint64) {
 // fillNominal writes a nominal raw's issame planes — sameWord's bits,
 // merged as fillNumeric merges its own — then its diff and base columns
 // for run r, each cell selected with mask arithmetic: a missing cell on
-// either side ORs in MissingSym. Alien pairs' base cells then take the
-// boxed fallback.
-func (m *PairMatrix) fillNominal(cols *joblog.Columns, p *rawPlan, src rawCells, r fillRun) {
+// either side ORs in MissingSym.
+func (m *PairMatrix) fillNominal(p *rawPlan, src rawCells, r fillRun) {
 	present, sim, lt := m.CodePlanes(p.rawIdx)
 	la, lb := r.la, r.lb[:len(r.la)]
 	n := len(la)
@@ -737,13 +655,6 @@ func (m *PairMatrix) fillNominal(cols *joblog.Columns, p *rawPlan, src rawCells,
 		}
 		if base != nil {
 			base[k] = uint64(sa) | (bitset.B2u(sa == sb)&^missing - 1)
-		}
-	}
-	if c := cols.Col(p.rawIdx); base != nil && c.HasAlien {
-		for k := range la {
-			if a, b := r.ga[k], r.gb[k]; c.Alien(a) || c.Alien(b) {
-				base[k] = m.D.DeriveSym(cols, a, b, p.baseIdx)
-			}
 		}
 	}
 }

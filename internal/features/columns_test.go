@@ -1,7 +1,7 @@
 package features
 
 // Equivalence tests for the columnar derivation paths: on randomized
-// logs — including missing and kind-mismatched (alien) cells — ValueCol
+// logs — including missing, NaN, ±Inf and −0 cells — BaseNum, DeriveSym
 // and FillPairs must reproduce the boxed Value/Vector engine exactly, and
 // the symbol codecs must round-trip.
 
@@ -38,9 +38,6 @@ func randLog(seed uint64, n int) *joblog.Log {
 			switch r % 8 {
 			case 0:
 				rec.Values[f] = joblog.None()
-			case 1: // alien
-				numeric = !numeric
-				fallthrough
 			default:
 				if numeric {
 					rec.Values[f] = joblog.Num(nums[int(r>>8)%len(nums)])
@@ -80,16 +77,16 @@ func TestColumnarDeriveMatchesBoxed(t *testing.T) {
 				ra, rb := log.Records[a], log.Records[b]
 				for i := 0; i < d.Schema().Len(); i++ {
 					want := d.Value(ra, rb, i)
-					// ValueCol must equal the boxed derive exactly.
-					got := d.ValueCol(cols, a, b, i)
+					// The scalar columnar derive must equal the boxed one
+					// exactly.
+					got := columnarValue(d, cols, a, b, i)
 					if !valueIdentical(got, want) {
-						t.Fatalf("L%d seed %d: ValueCol(%d,%d,%s) = %v, want %v",
+						t.Fatalf("L%d seed %d: columnar (%d,%d,%s) = %v, want %v",
 							level, seed, a, b, d.Schema().Field(i).Name, got, want)
 					}
 					// The materialized planes must agree with the boxed
-					// value under the plane encodings (alien-pair base
-					// values legitimately materialize as missing).
-					checkPlaneCell(t, d, cols, i, m, row, want, a, b)
+					// value under the plane encodings.
+					checkPlaneCell(t, d, cols, i, m, row, want)
 				}
 			}
 		}
@@ -145,8 +142,8 @@ func TestFillMatchesFillPairs(t *testing.T) {
 
 // TestFillSampleMatchesDirect holds the gathered fill to the direct one
 // on samples drawn with replacement from a larger log — records repeat
-// across pairs and within one, cells are missing, NaN, ±Inf, −0 or alien
-// — at several sizes and worker counts, into one recycled matrix.
+// across pairs and within one, cells are missing, NaN, ±Inf or −0 — at
+// several sizes and worker counts, into one recycled matrix.
 func TestFillSampleMatchesDirect(t *testing.T) {
 	gathered := new(PairMatrix)
 	for seed := uint64(0); seed < 12; seed++ {
@@ -208,8 +205,8 @@ func TestFillPairsConcurrentChunks(t *testing.T) {
 // definitions pair by pair: CodeWord's bits to CompareNum over present
 // cells, SameWord's to symbol equality. Runs of every length from 1 to 64
 // draw their pairs from a log of a few records, so records repeat within
-// a run and self pairs occur, and the cells cover missing, NaN, ±Inf, −0
-// and alien values.
+// a run and self pairs occur, and the cells cover missing, NaN, ±Inf and
+// −0 values.
 func TestCodeWordMatchesScalar(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		log := randLog(seed, 9)
@@ -292,11 +289,28 @@ func valueIdentical(a, b joblog.Value) bool {
 	return a.Kind == b.Kind && a.Str == b.Str && sameFloat(a.Num, b.Num)
 }
 
+// columnarValue is derived feature i of the pair (a, b) read off the
+// raw planes by the scalar kernels, boxed: BaseNum for a numeric-plane
+// feature (NaN is missing), DeriveSym rendered by SymString for every
+// other (MissingSym is missing).
+func columnarValue(d *Deriver, cols *joblog.Columns, a, b, i int) joblog.Value {
+	if d.NumOffset(i) >= 0 {
+		rawIdx, _ := d.RawOf(i)
+		if x := BaseNum(cols.Col(rawIdx), a, b); !math.IsNaN(x) {
+			return joblog.Num(x)
+		}
+		return joblog.None()
+	}
+	if s := d.DeriveSym(cols, a, b, i); s != MissingSym {
+		return joblog.Str(d.SymString(cols.Intern(), i, s))
+	}
+	return joblog.None()
+}
+
 func checkPlaneCell(t *testing.T, d *Deriver, cols *joblog.Columns, i int,
-	m *PairMatrix, row int, want joblog.Value, a, b int) {
+	m *PairMatrix, row int, want joblog.Value) {
 	t.Helper()
-	rawIdx, kind := d.RawOf(i)
-	alienPair := cols.Col(rawIdx).Alien(a) || cols.Col(rawIdx).Alien(b)
+	_, kind := d.RawOf(i)
 	if off := d.NumOffset(i); off >= 0 {
 		got := m.NumAt(row, off)
 		switch {
@@ -304,7 +318,7 @@ func checkPlaneCell(t *testing.T, d *Deriver, cols *joblog.Columns, i int,
 			if !sameFloat(got, want.Num) {
 				t.Fatalf("num plane %s = %v, want %v", d.Schema().Field(i).Name, got, want.Num)
 			}
-		case want.IsMissing() || (kind == Base && alienPair):
+		case want.IsMissing():
 			if !math.IsNaN(got) {
 				t.Fatalf("num plane %s = %v, want NaN", d.Schema().Field(i).Name, got)
 			}
@@ -337,7 +351,7 @@ func checkPlaneCell(t *testing.T, d *Deriver, cols *joblog.Columns, i int,
 		if got == MissingSym || d.SymString(cols.Intern(), i, got) != want.Str {
 			t.Fatalf("sym plane %s = %#x, want %q", d.Schema().Field(i).Name, got, want.Str)
 		}
-	case want.IsMissing() || (kind == Base && alienPair):
+	case want.IsMissing():
 		if got != MissingSym {
 			t.Fatalf("sym plane %s = %#x, want missing", d.Schema().Field(i).Name, got)
 		}
@@ -380,7 +394,7 @@ func TestSymCodecRoundTrip(t *testing.T) {
 
 // TestMaterializeDoesNotAllocate pins the steady state of pair
 // materialization: once the columnar view and the matrix exist, a direct
-// fill — missing and alien cells included — touches no allocator, and
+// fill — missing cells included — touches no allocator, and
 // neither does Fill, the same kernel on one pair. A gathered fill of a
 // recycled matrix allocates only its two fork-joins' closures, however
 // many pairs it fills.

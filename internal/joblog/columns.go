@@ -16,16 +16,12 @@ package joblog
 // Value structs: nominal comparisons become uint32 equality, numeric
 // comparisons read a flat float64 slice, and missing checks are one bit.
 //
-// Planes hold canonical cells exactly: a cell whose kind is the field's
-// kind (or Missing) and whose payload sits only in that kind's member.
-// Append validates record width and nothing else, so a hand-built log
-// may hold other cells — a kind that disagrees with the schema ("alien"),
-// a Missing cell with a payload, a numeric carrying a string. Those go,
-// boxed, into a sparse side table keyed by (row, field), and Value reads
-// it first, so a record read back from planes is the record appended,
-// to the bit. Alien cells are also flagged in a per-field bitmap:
-// columnar consumers fall back to Value for flagged fields, so the fast
-// path assumes nothing it cannot prove.
+// Planes hold every cell exactly. A cell is canonical for its field when
+// its kind is the field's kind (or Missing) and its payload sits only in
+// that kind's member; every door a record enters a log by (Log.Append,
+// Store.Append, WireLog.Log, the typed CSV and JSON readers) admits
+// canonical cells only, so a record read back from planes is the record
+// appended, to the bit, and no columnar consumer needs a boxed fallback.
 
 import (
 	"errors"
@@ -137,21 +133,7 @@ type Col struct {
 	Sym []uint32
 	// Miss flags records whose value is missing.
 	Miss Bitmap
-	// HasAlien is true when any non-missing cell's value kind disagrees
-	// with the schema kind; consumers needing exact Value semantics
-	// (base-feature equality) must fall back to Columns.Value for this
-	// field. The planes are still filled (Num from v.Num, Sym from
-	// interned v.Str), which is exactly what the derive comparisons read.
-	HasAlien bool
-	alien    Bitmap
 }
-
-// Alien reports whether record i holds a value whose kind disagrees with
-// the schema kind.
-func (c *Col) Alien(i int) bool { return c.HasAlien && c.alien.Get(i) }
-
-// cellRef addresses one cell of a view.
-type cellRef struct{ row, f int }
 
 // Columns is the columnar form of a Log at a fixed generation and
 // record count.
@@ -162,10 +144,6 @@ type Columns struct {
 	cols   []Col
 	// ids holds the record identifiers by row.
 	ids []string
-	// side holds, boxed, every cell the planes do not reproduce exactly
-	// (see canonical). Nil on the logs real collectors and CSV files
-	// produce.
-	side map[cellRef]Value
 
 	// buildIndex, when set, replaces buildColIndex as the builder behind
 	// SortedIndex — the seam the segment store uses to assemble a
@@ -222,9 +200,6 @@ func (c *Columns) grow(n int) {
 			col.Sym = append(col.Sym, make([]uint32, add)...)
 		}
 		col.Miss = append(col.Miss, make(Bitmap, addWords)...)
-		if col.alien != nil {
-			col.alien = append(col.alien, make(Bitmap, addWords)...)
-		}
 	}
 }
 
@@ -235,7 +210,7 @@ func (c *Columns) clip() {
 	for f := range c.cols {
 		col := &c.cols[f]
 		col.Num, col.Sym = clipped(col.Num), clipped(col.Sym)
-		col.Miss, col.alien = clipped(col.Miss), clipped(col.alien)
+		col.Miss = clipped(col.Miss)
 	}
 }
 
@@ -251,7 +226,7 @@ func clipped[S ~[]E, E any](s S) S {
 // canonical reports whether a plane of the given kind reproduces v
 // exactly: v is of that kind or Missing, and carries payload only in
 // its kind's member (any bit of Num counts, so -0 and NaN payloads in a
-// cell that should have none are kept).
+// cell that should have none are refused).
 func canonical(kind Kind, v Value) bool {
 	switch v.Kind {
 	case Missing:
@@ -265,34 +240,18 @@ func canonical(kind Kind, v Value) bool {
 	return false
 }
 
-// setCell writes v as the f'th cell of row — the one place a boxed Value
-// becomes plane content. Missing cells set their bit and leave the plane
-// zero; every other cell fills the plane from its kind's member (Num,
-// or the interned Str) whatever its own kind, which is what the derive
-// comparisons read; what the plane cannot give back goes into the side
-// table.
+// setCell writes v, canonical for its field, as the f'th cell of row —
+// the one place a boxed Value becomes plane content. Missing cells set
+// their bit and leave the plane zero; every other cell fills the plane
+// from its kind's member.
 func (c *Columns) setCell(row, f int, v Value) {
 	col := &c.cols[f]
-	if !canonical(col.Kind, v) {
-		if c.side == nil {
-			c.side = make(map[cellRef]Value)
-		}
-		c.side[cellRef{row, f}] = v
-	}
-	if v.Kind == Missing {
+	switch {
+	case v.Kind == Missing:
 		col.Miss.SetBit(row)
-		return
-	}
-	if v.Kind != col.Kind {
-		if col.alien == nil {
-			col.alien = NewBitmap(c.n)
-		}
-		col.alien.SetBit(row)
-		col.HasAlien = true
-	}
-	if col.Kind == Numeric {
+	case col.Kind == Numeric:
 		col.Num[row] = v.Num
-	} else {
+	default:
 		col.Sym[row] = c.intern.intern(v.Str)
 	}
 }
@@ -329,25 +288,6 @@ func (c *Columns) stitch(at int, src *Columns, lo, hi int, remap []uint32) {
 			}
 		}
 		dst.Miss.BlitFrom(from.Miss, lo, at, m)
-		if from.HasAlien {
-			if dst.alien == nil {
-				dst.alien = NewBitmap(c.n)
-			}
-			dst.alien.BlitFrom(from.alien, lo, at, m)
-			// src may hold its aliens outside [lo, hi). The window's edge
-			// words may hold neighbours' bits; those were counted already.
-			dst.HasAlien = dst.HasAlien || dst.alien[at>>6:bitset.Words(at+m)].Any()
-		}
-	}
-	// Each cell lands under its own key, whatever order they are met in.
-	//pxql:orderinvariant
-	for k, v := range src.side {
-		if k.row >= lo && k.row < hi {
-			if c.side == nil {
-				c.side = make(map[cellRef]Value)
-			}
-			c.side[cellRef{k.row - lo + at, k.f}] = v
-		}
 	}
 }
 
@@ -388,16 +328,9 @@ func (c *Columns) Intern() *Intern { return c.intern }
 // ID returns the identifier of the record at row.
 func (c *Columns) ID(row int) string { return c.ids[row] }
 
-// Value returns the boxed value of one cell, exactly as it was appended:
-// the side table's entry when the cell has one, the plane's otherwise.
-// It is the exact-semantics fallback for alien cells and the bridge for
-// code that wants a Record.
+// Value returns the boxed value of one cell, exactly as it was appended
+// — the bridge for code that wants a Record.
 func (c *Columns) Value(row, f int) Value {
-	if c.side != nil {
-		if v, ok := c.side[cellRef{row, f}]; ok {
-			return v
-		}
-	}
 	col := &c.cols[f]
 	switch {
 	case col.Miss.Get(row):
@@ -474,6 +407,11 @@ func (l *Log) Columns() *Columns {
 	c := newColumns(l.Schema, len(l.Records), newIntern())
 	c.gen = l.gen
 	for i, r := range l.Records {
+		// Append checked every record, but harness code may grow Records
+		// by hand: a cell the planes would change is a programming error.
+		if err := checkRecord(l.Schema, r); err != nil {
+			panic(err)
+		}
 		c.setRow(i, r)
 	}
 	l.colsCache = c

@@ -1,6 +1,10 @@
 package joblog
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func colSchema() *Schema {
 	return NewSchema([]Field{
@@ -42,9 +46,6 @@ func TestColumnsPlanes(t *testing.T) {
 	if _, ok := c.Intern().Lookup("zzz"); ok {
 		t.Error("Lookup of unseen string succeeded")
 	}
-	if n.HasAlien || s.HasAlien {
-		t.Error("clean log flagged alien")
-	}
 }
 
 func TestColumnsMemoInvalidation(t *testing.T) {
@@ -68,28 +69,75 @@ func TestColumnsMemoInvalidation(t *testing.T) {
 	}
 }
 
-func TestColumnsAlienCells(t *testing.T) {
+// TestNonCanonicalCellsRefused: every door a record enters a log by
+// refuses a cell that is not canonical for its field, names the record,
+// the field and both kinds, and appends nothing.
+func TestNonCanonicalCellsRefused(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan := math.Float64frombits(0x7ff8dead0000beef)
+	for _, c := range []struct {
+		name  string
+		field int // 0 is numeric "n", 1 nominal "s"
+		v     Value
+	}{
+		{"nominal in numeric", 0, Str("oops")},
+		{"numeric in nominal", 1, Num(3)},
+		{"missing with num", 0, Value{Kind: Missing, Num: 3}},
+		{"missing with -0", 1, Value{Kind: Missing, Num: negZero}},
+		{"missing with NaN payload", 0, Value{Kind: Missing, Num: nan}},
+		{"missing with str", 1, Value{Kind: Missing, Str: "ghost"}},
+		{"numeric with str", 0, Value{Kind: Numeric, Num: 2, Str: "tagged"}},
+		{"nominal with -0", 1, Value{Kind: Nominal, Str: "a", Num: negZero}},
+		{"nominal with NaN payload", 1, Value{Kind: Nominal, Str: "a", Num: nan}},
+		{"Kind(7)", 0, Value{Kind: Kind(7), Num: 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			schema := colSchema()
+			good := &Record{ID: "good", Values: []Value{Num(1), Str("x")}}
+			bad := &Record{ID: "bad", Values: []Value{Num(1), Str("x")}}
+			bad.Values[c.field] = c.v
+			field := schema.Field(c.field).Name
+
+			l := NewLog(schema)
+			l.MustAppend(good)
+			if err := l.Append(bad); err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), `"`+field+`"`) {
+				t.Errorf("Log.Append: error %v, want one naming record \"bad\" and field %q", err, field)
+			}
+			if l.Len() != 1 || l.Columns().Len() != 1 {
+				t.Errorf("Log.Append: log holds %d records, want 1", l.Len())
+			}
+
+			st := NewStore(schema, 1)
+			st.MustAppend(good)
+			gen := st.Gen()
+			if err := st.Append(bad); err == nil || !strings.Contains(err.Error(), `"bad"`) {
+				t.Errorf("Store.Append: error %v, want one naming record \"bad\"", err)
+			}
+			if st.Len() != 1 || st.Gen() != gen || st.Snapshot().Log().Len() != 1 {
+				t.Errorf("Store.Append: store holds %d records at watermark %d, want 1 at %d", st.Len(), st.Gen(), gen)
+			}
+
+			if got, err := WireSlice(schema, []*Record{good, bad}).Log(); err == nil || !strings.Contains(err.Error(), `"bad"`) {
+				t.Errorf("WireLog.Log: log %v, error %v; want an error naming record \"bad\"", got, err)
+			}
+		})
+	}
+	// The message names both kinds.
+	err := NewLog(colSchema()).Append(&Record{ID: "r", Values: []Value{Str("oops"), None()}})
+	if want := `joblog: record "r" field "n" (numeric) holds a nominal value`; err == nil || err.Error() != want {
+		t.Errorf("error %v, want %s", err, want)
+	}
+
+	// A record grown into Records by hand passes no door: building the
+	// planes over it panics rather than change the cell.
 	l := NewLog(colSchema())
-	l.MustAppend(&Record{ID: "a", Values: []Value{Str("oops"), Num(3)}})
-	l.MustAppend(&Record{ID: "b", Values: []Value{Num(7), Str("x")}})
-	c := l.Columns()
-	n, s := c.Col(0), c.Col(1)
-	if !n.HasAlien || !n.Alien(0) || n.Alien(1) {
-		t.Error("numeric column alien flags wrong")
-	}
-	if !s.HasAlien || !s.Alien(0) || s.Alien(1) {
-		t.Error("nominal column alien flags wrong")
-	}
-	// Planes still hold what derive() reads: v.Num and interned v.Str.
-	if n.Num[0] != 0 || n.Num[1] != 7 {
-		t.Errorf("numeric plane = %v", n.Num)
-	}
-	if got := c.Intern().Str(s.Sym[0]); got != "" {
-		t.Errorf("alien nominal payload = %q, want empty", got)
-	}
-	if c.Value(0, 0) != Str("oops") {
-		t.Error("Value fallback does not surface the boxed cell")
-	}
+	l.Records = append(l.Records, &Record{ID: "r", Values: []Value{Str("oops"), None()}})
+	defer func() {
+		if recover() == nil {
+			t.Error("Columns over a hand-grown non-canonical record did not panic")
+		}
+	}()
+	l.Columns()
 }
 
 func TestFindMemo(t *testing.T) {

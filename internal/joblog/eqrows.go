@@ -23,12 +23,10 @@ type eqRowsKey struct {
 }
 
 // EqualRowsBitmap returns the bitmap of rows whose f'th plane value
-// equals v, memoized on the view. Matching follows plane semantics,
-// exactly as ColIndex.EqualNum/EqualSym: missing rows never match, NaN
-// matches nothing, and alien cells compare by their plane
-// representation — callers needing boxed-Value semantics must check
-// Col.HasAlien and fall back. The returned bitmap is shared across
-// callers and must not be mutated.
+// equals v, memoized on the view. Matching is ColIndex.EqualNum/EqualSym,
+// which over planes holding every cell exactly is Value.Equal: missing
+// rows never match and NaN matches nothing. The returned bitmap is
+// shared across callers and must not be mutated.
 func (c *Columns) EqualRowsBitmap(f int, v Value) Bitmap {
 	key := eqRowsKey{f: f, none: true}
 	col := c.Col(f)

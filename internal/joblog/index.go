@@ -10,10 +10,8 @@ package joblog
 // changes), and it is a pure function of the plane contents, so building
 // it never perturbs anything the shard planners compare for purity.
 //
-// The index is over the *planes*, aliens included (their Num/Sym cells
-// are filled from the boxed value just like the derive kernels read
-// them). Consumers needing exact boxed-Value semantics must check
-// Col.HasAlien and fall back, exactly as for the planes themselves.
+// The index is over the planes, which hold every cell exactly (see
+// columns.go), so a seek over it answers with boxed-Value semantics.
 
 import (
 	"math"

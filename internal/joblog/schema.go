@@ -200,21 +200,38 @@ func NewLog(schema *Schema) *Log {
 // errPlaneBacked is what every mutator answers on a plane-backed log.
 var errPlaneBacked = errors.New("joblog: a plane-backed log is immutable")
 
-// checkWidth is the validation every way of adding a record shares.
-func checkWidth(schema *Schema, r *Record) error {
+// checkRecord is the validation every way of adding a record shares:
+// one value per field, each canonical for its field (see canonical).
+func checkRecord(schema *Schema, r *Record) error {
 	if len(r.Values) != schema.Len() {
 		return fmt.Errorf("joblog: record %q has %d values, schema has %d fields",
 			r.ID, len(r.Values), schema.Len())
 	}
+	for f, v := range r.Values {
+		if field := schema.Field(f); !canonical(field.Kind, v) {
+			return nonCanonical(r.ID, field, v)
+		}
+	}
 	return nil
 }
 
-// Append adds a record after validating its width against the schema.
+// nonCanonical is the error for a cell the planes cannot hold exactly:
+// it names the record, the field and both kinds.
+func nonCanonical(id string, field Field, v Value) error {
+	what := "a " + v.Kind.String() + " value"
+	if v.Kind == Missing || v.Kind == field.Kind {
+		what += " with a stray payload"
+	}
+	return fmt.Errorf("joblog: record %q field %q (%v) holds %s", id, field.Name, field.Kind, what)
+}
+
+// Append adds a record after validating it against the schema (see
+// checkRecord); a refused record leaves the log unchanged.
 func (l *Log) Append(r *Record) error {
 	if l.rows != nil {
 		return errPlaneBacked
 	}
-	if err := checkWidth(l.Schema, r); err != nil {
+	if err := checkRecord(l.Schema, r); err != nil {
 		return err
 	}
 	l.Records = append(l.Records, r)
@@ -222,7 +239,7 @@ func (l *Log) Append(r *Record) error {
 	return nil
 }
 
-// MustAppend is Append for construction code where a width mismatch is a
+// MustAppend is Append for construction code where a refused record is a
 // programming error.
 func (l *Log) MustAppend(r *Record) {
 	if err := l.Append(r); err != nil {
@@ -342,7 +359,7 @@ func (l *Log) Domain(name string) []string {
 	col := c.Col(f)
 	seen := make([]bool, c.intern.Len())
 	for i, id := range col.Sym {
-		if !col.Miss.Get(i) && !col.Alien(i) {
+		if !col.Miss.Get(i) {
 			seen[id] = true
 		}
 	}
@@ -375,7 +392,7 @@ func (l *Log) NumericRange(name string) (min, max float64, ok bool) {
 	col := l.Columns().Col(f)
 	var r numericRange
 	for i, x := range col.Num {
-		if col.Miss.Get(i) || col.Alien(i) {
+		if col.Miss.Get(i) {
 			continue
 		}
 		if !r.ok {

@@ -12,9 +12,8 @@ package joblog
 // everything expensive forever, each part built when something first
 // reads it:
 //
-//   - from the moment its rows were appended, its columnar planes, record
-//     IDs and the side table of cells the planes cannot reproduce
-//     (columns.go), numbered by the store's shared append-only intern
+//   - from the moment its rows were appended, its columnar planes and
+//     record IDs (columns.go), numbered by the store's shared append-only intern
 //     table so symbol IDs across segments are exactly the IDs a whole-log
 //     fresh build would assign (rows arrive in record order, so
 //     first-appearance order is preserved);
@@ -111,9 +110,9 @@ type sealedPerm struct {
 // segment is one sealed, immutable run of records.
 type segment struct {
 	start int // global index of the segment's first row
-	// cols is the segment: planes, IDs and side table indexed by local
-	// row; its intern pointer is the store's shared table. SortedIndex
-	// memos accumulate on it and stay warm for the segment's lifetime.
+	// cols is the segment: planes and IDs indexed by local row; its
+	// intern pointer is the store's shared table. SortedIndex memos
+	// accumulate on it and stay warm for the segment's lifetime.
 	cols *Columns
 	// view is the segment's shippable form — wire records and their
 	// content hash — built by shipView the first time any snapshot's
@@ -175,10 +174,12 @@ func (s *Store) TailLen() int {
 	return s.tail.n
 }
 
-// Append adds a record after validating its width against the schema,
-// sealing a new segment when the tail reaches the threshold.
+// Append adds a record after validating it against the schema (see
+// checkRecord), sealing a new segment when the tail reaches the
+// threshold. A refused record leaves the store and its watermark
+// unchanged.
 func (s *Store) Append(r *Record) error {
-	if err := checkWidth(s.schema, r); err != nil {
+	if err := checkRecord(s.schema, r); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -244,7 +245,7 @@ func (s *Store) Ingest(l *Log) error {
 	return nil
 }
 
-// MustAppend is Append for construction code where a width mismatch is a
+// MustAppend is Append for construction code where a refused record is a
 // programming error.
 func (s *Store) MustAppend(r *Record) {
 	if err := s.Append(r); err != nil {

@@ -11,16 +11,16 @@ import (
 )
 
 // segTestSchema exercises every plane shape the snapshot assembler
-// stitches: nominal and numeric fields, alien cells in both directions,
-// missing cells, cells only the side table can give back, and a
-// NaN-first numeric field (whose range the merge must poison exactly
-// like the sequential scan).
+// stitches: nominal and numeric fields, missing cells, ±Inf, -0 and NaN
+// cells, and a NaN-first numeric field (whose range the merge must
+// poison exactly like the sequential scan). Every cell is canonical for
+// its field: no door admits any other.
 func segTestSchema() *Schema {
 	return NewSchema([]Field{
 		{Name: "site", Kind: Nominal},
 		{Name: "x", Kind: Numeric},
-		{Name: "mix", Kind: Numeric}, // receives alien string cells
-		{Name: "tag", Kind: Nominal}, // receives alien numeric cells
+		{Name: "mix", Kind: Numeric}, // receives ±Inf, -0 and missing cells
+		{Name: "tag", Kind: Nominal}, // receives missing and empty cells
 		{Name: "nf", Kind: Numeric},  // first cell is NaN
 	})
 }
@@ -42,12 +42,12 @@ func segTestRecords(n int) []*Record {
 			vals[1] = Num(float64(int64(next()%1000)) - 500)
 		}
 		if next()%4 == 0 {
-			vals[2] = Str("alien-" + sites[next()%2])
+			vals[2] = []Value{{}, Num(math.Inf(1)), Num(math.Copysign(0, -1)), Num(math.Inf(-1))}[next()%4]
 		} else {
 			vals[2] = Num(float64(next() % 50))
 		}
 		if next()%4 == 0 {
-			vals[3] = Num(float64(next() % 9))
+			vals[3] = []Value{{}, Str("")}[next()%2]
 		} else {
 			vals[3] = Str(sites[next()%2])
 		}
@@ -56,15 +56,15 @@ func segTestRecords(n int) []*Record {
 		} else {
 			vals[4] = Num(float64(next() % 100))
 		}
-		// Cells a plane alone would lose, and IDs that are not keys; none of
-		// it draws from rng, so the rest of the fixture is what it was.
+		// Awkward canonical cells, and IDs that are not keys; none of it
+		// draws from rng, so the rest of the fixture is what it was.
 		switch i % 13 {
 		case 6:
-			vals[1] = Value{Kind: Missing, Num: 7, Str: "ghost"}
+			vals[1] = Num(math.Inf(-1))
 		case 9:
-			vals[4] = Value{Kind: Numeric, Num: math.Copysign(0, -1), Str: "tagged"}
+			vals[4] = Num(math.Copysign(0, -1))
 		case 11:
-			vals[0] = Value{Kind: Nominal, Str: "east", Num: math.Float64frombits(0x7ff8000000000abc)}
+			vals[0] = Str("")
 		}
 		id := fmt.Sprintf("r-%03d", i)
 		switch {
@@ -134,8 +134,8 @@ func assertLogEquivalent(t *testing.T, got, want *Log) {
 	for f := 0; f < want.Schema.Len(); f++ {
 		name := want.Schema.Fields()[f].Name
 		g, w := gc.Col(f), wc.Col(f)
-		if g.Kind != w.Kind || g.HasAlien != w.HasAlien {
-			t.Errorf("%s: kind/alien = %v/%v, want %v/%v", name, g.Kind, g.HasAlien, w.Kind, w.HasAlien)
+		if g.Kind != w.Kind {
+			t.Errorf("%s: kind = %v, want %v", name, g.Kind, w.Kind)
 		}
 		if !sameFloats(g.Num, w.Num) {
 			t.Errorf("%s: Num planes differ", name)

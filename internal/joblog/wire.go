@@ -7,10 +7,11 @@ package joblog
 // an equivalent Log on the other side of the pipe.
 //
 // Decoding validates everything NewSchema and Append would panic on or
-// assume — duplicate and empty field names, unknown kinds, record width
-// mismatches, out-of-range value kinds — and returns errors instead, so
-// corrupt frames from a broken (or fuzzed) peer can never panic a
-// worker. Round-tripping a well-formed log is lossless.
+// refuse — duplicate and empty field names, unknown kinds, record width
+// mismatches, out-of-range value kinds, cells not canonical for their
+// field — and returns errors instead, so corrupt frames from a broken (or
+// fuzzed) peer can never panic a worker or be silently changed.
+// Round-tripping a well-formed log is lossless.
 
 import (
 	"crypto/sha256"
@@ -99,16 +100,19 @@ func (w WireLog) Log() (*Log, error) {
 		}
 		c.ids[i] = wr.ID
 		for j, wv := range wr.Values {
-			var v Value
+			v := Value{Num: wv.Num, Str: wv.Str}
 			switch wv.Kind {
 			case Missing.String():
 			case Numeric.String():
-				v = Num(wv.Num)
+				v.Kind = Numeric
 			case Nominal.String():
-				v = Str(wv.Str)
+				v.Kind = Nominal
 			default:
 				return nil, fmt.Errorf("joblog: wire record %q value %d has unknown kind %q",
 					wr.ID, j, wv.Kind)
+			}
+			if field := schema.Field(j); !canonical(field.Kind, v) {
+				return nil, nonCanonical(wr.ID, field, v)
 			}
 			c.setCell(i, j, v)
 		}

@@ -21,14 +21,13 @@ package pxql
 //     "(x→y)" form is ambiguous; membership in the set is exactly string
 //     equality on the rendered form.
 //
-// Raw fields carrying kind-mismatched cells (Col.HasAlien) fall back to
-// the boxed evaluator for exactness; the opcode is chosen at compile
-// time, so clean logs never pay for the check.
+// Every atom reads the raw planes alone: they hold every cell exactly
+// (see joblog/columns.go), so no atom needs a boxed fallback.
 //
-// The same goes for everything else a block loop would otherwise decide
-// per pair: the NumKernel / SymKernel of the atom, and for every issame
-// atom and every compare atom over a numeric raw, the family and the
-// constant themselves. Those atoms compile to caCode: a code set over the
+// Compilation also decides everything a block loop would otherwise
+// decide per pair: the NumKernel / SymKernel of the atom, and for every
+// issame atom and every compare atom over a numeric raw, the family and
+// the constant themselves. Those atoms compile to caCode: a code set over the
 // pair's present/SIM/LT bits, which features.CodeWord and SameWord build
 // 64 pairs at a time with the kernel the pair matrix is filled by, so the
 // walk and the matrix share one encoding. A Tile shares those bits
@@ -39,7 +38,6 @@ package pxql
 // log the two must agree on every ordered pair.
 
 import (
-	"math/bits"
 	"slices"
 
 	"perfxplain/internal/bitset"
@@ -54,29 +52,24 @@ const (
 	caNum                 // numeric-plane compare
 	caSym                 // diff / nominal base symbol equality / inequality
 	caCode                // issame, or compare over a numeric raw: code planes
-	caAlien               // boxed fallback for kind-mismatched fields
 )
 
 type compiledAtom struct {
-	kind       caKind
-	derivedIdx int
-	col        *joblog.Col       // raw column the feature derives from
-	family     features.PairKind // caSym: which derived family
-	op         Op                // caNum
-	num        float64           // caNum constant
-	numKern    NumKernel         // caNum block kernel
-	ne         bool              // caSym, caCode: operator is !=
-	syms       []uint64          // caSym: symbols rendering the constant
-	symKern    SymKernel         // caSym block kernel
-	codes      features.CodeSet  // caCode: codes rendering the constant
-	atom       Atom              // caAlien fallback
+	kind    caKind
+	col     *joblog.Col       // raw column the feature derives from
+	family  features.PairKind // caSym: which derived family
+	op      Op                // caNum
+	num     float64           // caNum constant
+	numKern NumKernel         // caNum block kernel
+	ne      bool              // caSym, caCode: operator is !=
+	syms    []uint64          // caSym: symbols rendering the constant
+	symKern SymKernel         // caSym block kernel
+	codes   features.CodeSet  // caCode: codes rendering the constant
 }
 
 // CompiledPredicate is a Predicate lowered against one deriver and one
 // columnar log view. It is immutable and safe for concurrent use.
 type CompiledPredicate struct {
-	d     *features.Deriver
-	cols  *joblog.Columns
 	atoms []compiledAtom
 }
 
@@ -84,7 +77,7 @@ type CompiledPredicate struct {
 // the log view's intern table. The result evaluates ordered record pairs
 // by index, byte-identically to EvalPair over the same records.
 func (p Predicate) Compile(d *features.Deriver, cols *joblog.Columns) *CompiledPredicate {
-	cp := &CompiledPredicate{d: d, cols: cols, atoms: make([]compiledAtom, 0, len(p))}
+	cp := &CompiledPredicate{atoms: make([]compiledAtom, 0, len(p))}
 	for _, a := range p {
 		cp.atoms = append(cp.atoms, compileAtom(a, d, cols))
 	}
@@ -98,16 +91,13 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 	}
 	rawIdx, family := d.RawOf(i)
 	col := cols.Col(rawIdx)
-	if col.HasAlien {
-		return compiledAtom{kind: caAlien, derivedIdx: i, atom: a}
-	}
 	if d.NumOffset(i) >= 0 {
 		// Numeric derived feature: only a numeric constant can match
 		// (Atom.Eval rejects mixed-kind comparisons outright).
 		if a.Value.Kind != joblog.Numeric {
 			return compiledAtom{kind: caFalse}
 		}
-		return compiledAtom{kind: caNum, derivedIdx: i, col: col, op: a.Op, num: a.Value.Num,
+		return compiledAtom{kind: caNum, col: col, op: a.Op, num: a.Value.Num,
 			numKern: NewNumKernel(a.Op, a.Value.Num)}
 	}
 	// Symbol plane: present derived values are nominal, so only nominal
@@ -126,13 +116,12 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 		return compiledAtom{kind: caFalse}
 	}
 	return compiledAtom{
-		kind:       caSym,
-		derivedIdx: i,
-		col:        col,
-		family:     family,
-		ne:         ne,
-		syms:       syms,
-		symKern:    NewSymKernel(syms, ne),
+		kind:    caSym,
+		col:     col,
+		family:  family,
+		ne:      ne,
+		syms:    syms,
+		symKern: NewSymKernel(syms, ne),
 	}
 }
 
@@ -279,17 +268,17 @@ func EvalSymSet(syms []uint64, s uint64, ne bool) bool {
 // columns. Exactly equivalent to Predicate.EvalPair on the boxed records.
 func (cp *CompiledPredicate) EvalPair(a, b int) bool {
 	for i := range cp.atoms {
-		if !cp.atoms[i].eval(cp.d, cp.cols, a, b) {
+		if !cp.atoms[i].eval(a, b) {
 			return false
 		}
 	}
 	return true
 }
 
-func (ca *compiledAtom) eval(d *features.Deriver, cols *joblog.Columns, a, b int) bool {
+func (ca *compiledAtom) eval(a, b int) bool {
 	switch ca.kind {
 	case caNum:
-		x := features.BaseNumFast(ca.col, a, b)
+		x := features.BaseNum(ca.col, a, b)
 		if x != x { // NaN: missing satisfies no operator
 			return false
 		}
@@ -299,7 +288,7 @@ func (ca *compiledAtom) eval(d *features.Deriver, cols *joblog.Columns, a, b int
 		if ca.family == features.Diff {
 			s = features.DiffSymOf(ca.col, a, b)
 		} else { // features.Base, nominal plane
-			s = features.BaseSymFast(ca.col, a, b)
+			s = features.BaseSym(ca.col, a, b)
 		}
 		if s == features.MissingSym {
 			return false
@@ -318,8 +307,6 @@ func (ca *compiledAtom) eval(d *features.Deriver, cols *joblog.Columns, a, b int
 			code = features.SymSIM
 		}
 		return ca.codes.Has(code) != ca.ne
-	case caAlien:
-		return ca.atom.Eval(d.ValueCol(cols, a, b, ca.derivedIdx))
 	default: // caFalse
 		return false
 	}
@@ -425,7 +412,7 @@ func (cp *CompiledPredicate) AndBlock(ai, bi []int, sel bitset.Set) {
 func (cp *CompiledPredicate) AndTile(t *Tile, sel bitset.Set) {
 	sel = sel[:bitset.Words(len(t.ai))]
 	for i := range cp.atoms {
-		cp.atoms[i].andTile(cp.d, cp.cols, t, sel)
+		cp.atoms[i].andTile(t, sel)
 	}
 }
 
@@ -433,7 +420,7 @@ func (cp *CompiledPredicate) AndTile(t *Tile, sel bitset.Set) {
 // pair block. Everything but the gather is decided at compile time;
 // selection words are built with branchless mask arithmetic and ANDed in
 // word-wise, preserving clear tail bits.
-func (ca *compiledAtom) andTile(d *features.Deriver, cols *joblog.Columns, t *Tile, acc bitset.Set) {
+func (ca *compiledAtom) andTile(t *Tile, acc bitset.Set) {
 	ai, bi := t.ai, t.bi
 	n := len(ai)
 	switch ca.kind {
@@ -448,7 +435,7 @@ func (ca *compiledAtom) andTile(d *features.Deriver, cols *joblog.Columns, t *Ti
 			end := min(base+64, n)
 			var selW uint64
 			for k := base; k < end; k++ {
-				selW |= kern.Bit(features.BaseNumFast(c, ai[k], bi[k])) << uint(k-base)
+				selW |= kern.Bit(features.BaseNum(c, ai[k], bi[k])) << uint(k-base)
 			}
 			acc[w] = m & selW
 		}
@@ -468,7 +455,7 @@ func (ca *compiledAtom) andTile(d *features.Deriver, cols *joblog.Columns, t *Ti
 				if diff {
 					s = features.DiffSymOf(c, ai[k], bi[k])
 				} else { // features.Base, nominal plane
-					s = features.BaseSymFast(c, ai[k], bi[k])
+					s = features.BaseSym(c, ai[k], bi[k])
 				}
 				selW |= kern.Bit(s) << uint(k-base)
 			}
@@ -476,22 +463,6 @@ func (ca *compiledAtom) andTile(d *features.Deriver, cols *joblog.Columns, t *Ti
 		}
 	case caCode:
 		ca.andTileCode(t, acc)
-	case caAlien:
-		// Exactness over speed: the boxed fallback evaluates per pair, but
-		// only for bits still live in the accumulator.
-		for w, base := 0, 0; base < n; w, base = w+1, base+64 {
-			m := acc[w]
-			if m == 0 {
-				continue
-			}
-			for live := m; live != 0; live &= live - 1 {
-				k := bits.TrailingZeros64(live)
-				if !ca.atom.Eval(d.ValueCol(cols, ai[base+k], bi[base+k], ca.derivedIdx)) {
-					m &^= 1 << uint(k)
-				}
-			}
-			acc[w] = m
-		}
 	default: // caFalse
 		acc.Zero()
 	}

@@ -35,16 +35,14 @@ func fuzzSchema() *joblog.Schema {
 }
 
 // fuzzLog deterministically builds a small log from a seed. Cells draw
-// from pools that include missing values, strings containing the diff
-// arrow and parentheses (to exercise ambiguous "(x→y)" constants), and
-// occasionally kind-mismatched ("alien") values, which the compiler must
-// route through the boxed fallback. The seed also picks, per column,
-// whether it is clean — no missing and no alien cell, the precondition of
-// the code kernels, which on a column drawn cell by cell holds only by
-// luck — and a quarter of the logs run past 12 rows, so their ordered
-// pairs fill more than two selection words.
+// from pools that include missing values, NaN, ±Inf and -0, and strings
+// containing the diff arrow and parentheses (to exercise ambiguous
+// "(x→y)" constants). The seed also picks, per column, whether it has no
+// missing cell — which on a column drawn cell by cell holds only by luck
+// — and a quarter of the logs run past 12 rows, so their ordered pairs
+// fill more than two selection words.
 func fuzzLog(seed uint64) *joblog.Log {
-	nums := []float64{0, 1, -1, 2.5, 100, 0.10, 110, math.Inf(1), math.NaN()}
+	nums := []float64{0, 1, -1, 2.5, 100, 0.10, 110, math.Inf(1), math.NaN(), math.Copysign(0, -1), math.Inf(-1)}
 	strs := []string{"x", "y", "", "T", "F", "LT", "(x→y)", "a→b", "x)", "(x"}
 	log := joblog.NewLog(fuzzSchema())
 	shape := stats.SplitMix64(seed)
@@ -52,7 +50,7 @@ func fuzzLog(seed uint64) *joblog.Log {
 	if shape>>8%4 == 0 {
 		n += 10
 	}
-	clean := shape >> 16 // bit f: column f is clean
+	clean := shape >> 16 // bit f: column f has no missing cell
 	ctr := seed
 	next := func() uint64 {
 		ctr++
@@ -62,26 +60,13 @@ func fuzzLog(seed uint64) *joblog.Log {
 		rec := &joblog.Record{ID: string(rune('a' + i)), Values: make([]joblog.Value, log.Schema.Len())}
 		for f := 0; f < log.Schema.Len(); f++ {
 			r := next()
-			draw := r % 10
-			if clean>>uint(f)&1 == 1 {
-				draw = 2 + r%8
-			}
-			switch draw {
-			case 0:
+			switch {
+			case r%10 == 0 && clean>>uint(f)&1 == 0:
 				rec.Values[f] = joblog.None()
-			case 1:
-				// Alien cell: a value whose kind disagrees with the schema.
-				if log.Schema.Field(f).Kind == joblog.Numeric {
-					rec.Values[f] = joblog.Str(strs[int(r>>8)%len(strs)])
-				} else {
-					rec.Values[f] = joblog.Num(nums[int(r>>8)%len(nums)])
-				}
+			case log.Schema.Field(f).Kind == joblog.Numeric:
+				rec.Values[f] = joblog.Num(nums[int(r>>8)%len(nums)])
 			default:
-				if log.Schema.Field(f).Kind == joblog.Numeric {
-					rec.Values[f] = joblog.Num(nums[int(r>>8)%len(nums)])
-				} else {
-					rec.Values[f] = joblog.Str(strs[int(r>>8)%len(strs)])
-				}
+				rec.Values[f] = joblog.Str(strs[int(r>>8)%len(strs)])
 			}
 		}
 		log.MustAppend(rec)
@@ -192,8 +177,7 @@ func FuzzCompiledPredicate(f *testing.F) {
 // TestCompiledMatchesInterpreted pins the tricky compile-time decisions
 // without relying on the fuzzer: unknown features, missing and
 // kind-mismatched constants, ordered operators on nominal features,
-// non-interned constants under != , ambiguous diff constants, and alien
-// cells.
+// non-interned constants under != , and ambiguous diff constants.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	preds := []Predicate{
 		{{Feature: "nosuch", Op: OpEq, Value: joblog.Str("T")}},
@@ -287,10 +271,10 @@ func checkTileAgainstBlocks(t *testing.T, tile *Tile, preds [3]Predicate, log *j
 // atoms meet on columns — compare against compare, issame against
 // compare on a numeric column, issame against issame on a nominal one —
 // and checks the corpus itself: for each of those columns the seeds must
-// produce clean logs and logs with missing cells (both on the code
-// kernel, shared plane included) and logs with alien cells (boxed
-// fallback), or one side goes untested. No issame or compare atom may
-// reach the generic symbol loop: the code planes are their one encoding.
+// produce logs without and with missing cells (both on the code kernel,
+// shared plane included), or one side goes untested. No issame or compare
+// atom may reach the generic symbol loop: the code planes are their one
+// encoding.
 func TestTileSharesCodePlanes(t *testing.T) {
 	atom := func(feature string, op Op, v string) Atom {
 		return Atom{Feature: feature, Op: op, Value: joblog.Str(v)}
@@ -344,10 +328,9 @@ func TestTileSharesCodePlanes(t *testing.T) {
 	for _, feature := range []string{"s1_issame", "n1_issame", "n1_compare", "duration_compare"} {
 		seen := legs[feature]
 		clean, dirty := seen[leg{caCode, false}], seen[leg{caCode, true}]
-		alien := seen[leg{caAlien, false}] + seen[leg{caAlien, true}]
-		if clean == 0 || dirty == 0 || alien == 0 {
-			t.Errorf("%s compiled to the code kernel %d times on clean columns and %d on columns with missing cells, the boxed fallback %d; every leg must be reached",
-				feature, clean, dirty, alien)
+		if clean == 0 || dirty == 0 {
+			t.Errorf("%s compiled to the code kernel %d times on columns without missing cells and %d on columns with them; both legs must be reached",
+				feature, clean, dirty)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func buildStats(log *joblog.Log, cols *joblog.Columns) []attrStats {
 			st.freqBySym = make([]float64, cols.Intern().Len())
 			n := 0.0
 			for r := 0; r < cols.Len(); r++ {
-				if !c.Miss.Get(r) && !c.Alien(r) {
+				if !c.Miss.Get(r) {
 					st.freqBySym[c.Sym[r]]++
 					n++
 				}
@@ -119,8 +119,7 @@ func buildStats(log *joblog.Log, cols *joblog.Columns) []attrStats {
 }
 
 // nominalFreq is the relative frequency of record r's value — the boxed
-// engine's st.freq[v.Str]. Alien cells (kind-mismatched values) interned
-// their rendered payload like every other cell, so the lookup matches.
+// engine's st.freq[v.Str].
 func (st *attrStats) nominalFreq(r int) float64 {
 	return st.freqBySym[st.col.Sym[r]]
 }

@@ -83,7 +83,8 @@ func TestSliceCacheBitEqualColumns(t *testing.T) {
 			for b := 0; b < n && b < 6; b++ {
 				for f := 0; f < dr.Schema().Len(); f++ {
 					if off := dr.NumOffset(f); off >= 0 {
-						v1, v2 := dr.DeriveNum(d1.Cols, a, b, f), dr.DeriveNum(d2.Cols, a, b, f)
+						raw, _ := dr.RawOf(f)
+						v1, v2 := features.BaseNum(d1.Cols.Col(raw), a, b), features.BaseNum(d2.Cols.Col(raw), a, b)
 						if v1 != v2 && !(v1 != v1 && v2 != v2) { // NaN-tolerant
 							t.Fatalf("round %d: num feature %d differs at (%d,%d)", round, f, a, b)
 						}

@@ -9,10 +9,11 @@ package shard_test
 //  2. No panics on corrupt input: arbitrary bytes, and valid frames with
 //     fuzzer-chosen corruption, go through the full worker loop without
 //     panicking — failures surface as transport errors or in-band task
-//     errors. Two shapes are pinned by name: frames from protocols v5
+//     errors. Three shapes are pinned by name: frames from protocols v5
 //     and v10 (whose specs still carried their records) are refused with
-//     the version-mismatch error, and a task with no slices fails with
-//     "core: spec has no slices".
+//     the version-mismatch error, a task with no slices fails with
+//     "core: spec has no slices", and a slice holding a cell of the wrong
+//     kind for its field is refused by the wire decoder.
 //
 // Run with: go test -fuzz FuzzShardCodec ./internal/shard
 
@@ -365,6 +366,29 @@ func TestWorkerRefusesRemovedSpecKinds(t *testing.T) {
 	}
 }
 
+// wrongKindFrame is a current enumeration task whose slice carries a
+// nominal wire value in the seed log's numeric field f0, content address
+// and all, as a peer that skipped the doors would send it.
+func wrongKindFrame(t testing.TB) []byte {
+	spec, slices := seedSpec()
+	w := slices[0].Log
+	w.Records = append([]joblog.WireRecord(nil), w.Records...)
+	w.Records[0].Values = append([]joblog.WireValue(nil), w.Records[0].Values...)
+	w.Records[0].Values[0] = joblog.WireValue{Kind: joblog.Nominal.String(), Str: "x"}
+	return gobBytes(t, &shard.Task{Version: shard.Version, Seq: 6, Slices: []core.LogSlice{core.NewLogSlice(w)}, Enum: &spec})
+}
+
+// TestWorkerRefusesWrongKindSlice: a slice whose cell disagrees with its
+// field's kind is refused in band, naming the record and field, and
+// nothing is enumerated.
+func TestWorkerRefusesWrongKindSlice(t *testing.T) {
+	results := workerResults(t, wrongKindFrame(t))
+	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
+		!strings.Contains(results[0].Err, `record "r0" field "f0" (numeric) holds a nominal value`) {
+		t.Fatalf("wrong-kind slice answered with %+v", results)
+	}
+}
+
 // TestSpecWithoutSlices pins the error for a spec that arrives with no
 // records at all — decoded directly, through the worker loop and through
 // a pool.
@@ -395,8 +419,9 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add([]byte("DESPITE pigscript_issame = T OBSERVED duration_compare = GT"))
 	// Well-formed frames for the mutator to start from: a current task,
 	// the same task with its slice list emptied, a v5-framed one, a
-	// v6-framed materialization task, a v8 task, a v10 task, and a
-	// current frame whose only payload is a field the protocol removed.
+	// v6-framed materialization task, a v8 task, a v10 task, a current
+	// frame whose only payload is a field the protocol removed, and a
+	// current task whose slice holds a wrong-kind cell.
 	spec, slices := seedSpec()
 	f.Add(gobBytes(f, &shard.Task{Version: shard.Version, Seq: 1, Slices: slices, Enum: &spec}))
 	f.Add(gobBytes(f, &shard.Task{Version: shard.Version, Seq: 2, Enum: &spec}))
@@ -405,6 +430,7 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add(staleFrame(f, 8))
 	f.Add(v10Frame(f))
 	f.Add(removedFieldFrame(f))
+	f.Add(wrongKindFrame(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
