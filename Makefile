@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/shard ./internal/core
+	$(GO) test -race ./internal/shard ./internal/core ./internal/joblog ./internal/serve
 
 vet:
 	$(GO) run ./cmd/pxqlvet ./...

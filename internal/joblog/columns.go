@@ -7,9 +7,16 @@ package joblog
 // lazily on first use and invalidated exactly like every memo — keyed on
 // the log's (generation, record count), so both growth and mutations
 // routed through the Log API rebuild it. For everything a binary keeps
-// resident — a store's segments and snapshots, a log read by
+// resident — a store's arena and snapshots, a log read by
 // ReadCSVPlanes, a worker's decoded slice — it is the log: those hold no
 // Record at all (see Log).
+//
+// A store's arena is a Columns that grows (grow, stitch, setRow), and
+// its snapshots are views of it (view): capacity-capped slices of the
+// arena's planes and IDs beside their own copies of the missing bits and
+// the intern table. So one set of planes serves the store and every
+// snapshot taken of it, and a plane is never written where a view can
+// read it.
 //
 // The columnar engine (pxql predicate compilation, the features pair
 // matrix, dtree split scoring) reads these planes instead of boxed
@@ -27,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"perfxplain/internal/bitset"
@@ -146,14 +154,14 @@ type Columns struct {
 	ids []string
 
 	// buildIndex, when set, replaces buildColIndex as the builder behind
-	// SortedIndex — the seam the segment store uses to assemble a
-	// snapshot's per-column index by merging per-segment sorted indexes
-	// instead of re-sorting the whole log (see Snapshot). The built
+	// SortedIndex — the seam the segment store uses to build a
+	// snapshot's per-column index by merging per-segment orders instead
+	// of re-sorting the whole log (see Snapshot). The built
 	// index is still memoized on the view like any other.
 	buildIndex func(f int) *ColIndex
 
 	// buildEqRows, when set, replaces the index-seek path behind
-	// EqualRowsBitmap — the segment store's seam for stitching a
+	// EqualRowsBitmap — the segment store's seam for blitting a
 	// snapshot's equality bitmap from per-segment memoized bitmaps plus
 	// a tail scan (see eqrows.go). Called only with resolved keys.
 	buildEqRows func(key eqRowsKey) Bitmap
@@ -170,6 +178,13 @@ type Columns struct {
 	segsMu sync.Mutex
 	segs   []SegmentView
 
+	memo
+}
+
+// memo caches values derived from immutable data, one per comparable
+// key: the aggregates of a Columns view, the per-segment arrays of a
+// store's sealed segment.
+type memo struct {
 	memoMu sync.Mutex
 	memos  map[any]any
 }
@@ -186,41 +201,58 @@ func newColumns(schema *Schema, n int, in *Intern) *Columns {
 }
 
 // grow extends the view to n rows; the new rows' cells read as numeric
-// zero or symbol zero until they are written. Only a view nothing else
-// can see yet — one under construction, a store's tail — may grow.
+// zero or symbol zero until they are written. Only rows nothing else can
+// see may be written — a view under construction, or a store's arena
+// past every snapshot's rows. A plane that outgrows its capacity moves to
+// an array twice as large, so rows appended one at a time are copied
+// O(1) times each; the old array lives on only in the views taken of it.
 func (c *Columns) grow(n int) {
-	add, addWords := n-c.n, bitset.Words(n)-bitset.Words(c.n)
-	c.n = n
-	c.ids = append(c.ids, make([]string, add)...)
+	c.ids = extend(c.ids, n)
 	for f := range c.cols {
 		col := &c.cols[f]
 		if col.Kind == Numeric {
-			col.Num = append(col.Num, make([]float64, add)...)
+			col.Num = extend(col.Num, n)
 		} else {
-			col.Sym = append(col.Sym, make([]uint32, add)...)
+			col.Sym = extend(col.Sym, n)
 		}
-		col.Miss = append(col.Miss, make(Bitmap, addWords)...)
+		col.Miss = extend(col.Miss, bitset.Words(n))
 	}
+	c.n = n
 }
 
-// clip drops the spare capacity growth left behind, for a view about to
-// be kept for good.
-func (c *Columns) clip() {
-	c.ids = clipped(c.ids)
-	for f := range c.cols {
-		col := &c.cols[f]
-		col.Num, col.Sym = clipped(col.Num), clipped(col.Sym)
-		col.Miss = clipped(col.Miss)
-	}
-}
-
-// clipped returns s, reallocated to its length when more than an eighth
-// of its backing array is unused.
-func clipped[S ~[]E, E any](s S) S {
-	if cap(s)-len(s) <= cap(s)/8 {
+// extend returns s lengthened to n elements, the new ones zero: in place
+// while n fits its capacity, else in a new array of twice the capacity
+// (exactly n for a slice that had none).
+func extend[S ~[]E, E any](s S, n int) S {
+	if n <= cap(s) {
+		old := len(s)
+		s = s[:n]
+		clear(s[old:])
 		return s
 	}
-	return append(make(S, 0, len(s)), s...)
+	grown := make(S, n, max(n, 2*cap(s)))
+	copy(grown, s)
+	return grown
+}
+
+// view returns c's first n rows as a view of their own. Planes and IDs
+// are capacity-capped slices of c's arrays: c may go on growing, in place
+// past row n or into new arrays, and never writes a cell the view reads.
+// The missing bits and the intern table are copied, since those are what
+// c still writes under the view — the unused bits of the last word, and
+// new symbols.
+func (c *Columns) view(n int) *Columns {
+	v := &Columns{n: n, intern: c.intern.clone(), cols: make([]Col, len(c.cols)), ids: c.ids[:n:n]}
+	for f := range c.cols {
+		col := &c.cols[f]
+		v.cols[f] = Col{Kind: col.Kind, Miss: slices.Clone(col.Miss[:bitset.Words(n)])}
+		if col.Kind == Numeric {
+			v.cols[f].Num = col.Num[:n:n]
+		} else {
+			v.cols[f].Sym = col.Sym[:n:n]
+		}
+	}
+	return v
 }
 
 // canonical reports whether a plane of the given kind reproduces v
@@ -266,20 +298,17 @@ func (c *Columns) setRow(row int, r *Record) {
 }
 
 // stitch copies rows [lo, hi) of src into c starting at row at — the one
-// routine behind snapshot assembly, bulk ingest, CSV block landing and a
-// worker's slice concatenation. remap translates src's symbol IDs into
-// c's (Intern.remapFrom); nil when both number symbols from one table.
+// routine behind a store's ingest, CSV block landing and a worker's
+// slice concatenation. remap translates src's symbol IDs into c's
+// (Intern.remapFrom).
 func (c *Columns) stitch(at int, src *Columns, lo, hi int, remap []uint32) {
 	m := hi - lo
 	copy(c.ids[at:at+m], src.ids[lo:hi])
 	for f := range c.cols {
 		dst, from := &c.cols[f], &src.cols[f]
-		switch {
-		case dst.Kind == Numeric:
+		if dst.Kind == Numeric {
 			copy(dst.Num[at:at+m], from.Num[lo:hi])
-		case remap == nil:
-			copy(dst.Sym[at:at+m], from.Sym[lo:hi])
-		default:
+		} else {
 			for i, id := range from.Sym[lo:hi] {
 				// A missing cell's symbol is a zero no table need hold.
 				if !from.Miss.Get(lo + i) {
@@ -366,27 +395,27 @@ func (c *Columns) Record(row int) *Record {
 // the view. build runs under the memo lock (concurrent callers see one
 // build, already-built values are returned without re-entry) and must
 // not call Memo itself.
-func (c *Columns) Memo(key any, build func() any) any {
-	c.memoMu.Lock()
-	defer c.memoMu.Unlock()
-	if v, ok := c.memos[key]; ok {
+func (m *memo) Memo(key any, build func() any) any {
+	m.memoMu.Lock()
+	defer m.memoMu.Unlock()
+	if v, ok := m.memos[key]; ok {
 		return v
 	}
-	if c.memos == nil {
-		c.memos = make(map[any]any)
+	if m.memos == nil {
+		m.memos = make(map[any]any)
 	}
 	v := build()
-	c.memos[key] = v
+	m.memos[key] = v
 	return v
 }
 
 // memoGet peeks the memo without building — for callers whose build
 // work must run outside the memo lock (e.g. equalPlaneRows, whose
 // builder re-enters Memo through SortedIndex).
-func (c *Columns) memoGet(key any) (any, bool) {
-	c.memoMu.Lock()
-	defer c.memoMu.Unlock()
-	v, ok := c.memos[key]
+func (m *memo) memoGet(key any) (any, bool) {
+	m.memoMu.Lock()
+	defer m.memoMu.Unlock()
+	v, ok := m.memos[key]
 	return v, ok
 }
 

@@ -4,11 +4,11 @@ package joblog
 // equals a constant, as a bitmap — the primitive behind despite-clause
 // prefilters (every despite atom is an equality over a base feature).
 // Bitmaps are memoized on the Columns view like every derived
-// aggregate, and views assembled by the segment store install a
-// buildEqRows hook that stitches per-segment bitmaps memoized on the
-// sealed segments themselves plus a tail scan — so an append
-// invalidates only the tail's contribution and sealed segments' atom
-// bitmaps survive watermark advances, byte-identical to a fresh build.
+// aggregate, and a store's snapshots install a buildEqRows hook that
+// blits per-segment bitmaps memoized on the sealed segments themselves
+// and scans the tail — so an append invalidates only the tail's
+// contribution and sealed segments' atom bitmaps survive watermark
+// advances, byte-identical to a fresh build.
 
 import "math"
 
@@ -43,7 +43,7 @@ func (c *Columns) EqualRowsBitmap(f int, v Value) Bitmap {
 }
 
 // equalPlaneRows builds and memoizes the bitmap for a resolved key.
-// The index seek (or the assembly hook's per-segment stitching) runs
+// The index seek (or a snapshot hook's per-segment blitting) runs
 // before Memo publishes the result, so the build never re-enters the
 // memo lock; racing builders at worst duplicate work and publish
 // identical bitmaps.
@@ -77,4 +77,25 @@ func eqRowsFromIndex(ix *ColIndex, col *Col, key eqRowsKey, n int) Bitmap {
 		out.SetBit(int(r))
 	}
 	return out
+}
+
+// setEqualRows sets bit i-off of out for every row i in [lo, hi) whose
+// plane value in col equals the resolved key: the scan behind a sealed
+// segment's memoized bitmap and a snapshot's tail.
+func setEqualRows(out Bitmap, col *Col, key eqRowsKey, lo, hi, off int) {
+	if col.Kind == Numeric {
+		x := math.Float64frombits(key.bits)
+		for i := lo; i < hi; i++ {
+			if !col.Miss.Get(i) && col.Num[i] == x {
+				out.SetBit(i - off)
+			}
+		}
+		return
+	}
+	id := uint32(key.bits)
+	for i := lo; i < hi; i++ {
+		if !col.Miss.Get(i) && col.Sym[i] == id {
+			out.SetBit(i - off)
+		}
+	}
 }

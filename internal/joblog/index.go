@@ -43,10 +43,9 @@ type colIndexKey int
 
 // SortedIndex returns the f'th column's sorted index, building it on
 // first use and caching it on the view (see Columns.Memo for the
-// invalidation contract). Views assembled by the segment store install a
-// buildIndex hook that merges per-segment sorted indexes instead of
-// re-sorting the whole log; the hook must produce exactly what
-// buildColIndex would.
+// invalidation contract). A store's snapshots install a buildIndex hook
+// that merges per-segment orders instead of re-sorting the whole log;
+// the hook must produce exactly what buildColIndex would.
 func (c *Columns) SortedIndex(f int) *ColIndex {
 	v := c.Memo(colIndexKey(f), func() any {
 		if c.buildIndex != nil {
@@ -59,40 +58,60 @@ func (c *Columns) SortedIndex(f int) *ColIndex {
 
 func buildColIndex(c *Columns, f int) *ColIndex {
 	col := c.Col(f)
-	ix := &ColIndex{Min: math.NaN(), Max: math.NaN(), col: col}
-	for i := 0; i < c.Len(); i++ {
+	return newColIndex(col, sortRows(col, 0, c.Len()))
+}
+
+// newColIndex is the index over col whose order is o, with its zone map.
+func newColIndex(col *Col, o rowOrder) *ColIndex {
+	ix := &ColIndex{Perm: o.perm, Min: math.NaN(), Max: math.NaN(), NPresent: o.nPresent, HasNaN: o.hasNaN, col: col}
+	if col.Kind == Numeric && len(ix.Perm) > 0 {
+		ix.Min = col.Num[ix.Perm[0]]
+		ix.Max = col.Num[ix.Perm[len(ix.Perm)-1]]
+	}
+	return ix
+}
+
+// rowOrder is a run of rows in index order: perm holds the present rows
+// ordered by (plane value, row) — NaN cells excluded, but counted in
+// nPresent and flagged by hasNaN. perm is nil when it holds no row.
+type rowOrder struct {
+	perm     []int32
+	nPresent int
+	hasNaN   bool
+}
+
+// planeLess is index order: it orders two rows of col by (plane value,
+// row).
+func planeLess(col *Col, a, b int32) bool {
+	if col.Kind == Numeric {
+		if va, vb := col.Num[a], col.Num[b]; va != vb {
+			return va < vb
+		}
+	} else {
+		if va, vb := col.Sym[a], col.Sym[b]; va != vb {
+			return va < vb
+		}
+	}
+	return a < b
+}
+
+// sortRows orders rows [lo, hi) of col; perm holds global row numbers.
+func sortRows(col *Col, lo, hi int) rowOrder {
+	var o rowOrder
+	for i := lo; i < hi; i++ {
 		if col.Miss.Get(i) {
 			continue
 		}
-		ix.NPresent++
+		o.nPresent++
 		if col.Kind == Numeric && math.IsNaN(col.Num[i]) {
-			ix.HasNaN = true
+			o.hasNaN = true
 			continue
 		}
-		ix.Perm = append(ix.Perm, int32(i))
+		o.perm = append(o.perm, int32(i))
 	}
-	if col.Kind == Numeric {
-		sort.Slice(ix.Perm, func(a, b int) bool {
-			va, vb := col.Num[ix.Perm[a]], col.Num[ix.Perm[b]]
-			if va != vb {
-				return va < vb
-			}
-			return ix.Perm[a] < ix.Perm[b]
-		})
-		if len(ix.Perm) > 0 {
-			ix.Min = col.Num[ix.Perm[0]]
-			ix.Max = col.Num[ix.Perm[len(ix.Perm)-1]]
-		}
-	} else {
-		sort.Slice(ix.Perm, func(a, b int) bool {
-			va, vb := col.Sym[ix.Perm[a]], col.Sym[ix.Perm[b]]
-			if va != vb {
-				return va < vb
-			}
-			return ix.Perm[a] < ix.Perm[b]
-		})
-	}
-	return ix
+	perm := o.perm
+	sort.Slice(perm, func(a, b int) bool { return planeLess(col, perm[a], perm[b]) })
+	return o
 }
 
 // SeekGE returns the first position in Perm whose numeric value is >= x.

@@ -1,56 +1,57 @@
 package joblog
 
-// The segment store: sealed immutable segments plus a small mutable
-// tail, so the log can grow while queries run against a consistent
-// snapshot.
+// The segment store: one growing arena of planes, cut into sealed
+// immutable segments and a small mutable tail, so the log can grow while
+// queries run against a consistent snapshot.
 //
-// Appends land in the tail, a set of growable planes; once the tail
-// reaches the seal threshold it becomes a segment that never changes
-// again. The store holds no Record: Append writes the record's cells
-// into the tail's planes and lets the record go, and a snapshot boxes a
-// row back only when asked (Log.Record). A sealed segment keeps
-// everything expensive forever, each part built when something first
-// reads it:
+// The store holds no Record. It keeps one append-only arena per column
+// — a numeric or symbol plane and its missing bits — plus the record
+// IDs and one append-only intern table (columns.go). Append writes a
+// record's cells into the arena's next row and lets the record go; a
+// plane that outgrows its capacity moves to an array twice as large
+// (Columns.grow). The first Ingest into an empty store adopts the log's
+// planes instead of copying them, so a CSV read by ReadCSVPlanes lands
+// in the arena as it was read.
 //
-//   - from the moment its rows were appended, its columnar planes and
-//     record IDs (columns.go), numbered by the store's shared append-only intern
-//     table so symbol IDs across segments are exactly the IDs a whole-log
-//     fresh build would assign (rows arrive in record order, so
-//     first-appearance order is preserved);
-//   - on first index use, its per-field sorted indexes (memoized on the
-//     segment's view);
+// A sealed segment is a row range of the arena that never changes
+// again. What it keeps for good is derived from its rows, each part
+// built from a snapshot's planes when something first reads it:
+//
+//   - on first index use, its per-field sorted order, which the store
+//     merges into a sorted prefix memoized across watermarks;
+//   - on first use of an equality prefilter, the constant's bitmap over
+//     the segment's rows;
 //   - the first time a snapshot's log is asked for its SegmentViews —
 //     that is, the first time a walk ships to shard workers — its wire
-//     form and content hash (HashSlice over the records). The shard layer
-//     ships segments
-//     as hashed LogSlices, so a worker that cached a sealed segment's
-//     decoded form never receives its bytes again, no matter how much
-//     the log grows. A store that only ever answers locally holds no
-//     wire form at all.
+//     form and content hash (HashSlice over the records). The shard
+//     layer ships segments as hashed LogSlices, so a worker that cached
+//     a sealed segment's decoded form never receives its bytes again, no
+//     matter how much the log grows. A store that only ever answers
+//     locally holds no wire form at all.
 //
-// So the store's resident memory is planes: one set per sealed segment
-// (8 bytes a numeric cell, 4 a nominal one, a bit for missing) and one
-// assembled set per live snapshot.
+// A segment holds no plane, so an array the arena has outgrown lives
+// only as long as the snapshots that view it.
 //
-// Snapshot() assembles the current watermark into a plane-backed *Log
-// whose planes are stitched from the segments' instead of rebuilt from
-// scratch: planes are memcpy'd at segment offsets, bitmaps are blitted,
-// and the column sorted index k-way merges the per-segment
-// permutations. Domain and NumericRange are the snapshot log's own
-// lazy, memoized scans, as on any log. The assembled log is
+// Snapshot() views the arena at the current watermark (Columns.view):
+// the snapshot's planes and IDs are capacity-capped slices of the
+// arena's, and only what the store may still write under them — the
+// missing bits and the intern table — is copied. Taking one costs
+// O(fields) plus those two copies, and the store and all its live
+// snapshots share one copy of the planes. A snapshot's sorted index
+// merges the segments' orders with its tail's, its equality bitmaps
+// blit the segments' and scan the tail, and Domain and NumericRange are
+// its own lazy, memoized scans, as on any log. The snapshot's log is
 // byte-identical to a fresh Log holding the same records — pinned by
 // TestStoreSnapshotEquivalence — so every consumer (the explainer, the
 // planners, the baselines) works on snapshots unchanged.
 //
 // Concurrency: every Store method is safe for concurrent use. Snapshots
-// are immutable once built (they own a private intern copy, so tail
-// growth never races a reader) and are memoized per generation, so
-// query-heavy callers pay assembly once per watermark.
+// are immutable — the store never writes a row one reads, and each owns
+// its missing bits and intern table — and are memoized per generation.
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -61,64 +62,84 @@ import (
 // stays cheap to ship.
 const DefaultSealThreshold = 2048
 
-// Store is a growable job log: sealed immutable segments plus a mutable
-// tail. It copies what it is given: a record handed to Append is read
-// once and not kept.
+// Store is a growable job log: an arena of planes cut into sealed
+// immutable segments and a mutable tail. It does not keep what it is
+// given: a record handed to Append is read once, and a log handed to
+// Ingest is copied, or, into an empty store, viewed (see Ingest).
 type Store struct {
 	mu     sync.Mutex
 	schema *Schema
 	sealN  int
-	// in is the shared append-only intern table: rows arrive in record
-	// order and intern their nominal cells as they land, so per-segment
-	// symbol planes concatenate to exactly what a whole-log build
-	// assigns. Snapshots copy it so readers never observe growth.
-	in     *Intern
+	// arena holds every row: one growing plane per column, the record
+	// IDs, and the append-only intern table. Rows arrive in record order
+	// and intern their nominal cells as they land, so symbol IDs are
+	// exactly the IDs a whole-log build assigns; snapshots copy the table
+	// so readers never observe growth.
+	arena *Columns
+	// sealed tiles the arena's rows from row 0; the rows after the last
+	// segment are the tail. It only ever grows.
 	sealed []*segment
-	// tail holds the rows not yet sealed, as planes that grow; sealing
-	// hands it to a segment as it is.
-	tail *Columns
 	// gen is the watermark: one tick per append (and per forced seal),
 	// mirrored into every snapshot taken at that point.
 	gen uint64
-
-	snap    *Snapshot
-	snapGen uint64
+	// snap memoizes the snapshot of the current watermark; advance drops
+	// it, so the store never keeps arrays the arena has outgrown alive.
+	snap *Snapshot
 
 	// ixMemo memoizes, per field, the merged sorted permutation of the
 	// sealed-segment prefix (see sealedPermFor). Sealing is append-only,
 	// so a later watermark's prefix extends an earlier one: the k-way
-	// merge that used to rerun for every snapshot now resumes from the
-	// memo and only folds in newly-sealed segments. Guarded by ixMu, not
-	// mu — the merge runs lazily on first SortedIndex use, long after the
-	// snapshot was assembled and the store lock released.
+	// merge resumes from the memo and only folds in newly-sealed
+	// segments. Guarded by ixMu, not mu — the merge runs lazily on first
+	// SortedIndex use, long after the snapshot was taken and the store
+	// lock released.
 	ixMu   sync.Mutex
 	ixMemo map[int]*sealedPerm
 }
 
 // sealedPerm is the memoized merge of the first nSegs sealed segments'
-// sorted permutations for one field: global rows ordered by (plane
-// value, row), with the prefix's presence summary. perm is never
-// mutated after publication — extensions allocate a new slice — so a
-// ColIndex may alias it across snapshots.
+// orders for one field: global rows ordered by (plane value, row), with
+// the prefix's presence summary. perm is never mutated after
+// publication — extensions allocate a new slice — so a ColIndex may
+// alias it across snapshots.
 type sealedPerm struct {
-	nSegs    int
-	perm     []int32
-	nPresent int
-	hasNaN   bool
+	nSegs int
+	rowOrder
 }
 
-// segment is one sealed, immutable run of records.
+// segment is one sealed, immutable run of the arena's rows. It holds no
+// plane: its memo keeps arrays derived from its rows — field f's
+// rowOrder under colIndexKey(f), a constant's bitmap over its rows under
+// the constant's eqRowsKey — built from the planes of whichever snapshot
+// first asks, since a sealed row reads the same in every snapshot.
 type segment struct {
-	start int // global index of the segment's first row
-	// cols is the segment: planes and IDs indexed by local row; its
-	// intern pointer is the store's shared table. SortedIndex memos
-	// accumulate on it and stay warm for the segment's lifetime.
-	cols *Columns
+	start, n int // global index of the segment's first row, and its rows
+	memo
 	// view is the segment's shippable form — wire records and their
 	// content hash — built by shipView the first time any snapshot's
 	// SegmentViews asks for it, then shared by every snapshot.
 	viewOnce sync.Once
 	view     SegmentView
+}
+
+// order returns field f's order over the segment's rows of col, a
+// snapshot's column.
+func (seg *segment) order(col *Col, f int) rowOrder {
+	return seg.Memo(colIndexKey(f), func() any { return sortRows(col, seg.start, seg.start+seg.n) }).(rowOrder)
+}
+
+// equalRows returns the bitmap, by segment-local row, of the segment's
+// rows whose plane value in col, a snapshot's column, equals the
+// resolved key. Symbol IDs mean the same in every snapshot, because the
+// store's intern table only grows and every snapshot copies it: a
+// constant first seen after the segment sealed has an ID no row of the
+// segment holds, and matches nothing.
+func (seg *segment) equalRows(col *Col, key eqRowsKey) Bitmap {
+	return seg.Memo(key, func() any {
+		bm := NewBitmap(seg.n)
+		setEqualRows(bm, col, key, seg.start, seg.start+seg.n, seg.start)
+		return bm
+	}).(Bitmap)
 }
 
 // NewStore returns an empty store over the schema. sealThreshold is the
@@ -128,8 +149,7 @@ func NewStore(schema *Schema, sealThreshold int) *Store {
 	if sealThreshold <= 0 {
 		sealThreshold = DefaultSealThreshold
 	}
-	in := newIntern()
-	return &Store{schema: schema, sealN: sealThreshold, in: in, tail: newColumns(schema, 0, in)}
+	return &Store{schema: schema, sealN: sealThreshold, arena: newColumns(schema, 0, newIntern())}
 }
 
 // Schema returns the store's schema.
@@ -139,15 +159,13 @@ func (s *Store) Schema() *Schema { return s.schema }
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lenLocked()
+	return s.arena.n
 }
-
-func (s *Store) lenLocked() int { return s.tailStartLocked() + s.tail.n }
 
 // tailStartLocked is the global index of the tail's first row.
 func (s *Store) tailStartLocked() int {
 	if k := len(s.sealed); k > 0 {
-		return s.sealed[k-1].start + s.sealed[k-1].cols.n
+		return s.sealed[k-1].start + s.sealed[k-1].n
 	}
 	return 0
 }
@@ -171,7 +189,7 @@ func (s *Store) SealedSegments() int {
 func (s *Store) TailLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tail.n
+	return s.arena.n - s.tailStartLocked()
 }
 
 // Append adds a record after validating it against the schema (see
@@ -184,13 +202,11 @@ func (s *Store) Append(r *Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	row := s.tail.n
-	s.tail.grow(row + 1)
-	s.tail.setRow(row, r)
-	s.gen++
-	if s.tail.n >= s.sealN {
-		s.sealLocked()
-	}
+	row := s.arena.n
+	s.arena.grow(row + 1)
+	s.arena.setRow(row, r)
+	s.advanceLocked(1)
+	s.sealFullLocked()
 	return nil
 }
 
@@ -220,9 +236,12 @@ func (s *Store) checkSchema(got *Schema) error {
 // sees none of it or all of it, and two concurrent batches never
 // interleave. Otherwise it is Append once per record — segments seal at
 // the same rows and the watermark ticks once per record — without a
-// Record being built: rows move plane to plane. A log whose schema is
-// not the store's (names and kinds, in order) is refused with a
-// *SchemaError and nothing is appended.
+// Record being built: rows move plane to plane. Into an empty store
+// they do not move at all: the arena becomes a view of l's planes
+// (Columns.view), capacity-capped and with its own missing bits and
+// intern table, so the store never writes memory l reads. A log whose
+// schema is not the store's (names and kinds, in order) is refused with
+// a *SchemaError and nothing is appended.
 func (s *Store) Ingest(l *Log) error {
 	if err := s.checkSchema(l.Schema); err != nil {
 		return err
@@ -230,18 +249,15 @@ func (s *Store) Ingest(l *Log) error {
 	src := l.Columns()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	remap := s.in.remapFrom(src.intern)
-	for lo := 0; lo < src.n; {
-		at := s.tail.n
-		hi := min(src.n, lo+s.sealN-at)
-		s.tail.grow(at + hi - lo)
-		s.tail.stitch(at, src, lo, hi, remap)
-		s.gen += uint64(hi - lo)
-		lo = hi
-		if s.tail.n >= s.sealN {
-			s.sealLocked()
-		}
+	if at := s.arena.n; at == 0 {
+		s.arena = src.view(src.n)
+	} else {
+		remap := s.arena.intern.remapFrom(src.intern)
+		s.arena.grow(at + src.n)
+		s.arena.stitch(at, src, 0, src.n, remap)
 	}
+	s.advanceLocked(src.n)
+	s.sealFullLocked()
 	return nil
 }
 
@@ -259,26 +275,34 @@ func (s *Store) MustAppend(r *Record) {
 func (s *Store) Seal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.tail.n == 0 {
-		return
+	if at := s.tailStartLocked(); s.arena.n > at {
+		s.sealed = append(s.sealed, &segment{start: at, n: s.arena.n - at})
+		s.advanceLocked(1)
 	}
-	s.sealLocked()
-	s.gen++
 }
 
-func (s *Store) sealLocked() {
-	s.tail.clip()
-	s.sealed = append(s.sealed, &segment{start: s.tailStartLocked(), cols: s.tail})
-	s.tail = newColumns(s.schema, 0, s.in)
+// advanceLocked ticks the watermark by k.
+func (s *Store) advanceLocked(k int) {
+	if k > 0 {
+		s.gen += uint64(k)
+		s.snap = nil
+	}
+}
+
+// sealFullLocked seals the tail a threshold's worth of rows at a time
+// while it holds that many.
+func (s *Store) sealFullLocked() {
+	for at := s.tailStartLocked(); s.arena.n-at >= s.sealN; at += s.sealN {
+		s.sealed = append(s.sealed, &segment{start: at, n: s.sealN})
+	}
 }
 
 // shipView returns the sealed segment's shippable view, building the
 // wire form and hashing it on first use. The rows are read through l, a
-// snapshot log holding the segment: its intern table is private, where
-// the segment's own is the store's and still growing.
+// snapshot log holding the segment.
 func (seg *segment) shipView(l *Log) SegmentView {
 	seg.viewOnce.Do(func() {
-		seg.view = newSegmentView(seg.start, l.wire(seg.start, seg.start+seg.cols.n), true)
+		seg.view = newSegmentView(seg.start, l.wire(seg.start, seg.start+seg.n), true)
 	})
 	return seg.view
 }
@@ -354,9 +378,10 @@ type Snapshot struct {
 	tailStart int
 }
 
-// Log returns the snapshot's assembled, plane-backed log. Its planes
-// and sorted indexes come from the per-segment precomputations; it
-// reads exactly like a fresh Log over the same records.
+// Log returns the snapshot's plane-backed log: a view of the store's
+// arena whose sorted indexes and equality bitmaps come from the
+// per-segment precomputations. It reads exactly like a fresh Log over
+// the same records.
 func (sn *Snapshot) Log() *Log { return sn.log }
 
 // segments builds the snapshot's shippable views — its log's
@@ -382,100 +407,55 @@ func (sn *Snapshot) Gen() uint64 { return sn.gen }
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.snap != nil && s.snapGen == s.gen {
-		return s.snap
+	if s.snap == nil {
+		s.snap = s.buildSnapshotLocked()
 	}
-	s.snap = s.buildSnapshotLocked()
-	s.snapGen = s.gen
 	return s.snap
 }
 
 func (s *Store) buildSnapshotLocked() *Snapshot {
-	// An immutable copy of the segment list: the snapshot's lazy hooks
-	// run long after the store lock is released, and sealed segments
-	// never change.
-	segs := append([]*segment(nil), s.sealed...)
-	tailStart := s.tailStartLocked()
-	c := s.assembleColumnsLocked(segs, tailStart)
+	n, tailStart := s.arena.n, s.tailStartLocked()
+	// The sealed list only grows, so a capacity-capped slice of it is
+	// immutable for the snapshot's lazy hooks, which run long after the
+	// store lock is released.
+	segs := slices.Clip(s.sealed)
+	c := s.arena.view(n)
+	// The sorted-index hook merges per-segment orders instead of
+	// re-sorting the whole plane.
+	c.buildIndex = func(f int) *ColIndex { return s.mergedIndex(c, segs, tailStart, f) }
+	// The equality-bitmap hook blits per-segment bitmaps — memoized on
+	// the sealed segments, so they survive appends — and scans only the
+	// tail.
+	c.buildEqRows = func(key eqRowsKey) Bitmap {
+		col := c.Col(key.f)
+		out := NewBitmap(n)
+		for _, seg := range segs {
+			out.BlitFrom(seg.equalRows(col, key), 0, seg.start, seg.n)
+		}
+		setEqualRows(out, col, key, tailStart, n, 0)
+		return out
+	}
 	sn := &Snapshot{log: &Log{Schema: s.schema, rows: c}, gen: s.gen, sealed: segs, tailStart: tailStart}
 	c.buildSegments = sn.segments
 	return sn
 }
 
-// assembleColumnsLocked stitches the snapshot's planes: sealed planes
-// are memcpy'd at their segment offsets, sealed bitmaps are blitted, and
-// the tail's rows follow the same way. The view owns a private copy of
-// the shared intern table — exactly the IDs a fresh whole-log build
-// assigns, and isolated from future intern growth.
-func (s *Store) assembleColumnsLocked(segs []*segment, tailStart int) *Columns {
-	n := tailStart + s.tail.n
-	c := newColumns(s.schema, n, s.in.clone())
-	for _, seg := range segs {
-		c.stitch(seg.start, seg.cols, 0, seg.cols.n, nil)
+// mergePerms merges two (value, row)-sorted global-row permutations.
+// A merge of two non-empty inputs is freshly allocated; otherwise the
+// other input is returned as it is. Neither input is ever mutated, so
+// memoized inputs may be passed and the result aliased.
+func mergePerms(col *Col, a, b []int32) []int32 {
+	if len(b) == 0 {
+		return a
 	}
-	c.stitch(tailStart, s.tail, 0, s.tail.n, nil)
-	// The sorted-index hook merges per-segment permutations instead of
-	// re-sorting the whole plane.
-	c.buildIndex = func(f int) *ColIndex { return s.mergedIndex(c, segs, tailStart, f) }
-	// The equality-bitmap hook blits per-segment bitmaps — memoized on
-	// the sealed segments, so they survive appends — and scans only the
-	// tail. Symbol IDs are valid across views because the shared intern
-	// is append-only and every view copies it: a constant first seen in a
-	// later tail gets an ID beyond every sealed plane's range and simply
-	// matches nothing there.
-	c.buildEqRows = func(key eqRowsKey) Bitmap {
-		out := NewBitmap(n)
-		for _, seg := range segs {
-			out.BlitFrom(seg.cols.equalPlaneRows(key), 0, seg.start, seg.cols.n)
-		}
-		col := c.Col(key.f)
-		if col.Kind == Numeric {
-			x := math.Float64frombits(key.bits)
-			for i := tailStart; i < n; i++ {
-				if !col.Miss.Get(i) && col.Num[i] == x {
-					out.SetBit(i)
-				}
-			}
-		} else {
-			id := uint32(key.bits)
-			for i := tailStart; i < n; i++ {
-				if !col.Miss.Get(i) && col.Sym[i] == id {
-					out.SetBit(i)
-				}
-			}
-		}
-		return out
-	}
-	return c
-}
-
-// planeLess orders two global rows of a view by (plane value, row) —
-// exactly buildColIndex's sort order.
-func planeLess(col *Col, a, b int32) bool {
-	if col.Kind == Numeric {
-		if va, vb := col.Num[a], col.Num[b]; va != vb {
-			return va < vb
-		}
-	} else {
-		if va, vb := col.Sym[a], col.Sym[b]; va != vb {
-			return va < vb
-		}
-	}
-	return a < b
-}
-
-// mergePerms merges two (value, row)-sorted global-row permutations,
-// adding bOff to b's entries. The result is freshly allocated (nil when
-// both inputs are empty) so memoized inputs are never mutated.
-func mergePerms(col *Col, a, b []int32, bOff int32) []int32 {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
+	if len(a) == 0 {
+		return b
 	}
 	out := make([]int32, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if rb := b[j] + bOff; planeLess(col, rb, a[i]) {
-			out = append(out, rb)
+		if planeLess(col, b[j], a[i]) {
+			out = append(out, b[j])
 			j++
 		} else {
 			out = append(out, a[i])
@@ -483,42 +463,36 @@ func mergePerms(col *Col, a, b []int32, bOff int32) []int32 {
 		}
 	}
 	out = append(out, a[i:]...)
-	for ; j < len(b); j++ {
-		out = append(out, b[j]+bOff)
-	}
-	return out
+	return append(out, b[j:]...)
 }
 
-// sealedPermFor returns the merged sorted permutation of the snapshot's
-// sealed prefix, memoized on the store across watermarks: because
-// sealing is append-only, a later snapshot's prefix extends an earlier
-// one, so the merge resumes from the memo and folds in only the
-// newly-sealed segments instead of re-running the k-way merge from
-// scratch. Sealed rows are bit-identical in every assembled view, so a
-// permutation built against one snapshot's planes is valid for all
-// later ones. An old snapshot whose lazy hook fires after the memo has
+// sealedPermFor returns the merged order of the snapshot's sealed
+// prefix for col, field f of the snapshot, memoized on the store across
+// watermarks: because sealing is append-only, a later snapshot's prefix
+// extends an earlier one, so the merge resumes from the memo and folds
+// in only the newly-sealed segments instead of re-running the k-way
+// merge from scratch. Sealed rows read the same in every snapshot, so a
+// permutation built against one snapshot's planes is valid for all later
+// ones. An old snapshot whose lazy hook fires after the memo has
 // advanced past its own prefix rebuilds locally and leaves the memo
 // alone. The merge itself runs outside ixMu so concurrent fields (or
 // racing snapshots, which at worst duplicate work) never serialize on
-// the per-segment index builds.
-func (s *Store) sealedPermFor(c *Columns, segs []*segment, f int) sealedPerm {
-	col := c.Col(f)
+// the per-segment sorts.
+func (s *Store) sealedPermFor(col *Col, segs []*segment, f int) sealedPerm {
 	s.ixMu.Lock()
 	var cur sealedPerm
-	if memo := s.ixMemo[f]; memo != nil && memo.nSegs <= len(segs) {
-		cur = *memo
+	if m := s.ixMemo[f]; m != nil && m.nSegs <= len(segs) {
+		cur = *m
 	}
 	s.ixMu.Unlock()
 	if cur.nSegs == len(segs) {
 		return cur
 	}
 	for _, seg := range segs[cur.nSegs:] {
-		// The segment's own sorted index is memoized on the sealed segment
-		// and survives for the segment's lifetime.
-		six := seg.cols.SortedIndex(f)
-		cur.nPresent += six.NPresent
-		cur.hasNaN = cur.hasNaN || six.HasNaN
-		cur.perm = mergePerms(col, cur.perm, six.Perm, int32(seg.start))
+		o := seg.order(col, f)
+		cur.nPresent += o.nPresent
+		cur.hasNaN = cur.hasNaN || o.hasNaN
+		cur.perm = mergePerms(col, cur.perm, o.perm)
 		cur.nSegs++
 	}
 	s.ixMu.Lock()
@@ -533,44 +507,18 @@ func (s *Store) sealedPermFor(c *Columns, segs []*segment, f int) sealedPerm {
 	return cur
 }
 
-// mergedIndex builds field f's ColIndex for an assembled view by
-// two-way merging the store-memoized sealed-prefix permutation (see
-// sealedPermFor) with a freshly-sorted tail part. The result is
-// element-for-element what buildColIndex produces on the whole view,
-// because both order by (plane value, global row).
+// mergedIndex builds field f's ColIndex for a snapshot by merging the
+// store-memoized sealed-prefix order (see sealedPermFor) with a freshly
+// sorted tail. The result is element-for-element what buildColIndex
+// produces on the whole view, because both order by (plane value,
+// global row).
 func (s *Store) mergedIndex(c *Columns, segs []*segment, tailStart, f int) *ColIndex {
 	col := c.Col(f)
-	ix := &ColIndex{Min: math.NaN(), Max: math.NaN(), col: col}
-	sp := s.sealedPermFor(c, segs, f)
-	ix.NPresent = sp.nPresent
-	ix.HasNaN = sp.hasNaN
-	var tailPerm []int32
-	for i := tailStart; i < c.Len(); i++ {
-		if col.Miss.Get(i) {
-			continue
-		}
-		ix.NPresent++
-		if col.Kind == Numeric && math.IsNaN(col.Num[i]) {
-			ix.HasNaN = true
-			continue
-		}
-		tailPerm = append(tailPerm, int32(i))
-	}
-	sort.Slice(tailPerm, func(a, b int) bool { return planeLess(col, tailPerm[a], tailPerm[b]) })
-	switch {
-	case len(tailPerm) == 0:
-		// Alias the memoized prefix (read-only by contract); nil when the
-		// column has no indexable rows, exactly as buildColIndex's
-		// append-never-called path leaves it.
-		ix.Perm = sp.perm
-	case len(sp.perm) == 0:
-		ix.Perm = tailPerm
-	default:
-		ix.Perm = mergePerms(col, sp.perm, tailPerm, 0)
-	}
-	if col.Kind == Numeric && len(ix.Perm) > 0 {
-		ix.Min = col.Num[ix.Perm[0]]
-		ix.Max = col.Num[ix.Perm[len(ix.Perm)-1]]
-	}
-	return ix
+	sp := s.sealedPermFor(col, segs, f)
+	tail := sortRows(col, tailStart, c.Len())
+	return newColIndex(col, rowOrder{
+		perm:     mergePerms(col, sp.perm, tail.perm),
+		nPresent: sp.nPresent + tail.nPresent,
+		hasNaN:   sp.hasNaN || tail.hasNaN,
+	})
 }

@@ -173,9 +173,10 @@ func assertLogEquivalent(t *testing.T, got, want *Log) {
 }
 
 // TestStoreSnapshotEquivalence pins the segmented store's contract: a
-// snapshot's log — its stitched planes, merged indexes and merged
-// statistics — is indistinguishable from a fresh Log over the same
-// records, at every seal threshold and tail length.
+// snapshot's log — its view of the arena's planes, merged indexes and
+// merged statistics — is indistinguishable from a fresh Log over the
+// same records, at every seal threshold and tail length, and when the
+// store's arena began as a log it adopted.
 func TestStoreSnapshotEquivalence(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 20, 47} {
 		for _, sealEvery := range []int{1, 3, 7, 64} {
@@ -213,6 +214,48 @@ func TestStoreSnapshotEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// Two empty stores adopt one plane-backed log, then each appends rows
+	// of its own: rows with missing cells in the log's last word of
+	// missing bits, and symbols the log never held. Neither store may
+	// write what the log or the other store reads.
+	t.Run("adopt", func(t *testing.T) {
+		schema := segTestSchema()
+		recs := segTestRecords(47 + 2*30)
+		fresh := func(rs ...[]*Record) *Log {
+			l := NewLog(schema)
+			for _, part := range rs {
+				for _, r := range part {
+					l.MustAppend(r)
+				}
+			}
+			return l
+		}
+		shared, err := Concat([]*Log{fresh(recs[:47])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mine := []*Record{{ID: "a-new", Values: []Value{Str("only-a"), {}, {}, {}, {}}}}
+		theirs := []*Record{{ID: "b-new", Values: []Value{Str("only-b"), Num(1), {}, Str("b-tag"), {}}}}
+		tails := [][]*Record{append(mine, recs[47:77]...), append(theirs, recs[77:]...)}
+		stores := []*Store{NewStore(schema, 16), NewStore(schema, 7)}
+		for i, st := range stores {
+			if err := st.Ingest(shared); err != nil {
+				t.Fatal(err)
+			}
+			for j, r := range tails[i] {
+				if j%2 == 0 {
+					st.MustAppend(r)
+				} else if err := st.Ingest(fresh([]*Record{r})); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		assertLogEquivalent(t, shared, fresh(recs[:47]))
+		for i, st := range stores {
+			assertLogEquivalent(t, st.Snapshot().Log(), fresh(recs[:47], tails[i]))
+		}
+	})
 }
 
 // TestSnapshotStableAcrossAppends pins watermark semantics: a snapshot
@@ -327,6 +370,108 @@ func TestStoreConcurrentAppendWhileQuery(t *testing.T) {
 		want.MustAppend(r)
 	}
 	assertLogEquivalent(t, snap.Log(), want)
+}
+
+// TestSnapshotSurvivesArenaGrowth: a snapshot views the store's arena,
+// so it must read the same while the store appends past it — by Append
+// and by Ingest, in place and into new arrays — and while readers read
+// it. The snapshot ends mid-word of the missing bits, so rows appended
+// after it write the word its last rows read from, and they intern
+// symbols the snapshot has not seen. Under -race this is
+// the check that the store never writes memory a snapshot reads.
+func TestSnapshotSurvivesArenaGrowth(t *testing.T) {
+	schema := segTestSchema()
+	const at = 45
+	recs := segTestRecords(at + 400)
+	for i, r := range recs[at:] {
+		r.Values[3] = Str(fmt.Sprintf("tag-%d", i)) // symbols the snapshot's table lacks
+	}
+	st := NewStore(schema, 16)
+	for _, r := range recs[:at] {
+		st.MustAppend(r)
+	}
+	snap := st.Snapshot().Log()
+	want := NewLog(schema)
+	for _, r := range recs[:at] {
+		want.MustAppend(r)
+	}
+	wc := want.Columns()
+
+	stop := make(chan struct{})
+	var wg, started sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			for pass := 0; ; pass++ {
+				if pass > 0 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+				c := snap.Columns()
+				for i := 0; i < at; i++ {
+					if c.ID(i) != wc.ID(i) || !sameRecord(snap.Record(i), want.Record(i)) {
+						t.Errorf("row %d reads %#v, want %#v", i, snap.Record(i), want.Record(i))
+						return
+					}
+					for f := 0; f < schema.Len(); f++ {
+						g, w := c.Col(f), wc.Col(f)
+						if g.Miss.Get(i) != w.Miss.Get(i) ||
+							(g.Num != nil && math.Float64bits(g.Num[i]) != math.Float64bits(w.Num[i])) ||
+							(g.Sym != nil && g.Sym[i] != w.Sym[i]) {
+							t.Errorf("row %d field %d changed under the snapshot", i, f)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+
+	// Append and Ingest by turns until the arena has moved to new arrays
+	// twice.
+	arrays := func() (*string, *float64) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return &st.arena.ids[0], &st.arena.cols[1].Num[0]
+	}
+	ids, num := arrays()
+	moves, next := 0, at
+	started.Wait()
+	for moves < 2 {
+		if next+3 > len(recs) {
+			t.Fatalf("the arena moved %d times in %d rows", moves, len(recs))
+		}
+		st.MustAppend(recs[next])
+		batch := NewLog(schema)
+		for _, r := range recs[next+1 : next+3] {
+			batch.MustAppend(r)
+		}
+		if err := st.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		next += 3
+		if i, n := arrays(); i != ids || n != num {
+			if i == ids || n == num {
+				t.Fatal("the arena moved some planes and not others")
+			}
+			ids, num = i, n
+			moves++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	assertLogEquivalent(t, snap, want)
+	all := NewLog(schema)
+	for _, r := range recs[:next] {
+		all.MustAppend(r)
+	}
+	assertLogEquivalent(t, st.Snapshot().Log(), all)
 }
 
 // TestLogSegmentViews pins a flat log's own decomposition: the views a

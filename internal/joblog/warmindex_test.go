@@ -164,7 +164,7 @@ func TestEqualRowsBitmapSurvivesAppends(t *testing.T) {
 	st.mu.Lock()
 	segBitmaps := make([]any, len(st.sealed))
 	for i, seg := range st.sealed {
-		v, ok := seg.cols.memoGet(key)
+		v, ok := seg.memoGet(key)
 		if !ok {
 			t.Fatalf("segment %d has no memoized bitmap after snapshot query", i)
 		}
@@ -183,7 +183,7 @@ func TestEqualRowsBitmapSurvivesAppends(t *testing.T) {
 	// The old segments' bitmaps were reused, not rebuilt: same objects.
 	st.mu.Lock()
 	for i := 0; i < nSealed1; i++ {
-		v, ok := st.sealed[i].cols.memoGet(key)
+		v, ok := st.sealed[i].memoGet(key)
 		if !ok || !reflect.DeepEqual(v, segBitmaps[i]) {
 			t.Errorf("segment %d bitmap rebuilt across appends", i)
 		}

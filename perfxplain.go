@@ -202,14 +202,15 @@ func CollectStream(opt SweepOptions) (jobs, tasks *Store, err error) {
 	return &Store{res.Jobs}, &Store{res.Tasks}, nil
 }
 
-// Store is a growable execution log: sealed immutable segments plus a
-// small mutable tail. Appends never invalidate what is already sealed —
-// a sealed segment keeps its content hash, columnar planes, sorted
-// indexes and statistics forever, so explainers over successive
-// snapshots re-ship only the tail to shard workers while the sealed
-// segments stay cached worker-side. Every method is safe for concurrent
-// use; queries run against Snapshot(), a consistent watermark that
-// later appends never mutate.
+// Store is a growable execution log: one set of columnar planes cut
+// into sealed immutable segments plus a small mutable tail. Appends
+// never invalidate what is already sealed — a sealed segment keeps its
+// content hash, sorted order and equality bitmaps forever, so
+// explainers over successive snapshots re-ship only the tail to shard
+// workers while the sealed segments stay cached worker-side. Every
+// method is safe for concurrent use; queries run against Snapshot(), a
+// consistent watermark that later appends never mutate and that shares
+// the store's planes instead of copying them.
 type Store struct {
 	s *joblog.Store
 }
