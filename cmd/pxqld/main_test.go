@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -28,8 +30,12 @@ EXPECTED duration_compare = SIM`
 // TestPxqldSmoke builds pxqld and pxql, starts the server on a bound
 // loopback port over the small sweep, asks one /api/explain, requires the
 // report to be pxql's for the same query and seed, then sends SIGTERM and
-// requires a clean exit within a bound. The sharded leg runs two worker
-// subprocesses and requires them gone once the server has exited.
+// requires a clean exit within a bound. The local leg also ingests a
+// batch of fresh jobs, requires the next report to be pxql's on the
+// concatenated log, and keeps one explain in flight across the SIGTERM:
+// it must still be answered in full before the exit. The sharded leg
+// runs two worker subprocesses and requires them gone once the server
+// has exited.
 func TestPxqldSmoke(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("SIGTERM drain is a POSIX behaviour")
@@ -64,14 +70,31 @@ func TestPxqldSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// pxql -find prints the chosen pair, then the report.
-	out, err := exec.Command(pxql, "-log", logPath, "-find", "-seed", "1", "-query", smokeQuery).Output()
+	want := pxqlReport(t, pxql, logPath)
+
+	// The ingested batch: the same sweep on another seed, its IDs renamed
+	// so that none collides with the preloaded log's.
+	more, _, err := perfxplain.Collect(perfxplain.SweepOptions{Small: true, Seed: 43})
 	if err != nil {
-		t.Fatalf("pxql: %v", err)
+		t.Fatal(err)
 	}
-	_, want, ok := strings.Cut(string(out), "\n")
-	if !ok || !strings.HasPrefix(string(out), "pair of interest: ") {
-		t.Fatalf("pxql output:\n%s", out)
+	var buf bytes.Buffer
+	if err := more.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	header, rows, _ := strings.Cut(buf.String(), "\n")
+	rows = strings.ReplaceAll("\n"+rows, "\njob-", "\nextra-job-")[1:]
+	preloaded, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allPath := filepath.Join(dir, "all.csv")
+	if err := os.WriteFile(allPath, append(preloaded, rows...), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	wantAfter := pxqlReport(t, pxql, allPath)
+	if wantAfter == want {
+		t.Fatal("the ingested batch does not change pxql's report; the ingest leg could not tell whether it landed")
 	}
 
 	for _, leg := range []struct {
@@ -94,26 +117,28 @@ func TestPxqldSmoke(t *testing.T) {
 			defer srv.Process.Kill()
 			addr := listeningAddr(t, stderr)
 
-			body, _ := json.Marshal(serve.ExplainRequest{Query: smokeQuery, Find: true})
-			resp, err := http.Post("http://"+addr+"/api/explain", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got serve.ExplainResponse
-			err = json.NewDecoder(resp.Body).Decode(&got)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("explain: status %d, %v", resp.StatusCode, err)
-			}
-			if got.Report != want {
-				t.Errorf("server report differs from pxql's:\n--- pxqld ---\n%s--- pxql ---\n%s", got.Report, want)
+			if got := explain(t, addr); got != want {
+				t.Errorf("server report differs from pxql's:\n--- pxqld ---\n%s--- pxql ---\n%s", got, want)
 			}
 			if n, ok := shardWorkers(pxqld); ok && n != leg.workers {
 				t.Errorf("%d worker subprocesses while serving, want %d", n, leg.workers)
 			}
+			var finish func() string
+			if leg.workers == 0 {
+				ingest(t, addr, header+"\n"+rows, more.Len())
+				if got := explain(t, addr); got != wantAfter {
+					t.Errorf("report after /api/ingest differs from pxql's on the concatenated log:\n--- pxqld ---\n%s--- pxql ---\n%s", got, wantAfter)
+				}
+				finish = explainInFlight(t, addr)
+			}
 
 			if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 				t.Fatal(err)
+			}
+			if finish != nil {
+				if got := finish(); got != wantAfter {
+					t.Errorf("report of the explain in flight across SIGTERM differs from pxql's:\n--- pxqld ---\n%s--- pxql ---\n%s", got, wantAfter)
+				}
 			}
 			exited := make(chan error, 1)
 			go func() { exited <- srv.Wait() }()
@@ -137,6 +162,107 @@ func TestPxqldSmoke(t *testing.T) {
 				time.Sleep(50 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// pxqlReport runs pxql -find over the log and returns its report (pxql
+// prints the chosen pair first).
+func pxqlReport(t *testing.T, pxql, logPath string) string {
+	t.Helper()
+	out, err := exec.Command(pxql, "-log", logPath, "-find", "-seed", "1", "-query", smokeQuery).Output()
+	if err != nil {
+		t.Fatalf("pxql: %v", err)
+	}
+	_, report, ok := strings.Cut(string(out), "\n")
+	if !ok || !strings.HasPrefix(string(out), "pair of interest: ") {
+		t.Fatalf("pxql output:\n%s", out)
+	}
+	return report
+}
+
+// explain asks pxqld for smokeQuery's report.
+func explain(t *testing.T, addr string) string {
+	t.Helper()
+	body, _ := json.Marshal(serve.ExplainRequest{Query: smokeQuery, Find: true})
+	resp, err := http.Post("http://"+addr+"/api/explain", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got serve.ExplainResponse
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: status %d, %v", resp.StatusCode, err)
+	}
+	return got.Report
+}
+
+// ingest appends a CSV batch of n records through /api/ingest.
+func ingest(t *testing.T, addr, csv string, n int) {
+	t.Helper()
+	resp, err := http.Post("http://"+addr+"/api/ingest", "text/csv", strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got serve.IngestResponse
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d, %v", resp.StatusCode, err)
+	}
+	if got.Appended != n {
+		t.Fatalf("ingest appended %d records, want %d", got.Appended, n)
+	}
+}
+
+// explainInFlight sends an /api/explain's headers and half its body on a
+// raw connection, then waits for the 100 Continue the server writes
+// once the handler starts reading the body: from then on the request is
+// in flight. The returned finish waits until the server has stopped
+// accepting connections (it is shutting down), sends the rest of the
+// body and returns the report of the answer, which must be a 200.
+func explainInFlight(t *testing.T, addr string) (finish func() string) {
+	t.Helper()
+	body, _ := json.Marshal(serve.ExplainRequest{Query: smokeQuery, Find: true})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	half := len(body) / 2
+	fmt.Fprintf(conn, "POST /api/explain HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n%s",
+		addr, len(body), body[:half])
+	br := bufio.NewReader(conn)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusContinue {
+		t.Fatalf("half-sent explain: %v, %v; want 100 Continue", resp, err)
+	}
+	return func() string {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				break
+			}
+			c.Close()
+			if time.Now().After(deadline) {
+				t.Fatal("pxqld still accepting connections 10s after SIGTERM")
+			}
+		}
+		if _, err := conn.Write(body[half:]); err != nil {
+			t.Fatalf("sending the rest of the body after SIGTERM: %v", err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("explain in flight across SIGTERM: %v", err)
+		}
+		var got serve.ExplainResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("explain in flight across SIGTERM: status %d, %v", resp.StatusCode, err)
+		}
+		return got.Report
 	}
 }
 

@@ -1,13 +1,11 @@
 // Command pxqlvet runs this repository's custom static-analysis suite:
 // five analyzers that prove the determinism and shard-safety contracts
-// at the source level (see internal/analysis). It can be run
-// standalone over package patterns, or as a cmd/go vet tool:
+// at the source level (see internal/analysis). It takes package
+// patterns only (default ./...), prints one line per finding and exits
+// 2 when there are any, 1 when the packages do not load:
 //
 //	go build -o /tmp/pxqlvet ./cmd/pxqlvet
 //	/tmp/pxqlvet ./...
-//	go vet -vettool=/tmp/pxqlvet ./...
-//
-// Individual analyzers are toggled with -<name>=false.
 package main
 
 import (
@@ -17,5 +15,5 @@ import (
 )
 
 func main() {
-	os.Exit(driver.Main(os.Args[1:]))
+	os.Exit(driver.Main(os.Args[1:], os.Stdout, os.Stderr))
 }

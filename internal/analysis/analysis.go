@@ -3,17 +3,16 @@
 // library's go/ast and go/types: an Analyzer is a named check, a Pass is
 // one analyzer applied to one type-checked package, and facts let an
 // analyzer publish per-object findings that downstream packages consume
-// (the x/tools fact model, reduced to string payloads so they serialize
-// through the vet .vetx exchange without registering concrete types).
+// (the x/tools fact model, reduced to string payloads).
 //
 // The suite exists to prove this repo's two load-bearing contracts at
 // compile time — explanations are byte-identical at every parallelism
 // level, shard count and transport (determinism), and the shard wire
 // protocol never drifts silently (shard safety) — instead of waiting for
 // the golden/equivalence tests to catch a violation after it ships.
-// The analyzers themselves live next to this file; the go vet drivers
-// (standalone and -vettool unitchecker) live in the driver subpackage,
-// and cmd/pxqlvet is the binary.
+// The analyzers themselves live next to this file; the driver
+// subpackage loads packages and runs the suite over them, and
+// cmd/pxqlvet is the binary.
 package analysis
 
 import (
@@ -26,8 +25,8 @@ import (
 
 // An Analyzer is one named static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and enable/disable
-	// flags. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics and fact keys. It
+	// must be a valid Go identifier.
 	Name string
 	// Doc is the analyzer's documentation: first line is a one-sentence
 	// summary, the rest explains the contract it enforces.

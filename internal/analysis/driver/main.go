@@ -1,122 +1,55 @@
 package driver
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"perfxplain/internal/analysis"
 )
 
-// Main is the pxqlvet entry point. It speaks three dialects cmd/go
-// expects of a vet tool — `-V=full` (version for the build cache),
-// `-flags` (JSON flag inventory), and a single `*.cfg` argument (one
-// vet unit) — and otherwise runs standalone over package patterns:
-//
-//	pxqlvet ./...                      # standalone, whole module
-//	go vet -vettool=$(which pxqlvet) ./...  # via cmd/go
-//
-// It returns the process exit code.
-func Main(args []string) int {
-	log.SetFlags(0)
-	log.SetPrefix("pxqlvet: ")
-
-	fs := flag.NewFlagSet("pxqlvet", flag.ExitOnError)
-	enabled := make(map[string]*bool)
-	for _, a := range analysis.All() {
-		summary, _, _ := strings.Cut(a.Doc, "\n")
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+summary)
-	}
-	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (cmd/go protocol)")
-	fs.Var(versionFlag{}, "V", "print version and exit (cmd/go protocol; only -V=full is supported)")
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-
-	if *printFlags {
-		printFlagDefs(os.Stdout, fs)
-		return 0
-	}
-
-	var analyzers []*analysis.Analyzer
-	for _, a := range analysis.All() {
-		if *enabled[a.Name] {
-			analyzers = append(analyzers, a)
+// Main is the pxqlvet entry point: it loads the packages matching the
+// patterns (default ./..., rooted at the current directory), runs every
+// analyzer of analysis.All over them, and writes one
+// `file:line:col: message [analyzer]` line per finding to stdout, file
+// relative to the current directory when it lies below it. It
+// takes package patterns only — no flags — and returns the process exit
+// code: 0 clean, 1 when the packages cannot be loaded or analyzed (the
+// reason goes to stderr), 2 when there are findings.
+func Main(args []string, stdout, stderr io.Writer) int {
+	for _, arg := range args {
+		if strings.HasPrefix(arg, "-") {
+			fmt.Fprintf(stderr, "pxqlvet: takes package patterns only, not %q\nusage: pxqlvet [packages]\n", arg)
+			return 1
 		}
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return Unitcheck(rest[0], analyzers, os.Stderr)
-	}
-
-	n, err := Standalone("", rest, analyzers, os.Stdout)
+	loaded, err := Load("", args)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pxqlvet: %v\n", err)
+		fmt.Fprintf(stderr, "pxqlvet: %v\n", err)
 		return 1
 	}
+	byPkg, err := loaded.Run(analysis.All())
+	if err != nil {
+		fmt.Fprintf(stderr, "pxqlvet: %v\n", err)
+		return 1
+	}
+	wd, _ := os.Getwd()
+	n := 0
+	for _, u := range loaded.Units {
+		for _, d := range byPkg[u.Path] {
+			n++
+			pos := u.Fset.Position(d.Pos)
+			if rel, err := filepath.Rel(wd, pos.Filename); err == nil && filepath.IsLocal(rel) {
+				pos.Filename = rel
+			}
+			fmt.Fprintf(stdout, "%s: %s [%s]\n", pos, d.Message, d.Analyzer)
+		}
+	}
 	if n > 0 {
-		fmt.Fprintf(os.Stdout, "pxqlvet: %d finding(s)\n", n)
+		fmt.Fprintf(stderr, "pxqlvet: %d finding(s)\n", n)
 		return 2
 	}
 	return 0
-}
-
-// versionFlag implements -V=full: cmd/go keys its vet result cache on
-// this output, so it must change whenever the binary does — hence the
-// content hash.
-type versionFlag struct{}
-
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Get() interface{} { return nil }
-
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		log.Fatalf("unsupported flag value: -V=%s (only -V=full is supported)", s)
-	}
-	prog := os.Args[0]
-	f, err := os.Open(prog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", prog, string(h.Sum(nil)))
-	os.Exit(0)
-	return nil
-}
-
-// printFlagDefs answers cmd/go's `-flags` query: a JSON array of the
-// flags the tool accepts, so `go vet -mapiter=false` can be forwarded.
-func printFlagDefs(w io.Writer, fs *flag.FlagSet) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var defs []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		if f.Name == "V" || f.Name == "flags" {
-			return
-		}
-		getter, ok := f.Value.(flag.Getter)
-		isBool := false
-		if ok {
-			_, isBool = getter.Get().(bool)
-		}
-		defs = append(defs, jsonFlag{Name: f.Name, Bool: isBool, Usage: f.Usage})
-	})
-	data, err := json.MarshalIndent(defs, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	w.Write(append(data, '\n'))
 }

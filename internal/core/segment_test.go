@@ -187,8 +187,8 @@ func TestCombineSlicesEqualsFlatColumns(t *testing.T) {
 				}
 			}
 			for i := 0; i < want.Len(); i++ {
-				if got.ID(i) != want.ID(i) {
-					t.Fatalf("%s: row %d is %q, want %q", name, i, got.ID(i), want.ID(i))
+				if data.Log.ID(i) != log.ID(i) {
+					t.Fatalf("%s: row %d is %q, want %q", name, i, data.Log.ID(i), log.ID(i))
 				}
 			}
 		}

@@ -354,9 +354,6 @@ func (c *Columns) Col(f int) *Col { return &c.cols[f] }
 // Intern returns the view's string intern table.
 func (c *Columns) Intern() *Intern { return c.intern }
 
-// ID returns the identifier of the record at row.
-func (c *Columns) ID(row int) string { return c.ids[row] }
-
 // Value returns the boxed value of one cell, exactly as it was appended
 // — the bridge for code that wants a Record.
 func (c *Columns) Value(row, f int) Value {

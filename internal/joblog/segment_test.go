@@ -415,7 +415,7 @@ func TestSnapshotSurvivesArenaGrowth(t *testing.T) {
 				}
 				c := snap.Columns()
 				for i := 0; i < at; i++ {
-					if c.ID(i) != wc.ID(i) || !sameRecord(snap.Record(i), want.Record(i)) {
+					if snap.ID(i) != want.ID(i) || !sameRecord(snap.Record(i), want.Record(i)) {
 						t.Errorf("row %d reads %#v, want %#v", i, snap.Record(i), want.Record(i))
 						return
 					}

@@ -58,11 +58,8 @@ type compiledAtom struct {
 	kind    caKind
 	col     *joblog.Col       // raw column the feature derives from
 	family  features.PairKind // caSym: which derived family
-	op      Op                // caNum
-	num     float64           // caNum constant
 	numKern NumKernel         // caNum block kernel
-	ne      bool              // caSym, caCode: operator is !=
-	syms    []uint64          // caSym: symbols rendering the constant
+	ne      bool              // caCode: operator is !=
 	symKern SymKernel         // caSym block kernel
 	codes   features.CodeSet  // caCode: codes rendering the constant
 }
@@ -74,8 +71,9 @@ type CompiledPredicate struct {
 }
 
 // Compile lowers the predicate against the deriver's derived schema and
-// the log view's intern table. The result evaluates ordered record pairs
-// by index, byte-identically to EvalPair over the same records.
+// the log view's intern table. The result evaluates blocks of ordered
+// record pairs by index, bit for bit as Predicate.EvalPair does over the
+// same records.
 func (p Predicate) Compile(d *features.Deriver, cols *joblog.Columns) *CompiledPredicate {
 	cp := &CompiledPredicate{atoms: make([]compiledAtom, 0, len(p))}
 	for _, a := range p {
@@ -97,8 +95,7 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 		if a.Value.Kind != joblog.Numeric {
 			return compiledAtom{kind: caFalse}
 		}
-		return compiledAtom{kind: caNum, col: col, op: a.Op, num: a.Value.Num,
-			numKern: NewNumKernel(a.Op, a.Value.Num)}
+		return compiledAtom{kind: caNum, col: col, numKern: NewNumKernel(a.Op, a.Value.Num)}
 	}
 	// Symbol plane: present derived values are nominal, so only nominal
 	// constants under = or != can ever match.
@@ -115,14 +112,7 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 		// pair.
 		return compiledAtom{kind: caFalse}
 	}
-	return compiledAtom{
-		kind:    caSym,
-		col:     col,
-		family:  family,
-		ne:      ne,
-		syms:    syms,
-		symKern: NewSymKernel(syms, ne),
-	}
+	return compiledAtom{kind: caSym, col: col, family: family, symKern: NewSymKernel(syms, ne)}
 }
 
 // NumOpMasks decomposes a comparison operator into its trichotomy masks:
@@ -226,9 +216,9 @@ func (k SymKernel) Bit(s uint64) uint64 {
 func b2u(b bool) uint64 { return bitset.B2u(b) }
 
 // EvalNumOp applies a comparison operator to a present (non-missing)
-// numeric feature value x and constant c — the single scalar core shared
-// by compiled predicates and the core package's matrix-row atoms, so the
-// operator semantics can never drift between the two.
+// numeric feature value x and constant c — the scalar reference of
+// NumKernel, and what the core package's matrix-row atoms evaluate, so
+// the operator semantics can never drift between the two.
 func EvalNumOp(op Op, x, c float64) bool {
 	switch op {
 	case OpEq:
@@ -261,55 +251,6 @@ func EvalSymSet(syms []uint64, s uint64, ne bool) bool {
 		}
 	}
 	return match != ne
-}
-
-// EvalPair evaluates the predicate against the derived features of the
-// ordered record pair (a, b), addressed by index into the compiled
-// columns. Exactly equivalent to Predicate.EvalPair on the boxed records.
-func (cp *CompiledPredicate) EvalPair(a, b int) bool {
-	for i := range cp.atoms {
-		if !cp.atoms[i].eval(a, b) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ca *compiledAtom) eval(a, b int) bool {
-	switch ca.kind {
-	case caNum:
-		x := features.BaseNum(ca.col, a, b)
-		if x != x { // NaN: missing satisfies no operator
-			return false
-		}
-		return EvalNumOp(ca.op, x, ca.num)
-	case caSym:
-		var s uint64
-		if ca.family == features.Diff {
-			s = features.DiffSymOf(ca.col, a, b)
-		} else { // features.Base, nominal plane
-			s = features.BaseSym(ca.col, a, b)
-		}
-		if s == features.MissingSym {
-			return false
-		}
-		return EvalSymSet(ca.syms, s, ca.ne)
-	case caCode:
-		c := ca.col
-		if c.Miss.Get(a) || c.Miss.Get(b) {
-			return false
-		}
-		code := uint64(features.SymGT) // nominal and unequal: neither SIM nor LT
-		switch {
-		case c.Kind == joblog.Numeric:
-			code = features.CompareNum(c.Num[a], c.Num[b])
-		case c.Sym[a] == c.Sym[b]:
-			code = features.SymSIM
-		}
-		return ca.codes.Has(code) != ca.ne
-	default: // caFalse
-		return false
-	}
 }
 
 // Tile is one pair block — pair k is (ai[k], bi[k]) — as a walk pushes
@@ -384,12 +325,11 @@ func (t *Tile) plane(c *joblog.Col) *codePlane {
 }
 
 // EvalBlock fills sel with the predicate's selection bitmap over a pair
-// block: bit k of sel reports EvalPair(ai[k], bi[k]). sel must hold at
-// least bitset.Words(len(ai)) words; tail bits of the last covered word
-// are left clear. Each atom scans the block once with a branch-light
-// compare loop, so a conjunction costs O(atoms × pairs) plane reads —
-// the batched counterpart of calling EvalPair per pair, byte-identical
-// to it bit for bit.
+// block: bit k of sel reports whether the pair (ai[k], bi[k]) satisfies
+// the predicate. sel must hold at least bitset.Words(len(ai)) words;
+// tail bits of the last covered word are left clear. Each atom scans the
+// block once with a branch-light compare loop, so a conjunction costs
+// O(atoms × pairs) plane reads.
 func (cp *CompiledPredicate) EvalBlock(ai, bi []int, sel bitset.Set) {
 	sel = sel[:bitset.Words(len(ai))]
 	sel.Ones(len(ai))
