@@ -79,6 +79,8 @@ func (f *Flags) ServeWorker(prog string) (bool, error) {
 // false when the specs run in this process.
 func (f *Flags) Pool() (cfg shard.PoolConfig, ok bool, err error) {
 	switch {
+	case f.Listen != "" && !f.Worker:
+		return cfg, false, errors.New("-listen requires -shard-worker")
 	case f.Workers > 0 && f.Shards <= 0:
 		return cfg, false, errors.New("-shard-workers requires -shards")
 	case f.Remote == "":

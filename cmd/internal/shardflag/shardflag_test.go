@@ -21,6 +21,9 @@ func TestPoolValidation(t *testing.T) {
 		{args: []string{"-shards", "4"}},
 		{args: []string{"-shards", "4", "-shard-workers", "2"}, want: shard.PoolConfig{Workers: 2}, sharded: true},
 		{args: []string{"-shard-workers", "2"}, err: "-shard-workers requires -shards"},
+		{args: []string{"-listen", ":9071"}, err: "-listen requires -shard-worker"},
+		{args: []string{"-shards", "4", "-shard-workers", "2", "-listen", ":9071"}, err: "-listen requires -shard-worker"},
+		{args: []string{"-shard-worker", "-listen", ":9071"}},
 		{args: []string{"-shard-remote", "h:1"}, err: "-shard-remote requires -shards"},
 		{args: []string{"-shards", "4", "-shard-remote", "h:1"}, err: "-shard-remote requires -shard-token (or PXQL_SHARD_TOKEN)"},
 		{

@@ -133,28 +133,6 @@ func TestGoldenCLISharded(t *testing.T) {
 	}
 }
 
-// TestGoldenCLISealed pins `pxql -seal N` — the CSV log replayed
-// through a segment store, so the query and evaluation both run against
-// a watermark snapshot over sealed segments — to the exact bytes of the
-// static-log CLI run, serial and with shard workers.
-func TestGoldenCLISealed(t *testing.T) {
-	log := writeSmallLog(t)
-	want := captureStdout(t, func() error {
-		return run(cliOpts{logPath: log, querySrc: testQuery, find: true, width: 3, level: 3, seed: 1, technique: "perfxplain", evalPath: log})
-	})
-	for _, tc := range []struct{ seal, shards, workers int }{
-		{1, 0, 0}, {5, 0, 0}, {5, 7, 0}, {5, 2, 3},
-	} {
-		got := captureStdout(t, func() error {
-			return run(cliOpts{logPath: log, querySrc: testQuery, find: true, width: 3, level: 3, seed: 1, seal: tc.seal, shard: shardflag.Flags{Shards: tc.shards, Workers: tc.workers}, technique: "perfxplain", evalPath: log})
-		})
-		if got != want {
-			t.Errorf("-seal %d -shards %d -shard-workers %d diverges from the static log:\n--- sealed ---\n%s--- static ---\n%s",
-				tc.seal, tc.shards, tc.workers, got, want)
-		}
-	}
-}
-
 func TestGoldenCLIGenDespite(t *testing.T) {
 	log := writeSmallLog(t)
 	out := captureStdout(t, func() error {

@@ -19,10 +19,9 @@
 // -shard-remote — each
 // remote runs `pxql -shard-worker -listen :9071` with a matching
 // -shard-token (or PXQL_SHARD_TOKEN). Workers receive the log as
-// per-segment hashed slices: the flat log's own fixed-size runs, or with
-// -seal N the segments of a store sealed every N records. Output is
-// byte-identical in every mode;
-// -verbose reports frames, bytes shipped and slice-cache counters.
+// per-segment hashed slices, the flat log's own fixed-size runs. Output
+// is byte-identical in every mode; -verbose reports frames, bytes
+// shipped and slice-cache counters.
 package main
 
 import (
@@ -47,7 +46,6 @@ func main() {
 	level := flag.Int("level", 3, "feature level 1-3")
 	seed := flag.Int64("seed", 1, "sampling seed")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for the explanation pipeline (0 = all cores); the answer is identical at every setting")
-	seal := flag.Int("seal", 0, "ingest the log into a segment store sealing every N records and query its snapshot (0 = off); the answer is identical, but shard workers cache sealed segments across queries")
 	shard := shardflag.Register(flag.CommandLine, true)
 	verbose := flag.Bool("verbose", false, "print shard-runtime counters (frames, bytes shipped, slice-cache hits/misses) to stderr")
 	technique := flag.String("technique", "perfxplain", "perfxplain | ruleofthumb | simbutdiff")
@@ -73,7 +71,6 @@ func main() {
 		level:       *level,
 		seed:        *seed,
 		parallelism: *parallelism,
-		seal:        *seal,
 		shard:       *shard,
 		verbose:     *verbose,
 		technique:   *technique,
@@ -93,7 +90,7 @@ type cliOpts struct {
 	find                               bool
 	width, level                       int
 	seed                               int64
-	parallelism, seal                  int
+	parallelism                        int
 	shard                              shardflag.Flags
 	verbose                            bool
 	technique                          string
@@ -118,23 +115,6 @@ func run(o cliOpts) error {
 	if err != nil {
 		return err
 	}
-	// -seal routes the flat CSV log through a segment store and queries
-	// its watermark snapshot — shard specs then ship the store's sealed
-	// segments and tail instead of the flat log's own runs. The
-	// explanation is byte-identical either way.
-	segmented := func(l *perfxplain.Log) (*perfxplain.Log, error) {
-		st := perfxplain.NewStore(l, o.seal)
-		if err := st.Ingest(l); err != nil {
-			return nil, err
-		}
-		return st.Snapshot(), nil
-	}
-	if o.seal > 0 {
-		if log, err = segmented(log); err != nil {
-			return err
-		}
-	}
-
 	src, err := querySource(querySrc, queryFile)
 	if err != nil {
 		return err
@@ -207,11 +187,6 @@ func run(o cliOpts) error {
 		evalLog, err := readLog(evalPath)
 		if err != nil {
 			return err
-		}
-		if o.seal > 0 {
-			if evalLog, err = segmented(evalLog); err != nil {
-				return err
-			}
 		}
 		// Held-out evaluation runs on the same pool, so its workers'
 		// cached log slices carry over.

@@ -4,7 +4,6 @@
 //	pxqlcollect -out ./logs            # full 540-job sweep
 //	pxqlcollect -out ./logs -small     # 32-job grid for quick trials
 //	pxqlcollect -out ./logs -history   # also write Hadoop-style job history files
-//	pxqlcollect -out ./logs -stream    # tail the simulator into segment stores
 //
 // Outputs: <out>/jobs.csv and <out>/tasks.csv (self-describing CSV logs
 // consumable by pxql and the perfxplain library), and optionally
@@ -28,43 +27,24 @@ func main() {
 	seed := flag.Int64("seed", 42, "sweep seed (same seed, same log)")
 	history := flag.Bool("history", false, "also write Hadoop-style job history files")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines simulating sweep cells (0 = all cores); the log is identical at every setting")
-	stream := flag.Bool("stream", false, "stream completed grid cells into segment stores as they land instead of batch-assembling at the end; the written logs are identical")
-	sealEvery := flag.Int("seal-every", 0, "with -stream: seal a segment every N records (0 = library default)")
 	flag.Parse()
 
-	if err := run(*out, *small, *seed, *history, *parallelism, *stream, *sealEvery); err != nil {
+	if err := run(*out, *small, *seed, *history, *parallelism); err != nil {
 		fmt.Fprintln(os.Stderr, "pxqlcollect:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, small bool, seed int64, history bool, parallelism int, stream bool, sealEvery int) error {
+func run(out string, small bool, seed int64, history bool, parallelism int) error {
 	sweep := collect.DefaultSweep(seed)
 	if small {
 		sweep = collect.SmallSweep(seed)
 	}
 	sweep.Parallelism = parallelism
 	fmt.Printf("running %d simulated job executions...\n", sweep.NumJobs())
-	var res *collect.Result
-	if stream {
-		sres, err := sweep.CollectStream(sealEvery)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("streamed into segment stores: %d job segments (+%d tail), %d task segments (+%d tail)\n",
-			sres.Jobs.SealedSegments(), sres.Jobs.TailLen(),
-			sres.Tasks.SealedSegments(), sres.Tasks.TailLen())
-		res = &collect.Result{
-			Jobs:    sres.Jobs.Snapshot().Log(),
-			Tasks:   sres.Tasks.Snapshot().Log(),
-			Results: sres.Results,
-		}
-	} else {
-		var err error
-		res, err = sweep.Collect()
-		if err != nil {
-			return err
-		}
+	res, err := sweep.Collect()
+	if err != nil {
+		return err
 	}
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err

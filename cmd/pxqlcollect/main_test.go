@@ -10,7 +10,7 @@ import (
 
 func TestRunWritesLogsAndHistory(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, true, 7, true, 0, false, 0); err != nil {
+	if err := run(dir, true, 7, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"jobs.csv", "tasks.csv"} {
@@ -38,10 +38,10 @@ func TestRunWritesLogsAndHistory(t *testing.T) {
 
 func TestRunDeterministicOutput(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	if err := run(dirA, true, 9, false, 1, false, 0); err != nil {
+	if err := run(dirA, true, 9, false, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dirB, true, 9, false, 0, false, 0); err != nil {
+	if err := run(dirB, true, 9, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	a, err := os.ReadFile(filepath.Join(dirA, "jobs.csv"))
@@ -57,31 +57,6 @@ func TestRunDeterministicOutput(t *testing.T) {
 	}
 }
 
-func TestRunStreamMatchesBatch(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	if err := run(dirA, true, 11, false, 0, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	// A tiny seal threshold forces several segments per store; the CSVs
-	// must still match the batch collector byte for byte.
-	if err := run(dirB, true, 11, false, 0, true, 5); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"jobs.csv", "tasks.csv"} {
-		a, err := os.ReadFile(filepath.Join(dirA, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirB, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("%s: streamed collection differs from batch", name)
-		}
-	}
-}
-
 func TestRunBadOutputDir(t *testing.T) {
 	// A file where the directory should go forces a failure path.
 	dir := t.TempDir()
@@ -89,7 +64,7 @@ func TestRunBadOutputDir(t *testing.T) {
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(blocker, true, 1, false, 0, false, 0); err == nil {
+	if err := run(blocker, true, 1, false, 0); err == nil {
 		t.Error("expected error when output dir is a file")
 	}
 }

@@ -46,7 +46,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":9070", "HTTP listen address")
 	logPath := flag.String("log", "", "execution log CSV to preload (optional; /api/ingest can load later)")
-	sealEvery := flag.Int("seal-every", 0, "segment-seal threshold for the resident store (0 = library default)")
 	width := flag.Int("width", 3, "default explanation width (requests may override)")
 	level := flag.Int("level", 3, "default feature level 1-3 (requests may override)")
 	seed := flag.Int64("seed", 1, "default sampling seed (requests may override)")
@@ -70,7 +69,7 @@ func main() {
 	}
 
 	if err := run(runOpts{
-		listen: *listen, logPath: *logPath, sealEvery: *sealEvery,
+		listen: *listen, logPath: *logPath,
 		width: *width, level: *level, seed: *seed, parallelism: *parallelism,
 		shard:         *shard,
 		maxConcurrent: *maxConcurrent, maxQueue: *maxQueue,
@@ -83,7 +82,6 @@ func main() {
 
 type runOpts struct {
 	listen, logPath         string
-	sealEvery               int
 	width, level            int
 	seed                    int64
 	parallelism             int
@@ -115,7 +113,6 @@ func run(o runOpts) error {
 	}
 
 	cfg := serve.Config{
-		SealEvery:      o.sealEvery,
 		Explain:        opt,
 		MaxConcurrent:  o.maxConcurrent,
 		MaxQueue:       o.maxQueue,
@@ -133,7 +130,7 @@ func run(o runOpts) error {
 		if err != nil {
 			return err
 		}
-		st := perfxplain.NewStore(l, o.sealEvery)
+		st := perfxplain.NewStore(l, 0)
 		if err := st.Ingest(l); err != nil {
 			return err
 		}

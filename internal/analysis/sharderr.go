@@ -8,7 +8,7 @@ package analysis
 // enforces two rules on the shard/runtime API surface:
 //
 //  1. a locally created closeable (shard.Pool, WorkerPool, a dialed
-//     Transport) must have Close referenced in the same function
+//     shard.Conn) must have Close referenced in the same function
 //     or escape it (returned, stored, passed on) — and when the function
 //     has multiple exit paths after the creation, the Close must be
 //     deferred, or early returns leak the fleet;
@@ -76,7 +76,7 @@ func isShardPath(path string) bool {
 // values own shard resources: any named type in internal/shard with a
 // Close method, or a module type named in closeableNames with a Close
 // method (perfxplain.WorkerPool), or an interface
-// from internal/shard with Close in its method set (Transport).
+// from internal/shard with Close in its method set.
 func closeableType(t types.Type) (name string, ok bool) {
 	if t == nil {
 		return "", false

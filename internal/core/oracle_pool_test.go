@@ -1,10 +1,11 @@
 package core_test
 
 // The oracle property (oracle_test.go) through the worker runtime: the
-// chan-transport pool runs the whole frame protocol — slice shipping,
-// worker-side decode, caching and segment concatenation — so what comes
-// back is the kernel's answer over a decoded copy of the log, compared
-// with the paper's definitions rather than with local execution. The
+// in-process pool runs the whole frame protocol — gob codec, slice
+// shipping, worker-side decode, caching and segment concatenation — so
+// what comes back is the kernel's answer over a decoded copy of the log,
+// compared with the paper's definitions rather than with local
+// execution. The
 // rank sampler's leg rides along: its questions ship nothing, and its
 // sample under the pool must be the serial local one.
 

@@ -48,9 +48,9 @@ func TestLogSizeSweepIdenticalAcrossParallelism(t *testing.T) {
 
 // TestHarnessTablesIdenticalSharded pins the sharded harness path —
 // explanation generation and metric evaluation both fanned through one
-// shared shard runner (the channel-transport pool, so the full frame
-// protocol and slice cache are exercised) — against local execution,
-// byte for byte. The pool persists across both repetitions, so the
+// shared shard runner (the in-process pool, so the full frame
+// protocol, codec and slice cache are exercised) — against local
+// execution, byte for byte. The pool persists across both repetitions, so the
 // second table renders against warm worker caches.
 func TestHarnessTablesIdenticalSharded(t *testing.T) {
 	render := func(shards int, runner core.ShardRunner) string {

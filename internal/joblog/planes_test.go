@@ -310,9 +310,9 @@ func TestStoreIngestEqualsAppends(t *testing.T) {
 			want := byAppend.Snapshot()
 			for name, st := range map[string]*Store{"records": byRecords, "planes": byPlanes} {
 				got := st.Snapshot()
-				if got.Gen() != want.Gen() || st.SealedSegments() != byAppend.SealedSegments() || st.TailLen() != byAppend.TailLen() {
+				if got.Gen() != want.Gen() || st.SealedSegments() != byAppend.SealedSegments() || tailLen(st) != tailLen(byAppend) {
 					t.Fatalf("seal=%d head=%d %s: watermark %d, %d sealed, tail %d; appends leave %d, %d, %d", sealEvery, head, name,
-						got.Gen(), st.SealedSegments(), st.TailLen(), want.Gen(), byAppend.SealedSegments(), byAppend.TailLen())
+						got.Gen(), st.SealedSegments(), tailLen(st), want.Gen(), byAppend.SealedSegments(), tailLen(byAppend))
 				}
 				assertColumnsIdentical(t, want.Log().Columns(), got.Log().Columns())
 				gv, wv := got.Log().SegmentViews(), want.Log().SegmentViews()

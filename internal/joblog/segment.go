@@ -185,13 +185,6 @@ func (s *Store) SealedSegments() int {
 	return len(s.sealed)
 }
 
-// TailLen returns the number of records in the mutable tail.
-func (s *Store) TailLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.arena.n - s.tailStartLocked()
-}
-
 // Append adds a record after validating it against the schema (see
 // checkRecord), sealing a new segment when the tail reaches the
 // threshold. A refused record leaves the store and its watermark

@@ -192,8 +192,8 @@ func TestStoreSnapshotEquivalence(t *testing.T) {
 					}
 					if forceSeal {
 						st.Seal()
-						if st.TailLen() != 0 {
-							t.Fatalf("TailLen after Seal = %d", st.TailLen())
+						if tailLen(st) != 0 {
+							t.Fatalf("tail after Seal = %d", tailLen(st))
 						}
 					}
 					snap := st.Snapshot()
@@ -652,4 +652,11 @@ func TestSegmentsLazyOldWatermark(t *testing.T) {
 	if now := st.Snapshot().Log().SegmentViews(); now[0].Hash != views[0].Hash || now[1].Hash == views[1].Hash {
 		t.Error("the current watermark does not share the sealed view, or shares the old tail's")
 	}
+}
+
+// tailLen is the number of records in st's mutable tail.
+func tailLen(st *Store) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.arena.n - st.tailStartLocked()
 }

@@ -35,10 +35,6 @@ type Config struct {
 	// Store is the resident execution log. Nil starts empty: the first
 	// /api/ingest creates the store with the ingested log's schema.
 	Store *perfxplain.Store
-	// SealEvery is the segment-seal threshold used when the server
-	// creates the store itself (non-positive selects the library
-	// default).
-	SealEvery int
 	// Explain carries the base explanation options — the runtime knobs
 	// (Parallelism, Shards, SharedPool) and default semantic knobs that
 	// per-request fields override. SharedPool is the warm fleet: set it
@@ -509,7 +505,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.storeMu.Lock()
 	if s.store == nil {
-		s.store = perfxplain.NewStore(l, s.cfg.SealEvery)
+		s.store = perfxplain.NewStore(l, 0)
 	}
 	st := s.store
 	s.storeMu.Unlock()

@@ -63,7 +63,7 @@ func baseOptions() perfxplain.Options {
 func seededServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *perfxplain.Store) {
 	t.Helper()
 	jobs, _ := fixture(t)
-	st := perfxplain.NewStore(jobs, cfg.SealEvery)
+	st := perfxplain.NewStore(jobs, 0)
 	if err := st.Ingest(jobs); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package shard_test
 
-// The distributed-vs-local equivalence suite: every worker transport of
-// the pair pipeline — subprocess workers over the gob pipe protocol,
-// socket and channel transports — shipping the flat log's own
+// The distributed-vs-local equivalence suite: every worker dialer of
+// the pair pipeline — subprocess, socket and in-process workers, all
+// speaking the one gob frame protocol — shipping the flat log's own
 // segments, must produce explanations, atom details and metrics
 // byte-identical to serial local execution (one spec, one goroutine, no
 // runner — itself pinned to the paper's definitions by internal/core's
@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -305,7 +306,7 @@ func TestEquivalenceSamplingModes(t *testing.T) {
 		runner core.ShardRunner
 	}{
 		{"local", nil},
-		{"chan", chanPool(t, 3)},
+		{"in-proc", inProcPool(t, 3)},
 		{"subprocess", workerPool(t, 3)},
 		{"socket", socketPool(t, 2)},
 	}
@@ -388,7 +389,7 @@ func TestEquivalenceStraddlingGroup(t *testing.T) {
 	if got := explainOver(t, log, q, core.Exec{Shards: 7}, core.Config{}); got != want {
 		t.Errorf("local straddling-group plan diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if got := explainWith(t, log, q, 7, chanPool(t, 2)); got != want {
+	if got := explainWith(t, log, q, 7, inProcPool(t, 2)); got != want {
 		t.Errorf("straddling-group plan diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
@@ -413,9 +414,10 @@ func socketPool(t *testing.T, workers int) *shard.Pool {
 	return p
 }
 
-// chanPool returns a pool of in-process channel workers — the full frame
-// protocol, slice cache included, without serialization.
-func chanPool(t *testing.T, workers int) *shard.Pool {
+// inProcPool returns a pool of in-process workers behind in-memory
+// pipes — the full frame protocol, gob codec and slice cache included,
+// without processes.
+func inProcPool(t *testing.T, workers int) *shard.Pool {
 	t.Helper()
 	p := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: workers}
 	t.Cleanup(p.Close)
@@ -447,32 +449,120 @@ func TestEquivalenceSocket(t *testing.T) {
 	}
 }
 
-// TestEquivalenceChanTransport pins the in-process channel transport.
-func TestEquivalenceChanTransport(t *testing.T) {
+// TestEquivalenceInProcDialer pins the in-process dialer. Its frames
+// cross a byte stream like every other dialer's, so the pool's byte
+// counters must move.
+func TestEquivalenceInProcDialer(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
 	want := explainSerial(t, log, q)
-	pool := chanPool(t, 3)
+	pool := inProcPool(t, 3)
 	for _, n := range shardCounts() {
 		got := explainWith(t, log, q, n, pool)
 		if got != want {
-			t.Errorf("chan-transport shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s", n, got, want)
+			t.Errorf("in-proc shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s", n, got, want)
 		}
+	}
+	if s := pool.Stats(); s.BytesSent <= 0 || s.BytesReceived <= 0 {
+		t.Errorf("in-proc frames crossed no bytes: %+v", s)
 	}
 }
 
 // TestSocketWorkerDiesMidFrame pins the truncated-frame case on the
-// socket transport: a worker that completes the handshake, accepts a
-// task and then dies halfway through writing its result must surface as
-// a typed *shard.TransportError — never a hang, never a panic, never a
-// silent partial result.
+// socket and in-process dialers: a worker that accepts a task and then
+// dies halfway through writing its result must surface as a typed
+// *shard.TransportError — never a hang, never a panic, never a silent
+// partial result — and must be discarded, so that the next batch dials
+// a fresh worker and gets the serial answer.
 func TestSocketWorkerDiesMidFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		dialer func(t *testing.T) shard.Dialer
+	}{
+		{"socket", socketDiesMidFrame},
+		{"in-proc", func(*testing.T) shard.Dialer { return &inProcDiesMidFrame{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := &countingDialer{d: tc.dialer(t)}
+			pool := &shard.Pool{Dialer: d, Workers: 1}
+			defer pool.Close()
+
+			log := equivLog(20)
+			q := equivQuery(t, log)
+			specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
+			slices := core.LogSlices(log)
+			done := make(chan error, 1)
+			go func() {
+				_, err := pool.RunEnum(slices, specs)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("expected an error from a worker dying mid-frame")
+				}
+				var te *shard.TransportError
+				if !errors.As(err, &te) {
+					t.Fatalf("mid-frame death surfaced as %T (%v), want *shard.TransportError", err, err)
+				}
+				if te.Op != "recv" {
+					t.Errorf("transport error op = %q, want \"recv\"", te.Op)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("truncated frame hung the coordinator")
+			}
+
+			got, err := pool.RunEnum(slices, specs)
+			if err != nil {
+				t.Fatalf("batch after the death: %v", err)
+			}
+			if d.dials != 2 {
+				t.Errorf("%d dials, want 2: the dead worker must be discarded and replaced", d.dials)
+			}
+			want, err := specRunner{}.RunEnum(slices, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("batch after the death diverges from the serial run")
+			}
+		})
+	}
+}
+
+// countingDialer counts the dials of d. The pool dials under its lock.
+type countingDialer struct {
+	d     shard.Dialer
+	dials int
+}
+
+func (c *countingDialer) Dial(stats *shard.Stats) (*shard.Conn, error) {
+	c.dials++
+	return c.d.Dial(stats)
+}
+
+// inProcDiesMidFrame's first worker dies 16 bytes into its first result
+// frame; later ones are whole.
+type inProcDiesMidFrame struct{ dialed bool }
+
+func (d *inProcDiesMidFrame) Dial(stats *shard.Stats) (*shard.Conn, error) {
+	if d.dialed {
+		return shard.InProcDialer{}.Dial(stats)
+	}
+	d.dialed = true
+	return shard.DialInProcCut(stats, 16)
+}
+
+// socketDiesMidFrame listens on loopback with a fake first worker that
+// completes the handshake, reads part of a task, writes half a result
+// frame and hangs up; every later connection is a real worker.
+func socketDiesMidFrame(t *testing.T) shard.Dialer {
 	const token = "mid-frame-token"
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 
 	// A half gob-encoded result frame: enough bytes to look like the
 	// start of a stream, cut before the frame completes.
@@ -487,55 +577,23 @@ func TestSocketWorkerDiesMidFrame(t *testing.T) {
 		if err != nil {
 			return
 		}
-		defer conn.Close()
 		// Server half of the handshake (the wire format transport.go
 		// documents): 32-byte challenge out, 32-byte HMAC back, OK byte.
+		// The fake skips HMAC verification.
 		nonce := make([]byte, 32)
-		if _, err := conn.Write(nonce); err != nil {
-			return
-		}
 		mac := make([]byte, 32)
-		if _, err := io.ReadFull(conn, mac); err != nil {
-			return
+		if _, err := conn.Write(nonce); err == nil {
+			if _, err := io.ReadFull(conn, mac); err == nil {
+				if _, err := conn.Write([]byte{0x4f}); err == nil {
+					io.ReadFull(conn, make([]byte, 16))
+					conn.Write(half)
+				}
+			}
 		}
-		if _, err := conn.Write([]byte{0x4f}); err != nil {
-			return
-		}
-		// Read some of the task, answer with a truncated frame, die.
-		io.ReadFull(conn, make([]byte, 16))
-		conn.Write(half)
+		conn.Close()
+		shard.Serve(ln, token)
 	}()
-
-	// The fake server skips HMAC verification, so any token dials.
-	pool := &shard.Pool{
-		Dialer:  &shard.SocketDialer{Addrs: []string{ln.Addr().String()}, Token: token},
-		Workers: 1,
-	}
-	defer pool.Close()
-
-	log := equivLog(20)
-	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.RunEnum(core.LogSlices(log), specs)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected an error from a worker dying mid-frame")
-		}
-		var te *shard.TransportError
-		if !errors.As(err, &te) {
-			t.Fatalf("mid-frame death surfaced as %T (%v), want *shard.TransportError", err, err)
-		}
-		if te.Op != "recv" {
-			t.Errorf("transport error op = %q, want \"recv\"", te.Op)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("truncated frame hung the coordinator")
-	}
+	return &shard.SocketDialer{Addrs: []string{ln.Addr().String()}, Token: token}
 }
 
 // TestSocketBadToken pins authentication: a coordinator with the wrong

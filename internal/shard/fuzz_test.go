@@ -407,7 +407,7 @@ func TestSpecWithoutSlices(t *testing.T) {
 			t.Errorf("worker answered a spec without slices with %+v", results)
 		}
 	}
-	if _, err := chanPool(t, 1).RunEval(nil, []core.EvalSpec{eval}); err == nil || !strings.HasSuffix(err.Error(), want) {
+	if _, err := inProcPool(t, 1).RunEval(nil, []core.EvalSpec{eval}); err == nil || !strings.HasSuffix(err.Error(), want) {
 		t.Errorf("pool on a spec without slices: %v", err)
 	}
 }

@@ -1,7 +1,7 @@
 package shard
 
-// Pool runs shard specs on a fleet of workers reached through
-// transports — subprocess pipes, in-process channel workers, or
+// Pool runs shard specs on a fleet of workers reached through one
+// framed connection each — subprocess pipes, in-process pipes, or
 // authenticated TCP sockets to remote machines (see transport.go).
 // Workers are dialed lazily on first use and persist across batches (an
 // Explain makes one enumeration call — two with a generated despite
@@ -29,7 +29,7 @@ import (
 // ErrPoolClosed is returned by batch calls after Close.
 var ErrPoolClosed = errors.New("shard: pool is closed")
 
-// Pool is a core.ShardRunner backed by worker transports.
+// Pool is a core.ShardRunner backed by worker connections.
 type Pool struct {
 	// Command is the worker argv, e.g. ["pxql", "-shard-worker"], used
 	// when Dialer is nil: each worker is a subprocess speaking the shard
@@ -41,8 +41,8 @@ type Pool struct {
 	// Workers is the number of worker connections (<= 0 means 1).
 	Workers int
 	// Dialer overrides how workers are reached — SubprocessDialer is the
-	// Command default; InProcDialer runs workers as goroutines;
-	// SocketDialer connects to remote listeners.
+	// Command default; InProcDialer runs workers as goroutines behind
+	// in-memory pipes; SocketDialer connects to remote listeners.
 	Dialer Dialer
 
 	mu     sync.Mutex
@@ -55,14 +55,14 @@ type Pool struct {
 	prefetchSeq atomic.Int64
 }
 
-// workerProc is one leased connection: a transport plus the
-// coordinator-side record of which slice hashes were shipped on it —
-// mapped to the payload's size estimate, computed once per hash so the
-// hit path's bytes-saved accounting never rescans the slice. The mutex
-// serializes one round-trip at a time.
+// workerProc is one leased connection plus the coordinator-side record
+// of which slice hashes were shipped on it — mapped to the payload's
+// size estimate, computed once per hash so the hit path's bytes-saved
+// accounting never rescans the slice. The mutex serializes one
+// round-trip at a time.
 type workerProc struct {
 	mu   sync.Mutex
-	tr   Transport
+	c    *Conn
 	sent map[string]int
 	// prefetched marks hashes in sent that were shipped by a Prefetch
 	// frame and not yet referenced by a task — each mark converts to one
@@ -145,17 +145,17 @@ func (p *Pool) lease() ([]*workerProc, error) {
 		n = 1
 	}
 	for len(p.procs) < n {
-		tr, err := d.Dial(&p.stats)
+		c, err := d.Dial(&p.stats)
 		if err != nil {
 			return nil, err
 		}
-		p.procs = append(p.procs, &workerProc{tr: tr, sent: make(map[string]int), prefetched: make(map[string]bool)})
+		p.procs = append(p.procs, &workerProc{c: c, sent: make(map[string]int), prefetched: make(map[string]bool)})
 	}
 	return append([]*workerProc(nil), p.procs...), nil
 }
 
 // discard removes a failed worker from the pool and closes its
-// transport. Only the dead worker dies: concurrent batches keep their
+// connection. Only the dead worker dies: concurrent batches keep their
 // round-trips on the surviving workers, so a crash fails the queries
 // that used it, not the pool — the next lease dials a replacement.
 func (p *Pool) discard(w *workerProc) {
@@ -167,37 +167,34 @@ func (p *Pool) discard(w *workerProc) {
 		}
 	}
 	p.mu.Unlock()
-	_ = w.tr.Close() // the worker already failed; its close error adds nothing
+	_ = w.c.Close() // the worker already failed; its close error adds nothing
 }
 
 // exchange performs one raw frame round-trip, wrapping transport
 // failures — a truncated result frame from a worker dying mid-write
 // included — in *TransportError.
 func (w *workerProc) exchange(p *Pool, t *Task) (*Result, error) {
-	if err := w.tr.Send(t); err != nil {
-		return nil, &TransportError{Op: "send", Peer: w.tr.Peer(), Diag: w.tr.Diag(), Err: err}
+	if err := w.c.send(t); err != nil {
+		return nil, w.c.fail("send", err)
 	}
-	p.stats.frameSent()
-	res, err := w.tr.Recv()
+	p.stats.framesSent.Add(1)
+	res, err := w.c.recv()
 	if err != nil {
-		return nil, &TransportError{Op: "recv", Peer: w.tr.Peer(), Diag: w.tr.Diag(), Err: err}
+		return nil, w.c.fail("recv", err)
 	}
-	p.stats.frameReceived()
+	p.stats.framesReceived.Add(1)
 	if res.Version != Version {
-		return nil, &TransportError{Op: "recv", Peer: w.tr.Peer(), Diag: w.tr.Diag(),
-			Err: fmt.Errorf("result protocol version %d, want %d", res.Version, Version)}
+		return nil, w.c.fail("recv", fmt.Errorf("result protocol version %d, want %d", res.Version, Version))
 	}
 	if res.Seq != t.Seq {
-		return nil, &TransportError{Op: "recv", Peer: w.tr.Peer(), Diag: w.tr.Diag(),
-			Err: fmt.Errorf("result seq %d for task %d", res.Seq, t.Seq)}
+		return nil, w.c.fail("recv", fmt.Errorf("result seq %d for task %d", res.Seq, t.Seq))
 	}
 	// A successful result must answer with the task's own spec kind: a
 	// worker sending an enumeration result for an eval task is protocol
 	// corruption, not a mergeable answer.
 	if res.Err == "" && !res.CacheMiss {
 		if (res.Enum != nil) != (t.Enum != nil) || (res.Eval != nil) != (t.Eval != nil) {
-			return nil, &TransportError{Op: "recv", Peer: w.tr.Peer(), Diag: w.tr.Diag(),
-				Err: fmt.Errorf("result kind does not match task %d's spec", t.Seq)}
+			return nil, w.c.fail("recv", fmt.Errorf("result kind does not match task %d's spec", t.Seq))
 		}
 	}
 	return res, nil
@@ -231,10 +228,11 @@ func (w *workerProc) roundTrip(p *Pool, t *Task) (*Result, error) {
 		}
 		if !res.CacheMiss {
 			for _, h := range refd {
-				p.stats.sliceHit(w.sent[h])
+				p.stats.sliceHits.Add(1)
+				p.stats.sliceBytesSaved.Add(int64(w.sent[h]))
 				if w.prefetched[h] {
 					delete(w.prefetched, h)
-					p.stats.prefetchHit()
+					p.stats.prefetchHits.Add(1)
 				}
 			}
 			w.markShipped(p, ss)
@@ -254,8 +252,7 @@ func (w *workerProc) roundTrip(p *Pool, t *Task) (*Result, error) {
 		return nil, err
 	}
 	if res.CacheMiss {
-		return nil, &TransportError{Op: "recv", Peer: w.tr.Peer(), Diag: w.tr.Diag(),
-			Err: errors.New("worker reported a cache miss for a full payload frame")}
+		return nil, w.c.fail("recv", errors.New("worker reported a cache miss for a full payload frame"))
 	}
 	w.markShipped(p, ss)
 	return res, nil
@@ -273,7 +270,7 @@ func (w *workerProc) markShipped(p *Pool, ss []core.LogSlice) {
 		if _, shipped := w.sent[s.Hash]; shipped {
 			continue
 		}
-		p.stats.sliceMiss()
+		p.stats.sliceMisses.Add(1)
 		w.sent[s.Hash] = s.SizeEstimate()
 	}
 }
@@ -319,7 +316,7 @@ func (p *Pool) PrefetchSlices(slices []core.LogSlice) {
 				if res.Err == "" && !res.CacheMiss {
 					w.sent[s.Hash] = s.SizeEstimate()
 					w.prefetched[s.Hash] = true
-					p.stats.prefetchSentInc()
+					p.stats.prefetchSent.Add(1)
 				}
 				w.mu.Unlock()
 			}
@@ -339,7 +336,7 @@ func (p *Pool) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	for _, w := range procs {
-		_ = w.tr.Close() // teardown: workers are going away regardless
+		_ = w.c.Close() // teardown: workers are going away regardless
 	}
 }
 

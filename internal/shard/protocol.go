@@ -2,11 +2,11 @@ package shard
 
 // The wire protocol between a shard coordinator and its workers: a
 // stream of gob-encoded Task frames answered one-for-one by gob-encoded
-// Result frames — over a subprocess's stdin/stdout, an in-process
-// channel pair, or an authenticated TCP socket (see transport.go; the
-// frames are transport-agnostic). Every frame carries the protocol
-// version; a worker refuses mismatched frames with an error result
-// instead of guessing. The payloads themselves (log slices, predicate
+// Result frames — over a subprocess's stdin/stdout, an in-process pipe
+// or an authenticated TCP socket (see transport.go; the frames are the
+// same on every stream). Every frame carries the protocol version; a
+// worker refuses mismatched frames with an error result instead of
+// guessing. The payloads themselves (log slices, predicate
 // specs, splitmix counter ranges) are the core package's shard spec
 // types, whose decode paths validate everything —
 // a corrupt or malicious frame produces an error result, never a panic
@@ -27,6 +27,7 @@ package shard
 // be dumped human-readably for debugging.
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -135,10 +136,6 @@ type Result struct {
 	Eval      *core.EvalResult
 }
 
-// flusher is implemented by buffered writers that need a per-frame
-// flush (socket workers); pipes write through unbuffered.
-type flusher interface{ Flush() error }
-
 // Worker serves shard tasks from r until EOF, writing one result per
 // task to w — the body of the `pxql -shard-worker` subprocess mode.
 // Task execution errors (including corrupt specs) are reported in-band
@@ -148,10 +145,12 @@ func Worker(r io.Reader, w io.Writer) error {
 	return worker(r, w, newWorkerState())
 }
 
+// worker is the loop every worker runs, whatever stream it serves:
+// results are buffered and flushed once per frame.
 func worker(r io.Reader, w io.Writer, ws *workerState) error {
 	dec := gob.NewDecoder(r)
-	enc := gob.NewEncoder(w)
-	fl, _ := w.(flusher)
+	bw := bufio.NewWriter(w)
+	enc := gob.NewEncoder(bw)
 	for {
 		var t Task
 		if err := dec.Decode(&t); err != nil {
@@ -163,10 +162,8 @@ func worker(r io.Reader, w io.Writer, ws *workerState) error {
 		if err := enc.Encode(ws.dispatch(&t)); err != nil {
 			return fmt.Errorf("shard: encode result: %w", err)
 		}
-		if fl != nil {
-			if err := fl.Flush(); err != nil {
-				return fmt.Errorf("shard: flush result: %w", err)
-			}
+		if err := bw.Flush(); err != nil {
+			return fmt.Errorf("shard: flush result: %w", err)
 		}
 	}
 }

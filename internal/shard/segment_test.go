@@ -53,35 +53,38 @@ func TestEquivalenceSegmentedInProcess(t *testing.T) {
 	}
 }
 
-// TestEquivalenceSegmentedSubprocess runs segmented specs through real
-// subprocess workers over the gob pipe protocol.
+// TestEquivalenceSegmentedSubprocess runs segmented specs, explanation
+// and evaluation, through real subprocess workers over the gob pipe
+// protocol, from one-record segments up.
 func TestEquivalenceSegmentedSubprocess(t *testing.T) {
 	pool := workerPool(t, 3)
 	for _, c := range bernoulliCases(t) {
-		snapLog := segmentedOver(c.log, 13)
-		for _, n := range []int{1, 2, 7} {
-			got := explainSegmented(t, snapLog, c.q, n, pool, c.cfg)
-			if got != c.want {
-				t.Errorf("segmented subprocess maxPairs=%d shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
-					c.cfg.MaxPairs, n, got, c.want)
+		for _, sealEvery := range []int{1, 5, 13} {
+			snapLog := segmentedOver(c.log, sealEvery)
+			for _, n := range []int{1, 2, 7} {
+				got := explainSegmented(t, snapLog, c.q, n, pool, c.cfg)
+				if got != c.want {
+					t.Errorf("segmented subprocess maxPairs=%d seal=%d shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
+						c.cfg.MaxPairs, sealEvery, n, got, c.want)
+				}
 			}
 		}
 	}
 }
 
-// TestEquivalenceSegmentedChanTransport exercises the full frame
+// TestEquivalenceSegmentedInProcDialer exercises the full frame
 // protocol (slice cache included) cold and warm: the second pass over
 // the same pool must resolve the per-segment slices from worker caches.
-func TestEquivalenceSegmentedChanTransport(t *testing.T) {
+func TestEquivalenceSegmentedInProcDialer(t *testing.T) {
 	cases := bernoulliCases(t)
-	pool := chanPool(t, 3)
+	pool := inProcPool(t, 3)
 	for pass, label := range []string{"cold", "warm"} {
 		for _, c := range cases {
 			snapLog := segmentedOver(c.log, 13)
 			for _, n := range []int{1, 2, 7} {
 				got := explainSegmented(t, snapLog, c.q, n, pool, c.cfg)
 				if got != c.want {
-					t.Errorf("segmented chan maxPairs=%d shards=%d (%s) diverges:\n--- got ---\n%s--- want ---\n%s",
+					t.Errorf("segmented in-proc maxPairs=%d shards=%d (%s) diverges:\n--- got ---\n%s--- want ---\n%s",
 						c.cfg.MaxPairs, n, label, got, c.want)
 				}
 			}
@@ -104,7 +107,7 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 	for _, r := range full.Records[:40] {
 		st.MustAppend(r)
 	}
-	pool := chanPool(t, 1)
+	pool := inProcPool(t, 1)
 
 	explainAt := func(snap *joblog.Snapshot) {
 		t.Helper()
@@ -188,7 +191,7 @@ func TestFlatLogWarmCacheAcrossQueries(t *testing.T) {
 	want := explainSerial(t, log, q)
 	// One worker so the ledger is deterministic: every payload ships
 	// exactly once, every later reference is a hit.
-	pool := chanPool(t, 1)
+	pool := inProcPool(t, 1)
 	if got := explainWith(t, log, q, 4, pool); got != want {
 		t.Fatalf("cold explanation diverges:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}

@@ -1,10 +1,11 @@
 // Package shard is the worker runtime for the pair pipeline's shard
 // specs (see internal/core/shard.go): a Pool ships planned enumeration
-// and evaluation specs to workers reached through pluggable transports —
-// subprocess stdin/stdout pipes (`pxql -shard-worker`), in-process
-// channel workers, or authenticated TCP sockets to remote machines
-// running `pxql -shard-worker -listen` (see transport.go and Serve) —
-// and each worker walks them with the same kernels the coordinator runs
+// and evaluation specs as gob frames over one kind of connection, opened
+// by one of three dialers — subprocess stdin/stdout pipes
+// (`pxql -shard-worker`), in-memory pipes to worker goroutines, or
+// authenticated TCP sockets to remote machines running
+// `pxql -shard-worker -listen` (see transport.go and Serve) — and each
+// worker walks them with the same kernels the coordinator runs
 // locally when no pool is configured. Only the two quadratic walks ship:
 // the training sample they feed is small by construction (§4.3), so
 // materialization, growth and diagnostics stay on the coordinator, and a
@@ -17,7 +18,7 @@
 //
 // Pool implements core.ShardRunner and returns results in spec order,
 // so the merged output is byte-identical to local execution at every
-// shard count, on every transport, and with the content-addressed slice
+// shard count, through every dialer, and with the content-addressed slice
 // cache (cache.go) in any state — the property the equivalence test
 // suite pins.
 package shard
@@ -27,8 +28,8 @@ import (
 	"sync"
 )
 
-// dispatch hands one decoded task to its executor — shared by every
-// worker loop (subprocess, socket connection, in-proc goroutine). The
+// dispatch hands one decoded task to its executor — the body of the
+// one worker loop every dialer's worker runs. The
 // task's slices resolve through the worker's cache (see load): payload
 // frames decode-and-cache, reference frames hit the cache or report
 // CacheMiss for the coordinator to re-ship.

@@ -1,9 +1,9 @@
 package shard
 
 // Runtime counters for the distributed shard path: frames and bytes
-// crossing transports, and the slice cache's hit/miss balance. The pool
-// owns one Stats value; transports meter their streams into it and the
-// round-trip logic records cache outcomes. Counters are monotonic across
+// crossing worker connections, and the slice cache's hit/miss balance.
+// The pool owns one Stats value; its connections meter their streams
+// into it and the round-trip logic records cache outcomes. Counters are monotonic across
 // the pool's lifetime (they survive worker replacement) and exposed via
 // the CLIs' -verbose flag and WorkerPool.Stats (pxbench's shard rows).
 
@@ -13,9 +13,7 @@ import (
 	"sync/atomic"
 )
 
-// Stats accumulates shard-runtime counters. The zero value is ready;
-// methods on a nil *Stats are no-ops so unmetered transports cost
-// nothing.
+// Stats accumulates shard-runtime counters. The zero value is ready.
 type Stats struct {
 	framesSent      atomic.Int64
 	framesReceived  atomic.Int64
@@ -32,9 +30,8 @@ type Stats struct {
 type StatsSnapshot struct {
 	// FramesSent / FramesReceived count task and result frames.
 	FramesSent, FramesReceived int64
-	// BytesSent / BytesReceived count encoded frame bytes on metered
-	// transports (pipes and sockets; the in-proc channel transport moves
-	// pointers and ships no bytes).
+	// BytesSent / BytesReceived count encoded frame bytes, as they cross
+	// the connection's stream.
 	BytesSent, BytesReceived int64
 	// SliceHits counts tasks whose log slice was shipped as a hash-only
 	// reference because the worker already held the payload; SliceMisses
@@ -59,9 +56,6 @@ func (s StatsSnapshot) String() string {
 
 // Snapshot copies the counters.
 func (s *Stats) Snapshot() StatsSnapshot {
-	if s == nil {
-		return StatsSnapshot{}
-	}
 	return StatsSnapshot{
 		FramesSent:      s.framesSent.Load(),
 		FramesReceived:  s.framesReceived.Load(),
@@ -75,45 +69,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-func (s *Stats) frameSent() {
-	if s != nil {
-		s.framesSent.Add(1)
-	}
-}
-
-func (s *Stats) frameReceived() {
-	if s != nil {
-		s.framesReceived.Add(1)
-	}
-}
-
-func (s *Stats) sliceHit(bytesSaved int) {
-	if s != nil {
-		s.sliceHits.Add(1)
-		s.sliceBytesSaved.Add(int64(bytesSaved))
-	}
-}
-
-func (s *Stats) sliceMiss() {
-	if s != nil {
-		s.sliceMisses.Add(1)
-	}
-}
-
-func (s *Stats) prefetchSentInc() {
-	if s != nil {
-		s.prefetchSent.Add(1)
-	}
-}
-
-func (s *Stats) prefetchHit() {
-	if s != nil {
-		s.prefetchHits.Add(1)
-	}
-}
-
-// countingWriter meters bytes into a Stats counter; a nil stats target
-// degrades to a plain pass-through.
+// countingWriter meters the bytes written into a Stats counter.
 type countingWriter struct {
 	w     io.Writer
 	stats *Stats
@@ -121,12 +77,11 @@ type countingWriter struct {
 
 func (c countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	if c.stats != nil {
-		c.stats.bytesSent.Add(int64(n))
-	}
+	c.stats.bytesSent.Add(int64(n))
 	return n, err
 }
 
+// countingReader meters the bytes read into a Stats counter.
 type countingReader struct {
 	r     io.Reader
 	stats *Stats
@@ -134,8 +89,6 @@ type countingReader struct {
 
 func (c countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	if c.stats != nil {
-		c.stats.bytesReceived.Add(int64(n))
-	}
+	c.stats.bytesReceived.Add(int64(n))
 	return n, err
 }

@@ -1,23 +1,21 @@
 package shard
 
-// The transport abstraction that makes the shard runtime
-// machine-agnostic: a Transport is one framed, bidirectional connection
-// to a worker, and a Dialer opens them. The same versioned Task/Result
-// frames flow over every implementation:
+// How the coordinator reaches its workers. Every worker connection is
+// one Conn: gob-encoded Task and Result frames over a byte stream,
+// metered below its buffering, so every Dialer runs the same codec:
 //
-//   - SubprocessDialer — gob over the stdin/stdout pipes of a spawned
-//     `pxql -shard-worker` child (the original transport), with a
-//     stderr tail kept for post-mortem diagnostics;
-//   - InProcDialer — frames handed over channels to a worker goroutine
-//     in this process (no serialization; useful for tests and for
-//     exercising the full protocol, slice cache included, without
-//     processes);
-//   - SocketDialer — gob over an authenticated TCP connection to a
-//     remote `pxql -shard-worker -listen` process (Serve is the
-//     listener side). The handshake is a shared-token HMAC
-//     challenge/response, so the token never crosses the wire, and
-//     connections enable TCP keep-alives so a dead peer surfaces as a
-//     transport error instead of a hang.
+//   - SubprocessDialer — the stdin/stdout pipes of a spawned
+//     `pxql -shard-worker` child, with a stderr tail kept for
+//     post-mortem diagnostics;
+//   - SocketDialer — an authenticated TCP connection to a remote
+//     `pxql -shard-worker -listen` process (Serve is the listener
+//     side). The handshake is a shared-token HMAC challenge/response,
+//     so the token never crosses the wire, and connections enable TCP
+//     keep-alives so a dead peer surfaces as a transport error instead
+//     of a hang;
+//   - InProcDialer — an in-memory pipe to a worker loop on a goroutine
+//     of this process: the whole protocol, codec and slice cache
+//     included, without processes.
 //
 // Transport failures are reported as *TransportError — a typed wrapper
 // carrying the operation, the peer and its diagnostics — so callers can
@@ -61,35 +59,73 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// Transport is one framed connection to a shard worker. Send and Recv
-// are not required to be individually goroutine-safe — the pool
-// serializes one round-trip per transport — but Close may race with
-// both and must unblock them.
-type Transport interface {
-	// Send ships one task frame.
-	Send(t *Task) error
-	// Recv reads the next result frame.
-	Recv() (*Result, error)
-	// Close tears the connection down and releases the worker. It is
-	// idempotent.
-	Close() error
-	// Peer describes the worker for diagnostics ("subprocess pxql pid
-	// 4242", "10.0.0.7:9000").
-	Peer() string
-	// Diag returns recent peer diagnostics (a subprocess's stderr tail);
-	// may be empty.
-	Diag() string
+// Conn is one framed connection to a shard worker. send and recv are
+// not individually goroutine-safe — the pool serializes one round-trip
+// per connection — but Close may race with both and unblocks them.
+type Conn struct {
+	peer      string
+	stderr    *tailBuffer // a subprocess's stderr tail; nil otherwise
+	bw        *bufio.Writer
+	enc       *gob.Encoder
+	dec       *gob.Decoder
+	close     func()
+	closeOnce sync.Once
 }
 
-// Dialer opens transports to workers. The stats target, when non-nil,
-// meters the transport's frame bytes; implementations without a byte
-// stream may ignore it.
+// newConn frames the stream r/w. The byte counters sit below the
+// buffers, so they meter what crosses the stream.
+func newConn(r io.Reader, w io.Writer, stats *Stats, peer string, close func()) *Conn {
+	bw := bufio.NewWriter(countingWriter{w: w, stats: stats})
+	return &Conn{
+		peer:  peer,
+		bw:    bw,
+		enc:   gob.NewEncoder(bw),
+		dec:   gob.NewDecoder(bufio.NewReader(countingReader{r: r, stats: stats})),
+		close: close,
+	}
+}
+
+// send ships one task frame.
+func (c *Conn) send(t *Task) error {
+	if err := c.enc.Encode(t); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// recv reads the next result frame.
+func (c *Conn) recv() (*Result, error) {
+	var res Result
+	if err := c.dec.Decode(&res); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// Close tears the connection down and releases the worker. It is
+// idempotent.
+func (c *Conn) Close() error {
+	c.closeOnce.Do(c.close)
+	return nil
+}
+
+// fail wraps a failed exchange step with the peer and its diagnostics.
+func (c *Conn) fail(op string, err error) *TransportError {
+	te := &TransportError{Op: op, Peer: c.peer, Err: err}
+	if c.stderr != nil {
+		te.Diag = c.stderr.String()
+	}
+	return te
+}
+
+// Dialer opens connections to workers whose frame bytes are metered
+// into stats.
 type Dialer interface {
-	Dial(stats *Stats) (Transport, error)
+	Dial(stats *Stats) (*Conn, error)
 }
 
 // ---------------------------------------------------------------------
-// Subprocess transport: gob over stdin/stdout pipes.
+// Subprocess workers: stdin/stdout pipes.
 
 // SubprocessDialer spawns worker subprocesses speaking the shard
 // protocol on stdin/stdout — `pxql -shard-worker` children.
@@ -101,7 +137,7 @@ type SubprocessDialer struct {
 }
 
 // Dial implements Dialer.
-func (d SubprocessDialer) Dial(stats *Stats) (Transport, error) {
+func (d SubprocessDialer) Dial(stats *Stats) (*Conn, error) {
 	if len(d.Command) == 0 {
 		return nil, errors.New("shard: subprocess dialer has no worker command")
 	}
@@ -120,54 +156,15 @@ func (d SubprocessDialer) Dial(stats *Stats) (Transport, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, &TransportError{Op: "dial", Peer: d.Command[0], Err: err}
 	}
-	return &pipeTransport{
-		cmd:    cmd,
-		stdin:  stdin,
-		enc:    gob.NewEncoder(countingWriter{w: stdin, stats: stats}),
-		dec:    gob.NewDecoder(countingReader{r: stdout, stats: stats}),
-		stderr: stderr,
-	}, nil
-}
-
-type pipeTransport struct {
-	cmd       *exec.Cmd
-	stdin     io.WriteCloser
-	enc       *gob.Encoder
-	dec       *gob.Decoder
-	stderr    *tailBuffer
-	closeOnce sync.Once
-}
-
-func (t *pipeTransport) Send(task *Task) error { return t.enc.Encode(task) }
-
-func (t *pipeTransport) Recv() (*Result, error) {
-	var res Result
-	if err := t.dec.Decode(&res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-func (t *pipeTransport) Close() error {
-	t.closeOnce.Do(func() {
-		t.stdin.Close()
-		if t.cmd.Process != nil {
-			t.cmd.Process.Kill()
-		}
-		t.cmd.Wait()
+	peer := fmt.Sprintf("subprocess %s pid %d", cmd.Path, cmd.Process.Pid)
+	c := newConn(stdout, stdin, stats, peer, func() {
+		stdin.Close()
+		cmd.Process.Kill()
+		cmd.Wait()
 	})
-	return nil
+	c.stderr = stderr
+	return c, nil
 }
-
-func (t *pipeTransport) Peer() string {
-	pid := -1
-	if t.cmd.Process != nil {
-		pid = t.cmd.Process.Pid
-	}
-	return fmt.Sprintf("subprocess %s pid %d", t.cmd.Path, pid)
-}
-
-func (t *pipeTransport) Diag() string { return t.stderr.String() }
 
 // tailBuffer keeps the last max bytes written — enough worker stderr to
 // diagnose a death without unbounded growth.
@@ -194,80 +191,34 @@ func (t *tailBuffer) String() string {
 }
 
 // ---------------------------------------------------------------------
-// In-process channel transport.
+// In-process workers: an in-memory pipe.
 
-// InProcDialer runs workers as goroutines in this process, exchanging
-// the protocol's frames over channels: the whole frame protocol, slice
-// cache and decode included, without serialization or processes.
+// InProcDialer runs each worker as a goroutine of this process at the
+// far end of a net.Pipe: the whole frame protocol, gob codec and slice
+// cache included, without processes.
 type InProcDialer struct{}
 
 // Dial implements Dialer.
-func (InProcDialer) Dial(*Stats) (Transport, error) {
-	t := &chanTransport{
-		tasks:   make(chan *Task),
-		results: make(chan *Result),
-		done:    make(chan struct{}),
-	}
+func (InProcDialer) Dial(stats *Stats) (*Conn, error) {
+	coord, w := net.Pipe()
 	go func() {
-		ws := newWorkerState()
-		for {
-			select {
-			case task := <-t.tasks:
-				select {
-				case t.results <- ws.dispatch(task):
-				case <-t.done:
-					return
-				}
-			case <-t.done:
-				return
-			}
-		}
+		defer w.Close()
+		// The loop ends when the coordinator closes its end; an error
+		// then is that close cutting a frame, which the coordinator
+		// already sees from its own side.
+		_ = worker(w, w, newWorkerState())
 	}()
-	return t, nil
+	return newConn(coord, coord, stats, "in-proc worker", func() { coord.Close() }), nil
 }
-
-type chanTransport struct {
-	tasks     chan *Task
-	results   chan *Result
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-var errTransportClosed = errors.New("transport closed")
-
-func (t *chanTransport) Send(task *Task) error {
-	select {
-	case t.tasks <- task:
-		return nil
-	case <-t.done:
-		return errTransportClosed
-	}
-}
-
-func (t *chanTransport) Recv() (*Result, error) {
-	select {
-	case res := <-t.results:
-		return res, nil
-	case <-t.done:
-		return nil, errTransportClosed
-	}
-}
-
-func (t *chanTransport) Close() error {
-	t.closeOnce.Do(func() { close(t.done) })
-	return nil
-}
-
-func (t *chanTransport) Peer() string { return "in-proc worker" }
-func (t *chanTransport) Diag() string { return "" }
 
 // ---------------------------------------------------------------------
-// Socket transport: authenticated gob over TCP.
+// Socket workers: authenticated TCP.
 
 // Handshake constants. The server sends a random challenge; the client
 // answers with HMAC-SHA256(token, challenge), so the shared token never
 // crosses the wire; the server confirms with a single OK byte and both
-// sides switch to gob frames.
+// sides switch to gob frames. handshakeTimeout bounds dialing plus the
+// handshake on either side.
 const (
 	handshakeNonceLen = 32
 	handshakeMacLen   = sha256.Size
@@ -287,15 +238,13 @@ type SocketDialer struct {
 	// Token is the shared secret of the handshake; required and must
 	// match the listeners'.
 	Token string
-	// Timeout bounds dialing plus the handshake (default 10s).
-	Timeout time.Duration
 
 	mu   sync.Mutex
 	next int
 }
 
 // Dial implements Dialer.
-func (d *SocketDialer) Dial(stats *Stats) (Transport, error) {
+func (d *SocketDialer) Dial(stats *Stats) (*Conn, error) {
 	if len(d.Addrs) == 0 {
 		return nil, errors.New("shard: socket dialer has no worker addresses")
 	}
@@ -306,11 +255,7 @@ func (d *SocketDialer) Dial(stats *Stats) (Transport, error) {
 	addr := d.Addrs[d.next%len(d.Addrs)]
 	d.next++
 	d.mu.Unlock()
-	timeout := d.Timeout
-	if timeout <= 0 {
-		timeout = handshakeTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return nil, &TransportError{Op: "dial", Peer: addr, Err: err}
 	}
@@ -318,58 +263,17 @@ func (d *SocketDialer) Dial(stats *Stats) (Transport, error) {
 		tc.SetKeepAlive(true)
 		tc.SetKeepAlivePeriod(keepAlivePeriod)
 	}
-	if err := clientHandshake(conn, d.Token, timeout); err != nil {
+	if err := clientHandshake(conn, d.Token); err != nil {
 		conn.Close()
 		return nil, &TransportError{Op: "handshake", Peer: addr, Err: err}
 	}
-	return newSockTransport(conn, stats), nil
+	return newConn(conn, conn, stats, "socket "+conn.RemoteAddr().String(), func() { conn.Close() }), nil
 }
-
-func newSockTransport(conn net.Conn, stats *Stats) *sockTransport {
-	bw := bufio.NewWriter(countingWriter{w: conn, stats: stats})
-	return &sockTransport{
-		conn: conn,
-		bw:   bw,
-		enc:  gob.NewEncoder(bw),
-		dec:  gob.NewDecoder(bufio.NewReader(countingReader{r: conn, stats: stats})),
-	}
-}
-
-type sockTransport struct {
-	conn      net.Conn
-	bw        *bufio.Writer
-	enc       *gob.Encoder
-	dec       *gob.Decoder
-	closeOnce sync.Once
-}
-
-func (t *sockTransport) Send(task *Task) error {
-	if err := t.enc.Encode(task); err != nil {
-		return err
-	}
-	return t.bw.Flush()
-}
-
-func (t *sockTransport) Recv() (*Result, error) {
-	var res Result
-	if err := t.dec.Decode(&res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-func (t *sockTransport) Close() error {
-	t.closeOnce.Do(func() { t.conn.Close() })
-	return nil
-}
-
-func (t *sockTransport) Peer() string { return "socket " + t.conn.RemoteAddr().String() }
-func (t *sockTransport) Diag() string { return "" }
 
 // clientHandshake answers the server's challenge. Deadlines bound every
 // step so a dead or silent peer fails the dial instead of hanging.
-func clientHandshake(conn net.Conn, token string, timeout time.Duration) error {
-	conn.SetDeadline(time.Now().Add(timeout))
+func clientHandshake(conn net.Conn, token string) error {
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	defer conn.SetDeadline(time.Time{})
 	nonce := make([]byte, handshakeNonceLen)
 	if _, err := io.ReadFull(conn, nonce); err != nil {
@@ -444,8 +348,7 @@ func Serve(l net.Listener, token string) error {
 				fmt.Fprintf(os.Stderr, "shard: %s: handshake failed: %v\n", conn.RemoteAddr(), err)
 				return
 			}
-			// worker flushes the buffered writer after every result frame.
-			if err := worker(bufio.NewReader(conn), bufio.NewWriter(conn), newWorkerState()); err != nil {
+			if err := worker(conn, conn, newWorkerState()); err != nil {
 				fmt.Fprintf(os.Stderr, "shard: %s: worker loop: %v\n", conn.RemoteAddr(), err)
 			}
 		}()

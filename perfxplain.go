@@ -164,9 +164,6 @@ type SweepOptions struct {
 	// (<= 0 means all cores). The collected log is byte-identical at
 	// every setting.
 	Parallelism int
-	// SealEvery is the segment-seal threshold used by CollectStream
-	// (non-positive selects the library default). Collect ignores it.
-	SealEvery int
 }
 
 // Collect executes the paper's parameter sweep on the simulated cluster
@@ -182,24 +179,6 @@ func Collect(opt SweepOptions) (jobs, tasks *Log, err error) {
 		return nil, nil, err
 	}
 	return &Log{l: res.Jobs}, &Log{l: res.Tasks}, nil
-}
-
-// CollectStream is Collect in tailing mode: grid cells stream into
-// segment stores as they complete in grid order, so queries can run
-// against a watermark snapshot while the rest of the sweep is still
-// simulating. The stores' snapshots are byte-identical to Collect's
-// logs for the same options.
-func CollectStream(opt SweepOptions) (jobs, tasks *Store, err error) {
-	sweep := collect.DefaultSweep(opt.Seed)
-	if opt.Small {
-		sweep = collect.SmallSweep(opt.Seed)
-	}
-	sweep.Parallelism = opt.Parallelism
-	res, err := sweep.CollectStream(opt.SealEvery)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Store{res.Jobs}, &Store{res.Tasks}, nil
 }
 
 // Store is a growable execution log: one set of columnar planes cut
