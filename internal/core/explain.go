@@ -17,6 +17,11 @@ import (
 	"perfxplain/internal/stats"
 )
 
+// precisionWeight is the weight of a candidate atom's precision
+// percentile against its generality percentile in Algorithm 1's score:
+// Section 4.2 blends the two ranks 0.8 to 0.2.
+const precisionWeight = 0.8
+
 // Config tunes the explainer. The zero value is not usable; use
 // DefaultConfig as a base.
 type Config struct {
@@ -29,9 +34,6 @@ type Config struct {
 	// SampleSize is the target size of the balanced training sample.
 	// Default 2000 (Section 4.3).
 	SampleSize int
-	// PrecisionWeight blends precision vs generality scores; the paper
-	// uses 0.8.
-	PrecisionWeight float64
 	// Level selects the feature hierarchy level (Section 6.8). Default
 	// Level3 (the full Table 1 set).
 	Level features.Level
@@ -55,13 +57,12 @@ type Config struct {
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		Width:           3,
-		DespiteWidth:    3,
-		SampleSize:      2000,
-		PrecisionWeight: 0.8,
-		Level:           features.Level3,
-		Target:          "duration",
-		MaxPairs:        200000,
+		Width:        3,
+		DespiteWidth: 3,
+		SampleSize:   2000,
+		Level:        features.Level3,
+		Target:       "duration",
+		MaxPairs:     200000,
 	}
 }
 
@@ -75,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleSize <= 0 {
 		c.SampleSize = d.SampleSize
-	}
-	if c.PrecisionWeight == 0 {
-		c.PrecisionWeight = d.PrecisionWeight
 	}
 	if c.Level == 0 {
 		c.Level = d.Level
@@ -447,7 +445,9 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 			gens[ci] = float64(sat) / float64(len(cur))
 		}
 		precScores, genScores := stats.PercentileRanks(precs), stats.PercentileRanks(gens)
-		w := e.cfg.PrecisionWeight
+		// A variable, so 1-w rounds as float64 arithmetic does, not to the
+		// exact constant 0.2: near-tied candidates rank on that last bit.
+		w := precisionWeight
 		best, bestScore := -1, -1.0
 		for ci := range cands {
 			score := w*precScores[ci] + (1-w)*genScores[ci]

@@ -14,8 +14,9 @@ package core
 //     no decode;
 //   - a ShardRunner (internal/shard's worker Pool): the batch ships with
 //     the log's segments as content-addressed LogSlices (LogSlices, built
-//     only now), which workers decode, cache and concatenate into the
-//     same whole-log view.
+//     only now and shipped only with the batch that walks them — nothing
+//     ships ahead of need), which workers decode, cache and concatenate
+//     into the same whole-log view.
 //
 // Results merge in spec order through one validated tail per spec kind,
 // so the output is byte-identical at every spec count, parallelism and
@@ -108,16 +109,6 @@ func runLocal[S, R any](ctx context.Context, specs []S, workers int, run func(*S
 	return out, nil
 }
 
-// prefetch starts shipping log's slices to every worker — called at the
-// head of each walk's planning, so payloads a worker already holds are
-// skipped and new ones overlap with planning. Advisory (see
-// SlicePrefetcher), and a no-op without a Runner.
-func (ex Exec) prefetch(log *joblog.Log) {
-	if pf, ok := ex.Runner.(SlicePrefetcher); ok {
-		pf.PrefetchSlices(LogSlices(log))
-	}
-}
-
 // runSpecs executes one batch of planned specs and returns one result
 // per spec — the one seam where the executor is chosen: with no Runner
 // the kernel (walk) runs locally over the log's resident columns;
@@ -142,19 +133,6 @@ func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind stri
 		return nil, fmt.Errorf("core: shard %s returned %d results for %d specs", kind, len(results), len(specs))
 	}
 	return results, nil
-}
-
-// SlicePrefetcher is optionally implemented by shard runners that can
-// ship content-addressed slice payloads to their workers ahead of the
-// specs that reference them, overlapping the transfer with compute the
-// coordinator is doing meanwhile. The call must be advisory and
-// asynchronous: it may do nothing at all, and a spec whose slice never
-// arrived simply ships the payload with its own task frame — results
-// are byte-identical whether a prefetch landed, raced, or was dropped.
-// The pipeline type-asserts this on Exec.Runner at the head of each
-// walk's planning (see Exec.prefetch).
-type SlicePrefetcher interface {
-	PrefetchSlices(slices []LogSlice)
 }
 
 // LogSlice is the shippable unit of execution-log data: a wire-form
@@ -630,7 +608,6 @@ func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite p
 		return nil, err
 	}
 	ex := e.cfg.Exec
-	ex.prefetch(e.log)
 	return runEnumSpecs(ctx, ex, e.log,
 		PlanEnumShards(e.log, e.d.Level(), q, despite, e.cfg.MaxPairs, ex.shards(), seed))
 }

@@ -11,11 +11,13 @@ package serve
 // module deliberately has no dependencies; the semantics match
 // golang.org/x/sync/singleflight where they overlap, with one addition:
 // waiters are context-aware, so a follower whose deadline expires stops
-// waiting without disturbing the leader's computation.
+// waiting without disturbing the leader's computation, and a follower
+// whose leader's context ended first computes for itself.
 
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -61,25 +63,37 @@ func newExpCache(capacity int) *expCache {
 // itself (a cache hit or a collapsed follower). Errors are never
 // cached: the next request for the key computes afresh. A follower
 // whose ctx ends while waiting returns ctx.Err() — the leader keeps
-// computing for everyone else.
+// computing for everyone else. The leader computes under its own
+// request's context, which the key leaves out, so a flight that ended
+// on the leader's cancellation or deadline is not the follower's
+// answer: a follower whose own ctx is still live joins or leads a
+// fresh flight instead.
 func (c *expCache) do(ctx context.Context, key string, compute func() (any, error)) (val any, shared bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		v := el.Value.(*cacheEntry).val
-		c.hits++
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
+	for {
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			v := el.Value.(*cacheEntry).val
+			c.hits++
+			c.mu.Unlock()
+			return v, true, nil
+		}
+		f, ok := c.flights[key]
+		if !ok {
+			break
+		}
 		c.collapsed++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.val, true, f.err
+			leaderGaveUp := errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)
+			if !leaderGaveUp || ctx.Err() != nil {
+				return f.val, true, f.err
+			}
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
+		c.mu.Lock()
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f

@@ -228,7 +228,7 @@ func staleFrame(t testing.TB, version int) []byte {
 }
 
 // v10Frame is an enumeration task as protocol v10 framed it: the log's
-// slices rode on the spec, not the task. A v11 worker decodes it to a
+// slices rode on the spec, not the task. A newer worker decodes it to a
 // task with no slices (gob drops the spec field it lacks).
 func v10Frame(t testing.TB) []byte {
 	spec, slices := seedSpec()
@@ -251,6 +251,18 @@ func v10Frame(t testing.TB) []byte {
 		Slices: slices, Groups: spec.Groups, KeepP: spec.KeepP, Seed: spec.Seed, Level: spec.Level,
 		Despite: spec.Despite, Observed: spec.Observed, Expected: spec.Expected,
 	}})
+}
+
+// v11PrefetchFrame is a payload-only frame as protocol v11 framed it: a
+// slice to cache ahead of the tasks that reference it, and no spec.
+func v11PrefetchFrame(t testing.TB) []byte {
+	_, slices := seedSpec()
+	type v11Task struct {
+		Version  int
+		Seq      int
+		Prefetch *core.LogSlice
+	}
+	return gobBytes(t, &v11Task{Version: 11, Seq: 8, Prefetch: &slices[0]})
 }
 
 // removedFieldFrame is a frame claiming the current version whose only
@@ -287,64 +299,41 @@ func workerResults(t *testing.T, frame []byte) []shard.Result {
 	}
 }
 
-// TestWorkerRefusesV5Frame pins the cross-version contract: a v5 frame
-// decodes (gob drops the fields the protocol no longer has) and is
-// answered with
-// the version-mismatch error — it never runs, and never panics.
-func TestWorkerRefusesV5Frame(t *testing.T) {
-	results := workerResults(t, v5Frame(t))
-	if len(results) != 1 || results[0].Seq != 3 || results[0].Enum != nil ||
-		results[0].Err != fmt.Sprintf("shard: protocol version 5, want %d", shard.Version) {
-		t.Fatalf("v5 frame answered with %+v", results)
-	}
-}
-
-// TestWorkerRefusesV7Frame pins that mixed builds refuse rather than
-// diverge: a v7 frame decodes into a perfectly runnable current task
-// and would be thinned by a different sampler than its coordinator's,
-// so the version check alone stands between it and a silently different
-// sample.
-func TestWorkerRefusesV7Frame(t *testing.T) {
-	results := workerResults(t, staleFrame(t, 7))
-	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
-		results[0].Err != fmt.Sprintf("shard: protocol version 7, want %d", shard.Version) {
-		t.Fatalf("v7 frame answered with %+v", results)
-	}
-}
-
-// TestWorkerRefusesV8Frame pins the same for the previous version: a v8
-// frame that asked for a sampler v9 no longer has would decode into a
-// runnable task and be Bernoulli-thinned instead, an answer its
-// coordinator never asked for.
-func TestWorkerRefusesV8Frame(t *testing.T) {
-	results := workerResults(t, staleFrame(t, 8))
-	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
-		results[0].Err != fmt.Sprintf("shard: protocol version 8, want %d", shard.Version) {
-		t.Fatalf("v8 frame answered with %+v", results)
-	}
-}
-
-// TestWorkerRefusesV9Frame pins the same for the float sampler's last
-// version: a v9 frame decodes into a runnable task whose coordinator
-// drew its gaps through math.Log; thinned by the integer table it would
-// merge into a sample neither build produces alone.
-func TestWorkerRefusesV9Frame(t *testing.T) {
-	results := workerResults(t, staleFrame(t, 9))
-	if len(results) != 1 || results[0].Seq != 6 || results[0].Enum != nil ||
-		results[0].Err != fmt.Sprintf("shard: protocol version 9, want %d", shard.Version) {
-		t.Fatalf("v9 frame answered with %+v", results)
-	}
-}
-
-// TestWorkerRefusesV10Frame pins that the slices' move from spec to
-// task is a refusal, not a confusing "no slices" failure: a v10 frame
-// decodes — its spec's slices dropped — and is answered with the
-// version-mismatch error before anything looks for records.
-func TestWorkerRefusesV10Frame(t *testing.T) {
-	results := workerResults(t, v10Frame(t))
-	if len(results) != 1 || results[0].Seq != 7 || results[0].Enum != nil ||
-		results[0].Err != fmt.Sprintf("shard: protocol version 10, want %d", shard.Version) {
-		t.Fatalf("v10 frame answered with %+v", results)
+// TestWorkerRefusesOldFrames pins the cross-version contract: an old
+// frame decodes (gob drops the fields the protocol no longer has) and
+// is answered with the version-mismatch error — it never runs, and
+// never panics. Each row says why the refusal matters:
+//   - v5: the first version whose frames still decode at all;
+//   - v7, v8, v9: each decodes into a perfectly runnable current task
+//     that a different sampler than its coordinator's would thin (v8 also
+//     asked for samplers v9 removed, v9 drew its gaps through math.Log),
+//     so the version check alone stands between it and a silently
+//     different sample;
+//   - v10: its spec's slices are dropped, and the refusal comes before
+//     a confusing "no slices" failure;
+//   - v11 prefetch: a payload-only frame decodes as a task with no spec,
+//     and the refusal comes before "task carries no spec".
+func TestWorkerRefusesOldFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		frame   func(testing.TB) []byte
+		seq     int
+		version int
+	}{
+		{"v5", v5Frame, 3, 5},
+		{"v7", func(t testing.TB) []byte { return staleFrame(t, 7) }, 6, 7},
+		{"v8", func(t testing.TB) []byte { return staleFrame(t, 8) }, 6, 8},
+		{"v9", func(t testing.TB) []byte { return staleFrame(t, 9) }, 6, 9},
+		{"v10", v10Frame, 7, 10},
+		{"v11_prefetch", v11PrefetchFrame, 8, 11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			results := workerResults(t, tc.frame(t))
+			if len(results) != 1 || results[0].Seq != tc.seq || results[0].Enum != nil || results[0].Eval != nil ||
+				results[0].Err != fmt.Sprintf("shard: protocol version %d, want %d", tc.version, shard.Version) {
+				t.Fatalf("%s frame answered with %+v", tc.name, results)
+			}
+		})
 	}
 }
 
@@ -419,9 +408,10 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add([]byte("DESPITE pigscript_issame = T OBSERVED duration_compare = GT"))
 	// Well-formed frames for the mutator to start from: a current task,
 	// the same task with its slice list emptied, a v5-framed one, a
-	// v6-framed materialization task, a v8 task, a v10 task, a current
-	// frame whose only payload is a field the protocol removed, and a
-	// current task whose slice holds a wrong-kind cell.
+	// v6-framed materialization task, a v8 task, a v10 task, a v11
+	// prefetch-only frame, a current frame whose only payload is a field
+	// the protocol removed, and a current task whose slice holds a
+	// wrong-kind cell.
 	spec, slices := seedSpec()
 	f.Add(gobBytes(f, &shard.Task{Version: shard.Version, Seq: 1, Slices: slices, Enum: &spec}))
 	f.Add(gobBytes(f, &shard.Task{Version: shard.Version, Seq: 2, Enum: &spec}))
@@ -429,6 +419,7 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add(v6MatFrame(f))
 	f.Add(staleFrame(f, 8))
 	f.Add(v10Frame(f))
+	f.Add(v11PrefetchFrame(f))
 	f.Add(removedFieldFrame(f))
 	f.Add(wrongKindFrame(f))
 

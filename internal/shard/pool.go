@@ -13,8 +13,10 @@ package shard
 // The pool is also the coordinator half of content-addressed slice
 // shipping: it remembers, per connection, which slice hashes it has
 // shipped, sends hash-only reference frames for known ones, and
-// re-ships the payload when a worker reports a cache miss. Stats()
-// exposes the frame, byte and cache counters.
+// re-ships the payload when a worker reports a cache miss. Payloads ship
+// only inside task frames, so every round-trip belongs to a batch call
+// and no pool goroutine outlives it. Stats() exposes the frame, byte and
+// cache counters.
 
 import (
 	"errors"
@@ -49,10 +51,6 @@ type Pool struct {
 	closed bool
 	procs  []*workerProc
 	stats  Stats
-
-	// prefetchSeq numbers prefetch frames; they round-trip on their own,
-	// outside any batch's 0..n-1 task numbering.
-	prefetchSeq atomic.Int64
 }
 
 // workerProc is one leased connection plus the coordinator-side record
@@ -64,11 +62,6 @@ type workerProc struct {
 	mu   sync.Mutex
 	c    *Conn
 	sent map[string]int
-	// prefetched marks hashes in sent that were shipped by a Prefetch
-	// frame and not yet referenced by a task — each mark converts to one
-	// prefetch-hit counter tick on first use, so the stats report how
-	// much prefetched payload actually paid off.
-	prefetched map[string]bool
 }
 
 // PoolConfig names a worker fleet for NewPool.
@@ -149,7 +142,7 @@ func (p *Pool) lease() ([]*workerProc, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.procs = append(p.procs, &workerProc{c: c, sent: make(map[string]int), prefetched: make(map[string]bool)})
+		p.procs = append(p.procs, &workerProc{c: c, sent: make(map[string]int)})
 	}
 	return append([]*workerProc(nil), p.procs...), nil
 }
@@ -211,16 +204,6 @@ func (w *workerProc) roundTrip(p *Pool, t *Task) (*Result, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ss := t.Slices
-	hashed := false
-	for _, s := range ss {
-		if s.Hash != "" {
-			hashed = true
-			break
-		}
-	}
-	if !hashed {
-		return w.exchange(p, t)
-	}
 	if st, refd := t.strippedWith(w.sent); len(refd) > 0 {
 		res, err := w.exchange(p, st)
 		if err != nil {
@@ -230,21 +213,15 @@ func (w *workerProc) roundTrip(p *Pool, t *Task) (*Result, error) {
 			for _, h := range refd {
 				p.stats.sliceHits.Add(1)
 				p.stats.sliceBytesSaved.Add(int64(w.sent[h]))
-				if w.prefetched[h] {
-					delete(w.prefetched, h)
-					p.stats.prefetchHits.Add(1)
-				}
 			}
 			w.markShipped(p, ss)
 			return res, nil
 		}
 		// At least one reference was evicted worker-side (the miss result
 		// does not say which): forget every reference in the frame and fall
-		// through to a full re-ship. Prefetched payloads among them never
-		// paid off.
+		// through to a full re-ship.
 		for _, h := range refd {
 			delete(w.sent, h)
-			delete(w.prefetched, h)
 		}
 	}
 	res, err := w.exchange(p, t)
@@ -272,55 +249,6 @@ func (w *workerProc) markShipped(p *Pool, ss []core.LogSlice) {
 		}
 		p.stats.sliceMisses.Add(1)
 		w.sent[s.Hash] = s.SizeEstimate()
-	}
-}
-
-// PrefetchSlices ships content-addressed slice payloads to every pooled
-// worker ahead of the tasks that will reference them — it implements
-// core.SlicePrefetcher, the seam the explanation pipeline uses to
-// overlap round N+1's slice transfer with round N's compute. Shipping
-// is asynchronous (one goroutine per worker, each frame its own
-// round-trip under the worker's round-trip mutex) and purely advisory:
-// slices already shipped on a connection are skipped, transport errors
-// discard the failed worker and abandon its remaining prefetches, and a
-// task racing ahead of its prefetch simply ships the payload itself —
-// results are byte-identical with prefetching on, off, or half-landed.
-func (p *Pool) PrefetchSlices(slices []core.LogSlice) {
-	if len(slices) == 0 {
-		return
-	}
-	procs, err := p.lease()
-	if err != nil {
-		return
-	}
-	for _, w := range procs {
-		w := w
-		go func() {
-			for i := range slices {
-				s := slices[i] // copy: the frame must outlive the caller's slice
-				if s.Hash == "" || s.Ref {
-					continue
-				}
-				w.mu.Lock()
-				if _, shipped := w.sent[s.Hash]; shipped {
-					w.mu.Unlock()
-					continue
-				}
-				t := &Task{Version: Version, Seq: int(p.prefetchSeq.Add(1)), Prefetch: &s}
-				res, err := w.exchange(p, t)
-				if err != nil {
-					w.mu.Unlock()
-					p.discard(w)
-					return
-				}
-				if res.Err == "" && !res.CacheMiss {
-					w.sent[s.Hash] = s.SizeEstimate()
-					w.prefetched[s.Hash] = true
-					p.stats.prefetchSent.Add(1)
-				}
-				w.mu.Unlock()
-			}
-		}()
 	}
 }
 

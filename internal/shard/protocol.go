@@ -16,10 +16,11 @@ package shard
 // content-addressed log slices — the log's segments, concatenating in
 // order to the whole log the spec indexes — and any of them may arrive
 // as a reference: the slice's hash without its payload, when the
-// coordinator knows it already shipped the payload on this connection. A worker that
-// no longer holds a slice (cache eviction) answers with CacheMiss, and
-// the coordinator re-ships the full frame — so caching changes bytes on
-// the wire, never results.
+// coordinator knows it already shipped the payload on this connection.
+// A worker that no longer holds a slice (cache eviction) answers with
+// CacheMiss, and the coordinator re-ships the full frame — so caching
+// changes bytes on the wire, never results. A payload travels only in
+// the task frame that reads it; no frame ships records ahead of need.
 //
 // gob rather than JSON is the frame encoding because the dominant frame
 // payloads are float64/uint64 planes and index slices, which gob moves
@@ -76,16 +77,14 @@ import (
 // the log's segments once per task. A v10 frame decodes to a task with
 // no slices (gob drops the spec fields the receiver lacks) and would
 // fail as one; the version check refuses it first.
-const Version = 11
+// Version 12: the Prefetch frame is gone; a v11 prefetch frame would
+// decode as a task with no spec.
+const Version = 12
 
-//pxql:wirehash c2fcf1d1b49abea8 v=11
+//pxql:wirehash fd423f812053e468 v=12
 
 // Task is one request frame: exactly one spec pointer is set, with
-// Slices the records it walks — or Prefetch alone, a payload-only frame
-// that warms the worker's decoded-slice cache ahead of the tasks that
-// will reference the slice. The worker acks a prefetch with an empty
-// result (no spec result pointers); prefetching can therefore never
-// change results, only when payload bytes cross the wire.
+// Slices the records it walks.
 //
 //pxql:wire decode=workerState.dispatch
 type Task struct {
@@ -94,10 +93,9 @@ type Task struct {
 	// Slices is the log the spec walks: one content-addressed slice per
 	// segment, concatenating in order to the whole log, shared by every
 	// task of a batch.
-	Slices   []core.LogSlice
-	Enum     *core.EnumSpec
-	Eval     *core.EvalSpec
-	Prefetch *core.LogSlice
+	Slices []core.LogSlice
+	Enum   *core.EnumSpec
+	Eval   *core.EvalSpec
 }
 
 // strippedWith returns a copy of the task in which every slice whose

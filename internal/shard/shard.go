@@ -14,7 +14,9 @@
 // Records travel on the frame, not the spec: each Task carries the log's
 // segments as content-addressed slices (the runner's RunEnum / RunEval
 // receive them from core at the moment a walk ships), and the pool
-// strips every slice a worker already holds to a hash reference.
+// strips every slice a worker already holds to a hash reference. A
+// payload crosses the wire only inside the task that reads it: there is
+// no frame that ships records ahead of need.
 //
 // Pool implements core.ShardRunner and returns results in spec order,
 // so the merged output is byte-identical to local execution at every
@@ -46,20 +48,6 @@ func (ws *workerState) dispatch(t *Task) *Result {
 	}()
 	if t.Version != Version {
 		res.Err = fmt.Sprintf("shard: protocol version %d, want %d", t.Version, Version)
-		return res
-	}
-	if t.Prefetch != nil {
-		// A prefetch frame only warms the cache: decode the payload into
-		// the LRU and ack with an empty result. A reference frame here is
-		// a coordinator bug; report it as a miss so the sender never
-		// records the hash as shipped.
-		if t.Prefetch.Ref {
-			res.CacheMiss = true
-			return res
-		}
-		if _, _, err := ws.resolve(t.Prefetch); err != nil {
-			res.Err = err.Error()
-		}
 		return res
 	}
 	if t.Enum == nil && t.Eval == nil {

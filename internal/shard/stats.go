@@ -1,14 +1,15 @@
 package shard
 
 // Runtime counters for the distributed shard path: frames and bytes
-// crossing worker connections, and the slice cache's hit/miss balance.
-// The pool owns one Stats value; its connections meter their streams
-// into it and the round-trip logic records cache outcomes. Counters are monotonic across
-// the pool's lifetime (they survive worker replacement) and exposed via
-// the CLIs' -verbose flag and WorkerPool.Stats (pxbench's shard rows).
+// crossing worker connections, and the slice cache's hit/miss balance
+// (payloads ship only in task frames, so SliceMisses counts every
+// payload shipped). The pool owns one Stats value; its connections
+// meter their streams into it and the round-trip logic records cache
+// outcomes. Counters are monotonic across the pool's lifetime (they
+// survive worker replacement) and exposed via the CLIs' -verbose flag
+// and WorkerPool.Stats (pxbench's shard rows).
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 )
@@ -22,8 +23,6 @@ type Stats struct {
 	sliceHits       atomic.Int64
 	sliceMisses     atomic.Int64
 	sliceBytesSaved atomic.Int64
-	prefetchSent    atomic.Int64
-	prefetchHits    atomic.Int64
 }
 
 // StatsSnapshot is a point-in-time copy of the counters.
@@ -40,18 +39,6 @@ type StatsSnapshot struct {
 	// SliceBytesSaved estimates the payload bytes the cache avoided
 	// re-shipping.
 	SliceBytesSaved int64
-	// PrefetchSent counts slice payloads shipped ahead of need via
-	// Prefetch frames; PrefetchHits counts task frames whose slice
-	// arrived stripped because a prefetch had already shipped it (each
-	// prefetched slice is counted at most once per connection).
-	PrefetchSent, PrefetchHits int64
-}
-
-// String renders the snapshot in the -verbose format of the CLIs.
-func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("frames sent=%d received=%d; bytes sent=%d received=%d; slice cache hits=%d misses=%d bytes-saved=%d; prefetch sent=%d hits=%d",
-		s.FramesSent, s.FramesReceived, s.BytesSent, s.BytesReceived,
-		s.SliceHits, s.SliceMisses, s.SliceBytesSaved, s.PrefetchSent, s.PrefetchHits)
 }
 
 // Snapshot copies the counters.
@@ -64,8 +51,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		SliceHits:       s.sliceHits.Load(),
 		SliceMisses:     s.sliceMisses.Load(),
 		SliceBytesSaved: s.sliceBytesSaved.Load(),
-		PrefetchSent:    s.prefetchSent.Load(),
-		PrefetchHits:    s.prefetchHits.Load(),
 	}
 }
 

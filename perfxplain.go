@@ -390,24 +390,35 @@ func NewWorkerPool(opt PoolOptions) (*WorkerPool, error) {
 func (wp *WorkerPool) Close() { wp.p.Close() }
 
 // Stats returns the pool's runtime counters.
-func (wp *WorkerPool) Stats() ShardStats { return ShardStats(wp.p.Stats()) }
+func (wp *WorkerPool) Stats() ShardStats {
+	s := wp.p.Stats()
+	return ShardStats{
+		FramesSent: s.FramesSent, FramesReceived: s.FramesReceived,
+		BytesSent: s.BytesSent, BytesReceived: s.BytesReceived,
+		SliceHits: s.SliceHits, SliceMisses: s.SliceMisses,
+		SliceBytesSaved: s.SliceBytesSaved,
+	}
+}
 
 // ShardStats are the shard runtime's counters: protocol frames, frame
-// bytes on metered transports, the content-addressed slice cache's
-// behaviour (hits = payloads not re-shipped; misses = full ships), and
-// the prefetch pipeline's (sent = payloads shipped ahead of need;
-// hits = task frames that found their slice already prefetched).
+// bytes on metered transports, and the content-addressed slice cache's
+// behaviour (hits = payloads not re-shipped; misses = full ships).
 type ShardStats struct {
 	FramesSent, FramesReceived int64
 	BytesSent, BytesReceived   int64
 	SliceHits, SliceMisses     int64
 	SliceBytesSaved            int64
+	// Deprecated: always zero since slice prefetch was removed; kept
+	// only because bench/ reads them.
 	PrefetchSent, PrefetchHits int64
 }
 
-// String renders the counters in the CLIs' -verbose format (one
-// formatter, shared with the shard runtime, so the two never drift).
-func (s ShardStats) String() string { return shard.StatsSnapshot(s).String() }
+// String renders the counters in the CLIs' -verbose format.
+func (s ShardStats) String() string {
+	return fmt.Sprintf("frames sent=%d received=%d; bytes sent=%d received=%d; slice cache hits=%d misses=%d bytes-saved=%d",
+		s.FramesSent, s.FramesReceived, s.BytesSent, s.BytesReceived,
+		s.SliceHits, s.SliceMisses, s.SliceBytesSaved)
+}
 
 // exec describes who walks the pair space under these options: this
 // process, or the shared pool's workers, which receive the log's
