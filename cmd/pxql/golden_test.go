@@ -11,9 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"perfxplain"
-	"perfxplain/cmd/internal/shardflag"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -21,26 +18,14 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // mainArg, as a child's first argument, routes TestMain into main().
 const mainArg = "pxql-main"
 
-// TestMain doubles as the shard worker: with -shard-workers the CLI
-// spawns os.Executable() -shard-worker, which under `go test` is this
-// test binary — route those children into the protocol loop exactly as
-// the real binary's flag does. A child started with mainArg first runs
-// main() itself over the remaining arguments, so a test can see the
-// binary's own flag parsing and exit code.
+// TestMain runs main() itself in a child started with mainArg first,
+// over the remaining arguments, so a test can see the binary's own flag
+// parsing and exit code.
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == mainArg {
 		os.Args = append(os.Args[:1], os.Args[2:]...)
 		main()
 		os.Exit(0)
-	}
-	for _, a := range os.Args[1:] {
-		if a == "-shard-worker" {
-			if err := perfxplain.ShardWorker(os.Stdin, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "pxql test shard worker:", err)
-				os.Exit(1)
-			}
-			os.Exit(0)
-		}
 	}
 	os.Exit(m.Run())
 }
@@ -109,27 +94,6 @@ func TestGoldenCLI(t *testing.T) {
 			}
 		}
 		checkGolden(t, fmt.Sprintf("cli_%s", tech), outputs[0])
-	}
-}
-
-// TestGoldenCLISharded pins `pxql -shards N -shard-workers K` to the
-// exact bytes of the serial CLI run, for explicit local spec counts and
-// for subprocess workers (spawned from this test binary via TestMain).
-func TestGoldenCLISharded(t *testing.T) {
-	log := writeSmallLog(t)
-	want := captureStdout(t, func() error {
-		return run(cliOpts{logPath: log, querySrc: testQuery, find: true, width: 3, level: 3, seed: 1, technique: "perfxplain", evalPath: log})
-	})
-	for _, tc := range []struct{ shards, workers int }{
-		{2, 0}, {7, 0}, {2, 3}, {7, 3},
-	} {
-		got := captureStdout(t, func() error {
-			return run(cliOpts{logPath: log, querySrc: testQuery, find: true, width: 3, level: 3, seed: 1, shard: shardflag.Flags{Shards: tc.shards, Workers: tc.workers}, technique: "perfxplain", evalPath: log})
-		})
-		if got != want {
-			t.Errorf("-shards %d -shard-workers %d diverges from the serial CLI:\n--- sharded ---\n%s--- serial ---\n%s",
-				tc.shards, tc.workers, got, want)
-		}
 	}
 }
 

@@ -11,17 +11,8 @@
 // interest, or -find picks one automatically. -technique selects the
 // explanation generator (perfxplain, ruleofthumb, simbutdiff), and
 // -gen-despite asks PerfXplain to generate a despite extension first.
-//
-// The quadratic pair walks can run distributed: -shards cuts them into
-// that many self-contained specs, run on this process's cores by
-// default (the count then only sets scheduling granularity), on
-// subprocess workers with -shard-workers, or on remote machines with
-// -shard-remote — each
-// remote runs `pxql -shard-worker -listen :9071` with a matching
-// -shard-token (or PXQL_SHARD_TOKEN). Workers receive the log as
-// per-segment hashed slices, the flat log's own fixed-size runs. Output
-// is byte-identical in every mode; -verbose reports frames, bytes
-// shipped and slice-cache counters.
+// The pair walks run on this process's cores (-parallelism); only the
+// pxqld server ships them to worker subprocesses.
 package main
 
 import (
@@ -33,7 +24,6 @@ import (
 	"strings"
 
 	"perfxplain"
-	"perfxplain/cmd/internal/shardflag"
 )
 
 func main() {
@@ -46,20 +36,10 @@ func main() {
 	level := flag.Int("level", 3, "feature level 1-3")
 	seed := flag.Int64("seed", 1, "sampling seed")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for the explanation pipeline (0 = all cores); the answer is identical at every setting")
-	shard := shardflag.Register(flag.CommandLine, true)
-	verbose := flag.Bool("verbose", false, "print shard-runtime counters (frames, bytes shipped, slice-cache hits/misses) to stderr")
 	technique := flag.String("technique", "perfxplain", "perfxplain | ruleofthumb | simbutdiff")
 	genDespite := flag.Bool("gen-despite", false, "generate a despite extension before explaining (perfxplain only)")
 	evalPath := flag.String("eval", "", "optional second log CSV to evaluate the explanation against")
 	flag.Parse()
-
-	if ok, err := shard.ServeWorker("pxql"); ok {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pxql: shard worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if err := run(cliOpts{
 		logPath:     *logPath,
@@ -71,8 +51,6 @@ func main() {
 		level:       *level,
 		seed:        *seed,
 		parallelism: *parallelism,
-		shard:       *shard,
-		verbose:     *verbose,
 		technique:   *technique,
 		genDespite:  *genDespite,
 		evalPath:    *evalPath,
@@ -91,8 +69,6 @@ type cliOpts struct {
 	width, level                       int
 	seed                               int64
 	parallelism                        int
-	shard                              shardflag.Flags
-	verbose                            bool
 	technique                          string
 	genDespite                         bool
 	evalPath                           string
@@ -101,15 +77,11 @@ type cliOpts struct {
 func run(o cliOpts) error {
 	logPath, querySrc, queryFile, pair := o.logPath, o.querySrc, o.queryFile, o.pair
 	find, width, level, seed := o.find, o.width, o.level, o.seed
-	parallelism, verbose := o.parallelism, o.verbose
+	parallelism := o.parallelism
 	technique, genDespite, evalPath := o.technique, o.genDespite, o.evalPath
 
 	if logPath == "" {
 		return fmt.Errorf("-log is required")
-	}
-	poolCfg, sharded, err := o.shard.Pool()
-	if err != nil {
-		return err
 	}
 	log, err := readLog(logPath)
 	if err != nil {
@@ -143,15 +115,7 @@ func run(o cliOpts) error {
 	}
 
 	opt := perfxplain.Options{Width: width, DespiteWidth: width, FeatureLevel: level,
-		Seed: seed, Parallelism: parallelism, Shards: o.shard.Shards}
-	var pool *perfxplain.WorkerPool
-	if sharded {
-		if pool, err = perfxplain.NewWorkerPool(perfxplain.PoolOptions(poolCfg)); err != nil {
-			return err
-		}
-		defer pool.Close()
-		opt.SharedPool = pool
-	}
+		Seed: seed, Parallelism: parallelism}
 	var x *perfxplain.Explanation
 	switch strings.ToLower(technique) {
 	case "perfxplain":
@@ -188,17 +152,12 @@ func run(o cliOpts) error {
 		if err != nil {
 			return err
 		}
-		// Held-out evaluation runs on the same pool, so its workers'
-		// cached log slices carry over.
 		m, err := perfxplain.Evaluate(evalLog, q, x, opt)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("held-out:  precision %.3f, generality %.3f, relevance %.3f\n",
 			m.Precision, m.Generality, m.Relevance)
-	}
-	if verbose && pool != nil {
-		fmt.Fprintln(os.Stderr, "shard runtime:", pool.Stats())
 	}
 	return nil
 }

@@ -7,6 +7,11 @@
 //
 //	pxqld -listen :9070 -log logs/jobs.csv -shards 4 -shard-workers 4
 //
+// -shards cuts each quadratic pair walk into that many self-contained
+// specs; -shard-workers runs them on that many worker subprocesses
+// (this executable with -shard-worker), which the server owns for its
+// lifetime. The answer is identical with and without them.
+//
 // Endpoints (all JSON):
 //
 //	POST /api/explain    explain a PXQL query (body: {"query": "...", ...})
@@ -29,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -39,7 +45,6 @@ import (
 	"time"
 
 	"perfxplain"
-	"perfxplain/cmd/internal/shardflag"
 	"perfxplain/internal/serve"
 )
 
@@ -50,7 +55,9 @@ func main() {
 	level := flag.Int("level", 3, "default feature level 1-3 (requests may override)")
 	seed := flag.Int64("seed", 1, "default sampling seed (requests may override)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines per explanation (0 = all cores)")
-	shard := shardflag.Register(flag.CommandLine, false)
+	shards := flag.Int("shards", 0, "cut each quadratic pair walk into N self-contained specs (0 = eight per core); the answer is identical at every setting")
+	shardWorkers := flag.Int("shard-workers", 0, "execute the specs on K worker subprocesses instead of this process (requires -shards)")
+	shardWorker := flag.Bool("shard-worker", false, "serve shard tasks on stdin/stdout and exit (internal: spawned by -shard-workers)")
 	maxConcurrent := flag.Int("max-concurrent", 2, "explanations/evaluations admitted at once")
 	maxQueue := flag.Int("max-queue", 0, "requests allowed to wait for a slot before 429 (0 = 8*max-concurrent)")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-query deadline (504 on expiry)")
@@ -59,19 +66,24 @@ func main() {
 	flag.Parse()
 
 	// Internal mode: the shared worker pool spawns this executable with
-	// -shard-worker, the same convention as the pxql CLI.
-	if ok, err := shard.ServeWorker("pxqld"); ok {
-		if err != nil {
+	// -shard-worker.
+	if *shardWorker {
+		if err := perfxplain.ShardWorker(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "pxqld: shard worker:", err)
 			os.Exit(1)
 		}
 		return
 	}
+	if err := checkShardFlags(*shards, *shardWorkers); err != nil {
+		fmt.Fprintln(os.Stderr, "pxqld:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if err := run(runOpts{
 		listen: *listen, logPath: *logPath,
 		width: *width, level: *level, seed: *seed, parallelism: *parallelism,
-		shard:         *shard,
+		shards: *shards, shardWorkers: *shardWorkers,
 		maxConcurrent: *maxConcurrent, maxQueue: *maxQueue,
 		timeout: *timeout, maxTimeout: *maxTimeout, cacheSize: *cacheSize,
 	}); err != nil {
@@ -85,26 +97,36 @@ type runOpts struct {
 	width, level            int
 	seed                    int64
 	parallelism             int
-	shard                   shardflag.Flags
+	shards, shardWorkers    int
 	maxConcurrent, maxQueue int
 	timeout, maxTimeout     time.Duration
 	cacheSize               int
 }
 
-func run(o runOpts) error {
-	poolCfg, sharded, err := o.shard.Pool()
-	if err != nil {
-		return err
+// checkShardFlags refuses shard flags that name no execution: a
+// negative count, or workers without specs to run.
+func checkShardFlags(shards, workers int) error {
+	switch {
+	case shards < 0:
+		return errors.New("-shards must not be negative")
+	case workers < 0:
+		return errors.New("-shard-workers must not be negative")
+	case workers > 0 && shards == 0:
+		return errors.New("-shard-workers requires -shards")
 	}
+	return nil
+}
+
+func run(o runOpts) error {
 	opt := perfxplain.Options{
 		Width: o.width, DespiteWidth: o.width, FeatureLevel: o.level,
-		Seed: o.seed, Parallelism: o.parallelism, Shards: o.shard.Shards,
+		Seed: o.seed, Parallelism: o.parallelism, Shards: o.shards,
 	}
 	// The server owns ONE worker pool for its whole lifetime — workers
 	// (and their content-addressed slice caches) survive across every
 	// request, which is the point of a resident server.
-	if sharded {
-		pool, err := perfxplain.NewWorkerPool(perfxplain.PoolOptions(poolCfg))
+	if o.shardWorkers > 0 {
+		pool, err := perfxplain.NewWorkerPool(perfxplain.PoolOptions{Workers: o.shardWorkers})
 		if err != nil {
 			return err
 		}

@@ -123,6 +123,19 @@ func TestPxqldSmoke(t *testing.T) {
 			if n, ok := shardWorkers(pxqld); ok && n != leg.workers {
 				t.Errorf("%d worker subprocesses while serving, want %d", n, leg.workers)
 			}
+			switch sh, ok := shardCounters(t, addr); {
+			case leg.workers == 0 && ok:
+				t.Errorf("/api/stats of a server without a pool has a shard object: %s", sh)
+			case leg.workers > 0 && !ok:
+				t.Error("/api/stats of a pooled server has no shard object")
+			case leg.workers > 0:
+				var c struct {
+					FramesSent int64 `json:"frames_sent"`
+				}
+				if err := json.Unmarshal(sh, &c); err != nil || c.FramesSent <= 0 {
+					t.Errorf("/api/stats shard object %s after a walked explain: frames_sent %d, %v; want > 0", sh, c.FramesSent, err)
+				}
+			}
 			var finish func() string
 			if leg.workers == 0 {
 				ingest(t, addr, header+"\n"+rows, more.Len())
@@ -195,6 +208,24 @@ func explain(t *testing.T, addr string) string {
 		t.Fatalf("explain: status %d, %v", resp.StatusCode, err)
 	}
 	return got.Report
+}
+
+// shardCounters returns the "shard" object of pxqld's /api/stats, and
+// whether there is one.
+func shardCounters(t *testing.T, addr string) (json.RawMessage, bool) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: status %d, %v", resp.StatusCode, err)
+	}
+	sh, ok := got["shard"]
+	return sh, ok
 }
 
 // ingest appends a CSV batch of n records through /api/ingest.
@@ -303,4 +334,25 @@ func shardWorkers(bin string) (n int, ok bool) {
 		}
 	}
 	return n, true
+}
+
+// TestPoolValidation pins the shard flags pxqld refuses before it
+// serves: a negative count, or workers without specs to run them.
+func TestPoolValidation(t *testing.T) {
+	for _, tc := range []struct {
+		shards, workers int
+		err             string
+	}{
+		{0, 0, ""},
+		{4, 0, ""},
+		{4, 2, ""},
+		{0, 2, "-shard-workers requires -shards"},
+		{-3, 0, "-shards must not be negative"},
+		{4, -2, "-shard-workers must not be negative"},
+	} {
+		err := checkShardFlags(tc.shards, tc.workers)
+		if got := fmt.Sprint(err); (err != nil || tc.err != "") && got != tc.err {
+			t.Errorf("-shards %d -shard-workers %d: error %v, want %q", tc.shards, tc.workers, err, tc.err)
+		}
+	}
 }

@@ -14,8 +14,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"perfxplain/cmd/internal/shardflag"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -92,7 +90,7 @@ func TestGoldenExperimentsCLI(t *testing.T) {
 		outputs := make([]string, 0, 3)
 		for _, p := range []int{1, 4, 0} {
 			p := p
-			out := captureStdout(t, func() error { return run(exp, 7, 2, true, p, shardflag.Flags{}, false) })
+			out := captureStdout(t, func() error { return run(exp, 7, 2, true, p) })
 			outputs = append(outputs, normalize(out))
 		}
 		for i := 1; i < len(outputs); i++ {

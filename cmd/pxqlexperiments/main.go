@@ -7,6 +7,7 @@
 //
 // Experiments: fig3a, fig3b, fig3c, fig3d, fig4a, fig4b, fig4c, table3,
 // examples (the qualitative width-3 explanations of Section 6.3), or all.
+// Every pair walk runs on this process's cores (-parallelism).
 package main
 
 import (
@@ -17,10 +18,8 @@ import (
 	"strings"
 	"time"
 
-	"perfxplain/cmd/internal/shardflag"
 	"perfxplain/internal/collect"
 	"perfxplain/internal/eval"
-	"perfxplain/internal/shard"
 )
 
 func main() {
@@ -29,31 +28,15 @@ func main() {
 	reps := flag.Int("reps", 10, "cross-validation repetitions")
 	small := flag.Bool("small", false, "use the reduced 32-job grid (faster, noisier)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for repetitions and cells (0 = all cores); tables are identical at every setting")
-	sf := shardflag.Register(flag.CommandLine, true)
-	verbose := flag.Bool("verbose", false, "print shard-runtime counters (frames, bytes shipped, slice-cache hits/misses) to stderr after each experiment run")
 	flag.Parse()
 
-	if ok, err := sf.ServeWorker("pxqlexperiments"); ok {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pxqlexperiments: shard worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if err := run(*exp, *seed, *reps, *small, *parallelism, *sf, *verbose); err != nil {
+	if err := run(*exp, *seed, *reps, *small, *parallelism); err != nil {
 		fmt.Fprintln(os.Stderr, "pxqlexperiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, seed int64, reps int, small bool, parallelism int, sf shardflag.Flags, verbose bool) error {
-	// Validate the shard flags up front: the sweep below can take
-	// minutes, and a missing token should fail before it, not after.
-	poolCfg, sharded, err := sf.Pool()
-	if err != nil {
-		return err
-	}
+func run(exp string, seed int64, reps int, small bool, parallelism int) error {
 	sweep := collect.DefaultSweep(seed)
 	if small {
 		sweep = collect.SmallSweep(seed)
@@ -70,21 +53,6 @@ func run(exp string, seed int64, reps int, small bool, parallelism int, sf shard
 	h := eval.NewHarness(res.Jobs, res.Tasks, seed)
 	h.Reps = reps
 	h.Parallelism = parallelism
-	h.Shards = sf.Shards
-	// One worker pool serves every repetition and experiment cell of the
-	// whole run — its workers (and their cached log slices) survive from
-	// one explainer and one evaluation to the next.
-	if sharded {
-		pool, err := shard.NewPool(poolCfg)
-		if err != nil {
-			return err
-		}
-		defer pool.Close()
-		h.Runner = pool
-		if verbose {
-			defer func() { fmt.Fprintln(os.Stderr, "shard runtime:", pool.Stats()) }()
-		}
-	}
 
 	type runner func() error
 	table := func(f func() (*eval.Table, error)) runner {

@@ -1,6 +1,6 @@
 package analysis
 
-// sharderr: the shard runtime's resources are processes, sockets and
+// sharderr: the shard runtime's resources are processes, pipes and
 // goroutine fleets — a Pool or WorkerPool that is never Closed leaks
 // workers for the life of the coordinator, and a silently discarded
 // error from a shard API hides exactly the worker deaths and transport

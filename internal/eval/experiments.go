@@ -17,11 +17,9 @@ import (
 var DefaultWidths = []int{0, 1, 2, 3, 4, 5}
 
 // evaluate measures an explanation on the test log with the harness's
-// protocol settings, on the given worker bound. The walk is exact
-// whoever executes it — spec counts sum to the same totals — so tables
-// are byte-identical with and without a runner.
+// protocol settings, on the given worker bound.
 func (h *Harness) evaluate(test *joblog.Log, q *pxql.Query, x *core.Explanation, seed int64, workers int) (core.Metrics, error) {
-	return core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, h.MaxPairs, seed, h.exec(workers))
+	return core.EvaluateExplanation(context.Background(), test, features.Level3, q, x, h.MaxPairs, seed, core.Exec{Parallelism: workers})
 }
 
 // repRows allocates one result row per repetition for each technique;

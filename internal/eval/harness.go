@@ -44,29 +44,13 @@ type Harness struct {
 	// every setting: reps write into rep-indexed slots and aggregation
 	// reads them in rep order.
 	Parallelism int
-	// Shards and Runner thread the execution of the quadratic walks (see
-	// core.Exec) through every PerfXplain explainer the harness builds
-	// and through every metric evaluation. One Runner — typically one
-	// worker pool — is shared across all repetitions and experiment
-	// cells, so slices cached worker-side survive from one evaluation to
-	// the next. Shards without a Runner cuts that many specs for this
-	// process's cores. Tables are byte-identical with and without a
-	// runner.
-	Shards int
-	Runner core.ShardRunner
-}
-
-// exec describes who walks a pair space: the calling fan-out's inner
-// parallelism bound (see innerParallelism — concurrent reps must not
-// oversubscribe the cores), the harness's shard count and runner.
-func (h *Harness) exec(workers int) core.Exec {
-	return core.Exec{Parallelism: workers, Shards: h.Shards, Runner: h.Runner}
 }
 
 // newExplainer builds a PerfXplain explainer over a training log on the
-// given worker bound.
+// given worker bound: the calling fan-out's inner parallelism (see
+// innerParallelism — concurrent reps must not oversubscribe the cores).
 func (h *Harness) newExplainer(train *joblog.Log, cfg core.Config, workers int) (*core.Explainer, error) {
-	cfg.Exec = h.exec(workers)
+	cfg.Exec = core.Exec{Parallelism: workers}
 	return core.NewExplainer(train, cfg)
 }
 

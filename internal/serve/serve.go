@@ -608,6 +608,9 @@ type StatsResponse struct {
 	Computations int64          `json:"computations"`
 	Cache        cacheStats     `json:"cache"`
 	Admission    admissionStats `json:"admission"`
+	// Shard holds the worker pool's counters; it is absent when the
+	// server runs without a pool.
+	Shard *perfxplain.ShardStats `json:"shard,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -615,6 +618,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Computations: s.computations.Load(),
 		Cache:        s.cache.stats(),
 		Admission:    s.adm.stats(),
+	}
+	if pool := s.cfg.Explain.SharedPool; pool != nil {
+		st := pool.Stats()
+		resp.Shard = &st
 	}
 	s.storeMu.Lock()
 	st := s.store

@@ -13,49 +13,12 @@ package shard
 // ship would have carried, and a miss degrades to a full ship.
 //
 // One sliceCache belongs to one worker loop (one subprocess, one
-// accepted socket connection, one in-proc worker goroutine) and is
-// accessed serially by it — no locking.
+// in-proc worker goroutine) and is accessed serially by it — no locking.
 
-import (
-	"log"
-	"os"
-	"strconv"
-	"strings"
+import "perfxplain/internal/core"
 
-	"perfxplain/internal/core"
-)
-
-// DefaultCacheBytes bounds each worker's decoded-slice cache. Workers
-// read the PXQL_SHARD_CACHE_BYTES environment variable at startup to
-// override it (0 disables caching); tests set this variable directly
-// for in-process listeners.
-var DefaultCacheBytes = int64(256 << 20)
-
-// CacheBytesEnv is the environment variable overriding DefaultCacheBytes
-// in worker processes.
-const CacheBytesEnv = "PXQL_SHARD_CACHE_BYTES"
-
-// cacheBudget resolves the worker's cache budget from the environment.
-// A malformed or negative value used to be swallowed silently (falling
-// back for parse errors, and a negative budget behaving like 0); both
-// now warn once at worker startup and fall back to the default — a
-// typo'd override should be loud, not a mystery slowdown.
-func cacheBudget() int64 {
-	v := strings.TrimSpace(os.Getenv(CacheBytesEnv))
-	if v == "" {
-		return DefaultCacheBytes
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		log.Printf("shard: ignoring malformed %s=%q: %v", CacheBytesEnv, v, err)
-		return DefaultCacheBytes
-	}
-	if n < 0 {
-		log.Printf("shard: ignoring negative %s=%d", CacheBytesEnv, n)
-		return DefaultCacheBytes
-	}
-	return n
-}
+// cacheBytes bounds each worker's decoded-slice cache.
+const cacheBytes = 256 << 20
 
 type cacheEntry struct {
 	data  *core.SliceData
@@ -135,7 +98,7 @@ type workerState struct {
 }
 
 func newWorkerState() *workerState {
-	return &workerState{cache: newSliceCache(cacheBudget())}
+	return &workerState{cache: newSliceCache(cacheBytes)}
 }
 
 // load resolves the task's slices into the one decoded view its spec

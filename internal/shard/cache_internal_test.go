@@ -10,9 +10,8 @@ import (
 	"perfxplain/internal/pxql"
 )
 
-// Regression tests for the two cache-config bugs this package shipped
-// with: a zero budget that still cached (and served) zero-size slices,
-// and PXQL_SHARD_CACHE_BYTES typos silently falling back.
+// Regression test for a zero budget that still cached (and served)
+// zero-size slices.
 
 func TestSliceCacheZeroBudgetCachesNothing(t *testing.T) {
 	c := newSliceCache(0)
@@ -53,27 +52,6 @@ func TestSliceCachePutBounds(t *testing.T) {
 	}
 	if c.used != 60 {
 		t.Errorf("used = %d, want 60", c.used)
-	}
-}
-
-func TestCacheBudgetEnv(t *testing.T) {
-	cases := []struct {
-		val  string
-		want int64
-	}{
-		{"", DefaultCacheBytes},      // unset: default
-		{"1024", 1024},               // plain override
-		{"  2048\t", 2048},           // whitespace-tolerant
-		{"0", 0},                     // explicit disable
-		{"256MB", DefaultCacheBytes}, // malformed: warn + default
-		{"not-a-number", DefaultCacheBytes},
-		{"-1", DefaultCacheBytes}, // negative: warn + default
-	}
-	for _, tc := range cases {
-		t.Setenv(CacheBytesEnv, tc.val)
-		if got := cacheBudget(); got != tc.want {
-			t.Errorf("cacheBudget() with %s=%q = %d, want %d", CacheBytesEnv, tc.val, got, tc.want)
-		}
 	}
 }
 

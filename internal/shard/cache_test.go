@@ -10,9 +10,7 @@ package shard_test
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"perfxplain/internal/core"
@@ -120,10 +118,7 @@ func TestSliceCacheStatesEquivalent(t *testing.T) {
 	// Tiny budget: the worker caches at most a few hundred bytes, so
 	// nearly every reference frame misses and forces a re-ship — the
 	// eviction path — without changing a byte of output.
-	old := shard.DefaultCacheBytes
-	shard.DefaultCacheBytes = 512
-	t.Cleanup(func() { shard.DefaultCacheBytes = old })
-	tiny := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}
+	tiny := &shard.Pool{Dialer: shard.InProcBudgetDialer{Budget: 512}, Workers: 2}
 	t.Cleanup(tiny.Close)
 	for pass := 0; pass < 2; pass++ {
 		if got := explainWith(t, log, q, 7, tiny); got != want {
@@ -139,13 +134,9 @@ func TestSliceCacheStatesEquivalent(t *testing.T) {
 // through one tiny-cached worker so entries evict each other, pinning
 // that churn never leaks one slice's columns into another's results.
 func TestSliceCacheEvictionAcrossSlices(t *testing.T) {
-	old := shard.DefaultCacheBytes
-	shard.DefaultCacheBytes = 4096
-	t.Cleanup(func() { shard.DefaultCacheBytes = old })
-
 	logA := equivLog(30)
 	logB := equivLog(45)
-	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 1}
+	pool := &shard.Pool{Dialer: shard.InProcBudgetDialer{Budget: 4096}, Workers: 1}
 	t.Cleanup(pool.Close)
 	wantA := pipelineResults(t, logA, specRunner{}, 5, 9)
 	wantB := pipelineResults(t, logB, specRunner{}, 5, 9)
@@ -159,24 +150,15 @@ func TestSliceCacheEvictionAcrossSlices(t *testing.T) {
 	}
 }
 
-// TestSliceCacheEnvBudget pins that subprocess workers honour
-// PXQL_SHARD_CACHE_BYTES: with a zero budget nothing caches, so every
-// reference frame misses and the coordinator re-ships — still
-// byte-identical.
-func TestSliceCacheEnvBudget(t *testing.T) {
+// TestSliceCacheZeroBudgetWorkers pins workers whose cache holds
+// nothing: every reference frame misses and the coordinator re-ships —
+// still byte-identical.
+func TestSliceCacheZeroBudgetWorkers(t *testing.T) {
 	log := equivLog(40)
 	q := equivQuery(t, log)
 	want := explainSerial(t, log, q)
 
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := &shard.Pool{
-		Command: []string{exe},
-		Env:     []string{workerEnv + "=1", fmt.Sprintf("%s=0", shard.CacheBytesEnv)},
-		Workers: 2,
-	}
+	pool := &shard.Pool{Dialer: shard.InProcBudgetDialer{Budget: 0}, Workers: 2}
 	t.Cleanup(pool.Close)
 	for pass := 0; pass < 2; pass++ {
 		if got := explainWith(t, log, q, 4, pool); got != want {

@@ -1,7 +1,7 @@
 package shard_test
 
-// The distributed-vs-local equivalence suite: every worker dialer of
-// the pair pipeline — subprocess, socket and in-process workers, all
+// The distributed-vs-local equivalence suite: both worker dialers of
+// the pair pipeline — subprocess and in-process workers, both
 // speaking the one gob frame protocol — shipping the flat log's own
 // segments, must produce explanations, atom details and metrics
 // byte-identical to serial local execution (one spec, one goroutine, no
@@ -16,14 +16,10 @@ package shard_test
 // PXQL_SHARD_WORKER=1 (see TestMain in worker_main_test.go).
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"os"
 	"reflect"
 	"runtime"
@@ -308,7 +304,6 @@ func TestEquivalenceSamplingModes(t *testing.T) {
 		{"local", nil},
 		{"in-proc", inProcPool(t, 3)},
 		{"subprocess", workerPool(t, 3)},
-		{"socket", socketPool(t, 2)},
 	}
 	c := skipCappedCase(t)
 	for _, r := range runners {
@@ -394,26 +389,6 @@ func TestEquivalenceStraddlingGroup(t *testing.T) {
 	}
 }
 
-// socketPool starts an in-process loopback listener serving the shard
-// protocol with token auth and returns a pool of socket transports
-// dialing it — the remote-worker topology, minus the second machine.
-func socketPool(t *testing.T, workers int) *shard.Pool {
-	t.Helper()
-	const token = "equivalence-test-token"
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go shard.Serve(ln, token)
-	t.Cleanup(func() { ln.Close() })
-	p := &shard.Pool{
-		Dialer:  &shard.SocketDialer{Addrs: []string{ln.Addr().String()}, Token: token},
-		Workers: workers,
-	}
-	t.Cleanup(p.Close)
-	return p
-}
-
 // inProcPool returns a pool of in-process workers behind in-memory
 // pipes — the full frame protocol, gob codec and slice cache included,
 // without processes.
@@ -424,20 +399,22 @@ func inProcPool(t *testing.T, workers int) *shard.Pool {
 	return p
 }
 
-// TestEquivalenceSocket pins the loopback-TCP transport: byte-identical
-// output at every shard count, with the slice cache cold (first pass)
-// and warm (second pass over the same pool — by then every segment
-// slice is cached worker-side and ships as a hash).
-func TestEquivalenceSocket(t *testing.T) {
+// TestEquivalenceInProcDialer pins the in-process dialer at every shard
+// count, explanation and evaluation walks alike, with the slice cache
+// cold (first pass) and warm (second pass over the same pool — by then
+// every segment slice is cached worker-side and ships as a hash). Its
+// frames cross a byte stream like the subprocess dialer's, so the
+// pool's byte counters must move.
+func TestEquivalenceInProcDialer(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
 	want := explainSerial(t, log, q)
-	pool := socketPool(t, 2)
+	pool := inProcPool(t, 3)
 	for pass, label := range []string{"cold", "warm"} {
 		for _, n := range shardCounts() {
 			got := explainWith(t, log, q, n, pool)
 			if got != want {
-				t.Errorf("socket shards=%d (%s cache) diverges from serial:\n--- got ---\n%s--- want ---\n%s",
+				t.Errorf("in-proc shards=%d (%s cache) diverges from serial:\n--- got ---\n%s--- want ---\n%s",
 					n, label, got, want)
 			}
 		}
@@ -447,184 +424,73 @@ func TestEquivalenceSocket(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestEquivalenceInProcDialer pins the in-process dialer. Its frames
-// cross a byte stream like every other dialer's, so the pool's byte
-// counters must move.
-func TestEquivalenceInProcDialer(t *testing.T) {
-	log := equivLog(60)
-	q := equivQuery(t, log)
-	want := explainSerial(t, log, q)
-	pool := inProcPool(t, 3)
-	for _, n := range shardCounts() {
-		got := explainWith(t, log, q, n, pool)
-		if got != want {
-			t.Errorf("in-proc shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s", n, got, want)
-		}
-	}
 	if s := pool.Stats(); s.BytesSent <= 0 || s.BytesReceived <= 0 {
 		t.Errorf("in-proc frames crossed no bytes: %+v", s)
 	}
 }
 
-// TestSocketWorkerDiesMidFrame pins the truncated-frame case on the
-// socket and in-process dialers: a worker that accepts a task and then
-// dies halfway through writing its result must surface as a typed
-// *shard.TransportError — never a hang, never a panic, never a silent
-// partial result — and must be discarded, so that the next batch dials
-// a fresh worker and gets the serial answer.
-func TestSocketWorkerDiesMidFrame(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		dialer func(t *testing.T) shard.Dialer
-	}{
-		{"socket", socketDiesMidFrame},
-		{"in-proc", func(*testing.T) shard.Dialer { return &inProcDiesMidFrame{} }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := &countingDialer{d: tc.dialer(t)}
-			pool := &shard.Pool{Dialer: d, Workers: 1}
-			defer pool.Close()
-
-			log := equivLog(20)
-			q := equivQuery(t, log)
-			specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
-			slices := core.LogSlices(log)
-			done := make(chan error, 1)
-			go func() {
-				_, err := pool.RunEnum(slices, specs)
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err == nil {
-					t.Fatal("expected an error from a worker dying mid-frame")
-				}
-				var te *shard.TransportError
-				if !errors.As(err, &te) {
-					t.Fatalf("mid-frame death surfaced as %T (%v), want *shard.TransportError", err, err)
-				}
-				if te.Op != "recv" {
-					t.Errorf("transport error op = %q, want \"recv\"", te.Op)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("truncated frame hung the coordinator")
-			}
-
-			got, err := pool.RunEnum(slices, specs)
-			if err != nil {
-				t.Fatalf("batch after the death: %v", err)
-			}
-			if d.dials != 2 {
-				t.Errorf("%d dials, want 2: the dead worker must be discarded and replaced", d.dials)
-			}
-			want, err := specRunner{}.RunEnum(slices, specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Error("batch after the death diverges from the serial run")
-			}
-		})
-	}
-}
-
-// countingDialer counts the dials of d. The pool dials under its lock.
-type countingDialer struct {
-	d     shard.Dialer
-	dials int
-}
-
-func (c *countingDialer) Dial(stats *shard.Stats) (*shard.Conn, error) {
-	c.dials++
-	return c.d.Dial(stats)
-}
-
-// inProcDiesMidFrame's first worker dies 16 bytes into its first result
-// frame; later ones are whole.
-type inProcDiesMidFrame struct{ dialed bool }
-
-func (d *inProcDiesMidFrame) Dial(stats *shard.Stats) (*shard.Conn, error) {
-	if d.dialed {
-		return shard.InProcDialer{}.Dial(stats)
-	}
-	d.dialed = true
-	return shard.DialInProcCut(stats, 16)
-}
-
-// socketDiesMidFrame listens on loopback with a fake first worker that
-// completes the handshake, reads part of a task, writes half a result
-// frame and hangs up; every later connection is a real worker.
-func socketDiesMidFrame(t *testing.T) shard.Dialer {
-	const token = "mid-frame-token"
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-
-	// A half gob-encoded result frame: enough bytes to look like the
-	// start of a stream, cut before the frame completes.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&shard.Result{Version: shard.Version, Seq: 0}); err != nil {
-		t.Fatal(err)
-	}
-	half := buf.Bytes()[:buf.Len()/2]
-
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Server half of the handshake (the wire format transport.go
-		// documents): 32-byte challenge out, 32-byte HMAC back, OK byte.
-		// The fake skips HMAC verification.
-		nonce := make([]byte, 32)
-		mac := make([]byte, 32)
-		if _, err := conn.Write(nonce); err == nil {
-			if _, err := io.ReadFull(conn, mac); err == nil {
-				if _, err := conn.Write([]byte{0x4f}); err == nil {
-					io.ReadFull(conn, make([]byte, 16))
-					conn.Write(half)
-				}
-			}
-		}
-		conn.Close()
-		shard.Serve(ln, token)
-	}()
-	return &shard.SocketDialer{Addrs: []string{ln.Addr().String()}, Token: token}
-}
-
-// TestSocketBadToken pins authentication: a coordinator with the wrong
-// token is rejected during the handshake with a typed transport error.
-func TestSocketBadToken(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go shard.Serve(ln, "right-token")
-	defer ln.Close()
-
-	pool := &shard.Pool{
-		Dialer:  &shard.SocketDialer{Addrs: []string{ln.Addr().String()}, Token: "wrong-token"},
-		Workers: 1,
-	}
+// TestWorkerDiesMidFrame pins the truncated-frame case: a worker that
+// accepts a task and then dies halfway through writing its result must
+// surface as a typed *shard.TransportError — never a hang, never a
+// panic, never a silent partial result — and must be discarded, so that
+// the next batch dials a fresh worker and gets the serial answer.
+func TestWorkerDiesMidFrame(t *testing.T) {
+	d := &inProcDiesMidFrame{}
+	pool := &shard.Pool{Dialer: d, Workers: 1}
 	defer pool.Close()
+
 	log := equivLog(20)
 	q := equivQuery(t, log)
 	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
-	_, err = pool.RunEnum(core.LogSlices(log), specs)
-	if err == nil {
-		t.Fatal("expected a handshake rejection with the wrong token")
+	slices := core.LogSlices(log)
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.RunEnum(slices, specs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("expected an error from a worker dying mid-frame")
+		}
+		var te *shard.TransportError
+		if !errors.As(err, &te) {
+			t.Fatalf("mid-frame death surfaced as %T (%v), want *shard.TransportError", err, err)
+		}
+		if te.Op != "recv" {
+			t.Errorf("transport error op = %q, want \"recv\"", te.Op)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("truncated frame hung the coordinator")
 	}
-	var te *shard.TransportError
-	if !errors.As(err, &te) {
-		t.Fatalf("bad token surfaced as %T (%v), want *shard.TransportError", err, err)
+
+	got, err := pool.RunEnum(slices, specs)
+	if err != nil {
+		t.Fatalf("batch after the death: %v", err)
 	}
-	if te.Op != "handshake" {
-		t.Errorf("transport error op = %q, want \"handshake\"", te.Op)
+	if d.dials != 2 {
+		t.Errorf("%d dials, want 2: the dead worker must be discarded and replaced", d.dials)
 	}
+	want, err := specRunner{}.RunEnum(slices, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("batch after the death diverges from the serial run")
+	}
+}
+
+// inProcDiesMidFrame's first worker dies 16 bytes into its first result
+// frame; later ones are whole. It counts its dials, which the pool
+// makes under its lock.
+type inProcDiesMidFrame struct{ dials int }
+
+func (d *inProcDiesMidFrame) Dial(stats *shard.Stats) (*shard.Conn, error) {
+	d.dials++
+	if d.dials > 1 {
+		return shard.InProcDialer{}.Dial(stats)
+	}
+	return shard.DialInProcCut(stats, 16)
 }
 
 // TestSubprocessWorkerCrash pins crash handling: workers that die

@@ -6,16 +6,37 @@ import (
 	"net"
 )
 
+// InProcBudgetDialer is InProcDialer with each worker's slice cache
+// bounded to Budget bytes instead of the default; 0 caches nothing.
+type InProcBudgetDialer struct{ Budget int64 }
+
+// Dial implements Dialer.
+func (d InProcBudgetDialer) Dial(stats *Stats) (*Conn, error) {
+	return dialPipeWorker(stats, &workerState{cache: newSliceCache(d.Budget)}, nil), nil
+}
+
 // DialInProcCut is InProcDialer.Dial with the worker's end of the pipe
 // closing once the worker has written cut bytes of results: a worker
 // dying in the middle of a frame.
 func DialInProcCut(stats *Stats, cut int) (*Conn, error) {
+	return dialPipeWorker(stats, newWorkerState(), func(w io.Writer) io.Writer {
+		return &cutWriter{w: w, left: cut}
+	}), nil
+}
+
+// dialPipeWorker runs a worker loop with state ws at the far end of a
+// net.Pipe, its results written through wrap when wrap is set.
+func dialPipeWorker(stats *Stats, ws *workerState, wrap func(io.Writer) io.Writer) *Conn {
 	coord, w := net.Pipe()
+	out := io.Writer(w)
+	if wrap != nil {
+		out = wrap(w)
+	}
 	go func() {
 		defer w.Close()
-		_ = worker(w, &cutWriter{w: w, left: cut}, newWorkerState())
+		_ = worker(w, out, ws)
 	}()
-	return newConn(coord, coord, stats, "in-proc worker", func() { coord.Close() }), nil
+	return newConn(coord, coord, stats, "in-proc worker", func() { coord.Close() })
 }
 
 // cutWriter passes the first left bytes through and fails after them.

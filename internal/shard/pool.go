@@ -1,8 +1,8 @@
 package shard
 
 // Pool runs shard specs on a fleet of workers reached through one
-// framed connection each — subprocess pipes, in-process pipes, or
-// authenticated TCP sockets to remote machines (see transport.go).
+// framed connection each — subprocess pipes, or in-process pipes in
+// tests (see transport.go).
 // Workers are dialed lazily on first use and persist across batches (an
 // Explain makes one enumeration call — two with a generated despite
 // clause; a harness adds evaluation rounds);
@@ -33,7 +33,7 @@ var ErrPoolClosed = errors.New("shard: pool is closed")
 
 // Pool is a core.ShardRunner backed by worker connections.
 type Pool struct {
-	// Command is the worker argv, e.g. ["pxql", "-shard-worker"], used
+	// Command is the worker argv, e.g. ["pxqld", "-shard-worker"], used
 	// when Dialer is nil: each worker is a subprocess speaking the shard
 	// protocol on stdin/stdout.
 	Command []string
@@ -44,7 +44,7 @@ type Pool struct {
 	Workers int
 	// Dialer overrides how workers are reached — SubprocessDialer is the
 	// Command default; InProcDialer runs workers as goroutines behind
-	// in-memory pipes; SocketDialer connects to remote listeners.
+	// in-memory pipes.
 	Dialer Dialer
 
 	mu     sync.Mutex
@@ -66,34 +66,18 @@ type workerProc struct {
 
 // PoolConfig names a worker fleet for NewPool.
 type PoolConfig struct {
-	// Workers is the number of worker connections (default: 1, or one
-	// per address when Addrs is set).
+	// Workers is the number of worker subprocesses (default 1).
 	Workers int
 	// Command is the subprocess argv (default: this executable with
-	// -shard-worker appended). Ignored when Addrs is set.
+	// -shard-worker appended).
 	Command []string
 	// Env is appended to each subprocess worker's environment.
 	Env []string
-	// Addrs selects remote socket workers listening on these addresses.
-	Addrs []string
-	// Token is the shared handshake secret; required with Addrs.
-	Token string
 }
 
-// NewPool builds the pool cfg names: socket workers when cfg.Addrs is
-// set, subprocess workers otherwise. It is the one place a fleet is
-// configured; the workers are dialed lazily on first use.
+// NewPool builds the subprocess pool cfg names. It is the one place a
+// fleet is configured; the workers are dialed lazily on first use.
 func NewPool(cfg PoolConfig) (*Pool, error) {
-	if len(cfg.Addrs) > 0 {
-		if cfg.Token == "" {
-			return nil, errors.New("shard: remote workers require a token")
-		}
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = len(cfg.Addrs)
-		}
-		return &Pool{Dialer: &SocketDialer{Addrs: cfg.Addrs, Token: cfg.Token}, Workers: workers}, nil
-	}
 	cmd := cfg.Command
 	if len(cmd) == 0 {
 		exe, err := os.Executable()

@@ -2,15 +2,14 @@ package shard
 
 // The wire protocol between a shard coordinator and its workers: a
 // stream of gob-encoded Task frames answered one-for-one by gob-encoded
-// Result frames — over a subprocess's stdin/stdout, an in-process pipe
-// or an authenticated TCP socket (see transport.go; the frames are the
-// same on every stream). Every frame carries the protocol version; a
-// worker refuses mismatched frames with an error result instead of
-// guessing. The payloads themselves (log slices, predicate
-// specs, splitmix counter ranges) are the core package's shard spec
-// types, whose decode paths validate everything —
-// a corrupt or malicious frame produces an error result, never a panic
-// (FuzzShardCodec pins this).
+// Result frames — over a subprocess's stdin/stdout or an in-process
+// pipe (see transport.go; the frames are the same on both streams).
+// Every frame carries the protocol version; a worker refuses mismatched
+// frames with an error result instead of guessing. The payloads
+// themselves (log slices, predicate specs, splitmix counter ranges) are
+// the core package's shard spec types, whose decode paths validate
+// everything — a corrupt or malicious frame produces an error result,
+// never a panic (FuzzShardCodec pins this).
 //
 // Every task frame carries its records once, beside its spec, as
 // content-addressed log slices — the log's segments, concatenating in
@@ -135,7 +134,7 @@ type Result struct {
 }
 
 // Worker serves shard tasks from r until EOF, writing one result per
-// task to w — the body of the `pxql -shard-worker` subprocess mode.
+// task to w — the body of the `pxqld -shard-worker` subprocess mode.
 // Task execution errors (including corrupt specs) are reported in-band
 // as Result.Err; only transport failures (a truncated or undecodable
 // stream) end the loop with an error.

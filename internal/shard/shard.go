@@ -1,12 +1,12 @@
 // Package shard is the worker runtime for the pair pipeline's shard
 // specs (see internal/core/shard.go): a Pool ships planned enumeration
 // and evaluation specs as gob frames over one kind of connection, opened
-// by one of three dialers — subprocess stdin/stdout pipes
-// (`pxql -shard-worker`), in-memory pipes to worker goroutines, or
-// authenticated TCP sockets to remote machines running
-// `pxql -shard-worker -listen` (see transport.go and Serve) — and each
-// worker walks them with the same kernels the coordinator runs
-// locally when no pool is configured. Only the two quadratic walks ship:
+// by one of two dialers — the stdin/stdout pipes of `pxqld -shard-worker`
+// subprocesses, or in-memory pipes to worker goroutines, the tests'
+// reference (see transport.go) — and each worker walks them with the
+// same kernels the coordinator runs locally when no pool is configured.
+// Only pxqld owns a pool: a worker holds the whole log, so workers on
+// this box are its only use. Only the two quadratic walks ship:
 // the training sample they feed is small by construction (§4.3), so
 // materialization, growth and diagnostics stay on the coordinator, and a
 // question whose sample is drawn by rank sends no frame at all.
@@ -20,7 +20,7 @@
 //
 // Pool implements core.ShardRunner and returns results in spec order,
 // so the merged output is byte-identical to local execution at every
-// shard count, through every dialer, and with the content-addressed slice
+// shard count, through both dialers, and with the content-addressed slice
 // cache (cache.go) in any state — the property the equivalence test
 // suite pins.
 package shard

@@ -6,8 +6,8 @@ package shard
 // payload shipped). The pool owns one Stats value; its connections
 // meter their streams into it and the round-trip logic records cache
 // outcomes. Counters are monotonic across the pool's lifetime (they
-// survive worker replacement) and exposed via the CLIs' -verbose flag
-// and WorkerPool.Stats (pxbench's shard rows).
+// survive worker replacement) and exposed via WorkerPool.Stats (pxqld's
+// /api/stats and pxbench's shard rows).
 
 import (
 	"io"

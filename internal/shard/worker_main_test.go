@@ -3,7 +3,7 @@ package shard_test
 // TestMain doubles as the shard worker entry point: the subprocess pool
 // in the equivalence tests re-executes this test binary with
 // PXQL_SHARD_WORKER=1, which routes straight into the protocol loop
-// instead of the test runner — the same wiring the pxql binary's
+// instead of the test runner — the same wiring the pxqld binary's
 // -shard-worker flag provides.
 
 import (

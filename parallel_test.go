@@ -2,10 +2,11 @@ package perfxplain
 
 import (
 	"context"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
+
+	"perfxplain/internal/shard"
 )
 
 // The public determinism contract of Options.Parallelism: with the same
@@ -79,22 +80,14 @@ func TestExplanationIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestRemoteWorkersPublicAPI pins the public remote path end to end:
-// ServeShardWorkers on a loopback listener, coordinators reaching it
-// through a caller-owned WorkerPool, explanations and held-out metrics
-// byte-identical to local execution, and the pool surviving — caches
-// warm — across several explainers and evaluations.
+// TestRemoteWorkersPublicAPI pins the public pool path end to end: a
+// caller-owned WorkerPool of workers outside the coordinator (in-process
+// pipes, the full frame protocol, codec and slice cache), explanations
+// and held-out metrics byte-identical to local execution, and the pool
+// surviving — caches warm — across several explainers and evaluations.
 func TestRemoteWorkersPublicAPI(t *testing.T) {
 	jobs := detLog(t)
 	baseX, baseM := explainAt(t, jobs, 1)
-
-	const token = "public-api-token"
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go ServeShardWorkers(ln, token)
-	t.Cleanup(func() { ln.Close() })
 
 	q, err := ParseQuery(detQuery)
 	if err != nil {
@@ -106,10 +99,7 @@ func TestRemoteWorkersPublicAPI(t *testing.T) {
 	}
 	q.Bind(id1, id2)
 
-	pool, err := NewWorkerPool(PoolOptions{Addrs: []string{ln.Addr().String()}, Token: token, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := &WorkerPool{&shard.Pool{Dialer: shard.InProcDialer{}, Workers: 2}}
 	t.Cleanup(pool.Close)
 	opt := Options{Width: 3, DespiteWidth: 2, Seed: 7, Shards: 4, SharedPool: pool}
 	for round := 0; round < 2; round++ {
@@ -140,8 +130,7 @@ func TestRemoteWorkersPublicAPI(t *testing.T) {
 // TestShardWorkerOptionsResolveIdentically pins the one resolver behind
 // NewExplainer and Evaluate: a SharedPool without Options.Shards is
 // rejected by both with the same error, and Shards without a pool is
-// accepted by both as local execution. A pool of socket workers without
-// a token is refused when it is built.
+// accepted by both as local execution.
 func TestShardWorkerOptionsResolveIdentically(t *testing.T) {
 	jobs := detLog(t)
 	q, err := ParseQuery(detQuery)
@@ -180,8 +169,5 @@ func TestShardWorkerOptionsResolveIdentically(t *testing.T) {
 	if newErr == nil || evalErr == nil || newErr.Error() != evalErr.Error() ||
 		newErr.Error() != "perfxplain: Options.SharedPool requires Options.Shards" {
 		t.Errorf("SharedPool without Shards: NewExplainer: %v, Evaluate: %v; want the same rejection", newErr, evalErr)
-	}
-	if _, err := NewWorkerPool(PoolOptions{Addrs: []string{"127.0.0.1:1"}}); err == nil {
-		t.Error("a socket pool without a token was built")
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 
 	"perfxplain/internal/baselines"
@@ -349,29 +348,24 @@ type Options struct {
 	SharedPool *WorkerPool
 }
 
-// WorkerPool is a shared fleet of shard workers — subprocesses or
-// remote socket workers — that many explainers and evaluations can use
-// concurrently. Hoisting pool ownership out of per-explainer
-// construction keeps workers (and the log slices cached on them) alive
-// across repeated explanations; close it once, when all users are done.
+// WorkerPool is a shared fleet of shard worker subprocesses that many
+// explainers and evaluations can use concurrently. Hoisting pool
+// ownership out of per-explainer construction keeps workers (and the
+// log slices cached on them) alive across repeated explanations; close
+// it once, when all users are done.
 type WorkerPool struct {
 	p *shard.Pool
 }
 
 // PoolOptions configures NewWorkerPool.
 type PoolOptions struct {
-	// Workers is the number of worker connections (default: 1, or one
-	// per address when Addrs is set).
+	// Workers is the number of worker subprocesses (default 1).
 	Workers int
 	// Command is the subprocess argv (default: this executable with
-	// -shard-worker appended). Ignored when Addrs is set.
+	// -shard-worker appended).
 	Command []string
 	// Env is appended to each subprocess worker's environment.
 	Env []string
-	// Addrs selects remote socket workers listening on these addresses.
-	Addrs []string
-	// Token is the shared handshake secret; required with Addrs.
-	Token string
 }
 
 // NewWorkerPool builds a shard worker pool. The fleet is dialed lazily
@@ -403,21 +397,18 @@ func (wp *WorkerPool) Stats() ShardStats {
 // ShardStats are the shard runtime's counters: protocol frames, frame
 // bytes on metered transports, and the content-addressed slice cache's
 // behaviour (hits = payloads not re-shipped; misses = full ships).
+// pxqld's /api/stats reports them under "shard".
 type ShardStats struct {
-	FramesSent, FramesReceived int64
-	BytesSent, BytesReceived   int64
-	SliceHits, SliceMisses     int64
-	SliceBytesSaved            int64
+	FramesSent      int64 `json:"frames_sent"`
+	FramesReceived  int64 `json:"frames_received"`
+	BytesSent       int64 `json:"bytes_sent"`
+	BytesReceived   int64 `json:"bytes_received"`
+	SliceHits       int64 `json:"slice_hits"`
+	SliceMisses     int64 `json:"slice_misses"`
+	SliceBytesSaved int64 `json:"slice_bytes_saved"`
 	// Deprecated: always zero since slice prefetch was removed; kept
 	// only because bench/ reads them.
-	PrefetchSent, PrefetchHits int64
-}
-
-// String renders the counters in the CLIs' -verbose format.
-func (s ShardStats) String() string {
-	return fmt.Sprintf("frames sent=%d received=%d; bytes sent=%d received=%d; slice cache hits=%d misses=%d bytes-saved=%d",
-		s.FramesSent, s.FramesReceived, s.BytesSent, s.BytesReceived,
-		s.SliceHits, s.SliceMisses, s.SliceBytesSaved)
+	PrefetchSent, PrefetchHits int64 `json:"-"`
 }
 
 // exec describes who walks the pair space under these options: this
@@ -607,24 +598,12 @@ func NewTargetQuery(target, obsCode, expCode string) (*Query, error) {
 }
 
 // ShardWorker serves shard tasks from r until EOF, writing results to w
-// — the loop behind the pxql binaries' -shard-worker mode. Programs
+// — the loop behind pxqld's -shard-worker mode. Programs
 // embedding this package can expose the same mode (reading stdin,
 // writing stdout) and name themselves in PoolOptions.Command to run
 // explanation shards on their own subprocesses.
 func ShardWorker(r io.Reader, w io.Writer) error {
 	return shard.Worker(r, w)
-}
-
-// ServeShardWorkers turns this process into a remote shard worker: it
-// serves the shard protocol on every connection a coordinator opens on
-// l — the loop behind `pxql -shard-worker -listen`. Connections are
-// authenticated with an HMAC challenge over the shared token (which must
-// be non-empty and match the coordinator's PoolOptions.Token); each
-// connection gets its own worker loop and content-addressed slice cache.
-// The call blocks until the listener fails.
-func ServeShardWorkers(l net.Listener, token string) error {
-	//pxql:realtime — the HMAC handshake timestamps challenges; server mode is off the deterministic path
-	return shard.Serve(l, token)
 }
 
 // Metrics are the paper's explanation-quality measures evaluated on a
