@@ -429,55 +429,58 @@ func TestEquivalenceInProcDialer(t *testing.T) {
 	}
 }
 
-// TestWorkerDiesMidFrame pins the truncated-frame case: a worker that
-// accepts a task and then dies halfway through writing its result must
-// surface as a typed *shard.TransportError — never a hang, never a
-// panic, never a silent partial result — and must be discarded, so that
-// the next batch dials a fresh worker and gets the serial answer.
-func TestWorkerDiesMidFrame(t *testing.T) {
-	d := &inProcDiesMidFrame{}
-	pool := &shard.Pool{Dialer: d, Workers: 1}
-	defer pool.Close()
+// TestSocketWorkerDiesMidFrame pins the truncated-frame case: a worker
+// that accepts a task and then dies halfway through writing its result
+// to its connection must surface as a typed *shard.TransportError —
+// never a hang, never a panic, never a silent partial result — and must
+// be discarded, so that the next batch dials a fresh worker and gets the
+// serial answer. The worker runs in process over net.Pipe.
+func TestSocketWorkerDiesMidFrame(t *testing.T) {
+	t.Run("in-proc", func(t *testing.T) {
+		d := &inProcDiesMidFrame{}
+		pool := &shard.Pool{Dialer: d, Workers: 1}
+		defer pool.Close()
 
-	log := equivLog(20)
-	q := equivQuery(t, log)
-	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
-	slices := core.LogSlices(log)
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.RunEnum(slices, specs)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected an error from a worker dying mid-frame")
+		log := equivLog(20)
+		q := equivQuery(t, log)
+		specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 2, 1)
+		slices := core.LogSlices(log)
+		done := make(chan error, 1)
+		go func() {
+			_, err := pool.RunEnum(slices, specs)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatal("expected an error from a worker dying mid-frame")
+			}
+			var te *shard.TransportError
+			if !errors.As(err, &te) {
+				t.Fatalf("mid-frame death surfaced as %T (%v), want *shard.TransportError", err, err)
+			}
+			if te.Op != "recv" {
+				t.Errorf("transport error op = %q, want \"recv\"", te.Op)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("truncated frame hung the coordinator")
 		}
-		var te *shard.TransportError
-		if !errors.As(err, &te) {
-			t.Fatalf("mid-frame death surfaced as %T (%v), want *shard.TransportError", err, err)
-		}
-		if te.Op != "recv" {
-			t.Errorf("transport error op = %q, want \"recv\"", te.Op)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("truncated frame hung the coordinator")
-	}
 
-	got, err := pool.RunEnum(slices, specs)
-	if err != nil {
-		t.Fatalf("batch after the death: %v", err)
-	}
-	if d.dials != 2 {
-		t.Errorf("%d dials, want 2: the dead worker must be discarded and replaced", d.dials)
-	}
-	want, err := specRunner{}.RunEnum(slices, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("batch after the death diverges from the serial run")
-	}
+		got, err := pool.RunEnum(slices, specs)
+		if err != nil {
+			t.Fatalf("batch after the death: %v", err)
+		}
+		if d.dials != 2 {
+			t.Errorf("%d dials, want 2: the dead worker must be discarded and replaced", d.dials)
+		}
+		want, err := specRunner{}.RunEnum(slices, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("batch after the death diverges from the serial run")
+		}
+	})
 }
 
 // inProcDiesMidFrame's first worker dies 16 bytes into its first result
