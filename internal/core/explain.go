@@ -130,7 +130,7 @@ type Explanation struct {
 	// walked.
 	TrainRelevance float64
 	SampleSize     int
-	RelatedPairs   int
+	RelatedPairs   int64
 
 	// Atoms records per-predicate marginal quality: entry i holds the
 	// cumulative precision and generality of the because clause's first
@@ -325,7 +325,7 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 // counts are those of the kept pairs. stream names the seeds. An empty
 // related set is an error: there is nothing to learn from.
 func (e *Explainer) trainingSample(ctx context.Context, q *pxql.Query, despite pxql.Predicate, stream string) (
-	sample *pairPlanes, nObs, nExp int, err error) {
+	sample *pairPlanes, nObs, nExp int64, err error) {
 
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
@@ -349,11 +349,11 @@ func (e *Explainer) trainingSample(ctx context.Context, q *pxql.Query, despite p
 	// sequential stream over the deterministically ordered pair set keeps
 	// it reproducible.
 	return balancedSample(related, e.cfg.SampleSize, stats.DeriveRand(e.cfg.Seed, stream+"-sample")),
-		related.nObs, related.nExp, nil
+		int64(related.nObs), int64(related.nExp), nil
 }
 
 // relatedCounts is trainingSample's class counts alone.
-func (e *Explainer) relatedCounts(ctx context.Context, q *pxql.Query, despite pxql.Predicate, pairSeed uint64) (nObs, nExp int, err error) {
+func (e *Explainer) relatedCounts(ctx context.Context, q *pxql.Query, despite pxql.Predicate, pairSeed uint64) (nObs, nExp int64, err error) {
 	if rs := rankSpaceOf(e.log, q, despite); rs != nil {
 		return rs.nObs, rs.nExp, ctx.Err()
 	}
@@ -362,7 +362,7 @@ func (e *Explainer) relatedCounts(ctx context.Context, q *pxql.Query, despite px
 		return 0, 0, err
 	}
 	related.release()
-	return related.nObs, related.nExp, nil
+	return int64(related.nObs), int64(related.nExp), nil
 }
 
 var errNoRelated = errors.New("core: no related pairs in the log for this query")

@@ -267,7 +267,7 @@ func checkRankLeg(t *testing.T, label string, log *joblog.Log, q *pxql.Query, ex
 		wantObs[[2]int{p.a, p.b}] = p.obs
 		nObs += int(bitset.B2u(p.obs))
 	}
-	if rs.nObs != nObs || rs.nExp != len(want)-nObs {
+	if rs.nObs != int64(nObs) || rs.nExp != int64(len(want)-nObs) {
 		t.Errorf("%s: rank counts obs=%d exp=%d, Definition 7 has obs=%d exp=%d", label, rs.nObs, rs.nExp, nObs, len(want)-nObs)
 	}
 	var samples []*pairPlanes
@@ -283,7 +283,7 @@ func checkRankLeg(t *testing.T, label string, log *joblog.Log, q *pxql.Query, ex
 			}
 			return
 		}
-		if err != nil || o != nObs || o+n != len(want) {
+		if err != nil || o != int64(nObs) || o+n != int64(len(want)) {
 			t.Fatalf("%s: trainingSample counts obs=%d total=%d (err %v), want %d of %d", label, o, o+n, err, nObs, len(want))
 		}
 		seen := make(map[[2]int]bool, s.len())

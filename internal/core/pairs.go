@@ -518,7 +518,7 @@ func candidateRecords(log *joblog.Log, despite pxql.Predicate) (recs []int, filt
 // the related set is smaller than m: balance, not just volume, is the
 // point — the minority class is always kept in full while an oversized
 // majority is thinned toward it.
-func balancedRates(nObs, nExp, m int) (pObs, pExp float64) {
+func balancedRates(nObs, nExp int64, m int) (pObs, pExp float64) {
 	pObs, pExp = 1.0, 1.0
 	if nObs > 0 {
 		pObs = minf(1, float64(m)/(2*float64(nObs)))
@@ -528,7 +528,7 @@ func balancedRates(nObs, nExp, m int) (pObs, pExp float64) {
 	}
 	// Below the size budget, thin only the majority class down toward the
 	// minority so small related sets still train balanced.
-	if nObs+nExp <= m {
+	if nObs+nExp <= int64(m) {
 		pObs, pExp = 1, 1
 		switch {
 		case nObs > 2*nExp && nExp > 0:
@@ -546,7 +546,7 @@ func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
 	if m <= 0 {
 		return ps.flatten()
 	}
-	nObs, nExp := ps.nObs, ps.nExp
+	nObs, nExp := int64(ps.nObs), int64(ps.nExp)
 	pObs, pExp := balancedRates(nObs, nExp, m)
 	// Presized to the expected draw plus four standard deviations of
 	// slack, so the appends below all but never regrow.
@@ -569,9 +569,9 @@ func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
 // expectedDraw bounds the size of an independent-keep draw of nObs pairs
 // at pObs and nExp pairs at pExp: the mean plus four standard deviations,
 // capped at the population.
-func expectedDraw(nObs int, pObs float64, nExp int, pExp float64) int {
+func expectedDraw(nObs int64, pObs float64, nExp int64, pExp float64) int {
 	mean := float64(nObs)*pObs + float64(nExp)*pExp
-	return min(nObs+nExp, int(mean+4*math.Sqrt(mean))+1)
+	return int(min(nObs+nExp, int64(mean+4*math.Sqrt(mean))+1))
 }
 
 // matrixFree holds one idle pair matrix between explanations: a

@@ -55,8 +55,10 @@ type rankGroups struct {
 	// from hi on.
 	lo, hi []int32
 	// cum[c][k] counts the partners of compare code c (features.SymLT,
-	// SymSIM, SymGT) of members[:k]; len(members)+1 entries each.
-	cum [3][]int
+	// SymSIM, SymGT) of members[:k]; len(members)+1 entries each. A class
+	// of one group of n members holds up to n·(n−1) pairs, past 2³¹ from
+	// n ≈ 46 000, so counts and ranks are int64 on every GOARCH.
+	cum [3][]int64
 }
 
 // newRankGroups sorts the plan's groups by the target column through its
@@ -105,24 +107,28 @@ func newRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) 
 
 	rg.lo, rg.hi = make([]int32, total), make([]int32, total)
 	for c := range rg.cum {
-		rg.cum[c] = make([]int, total+1)
+		rg.cum[c] = make([]int64, total+1)
 	}
 	for g := 0; g+1 < len(start); g++ {
 		s, e := start[g], start[g+1]
 		lo, hi := s, s
 		for k := s; k < e; k++ {
 			x := vals[k]
-			// CompareNum(x, x) is SIM for a positive finite x, so lo stops
-			// at k at the latest.
-			for features.CompareNum(x, vals[lo]) == features.SymGT {
+			// Every value is positive and finite, and vals[lo] <= x <=
+			// vals[hi], so CompareNum's band (stats.Similar: |a−b| <=
+			// 0.1·max(|a|, |b|)) reads, to the bit, x − vals[lo] <= 0.1·x
+			// below and vals[hi] − x <= 0.1·vals[hi] above: the rounded
+			// difference of two floats is the negation of the reverse
+			// one. lo stops at k at the latest.
+			for x-vals[lo] > 0.10*x {
 				lo++
 			}
 			hi = max(hi, k+1)
-			for hi < e && features.CompareNum(x, vals[hi]) == features.SymSIM {
+			for hi < e && vals[hi]-x <= 0.10*vals[hi] {
 				hi++
 			}
 			rg.lo[k], rg.hi[k] = int32(lo), int32(hi)
-			w := [3]int{features.SymLT: e - hi, features.SymSIM: hi - lo - 1, features.SymGT: lo - s}
+			w := [3]int64{features.SymLT: int64(e - hi), features.SymSIM: int64(hi - lo - 1), features.SymGT: int64(lo - s)}
 			for c := range rg.cum {
 				rg.cum[c][k+1] = rg.cum[c][k] + w[c]
 			}
@@ -137,7 +143,7 @@ func newRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) 
 type rankSpace struct {
 	rg         *rankGroups
 	code       [2]uint64 // compare code of the observed (0) and expected (1) class
-	nObs, nExp int
+	nObs, nExp int64
 }
 
 // compareCode recognises an outcome clause of exactly one
@@ -207,11 +213,11 @@ func (rs *rankSpace) sample(m int, seed uint64) *pairPlanes {
 
 // draw appends class c's kept ranks of [0, n) as labelled record pairs:
 // every rank at p >= 1, otherwise the ranks the class's skip stream keeps.
-func (rs *rankSpace) draw(out *pairPlanes, c, n int, p float64, seed uint64, tab *skipTable) {
+func (rs *rankSpace) draw(out *pairPlanes, c int, n int64, p float64, seed uint64, tab *skipTable) {
 	rg, code := rs.rg, rs.code[c]
 	cum := rg.cum[code]
 	k := 0
-	take := func(r int) {
+	take := func(r int64) {
 		// Ranks arrive ascending: search only past the last member.
 		lo, hi := k, len(cum)-1
 		for lo < hi {
@@ -223,11 +229,12 @@ func (rs *rankSpace) draw(out *pairPlanes, c, n int, p float64, seed uint64, tab
 			}
 		}
 		k = lo
-		o := r - cum[k]
+		// Member k's partners of one code are fewer than the members.
+		o := int(r - cum[k])
 		var at int
 		switch code {
 		case features.SymGT:
-			at = int(rg.lo[k]) - (cum[k+1] - cum[k]) + o
+			at = int(rg.lo[k]) - int(cum[k+1]-cum[k]) + o
 		case features.SymSIM:
 			if at = int(rg.lo[k]) + o; at >= k {
 				at++ // the member is not its own partner
@@ -238,14 +245,14 @@ func (rs *rankSpace) draw(out *pairPlanes, c, n int, p float64, seed uint64, tab
 		out.add(rg.members[k], rg.members[at], c == 0)
 	}
 	if p >= 1 {
-		for r := 0; r < n; r++ {
+		for r := int64(0); r < n; r++ {
 			take(r)
 		}
 		return
 	}
 	tab.build(skipQuantum(p))
 	st := newSkipStream(seed, c, tab)
-	for r := 0; ; r++ {
+	for r := int64(0); ; r++ {
 		gap, ok := st.next(n - r)
 		if !ok {
 			return

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"perfxplain/internal/features"
@@ -138,7 +139,7 @@ func TestCompareWindowsMonotone(t *testing.T) {
 					t.Fatalf("trial %d: sweep window [%d, %d), brute force [%d, %d)", trial, rg.lo[s+k]-int32(s), rg.hi[s+k]-int32(s), lo, hi)
 				}
 				for c := range count {
-					if got := rg.cum[c][s+k+1] - rg.cum[c][s+k]; got != count[c] {
+					if got := rg.cum[c][s+k+1] - rg.cum[c][s+k]; got != int64(count[c]) {
 						t.Fatalf("trial %d: member %d has %d partners of code %d, brute force %d", trial, k, got, c, count[c])
 					}
 				}
@@ -195,7 +196,7 @@ func TestRankDrawLaw(t *testing.T) {
 					drawn[1] += smp.len() - obs
 				}
 				for c, np := range [2]struct {
-					n int
+					n int64
 					p float64
 				}{{rs.nObs, pObs}, {rs.nExp, pExp}} {
 					mean := 200 * float64(np.n) * np.p
@@ -284,7 +285,7 @@ func TestRankIneligibleWalks(t *testing.T) {
 				continue
 			}
 			nonEmpty[c.name]++
-			if err != nil || nObs != related.nObs || nExp != related.nExp || !reflect.DeepEqual(got, want) {
+			if err != nil || nObs != int64(related.nObs) || nExp != int64(related.nExp) || !reflect.DeepEqual(got, want) {
 				t.Errorf("trial %d %s: training sample (%d obs, %d exp, err %v) is not the walk's (%d obs, %d exp)",
 					trial, c.name, nObs, nExp, err, related.nObs, related.nExp)
 			}
@@ -294,5 +295,65 @@ func TestRankIneligibleWalks(t *testing.T) {
 		if nonEmpty[name] == 0 {
 			t.Errorf("%s: no trial had related pairs; the case is untested", name)
 		}
+	}
+}
+
+// TestRankCountsPastInt32: one blocking group of 70 000 members whose
+// targets spread over many 10 % bands holds some 2.4·10⁹ pairs in each of
+// its GT and LT classes — past what a 32-bit int counts. The rank
+// layout's class sizes must still be exact (every ordered pair has one
+// code, GT and LT mirror each other, and the SIM window is counted here
+// by binary search), and a draw must reach ranks past 2³¹ and land on
+// pairs of its class.
+func TestRankCountsPastInt32(t *testing.T) {
+	const n = 70000
+	schema := joblog.NewSchema([]joblog.Field{
+		{Name: "g", Kind: joblog.Nominal},
+		{Name: "duration", Kind: joblog.Numeric},
+	})
+	vals := make([]float64, n)
+	log := joblog.NewLog(schema)
+	for i := range vals {
+		// Strictly increasing, so rank order is record order.
+		vals[i] = math.Exp(float64(i) / 1000)
+		log.MustAppend(&joblog.Record{ID: fmt.Sprint("r", i), Values: []joblog.Value{joblog.Str("one"), joblog.Num(vals[i])}})
+	}
+	despite := pxql.Predicate{{Feature: "g_issame", Op: pxql.OpEq, Value: features.ValT}}
+	rs := rankSpaceOf(log, oracleQuery(despite), despite)
+	if rs == nil {
+		t.Fatal("the question is not rank-drawable")
+	}
+	var sim int64
+	for k, x := range vals {
+		lo := sort.Search(n, func(j int) bool { return features.CompareNum(x, vals[j]) != features.SymGT })
+		hi := sort.Search(n, func(j int) bool { return j > k && features.CompareNum(x, vals[j]) == features.SymLT })
+		sim += int64(hi - lo - 1)
+	}
+	gt := (int64(n)*(n-1) - sim) / 2
+	if gt <= math.MaxInt32 {
+		t.Fatalf("the GT class holds %d pairs: not past 2³¹", gt)
+	}
+	if rs.nObs != gt || rs.nExp != sim {
+		t.Fatalf("rank counts GT=%d SIM=%d, want GT=%d SIM=%d", rs.nObs, rs.nExp, gt, sim)
+	}
+	smp := rs.sample(2000, 11)
+	beyond := 0
+	for i := range smp.a {
+		a, b := smp.a[i], smp.b[i]
+		want := features.SymSIM
+		if smp.labels[i] {
+			want = features.SymGT
+			// Member a is at rank position a; its GT pairs' ranks start
+			// at cum[a].
+			if rs.rg.cum[features.SymGT][a] > math.MaxInt32 {
+				beyond++
+			}
+		}
+		if got := features.CompareNum(vals[a], vals[b]); got != uint64(want) {
+			t.Fatalf("drawn pair (%d, %d) of class %v has code %d", a, b, smp.labels[i], got)
+		}
+	}
+	if obs := countObserved(smp.labels); obs < 900 || obs > 1100 || beyond == 0 {
+		t.Fatalf("drew %d GT pairs (want ≈1000), %d of them past rank 2³¹", obs, beyond)
 	}
 }

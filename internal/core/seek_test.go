@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -181,9 +182,15 @@ func TestPairCountSaturation(t *testing.T) {
 		t.Errorf("pairCount64(5) = %d, want 20", got)
 	}
 	// 2^33 rows: n·(n−1) ≈ 2^66 overflows uint64 and must saturate (it
-	// would wrap to a small value and corrupt keep probabilities).
-	if got := pairCount64(1 << 33); got != maxU64 {
-		t.Errorf("pairCount64(1<<33) = %d, want saturation", got)
+	// would wrap to a small value and corrupt keep probabilities). An int
+	// of 32 bits cannot count that many rows, so there the product always
+	// fits.
+	if n := 1 << (bits.UintSize/2 + 1); bits.UintSize == 64 {
+		if got := pairCount64(n); got != maxU64 {
+			t.Errorf("pairCount64(1<<33) = %d, want saturation", got)
+		}
+	} else if got, want := pairCount64(math.MaxInt32), uint64(math.MaxInt32)*(math.MaxInt32-1); got != want {
+		t.Errorf("pairCount64(MaxInt32) = %d, want %d", got, want)
 	}
 	if got := satAdd64(maxU64-1, 5); got != maxU64 {
 		t.Errorf("satAdd64 overflow = %d, want saturation", got)

@@ -392,11 +392,11 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, clauses []
 				i := members[p]
 				st := newSkipStream(seed, i, &tb.skip)
 				for q := 0; ; q++ {
-					gap, ok := st.next(n1 - q)
+					gap, ok := st.next(int64(n1 - q))
 					if !ok {
 						break
 					}
-					q += gap
+					q += int(gap)
 					j := members[q]
 					if q >= p {
 						j = members[q+1]

@@ -139,14 +139,15 @@ func (st *skipTable) invert(u uint64) int {
 
 // next draws the next gap; ok is false when it reaches past the room
 // positions left, ending the row. A row costs at most room/skipSpan
-// redraws beyond its kept positions.
-func (s *skipStream) next(room int) (gap int, ok bool) {
+// redraws beyond its kept positions. Room and gap are int64 because a
+// rank space's room is a class size, which outgrows a 32-bit int.
+func (s *skipStream) next(room int64) (gap int64, ok bool) {
 	tab := s.tab
 	for {
 		u := stats.SplitMix64(s.state ^ s.k)
 		s.k++
 		if u >= tab.t[skipSpan] {
-			gap += tab.invert(u)
+			gap += int64(tab.invert(u))
 			return gap, gap < room
 		}
 		if room-gap <= skipSpan {

@@ -36,11 +36,11 @@ func skipRow(seed uint64, i, room int, keepP float64) []int {
 	st := newSkipStream(seed, i, skipTableFor(keepP))
 	var kept []int
 	for q := 0; ; q++ {
-		gap, ok := st.next(room - q)
+		gap, ok := st.next(int64(room - q))
 		if !ok {
 			return kept
 		}
-		q += gap
+		q += int(gap)
 		kept = append(kept, q)
 	}
 }
@@ -208,7 +208,7 @@ func TestSkipStreamLaw(t *testing.T) {
 			if !ok {
 				t.Fatalf("row %d: gap %d did not fit 2^40 positions", i, k)
 			}
-			if gap < len(hist) {
+			if gap < int64(len(hist)) {
 				hist[gap]++
 			}
 		}
@@ -260,11 +260,11 @@ func TestSkipStreamEdges(t *testing.T) {
 			// still ends, by redrawing at most room/skipSpan times.
 			st = newSkipStream(3, i, tab)
 			for q, room := 0, 1<<14; ; q++ {
-				gap, ok := st.next(room - q)
+				gap, ok := st.next(int64(room - q))
 				if !ok {
 					break
 				}
-				if q += gap; q >= room {
+				if q += int(gap); q >= room {
 					t.Fatalf("keepP=%g row %d: kept position %d of %d", keepP, i, q, room)
 				}
 			}
@@ -366,7 +366,7 @@ func BenchmarkSkipStream(b *testing.B) {
 				st := newSkipStream(17, i, tab)
 				for k := 0; k < perRow && i+k < b.N; k++ {
 					gap, _ := st.next(1 << 40)
-					sink += gap
+					sink += int(gap)
 				}
 			}
 			skipSink = sink

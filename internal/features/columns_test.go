@@ -40,9 +40,9 @@ func randLog(seed uint64, n int) *joblog.Log {
 				rec.Values[f] = joblog.None()
 			default:
 				if numeric {
-					rec.Values[f] = joblog.Num(nums[int(r>>8)%len(nums)])
+					rec.Values[f] = joblog.Num(nums[(r>>8)%uint64(len(nums))])
 				} else {
-					rec.Values[f] = joblog.Str(strs[int(r>>8)%len(strs)])
+					rec.Values[f] = joblog.Str(strs[(r>>8)%uint64(len(strs))])
 				}
 			}
 		}

@@ -255,6 +255,20 @@ func (c *Columns) view(n int) *Columns {
 	return v
 }
 
+// spare reports whether c's planes or IDs have capacity past its rows —
+// what a CSV read reserved and did not fill (ReadCSVPlanes).
+func (c *Columns) spare() bool {
+	if cap(c.ids) > c.n {
+		return true
+	}
+	for f := range c.cols {
+		if cap(c.cols[f].Num) > c.n || cap(c.cols[f].Sym) > c.n {
+			return true
+		}
+	}
+	return false
+}
+
 // canonical reports whether a plane of the given kind reproduces v
 // exactly: v is of that kind or Missing, and carries payload only in
 // its kind's member (any bit of Num counts, so -0 and NaN payloads in a
@@ -298,9 +312,9 @@ func (c *Columns) setRow(row int, r *Record) {
 }
 
 // stitch copies rows [lo, hi) of src into c starting at row at — the one
-// routine behind a store's ingest, CSV block landing and a worker's
-// slice concatenation. remap translates src's symbol IDs into c's
-// (Intern.remapFrom).
+// routine behind a store's ingest and a worker's slice concatenation (a
+// CSV read lands its blocks in place instead: Columns.land). remap
+// translates src's symbol IDs into c's (Intern.remapFrom).
 func (c *Columns) stitch(at int, src *Columns, lo, hi int, remap []uint32) {
 	m := hi - lo
 	copy(c.ids[at:at+m], src.ids[lo:hi])

@@ -12,6 +12,17 @@ package joblog
 //
 // The index is over the planes, which hold every cell exactly (see
 // columns.go), so a seek over it answers with boxed-Value semantics.
+//
+// Index order is (plane value, row). It is built without a comparison:
+// each present non-NaN cell gets an order-preserving uint64 key — a
+// number's IEEE bits with -0 folded to +0 first (the two compare equal,
+// so they tie and fall back to row order), the sign bit set on a positive
+// number and every bit flipped on a negative one; a symbol's ID — and a
+// stable LSD radix sort, one byte a pass, orders the rows, which enter in
+// ascending row order, so equal keys keep it. A pass over a byte every key
+// shares is skipped. The store's segment orders and snapshot tails are
+// sorted the same way (segment.go) and merged by planeLess, which is the
+// same order.
 
 import (
 	"math"
@@ -96,22 +107,88 @@ func planeLess(col *Col, a, b int32) bool {
 }
 
 // sortRows orders rows [lo, hi) of col; perm holds global row numbers.
+// It is a stable LSD radix sort of the present rows, taken in ascending
+// row order, on orderKey: equal keys keep row order, so the result is
+// (value, row) order — planeLess's — without a comparison.
 func sortRows(col *Col, lo, hi int) rowOrder {
 	var o rowOrder
+	keys := make([]uint64, 0, hi-lo)
+	rows := make([]int32, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if col.Miss.Get(i) {
 			continue
 		}
 		o.nPresent++
-		if col.Kind == Numeric && math.IsNaN(col.Num[i]) {
-			o.hasNaN = true
+		var k uint64
+		if col.Kind == Numeric {
+			x := col.Num[i]
+			if x != x {
+				o.hasNaN = true
+				continue
+			}
+			k = orderKey(x)
+		} else {
+			k = uint64(col.Sym[i])
+		}
+		keys = append(keys, k)
+		rows = append(rows, int32(i))
+	}
+	if len(rows) > 0 {
+		o.perm = radixSort(keys, rows)
+	}
+	return o
+}
+
+// orderKey maps a non-NaN float to a uint64 whose unsigned order is the
+// float's: -0 is folded to +0 first (the two compare equal, so they must
+// tie and fall back to row order), then a negative number has every bit
+// flipped and a positive one its sign bit set.
+func orderKey(x float64) uint64 {
+	if x == 0 {
+		x = 0
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSort sorts rows by keys, stably, one byte of the key per pass
+// from the least significant up, and returns the sorted rows. A pass in
+// which every key has the same byte moves nothing and is skipped — all
+// eight bytes' counts come from one read of the keys — so a symbol
+// column sorts in at most four passes and a column of small integers in
+// two or three. keys and rows are overwritten.
+func radixSort(keys []uint64, rows []int32) []int32 {
+	n := len(keys)
+	var count [8][256]int32
+	for _, k := range keys {
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
+		}
+	}
+	keys2, rows2 := make([]uint64, n), make([]int32, n)
+	for d := range count {
+		c := &count[d]
+		if c[byte(keys[0]>>(8*d))] == int32(n) {
 			continue
 		}
-		o.perm = append(o.perm, int32(i))
+		var at int32
+		for b, m := range c {
+			c[b] = at
+			at += m
+		}
+		shift := 8 * uint(d)
+		for i, k := range keys {
+			j := c[byte(k>>shift)]
+			c[byte(k>>shift)] = j + 1
+			keys2[j], rows2[j] = k, rows[i]
+		}
+		keys, keys2 = keys2, keys
+		rows, rows2 = rows2, rows
 	}
-	perm := o.perm
-	sort.Slice(perm, func(a, b int) bool { return planeLess(col, perm[a], perm[b]) })
-	return o
+	return rows
 }
 
 // SeekGE returns the first position in Perm whose numeric value is >= x.

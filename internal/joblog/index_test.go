@@ -1,7 +1,11 @@
 package joblog
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -240,3 +244,82 @@ func TestSortedIndexRangeBounds(t *testing.T) {
 		t.Errorf("RangeBetween(10, NaN) = %v, want nil", got)
 	}
 }
+
+// comparatorOrder is sortRows' reference: the present non-NaN rows of
+// [lo, hi), sorted by a comparison of plane values (so -0 ties +0) and
+// then by row.
+func comparatorOrder(col *Col, lo, hi int) rowOrder {
+	var o rowOrder
+	for i := lo; i < hi; i++ {
+		if col.Miss.Get(i) {
+			continue
+		}
+		o.nPresent++
+		if col.Kind == Numeric && math.IsNaN(col.Num[i]) {
+			o.hasNaN = true
+			continue
+		}
+		o.perm = append(o.perm, int32(i))
+	}
+	sort.Slice(o.perm, func(a, b int) bool {
+		ra, rb := o.perm[a], o.perm[b]
+		if col.Kind == Numeric {
+			if x, y := col.Num[ra], col.Num[rb]; x != y {
+				return x < y
+			}
+		} else if x, y := col.Sym[ra], col.Sym[rb]; x != y {
+			return x < y
+		}
+		return ra < rb
+	})
+	return o
+}
+
+// TestSortRowsMatchesComparator: the radix order is the comparator's on
+// random columns heavy in duplicates, signed zeros, infinities, NaN and
+// missing cells, numeric and nominal, over a whole log, a sealed
+// segment's row range and a short tail.
+func TestSortRowsMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, -1,
+		math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64}
+	const n = 5000
+	schema := NewSchema([]Field{
+		{Name: "specials", Kind: Numeric},
+		{Name: "small", Kind: Numeric},
+		{Name: "wide", Kind: Numeric},
+		{Name: "same", Kind: Numeric},
+		{Name: "sym", Kind: Nominal},
+		{Name: "manysym", Kind: Nominal},
+	})
+	l := NewLog(schema)
+	for i := 0; i < n; i++ {
+		vals := []Value{
+			Num(special[rng.Intn(len(special))]),
+			Num(float64(rng.Intn(40) - 20)),
+			Num(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))),
+			Num(3.5),
+			Str(fmt.Sprintf("s%d", rng.Intn(5))),
+			Str(fmt.Sprintf("m%d", rng.Intn(3000))),
+		}
+		for f := range vals {
+			if rng.Intn(9) == 0 {
+				vals[f] = None()
+			}
+		}
+		l.MustAppend(&Record{ID: fmt.Sprint(i), Values: vals})
+	}
+	c := l.Columns()
+	for f := 0; f < schema.Len(); f++ {
+		for _, r := range [][2]int{{0, n}, {1024, 1024 + 2048}, {n - 7, n}, {n, n}} {
+			col := c.Col(f)
+			got, want := sortRows(col, r[0], r[1]), comparatorOrder(col, r[0], r[1])
+			if got.nPresent != want.nPresent || got.hasNaN != want.hasNaN || !slices.Equal(got.perm, want.perm) {
+				t.Fatalf("field %s rows [%d, %d): radix %d present (NaN %v) %v…, comparator %d present (NaN %v) %v…",
+					schema.Field(f).Name, r[0], r[1], got.nPresent, got.hasNaN, head(got.perm), want.nPresent, want.hasNaN, head(want.perm))
+			}
+		}
+	}
+}
+
+func head(p []int32) []int32 { return p[:min(len(p), 12)] }

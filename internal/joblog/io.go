@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
+
+	"perfxplain/internal/bitset"
 )
 
 // The CSV layout is: header row of "name:kind" cells (first column is the
@@ -120,12 +123,16 @@ func ReadCSV(r io.Reader) (*Log, error) {
 // plane-backed log: no Record or Value is ever allocated for it.
 //
 // The calling goroutine only reads and searches: it fills fixed-size
-// blocks, cuts each after its last newline outside quotes and hands the
-// whole records before the cut to GOMAXPROCS decode workers, which split
-// the block into cells and parse them — so nothing per cell runs in
-// front of the workers, and at most GOMAXPROCS+2 blocks are alive however
-// long the file. Each block decodes into planes of its own; a serial pass
-// then lands the blocks in file order, so rows and symbol IDs come out as
+// blocks, cuts each after its last newline outside quotes, counts the
+// newlines — a bound on the block's records — and hands the block, with
+// the run of rows it reserves, to GOMAXPROCS decode workers, which split
+// the block into cells and parse them straight into the log's own
+// planes — so nothing per cell runs in front of the workers, no cell is
+// copied after it is parsed, and at most GOMAXPROCS+2 blocks are alive
+// however long the file. A serial pass then lands the blocks in file
+// order: it closes the gaps that blank lines and quoted line breaks leave
+// in a block's reservation, renumbers each block's symbols into the log's
+// table and places its missing bits, so rows and symbol IDs come out as
 // one row-major build would assign them whatever the schedule, and of
 // several defects in one file the first in file order is the one
 // reported.
@@ -141,12 +148,13 @@ const csvBlockSize = 128 << 10
 // readCSVPlanes is ReadCSVPlanes at a block size the tests choose.
 func readCSVPlanes(r io.Reader, blockSize int) (*Log, error) {
 	workers := runtime.GOMAXPROCS(0)
+	size := inputSize(r)
 	br := &csvBlockReader{r: r, size: blockSize, free: make(chan []byte, workers+2)}
 
 	// The header is the first record of the first block that has one.
 	var header []string
 	var block []byte
-	quoted, lines := false, 0
+	quoted, lines, read := false, 0, 0
 	for header == nil {
 		if block, quoted = br.next(); block == nil {
 			if br.err != nil {
@@ -154,6 +162,7 @@ func readCSVPlanes(r io.Reader, blockSize int) (*Log, error) {
 			}
 			return nil, fmt.Errorf("joblog: empty csv")
 		}
+		read += len(block)
 		cr := csv.NewReader(bytes.NewReader(block))
 		cr.FieldsPerRecord = -1
 		cells, err := cr.Read()
@@ -174,7 +183,8 @@ func readCSVPlanes(r io.Reader, blockSize int) (*Log, error) {
 		return nil, err
 	}
 
-	d := &csvDecoder{schema: NewSchema(fields)}
+	schema := NewSchema(fields)
+	d := &csvDecoder{schema: schema, arena: newColumns(schema, 0, newIntern())}
 	// Unbuffered: a block waits in the reader's hands until a worker is
 	// free, and the reader fills at most one more behind it.
 	work := make(chan csvBlock)
@@ -190,9 +200,23 @@ func readCSVPlanes(r io.Reader, blockSize int) (*Log, error) {
 		}()
 	}
 	// Once a block has a defect nothing after it can matter: stop reading.
+	at, data := 0, 0 // rows reserved, and the bytes they were reserved for
 	for seq := 0; block != nil && !d.failed.Load(); seq++ {
-		work <- csvBlock{seq: seq, data: block, quoted: quoted}
-		block, quoted = br.next()
+		b := csvBlock{seq: seq, data: block, quoted: quoted, at: at, lines: bytes.Count(block, newline)}
+		// A record is a line at least, and takes a byte per cell.
+		b.rows = b.lines
+		if n := len(block); n > 0 && block[n-1] != '\n' {
+			b.rows++
+		}
+		b.rows = min(b.rows, len(block)/(schema.Len()+1)+1)
+		at, data = at+b.rows, data+len(block)
+		if at > d.arena.n {
+			d.reserve(arenaTarget(at, data, size-read, d.arena.n))
+		}
+		work <- b
+		if block, quoted = br.next(); block != nil {
+			read += len(block)
+		}
 	}
 	close(work)
 	wg.Wait()
@@ -212,13 +236,45 @@ func readCSVPlanes(r io.Reader, blockSize int) (*Log, error) {
 	if br.err != nil {
 		return nil, fmt.Errorf("joblog: read csv: %w", br.err)
 	}
-	c := newColumns(d.schema, n, newIntern())
-	at := 0
-	for _, part := range d.parts {
-		c.stitch(at, part.cols, 0, part.n, c.intern.remapFrom(part.cols.intern))
-		at += part.n
+	c := d.arena
+	for f := range c.cols {
+		c.cols[f].Miss = extend(Bitmap(nil), bitset.Words(n))
 	}
-	return &Log{Schema: d.schema, rows: c}, nil
+	row = 0
+	for _, part := range d.parts {
+		c.land(row, part)
+		row += part.n
+	}
+	c.clip(n)
+	return &Log{Schema: schema, rows: c}, nil
+}
+
+// inputSize is how many bytes r says it holds — its Len, or its Stat
+// size for a regular file, the hint os.ReadFile takes — or -1.
+func inputSize(r io.Reader) int {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() && int64(int(fi.Size())) == fi.Size() {
+			return int(fi.Size())
+		}
+	}
+	return -1
+}
+
+// arenaTarget is the row capacity to grow the arena to once need rows
+// are reserved for the data bytes read so far and left more bytes of
+// input remain (negative: unknown). A known remainder is assumed to hold
+// rows as densely as the input so far, plus a sixteenth. An unknown one
+// doubles the arena, and starts it at four blocks' worth, so that a small
+// batch (an /api/ingest body) never waits for a growth.
+func arenaTarget(need, data, left, have int) int {
+	if left < 0 {
+		return max(4*need, 2*have)
+	}
+	more := int(int64(left) * int64(need) / int64(max(data, 1)))
+	return need + more + more/16
 }
 
 var (
@@ -358,11 +414,14 @@ func parseCSVHeader(header []string) ([]Field, error) {
 	return fields, checkFieldNames(fields)
 }
 
-// csvBlock is a run of whole records as they stand in the file.
+// csvBlock is a run of whole records as they stand in the file, and the
+// rows [at, at+rows) of the arena reserved for them.
 type csvBlock struct {
-	seq    int // position among the file's blocks
-	data   []byte
-	quoted bool // data holds a quote
+	seq      int // position among the file's blocks
+	data     []byte
+	quoted   bool // data holds a quote
+	lines    int  // newlines in data
+	at, rows int
 }
 
 // csvDecoder collects what the decode workers produce.
@@ -370,17 +429,57 @@ type csvDecoder struct {
 	schema *Schema
 	failed atomic.Bool // some block has a defect
 
+	// arena is the log being read: its planes and IDs have a row for
+	// every row reserved so far (n counts them); its missing bits and
+	// intern table are made when the blocks land. Workers write their
+	// blocks' rows under the read lock; reserve grows the planes under the
+	// write lock, so only while no block is being written.
+	arenaMu sync.RWMutex
+	arena   *Columns
+
 	mu    sync.Mutex
 	parts []*csvPart // decoded blocks, in file order
 }
 
-// csvPart is one decoded block: planes of its own, its nominal cells
-// numbered by a block-local table. Nothing it keeps aliases the block —
-// IDs are cut from one string per block and the table owns its strings —
-// so no plane pins a read buffer.
+// reserve grows the arena's planes and IDs to n rows.
+func (d *csvDecoder) reserve(n int) {
+	d.arenaMu.Lock()
+	defer d.arenaMu.Unlock()
+	c := d.arena
+	c.ids = resize(c.ids, n)
+	for f := range c.cols {
+		col := &c.cols[f]
+		if col.Kind == Numeric {
+			col.Num = resize(col.Num, n)
+		} else {
+			col.Sym = resize(col.Sym, n)
+		}
+	}
+	c.n = n
+}
+
+// resize returns a copy of s in an array of exactly n elements. The
+// copy goes through a reslice: written as make then copy of the whole
+// slice, the compiler fuses the two into one call that clears the new
+// array's tail itself, touching every page of it at once — where the
+// allocator hands out fresh memory already zero and leaves the first
+// touch to the workers that write each row.
+func resize[S ~[]E, E any](s S, n int) S {
+	grown := make(S, n)
+	copy(grown[:len(s)], s)
+	return grown
+}
+
+// csvPart is one decoded block. Its cols is a window onto the block's
+// reserved rows of the arena — its planes and IDs are the arena's, the
+// first n rows written — beside a missing bitmap and an intern table of
+// its own, which number the block's rows and symbols from zero. Nothing
+// it keeps aliases the block — IDs are cut from one string per block and
+// the table owns its strings — so no plane pins a read buffer.
 type csvPart struct {
 	schema *Schema
 	cols   *Columns
+	at     int // the arena row of the window's first row
 	n      int // records decoded
 	lines  int // newlines in the block
 	// defect renders the block's first defect, given the file row number
@@ -392,28 +491,25 @@ type csvPart struct {
 	idEnds []int
 }
 
-// decode splits and parses one block.
+// decode splits and parses one block into its reserved rows.
 func (d *csvDecoder) decode(b csvBlock) {
-	p := &csvPart{schema: d.schema, lines: bytes.Count(b.data, newline)}
-	// A record is a line at least, and takes a byte per cell.
-	rows := p.lines + 1
-	if most := len(b.data)/(d.schema.Len()+1) + 1; rows > most {
-		rows = most
-	}
-	p.cols = newColumns(d.schema, rows, newIntern())
-	p.idEnds = make([]int, 0, rows)
+	p := &csvPart{schema: d.schema, at: b.at, lines: b.lines}
+	d.arenaMu.RLock()
+	p.cols = d.arena.window(b.at, b.rows)
+	p.idEnds = make([]int, 0, b.rows)
 	if b.quoted {
 		p.decodeQuoted(b.data)
 	} else {
 		p.decodePlain(b.data)
 	}
-	if p.defect != nil {
-		d.failed.Store(true)
-	}
 	ids, at := string(p.ids), 0
 	for i, end := range p.idEnds[:p.n] {
 		p.cols.ids[i] = ids[at:end]
 		at = end
+	}
+	d.arenaMu.RUnlock()
+	if p.defect != nil {
+		d.failed.Store(true)
 	}
 	p.ids, p.idEnds = nil, nil
 
@@ -425,9 +521,88 @@ func (d *csvDecoder) decode(b csvBlock) {
 	d.mu.Unlock()
 }
 
+// window returns rows [at, at+n) of c as a view a block decodes into:
+// planes and IDs are c's, capacity-capped; the missing bits (one slab
+// for all fields) and the intern table are the window's own.
+func (c *Columns) window(at, n int) *Columns {
+	w := &Columns{n: n, intern: newIntern(), cols: make([]Col, len(c.cols)), ids: c.ids[at : at+n : at+n]}
+	words := bitset.Words(n)
+	miss := make(Bitmap, len(c.cols)*words)
+	for f := range c.cols {
+		col := &c.cols[f]
+		w.cols[f] = Col{Kind: col.Kind, Miss: miss[f*words : (f+1)*words : (f+1)*words]}
+		if col.Kind == Numeric {
+			w.cols[f].Num = col.Num[at : at+n : at+n]
+		} else {
+			w.cols[f].Sym = col.Sym[at : at+n : at+n]
+		}
+	}
+	return w
+}
+
+// land makes a decoded block's rows the arena's rows [at, at+p.n): it
+// moves them down when blocks before it decoded fewer rows than they
+// reserved, renumbers their symbols into the arena's table and sets
+// their missing bits. Blocks land in file order, so the table numbers
+// symbols by first appearance, as stitch does, and a move never reaches
+// a row a later block holds.
+func (c *Columns) land(at int, p *csvPart) {
+	src, m := p.cols, p.n
+	move := at != p.at
+	if move {
+		copy(c.ids[at:at+m], src.ids[:m])
+	}
+	remap := c.intern.remapFrom(src.intern)
+	for f := range c.cols {
+		dst, from := &c.cols[f], &src.cols[f]
+		if dst.Kind == Numeric {
+			if move {
+				copy(dst.Num[at:at+m], from.Num[:m])
+			}
+		} else {
+			if move {
+				copy(dst.Sym[at:at+m], from.Sym[:m])
+			}
+			for i, id := range dst.Sym[at : at+m] {
+				// A missing cell's symbol is a zero no table need hold.
+				if !from.Miss.Get(i) {
+					dst.Sym[at+i] = remap[id]
+				}
+			}
+		}
+		dst.Miss.BlitFrom(from.Miss, 0, at, m)
+	}
+}
+
+// clip cuts the arena to its first n rows. The rows reserved past them
+// stay as the planes' capacity (see spare).
+func (c *Columns) clip(n int) {
+	c.n = n
+	c.ids = clipTo(c.ids, n)
+	for f := range c.cols {
+		if col := &c.cols[f]; col.Kind == Numeric {
+			col.Num = clipTo(col.Num, n)
+		} else {
+			col.Sym = clipTo(col.Sym, n)
+		}
+	}
+}
+
+// clipTo is s[:n], or nil for no rows, as a log built row by row has.
+func clipTo[S ~[]E, E any](s S, n int) S {
+	if n == 0 {
+		return nil
+	}
+	return s[:n]
+}
+
 // decodePlain splits a block without quotes, where encoding/csv's rules
 // come to: records end at '\n', less one '\r' before it (or before the
-// end of the input); empty lines are skipped; cells end at ','.
+// end of the input); empty lines are skipped; cells end at ','. A numeric
+// cell is parsed where it stands and its comma taken where the number
+// stops (scanNumeric), so its bytes are read once; a cell the scan
+// declines, or whose number something other than its comma follows, is
+// cut at its comma and parsed by cell, through strconv if need be.
 func (p *csvPart) decodePlain(data []byte) {
 	nf := len(p.cols.cols)
 	for len(data) > 0 {
@@ -443,22 +618,48 @@ func (p *csvPart) decodePlain(data []byte) {
 		if len(line) == 0 {
 			continue
 		}
-		if commas := bytes.Count(line, comma); commas != nf {
-			p.ragged(commas + 1)
-			return
-		}
-		for f := -1; f < nf-1; f++ {
-			i := bytes.IndexByte(line, ',')
-			if !p.cell(f, line[:i]) {
-				return
+		if !p.splitPlain(line, nf) {
+			if commas := bytes.Count(line, comma); commas != nf {
+				p.ragged(commas + 1)
 			}
-			line = line[i+1:]
-		}
-		if !p.cell(nf-1, line) {
 			return
 		}
 		p.n++
 	}
+}
+
+// splitPlain writes the cells of one unquoted record, or records the
+// first defect in it and reports false — a ragged record as a cell
+// missing or one too many; decodePlain counts the record's cells then,
+// and reports raggedness ahead of whatever cell went wrong.
+func (p *csvPart) splitPlain(line []byte, nf int) bool {
+	rest := line
+	for f := -1; f < nf; f++ {
+		last := f == nf-1
+		if f >= 0 && p.cols.cols[f].Kind == Numeric && len(rest) > 0 && rest[0] != ',' {
+			if x, end, ok := scanNumeric(rest); ok && (end == len(rest)) == last {
+				if last {
+					p.cols.cols[f].Num[p.n] = x
+					return true
+				}
+				if rest[end] == ',' {
+					p.cols.cols[f].Num[p.n] = x
+					rest = rest[end+1:]
+					continue
+				}
+			}
+		}
+		cell := rest
+		if i := bytes.IndexByte(rest, ','); last != (i < 0) {
+			return false
+		} else if !last {
+			cell, rest = rest[:i], rest[i+1:]
+		}
+		if !p.cell(f, cell) {
+			return false
+		}
+	}
+	return true
 }
 
 var comma = []byte{','}

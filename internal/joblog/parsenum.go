@@ -19,9 +19,22 @@ import (
 // digit, an exponent outside the power-of-ten table, the cases
 // Eisel–Lemire leaves undecided, and any byte not named above.
 func parseNumeric[S string | []byte](s S) (x float64, ok bool) {
+	x, end, ok := scanNumeric(s)
+	return x, ok && end == len(s)
+}
+
+// scanNumeric is parseNumeric over the longest prefix of s the grammar
+// above reads: it returns the prefix's value and length, or declines.
+// The byte at end, if any, is the first that is not part of the number —
+// a CSV decoder takes its comma there without searching for it. Whether
+// that byte may follow the number is the caller's question: a prefix
+// followed by anything but what ends its cell is not the cell's value.
+// An exponent marker without a digit after it declines rather than end
+// the prefix before it, so a cell such as "1e" is never read as "1".
+func scanNumeric[S string | []byte](s S) (x float64, end int, ok bool) {
 	i, n := 0, len(s)
 	if n == 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	neg := s[0] == '-'
 	if neg || s[0] == '+' {
@@ -55,7 +68,7 @@ func parseNumeric[S string | []byte](s S) (x float64, ok bool) {
 		exp10 = start - i
 	}
 	if digits == 0 || sig > maxSigDigits {
-		return 0, false
+		return 0, 0, false
 	}
 	if i < n && s[i]|0x20 == 'e' {
 		i++
@@ -66,14 +79,14 @@ func parseNumeric[S string | []byte](s S) (x float64, ok bool) {
 			}
 			i++
 		}
-		if i == n {
-			return 0, false
+		if i == n || s[i]-'0' > 9 {
+			return 0, 0, false
 		}
 		e := 0
 		for ; i < n; i++ {
 			d := s[i] - '0'
 			if d > 9 {
-				return 0, false
+				break
 			}
 			if e < 10000 {
 				e = e*10 + int(d)
@@ -81,16 +94,13 @@ func parseNumeric[S string | []byte](s S) (x float64, ok bool) {
 		}
 		exp10 += esign * e
 	}
-	if i < n {
-		return 0, false
-	}
 
 	switch {
 	case mant == 0:
 		if neg {
-			return math.Copysign(0, -1), true
+			return math.Copysign(0, -1), i, true
 		}
-		return 0, true
+		return 0, i, true
 	case mant < 1<<53 && -maxExactPow10 <= exp10 && exp10 <= maxExactPow10:
 		// Both operands are exact float64s, so the one rounding of the
 		// product or quotient is the correct rounding of the decimal.
@@ -99,13 +109,14 @@ func parseNumeric[S string | []byte](s S) (x float64, ok bool) {
 			x = -x
 		}
 		if exp10 < 0 {
-			return x / exactPow10[-exp10], true
+			return x / exactPow10[-exp10], i, true
 		}
-		return x * exactPow10[exp10], true
+		return x * exactPow10[exp10], i, true
 	case exp10 < pow10Min || exp10 > pow10Max:
-		return 0, false
+		return 0, 0, false
 	}
-	return eiselLemire(mant, exp10, neg)
+	x, ok = eiselLemire(mant, exp10, neg)
+	return x, i, ok
 }
 
 // scanDigits appends the run of decimal digits at s[i:] to mant and

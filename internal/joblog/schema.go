@@ -156,11 +156,13 @@ type Log struct {
 
 	// idMu guards idCache, the memoized ID→index map behind Find, keyed
 	// like the other memos; the first occurrence wins so duplicate IDs
-	// resolve exactly like a linear scan.
+	// resolve exactly like a linear scan. idScans counts the lookups of
+	// the current key answered by a scan before the map was built.
 	idMu       sync.Mutex
 	idCache    map[string]int
 	idCacheN   int
 	idCacheGen uint64
+	idScans    int
 }
 
 // logStats holds memoized per-field scan results, valid for a specific
@@ -294,10 +296,10 @@ func (l *Log) Value(r *Record, name string) Value {
 	return r.Values[i]
 }
 
-// Find returns the record with the given ID, or nil. The lookup is a
-// memoized ID→index map, so the per-query callers (explanation binding,
-// both baselines, the evaluation harness) pay O(1) per call instead of
-// a scan per lookup.
+// Find returns the record with the given ID, or nil. After a log's
+// first few lookups it is a memoized ID→index map, so the per-query
+// callers (explanation binding, both baselines, the evaluation harness,
+// a server's questions) pay O(1) per call instead of a scan per lookup.
 func (l *Log) Find(id string) *Record {
 	i, ok := l.FindIndex(id)
 	if !ok {
@@ -312,21 +314,37 @@ func (l *Log) Find(id string) *Record {
 func (l *Log) FindIndex(id string) (int, bool) {
 	l.idMu.Lock()
 	defer l.idMu.Unlock()
-	if n := l.Len(); l.idCache == nil || l.idCacheN != n || l.idCacheGen != l.gen {
-		idx := make(map[string]int, n)
+	n := l.Len()
+	if l.idCacheN != n || l.idCacheGen != l.gen {
+		l.idCache, l.idCacheN, l.idCacheGen, l.idScans = nil, n, l.gen, 0
+	}
+	if l.idCache == nil && l.idScans < idScanLookups {
+		l.idScans++
 		for i := 0; i < n; i++ {
-			id := l.ID(i)
-			if _, dup := idx[id]; !dup {
-				idx[id] = i
+			if l.ID(i) == id {
+				return i, true
 			}
 		}
-		l.idCache = idx
-		l.idCacheN = n
-		l.idCacheGen = l.gen
+		return 0, false
+	}
+	if l.idCache == nil {
+		// Backwards, one hash per ID: of duplicate IDs the first row is
+		// written last, so it is the one that stays.
+		l.idCache = make(map[string]int, n)
+		for i := n - 1; i >= 0; i-- {
+			l.idCache[l.ID(i)] = i
+		}
 	}
 	i, ok := l.idCache[id]
 	return i, ok
 }
+
+// idScanLookups is how many lookups of a log scan its IDs before the map
+// is built. A one-shot question binds two IDs; scanning 27 000 IDs for
+// each costs about a hundredth of hashing all of them into a map (2 ms
+// in a fresh process), and a log asked more often than that gets the map
+// from the next lookup on.
+const idScanLookups = 2
 
 // Filter returns a new log of records (sharing the schema) with the
 // records for which keep returns true.

@@ -232,7 +232,11 @@ func (s *Store) checkSchema(got *Schema) error {
 // Record being built: rows move plane to plane. Into an empty store
 // they do not move at all: the arena becomes a view of l's planes
 // (Columns.view), capacity-capped and with its own missing bits and
-// intern table, so the store never writes memory l reads. A log whose
+// intern table, so the store never writes memory l reads — unless l's
+// planes have spare capacity, the rows a CSV read reserved and did not
+// fill. A store lives long, and the GC counts an array's capacity as live
+// heap for as long as anything views it, so those rows are copied once
+// into planes of their exact size instead. A log whose
 // schema is not the store's (names and kinds, in order) is refused with
 // a *SchemaError and nothing is appended.
 func (s *Store) Ingest(l *Log) error {
@@ -242,7 +246,7 @@ func (s *Store) Ingest(l *Log) error {
 	src := l.Columns()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if at := s.arena.n; at == 0 {
+	if at := s.arena.n; at == 0 && !src.spare() {
 		s.arena = src.view(src.n)
 	} else {
 		remap := s.arena.intern.remapFrom(src.intern)
@@ -481,13 +485,32 @@ func (s *Store) sealedPermFor(col *Col, segs []*segment, f int) sealedPerm {
 	if cur.nSegs == len(segs) {
 		return cur
 	}
+	perms := make([][]int32, 0, len(segs)-cur.nSegs)
 	for _, seg := range segs[cur.nSegs:] {
 		o := seg.order(col, f)
 		cur.nPresent += o.nPresent
 		cur.hasNaN = cur.hasNaN || o.hasNaN
-		cur.perm = mergePerms(col, cur.perm, o.perm)
-		cur.nSegs++
+		perms = append(perms, o.perm)
 	}
+	// The new segments merge pairwise, as a balanced tree, and only
+	// their union merges into the memo: O(n log k) for k new segments,
+	// where folding them in one at a time would copy the growing prefix
+	// k times.
+	for len(perms) > 1 {
+		half := perms[:0]
+		for i := 0; i < len(perms); i += 2 {
+			if i+1 == len(perms) {
+				half = append(half, perms[i])
+			} else {
+				half = append(half, mergePerms(col, perms[i], perms[i+1]))
+			}
+		}
+		perms = half
+	}
+	if len(perms) == 1 {
+		cur.perm = mergePerms(col, cur.perm, perms[0])
+	}
+	cur.nSegs = len(segs)
 	s.ixMu.Lock()
 	if old := s.ixMemo[f]; old == nil || old.nSegs < cur.nSegs {
 		if s.ixMemo == nil {

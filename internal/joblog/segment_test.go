@@ -215,6 +215,26 @@ func TestStoreSnapshotEquivalence(t *testing.T) {
 		}
 	}
 
+	// Far more sealed segments than one merge round: the new segments of
+	// a watermark merge as a tree, first from an empty memo, then on top
+	// of a memo an earlier snapshot's index left behind.
+	t.Run("many segments", func(t *testing.T) {
+		schema := segTestSchema()
+		recs := segTestRecords(600)
+		st := NewStore(schema, 4)
+		want := NewLog(schema)
+		for i, r := range recs {
+			st.MustAppend(r)
+			want.MustAppend(r)
+			if i+1 == 262 || i+1 == len(recs) {
+				if st.SealedSegments() < 64 {
+					t.Fatalf("%d sealed segments, want at least 64", st.SealedSegments())
+				}
+				assertLogEquivalent(t, st.Snapshot().Log(), want)
+			}
+		}
+	})
+
 	// Two empty stores adopt one plane-backed log, then each appends rows
 	// of its own: rows with missing cells in the log's last word of
 	// missing bits, and symbols the log never held. Neither store may

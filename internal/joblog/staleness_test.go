@@ -13,7 +13,9 @@ import (
 func TestMemosFreshAfterAppend(t *testing.T) {
 	l := memoLog() // a: (east, 3), b: (west, 7)
 	l.Columns()
-	l.FindIndex("a")
+	for i := 0; i <= idScanLookups; i++ { // past the scans, so the map is built
+		l.FindIndex("a")
+	}
 	l.Domain("site")
 	l.NumericRange("x")
 

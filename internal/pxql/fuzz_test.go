@@ -64,9 +64,9 @@ func fuzzLog(seed uint64) *joblog.Log {
 			case r%10 == 0 && clean>>uint(f)&1 == 0:
 				rec.Values[f] = joblog.None()
 			case log.Schema.Field(f).Kind == joblog.Numeric:
-				rec.Values[f] = joblog.Num(nums[int(r>>8)%len(nums)])
+				rec.Values[f] = joblog.Num(nums[(r>>8)%uint64(len(nums))])
 			default:
-				rec.Values[f] = joblog.Str(strs[int(r>>8)%len(strs)])
+				rec.Values[f] = joblog.Str(strs[(r>>8)%uint64(len(strs))])
 			}
 		}
 		log.MustAppend(rec)
