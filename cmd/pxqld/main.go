@@ -123,7 +123,7 @@ func run(o runOpts) error {
 		Seed: o.seed, Parallelism: o.parallelism, Shards: o.shards,
 	}
 	// The server owns ONE worker pool for its whole lifetime — workers
-	// (and their content-addressed slice caches) survive across every
+	// (and the log slices of their last frame) survive across every
 	// request, which is the point of a resident server.
 	if o.shardWorkers > 0 {
 		pool, err := perfxplain.NewWorkerPool(perfxplain.PoolOptions{Workers: o.shardWorkers})

@@ -10,6 +10,10 @@ import (
 	"perfxplain/internal/pxql"
 )
 
+// simButDiffTarget is the raw feature excluded from SimButDiff's isSame
+// feature set: it is the query subject.
+const simButDiffTarget = "duration"
+
 // SimButDiffConfig tunes the SimButDiff baseline.
 type SimButDiffConfig struct {
 	// SimilarityThreshold s ∈ (0,1]: a training pair is "similar" when it
@@ -20,9 +24,6 @@ type SimButDiffConfig struct {
 	MaxPairs int
 	// Seed drives the (capped) enumeration.
 	Seed int64
-	// Target raw feature excluded from the isSame feature set (it is the
-	// query subject). Default "duration".
-	Target string
 	// Parallelism bounds the worker goroutines of related-pair
 	// enumeration (<= 0 means GOMAXPROCS); the result is identical at
 	// every setting.
@@ -32,9 +33,6 @@ type SimButDiffConfig struct {
 func (c SimButDiffConfig) withDefaults() SimButDiffConfig {
 	if c.SimilarityThreshold == 0 {
 		c.SimilarityThreshold = 0.9
-	}
-	if c.Target == "" {
-		c.Target = "duration"
 	}
 	return c
 }
@@ -75,7 +73,7 @@ func (s *SimButDiff) Explain(q *pxql.Query, width int) (*core.Explanation, error
 	var feats []sameFeat
 	raw := s.d.RawSchema()
 	for i := 0; i < raw.Len(); i++ {
-		if raw.Field(i).Name == s.cfg.Target {
+		if raw.Field(i).Name == simButDiffTarget {
 			continue
 		}
 		name := features.Name(raw.Field(i).Name, features.IsSame)

@@ -122,12 +122,21 @@ func set(schema *joblog.Schema, rec *joblog.Record, name string, v joblog.Value)
 	rec.Values[schema.MustIndex(name)] = v
 }
 
+// nominal is v as a nominal cell: an empty string is a missing cell, as
+// every log format reads it back.
+func nominal(v string) joblog.Value {
+	if v == "" {
+		return joblog.None()
+	}
+	return joblog.Str(v)
+}
+
 // JobRecord converts an engine result into a job log record. submitOffset
 // shifts the job's virtual clock onto the log-wide timeline.
 func JobRecord(schema *joblog.Schema, res *mapreduce.JobResult, submitOffset float64) *joblog.Record {
 	rec := &joblog.Record{ID: res.ID, Values: make([]joblog.Value, schema.Len())}
 	num := func(name string, v float64) { set(schema, rec, name, joblog.Num(v)) }
-	str := func(name, v string) { set(schema, rec, name, joblog.Str(v)) }
+	str := func(name, v string) { set(schema, rec, name, nominal(v)) }
 
 	str("pigscript", res.Script)
 	str("clustername", "ec2-sim")
@@ -181,7 +190,7 @@ func TaskRecords(schema *joblog.Schema, res *mapreduce.JobResult, submitOffset f
 	for _, t := range res.Tasks {
 		rec := &joblog.Record{ID: t.ID, Values: make([]joblog.Value, schema.Len())}
 		num := func(name string, v float64) { set(schema, rec, name, joblog.Num(v)) }
-		str := func(name, v string) { set(schema, rec, name, joblog.Str(v)) }
+		str := func(name, v string) { set(schema, rec, name, nominal(v)) }
 
 		str("jobid", t.JobID)
 		str("tasktype", t.Type)
@@ -245,9 +254,6 @@ type Sweep struct {
 	// Seed derives each job's seed; two sweeps with the same seed produce
 	// identical logs.
 	Seed int64
-	// GapSeconds is the idle time inserted between jobs on the log-wide
-	// timeline. Default 60.
-	GapSeconds float64
 	// Parallelism bounds the worker goroutines simulating grid cells
 	// (<= 0 means GOMAXPROCS). Each job derives its own seed from its grid
 	// position and the records are assembled serially in grid order, so
@@ -256,6 +262,10 @@ type Sweep struct {
 }
 
 const gb = 1 << 30
+
+// gapSeconds is the idle time inserted between jobs on the log-wide
+// timeline.
+const gapSeconds = 60
 
 // DefaultSweep is the paper's Table 2 grid: 5 × 2 × 3 × 3 × 3 × 2 = 540
 // job executions.
@@ -303,9 +313,6 @@ type Result struct {
 // assembled serially in grid order with the cumulative timeline offset,
 // so the collected log is byte-identical at every worker count.
 func (s Sweep) Collect() (*Result, error) {
-	if s.GapSeconds == 0 {
-		s.GapSeconds = 60
-	}
 	specs, err := s.specs()
 	if err != nil {
 		return nil, err
@@ -335,7 +342,7 @@ func (s Sweep) Collect() (*Result, error) {
 			out.Tasks.MustAppend(tr)
 		}
 		out.Results = append(out.Results, res)
-		offset += res.Duration() + s.GapSeconds
+		offset += res.Duration() + gapSeconds
 	}
 	return out, nil
 }

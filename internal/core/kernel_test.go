@@ -101,7 +101,7 @@ func TestResidualDespiteEqualsFull(t *testing.T) {
 			Expected: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpEq, Value: features.ValSIM}},
 		}
 		x := &Explanation{Because: pxql.Predicate{{Feature: "duration_compare", Op: pxql.OpNe, Value: features.ValLT}}}
-		data := &SliceData{Log: tc.log, Cols: tc.log.Columns()}
+		data := tc.log
 		walked := 0
 		for _, maxPairs := range []int{0, 40} { // exact, and thinned below skipKeepP
 			for _, seek := range []bool{false, true} {

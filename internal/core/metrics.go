@@ -37,7 +37,7 @@ type Metrics struct {
 // — on this process's cores, or on ex.Runner's workers for logs that
 // exceed one box; spec results are integer counts summed in spec order,
 // so the metrics are exact and identical at every parallelism, spec
-// count, transport and cache state.
+// count and transport, whatever slices the workers hold.
 //
 // Locally each worker checks ctx before starting a spec; with a Runner
 // ctx is checked before the fan-out (the runner round is the unit of

@@ -208,7 +208,7 @@ func splitLog(rng *rand.Rand, n int) *joblog.Log {
 		{Name: "duration", Kind: joblog.Numeric},
 	})
 	nums := []float64{0, math.Copysign(0, -1), 1, 1.05, -3, 100, math.Inf(-1), math.Inf(1), math.NaN(), 1e308, 1.7e308}
-	strs := []string{"a", "b→c", "a→b", "c", "x", ""}
+	strs := []string{"a", "b→c", "a→b", "c", "x", " "}
 	log := joblog.NewLog(schema)
 	for i := 0; i < n; i++ {
 		rec := &joblog.Record{ID: id(i), Values: make([]joblog.Value, schema.Len())}

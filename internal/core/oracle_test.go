@@ -141,7 +141,7 @@ func oracleLog(rng *rand.Rand) *joblog.Log {
 		case 4:
 			s = joblog.None()
 		case 5:
-			s = joblog.Str("")
+			s = joblog.Str(" ")
 		}
 		// Three clusters a factor of two apart, each spread over 6%:
 		// similar within a cluster (rarely equal), never across.

@@ -105,9 +105,9 @@ func TestEvaluateIdenticalAcrossParallelism(t *testing.T) {
 func TestBlockKeyCollisionProof(t *testing.T) {
 	tuples := [][2]string{
 		{"x\x1f", "y"}, {"x", "\x1fy"},
-		{"x", "y"}, {"xy", ""},
+		{"x", "y"}, {"xy", "z"},
 		{"1:3", "a"}, {"1", "3:a"},
-		{"", "ab"}, {"a", "b"},
+		{"x", "yz"}, {"a", "b"},
 		{"x", "y"}, // the one repeat: joins record 2
 	}
 	log := joblog.NewLog(joblog.NewSchema([]joblog.Field{

@@ -1,16 +1,16 @@
 package core
 
 // The walk planners — the only producers of walk units — and the
-// worker-side assembly of the records a Runner ships. Every log has a
-// segment decomposition (joblog.Log.SegmentViews): a joblog.Store
-// snapshot's sealed immutable segments plus its mutable tail, or a flat
-// log's contiguous runs of joblog.DefaultSealThreshold records. A
-// Runner receives it, at the moment a walk ships, as one
-// content-addressed LogSlice per segment (LogSlices), concatenating in
-// order to the whole log; the specs of the batch carry only what tells
-// them apart — the blocking groups and outer ranges each owns. A segment
-// keeps its hash for as long as its records do, so worker caches stay
-// warm across queries and appends, and only the tail slice (whose hash
+// slices a Runner ships. Every log has a segment decomposition
+// (joblog.Log.SegmentViews): a joblog.Store snapshot's sealed immutable
+// segments plus its mutable tail, or a flat log's contiguous runs of
+// joblog.DefaultSealThreshold records. A Runner receives it, at the
+// moment a walk ships, as one content-addressed LogSlice per segment
+// (LogSlices), concatenating in order to the whole log; the specs of the
+// batch carry only what tells them apart — the blocking groups and outer
+// ranges each owns. A segment keeps its hash for as long as its records
+// do, so a frame at the next watermark names the sealed segments its
+// worker already holds by reference, and only the tail slice (whose hash
 // changes with every append) re-ships. Nothing builds the slices until
 // a walk actually ships: local execution and questions whose sample is
 // drawn by rank wire and hash nothing.
@@ -18,14 +18,12 @@ package core
 // Byte-identity: a spec addresses records by their index in the log and
 // carries blocking groups, outer ranges, the keep probability, the seed
 // and the predicates; a worker concatenates the segment slices into one
-// whole-log view and runs the same kernel the coordinator runs over its
-// resident columns, so the merged output is the same at every spec
-// count, executor and seal boundary — pinned against an independent
+// whole log (joblog.Concat) and runs the same kernel the coordinator
+// runs over its resident log, so the merged output is the same at every
+// spec count, executor and seal boundary — pinned against an independent
 // oracle by the planner and segment equivalence suites.
 
 import (
-	"fmt"
-
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
 	"perfxplain/internal/pxql"
@@ -41,44 +39,6 @@ func LogSlices(log *joblog.Log) []LogSlice {
 		out[i] = LogSlice{Hash: v.Hash, Log: v.Records}
 	}
 	return out
-}
-
-// CombineSlices concatenates decoded slices, in order, into one view —
-// the worker-side assembly of a spec's whole-log form. The slices'
-// planes are stitched, not rebuilt (joblog.Concat), and come out equal
-// to the coordinator's own, plane for plane. With a single slice the
-// decoded form is returned as-is.
-func CombineSlices(datas []*SliceData) (*SliceData, error) {
-	if len(datas) == 0 {
-		return nil, fmt.Errorf("core: spec has no slices")
-	}
-	if len(datas) == 1 {
-		return datas[0], nil
-	}
-	logs := make([]*joblog.Log, len(datas))
-	for i, d := range datas {
-		logs[i] = d.Log
-	}
-	log, err := joblog.Concat(logs)
-	if err != nil {
-		return nil, fmt.Errorf("core: segment slices: %w", err)
-	}
-	return &SliceData{Log: log, Cols: log.Columns()}, nil
-}
-
-// DecodeSlices decodes payload slices and combines them into the view
-// a batch's specs run against (the shard runtimes resolve each slice
-// through a cache first and combine the decoded forms themselves).
-func DecodeSlices(slices []LogSlice) (*SliceData, error) {
-	datas := make([]*SliceData, len(slices))
-	for i := range slices {
-		d, err := slices[i].Data()
-		if err != nil {
-			return nil, err
-		}
-		datas[i] = d
-	}
-	return CombineSlices(datas)
 }
 
 // cutGroupShards cuts the flattened (group, outer-member) sequence of a
@@ -158,7 +118,7 @@ func PlanEnumShards(log *joblog.Log, level features.Level, q *pxql.Query,
 // self-contained evaluation specs, cut exactly like enumeration shards.
 // Shipped, they travel with the same log slices, so repeated evaluations
 // over one log (a harness scoring an explanation at several widths)
-// reference cached slices instead of re-shipping them.
+// reference the slices their workers hold instead of re-shipping them.
 func PlanEvalShards(log *joblog.Log, level features.Level, q *pxql.Query,
 	x *Explanation, maxPairs, nShards int, seed uint64) []EvalSpec {
 

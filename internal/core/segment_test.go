@@ -150,8 +150,8 @@ func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 }
 
 // TestCombineSlicesEqualsFlatColumns: what a worker walks — a
-// snapshot's slices decoded one at a time and combined — is the coordinator's own
-// columnar view plane for plane: the same IDs, symbol numbering, numeric
+// snapshot's slices decoded one at a time and concatenated by
+// joblog.Concat — is the coordinator's own columnar view plane for plane: the same IDs, symbol numbering, numeric
 // bits, missing cells and boxed values, whatever the seal
 // threshold cut the log into.
 func TestCombineSlicesEqualsFlatColumns(t *testing.T) {
@@ -161,10 +161,10 @@ func TestCombineSlicesEqualsFlatColumns(t *testing.T) {
 		want := log.Columns()
 		for _, sealEvery := range []int{1, 4, 9, 100} {
 			data := sliceView(t, storeOver(log, sealEvery))
-			got := data.Cols
+			got := data.Columns()
 			name := fmt.Sprintf("trial %d seal=%d", trial, sealEvery)
-			if data.Log.Records != nil || data.Log.Columns() != got {
-				t.Fatalf("%s: the combined view is not its log's planes", name)
+			if data.Records != nil {
+				t.Fatalf("%s: the combined log is not plane-backed", name)
 			}
 			if got.Len() != want.Len() || !reflect.DeepEqual(got.Intern().Strings(), want.Intern().Strings()) {
 				t.Fatalf("%s: %d rows interning %q, want %d rows interning %q", name,
@@ -187,8 +187,8 @@ func TestCombineSlicesEqualsFlatColumns(t *testing.T) {
 				}
 			}
 			for i := 0; i < want.Len(); i++ {
-				if data.Log.ID(i) != log.ID(i) {
-					t.Fatalf("%s: row %d is %q, want %q", name, i, data.Log.ID(i), log.ID(i))
+				if data.ID(i) != log.ID(i) {
+					t.Fatalf("%s: row %d is %q, want %q", name, i, data.ID(i), log.ID(i))
 				}
 			}
 		}

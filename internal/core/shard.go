@@ -15,8 +15,8 @@ package core
 //   - a ShardRunner (internal/shard's worker Pool): the batch ships with
 //     the log's segments as content-addressed LogSlices (LogSlices, built
 //     only now and shipped only with the batch that walks them — nothing
-//     ships ahead of need), which workers decode, cache and concatenate
-//     into the same whole-log view.
+//     ships ahead of need), which workers decode and concatenate into the
+//     same whole-log view.
 //
 // Results merge in spec order through one validated tail per spec kind,
 // so the output is byte-identical at every spec count, parallelism and
@@ -116,11 +116,10 @@ func runLocal[S, R any](ctx context.Context, specs []S, workers int, run func(*S
 // its method for this spec kind, kind its name in errors). A cancelled
 // ctx surfaces as the bare ctx.Err().
 func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind string, specs []S,
-	walk func(*S, *SliceData) (*R, error), ship func(ShardRunner, []LogSlice, []S) ([]R, error)) ([]R, error) {
+	walk func(*S, *joblog.Log) (*R, error), ship func(ShardRunner, []LogSlice, []S) ([]R, error)) ([]R, error) {
 
 	if ex.Runner == nil {
-		data := &SliceData{Log: log, Cols: log.Columns()}
-		return runLocal(ctx, specs, ex.Parallelism, func(s *S) (*R, error) { return walk(s, data) })
+		return runLocal(ctx, specs, ex.Parallelism, func(s *S) (*R, error) { return walk(s, log) })
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -136,72 +135,34 @@ func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind stri
 }
 
 // LogSlice is the shippable unit of execution-log data: a wire-form
-// record slice, content-addressed by joblog.HashSlice. The hash makes
-// slice shipping cacheable: a runtime that has already shipped a slice
-// to a worker may send a reference (Ref true, payload empty) instead,
-// and the worker resolves it from its decoded-columns cache — or reports
-// a miss, in which case the full payload is resent. Execution is
-// byte-identical either way: the hash covers every bit of the payload,
-// so a hit decodes to exactly what a fresh ship would have.
+// record slice, content-addressed by joblog.HashSlice. The hash lets a
+// runtime send a reference (Ref true, payload empty) for a slice the
+// worker already holds — see internal/shard for which ones it holds.
+// Execution is byte-identical either way: the hash covers every bit of
+// the payload, so a held slice is exactly what a fresh ship decodes to.
 //pxql:wirehash 918e30003077463d v=11
 
-//pxql:wire decode=Data
+//pxql:wire decode=Decode
 type LogSlice struct {
-	// Hash is the content address (joblog.HashSlice of Log); empty
-	// disables caching for this slice.
+	// Hash is the content address: joblog.HashSlice of Log.
 	Hash string `json:"hash,omitempty"`
-	// Ref marks a frame that carries only the hash: the payload was
-	// already shipped on this connection and should be resolved from the
-	// worker's cache.
+	// Ref marks a frame that carries only the hash: the worker resolves
+	// it from the slices it holds.
 	Ref bool           `json:"ref,omitempty"`
 	Log joblog.WireLog `json:"log"`
-}
-
-// NewLogSlice builds a content-addressed slice from its wire form.
-func NewLogSlice(w joblog.WireLog) LogSlice {
-	return LogSlice{Hash: joblog.HashSlice(w), Log: w}
 }
 
 // AsRef returns the hash-only form of the slice, for shipping to a
 // worker that already holds the payload.
 func (s LogSlice) AsRef() LogSlice { return LogSlice{Hash: s.Hash, Ref: true} }
 
-// SizeEstimate approximates the payload's in-memory footprint — the
-// accounting unit of worker-side cache eviction and the runtime's
-// bytes-saved counter.
-func (s *LogSlice) SizeEstimate() int {
-	n := 0
-	for _, f := range s.Log.Fields {
-		n += len(f.Name) + 16
-	}
-	for _, r := range s.Log.Records {
-		n += len(r.ID) + 16
-		for _, v := range r.Values {
-			n += len(v.Str) + 24
-		}
-	}
-	return n
-}
-
-// SliceData is the view a spec kernel walks: a log plus its columnar
-// view. Workers decode it from shipped slices (and cache it); the
-// coordinator's local executor wraps its resident log.
-type SliceData struct {
-	Log  *joblog.Log
-	Cols *joblog.Columns
-}
-
-// Data decodes the slice, validating everything. A reference slice
-// cannot be decoded — the caller must resolve it from a cache first.
-func (s *LogSlice) Data() (*SliceData, error) {
+// Decode decodes the slice's payload, validating everything. A
+// reference carries no payload: the caller resolves it first.
+func (s *LogSlice) Decode() (*joblog.Log, error) {
 	if s.Ref {
-		return nil, fmt.Errorf("core: slice %.12s shipped as a cache reference but no cached payload is available", s.Hash)
+		return nil, fmt.Errorf("core: slice %.12s is a reference and carries no payload", s.Hash)
 	}
-	log, err := s.Log.Log()
-	if err != nil {
-		return nil, err
-	}
-	return &SliceData{Log: log, Cols: log.Columns()}, nil
+	return s.Log.Log()
 }
 
 // EnumGroup is one blocking group's contribution to an enumeration
@@ -291,30 +252,28 @@ type EvalResult struct {
 // to within one unit.
 func cutPoint(n, nShards, s int) int { return s * n / nShards }
 
-// deriverKey memoizes a view's deriver per feature level on its columnar
+// deriverKey memoizes a log's deriver per feature level on its columnar
 // view (joblog.Columns.Memo), so the specs of a batch — and every later
-// batch over the same view, local or worker-cached — share one.
+// batch over the same log, local or worker-held — share one.
 type deriverKey features.Level
 
-// deriver validates the level and returns the view's deriver for it.
-func (d *SliceData) deriver(level features.Level) (*features.Deriver, error) {
+// compileSpecs validates the level and decodes and compiles wire-form
+// predicates against the log, under its memoized deriver for the level.
+func compileSpecs(log *joblog.Log, level features.Level, specs ...pxql.PredicateSpec) ([]*pxql.CompiledPredicate, error) {
 	if level < features.Level1 || level > features.Level3 {
 		return nil, fmt.Errorf("core: spec has invalid feature level %d", level)
 	}
-	return d.Cols.Memo(deriverKey(level), func() any {
-		return features.NewDeriver(d.Log.Schema, level)
-	}).(*features.Deriver), nil
-}
-
-// compile decodes and compiles wire-form predicates against the view.
-func (d *SliceData) compile(dr *features.Deriver, specs ...pxql.PredicateSpec) ([]*pxql.CompiledPredicate, error) {
+	cols := log.Columns()
+	dr := cols.Memo(deriverKey(level), func() any {
+		return features.NewDeriver(log.Schema, level)
+	}).(*features.Deriver)
 	out := make([]*pxql.CompiledPredicate, len(specs))
 	for i, ps := range specs {
 		p, err := ps.Predicate()
 		if err != nil {
 			return nil, err
 		}
-		out[i] = p.Compile(dr, d.Cols)
+		out[i] = p.Compile(dr, cols)
 	}
 	return out, nil
 }
@@ -455,11 +414,10 @@ func expectedKept(groups []EnumGroup, keepP float64) int {
 	return int(math.Min(e+4*math.Sqrt(e)+16, maxPresize))
 }
 
-// RunWith walks the spec's slice of the enumeration space over a
-// whole-log view — the one enumeration kernel, behind the coordinator's
-// local executor (its resident columns) and the workers (whose runtimes
-// resolve each shipped slice through a cache and combine once per
-// watermark). To avoid the quadratic blowup on task logs the planner has
+// RunWith walks the spec's slice of the enumeration space over the
+// whole log — the one enumeration kernel, behind the coordinator's local
+// executor (its resident log) and the workers (which concatenate the
+// shipped slices once per frame they have not just answered). To avoid the quadratic blowup on task logs the planner has
 // already turned despite conjuncts of the forms
 //
 //	<raw>_issame = T   (group records by their raw value)
@@ -473,12 +431,12 @@ func expectedKept(groups []EnumGroup, keepP float64) int {
 // selection (AndTile — dead words are skipped, and clauses over one
 // column share its code plane), and the related set is their word-wise
 // union, read out in ascending bit order. Predicates are compiled
-// against the view's own columns; compiled evaluation is
+// against the log's own columns; compiled evaluation is
 // intern-independent (it matches the interpreted semantics exactly), so
-// labels and refs are the same on every view of the same records.
-func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
+// labels and refs are the same on every log of the same records.
+func (s *EnumSpec) RunWith(log *joblog.Log) (*EnumResult, error) {
 	res := &EnumResult{}
-	if err := s.runInto(data, res); err != nil {
+	if err := s.runInto(log, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -491,9 +449,9 @@ func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
 var resultPool = sync.Pool{New: func() any { return new(EnumResult) }}
 
 // runPooled is RunWith into planes from resultPool.
-func (s *EnumSpec) runPooled(data *SliceData) (*EnumResult, error) {
+func (s *EnumSpec) runPooled(log *joblog.Log) (*EnumResult, error) {
 	res := resultPool.Get().(*EnumResult)
-	if err := s.runInto(data, res); err != nil {
+	if err := s.runInto(log, res); err != nil {
 		resultPool.Put(res)
 		return nil, err
 	}
@@ -502,12 +460,8 @@ func (s *EnumSpec) runPooled(data *SliceData) (*EnumResult, error) {
 
 // runInto is RunWith's walk, overwriting res and reusing its planes'
 // capacity.
-func (s *EnumSpec) runInto(data *SliceData, res *EnumResult) error {
-	d, err := data.deriver(s.Level)
-	if err != nil {
-		return err
-	}
-	c, err := data.compile(d, s.Despite, s.Observed, s.Expected)
+func (s *EnumSpec) runInto(log *joblog.Log, res *EnumResult) error {
+	c, err := compileSpecs(log, s.Level, s.Despite, s.Observed, s.Expected)
 	if err != nil {
 		return err
 	}
@@ -525,7 +479,7 @@ func (s *EnumSpec) runInto(data *SliceData, res *EnumResult) error {
 	des := bitset.Make(pairBlock)
 	obsSel := bitset.Make(pairBlock)
 	expSel := bitset.Make(pairBlock)
-	return walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
+	return walkTiles(s.Groups, log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, oS, eS := des[:nw], obsSel[:nw], expSel[:nw]
 		dS.Ones(len(ai))
@@ -555,12 +509,8 @@ func (s *EnumSpec) runInto(data *SliceData, res *EnumResult) error {
 // conditional nesting of Definitions 4–6 becomes word-wise AND
 // composition, and the counts are integers, so summing spec results in
 // any grouping gives the same totals.
-func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
-	d, err := data.deriver(s.Level)
-	if err != nil {
-		return nil, err
-	}
-	c, err := data.compile(d, s.Despite, s.Observed, s.Expected, s.Because)
+func (s *EvalSpec) RunWith(log *joblog.Log) (*EvalResult, error) {
+	c, err := compileSpecs(log, s.Level, s.Despite, s.Observed, s.Expected, s.Because)
 	if err != nil {
 		return nil, err
 	}
@@ -569,7 +519,7 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 	res := &EvalResult{}
 	des := bitset.Make(pairBlock)
 	scratch := bitset.Make(pairBlock)
-	err = walkTiles(s.Groups, data.Log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
+	err = walkTiles(s.Groups, log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
 		nw := bitset.Words(len(ai))
 		dS, t := des[:nw], scratch[:nw]
 		dS.Ones(len(ai))

@@ -70,11 +70,25 @@ func (ps *pairPlanes) refs() []pairRef {
 	return out
 }
 
+// decodeSlices decodes payload slices and concatenates them, in order,
+// into the log a batch's specs run against.
+func decodeSlices(slices []LogSlice) (*joblog.Log, error) {
+	logs := make([]*joblog.Log, len(slices))
+	for i := range slices {
+		l, err := slices[i].Decode()
+		if err != nil {
+			return nil, err
+		}
+		logs[i] = l
+	}
+	return joblog.Concat(logs)
+}
+
 // sliceView is what a worker walks: the log's slices, decoded and
-// combined.
-func sliceView(t testing.TB, log *joblog.Log) *SliceData {
+// concatenated.
+func sliceView(t testing.TB, log *joblog.Log) *joblog.Log {
 	t.Helper()
-	data, err := DecodeSlices(LogSlices(log))
+	data, err := decodeSlices(LogSlices(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +292,7 @@ func TestPlanEvalShardsSharedRunner(t *testing.T) {
 type serialEvalRunner struct{}
 
 func (serialEvalRunner) RunEnum(slices []LogSlice, specs []EnumSpec) ([]EnumResult, error) {
-	data, err := DecodeSlices(slices)
+	data, err := decodeSlices(slices)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +308,7 @@ func (serialEvalRunner) RunEnum(slices []LogSlice, specs []EnumSpec) ([]EnumResu
 }
 
 func (serialEvalRunner) RunEval(slices []LogSlice, specs []EvalSpec) ([]EvalResult, error) {
-	data, err := DecodeSlices(slices)
+	data, err := decodeSlices(slices)
 	if err != nil {
 		return nil, err
 	}
@@ -311,22 +325,22 @@ func (serialEvalRunner) RunEval(slices []LogSlice, specs []EvalSpec) ([]EvalResu
 
 // TestLogSliceHashStability pins the content-address: equal content
 // hashes equal, a record mutation changes the hash, and a log ships the
-// same slice every time it is asked (the property the cache's savings
-// depend on).
+// same slice every time it is asked (the property references to held
+// slices depend on).
 func TestLogSliceHashStability(t *testing.T) {
 	log := groupedLog(30, rand.New(rand.NewSource(12)))
-	s1 := NewLogSlice(log.Wire())
-	s2 := NewLogSlice(log.Wire())
-	if s1.Hash == "" || s1.Hash != s2.Hash {
-		t.Fatalf("equal content produced hashes %q vs %q", s1.Hash, s2.Hash)
+	h1 := joblog.HashSlice(log.Wire())
+	h2 := joblog.HashSlice(log.Wire())
+	if h1 == "" || h1 != h2 {
+		t.Fatalf("equal content produced hashes %q vs %q", h1, h2)
 	}
 	wire := log.Wire()
 	wire.Records[0].Values[1].Num++
-	if NewLogSlice(wire).Hash == s1.Hash {
+	if joblog.HashSlice(wire) == h1 {
 		t.Error("record change did not change the hash")
 	}
 
-	if ss, again := LogSlices(log), LogSlices(log); len(ss) != 1 || ss[0].Hash != s1.Hash || again[0].Hash != s1.Hash {
+	if ss, again := LogSlices(log), LogSlices(log); len(ss) != 1 || ss[0].Hash != h1 || again[0].Hash != h1 {
 		t.Errorf("the log's one slice is not its content address, or changes between calls")
 	}
 }

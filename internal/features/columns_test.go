@@ -23,7 +23,7 @@ func randLog(seed uint64, n int) *joblog.Log {
 		{Name: "s2", Kind: joblog.Nominal},
 	})
 	nums := []float64{0, math.Copysign(0, -1), 1, 1.05, -3, 100, math.Inf(-1), math.Inf(1), math.NaN()}
-	strs := []string{"x", "y", "a→b", "(x→y)", ""}
+	strs := []string{"x", "y", "a→b", "(x→y)", " "}
 	log := joblog.NewLog(schema)
 	ctr := seed
 	next := func() uint64 {

@@ -272,7 +272,9 @@ func (c *Columns) spare() bool {
 // canonical reports whether a plane of the given kind reproduces v
 // exactly: v is of that kind or Missing, and carries payload only in
 // its kind's member (any bit of Num counts, so -0 and NaN payloads in a
-// cell that should have none are refused).
+// cell that should have none are refused). A nominal cell is not empty:
+// every file format writes Str("") as the empty cell it reads back as
+// missing, and missing equals nothing where "" equals "".
 func canonical(kind Kind, v Value) bool {
 	switch v.Kind {
 	case Missing:
@@ -281,7 +283,7 @@ func canonical(kind Kind, v Value) bool {
 		if kind == Numeric {
 			return v.Str == ""
 		}
-		return math.Float64bits(v.Num) == 0
+		return math.Float64bits(v.Num) == 0 && v.Str != ""
 	}
 	return false
 }

@@ -89,6 +89,7 @@ func TestNonCanonicalCellsRefused(t *testing.T) {
 		{"numeric with str", 0, Value{Kind: Numeric, Num: 2, Str: "tagged"}},
 		{"nominal with -0", 1, Value{Kind: Nominal, Str: "a", Num: negZero}},
 		{"nominal with NaN payload", 1, Value{Kind: Nominal, Str: "a", Num: nan}},
+		{"empty nominal", 1, Str("")},
 		{"Kind(7)", 0, Value{Kind: Kind(7), Num: 4}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -437,9 +437,17 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 		"a,b", "cr\rhere", "lf\nhere", "crlf\r\nhere", "tab\tinside", "\tleading tab", "zürich-北", "\xff\xfe", "#comment"}
 	nums := []float64{0, math.Copysign(0, -1), 1, -1.5, 1e21, 1e-7, 123456789.125, math.NaN(), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308, math.MaxFloat64, 0.1 + 0.2}
+	// The empty string is an ID here but a missing cell, which writes as
+	// the same empty field.
+	cell := func(s string) Value {
+		if s == "" {
+			return None()
+		}
+		return Str(s)
+	}
 	l := NewLog(schema)
 	for i, s := range strs {
-		l.MustAppend(&Record{ID: s, Values: []Value{Str(s), Num(nums[i%len(nums)]), Str(strs[len(strs)-1-i])}})
+		l.MustAppend(&Record{ID: s, Values: []Value{cell(s), Num(nums[i%len(nums)]), cell(strs[len(strs)-1-i])}})
 	}
 	for i, x := range nums {
 		l.MustAppend(&Record{ID: fmt.Sprintf("n%d", i), Values: []Value{None(), Num(x), None()}})
@@ -572,5 +580,60 @@ func TestReadCSVRetainsNoLines(t *testing.T) {
 	}
 	if bound := got * 32 / (3 * uint64(unsafe.Sizeof(Value{}))); planes > bound {
 		t.Errorf("ReadCSVPlanes retains %d B, the boxed rows %d B: want under %d B (a third at 32-byte Values)", planes, got, bound)
+	}
+}
+
+// TestAcceptedCellsSurviveFiles: every cell a door accepts keeps its
+// kind and value through WriteCSV→ReadCSV and WriteJSON→ReadJSON —
+// numerics bit for bit, except NaN payloads, which text cannot carry. A
+// cell the files would change, like an empty nominal (written as the
+// empty cell every reader takes for missing), must be refused at the
+// door instead.
+func TestAcceptedCellsSurviveFiles(t *testing.T) {
+	schema := roundTripSchema()
+	log := NewLog(schema)
+	for f := 0; f < schema.Len(); f++ {
+		cands := awkwardValues(schema.Field(f).Kind)
+		if schema.Field(f).Kind == Nominal {
+			cands = append(cands, Str(""))
+		}
+		for i, v := range cands {
+			vals := []Value{Num(1), Str("x"), None(), None()}
+			vals[f] = v
+			_ = log.Append(&Record{ID: fmt.Sprintf("v%d-f%d", i, f), Values: vals})
+		}
+	}
+	for _, format := range []struct {
+		name  string
+		write func(*Log, io.Writer) error
+		read  func(io.Reader) (*Log, error)
+	}{
+		{"csv", (*Log).WriteCSV, ReadCSV},
+		{"csv planes", (*Log).WriteCSV, ReadCSVPlanes},
+		{"json", (*Log).WriteJSON, ReadJSON},
+	} {
+		var buf bytes.Buffer
+		if err := format.write(log, &buf); err != nil {
+			t.Fatalf("%s: write: %v", format.name, err)
+		}
+		back, err := format.read(&buf)
+		if err != nil {
+			t.Fatalf("%s: read: %v", format.name, err)
+		}
+		if back.Len() != log.Len() {
+			t.Fatalf("%s: %d records came back, want %d", format.name, back.Len(), log.Len())
+		}
+		want, got := log.Columns(), back.Columns()
+		for i := 0; i < log.Len(); i++ {
+			for f := 0; f < schema.Len(); f++ {
+				w, g := want.Value(i, f), got.Value(i, f)
+				same := g.Kind == w.Kind && g.Str == w.Str &&
+					(math.Float64bits(g.Num) == math.Float64bits(w.Num) || math.IsNaN(g.Num) && math.IsNaN(w.Num))
+				if !same {
+					t.Errorf("%s: record %q field %q wrote %v %#v and read back %v %#v",
+						format.name, log.ID(i), schema.Field(f).Name, w.Kind, w, g.Kind, g)
+				}
+			}
+		}
 	}
 }

@@ -133,11 +133,12 @@ func checkSealedRoundTrip(t *testing.T, schema *Schema, recs []*Record) {
 
 // awkwardValues are the canonical cells of a field of the given kind
 // that a careless plane would lose: missing, NaN payload bits, both
-// zeros and infinities for a numeric field; missing and the empty string
-// for a nominal one.
+// zeros and infinities for a numeric field; missing, a blank, a quote
+// and a comma for a nominal one (an empty string is not a nominal
+// cell).
 func awkwardValues(kind Kind) []Value {
 	if kind == Nominal {
-		return []Value{{}, Str(""), Str("a"), Str("b")}
+		return []Value{{}, Str(" "), Str(`"`), Str("a,b"), Str("a"), Str("b")}
 	}
 	return []Value{
 		{}, Num(0), Num(math.Copysign(0, -1)), Num(math.Float64frombits(0x7ff8dead0000beef)),
@@ -147,7 +148,8 @@ func awkwardValues(kind Kind) []Value {
 
 // isCanonical is the rule every door enforces, spelled out for the test:
 // a missing cell carries no payload, any other is of its field's kind
-// and carries payload only in that kind's member.
+// and carries payload only in that kind's member, and a nominal cell is
+// not empty.
 func isCanonical(kind Kind, v Value) bool {
 	switch {
 	case v.Kind == Missing:
@@ -157,7 +159,7 @@ func isCanonical(kind Kind, v Value) bool {
 	case kind == Numeric:
 		return v.Str == ""
 	default:
-		return math.Float64bits(v.Num) == 0
+		return math.Float64bits(v.Num) == 0 && v.Str != ""
 	}
 }
 

@@ -221,7 +221,10 @@ func checkRecord(schema *Schema, r *Record) error {
 // it names the record, the field and both kinds.
 func nonCanonical(id string, field Field, v Value) error {
 	what := "a " + v.Kind.String() + " value"
-	if v.Kind == Missing || v.Kind == field.Kind {
+	switch {
+	case v.Kind == Nominal && field.Kind == Nominal && v.Str == "":
+		what = "an empty nominal value (an empty cell is missing)"
+	case v.Kind == Missing || v.Kind == field.Kind:
 		what += " with a stray payload"
 	}
 	return fmt.Errorf("joblog: record %q field %q (%v) holds %s", id, field.Name, field.Kind, what)

@@ -47,7 +47,7 @@ func segTestRecords(n int) []*Record {
 			vals[2] = Num(float64(next() % 50))
 		}
 		if next()%4 == 0 {
-			vals[3] = []Value{{}, Str("")}[next()%2]
+			vals[3] = []Value{{}, Str(" ")}[next()%2]
 		} else {
 			vals[3] = Str(sites[next()%2])
 		}
@@ -64,7 +64,7 @@ func segTestRecords(n int) []*Record {
 		case 9:
 			vals[4] = Num(math.Copysign(0, -1))
 		case 11:
-			vals[0] = Str("")
+			vals[0] = Str(" ")
 		}
 		id := fmt.Sprintf("r-%03d", i)
 		switch {
@@ -314,8 +314,8 @@ func TestSnapshotStableAcrossAppends(t *testing.T) {
 	for _, v := range snap2.Log().SegmentViews() {
 		if v.Sealed && v.Start < n1 && !hashes1[v.Hash] {
 			// Every sealed segment the first watermark already had must
-			// reappear with an identical hash — that is what keeps
-			// worker caches warm across appends.
+			// reappear with an identical hash — that is what lets a
+			// frame reference the segments a worker holds across appends.
 			if v.Start+v.Len() <= n1 {
 				t.Errorf("sealed segment at %d changed hash across appends", v.Start)
 			}

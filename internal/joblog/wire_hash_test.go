@@ -68,7 +68,7 @@ func TestHashSliceInjective(t *testing.T) {
 // TestHashSlicePinned pins the content address itself: the digest of a
 // fixed slice (a missing cell, a NaN, a non-ASCII nominal) is a literal
 // taken from the commit before HashSlice fed SHA-256 from a reused
-// buffer. Worker slice caches key on this value, so an encoding change
+// buffer. Workers resolve slice references by this value, so an encoding change
 // must show up here and come with a shard.Version bump.
 func TestHashSlicePinned(t *testing.T) {
 	schema := NewSchema([]Field{

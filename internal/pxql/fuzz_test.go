@@ -43,7 +43,7 @@ func fuzzSchema() *joblog.Schema {
 // fill more than two selection words.
 func fuzzLog(seed uint64) *joblog.Log {
 	nums := []float64{0, 1, -1, 2.5, 100, 0.10, 110, math.Inf(1), math.NaN(), math.Copysign(0, -1), math.Inf(-1)}
-	strs := []string{"x", "y", "", "T", "F", "LT", "(x→y)", "a→b", "x)", "(x"}
+	strs := []string{"x", "y", " ", "T", "F", "LT", "(x→y)", "a→b", "x)", "(x"}
 	log := joblog.NewLog(fuzzSchema())
 	shape := stats.SplitMix64(seed)
 	n := int(shape%6) + 3

@@ -24,6 +24,11 @@ import (
 	"perfxplain/internal/par"
 )
 
+// sigma controls the exponential rank weighting of neighbours in
+// RReliefF: neighbour j (0-based rank) receives weight
+// exp(-((j+1)/sigma)^2).
+const sigma = 20
+
 // Config tunes the estimator.
 type Config struct {
 	// K is the number of nearest neighbours consulted per sampled
@@ -32,10 +37,6 @@ type Config struct {
 	// M is the number of instances sampled; 0 means all instances, in a
 	// random order.
 	M int
-	// Sigma controls the exponential rank weighting of neighbours in
-	// RReliefF; neighbour j (0-based rank) receives weight
-	// exp(-((j+1)/Sigma)^2). Default 20.
-	Sigma float64
 	// Rand supplies determinism. Required when M > 0 or sampling order
 	// matters; defaults to a fixed-seed generator.
 	Rand *rand.Rand
@@ -50,9 +51,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.K <= 0 {
 		c.K = 10
-	}
-	if c.Sigma <= 0 {
-		c.Sigma = 20
 	}
 	if c.Rand == nil {
 		c.Rand = rand.New(rand.NewSource(1))
@@ -265,7 +263,7 @@ func RegressionWeights(log *joblog.Log, target string, cfg Config) ([]float64, e
 	rankW := make([]float64, cfg.K)
 	var rankSum float64
 	for j := range rankW {
-		rankW[j] = math.Exp(-math.Pow(float64(j+1)/cfg.Sigma, 2))
+		rankW[j] = math.Exp(-math.Pow(float64(j+1)/sigma, 2))
 		rankSum += rankW[j]
 	}
 	for j := range rankW {

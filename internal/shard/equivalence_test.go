@@ -217,13 +217,28 @@ func pooled(log *joblog.Log, shards int, runner core.ShardRunner) core.Exec {
 	return core.Exec{Parallelism: 4, Shards: shards, Runner: runner}
 }
 
+// decodeSlices decodes payload slices and concatenates them, in order,
+// into the log a batch's specs walk — a worker's load without the held
+// set.
+func decodeSlices(slices []core.LogSlice) (*joblog.Log, error) {
+	logs := make([]*joblog.Log, len(slices))
+	for i := range slices {
+		l, err := slices[i].Decode()
+		if err != nil {
+			return nil, err
+		}
+		logs[i] = l
+	}
+	return joblog.Concat(logs)
+}
+
 // specRunner executes the specs in this process — it decodes the
-// shipped slices, with no pool, frame or cache in between — the
+// shipped slices, with no pool, frame or held set in between — the
 // reference for tests that compare raw spec results.
 type specRunner struct{}
 
 func (specRunner) RunEnum(slices []core.LogSlice, specs []core.EnumSpec) ([]core.EnumResult, error) {
-	data, err := core.DecodeSlices(slices)
+	data, err := decodeSlices(slices)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +254,7 @@ func (specRunner) RunEnum(slices []core.LogSlice, specs []core.EnumSpec) ([]core
 }
 
 func (specRunner) RunEval(slices []core.LogSlice, specs []core.EvalSpec) ([]core.EvalResult, error) {
-	data, err := core.DecodeSlices(slices)
+	data, err := decodeSlices(slices)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +405,7 @@ func TestEquivalenceStraddlingGroup(t *testing.T) {
 }
 
 // inProcPool returns a pool of in-process workers behind in-memory
-// pipes — the full frame protocol, gob codec and slice cache included,
+// pipes — the full frame protocol, gob codec and held slices included,
 // without processes.
 func inProcPool(t *testing.T, workers int) *shard.Pool {
 	t.Helper()
@@ -400,9 +415,9 @@ func inProcPool(t *testing.T, workers int) *shard.Pool {
 }
 
 // TestEquivalenceInProcDialer pins the in-process dialer at every shard
-// count, explanation and evaluation walks alike, with the slice cache
-// cold (first pass) and warm (second pass over the same pool — by then
-// every segment slice is cached worker-side and ships as a hash). Its
+// count, explanation and evaluation walks alike, cold (first pass) and
+// warm (second pass over the same pool — by then each worker holds the
+// log's segment slices from its last frame and they ship as hashes). Its
 // frames cross a byte stream like the subprocess dialer's, so the
 // pool's byte counters must move.
 func TestEquivalenceInProcDialer(t *testing.T) {
@@ -414,13 +429,13 @@ func TestEquivalenceInProcDialer(t *testing.T) {
 		for _, n := range shardCounts() {
 			got := explainWith(t, log, q, n, pool)
 			if got != want {
-				t.Errorf("in-proc shards=%d (%s cache) diverges from serial:\n--- got ---\n%s--- want ---\n%s",
+				t.Errorf("in-proc shards=%d (%s) diverges from serial:\n--- got ---\n%s--- want ---\n%s",
 					n, label, got, want)
 			}
 		}
 		if pass == 1 {
 			if s := pool.Stats(); s.SliceHits == 0 {
-				t.Errorf("warm pass recorded no slice-cache hits: %+v", s)
+				t.Errorf("warm pass recorded no slice hits: %+v", s)
 			}
 		}
 	}

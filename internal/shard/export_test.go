@@ -6,20 +6,11 @@ import (
 	"net"
 )
 
-// InProcBudgetDialer is InProcDialer with each worker's slice cache
-// bounded to Budget bytes instead of the default; 0 caches nothing.
-type InProcBudgetDialer struct{ Budget int64 }
-
-// Dial implements Dialer.
-func (d InProcBudgetDialer) Dial(stats *Stats) (*Conn, error) {
-	return dialPipeWorker(stats, &workerState{cache: newSliceCache(d.Budget)}, nil), nil
-}
-
 // DialInProcCut is InProcDialer.Dial with the worker's end of the pipe
 // closing once the worker has written cut bytes of results: a worker
 // dying in the middle of a frame.
 func DialInProcCut(stats *Stats, cut int) (*Conn, error) {
-	return dialPipeWorker(stats, newWorkerState(), func(w io.Writer) io.Writer {
+	return dialPipeWorker(stats, new(workerState), func(w io.Writer) io.Writer {
 		return &cutWriter{w: w, left: cut}
 	}), nil
 }

@@ -65,7 +65,7 @@ func (d *byteDriver) fuzzLog() *joblog.Log {
 		fields[i] = joblog.Field{Name: fmt.Sprintf("f%d", i), Kind: kind}
 	}
 	log := joblog.NewLog(joblog.NewSchema(fields))
-	payloads := []string{"a", "b", "(x→y)", "→", "", "same", "T"}
+	payloads := []string{"a", "b", "(x→y)", "→", " ", "same", "T"}
 	nr := 2 + d.intn(11)
 	for r := 0; r < nr; r++ {
 		values := make([]joblog.Value, nf)
@@ -364,7 +364,8 @@ func wrongKindFrame(t testing.TB) []byte {
 	w.Records = append([]joblog.WireRecord(nil), w.Records...)
 	w.Records[0].Values = append([]joblog.WireValue(nil), w.Records[0].Values...)
 	w.Records[0].Values[0] = joblog.WireValue{Kind: joblog.Nominal.String(), Str: "x"}
-	return gobBytes(t, &shard.Task{Version: shard.Version, Seq: 6, Slices: []core.LogSlice{core.NewLogSlice(w)}, Enum: &spec})
+	return gobBytes(t, &shard.Task{Version: shard.Version, Seq: 6,
+		Slices: []core.LogSlice{{Hash: joblog.HashSlice(w), Log: w}}, Enum: &spec})
 }
 
 // TestWorkerRefusesWrongKindSlice: a slice whose cell disagrees with its
@@ -378,14 +379,29 @@ func TestWorkerRefusesWrongKindSlice(t *testing.T) {
 	}
 }
 
-// TestSpecWithoutSlices pins the error for a spec that arrives with no
-// records at all — decoded directly, through the worker loop and through
-// a pool.
-func TestSpecWithoutSlices(t *testing.T) {
-	const want = "core: spec has no slices"
-	if _, err := core.DecodeSlices(nil); err == nil || err.Error() != want {
-		t.Errorf("decoding no slices: %v", err)
+// unheldRefFrame is a current enumeration task whose one slice is a
+// reference — sent to a fresh worker, which holds nothing.
+func unheldRefFrame(t testing.TB) []byte {
+	spec, slices := seedSpec()
+	return gobBytes(t, &shard.Task{Version: shard.Version, Seq: 9, Slices: []core.LogSlice{slices[0].AsRef()}, Enum: &spec})
+}
+
+// TestWorkerRefusesUnheldReference: a reference to a slice the worker
+// does not hold is answered in band with an error — the coordinator
+// only ever names its last frame's slices, so there is nothing to ask it
+// to re-ship.
+func TestWorkerRefusesUnheldReference(t *testing.T) {
+	results := workerResults(t, unheldRefFrame(t))
+	if len(results) != 1 || results[0].Seq != 9 || results[0].Enum != nil ||
+		!strings.Contains(results[0].Err, "is referenced but not held") {
+		t.Fatalf("reference to an unheld slice answered with %+v", results)
 	}
+}
+
+// TestSpecWithoutSlices pins the error for a spec that arrives with no
+// records at all — through the worker loop and through a pool.
+func TestSpecWithoutSlices(t *testing.T) {
+	const want = "shard: task carries no slices"
 	enum, _ := seedSpec()
 	eval := core.EvalSpec{Level: features.Level3}
 	for _, task := range []shard.Task{
@@ -410,8 +426,9 @@ func FuzzShardCodec(f *testing.F) {
 	// the same task with its slice list emptied, a v5-framed one, a
 	// v6-framed materialization task, a v8 task, a v10 task, a v11
 	// prefetch-only frame, a current frame whose only payload is a field
-	// the protocol removed, and a current task whose slice holds a
-	// wrong-kind cell.
+	// the protocol removed, a current task whose slice holds a wrong-kind
+	// cell, and a current task referencing a slice the worker does not
+	// hold.
 	spec, slices := seedSpec()
 	f.Add(gobBytes(f, &shard.Task{Version: shard.Version, Seq: 1, Slices: slices, Enum: &spec}))
 	f.Add(gobBytes(f, &shard.Task{Version: shard.Version, Seq: 2, Enum: &spec}))
@@ -422,6 +439,7 @@ func FuzzShardCodec(f *testing.F) {
 	f.Add(v11PrefetchFrame(f))
 	f.Add(removedFieldFrame(f))
 	f.Add(wrongKindFrame(f))
+	f.Add(unheldRefFrame(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
@@ -440,14 +458,15 @@ func FuzzShardCodec(f *testing.F) {
 			Expected: d.fuzzPredicate(dr),
 		}
 		slices := core.LogSlices(log)
-		view, err := core.DecodeSlices(slices)
+		view, err := decodeSlices(slices)
 		if err != nil {
 			t.Fatalf("decode of own slices: %v", err)
 		}
-		// A reference without a cached payload must error, not panic or
-		// fabricate a view.
-		if _, err := core.DecodeSlices([]core.LogSlice{slices[0].AsRef()}); err == nil {
-			t.Fatalf("reference slice without cache decoded")
+		// A reference carries no payload: decoding it must error, not
+		// panic or fabricate a log.
+		ref := slices[0].AsRef()
+		if _, err := ref.Decode(); err == nil {
+			t.Fatalf("reference slice decoded")
 		}
 		specs := core.PlanEnumShards(log, features.Level3, q, q.Despite,
 			1+d.intn(64), 1+d.intn(5), uint64(d.next()))

@@ -11,12 +11,12 @@ package shard
 // output never depends on which worker ran what.
 //
 // The pool is also the coordinator half of content-addressed slice
-// shipping: it remembers, per connection, which slice hashes it has
-// shipped, sends hash-only reference frames for known ones, and
-// re-ships the payload when a worker reports a cache miss. Payloads ship
+// shipping: it remembers, per connection, the slice hashes of the last
+// frame the worker answered without error — exactly what the worker
+// holds — and sends those slices as hash-only references. Payloads ship
 // only inside task frames, so every round-trip belongs to a batch call
 // and no pool goroutine outlives it. Stats() exposes the frame, byte and
-// cache counters.
+// slice counters.
 
 import (
 	"errors"
@@ -53,15 +53,13 @@ type Pool struct {
 	stats  Stats
 }
 
-// workerProc is one leased connection plus the coordinator-side record
-// of which slice hashes were shipped on it — mapped to the payload's
-// size estimate, computed once per hash so the hit path's bytes-saved
-// accounting never rescans the slice. The mutex serializes one
-// round-trip at a time.
+// workerProc is one leased connection plus the hashes of the slices its
+// worker holds: those of the last frame it answered without error. The
+// mutex serializes one round-trip at a time.
 type workerProc struct {
 	mu   sync.Mutex
 	c    *Conn
-	sent map[string]int
+	held map[string]bool
 }
 
 // PoolConfig names a worker fleet for NewPool.
@@ -126,7 +124,7 @@ func (p *Pool) lease() ([]*workerProc, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.procs = append(p.procs, &workerProc{c: c, sent: make(map[string]int)})
+		p.procs = append(p.procs, &workerProc{c: c})
 	}
 	return append([]*workerProc(nil), p.procs...), nil
 }
@@ -169,7 +167,7 @@ func (w *workerProc) exchange(p *Pool, t *Task) (*Result, error) {
 	// A successful result must answer with the task's own spec kind: a
 	// worker sending an enumeration result for an eval task is protocol
 	// corruption, not a mergeable answer.
-	if res.Err == "" && !res.CacheMiss {
+	if res.Err == "" {
 		if (res.Enum != nil) != (t.Enum != nil) || (res.Eval != nil) != (t.Eval != nil) {
 			return nil, w.c.fail("recv", fmt.Errorf("result kind does not match task %d's spec", t.Seq))
 		}
@@ -177,63 +175,32 @@ func (w *workerProc) exchange(p *Pool, t *Task) (*Result, error) {
 	return res, nil
 }
 
-// roundTrip sends one task and reads its result, routing the task's
-// content-addressed slices through the per-connection cache protocol:
-// each hash the worker has already received ships as a reference frame
-// (a segmented task mixes references with fresh payloads in one frame),
-// and a worker-side cache miss on any reference (eviction) triggers one
-// full re-ship of the whole frame. A transport failure is fatal for the
-// worker; the caller discards it.
+// roundTrip sends one task, its slices stripped to references where
+// the worker holds them, and reads its result. The frame's slices become
+// what the worker holds — nothing, if it answered with an error. A
+// transport failure is fatal for the worker; the caller discards it.
 func (w *workerProc) roundTrip(p *Pool, t *Task) (*Result, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ss := t.Slices
-	if st, refd := t.strippedWith(w.sent); len(refd) > 0 {
-		res, err := w.exchange(p, st)
-		if err != nil {
-			return nil, err
-		}
-		if !res.CacheMiss {
-			for _, h := range refd {
-				p.stats.sliceHits.Add(1)
-				p.stats.sliceBytesSaved.Add(int64(w.sent[h]))
-			}
-			w.markShipped(p, ss)
-			return res, nil
-		}
-		// At least one reference was evicted worker-side (the miss result
-		// does not say which): forget every reference in the frame and fall
-		// through to a full re-ship.
-		for _, h := range refd {
-			delete(w.sent, h)
-		}
-	}
-	res, err := w.exchange(p, t)
+	st := t.strippedWith(w.held)
+	res, err := w.exchange(p, st)
 	if err != nil {
 		return nil, err
 	}
-	if res.CacheMiss {
-		return nil, w.c.fail("recv", errors.New("worker reported a cache miss for a full payload frame"))
+	held := make(map[string]bool, len(st.Slices))
+	for _, s := range st.Slices {
+		if s.Ref {
+			p.stats.sliceHits.Add(1)
+		} else {
+			p.stats.sliceMisses.Add(1)
+		}
+		held[s.Hash] = true
 	}
-	w.markShipped(p, ss)
+	if res.Err != "" {
+		held = nil
+	}
+	w.held = held
 	return res, nil
-}
-
-// markShipped records every hashed payload slice of a successful frame
-// as held by the worker, counting a cache miss for each newly shipped
-// hash. Callers hold w.mu.
-func (w *workerProc) markShipped(p *Pool, ss []core.LogSlice) {
-	for i := range ss {
-		s := &ss[i]
-		if s.Hash == "" || s.Ref {
-			continue
-		}
-		if _, shipped := w.sent[s.Hash]; shipped {
-			continue
-		}
-		p.stats.sliceMisses.Add(1)
-		w.sent[s.Hash] = s.SizeEstimate()
-	}
 }
 
 // Close terminates every worker and marks the pool closed: subsequent

@@ -14,12 +14,13 @@ package shard
 // Every task frame carries its records once, beside its spec, as
 // content-addressed log slices — the log's segments, concatenating in
 // order to the whole log the spec indexes — and any of them may arrive
-// as a reference: the slice's hash without its payload, when the
-// coordinator knows it already shipped the payload on this connection.
-// A worker that no longer holds a slice (cache eviction) answers with
-// CacheMiss, and the coordinator re-ships the full frame — so caching
-// changes bytes on the wire, never results. A payload travels only in
-// the task frame that reads it; no frame ships records ahead of need.
+// as a reference: the slice's hash without its payload. The coordinator
+// sends a reference exactly for the slices of the last frame the worker
+// answered without error, which is exactly what the worker holds; a
+// reference to anything else is answered with an error result, and
+// after any error result both ends hold nothing, so the next frame ships
+// in full. References change bytes on the wire, never results. A payload
+// travels only in the task frame that reads it.
 //
 // gob rather than JSON is the frame encoding because the dominant frame
 // payloads are float64/uint64 planes and index slices, which gob moves
@@ -78,9 +79,14 @@ import (
 // fail as one; the version check refuses it first.
 // Version 12: the Prefetch frame is gone; a v11 prefetch frame would
 // decode as a task with no spec.
-const Version = 12
+// Version 13: Result.CacheMiss is gone — a worker holds the slices of
+// its last successful frame and nothing else, and a reference to any
+// other slice is an error result instead of a request to re-ship. A v12
+// coordinator references every slice it ever shipped on the connection
+// and would fail batches a v13 worker cannot resolve.
+const Version = 13
 
-//pxql:wirehash fd423f812053e468 v=12
+//pxql:wirehash 75a4de1b28d5c351 v=13
 
 // Task is one request frame: exactly one spec pointer is set, with
 // Slices the records it walks.
@@ -98,39 +104,33 @@ type Task struct {
 }
 
 // strippedWith returns a copy of the task in which every slice whose
-// hash is in known is replaced by its hash reference — the frame sent
-// to a worker that already holds those payloads — plus the stripped
-// hashes in slice order. Slices not in known (e.g. a fresh tail
+// hash is held is replaced by its hash reference — the frame sent to a
+// worker that holds those payloads. The other slices (e.g. a fresh tail
 // segment) keep their payloads: one frame can mix references and
 // payloads.
-func (t *Task) strippedWith(known map[string]int) (*Task, []string) {
-	var refd []string
-	out := make([]core.LogSlice, len(t.Slices))
+func (t *Task) strippedWith(held map[string]bool) *Task {
+	c := *t
+	c.Slices = make([]core.LogSlice, len(t.Slices))
 	for i, s := range t.Slices {
-		if _, ok := known[s.Hash]; ok && s.Hash != "" && !s.Ref {
-			refd = append(refd, s.Hash)
+		if held[s.Hash] {
 			s = s.AsRef()
 		}
-		out[i] = s
+		c.Slices[i] = s
 	}
-	c := *t
-	c.Slices = out
-	return &c, refd
+	return &c
 }
 
 // Result is one response frame, answering the Task with the same Seq.
-// Err is the task's error, if any; CacheMiss reports that a reference
-// slice was not in the worker's cache (the coordinator re-ships the
-// payload); exactly one result pointer is set on success.
+// Err is the task's error, if any; exactly one result pointer is set on
+// success.
 //
 //pxql:wire decode=workerProc.exchange
 type Result struct {
-	Version   int
-	Seq       int
-	Err       string
-	CacheMiss bool
-	Enum      *core.EnumResult
-	Eval      *core.EvalResult
+	Version int
+	Seq     int
+	Err     string
+	Enum    *core.EnumResult
+	Eval    *core.EvalResult
 }
 
 // Worker serves shard tasks from r until EOF, writing one result per
@@ -139,7 +139,7 @@ type Result struct {
 // as Result.Err; only transport failures (a truncated or undecodable
 // stream) end the loop with an error.
 func Worker(r io.Reader, w io.Writer) error {
-	return worker(r, w, newWorkerState())
+	return worker(r, w, new(workerState))
 }
 
 // worker is the loop every worker runs, whatever stream it serves:

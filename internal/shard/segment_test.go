@@ -4,7 +4,7 @@ package shard_test
 // with a snapshot's slices — several sealed segments plus a tail — must
 // reproduce serial local execution over the static flat log byte for
 // byte on every transport, and — the point of sealing — appends must leave
-// sealed segments warm in worker caches so only new slices re-ship.
+// sealed segments held by the workers so only new slices re-ship.
 
 import (
 	"testing"
@@ -73,8 +73,9 @@ func TestEquivalenceSegmentedSubprocess(t *testing.T) {
 }
 
 // TestEquivalenceSegmentedInProcDialer exercises the full frame
-// protocol (slice cache included) cold and warm: the second pass over
-// the same pool must resolve the per-segment slices from worker caches.
+// protocol (held slices included) cold and warm: the second pass over
+// the same pool must resolve the per-segment slices from what the
+// workers hold.
 func TestEquivalenceSegmentedInProcDialer(t *testing.T) {
 	cases := bernoulliCases(t)
 	pool := inProcPool(t, 3)

@@ -1,11 +1,10 @@
 package shard
 
 // Runtime counters for the distributed shard path: frames and bytes
-// crossing worker connections, and the slice cache's hit/miss balance
-// (payloads ship only in task frames, so SliceMisses counts every
-// payload shipped). The pool owns one Stats value; its connections
-// meter their streams into it and the round-trip logic records cache
-// outcomes. Counters are monotonic across the pool's lifetime (they
+// crossing worker connections, and how many slices travelled as
+// references and as payloads. The pool owns one Stats value; its
+// connections meter their streams into it and the round-trip logic
+// counts the slices of every frame a worker answered. Counters are monotonic across the pool's lifetime (they
 // survive worker replacement) and exposed via WorkerPool.Stats (pxqld's
 // /api/stats and pxbench's shard rows).
 
@@ -16,13 +15,12 @@ import (
 
 // Stats accumulates shard-runtime counters. The zero value is ready.
 type Stats struct {
-	framesSent      atomic.Int64
-	framesReceived  atomic.Int64
-	bytesSent       atomic.Int64
-	bytesReceived   atomic.Int64
-	sliceHits       atomic.Int64
-	sliceMisses     atomic.Int64
-	sliceBytesSaved atomic.Int64
+	framesSent     atomic.Int64
+	framesReceived atomic.Int64
+	bytesSent      atomic.Int64
+	bytesReceived  atomic.Int64
+	sliceHits      atomic.Int64
+	sliceMisses    atomic.Int64
 }
 
 // StatsSnapshot is a point-in-time copy of the counters.
@@ -32,25 +30,21 @@ type StatsSnapshot struct {
 	// BytesSent / BytesReceived count encoded frame bytes, as they cross
 	// the connection's stream.
 	BytesSent, BytesReceived int64
-	// SliceHits counts tasks whose log slice was shipped as a hash-only
-	// reference because the worker already held the payload; SliceMisses
-	// counts full payload ships (first sends plus eviction resends).
+	// SliceHits counts slices shipped as hash-only references because
+	// the worker held them; SliceMisses counts slices shipped with their
+	// payloads.
 	SliceHits, SliceMisses int64
-	// SliceBytesSaved estimates the payload bytes the cache avoided
-	// re-shipping.
-	SliceBytesSaved int64
 }
 
 // Snapshot copies the counters.
 func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		FramesSent:      s.framesSent.Load(),
-		FramesReceived:  s.framesReceived.Load(),
-		BytesSent:       s.bytesSent.Load(),
-		BytesReceived:   s.bytesReceived.Load(),
-		SliceHits:       s.sliceHits.Load(),
-		SliceMisses:     s.sliceMisses.Load(),
-		SliceBytesSaved: s.sliceBytesSaved.Load(),
+		FramesSent:     s.framesSent.Load(),
+		FramesReceived: s.framesReceived.Load(),
+		BytesSent:      s.bytesSent.Load(),
+		BytesReceived:  s.bytesReceived.Load(),
+		SliceHits:      s.sliceHits.Load(),
+		SliceMisses:    s.sliceMisses.Load(),
 	}
 }
 

@@ -8,7 +8,7 @@ package shard
 //     `pxqld -shard-worker` child, with a stderr tail kept for
 //     post-mortem diagnostics;
 //   - InProcDialer — an in-memory pipe to a worker loop on a goroutine
-//     of this process: the whole protocol, codec and slice cache
+//     of this process: the whole protocol, codec and held slices
 //     included, without processes. It is the tests' reference for the
 //     subprocess dialer.
 //
@@ -185,8 +185,8 @@ func (t *tailBuffer) String() string {
 // In-process workers: an in-memory pipe.
 
 // InProcDialer runs each worker as a goroutine of this process at the
-// far end of a net.Pipe: the whole frame protocol, gob codec and slice
-// cache included, without processes.
+// far end of a net.Pipe: the whole frame protocol, gob codec and held
+// slices included, without processes.
 type InProcDialer struct{}
 
 // Dial implements Dialer.
@@ -197,7 +197,7 @@ func (InProcDialer) Dial(stats *Stats) (*Conn, error) {
 		// The loop ends when the coordinator closes its end; an error
 		// then is that close cutting a frame, which the coordinator
 		// already sees from its own side.
-		_ = worker(w, w, newWorkerState())
+		_ = worker(w, w, new(workerState))
 	}()
 	return newConn(coord, coord, stats, "in-proc worker", func() { coord.Close() }), nil
 }

@@ -82,9 +82,9 @@ func TestExplanationIdenticalAcrossParallelism(t *testing.T) {
 
 // TestRemoteWorkersPublicAPI pins the public pool path end to end: a
 // caller-owned WorkerPool of workers outside the coordinator (in-process
-// pipes, the full frame protocol, codec and slice cache), explanations
+// pipes, the full frame protocol, codec and held slices), explanations
 // and held-out metrics byte-identical to local execution, and the pool
-// surviving — caches warm — across several explainers and evaluations.
+// surviving — slices held — across several explainers and evaluations.
 func TestRemoteWorkersPublicAPI(t *testing.T) {
 	jobs := detLog(t)
 	baseX, baseM := explainAt(t, jobs, 1)

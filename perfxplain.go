@@ -185,7 +185,7 @@ func Collect(opt SweepOptions) (jobs, tasks *Log, err error) {
 // never invalidate what is already sealed — a sealed segment keeps its
 // content hash, sorted order and equality bitmaps forever, so
 // explainers over successive snapshots re-ship only the tail to shard
-// workers while the sealed segments stay cached worker-side. Every
+// workers, which still hold the sealed segments from the last frame. Every
 // method is safe for concurrent use; queries run against Snapshot(), a
 // consistent watermark that later appends never mutate and that shares
 // the store's planes instead of copying them.
@@ -343,7 +343,7 @@ type Options struct {
 	Shards int
 	// SharedPool executes shards on a caller-owned worker pool (see
 	// NewWorkerPool). The pool outlives the explainers and evaluations
-	// that use it — and so do its workers' slice caches; its owner
+	// that use it — and so do the slices its workers hold; its owner
 	// closes it.
 	SharedPool *WorkerPool
 }
@@ -351,7 +351,7 @@ type Options struct {
 // WorkerPool is a shared fleet of shard worker subprocesses that many
 // explainers and evaluations can use concurrently. Hoisting pool
 // ownership out of per-explainer construction keeps workers (and the
-// log slices cached on them) alive across repeated explanations; close
+// log slices they hold) alive across repeated explanations; close
 // it once, when all users are done.
 type WorkerPool struct {
 	p *shard.Pool
@@ -390,22 +390,20 @@ func (wp *WorkerPool) Stats() ShardStats {
 		FramesSent: s.FramesSent, FramesReceived: s.FramesReceived,
 		BytesSent: s.BytesSent, BytesReceived: s.BytesReceived,
 		SliceHits: s.SliceHits, SliceMisses: s.SliceMisses,
-		SliceBytesSaved: s.SliceBytesSaved,
 	}
 }
 
 // ShardStats are the shard runtime's counters: protocol frames, frame
-// bytes on metered transports, and the content-addressed slice cache's
-// behaviour (hits = payloads not re-shipped; misses = full ships).
+// bytes on metered transports, and how the log's slices travelled
+// (hits = references to slices the worker held; misses = payloads).
 // pxqld's /api/stats reports them under "shard".
 type ShardStats struct {
-	FramesSent      int64 `json:"frames_sent"`
-	FramesReceived  int64 `json:"frames_received"`
-	BytesSent       int64 `json:"bytes_sent"`
-	BytesReceived   int64 `json:"bytes_received"`
-	SliceHits       int64 `json:"slice_hits"`
-	SliceMisses     int64 `json:"slice_misses"`
-	SliceBytesSaved int64 `json:"slice_bytes_saved"`
+	FramesSent     int64 `json:"frames_sent"`
+	FramesReceived int64 `json:"frames_received"`
+	BytesSent      int64 `json:"bytes_sent"`
+	BytesReceived  int64 `json:"bytes_received"`
+	SliceHits      int64 `json:"slice_hits"`
+	SliceMisses    int64 `json:"slice_misses"`
 	// Deprecated: always zero since slice prefetch was removed; kept
 	// only because bench/ reads them.
 	PrefetchSent, PrefetchHits int64 `json:"-"`
@@ -617,8 +615,8 @@ type Metrics struct {
 // Evaluate measures an explanation for a query against a log, typically
 // a held-out one. The quadratic evaluation walk is cut into
 // Options.Shards specs and runs on this process's cores, or on
-// Options.SharedPool's workers, whose cached log slices make repeated
-// evaluations cheap to ship. The metrics are identical in every mode.
+// Options.SharedPool's workers, which hold the last frame's log slices
+// and so make repeated evaluations cheap to ship. The metrics are identical in every mode.
 func Evaluate(log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) {
 	return EvaluateContext(context.Background(), log, q, x, opt)
 }
