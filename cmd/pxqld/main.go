@@ -1,6 +1,6 @@
 // Command pxqld is the warm PXQL explanation server: it holds an
 // execution log resident in memory — columnar planes, sorted indexes and
-// per-segment caches stay hot between queries — owns one long-lived
+// equality bitmaps stay hot between queries — owns one long-lived
 // shard worker pool, and answers explanation requests over HTTP/JSON
 // with a singleflight explanation cache and admission control in front
 // of the engine.

@@ -122,9 +122,10 @@ func (s Set) ForEach(fn func(i int)) {
 
 // BlitFrom copies n bits of src, starting at bit from, into s starting
 // at bit off, leaving every other bit of s untouched — the concatenation
-// primitive for stitching per-segment bitmaps (whose lengths are rarely
-// word-aligned) into one log-wide bitmap, and for cutting a run of rows
-// out of one. s must have capacity for off+n bits, src for from+n.
+// primitive for stitching the missing bits of logs and CSV blocks (whose
+// lengths are rarely word-aligned) into one log-wide bitmap, and for
+// cutting a run of rows out of one. s must have capacity for off+n bits,
+// src for from+n.
 func (s Set) BlitFrom(src Set, from, off, n int) {
 	if uint(off)&63 == 0 && uint(from)&63 == 0 {
 		// Word-aligned on both sides: whole-word copies, then the tail.

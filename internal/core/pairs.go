@@ -491,11 +491,10 @@ func candidateRecords(log *joblog.Log, despite pxql.Predicate) (recs []int, filt
 	}
 	n := log.Len()
 	cols := log.Columns()
-	// Each atom's equality bitmap is memoized on the columnar view (and,
-	// for snapshot views, blitted from bitmaps memoized on the sealed
-	// segments — see joblog.EqualRowsBitmap), so repeated despite clauses
-	// and growing logs pay only for what changed. The memoized bitmaps
-	// are shared: intersect into a private copy.
+	// Each atom's equality bitmap is memoized on the columnar view (see
+	// joblog.EqualRowsBitmap), so repeated despite clauses scan each
+	// plane once per watermark. The memoized bitmaps are shared:
+	// intersect into a private copy.
 	var sel bitset.Set
 	for _, f := range filters {
 		bm := cols.EqualRowsBitmap(f.idx, f.val)

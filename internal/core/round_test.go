@@ -333,7 +333,7 @@ func liveHeap() uint64 {
 // beyond what those eight questions themselves leave resident, a row
 // may cost at most 0.3 floors more than at the one-snapshot point. The
 // first snapshot is let go before the batches: the first append moves
-// the arena out of the arrays the log was loaded into, and a snapshot
+// the arena out of the arrays Ingest copied the log into, and a snapshot
 // taken before that keeps them alive (another half floor per row of the
 // doubled log). Batches that double the log end on a full arena, where
 // one just doubled would carry a floor of spare capacity.

@@ -155,16 +155,11 @@ type Columns struct {
 
 	// buildIndex, when set, replaces buildColIndex as the builder behind
 	// SortedIndex — the seam the segment store uses to build a
-	// snapshot's per-column index by merging per-segment orders instead
-	// of re-sorting the whole log (see Snapshot). The built
-	// index is still memoized on the view like any other.
+	// snapshot's per-column index by extending the store's memoized
+	// order of the rows the snapshot shares with earlier ones instead of
+	// re-sorting the whole log (see Store.prefixIndex). The built index
+	// is still memoized on the view like any other.
 	buildIndex func(f int) *ColIndex
-
-	// buildEqRows, when set, replaces the index-seek path behind
-	// EqualRowsBitmap — the segment store's seam for blitting a
-	// snapshot's equality bitmap from per-segment memoized bitmaps plus
-	// a tail scan (see eqrows.go). Called only with resolved keys.
-	buildEqRows func(key eqRowsKey) Bitmap
 
 	// buildSegments, when set, replaces the fixed-size runs behind
 	// SegmentViews — the segment store's seam for handing a snapshot's
@@ -178,13 +173,8 @@ type Columns struct {
 	segsMu sync.Mutex
 	segs   []SegmentView
 
-	memo
-}
-
-// memo caches values derived from immutable data, one per comparable
-// key: the aggregates of a Columns view, the per-segment arrays of a
-// store's sealed segment.
-type memo struct {
+	// memos caches the view's derived aggregates, one per comparable key
+	// (see Memo).
 	memoMu sync.Mutex
 	memos  map[any]any
 }
@@ -253,20 +243,6 @@ func (c *Columns) view(n int) *Columns {
 		}
 	}
 	return v
-}
-
-// spare reports whether c's planes or IDs have capacity past its rows —
-// what a CSV read reserved and did not fill (ReadCSVPlanes).
-func (c *Columns) spare() bool {
-	if cap(c.ids) > c.n {
-		return true
-	}
-	for f := range c.cols {
-		if cap(c.cols[f].Num) > c.n || cap(c.cols[f].Sym) > c.n {
-			return true
-		}
-	}
-	return false
 }
 
 // canonical reports whether a plane of the given kind reproduces v
@@ -408,28 +384,18 @@ func (c *Columns) Record(row int) *Record {
 // the view. build runs under the memo lock (concurrent callers see one
 // build, already-built values are returned without re-entry) and must
 // not call Memo itself.
-func (m *memo) Memo(key any, build func() any) any {
-	m.memoMu.Lock()
-	defer m.memoMu.Unlock()
-	if v, ok := m.memos[key]; ok {
+func (c *Columns) Memo(key any, build func() any) any {
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	if v, ok := c.memos[key]; ok {
 		return v
 	}
-	if m.memos == nil {
-		m.memos = make(map[any]any)
+	if c.memos == nil {
+		c.memos = make(map[any]any)
 	}
 	v := build()
-	m.memos[key] = v
+	c.memos[key] = v
 	return v
-}
-
-// memoGet peeks the memo without building — for callers whose build
-// work must run outside the memo lock (e.g. equalPlaneRows, whose
-// builder re-enters Memo through SortedIndex).
-func (m *memo) memoGet(key any) (any, bool) {
-	m.memoMu.Lock()
-	defer m.memoMu.Unlock()
-	v, ok := m.memos[key]
-	return v, ok
 }
 
 // Columns returns the log's columnar form. A plane-backed log returns

@@ -2,13 +2,13 @@ package joblog
 
 // This file adds the per-column sorted index of the columnar view: a
 // permutation of the present rows ordered by plane value, plus zone
-// statistics (min/max/presence). Consumers seek — equality prefilters
-// and the walk's row seek binary-search to their candidate row range,
-// numeric blocking reads its SIM chains off the order — instead of
-// scanning the plane. Like every derived aggregate it is memoized on the Columns
-// view (the index dies with the view when the log's generation or count
-// changes), and it is a pure function of the plane contents, so building
-// it never perturbs anything the shard planners compare for purity.
+// statistics (min/max/presence). Consumers seek — the walk's row seek
+// binary-searches to its candidate row range, numeric blocking reads its
+// SIM chains off the order — instead of scanning the plane. Like every
+// derived aggregate it is memoized on the Columns view (the index dies
+// with the view when the log's generation or count changes), and it is a
+// pure function of the plane contents, so building it never perturbs
+// anything the shard planners compare for purity.
 //
 // The index is over the planes, which hold every cell exactly (see
 // columns.go), so a seek over it answers with boxed-Value semantics.
@@ -20,9 +20,9 @@ package joblog
 // number and every bit flipped on a negative one; a symbol's ID — and a
 // stable LSD radix sort, one byte a pass, orders the rows, which enter in
 // ascending row order, so equal keys keep it. A pass over a byte every key
-// shares is skipped. The store's segment orders and snapshot tails are
-// sorted the same way (segment.go) and merged by planeLess, which is the
-// same order.
+// shares is skipped. A store's snapshot sorts only the rows past the
+// store's memoized prefix order the same way (segment.go) and merges
+// the two by planeLess, which is the same order.
 
 import (
 	"math"
@@ -55,8 +55,8 @@ type colIndexKey int
 // SortedIndex returns the f'th column's sorted index, building it on
 // first use and caching it on the view (see Columns.Memo for the
 // invalidation contract). A store's snapshots install a buildIndex hook
-// that merges per-segment orders instead of re-sorting the whole log;
-// the hook must produce exactly what buildColIndex would.
+// that extends the store's prefix order instead of re-sorting the whole
+// log; the hook must produce exactly what buildColIndex would.
 func (c *Columns) SortedIndex(f int) *ColIndex {
 	v := c.Memo(colIndexKey(f), func() any {
 		if c.buildIndex != nil {
@@ -205,15 +205,6 @@ func (ix *ColIndex) SeekGT(x float64) int {
 	})
 }
 
-// EqualNum returns the rows whose numeric plane value equals x, in
-// ascending row order. NaN matches nothing (x != x).
-func (ix *ColIndex) EqualNum(x float64) []int32 {
-	if math.IsNaN(x) {
-		return nil
-	}
-	return ix.Perm[ix.SeekGE(x):ix.SeekGT(x)]
-}
-
 // RangeBetween returns the Perm sub-slice of rows whose numeric value
 // lies in the interval [lo, hi], each bound excluded when its open flag
 // is set — the seek form of a pxql.ValueRange. An inverted or NaN
@@ -237,16 +228,4 @@ func (ix *ColIndex) RangeBetween(lo, hi float64, loOpen, hiOpen bool) []int32 {
 		return nil
 	}
 	return ix.Perm[a:b]
-}
-
-// EqualSym returns the rows whose symbol plane value equals id, in
-// ascending row order.
-func (ix *ColIndex) EqualSym(id uint32) []int32 {
-	lo := sort.Search(len(ix.Perm), func(k int) bool {
-		return ix.col.Sym[ix.Perm[k]] >= id
-	})
-	hi := sort.Search(len(ix.Perm), func(k int) bool {
-		return ix.col.Sym[ix.Perm[k]] > id
-	})
-	return ix.Perm[lo:hi]
 }

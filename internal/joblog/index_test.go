@@ -35,15 +35,6 @@ func TestSortedIndexNumeric(t *testing.T) {
 		t.Errorf("zone = [%v, %v], want [-2, 3]", ix.Min, ix.Max)
 	}
 
-	if got := ix.EqualNum(3); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Errorf("EqualNum(3) = %v", got)
-	}
-	if got := ix.EqualNum(2); len(got) != 0 {
-		t.Errorf("EqualNum(2) = %v", got)
-	}
-	if got := ix.EqualNum(math.NaN()); got != nil {
-		t.Errorf("EqualNum(NaN) = %v", got)
-	}
 	if lo, hi := ix.SeekGE(1), ix.SeekGT(1); lo != 1 || hi != 2 {
 		t.Errorf("SeekGE/GT(1) = %d, %d", lo, hi)
 	}
@@ -79,13 +70,6 @@ func TestSortedIndexNominal(t *testing.T) {
 	if !math.IsNaN(ix.Min) || !math.IsNaN(ix.Max) {
 		t.Errorf("nominal zone = [%v, %v], want NaN", ix.Min, ix.Max)
 	}
-	id, ok := c.Intern().Lookup("b")
-	if !ok {
-		t.Fatal("b not interned")
-	}
-	if got := ix.EqualSym(id); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("EqualSym(b) = %v", got)
-	}
 	// The permutation groups equal symbols contiguously with rows
 	// ascending inside each run.
 	seen := map[uint32]uint32{}
@@ -117,9 +101,6 @@ func TestSortedIndexAllNaN(t *testing.T) {
 	}
 	if !math.IsNaN(ix.Min) || !math.IsNaN(ix.Max) {
 		t.Errorf("zone = [%v, %v], want NaN (no orderable values)", ix.Min, ix.Max)
-	}
-	if got := ix.EqualNum(0); len(got) != 0 {
-		t.Errorf("EqualNum(0) = %v", got)
 	}
 	if got := ix.RangeBetween(math.Inf(-1), math.Inf(1), false, false); len(got) != 0 {
 		t.Errorf("RangeBetween(-inf, +inf) = %v", got)
@@ -155,15 +136,8 @@ func TestSortedIndexEmptyLog(t *testing.T) {
 		}
 	}
 	ix := l.Columns().SortedIndex(0)
-	if got := ix.EqualNum(1); len(got) != 0 {
-		t.Errorf("EqualNum on empty log = %v", got)
-	}
 	if got := ix.RangeBetween(math.Inf(-1), 5, false, true); len(got) != 0 {
 		t.Errorf("RangeBetween on empty log = %v", got)
-	}
-	sx := l.Columns().SortedIndex(1)
-	if got := sx.EqualSym(0); len(got) != 0 {
-		t.Errorf("EqualSym on empty log = %v", got)
 	}
 }
 
@@ -180,9 +154,6 @@ func TestSortedIndexSingleRow(t *testing.T) {
 	if lo, hi := ix.SeekGE(7), ix.SeekGT(7); lo != 0 || hi != 1 {
 		t.Errorf("SeekGE/GT(7) = %d, %d", lo, hi)
 	}
-	if got := ix.EqualNum(7); len(got) != 1 || got[0] != 0 {
-		t.Errorf("EqualNum(7) = %v", got)
-	}
 	if got := ix.RangeBetween(7, 7, false, false); len(got) != 1 {
 		t.Errorf("RangeBetween[7, 7] = %v", got)
 	}
@@ -192,22 +163,6 @@ func TestSortedIndexSingleRow(t *testing.T) {
 	}
 	if got := ix.RangeBetween(7, 7, false, true); len(got) != 0 {
 		t.Errorf("RangeBetween[7, 7) = %v", got)
-	}
-}
-
-func TestSortedIndexEqualSymAbsent(t *testing.T) {
-	l := NewLog(colSchema())
-	for _, s := range []string{"a", "b", "c"} {
-		l.MustAppend(&Record{ID: "r", Values: []Value{Num(0), Str(s)}})
-	}
-	c := l.Columns()
-	ix := c.SortedIndex(1)
-	// A symbol id interned by some other column (or never interned at
-	// all) has no run in this column's permutation.
-	for _, id := range []uint32{9999, ^uint32(0)} {
-		if got := ix.EqualSym(id); len(got) != 0 {
-			t.Errorf("EqualSym(%d) = %v, want empty", id, got)
-		}
 	}
 }
 

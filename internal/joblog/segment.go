@@ -7,43 +7,38 @@ package joblog
 // The store holds no Record. It keeps one append-only arena per column
 // — a numeric or symbol plane and its missing bits — plus the record
 // IDs and one append-only intern table (columns.go). Append writes a
-// record's cells into the arena's next row and lets the record go; a
-// plane that outgrows its capacity moves to an array twice as large
-// (Columns.grow). The first Ingest into an empty store adopts the log's
-// planes instead of copying them, so a CSV read by ReadCSVPlanes lands
-// in the arena as it was read.
+// record's cells into the arena's next row and lets the record go, and
+// Ingest copies a log's planes into the arena's next rows; a plane that
+// outgrows its capacity moves to an array twice as large (Columns.grow).
 //
 // A sealed segment is a row range of the arena that never changes
-// again. What it keeps for good is derived from its rows, each part
-// built from a snapshot's planes when something first reads it:
+// again. The only thing it keeps is its shippable form: the first time
+// a snapshot's log is asked for its SegmentViews — that is, the first
+// time a walk ships to shard workers — its wire form and content hash
+// (HashSlice over the records). The shard layer ships segments as
+// hashed LogSlices, so a worker holding a sealed segment from its last
+// frame never receives its bytes again. A store that only ever answers
+// locally holds no wire form at all, and a segment holds no plane, so an
+// array the arena has outgrown lives only as long as the snapshots that
+// view it.
 //
-//   - on first index use, its per-field sorted order, which the store
-//     merges into a sorted prefix memoized across watermarks;
-//   - on first use of an equality prefilter, the constant's bitmap over
-//     the segment's rows;
-//   - the first time a snapshot's log is asked for its SegmentViews —
-//     that is, the first time a walk ships to shard workers — its wire
-//     form and content hash (HashSlice over the records). The shard
-//     layer ships segments as hashed LogSlices, so a worker that cached
-//     a sealed segment's decoded form never receives its bytes again, no
-//     matter how much the log grows. A store that only ever answers
-//     locally holds no wire form at all.
-//
-// A segment holds no plane, so an array the arena has outgrown lives
-// only as long as the snapshots that view it.
+// Indexes do not follow segments but rows: an arena row never changes
+// once appended, so a sorted order over the store's first m rows is an
+// order over the first m rows of every later snapshot. The store keeps
+// one such prefix order per field (prefixOrder); a snapshot of n >= m
+// rows sorts only rows [m, n), merges once and advances the memo.
 //
 // Snapshot() views the arena at the current watermark (Columns.view):
 // the snapshot's planes and IDs are capacity-capped slices of the
 // arena's, and only what the store may still write under them — the
 // missing bits and the intern table — is copied. Taking one costs
 // O(fields) plus those two copies, and the store and all its live
-// snapshots share one copy of the planes. A snapshot's sorted index
-// merges the segments' orders with its tail's, its equality bitmaps
-// blit the segments' and scan the tail, and Domain and NumericRange are
-// its own lazy, memoized scans, as on any log. The snapshot's log is
-// byte-identical to a fresh Log holding the same records — pinned by
-// TestStoreSnapshotEquivalence — so every consumer (the explainer, the
-// planners, the baselines) works on snapshots unchanged.
+// snapshots share one copy of the planes. Equality bitmaps, Domain and
+// NumericRange are the snapshot's own lazy, memoized scans, as on any
+// log. The snapshot's log is byte-identical to a fresh Log holding the
+// same records — pinned by TestStoreSnapshotEquivalence — so every
+// consumer (the explainer, the planners, the baselines) works on
+// snapshots unchanged.
 //
 // Concurrency: every Store method is safe for concurrent use. Snapshots
 // are immutable — the store never writes a row one reads, and each owns
@@ -56,16 +51,17 @@ import (
 )
 
 // DefaultSealThreshold is the segment size NewStore uses when the caller
-// passes a non-positive threshold. Large enough that per-segment fixed
-// costs (hash, wire form, index memos) amortize; small enough that the
-// mutable tail — the only part whose slice re-ships on every append —
-// stays cheap to ship.
+// passes a non-positive threshold. Large enough that a segment's fixed
+// costs (its hash and a reference to it in every frame) amortize; small
+// enough that the mutable tail — the only part whose slice re-ships on
+// every append — stays cheap to ship. Indexes and bitmaps do not depend
+// on it.
 const DefaultSealThreshold = 2048
 
 // Store is a growable job log: an arena of planes cut into sealed
 // immutable segments and a mutable tail. It does not keep what it is
 // given: a record handed to Append is read once, and a log handed to
-// Ingest is copied, or, into an empty store, viewed (see Ingest).
+// Ingest is copied.
 type Store struct {
 	mu     sync.Mutex
 	schema *Schema
@@ -86,60 +82,32 @@ type Store struct {
 	// it, so the store never keeps arrays the arena has outgrown alive.
 	snap *Snapshot
 
-	// ixMemo memoizes, per field, the merged sorted permutation of the
-	// sealed-segment prefix (see sealedPermFor). Sealing is append-only,
-	// so a later watermark's prefix extends an earlier one: the k-way
-	// merge resumes from the memo and only folds in newly-sealed
-	// segments. Guarded by ixMu, not mu — the merge runs lazily on first
-	// SortedIndex use, long after the snapshot was taken and the store
-	// lock released.
+	// ixMemo holds, per field, the sorted order of the arena's first
+	// rows (see prefixIndex). Guarded by ixMu, not mu — an index is built
+	// lazily on first SortedIndex use, long after the snapshot was taken
+	// and the store lock released.
 	ixMu   sync.Mutex
-	ixMemo map[int]*sealedPerm
+	ixMemo map[int]*prefixOrder
 }
 
-// sealedPerm is the memoized merge of the first nSegs sealed segments'
-// orders for one field: global rows ordered by (plane value, row), with
-// the prefix's presence summary. perm is never mutated after
-// publication — extensions allocate a new slice — so a ColIndex may
-// alias it across snapshots.
-type sealedPerm struct {
-	nSegs int
+// prefixOrder is one field's order over the arena's first n rows: those
+// rows ordered by (plane value, row), with their presence summary. perm
+// is never mutated after publication — advancing allocates a new slice
+// — so a ColIndex may alias it across snapshots.
+type prefixOrder struct {
+	n int
 	rowOrder
 }
 
 // segment is one sealed, immutable run of the arena's rows. It holds no
-// plane: its memo keeps arrays derived from its rows — field f's
-// rowOrder under colIndexKey(f), a constant's bitmap over its rows under
-// the constant's eqRowsKey — built from the planes of whichever snapshot
-// first asks, since a sealed row reads the same in every snapshot.
+// plane and nothing derived from its rows but its shippable form.
 type segment struct {
 	start, n int // global index of the segment's first row, and its rows
-	memo
 	// view is the segment's shippable form — wire records and their
 	// content hash — built by shipView the first time any snapshot's
 	// SegmentViews asks for it, then shared by every snapshot.
 	viewOnce sync.Once
 	view     SegmentView
-}
-
-// order returns field f's order over the segment's rows of col, a
-// snapshot's column.
-func (seg *segment) order(col *Col, f int) rowOrder {
-	return seg.Memo(colIndexKey(f), func() any { return sortRows(col, seg.start, seg.start+seg.n) }).(rowOrder)
-}
-
-// equalRows returns the bitmap, by segment-local row, of the segment's
-// rows whose plane value in col, a snapshot's column, equals the
-// resolved key. Symbol IDs mean the same in every snapshot, because the
-// store's intern table only grows and every snapshot copies it: a
-// constant first seen after the segment sealed has an ID no row of the
-// segment holds, and matches nothing.
-func (seg *segment) equalRows(col *Col, key eqRowsKey) Bitmap {
-	return seg.Memo(key, func() any {
-		bm := NewBitmap(seg.n)
-		setEqualRows(bm, col, key, seg.start, seg.start+seg.n, seg.start)
-		return bm
-	}).(Bitmap)
 }
 
 // NewStore returns an empty store over the schema. sealThreshold is the
@@ -229,14 +197,10 @@ func (s *Store) checkSchema(got *Schema) error {
 // sees none of it or all of it, and two concurrent batches never
 // interleave. Otherwise it is Append once per record — segments seal at
 // the same rows and the watermark ticks once per record — without a
-// Record being built: rows move plane to plane. Into an empty store
-// they do not move at all: the arena becomes a view of l's planes
-// (Columns.view), capacity-capped and with its own missing bits and
-// intern table, so the store never writes memory l reads — unless l's
-// planes have spare capacity, the rows a CSV read reserved and did not
-// fill. A store lives long, and the GC counts an array's capacity as live
-// heap for as long as anything views it, so those rows are copied once
-// into planes of their exact size instead. A log whose
+// Record being built: rows move plane to plane, so the store never
+// shares memory with l. Into an empty store the planes come out of
+// exactly l's length, whatever capacity l's planes have: a store lives
+// long, and the GC counts an array's capacity as live heap. A log whose
 // schema is not the store's (names and kinds, in order) is refused with
 // a *SchemaError and nothing is appended.
 func (s *Store) Ingest(l *Log) error {
@@ -246,13 +210,10 @@ func (s *Store) Ingest(l *Log) error {
 	src := l.Columns()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if at := s.arena.n; at == 0 && !src.spare() {
-		s.arena = src.view(src.n)
-	} else {
-		remap := s.arena.intern.remapFrom(src.intern)
-		s.arena.grow(at + src.n)
-		s.arena.stitch(at, src, 0, src.n, remap)
-	}
+	at := s.arena.n
+	remap := s.arena.intern.remapFrom(src.intern)
+	s.arena.grow(at + src.n)
+	s.arena.stitch(at, src, 0, src.n, remap)
 	s.advanceLocked(src.n)
 	s.sealFullLocked()
 	return nil
@@ -376,9 +337,8 @@ type Snapshot struct {
 }
 
 // Log returns the snapshot's plane-backed log: a view of the store's
-// arena whose sorted indexes and equality bitmaps come from the
-// per-segment precomputations. It reads exactly like a fresh Log over
-// the same records.
+// arena whose sorted indexes extend the store's prefix orders. It reads
+// exactly like a fresh Log over the same records.
 func (sn *Snapshot) Log() *Log { return sn.log }
 
 // segments builds the snapshot's shippable views — its log's
@@ -417,21 +377,7 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 	// store lock is released.
 	segs := slices.Clip(s.sealed)
 	c := s.arena.view(n)
-	// The sorted-index hook merges per-segment orders instead of
-	// re-sorting the whole plane.
-	c.buildIndex = func(f int) *ColIndex { return s.mergedIndex(c, segs, tailStart, f) }
-	// The equality-bitmap hook blits per-segment bitmaps — memoized on
-	// the sealed segments, so they survive appends — and scans only the
-	// tail.
-	c.buildEqRows = func(key eqRowsKey) Bitmap {
-		col := c.Col(key.f)
-		out := NewBitmap(n)
-		for _, seg := range segs {
-			out.BlitFrom(seg.equalRows(col, key), 0, seg.start, seg.n)
-		}
-		setEqualRows(out, col, key, tailStart, n, 0)
-		return out
-	}
+	c.buildIndex = func(f int) *ColIndex { return newColIndex(c.Col(f), s.prefixIndex(c, f)) }
 	sn := &Snapshot{log: &Log{Schema: s.schema, rows: c}, gen: s.gen, sealed: segs, tailStart: tailStart}
 	c.buildSegments = sn.segments
 	return sn
@@ -463,78 +409,43 @@ func mergePerms(col *Col, a, b []int32) []int32 {
 	return append(out, b[j:]...)
 }
 
-// sealedPermFor returns the merged order of the snapshot's sealed
-// prefix for col, field f of the snapshot, memoized on the store across
-// watermarks: because sealing is append-only, a later snapshot's prefix
-// extends an earlier one, so the merge resumes from the memo and folds
-// in only the newly-sealed segments instead of re-running the k-way
-// merge from scratch. Sealed rows read the same in every snapshot, so a
-// permutation built against one snapshot's planes is valid for all later
-// ones. An old snapshot whose lazy hook fires after the memo has
-// advanced past its own prefix rebuilds locally and leaves the memo
-// alone. The merge itself runs outside ixMu so concurrent fields (or
-// racing snapshots, which at worst duplicate work) never serialize on
-// the per-segment sorts.
-func (s *Store) sealedPermFor(col *Col, segs []*segment, f int) sealedPerm {
+// prefixIndex returns field f's order over the n rows of c, a
+// snapshot's view. When the store's memo covers m <= n rows, it sorts
+// only rows [m, n), merges them into the memo's order and advances the
+// memo to n; with no memo it sorts all n rows and makes that the memo.
+// A snapshot older than the memo sorts its own rows and leaves the memo
+// alone, so the memo's row count never shrinks. The sort and merge run
+// outside ixMu, so fields never serialize on each other; racing
+// snapshots at worst duplicate work.
+func (s *Store) prefixIndex(c *Columns, f int) rowOrder {
+	col, n := c.Col(f), c.Len()
 	s.ixMu.Lock()
-	var cur sealedPerm
-	if m := s.ixMemo[f]; m != nil && m.nSegs <= len(segs) {
-		cur = *m
-	}
+	cur := s.ixMemo[f]
 	s.ixMu.Unlock()
-	if cur.nSegs == len(segs) {
-		return cur
+	if cur != nil && cur.n == n {
+		return cur.rowOrder
 	}
-	perms := make([][]int32, 0, len(segs)-cur.nSegs)
-	for _, seg := range segs[cur.nSegs:] {
-		o := seg.order(col, f)
-		cur.nPresent += o.nPresent
-		cur.hasNaN = cur.hasNaN || o.hasNaN
-		perms = append(perms, o.perm)
+	if cur != nil && cur.n > n {
+		return sortRows(col, 0, n)
 	}
-	// The new segments merge pairwise, as a balanced tree, and only
-	// their union merges into the memo: O(n log k) for k new segments,
-	// where folding them in one at a time would copy the growing prefix
-	// k times.
-	for len(perms) > 1 {
-		half := perms[:0]
-		for i := 0; i < len(perms); i += 2 {
-			if i+1 == len(perms) {
-				half = append(half, perms[i])
-			} else {
-				half = append(half, mergePerms(col, perms[i], perms[i+1]))
-			}
+	next := &prefixOrder{n: n}
+	if cur == nil {
+		next.rowOrder = sortRows(col, 0, n)
+	} else {
+		tail := sortRows(col, cur.n, n)
+		next.rowOrder = rowOrder{
+			perm:     mergePerms(col, cur.perm, tail.perm),
+			nPresent: cur.nPresent + tail.nPresent,
+			hasNaN:   cur.hasNaN || tail.hasNaN,
 		}
-		perms = half
 	}
-	if len(perms) == 1 {
-		cur.perm = mergePerms(col, cur.perm, perms[0])
-	}
-	cur.nSegs = len(segs)
 	s.ixMu.Lock()
-	if old := s.ixMemo[f]; old == nil || old.nSegs < cur.nSegs {
+	if old := s.ixMemo[f]; old == nil || old.n < n {
 		if s.ixMemo == nil {
-			s.ixMemo = make(map[int]*sealedPerm)
+			s.ixMemo = make(map[int]*prefixOrder)
 		}
-		stored := cur
-		s.ixMemo[f] = &stored
+		s.ixMemo[f] = next
 	}
 	s.ixMu.Unlock()
-	return cur
-}
-
-// mergedIndex builds field f's ColIndex for a snapshot by merging the
-// store-memoized sealed-prefix order (see sealedPermFor) with a freshly
-// sorted tail. The result is element-for-element what buildColIndex
-// produces on the whole view, because both order by (plane value,
-// global row).
-func (s *Store) mergedIndex(c *Columns, segs []*segment, tailStart, f int) *ColIndex {
-	col := c.Col(f)
-	sp := s.sealedPermFor(col, segs, f)
-	tail := sortRows(col, tailStart, c.Len())
-	return newColIndex(col, rowOrder{
-		perm:     mergePerms(col, sp.perm, tail.perm),
-		nPresent: sp.nPresent + tail.nPresent,
-		hasNaN:   sp.hasNaN || tail.hasNaN,
-	})
+	return next.rowOrder
 }

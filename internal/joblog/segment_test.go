@@ -173,10 +173,10 @@ func assertLogEquivalent(t *testing.T, got, want *Log) {
 }
 
 // TestStoreSnapshotEquivalence pins the segmented store's contract: a
-// snapshot's log — its view of the arena's planes, merged indexes and
-// merged statistics — is indistinguishable from a fresh Log over the
-// same records, at every seal threshold and tail length, and when the
-// store's arena began as a log it adopted.
+// snapshot's log — its view of the arena's planes, the indexes it
+// extends from the store's prefix orders, and its statistics — is
+// indistinguishable from a fresh Log over the same records, at every
+// seal threshold and tail length, and when two stores ingest one log.
 func TestStoreSnapshotEquivalence(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 20, 47} {
 		for _, sealEvery := range []int{1, 3, 7, 64} {
@@ -215,9 +215,9 @@ func TestStoreSnapshotEquivalence(t *testing.T) {
 		}
 	}
 
-	// Far more sealed segments than one merge round: the new segments of
-	// a watermark merge as a tree, first from an empty memo, then on top
-	// of a memo an earlier snapshot's index left behind.
+	// Far more sealed segments than indexes ever cared about: the first
+	// watermark's index is one sort from an empty memo, the second
+	// extends the memo the first one left behind.
 	t.Run("many segments", func(t *testing.T) {
 		schema := segTestSchema()
 		recs := segTestRecords(600)
@@ -235,8 +235,8 @@ func TestStoreSnapshotEquivalence(t *testing.T) {
 		}
 	})
 
-	// Two empty stores adopt one plane-backed log, then each appends rows
-	// of its own: rows with missing cells in the log's last word of
+	// Two empty stores ingest one plane-backed log, then each appends
+	// rows of its own: rows with missing cells in the log's last word of
 	// missing bits, and symbols the log never held. Neither store may
 	// write what the log or the other store reads.
 	t.Run("adopt", func(t *testing.T) {
