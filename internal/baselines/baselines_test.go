@@ -114,7 +114,7 @@ func TestRuleOfThumbErrors(t *testing.T) {
 func TestSimButDiffExplains(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	log := testLog(80, rng)
-	sbd, err := NewSimButDiff(log, SimButDiffConfig{SimilarityThreshold: 0.5, Seed: 1})
+	sbd, err := NewSimButDiff(log, SimButDiffConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSimButDiffWhatIfScoresFavourTheCause(t *testing.T) {
 	// expected, so x_issame should be the first atom.
 	rng := rand.New(rand.NewSource(5))
 	log := testLog(100, rng)
-	sbd, err := NewSimButDiff(log, SimButDiffConfig{SimilarityThreshold: 0.5, Seed: 2})
+	sbd, err := NewSimButDiff(log, SimButDiffConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestBaselinesScoreableByCoreMetrics(t *testing.T) {
 		t.Errorf("RuleOfThumb explanation unscoreable: %v", err)
 	}
 
-	sbd, err := NewSimButDiff(log, SimButDiffConfig{SimilarityThreshold: 0.5})
+	sbd, err := NewSimButDiff(log, SimButDiffConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

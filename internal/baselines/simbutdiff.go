@@ -14,12 +14,13 @@ import (
 // feature set: it is the query subject.
 const simButDiffTarget = "duration"
 
+// similarityThreshold is the paper's s = 0.9: a training pair is
+// "similar" when it agrees with the pair of interest on at least s of the
+// isSame features.
+const similarityThreshold = 0.9
+
 // SimButDiffConfig tunes the SimButDiff baseline.
 type SimButDiffConfig struct {
-	// SimilarityThreshold s ∈ (0,1]: a training pair is "similar" when it
-	// agrees with the pair of interest on at least s of the isSame
-	// features. The paper uses 0.9.
-	SimilarityThreshold float64
 	// MaxPairs caps related-pair enumeration (0 = unlimited).
 	MaxPairs int
 	// Seed drives the (capped) enumeration.
@@ -28,13 +29,6 @@ type SimButDiffConfig struct {
 	// enumeration (<= 0 means GOMAXPROCS); the result is identical at
 	// every setting.
 	Parallelism int
-}
-
-func (c SimButDiffConfig) withDefaults() SimButDiffConfig {
-	if c.SimilarityThreshold == 0 {
-		c.SimilarityThreshold = 0.9
-	}
-	return c
 }
 
 // SimButDiff implements Algorithm 2: among training pairs similar to the
@@ -56,7 +50,7 @@ func NewSimButDiff(log *joblog.Log, cfg SimButDiffConfig) (*SimButDiff, error) {
 	return &SimButDiff{
 		log: log,
 		d:   features.NewDeriver(log.Schema, features.Level3),
-		cfg: cfg.withDefaults(),
+		cfg: cfg,
 	}, nil
 }
 
@@ -99,7 +93,7 @@ func (s *SimButDiff) Explain(q *pxql.Query, width int) (*core.Explanation, error
 	if len(related) == 0 {
 		return nil, fmt.Errorf("baselines: no related pairs for this query")
 	}
-	k := int(s.cfg.SimilarityThreshold * float64(len(feats)))
+	k := int(similarityThreshold * float64(len(feats)))
 	type simPair struct {
 		same []uint64
 		exp  bool
@@ -121,7 +115,7 @@ func (s *SimButDiff) Explain(q *pxql.Query, width int) (*core.Explanation, error
 	}
 	if len(similar) == 0 {
 		return nil, fmt.Errorf("baselines: no pairs similar to the pair of interest at threshold %v",
-			s.cfg.SimilarityThreshold)
+			similarityThreshold)
 	}
 
 	// Lines 6-12: what-if score per feature — among similar pairs that

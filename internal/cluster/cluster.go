@@ -25,6 +25,18 @@ const (
 	DefaultNetBytesPerS = 25 * 1024 * 1024         // 25 MB/s
 )
 
+// The cluster's stochastic processes.
+const (
+	// heterogeneity is the stddev of the instance speed factor around 1.0.
+	heterogeneity = 0.04
+	// bgMean and bgStd shape the background-load process (in runnable
+	// processes).
+	bgMean, bgStd = 0.12, 0.25
+	// spikeProb is the per-interval probability of a noisy-neighbour
+	// spike adding 1-2 runnable processes.
+	spikeProb = 0.04
+)
+
 // Instance is one virtual machine.
 type Instance struct {
 	// Index is the instance's position in the cluster, 0-based.
@@ -60,31 +72,6 @@ type Config struct {
 	Instances int
 	// Seed drives heterogeneity and background load.
 	Seed int64
-	// Heterogeneity is the stddev of the instance speed factor around 1.0.
-	// Default 0.04.
-	Heterogeneity float64
-	// BgMean and BgStd shape the background-load process (in runnable
-	// processes). Defaults 0.12 and 0.25.
-	BgMean, BgStd float64
-	// SpikeProb is the per-interval probability of a noisy-neighbour
-	// spike adding 1-2 runnable processes. Default 0.04.
-	SpikeProb float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Heterogeneity == 0 {
-		c.Heterogeneity = 0.04
-	}
-	if c.BgMean == 0 {
-		c.BgMean = 0.12
-	}
-	if c.BgStd == 0 {
-		c.BgStd = 0.25
-	}
-	if c.SpikeProb == 0 {
-		c.SpikeProb = 0.04
-	}
-	return c
 }
 
 // New builds a cluster. All randomness derives from cfg.Seed, so the same
@@ -93,11 +80,10 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Instances < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 instance, got %d", cfg.Instances)
 	}
-	cfg = cfg.withDefaults()
 	cl := &Cluster{}
 	for i := 0; i < cfg.Instances; i++ {
 		rng := stats.DeriveRand(cfg.Seed, fmt.Sprintf("instance-%d", i))
-		speed := 1 + rng.NormFloat64()*cfg.Heterogeneity
+		speed := 1 + rng.NormFloat64()*heterogeneity
 		speed = stats.Clamp(speed, 0.7, 1.3)
 		inst := &Instance{
 			Index:        i,
@@ -109,8 +95,7 @@ func New(cfg Config) (*Cluster, error) {
 			MemoryBytes:  DefaultMemoryBytes,
 			NetBytesPerS: DefaultNetBytesPerS,
 			BootTime:     float64(1000000 + rng.Intn(500000)),
-			bg: newLoadProcess(stats.DeriveRand(cfg.Seed, fmt.Sprintf("bg-%d", i)),
-				cfg.BgMean, cfg.BgStd, cfg.SpikeProb),
+			bg:           &loadProcess{rng: stats.DeriveRand(cfg.Seed, fmt.Sprintf("bg-%d", i))},
 		}
 		cl.Instances = append(cl.Instances, inst)
 	}
@@ -131,14 +116,8 @@ const BgChangeInterval = 30.0
 // Values are cached per interval index so queries at any order of t are
 // consistent.
 type loadProcess struct {
-	rng       *rand.Rand
-	mean, std float64
-	spikeProb float64
-	values    []float64 // values[i] covers [i*interval, (i+1)*interval)
-}
-
-func newLoadProcess(rng *rand.Rand, mean, std, spikeProb float64) *loadProcess {
-	return &loadProcess{rng: rng, mean: mean, std: std, spikeProb: spikeProb}
+	rng    *rand.Rand
+	values []float64 // values[i] covers [i*interval, (i+1)*interval)
 }
 
 func (p *loadProcess) at(t float64) float64 {
@@ -150,12 +129,12 @@ func (p *loadProcess) at(t float64) float64 {
 		// AR(1) persistence: noisy-neighbour episodes span several
 		// intervals, as real contention does, so a task's whole window
 		// tends to be coherently loaded or unloaded.
-		prev := p.mean
+		prev := bgMean
 		if n := len(p.values); n > 0 {
 			prev = p.values[n-1]
 		}
-		v := 0.6*prev + 0.4*(p.mean+p.rng.NormFloat64()*p.std)
-		if p.rng.Float64() < p.spikeProb {
+		v := 0.6*prev + 0.4*(bgMean+p.rng.NormFloat64()*bgStd)
+		if p.rng.Float64() < spikeProb {
 			v += 1 + p.rng.Float64()
 		}
 		p.values = append(p.values, stats.Clamp(v, 0, 4))

@@ -106,17 +106,13 @@ type Sample struct {
 // non-decreasing time order per host (the engine's tick loop guarantees
 // this); Record rejects violations so bugs surface early.
 type Collector struct {
-	Interval float64
-	series   map[string][]Sample
+	series map[string][]Sample
 }
 
-// NewCollector returns a collector with the given sampling interval
-// (informational; the engine drives the ticks).
-func NewCollector(interval float64) *Collector {
-	if interval <= 0 {
-		interval = DefaultInterval
-	}
-	return &Collector{Interval: interval, series: make(map[string][]Sample)}
+// NewCollector returns an empty collector. The engine drives its ticks,
+// every DefaultInterval seconds of virtual time.
+func NewCollector() *Collector {
+	return &Collector{series: make(map[string][]Sample)}
 }
 
 // Record appends a sample for the host.

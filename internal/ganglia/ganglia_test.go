@@ -27,10 +27,7 @@ func TestMetricsGetCoversNames(t *testing.T) {
 }
 
 func TestRecordOrdering(t *testing.T) {
-	c := NewCollector(0)
-	if c.Interval != DefaultInterval {
-		t.Errorf("default interval = %v", c.Interval)
-	}
+	c := NewCollector()
 	if err := c.Record("h1", 0, Metrics{}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +46,7 @@ func TestRecordOrdering(t *testing.T) {
 }
 
 func TestAverageWindow(t *testing.T) {
-	c := NewCollector(5)
+	c := NewCollector()
 	for i := 0; i < 10; i++ {
 		_ = c.Record("h", float64(i*5), Metrics{CPUUser: float64(i * 10)})
 	}
@@ -64,7 +61,7 @@ func TestAverageWindow(t *testing.T) {
 }
 
 func TestAverageShortTaskUsesNearestSample(t *testing.T) {
-	c := NewCollector(5)
+	c := NewCollector()
 	_ = c.Record("h", 0, Metrics{CPUUser: 10})
 	_ = c.Record("h", 5, Metrics{CPUUser: 90})
 	// Window (5.5, 6.5) covers no sample; the nearest to midpoint 6 is t=5.
@@ -75,7 +72,7 @@ func TestAverageShortTaskUsesNearestSample(t *testing.T) {
 }
 
 func TestAverageUnknownHost(t *testing.T) {
-	c := NewCollector(5)
+	c := NewCollector()
 	if _, ok := c.Average("ghost", 0, 10); ok {
 		t.Error("unknown host should report !ok")
 	}
@@ -85,7 +82,7 @@ func TestAverageUnknownHost(t *testing.T) {
 }
 
 func TestAverageMapPrefixes(t *testing.T) {
-	c := NewCollector(5)
+	c := NewCollector()
 	_ = c.Record("h", 0, Metrics{CPUUser: 42, MemFree: 1e9})
 	m, ok := c.AverageMap("h", 0, 1)
 	if !ok {

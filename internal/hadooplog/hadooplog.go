@@ -244,7 +244,9 @@ func parseLine(line string) (record string, attrs map[string]string, err error) 
 }
 
 // ReadJob parses one job history stream written by WriteJob. Ganglia
-// metrics are absent from the format and left nil.
+// metrics are absent from the format and left nil. A numeric attribute
+// that is present must parse, or ReadJob fails naming it; one that is
+// absent reads as zero.
 func ReadJob(r io.Reader) (*mapreduce.JobResult, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, maxLine), maxLine)
@@ -300,21 +302,53 @@ func fillJob(job *mapreduce.JobResult, attrs map[string]string) error {
 	if job.Finish, err = fromMS(attrs, "FINISH_TIME"); err != nil {
 		return err
 	}
-	geti := func(key string) int {
-		v, _ := strconv.Atoi(attrs[key])
-		return v
+	r := attrReader{attrs: attrs}
+	job.NumMapTasks = r.int("TOTAL_MAPS")
+	job.NumReduceTasks = r.int("TOTAL_REDUCES")
+	job.Config.NumInstances = r.int("NUM_INSTANCES")
+	job.Config.BlockSize = r.int64("DFS_BLOCK_SIZE")
+	job.Config.ReduceTasksFactor = r.float("REDUCE_TASKS_FACTOR")
+	job.Config.IOSortFactor = r.int("IO_SORT_FACTOR")
+	job.Config.Seed = r.int64("SIM_SEED")
+	job.Input = excite.Dataset{
+		Name:    attrs["INPUT_NAME"],
+		Bytes:   r.int64("INPUT_BYTES"),
+		Records: r.int64("INPUT_RECORDS"),
 	}
-	job.NumMapTasks = geti("TOTAL_MAPS")
-	job.NumReduceTasks = geti("TOTAL_REDUCES")
-	job.Config.NumInstances = geti("NUM_INSTANCES")
-	job.Config.BlockSize, _ = strconv.ParseInt(attrs["DFS_BLOCK_SIZE"], 10, 64)
-	job.Config.ReduceTasksFactor, _ = strconv.ParseFloat(attrs["REDUCE_TASKS_FACTOR"], 64)
-	job.Config.IOSortFactor = geti("IO_SORT_FACTOR")
-	job.Config.Seed, _ = strconv.ParseInt(attrs["SIM_SEED"], 10, 64)
-	bytes, _ := strconv.ParseInt(attrs["INPUT_BYTES"], 10, 64)
-	records, _ := strconv.ParseInt(attrs["INPUT_RECORDS"], 10, 64)
-	job.Input = excite.Dataset{Name: attrs["INPUT_NAME"], Bytes: bytes, Records: records}
-	return nil
+	return r.err
+}
+
+// attrReader parses numeric attributes and keeps the first error. A
+// missing attribute reads as zero, since real history files lack the
+// simulator's keys; one that is present must parse.
+type attrReader struct {
+	attrs map[string]string
+	err   error
+}
+
+func (r *attrReader) parse(key string, parse func(string) error) {
+	s, ok := r.attrs[key]
+	if !ok || r.err != nil {
+		return
+	}
+	if err := parse(s); err != nil {
+		r.err = fmt.Errorf("hadooplog: %s: %w", key, err)
+	}
+}
+
+func (r *attrReader) int(key string) (v int) {
+	r.parse(key, func(s string) (err error) { v, err = strconv.Atoi(s); return err })
+	return v
+}
+
+func (r *attrReader) int64(key string) (v int64) {
+	r.parse(key, func(s string) (err error) { v, err = strconv.ParseInt(s, 10, 64); return err })
+	return v
+}
+
+func (r *attrReader) float(key string) (v float64) {
+	r.parse(key, func(s string) (err error) { v, err = strconv.ParseFloat(s, 64); return err })
+	return v
 }
 
 func fillTask(attrs map[string]string) (*mapreduce.TaskResult, error) {
@@ -344,9 +378,13 @@ func fillTask(attrs map[string]string) (*mapreduce.TaskResult, error) {
 			return nil, err
 		}
 	}
-	t.Index, _ = strconv.Atoi(attrs["TASK_INDEX"])
-	t.Slot, _ = strconv.Atoi(attrs["SLOT"])
-	t.MergePasses, _ = strconv.Atoi(attrs["MERGE_PASSES"])
+	r := attrReader{attrs: attrs}
+	t.Index = r.int("TASK_INDEX")
+	t.Slot = r.int("SLOT")
+	t.MergePasses = r.int("MERGE_PASSES")
+	if r.err != nil {
+		return nil, r.err
+	}
 
 	counters, err := parseCounters(attrs["COUNTERS"])
 	if err != nil {

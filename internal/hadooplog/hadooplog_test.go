@@ -124,6 +124,38 @@ func TestReadJobErrors(t *testing.T) {
 	}
 }
 
+// TestReadJobRefusesMalformedNumbers pins the numeric attributes: one
+// that is present but does not parse is refused, naming the key, rather
+// than read as 0; one that is absent, as in a real history file, reads
+// as 0.
+func TestReadJobRefusesMalformedNumbers(t *testing.T) {
+	const job = `Job JOBID="j" SUBMIT_TIME="0" FINISH_TIME="1"`
+	const task = "\nTask TASKID=\"t\" START_TIME=\"0\" FINISH_TIME=\"1\""
+	for _, key := range []string{
+		"TOTAL_MAPS", "TOTAL_REDUCES", "NUM_INSTANCES", "DFS_BLOCK_SIZE",
+		"REDUCE_TASKS_FACTOR", "IO_SORT_FACTOR", "SIM_SEED", "INPUT_BYTES",
+		"INPUT_RECORDS",
+	} {
+		in := job + " " + key + `="64MB" .`
+		if _, err := ReadJob(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%s=\"64MB\": error %v, want one naming the attribute", key, err)
+		}
+	}
+	for _, key := range []string{"TASK_INDEX", "SLOT", "MERGE_PASSES"} {
+		in := job + " ." + task + " " + key + `="" .`
+		if _, err := ReadJob(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("%s=\"\": error %v, want one naming the attribute", key, err)
+		}
+	}
+	back, err := ReadJob(strings.NewReader(job + " ." + task + " ."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Config.BlockSize != 0 || back.NumMapTasks != 0 || back.Tasks[0].MergePasses != 0 {
+		t.Errorf("absent attributes read as %+v, %+v; want zeros", back.Config, *back.Tasks[0])
+	}
+}
+
 func TestMapOnlyJobRoundTrip(t *testing.T) {
 	res, err := mapreduce.Run(mapreduce.JobSpec{
 		ID:     "job-0002",
@@ -205,6 +237,7 @@ func FuzzReadJob(f *testing.F) {
 	pad := maxLine - len(head) - len("\" .\n")
 	f.Add([]byte(head + strings.Repeat("x", pad) + "\" .\n"))   // at the cap: read, refused on write
 	f.Add([]byte(head + strings.Repeat("x", pad+1) + "\" .\n")) // past it: refused on read
+	f.Add([]byte("Job SUBMIT_TIME=\"0\" FINISH_TIME=\"1\" DFS_BLOCK_SIZE=\"64MB\" .\n"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		job, err := ReadJob(bytes.NewReader(in))
 		if err != nil {

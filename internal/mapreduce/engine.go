@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"perfxplain/internal/cluster"
-	"perfxplain/internal/excite"
 	"perfxplain/internal/ganglia"
 	"perfxplain/internal/stats"
 )
@@ -55,7 +54,7 @@ type taskPlan struct {
 	stages []stage
 }
 
-// Run executes the job: really (when Lines are provided) and always in
+// Run prices the job from its input's aggregates and simulates it in
 // virtual time on a simulated cluster, returning the full log record.
 func Run(spec JobSpec) (*JobResult, error) {
 	if err := spec.Config.Validate(); err != nil {
@@ -70,29 +69,17 @@ func Run(spec JobSpec) (*JobResult, error) {
 	cfg := spec.Config
 	rng := stats.DeriveRand(cfg.Seed, "job-"+spec.ID)
 
-	input := spec.Input
-	if spec.Lines != nil {
-		input = excite.DatasetForLines(spec.Input.Name, spec.Lines)
-	}
-	if input.Bytes <= 0 {
+	if spec.Input.Bytes <= 0 {
 		return nil, fmt.Errorf("mapreduce: job %q has empty input", spec.ID)
 	}
 	numReduce := cfg.NumReduceTasks(spec.Script)
-
-	var ex *execution
-	var output []KV
-	if spec.Lines != nil {
-		ex = execute(spec.Script, spec.Lines, cfg.BlockSize, numReduce)
-		output = ex.output
-	}
-
-	maps, reduces := planTasks(spec, input, numReduce, ex, rng)
+	maps, reduces := planTasks(spec, numReduce, rng)
 
 	cl, err := cluster.New(cluster.Config{Instances: cfg.NumInstances, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	coll := ganglia.NewCollector(ganglia.DefaultInterval)
+	coll := ganglia.NewCollector()
 	s := newSim(cl, coll, rng)
 	if err := s.run(maps, reduces); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: %w", spec.ID, err)
@@ -102,11 +89,10 @@ func Run(spec JobSpec) (*JobResult, error) {
 		ID:             spec.ID,
 		Script:         spec.Script.Name,
 		Config:         cfg,
-		Input:          input,
+		Input:          spec.Input,
 		NumMapTasks:    len(maps),
 		NumReduceTasks: numReduce,
 		Start:          0,
-		Output:         output,
 	}
 	var gm []map[string]float64
 	var last float64
@@ -127,75 +113,48 @@ func Run(spec JobSpec) (*JobResult, error) {
 	return res, nil
 }
 
-// planTasks builds counters and work profiles for every task, either from
-// the real execution or from the sized-input model.
-func planTasks(spec JobSpec, input excite.Dataset, numReduce int, ex *execution, rng *rand.Rand) (maps, reduces []*taskPlan) {
+// planTasks builds counters and work profiles for every task from the
+// sized-input model: one map per block of input, each priced by the
+// script's selectivities, and reduces sharing the map output.
+func planTasks(spec JobSpec, numReduce int, rng *rand.Rand) (maps, reduces []*taskPlan) {
 	script := spec.Script
 	cfg := spec.Config
+	input := spec.Input
 
-	type mapSize struct {
-		inBytes, inRecs, outBytes, outRecs, combIn, combOut int64
-	}
-	var sizes []mapSize
-	if ex != nil {
-		for _, sr := range ex.splits {
-			sizes = append(sizes, mapSize{sr.inputBytes, sr.inputRecords,
-				sr.outputBytes, sr.outputRecords, sr.combineIn, sr.combineOut})
-		}
-	} else {
-		full := int(input.Bytes / cfg.BlockSize)
-		rem := input.Bytes % cfg.BlockSize
-		byteSel := script.MapByteSelectivity(input)
-		recSel := script.MapRecordSelectivity(input)
-		addSplit := func(b int64) {
-			recs := int64(float64(b) / input.AvgRecordLen)
-			ms := mapSize{
-				inBytes: b, inRecs: recs,
-				outBytes: int64(byteSel * float64(b)),
-				outRecs:  int64(recSel * float64(recs)),
-			}
-			if script.Combine != nil && !script.MapOnly {
-				ms.combIn = recs
-				ms.combOut = ms.outRecs
-			}
-			sizes = append(sizes, ms)
-		}
-		for i := 0; i < full; i++ {
-			addSplit(cfg.BlockSize)
-		}
-		if rem > 0 {
-			addSplit(rem)
-		}
-	}
-
+	byteSel := script.MapByteSelectivity(input)
+	recSel := script.MapRecordSelectivity(input)
 	var totalMapOutBytes, totalMapOutRecs int64
-	for _, ms := range sizes {
-		totalMapOutBytes += ms.outBytes
-		totalMapOutRecs += ms.outRecs
-	}
-
-	for i, ms := range sizes {
+	for off := int64(0); off < input.Bytes; off += cfg.BlockSize {
+		inBytes := min(cfg.BlockSize, input.Bytes-off)
+		inRecs := int64(float64(inBytes) / input.AvgRecordLen)
+		outBytes := int64(byteSel * float64(inBytes))
+		outRecs := int64(recSel * float64(inRecs))
+		totalMapOutBytes += outBytes
+		totalMapOutRecs += outRecs
+		i := len(maps)
 		t := &TaskResult{
-			ID:                   fmt.Sprintf("%s_m_%04d", spec.ID, i),
-			JobID:                spec.ID,
-			Type:                 "MAP",
-			Index:                i,
-			InputBytes:           ms.inBytes,
-			InputRecords:         ms.inRecs,
-			OutputBytes:          ms.outBytes,
-			OutputRecords:        ms.outRecs,
-			HDFSBytesRead:        ms.inBytes,
-			CombineInputRecords:  ms.combIn,
-			CombineOutputRecords: ms.combOut,
+			ID:            fmt.Sprintf("%s_m_%04d", spec.ID, i),
+			JobID:         spec.ID,
+			Type:          "MAP",
+			Index:         i,
+			InputBytes:    inBytes,
+			InputRecords:  inRecs,
+			OutputBytes:   outBytes,
+			OutputRecords: outRecs,
+			HDFSBytesRead: inBytes,
 		}
 		if script.MapOnly {
-			t.HDFSBytesWritten = ms.outBytes
+			t.HDFSBytesWritten = outBytes
 			t.FileBytesWritten = int64(rng.Intn(64 << 10)) // task-log dribble
 		} else {
-			t.FileBytesWritten = ms.outBytes
-			t.SpilledRecords = ms.outRecs
+			t.FileBytesWritten = outBytes
+			t.SpilledRecords = outRecs
+			if script.Combiner {
+				t.CombineInputRecords = inRecs
+				t.CombineOutputRecords = outRecs
+			}
 		}
-		work := taskStartupSec + script.MapCPUPerMB*float64(ms.inBytes)/mb
+		work := taskStartupSec + script.MapCPUPerMB*float64(inBytes)/mb
 		work *= noise(rng)
 		t.CPUSeconds = work
 		maps = append(maps, &taskPlan{res: t, stages: []stage{{stageCPU, work}}})
@@ -205,70 +164,54 @@ func planTasks(spec JobSpec, input excite.Dataset, numReduce int, ex *execution,
 		return maps, nil
 	}
 
-	// Reduce partition shares: real counts when available, otherwise
-	// mildly skewed deterministic weights (hash partitioning over a
-	// Zipf-skewed key population is never perfectly even).
-	type redSize struct {
-		shufBytes, inRecs, outBytes, outRecs int64
+	// Reduce partition shares: mildly skewed deterministic weights (hash
+	// partitioning over a Zipf-skewed key population is never perfectly
+	// even).
+	weights := make([]float64, numReduce)
+	var sum float64
+	for r := range weights {
+		w := 1 + 0.3*rng.NormFloat64()
+		if w < 0.15 {
+			w = 0.15
+		}
+		weights[r] = w
+		sum += w
 	}
-	var rsizes []redSize
-	if ex != nil {
-		for _, rr := range ex.reduces {
-			rsizes = append(rsizes, redSize{rr.shuffleBytes, rr.inputRecords,
-				rr.outputBytes, rr.outputRecords})
-		}
-	} else {
-		weights := make([]float64, numReduce)
-		var sum float64
-		for r := range weights {
-			w := 1 + 0.3*rng.NormFloat64()
-			if w < 0.15 {
-				w = 0.15
-			}
-			weights[r] = w
-			sum += w
-		}
-		totalOut := script.ReduceOutputBytes(input)
-		for r := range weights {
-			share := weights[r] / sum
-			rsizes = append(rsizes, redSize{
-				shufBytes: int64(share * float64(totalMapOutBytes)),
-				inRecs:    int64(share * float64(totalMapOutRecs)),
-				outBytes:  int64(share * float64(totalOut)),
-				outRecs:   int64(share * float64(input.DistinctUsers)),
-			})
-		}
-	}
+	totalOut := script.ReduceOutputBytes(input)
 
-	segments := len(sizes) // one map-output segment per map task
-	passes := extraMergePasses(segments, cfg.IOSortFactor)
-	for r, rs := range rsizes {
+	// One map-output segment per map task.
+	passes := extraMergePasses(len(maps), cfg.IOSortFactor)
+	for r, w := range weights {
+		share := w / sum
+		shufBytes := int64(share * float64(totalMapOutBytes))
+		inRecs := int64(share * float64(totalMapOutRecs))
+		outBytes := int64(share * float64(totalOut))
 		t := &TaskResult{
 			ID:               fmt.Sprintf("%s_r_%04d", spec.ID, r),
 			JobID:            spec.ID,
 			Type:             "REDUCE",
 			Index:            r,
-			InputBytes:       rs.shufBytes,
-			InputRecords:     rs.inRecs,
-			OutputBytes:      rs.outBytes,
-			OutputRecords:    rs.outRecs,
-			ShuffleBytes:     rs.shufBytes,
-			HDFSBytesWritten: rs.outBytes,
-			FileBytesWritten: int64(float64(rs.shufBytes) * (1 + 0.5*float64(passes))),
+			InputBytes:       shufBytes,
+			InputRecords:     inRecs,
+			OutputBytes:      outBytes,
+			OutputRecords:    int64(share * float64(input.DistinctUsers)),
+			ShuffleBytes:     shufBytes,
+			HDFSBytesWritten: outBytes,
+			FileBytesWritten: int64(float64(shufBytes) * (1 + 0.5*float64(passes))),
 			MergePasses:      passes,
 		}
 		if passes > 0 {
-			t.SpilledRecords = rs.inRecs
+			t.SpilledRecords = inRecs
 		}
-		shufMB := float64(rs.shufBytes) / mb
+		shufMB := float64(shufBytes) / mb
 		sortWork := (float64(passes) + 0.3) * shufMB / mergeRateMBps * demandSort
 		sortWork = math.Max(sortWork, 0.02) * noise(rng)
 		redWork := taskStartupSec + script.ReduceCPUPerMB*shufMB +
-			writeCostPerMB*float64(rs.outBytes)/mb
+			writeCostPerMB*float64(outBytes)/mb
 		redWork *= noise(rng)
 		t.CPUSeconds = redWork + sortWork
 		reduces = append(reduces, &taskPlan{res: t, stages: []stage{
-			{stageNet, math.Max(float64(rs.shufBytes), 1)},
+			{stageNet, math.Max(float64(shufBytes), 1)},
 			{stageSort, sortWork},
 			{stageCPU, redWork},
 		}})
@@ -277,16 +220,15 @@ func planTasks(spec JobSpec, input excite.Dataset, numReduce int, ex *execution,
 }
 
 // extraMergePasses is the number of on-disk merge passes a reduce pays
-// beyond the final streaming merge: zero when all segments fit in one
-// merge of width io.sort.factor, and roughly log_factor(segments)-1
-// otherwise.
+// beyond the final streaming merge: the smallest k with factor^k >=
+// segments, less one, so zero when all segments fit in one merge of width
+// io.sort.factor. Each pass merges every factor segments into one. It
+// counts in integers: a float log_factor(segments) lands a hair above k
+// at exact powers and would round up a pass.
 func extraMergePasses(segments, factor int) int {
-	if segments <= factor {
-		return 0
-	}
-	passes := int(math.Ceil(math.Log(float64(segments))/math.Log(float64(factor)))) - 1
-	if passes < 0 {
-		passes = 0
+	passes := 0
+	for ; segments > factor; segments = (segments-1)/factor + 1 {
+		passes++
 	}
 	return passes
 }

@@ -154,36 +154,6 @@ func TestRunSizedGroupByJob(t *testing.T) {
 	}
 }
 
-func TestRunMaterializedMatchesExec(t *testing.T) {
-	recs := excite.Generate(excite.Spec{Records: 3000, Seed: 5})
-	lines := excite.Lines(recs)
-	cfg := Config{NumInstances: 2, BlockSize: 16 << 10, ReduceTasksFactor: 1, IOSortFactor: 10, Seed: 9}
-	spec := JobSpec{ID: "job-mat", Script: pig.SimpleGroupBy(), Input: excite.Dataset{Name: "mat"}, Lines: lines, Config: cfg}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) == 0 {
-		t.Fatal("materialized run produced no output")
-	}
-	// Output must equal a direct group-by count.
-	direct := make(map[string]int64)
-	for _, r := range recs {
-		direct[r.User]++
-	}
-	if len(res.Output) != len(direct) {
-		t.Errorf("output groups = %d, want %d", len(res.Output), len(direct))
-	}
-	// Real counters: map input records across tasks equals the line count.
-	var inRecs int64
-	for _, tk := range tasksOfType(res, "MAP") {
-		inRecs += tk.InputRecords
-	}
-	if inRecs != int64(len(lines)) {
-		t.Errorf("map input records = %d, want %d", inRecs, len(lines))
-	}
-}
-
 func TestRunDeterministic(t *testing.T) {
 	run := func() *JobResult {
 		res, err := Run(sizedSpec("job-d", pig.SimpleGroupBy(), 200*mb, baseConfig()))
@@ -325,6 +295,11 @@ func TestIOSortFactorAffectsSortTime(t *testing.T) {
 	}
 }
 
+// TestExtraMergePasses checks extraMergePasses on hand-picked cases, then
+// against its definition in integers: the smallest k with factor^k >=
+// segments, less one. The grid is every factor in 2..200 with every
+// segment count up to 2 000 and each side of every power of the factor
+// up to 10^6. Exact powers are where a float logarithm rounds a pass up.
 func TestExtraMergePasses(t *testing.T) {
 	tests := []struct {
 		segments, factor, want int
@@ -336,11 +311,38 @@ func TestExtraMergePasses(t *testing.T) {
 		{101, 10, 2},
 		{41, 50, 0},
 		{41, 100, 0},
+		{9, 3, 1},
+		{125, 5, 2},
+		{216, 6, 2},
 	}
 	for _, tt := range tests {
 		if got := extraMergePasses(tt.segments, tt.factor); got != tt.want {
 			t.Errorf("extraMergePasses(%d, %d) = %d, want %d",
 				tt.segments, tt.factor, got, tt.want)
+		}
+	}
+
+	want := func(segments, factor int) int {
+		k := 1
+		for pow := factor; pow < segments; pow *= factor {
+			k++
+		}
+		return k - 1
+	}
+	for factor := 2; factor <= 200; factor++ {
+		var grid []int
+		for segments := 1; segments <= 2000; segments++ {
+			grid = append(grid, segments)
+		}
+		for pow := factor; pow <= 1_000_000; pow *= factor {
+			if pow >= 2000 {
+				grid = append(grid, pow-1, pow, pow+1)
+			}
+		}
+		for _, segments := range grid {
+			if got, w := extraMergePasses(segments, factor), want(segments, factor); got != w {
+				t.Errorf("extraMergePasses(%d, %d) = %d, want %d", segments, factor, got, w)
+			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
-// Package mapreduce is the Hadoop-substitute substrate: a working
-// MapReduce engine that both executes jobs (really running the user's
-// map/combine/reduce functions over materialised inputs, with input
-// splitting, hash partitioning, combiner application and sort-merge
-// reduce) and simulates their performance on a virtual-time EC2-style
-// cluster (paper Section 6.1's testbed).
+// Package mapreduce is the Hadoop-substitute substrate: a cost model that
+// prices a job from its dataset's aggregates (bytes, records, users) and
+// simulates its tasks on a virtual-time EC2-style cluster (paper Section
+// 6.1's testbed). It executes nothing: the counters of every task follow
+// the phase model of Hadoop's map (read, map, combine, spill) and reduce
+// (shuffle, merge, reduce, write), sized from the script's selectivities.
 //
 // Timing never comes from the wall clock. Every task is a sequence of
 // stages (CPU work, network shuffle, sort-merge) whose progress is
@@ -77,19 +77,11 @@ type JobSpec struct {
 	ID string
 	// Script is the workload.
 	Script *pig.Script
-	// Input describes the dataset. When Lines is nil the engine runs in
-	// sized mode, deriving counters from these aggregates.
+	// Input describes the dataset; the engine derives every counter from
+	// its aggregates.
 	Input excite.Dataset
-	// Lines optionally materialises the input; the engine then executes
-	// the script functions for real and all counters are exact.
-	Lines []string
 	// Config is the job configuration.
 	Config Config
-}
-
-// KV is an output key/value pair from a real execution.
-type KV struct {
-	Key, Value string
 }
 
 // TaskResult is everything the substrate logs about one task: the
@@ -145,9 +137,6 @@ type JobResult struct {
 	Tasks         []*TaskResult
 
 	Ganglia map[string]float64 // task-average metrics percolated up
-
-	// Output holds the job's real output when the input was materialised.
-	Output []KV
 }
 
 // Duration is the job runtime in virtual seconds.

@@ -1,6 +1,7 @@
-// Package pig implements the two Pig workloads of the paper's evaluation
-// (Table 2) as real MapReduce programs plus the cost profiles the
-// virtual-time simulator uses to run them at scale.
+// Package pig describes the two Pig workloads of the paper's evaluation
+// (Table 2) as the cost profiles the virtual-time simulator prices them
+// by: map and reduce CPU rates plus the selectivities that size each
+// phase's output from a dataset's aggregates. No script is executed.
 //
 // simple-filter.pig loads the Excite log, removes queries that are bare
 // URLs, and stores the rest: a map-only job (Pig compiles a pure
@@ -12,29 +13,20 @@ package pig
 
 import (
 	"fmt"
-	"strconv"
 
 	"perfxplain/internal/excite"
 )
 
-// Emit receives key/value pairs produced by mappers, combiners and
-// reducers.
-type Emit func(key, value string)
-
-// Script is a Pig workload: executable map/reduce logic for materialised
-// inputs, and analytic selectivities + CPU cost rates for sized inputs.
+// Script is a Pig workload: its shape (map-only or not, combiner or not),
+// CPU cost rates, and analytic selectivities over a dataset's aggregates.
 type Script struct {
 	// Name is the script file name used as the pigscript feature value.
 	Name string
 	// MapOnly is true when the job has no reduce phase.
 	MapOnly bool
-
-	// Map processes one input line.
-	Map func(line string, emit Emit)
-	// Combine optionally pre-aggregates map output (nil when unused).
-	Combine func(key string, values []string, emit Emit)
-	// Reduce processes one key group (nil for map-only scripts).
-	Reduce func(key string, values []string, emit Emit)
+	// Combiner is true when map output is pre-aggregated per split
+	// before the shuffle.
+	Combiner bool
 
 	// MapCPUPerMB is virtual CPU-seconds consumed per MB of map input at
 	// full core speed, covering read+parse+apply.
@@ -42,32 +34,23 @@ type Script struct {
 	// ReduceCPUPerMB is virtual CPU-seconds per MB of reduce input.
 	ReduceCPUPerMB float64
 
-	// MapByteSelectivity estimates map output bytes per input byte for
-	// sized runs.
+	// MapByteSelectivity estimates map output bytes per input byte.
 	MapByteSelectivity func(d excite.Dataset) float64
 	// MapRecordSelectivity estimates map output records per input record.
 	MapRecordSelectivity func(d excite.Dataset) float64
-	// ReduceOutputBytes estimates the job's final output size for sized
-	// runs (map-only scripts use MapByteSelectivity instead).
+	// ReduceOutputBytes estimates the job's final output size (map-only
+	// scripts use MapByteSelectivity instead).
 	ReduceOutputBytes func(d excite.Dataset) int64
 }
 
 // SimpleFilter returns the simple-filter.pig workload.
 func SimpleFilter() *Script {
 	return &Script{
-		Name:    "simple-filter.pig",
-		MapOnly: true,
-		Map: func(line string, emit Emit) {
-			rec, err := excite.ParseLine(line)
-			if err != nil {
-				return // Pig drops malformed records
-			}
-			if !excite.IsURLQuery(rec.Query) {
-				emit("", line)
-			}
-		},
+		Name:           "simple-filter.pig",
+		MapOnly:        true,
 		MapCPUPerMB:    1.4,
 		ReduceCPUPerMB: 0,
+		// The filter keeps the lines whose query is not a bare URL.
 		MapByteSelectivity: func(d excite.Dataset) float64 {
 			return 1 - d.URLFraction
 		},
@@ -80,33 +63,10 @@ func SimpleFilter() *Script {
 
 // SimpleGroupBy returns the simple-groupby.pig workload.
 func SimpleGroupBy() *Script {
-	countValues := func(values []string) int64 {
-		var n int64
-		for _, v := range values {
-			c, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				continue
-			}
-			n += c
-		}
-		return n
-	}
 	return &Script{
-		Name:    "simple-groupby.pig",
-		MapOnly: false,
-		Map: func(line string, emit Emit) {
-			rec, err := excite.ParseLine(line)
-			if err != nil {
-				return
-			}
-			emit(rec.User, "1")
-		},
-		Combine: func(key string, values []string, emit Emit) {
-			emit(key, strconv.FormatInt(countValues(values), 10))
-		},
-		Reduce: func(key string, values []string, emit Emit) {
-			emit(key, strconv.FormatInt(countValues(values), 10))
-		},
+		Name:           "simple-groupby.pig",
+		MapOnly:        false,
+		Combiner:       true,
 		MapCPUPerMB:    1.8, // grouping pays for key extraction + combiner
 		ReduceCPUPerMB: 1.0,
 		// Combined map output: one (user, partial count) pair per distinct

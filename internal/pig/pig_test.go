@@ -1,8 +1,7 @@
 package pig
 
 import (
-	"strconv"
-	"strings"
+	"math"
 	"testing"
 
 	"perfxplain/internal/excite"
@@ -25,106 +24,52 @@ func TestByName(t *testing.T) {
 
 func TestSimpleFilterMap(t *testing.T) {
 	s := SimpleFilter()
-	if !s.MapOnly || s.Reduce != nil {
-		t.Error("simple-filter should be map-only")
+	if !s.MapOnly || s.Combiner {
+		t.Error("simple-filter should be map-only, without a combiner")
 	}
-	var kept []string
-	emit := func(k, v string) { kept = append(kept, v) }
-
-	s.Map("USER1\t123\tweather seattle", emit)
-	s.Map("USER2\t124\thttp://www.excite.com/", emit)
-	s.Map("USER3\t125\twww.cnn.com", emit)
-	s.Map("malformed line", emit)
-	if len(kept) != 1 || !strings.Contains(kept[0], "weather seattle") {
-		t.Errorf("kept = %v, want only the non-URL query", kept)
+	d := excite.DatasetForBytes("in", 1<<30)
+	if got, want := s.MapRecordSelectivity(d), 1-d.URLFraction; got != want {
+		t.Errorf("filter keeps %v of records, want the non-URL share %v", got, want)
+	}
+	if out := s.ReduceOutputBytes(d); out != 0 {
+		t.Errorf("map-only reduce output = %d", out)
 	}
 }
 
 func TestSimpleGroupByMapReduce(t *testing.T) {
 	s := SimpleGroupBy()
-	if s.MapOnly || s.Reduce == nil || s.Combine == nil {
-		t.Fatal("simple-groupby should have combine and reduce")
+	if s.MapOnly || !s.Combiner {
+		t.Fatal("simple-groupby should have a combiner and a reduce phase")
 	}
-	// Map three lines from two users.
-	type kv struct{ k, v string }
-	var mapped []kv
-	emit := func(k, v string) { mapped = append(mapped, kv{k, v}) }
-	s.Map("U1\t1\tweather", emit)
-	s.Map("U2\t2\tnews", emit)
-	s.Map("U1\t3\tmaps", emit)
-	s.Map("garbage", emit)
-	if len(mapped) != 3 {
-		t.Fatalf("mapped %d pairs, want 3", len(mapped))
-	}
-
-	// Combine U1's two partial counts.
-	var combined []kv
-	s.Combine("U1", []string{"1", "1"}, func(k, v string) { combined = append(combined, kv{k, v}) })
-	if len(combined) != 1 || combined[0].v != "2" {
-		t.Errorf("combine = %v", combined)
-	}
-
-	// Reduce merges combiner outputs.
-	var reduced []kv
-	s.Reduce("U1", []string{"2", "3"}, func(k, v string) { reduced = append(reduced, kv{k, v}) })
-	if len(reduced) != 1 || reduced[0].k != "U1" || reduced[0].v != "5" {
-		t.Errorf("reduce = %v", reduced)
-	}
-
-	// Non-numeric values are skipped, not fatal.
-	reduced = nil
-	s.Reduce("U2", []string{"x", "4"}, func(k, v string) { reduced = append(reduced, kv{k, v}) })
-	if reduced[0].v != "4" {
-		t.Errorf("reduce with garbage = %v", reduced)
+	// One (user, count) pair per distinct user.
+	d := excite.DatasetForBytes("in", 1<<30)
+	if out := s.ReduceOutputBytes(d); out != d.DistinctUsers*14 {
+		t.Errorf("reduce output = %d bytes for %d users", out, d.DistinctUsers)
 	}
 }
 
-// End-to-end over generated data: the filter keeps exactly the non-URL
-// lines, and groupby counts per user match a direct count.
+// Over generated data, the filter's selectivity is the share of lines
+// whose query is not a bare URL, and the groupby's stays in range.
 func TestScriptsAgainstGeneratedData(t *testing.T) {
 	recs := excite.Generate(excite.Spec{Records: 2000, Seed: 21})
 	lines := excite.Lines(recs)
 
-	filter := SimpleFilter()
-	var kept int
-	for _, l := range lines {
-		filter.Map(l, func(k, v string) { kept++ })
-	}
-	wantKept := 0
+	kept := 0
 	for _, r := range recs {
 		if !excite.IsURLQuery(r.Query) {
-			wantKept++
+			kept++
 		}
 	}
-	if kept != wantKept {
-		t.Errorf("filter kept %d, want %d", kept, wantKept)
-	}
-
-	groupby := SimpleGroupBy()
-	counts := make(map[string]int64)
-	for _, l := range lines {
-		groupby.Map(l, func(k, v string) { counts[k]++ })
-	}
-	direct := make(map[string]int64)
-	for _, r := range recs {
-		direct[r.User]++
-	}
-	if len(counts) != len(direct) {
-		t.Fatalf("groupby saw %d users, want %d", len(counts), len(direct))
-	}
-	for u, c := range direct {
-		if counts[u] != c {
-			t.Errorf("user %s count %d, want %d", u, counts[u], c)
-		}
-	}
-
-	// Simulated selectivities should roughly match the materialised data.
 	d := excite.DatasetForLines("t", lines)
+	filter := SimpleFilter()
+	if got := filter.MapRecordSelectivity(d) * float64(len(lines)); math.Abs(got-float64(kept)) > 1e-6 {
+		t.Errorf("filter keeps %v records, want %d", got, kept)
+	}
 	sel := filter.MapByteSelectivity(d)
 	if sel < 0.7 || sel > 0.99 {
 		t.Errorf("filter byte selectivity = %v", sel)
 	}
-	gsel := groupby.MapByteSelectivity(d)
+	gsel := SimpleGroupBy().MapByteSelectivity(d)
 	if gsel <= 0 || gsel > 1 {
 		t.Errorf("groupby byte selectivity = %v", gsel)
 	}
@@ -159,21 +104,14 @@ func TestCostProfilesPositive(t *testing.T) {
 }
 
 func TestGroupByCombinerReducesVolume(t *testing.T) {
-	// The combiner should collapse per-split duplicates: feeding it n
-	// partials for the same user yields one pair.
+	// The combiner collapses per-split duplicates: at paper scale the
+	// groupby's map emits fewer records and bytes than it reads.
 	s := SimpleGroupBy()
-	vals := make([]string, 50)
-	for i := range vals {
-		vals[i] = "1"
+	d := excite.DatasetForBytes("in", 1300<<20)
+	if sel := s.MapRecordSelectivity(d); sel >= 1 {
+		t.Errorf("record selectivity = %v, want < 1", sel)
 	}
-	var out int
-	s.Combine("U", vals, func(k, v string) {
-		out++
-		if n, _ := strconv.Atoi(v); n != 50 {
-			t.Errorf("combined count = %s", v)
-		}
-	})
-	if out != 1 {
-		t.Errorf("combiner emitted %d pairs", out)
+	if sel := s.MapByteSelectivity(d); sel >= 1 {
+		t.Errorf("byte selectivity = %v, want < 1", sel)
 	}
 }
