@@ -334,7 +334,7 @@ func (e *Explainer) trainingSample(ctx context.Context, q *pxql.Query, despite p
 		if rs.nObs+rs.nExp == 0 {
 			return nil, 0, 0, errNoRelated
 		}
-		return rs.sample(e.cfg.SampleSize, stats.DeriveSeed(e.cfg.Seed, stream+"-sample")), rs.nObs, rs.nExp, nil
+		return rs.sample(e.cfg.SampleSize, stats.DeriveSeed(e.cfg.Seed, stream+"-sample"), e.cfg.Parallelism), rs.nObs, rs.nExp, nil
 	}
 	related, err := e.enumeratePairs(ctx, q, despite, stats.DeriveSeed(e.cfg.Seed, stream+"-pairs"))
 	if err != nil {

@@ -21,16 +21,18 @@ package core
 // The draw applies §4.3's keep rule to the exact class counts and thins
 // each class's rank space with the integer skip sampler (skip.go), so
 // the sample is an iid Bernoulli thinning per class, runs on the
-// coordinator alone, and is the same at every parallelism, spec count,
-// executor and seal boundary by construction. Everything else — seek and
-// zone templates, residual despite conjuncts, multi-atom outcome clauses,
-// non-positive targets — keeps the walk (Explainer.enumeratePairs).
+// coordinator alone (its two classes on up to two cores), and is the
+// same at every parallelism, spec count, executor and seal boundary by
+// construction. Everything else — seek and zone templates, residual
+// despite conjuncts, multi-atom outcome clauses, non-positive targets —
+// keeps the walk (Explainer.enumeratePairs).
 
 import (
 	"math"
 
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
+	"perfxplain/internal/par"
 	"perfxplain/internal/pxql"
 )
 
@@ -201,13 +203,21 @@ func rankSpaceOf(log *joblog.Log, q *pxql.Query, despite pxql.Predicate) *rankSp
 
 // sample draws Section 4.3's balanced sample of m pairs in expectation:
 // each class's rank space thinned at its keep rate, observed then
-// expected, each in rank order.
-func (rs *rankSpace) sample(m int, seed uint64) *pairPlanes {
+// expected, each in rank order. The two classes are drawn concurrently on
+// up to workers goroutines, each from its own skip stream and table into
+// its own list; the expected list is appended to the observed one, so the
+// sample is the serial draw's at every worker count.
+func (rs *rankSpace) sample(m int, seed uint64, workers int) *pairPlanes {
 	pObs, pExp := balancedRates(rs.nObs, rs.nExp, m)
-	out := newPairPlanes(expectedDraw(rs.nObs, pObs, rs.nExp, pExp))
-	tab := new(skipTable)
-	rs.draw(out, 0, rs.nObs, pObs, seed, tab)
-	rs.draw(out, 1, rs.nExp, pExp, seed, tab)
+	n, p := [2]int64{rs.nObs, rs.nExp}, [2]float64{pObs, pExp}
+	outs := [2]*pairPlanes{
+		newPairPlanes(expectedDraw(rs.nObs, pObs, rs.nExp, pExp)),
+		newPairPlanes(expectedDraw(rs.nExp, pExp, 0, 0)),
+	}
+	par.Do(2, workers, func(c int) { rs.draw(outs[c], c, n[c], p[c], seed, new(skipTable)) })
+	out, exp := outs[0], outs[1]
+	out.a, out.b = append(out.a, exp.a...), append(out.b, exp.b...)
+	out.labels = append(out.labels, exp.labels...)
 	return out
 }
 

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"testing"
 
+	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
 	"perfxplain/internal/pxql"
@@ -190,7 +191,7 @@ func TestRankDrawLaw(t *testing.T) {
 				pObs, pExp := balancedRates(rs.nObs, rs.nExp, m)
 				var drawn [2]int
 				for s := int64(0); s < 200; s++ {
-					smp := rs.sample(m, stats.DeriveSeed(s, "rank-law"))
+					smp := rs.sample(m, stats.DeriveSeed(s, "rank-law"), 2)
 					obs := countObserved(smp.labels)
 					drawn[0] += obs
 					drawn[1] += smp.len() - obs
@@ -336,7 +337,7 @@ func TestRankCountsPastInt32(t *testing.T) {
 	if rs.nObs != gt || rs.nExp != sim {
 		t.Fatalf("rank counts GT=%d SIM=%d, want GT=%d SIM=%d", rs.nObs, rs.nExp, gt, sim)
 	}
-	smp := rs.sample(2000, 11)
+	smp := rs.sample(2000, 11, 2)
 	beyond := 0
 	for i := range smp.a {
 		a, b := smp.a[i], smp.b[i]
@@ -355,5 +356,81 @@ func TestRankCountsPastInt32(t *testing.T) {
 	}
 	if obs := countObserved(smp.labels); obs < 900 || obs > 1100 || beyond == 0 {
 		t.Fatalf("drew %d GT pairs (want ≈1000), %d of them past rank 2³¹", obs, beyond)
+	}
+}
+
+// TestRankSampleMatchesSerialDraw holds the concurrent class draws to the
+// serial draw they replace, written out here: one skip table, the
+// observed class and then the expected class into one list. It runs at
+// Parallelism 1, 2 and 4 and over several seeds, on the oracle's small
+// logs and on one group of 400 members, where the GT class is thinned
+// with redraws. Sample sizes reach every regime: both classes thinned, a
+// class taken whole (p >= 1) and, on a group whose durations are all
+// equal, a class with no pairs.
+func TestRankSampleMatchesSerialDraw(t *testing.T) {
+	serial := func(rs *rankSpace, m int, seed uint64) *pairPlanes {
+		pObs, pExp := balancedRates(rs.nObs, rs.nExp, m)
+		out := newPairPlanes(0)
+		tab := new(skipTable)
+		rs.draw(out, 0, rs.nObs, pObs, seed, tab)
+		rs.draw(out, 1, rs.nExp, pExp, seed, tab)
+		return out
+	}
+	schema := joblog.NewSchema([]joblog.Field{
+		{Name: "g", Kind: joblog.Nominal},
+		{Name: "duration", Kind: joblog.Numeric},
+	})
+	oneGroup := func(durations func(i int) float64) *joblog.Log {
+		log := joblog.NewLog(schema)
+		for i := 0; i < 400; i++ {
+			log.MustAppend(&joblog.Record{ID: fmt.Sprint("r", i), Values: []joblog.Value{joblog.Str("one"), joblog.Num(durations(i))}})
+		}
+		return log
+	}
+	type space struct {
+		name string
+		log  *joblog.Log
+		desp pxql.Predicate
+	}
+	blocked := pxql.Predicate{{Feature: "g_issame", Op: pxql.OpEq, Value: features.ValT}}
+	spaces := []space{
+		{"spread", oneGroup(func(i int) float64 { return math.Exp(float64(i) / 40) }), blocked},
+		{"equal", oneGroup(func(int) float64 { return 7 }), blocked},
+	}
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 8; trial++ {
+		log := oracleLog(rng)
+		for name := range rankShapes {
+			spaces = append(spaces, space{fmt.Sprint("oracle ", trial, " ", name), log, oracleDespites()[name]})
+		}
+	}
+	var thinned, whole, empty int
+	for i, sp := range spaces {
+		rs := rankSpaceOf(sp.log, oracleQuery(sp.desp), sp.desp)
+		if rs == nil {
+			if i < 2 {
+				t.Fatalf("%s: the question is not rank-drawable", sp.name)
+			}
+			continue
+		}
+		for _, m := range []int{6, 200, 5000} {
+			pObs, pExp := balancedRates(rs.nObs, rs.nExp, m)
+			thinned += int(bitset.B2u(pObs < 1 && rs.nObs > 0))
+			whole += int(bitset.B2u(pObs >= 1 && rs.nObs > 0 || pExp >= 1 && rs.nExp > 0))
+			empty += int(bitset.B2u(rs.nObs == 0 || rs.nExp == 0))
+			for seed := uint64(0); seed < 4; seed++ {
+				want := serial(rs, m, seed)
+				for _, workers := range []int{1, 2, 4} {
+					got := rs.sample(m, seed, workers)
+					if !slices.Equal(got.a, want.a) || !slices.Equal(got.b, want.b) || !slices.Equal(got.labels, want.labels) {
+						t.Fatalf("%s m=%d seed %d, %d workers: the concurrent draw differs from the serial one (%d pairs, want %d)",
+							sp.name, m, seed, workers, got.len(), want.len())
+					}
+				}
+			}
+		}
+	}
+	if thinned == 0 || whole == 0 || empty == 0 {
+		t.Fatalf("regimes reached: %d thinned, %d whole, %d with an empty class; want each", thinned, whole, empty)
 	}
 }

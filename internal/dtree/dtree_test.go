@@ -263,11 +263,16 @@ func bestThresholdSortSlice(vals []float64, labels []bool) (t, gain float64, ok 
 	return bestT, bestGain * knownFrac, true
 }
 
-// TestBestThresholdMatchesSortSlice holds BestThresholdF, sorting in a
-// reused scratch, to the sort.Slice implementation bit for bit on random
-// columns dense in ties, ±0, ±Inf and NaN. Half the columns have no
-// positive finite value, so a run of tied ±0 is often cut against +Inf —
-// the one place the order of equal values shows in the threshold.
+// TestBestThresholdMatchesSortSlice holds BestThresholdF, counting in a
+// reused scratch, to the sort.Slice implementation bit for bit. The
+// narrow pools give short columns dense in ties, ±0, ±Inf and NaN; half
+// of them have no positive finite value, so a run of tied ±0 is often cut
+// against +Inf — the one place the order of equal values shows in the
+// threshold. The wide pool holds hundreds of distinct finite values
+// beside those, in columns up to 2 000 long, so the counting table grows
+// several times within one column; its columns are cut to reach every
+// branch: both zeros (the whole-column sort), one zero, one distinct
+// value (no cut) and fewer than two known values.
 func TestBestThresholdMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	negZero, inf := math.Copysign(0, -1), math.Inf(1)
@@ -276,6 +281,17 @@ func TestBestThresholdMatchesSortSlice(t *testing.T) {
 		{negZero, 0, inf, -inf, math.NaN(), -1},
 	}
 	var sc ThresholdScratch
+	check := func(vals []float64, labels []bool) (ok bool) {
+		t.Helper()
+		wantT, wantG, wantOK := bestThresholdSortSlice(vals, labels)
+		gotT, gotG, gotOK := BestThresholdF(vals, labels, &sc)
+		if gotOK != wantOK || math.Float64bits(gotT) != math.Float64bits(wantT) ||
+			math.Float64bits(gotG) != math.Float64bits(wantG) {
+			t.Fatalf("%v %v: got (%v, %v, %v), sort.Slice gives (%v, %v, %v)",
+				vals, labels, gotT, gotG, gotOK, wantT, wantG, wantOK)
+		}
+		return wantOK
+	}
 	for trial := 0; trial < 4000; trial++ {
 		pool := pools[trial%2]
 		n := rng.Intn(120)
@@ -284,24 +300,90 @@ func TestBestThresholdMatchesSortSlice(t *testing.T) {
 			vals[i] = pool[rng.Intn(len(pool))]
 			labels[i] = rng.Intn(2) == 0
 		}
-		wantT, wantG, wantOK := bestThresholdSortSlice(vals, labels)
-		gotT, gotG, gotOK := BestThresholdF(vals, labels, &sc)
-		if gotOK != wantOK || math.Float64bits(gotT) != math.Float64bits(wantT) ||
-			math.Float64bits(gotG) != math.Float64bits(wantG) {
-			t.Fatalf("%v %v: got (%v, %v, %v), sort.Slice gives (%v, %v, %v)",
-				vals, labels, gotT, gotG, gotOK, wantT, wantG, wantOK)
+		check(vals, labels)
+	}
+
+	wide := []float64{negZero, 0, inf, -inf, math.NaN()}
+	for len(wide) < 400 {
+		wide = append(wide, math.Round(rng.NormFloat64()*1e3)/8)
+	}
+	var branches [4]int // a split with both zeros, a split with one zero or none, no cut, < 2 known
+	for trial := 0; trial < 600; trial++ {
+		n := rng.Intn(2001)
+		vals, labels := make([]float64, n), make([]bool, n)
+		mode := trial % 5
+		for i := range vals {
+			switch mode {
+			case 0: // anything: both zeros, as a rule
+				vals[i] = wide[rng.Intn(len(wide))]
+			case 1: // no −0
+				vals[i] = wide[1+rng.Intn(len(wide)-1)]
+			case 2: // no +0, few distinct values
+				vals[i] = wide[[]int{0, 2, 3, 4, 5, 6}[rng.Intn(6)]]
+			case 3: // one distinct value and unknowns
+				vals[i] = []float64{math.NaN(), wide[5]}[rng.Intn(2)]
+			case 4: // at most one known value
+				vals[i] = math.NaN()
+				if i == n/2 && trial%10 == 4 {
+					vals[i] = wide[rng.Intn(len(wide))]
+				}
+			}
+			labels[i] = rng.Intn(2) == 0
 		}
+		known, zeros := 0, [2]bool{}
+		for _, v := range vals {
+			if v == v {
+				known++
+			}
+			if v == 0 {
+				zeros[math.Float64bits(v)>>63] = true
+			}
+		}
+		ok := check(vals, labels)
+		switch {
+		case known < 2:
+			branches[3]++
+		case !ok:
+			branches[2]++
+		case zeros[0] && zeros[1]:
+			branches[0]++
+		default:
+			branches[1]++
+		}
+	}
+	for b, c := range branches {
+		if c < 20 {
+			t.Errorf("branch %d reached by %d wide columns, want >= 20 (%v)", b, c, branches)
+		}
+	}
+	if len(sc.slots) < 512 {
+		t.Errorf("the counting table holds %d slots: it never grew past a few hundred distinct values", len(sc.slots))
 	}
 }
 
 // TestBestThresholdReusesScratch pins the scratch contract: with a warm
-// buffer, a call allocates nothing.
+// scratch, a call allocates nothing — on a narrow column, on one with
+// hundreds of distinct values, and on a narrow one after the wide one.
 func TestBestThresholdReusesScratch(t *testing.T) {
 	vals := []float64{3, 1, math.NaN(), 2, 2, 9, 0}
 	labels := []bool{true, false, true, false, true, true, false}
+	rng := rand.New(rand.NewSource(5))
+	wideVals, wideLabels := make([]float64, 1500), make([]bool, 1500)
+	for i := range wideVals {
+		wideVals[i] = float64(rng.Intn(600))
+		wideLabels[i] = rng.Intn(2) == 0
+	}
+	mixed := append([]float64{math.Copysign(0, -1), 0}, vals...)
+	mixedLabels := append([]bool{true, false}, labels...)
 	var sc ThresholdScratch
-	BestThresholdF(vals, labels, &sc)
-	if allocs := testing.AllocsPerRun(50, func() { BestThresholdF(vals, labels, &sc) }); allocs != 0 {
-		t.Errorf("BestThresholdF with warm scratch allocates %v times per call, want 0", allocs)
+	for _, col := range []struct {
+		name   string
+		vals   []float64
+		labels []bool
+	}{{"narrow", vals, labels}, {"wide", wideVals, wideLabels}, {"both zeros", mixed, mixedLabels}, {"narrow after wide", vals, labels}} {
+		BestThresholdF(col.vals, col.labels, &sc)
+		if allocs := testing.AllocsPerRun(50, func() { BestThresholdF(col.vals, col.labels, &sc) }); allocs != 0 {
+			t.Errorf("%s: BestThresholdF with warm scratch allocates %v times per call, want 0", col.name, allocs)
+		}
 	}
 }

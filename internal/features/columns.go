@@ -506,7 +506,7 @@ func (m *PairMatrix) CodeAt(row, codeOff int) uint64 {
 // other fill of the matrix.
 func (m *PairMatrix) Fill(cols *joblog.Columns, row, a, b int) {
 	ai, bi := [1]int{a}, [1]int{b}
-	m.fill(cols, nil, fillRun{lo: row, la: ai[:], lb: bi[:]})
+	m.fill(cols, fillRun{lo: row, la: ai[:], lb: bi[:]})
 }
 
 // FillPairs materializes the derived vectors of the record pairs
@@ -518,23 +518,17 @@ func (m *PairMatrix) FillPairs(cols *joblog.Columns, lo int, ai, bi []int) {
 	if lo&63 != 0 {
 		panic(fmt.Sprintf("features: FillPairs at row %d, not a multiple of 64", lo))
 	}
-	m.fill(cols, nil, fillRun{lo: lo, la: ai, lb: bi})
+	m.fill(cols, fillRun{lo: lo, la: ai, lb: bi})
 }
-
-// fillChunk is the row count of one FillSample work unit: small enough
-// that a 2 000-pair sample spreads over the workers, large enough that
-// each raw column's planes are hoisted once per few hundred pairs. It is
-// a multiple of 64, as every run's first row must be.
-const fillChunk = 512
 
 // FillSample fills every row of m, sized for len(ai) pairs, with the
 // derived vectors of the record pairs (ai[k], bi[k]), bit-identical to
-// FillPairs. It first gathers the cells the pairs read (see gather), one
-// raw column per work unit, then fills from the gather in fillChunk-row
-// runs; both phases run on up to workers goroutines, and every cell and
-// word has one writer, so the result is the same at every worker count.
-// Once m's stores and gather are large enough it allocates nothing per
-// pair.
+// FillPairs. Each raw column is one work unit, run on up to workers
+// goroutines: it gathers the cells the pairs read from that column (see
+// gather), then fills the column's code planes and base and diff columns
+// from them while they are still in the core's cache. Every cell and word
+// has one writer, so the result is the same at every worker count. Once
+// m's stores and gather are large enough it allocates nothing per pair.
 func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, workers int) {
 	n := len(ai)
 	if n != m.N || len(bi) != n {
@@ -542,11 +536,11 @@ func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, workers int)
 	}
 	g, plans := &m.g, m.D.rawPlans
 	g.load(m.D, cols.Len(), ai, bi)
-	par.Do(len(plans), workers, func(i int) { g.column(cols.Col(plans[i].rawIdx), &plans[i]) })
-	par.Do((n+fillChunk-1)/fillChunk, workers, func(c int) {
-		lo := c * fillChunk
-		hi := min(lo+fillChunk, n)
-		m.fill(cols, g, fillRun{lo: lo, la: g.la[lo:hi], lb: g.lb[lo:hi]})
+	run := fillRun{la: g.la, lb: g.lb}
+	par.Do(len(plans), workers, func(i int) {
+		p := &plans[i]
+		c := cols.Col(p.rawIdx)
+		m.fillRaw(p, c.Kind, g.column(c, p), run)
 	})
 }
 
@@ -566,23 +560,25 @@ type rawCells struct {
 	miss bitset.Set
 }
 
-// fill writes run r's rows raw-field-major: one raw column's cells and
-// destination columns are hoisted, then every pair of the run reads that
-// column, each raw cell fanning out to the whole derived family. With a
-// gather the cells are its sample-local copies, else the view's planes.
-func (m *PairMatrix) fill(cols *joblog.Columns, g *gather, r fillRun) {
+// fill writes run r's rows raw-field-major, reading the view's planes:
+// one raw column's cells and destination columns are hoisted, then every
+// pair of the run reads that column, each raw cell fanning out to the
+// whole derived family.
+func (m *PairMatrix) fill(cols *joblog.Columns, r fillRun) {
 	for pi := range m.D.rawPlans {
 		p := &m.D.rawPlans[pi]
 		c := cols.Col(p.rawIdx)
-		src := rawCells{num: c.Num, sym: c.Sym, miss: c.Miss}
-		if g != nil {
-			src = g.cells(p, c.Kind)
-		}
-		if c.Kind == joblog.Numeric {
-			m.fillNumeric(p, src, r)
-		} else {
-			m.fillNominal(p, src, r)
-		}
+		m.fillRaw(p, c.Kind, rawCells{num: c.Num, sym: c.Sym, miss: c.Miss}, r)
+	}
+}
+
+// fillRaw writes raw p's code planes and derived columns for run r from
+// src: the view's planes for a direct fill, a gather's copies otherwise.
+func (m *PairMatrix) fillRaw(p *rawPlan, kind joblog.Kind, src rawCells, r fillRun) {
+	if kind == joblog.Numeric {
+		m.fillNumeric(p, src, r)
+	} else {
+		m.fillNominal(p, src, r)
 	}
 }
 
@@ -706,16 +702,20 @@ func (g *gather) rankOf(row int) int {
 	return g.rank[w] + bits.OnesCount64(g.mark[w]&(1<<(uint(row)&63)-1))
 }
 
-// column gathers raw column c's cells (plan p) for the marked records.
-// Columns write disjoint parts of the planes, so they may be gathered
-// concurrently.
-func (g *gather) column(c *joblog.Col, p *rawPlan) {
-	miss := g.missOf(p)
+// column gathers raw column c's cells (plan p) for the marked records
+// and returns them, addressed by rank. Columns write disjoint parts of
+// the planes, so they may be gathered concurrently.
+func (g *gather) column(c *joblog.Col, p *rawPlan) rawCells {
+	w := bitset.Words(g.n)
+	cells := rawCells{miss: g.miss[p.rawIdx*w : (p.rawIdx+1)*w]}
 	if c.Kind == joblog.Numeric {
-		gatherCells(g.num[p.kindIdx*g.n:(p.kindIdx+1)*g.n], c.Num, c.Miss, g.mark, miss)
+		cells.num = g.num[p.kindIdx*g.n : (p.kindIdx+1)*g.n]
+		gatherCells(cells.num, c.Num, c.Miss, g.mark, cells.miss)
 	} else {
-		gatherCells(g.sym[p.kindIdx*g.n:(p.kindIdx+1)*g.n], c.Sym, c.Miss, g.mark, miss)
+		cells.sym = g.sym[p.kindIdx*g.n : (p.kindIdx+1)*g.n]
+		gatherCells(cells.sym, c.Sym, c.Miss, g.mark, cells.miss)
 	}
+	return cells
 }
 
 // gatherCells copies the marked rows' cells of plane, and their missing
@@ -738,21 +738,4 @@ func gatherCells[E float64 | uint32](dst, plane []E, planeMiss, mark, miss bitse
 	if k&63 != 0 {
 		miss[k>>6] = mw
 	}
-}
-
-// missOf returns raw column p's gathered missing bits.
-func (g *gather) missOf(p *rawPlan) bitset.Set {
-	w := bitset.Words(g.n)
-	return g.miss[p.rawIdx*w : (p.rawIdx+1)*w]
-}
-
-// cells returns raw column p's gathered cells, addressed by rank.
-func (g *gather) cells(p *rawPlan, kind joblog.Kind) rawCells {
-	cells := rawCells{miss: g.missOf(p)}
-	if kind == joblog.Numeric {
-		cells.num = g.num[p.kindIdx*g.n : (p.kindIdx+1)*g.n]
-	} else {
-		cells.sym = g.sym[p.kindIdx*g.n : (p.kindIdx+1)*g.n]
-	}
-	return cells
 }

@@ -6,6 +6,7 @@ package features
 // the symbol codecs must round-trip.
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -15,13 +16,19 @@ import (
 	"perfxplain/internal/stats"
 )
 
-func randLog(seed uint64, n int) *joblog.Log {
-	schema := joblog.NewSchema([]joblog.Field{
-		{Name: "n1", Kind: joblog.Numeric},
-		{Name: "n2", Kind: joblog.Numeric},
-		{Name: "s1", Kind: joblog.Nominal},
-		{Name: "s2", Kind: joblog.Nominal},
-	})
+func randLog(seed uint64, n int) *joblog.Log { return randWideLog(seed, n, 2, 2) }
+
+// randWideLog is randLog over numeric raws n1…n<numeric> followed by
+// nominal raws s1…s<nominal>.
+func randWideLog(seed uint64, n, numeric, nominal int) *joblog.Log {
+	var fields []joblog.Field
+	for i := 1; i <= numeric; i++ {
+		fields = append(fields, joblog.Field{Name: fmt.Sprint("n", i), Kind: joblog.Numeric})
+	}
+	for i := 1; i <= nominal; i++ {
+		fields = append(fields, joblog.Field{Name: fmt.Sprint("s", i), Kind: joblog.Nominal})
+	}
+	schema := joblog.NewSchema(fields)
 	nums := []float64{0, math.Copysign(0, -1), 1, 1.05, -3, 100, math.Inf(-1), math.Inf(1), math.NaN()}
 	strs := []string{"x", "y", "a→b", "(x→y)", " "}
 	log := joblog.NewLog(schema)
@@ -143,14 +150,15 @@ func TestFillMatchesFillPairs(t *testing.T) {
 // TestFillSampleMatchesDirect holds the gathered fill to the direct one
 // on samples drawn with replacement from a larger log — records repeat
 // across pairs and within one, cells are missing, NaN, ±Inf or −0 — at
-// several sizes and worker counts, into one recycled matrix.
+// several sizes and worker counts, into one recycled matrix. The wide
+// cases fill 2 000 pairs over 5 000 records of a 37-raw log, the width
+// the engine runs at, so each worker fills many raw columns.
 func TestFillSampleMatchesDirect(t *testing.T) {
 	gathered := new(PairMatrix)
-	for seed := uint64(0); seed < 12; seed++ {
-		log := randLog(100+seed, 70)
-		d := NewDeriver(log.Schema, Level(1+seed%3))
+	check := func(log *joblog.Log, seed uint64, level Level, n, workers int) {
+		t.Helper()
+		d := NewDeriver(log.Schema, level)
 		cols := log.Columns()
-		n := []int{1, 63, 64, 65, 300, 1100}[seed%6]
 		ai, bi := make([]int, n), make([]int, n)
 		for k := range ai {
 			r := stats.SplitMix64(seed<<32 | uint64(k))
@@ -159,17 +167,26 @@ func TestFillSampleMatchesDirect(t *testing.T) {
 		direct := d.NewPairMatrix(n)
 		direct.FillPairs(cols, 0, ai, bi)
 		d.ReshapePairMatrix(gathered, n)
-		gathered.FillSample(cols, ai, bi, int(1+seed%4))
+		gathered.FillSample(cols, ai, bi, workers)
 		if !sameMatrix(gathered, direct) {
-			t.Fatalf("seed %d, %d pairs: gathered fill differs from the direct one", seed, n)
+			t.Fatalf("seed %d, %d raws, %d pairs, %d workers: gathered fill differs from the direct one",
+				seed, log.Schema.Len(), n, workers)
 		}
 		checkCodeInvariants(t, gathered)
+	}
+	for seed := uint64(0); seed < 12; seed++ {
+		check(randLog(100+seed, 70), seed, Level(1+seed%3), []int{1, 63, 64, 65, 300, 1100}[seed%6], int(1+seed%4))
+	}
+	wide := randWideLog(7, 5000, 34, 3)
+	for workers := 1; workers <= 4; workers++ {
+		seed := uint64(20 + workers)
+		check(wide, seed, Level(1+seed%3), 2000+workers*13, workers)
 	}
 }
 
 // TestFillPairsConcurrentChunks fills disjoint word-aligned runs from
-// several goroutines at once, the way FillSample does; under -race it
-// shows that no two runs share a written cell or word. A run that does
+// several goroutines at once, which FillPairs's contract allows; under
+// -race it shows that no two runs share a written cell or word. A run that does
 // not start on a word is refused.
 func TestFillPairsConcurrentChunks(t *testing.T) {
 	log := randLog(5, 23)
@@ -396,8 +413,8 @@ func TestSymCodecRoundTrip(t *testing.T) {
 // materialization: once the columnar view and the matrix exist, a direct
 // fill — missing cells included — touches no allocator, and
 // neither does Fill, the same kernel on one pair. A gathered fill of a
-// recycled matrix allocates only its two fork-joins' closures, however
-// many pairs it fills.
+// recycled matrix allocates only its fork-join's closure, however many
+// pairs it fills.
 func TestMaterializeDoesNotAllocate(t *testing.T) {
 	log := randLog(7, 40)
 	cols := log.Columns()
@@ -419,8 +436,36 @@ func TestMaterializeDoesNotAllocate(t *testing.T) {
 			m.FillSample(cols, ai[:n], bi[:n], 1)
 		}
 		sample() // sizes the gather
-		if allocs := testing.AllocsPerRun(20, sample); allocs > 2 {
-			t.Errorf("FillSample of %d pairs allocates %v times per run, want at most 2", n, allocs)
+		if allocs := testing.AllocsPerRun(20, sample); allocs > 1 {
+			t.Errorf("FillSample of %d pairs allocates %v times per run, want at most 1", n, allocs)
 		}
+	}
+}
+
+// BenchmarkFillSample times FillSample as core.materialize runs it: a
+// 2 000-pair sample over a 27 000-record log of 34 numeric and 3 nominal
+// raws, Level3 features, into one recycled matrix, on 1 and 2 workers.
+func BenchmarkFillSample(b *testing.B) {
+	log := randWideLog(3, 27000, 34, 3)
+	cols := log.Columns()
+	d := NewDeriver(log.Schema, Level3)
+	const n = 2000
+	ai, bi := make([]int, n), make([]int, n)
+	for k := range ai {
+		r := stats.SplitMix64(uint64(k))
+		ai[k], bi[k] = int(r%uint64(log.Len())), int(r>>32%uint64(log.Len()))
+	}
+	m := d.NewPairMatrix(n)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			m.FillSample(cols, ai, bi, workers) // sizes the gather
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				d.ReshapePairMatrix(m, n)
+				m.FillSample(cols, ai, bi, workers)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pair")
+		})
 	}
 }
