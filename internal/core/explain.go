@@ -232,9 +232,9 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	}
 	// The matrix is recycled: everything below reads it, and nothing the
 	// explanation keeps — atoms, thresholds, counts — points into it.
-	m := materialize(e.log, e.d, sample, e.cfg.Parallelism)
-	defer putMatrix(m)
 	pairVec := e.d.Vector(a, b)
+	m := materialize(e.log, e.d, sample, e.scorableMask(pairVec), e.cfg.Parallelism)
+	defer putMatrix(m)
 
 	bc := newBitmapCache(m, e.cfg.Parallelism)
 	bec, err := e.grow(ctx, bc, sample.labels, pairVec, e.cfg.Width)
@@ -305,9 +305,9 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m := materialize(e.log, e.d, sample, e.cfg.Parallelism)
-	defer putMatrix(m)
 	pairVec := e.d.Vector(a, b)
+	m := materialize(e.log, e.d, sample, e.scorableMask(pairVec), e.cfg.Parallelism)
+	defer putMatrix(m)
 
 	// Positive class for despite generation is "performed as expected":
 	// the clause should maximise relevance P(exp | des' ∧ des).
@@ -533,33 +533,51 @@ type scoreScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scoreScratch) }}
 
+// scorable reports whether scoreFeature may propose an atom over derived
+// feature f for the pair of interest whose derived vector is pairVec: f
+// is not derived from the target, is within the configured feature level
+// (Section 6.8: level 1 may use only isSame features, level 2 adds
+// compare and diff, level 3 adds base features), and its value on the
+// pair is not missing — else no predicate over f can hold on the pair.
+func (e *Explainer) scorable(f int, pairVec []joblog.Value) bool {
+	d, candLevel := e.d, e.cfg.Level
+	rawIdx, kind := d.RawOf(f)
+	switch {
+	case d.RawSchema().Field(rawIdx).Name == e.cfg.Target,
+		candLevel == features.Level1 && kind != features.IsSame,
+		candLevel == features.Level2 && kind == features.Base:
+		return false
+	}
+	return !pairVec[f].IsMissing()
+}
+
+// scorableMask is the set of scorable derived features: all that
+// Algorithm 1 can read of a pair matrix for this pair of interest, and so
+// the only ones materialize needs to fill.
+func (e *Explainer) scorableMask(pairVec []joblog.Value) bitset.Set {
+	want := bitset.Make(len(pairVec))
+	for f := range pairVec {
+		if e.scorable(f, pairVec) {
+			want.SetBit(f)
+		}
+	}
+	return want
+}
+
 // scoreFeature computes the best applicable predicate over one derived
 // feature f for one scoring round — the per-feature body of Algorithm 1
-// line 5. ok is false when the feature is excluded (target-derived,
-// above the clause feature level, inapplicable to the pair of interest,
-// already in the clause) or admits no split.
+// line 5. ok is false when the feature is not scorable (target-derived,
+// above the clause feature level, inapplicable to the pair of interest),
+// is already in the clause or admits no split.
 func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *workingSet,
 	pairVec []joblog.Value, clause pxql.Predicate, f int, sc *scoreScratch) (pxql.Atom, float64, bool) {
 
-	d, candLevel := e.d, e.cfg.Level
+	if !e.scorable(f, pairVec) {
+		return pxql.Atom{}, 0, false
+	}
+	d := e.d
 	schema := d.Schema()
-	rawIdx, kind := d.RawOf(f)
-	if d.RawSchema().Field(rawIdx).Name == e.cfg.Target {
-		return pxql.Atom{}, 0, false
-	}
-	// Honour the configured feature level (Section 6.8): level 1 may
-	// use only isSame features; level 2 adds compare and diff; level 3
-	// adds base features.
-	if candLevel == features.Level1 && kind != features.IsSame {
-		return pxql.Atom{}, 0, false
-	}
-	if candLevel == features.Level2 && kind == features.Base {
-		return pxql.Atom{}, 0, false
-	}
 	v0 := pairVec[f]
-	if v0.IsMissing() {
-		return pxql.Atom{}, 0, false // no predicate over f can hold on the pair of interest
-	}
 	var atom pxql.Atom
 	var gain float64
 	if numOff := d.NumOffset(f); numOff >= 0 {

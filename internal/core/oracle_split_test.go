@@ -246,13 +246,14 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		m := materialize(log, e.d, ps, e.cfg.Parallelism)
 		in := log.Columns().Intern()
 		vecs := make([][]joblog.Value, ps.len())
 		for i := range vecs {
 			vecs[i] = e.d.Vector(log.Records[ps.a[i]], log.Records[ps.b[i]])
 		}
 		pairVec := vecs[rng.Intn(len(vecs))]
+		// The matrix holds the scorable columns only, as in an explanation.
+		m := materialize(log, e.d, ps, e.scorableMask(pairVec), e.cfg.Parallelism)
 
 		whole := make([]int, ps.len())
 		var subset []int

@@ -575,13 +575,14 @@ func expectedDraw(nObs int64, pObs float64, nExp int64, pExp float64) int {
 
 // matrixFree holds one idle pair matrix between explanations: a
 // 2 000-pair sample's stores and the gather scratch FillSample keeps
-// with them are some 1.6 MB in a heap profile over the 27 000-job
-// benchmark log, and every fill rewrites them in full. One
-// slot, not a sync.Pool: a pool keeps a private slot per processor, and
-// a second idle matrix is a sizeable share of what a server over a small
-// log holds in all (peak RSS on the 540-job sweep: +19 % with a pool,
-// +10 % with one slot, when matrices were 2.4 MB). Explanations running
-// beside the one that took the slot allocate their own and drop them.
+// with them (one column buffer per fill worker) are some 0.8 MB over the
+// 27 000-job benchmark log (1.8 MB while the gather kept every raw
+// column's cells). One slot, not a sync.Pool: a pool keeps a private
+// slot per processor, and a second idle matrix is a sizeable share of
+// what a server over a small log holds in all (peak RSS on the 540-job
+// sweep: +19 % with a pool, +10 % with one slot, when matrices were
+// 2.4 MB). Explanations running beside the one that took the slot
+// allocate their own and drop them.
 var matrixFree = make(chan *features.PairMatrix, 1)
 
 // putMatrix returns a matrix nothing reads any more to the free slot.
@@ -595,10 +596,15 @@ func putMatrix(m *features.PairMatrix) {
 // materialize computes the derived feature vectors for the sample into
 // a pair matrix with features' gathered fill, on up to workers
 // goroutines; each cell and word has one writer, so the result is
-// identical at every worker count. The matrix is the idle one when there
-// is one — the steady-state fill path performs no allocation per pair —
-// and the caller hands it to putMatrix once nothing reads it any more.
-func materialize(log *joblog.Log, d *features.Deriver, ps *pairPlanes, workers int) *features.PairMatrix {
+// identical at every worker count. want is the explanation's scorable
+// mask (Explainer.scorableMask): a column of a feature outside it is
+// never read — scoring skips the feature, so no candidate atom reads it
+// either — and is not written, which on the benchmark's logs spares about
+// three quarters of the numeric base columns. The matrix is the idle one
+// when there is one — the steady-state fill path performs no allocation
+// per pair — and the caller hands it to putMatrix once nothing reads it
+// any more.
+func materialize(log *joblog.Log, d *features.Deriver, ps *pairPlanes, want bitset.Set, workers int) *features.PairMatrix {
 	var m *features.PairMatrix
 	select {
 	case m = <-matrixFree:
@@ -606,7 +612,7 @@ func materialize(log *joblog.Log, d *features.Deriver, ps *pairPlanes, workers i
 		m = new(features.PairMatrix)
 	}
 	d.ReshapePairMatrix(m, ps.len())
-	m.FillSample(log.Columns(), ps.a, ps.b, workers)
+	m.FillSample(log.Columns(), ps.a, ps.b, want, workers)
 	return m
 }
 

@@ -228,8 +228,18 @@ func (rs *rankSpace) draw(out *pairPlanes, c int, n int64, p float64, seed uint6
 	cum := rg.cum[code]
 	k := 0
 	take := func(r int64) {
-		// Ranks arrive ascending: search only past the last member.
+		// Ranks arrive ascending and the next member is usually a few
+		// steps on: gallop from the last member to bracket the one
+		// holding r (the first j >= k with cum[j+1] > r), then bisect
+		// the bracket.
 		lo, hi := k, len(cum)-1
+		for step := 1; lo+step-1 < hi; step <<= 1 {
+			if j := lo + step - 1; cum[j+1] > r {
+				hi = j
+				break
+			}
+			lo += step
+		}
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if cum[mid+1] > r {

@@ -74,13 +74,33 @@ func DiffSym(x, y uint32) uint64 { return uint64(x)<<32 | uint64(y) }
 // once, not once per derived family; the raw's code-plane triple is its
 // rawIdx.
 type rawPlan struct {
-	rawIdx int
-	// kindIdx numbers the raw among the raws of its kind: its slot in a
-	// gather's planes.
-	kindIdx    int
+	rawIdx     int
 	diffOff    int // symbol plane; -1 below Level2 and for numeric raws
 	baseNumOff int // numeric plane; -1 unless Level3 and numeric raw
 	baseSymOff int // symbol plane; -1 unless Level3 and nominal raw
+	// The raw's derived features by family, -1 where the family is absent
+	// at the deriver's level: what a fill mask selects the plan's writes
+	// by (see masked).
+	sameIdx, cmpIdx, diffIdx, baseIdx int
+}
+
+// masked returns the plan cut down to the derived features in want (nil
+// wants every feature): an unwanted diff or base column gets offset -1,
+// and ok is false when the raw has no wanted feature at all, so its code
+// triple need not be written either. A raw with a wanted feature keeps
+// its triple, which its issame and compare share.
+func (p rawPlan) masked(want bitset.Set) (q rawPlan, ok bool) {
+	if want == nil {
+		return p, true
+	}
+	in := func(i int) bool { return i >= 0 && want.Get(i) }
+	if !in(p.diffIdx) {
+		p.diffOff = -1
+	}
+	if !in(p.baseIdx) {
+		p.baseNumOff, p.baseSymOff = -1, -1
+	}
+	return p, in(p.sameIdx) || in(p.cmpIdx) || p.diffOff >= 0 || p.baseNumOff >= 0 || p.baseSymOff >= 0
 }
 
 // buildPlanes precomputes, for every derived feature, where it is stored
@@ -93,17 +113,22 @@ func (d *Deriver) buildPlanes() {
 	d.codeOff = make([]int, len(d.mapping))
 	plans := make([]rawPlan, d.raw.Len())
 	for r := range plans {
-		plans[r] = rawPlan{rawIdx: r, diffOff: -1, baseNumOff: -1, baseSymOff: -1}
-		if d.raw.Field(r).Kind == joblog.Numeric {
-			plans[r].kindIdx = d.numRaws
-			d.numRaws++
-		} else {
-			plans[r].kindIdx = r - d.numRaws
-		}
+		plans[r] = rawPlan{rawIdx: r, diffOff: -1, baseNumOff: -1, baseSymOff: -1,
+			sameIdx: -1, cmpIdx: -1, diffIdx: -1, baseIdx: -1}
 	}
 	for i, e := range d.mapping {
 		d.numOff[i], d.symOff[i], d.codeOff[i] = -1, -1, -1
 		p := &plans[e.rawIdx]
+		switch e.kind {
+		case IsSame:
+			p.sameIdx = i
+		case Compare:
+			p.cmpIdx = i
+		case Diff:
+			p.diffIdx = i
+		case Base:
+			p.baseIdx = i
+		}
 		numeric := d.raw.Field(e.rawIdx).Kind == joblog.Numeric
 		switch {
 		case e.kind == IsSame || numeric && e.kind == Compare:
@@ -219,26 +244,33 @@ func CompareNum(x, y float64) uint64 {
 }
 
 // CodeWord returns the code-plane bits of the pairs (a[k], b[k]) of a
-// numeric raw column, pair k at bit k: present, SIM and LT as the file
-// comment defines them. It takes at most 64 pairs.
-func CodeWord(c *joblog.Col, a, b []int) (present, sim, lt uint64) {
-	return codeWord(c.Num, c.Miss, a, b, nil)
+// numeric raw column's cells num, pair k at bit k: present, SIM and LT as
+// the file comment defines them. miss holds the cells' missing bits, and
+// is nil when no cell is missing, which takes the kernel that loads none.
+// It takes at most 64 pairs.
+func CodeWord(num []float64, miss bitset.Set, a, b []int) (present, sim, lt uint64) {
+	return codeWord(num, miss, a, b, nil)
 }
 
 // SameWord returns the code-plane bits of the pairs (a[k], b[k]) of a
-// nominal raw column, pair k at bit k: present, and present with equal
-// symbols (the SIM plane; LT is empty). It takes at most 64 pairs.
-func SameWord(c *joblog.Col, a, b []int) (present, equal uint64) {
-	return sameWord(c.Sym, c.Miss, a, b)
+// nominal raw column's cells sym, pair k at bit k: present, and present
+// with equal symbols (the SIM plane; LT is empty). miss is as for
+// CodeWord. It takes at most 64 pairs.
+func SameWord(sym []uint32, miss bitset.Set, a, b []int) (present, equal uint64) {
+	return sameWord(sym, miss, a, b)
 }
 
 // codeWord is the kernel behind CodeWord and the numeric fill: per pair
-// of cells num[a[k]], num[b[k]] (missing bits in miss), with mask
-// arithmetic and no data-dependent branch, the 10% band is computed once
-// for both families, a missing cell clears every bit of its pair and a
-// NaN cell falls to GT as in CompareNum. A non-nil base receives base[k],
-// the pair's shared value or NaN.
+// of cells num[a[k]], num[b[k]], with mask arithmetic and no
+// data-dependent branch, the 10% band is computed once for both
+// families, a missing cell (a bit of miss) clears every bit of its pair
+// and a NaN cell falls to GT as in CompareNum. A non-nil base receives
+// base[k], the pair's shared value or NaN. A nil miss — no cell is
+// missing — hands the run to codeWordFull, which loads no missing bit.
 func codeWord(num []float64, miss bitset.Set, a, b []int, base []float64) (present, sim, lt uint64) {
+	if miss == nil {
+		return codeWordFull(num, a, b, base)
+	}
 	b = b[:len(a)]
 	nan := math.Float64bits(math.NaN())
 	for k, i := range a {
@@ -258,10 +290,44 @@ func codeWord(num []float64, miss bitset.Set, a, b []int, base []float64) (prese
 	return present, sim, lt
 }
 
+// codeWordFull is codeWord over cells none of which is missing: every
+// pair is present, so the present word is the run's mask, and the base
+// values, when wanted, are a second pass over cells the first just read.
+func codeWordFull(num []float64, a, b []int, base []float64) (present, sim, lt uint64) {
+	b = b[:len(a)]
+	for k, i := range a {
+		x, y := num[i], num[b[k]]
+		s := bitset.B2u(stats.Similar(x, y))
+		at := uint(k) & 63
+		sim |= s << at
+		lt |= bitset.B2u(x < y) &^ s << at
+	}
+	if base != nil {
+		base = base[:len(a)]
+		nan := math.Float64bits(math.NaN())
+		for k, i := range a {
+			x := num[i]
+			keep := bitset.B2u(x == num[b[k]])
+			base[k] = math.Float64frombits(math.Float64bits(x)&-keep | nan&(keep-1))
+		}
+	}
+	return runMask(len(a)), sim, lt
+}
+
+// runMask is the low n bits set, n in [0, 64] (a shift by 64 leaves 0).
+func runMask(n int) uint64 { return ^uint64(0) >> (64 - uint(n)) }
+
 // sameWord is the kernel behind SameWord and the nominal fill: per pair of
-// cells sym[a[k]], sym[b[k]], presence and equality under presence.
+// cells sym[a[k]], sym[b[k]], presence and equality under presence. A nil
+// miss takes the loop that loads no missing bit.
 func sameWord(sym []uint32, miss bitset.Set, a, b []int) (present, equal uint64) {
 	b = b[:len(a)]
+	if miss == nil {
+		for k, i := range a {
+			equal |= bitset.B2u(sym[i] == sym[b[k]]) << (uint(k) & 63)
+		}
+		return runMask(len(a)), equal
+	}
 	for k, i := range a {
 		j := b[k]
 		pr := ^(miss[i>>6]>>(uint(i)&63) | miss[j>>6]>>(uint(j)&63)) & 1
@@ -521,27 +587,73 @@ func (m *PairMatrix) FillPairs(cols *joblog.Columns, lo int, ai, bi []int) {
 	m.fill(cols, fillRun{lo: lo, la: ai, lb: bi})
 }
 
-// FillSample fills every row of m, sized for len(ai) pairs, with the
+// FillSample fills the rows of m, sized for len(ai) pairs, with the
 // derived vectors of the record pairs (ai[k], bi[k]), bit-identical to
-// FillPairs. Each raw column is one work unit, run on up to workers
-// goroutines: it gathers the cells the pairs read from that column (see
-// gather), then fills the column's code planes and base and diff columns
-// from them while they are still in the core's cache. Every cell and word
-// has one writer, so the result is the same at every worker count. Once
-// m's stores and gather are large enough it allocates nothing per pair.
-func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, workers int) {
+// FillPairs in every column it writes. want selects the derived features
+// to write (nil: all of them): a raw with no wanted feature is skipped,
+// and a raw with one writes its code triple and only its wanted diff and
+// base columns; every other column keeps what it held, and a skipped
+// triple stays clear (a race build poisons both; see PoisonSkipped).
+// Each raw column is one work unit, run on up to workers goroutines: it
+// gathers the cells the pairs read from that column into its worker's
+// buffer (see gather), then fills the column's code planes and wanted
+// columns from them while they are still in the core's cache — with the
+// kernels that load no missing bit when none of the gathered cells is
+// missing. Every cell and word has one writer, so the result is the same
+// at every worker count. Once m's stores and gather are large enough it
+// allocates nothing per pair.
+func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, want bitset.Set, workers int) {
 	n := len(ai)
 	if n != m.N || len(bi) != n {
 		panic(fmt.Sprintf("features: FillSample of %d/%d pairs into a %d-row matrix", n, len(bi), m.N))
 	}
 	g, plans := &m.g, m.D.rawPlans
-	g.load(m.D, cols.Len(), ai, bi)
+	g.load(cols.Len(), ai, bi, par.Workers(len(plans), workers))
 	run := fillRun{la: g.la, lb: g.lb}
-	par.Do(len(plans), workers, func(i int) {
-		p := &plans[i]
+	par.DoWorkers(len(plans), workers, func(w, i int) {
+		p, ok := plans[i].masked(want)
+		if !ok {
+			return
+		}
 		c := cols.Col(p.rawIdx)
-		m.fillRaw(p, c.Kind, g.column(c, p), run)
+		m.fillRaw(&p, c.Kind, g.column(c, &g.bufs[w]), run)
 	})
+	if poisonSkipped && want != nil {
+		m.PoisonSkipped(want)
+	}
+}
+
+// PoisonSkipped overwrites every column and triple that FillSample under
+// want skips with values a scorer would split on — alternating cells,
+// and triples whose SIM and LT split every row — so that a read of a
+// skipped column changes an answer. Tests call it to prove nothing reads
+// them; under the race detector every masked fill does (poison_race.go).
+func (m *PairMatrix) PoisonSkipped(want bitset.Set) {
+	for i := range m.D.rawPlans {
+		p := &m.D.rawPlans[i]
+		q, ok := p.masked(want)
+		if !ok {
+			present, sim, lt := m.CodePlanes(p.rawIdx)
+			present.Ones(m.N)
+			for w := range present {
+				sim[w], lt[w] = present[w]&0x5555555555555555, present[w]&0xaaaaaaaaaaaaaaaa
+			}
+		}
+		if p.baseNumOff >= 0 && q.baseNumOff < 0 {
+			col := m.NumCol(p.baseNumOff)
+			for row := range col {
+				col[row] = float64(row & 1)
+			}
+		}
+		for _, off := range [2][2]int{{p.diffOff, q.diffOff}, {p.baseSymOff, q.baseSymOff}} {
+			if off[0] >= 0 && off[1] < 0 {
+				col := m.SymCol(off[0])
+				for row := range col {
+					col[row] = uint64(row & 1)
+				}
+			}
+		}
+	}
 }
 
 // fillRun is one run of pairs a fill writes: pair k goes to row lo+k, and
@@ -553,7 +665,8 @@ type fillRun struct {
 }
 
 // rawCells is one raw column as a fill reads it: the plane of its kind
-// and its missing bits, addressed by the run's la/lb.
+// and its missing bits, addressed by the run's la/lb. miss is nil when no
+// cell the run reads is missing, which takes the kernels that load none.
 type rawCells struct {
 	num  []float64
 	sym  []uint32
@@ -619,7 +732,7 @@ func mergeWord(present, sim, lt bitset.Set, row, n int, pw, sw, lw uint64) {
 // fillNominal writes a nominal raw's issame planes — sameWord's bits,
 // merged as fillNumeric merges its own — then its diff and base columns
 // for run r, each cell selected with mask arithmetic: a missing cell on
-// either side ORs in MissingSym.
+// either side ORs in MissingSym (with a nil miss, never).
 func (m *PairMatrix) fillNominal(p *rawPlan, src rawCells, r fillRun) {
 	present, sim, lt := m.CodePlanes(p.rawIdx)
 	la, lb := r.la, r.lb[:len(r.la)]
@@ -645,7 +758,10 @@ func (m *PairMatrix) fillNominal(p *rawPlan, src rawCells, r fillRun) {
 	for k, a := range la {
 		b := lb[k]
 		sa, sb := sym[a], sym[b]
-		missing := -((miss[a>>6]>>(uint(a)&63) | miss[b>>6]>>(uint(b)&63)) & 1) // all ones or zero
+		var missing uint64 // all ones or zero
+		if miss != nil {
+			missing = -((miss[a>>6]>>(uint(a)&63) | miss[b>>6]>>(uint(b)&63)) & 1)
+		}
 		if diff != nil {
 			diff[k] = DiffSym(sa, sb) | missing
 		}
@@ -657,24 +773,23 @@ func (m *PairMatrix) fillNominal(p *rawPlan, src rawCells, r fillRun) {
 
 // gather is FillSample's sample-local copy of the cells a list of pairs
 // reads. The distinct records are marked in a bitset over the view and
-// numbered by rank (a prefix popcount), each pair is rewritten as its two
-// ranks, and every raw column's cells for the marked records are copied
-// out in rank order — one ascending sweep of the column — so the fill's
-// scattered reads land in a few kilobytes per column, not in the whole
-// log's planes.
+// numbered by rank (a prefix popcount), and each pair is rewritten as its
+// two ranks. A work unit then copies one raw column's cells for the
+// marked records into its worker's buffer in rank order — one ascending
+// sweep of the column — and fills from there, so the fill's scattered
+// reads land in a few kilobytes, not in the whole log's planes, and only
+// one column per worker is ever resident.
 type gather struct {
 	mark   bitset.Set // over the view's rows
 	rank   []int      // rank[w]: marked rows in the words before w
 	la, lb []int      // each pair's records, as ranks
 	n      int        // distinct records
-	num    []float64  // numeric raw j's cells at [j*n, (j+1)*n)
-	sym    []uint32   // nominal raw j's cells at [j*n, (j+1)*n)
-	miss   []uint64   // raw r's missing bits at [r*w, (r+1)*w), w = Words(n)
+	bufs   []rawCells // one column buffer per fill worker
 }
 
 // load marks and ranks the records of the pairs (ai[k], bi[k]) over a
-// view of rows rows, and sizes the cell planes for them.
-func (g *gather) load(d *Deriver, rows int, ai, bi []int) {
+// view of rows rows, and readies a column buffer for each of workers.
+func (g *gather) load(rows int, ai, bi []int, workers int) {
 	g.mark = resize(g.mark, bitset.Words(rows))
 	clear(g.mark)
 	for k, a := range ai {
@@ -691,9 +806,7 @@ func (g *gather) load(d *Deriver, rows int, ai, bi []int) {
 	for k, a := range ai {
 		g.la[k], g.lb[k] = g.rankOf(a), g.rankOf(bi[k])
 	}
-	g.num = resize(g.num, d.numRaws*g.n)
-	g.sym = resize(g.sym, (d.raw.Len()-d.numRaws)*g.n)
-	g.miss = resize(g.miss, d.raw.Len()*bitset.Words(g.n))
+	g.bufs = resize(g.bufs, workers)
 }
 
 // rankOf returns a marked row's rank: the marked rows before it.
@@ -702,27 +815,36 @@ func (g *gather) rankOf(row int) int {
 	return g.rank[w] + bits.OnesCount64(g.mark[w]&(1<<(uint(row)&63)-1))
 }
 
-// column gathers raw column c's cells (plan p) for the marked records
-// and returns them, addressed by rank. Columns write disjoint parts of
-// the planes, so they may be gathered concurrently.
-func (g *gather) column(c *joblog.Col, p *rawPlan) rawCells {
+// column gathers raw column c's cells for the marked records into buf,
+// growing it when short, and returns them addressed by rank — with a nil
+// miss when none of them is missing. Distinct buffers may be filled
+// concurrently.
+func (g *gather) column(c *joblog.Col, buf *rawCells) rawCells {
 	w := bitset.Words(g.n)
-	cells := rawCells{miss: g.miss[p.rawIdx*w : (p.rawIdx+1)*w]}
+	buf.miss = resize(buf.miss, w)
+	cells := rawCells{miss: buf.miss}
+	var missing bool
 	if c.Kind == joblog.Numeric {
-		cells.num = g.num[p.kindIdx*g.n : (p.kindIdx+1)*g.n]
-		gatherCells(cells.num, c.Num, c.Miss, g.mark, cells.miss)
+		buf.num = resize(buf.num, g.n)
+		cells.num = buf.num
+		missing = gatherCells(cells.num, c.Num, c.Miss, g.mark, cells.miss)
 	} else {
-		cells.sym = g.sym[p.kindIdx*g.n : (p.kindIdx+1)*g.n]
-		gatherCells(cells.sym, c.Sym, c.Miss, g.mark, cells.miss)
+		buf.sym = resize(buf.sym, g.n)
+		cells.sym = buf.sym
+		missing = gatherCells(cells.sym, c.Sym, c.Miss, g.mark, cells.miss)
+	}
+	if !missing {
+		cells.miss = nil
 	}
 	return cells
 }
 
 // gatherCells copies the marked rows' cells of plane, and their missing
-// bits, into dst and miss in row order, writing every word of miss. The
-// missing bits build up in a register and land a word at a time.
-func gatherCells[E float64 | uint32](dst, plane []E, planeMiss, mark, miss bitset.Set) {
-	k, mw := 0, uint64(0)
+// bits, into dst and miss in row order, writing every word of miss, and
+// reports whether any copied cell is missing. The missing bits build up
+// in a register and land a word at a time.
+func gatherCells[E float64 | uint32](dst, plane []E, planeMiss, mark, miss bitset.Set) bool {
+	k, mw, seen := 0, uint64(0), uint64(0)
 	for w, word := range mark {
 		pm := planeMiss[w]
 		for ; word != 0; word &= word - 1 {
@@ -731,11 +853,12 @@ func gatherCells[E float64 | uint32](dst, plane []E, planeMiss, mark, miss bitse
 			mw |= (pm >> bit & 1) << (uint(k) & 63)
 			k++
 			if k&63 == 0 {
-				miss[k>>6-1], mw = mw, 0
+				miss[k>>6-1], seen, mw = mw, seen|mw, 0
 			}
 		}
 	}
 	if k&63 != 0 {
-		miss[k>>6] = mw
+		miss[k>>6], seen = mw, seen|mw
 	}
+	return seen != 0
 }

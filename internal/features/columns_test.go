@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"perfxplain/internal/bitset"
 	"perfxplain/internal/joblog"
 	"perfxplain/internal/stats"
 )
@@ -21,6 +22,25 @@ func randLog(seed uint64, n int) *joblog.Log { return randWideLog(seed, n, 2, 2)
 // randWideLog is randLog over numeric raws n1…n<numeric> followed by
 // nominal raws s1…s<nominal>.
 func randWideLog(seed uint64, n, numeric, nominal int) *joblog.Log {
+	return randCellsLog(seed, n, numeric, nominal, true, cellNums)
+}
+
+// randFullLog is randWideLog without a missing cell: where randWideLog
+// draws a missing cell, it draws a value.
+func randFullLog(seed uint64, n, numeric, nominal int) *joblog.Log {
+	return randCellsLog(seed, n, numeric, nominal, false, cellNums)
+}
+
+// cellNums are the numeric cells the random logs draw from; kernelNums
+// add subnormals for the kernel tests. Arithmetic on a subnormal takes a
+// slow path on amd64, so the benchmark's logs draw none, as job logs
+// hold none.
+var (
+	cellNums   = []float64{0, math.Copysign(0, -1), 1, 1.05, -3, 100, math.Inf(-1), math.Inf(1), math.NaN()}
+	kernelNums = append(slices.Clip(cellNums), 5e-324, -2.5e-310, math.SmallestNonzeroFloat64*3)
+)
+
+func randCellsLog(seed uint64, n, numeric, nominal int, missing bool, nums []float64) *joblog.Log {
 	var fields []joblog.Field
 	for i := 1; i <= numeric; i++ {
 		fields = append(fields, joblog.Field{Name: fmt.Sprint("n", i), Kind: joblog.Numeric})
@@ -29,7 +49,6 @@ func randWideLog(seed uint64, n, numeric, nominal int) *joblog.Log {
 		fields = append(fields, joblog.Field{Name: fmt.Sprint("s", i), Kind: joblog.Nominal})
 	}
 	schema := joblog.NewSchema(fields)
-	nums := []float64{0, math.Copysign(0, -1), 1, 1.05, -3, 100, math.Inf(-1), math.Inf(1), math.NaN()}
 	strs := []string{"x", "y", "a→b", "(x→y)", " "}
 	log := joblog.NewLog(schema)
 	ctr := seed
@@ -42,8 +61,8 @@ func randWideLog(seed uint64, n, numeric, nominal int) *joblog.Log {
 		for f := 0; f < schema.Len(); f++ {
 			r := next()
 			numeric := schema.Field(f).Kind == joblog.Numeric
-			switch r % 8 {
-			case 0:
+			switch {
+			case r%8 == 0 && missing:
 				rec.Values[f] = joblog.None()
 			default:
 				if numeric {
@@ -120,14 +139,14 @@ func TestFillMatchesFillPairs(t *testing.T) {
 			rows.Fill(cols, row, ai[row], bi[row])
 		}
 		sample := d.NewPairMatrix(len(ai))
-		sample.FillSample(cols, ai, bi, 2)
+		sample.FillSample(cols, ai, bi, nil, 2)
 		ragged := d.NewPairMatrix(len(ai))
 		for lo, step := 0, 64; lo < len(ai); lo, step = lo+step, step+64 {
 			hi := min(lo+step, len(ai))
 			ragged.FillPairs(cols, lo, ai[lo:hi], bi[lo:hi])
 		}
 		d.ReshapePairMatrix(recycled, len(ai))
-		recycled.FillSample(cols, ai, bi, 1)
+		recycled.FillSample(cols, ai, bi, nil, 1)
 		for name, m := range map[string]*PairMatrix{"row-by-row": rows, "FillSample": sample,
 			"ragged chunks": ragged, "recycled": recycled} {
 			if !sameMatrix(m, bulk) {
@@ -149,12 +168,16 @@ func TestFillMatchesFillPairs(t *testing.T) {
 
 // TestFillSampleMatchesDirect holds the gathered fill to the direct one
 // on samples drawn with replacement from a larger log — records repeat
-// across pairs and within one, cells are missing, NaN, ±Inf or −0 — at
-// several sizes and worker counts, into one recycled matrix. The wide
-// cases fill 2 000 pairs over 5 000 records of a 37-raw log, the width
-// the engine runs at, so each worker fills many raw columns.
+// across pairs and within one, cells are missing, NaN, ±Inf, −0 or
+// subnormal — at several sizes and worker counts, into one recycled
+// matrix. The wide cases fill 2 000 pairs over 5 000 records of a 37-raw
+// log, the width the engine runs at, so each worker fills many raw
+// columns; they run once on a log with missing cells and once on one
+// without, whose gathered columns take the kernels that load no missing
+// bit. Each case also fills under a random mask of wanted features, and
+// every column and triple the mask keeps must equal the direct fill's.
 func TestFillSampleMatchesDirect(t *testing.T) {
-	gathered := new(PairMatrix)
+	gathered, masked := new(PairMatrix), new(PairMatrix)
 	check := func(log *joblog.Log, seed uint64, level Level, n, workers int) {
 		t.Helper()
 		d := NewDeriver(log.Schema, level)
@@ -167,20 +190,57 @@ func TestFillSampleMatchesDirect(t *testing.T) {
 		direct := d.NewPairMatrix(n)
 		direct.FillPairs(cols, 0, ai, bi)
 		d.ReshapePairMatrix(gathered, n)
-		gathered.FillSample(cols, ai, bi, workers)
+		gathered.FillSample(cols, ai, bi, nil, workers)
 		if !sameMatrix(gathered, direct) {
 			t.Fatalf("seed %d, %d raws, %d pairs, %d workers: gathered fill differs from the direct one",
 				seed, log.Schema.Len(), n, workers)
 		}
 		checkCodeInvariants(t, gathered)
+		want := bitset.Make(d.Schema().Len())
+		for f := range d.Schema().Len() {
+			if stats.SplitMix64(seed<<40|uint64(f))%3 == 0 {
+				want.SetBit(f)
+			}
+		}
+		d.ReshapePairMatrix(masked, n)
+		masked.FillSample(cols, ai, bi, want, workers)
+		checkWantedColumns(t, masked, direct, want)
 	}
 	for seed := uint64(0); seed < 12; seed++ {
 		check(randLog(100+seed, 70), seed, Level(1+seed%3), []int{1, 63, 64, 65, 300, 1100}[seed%6], int(1+seed%4))
 	}
-	wide := randWideLog(7, 5000, 34, 3)
+	wide, full := randWideLog(7, 5000, 34, 3), randFullLog(7, 5000, 34, 3)
 	for workers := 1; workers <= 4; workers++ {
 		seed := uint64(20 + workers)
 		check(wide, seed, Level(1+seed%3), 2000+workers*13, workers)
+		check(full, seed, Level(1+seed%3), 2000+workers*13, workers)
+	}
+}
+
+// checkWantedColumns fails unless every derived feature in want reads
+// the same in got as in ref: its numeric or symbol column cell for cell,
+// or its raw's code triple word for word.
+func checkWantedColumns(t *testing.T, got, ref *PairMatrix, want bitset.Set) {
+	t.Helper()
+	d := ref.D
+	for f := range d.Schema().Len() {
+		if !want.Get(f) {
+			continue
+		}
+		name := d.Schema().Field(f).Name
+		if off := d.NumOffset(f); off >= 0 && !slices.EqualFunc(got.NumCol(off), ref.NumCol(off), sameFloat) {
+			t.Fatalf("wanted numeric column %s differs from the full fill", name)
+		}
+		if off := d.SymOffset(f); off >= 0 && !slices.Equal(got.SymCol(off), ref.SymCol(off)) {
+			t.Fatalf("wanted symbol column %s differs from the full fill", name)
+		}
+		if off := d.CodeOffset(f); off >= 0 {
+			gp, gs, gl := got.CodePlanes(off)
+			rp, rs, rl := ref.CodePlanes(off)
+			if !slices.Equal(gp, rp) || !slices.Equal(gs, rs) || !slices.Equal(gl, rl) {
+				t.Fatalf("wanted code triple of %s differs from the full fill", name)
+			}
+		}
 	}
 }
 
@@ -218,54 +278,95 @@ func TestFillPairsConcurrentChunks(t *testing.T) {
 	got.FillPairs(cols, 17, ai[17:30], bi[17:30])
 }
 
-// TestCodeWordMatchesScalar holds the shared code kernel to the scalar
-// definitions pair by pair: CodeWord's bits to CompareNum over present
-// cells, SameWord's to symbol equality. Runs of every length from 1 to 64
-// draw their pairs from a log of a few records, so records repeat within
-// a run and self pairs occur, and the cells cover missing, NaN, ±Inf and
-// −0 values.
+// TestCodeWordMatchesScalar holds the numeric code kernels to the
+// scalar definition pair by pair: present where neither cell is missing,
+// SIM and LT by CompareNum over present cells. Runs of every length from
+// 1 to 64 draw their pairs from a log of a few records, so records repeat
+// within a run and self pairs occur; the cells cover missing, NaN, ±Inf,
+// −0 and subnormal values. Logs with and without missing cells go
+// through CodeWord with the column's missing bits and, where it has none,
+// with nil (the kernel that loads none), and through FillSample, whose
+// gathered columns take that kernel whenever the run's cells are all
+// present.
 func TestCodeWordMatchesScalar(t *testing.T) {
+	checkCodeKernels(t, joblog.Numeric, func(c *joblog.Col, miss bitset.Set, ai, bi []int) (uint64, uint64, uint64) {
+		return CodeWord(c.Num, miss, ai, bi)
+	})
+}
+
+// TestSameWordMatchesScalar is TestCodeWordMatchesScalar for the nominal
+// kernels: present where neither cell is missing, SIM where present and
+// equal, LT empty.
+func TestSameWordMatchesScalar(t *testing.T) {
+	checkCodeKernels(t, joblog.Nominal, func(c *joblog.Col, miss bitset.Set, ai, bi []int) (uint64, uint64, uint64) {
+		present, equal := SameWord(c.Sym, miss, ai, bi)
+		return present, equal, 0
+	})
+}
+
+// checkCodeKernels runs the kernel word over every raw of the given kind
+// (see TestCodeWordMatchesScalar) and the FillSample of the same runs.
+func checkCodeKernels(t *testing.T, kind joblog.Kind, word func(c *joblog.Col, miss bitset.Set, ai, bi []int) (uint64, uint64, uint64)) {
 	for seed := uint64(0); seed < 8; seed++ {
-		log := randLog(seed, 9)
-		cols := log.Columns()
-		ctr := seed << 32
-		for n := 1; n <= 64; n++ {
-			ai, bi := make([]int, n), make([]int, n)
-			for k := range ai {
-				ctr++
-				r := stats.SplitMix64(ctr)
-				ai[k], bi[k] = int(r%9), int(r>>32%9)
-			}
-			for f := 0; f < log.Schema.Len(); f++ {
-				c := cols.Col(f)
-				var present, sim, lt uint64
-				if c.Kind == joblog.Numeric {
-					present, sim, lt = CodeWord(c, ai, bi)
-				} else {
-					present, sim = SameWord(c, ai, bi)
+		for _, missing := range []bool{true, false} {
+			log := randCellsLog(seed, 9, 2, 2, missing, kernelNums)
+			cols := log.Columns()
+			d := NewDeriver(log.Schema, Level1)
+			m := new(PairMatrix)
+			ctr := seed << 32
+			for n := 1; n <= 64; n++ {
+				ai, bi := make([]int, n), make([]int, n)
+				for k := range ai {
+					ctr++
+					r := stats.SplitMix64(ctr)
+					ai[k], bi[k] = int(r%9), int(r>>32%9)
 				}
-				if (present|sim|lt)>>n != 0 { // a shift by 64 leaves 0
-					t.Fatalf("seed %d field %d run %d: bits set past the run", seed, f, n)
-				}
-				for k, a := range ai {
-					b := bi[k]
-					wantPresent := !c.Miss.Get(a) && !c.Miss.Get(b)
-					var wantSIM, wantLT bool
-					switch {
-					case !wantPresent:
-					case c.Kind == joblog.Numeric:
-						code := CompareNum(c.Num[a], c.Num[b])
-						wantSIM, wantLT = code == SymSIM, code == SymLT
-					default:
-						wantSIM = c.Sym[a] == c.Sym[b]
+				d.ReshapePairMatrix(m, n)
+				m.FillSample(cols, ai, bi, nil, 1)
+				for f := 0; f < log.Schema.Len(); f++ {
+					c := cols.Col(f)
+					if c.Kind != kind {
+						continue
 					}
-					gotPresent, gotSIM, gotLT := present>>k&1 != 0, sim>>k&1 != 0, lt>>k&1 != 0
-					if gotPresent != wantPresent || gotSIM != wantSIM || gotLT != wantLT {
-						t.Fatalf("seed %d field %d run %d pair %d (%d, %d): present/SIM/LT = %v/%v/%v, want %v/%v/%v",
-							seed, f, n, k, a, b, gotPresent, gotSIM, gotLT, wantPresent, wantSIM, wantLT)
+					what := fmt.Sprintf("seed %d field %d run %d", seed, f, n)
+					present, sim, lt := word(c, c.Miss, ai, bi)
+					checkCodeBits(t, what, c, ai, bi, present, sim, lt)
+					if !c.Miss.Any() {
+						present, sim, lt = word(c, nil, ai, bi)
+						checkCodeBits(t, what+" (no missing bits)", c, ai, bi, present, sim, lt)
 					}
+					p, s, l := m.CodePlanes(f)
+					checkCodeBits(t, what+" (FillSample)", c, ai, bi, p[0], s[0], l[0])
 				}
 			}
+		}
+	}
+}
+
+// checkCodeBits fails unless bit k of present, sim and lt is the scalar
+// code of the pair (ai[k], bi[k]) of column c, and no bit past the run is
+// set.
+func checkCodeBits(t *testing.T, what string, c *joblog.Col, ai, bi []int, present, sim, lt uint64) {
+	t.Helper()
+	if n := len(ai); (present|sim|lt)>>n != 0 { // a shift by 64 leaves 0
+		t.Fatalf("%s: bits set past the run", what)
+	}
+	for k, a := range ai {
+		b := bi[k]
+		wantPresent := !c.Miss.Get(a) && !c.Miss.Get(b)
+		var wantSIM, wantLT bool
+		switch {
+		case !wantPresent:
+		case c.Kind == joblog.Numeric:
+			code := CompareNum(c.Num[a], c.Num[b])
+			wantSIM, wantLT = code == SymSIM, code == SymLT
+		default:
+			wantSIM = c.Sym[a] == c.Sym[b]
+		}
+		gotPresent, gotSIM, gotLT := present>>k&1 != 0, sim>>k&1 != 0, lt>>k&1 != 0
+		if gotPresent != wantPresent || gotSIM != wantSIM || gotLT != wantLT {
+			t.Fatalf("%s pair %d (%d, %d): present/SIM/LT = %v/%v/%v, want %v/%v/%v",
+				what, k, a, b, gotPresent, gotSIM, gotLT, wantPresent, wantSIM, wantLT)
 		}
 	}
 }
@@ -433,7 +534,7 @@ func TestMaterializeDoesNotAllocate(t *testing.T) {
 	for _, n := range []int{100, len(ai)} {
 		sample := func() {
 			d.ReshapePairMatrix(m, n)
-			m.FillSample(cols, ai[:n], bi[:n], 1)
+			m.FillSample(cols, ai[:n], bi[:n], nil, 1)
 		}
 		sample() // sizes the gather
 		if allocs := testing.AllocsPerRun(20, sample); allocs > 1 {
@@ -445,27 +546,36 @@ func TestMaterializeDoesNotAllocate(t *testing.T) {
 // BenchmarkFillSample times FillSample as core.materialize runs it: a
 // 2 000-pair sample over a 27 000-record log of 34 numeric and 3 nominal
 // raws, Level3 features, into one recycled matrix, on 1 and 2 workers.
+// cells=missing draws one cell in eight missing, so every column takes
+// the kernels that load missing bits; cells=full has no missing cell, as
+// the benchmark's simulated logs have none, and takes the ones that load
+// none.
 func BenchmarkFillSample(b *testing.B) {
-	log := randWideLog(3, 27000, 34, 3)
-	cols := log.Columns()
-	d := NewDeriver(log.Schema, Level3)
-	const n = 2000
-	ai, bi := make([]int, n), make([]int, n)
-	for k := range ai {
-		r := stats.SplitMix64(uint64(k))
-		ai[k], bi[k] = int(r%uint64(log.Len())), int(r>>32%uint64(log.Len()))
-	}
-	m := d.NewPairMatrix(n)
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			m.FillSample(cols, ai, bi, workers) // sizes the gather
-			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
-				d.ReshapePairMatrix(m, n)
-				m.FillSample(cols, ai, bi, workers)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pair")
-		})
+	for _, cells := range []string{"missing", "full"} {
+		log := randWideLog(3, 27000, 34, 3)
+		if cells == "full" {
+			log = randFullLog(3, 27000, 34, 3)
+		}
+		cols := log.Columns()
+		d := NewDeriver(log.Schema, Level3)
+		const n = 2000
+		ai, bi := make([]int, n), make([]int, n)
+		for k := range ai {
+			r := stats.SplitMix64(uint64(k))
+			ai[k], bi[k] = int(r%uint64(log.Len())), int(r>>32%uint64(log.Len()))
+		}
+		m := d.NewPairMatrix(n)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("cells=%s/workers=%d", cells, workers), func(b *testing.B) {
+				m.FillSample(cols, ai, bi, nil, workers) // sizes the gather
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					d.ReshapePairMatrix(m, n)
+					m.FillSample(cols, ai, bi, nil, workers)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pair")
+			})
+		}
 	}
 }

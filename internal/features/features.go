@@ -122,7 +122,6 @@ type Deriver struct {
 	codeOff  []int
 	numW     int
 	symW     int
-	numRaws  int
 	rawPlans []rawPlan
 }
 

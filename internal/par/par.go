@@ -31,16 +31,27 @@ func Resolve(p int) int {
 // storage. Do returns after every call completes; a panic in any fn is
 // re-raised in the caller.
 func Do(n, workers int, fn func(i int)) {
+	DoWorkers(n, workers, func(_, i int) { fn(i) })
+}
+
+// Workers returns how many goroutines Do and DoWorkers run for n indices
+// at the given parallelism: at most one per index, and at least one.
+func Workers(n, workers int) int {
+	return max(1, min(Resolve(workers), n))
+}
+
+// DoWorkers is Do that also passes each call its worker's number, in
+// [0, Workers(n, workers)). One worker's calls run one after another, so
+// fn may keep scratch in a slot of that number; which indices a worker
+// runs depends on scheduling, so nothing but scratch may depend on it.
+func DoWorkers(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Resolve(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers = Workers(n, workers)
+	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -70,7 +81,7 @@ func Do(n, workers int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

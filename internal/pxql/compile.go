@@ -29,9 +29,11 @@ package pxql
 // issame atom and every compare atom over a numeric raw, the family and
 // the constant themselves. Those atoms compile to caCode: a code set over the
 // pair's present/SIM/LT bits, which features.CodeWord and SameWord build
-// 64 pairs at a time with the kernel the pair matrix is filled by, so the
-// walk and the matrix share one encoding. A Tile shares those bits
-// between the clauses a walk pushes through one pair block.
+// 64 pairs at a time with the kernels the pair matrix is filled by, so the
+// walk and the matrix share one encoding; a column without a missing cell
+// takes the kernel that loads no missing bit, here as in the fill. A Tile
+// shares those bits between the clauses a walk pushes through one pair
+// block.
 //
 // Compiled evaluation is verified against the interpreted EvalPair by
 // unit tests and a fuzz target (fuzz_test.go): for every predicate and
@@ -54,6 +56,11 @@ const (
 	caCode                // issame, or compare over a numeric raw: code planes
 )
 
+// compiledAtom is one atom of a compiled predicate: its opcode, the raw
+// column it reads, and everything its block kernel would otherwise look
+// up per pair. A caCode atom also records, once at compile time, the
+// column's missing bits — nil when the view holds no missing cell in it,
+// so its tiles run the code kernels that load no missing bit.
 type compiledAtom struct {
 	kind    caKind
 	col     *joblog.Col       // raw column the feature derives from
@@ -62,6 +69,7 @@ type compiledAtom struct {
 	ne      bool              // caCode: operator is !=
 	symKern SymKernel         // caSym block kernel
 	codes   features.CodeSet  // caCode: codes rendering the constant
+	miss    bitset.Set        // caCode: col.Miss, or nil when no cell is missing
 }
 
 // CompiledPredicate is a Predicate lowered against one deriver and one
@@ -106,7 +114,11 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 	syms := d.SymsForString(cols.Intern(), i, a.Value.Str)
 	switch {
 	case d.CodeOffset(i) >= 0:
-		return compiledAtom{kind: caCode, col: col, ne: ne, codes: d.CodeSetOf(i, syms)}
+		ca := compiledAtom{kind: caCode, col: col, ne: ne, codes: d.CodeSetOf(i, syms)}
+		if col.Miss.Any() {
+			ca.miss = col.Miss
+		}
+		return ca
 	case d.SymOffset(i) < 0:
 		// Compare of a nominal raw, diff of a numeric one: missing on every
 		// pair.
@@ -427,7 +439,7 @@ func (ca *compiledAtom) andTileCode(t *Tile, acc bitset.Set) {
 			present, sim, lt = pl.words[3*w], pl.words[3*w+1], pl.words[3*w+2]
 		} else {
 			end := min(base+64, n)
-			present, sim, lt = codeWord(ca.col, ai[base:end], bi[base:end])
+			present, sim, lt = ca.codeWord(ai[base:end], bi[base:end])
 			if pl != nil {
 				pl.words[3*w], pl.words[3*w+1], pl.words[3*w+2] = present, sim, lt
 				pl.have.SetBit(w)
@@ -441,13 +453,13 @@ func (ca *compiledAtom) andTileCode(t *Tile, acc bitset.Set) {
 	}
 }
 
-// codeWord returns the code-plane words of up to 64 pairs of column c,
-// as the pair matrix stores them: a nominal column's SIM is equality and
-// its LT is empty.
-func codeWord(c *joblog.Col, ai, bi []int) (present, sim, lt uint64) {
-	if c.Kind == joblog.Numeric {
-		return features.CodeWord(c, ai, bi)
+// codeWord returns the code-plane words of up to 64 pairs of the atom's
+// column, as the pair matrix stores them: a nominal column's SIM is
+// equality and its LT is empty.
+func (ca *compiledAtom) codeWord(ai, bi []int) (present, sim, lt uint64) {
+	if c := ca.col; c.Kind == joblog.Numeric {
+		return features.CodeWord(c.Num, ca.miss, ai, bi)
 	}
-	present, sim = features.SameWord(c, ai, bi)
+	present, sim = features.SameWord(ca.col.Sym, ca.miss, ai, bi)
 	return present, sim, 0
 }
