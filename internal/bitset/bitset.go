@@ -28,6 +28,16 @@ func Words(n int) int { return (n + 63) >> 6 }
 // Make returns a set with capacity for n bits, all clear.
 func Make(n int) Set { return make(Set, Words(n)) }
 
+// Reuse returns a set with capacity for n bits, backed by s when s has
+// room: the words it keeps hold whatever they held, so the caller writes
+// every word it reads.
+func Reuse(s Set, n int) Set {
+	if w := Words(n); cap(s) >= w {
+		return s[:w]
+	}
+	return Make(n)
+}
+
 // Get reports whether bit i is set.
 func (s Set) Get(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -147,12 +157,20 @@ func (s Set) BlitFrom(src Set, from, off, n int) {
 // FromBools builds a set from a bool slice (bit i = bs[i]).
 func FromBools(bs []bool) Set {
 	s := Make(len(bs))
-	for i, b := range bs {
-		if b {
-			s.SetBit(i)
-		}
-	}
+	s.LoadBools(bs)
 	return s
+}
+
+// LoadBools overwrites s, sized for len(bs) bits, with bit i = bs[i],
+// a word at a time.
+func (s Set) LoadBools(bs []bool) {
+	for w := range s {
+		var word uint64
+		for i, b := range bs[w<<6 : min(len(bs), w<<6+64)] {
+			word |= B2u(b) << uint(i)
+		}
+		s[w] = word
+	}
 }
 
 // B2u converts a comparison result to a 0/1 word without a branch (the

@@ -10,6 +10,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"perfxplain/internal/bitset"
@@ -197,6 +198,11 @@ func TestBitmapCacheComposeMatchesEvalPrefix(t *testing.T) {
 	}
 }
 
+// newBitmapCache is a fresh cache over m.
+func newBitmapCache(m *features.PairMatrix, workers int) *bitmapCache {
+	return new(bitmapCache).reset(m, workers)
+}
+
 func TestBitmapCacheGetAllDeterministic(t *testing.T) {
 	d, in, m := bitmapFixture(t, 12)
 	cands := bitmapCands(t, d, in, bitmapAtoms())
@@ -214,8 +220,10 @@ func TestBitmapCacheGetAllDeterministic(t *testing.T) {
 		}
 	}
 	// Cache identity: a second batch returns the same backing bitmaps.
+	// The returned list is the cache's own, so the first is copied.
 	bc := newBitmapCache(m, 1)
 	s1, _ := bc.getAll(cands, all)
+	s1 = slices.Clone(s1)
 	s2, _ := bc.getAll(cands, all)
 	for ci := range cands {
 		if &s1[ci][0] != &s2[ci][0] {
@@ -225,19 +233,32 @@ func TestBitmapCacheGetAllDeterministic(t *testing.T) {
 }
 
 // TestGetAllSkipsDeadWords pins fillLive's contract: words with no live
-// bit stay zero, live words carry exact bits.
+// bit stay zero, live words carry exact bits — also in a cache reset over
+// the slab of an earlier fill with every word live.
 func TestGetAllSkipsDeadWords(t *testing.T) {
 	d, in, m := bitmapFixture(t, 13)
 	live := bitset.Make(m.N)
 	for i := 64; i < min(128, m.N); i++ {
 		live.SetBit(i) // one live word in the middle
 	}
+	all := bitset.Make(m.N)
+	all.Ones(m.N)
 	a := pxql.Atom{Feature: "x", Op: pxql.OpLe, Value: joblog.Num(3)}
 	fi, _ := d.Schema().Index(a.Feature)
 	ma := newMatrixAtom(d, in, fi, a)
-	sels, _ := newBitmapCache(m, 1).getAll([]candidate{{featIdx: fi, atom: a, ma: ma}}, live)
+	cands := []candidate{{featIdx: fi, atom: a, ma: ma}}
 	full := bitset.Make(m.N)
 	ma.fillRange(m, 0, m.N, full, nil)
+	bc := newBitmapCache(m, 1)
+	bc.getAll(cands, all)
+	for _, bc := range []*bitmapCache{newBitmapCache(m, 1), bc.reset(m, 1)} {
+		checkLiveWords(t, bc, cands, live, full)
+	}
+}
+
+func checkLiveWords(t *testing.T, bc *bitmapCache, cands []candidate, live, full bitset.Set) {
+	t.Helper()
+	sels, _ := bc.getAll(cands, live)
 	for w := range sels[0] {
 		switch {
 		case live[w] == 0 && sels[0][w] != 0:

@@ -64,7 +64,7 @@ func checkNumericBlocking(t *testing.T, ex Exec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sortedSet(ps.flatten()); !reflect.DeepEqual(got, want) {
+	if got := sortedSet(ps.flatten(new(pairPlanes))); !reflect.DeepEqual(got, want) {
 		t.Errorf("engine related set %v, Definition 7's %v", got, want)
 	}
 }

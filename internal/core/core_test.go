@@ -249,7 +249,7 @@ func TestBalancedSample(t *testing.T) {
 		flat.add(0, 1, false)
 	}
 	ps := chunked(t, flat, 2)
-	s := balancedSample(ps, 2000, rng)
+	s := balancedSample(new(pairPlanes), ps, 2000, rng)
 	obs, exp := s.counts()
 	// Expect ≈1000 observed and all 100 expected.
 	if obs < 800 || obs > 1200 {
@@ -260,7 +260,7 @@ func TestBalancedSample(t *testing.T) {
 	}
 	// Small sets pass through untouched.
 	small := chunked(t, &pairPlanes{a: []int{0}, b: []int{1}, labels: []bool{true}}, 2)
-	if got := balancedSample(small, 2000, rng); got.len() != 1 {
+	if got := balancedSample(new(pairPlanes), small, 2000, rng); got.len() != 1 {
 		t.Error("small set should not be sampled")
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/dtree"
@@ -109,7 +109,7 @@ func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
 	// mention any derived feature regardless of the configured level. The
 	// level only restricts which features generated clauses may use
 	// (Section 6.8), enforced in candidates().
-	return &Explainer{log: log, d: features.NewDeriver(log.Schema, features.Level3), cfg: cfg}, nil
+	return &Explainer{log: log, d: deriverOf(log, features.Level3), cfg: cfg}, nil
 }
 
 // Explanation is the answer to a PXQL query.
@@ -209,10 +209,16 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	if err != nil {
 		return nil, err
 	}
+	// Both phases run over one recycled workspace: everything below reads
+	// it, and nothing the explanation keeps — atoms, thresholds, counts —
+	// points into it.
+	ws := takeWorkspace()
+	defer ws.release()
+	pairVec := e.d.Vector(a, b)
 	x := &Explanation{}
 	despite := q.Despite
 	if genDespite {
-		des, err := e.generateDespite(ctx, q, a, b)
+		des, err := e.generateDespite(ctx, q, pairVec, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +226,7 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 		despite = q.Despite.And(des)
 	}
 
-	sample, nObs, nExp, err := e.trainingSample(ctx, q, despite, "because")
+	sample, nObs, nExp, err := e.trainingSample(ctx, q, despite, "because", ws)
 	if err != nil {
 		return nil, err
 	}
@@ -230,14 +236,8 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The matrix is recycled: everything below reads it, and nothing the
-	// explanation keeps — atoms, thresholds, counts — points into it.
-	pairVec := e.d.Vector(a, b)
-	m := materialize(e.log, e.d, sample, e.scorableMask(pairVec), e.cfg.Parallelism)
-	defer putMatrix(m)
-
-	bc := newBitmapCache(m, e.cfg.Parallelism)
-	bec, err := e.grow(ctx, bc, sample.labels, pairVec, e.cfg.Width)
+	bc := e.materialize(ws, sample, pairVec)
+	bec, err := e.grow(ctx, bc, &ws.g, sample.labels, pairVec, e.cfg.Width)
 	if err != nil {
 		return nil, err
 	}
@@ -252,11 +252,17 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	// word with no surviving prefix pair may keep stale bits in sel, but
 	// AndWith leaves dead prefix words dead whatever sel holds there, so
 	// the restriction skips plane work without changing a single count.
+	m := bc.m
 	in := e.log.Columns().Intern()
-	posBits := bitset.FromBools(sample.labels)
-	prefix := bitset.Make(m.N)
-	prefix.Ones(m.N)
-	sel := bitset.Make(m.N)
+	ws.posBits = bitset.Reuse(ws.posBits, m.N)
+	ws.posBits.LoadBools(sample.labels)
+	ws.prefix = bitset.Reuse(ws.prefix, m.N)
+	ws.prefix.Ones(m.N)
+	ws.sel = bitset.Reuse(ws.sel, m.N)
+	posBits, prefix, sel := ws.posBits, ws.prefix, ws.sel
+	if len(bec) > 0 {
+		x.Atoms = make([]AtomStats, 0, len(bec))
+	}
 	for w := 1; w <= len(bec); w++ {
 		a := bec[w-1]
 		idx, _ := e.d.Schema().Index(a.Feature)
@@ -294,28 +300,40 @@ func (e *Explainer) GenerateDespite(ctx context.Context, q *pxql.Query) (pxql.Pr
 	if err != nil {
 		return nil, err
 	}
-	return e.generateDespite(ctx, q, a, b)
+	ws := takeWorkspace()
+	defer ws.release()
+	return e.generateDespite(ctx, q, e.d.Vector(a, b), ws)
 }
 
-func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *joblog.Record) (pxql.Predicate, error) {
-	sample, _, _, err := e.trainingSample(ctx, q, q.Despite, "despite")
+// generateDespite grows the despite extension for the pair of interest
+// whose derived vector is pairVec, over workspace ws.
+func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, pairVec []joblog.Value, ws *workspace) (pxql.Predicate, error) {
+	sample, _, _, err := e.trainingSample(ctx, q, q.Despite, "despite", ws)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pairVec := e.d.Vector(a, b)
-	m := materialize(e.log, e.d, sample, e.scorableMask(pairVec), e.cfg.Parallelism)
-	defer putMatrix(m)
+	bc := e.materialize(ws, sample, pairVec)
 
 	// Positive class for despite generation is "performed as expected":
 	// the clause should maximise relevance P(exp | des' ∧ des).
-	flipped := make([]bool, len(sample.labels))
+	ws.flipped = resized(ws.flipped, len(sample.labels))
 	for i, l := range sample.labels {
-		flipped[i] = !l
+		ws.flipped[i] = !l
 	}
-	return e.grow(ctx, newBitmapCache(m, e.cfg.Parallelism), flipped, pairVec, e.cfg.DespiteWidth)
+	return e.grow(ctx, bc, &ws.g, ws.flipped, pairVec, e.cfg.DespiteWidth)
+}
+
+// materialize fills the workspace's pair matrix with the sample's
+// derived vectors, restricted to what is scorable for the pair of
+// interest whose derived vector is pairVec, and returns the workspace's
+// bitmap cache reset over it.
+func (e *Explainer) materialize(ws *workspace, sample *pairPlanes, pairVec []joblog.Value) *bitmapCache {
+	ws.want = e.scorableMask(ws.want, pairVec)
+	fillMatrix(&ws.m, e.log, e.d, sample, ws.want, e.cfg.Parallelism)
+	return ws.bc.reset(&ws.m, e.cfg.Parallelism)
 }
 
 // trainingSample draws Section 4.3's balanced sample of (q, despite)'s
@@ -324,17 +342,18 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, a, b *jo
 // counts are exact; any other is walked, thinned to MaxPairs, and its
 // counts are those of the kept pairs. stream names the seeds. An empty
 // related set is an error: there is nothing to learn from.
-func (e *Explainer) trainingSample(ctx context.Context, q *pxql.Query, despite pxql.Predicate, stream string) (
+func (e *Explainer) trainingSample(ctx context.Context, q *pxql.Query, despite pxql.Predicate, stream string, ws *workspace) (
 	sample *pairPlanes, nObs, nExp int64, err error) {
 
 	if err := ctx.Err(); err != nil {
 		return nil, 0, 0, err
 	}
+	seed := stats.DeriveSeed(e.cfg.Seed, stream+"-sample")
 	if rs := rankSpaceOf(e.log, q, despite); rs != nil {
 		if rs.nObs+rs.nExp == 0 {
 			return nil, 0, 0, errNoRelated
 		}
-		return rs.sample(e.cfg.SampleSize, stats.DeriveSeed(e.cfg.Seed, stream+"-sample"), e.cfg.Parallelism), rs.nObs, rs.nExp, nil
+		return rs.sample(&ws.sample, &ws.rank, e.cfg.SampleSize, seed, e.cfg.Parallelism), rs.nObs, rs.nExp, nil
 	}
 	related, err := e.enumeratePairs(ctx, q, despite, stats.DeriveSeed(e.cfg.Seed, stream+"-pairs"))
 	if err != nil {
@@ -347,8 +366,13 @@ func (e *Explainer) trainingSample(ctx context.Context, q *pxql.Query, despite p
 	}
 	// Sampling stays serial: it is O(pairs) cheap, and drawing from one
 	// sequential stream over the deterministically ordered pair set keeps
-	// it reproducible.
-	return balancedSample(related, e.cfg.SampleSize, stats.DeriveRand(e.cfg.Seed, stream+"-sample")),
+	// it reproducible. The workspace's stream reseeded is the one
+	// stats.DeriveRand would make.
+	if ws.rng == nil {
+		ws.rng = rand.New(rand.NewSource(0))
+	}
+	ws.rng.Seed(int64(seed))
+	return balancedSample(&ws.sample, related, e.cfg.SampleSize, ws.rng),
 		int64(related.nObs), int64(related.nExp), nil
 }
 
@@ -380,19 +404,21 @@ var errNoRelated = errors.New("core: no related pairs in the log for this query"
 // label bitmaps, and the winner restricts the working set with one
 // word-AND. The counts — and therefore the clause — are identical to
 // the per-pair loops this replaces.
-func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
+func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, g *growScratch, labels []bool,
 	pairVec []joblog.Value, width int) (pxql.Predicate, error) {
 
 	m := bc.m
 	var clause pxql.Predicate
-	cur := make([]int, m.N)
-	for i := range cur {
-		cur[i] = i
+	g.cur = resized(g.cur, m.N)
+	for i := range g.cur {
+		g.cur[i] = i
 	}
-	posBits := bitset.FromBools(labels)
-	curBits := bitset.Make(m.N)
-	curBits.Ones(m.N)
-	subLabels := make([]bool, m.N) // the working set's labels, refilled per round
+	g.posBits = bitset.Reuse(g.posBits, m.N)
+	g.posBits.LoadBools(labels)
+	g.curBits = bitset.Reuse(g.curBits, m.N)
+	g.curBits.Ones(m.N)
+	g.subLabels = resized(g.subLabels, m.N) // the working set's labels, refilled per round
+	cur, posBits, curBits := g.cur, g.posBits, g.curBits
 
 	for round := 0; round < width; round++ {
 		// The round loop is the cancellation checkpoint of the growth
@@ -410,12 +436,12 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 			break
 		}
 
-		subLabels = subLabels[:len(cur)]
+		subLabels := g.subLabels[:len(cur)]
 		for k, i := range cur {
 			subLabels[k] = labels[i]
 		}
-		ws := &workingSet{rows: cur, labels: subLabels, bits: curBits, pos: posBits}
-		cands := e.candidates(m, ws, pairVec, clause)
+		g.ws = workingSet{rows: cur, labels: subLabels, bits: curBits, pos: posBits}
+		cands := e.candidates(m, g, pairVec, clause)
 		if len(cands) == 0 {
 			break
 		}
@@ -431,32 +457,38 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 		// popcounts and a zero sat skips the three-way one — provably
 		// the same counts either way.
 		sels, ubs := bc.getAll(cands, curBits)
-		precs := make([]float64, len(cands))
-		gens := make([]float64, len(cands))
+		n := len(cands)
+		g.precs, g.gens = resized(g.precs, n), resized(g.gens, n)
+		g.precRanks, g.genRanks = resized(g.precRanks, n), resized(g.genRanks, n)
+		g.order = resized(g.order, n)
+		precs, gens := g.precs, g.gens
 		for ci := range cands {
-			sat := 0
+			sat, prec := 0, 0.0
 			if ubs[ci] > 0 {
 				sat = bitset.AndCount(sels[ci], curBits)
 			}
 			if sat > 0 {
 				satPos := bitset.AndCount3(sels[ci], curBits, posBits)
-				precs[ci] = float64(satPos) / float64(sat)
+				prec = float64(satPos) / float64(sat)
 			}
-			gens[ci] = float64(sat) / float64(len(cur))
+			precs[ci], gens[ci] = prec, float64(sat)/float64(len(cur))
 		}
-		precScores, genScores := stats.PercentileRanks(precs), stats.PercentileRanks(gens)
+		stats.PercentileRanks(g.precRanks, g.order, precs)
+		stats.PercentileRanks(g.genRanks, g.order, gens)
 		// A variable, so 1-w rounds as float64 arithmetic does, not to the
 		// exact constant 0.2: near-tied candidates rank on that last bit.
 		w := precisionWeight
 		best, bestScore := -1, -1.0
 		for ci := range cands {
-			score := w*precScores[ci] + (1-w)*genScores[ci]
+			score := w*g.precRanks[ci] + (1-w)*g.genRanks[ci]
 			if score > bestScore {
 				best, bestScore = ci, score
 			}
 		}
-		chosen := cands[best]
-		clause = append(clause, chosen.atom)
+		if clause == nil {
+			clause = make(pxql.Predicate, 0, width)
+		}
+		clause = append(clause, cands[best].atom)
 
 		// Restrict the working set to pairs satisfying the clause so far.
 		curBits.AndWith(sels[best])
@@ -464,6 +496,28 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, labels []bool,
 		curBits.ForEach(func(i int) { cur = append(cur, i) })
 	}
 	return clause, nil
+}
+
+// growScratch is grow's recycled state, a part of the workspace: the
+// working set as rows, labels and bitmaps, the per-round candidate
+// slots and list, and the score lists. grow and candidates overwrite
+// every element before they read it.
+type growScratch struct {
+	cur              []int
+	subLabels        []bool
+	posBits, curBits bitset.Set
+	ws               workingSet
+	// slots[f] is feature f's candidate of the round when found[f].
+	slots []candidate
+	found []bool
+	cands []candidate
+	// scratch[w] is scoring worker w's.
+	scratch []scoreScratch
+	// precs and gens are the candidates' precisions and generalities,
+	// precRanks and genRanks their percentile ranks, order the ranks'
+	// sort scratch.
+	precs, gens, precRanks, genRanks []float64
+	order                            []int
 }
 
 type candidate struct {
@@ -486,52 +540,51 @@ type workingSet struct {
 // candidates builds the best applicable predicate per feature by
 // information gain (Algorithm 1 line 5) — the algorithm's inner loop,
 // scored concurrently across features straight off the pair-matrix
-// columns: numeric features read a flat float column, nominal features
-// count packed symbols or popcount code planes and only decode the few
-// distinct values for the deterministic string-ordered tie-break. Results
-// land in a per-feature slot and are compacted in schema order
-// afterwards, so the candidate list is independent of scheduling.
-// Features derived from the query target are excluded, as are features
-// whose pair-of-interest value is missing (no applicable predicate
-// exists) and atoms already in the clause.
-func (e *Explainer) candidates(m *features.PairMatrix, ws *workingSet,
+// columns for the round's working set g.ws: numeric features read a flat
+// float column, nominal features count packed symbols or popcount code
+// planes and only decode the few distinct values for the deterministic
+// string-ordered tie-break. Results land in a per-feature slot and are
+// compacted in schema order afterwards, so the candidate list is
+// independent of scheduling. Features derived from the query target are
+// excluded, as are features whose pair-of-interest value is missing (no
+// applicable predicate exists) and atoms already in the clause. The list
+// is g's own, valid until the next call.
+func (e *Explainer) candidates(m *features.PairMatrix, g *growScratch,
 	pairVec []joblog.Value, clause pxql.Predicate) []candidate {
 
-	schema := e.d.Schema()
+	nf := e.d.Schema().Len()
 	in := e.log.Columns().Intern()
-
-	found := make([]*candidate, schema.Len())
-	par.Do(schema.Len(), e.cfg.Parallelism, func(f int) {
-		sc := scratchPool.Get().(*scoreScratch)
-		defer scratchPool.Put(sc)
-		atom, _, ok := e.scoreFeature(in, m, ws, pairVec, clause, f, sc)
-		if !ok {
-			return
+	g.slots, g.found = resized(g.slots, nf), resized(g.found, nf)
+	g.scratch = resized(g.scratch, par.Workers(nf, e.cfg.Parallelism))
+	slots, found, ws, scratch := g.slots, g.found, &g.ws, g.scratch
+	par.DoWorkers(nf, e.cfg.Parallelism, func(w, f int) {
+		atom, _, ok := e.scoreFeature(in, m, ws, pairVec, clause, f, &scratch[w])
+		found[f] = ok
+		if ok {
+			slots[f] = candidate{featIdx: f, atom: atom, ma: newMatrixAtom(e.d, in, f, atom)}
 		}
-		found[f] = &candidate{featIdx: f, atom: atom, ma: newMatrixAtom(e.d, in, f, atom)}
 	})
 
-	var out []candidate
-	for _, c := range found {
-		if c != nil {
-			out = append(out, *c)
+	out := g.cands[:0]
+	for f, ok := range found {
+		if ok {
+			out = append(out, slots[f])
 		}
 	}
+	g.cands = out
 	return out
 }
 
-// scoreScratch is one scoring goroutine's reusable buffers: the numeric
+// scoreScratch is one scoring worker's reusable buffers: the numeric
 // gather and its threshold sort, the symbol probe table and the decoded
 // per-value counts. Every field is overwritten before it is read, so
-// which goroutine last held a scratch never shows in a result.
+// which worker last held a scratch never shows in a result.
 type scoreScratch struct {
 	vals   []float64
 	thr    dtree.ThresholdScratch
 	syms   symTable
 	counts []dtree.NominalCount
 }
-
-var scratchPool = sync.Pool{New: func() any { return new(scoreScratch) }}
 
 // scorable reports whether scoreFeature may propose an atom over derived
 // feature f for the pair of interest whose derived vector is pairVec: f
@@ -553,9 +606,11 @@ func (e *Explainer) scorable(f int, pairVec []joblog.Value) bool {
 
 // scorableMask is the set of scorable derived features: all that
 // Algorithm 1 can read of a pair matrix for this pair of interest, and so
-// the only ones materialize needs to fill.
-func (e *Explainer) scorableMask(pairVec []joblog.Value) bitset.Set {
-	want := bitset.Make(len(pairVec))
+// the only ones materialize needs to fill. It is built in want's storage
+// when that has room.
+func (e *Explainer) scorableMask(want bitset.Set, pairVec []joblog.Value) bitset.Set {
+	want = bitset.Reuse(want, len(pairVec))
+	clear(want)
 	for f := range pairVec {
 		if e.scorable(f, pairVec) {
 			want.SetBit(f)

@@ -33,11 +33,7 @@ func (e *Explainer) DespiteToThreshold(ctx context.Context, q *pxql.Query, r flo
 	if r < 0 || r > 1 {
 		return nil, 0, false, fmt.Errorf("core: relevance threshold %v outside [0,1]", r)
 	}
-	a, b, err := e.bind(q)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	full, err := e.generateDespite(ctx, q, a, b)
+	full, err := e.GenerateDespite(ctx, q)
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -62,7 +62,7 @@ func TestFillSampleSkipsUnscorable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sample, _, _, err := e.trainingSample(ctx, qq.q, qq.q.Despite, "because")
+		sample, _, _, err := e.trainingSample(ctx, qq.q, qq.q.Despite, "because", new(workspace))
 		if err == errNoRelated {
 			continue
 		}
@@ -70,7 +70,7 @@ func TestFillSampleSkipsUnscorable(t *testing.T) {
 			t.Fatal(err)
 		}
 		pairVec := e.d.Vector(a, b)
-		want := e.scorableMask(pairVec)
+		want := e.scorableMask(nil, pairVec)
 		cols := qq.log.Columns()
 		full := e.d.NewPairMatrix(sample.len())
 		full.FillSample(cols, sample.a, sample.b, nil, 1)
@@ -105,11 +105,11 @@ func TestFillSampleSkipsUnscorable(t *testing.T) {
 			flipped[i] = !l
 		}
 		for _, labels := range [][]bool{sample.labels, flipped} {
-			wantClause, err := e.grow(ctx, newBitmapCache(full, 1), labels, pairVec, e.cfg.Width)
+			wantClause, err := e.grow(ctx, newBitmapCache(full, 1), new(growScratch), labels, pairVec, e.cfg.Width)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.grow(ctx, newBitmapCache(masked, 2), labels, pairVec, e.cfg.Width)
+			got, err := e.grow(ctx, newBitmapCache(masked, 2), new(growScratch), labels, pairVec, e.cfg.Width)
 			if err != nil {
 				t.Fatal(err)
 			}

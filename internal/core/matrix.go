@@ -210,68 +210,106 @@ func keyOf(a pxql.Atom) atomKey {
 // working-set bitmap, a subset of the live words at fill time. Code
 // needing full-matrix bits (the prefix diagnostics) must fill its own
 // bitmap with fillRange instead of reading the cache.
+//
+// A cache lives in a workspace and is reset per matrix: the bitmaps are
+// cut from one slab and the map is cleared, not remade, so a warm
+// explanation's scoring allocates nothing here.
 type bitmapCache struct {
 	m       *features.PairMatrix
 	workers int
-	cache   map[atomKey]bitset.Set
-	// counts memoizes each cached bitmap's popcount at fill time. The
-	// fill is restricted to the then-live working-set words and the
-	// working set shrinks monotonically, so the stored count is an upper
-	// bound on any later AndCount against the current working set — a
-	// zero means the candidate can never select a pair again.
-	counts map[atomKey]int
+	cache   map[atomKey]cachedSel
+	// slab backs every bitmap handed out since the last reset; used words
+	// of it are taken.
+	slab []uint64
+	used int
+	// getAll's per-call lists, kept between calls.
+	sels []bitset.Set
+	ubs  []int
+	miss []cacheMiss
 }
 
-func newBitmapCache(m *features.PairMatrix, workers int) *bitmapCache {
-	return &bitmapCache{m: m, workers: workers,
-		cache: make(map[atomKey]bitset.Set), counts: make(map[atomKey]int)}
+// cachedSel is one atom's bitmap and its popcount at fill time. The
+// fill is restricted to the then-live working-set words and the working
+// set shrinks monotonically, so the count is an upper bound on any later
+// AndCount against the current working set — a zero means the candidate
+// can never select a pair again.
+type cachedSel struct {
+	sel   bitset.Set
+	count int
+}
+
+// cacheMiss is a candidate of one getAll batch whose atom had no bitmap.
+type cacheMiss struct {
+	key atomKey
+	at  int // its index in the batch
+}
+
+// reset readies the cache for matrix m, forgetting every bitmap but
+// keeping the slab they were cut from.
+func (bc *bitmapCache) reset(m *features.PairMatrix, workers int) *bitmapCache {
+	bc.m, bc.workers, bc.used = m, workers, 0
+	if bc.cache == nil {
+		bc.cache = make(map[atomKey]cachedSel)
+	}
+	clear(bc.cache)
+	return bc
+}
+
+// bitmap cuts a clear bitmap of m.N bits from the slab. When the slab is
+// short a larger one replaces it: the bitmaps cut so far keep the old one
+// alive until the next reset, and from then on the larger slab holds a
+// whole matrix's bitmaps.
+func (bc *bitmapCache) bitmap() bitset.Set {
+	w := bitset.Words(bc.m.N)
+	if bc.used+w > len(bc.slab) {
+		bc.slab = make([]uint64, max(2*len(bc.slab), 64*w))
+		bc.used = 0
+	}
+	s := bitset.Set(bc.slab[bc.used : bc.used+w : bc.used+w])
+	bc.used += w
+	clear(s)
+	return s
 }
 
 // getAll returns the bitmaps of a candidate batch plus each bitmap's
 // fill-time popcount (an upper bound on the candidate's satisfied count,
-// see counts), filling the cache misses tile-parallel: the unit of work
-// is (tile, atom), consecutive units share a tile, so one tile's plane
-// rows are scanned by every missing atom while hot. Words with no live
-// bit in the working set are skipped (left zero) — once a selective
+// see cachedSel), filling the cache misses tile-parallel: the unit of
+// work is (tile, atom), consecutive units share a tile, so one tile's
+// plane rows are scanned by every missing atom while hot. Words with no
+// live bit in the working set are skipped (left zero) — once a selective
 // clause collapses the working set, losing candidates cost plane reads
 // only where pairs remain. Scheduling never affects the bits — each unit
-// writes a disjoint word range of its own atom's bitmap.
+// writes a disjoint word range of its own atom's bitmap. The returned
+// lists are the cache's own, valid until the next call.
 func (bc *bitmapCache) getAll(cands []candidate, live bitset.Set) ([]bitset.Set, []int) {
-	sels := make([]bitset.Set, len(cands))
-	ubs := make([]int, len(cands))
-	var missKey []atomKey
-	var missSel []bitset.Set
-	var missMA []matrixAtom
-	missAt := make([]int, 0, len(cands))
+	sels, ubs := resized(bc.sels, len(cands)), resized(bc.ubs, len(cands))
+	bc.sels, bc.ubs = sels, ubs
+	miss := bc.miss[:0]
 	for ci := range cands {
 		k := keyOf(cands[ci].atom)
-		if sel, ok := bc.cache[k]; ok {
-			sels[ci] = sel
-			ubs[ci] = bc.counts[k]
+		if c, ok := bc.cache[k]; ok {
+			sels[ci], ubs[ci] = c.sel, c.count
 			continue
 		}
-		sel := bitset.Make(bc.m.N)
-		bc.cache[k] = sel
-		sels[ci] = sel
-		missKey = append(missKey, k)
-		missSel = append(missSel, sel)
-		missMA = append(missMA, cands[ci].ma)
-		missAt = append(missAt, ci)
+		sels[ci] = bc.bitmap()
+		bc.cache[k] = cachedSel{sel: sels[ci]}
+		miss = append(miss, cacheMiss{key: k, at: ci})
 	}
-	if len(missSel) == 0 {
+	bc.miss = miss
+	if len(miss) == 0 {
 		return sels, ubs
 	}
 	tiles := (bc.m.N + rowTile - 1) / rowTile
-	par.Do(tiles*len(missSel), bc.workers, func(u int) {
-		t, k := u/len(missSel), u%len(missSel)
+	par.Do(tiles*len(miss), bc.workers, func(u int) {
+		t, k := u/len(miss), miss[u%len(miss)].at
 		lo := t * rowTile
 		hi := min(lo+rowTile, bc.m.N)
-		missMA[k].fillRange(bc.m, lo, hi, missSel[k], live)
+		cands[k].ma.fillRange(bc.m, lo, hi, sels[k], live)
 	})
-	for k := range missSel {
-		n := missSel[k].Count()
-		bc.counts[missKey[k]] = n
-		ubs[missAt[k]] = n
+	for _, ms := range miss {
+		n := sels[ms.at].Count()
+		bc.cache[ms.key] = cachedSel{sel: sels[ms.at], count: n}
+		ubs[ms.at] = n
 	}
 	return sels, ubs
 }

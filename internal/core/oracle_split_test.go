@@ -253,7 +253,8 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 		}
 		pairVec := vecs[rng.Intn(len(vecs))]
 		// The matrix holds the scorable columns only, as in an explanation.
-		m := materialize(log, e.d, ps, e.scorableMask(pairVec), e.cfg.Parallelism)
+		m := new(features.PairMatrix)
+		fillMatrix(m, log, e.d, ps, e.scorableMask(nil, pairVec), e.cfg.Parallelism)
 
 		whole := make([]int, ps.len())
 		var subset []int

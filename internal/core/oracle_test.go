@@ -206,7 +206,7 @@ func checkOracle(t *testing.T, ex Exec, sealEvery int) {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
 			wantSet := oracleRelated(log, features.Level3, q, despite)
-			if got := sortedSet(ps.flatten()); !reflect.DeepEqual(got, wantSet) {
+			if got := sortedSet(ps.flatten(new(pairPlanes))); !reflect.DeepEqual(got, wantSet) {
 				t.Errorf("trial %d %s (%d records): engine related set (%d pairs) differs from Definition 7 (%d pairs)",
 					trial, name, log.Len(), len(got), len(wantSet))
 			}
@@ -276,7 +276,7 @@ func checkRankLeg(t *testing.T, label string, log *joblog.Log, q *pxql.Query, ex
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, o, n, err := e.trainingSample(context.Background(), q, q.Despite, "because")
+		s, o, n, err := e.trainingSample(context.Background(), q, q.Despite, "because", new(workspace))
 		if len(want) == 0 {
 			if !errors.Is(err, errNoRelated) {
 				t.Errorf("%s: empty related set sampled with err %v", label, err)

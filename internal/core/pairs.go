@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
@@ -43,9 +44,10 @@ type pairPlanes struct {
 	labels []bool
 }
 
-// newPairPlanes returns an empty list with room for n pairs.
-func newPairPlanes(n int) *pairPlanes {
-	return &pairPlanes{a: make([]int, 0, n), b: make([]int, 0, n), labels: make([]bool, 0, n)}
+// reset empties the list and gives it room for n pairs, keeping its
+// planes when they have it.
+func (p *pairPlanes) reset(n int) {
+	p.a, p.b, p.labels = slices.Grow(p.a[:0], n), slices.Grow(p.b[:0], n), slices.Grow(p.labels[:0], n)
 }
 
 func (p *pairPlanes) len() int { return len(p.a) }
@@ -105,10 +107,10 @@ func adoptResults(results []EnumResult, n int, pooled bool) (*pairSet, error) {
 	return ps, nil
 }
 
-// flatten copies the set into fresh planes; nothing in the result aliases
-// a chunk, so it outlives release.
-func (ps *pairSet) flatten() *pairPlanes {
-	out := newPairPlanes(ps.len())
+// flatten overwrites out with a copy of the set and returns it; nothing
+// in the result aliases a chunk, so it outlives release.
+func (ps *pairSet) flatten(out *pairPlanes) *pairPlanes {
+	out.reset(ps.len())
 	for ci := range ps.chunks {
 		c := &ps.chunks[ci]
 		out.a = append(out.a, c.RefA...)
@@ -539,17 +541,18 @@ func balancedRates(nObs, nExp int64, m int) (pObs, pExp float64) {
 	return pObs, pExp
 }
 
-// balancedSample draws a walked related set's balanced sample: one
-// rng.Float64 per pair against its class's balancedRates probability.
-func balancedSample(ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
+// balancedSample draws a walked related set's balanced sample into out,
+// which it returns: one rng.Float64 per pair against its class's
+// balancedRates probability.
+func balancedSample(out *pairPlanes, ps *pairSet, m int, rng *rand.Rand) *pairPlanes {
 	if m <= 0 {
-		return ps.flatten()
+		return ps.flatten(out)
 	}
 	nObs, nExp := int64(ps.nObs), int64(ps.nExp)
 	pObs, pExp := balancedRates(nObs, nExp, m)
 	// Presized to the expected draw plus four standard deviations of
 	// slack, so the appends below all but never regrow.
-	out := newPairPlanes(expectedDraw(nObs, pObs, nExp, pExp))
+	out.reset(expectedDraw(nObs, pObs, nExp, pExp))
 	for ci := range ps.chunks {
 		c := &ps.chunks[ci]
 		for i, l := range c.Labels {
@@ -573,47 +576,18 @@ func expectedDraw(nObs int64, pObs float64, nExp int64, pExp float64) int {
 	return int(min(nObs+nExp, int64(mean+4*math.Sqrt(mean))+1))
 }
 
-// matrixFree holds one idle pair matrix between explanations: a
-// 2 000-pair sample's stores and the gather scratch FillSample keeps
-// with them (one column buffer per fill worker) are some 0.8 MB over the
-// 27 000-job benchmark log (1.8 MB while the gather kept every raw
-// column's cells). One slot, not a sync.Pool: a pool keeps a private
-// slot per processor, and a second idle matrix is a sizeable share of
-// what a server over a small log holds in all (peak RSS on the 540-job
-// sweep: +19 % with a pool, +10 % with one slot, when matrices were
-// 2.4 MB). Explanations running beside the one that took the slot
-// allocate their own and drop them.
-var matrixFree = make(chan *features.PairMatrix, 1)
-
-// putMatrix returns a matrix nothing reads any more to the free slot.
-func putMatrix(m *features.PairMatrix) {
-	select {
-	case matrixFree <- m:
-	default:
-	}
-}
-
-// materialize computes the derived feature vectors for the sample into
-// a pair matrix with features' gathered fill, on up to workers
-// goroutines; each cell and word has one writer, so the result is
-// identical at every worker count. want is the explanation's scorable
+// fillMatrix computes the derived feature vectors for the sample into
+// pair matrix m, resized for it, with features' gathered fill on up to
+// workers goroutines; each cell and word has one writer, so the result
+// is identical at every worker count. want is the explanation's scorable
 // mask (Explainer.scorableMask): a column of a feature outside it is
 // never read — scoring skips the feature, so no candidate atom reads it
 // either — and is not written, which on the benchmark's logs spares about
-// three quarters of the numeric base columns. The matrix is the idle one
-// when there is one — the steady-state fill path performs no allocation
-// per pair — and the caller hands it to putMatrix once nothing reads it
-// any more.
-func materialize(log *joblog.Log, d *features.Deriver, ps *pairPlanes, want bitset.Set, workers int) *features.PairMatrix {
-	var m *features.PairMatrix
-	select {
-	case m = <-matrixFree:
-	default:
-		m = new(features.PairMatrix)
-	}
+// three quarters of the numeric base columns. A recycled matrix (the
+// workspace's) fills without allocating.
+func fillMatrix(m *features.PairMatrix, log *joblog.Log, d *features.Deriver, ps *pairPlanes, want bitset.Set, workers int) {
 	d.ReshapePairMatrix(m, ps.len())
 	m.FillSample(log.Columns(), ps.a, ps.b, want, workers)
-	return m
 }
 
 func minf(a, b float64) float64 {

@@ -201,21 +201,29 @@ func rankSpaceOf(log *joblog.Log, q *pxql.Query, despite pxql.Predicate) *rankSp
 	return &rankSpace{rg: rg, code: [2]uint64{cObs, cExp}, nObs: rg.cum[cObs][n], nExp: rg.cum[cExp][n]}
 }
 
-// sample draws Section 4.3's balanced sample of m pairs in expectation:
-// each class's rank space thinned at its keep rate, observed then
-// expected, each in rank order. The two classes are drawn concurrently on
-// up to workers goroutines, each from its own skip stream and table into
-// its own list; the expected list is appended to the observed one, so the
-// sample is the serial draw's at every worker count.
-func (rs *rankSpace) sample(m int, seed uint64, workers int) *pairPlanes {
+// rankDraw is a rank draw's recycled state beside the sample it fills:
+// the expected class's list and each class's skip table, which a draw at
+// the previous question's keep rate finds already built.
+type rankDraw struct {
+	exp  pairPlanes
+	tabs [2]skipTable
+}
+
+// sample draws Section 4.3's balanced sample of m pairs in expectation
+// into out, which it returns: each class's rank space thinned at its keep
+// rate, observed then expected, each in rank order. The two classes are
+// drawn concurrently on up to workers goroutines, each from its own skip
+// stream and table into its own list — the expected one rd.exp — and the
+// expected list is appended to the observed one, so the sample is the
+// serial draw's at every worker count.
+func (rs *rankSpace) sample(out *pairPlanes, rd *rankDraw, m int, seed uint64, workers int) *pairPlanes {
 	pObs, pExp := balancedRates(rs.nObs, rs.nExp, m)
 	n, p := [2]int64{rs.nObs, rs.nExp}, [2]float64{pObs, pExp}
-	outs := [2]*pairPlanes{
-		newPairPlanes(expectedDraw(rs.nObs, pObs, rs.nExp, pExp)),
-		newPairPlanes(expectedDraw(rs.nExp, pExp, 0, 0)),
-	}
-	par.Do(2, workers, func(c int) { rs.draw(outs[c], c, n[c], p[c], seed, new(skipTable)) })
-	out, exp := outs[0], outs[1]
+	out.reset(expectedDraw(rs.nObs, pObs, rs.nExp, pExp))
+	rd.exp.reset(expectedDraw(rs.nExp, pExp, 0, 0))
+	outs := [2]*pairPlanes{out, &rd.exp}
+	par.Do(2, workers, func(c int) { rs.draw(outs[c], c, n[c], p[c], seed, &rd.tabs[c]) })
+	exp := &rd.exp
 	out.a, out.b = append(out.a, exp.a...), append(out.b, exp.b...)
 	out.labels = append(out.labels, exp.labels...)
 	return out

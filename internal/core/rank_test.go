@@ -191,7 +191,7 @@ func TestRankDrawLaw(t *testing.T) {
 				pObs, pExp := balancedRates(rs.nObs, rs.nExp, m)
 				var drawn [2]int
 				for s := int64(0); s < 200; s++ {
-					smp := rs.sample(m, stats.DeriveSeed(s, "rank-law"), 2)
+					smp := rs.sample(new(pairPlanes), new(rankDraw), m, stats.DeriveSeed(s, "rank-law"), 2)
 					obs := countObserved(smp.labels)
 					drawn[0] += obs
 					drawn[1] += smp.len() - obs
@@ -276,9 +276,9 @@ func TestRankIneligibleWalks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := balancedSample(related, cfg.SampleSize, stats.DeriveRand(cfg.Seed, "because-sample"))
+			want := balancedSample(new(pairPlanes), related, cfg.SampleSize, stats.DeriveRand(cfg.Seed, "because-sample"))
 			related.release()
-			got, nObs, nExp, err := e.trainingSample(ctx, c.q, c.q.Despite, "because")
+			got, nObs, nExp, err := e.trainingSample(ctx, c.q, c.q.Despite, "because", new(workspace))
 			if related.len() == 0 {
 				if !errors.Is(err, errNoRelated) {
 					t.Errorf("trial %d %s: empty walk sampled with err %v", trial, c.name, err)
@@ -337,7 +337,7 @@ func TestRankCountsPastInt32(t *testing.T) {
 	if rs.nObs != gt || rs.nExp != sim {
 		t.Fatalf("rank counts GT=%d SIM=%d, want GT=%d SIM=%d", rs.nObs, rs.nExp, gt, sim)
 	}
-	smp := rs.sample(2000, 11, 2)
+	smp := rs.sample(new(pairPlanes), new(rankDraw), 2000, 11, 2)
 	beyond := 0
 	for i := range smp.a {
 		a, b := smp.a[i], smp.b[i]
@@ -370,7 +370,7 @@ func TestRankCountsPastInt32(t *testing.T) {
 func TestRankSampleMatchesSerialDraw(t *testing.T) {
 	serial := func(rs *rankSpace, m int, seed uint64) *pairPlanes {
 		pObs, pExp := balancedRates(rs.nObs, rs.nExp, m)
-		out := newPairPlanes(0)
+		out := new(pairPlanes)
 		tab := new(skipTable)
 		rs.draw(out, 0, rs.nObs, pObs, seed, tab)
 		rs.draw(out, 1, rs.nExp, pExp, seed, tab)
@@ -421,7 +421,7 @@ func TestRankSampleMatchesSerialDraw(t *testing.T) {
 			for seed := uint64(0); seed < 4; seed++ {
 				want := serial(rs, m, seed)
 				for _, workers := range []int{1, 2, 4} {
-					got := rs.sample(m, seed, workers)
+					got := rs.sample(new(pairPlanes), new(rankDraw), m, seed, workers)
 					if !slices.Equal(got.a, want.a) || !slices.Equal(got.b, want.b) || !slices.Equal(got.labels, want.labels) {
 						t.Fatalf("%s m=%d seed %d, %d workers: the concurrent draw differs from the serial one (%d pairs, want %d)",
 							sp.name, m, seed, workers, got.len(), want.len())

@@ -150,7 +150,7 @@ func TestChunkedSampleMatchesFlat(t *testing.T) {
 		flat.add(i, (i*5+1)%12, i%4 != 0)
 	}
 	for _, m := range []int{6, 12, 40, 0} {
-		want := balancedSample(chunked(t, flat, log.Len()), m, rand.New(rand.NewSource(4)))
+		want := balancedSample(new(pairPlanes), chunked(t, flat, log.Len()), m, rand.New(rand.NewSource(4)))
 		if m == 6 && (want.len() == 0 || want.len() == flat.len()) {
 			t.Fatalf("a budget of 6 drew %d of 12 pairs; the fixture thins nothing", want.len())
 		}
@@ -167,7 +167,7 @@ func TestChunkedSampleMatchesFlat(t *testing.T) {
 		cutSets = append(cutSets, []int{0}, []int{12}, []int{0, 0, 5, 5, 12, 12})
 		for _, cuts := range cutSets {
 			ps := chunked(t, flat, log.Len(), cuts...)
-			if got := balancedSample(ps, m, rand.New(rand.NewSource(4))); !reflect.DeepEqual(got, want) {
+			if got := balancedSample(new(pairPlanes), ps, m, rand.New(rand.NewSource(4))); !reflect.DeepEqual(got, want) {
 				t.Fatalf("m=%d cuts %v: sample %v, uncut %v", m, cuts, got, want)
 			}
 		}

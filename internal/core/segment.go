@@ -99,16 +99,12 @@ func PlanEnumShards(log *joblog.Log, level features.Level, q *pxql.Query,
 	groups, keepP, residual := blockedGroups(log, despite, maxPairs)
 	cuts := cutGroupShards(groups, nShards)
 	specs := make([]EnumSpec, len(cuts))
+	// The specs share their clauses' wire forms, as cuts share member
+	// lists: specs are read-only.
+	des, obs, exp := residual.Spec(), q.Observed.Spec(), q.Expected.Spec()
 	for s, cut := range cuts {
-		specs[s] = EnumSpec{
-			Groups:   cut,
-			KeepP:    keepP,
-			Seed:     seed,
-			Level:    level,
-			Despite:  residual.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-		}
+		specs[s] = EnumSpec{Groups: cut, KeepP: keepP, Seed: seed, Level: level,
+			Despite: des, Observed: obs, Expected: exp}
 	}
 	return specs
 }
@@ -125,17 +121,10 @@ func PlanEvalShards(log *joblog.Log, level features.Level, q *pxql.Query,
 	groups, keepP, residual := blockedGroups(log, q.Despite.And(x.Despite), maxPairs)
 	cuts := cutGroupShards(groups, nShards)
 	specs := make([]EvalSpec, len(cuts))
+	des, obs, exp, bec := residual.Spec(), q.Observed.Spec(), q.Expected.Spec(), x.Because.Spec()
 	for s, cut := range cuts {
-		specs[s] = EvalSpec{
-			Groups:   cut,
-			KeepP:    keepP,
-			Seed:     seed,
-			Level:    level,
-			Despite:  residual.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-			Because:  x.Because.Spec(),
-		}
+		specs[s] = EvalSpec{Groups: cut, KeepP: keepP, Seed: seed, Level: level,
+			Despite: des, Observed: obs, Expected: exp, Because: bec}
 	}
 	return specs
 }

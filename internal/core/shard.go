@@ -253,9 +253,17 @@ type EvalResult struct {
 func cutPoint(n, nShards, s int) int { return s * n / nShards }
 
 // deriverKey memoizes a log's deriver per feature level on its columnar
-// view (joblog.Columns.Memo), so the specs of a batch — and every later
-// batch over the same log, local or worker-held — share one.
+// view (joblog.Columns.Memo), so the explainers of every question and the
+// specs of every batch over the same view, local or worker-held, share
+// one.
 type deriverKey features.Level
+
+// deriverOf returns log's memoized deriver for level.
+func deriverOf(log *joblog.Log, level features.Level) *features.Deriver {
+	return log.Columns().Memo(deriverKey(level), func() any {
+		return features.NewDeriver(log.Schema, level)
+	}).(*features.Deriver)
+}
 
 // compileSpecs validates the level and decodes and compiles wire-form
 // predicates against the log, under its memoized deriver for the level.
@@ -264,9 +272,7 @@ func compileSpecs(log *joblog.Log, level features.Level, specs ...pxql.Predicate
 		return nil, fmt.Errorf("core: spec has invalid feature level %d", level)
 	}
 	cols := log.Columns()
-	dr := cols.Memo(deriverKey(level), func() any {
-		return features.NewDeriver(log.Schema, level)
-	}).(*features.Deriver)
+	dr := deriverOf(log, level)
 	out := make([]*pxql.CompiledPredicate, len(specs))
 	for i, ps := range specs {
 		p, err := ps.Predicate()
@@ -279,15 +285,19 @@ func compileSpecs(log *joblog.Log, level features.Level, specs ...pxql.Predicate
 }
 
 // tileBuf is one walk's tile: its pair of index arrays, the code planes
-// its clauses share (pxql.Tile) and the skip sampler's inversion table. A
-// walk cut into many specs would otherwise allocate some 80 KB per spec
-// to hold a few thousand kept pairs; the pool recycles them between specs
-// and queries.
+// its clauses share (pxql.Tile), the kernels' selection bitmaps and the
+// skip sampler's inversion table. A walk cut into many specs would
+// otherwise allocate some 80 KB per spec to hold a few thousand kept
+// pairs; the pool recycles them between specs and queries.
 type tileBuf struct {
 	ai, bi [pairBlock]int
 	tile   pxql.Tile
+	sels   tileSels
 	skip   skipTable
 }
+
+// tileSels is a walk kernel's scratch: three selection bitmaps of a tile.
+type tileSels [3][pairBlock / 64]uint64
 
 var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 
@@ -298,8 +308,9 @@ var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 // the groups' outer ranges own that survive the sampling decision — in
 // (group, outer member, inner member) order, as tiles of at most
 // pairBlock pairs: parallel index arrays, and the same block as a
-// pxql.Tile bound to the clauses the kernel will push through it. All
-// three are reused between calls; visit must not retain them. Each pair
+// pxql.Tile bound to the clauses the kernel will push through it, with
+// three selection bitmaps of scratch. All are reused between calls;
+// visit must not retain them. Each pair
 // is kept independently with
 // probability keepP, decided one of two ways:
 //
@@ -319,7 +330,7 @@ var tilePool = sync.Pool{New: func() any { return new(tileBuf) }}
 // Both are exact iid Bernoulli(keepP) thinnings of the same pair space
 // in the same order; they keep different pairs.
 func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, clauses []*pxql.CompiledPredicate,
-	visit func(tile *pxql.Tile, ai, bi []int)) error {
+	visit func(tile *pxql.Tile, ai, bi []int, sels *tileSels)) error {
 
 	for gi, g := range groups {
 		if g.Lo < 0 || g.Hi < g.Lo || g.Hi > len(g.Members) {
@@ -364,7 +375,7 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, clauses []
 					bi = append(bi, j)
 					if len(ai) == pairBlock {
 						tile.Reset(ai, bi)
-						visit(tile, ai, bi)
+						visit(tile, ai, bi, &tb.sels)
 						ai, bi = ai[:0], bi[:0]
 					}
 				}
@@ -379,7 +390,7 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, clauses []
 					bi = append(bi, j)
 					if len(ai) == pairBlock {
 						tile.Reset(ai, bi)
-						visit(tile, ai, bi)
+						visit(tile, ai, bi, &tb.sels)
 						ai, bi = ai[:0], bi[:0]
 					}
 				}
@@ -388,7 +399,7 @@ func walkTiles(groups []EnumGroup, n int, seed uint64, keepP float64, clauses []
 	}
 	if len(ai) > 0 {
 		tile.Reset(ai, bi)
-		visit(tile, ai, bi)
+		visit(tile, ai, bi, &tb.sels)
 	}
 	return nil
 }
@@ -476,12 +487,9 @@ func (s *EnumSpec) runInto(log *joblog.Log, res *EnumResult) error {
 			res.RefA, res.RefB, res.Labels = make([]int, 0, n), make([]int, 0, n), make([]bool, 0, n)
 		}
 	}
-	des := bitset.Make(pairBlock)
-	obsSel := bitset.Make(pairBlock)
-	expSel := bitset.Make(pairBlock)
-	return walkTiles(s.Groups, log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
+	return walkTiles(s.Groups, log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int, sels *tileSels) {
 		nw := bitset.Words(len(ai))
-		dS, oS, eS := des[:nw], obsSel[:nw], expSel[:nw]
+		dS, oS, eS := bitset.Set(sels[0][:nw]), bitset.Set(sels[1][:nw]), bitset.Set(sels[2][:nw])
 		dS.Ones(len(ai))
 		cDes.AndTile(tile, dS)
 		oS.CopyFrom(dS)
@@ -517,11 +525,9 @@ func (s *EvalSpec) RunWith(log *joblog.Log) (*EvalResult, error) {
 	cDes, cObs, cExp, cBec := c[0], c[1], c[2], c[3]
 
 	res := &EvalResult{}
-	des := bitset.Make(pairBlock)
-	scratch := bitset.Make(pairBlock)
-	err = walkTiles(s.Groups, log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int) {
+	err = walkTiles(s.Groups, log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int, sels *tileSels) {
 		nw := bitset.Words(len(ai))
-		dS, t := des[:nw], scratch[:nw]
+		dS, t := bitset.Set(sels[0][:nw]), bitset.Set(sels[1][:nw])
 		dS.Ones(len(ai))
 		cDes.AndTile(tile, dS)
 		res.Context += dS.Count()

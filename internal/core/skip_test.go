@@ -49,7 +49,7 @@ func skipRow(seed uint64, i, room int, keepP float64) []int {
 func walkedPairs(t *testing.T, members []int, n int, seed uint64, keepP float64) (as, bs []int) {
 	t.Helper()
 	groups := []EnumGroup{{Members: members, Lo: 0, Hi: len(members)}}
-	if err := walkTiles(groups, n, seed, keepP, nil, func(_ *pxql.Tile, ai, bi []int) {
+	if err := walkTiles(groups, n, seed, keepP, nil, func(_ *pxql.Tile, ai, bi []int, _ *tileSels) {
 		as, bs = append(as, ai...), append(bs, bi...)
 	}); err != nil {
 		t.Fatal(err)

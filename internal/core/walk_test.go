@@ -33,7 +33,7 @@ func enumLocal(t testing.TB, log *joblog.Log, q *pxql.Query, despite pxql.Predic
 		t.Fatal(err)
 	}
 	defer ps.release()
-	return ps.flatten()
+	return ps.flatten(new(pairPlanes))
 }
 
 // chunked cuts flat planes into a pair set of len(cuts)+1 chunks at the
@@ -67,7 +67,7 @@ func enumSwitched(t testing.TB, log *joblog.Log, q *pxql.Query, maxPairs int, se
 		t.Fatal(err)
 	}
 	defer ps.release()
-	return ps.flatten()
+	return ps.flatten(new(pairPlanes))
 }
 
 // checkRelated compares an engine pair set with the oracle: the same set

@@ -419,25 +419,26 @@ func (d *Deriver) SymString(in *joblog.Intern, derivedIdx int, sym uint64) strin
 // then only match via the not-equal operator). Diff constants may map to
 // several symbols when the rendered string is ambiguous (a raw value
 // containing the arrow); matching any of them is exactly string equality
-// on the rendered form.
+// on the rendered form. An issame or compare result is shared by every
+// caller, so no caller writes to a result.
 func (d *Deriver) SymsForString(in *joblog.Intern, derivedIdx int, s string) []uint64 {
 	switch d.mapping[derivedIdx].kind {
 	case IsSame:
 		switch s {
 		case "T":
-			return []uint64{SymT}
+			return codeSyms[SymT : SymT+1 : SymT+1]
 		case "F":
-			return []uint64{SymF}
+			return codeSyms[SymF : SymF+1 : SymF+1]
 		}
 		return nil
 	case Compare:
 		switch s {
 		case "LT":
-			return []uint64{SymLT}
+			return codeSyms[SymLT : SymLT+1 : SymLT+1]
 		case "SIM":
-			return []uint64{SymSIM}
+			return codeSyms[SymSIM : SymSIM+1 : SymSIM+1]
 		case "GT":
-			return []uint64{SymGT}
+			return codeSyms[SymGT : SymGT+1 : SymGT+1]
 		}
 		return nil
 	case Diff:
@@ -449,6 +450,9 @@ func (d *Deriver) SymsForString(in *joblog.Intern, derivedIdx int, s string) []u
 		return nil
 	}
 }
+
+// codeSyms backs SymsForString's one-symbol issame and compare results.
+var codeSyms = [...]uint64{SymLT, SymSIM, SymGT}
 
 // diffSymsFor enumerates every (x, y) split of a "(x→y)" constant whose
 // parts are both interned. "(va→vb)" == s holds for a pair exactly when
@@ -515,10 +519,13 @@ func (d *Deriver) ReshapePairMatrix(m *PairMatrix, n int) {
 }
 
 // resize returns s with length n, reallocated only when its capacity is
-// short; the cells it keeps are not cleared.
+// short; the cells it keeps are not cleared. A new array gets a sixteenth
+// of headroom: a balanced sample's size varies by a few percent from one
+// question to the next, and a recycled matrix should not reallocate every
+// time it meets a sample a little larger than any before.
 func resize[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		return make(S, n)
+		return make(S, n, n+n/16)
 	}
 	return s[:n]
 }
@@ -772,23 +779,25 @@ func (m *PairMatrix) fillNominal(p *rawPlan, src rawCells, r fillRun) {
 }
 
 // gather is FillSample's sample-local copy of the cells a list of pairs
-// reads. The distinct records are marked in a bitset over the view and
-// numbered by rank (a prefix popcount), and each pair is rewritten as its
-// two ranks. A work unit then copies one raw column's cells for the
-// marked records into its worker's buffer in rank order — one ascending
-// sweep of the column — and fills from there, so the fill's scattered
-// reads land in a few kilobytes, not in the whole log's planes, and only
-// one column per worker is ever resident.
+// reads. The distinct records are marked in a bitset over the view,
+// listed in ascending order (rows) and numbered by rank — their place in
+// that list, a prefix popcount of the marks — and each pair is rewritten
+// as its two ranks. A work unit then copies one raw column's cells for
+// the listed rows into its worker's buffer in rank order, one load per
+// row with no branch, and fills from there, so the fill's scattered reads
+// land in a few kilobytes, not in the whole log's planes, and only one
+// column per worker is ever resident.
 type gather struct {
 	mark   bitset.Set // over the view's rows
 	rank   []int      // rank[w]: marked rows in the words before w
+	rows   []int32    // the marked rows, ascending: rank k is rows[k]
 	la, lb []int      // each pair's records, as ranks
-	n      int        // distinct records
 	bufs   []rawCells // one column buffer per fill worker
 }
 
-// load marks and ranks the records of the pairs (ai[k], bi[k]) over a
-// view of rows rows, and readies a column buffer for each of workers.
+// load marks, lists and ranks the records of the pairs (ai[k], bi[k])
+// over a view of rows rows, and readies a column buffer for each of
+// workers.
 func (g *gather) load(rows int, ai, bi []int, workers int) {
 	g.mark = resize(g.mark, bitset.Words(rows))
 	clear(g.mark)
@@ -797,10 +806,12 @@ func (g *gather) load(rows int, ai, bi []int, workers int) {
 		g.mark.SetBit(bi[k])
 	}
 	g.rank = resize(g.rank, len(g.mark))
-	g.n = 0
+	g.rows = g.rows[:0]
 	for w, word := range g.mark {
-		g.rank[w] = g.n
-		g.n += bits.OnesCount64(word)
+		g.rank[w] = len(g.rows)
+		for ; word != 0; word &= word - 1 {
+			g.rows = append(g.rows, int32(w<<6|bits.TrailingZeros64(word)))
+		}
 	}
 	g.la, g.lb = resize(g.la, len(ai)), resize(g.lb, len(ai))
 	for k, a := range ai {
@@ -815,50 +826,52 @@ func (g *gather) rankOf(row int) int {
 	return g.rank[w] + bits.OnesCount64(g.mark[w]&(1<<(uint(row)&63)-1))
 }
 
-// column gathers raw column c's cells for the marked records into buf,
+// column gathers raw column c's cells for the listed rows into buf,
 // growing it when short, and returns them addressed by rank — with a nil
-// miss when none of them is missing. Distinct buffers may be filled
-// concurrently.
+// miss when none of them is missing. The missing bits are gathered only
+// when the view column has a missing cell at all. Distinct buffers may be
+// filled concurrently.
 func (g *gather) column(c *joblog.Col, buf *rawCells) rawCells {
-	w := bitset.Words(g.n)
-	buf.miss = resize(buf.miss, w)
-	cells := rawCells{miss: buf.miss}
-	var missing bool
+	var cells rawCells
 	if c.Kind == joblog.Numeric {
-		buf.num = resize(buf.num, g.n)
+		buf.num = resize(buf.num, len(g.rows))
 		cells.num = buf.num
-		missing = gatherCells(cells.num, c.Num, c.Miss, g.mark, cells.miss)
+		gatherRows(cells.num, c.Num, g.rows)
 	} else {
-		buf.sym = resize(buf.sym, g.n)
+		buf.sym = resize(buf.sym, len(g.rows))
 		cells.sym = buf.sym
-		missing = gatherCells(cells.sym, c.Sym, c.Miss, g.mark, cells.miss)
+		gatherRows(cells.sym, c.Sym, g.rows)
 	}
-	if !missing {
-		cells.miss = nil
+	if c.Miss.Any() {
+		buf.miss = resize(buf.miss, bitset.Words(len(g.rows)))
+		if gatherBits(buf.miss, c.Miss, g.rows) {
+			cells.miss = buf.miss
+		}
 	}
 	return cells
 }
 
-// gatherCells copies the marked rows' cells of plane, and their missing
-// bits, into dst and miss in row order, writing every word of miss, and
-// reports whether any copied cell is missing. The missing bits build up
-// in a register and land a word at a time.
-func gatherCells[E float64 | uint32](dst, plane []E, planeMiss, mark, miss bitset.Set) bool {
-	k, mw, seen := 0, uint64(0), uint64(0)
-	for w, word := range mark {
-		pm := planeMiss[w]
-		for ; word != 0; word &= word - 1 {
-			bit := uint(bits.TrailingZeros64(word))
-			dst[k] = plane[w<<6|int(bit)]
-			mw |= (pm >> bit & 1) << (uint(k) & 63)
-			k++
-			if k&63 == 0 {
-				miss[k>>6-1], seen, mw = mw, seen|mw, 0
-			}
+// gatherRows copies plane's cells at rows into dst, in list order.
+func gatherRows[E float64 | uint32](dst, plane []E, rows []int32) {
+	dst = dst[:len(rows)]
+	for k, r := range rows {
+		dst[k] = plane[r]
+	}
+}
+
+// gatherBits copies src's bits at rows into dst, row k to bit k, writing
+// every word of dst, and reports whether any copied bit is set. The bits
+// build up in a register and land a word at a time.
+func gatherBits(dst, src bitset.Set, rows []int32) bool {
+	var mw, seen uint64
+	for k, r := range rows {
+		mw |= (src[r>>6] >> (uint(r) & 63) & 1) << (uint(k) & 63)
+		if k&63 == 63 {
+			dst[k>>6], seen, mw = mw, seen|mw, 0
 		}
 	}
-	if k&63 != 0 {
-		miss[k>>6], seen = mw, seen|mw
+	if n := len(rows); n&63 != 0 {
+		dst[n>>6], seen = mw, seen|mw
 	}
 	return seen != 0
 }

@@ -44,6 +44,8 @@ func Workers(n, workers int) int {
 // [0, Workers(n, workers)). One worker's calls run one after another, so
 // fn may keep scratch in a slot of that number; which indices a worker
 // runs depends on scheduling, so nothing but scratch may depend on it.
+// The caller is worker 0, so a call starts Workers(n, workers)-1
+// goroutines.
 func DoWorkers(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -55,38 +57,50 @@ func DoWorkers(n, workers int, fn func(worker, i int)) {
 		}
 		return
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	r := &doRun{n: n, fn: fn}
+	r.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					panicMu.Unlock()
-					// Drain remaining indices so sibling workers exit.
-					next.Store(int64(n))
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
+			defer r.wg.Done()
+			r.work(w)
 		}()
 	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	r.work(0)
+	r.wg.Wait()
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+}
+
+// doRun is the state one DoWorkers call's workers share.
+type doRun struct {
+	n        int
+	fn       func(worker, i int)
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	panicMu  sync.Mutex
+	panicked any
+}
+
+// work runs indices as worker w until none is left. A panic is kept for
+// the caller to re-raise, and drains the remaining indices so sibling
+// workers exit.
+func (r *doRun) work(w int) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.panicMu.Lock()
+			if r.panicked == nil {
+				r.panicked = p
+			}
+			r.panicMu.Unlock()
+			r.next.Store(int64(r.n))
+		}
+	}()
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= r.n {
+			return
+		}
+		r.fn(w, i)
 	}
 }

@@ -58,9 +58,10 @@ const (
 
 // compiledAtom is one atom of a compiled predicate: its opcode, the raw
 // column it reads, and everything its block kernel would otherwise look
-// up per pair. A caCode atom also records, once at compile time, the
-// column's missing bits — nil when the view holds no missing cell in it,
-// so its tiles run the code kernels that load no missing bit.
+// up per pair. Every atom that reads a column also records, once at
+// compile time, the column's missing bits — nil when the view holds no
+// missing cell in it, so its tiles run the kernels that load no missing
+// bit.
 type compiledAtom struct {
 	kind    caKind
 	col     *joblog.Col       // raw column the feature derives from
@@ -69,7 +70,7 @@ type compiledAtom struct {
 	ne      bool              // caCode: operator is !=
 	symKern SymKernel         // caSym block kernel
 	codes   features.CodeSet  // caCode: codes rendering the constant
-	miss    bitset.Set        // caCode: col.Miss, or nil when no cell is missing
+	miss    bitset.Set        // col.Miss, or nil when no cell is missing
 }
 
 // CompiledPredicate is a Predicate lowered against one deriver and one
@@ -85,7 +86,11 @@ type CompiledPredicate struct {
 func (p Predicate) Compile(d *features.Deriver, cols *joblog.Columns) *CompiledPredicate {
 	cp := &CompiledPredicate{atoms: make([]compiledAtom, 0, len(p))}
 	for _, a := range p {
-		cp.atoms = append(cp.atoms, compileAtom(a, d, cols))
+		ca := compileAtom(a, d, cols)
+		if ca.kind != caFalse && ca.col.Miss.Any() {
+			ca.miss = ca.col.Miss
+		}
+		cp.atoms = append(cp.atoms, ca)
 	}
 	return cp
 }
@@ -114,11 +119,7 @@ func compileAtom(a Atom, d *features.Deriver, cols *joblog.Columns) compiledAtom
 	syms := d.SymsForString(cols.Intern(), i, a.Value.Str)
 	switch {
 	case d.CodeOffset(i) >= 0:
-		ca := compiledAtom{kind: caCode, col: col, ne: ne, codes: d.CodeSetOf(i, syms)}
-		if col.Miss.Any() {
-			ca.miss = col.Miss
-		}
-		return ca
+		return compiledAtom{kind: caCode, col: col, ne: ne, codes: d.CodeSetOf(i, syms)}
 	case d.SymOffset(i) < 0:
 		// Compare of a nominal raw, diff of a numeric one: missing on every
 		// pair.
@@ -293,7 +294,8 @@ type codePlane struct {
 func (t *Tile) Bind(maxPairs int, preds ...*CompiledPredicate) {
 	old := t.planes
 	t.planes = t.planes[:0]
-	var once []*joblog.Col // columns one code atom reads so far
+	var onceBuf [8]*joblog.Col
+	once := onceBuf[:0] // columns one code atom reads so far
 	for _, cp := range preds {
 		for i := range cp.atoms {
 			ca := &cp.atoms[i]
@@ -378,7 +380,7 @@ func (ca *compiledAtom) andTile(t *Tile, acc bitset.Set) {
 	switch ca.kind {
 	case caNum:
 		c := ca.col
-		kern := ca.numKern
+		num, kern := c.Num, ca.numKern
 		for w, base := 0, 0; base < n; w, base = w+1, base+64 {
 			m := acc[w]
 			if m == 0 {
@@ -386,15 +388,24 @@ func (ca *compiledAtom) andTile(t *Tile, acc bitset.Set) {
 			}
 			end := min(base+64, n)
 			var selW uint64
-			for k := base; k < end; k++ {
-				selW |= kern.Bit(features.BaseNum(c, ai[k], bi[k])) << uint(k-base)
+			if ca.miss == nil {
+				// The base value is x when the cells agree and NaN —
+				// which satisfies no kernel — when they do not.
+				for k := base; k < end; k++ {
+					x := num[ai[k]]
+					selW |= (kern.Bit(x) & b2u(x == num[bi[k]])) << uint(k-base)
+				}
+			} else {
+				for k := base; k < end; k++ {
+					selW |= kern.Bit(features.BaseNum(c, ai[k], bi[k])) << uint(k-base)
+				}
 			}
 			acc[w] = m & selW
 		}
 	case caSym:
 		c := ca.col
 		diff := ca.family == features.Diff
-		kern := ca.symKern
+		sym, kern := c.Sym, ca.symKern
 		for w, base := 0, 0; base < n; w, base = w+1, base+64 {
 			m := acc[w]
 			if m == 0 {
@@ -402,14 +413,28 @@ func (ca *compiledAtom) andTile(t *Tile, acc bitset.Set) {
 			}
 			end := min(base+64, n)
 			var selW uint64
-			for k := base; k < end; k++ {
-				var s uint64
-				if diff {
-					s = features.DiffSymOf(c, ai[k], bi[k])
-				} else { // features.Base, nominal plane
-					s = features.BaseSym(c, ai[k], bi[k])
+			switch {
+			case ca.miss == nil && diff:
+				for k := base; k < end; k++ {
+					selW |= kern.Bit(features.DiffSym(sym[ai[k]], sym[bi[k]])) << uint(k-base)
 				}
-				selW |= kern.Bit(s) << uint(k-base)
+			case ca.miss == nil: // features.Base, nominal plane
+				// The shared symbol when the cells agree, MissingSym
+				// when they do not.
+				for k := base; k < end; k++ {
+					sa := sym[ai[k]]
+					selW |= kern.Bit(uint64(sa)|(b2u(sa == sym[bi[k]])-1)) << uint(k-base)
+				}
+			default:
+				for k := base; k < end; k++ {
+					var s uint64
+					if diff {
+						s = features.DiffSymOf(c, ai[k], bi[k])
+					} else { // features.Base, nominal plane
+						s = features.BaseSym(c, ai[k], bi[k])
+					}
+					selW |= kern.Bit(s) << uint(k-base)
+				}
 			}
 			acc[w] = m & selW
 		}

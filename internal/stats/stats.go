@@ -6,9 +6,10 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -57,26 +58,24 @@ func Entropy2(pos, neg int) float64 {
 	return BinaryEntropy(float64(pos) / float64(n))
 }
 
-// PercentileRanks maps each value in xs to its percentile rank in [0,1]:
-// the fraction of values strictly below it plus half the fraction of
-// equal values (the standard mid-rank convention, so ties share a rank).
-// This is the normalizeScore transformation of Algorithm 1: raw precision
-// and generality values are replaced by their ranks before being blended,
-// so the two scales cannot drown each other out.
-func PercentileRanks(xs []float64) []float64 {
+// PercentileRanks writes to ranks[i] the percentile rank in [0,1] of
+// xs[i]: the fraction of values strictly below it plus half the fraction
+// of equal values (the standard mid-rank convention, so ties share a
+// rank). This is the normalizeScore transformation of Algorithm 1: raw
+// precision and generality values are replaced by their ranks before
+// being blended, so the two scales cannot drown each other out. ranks
+// and idx, the sort's scratch, hold len(xs) elements each; whatever they
+// held is overwritten.
+func PercentileRanks(ranks []float64, idx []int, xs []float64) {
 	n := len(xs)
-	if n == 0 {
-		return nil
-	}
 	if n == 1 {
-		return []float64{1}
+		ranks[0] = 1
+		return
 	}
-	idx := make([]int, n)
-	for i := range idx {
+	for i := range idx[:n] {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
+	slices.SortFunc(idx[:n], func(a, b int) int { return cmp.Compare(xs[a], xs[b]) })
 	for i := 0; i < n; {
 		j := i
 		for j < n && xs[idx[j]] == xs[idx[i]] {
@@ -91,7 +90,6 @@ func PercentileRanks(xs []float64) []float64 {
 		}
 		i = j
 	}
-	return ranks
 }
 
 // Similar reports whether a and b are within 10% of one another, the

@@ -79,8 +79,19 @@ func TestEntropyProperties(t *testing.T) {
 	}
 }
 
+// percentileRanks is PercentileRanks into buffers that start out holding
+// garbage, as recycled ones do.
+func percentileRanks(xs []float64) []float64 {
+	ranks, idx := make([]float64, len(xs)), make([]int, len(xs))
+	for i := range xs {
+		ranks[i], idx[i] = -7, len(xs)-i
+	}
+	PercentileRanks(ranks, idx, xs)
+	return ranks
+}
+
 func TestPercentileRanks(t *testing.T) {
-	got := PercentileRanks([]float64{10, 20, 30})
+	got := percentileRanks([]float64{10, 20, 30})
 	want := []float64{0, 0.5, 1}
 	for i := range want {
 		if !almostEqual(got[i], want[i]) {
@@ -88,17 +99,15 @@ func TestPercentileRanks(t *testing.T) {
 		}
 	}
 	// Ties share the mid-rank.
-	got = PercentileRanks([]float64{1, 1, 2})
+	got = percentileRanks([]float64{1, 1, 2})
 	if !almostEqual(got[0], got[1]) {
 		t.Errorf("tied values got different ranks: %v", got)
 	}
 	if !almostEqual(got[2], 1) {
 		t.Errorf("max value rank = %v, want 1", got[2])
 	}
-	if PercentileRanks(nil) != nil {
-		t.Error("ranks of nil should be nil")
-	}
-	single := PercentileRanks([]float64{42})
+	PercentileRanks(nil, nil, nil) // no values, nothing to write
+	single := percentileRanks([]float64{42})
 	if len(single) != 1 || single[0] != 1 {
 		t.Errorf("single-element ranks = %v, want [1]", single)
 	}
@@ -112,7 +121,7 @@ func TestPercentileRanksProperties(t *testing.T) {
 				xs[i] = 0
 			}
 		}
-		rs := PercentileRanks(xs)
+		rs := percentileRanks(xs)
 		for i := range xs {
 			if rs[i] < 0 || rs[i] > 1 {
 				return false
