@@ -117,6 +117,19 @@ func AndCount3(a, b, c Set) int {
 	return n
 }
 
+// AndCounts returns the popcounts of a ∧ b and of a ∧ b ∧ c in one pass
+// over the words: a class count, all members and the positive ones, of
+// the set a within b when c holds the positives.
+func AndCounts(a, b, c Set) (ab, abc int) {
+	b, c = b[:len(a)], c[:len(a)]
+	for w, x := range a {
+		x &= b[w]
+		ab += bits.OnesCount64(x)
+		abc += bits.OnesCount64(x & c[w])
+	}
+	return ab, abc
+}
+
 // ForEach calls fn for every set bit in ascending order — the iteration
 // primitive that keeps bitmap-composed pair sets in the exact order the
 // per-pair loops they replaced produced.

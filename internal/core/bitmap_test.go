@@ -21,16 +21,19 @@ import (
 
 // bitmapFixture materializes a pair matrix over bitmapLog's log with
 // missing cells, so every store carries missing rows the kernels must
-// reject.
+// reject. It fills as an explanation does, so every base and diff column
+// has its value index.
 func bitmapFixture(t *testing.T, nRecs int) (*features.Deriver, *joblog.Intern, *features.PairMatrix) {
 	t.Helper()
 	log, refs := bitmapLog(nRecs)
 	d := features.NewDeriver(log.Schema, features.Level3)
 	cols := log.Columns()
 	m := d.NewPairMatrix(len(refs))
+	ai, bi := make([]int, len(refs)), make([]int, len(refs))
 	for r, ref := range refs {
-		m.Fill(cols, r, ref.a, ref.b)
+		ai[r], bi[r] = ref.a, ref.b
 	}
+	m.FillSample(cols, ai, bi, nil, 2)
 	return d, cols.Intern(), m
 }
 
@@ -135,10 +138,15 @@ func bitmapCands(t *testing.T, d *features.Deriver, in *joblog.Intern, atoms []p
 
 // TestFillRangeMatchesEval holds each lowered atom's batched fill to its
 // per-row eval, and eval to Atom.Eval on the boxed vector the row engine
-// derives.
+// derives — over value planes, and over a matrix filled pair by pair,
+// which has no value index, by the column loops.
 func TestFillRangeMatchesEval(t *testing.T) {
 	d, in, m := bitmapFixture(t, 13) // 156 pairs: two full words + a partial tail
 	log, refs := bitmapLog(13)
+	direct := d.NewPairMatrix(len(refs))
+	for r, ref := range refs {
+		direct.Fill(log.Columns(), r, ref.a, ref.b)
+	}
 	for _, a := range bitmapAtoms() {
 		featIdx, ok := d.Schema().Index(a.Feature)
 		if !ok {
@@ -155,14 +163,16 @@ func TestFillRangeMatchesEval(t *testing.T) {
 				t.Fatalf("atom %v: row %d evals %v, the boxed value %v", a, row, ma.eval(m, row), boxed)
 			}
 		}
-		// Word-aligned partial fills must write the same bits.
-		part := bitset.Make(m.N)
+		// Word-aligned partial fills, and the column loops of a matrix with
+		// no value index, must write the same bits.
+		part, rows := bitset.Make(m.N), bitset.Make(m.N)
 		for lo := 0; lo < m.N; lo += 64 {
 			ma.fillRange(m, lo, min(lo+64, m.N), part, nil)
 		}
+		ma.fillRange(direct, 0, m.N, rows, nil)
 		for w := range sel {
-			if part[w] != sel[w] {
-				t.Fatalf("atom %v: tiled fill word %d = %x, whole fill = %x", a, w, part[w], sel[w])
+			if part[w] != sel[w] || rows[w] != sel[w] {
+				t.Fatalf("atom %v: word %d: tiled fill %x, column loop %x, whole fill %x", a, w, part[w], rows[w], sel[w])
 			}
 		}
 	}

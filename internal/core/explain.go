@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
-	"strings"
 
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/dtree"
@@ -477,10 +475,13 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, g *growScratch, l
 		stats.PercentileRanks(g.genRanks, g.order, gens)
 		// A variable, so 1-w rounds as float64 arithmetic does, not to the
 		// exact constant 0.2: near-tied candidates rank on that last bit.
+		// For the same reason each product is rounded on its own (an
+		// explicit conversion), so no GOARCH fuses the blend into a
+		// multiply-add.
 		w := precisionWeight
 		best, bestScore := -1, -1.0
 		for ci := range cands {
-			score := w*g.precRanks[ci] + (1-w)*g.genRanks[ci]
+			score := float64(w*g.precRanks[ci]) + float64((1-w)*g.genRanks[ci])
 			if score > bestScore {
 				best, bestScore = ci, score
 			}
@@ -540,11 +541,9 @@ type workingSet struct {
 // candidates builds the best applicable predicate per feature by
 // information gain (Algorithm 1 line 5) — the algorithm's inner loop,
 // scored concurrently across features straight off the pair-matrix
-// columns for the round's working set g.ws: numeric features read a flat
-// float column, nominal features count packed symbols or popcount code
-// planes and only decode the few distinct values for the deterministic
-// string-ordered tie-break. Results land in a per-feature slot and are
-// compacted in schema order afterwards, so the candidate list is
+// columns for the round's working set g.ws, every feature from its
+// values' class counts (see scoreFeature). Results land in a per-feature
+// slot and are compacted in schema order afterwards, so the candidate list is
 // independent of scheduling. Features derived from the query target are
 // excluded, as are features whose pair-of-interest value is missing (no
 // applicable predicate exists) and atoms already in the clause. The list
@@ -575,15 +574,14 @@ func (e *Explainer) candidates(m *features.PairMatrix, g *growScratch,
 	return out
 }
 
-// scoreScratch is one scoring worker's reusable buffers: the numeric
-// gather and its threshold sort, the symbol probe table and the decoded
-// per-value counts. Every field is overwritten before it is read, so
-// which worker last held a scratch never shows in a result.
+// scoreScratch is one scoring worker's reusable buffers: the per-value
+// class counts and, for the one column counts cannot score, the working
+// set's values and their threshold sort. Every field is overwritten before
+// it is read, so which worker last held a scratch never shows in a result.
 type scoreScratch struct {
+	counts []dtree.ClassCount
 	vals   []float64
 	thr    dtree.ThresholdScratch
-	syms   symTable
-	counts []dtree.NominalCount
 }
 
 // scorable reports whether scoreFeature may propose an atom over derived
@@ -624,6 +622,14 @@ func (e *Explainer) scorableMask(want bitset.Set, pairVec []joblog.Value) bitset
 // line 5. ok is false when the feature is not scorable (target-derived,
 // above the clause feature level, inapplicable to the pair of interest),
 // is already in the clause or admits no split.
+//
+// Every feature is scored from the class counts of its values over the
+// working set, in the order the split's tie-break reads them: an issame
+// or compare feature's from popcounts of its code planes, in the fixed
+// string order of its codes (F < T, GT < LT < SIM); a base or diff
+// column's from its value index (features.ValueIndex), whose values are
+// already in order, ascending or by rendered string. Only the winning
+// value is rendered.
 func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *workingSet,
 	pairVec []joblog.Value, clause pxql.Predicate, f int, sc *scoreScratch) (pxql.Atom, float64, bool) {
 
@@ -631,47 +637,51 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *
 		return pxql.Atom{}, 0, false
 	}
 	d := e.d
-	schema := d.Schema()
 	v0 := pairVec[f]
-	var atom pxql.Atom
+	atom := pxql.Atom{Feature: d.Schema().Field(f).Name}
 	var gain float64
-	if numOff := d.NumOffset(f); numOff >= 0 {
-		// A working set that is still the whole sample is the column
-		// itself; a strict subset gathers its rows into scratch.
-		col := m.NumCol(numOff)
-		vals := col
-		if len(ws.rows) < len(col) {
-			if cap(sc.vals) < len(ws.rows) {
-				sc.vals = make([]float64, len(ws.rows))
-			}
-			vals = sc.vals[:len(ws.rows)]
-			for k, i := range ws.rows {
-				vals[k] = col[i]
-			}
-		}
-		thr, g, ok := dtree.BestThresholdF(vals, ws.labels, &sc.thr)
+	if codeOff := d.CodeOffset(f); codeOff >= 0 {
+		val, g, ok := bestCode(d, f, m, codeOff, ws, sc)
 		if !ok {
 			return pxql.Atom{}, 0, false
 		}
-		op := pxql.OpLe
-		if v0.Num > thr {
-			op = pxql.OpGt
-		}
-		atom = pxql.Atom{Feature: schema.Field(f).Name, Op: op, Value: joblog.Num(thr)}
-		gain = g
+		atom.Value, gain = joblog.Str(val), g
 	} else {
-		val, g, ok := bestNominalSyms(d, in, f, m, ws, sc)
-		if !ok {
-			return pxql.Atom{}, 0, false
+		vi := m.Values(f)
+		if vi == nil {
+			// Diff of a numeric raw and compare of a nominal one are
+			// missing on every pair: no split.
+			if d.NumOffset(f) < 0 && d.SymOffset(f) < 0 {
+				return pxql.Atom{}, 0, false
+			}
+			panic(fmt.Sprintf("core: feature %s has no value index; fill the matrix with FillSample", atom.Feature))
 		}
-		// The split on value v* has the same gain whichever side the
-		// predicate asserts; applicability picks the direction.
-		op := pxql.OpEq
-		if v0.Str != val {
-			op = pxql.OpNe
+		sc.counts = valueCounts(sc.counts, vi, ws)
+		if d.NumOffset(f) >= 0 {
+			thr, g, ok := bestThreshold(vi, m.NumCol(d.NumOffset(f)), ws, sc)
+			if !ok {
+				return pxql.Atom{}, 0, false
+			}
+			atom.Value, gain = joblog.Num(thr), g
+		} else {
+			best, g, ok := dtree.BestNominalCounts(sc.counts, len(ws.rows))
+			if !ok {
+				return pxql.Atom{}, 0, false
+			}
+			atom.Value, gain = joblog.Str(vi.String(d, in, best)), g
 		}
-		atom = pxql.Atom{Feature: schema.Field(f).Name, Op: op, Value: joblog.Str(val)}
-		gain = g
+	}
+	// The split has the same gain whichever side the predicate asserts;
+	// applicability picks the direction.
+	switch {
+	case atom.Value.Kind == joblog.Numeric && v0.Num > atom.Value.Num:
+		atom.Op = pxql.OpGt
+	case atom.Value.Kind == joblog.Numeric:
+		atom.Op = pxql.OpLe
+	case v0.Str == atom.Value.Str:
+		atom.Op = pxql.OpEq
+	default:
+		atom.Op = pxql.OpNe
 	}
 	if containsAtom(clause, atom) {
 		return pxql.Atom{}, 0, false
@@ -679,130 +689,81 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *
 	return atom, gain, true
 }
 
-// symCount is one distinct symbol's class counts.
-type symCount struct {
-	sym      uint64
-	pos, neg int
-}
+// codeNames are the renderings of an issame and a compare feature's
+// codes, in string order.
+var codeNames = [2][]string{{"F", "T"}, {"GT", "LT", "SIM"}}
 
-// symTable counts class labels per symbol without a map: an
-// open-addressed probe table (slot holds 1 + the symbol's index in ents,
-// 0 when empty) over a dense entry list in first-appearance order. It
-// doubles whenever it is more than half full, so a probe sequence always
-// ends, and it keeps its capacity between columns.
-type symTable struct {
-	slot []int32
-	ents []symCount
-}
-
-// symHash spreads a packed symbol over the table (Fibonacci hashing; the
-// low bits of a diff pack are one side's intern ID only).
-func symHash(sym uint64, mask int) int {
-	return int((sym*0x9e3779b97f4a7c15)>>32) & mask
-}
-
-func (t *symTable) reset() {
-	if t.slot == nil {
-		t.slot = make([]int32, 64)
+// bestCode scores an issame or compare feature from its code-plane
+// triple: each code's counts are popcounts of its plane against the
+// working set and its positives — GT's, and issame F's, what present
+// holds beyond SIM and LT.
+func bestCode(d *features.Deriver, f int, m *features.PairMatrix, codeOff int, ws *workingSet, sc *scoreScratch) (string, float64, bool) {
+	present, sim, lt := m.CodePlanes(codeOff)
+	count := func(p bitset.Set) dtree.ClassCount {
+		n, pos := bitset.AndCounts(p, ws.bits, ws.pos)
+		return dtree.ClassCount{Pos: pos, Neg: n - pos}
 	}
-	clear(t.slot)
-	t.ents = t.ents[:0]
-}
-
-// probe returns sym's slot: the one that holds it, or the empty one it
-// would take.
-func (t *symTable) probe(sym uint64) int {
-	mask := len(t.slot) - 1
-	h := symHash(sym, mask)
-	for t.slot[h] != 0 && t.ents[t.slot[h]-1].sym != sym {
-		h = (h + 1) & mask
-	}
-	return h
-}
-
-// at returns the entry of sym, adding it on first sight. The pointer is
-// valid until the next call.
-func (t *symTable) at(sym uint64) *symCount {
-	h := t.probe(sym)
-	if t.slot[h] == 0 {
-		if 2*(len(t.ents)+1) > len(t.slot) {
-			t.slot = make([]int32, 2*len(t.slot))
-			for i := range t.ents {
-				t.slot[t.probe(t.ents[i].sym)] = int32(i + 1)
-			}
-			h = t.probe(sym)
-		}
-		t.ents = append(t.ents, symCount{sym: sym})
-		t.slot[h] = int32(len(t.ents))
-	}
-	return &t.ents[t.slot[h]-1]
-}
-
-// bestNominalSyms scores one nominal feature's matrix store for
-// dtree.BestNominalFromCounts. Class counts come per code or per packed
-// symbol: a code-plane triple's (every issame feature, and compare of a
-// numeric raw) are popcounts of each plane against the working set and
-// its positives; base and diff columns count into the scratch probe
-// table. Then the few distinct symbols are decoded, sorted by rendered
-// string and merged where equal — issame renders both LT and GT as F,
-// and distinct diff symbols may render identically when a value contains
-// the arrow — so the scoring and its string-ordered tie-break see values,
-// not symbols. A feature without storage (missing on every pair) admits
-// no split.
-func bestNominalSyms(d *features.Deriver, in *joblog.Intern, featIdx int,
-	m *features.PairMatrix, ws *workingSet, sc *scoreScratch) (string, float64, bool) {
-
-	counts := sc.counts[:0]
-	symOff := d.SymOffset(featIdx)
-	switch codeOff := d.CodeOffset(featIdx); {
-	case codeOff >= 0:
-		present, sim, lt := m.CodePlanes(codeOff)
-		var tot, pos [features.SymGT + 1]int
-		tot[features.SymLT], pos[features.SymLT] = bitset.AndCount(lt, ws.bits), bitset.AndCount3(lt, ws.bits, ws.pos)
-		tot[features.SymSIM], pos[features.SymSIM] = bitset.AndCount(sim, ws.bits), bitset.AndCount3(sim, ws.bits, ws.pos)
-		tot[features.SymGT] = bitset.AndCount(present, ws.bits) - tot[features.SymLT] - tot[features.SymSIM]
-		pos[features.SymGT] = bitset.AndCount3(present, ws.bits, ws.pos) - pos[features.SymLT] - pos[features.SymSIM]
-		for c := range tot {
-			if tot[c] > 0 {
-				counts = append(counts, dtree.NominalCount{
-					Value: d.SymString(in, featIdx, uint64(c)), Pos: pos[c], Neg: tot[c] - pos[c]})
-			}
-		}
-	case symOff < 0:
-		return "", 0, false
-	default:
-		col := m.SymCol(symOff)
-		t := &sc.syms
-		t.reset()
-		for k, i := range ws.rows {
-			s := col[i]
-			if s == features.MissingSym {
-				continue
-			}
-			e := t.at(s)
-			if ws.labels[k] {
-				e.pos++
-			} else {
-				e.neg++
-			}
-		}
-		for _, e := range t.ents {
-			counts = append(counts, dtree.NominalCount{
-				Value: d.SymString(in, featIdx, e.sym), Pos: e.pos, Neg: e.neg})
-		}
-	}
-	slices.SortFunc(counts, func(a, b dtree.NominalCount) int { return strings.Compare(a.Value, b.Value) })
-	merged := counts[:0]
-	for _, c := range counts {
-		if n := len(merged); n > 0 && merged[n-1].Value == c.Value {
-			merged[n-1].Pos += c.Pos
-			merged[n-1].Neg += c.Neg
-			continue
-		}
-		merged = append(merged, c)
+	all, l, s := count(present), count(lt), count(sim)
+	gt := dtree.ClassCount{Pos: all.Pos - l.Pos - s.Pos, Neg: all.Neg - l.Neg - s.Neg}
+	names := codeNames[1]
+	counts := append(sc.counts[:0], gt, l, s)
+	if _, family := d.RawOf(f); family == features.IsSame {
+		names = codeNames[0]
+		counts = append(counts[:0], dtree.ClassCount{Pos: gt.Pos + l.Pos, Neg: gt.Neg + l.Neg}, s)
 	}
 	sc.counts = counts
-	return dtree.BestNominalFromCounts(merged, len(ws.rows))
+	best, g, ok := dtree.BestNominalCounts(counts, len(ws.rows))
+	if !ok {
+		return "", 0, false
+	}
+	return names[best], g, true
+}
+
+// valueCounts writes to dst the class counts of each value of vi over the
+// working set: two popcounts of the value's plane, or a count per row's
+// code when the column has more values than planes.
+func valueCounts(dst []dtree.ClassCount, vi *features.ValueIndex, ws *workingSet) []dtree.ClassCount {
+	dst = resized(dst, vi.Len())
+	if vi.Planar() {
+		for k := range dst {
+			n, pos := bitset.AndCounts(vi.Plane(k), ws.bits, ws.pos)
+			dst[k] = dtree.ClassCount{Pos: pos, Neg: n - pos}
+		}
+		return dst
+	}
+	clear(dst)
+	codes := vi.Codes()
+	for k, i := range ws.rows {
+		if c := codes[i]; c >= 0 {
+			if ws.labels[k] {
+				dst[c].Pos++
+			} else {
+				dst[c].Neg++
+			}
+		}
+	}
+	return dst
+}
+
+// bestThreshold scores a numeric base column from sc.counts, its values'
+// counts over the working set. A working set holding both −0 and +0 (the
+// index keeps them apart, −0 first) is the one case counts cannot score:
+// which zero a cut against the run of both yields depends on how a sort
+// leaves them, so its values are gathered from col in row order and
+// sorted as dtree.BestThresholdF sorts them.
+func bestThreshold(vi *features.ValueIndex, col []float64, ws *workingSet, sc *scoreScratch) (float64, float64, bool) {
+	nums := vi.Nums()
+	for k := 1; k < len(nums); k++ {
+		if nums[k] == nums[k-1] && sc.counts[k].Pos+sc.counts[k].Neg > 0 && sc.counts[k-1].Pos+sc.counts[k-1].Neg > 0 {
+			vals := resized(sc.vals, len(ws.rows))
+			for k, i := range ws.rows {
+				vals[k] = col[i]
+			}
+			sc.vals = vals
+			return dtree.BestThresholdF(vals, ws.labels, &sc.thr)
+		}
+	}
+	return dtree.BestThresholdCounts(nums, sc.counts, len(ws.rows))
 }
 
 func containsAtom(p pxql.Predicate, a pxql.Atom) bool {

@@ -12,16 +12,19 @@ package core
 // constant-false evaluator all the same.
 //
 // Beyond the per-row eval, each atom has a batched kernel (fillRange)
-// that scans its matrix column and fills a selection bitmap — one bit per
-// pair, built with branchless mask arithmetic; an issame atom, or a
-// compare atom over a numeric raw, reads its code planes a word at a time
-// instead.
+// that fills a selection bitmap, one bit per pair, a word at a time: an
+// issame atom, or a compare atom over a numeric raw, from its code
+// planes; a base or diff atom from the planes of the values it selects
+// in its column's value index, or, past the index's plane cap, by
+// scanning the column with branchless mask arithmetic.
 // bitmapCache memoizes one bitmap per distinct atom over the whole
 // matrix, filled tile-by-tile on the worker pool so planes stay
 // cache-resident; every candidate clause is then composed by word-AND +
 // popcount instead of re-walking pairs.
 
 import (
+	"math/bits"
+
 	"perfxplain/internal/bitset"
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
@@ -30,6 +33,7 @@ import (
 )
 
 type matrixAtom struct {
+	feat    int // the derived feature
 	numOff  int // >= 0: numeric plane comparison
 	symOff  int // >= 0: symbol plane equality/inequality
 	codeOff int // >= 0: code-plane equality/inequality
@@ -44,7 +48,7 @@ type matrixAtom struct {
 // matrix-row evaluation, byte-identical to Atom.Eval on the boxed vector
 // the row engine would have materialized.
 func newMatrixAtom(d *features.Deriver, in *joblog.Intern, featIdx int, a pxql.Atom) matrixAtom {
-	ma := matrixAtom{numOff: -1, symOff: -1, codeOff: -1}
+	ma := matrixAtom{feat: featIdx, numOff: -1, symOff: -1, codeOff: -1}
 	if a.Value.IsMissing() {
 		return ma // matches nothing; every offset stays -1
 	}
@@ -119,9 +123,27 @@ func evalPrefix(mas []matrixAtom, w int, m *features.PairMatrix, row int) bool {
 // constructors — the same exactness rules as the compiled pair kernels,
 // so the bits equal eval row for row by construction. A code-plane atom
 // builds each word from the planes' words at once: the OR of its codes'
-// parts, or present minus that for !=.
+// parts, or present minus that for !=; so does an atom over a base or
+// diff column whose value index holds a plane per value: the OR of the
+// planes of the values it selects (valueMask).
 func (ma *matrixAtom) fillRange(m *features.PairMatrix, lo, hi int, sel, live bitset.Set) {
+	var vi *features.ValueIndex
+	if ma.numOff >= 0 || ma.symOff >= 0 {
+		vi = m.Values(ma.feat)
+	}
 	switch {
+	case vi != nil && vi.Planar():
+		mask := ma.valueMask(vi)
+		for w := lo >> 6; w < bitset.Words(hi); w++ {
+			if live != nil && live[w] == 0 {
+				continue
+			}
+			var selW uint64
+			for b := mask; b != 0; b &= b - 1 {
+				selW |= vi.PlaneWord(bits.TrailingZeros64(b), w)
+			}
+			sel[w] = selW
+		}
 	case ma.numOff >= 0:
 		kern := pxql.NewNumKernel(ma.op, ma.num)
 		col := m.NumCol(ma.numOff)
@@ -168,6 +190,30 @@ func (ma *matrixAtom) fillRange(m *features.PairMatrix, lo, hi int, sel, live bi
 			sel[w] = 0
 		}
 	}
+}
+
+// valueMask is the set of values of a planar value index the atom
+// selects, bit k for value k: the numeric values its kernel accepts, or
+// the value its symbols render (every symbol rendering a string maps to
+// its one value), complemented over the present values for !=.
+func (ma *matrixAtom) valueMask(vi *features.ValueIndex) uint64 {
+	var mask uint64
+	if ma.numOff >= 0 {
+		kern := pxql.NewNumKernel(ma.op, ma.num)
+		for k, x := range vi.Nums() {
+			mask |= kern.Bit(x) << uint(k)
+		}
+		return mask
+	}
+	for _, s := range ma.syms {
+		if k := vi.Of(s); k >= 0 {
+			mask |= 1 << uint(k)
+		}
+	}
+	if ma.ne {
+		mask = ^mask & (^uint64(0) >> (64 - uint(vi.Len())))
+	}
+	return mask
 }
 
 // rowTile is the tile height of batched matrix scans: 4096 rows = 64

@@ -53,7 +53,7 @@ func EvaluateExplanation(ctx context.Context, log *joblog.Log, level features.Le
 		return Metrics{}, err
 	}
 	specs := PlanEvalShards(log, level, q, x, maxPairs, ex.shards(), stats.DeriveSeed(seed, "evaluate"))
-	results, err := runSpecs(ctx, ex, log, "evaluation", specs, (*EvalSpec).RunWith, ShardRunner.RunEval)
+	results, err := runSpecs(ctx, ex, log, "evaluation", specs, (*EvalSpec).clauses, (*EvalSpec).walk, ShardRunner.RunEval)
 	if err != nil {
 		return Metrics{}, err
 	}

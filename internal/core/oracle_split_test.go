@@ -6,7 +6,7 @@ package core
 // or dtree: entropy and gain from class counts, the best `value == v`
 // test of a nominal feature, the best midpoint threshold of a numeric
 // one, C4.5's scaling of the gain by the known fraction. scoreFeature —
-// columns, packed symbols, probe table and all — is property-tested
+// code planes, value indexes and all — is property-tested
 // against it on random small logs with missing cells, NaN, ±0,
 // infinities, and nominal values containing the arrow, so that two diff
 // symbols render alike.
@@ -227,24 +227,87 @@ func splitLog(rng *rand.Rand, n int) *joblog.Log {
 	return log
 }
 
+// wideSplitLog is splitLog with two more columns whose base and diff
+// values outnumber features.PlaneCap, so they are scored from codes, not
+// planes, and its pairs: each record 2v is paired both ways with 2v+1,
+// its partner, and extra random ordered pairs follow. Partners share w
+// (value v/4, −0 for v = 1, so both zeros are among w's base values) and
+// t ("t<v>"); for v < 4 the numeric n column is 0 on one partner and −0
+// on the other, so n's base column holds both zeros too.
+func wideSplitLog(rng *rand.Rand, partners, extra int) (*joblog.Log, *pairPlanes) {
+	schema := joblog.NewSchema([]joblog.Field{
+		{Name: "n", Kind: joblog.Numeric},
+		{Name: "s", Kind: joblog.Nominal},
+		{Name: "w", Kind: joblog.Numeric},
+		{Name: "t", Kind: joblog.Nominal},
+		{Name: "duration", Kind: joblog.Numeric},
+	})
+	nums := []float64{0, math.Copysign(0, -1), 1, 1.05, 5e-324, 2.2250738585072014e-308, math.Inf(-1), math.Inf(1), math.NaN()}
+	strs := []string{"a", "b→c", "a→b", "c"}
+	log := joblog.NewLog(schema)
+	for i := 0; i < 2*partners; i++ {
+		v := i / 2
+		w := float64(v) / 4
+		if v == 1 {
+			w = math.Copysign(0, -1)
+		}
+		n := joblog.Num(nums[rng.Intn(len(nums))])
+		switch {
+		case v < 4:
+			n = joblog.Num(math.Copysign(0, float64(1-2*(i&1))))
+		case rng.Intn(10) == 0:
+			n = joblog.None()
+		}
+		s := joblog.Str(strs[rng.Intn(len(strs))])
+		if rng.Intn(10) == 0 {
+			s = joblog.None()
+		}
+		log.MustAppend(&joblog.Record{ID: id(i), Values: []joblog.Value{
+			n, s, joblog.Num(w), joblog.Str(fmt.Sprintf("t%d", v)), joblog.Num(rng.Float64()),
+		}})
+	}
+	ps := &pairPlanes{}
+	for v := 0; v < partners; v++ {
+		ps.add(2*v, 2*v+1, rng.Intn(2) == 0)
+		ps.add(2*v+1, 2*v, rng.Intn(2) == 0)
+	}
+	for k := 0; k < extra; k++ {
+		a, b := rng.Intn(2*partners), rng.Intn(2*partners-1)
+		if b >= a {
+			b++
+		}
+		ps.add(a, b, rng.Intn(2) == 0)
+	}
+	return log, ps
+}
+
+// TestScoreFeatureMatchesReference holds scoreFeature to refScore on
+// every feature of random small logs (splitLog, all ordered pairs) and of
+// wider ones (wideSplitLog) whose base and diff columns hold more values
+// than planes, over the whole sample and a random working set.
 func TestScoreFeatureMatchesReference(t *testing.T) {
-	scored, arrowMerges := 0, 0
+	scored, arrowMerges, mixedZeros, overCap := 0, 0, 0, 0
 	sc := new(scoreScratch) // reused throughout, as a scoring goroutine does
-	for seed := int64(0); seed < 150; seed++ {
+	for seed := int64(0); seed < 170; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		log := splitLog(rng, 7+rng.Intn(4))
+		var log *joblog.Log
+		ps := &pairPlanes{}
+		if seed < 150 {
+			log = splitLog(rng, 7+rng.Intn(4))
+			for a := range log.Records {
+				for b := range log.Records {
+					if a != b {
+						ps.add(a, b, rng.Intn(2) == 0)
+					}
+				}
+			}
+		} else {
+			log, ps = wideSplitLog(rng, 70+rng.Intn(20), 150)
+		}
 		level := features.Level(1 + seed%3)
 		e, err := NewExplainer(log, Config{Level: level, Exec: Exec{Parallelism: 1 + int(seed%2)}})
 		if err != nil {
 			t.Fatal(err)
-		}
-		ps := &pairPlanes{}
-		for a := range log.Records {
-			for b := range log.Records {
-				if a != b {
-					ps.add(a, b, rng.Intn(2) == 0)
-				}
-			}
 		}
 		in := log.Columns().Intern()
 		vecs := make([][]joblog.Value, ps.len())
@@ -252,6 +315,9 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 			vecs[i] = e.d.Vector(log.Records[ps.a[i]], log.Records[ps.b[i]])
 		}
 		pairVec := vecs[rng.Intn(len(vecs))]
+		if seed >= 150 {
+			pairVec = vecs[2*rng.Intn(4)] // partners: every base value present
+		}
 		// The matrix holds the scorable columns only, as in an explanation.
 		m := new(features.PairMatrix)
 		fillMatrix(m, log, e.d, ps, e.scorableMask(nil, pairVec), e.cfg.Parallelism)
@@ -302,13 +368,30 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 				if got.Value.Str == "(a→b→c)" {
 					arrowMerges++
 				}
+				if vi := m.Values(f); vi != nil && !vi.Planar() {
+					overCap++
+				}
+				if vi := m.Values(f); vi != nil && e.d.NumOffset(f) >= 0 {
+					var zeros [2]bool
+					for _, i := range cur {
+						if x := m.NumAt(i, e.d.NumOffset(f)); x == 0 {
+							zeros[math.Float64bits(x)>>63] = true
+						}
+					}
+					if zeros[0] && zeros[1] {
+						mixedZeros++
+					}
+				}
 			}
 		}
 	}
+	t.Logf("scored %d features: %d on a merged arrow rendering, %d over both zeros, %d over more values than planes",
+		scored, arrowMerges, mixedZeros, overCap)
 	// The property is vacuous unless the random logs reach the cases it is
 	// there for.
-	if scored < 1000 || arrowMerges == 0 {
-		t.Errorf("scored %d features, %d on a merged arrow rendering: the generator no longer reaches the interesting cases", scored, arrowMerges)
+	if scored < 1000 || arrowMerges == 0 || mixedZeros < 20 || overCap < 20 {
+		t.Errorf("scored %d features, %d on a merged arrow rendering, %d over both zeros, %d over more values than planes: the generators no longer reach the interesting cases",
+			scored, arrowMerges, mixedZeros, overCap)
 	}
 }
 
@@ -324,36 +407,50 @@ func testWorkingSet(rows []int, labels []bool) *workingSet {
 	return ws
 }
 
-// TestBestNominalSymsCodeColumnsDoNotAllocate pins the map-free count on
-// the issame and compare features — code-plane popcounts for every raw:
-// with warm scratch, a scoring pass over them touches no allocator.
-func TestBestNominalSymsCodeColumnsDoNotAllocate(t *testing.T) {
-	d, in, m := bitmapFixture(t, 13)
+// TestScoreFeatureDoesNotAllocate pins scoring's allocation-free steady
+// state: with warm scratch, a scoring pass over every feature — code
+// planes, value planes, over-cap value codes, numeric and nominal, base
+// and diff, a base column holding both zeros and a winning diff value
+// that must be rendered — touches no allocator.
+func TestScoreFeatureDoesNotAllocate(t *testing.T) {
+	log, ps := wideSplitLog(rand.New(rand.NewSource(4)), 80, 400)
+	e, err := NewExplainer(log, Config{Exec: Exec{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairVec := e.d.Vector(log.Records[0], log.Records[1])
+	m := new(features.PairMatrix)
+	fillMatrix(m, log, e.d, ps, e.scorableMask(nil, pairVec), 1)
 	var cur []int
-	labels := make([]bool, m.N)
-	for i := range labels {
-		labels[i] = i%3 == 0
-		if i%2 == 0 {
-			cur = append(cur, i)
-		}
+	for i := 0; i < m.N; i += 2 {
+		cur = append(cur, i)
 	}
-	ws := testWorkingSet(cur, labels)
-	var feats []int
-	for f := 0; f < d.Schema().Len(); f++ {
-		_, family := d.RawOf(f)
-		stored := d.CodeOffset(f) >= 0 || d.SymOffset(f) >= 0
-		if stored && (family == features.IsSame || family == features.Compare) {
-			feats = append(feats, f)
-		}
-	}
+	ws := testWorkingSet(cur, ps.labels)
+	in := log.Columns().Intern()
 	sc := new(scoreScratch)
-	score := func() {
-		for _, f := range feats {
-			bestNominalSyms(d, in, f, m, ws, sc)
+	kinds := map[string]int{}
+	for f := 0; f < e.d.Schema().Len(); f++ {
+		if _, _, ok := e.scoreFeature(in, m, ws, pairVec, nil, f, sc); !ok {
+			continue
+		}
+		switch vi := m.Values(f); {
+		case vi == nil:
+			kinds["code planes"]++
+		case vi.Planar():
+			kinds["value planes"]++
+		default:
+			kinds["value codes"]++
 		}
 	}
-	score() // sizes the scratch
+	if len(kinds) < 3 {
+		t.Fatalf("the fixture scores %v: it no longer reaches every store", kinds)
+	}
+	score := func() {
+		for f := 0; f < e.d.Schema().Len(); f++ {
+			e.scoreFeature(in, m, ws, pairVec, nil, f, sc)
+		}
+	}
 	if allocs := testing.AllocsPerRun(20, score); allocs != 0 {
-		t.Errorf("scoring %d issame/compare columns allocates %v times per run, want 0", len(feats), allocs)
+		t.Errorf("scoring %v allocates %v times per pass, want 0", kinds, allocs)
 	}
 }

@@ -111,15 +111,25 @@ func runLocal[S, R any](ctx context.Context, specs []S, workers int, run func(*S
 
 // runSpecs executes one batch of planned specs and returns one result
 // per spec — the one seam where the executor is chosen: with no Runner
-// the kernel (walk) runs locally over the log's resident columns;
-// otherwise the batch goes to the Runner with the log's slices (ship is
-// its method for this spec kind, kind its name in errors). A cancelled
-// ctx surfaces as the bare ctx.Err().
+// the kernel (walk) runs locally over the log's resident columns, with
+// the clauses compiled once for the batch (compileBatch); otherwise the
+// batch goes to the Runner with the log's slices (ship is its method for
+// this spec kind, kind its name in errors), whose workers compile each
+// spec from its wire form. A cancelled ctx surfaces as the bare
+// ctx.Err().
 func runSpecs[S, R any](ctx context.Context, ex Exec, log *joblog.Log, kind string, specs []S,
-	walk func(*S, *joblog.Log) (*R, error), ship func(ShardRunner, []LogSlice, []S) ([]R, error)) ([]R, error) {
+	clauses func(*S) walkClauses, walk func(*S, *joblog.Log, []*pxql.CompiledPredicate) (*R, error),
+	ship func(ShardRunner, []LogSlice, []S) ([]R, error)) ([]R, error) {
 
 	if ex.Runner == nil {
-		return runLocal(ctx, specs, ex.Parallelism, func(s *S) (*R, error) { return walk(s, log) })
+		batch, err := compileBatch(log, specs, clauses)
+		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return nil, ctxErr
+			}
+			return nil, err
+		}
+		return runLocal(ctx, batch, ex.Parallelism, func(b *boundSpec[S]) (*R, error) { return walk(b.spec, log, b.c) })
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -280,6 +290,64 @@ func compileSpecs(log *joblog.Log, level features.Level, specs ...pxql.Predicate
 			return nil, err
 		}
 		out[i] = p.Compile(dr, cols)
+	}
+	return out, nil
+}
+
+// walkClauses are a spec's feature level and the wire forms of its
+// clauses, in the order its kernel reads them.
+type walkClauses struct {
+	level   features.Level
+	clauses [4]pxql.PredicateSpec
+	n       int
+}
+
+// compile decodes and compiles the clauses against the log.
+func (w *walkClauses) compile(log *joblog.Log) ([]*pxql.CompiledPredicate, error) {
+	return compileSpecs(log, w.level, w.clauses[:w.n]...)
+}
+
+// sameAs reports whether o holds the very wire forms w holds: the same
+// level and, clause by clause, the same atom storage. The planners give
+// every spec of a batch one wire form of each clause, so this is how a
+// batch knows its specs share their compiled clauses.
+func (w *walkClauses) sameAs(o *walkClauses) bool {
+	if w.level != o.level || w.n != o.n {
+		return false
+	}
+	for i, c := range w.clauses[:w.n] {
+		a, b := c.Atoms, o.clauses[i].Atoms
+		if len(a) != len(b) || len(a) > 0 && &a[0] != &b[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// boundSpec is a spec of a local batch with its compiled clauses.
+type boundSpec[S any] struct {
+	spec *S
+	c    []*pxql.CompiledPredicate
+}
+
+// compileBatch binds each spec of a local batch to its compiled clauses,
+// compiling once per run of specs with the same wire forms (sameAs) —
+// once per batch a planner cut. A compiled predicate is immutable and
+// safe for concurrent use, so the batch's specs share it.
+func compileBatch[S any](log *joblog.Log, specs []S, clauses func(*S) walkClauses) ([]boundSpec[S], error) {
+	out := make([]boundSpec[S], len(specs))
+	var prev walkClauses
+	var c []*pxql.CompiledPredicate
+	for i := range specs {
+		wc := clauses(&specs[i])
+		if c == nil || !wc.sameAs(&prev) {
+			var err error
+			if c, err = wc.compile(log); err != nil {
+				return nil, err
+			}
+			prev = wc
+		}
+		out[i] = boundSpec[S]{spec: &specs[i], c: c}
 	}
 	return out, nil
 }
@@ -446,11 +514,21 @@ func expectedKept(groups []EnumGroup, keepP float64) int {
 // intern-independent (it matches the interpreted semantics exactly), so
 // labels and refs are the same on every log of the same records.
 func (s *EnumSpec) RunWith(log *joblog.Log) (*EnumResult, error) {
+	wc := s.clauses()
+	c, err := wc.compile(log)
+	if err != nil {
+		return nil, err
+	}
 	res := &EnumResult{}
-	if err := s.runInto(log, res); err != nil {
+	if err := s.walkInto(log, c, res); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// clauses returns the spec's despite, observed and expected clauses.
+func (s *EnumSpec) clauses() walkClauses {
+	return walkClauses{level: s.Level, clauses: [4]pxql.PredicateSpec{s.Despite, s.Observed, s.Expected}, n: 3}
 }
 
 // resultPool recycles the local executor's result planes between rounds:
@@ -459,23 +537,21 @@ func (s *EnumSpec) RunWith(log *joblog.Log) (*EnumResult, error) {
 // wire are adopted as they are and never enter the pool.
 var resultPool = sync.Pool{New: func() any { return new(EnumResult) }}
 
-// runPooled is RunWith into planes from resultPool.
-func (s *EnumSpec) runPooled(log *joblog.Log) (*EnumResult, error) {
+// runPooled is RunWith's walk, with its clauses compiled as c, into
+// planes from resultPool.
+func (s *EnumSpec) runPooled(log *joblog.Log, c []*pxql.CompiledPredicate) (*EnumResult, error) {
 	res := resultPool.Get().(*EnumResult)
-	if err := s.runInto(log, res); err != nil {
+	if err := s.walkInto(log, c, res); err != nil {
 		resultPool.Put(res)
 		return nil, err
 	}
 	return res, nil
 }
 
-// runInto is RunWith's walk, overwriting res and reusing its planes'
+// walkInto is RunWith's walk with the spec's clauses compiled as c
+// (despite, observed, expected), overwriting res and reusing its planes'
 // capacity.
-func (s *EnumSpec) runInto(log *joblog.Log, res *EnumResult) error {
-	c, err := compileSpecs(log, s.Level, s.Despite, s.Observed, s.Expected)
-	if err != nil {
-		return err
-	}
+func (s *EnumSpec) walkInto(log *joblog.Log, c []*pxql.CompiledPredicate, res *EnumResult) error {
 	cDes, cObs, cExp := c[0], c[1], c[2]
 
 	res.RefA, res.RefB, res.Labels = res.RefA[:0], res.RefB[:0], res.Labels[:0]
@@ -518,14 +594,27 @@ func (s *EnumSpec) runInto(log *joblog.Log, res *EnumResult) error {
 // composition, and the counts are integers, so summing spec results in
 // any grouping gives the same totals.
 func (s *EvalSpec) RunWith(log *joblog.Log) (*EvalResult, error) {
-	c, err := compileSpecs(log, s.Level, s.Despite, s.Observed, s.Expected, s.Because)
+	wc := s.clauses()
+	c, err := wc.compile(log)
 	if err != nil {
 		return nil, err
 	}
+	return s.walk(log, c)
+}
+
+// clauses returns the spec's despite, observed, expected and because
+// clauses.
+func (s *EvalSpec) clauses() walkClauses {
+	return walkClauses{level: s.Level, clauses: [4]pxql.PredicateSpec{s.Despite, s.Observed, s.Expected, s.Because}, n: 4}
+}
+
+// walk is RunWith's walk with the spec's clauses compiled as c (despite,
+// observed, expected, because).
+func (s *EvalSpec) walk(log *joblog.Log, c []*pxql.CompiledPredicate) (*EvalResult, error) {
 	cDes, cObs, cExp, cBec := c[0], c[1], c[2], c[3]
 
 	res := &EvalResult{}
-	err = walkTiles(s.Groups, log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int, sels *tileSels) {
+	err := walkTiles(s.Groups, log.Len(), s.Seed, s.KeepP, c, func(tile *pxql.Tile, ai, bi []int, sels *tileSels) {
 		nw := bitset.Words(len(ai))
 		dS, t := bitset.Set(sels[0][:nw]), bitset.Set(sels[1][:nw])
 		dS.Ones(len(ai))
@@ -573,7 +662,7 @@ func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite p
 // round, whoever ran it. The caller releases the set once it has sampled
 // or counted it.
 func runEnumSpecs(ctx context.Context, ex Exec, log *joblog.Log, specs []EnumSpec) (*pairSet, error) {
-	results, err := runSpecs(ctx, ex, log, "enumeration", specs, (*EnumSpec).runPooled, ShardRunner.RunEnum)
+	results, err := runSpecs(ctx, ex, log, "enumeration", specs, (*EnumSpec).clauses, (*EnumSpec).runPooled, ShardRunner.RunEnum)
 	if err != nil {
 		return nil, err
 	}

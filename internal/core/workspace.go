@@ -39,8 +39,10 @@ type workspace struct {
 // taken, so the list never holds more than the process has run at once,
 // and with no more than GOMAXPROCS explanations running side by side each
 // finds one. A workspace that has served 2 000-pair samples holds about
-// 1.1 MB over a 27 000-job log (the matrix and its gather scratch 0.87 MB,
-// the rest 0.2 MB) and 0.9 MB over the 540-job sweep.
+// 1.13 MB over a 27 000-job log (the matrix with its gather scratch and
+// value indexes 0.93 MB, of which the indexes and their build scratch
+// 0.08 MB; the rest 0.2 MB) and 1.09 MB over the 540-job sweep (0.87 MB
+// and 0.22 MB).
 var workFree = make(chan *workspace, runtime.GOMAXPROCS(0))
 
 // takeWorkspace returns an idle workspace, or a new one when none is

@@ -1,6 +1,7 @@
 package dtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -152,16 +153,17 @@ func TestBestThresholdSeparatesItsSplit(t *testing.T) {
 }
 
 // bestNominal tallies a nominal column ("" is a missing cell) into the
-// sorted per-value class counts BestNominalFromCounts takes.
+// per-value class counts, in string order, that BestNominalCounts takes.
 func bestNominal(vals []string, labels []bool) (string, float64, bool) {
-	byVal := map[string]*NominalCount{}
-	var counts []NominalCount
+	byVal := map[string]*ClassCount{}
+	var strs []string
 	for i, v := range vals {
 		if v == "" {
 			continue
 		}
 		if byVal[v] == nil {
-			byVal[v] = &NominalCount{Value: v}
+			byVal[v] = &ClassCount{}
+			strs = append(strs, v)
 		}
 		if labels[i] {
 			byVal[v].Pos++
@@ -169,11 +171,16 @@ func bestNominal(vals []string, labels []bool) (string, float64, bool) {
 			byVal[v].Neg++
 		}
 	}
-	for _, c := range byVal {
-		counts = append(counts, *c)
+	sort.Strings(strs)
+	counts := make([]ClassCount, len(strs))
+	for i, s := range strs {
+		counts[i] = *byVal[s]
 	}
-	sort.Slice(counts, func(a, b int) bool { return counts[a].Value < counts[b].Value })
-	return BestNominalFromCounts(counts, len(vals))
+	best, gain, ok := BestNominalCounts(counts, len(vals))
+	if !ok {
+		return "", 0, false
+	}
+	return strs[best], gain, true
 }
 
 func TestBestNominalValue(t *testing.T) {
@@ -263,16 +270,16 @@ func bestThresholdSortSlice(vals []float64, labels []bool) (t, gain float64, ok 
 	return bestT, bestGain * knownFrac, true
 }
 
-// TestBestThresholdMatchesSortSlice holds BestThresholdF, counting in a
+// TestBestThresholdMatchesSortSlice holds BestThresholdF, sorting in a
 // reused scratch, to the sort.Slice implementation bit for bit. The
 // narrow pools give short columns dense in ties, ±0, ±Inf and NaN; half
 // of them have no positive finite value, so a run of tied ±0 is often cut
 // against +Inf — the one place the order of equal values shows in the
 // threshold. The wide pool holds hundreds of distinct finite values
-// beside those, in columns up to 2 000 long, so the counting table grows
+// beside those, in columns up to 2 000 long, so the run buffer grows
 // several times within one column; its columns are cut to reach every
-// branch: both zeros (the whole-column sort), one zero, one distinct
-// value (no cut) and fewer than two known values.
+// branch: both zeros (the one column counts cannot reproduce), one zero,
+// one distinct value (no cut) and fewer than two known values.
 func TestBestThresholdMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	negZero, inf := math.Copysign(0, -1), math.Inf(1)
@@ -356,8 +363,8 @@ func TestBestThresholdMatchesSortSlice(t *testing.T) {
 			t.Errorf("branch %d reached by %d wide columns, want >= 20 (%v)", b, c, branches)
 		}
 	}
-	if len(sc.slots) < 512 {
-		t.Errorf("the counting table holds %d slots: it never grew past a few hundred distinct values", len(sc.slots))
+	if cap(sc.counts) < 256 {
+		t.Errorf("the run buffer holds %d runs: no column reached a few hundred distinct values", cap(sc.counts))
 	}
 }
 
@@ -385,5 +392,96 @@ func TestBestThresholdReusesScratch(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { BestThresholdF(col.vals, col.labels, &sc) }); allocs != 0 {
 			t.Errorf("%s: BestThresholdF with warm scratch allocates %v times per call, want 0", col.name, allocs)
 		}
+	}
+}
+
+// TestCountScorersMatchColumnScorers holds the count-based entry points
+// to the column scorers on random columns — NaN, both zeros, both
+// infinities, subnormals — given as distinct values with class counts,
+// among them values with no instance (a working set that left them
+// out), which must be skipped as if absent. BestThresholdCounts must be
+// BestThresholdF bit for bit on every column but one holding both −0 and
+// +0; BestNominalCounts must pick what the string-keyed helper picks.
+func TestCountScorersMatchColumnScorers(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	pool := []float64{negZero, 0, inf, -inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1, 1.05, -3, 1e308}
+	checked := 0
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(40)
+		vals, labels := make([]float64, n), make([]bool, n)
+		for i := range vals {
+			vals[i] = math.NaN()
+			if rng.Intn(5) > 0 {
+				vals[i] = pool[rng.Intn(len(pool))]
+			}
+			labels[i] = rng.Intn(2) == 0
+		}
+		// Every pool value, ascending, −0 before +0, with its counts.
+		distinct := append([]float64(nil), pool...)
+		sort.Slice(distinct, func(a, b int) bool {
+			if distinct[a] != distinct[b] {
+				return distinct[a] < distinct[b]
+			}
+			return math.Signbit(distinct[a]) && !math.Signbit(distinct[b])
+		})
+		counts := make([]ClassCount, len(distinct))
+		zeros := [2]bool{}
+		for i, v := range vals {
+			for k, d := range distinct {
+				if math.Float64bits(d) == math.Float64bits(v) {
+					if labels[i] {
+						counts[k].Pos++
+					} else {
+						counts[k].Neg++
+					}
+				}
+			}
+			if v == 0 {
+				zeros[math.Float64bits(v)>>63] = true
+			}
+		}
+		if zeros[0] && zeros[1] {
+			continue // the one column counts cannot score
+		}
+		wantT, wantG, wantOK := BestThresholdF(vals, labels, nil)
+		gotT, gotG, gotOK := BestThresholdCounts(distinct, counts, n)
+		if gotOK != wantOK || math.Float64bits(gotT) != math.Float64bits(wantT) || math.Float64bits(gotG) != math.Float64bits(wantG) {
+			t.Fatalf("%v %v: counts give (%v, %v, %v), BestThresholdF (%v, %v, %v)", vals, labels, gotT, gotG, gotOK, wantT, wantG, wantOK)
+		}
+		checked++
+
+		// The same column as strings, each value its own rendering.
+		strs := make([]string, n)
+		for i, v := range vals {
+			if v == v {
+				strs[i] = fmt.Sprint(math.Float64bits(v))
+			}
+		}
+		names := make([]string, len(distinct))
+		for k, d := range distinct {
+			names[k] = fmt.Sprint(math.Float64bits(d))
+		}
+		order := make([]int, len(distinct))
+		for k := range order {
+			order[k] = k
+		}
+		sort.Slice(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
+		byString := make([]ClassCount, len(order))
+		for k, o := range order {
+			byString[k] = counts[o]
+		}
+		wantV, wantNG, wantNOK := bestNominal(strs, labels)
+		best, gotNG, gotNOK := BestNominalCounts(byString, n)
+		gotV := ""
+		if gotNOK {
+			gotV = names[order[best]]
+		}
+		if gotNOK != wantNOK || gotV != wantV || math.Float64bits(gotNG) != math.Float64bits(wantNG) {
+			t.Fatalf("%v %v: counts give (%q, %v, %v), by string (%q, %v, %v)", strs, labels, gotV, gotNG, gotNOK, wantV, wantNG, wantNOK)
+		}
+	}
+	if checked < 1000 {
+		t.Errorf("checked %d columns, want >= 1000", checked)
 	}
 }

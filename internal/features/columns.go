@@ -33,8 +33,13 @@ package features
 //
 // A PairMatrix is the feature-major materialization of the three stores
 // for a set of pairs: one fill writes every derived feature of a run of
-// pairs, one raw column at a time, with zero allocation, and scoring code
-// reads contiguous columns and planes by offset.
+// pairs, one raw column at a time, with zero allocation. FillSample also
+// gives every base and diff column it writes a value index (values.go):
+// the column's few distinct values in the scorer's order, with one bit
+// plane per value (one code per row past PlaneCap values). Scoring reads
+// the code planes and the value indexes, so every feature is scored by
+// popcount; the float and symbol columns are what the indexes are built
+// from, and what an atom over a column past the cap scans.
 //
 // The raw planes hold every cell exactly (see joblog/columns.go), so
 // every derived feature reads them alone and matches derive() on the
@@ -492,6 +497,11 @@ type PairMatrix struct {
 	Sym  []uint64
 	Code []uint64
 
+	// vals are the base and diff columns' value indexes: numeric base
+	// columns' at their NumOffset, symbol columns' after them (see
+	// Values). FillSample builds those it writes.
+	vals []ValueIndex
+
 	// g is FillSample's gather scratch; it rides with the matrix, so a
 	// recycled matrix fills without allocating.
 	g gather
@@ -516,6 +526,10 @@ func (d *Deriver) ReshapePairMatrix(m *PairMatrix, n int) {
 	m.Sym = resize(m.Sym, n*d.symW)
 	m.Code = resize(m.Code, 3*d.raw.Len()*bitset.Words(n))
 	clear(m.Code)
+	m.vals = resize(m.vals, d.numW+d.symW)
+	for i := range m.vals {
+		m.vals[i].built = false
+	}
 }
 
 // resize returns s with length n, reallocated only when its capacity is
@@ -606,15 +620,16 @@ func (m *PairMatrix) FillPairs(cols *joblog.Columns, lo int, ai, bi []int) {
 // buffer (see gather), then fills the column's code planes and wanted
 // columns from them while they are still in the core's cache — with the
 // kernels that load no missing bit when none of the gathered cells is
-// missing. Every cell and word has one writer, so the result is the same
-// at every worker count. Once m's stores and gather are large enough it
-// allocates nothing per pair.
+// missing — and builds the value index of each base and diff column it
+// writes (see Values). Every cell, word and index has one writer, so the
+// result is the same at every worker count. Once m's stores and gather
+// are large enough it allocates nothing per pair.
 func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, want bitset.Set, workers int) {
 	n := len(ai)
 	if n != m.N || len(bi) != n {
 		panic(fmt.Sprintf("features: FillSample of %d/%d pairs into a %d-row matrix", n, len(bi), m.N))
 	}
-	g, plans := &m.g, m.D.rawPlans
+	g, plans, in := &m.g, m.D.rawPlans, cols.Intern()
 	g.load(cols.Len(), ai, bi, par.Workers(len(plans), workers))
 	run := fillRun{la: g.la, lb: g.lb}
 	par.DoWorkers(len(plans), workers, func(w, i int) {
@@ -624,6 +639,7 @@ func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, want bitset.
 		}
 		c := cols.Col(p.rawIdx)
 		m.fillRaw(&p, c.Kind, g.column(c, &g.bufs[w]), run)
+		m.indexRaw(&p, in, &g.vs[w])
 	})
 	if poisonSkipped && want != nil {
 		m.PoisonSkipped(want)
@@ -632,9 +648,10 @@ func (m *PairMatrix) FillSample(cols *joblog.Columns, ai, bi []int, want bitset.
 
 // PoisonSkipped overwrites every column and triple that FillSample under
 // want skips with values a scorer would split on — alternating cells,
-// and triples whose SIM and LT split every row — so that a read of a
-// skipped column changes an answer. Tests call it to prove nothing reads
-// them; under the race detector every masked fill does (poison_race.go).
+// and triples whose SIM and LT split every row, and value indexes whose
+// values hold alternating rows — so that a read of a skipped column
+// changes an answer. Tests call it to prove nothing reads them; under the
+// race detector every masked fill does (poison_race.go).
 func (m *PairMatrix) PoisonSkipped(want bitset.Set) {
 	for i := range m.D.rawPlans {
 		p := &m.D.rawPlans[i]
@@ -651,6 +668,7 @@ func (m *PairMatrix) PoisonSkipped(want bitset.Set) {
 			for row := range col {
 				col[row] = float64(row & 1)
 			}
+			m.vals[p.baseNumOff].poison()
 		}
 		for _, off := range [2][2]int{{p.diffOff, q.diffOff}, {p.baseSymOff, q.baseSymOff}} {
 			if off[0] >= 0 && off[1] < 0 {
@@ -658,6 +676,7 @@ func (m *PairMatrix) PoisonSkipped(want bitset.Set) {
 				for row := range col {
 					col[row] = uint64(row & 1)
 				}
+				m.vals[m.D.numW+off[0]].poison()
 			}
 		}
 	}
@@ -793,6 +812,7 @@ type gather struct {
 	rows   []int32    // the marked rows, ascending: rank k is rows[k]
 	la, lb []int      // each pair's records, as ranks
 	bufs   []rawCells // one column buffer per fill worker
+	vs     []valueScratch
 }
 
 // load marks, lists and ranks the records of the pairs (ai[k], bi[k])
@@ -818,6 +838,7 @@ func (g *gather) load(rows int, ai, bi []int, workers int) {
 		g.la[k], g.lb[k] = g.rankOf(a), g.rankOf(bi[k])
 	}
 	g.bufs = resize(g.bufs, workers)
+	g.vs = resize(g.vs, workers)
 }
 
 // rankOf returns a marked row's rank: the marked rows before it.

@@ -196,6 +196,7 @@ func TestFillSampleMatchesDirect(t *testing.T) {
 				seed, log.Schema.Len(), n, workers)
 		}
 		checkCodeInvariants(t, gathered)
+		checkValueIndexes(t, gathered, cols.Intern(), nil)
 		want := bitset.Make(d.Schema().Len())
 		for f := range d.Schema().Len() {
 			if stats.SplitMix64(seed<<40|uint64(f))%3 == 0 {
@@ -205,6 +206,7 @@ func TestFillSampleMatchesDirect(t *testing.T) {
 		d.ReshapePairMatrix(masked, n)
 		masked.FillSample(cols, ai, bi, want, workers)
 		checkWantedColumns(t, masked, direct, want)
+		checkValueIndexes(t, masked, cols.Intern(), want)
 	}
 	for seed := uint64(0); seed < 12; seed++ {
 		check(randLog(100+seed, 70), seed, Level(1+seed%3), []int{1, 63, 64, 65, 300, 1100}[seed%6], int(1+seed%4))
@@ -214,6 +216,110 @@ func TestFillSampleMatchesDirect(t *testing.T) {
 		seed := uint64(20 + workers)
 		check(wide, seed, Level(1+seed%3), 2000+workers*13, workers)
 		check(full, seed, Level(1+seed%3), 2000+workers*13, workers)
+	}
+}
+
+// checkValueIndexes fails unless every base and diff column FillSample
+// wrote under want (nil: all) has a value index that lists its distinct
+// values in the scorer's order — numbers ascending with −0 before +0,
+// symbols by strictly ascending rendering — and places each row in
+// exactly the value its cell holds (a missing cell in none), and no other
+// column has one.
+func checkValueIndexes(t *testing.T, m *PairMatrix, in *joblog.Intern, want bitset.Set) {
+	t.Helper()
+	d := m.D
+	for f := range d.Schema().Len() {
+		vi := m.Values(f)
+		stored := d.NumOffset(f) >= 0 || d.SymOffset(f) >= 0
+		if vi == nil {
+			if stored && (want == nil || want.Get(f)) {
+				t.Fatalf("%s: written but has no value index", d.Schema().Field(f).Name)
+			}
+			continue
+		}
+		if !stored || want != nil && !want.Get(f) {
+			t.Fatalf("%s: a value index on a column FillSample did not write", d.Schema().Field(f).Name)
+		}
+		render := func(k int) string { return vi.String(d, in, k) }
+		if off := d.NumOffset(f); off >= 0 {
+			nums := vi.Nums()
+			for k := 1; k < len(nums); k++ {
+				if !(nums[k-1] < nums[k] || nums[k-1] == 0 && math.Signbit(nums[k-1]) && !math.Signbit(nums[k])) {
+					t.Fatalf("%s: values %v out of order", d.Schema().Field(f).Name, nums)
+				}
+			}
+			render = func(k int) string { return fmt.Sprint(math.Float64bits(nums[k])) }
+		} else {
+			for k := 1; k < vi.Len(); k++ {
+				if render(k-1) >= render(k) {
+					t.Fatalf("%s: values %q, %q out of order", d.Schema().Field(f).Name, render(k-1), render(k))
+				}
+			}
+		}
+		for row := 0; row < m.N; row++ {
+			held := -1
+			for k := 0; k < vi.Len(); k++ {
+				has := vi.Planar() && vi.Plane(k).Get(row) || !vi.Planar() && vi.Codes()[row] == int32(k)
+				if has && held >= 0 {
+					t.Fatalf("%s row %d: in values %d and %d", d.Schema().Field(f).Name, row, held, k)
+				}
+				if has {
+					held = k
+				}
+			}
+			cell := ""
+			if off := d.NumOffset(f); off >= 0 {
+				if x := m.NumAt(row, off); x == x {
+					cell = fmt.Sprint(math.Float64bits(x))
+				}
+			} else if s := m.SymAt(row, d.SymOffset(f)); s != MissingSym {
+				cell = d.SymString(in, f, s)
+			}
+			switch {
+			case held >= 0 && render(held) != cell:
+				t.Fatalf("%s row %d: in value %q, cell %q", d.Schema().Field(f).Name, row, render(held), cell)
+			case held < 0 && cell != "":
+				t.Fatalf("%s row %d: cell %q in no value", d.Schema().Field(f).Name, row, cell)
+			}
+		}
+	}
+}
+
+// TestPoisonSkippedPoisonsValueIndexes pins PoisonSkipped's value-index
+// half: an index of a skipped column that FillSample built is overwritten
+// — every plane or code changes — while a wanted column's is kept.
+func TestPoisonSkippedPoisonsValueIndexes(t *testing.T) {
+	log := randLog(3, 60)
+	cols := log.Columns()
+	d := NewDeriver(log.Schema, Level3)
+	ai, bi := allPairs(log.Len())
+	m := d.NewPairMatrix(len(ai))
+	m.FillSample(cols, ai, bi, nil, 2)
+	type snap struct {
+		f      int
+		planes []uint64
+		codes  []int32
+	}
+	var before []snap
+	want := bitset.Make(d.Schema().Len())
+	for f := range d.Schema().Len() {
+		if vi := m.Values(f); vi != nil && vi.Len() > 0 {
+			before = append(before, snap{f, slices.Clone(vi.planes), slices.Clone(vi.codes)})
+			if len(before)%2 == 0 {
+				want.SetBit(f)
+			}
+		}
+	}
+	if len(before) < 4 {
+		t.Fatalf("the fixture indexes %d columns", len(before))
+	}
+	m.PoisonSkipped(want)
+	for _, s := range before {
+		vi := m.Values(s.f)
+		kept := vi != nil && slices.Equal(vi.planes, s.planes) && slices.Equal(vi.codes, s.codes)
+		if kept != want.Get(s.f) {
+			t.Errorf("%s (wanted %v): index kept %v after PoisonSkipped", d.Schema().Field(s.f).Name, want.Get(s.f), kept)
+		}
 	}
 }
 

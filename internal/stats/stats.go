@@ -34,7 +34,7 @@ func StdDev(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d) // rounded alone, so no GOARCH fuses it
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
@@ -45,7 +45,9 @@ func BinaryEntropy(p float64) float64 {
 	if p <= 0 || p >= 1 {
 		return 0
 	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
+	// Each product is rounded on its own (an explicit conversion), so no
+	// GOARCH fuses the difference into a multiply-subtract.
+	return float64(-p*math.Log2(p)) - float64((1-p)*math.Log2(1-p))
 }
 
 // Entropy2 returns the entropy in bits of a two-class set with pos
@@ -84,7 +86,7 @@ func PercentileRanks(ranks []float64, idx []int, xs []float64) {
 		// Members of the tie group [i, j) all receive the mid-rank.
 		below := float64(i)
 		equal := float64(j - i)
-		r := (below + (equal-1)/2) / float64(n-1)
+		r := (below + float64((equal-1)/2)) / float64(n-1) // no fused halve-and-add
 		for k := i; k < j; k++ {
 			ranks[idx[k]] = r
 		}
