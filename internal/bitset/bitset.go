@@ -13,8 +13,8 @@
 // and keeps the bit count alongside, the same convention as
 // joblog.Bitmap. Kernels that fill a set for n bits must leave the tail
 // bits of the last word clear (Ones does; every word-wise operation
-// preserves it), so Count and the fused AndCount* helpers never need a
-// length argument.
+// preserves it), so Count and the fused AndCounts never need a length
+// argument.
 package bitset
 
 import "math/bits"
@@ -96,25 +96,6 @@ func (s Set) Any() bool {
 		}
 	}
 	return false
-}
-
-// AndCount returns the popcount of a ∧ b without materializing it — the
-// fused compose step of candidate scoring.
-func AndCount(a, b Set) int {
-	n := 0
-	for w := range a {
-		n += bits.OnesCount64(a[w] & b[w])
-	}
-	return n
-}
-
-// AndCount3 returns the popcount of a ∧ b ∧ c without materializing it.
-func AndCount3(a, b, c Set) int {
-	n := 0
-	for w := range a {
-		n += bits.OnesCount64(a[w] & b[w] & c[w])
-	}
-	return n
 }
 
 // AndCounts returns the popcounts of a ∧ b and of a ∧ b ∧ c in one pass

@@ -50,11 +50,8 @@ func TestOpsMatchBoolModel(t *testing.T) {
 		if got := a.Any(); got != (wantCount > 0) {
 			t.Errorf("n=%d: Any = %v with %d bits set", n, got, wantCount)
 		}
-		if got := AndCount(a, b); got != wantAnd {
-			t.Errorf("n=%d: AndCount = %d, want %d", n, got, wantAnd)
-		}
-		if got := AndCount3(a, b, c); got != wantAnd3 {
-			t.Errorf("n=%d: AndCount3 = %d, want %d", n, got, wantAnd3)
+		if ab, abc := AndCounts(a, b, c); ab != wantAnd || abc != wantAnd3 {
+			t.Errorf("n=%d: AndCounts = %d, %d, want %d, %d", n, ab, abc, wantAnd, wantAnd3)
 		}
 
 		and := Make(n)

@@ -1,16 +1,16 @@
 package core
 
-// Cross-checks of the matrix-row bitmap kernels against the per-row
-// evaluator they replaced: fillRange must equal eval bit for bit, the
-// bitmapCache must memoize per atom identity and be independent of the
-// worker count, the bitmap prefix compose must equal evalPrefix, and the
-// fused AND-popcount scoring must equal a per-pair walk without
-// allocating.
+// Cross-checks of the matrix-row bitmap kernels and of the supports grow
+// ranks by: fillRange must equal eval bit for bit and skip only dead
+// words, every candidate's support must equal a per-pair walk, the
+// winner's fill must narrow the working set to exactly its support, and
+// the explanation's per-prefix diagnostics must equal evalPrefix counts
+// over the training sample.
 
 import (
+	"context"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"perfxplain/internal/bitset"
@@ -121,19 +121,11 @@ func bitmapAtoms() []pxql.Atom {
 	return out
 }
 
-// bitmapCands lowers atoms over the fixture's schema into scoring
-// candidates.
-func bitmapCands(t *testing.T, d *features.Deriver, in *joblog.Intern, atoms []pxql.Atom) []candidate {
-	t.Helper()
-	cands := make([]candidate, len(atoms))
-	for i, a := range atoms {
-		fi, ok := d.Schema().Index(a.Feature)
-		if !ok {
-			t.Fatalf("fixture schema lost feature %q", a.Feature)
-		}
-		cands[i] = candidate{featIdx: fi, atom: a, ma: newMatrixAtom(d, in, fi, a)}
-	}
-	return cands
+// allRows is the live mask of every row of an n-row matrix.
+func allRows(n int) bitset.Set {
+	s := bitset.Make(n)
+	s.Ones(n)
+	return s
 }
 
 // TestFillRangeMatchesEval holds each lowered atom's batched fill to its
@@ -154,7 +146,7 @@ func TestFillRangeMatchesEval(t *testing.T) {
 		}
 		ma := newMatrixAtom(d, in, featIdx, a)
 		sel := bitset.Make(m.N)
-		ma.fillRange(m, 0, m.N, sel, nil)
+		ma.fillRange(m, sel, allRows(m.N))
 		for row, ref := range refs {
 			if sel.Get(row) != ma.eval(m, row) {
 				t.Fatalf("atom %v: bit %d = %v, eval = %v", a, row, sel.Get(row), ma.eval(m, row))
@@ -163,208 +155,219 @@ func TestFillRangeMatchesEval(t *testing.T) {
 				t.Fatalf("atom %v: row %d evals %v, the boxed value %v", a, row, ma.eval(m, row), boxed)
 			}
 		}
-		// Word-aligned partial fills, and the column loops of a matrix with
-		// no value index, must write the same bits.
-		part, rows := bitset.Make(m.N), bitset.Make(m.N)
-		for lo := 0; lo < m.N; lo += 64 {
-			ma.fillRange(m, lo, min(lo+64, m.N), part, nil)
-		}
-		ma.fillRange(direct, 0, m.N, rows, nil)
+		// The column loops of a matrix with no value index must write the
+		// same bits.
+		rows := bitset.Make(m.N)
+		ma.fillRange(direct, rows, allRows(m.N))
 		for w := range sel {
-			if part[w] != sel[w] || rows[w] != sel[w] {
-				t.Fatalf("atom %v: word %d: tiled fill %x, column loop %x, whole fill %x", a, w, part[w], rows[w], sel[w])
+			if rows[w] != sel[w] {
+				t.Fatalf("atom %v: word %d: column loop %x, value planes %x", a, w, rows[w], sel[w])
 			}
 		}
 	}
 }
 
-func TestBitmapCacheComposeMatchesEvalPrefix(t *testing.T) {
-	d, in, m := bitmapFixture(t, 11)
-	atoms := []pxql.Atom{
-		{Feature: "x", Op: pxql.OpLe, Value: joblog.Num(3)},
-		{Feature: "site", Op: pxql.OpNe, Value: joblog.Str("eu")},
-		{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("LT")},
+// TestFillRangeSkipsDeadWords pins the live-word contract grow's winner
+// fill relies on, on every kernel path and on both matrices: a word with
+// no live bit keeps what the bitmap held, a word with one is exact.
+func TestFillRangeSkipsDeadWords(t *testing.T) {
+	d, in, m := bitmapFixture(t, 13)
+	log, refs := bitmapLog(13)
+	direct := d.NewPairMatrix(len(refs))
+	for r, ref := range refs {
+		direct.Fill(log.Columns(), r, ref.a, ref.b)
 	}
-	mas := make([]matrixAtom, len(atoms))
-	for i, a := range atoms {
+	live := bitset.Make(m.N)
+	live.SetBit(64) // one live bit in the middle word
+	live.SetBit(m.N - 1)
+	const stale = 0x5555555555555555
+	for _, a := range bitmapAtoms() {
 		fi, _ := d.Schema().Index(a.Feature)
-		mas[i] = newMatrixAtom(d, in, fi, a)
-	}
-	prefix := bitset.Make(m.N)
-	prefix.Ones(m.N)
-	sel := bitset.Make(m.N)
-	for w := 1; w <= len(atoms); w++ {
-		mas[w-1].fillRange(m, 0, m.N, sel, nil)
-		prefix.AndWith(sel)
-		want := 0
-		for row := 0; row < m.N; row++ {
-			if evalPrefix(mas, w, m, row) {
-				want++
+		ma := newMatrixAtom(d, in, fi, a)
+		for _, mat := range []*features.PairMatrix{m, direct} {
+			full, sel := bitset.Make(m.N), bitset.Make(m.N)
+			ma.fillRange(mat, full, allRows(m.N))
+			for w := range sel {
+				sel[w] = stale
 			}
-		}
-		if got := prefix.Count(); got != want {
-			t.Fatalf("width %d: compose count = %d, evalPrefix = %d", w, got, want)
-		}
-	}
-}
-
-// newBitmapCache is a fresh cache over m.
-func newBitmapCache(m *features.PairMatrix, workers int) *bitmapCache {
-	return new(bitmapCache).reset(m, workers)
-}
-
-func TestBitmapCacheGetAllDeterministic(t *testing.T) {
-	d, in, m := bitmapFixture(t, 12)
-	cands := bitmapCands(t, d, in, bitmapAtoms())
-	all := bitset.Make(m.N)
-	all.Ones(m.N)
-	base, _ := newBitmapCache(m, 1).getAll(cands, all)
-	for _, workers := range []int{2, 8} {
-		got, _ := newBitmapCache(m, workers).getAll(cands, all)
-		for ci := range cands {
-			for w := range base[ci] {
-				if got[ci][w] != base[ci][w] {
-					t.Fatalf("workers=%d: candidate %d word %d differs", workers, ci, w)
+			ma.fillRange(mat, sel, live)
+			for w := range sel {
+				switch {
+				case live[w] == 0 && sel[w] != stale:
+					t.Fatalf("atom %v: dead word %d written: %x", a, w, sel[w])
+				case live[w] != 0 && sel[w] != full[w]:
+					t.Fatalf("atom %v: live word %d = %x, want %x", a, w, sel[w], full[w])
 				}
 			}
-		}
-	}
-	// Cache identity: a second batch returns the same backing bitmaps.
-	// The returned list is the cache's own, so the first is copied.
-	bc := newBitmapCache(m, 1)
-	s1, _ := bc.getAll(cands, all)
-	s1 = slices.Clone(s1)
-	s2, _ := bc.getAll(cands, all)
-	for ci := range cands {
-		if &s1[ci][0] != &s2[ci][0] {
-			t.Fatalf("candidate %d refilled despite cache hit", ci)
-		}
-	}
-}
-
-// TestGetAllSkipsDeadWords pins fillLive's contract: words with no live
-// bit stay zero, live words carry exact bits — also in a cache reset over
-// the slab of an earlier fill with every word live.
-func TestGetAllSkipsDeadWords(t *testing.T) {
-	d, in, m := bitmapFixture(t, 13)
-	live := bitset.Make(m.N)
-	for i := 64; i < min(128, m.N); i++ {
-		live.SetBit(i) // one live word in the middle
-	}
-	all := bitset.Make(m.N)
-	all.Ones(m.N)
-	a := pxql.Atom{Feature: "x", Op: pxql.OpLe, Value: joblog.Num(3)}
-	fi, _ := d.Schema().Index(a.Feature)
-	ma := newMatrixAtom(d, in, fi, a)
-	cands := []candidate{{featIdx: fi, atom: a, ma: ma}}
-	full := bitset.Make(m.N)
-	ma.fillRange(m, 0, m.N, full, nil)
-	bc := newBitmapCache(m, 1)
-	bc.getAll(cands, all)
-	for _, bc := range []*bitmapCache{newBitmapCache(m, 1), bc.reset(m, 1)} {
-		checkLiveWords(t, bc, cands, live, full)
-	}
-}
-
-func checkLiveWords(t *testing.T, bc *bitmapCache, cands []candidate, live, full bitset.Set) {
-	t.Helper()
-	sels, _ := bc.getAll(cands, live)
-	for w := range sels[0] {
-		switch {
-		case live[w] == 0 && sels[0][w] != 0:
-			t.Fatalf("dead word %d filled: %x", w, sels[0][w])
-		case live[w] != 0 && sels[0][w] != full[w]:
-			t.Fatalf("live word %d = %x, want %x", w, sels[0][w], full[w])
 		}
 	}
 }
 
 // scorePerPair is the reference scorer: it walks the working set row by
 // row through matrixAtom.eval and counts the rows (and positive rows)
-// the atom admits — what AndCount/AndCount3 over cached selections must
-// reproduce.
-func scorePerPair(ma *matrixAtom, m *features.PairMatrix, cur []int, labels []bool) (sat, satPos int) {
+// the atom admits — the support a candidate must carry.
+func scorePerPair(ma *matrixAtom, m *features.PairMatrix, cur []int, labels []bool) support {
+	var s support
 	for _, i := range cur {
 		if ma.eval(m, i) {
-			sat++
+			s.sat++
 			if labels[i] {
-				satPos++
+				s.pos++
 			}
 		}
 	}
-	return sat, satPos
+	return s
 }
 
-// TestScorePathsAgree runs grow's scoring loop both ways for three
-// rounds — every candidate scored over the working set, the round's
-// chosen atom then narrowing it — and requires the fused AND-popcounts
-// over cached bitmaps to equal the per-pair reference on every count.
+// TestScorePathsAgree replays three rounds of growth over a matrix with
+// missing cells: every candidate's support must equal the per-pair walk
+// over the working set, and the winner's fill, live-masked by the working
+// set, must narrow it to exactly the winner's support — the rows its
+// per-row eval keeps — which grow reports as the prefix's.
 func TestScorePathsAgree(t *testing.T) {
-	d, in, m := bitmapFixture(t, 40) // 1560 pairs, missing cells included
+	log, refs := bitmapLog(40) // 1560 pairs, missing cells included
 	rng := rand.New(rand.NewSource(29))
-	labels := make([]bool, m.N)
-	for i := range labels {
-		labels[i] = rng.Intn(2) == 0
+	ps := &pairPlanes{}
+	for _, ref := range refs {
+		ps.add(ref.a, ref.b, rng.Intn(2) == 0)
 	}
-	pos := bitset.FromBools(labels)
-	cands := bitmapCands(t, d, in, bitmapAtoms())
-	curBits := bitset.Make(m.N)
+	e, err := NewExplainer(log, Config{Exec: Exec{Parallelism: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairVec []joblog.Value
+	for _, ref := range refs {
+		if v := e.d.Vector(log.Records[ref.a], log.Records[ref.b]); !v[0].IsMissing() && !v[1].IsMissing() {
+			pairVec = v
+			break
+		}
+	}
+	m := new(features.PairMatrix)
+	fillMatrix(m, log, e.d, ps, e.scorableMask(nil, pairVec), 2)
+	in := log.Columns().Intern()
+	clause, prefix, err := e.grow(context.Background(), m, new(growScratch), ps.labels, pairVec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clause) != 3 {
+		t.Fatalf("grew %v, want three rounds", clause)
+	}
+
+	g := new(growScratch)
+	pos := bitset.FromBools(ps.labels)
+	curBits, sel := bitset.Make(m.N), bitset.Make(m.N)
 	curBits.Ones(m.N)
 	cur := make([]int, m.N)
 	for i := range cur {
 		cur[i] = i
 	}
-	bc := newBitmapCache(m, 0)
-	// Rounds narrow by x_compare != SIM, site != never-logged, x_compare = GT.
-	for round, chosen := range []int{14, 16, 13} {
-		sels, _ := bc.getAll(cands, curBits)
-		for ci := range cands {
-			sat, satPos := scorePerPair(&cands[ci].ma, m, cur, labels)
-			if got := bitset.AndCount(sels[ci], curBits); got != sat {
-				t.Fatalf("round %d %v: bitmap sat = %d, per-pair = %d", round, cands[ci].atom, got, sat)
+	for round, chosen := range clause {
+		g.ws = workingSet{n: len(cur), bits: curBits, pos: pos}
+		var win *candidate
+		for _, c := range e.candidates(m, g, pairVec, clause[:round]) {
+			ma := newMatrixAtom(e.d, in, c.featIdx, c.atom)
+			if want := scorePerPair(&ma, m, cur, ps.labels); c.support != want {
+				t.Fatalf("round %d %v: support %+v, per-pair %+v", round, c.atom, c.support, want)
 			}
-			if got := bitset.AndCount3(sels[ci], curBits, pos); got != satPos {
-				t.Fatalf("round %d %v: bitmap satPos = %d, per-pair = %d", round, cands[ci].atom, got, satPos)
+			if c.atom == chosen {
+				win = &c
 			}
 		}
-		var next []int
+		if win == nil {
+			t.Fatalf("round %d: %v is not a candidate", round, chosen)
+		}
+		ma := newMatrixAtom(e.d, in, win.featIdx, win.atom)
+		ma.fillRange(m, sel, curBits)
+		curBits.AndWith(sel)
+		n, p := bitset.AndCounts(curBits, curBits, pos)
+		if got := (support{n, p}); got != win.support || prefix[round] != win.support {
+			t.Fatalf("round %d %v: the fill narrows to %+v, the winner's support is %+v, grow reports %+v", round, chosen, got, win.support, prefix[round])
+		}
+		next := cur[:0:0]
 		for _, i := range cur {
-			if cands[chosen].ma.eval(m, i) {
+			if ma.eval(m, i) {
 				next = append(next, i)
 			}
 		}
-		if len(next) == 0 || len(next) == len(cur) {
-			t.Fatalf("round %d: %v narrows %d rows to %d, the rounds would repeat", round, cands[chosen].atom, len(cur), len(next))
+		if len(next) != n {
+			t.Fatalf("round %d %v: eval keeps %d rows, the fill %d", round, chosen, len(next), n)
 		}
 		cur = next
-		curBits.AndWith(sels[chosen])
 	}
 }
 
-// TestComposeDoesNotAllocate pins the steady-state compose step of
-// grow's scoring loop: once the selections are cached, narrowing the
-// prefix and counting it against the working set and the positives
-// is word-AND + popcount and allocates nothing.
-func TestComposeDoesNotAllocate(t *testing.T) {
-	d, in, m := bitmapFixture(t, 40)
-	cands := bitmapCands(t, d, in, bitmapAtoms()[:3])
-	all := bitset.Make(m.N)
-	all.Ones(m.N)
-	pos := bitset.Make(m.N)
-	for i := 0; i < m.N; i += 3 {
-		pos.SetBit(i)
-	}
-	sels, _ := newBitmapCache(m, 1).getAll(cands, all)
-	prefix := bitset.Make(m.N)
-	sink := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		prefix.Ones(m.N)
-		for _, sel := range sels {
-			sink += bitset.AndCount(sel, prefix) + bitset.AndCount3(sel, prefix, pos)
-			prefix.AndWith(sel)
+// evalPrefix evaluates the conjunction of the first w lowered atoms on a
+// row, one eval at a time.
+func evalPrefix(mas []matrixAtom, w int, m *features.PairMatrix, row int) bool {
+	for k := 0; k < w; k++ {
+		if !mas[k].eval(m, row) {
+			return false
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("compose over cached selections allocates %v times per run, want 0 (sink %d)", allocs, sink)
+	}
+	return true
+}
+
+// TestAtomsMatchEvalPrefix holds an explanation's per-prefix diagnostics,
+// which grow reports from its winners' supports, to their definition:
+// the precision and generality of each because-clause prefix counted by
+// evalPrefix over the training sample, on the sweep's questions with and
+// without a generated despite extension.
+func TestAtomsMatchEvalPrefix(t *testing.T) {
+	log := amplifiedSweep(t, 4)
+	ctx := context.Background()
+	atoms := 0
+	for qi, q := range sweepQuestions(t, log, 4) {
+		e, err := NewExplainer(log, Config{Seed: int64(qi)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b, err := e.bind(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairVec := e.d.Vector(a, b)
+		in := log.Columns().Intern()
+		for _, genDespite := range []bool{false, true} {
+			x, err := e.explain(ctx, q, genDespite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := new(workspace)
+			sample, _, _, err := e.trainingSample(ctx, q, q.Despite.And(x.Despite), "because", ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := e.materialize(ws, sample, pairVec)
+			if len(x.Atoms) != len(x.Because) || m.N != x.SampleSize {
+				t.Fatalf("question %d: %d atom stats for %v over %d pairs, the sample holds %d", qi, len(x.Atoms), x.Because, x.SampleSize, m.N)
+			}
+			mas := make([]matrixAtom, len(x.Because))
+			for w, atom := range x.Because {
+				fi, _ := e.d.Schema().Index(atom.Feature)
+				mas[w] = newMatrixAtom(e.d, in, fi, atom)
+			}
+			for w := 1; w <= len(mas); w++ {
+				var s support
+				for row := 0; row < m.N; row++ {
+					if evalPrefix(mas, w, m, row) {
+						s.sat++
+						if sample.labels[row] {
+							s.pos++
+						}
+					}
+				}
+				want := AtomStats{Atom: x.Because[w-1], Generality: float64(s.sat) / float64(m.N)}
+				if s.sat > 0 {
+					want.Precision = float64(s.pos) / float64(s.sat)
+				}
+				if got := x.Atoms[w-1]; got != want {
+					t.Errorf("question %d (despite %v) prefix %d: %+v, evalPrefix counts %+v", qi, genDespite, w, got, want)
+				}
+				atoms++
+			}
+		}
+	}
+	if atoms < 8 {
+		t.Errorf("checked %d prefixes; the questions no longer grow clauses", atoms)
 	}
 }

@@ -195,6 +195,19 @@ func TestNewExplainerValidation(t *testing.T) {
 	if _, err := NewExplainer(log, Config{}); err == nil {
 		t.Error("log without a duration target should error")
 	}
+	// A level outside 1–3 is refused, not answered at the default; 0 is
+	// the default.
+	log = syntheticLog(10, rand.New(rand.NewSource(1)))
+	for _, level := range []features.Level{-1, 4, 7} {
+		if _, err := NewExplainer(log, Config{Level: level}); err == nil {
+			t.Errorf("level %d should error", level)
+		}
+	}
+	for _, level := range []features.Level{0, features.Level1, features.Level3} {
+		if _, err := NewExplainer(log, Config{Level: level}); err != nil {
+			t.Errorf("level %d: %v", level, err)
+		}
+	}
 }
 
 func TestBlockingMatchesBruteForce(t *testing.T) {
@@ -312,6 +325,11 @@ func TestEvaluateExplanationErrors(t *testing.T) {
 	}
 	if _, err := EvaluateExplanation(context.Background(), joblog.NewLog(log.Schema), features.Level3, q, &Explanation{}, 0, 1, Exec{}); err == nil {
 		t.Error("empty log should error")
+	}
+	for _, level := range []features.Level{0, 4} {
+		if _, err := EvaluateExplanation(context.Background(), log, level, q, &Explanation{}, 0, 1, Exec{}); err == nil {
+			t.Errorf("level %d should error", level)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"perfxplain/internal/bitset"
@@ -94,7 +95,8 @@ type Explainer struct {
 	cfg Config
 }
 
-// NewExplainer builds an explainer over the log.
+// NewExplainer builds an explainer over the log. A zero Level is the
+// default; any other outside 1–3 is an error.
 func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
 	cfg = cfg.withDefaults()
 	if log == nil || log.Len() == 0 {
@@ -102,6 +104,9 @@ func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
 	}
 	if _, ok := log.Schema.Index(cfg.Target); !ok {
 		return nil, fmt.Errorf("core: log has no target feature %q", cfg.Target)
+	}
+	if cfg.Level < features.Level1 || cfg.Level > features.Level3 {
+		return nil, fmt.Errorf("core: invalid feature level %d: want 1, 2 or 3", cfg.Level)
 	}
 	// The deriver always exposes the full Table 1 feature set: queries may
 	// mention any derived feature regardless of the configured level. The
@@ -234,49 +239,25 @@ func (e *Explainer) explain(ctx context.Context, q *pxql.Query, genDespite bool)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bc := e.materialize(ws, sample, pairVec)
-	bec, err := e.grow(ctx, bc, &ws.g, sample.labels, pairVec, e.cfg.Width)
+	m := e.materialize(ws, sample, pairVec)
+	bec, prefix, err := e.grow(ctx, m, &ws.g, sample.labels, pairVec, e.cfg.Width)
 	if err != nil {
 		return nil, err
 	}
 	x.Because = bec
 
-	// Training diagnostics over the sample, per clause prefix: each atom
-	// fills its own bitmap (the growth cache may hold only
-	// working-set-live words; the prefix compose starts from every
-	// sampled pair, so it cannot reuse those), ANDs into the running
-	// prefix selection, and the counts are popcounts against the label
-	// bitmap. The fill passes the running prefix as the live mask: a
-	// word with no surviving prefix pair may keep stale bits in sel, but
-	// AndWith leaves dead prefix words dead whatever sel holds there, so
-	// the restriction skips plane work without changing a single count.
-	m := bc.m
-	in := e.log.Columns().Intern()
-	ws.posBits = bitset.Reuse(ws.posBits, m.N)
-	ws.posBits.LoadBools(sample.labels)
-	ws.prefix = bitset.Reuse(ws.prefix, m.N)
-	ws.prefix.Ones(m.N)
-	ws.sel = bitset.Reuse(ws.sel, m.N)
-	posBits, prefix, sel := ws.posBits, ws.prefix, ws.sel
+	// Training diagnostics over the sample, per clause prefix: round w of
+	// the growth scored its winner over the clause's first w-1 atoms, so
+	// the winner's support is the first w atoms' over the whole sample.
 	if len(bec) > 0 {
-		x.Atoms = make([]AtomStats, 0, len(bec))
+		x.Atoms = make([]AtomStats, len(bec))
 	}
-	for w := 1; w <= len(bec); w++ {
-		a := bec[w-1]
-		idx, _ := e.d.Schema().Index(a.Feature)
-		ma := newMatrixAtom(e.d, in, idx, a)
-		ma.fillRange(m, 0, m.N, sel, prefix)
-		prefix.AndWith(sel)
-		sat := prefix.Count()
-		satObs := bitset.AndCount(prefix, posBits)
-		st := AtomStats{Atom: a}
-		if sat > 0 {
-			st.Precision = float64(satObs) / float64(sat)
+	for w, a := range bec {
+		s := prefix[w]
+		x.Atoms[w] = AtomStats{Atom: a, Generality: float64(s.sat) / float64(m.N)}
+		if s.sat > 0 {
+			x.Atoms[w].Precision = float64(s.pos) / float64(s.sat)
 		}
-		if m.N > 0 {
-			st.Generality = float64(sat) / float64(m.N)
-		}
-		x.Atoms = append(x.Atoms, st)
 	}
 	if n := len(x.Atoms); n > 0 {
 		x.TrainPrecision = x.Atoms[n-1].Precision
@@ -313,7 +294,7 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, pairVec 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bc := e.materialize(ws, sample, pairVec)
+	m := e.materialize(ws, sample, pairVec)
 
 	// Positive class for despite generation is "performed as expected":
 	// the clause should maximise relevance P(exp | des' ∧ des).
@@ -321,17 +302,17 @@ func (e *Explainer) generateDespite(ctx context.Context, q *pxql.Query, pairVec 
 	for i, l := range sample.labels {
 		ws.flipped[i] = !l
 	}
-	return e.grow(ctx, bc, &ws.g, ws.flipped, pairVec, e.cfg.DespiteWidth)
+	des, _, err := e.grow(ctx, m, &ws.g, ws.flipped, pairVec, e.cfg.DespiteWidth)
+	return des, err
 }
 
 // materialize fills the workspace's pair matrix with the sample's
 // derived vectors, restricted to what is scorable for the pair of
-// interest whose derived vector is pairVec, and returns the workspace's
-// bitmap cache reset over it.
-func (e *Explainer) materialize(ws *workspace, sample *pairPlanes, pairVec []joblog.Value) *bitmapCache {
+// interest whose derived vector is pairVec, and returns it.
+func (e *Explainer) materialize(ws *workspace, sample *pairPlanes, pairVec []joblog.Value) *features.PairMatrix {
 	ws.want = e.scorableMask(ws.want, pairVec)
 	fillMatrix(&ws.m, e.log, e.d, sample, ws.want, e.cfg.Parallelism)
-	return ws.bc.reset(&ws.m, e.cfg.Parallelism)
+	return &ws.m
 }
 
 // trainingSample draws Section 4.3's balanced sample of (q, despite)'s
@@ -395,81 +376,59 @@ var errNoRelated = errors.New("core: no related pairs in the log for this query"
 // precision measure into relevance — the only change the paper makes to
 // the algorithm for des' generation).
 //
-// Candidate scoring runs on selection bitmaps: each round's candidate
-// atoms are evaluated once over the whole matrix into cached bitmaps
-// (tile-parallel, see bitmapCache), then every candidate's precision and
-// generality are two fused AND-popcounts against the working-set and
-// label bitmaps, and the winner restricts the working set with one
-// word-AND. The counts — and therefore the clause — are identical to
-// the per-pair loops this replaces.
-func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, g *growScratch, labels []bool,
-	pairVec []joblog.Value, width int) (pxql.Predicate, error) {
+// Each candidate comes with its support over the working set — the pairs
+// it holds on and the positive ones among them — summed by scoreFeature
+// from the per-value class counts its split was scored from, so a
+// round's precisions and generalities are two divisions a candidate.
+// Only the winner is lowered to a matrixAtom: its bitmap, filled on the
+// working set's live words, narrows the working set by one word-AND, and
+// its support is the next round's size and positives. grow returns the
+// winners' supports with the clause: entry w is the support of the
+// clause's first w+1 atoms over the whole matrix, which round w+1 read
+// as its working set.
+func (e *Explainer) grow(ctx context.Context, m *features.PairMatrix, g *growScratch, labels []bool,
+	pairVec []joblog.Value, width int) (pxql.Predicate, []support, error) {
 
-	m := bc.m
+	in := e.log.Columns().Intern()
+	g.pos = bitset.Reuse(g.pos, m.N)
+	g.pos.LoadBools(labels)
+	g.cur = bitset.Reuse(g.cur, m.N)
+	g.cur.Ones(m.N)
+	g.sel = bitset.Reuse(g.sel, m.N)
+	g.prefix = g.prefix[:0]
+	cur := support{sat: m.N, pos: g.pos.Count()}
+
 	var clause pxql.Predicate
-	g.cur = resized(g.cur, m.N)
-	for i := range g.cur {
-		g.cur[i] = i
-	}
-	g.posBits = bitset.Reuse(g.posBits, m.N)
-	g.posBits.LoadBools(labels)
-	g.curBits = bitset.Reuse(g.curBits, m.N)
-	g.curBits.Ones(m.N)
-	g.subLabels = resized(g.subLabels, m.N) // the working set's labels, refilled per round
-	cur, posBits, curBits := g.cur, g.posBits, g.curBits
-
 	for round := 0; round < width; round++ {
 		// The round loop is the cancellation checkpoint of the growth
 		// phase: each round is one bounded unit of scoring work, so a
 		// cancelled query stops within a round's latency of the signal.
 		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if len(cur) == 0 {
-			break
+			return nil, nil, err
 		}
 		// Stop when the remaining pairs are pure: no signal left.
-		pos := bitset.AndCount(curBits, posBits)
-		if pos == 0 || pos == len(cur) {
+		if cur.pos == 0 || cur.pos == cur.sat {
 			break
 		}
-
-		subLabels := g.subLabels[:len(cur)]
-		for k, i := range cur {
-			subLabels[k] = labels[i]
-		}
-		g.ws = workingSet{rows: cur, labels: subLabels, bits: curBits, pos: posBits}
+		g.ws = workingSet{n: cur.sat, bits: g.cur, pos: g.pos}
 		cands := e.candidates(m, g, pairVec, clause)
 		if len(cands) == 0 {
 			break
 		}
 
 		// Cross-feature selection: percentile-normalised blend of
-		// precision (P(positive | p)) and generality (P(p)). Each
-		// candidate's counts compose from its bitmap by word-AND +
-		// popcount; the heavy part — filling the distinct atoms' bitmaps —
-		// ran tile-parallel in getAll, restricted to the working set's
-		// live words. ubs[ci] bounds the candidate's possible satisfied
-		// count from above (the bitmap's popcount at fill time; the
-		// working set only shrinks), so a zero bound skips both fused
-		// popcounts and a zero sat skips the three-way one — provably
-		// the same counts either way.
-		sels, ubs := bc.getAll(cands, curBits)
+		// precision (P(positive | p)) and generality (P(p)).
 		n := len(cands)
 		g.precs, g.gens = resized(g.precs, n), resized(g.gens, n)
 		g.precRanks, g.genRanks = resized(g.precRanks, n), resized(g.genRanks, n)
 		g.order = resized(g.order, n)
 		precs, gens := g.precs, g.gens
-		for ci := range cands {
-			sat, prec := 0, 0.0
-			if ubs[ci] > 0 {
-				sat = bitset.AndCount(sels[ci], curBits)
+		for ci, c := range cands {
+			prec := 0.0
+			if c.sat > 0 {
+				prec = float64(c.pos) / float64(c.sat)
 			}
-			if sat > 0 {
-				satPos := bitset.AndCount3(sels[ci], curBits, posBits)
-				prec = float64(satPos) / float64(sat)
-			}
-			precs[ci], gens[ci] = prec, float64(sat)/float64(len(cur))
+			precs[ci], gens[ci] = prec, float64(c.sat)/float64(cur.sat)
 		}
 		stats.PercentileRanks(g.precRanks, g.order, precs)
 		stats.PercentileRanks(g.genRanks, g.order, gens)
@@ -486,28 +445,34 @@ func (e *Explainer) grow(ctx context.Context, bc *bitmapCache, g *growScratch, l
 				best, bestScore = ci, score
 			}
 		}
+		win := cands[best]
 		if clause == nil {
 			clause = make(pxql.Predicate, 0, width)
 		}
-		clause = append(clause, cands[best].atom)
+		clause = append(clause, win.atom)
 
 		// Restrict the working set to pairs satisfying the clause so far.
-		curBits.AndWith(sels[best])
-		cur = cur[:0]
-		curBits.ForEach(func(i int) { cur = append(cur, i) })
+		ma := newMatrixAtom(e.d, in, win.featIdx, win.atom)
+		ma.fillRange(m, g.sel, g.cur)
+		g.cur.AndWith(g.sel)
+		cur = win.support
+		g.prefix = append(g.prefix, cur)
 	}
-	return clause, nil
+	return clause, g.prefix, nil
 }
 
 // growScratch is grow's recycled state, a part of the workspace: the
-// working set as rows, labels and bitmaps, the per-round candidate
-// slots and list, and the score lists. grow and candidates overwrite
-// every element before they read it.
+// working set, the per-round candidate slots and list, and the score
+// lists. grow and candidates overwrite every element before they read
+// it.
 type growScratch struct {
-	cur              []int
-	subLabels        []bool
-	posBits, curBits bitset.Set
-	ws               workingSet
+	// cur is the working set's rows, pos the matrix's positive rows and
+	// sel the round winner's selection; ws is the working set as scoring
+	// reads it.
+	cur, pos, sel bitset.Set
+	ws            workingSet
+	// prefix[w] is the support of the clause's first w+1 atoms.
+	prefix []support
 	// slots[f] is feature f's candidate of the round when found[f].
 	slots []candidate
 	found []bool
@@ -521,21 +486,25 @@ type growScratch struct {
 	order                            []int
 }
 
+// support is an atom's or a clause's counts over a set of pairs: the
+// pairs it holds on and the positive ones among them.
+type support struct{ sat, pos int }
+
+// candidate is one feature's best atom of a round and its support over
+// the working set.
 type candidate struct {
 	featIdx int
 	atom    pxql.Atom
-	ma      matrixAtom
+	support
 }
 
-// workingSet is one growth round's surviving pairs in the forms scoring
-// reads: their matrix rows in ascending order with the labels in step,
-// and the same rows as a bitmap beside the positive rows of the whole
-// matrix, which code planes are counted against.
+// workingSet is one growth round's surviving pairs as scoring reads
+// them: their number and their matrix rows as a bitmap, beside the
+// positive rows of the whole matrix, which every count is taken against.
 type workingSet struct {
-	rows   []int
-	labels []bool
-	bits   bitset.Set
-	pos    bitset.Set
+	n    int
+	bits bitset.Set
+	pos  bitset.Set
 }
 
 // candidates builds the best applicable predicate per feature by
@@ -557,11 +526,7 @@ func (e *Explainer) candidates(m *features.PairMatrix, g *growScratch,
 	g.scratch = resized(g.scratch, par.Workers(nf, e.cfg.Parallelism))
 	slots, found, ws, scratch := g.slots, g.found, &g.ws, g.scratch
 	par.DoWorkers(nf, e.cfg.Parallelism, func(w, f int) {
-		atom, _, ok := e.scoreFeature(in, m, ws, pairVec, clause, f, &scratch[w])
-		found[f] = ok
-		if ok {
-			slots[f] = candidate{featIdx: f, atom: atom, ma: newMatrixAtom(e.d, in, f, atom)}
-		}
+		slots[f], _, found[f] = e.scoreFeature(in, m, ws, pairVec, clause, f, &scratch[w])
 	})
 
 	out := g.cands[:0]
@@ -576,11 +541,13 @@ func (e *Explainer) candidates(m *features.PairMatrix, g *growScratch,
 
 // scoreScratch is one scoring worker's reusable buffers: the per-value
 // class counts and, for the one column counts cannot score, the working
-// set's values and their threshold sort. Every field is overwritten before
-// it is read, so which worker last held a scratch never shows in a result.
+// set's values, their labels and their threshold sort. Every field is
+// overwritten before it is read, so which worker last held a scratch
+// never shows in a result.
 type scoreScratch struct {
 	counts []dtree.ClassCount
 	vals   []float64
+	labels []bool
 	thr    dtree.ThresholdScratch
 }
 
@@ -619,9 +586,10 @@ func (e *Explainer) scorableMask(want bitset.Set, pairVec []joblog.Value) bitset
 
 // scoreFeature computes the best applicable predicate over one derived
 // feature f for one scoring round — the per-feature body of Algorithm 1
-// line 5. ok is false when the feature is not scorable (target-derived,
-// above the clause feature level, inapplicable to the pair of interest),
-// is already in the clause or admits no split.
+// line 5 — with its support over the working set. ok is false when the
+// feature is not scorable (target-derived, above the clause feature
+// level, inapplicable to the pair of interest), is already in the clause
+// or admits no split.
 //
 // Every feature is scored from the class counts of its values over the
 // working set, in the order the split's tie-break reads them: an issame
@@ -629,30 +597,36 @@ func (e *Explainer) scorableMask(want bitset.Set, pairVec []joblog.Value) bitset
 // string order of its codes (F < T, GT < LT < SIM); a base or diff
 // column's from its value index (features.ValueIndex), whose values are
 // already in order, ascending or by rendered string. Only the winning
-// value is rendered.
+// value is rendered. The atom's support is the sum of the counts of the
+// values it selects: the threshold's side of a numeric column's values,
+// else the named value, or every other one for !=.
 func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *workingSet,
-	pairVec []joblog.Value, clause pxql.Predicate, f int, sc *scoreScratch) (pxql.Atom, float64, bool) {
+	pairVec []joblog.Value, clause pxql.Predicate, f int, sc *scoreScratch) (candidate, float64, bool) {
 
 	if !e.scorable(f, pairVec) {
-		return pxql.Atom{}, 0, false
+		return candidate{}, 0, false
 	}
 	d := e.d
 	v0 := pairVec[f]
 	atom := pxql.Atom{Feature: d.Schema().Field(f).Name}
-	var gain float64
+	var (
+		gain float64
+		nums []float64 // a numeric column's values, when the atom is a threshold
+		best int       // else the value the atom names
+	)
 	if codeOff := d.CodeOffset(f); codeOff >= 0 {
-		val, g, ok := bestCode(d, f, m, codeOff, ws, sc)
+		k, val, g, ok := bestCode(d, f, m, codeOff, ws, sc)
 		if !ok {
-			return pxql.Atom{}, 0, false
+			return candidate{}, 0, false
 		}
-		atom.Value, gain = joblog.Str(val), g
+		best, atom.Value, gain = k, joblog.Str(val), g
 	} else {
 		vi := m.Values(f)
 		if vi == nil {
 			// Diff of a numeric raw and compare of a nominal one are
 			// missing on every pair: no split.
 			if d.NumOffset(f) < 0 && d.SymOffset(f) < 0 {
-				return pxql.Atom{}, 0, false
+				return candidate{}, 0, false
 			}
 			panic(fmt.Sprintf("core: feature %s has no value index; fill the matrix with FillSample", atom.Feature))
 		}
@@ -660,15 +634,15 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *
 		if d.NumOffset(f) >= 0 {
 			thr, g, ok := bestThreshold(vi, m.NumCol(d.NumOffset(f)), ws, sc)
 			if !ok {
-				return pxql.Atom{}, 0, false
+				return candidate{}, 0, false
 			}
-			atom.Value, gain = joblog.Num(thr), g
+			nums, atom.Value, gain = vi.Nums(), joblog.Num(thr), g
 		} else {
-			best, g, ok := dtree.BestNominalCounts(sc.counts, len(ws.rows))
+			k, g, ok := dtree.BestNominalCounts(sc.counts, ws.n)
 			if !ok {
-				return pxql.Atom{}, 0, false
+				return candidate{}, 0, false
 			}
-			atom.Value, gain = joblog.Str(vi.String(d, in, best)), g
+			best, atom.Value, gain = k, joblog.Str(vi.String(d, in, k)), g
 		}
 	}
 	// The split has the same gain whichever side the predicate asserts;
@@ -684,9 +658,20 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *
 		atom.Op = pxql.OpNe
 	}
 	if containsAtom(clause, atom) {
-		return pxql.Atom{}, 0, false
+		return candidate{}, 0, false
 	}
-	return atom, gain, true
+	c := candidate{featIdx: f, atom: atom}
+	for k, n := range sc.counts {
+		holds := (k == best) != (atom.Op == pxql.OpNe)
+		if nums != nil {
+			holds = pxql.EvalNumOp(atom.Op, nums[k], atom.Value.Num)
+		}
+		if holds {
+			c.sat += n.Pos + n.Neg
+			c.pos += n.Pos
+		}
+	}
+	return c, gain, true
 }
 
 // codeNames are the renderings of an issame and a compare feature's
@@ -694,10 +679,11 @@ func (e *Explainer) scoreFeature(in *joblog.Intern, m *features.PairMatrix, ws *
 var codeNames = [2][]string{{"F", "T"}, {"GT", "LT", "SIM"}}
 
 // bestCode scores an issame or compare feature from its code-plane
-// triple: each code's counts are popcounts of its plane against the
-// working set and its positives — GT's, and issame F's, what present
-// holds beyond SIM and LT.
-func bestCode(d *features.Deriver, f int, m *features.PairMatrix, codeOff int, ws *workingSet, sc *scoreScratch) (string, float64, bool) {
+// triple, leaving its codes' counts in sc.counts: each code's counts are
+// popcounts of its plane against the working set and its positives —
+// GT's, and issame F's, what present holds beyond SIM and LT. It returns
+// the winning code's index and rendering.
+func bestCode(d *features.Deriver, f int, m *features.PairMatrix, codeOff int, ws *workingSet, sc *scoreScratch) (int, string, float64, bool) {
 	present, sim, lt := m.CodePlanes(codeOff)
 	count := func(p bitset.Set) dtree.ClassCount {
 		n, pos := bitset.AndCounts(p, ws.bits, ws.pos)
@@ -712,11 +698,11 @@ func bestCode(d *features.Deriver, f int, m *features.PairMatrix, codeOff int, w
 		counts = append(counts[:0], dtree.ClassCount{Pos: gt.Pos + l.Pos, Neg: gt.Neg + l.Neg}, s)
 	}
 	sc.counts = counts
-	best, g, ok := dtree.BestNominalCounts(counts, len(ws.rows))
+	best, g, ok := dtree.BestNominalCounts(counts, ws.n)
 	if !ok {
-		return "", 0, false
+		return 0, "", 0, false
 	}
-	return names[best], g, true
+	return best, names[best], g, true
 }
 
 // valueCounts writes to dst the class counts of each value of vi over the
@@ -733,12 +719,15 @@ func valueCounts(dst []dtree.ClassCount, vi *features.ValueIndex, ws *workingSet
 	}
 	clear(dst)
 	codes := vi.Codes()
-	for k, i := range ws.rows {
-		if c := codes[i]; c >= 0 {
-			if ws.labels[k] {
-				dst[c].Pos++
-			} else {
-				dst[c].Neg++
+	for w, word := range ws.bits {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			if c := codes[w<<6|b]; c >= 0 {
+				if ws.pos[w]>>uint(b)&1 != 0 {
+					dst[c].Pos++
+				} else {
+					dst[c].Neg++
+				}
 			}
 		}
 	}
@@ -749,21 +738,26 @@ func valueCounts(dst []dtree.ClassCount, vi *features.ValueIndex, ws *workingSet
 // counts over the working set. A working set holding both −0 and +0 (the
 // index keeps them apart, −0 first) is the one case counts cannot score:
 // which zero a cut against the run of both yields depends on how a sort
-// leaves them, so its values are gathered from col in row order and
-// sorted as dtree.BestThresholdF sorts them.
+// leaves them, so its values and labels are gathered from col and ws.pos
+// in row order and sorted as dtree.BestThresholdF sorts them.
 func bestThreshold(vi *features.ValueIndex, col []float64, ws *workingSet, sc *scoreScratch) (float64, float64, bool) {
 	nums := vi.Nums()
 	for k := 1; k < len(nums); k++ {
 		if nums[k] == nums[k-1] && sc.counts[k].Pos+sc.counts[k].Neg > 0 && sc.counts[k-1].Pos+sc.counts[k-1].Neg > 0 {
-			vals := resized(sc.vals, len(ws.rows))
-			for k, i := range ws.rows {
-				vals[k] = col[i]
+			vals, labels := resized(sc.vals, ws.n), resized(sc.labels, ws.n)
+			j := 0
+			for w, word := range ws.bits {
+				for ; word != 0; word &= word - 1 {
+					b := bits.TrailingZeros64(word)
+					vals[j], labels[j] = col[w<<6|b], ws.pos[w]>>uint(b)&1 != 0
+					j++
+				}
 			}
-			sc.vals = vals
-			return dtree.BestThresholdF(vals, ws.labels, &sc.thr)
+			sc.vals, sc.labels = vals, labels
+			return dtree.BestThresholdF(vals, labels, &sc.thr)
 		}
 	}
-	return dtree.BestThresholdCounts(nums, sc.counts, len(ws.rows))
+	return dtree.BestThresholdCounts(nums, sc.counts, ws.n)
 }
 
 func containsAtom(p pxql.Predicate, a pxql.Atom) bool {

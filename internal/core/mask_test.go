@@ -105,11 +105,11 @@ func TestFillSampleSkipsUnscorable(t *testing.T) {
 			flipped[i] = !l
 		}
 		for _, labels := range [][]bool{sample.labels, flipped} {
-			wantClause, err := e.grow(ctx, newBitmapCache(full, 1), new(growScratch), labels, pairVec, e.cfg.Width)
+			wantClause, _, err := e.grow(ctx, full, new(growScratch), labels, pairVec, e.cfg.Width)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.grow(ctx, newBitmapCache(masked, 2), new(growScratch), labels, pairVec, e.cfg.Width)
+			got, _, err := e.grow(ctx, masked, new(growScratch), labels, pairVec, e.cfg.Width)
 			if err != nil {
 				t.Fatal(err)
 			}

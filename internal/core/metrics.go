@@ -77,7 +77,11 @@ func validateEvaluation(log *joblog.Log, level features.Level, q *pxql.Query, x 
 	if log == nil || log.Len() == 0 {
 		return fmt.Errorf("core: empty evaluation log")
 	}
-	d := features.NewDeriver(log.Schema, level)
+	// Checked first: a deriver of any other level is a panic.
+	if level < features.Level1 || level > features.Level3 {
+		return fmt.Errorf("core: invalid feature level %d", level)
+	}
+	d := deriverOf(log, level)
 	for _, p := range []pxql.Predicate{q.Despite, q.Observed, q.Expected, x.Despite, x.Because} {
 		if err := p.Validate(d.Schema()); err != nil {
 			return err

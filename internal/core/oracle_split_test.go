@@ -9,7 +9,8 @@ package core
 // code planes, value indexes and all — is property-tested
 // against it on random small logs with missing cells, NaN, ±0,
 // infinities, and nominal values containing the arrow, so that two diff
-// symbols render alike.
+// symbols render alike; and so is the support it reports for the atom it
+// chooses, against the boxed pairs the atom holds on.
 
 import (
 	"fmt"
@@ -284,7 +285,9 @@ func wideSplitLog(rng *rand.Rand, partners, extra int) (*joblog.Log, *pairPlanes
 // TestScoreFeatureMatchesReference holds scoreFeature to refScore on
 // every feature of random small logs (splitLog, all ordered pairs) and of
 // wider ones (wideSplitLog) whose base and diff columns hold more values
-// than planes, over the whole sample and a random working set.
+// than planes, over the whole sample and a random working set, and each
+// scored atom's support to a count of the working set's boxed pairs it
+// holds on (Atom.Eval on their derived vectors).
 func TestScoreFeatureMatchesReference(t *testing.T) {
 	scored, arrowMerges, mixedZeros, overCap := 0, 0, 0, 0
 	sc := new(scoreScratch) // reused throughout, as a scoring goroutine does
@@ -335,15 +338,16 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 		}
 		for _, cur := range [][]int{whole, subset} {
 			ws := testWorkingSet(cur, ps.labels)
-			subLabels := ws.labels
+			subLabels := make([]bool, len(cur))
 			subVecs := make([][]joblog.Value, len(cur))
 			for k, i := range cur {
-				subVecs[k] = vecs[i]
+				subVecs[k], subLabels[k] = vecs[i], ps.labels[i]
 			}
 			for f := 0; f < e.d.Schema().Len(); f++ {
 				where := fmt.Sprintf("seed %d L%d %s over %d/%d pairs", seed, level, e.d.Schema().Field(f).Name, len(cur), m.N)
 				want, wantGain, wantOK := refScore(e.d, e.cfg.Target, level, f, subVecs, subLabels, pairVec[f])
-				got, gain, ok := e.scoreFeature(in, m, ws, pairVec, nil, f, sc)
+				c, gain, ok := e.scoreFeature(in, m, ws, pairVec, nil, f, sc)
+				got := c.atom
 				if ok != wantOK {
 					t.Fatalf("%s: ok = %v, reference says %v", where, ok, wantOK)
 				}
@@ -364,6 +368,18 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 				// An atom already in the clause is not offered again.
 				if _, _, again := e.scoreFeature(in, m, ws, pairVec, pxql.Predicate{got}, f, sc); again {
 					t.Errorf("%s: offered %v although the clause holds it", where, got)
+				}
+				var boxed support
+				for k, vec := range subVecs {
+					if got.Eval(vec[f]) {
+						boxed.sat++
+						if subLabels[k] {
+							boxed.pos++
+						}
+					}
+				}
+				if c.support != boxed {
+					t.Errorf("%s: %v reports support %+v, the boxed pairs %+v", where, got, c.support, boxed)
 				}
 				if got.Value.Str == "(a→b→c)" {
 					arrowMerges++
@@ -398,10 +414,8 @@ func TestScoreFeatureMatchesReference(t *testing.T) {
 // testWorkingSet builds the working set of the matrix rows rows, whose
 // pairs are labelled labels (one per matrix row).
 func testWorkingSet(rows []int, labels []bool) *workingSet {
-	ws := &workingSet{rows: rows, labels: make([]bool, len(rows)),
-		bits: bitset.Make(len(labels)), pos: bitset.FromBools(labels)}
-	for k, i := range rows {
-		ws.labels[k] = labels[i]
+	ws := &workingSet{n: len(rows), bits: bitset.Make(len(labels)), pos: bitset.FromBools(labels)}
+	for _, i := range rows {
 		ws.bits.SetBit(i)
 	}
 	return ws

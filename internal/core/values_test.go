@@ -97,12 +97,13 @@ func valueLog(rng *rand.Rand, pool []float64, extra int) (*joblog.Log, *pairPlan
 
 // bestNominalByString is the string-sorted path the value index
 // replaces: render each working-set cell, tally per rendering, sort the
-// renderings and pick the first best gain in that order.
-func bestNominalByString(d *features.Deriver, in *joblog.Intern, f int, m *features.PairMatrix, ws *workingSet) (string, float64, bool) {
+// renderings and pick the first best gain in that order, over the
+// working set rows whose pairs are labelled labels (one per matrix row).
+func bestNominalByString(d *features.Deriver, in *joblog.Intern, f int, m *features.PairMatrix, rows []int, labels []bool) (string, float64, bool) {
 	type tally struct{ pos, neg int }
 	by := map[string]*tally{}
 	var strs []string
-	for k, i := range ws.rows {
+	for _, i := range rows {
 		s := m.SymAt(i, d.SymOffset(f))
 		if s == features.MissingSym {
 			continue
@@ -112,7 +113,7 @@ func bestNominalByString(d *features.Deriver, in *joblog.Intern, f int, m *featu
 			by[r] = &tally{}
 			strs = append(strs, r)
 		}
-		if ws.labels[k] {
+		if labels[i] {
 			by[r].pos++
 		} else {
 			by[r].neg++
@@ -134,7 +135,7 @@ func bestNominalByString(d *features.Deriver, in *joblog.Intern, f int, m *featu
 			best, bestGain = r, g
 		}
 	}
-	knownFrac := float64(totalPos+totalNeg) / float64(len(ws.rows))
+	knownFrac := float64(totalPos+totalNeg) / float64(len(rows))
 	return best, bestGain * knownFrac, true
 }
 
@@ -180,11 +181,11 @@ func TestValueCountsMatchColumnScorers(t *testing.T) {
 					if d.Schema().Field(f).Name == "n" && vi.Len() != k {
 						t.Fatalf("%s: the index holds %d values, the column %d", where, vi.Len(), k)
 					}
-					vals := make([]float64, len(rows))
+					vals, labels := make([]float64, len(rows)), make([]bool, len(rows))
 					for j, i := range rows {
-						vals[j] = m.NumAt(i, off)
+						vals[j], labels[j] = m.NumAt(i, off), ps.labels[i]
 					}
-					wantT, wantG, wantOK := dtree.BestThresholdF(vals, ws.labels, nil)
+					wantT, wantG, wantOK := dtree.BestThresholdF(vals, labels, nil)
 					gotT, gotG, gotOK := bestThreshold(vi, m.NumCol(off), ws, sc)
 					if gotOK != wantOK || math.Float64bits(gotT) != math.Float64bits(wantT) || math.Float64bits(gotG) != math.Float64bits(wantG) {
 						t.Fatalf("%s: counts give (%v, %v, %v), BestThresholdF (%v, %v, %v)", where, gotT, gotG, gotOK, wantT, wantG, wantOK)
@@ -195,7 +196,7 @@ func TestValueCountsMatchColumnScorers(t *testing.T) {
 					reached["threshold over "+store]++
 					atom = pxql.Atom{Feature: d.Schema().Field(f).Name, Op: pxql.OpLe, Value: joblog.Num(gotT)}
 				} else {
-					wantV, wantG, wantOK := bestNominalByString(d, in, f, m, ws)
+					wantV, wantG, wantOK := bestNominalByString(d, in, f, m, rows, ps.labels)
 					best, gotG, gotOK := dtree.BestNominalCounts(sc.counts, len(rows))
 					gotV := ""
 					if gotOK {
@@ -214,7 +215,7 @@ func TestValueCountsMatchColumnScorers(t *testing.T) {
 				// per-row evaluation.
 				ma := newMatrixAtom(d, in, f, atom)
 				sel := bitset.Make(m.N)
-				ma.fillRange(m, 0, m.N, sel, nil)
+				ma.fillRange(m, sel, allRows(m.N))
 				for row := 0; row < m.N; row++ {
 					if sel.Get(row) != ma.eval(m, row) {
 						t.Fatalf("%s: %v's bit %d is %v, eval %v", where, atom, row, sel.Get(row), ma.eval(m, row))

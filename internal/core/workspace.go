@@ -10,8 +10,8 @@ import (
 
 // workspace is the working set of one explanation in flight: every
 // buffer Algorithm 1 fills per question — the training sample, the pair
-// matrix with its gather scratch, the candidate bitmaps, the growth
-// state, the candidate slots and the scoring scratch — recycled whole
+// matrix with its gather scratch, the growth state, the candidate slots
+// and the scoring scratch — recycled whole
 // between questions, so a warm explanation allocates little beyond what
 // it returns and what a walk builds. The despite and because phases of one explanation run one after
 // the other over the same workspace, and nothing an Explanation keeps
@@ -25,24 +25,20 @@ type workspace struct {
 	// want is the scorable mask of the pair of interest.
 	want bitset.Set
 	m    features.PairMatrix
-	bc   bitmapCache
 	g    growScratch
 	// flipped is despite generation's labels: performed as expected.
 	flipped []bool
-	// posBits, prefix and sel are the because clause's per-prefix
-	// diagnostics.
-	posBits, prefix, sel bitset.Set
 }
 
 // workFree holds the idle workspaces, at most one per processor the
 // process started with: a workspace is made only when every idle one is
 // taken, so the list never holds more than the process has run at once,
 // and with no more than GOMAXPROCS explanations running side by side each
-// finds one. A workspace that has served 2 000-pair samples holds about
-// 1.13 MB over a 27 000-job log (the matrix with its gather scratch and
-// value indexes 0.93 MB, of which the indexes and their build scratch
-// 0.08 MB; the rest 0.2 MB) and 1.09 MB over the 540-job sweep (0.87 MB
-// and 0.22 MB).
+// finds one. A workspace that has served three 2 000-pair despite and
+// because phases holds about 1.15 MB of slice capacity over a 27 000-job
+// log (the matrix with its gather scratch and value indexes 1.06 MB; the
+// rest 0.09 MB) and 0.97 MB over the 540-job sweep (0.88 MB and
+// 0.09 MB).
 var workFree = make(chan *workspace, runtime.GOMAXPROCS(0))
 
 // takeWorkspace returns an idle workspace, or a new one when none is
@@ -72,9 +68,8 @@ func (ws *workspace) release() {
 
 // poison overwrites what the workspace holds with values that change an
 // answer when read: every matrix column and code triple split on
-// alternate rows, the sample's pairs reversed, every label negated, the
-// working set's rows complemented and alternate bits of every bitmap
-// flipped. The rank draw's skip tables are left as they are: each is a
+// alternate rows, the sample's pairs reversed, every label negated and
+// alternate bits of every bitmap flipped. The rank draw's skip tables are left as they are: each is a
 // pure function of the rate it records.
 func (ws *workspace) poison() {
 	if d := ws.m.D; d != nil {
@@ -88,13 +83,7 @@ func (ws *workspace) poison() {
 		negate(l)
 	}
 	negate(ws.flipped[:cap(ws.flipped)])
-	negate(ws.g.subLabels[:cap(ws.g.subLabels)])
-	cur := ws.g.cur[:cap(ws.g.cur)]
-	for i := range cur {
-		cur[i] = ^cur[i]
-	}
-	for _, s := range [...]bitset.Set{ws.want, ws.posBits, ws.prefix, ws.sel,
-		ws.g.posBits, ws.g.curBits, bitset.Set(ws.bc.slab)} {
+	for _, s := range [...]bitset.Set{ws.want, ws.g.cur, ws.g.pos, ws.g.sel} {
 		s = s[:cap(s)]
 		for w := range s {
 			s[w] ^= 0x5555555555555555

@@ -1,8 +1,7 @@
 package core
 
 // The workspace free list: a warm explanation draws its sample, fills
-// its matrix, caches its bitmaps and grows its clause in recycled
-// buffers; overlapping explanations each own one; and a buffer read
+// its matrix and grows its clause in recycled buffers; overlapping explanations each own one; and a buffer read
 // after its workspace went back changes an answer.
 
 import (
@@ -30,21 +29,20 @@ func paperSweep(t testing.TB) *joblog.Log {
 }
 
 // TestExplainSteadyStateAllocs bounds what a warm explanation allocates
-// on the 540-job sweep: a rank-drawn Explain may allocate at most a
-// quarter of what it did when every question made its own sample, matrix,
-// bitmaps and growth state and only one idle matrix was kept (775
-// allocations then, 65 with a recycled workspace, 55 now). An
-// ExplainWithDespite, whose because phase walks, allocated 1 516 then and
-// 319 with a recycled workspace, some 250 of them compiling the walk's
-// clauses once per spec; compiled once per walk they are 152, and the
-// bound is that count with a fifth of headroom. The race detector drops
-// a quarter of sync.Pool's puts (the walk's tile and result pools), so a
-// race build counts against its own figures: 1 209 and 2 261 then, 66
-// and 405–425 with a recycled workspace, 55 and 244 now.
+// on the 540-job sweep, at its current counts plus a fifth. A rank-drawn
+// Explain allocated 775 times when every question made its own sample,
+// matrix, bitmaps and growth state and only one idle matrix was kept, 65
+// with a recycled workspace, 55 once the walk's clauses were compiled
+// once per walk, and 36–37 since a round fills only its winner's bitmap
+// and the diagnostics read the winners' counts. An ExplainWithDespite,
+// whose because phase walks, allocated 1 516, 319, 152 and now 122. The
+// race detector drops a quarter of sync.Pool's puts (the walk's tile and
+// result pools), so a race build counts against its own figures: 1 209,
+// 66, 55 and now 37–38; 2 261, 405–425, 244 and now 200–214.
 func TestExplainSteadyStateAllocs(t *testing.T) {
-	plainBefore, despiteBound := 775, 180
+	plainBound, despiteBound := 44, 146
 	if raceEnabled {
-		plainBefore, despiteBound = 1209, 290
+		plainBound, despiteBound = 45, 256
 	}
 	log := paperSweep(t)
 	q := sweepQuestions(t, log, 1)[0]
@@ -67,8 +65,8 @@ func TestExplainSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("a warm Explain allocates %.0f times, ExplainWithDespite %.0f", plain, despite)
-	if plain > float64(plainBefore/4) {
-		t.Errorf("a warm Explain allocates %.0f times, want at most %d", plain, plainBefore/4)
+	if plain > float64(plainBound) {
+		t.Errorf("a warm Explain allocates %.0f times, want at most %d", plain, plainBound)
 	}
 	if despite > float64(despiteBound) {
 		t.Errorf("a warm ExplainWithDespite allocates %.0f times, want at most %d", despite, despiteBound)
@@ -166,7 +164,7 @@ func TestReleasedWorkspaceIsPoisoned(t *testing.T) {
 		}
 		pairVec := e.d.Vector(a, b)
 		grow := func(ws *workspace) pxql.Predicate {
-			clause, err := e.grow(ctx, ws.bc.reset(&ws.m, 1), &ws.g, ws.sample.labels, pairVec, e.cfg.Width)
+			clause, _, err := e.grow(ctx, &ws.m, &ws.g, ws.sample.labels, pairVec, e.cfg.Width)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -250,10 +250,11 @@ func (s *Server) snapshot() (*perfxplain.Log, uint64, error) {
 
 // mergeOptions resolves a request's semantic knobs over the server's
 // base options. Runtime knobs pass through from the base untouched.
-// Non-positive numbers inherit the base; a level above 3 is refused.
+// Non-positive numbers inherit the base, but a level is 0 (the base's)
+// or 1–3: any other is refused.
 func (s *Server) mergeOptions(req *ExplainRequest) (perfxplain.Options, error) {
 	opt := s.cfg.Explain
-	if req.Level > 3 {
+	if req.Level < 0 || req.Level > 3 {
 		return opt, badRequestf("level %d: want 1, 2 or 3", req.Level)
 	}
 	if req.Width > 0 {

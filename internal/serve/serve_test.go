@@ -739,6 +739,7 @@ func TestClientErrors(t *testing.T) {
 		{"no pair no find", ExplainRequest{Query: testQuery}},
 		{"half pair", ExplainRequest{Query: testQuery, Pair: []string{"job-0001"}}},
 		{"level past 3", ExplainRequest{Query: testQuery, Find: true, Level: 4}},
+		{"negative level", ExplainRequest{Query: testQuery, Find: true, Level: -1}},
 	}
 	for _, c := range cases {
 		if status, _, raw := postExplain(t, ts.URL+"/api/explain", c.req); status != http.StatusBadRequest {
