@@ -20,10 +20,11 @@ import (
 	"perfxplain/internal/serve"
 )
 
-// smokeQuery's base conjunct keeps it off the rank sampler, so the
-// sharded leg walks its pairs on the workers.
+// smokeQuery's base `!=` conjunct, which no row filter proves, keeps it
+// off the rank sampler, so the sharded leg walks its pairs on the
+// workers.
 const smokeQuery = `
-DESPITE numinstances_issame = T AND pigscript_issame = T AND blocksize > 0
+DESPITE numinstances_issame = T AND pigscript_issame = T AND blocksize != 0
 OBSERVED duration_compare = GT
 EXPECTED duration_compare = SIM`
 

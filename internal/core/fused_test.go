@@ -34,18 +34,18 @@ var fusedAllowed = map[string]string{
 var fusedOp = regexp.MustCompile(`\((\S+\.go):(\d+)\)\s+(F(?:N)?M(?:ADD|SUB)[SD])\b`)
 
 // TestNoFusedMultiplyAdd compiles the packages that decide an answer's
-// bytes — dtree (information gain), stats (entropy, percentile ranks)
-// and core (the score blend) — for arm64 with the assembly listing on,
-// and fails on any fused op outside fusedAllowed's sizing functions. It
-// also requires the allowed ones to be seen, so an empty listing cannot
-// pass.
+// bytes — dtree (information gain), stats (entropy, percentile ranks),
+// relief (the feature weights) and core (the score blend) — for arm64
+// with the assembly listing on, and fails on any fused op outside
+// fusedAllowed's sizing functions. It also requires the allowed ones to
+// be seen, so an empty listing cannot pass.
 func TestNoFusedMultiplyAdd(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go tool to compile the listing with")
 	}
 	cmd := exec.Command(gobin, "build", "-gcflags=-S",
-		"perfxplain/internal/dtree", "perfxplain/internal/stats", "perfxplain/internal/core")
+		"perfxplain/internal/dtree", "perfxplain/internal/stats", "perfxplain/internal/relief", "perfxplain/internal/core")
 	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

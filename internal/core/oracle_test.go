@@ -161,9 +161,10 @@ func oracleLog(rng *rand.Rand) *joblog.Log {
 
 // oracleDespites are the despite-clause shapes the planners specialise
 // on: none, blocked, blocked + zone-prunable, blocked + seekable (a
-// range and a NaN-poisoned equality), a base-equality prefilter, and
-// blocking on a numeric column — near-equal values (SIM-chain classes,
-// not exact-value keys).
+// range and a NaN-poisoned equality), a base-equality prefilter, blocking
+// on a numeric column — near-equal values (SIM-chain classes, not
+// exact-value keys) — and blocked + a compare residual, which no index
+// proves.
 func oracleDespites() map[string]pxql.Predicate {
 	blocked := pxql.Atom{Feature: "g_issame", Op: pxql.OpEq, Value: features.ValT}
 	return map[string]pxql.Predicate{
@@ -175,6 +176,7 @@ func oracleDespites() map[string]pxql.Predicate {
 		"prefilter": {{Feature: "s", Op: pxql.OpEq, Value: joblog.Str("s1")}, {Feature: "v", Op: pxql.OpLt, Value: joblog.Num(6)}},
 
 		"blocked-numeric": {{Feature: "j_issame", Op: pxql.OpEq, Value: features.ValT}},
+		"compare":         {blocked, {Feature: "j_compare", Op: pxql.OpEq, Value: features.ValSIM}},
 	}
 }
 
@@ -225,7 +227,8 @@ func checkOracle(t *testing.T, ex Exec, sealEvery int) {
 		}
 	}
 	// Teeth: only the NaN-poisoned equality may have nothing to find, and
-	// exactly the shapes blocking proves whole are drawn by rank.
+	// exactly the shapes blocking and row filters prove whole are drawn by
+	// rank.
 	for name := range oracleDespites() {
 		if name != "seek-nan" && (related[name] == 0 || contexts[name] == 0) {
 			t.Errorf("%s: the generator produced %d related and %d context pairs over all trials; the shape is untested",
@@ -238,10 +241,12 @@ func checkOracle(t *testing.T, ex Exec, sealEvery int) {
 }
 
 // rankShapes are the oracle despite shapes the rank sampler draws: those
-// whose every conjunct blocking proves. Every oracle log's durations are
-// positive, so the target never rules one out.
+// whose every conjunct blocking or a row filter proves — all but the
+// compare residual. Every oracle log's durations are positive, so the
+// target never rules one out.
 var rankShapes = map[string]bool{
 	"none": true, "blocked": true, "blocked-numeric": true,
+	"zone": true, "seek": true, "seek-nan": true, "prefilter": true,
 }
 
 // oracleQuery asks why a pair was slower (GT) than expected (SIM) under

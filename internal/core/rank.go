@@ -3,9 +3,21 @@ package core
 // The rank sampler: Section 4.3's balanced sample drawn straight from
 // Definition 7's related set, without walking it. It serves the question
 // shape every template, example and harness asks — observed and expected
-// are each one `<T>_compare = C` atom on one numeric column, and blocking
-// proves the whole despite clause — whenever every member of every
-// blocking group carries a present, finite, strictly positive T cell.
+// are each one `<T>_compare = C` atom on one numeric column, and the
+// despite clause is blocking plus row filters — whenever every member of
+// every layout group carries a present, finite, strictly positive T cell.
+//
+// A row filter is a base conjunct the layout proves without a walk. A
+// base equality `<raw> = c` is candidateRecords' prefilter: it keeps the
+// rows whose cell equals c, and any two of them derive c. A numeric
+// `<raw> <op> c` with op one of <, <=, >, >= (baseRangeOf) holds on a
+// pair exactly when both cells are present, equal and inside the range:
+// an equality block plus a row filter. A filtered layout cuts each
+// block group to the rows inside every range and splits it by the exact
+// values of the range columns (−0 and +0 are equal, so they share a
+// class; NaN and missing cells fall outside every range). Any other
+// residual — `!=`, compare and issame atoms, blocking on a loose SIM
+// chain — keeps the walk.
 //
 // Inside a group sorted by (T value, record index), stats.Similar's
 // betweenness (TestSimilarBetween) gives each member's partners a fixed
@@ -16,19 +28,29 @@ package core
 // counts every member's partners of each code exactly. Laid end to end in
 // (group, rank) order, a class's pairs form a rank space [0, n): rank r
 // is partner r − cum[k] of the member k whose prefix sums hold it, so a
-// draw is a binary search, not a walk.
+// draw is a binary search, not a walk — the exact-weight join sample of
+// Chaudhuri, Motwani & Narasayya (SIGMOD 1999).
 //
 // The draw applies §4.3's keep rule to the exact class counts and thins
 // each class's rank space with the integer skip sampler (skip.go), so
 // the sample is an iid Bernoulli thinning per class, runs on the
 // coordinator alone (its two classes on up to two cores), and is the
 // same at every parallelism, spec count, executor and seal boundary by
-// construction. Everything else — seek and zone templates, residual
-// despite conjuncts, multi-atom outcome clauses, non-positive targets —
-// keeps the walk (Explainer.enumeratePairs).
+// construction. Everything else — other residual despite conjuncts,
+// multi-atom outcome clauses, non-positive targets — keeps the walk
+// (Explainer.enumeratePairs), which also serves Evaluate and
+// RelatedPairsP for every shape.
+//
+// A layout is memoized on the columnar view under (blocking tuple,
+// target, canonical row filters): one memo per distinct set of filter
+// constants, which dies with the view at the next watermark.
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
+	"strings"
+	"sync"
 
 	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
@@ -36,17 +58,29 @@ import (
 	"perfxplain/internal/pxql"
 )
 
-// rankKey memoizes one (blocking tuple, target column) rank layout on the
-// columnar view, beside the block plan it is cut from.
+// rankKey memoizes one rank layout on the columnar view, beside the block
+// plan it is cut from: the blocking tuple, the target column and the row
+// filters' canonical key ("" for none).
 type rankKey struct {
 	block  blockPlanKey
 	target int
+	rows   string
 }
 
-// rankGroups is the memoized rank layout of one blocking tuple and target
-// column over a view: every group of two or more members, sorted by
-// (target value, record index), end to end. It is query-independent and
-// read-only once built.
+// rankSlot is a rank layout's memo entry. Memo only stores the slot; the
+// first question to reach it builds the layout under once, outside
+// Memo's lock, because the build reads the view's other memos (block
+// plan, classes, sorted index, equality bitmaps) and a Memo builder must
+// not re-enter Memo. A warm question therefore pays one lookup.
+type rankSlot struct {
+	once sync.Once
+	rg   *rankGroups
+}
+
+// rankGroups is the memoized rank layout of one blocking tuple, target
+// column and set of row filters over a view: every group of two or more
+// members, sorted by (target value, record index), end to end. It is
+// query-independent and read-only once built.
 type rankGroups struct {
 	// ok is false when some grouped member's target cell is missing,
 	// non-finite or non-positive: the shape is then not drawable.
@@ -63,12 +97,76 @@ type rankGroups struct {
 	cum [3][]int64
 }
 
-// newRankGroups sorts the plan's groups by the target column through its
-// sorted index and sweeps each group once for the members' windows.
-func newRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) *rankGroups {
-	if col.Kind != joblog.Numeric {
-		return &rankGroups{}
+// rankRows is the part of a despite clause the rank layout proves beyond
+// blocking: its base equalities, which candidateGroups' prefilter applies,
+// and its numeric ranges, which cut and split the groups.
+type rankRows struct {
+	ranges []baseRange
+	// key renders every row filter canonically — sorted encodings of
+	// (field, operator, constant bits) — or is "" when there is none.
+	key string
+}
+
+// rankRowsOf classifies the despite residual blocking leaves: ok is false
+// when some conjunct is not a row filter and the question must walk.
+func rankRowsOf(log *joblog.Log, despite pxql.Predicate) (rows rankRows, ok bool) {
+	residual := residualDespite(log, despite)
+	if len(residual) == 0 {
+		return rankRows{}, true
 	}
+	keys := make([]string, 0, len(residual))
+	for _, a := range residual {
+		raw, fam := features.ParseName(a.Feature)
+		f, known := log.Schema.Index(raw)
+		switch {
+		case fam != features.Base || !known:
+			return rankRows{}, false
+		case a.Op == pxql.OpEq:
+			// candidateGroups' prefilter
+		default:
+			r, ok := baseRangeOf(log, a)
+			if !ok {
+				return rankRows{}, false
+			}
+			rows.ranges = append(rows.ranges, r)
+		}
+		keys = append(keys, filterKey(f, a))
+	}
+	// The layout splits by the range columns in index order, so it is a
+	// function of the key whichever clause order built it first.
+	slices.SortFunc(rows.ranges, func(a, b baseRange) int { return a.f - b.f })
+	slices.Sort(keys)
+	rows.key = strings.Join(keys, "")
+	return rows, true
+}
+
+// filterKey encodes one row filter as a fixed-layout string: field,
+// operator, constant kind, then the constant's bits or its text.
+func filterKey(f int, a pxql.Atom) string {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(f))
+	b = append(b, byte(a.Op), byte(a.Value.Kind))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Value.Num))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(a.Value.Str)))
+	return string(append(b, a.Value.Str...))
+}
+
+// newRankGroups builds the layout of (despite, rows) over target column t.
+// An unfiltered plan is sorted through the target's sorted index; a
+// filtered one sorts its survivors alone.
+func newRankGroups(log *joblog.Log, despite pxql.Predicate, rows rankRows, t int) *rankGroups {
+	cols := log.Columns()
+	col := cols.Col(t) // numeric: compareCode checked the schema
+	plan := candidateGroups(log, despite)
+	if rows.key == "" {
+		return newBlockedRankGroups(plan, col, cols.SortedIndex(t), cols.Len())
+	}
+	return newFilteredRankGroups(plan, rows.ranges, cols, col)
+}
+
+// newBlockedRankGroups sorts the plan's groups by the target column
+// through its sorted index and sweeps each group once for the members'
+// windows.
+func newBlockedRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) *rankGroups {
 	gid := make([]int32, n)
 	for i := range gid {
 		gid[i] = -1
@@ -106,7 +204,99 @@ func newRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) 
 			return &rankGroups{} // a member's cell is missing or NaN
 		}
 	}
+	rg.sweep(vals, start)
+	return rg
+}
 
+// newFilteredRankGroups cuts each of the plan's groups to the rows inside
+// every range, orders the survivors by (range-column values, target
+// value, record index) — stable radix passes (joblog.RadixSort), the
+// target's first, over rows in record order — splits them where a
+// range-column value changes, and sweeps every class of two or more
+// members. OrderKey folds −0 into +0 and == reads them as equal, so the
+// two share a class. It touches the groups' rows only: nothing it
+// allocates is the size of the view.
+func newFilteredRankGroups(plan blockPlan, ranges []baseRange, cols *joblog.Columns, col *joblog.Col) *rankGroups {
+	split := make([]*joblog.Col, len(ranges))
+	for i, r := range ranges {
+		split[i] = cols.Col(r.f)
+	}
+	inside := func(r int) bool {
+		for i, c := range split {
+			if c.Miss.Get(r) || !ranges[i].rng.Contains(c.Num[r]) {
+				return false
+			}
+		}
+		return true
+	}
+	same := func(a, b int32) bool {
+		for _, c := range split {
+			if c.Num[a] != c.Num[b] {
+				return false
+			}
+		}
+		return true
+	}
+	rg := &rankGroups{}
+	var vals []float64
+	start := []int{0}
+	var rows []int32
+	var keys []uint64
+	for _, g := range plan.groups {
+		rows = rows[:0]
+		for _, r := range g {
+			if inside(r) {
+				rows = append(rows, int32(r))
+			}
+		}
+		if len(rows) < 2 {
+			continue // no pairs
+		}
+		// A missing or NaN target sorts anywhere: the class holding it is
+		// refused below unless it is alone.
+		keys = keys[:0]
+		for _, r := range rows {
+			var k uint64
+			if x := col.Num[r]; x == x {
+				k = joblog.OrderKey(x)
+			}
+			keys = append(keys, k)
+		}
+		rows = joblog.RadixSort(keys, rows)
+		for i := len(split) - 1; i >= 0; i-- {
+			keys = keys[:0]
+			for _, r := range rows {
+				keys = append(keys, joblog.OrderKey(split[i].Num[r]))
+			}
+			rows = joblog.RadixSort(keys, rows)
+		}
+		for s, e := 0, 0; s < len(rows); s = e {
+			for e = s + 1; e < len(rows) && same(rows[s], rows[e]); e++ {
+			}
+			if e-s < 2 {
+				continue // no pairs
+			}
+			for _, r := range rows[s:e] {
+				x := col.Num[r]
+				if col.Miss.Get(int(r)) || !(x > 0) || math.IsInf(x, 1) {
+					return &rankGroups{}
+				}
+				rg.members = append(rg.members, int(r))
+				vals = append(vals, x)
+			}
+			start = append(start, len(rg.members))
+		}
+	}
+	rg.sweep(vals, start)
+	return rg
+}
+
+// sweep fills the windows and per-code prefix counts of the members laid
+// out in groups [start[g], start[g+1]), whose target values vals are
+// positive, finite and ascending inside each group, and marks the layout
+// drawable.
+func (rg *rankGroups) sweep(vals []float64, start []int) {
+	total := len(vals)
 	rg.lo, rg.hi = make([]int32, total), make([]int32, total)
 	for c := range rg.cum {
 		rg.cum[c] = make([]int64, total+1)
@@ -137,7 +327,6 @@ func newRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) 
 		}
 	}
 	rg.ok = true
-	return rg
 }
 
 // rankSpace is one question's related set in rank form: the view's
@@ -174,26 +363,26 @@ func compareCode(log *joblog.Log, p pxql.Predicate) (raw int, code uint64, ok bo
 // returns the rank form of (q, despite)'s related set, or nil when the
 // question must be walked. Eligible means observed and expected are
 // single compare atoms with distinct codes on one numeric column T, the
-// despite clause leaves no residual after blocking (so it holds no base
-// prefilter either, and no group can be seek-filtered), and
-// every member of a group of two or more has a present, finite, strictly
-// positive T cell.
+// despite clause leaves no residual after blocking but row filters
+// (rankRowsOf), and every member of a layout group of two or more has a
+// present, finite, strictly positive T cell.
 func rankSpaceOf(log *joblog.Log, q *pxql.Query, despite pxql.Predicate) *rankSpace {
 	tObs, cObs, ok := compareCode(log, q.Observed)
 	if !ok {
 		return nil
 	}
 	tExp, cExp, ok := compareCode(log, q.Expected)
-	if !ok || tExp != tObs || cExp == cObs || len(residualDespite(log, despite)) > 0 {
+	if !ok || tExp != tObs || cExp == cObs {
 		return nil
 	}
-	cols := log.Columns()
-	// Resolved before entering Memo, whose builders must not re-enter it.
-	plan := candidateGroups(log, despite)
-	ix := cols.SortedIndex(tObs)
-	rg := cols.Memo(rankKey{blockKey(blockIndexes(log, despite)), tObs}, func() any {
-		return newRankGroups(plan, cols.Col(tObs), ix, cols.Len())
-	}).(*rankGroups)
+	rows, ok := rankRowsOf(log, despite)
+	if !ok {
+		return nil
+	}
+	slot := log.Columns().Memo(rankKey{blockKey(blockIndexes(log, despite)), tObs, rows.key},
+		func() any { return new(rankSlot) }).(*rankSlot)
+	slot.once.Do(func() { slot.rg = newRankGroups(log, despite, rows, tObs) })
+	rg := slot.rg
 	if !rg.ok {
 		return nil
 	}

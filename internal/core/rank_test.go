@@ -229,8 +229,9 @@ func TestRankDrawLaw(t *testing.T) {
 }
 
 // TestRankIneligibleWalks pins the shapes the rank sampler declines: a
-// non-positive target cell in a group, a despite conjunct blocking does
-// not prove, and an observed clause of two atoms. Each still trains on
+// non-positive target cell in a group, despite conjuncts neither blocking
+// nor a row filter proves (a compare atom, a base !=), and an observed
+// clause of two atoms. Each still trains on
 // exactly the walk's output — the enumeration thinned to MaxPairs, then
 // balancedSample, under the same seeds as ever.
 func TestRankIneligibleWalks(t *testing.T) {
@@ -261,7 +262,8 @@ func TestRankIneligibleWalks(t *testing.T) {
 			q    *pxql.Query
 		}{
 			{"non-positive target", bad, oracleQuery(nil)},
-			{"residual despite", log, oracleQuery(oracleDespites()["zone"])},
+			{"residual despite", log, oracleQuery(oracleDespites()["compare"])},
+			{"base !=", log, oracleQuery(pxql.Predicate{oracleDespites()["blocked"][0], {Feature: "v", Op: pxql.OpNe, Value: joblog.Num(3)}})},
 			{"two-atom observed", log, twoAtoms},
 		} {
 			if rankSpaceOf(c.log, c.q, c.q.Despite) != nil {
@@ -292,10 +294,132 @@ func TestRankIneligibleWalks(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"non-positive target", "residual despite", "two-atom observed"} {
+	for _, name := range []string{"non-positive target", "residual despite", "base !=", "two-atom observed"} {
 		if nonEmpty[name] == 0 {
 			t.Errorf("%s: no trial had related pairs; the case is untested", name)
 		}
+	}
+}
+
+// TestRankCountsMatchWalk holds every row-filtered shape's exact class
+// sizes to an uncapped walk's counts on one log built for the filters'
+// edges: a range column with −0 and +0 (equal, so one class), NaN,
+// missing and infinite cells, a second range column, and a nominal
+// column for `=` prefilters with and without a blocking atom, against
+// constants that match nothing or have the wrong kind. A shape's layout
+// must not depend on its clause order, and a non-positive target must
+// rule it out only from inside a class.
+func TestRankCountsMatchWalk(t *testing.T) {
+	schema := joblog.NewSchema([]joblog.Field{
+		{Name: "g", Kind: joblog.Nominal},
+		{Name: "s", Kind: joblog.Nominal},
+		{Name: "v", Kind: joblog.Numeric},
+		{Name: "w", Kind: joblog.Numeric},
+		{Name: "duration", Kind: joblog.Numeric},
+	})
+	vs := []joblog.Value{joblog.Num(math.Copysign(0, -1)), joblog.Num(0), joblog.Num(1), joblog.Num(2),
+		joblog.Num(math.NaN()), joblog.None(), joblog.Num(math.Inf(1))}
+	ws := []joblog.Value{joblog.Num(1), joblog.Num(2), joblog.None()}
+	ss := []joblog.Value{joblog.Str("a"), joblog.Str("b"), joblog.None()}
+	// newLog builds the log, with a zero duration in row zero when it is
+	// not negative.
+	newLog := func(zero int) *joblog.Log {
+		rng := rand.New(rand.NewSource(1999))
+		log := joblog.NewLog(schema)
+		for i := 0; i < 90; i++ {
+			r := &joblog.Record{ID: fmt.Sprint("r", i), Values: []joblog.Value{
+				joblog.Str(fmt.Sprint("g", i%3)), ss[rng.Intn(len(ss))], vs[i%len(vs)], ws[rng.Intn(len(ws))],
+				joblog.Num(float64(10 + rng.Intn(40))),
+			}}
+			if i == zero {
+				r.Values[4] = joblog.Num(0)
+			}
+			log.MustAppend(r)
+		}
+		return log
+	}
+	log := newLog(-1)
+	blocked := pxql.Atom{Feature: "g_issame", Op: pxql.OpEq, Value: features.ValT}
+	num := func(f string, op pxql.Op, c float64) pxql.Atom {
+		return pxql.Atom{Feature: f, Op: op, Value: joblog.Num(c)}
+	}
+	negZero := math.Copysign(0, -1)
+	shapes := map[string]pxql.Predicate{
+		"zero range":          {num("v", pxql.OpLe, 0)},
+		"signed-zero range":   {blocked, num("v", pxql.OpGe, negZero)},
+		"two ranges":          {blocked, num("v", pxql.OpGt, 0.5), num("w", pxql.OpLe, 1.5)},
+		"open ranges":         {num("v", pxql.OpLt, 2), num("w", pxql.OpGe, 1)},
+		"nominal prefilter":   {{Feature: "s", Op: pxql.OpEq, Value: joblog.Str("a")}},
+		"prefilter and range": {{Feature: "s", Op: pxql.OpEq, Value: joblog.Str("b")}, num("v", pxql.OpLt, 1.5)},
+		"numeric equality":    {blocked, num("v", pxql.OpEq, negZero)},
+		"NaN range":           {blocked, num("v", pxql.OpGt, math.NaN())},
+		"target range":        {blocked, num("duration", pxql.OpGt, 20)},
+		"unlogged constant":   {{Feature: "s", Op: pxql.OpEq, Value: joblog.Str("zzz")}},
+		"wrong-kind constant": {blocked, {Feature: "v", Op: pxql.OpEq, Value: joblog.Str("a")}},
+	}
+	v, _ := schema.Index("v")
+	for name, despite := range shapes {
+		q := oracleQuery(despite)
+		rs := rankSpaceOf(log, q, despite)
+		if rs == nil {
+			t.Errorf("%s: not rank-drawable", name)
+			continue
+		}
+		ps, err := runEnumSpecs(context.Background(), Exec{Parallelism: 1}, log,
+			PlanEnumShards(log, features.Level3, q, despite, 0, 1, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked := ps.flatten(new(pairPlanes))
+		ps.release()
+		if rs.nObs != int64(ps.nObs) || rs.nExp != int64(ps.nExp) {
+			t.Errorf("%s: rank counts obs=%d exp=%d, the uncapped walk obs=%d exp=%d", name, rs.nObs, rs.nExp, ps.nObs, ps.nExp)
+		}
+		// The clause reversed shares the memoized layout; built first on a
+		// fresh view, it must build the same one.
+		reversed := slices.Clone(despite)
+		slices.Reverse(reversed)
+		if other := rankSpaceOf(newLog(-1), oracleQuery(reversed), reversed); other == nil ||
+			!reflect.DeepEqual(other.rg, rs.rg) {
+			t.Errorf("%s: the reversed clause builds another layout", name)
+		}
+		mixed := 0 // walked pairs of a −0 and a +0 cell
+		for i := range walked.a {
+			a, b := log.Record(walked.a[i]).Values[v], log.Record(walked.b[i]).Values[v]
+			if a.Kind == joblog.Numeric && b.Kind == joblog.Numeric && a.Num == 0 && b.Num == 0 &&
+				math.Signbit(a.Num) != math.Signbit(b.Num) {
+				mixed++
+			}
+		}
+		switch name {
+		case "zero range", "signed-zero range", "numeric equality":
+			if mixed == 0 {
+				t.Errorf("%s: no related pair joins −0 and +0; the case is untested", name)
+			}
+		case "target range":
+			// Equal targets are SIM: the class of GT pairs is empty.
+			if ps.nObs != 0 || ps.nExp == 0 {
+				t.Errorf("%s: obs=%d exp=%d, want only SIM pairs", name, ps.nObs, ps.nExp)
+			}
+		case "NaN range", "unlogged constant", "wrong-kind constant":
+			if walked.len() != 0 {
+				t.Errorf("%s: %d related pairs, want none", name, walked.len())
+			}
+		default:
+			if ps.nObs == 0 || ps.nExp == 0 {
+				t.Errorf("%s: a class is empty (obs=%d exp=%d); the shape is untested", name, ps.nObs, ps.nExp)
+			}
+		}
+	}
+	// A zero target rules a layout out only from inside a class of two or
+	// more: row 1 (v = +0) sits in the zero range's class and outside
+	// v > 0.5.
+	zeroed := newLog(1)
+	if d := shapes["zero range"]; rankSpaceOf(zeroed, oracleQuery(d), d) != nil {
+		t.Error("zero range: rank-drawable with a zero target in a class")
+	}
+	if d := shapes["two ranges"]; rankSpaceOf(zeroed, oracleQuery(d), d) == nil {
+		t.Error("two ranges: a zero target outside every class made the layout undrawable")
 	}
 }
 
@@ -363,8 +487,8 @@ func TestRankCountsPastInt32(t *testing.T) {
 // serial draw they replace, written out here: one skip table, the
 // observed class and then the expected class into one list. It runs at
 // Parallelism 1, 2 and 4 and over several seeds, on the oracle's small
-// logs and on one group of 400 members, where the GT class is thinned
-// with redraws. Sample sizes reach every regime: both classes thinned, a
+// logs, on one group of 400 members, where the GT class is thinned with
+// redraws, and on that group cut and split by a row filter. Sample sizes reach every regime: both classes thinned, a
 // class taken whole (p >= 1) and, on a group whose durations are all
 // equal, a class with no pairs.
 func TestRankSampleMatchesSerialDraw(t *testing.T) {
@@ -393,9 +517,21 @@ func TestRankSampleMatchesSerialDraw(t *testing.T) {
 		desp pxql.Predicate
 	}
 	blocked := pxql.Predicate{{Feature: "g_issame", Op: pxql.OpEq, Value: features.ValT}}
+	// The same spread under a row filter: k cuts a quarter of the rows
+	// and splits the rest into three classes of 100.
+	filtered := joblog.NewLog(joblog.NewSchema([]joblog.Field{
+		{Name: "g", Kind: joblog.Nominal},
+		{Name: "k", Kind: joblog.Numeric},
+		{Name: "duration", Kind: joblog.Numeric},
+	}))
+	for i := 0; i < 400; i++ {
+		filtered.MustAppend(&joblog.Record{ID: fmt.Sprint("r", i), Values: []joblog.Value{
+			joblog.Str("one"), joblog.Num(float64(i % 4)), joblog.Num(math.Exp(float64(i) / 40))}})
+	}
 	spaces := []space{
 		{"spread", oneGroup(func(i int) float64 { return math.Exp(float64(i) / 40) }), blocked},
 		{"equal", oneGroup(func(int) float64 { return 7 }), blocked},
+		{"filtered", filtered, append(slices.Clone(blocked), pxql.Atom{Feature: "k", Op: pxql.OpGe, Value: joblog.Num(1)})},
 	}
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 8; trial++ {
@@ -408,7 +544,7 @@ func TestRankSampleMatchesSerialDraw(t *testing.T) {
 	for i, sp := range spaces {
 		rs := rankSpaceOf(sp.log, oracleQuery(sp.desp), sp.desp)
 		if rs == nil {
-			if i < 2 {
+			if i < 3 {
 				t.Fatalf("%s: the question is not rank-drawable", sp.name)
 			}
 			continue

@@ -12,7 +12,11 @@ package core
 // before any pair is walked: a wide group with a needle-thin qualifying
 // range collapses from O(n²) pair evaluations to O(k²) with k the
 // qualifying rows, and a group left with fewer than two rows is dropped
-// whole. This is the walk planner's one index cut below blocking.
+// whole. This is the walk planner's one index cut below blocking. A
+// training sample whose despite residual is only such ranges and base
+// equalities is drawn by rank from a layout cut by the same ranges
+// (rank.go, baseRangeOf), so the walk's seek serves Evaluate,
+// RelatedPairsP and the questions the rank sampler declines.
 //
 // Exactness contract: a row may be filtered only when no ordered pair
 // containing it satisfies the despite clause, so filtering removes pairs
@@ -58,40 +62,52 @@ type rowSeeker struct {
 	allow bitset.Set // global row set; rows outside can satisfy no pair
 }
 
+// baseRange is a despite conjunct `<raw> <op> c` lowered to the value
+// range of its numeric column f.
+type baseRange struct {
+	f   int
+	rng pxql.ValueRange
+}
+
+// baseRangeOf lowers a despite conjunct to a base range. Only a base
+// feature over a numeric column, compared with a numeric constant under an
+// operator with a one-range lowering (pxql.AtomNumRange), qualifies:
+// OpNe's complement is not a single range, kind mismatches never lower,
+// and nominal equality is candidateRecords' prefilter.
+func baseRangeOf(log *joblog.Log, a pxql.Atom) (baseRange, bool) {
+	raw, fam := features.ParseName(a.Feature)
+	if fam != features.Base || a.Op == pxql.OpNe {
+		return baseRange{}, false
+	}
+	f, ok := log.Schema.Index(raw)
+	if !ok || log.Schema.Field(f).Kind != joblog.Numeric || a.Value.Kind != joblog.Numeric {
+		return baseRange{}, false
+	}
+	rng, ok := pxql.AtomNumRange(a.Op, a.Value.Num)
+	return baseRange{f, rng}, ok
+}
+
 // newRowSeeker lowers the despite clause's numeric base conjuncts to
-// seekable value ranges and intersects their qualifying row sets. It
-// returns nil when no conjunct lowers exactly — enumeration then walks
-// every group unfiltered, exactly as before. It reads only the memoized
-// columnar view (a pure deterministic function of the record list), so
-// the filter is identical across rebuilds, shard counts and processes.
+// seekable value ranges (baseRangeOf) and intersects their qualifying row
+// sets. It returns nil when no conjunct lowers exactly — enumeration then
+// walks every group unfiltered, exactly as before. It reads only the
+// memoized columnar view (a pure deterministic function of the record
+// list), so the filter is identical across rebuilds, shard counts and
+// processes.
 func newRowSeeker(log *joblog.Log, despite pxql.Predicate) *rowSeeker {
 	cols := log.Columns()
 	var allow bitset.Set
 	for _, a := range despite {
-		raw, fam := features.ParseName(a.Feature)
-		// Only `<raw> <op> c` base conjuncts with a one-range lowering
-		// qualify: OpNe's complement is not a single range, and nominal
-		// equality is already handled by candidateRecords' prefilter.
-		if fam != features.Base || a.Op == pxql.OpNe {
-			continue
-		}
-		fi, ok := log.Schema.Index(raw)
+		br, ok := baseRangeOf(log, a)
 		if !ok {
 			continue
 		}
-		// Kind mismatches never lower.
-		if cols.Col(fi).Kind != joblog.Numeric || a.Value.Kind != joblog.Numeric {
-			continue
-		}
-		rng, ok := pxql.AtomNumRange(a.Op, a.Value.Num)
-		if !ok {
-			continue
-		}
+		rng := br.rng
 		// Perm already excludes missing and NaN cells, so the range seek
 		// returns exactly the rows that can sit on either side of a
 		// satisfying pair. An empty range yields an empty row set and
 		// every group filters to nothing — the conjunct is unsatisfiable.
-		rows := cols.SortedIndex(fi).RangeBetween(rng.Lo, rng.Hi, rng.LoOpen, rng.HiOpen)
+		rows := cols.SortedIndex(br.f).RangeBetween(rng.Lo, rng.Hi, rng.LoOpen, rng.HiOpen)
 		cur := bitset.Make(log.Len())
 		for _, r := range rows {
 			cur.SetBit(int(r))

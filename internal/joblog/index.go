@@ -108,7 +108,7 @@ func planeLess(col *Col, a, b int32) bool {
 
 // sortRows orders rows [lo, hi) of col; perm holds global row numbers.
 // It is a stable LSD radix sort of the present rows, taken in ascending
-// row order, on orderKey: equal keys keep row order, so the result is
+// row order, on OrderKey: equal keys keep row order, so the result is
 // (value, row) order — planeLess's — without a comparison.
 func sortRows(col *Col, lo, hi int) rowOrder {
 	var o rowOrder
@@ -126,7 +126,7 @@ func sortRows(col *Col, lo, hi int) rowOrder {
 				o.hasNaN = true
 				continue
 			}
-			k = orderKey(x)
+			k = OrderKey(x)
 		} else {
 			k = uint64(col.Sym[i])
 		}
@@ -134,16 +134,16 @@ func sortRows(col *Col, lo, hi int) rowOrder {
 		rows = append(rows, int32(i))
 	}
 	if len(rows) > 0 {
-		o.perm = radixSort(keys, rows)
+		o.perm = RadixSort(keys, rows)
 	}
 	return o
 }
 
-// orderKey maps a non-NaN float to a uint64 whose unsigned order is the
+// OrderKey maps a non-NaN float to a uint64 whose unsigned order is the
 // float's: -0 is folded to +0 first (the two compare equal, so they must
 // tie and fall back to row order), then a negative number has every bit
 // flipped and a positive one its sign bit set.
-func orderKey(x float64) uint64 {
+func OrderKey(x float64) uint64 {
 	if x == 0 {
 		x = 0
 	}
@@ -154,13 +154,13 @@ func orderKey(x float64) uint64 {
 	return b | 1<<63
 }
 
-// radixSort sorts rows by keys, stably, one byte of the key per pass
+// RadixSort sorts rows by keys, stably, one byte of the key per pass
 // from the least significant up, and returns the sorted rows. A pass in
 // which every key has the same byte moves nothing and is skipped — all
 // eight bytes' counts come from one read of the keys — so a symbol
 // column sorts in at most four passes and a column of small integers in
-// two or three. keys and rows are overwritten.
-func radixSort(keys []uint64, rows []int32) []int32 {
+// two or three. keys and rows, which must not be empty, are overwritten.
+func RadixSort(keys []uint64, rows []int32) []int32 {
 	n := len(keys)
 	var count [8][256]int32
 	for _, k := range keys {

@@ -108,7 +108,7 @@ func buildStats(log *joblog.Log, cols *joblog.Columns) []attrStats {
 			// string-keyed map this replaced.
 			for s := range st.freqBySym {
 				st.freqBySym[s] /= math.Max(n, 1)
-				st.sqSum += st.freqBySym[s] * st.freqBySym[s]
+				st.sqSum += float64(st.freqBySym[s] * st.freqBySym[s])
 			}
 		}
 		out[i] = st
@@ -302,14 +302,14 @@ func RegressionWeights(log *joblog.Log, target string, cfg Config) ([]float64, e
 			}
 			dW := rankW[j]
 			dT := stats[ti].diff(i, nb)
-			nDC += dT * dW
+			nDC += float64(dT * dW)
 			for a := 0; a < n; a++ {
 				if a == ti {
 					continue
 				}
 				dA := stats[a].diff(i, nb)
-				nDA[a] += dA * dW
-				nDCDA[a] += dT * dA * dW
+				nDA[a] += float64(dA * dW)
+				nDCDA[a] += float64(dT * dA * dW)
 			}
 		}
 	}

@@ -529,12 +529,13 @@ func TestSubprocessWorkerCrash(t *testing.T) {
 
 // TestSubprocessWorkerFailure pins error propagation: a pool whose
 // worker command is broken must fail the explanation with an error, not
-// hang or corrupt output. A base conjunct in the despite clause keeps the
-// question off the rank sampler, so its pairs are walked on the workers.
+// hang or corrupt output. A base `!=` conjunct in the despite clause,
+// which no row filter proves, keeps the question off the rank sampler, so
+// its pairs are walked on the workers.
 func TestSubprocessWorkerFailure(t *testing.T) {
 	log := equivLog(30)
 	q := equivQuery(t, log)
-	q.Despite = append(q.Despite, pxql.Atom{Feature: "numinstances", Op: pxql.OpGt, Value: joblog.Num(0)})
+	q.Despite = append(q.Despite, pxql.Atom{Feature: "numinstances", Op: pxql.OpNe, Value: joblog.Num(0)})
 	pool := &shard.Pool{Command: []string{"/nonexistent/pxql-worker"}, Workers: 2}
 	t.Cleanup(pool.Close)
 	ex, err := core.NewExplainer(log, core.Config{Seed: 7, Exec: core.Exec{Shards: 4, Runner: pool}})
