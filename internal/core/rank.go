@@ -42,8 +42,10 @@ package core
 // RelatedPairsP for every shape.
 //
 // A layout is memoized on the columnar view under (blocking tuple,
-// target, canonical row filters): one memo per distinct set of filter
-// constants, which dies with the view at the next watermark.
+// target, canonical row filters) and dies with the view at the next
+// watermark. Filter constants come from the question, so a view keeps at
+// most maxFilteredLayouts filtered layouts; a question past them builds
+// its own.
 
 import (
 	"encoding/binary"
@@ -58,23 +60,77 @@ import (
 	"perfxplain/internal/pxql"
 )
 
-// rankKey memoizes one rank layout on the columnar view, beside the block
-// plan it is cut from: the blocking tuple, the target column and the row
-// filters' canonical key ("" for none).
+// rankKey names one rank layout of a view, beside the block plan it is
+// cut from: the blocking tuple, the target column and the row filters'
+// canonical key ("" for none).
 type rankKey struct {
 	block  blockPlanKey
 	target int
 	rows   string
 }
 
-// rankSlot is a rank layout's memo entry. Memo only stores the slot; the
-// first question to reach it builds the layout under once, outside
-// Memo's lock, because the build reads the view's other memos (block
-// plan, classes, sorted index, equality bitmaps) and a Memo builder must
-// not re-enter Memo. A warm question therefore pays one lookup.
+// maxFilteredLayouts bounds the layouts with row filters that one view
+// memoizes. Their keys carry the question's constants, so a client asking
+// `blocksize > c` for c after c would otherwise leave a layout per
+// constant resident until the next watermark; a question past the bound
+// builds its layout for itself. Unfiltered layouts are bounded by the
+// schema, like the block plans they are cut from.
+const maxFilteredLayouts = 16
+
+// rankLayoutsKey memoizes a view's rankLayouts.
+type rankLayoutsKey struct{}
+
+// rankLayouts is a view's rank layout memo. It lives in one Columns.Memo
+// entry and hands out slots; the first question to reach a slot builds
+// its layout under once, outside both locks, because the build reads the
+// view's other memos (block plan, classes, equality bitmaps) and a Memo
+// builder must not re-enter Memo. A warm question therefore pays two
+// lookups.
+type rankLayouts struct {
+	mu       sync.Mutex
+	slots    map[rankKey]*rankSlot
+	filtered int // slots whose key has row filters
+}
+
+// rankSlot is one layout's memo entry.
 type rankSlot struct {
 	once sync.Once
 	rg   *rankGroups
+}
+
+// slot returns key's slot, making it unless key has row filters and the
+// view already holds maxFilteredLayouts of those: nil then, and the caller
+// builds uncached.
+func (l *rankLayouts) slot(key rankKey) *rankSlot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if s, ok := l.slots[key]; ok {
+		return s
+	}
+	if key.rows != "" {
+		if l.filtered == maxFilteredLayouts {
+			return nil
+		}
+		l.filtered++
+	}
+	if l.slots == nil {
+		l.slots = make(map[rankKey]*rankSlot)
+	}
+	s := new(rankSlot)
+	l.slots[key] = s
+	return s
+}
+
+// rankLayoutOf returns the layout of (despite, rows) over target column t,
+// memoized on the view within maxFilteredLayouts.
+func rankLayoutOf(log *joblog.Log, despite pxql.Predicate, rows rankRows, t int) *rankGroups {
+	layouts := log.Columns().Memo(rankLayoutsKey{}, func() any { return new(rankLayouts) }).(*rankLayouts)
+	s := layouts.slot(rankKey{blockKey(blockIndexes(log, despite)), t, rows.key})
+	if s == nil {
+		return newRankGroups(log, despite, rows, t)
+	}
+	s.once.Do(func() { s.rg = newRankGroups(log, despite, rows, t) })
+	return s.rg
 }
 
 // rankGroups is the memoized rank layout of one blocking tuple, target
@@ -151,118 +207,30 @@ func filterKey(f int, a pxql.Atom) string {
 }
 
 // newRankGroups builds the layout of (despite, rows) over target column t.
-// An unfiltered plan is sorted through the target's sorted index; a
-// filtered one sorts its survivors alone.
+// It lists each of the block plan's groups cut to the rows inside every
+// range, in (target value, record index) order (byTarget), orders each
+// group by the range columns' values with further stable radix passes
+// (joblog.RadixSort), splits it where one changes, and sweeps every class
+// of two or more members; with no range a class is a whole group.
+// OrderKey folds −0 into +0 and == reads them as equal, so the two share
+// a class.
 func newRankGroups(log *joblog.Log, despite pxql.Predicate, rows rankRows, t int) *rankGroups {
 	cols := log.Columns()
 	col := cols.Col(t) // numeric: compareCode checked the schema
-	plan := candidateGroups(log, despite)
-	if rows.key == "" {
-		return newBlockedRankGroups(plan, col, cols.SortedIndex(t), cols.Len())
+	cut, ends, ok := byTarget(candidateGroups(log, despite), cols, t, rows)
+	if !ok {
+		return &rankGroups{}
 	}
-	return newFilteredRankGroups(plan, rows.ranges, cols, col)
-}
-
-// newBlockedRankGroups sorts the plan's groups by the target column
-// through its sorted index and sweeps each group once for the members'
-// windows.
-func newBlockedRankGroups(plan blockPlan, col *joblog.Col, ix *joblog.ColIndex, n int) *rankGroups {
-	gid := make([]int32, n)
-	for i := range gid {
-		gid[i] = -1
-	}
-	start := []int{0} // start[g] is group g's first slot in members
-	for _, g := range plan.groups {
-		if len(g) < 2 {
-			continue // no pairs
-		}
-		for _, r := range g {
-			gid[r] = int32(len(start) - 1)
-		}
-		start = append(start, start[len(start)-1]+len(g))
-	}
-	total := start[len(start)-1]
-	rg := &rankGroups{members: make([]int, total)}
-	vals := make([]float64, total)
-	next := append([]int(nil), start[:len(start)-1]...)
-	// Perm lists present non-NaN cells by (value, row): appending in its
-	// order sorts every group at once.
-	for _, r := range ix.Perm {
-		g := gid[r]
-		if g < 0 {
-			continue
-		}
-		x := col.Num[r]
-		if !(x > 0) || math.IsInf(x, 1) {
-			return &rankGroups{}
-		}
-		rg.members[next[g]], vals[next[g]] = int(r), x
-		next[g]++
-	}
-	for g, k := range next {
-		if k != start[g+1] {
-			return &rankGroups{} // a member's cell is missing or NaN
-		}
-	}
-	rg.sweep(vals, start)
-	return rg
-}
-
-// newFilteredRankGroups cuts each of the plan's groups to the rows inside
-// every range, orders the survivors by (range-column values, target
-// value, record index) — stable radix passes (joblog.RadixSort), the
-// target's first, over rows in record order — splits them where a
-// range-column value changes, and sweeps every class of two or more
-// members. OrderKey folds −0 into +0 and == reads them as equal, so the
-// two share a class. It touches the groups' rows only: nothing it
-// allocates is the size of the view.
-func newFilteredRankGroups(plan blockPlan, ranges []baseRange, cols *joblog.Columns, col *joblog.Col) *rankGroups {
-	split := make([]*joblog.Col, len(ranges))
-	for i, r := range ranges {
+	split := make([]*joblog.Col, len(rows.ranges))
+	for i, r := range rows.ranges {
 		split[i] = cols.Col(r.f)
 	}
-	inside := func(r int) bool {
-		for i, c := range split {
-			if c.Miss.Get(r) || !ranges[i].rng.Contains(c.Num[r]) {
-				return false
-			}
-		}
-		return true
-	}
-	same := func(a, b int32) bool {
-		for _, c := range split {
-			if c.Num[a] != c.Num[b] {
-				return false
-			}
-		}
-		return true
-	}
-	rg := &rankGroups{}
-	var vals []float64
+	// Every member is listed; only classes of one are left out.
+	members, vals := make([]int, 0, len(cut)), make([]float64, 0, len(cut))
 	start := []int{0}
-	var rows []int32
 	var keys []uint64
-	for _, g := range plan.groups {
-		rows = rows[:0]
-		for _, r := range g {
-			if inside(r) {
-				rows = append(rows, int32(r))
-			}
-		}
-		if len(rows) < 2 {
-			continue // no pairs
-		}
-		// A missing or NaN target sorts anywhere: the class holding it is
-		// refused below unless it is alone.
-		keys = keys[:0]
-		for _, r := range rows {
-			var k uint64
-			if x := col.Num[r]; x == x {
-				k = joblog.OrderKey(x)
-			}
-			keys = append(keys, k)
-		}
-		rows = joblog.RadixSort(keys, rows)
+	for g := 0; g+1 < len(ends); g++ {
+		rows := cut[ends[g]:ends[g+1]]
 		for i := len(split) - 1; i >= 0; i-- {
 			keys = keys[:0]
 			for _, r := range rows {
@@ -271,7 +239,7 @@ func newFilteredRankGroups(plan blockPlan, ranges []baseRange, cols *joblog.Colu
 			rows = joblog.RadixSort(keys, rows)
 		}
 		for s, e := 0, 0; s < len(rows); s = e {
-			for e = s + 1; e < len(rows) && same(rows[s], rows[e]); e++ {
+			for e = s + 1; e < len(rows) && sameCells(split, rows[s], rows[e]); e++ {
 			}
 			if e-s < 2 {
 				continue // no pairs
@@ -281,14 +249,117 @@ func newFilteredRankGroups(plan blockPlan, ranges []baseRange, cols *joblog.Colu
 				if col.Miss.Get(int(r)) || !(x > 0) || math.IsInf(x, 1) {
 					return &rankGroups{}
 				}
-				rg.members = append(rg.members, int(r))
+				members = append(members, int(r))
 				vals = append(vals, x)
 			}
-			start = append(start, len(rg.members))
+			start = append(start, len(members))
 		}
 	}
+	if len(members) < cap(members) {
+		members = slices.Clone(members) // the layout outlives the build: keep no spare capacity
+	}
+	rg := &rankGroups{members: members}
 	rg.sweep(vals, start)
 	return rg
+}
+
+// sameCells reports whether rows a and b hold equal values in every
+// column of split.
+func sameCells(split []*joblog.Col, a, b int32) bool {
+	for _, c := range split {
+		if c.Num[a] != c.Num[b] {
+			return false
+		}
+	}
+	return true
+}
+
+// byTarget lists the rows of the plan's groups of two or more that lie
+// inside every range, group after group — group g is cut[ends[g]:ends[g+1]]
+// — each in (target value, record index) order; a group left with fewer
+// than two rows is dropped.
+//
+// With no row filter every row of those groups is listed, in the order of
+// target column t's sorted index. That index is memoized on the view, and
+// a store's snapshot sorts only the rows past the store's prefix order,
+// so a growing log pays for its tail: on 5 400 → 27 000 jobs growing by
+// 540, the blocked layout of each new watermark took 1.0–1.2 ms through
+// the index against 1.7–2.0 ms sorting the groups afresh (2-core box,
+// medians of 120 watermarks, three alternations). The index skips missing
+// and NaN cells, so a group it leaves short holds one, and ok is false.
+//
+// A filtered list sorts its survivors alone, by a radix pass over rows in
+// record order, so a one-shot seek or zone question never sorts the view.
+// A missing or NaN target sorts anywhere in its group; newRankGroups
+// refuses the class holding it unless it is alone.
+func byTarget(plan blockPlan, cols *joblog.Columns, t int, rows rankRows) (cut []int32, ends []int, ok bool) {
+	ends = []int{0}
+	if rows.key == "" {
+		gid := make([]int32, cols.Len()) // the group of each row, −1 for none
+		for i := range gid {
+			gid[i] = -1
+		}
+		for _, g := range plan.groups {
+			if len(g) < 2 {
+				continue // no pairs
+			}
+			for _, r := range g {
+				gid[r] = int32(len(ends) - 1)
+			}
+			ends = append(ends, ends[len(ends)-1]+len(g))
+		}
+		cut = make([]int32, ends[len(ends)-1])
+		next := slices.Clone(ends[:len(ends)-1])
+		for _, r := range cols.SortedIndex(t).Perm {
+			if g := gid[r]; g >= 0 {
+				cut[next[g]] = r
+				next[g]++
+			}
+		}
+		for g, k := range next {
+			if k != ends[g+1] {
+				return nil, nil, false
+			}
+		}
+		return cut, ends, true
+	}
+	col := cols.Col(t)
+	inside := func(r int) bool {
+		for _, br := range rows.ranges {
+			c := cols.Col(br.f)
+			if c.Miss.Get(r) || !br.rng.Contains(c.Num[r]) {
+				return false
+			}
+		}
+		return true
+	}
+	var keys []uint64
+	for _, g := range plan.groups {
+		if len(g) < 2 {
+			continue // no pairs
+		}
+		n := len(cut)
+		for _, r := range g {
+			if inside(r) {
+				cut = append(cut, int32(r))
+			}
+		}
+		if len(cut)-n < 2 {
+			cut = cut[:n]
+			continue
+		}
+		keys = keys[:0]
+		for _, r := range cut[n:] {
+			var k uint64
+			if x := col.Num[r]; x == x {
+				k = joblog.OrderKey(x)
+			}
+			keys = append(keys, k)
+		}
+		copy(cut[n:], joblog.RadixSort(keys, cut[n:]))
+		ends = append(ends, len(cut))
+	}
+	return cut, ends, true
 }
 
 // sweep fills the windows and per-code prefix counts of the members laid
@@ -379,10 +450,7 @@ func rankSpaceOf(log *joblog.Log, q *pxql.Query, despite pxql.Predicate) *rankSp
 	if !ok {
 		return nil
 	}
-	slot := log.Columns().Memo(rankKey{blockKey(blockIndexes(log, despite)), tObs, rows.key},
-		func() any { return new(rankSlot) }).(*rankSlot)
-	slot.once.Do(func() { slot.rg = newRankGroups(log, despite, rows, tObs) })
-	rg := slot.rg
+	rg := rankLayoutOf(log, despite, rows, tObs)
 	if !rg.ok {
 		return nil
 	}

@@ -423,6 +423,63 @@ func TestRankCountsMatchWalk(t *testing.T) {
 	}
 }
 
+// TestRankLayoutMemoBounded: filter constants come from the question, so a
+// view memoizes at most maxFilteredLayouts filtered layouts however many
+// constants it is asked. A question past the bound builds its layout for
+// itself and gets the counts a fresh view memoizing it reports; memoized
+// layouts stay shared, and an unfiltered one is memoized past the bound.
+func TestRankLayoutMemoBounded(t *testing.T) {
+	schema := joblog.NewSchema([]joblog.Field{
+		{Name: "g", Kind: joblog.Nominal},
+		{Name: "v", Kind: joblog.Numeric},
+		{Name: "duration", Kind: joblog.Numeric},
+	})
+	newLog := func() *joblog.Log {
+		rng := rand.New(rand.NewSource(1999))
+		log := joblog.NewLog(schema)
+		for i := 0; i < 200; i++ {
+			log.MustAppend(&joblog.Record{ID: fmt.Sprint("r", i), Values: []joblog.Value{
+				joblog.Str(fmt.Sprint("g", i%3)), joblog.Num(float64(i % 50)), joblog.Num(float64(10 + rng.Intn(40))),
+			}})
+		}
+		return log
+	}
+	log := newLog()
+	blocked := pxql.Atom{Feature: "g_issame", Op: pxql.OpEq, Value: features.ValT}
+	despiteAt := func(c int) pxql.Predicate {
+		return pxql.Predicate{blocked, {Feature: "v", Op: pxql.OpGt, Value: joblog.Num(float64(c))}}
+	}
+	first := map[int]*rankGroups{}
+	for c := 0; c < 3*maxFilteredLayouts; c++ {
+		d := despiteAt(c)
+		rs := rankSpaceOf(log, oracleQuery(d), d)
+		if rs == nil {
+			t.Fatalf("v > %d: not rank-drawable", c)
+		}
+		first[c] = rs.rg
+		fresh := rankSpaceOf(newLog(), oracleQuery(d), d)
+		if rs.nObs != fresh.nObs || rs.nExp != fresh.nExp || !reflect.DeepEqual(rs.rg, fresh.rg) {
+			t.Errorf("v > %d: obs=%d exp=%d, a fresh view's obs=%d exp=%d", c, rs.nObs, rs.nExp, fresh.nObs, fresh.nExp)
+		}
+	}
+	unfiltered := pxql.Predicate{blocked}
+	if rankSpaceOf(log, oracleQuery(unfiltered), unfiltered) == nil {
+		t.Fatal("blocked: not rank-drawable")
+	}
+	layouts := log.Columns().Memo(rankLayoutsKey{}, func() any { return new(rankLayouts) }).(*rankLayouts)
+	if layouts.filtered != maxFilteredLayouts || len(layouts.slots) != maxFilteredLayouts+1 {
+		t.Errorf("the view holds %d layouts, %d filtered; want %d and %d",
+			len(layouts.slots), layouts.filtered, maxFilteredLayouts+1, maxFilteredLayouts)
+	}
+	for c := 0; c < 3*maxFilteredLayouts; c++ {
+		d := despiteAt(c)
+		again := rankSpaceOf(log, oracleQuery(d), d).rg
+		if shared := again == first[c]; shared != (c < maxFilteredLayouts) {
+			t.Errorf("v > %d: layout shared with the first question = %v", c, shared)
+		}
+	}
+}
+
 // TestRankCountsPastInt32: one blocking group of 70 000 members whose
 // targets spread over many 10 % bands holds some 2.4·10⁹ pairs in each of
 // its GT and LT classes — past what a 32-bit int counts. The rank
